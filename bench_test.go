@@ -14,6 +14,9 @@ import (
 
 	"sqlgraph/internal/baseline"
 	"sqlgraph/internal/bench/experiments"
+	"sqlgraph/internal/bench/queries"
+	"sqlgraph/internal/core"
+	"sqlgraph/internal/rel"
 )
 
 // benchOut controls whether experiment tables print during benchmarks.
@@ -298,6 +301,67 @@ func BenchmarkSingleHop(b *testing.B) {
 		if _, err := g.Query("g.V(10).out"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTraverseHop measures the adjacency hot path: the first Table-1
+// chain (three isPartOf hops with dedup from a few hundred vertices) runs
+// as index nested-loop joins over OPA/OSA behind warm prepared-statement
+// and plan caches. Run with -benchmem: bytes and allocations per query
+// are what pruned join rows and allocation-free probes buy.
+func BenchmarkTraverseHop(b *testing.B) {
+	env, _ := sharedEnvs(b)
+	g := &Graph{store: env.Store}
+	text := queries.PathQueries(env.Data)[0]
+	if _, err := g.Query(text); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Query(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProbeAt measures one index probe of the primary adjacency
+// table by vertex id — what a hop pays per frontier row. It must report
+// 0 allocs/op.
+func BenchmarkProbeAt(b *testing.B) {
+	env, _ := sharedEnvs(b)
+	cat := env.Store.Catalog()
+	t, ok := cat.Table(core.TableOPA)
+	if !ok {
+		b.Fatal("no OPA table")
+	}
+	var ix *rel.Index
+	for _, cand := range t.Indexes() {
+		if cand.Name() == core.IndexOPAVID {
+			ix = cand
+		}
+	}
+	if ix == nil {
+		b.Fatal("no OPA vertex-id index")
+	}
+	vids := env.Data.Graph.VertexIDs()
+	key := []rel.Value{rel.Null}
+	rows := 0
+	visit := func(rel.RowID, []rel.Value) bool { rows++; return true }
+	t.RLock()
+	defer t.RUnlock()
+	for _, vid := range vids {
+		key[0] = rel.NewInt(vid)
+		t.ProbeAt(ix, key, rel.Latest, visit)
+	}
+	if rows == 0 {
+		b.Fatal("probes found no adjacency rows")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key[0] = rel.NewInt(vids[i%len(vids)])
+		t.ProbeAt(ix, key, rel.Latest, visit)
 	}
 }
 

@@ -142,8 +142,18 @@ func (t *Tree[K, V]) Ascend(fn func(key K, val V) bool) {
 // AscendFrom calls fn for every pair with key >= from, in ascending order,
 // until fn returns false.
 func (t *Tree[K, V]) AscendFrom(from K, fn func(key K, val V) bool) {
+	t.AscendSeek(func(k K) bool { return t.cmp(k, from) < 0 }, fn)
+}
+
+// AscendSeek calls fn for every pair from the first key for which before
+// reports false, in ascending order, until fn returns false. before must
+// be monotone: true for a (possibly empty) prefix of the key order, false
+// from there on. The sought position never passes through the tree's
+// comparator, so a caller can seek to a bound it holds in another form —
+// a byte buffer on its stack — without building a key for it.
+func (t *Tree[K, V]) AscendSeek(before func(key K) bool, fn func(key K, val V) bool) {
 	if t.root != nil {
-		t.root.ascendFrom(t.cmp, from, fn)
+		t.root.ascendSeek(before, fn)
 	}
 }
 
@@ -349,13 +359,23 @@ func (n *node[K, V]) ascend(fn func(key K, val V) bool) bool {
 	return true
 }
 
-func (n *node[K, V]) ascendFrom(cmp func(a, b K) int, from K, fn func(key K, val V) bool) bool {
-	i, _ := n.search(cmp, from)
-	if !n.leaf() && !n.children[i].ascendFrom(cmp, from, fn) {
+func (n *node[K, V]) ascendSeek(before func(key K) bool, fn func(key K, val V) bool) bool {
+	// First item not before the sought position; everything from it on,
+	// and the subtree just left of it, can hold qualifying keys.
+	i, hi := 0, len(n.items)
+	for i < hi {
+		mid := (i + hi) / 2
+		if before(n.items[mid].key) {
+			i = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if !n.leaf() && !n.children[i].ascendSeek(before, fn) {
 		return false
 	}
 	for ; i < len(n.items); i++ {
-		if cmp(n.items[i].key, from) >= 0 && !fn(n.items[i].key, n.items[i].val) {
+		if !fn(n.items[i].key, n.items[i].val) {
 			return false
 		}
 		if !n.leaf() && !n.children[i+1].ascend(fn) {

@@ -721,3 +721,37 @@ func TestRemoveEdgeCollapsesEmptyCell(t *testing.T) {
 	_ = oracle.AddEdge(50, 1, 2, "knows", nil)
 	assertSameResults(t, s, oracle, "g.V(1).out('knows')", TranslateOptions{ForceHashTables: true})
 }
+
+// TestPreparedCacheBounded: a client sending texts that never repeat must
+// not grow the prepared-statement cache (or the engine's plan cache behind
+// it) without bound, and texts evicted with the rest still answer.
+func TestPreparedCacheBounded(t *testing.T) {
+	s := loadFigure2a(t, Options{})
+	count := func() (n int) {
+		s.prepared.Range(func(_, _ any) bool { n++; return true })
+		return n
+	}
+	for i := 0; i < maxPrepared+100; i++ {
+		// Distinct texts: an id list that grows by one never-matching id.
+		if _, err := s.Query(fmt.Sprintf("g.V(1, %d).out('knows')", 1000+i)); err != nil {
+			t.Fatal(err)
+		}
+		if n := count(); n > maxPrepared {
+			t.Fatalf("prepared cache holds %d statements after %d distinct texts, cap %d", n, i+1, maxPrepared)
+		}
+	}
+	if n := count(); n < 100 || n > maxPrepared {
+		t.Fatalf("prepared cache holds %d statements after one overflow, want the %d since it", n, 101)
+	}
+	hits, _ := s.PreparedCacheStats()
+	res, err := s.Query("g.V(1, 1000).out('knows')") // evicted with the rest: re-prepared
+	if err != nil || res.Count() != 2 {
+		t.Fatalf("evicted text after overflow: %v, %v", res, err)
+	}
+	if _, err := s.Query("g.V(1, 1000).out('knows')"); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := s.PreparedCacheStats(); after != hits+1 {
+		t.Fatalf("re-prepared text: %d cache hits, want %d", after, hits+1)
+	}
+}

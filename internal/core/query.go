@@ -32,11 +32,17 @@ func (r *Result) Count() int { return len(r.Values) }
 // translator fell back to a prefix + tail split (translate.ErrTailEval),
 // the untranslated suffix rides along; tail steps are never mutated
 // after parse, so sharing them across executions is safe too.
+//
+// The cache holds at most maxPrepared statements (about 5 KB each with
+// their plans): enough for any application's fixed set of traversals,
+// and a bound on what a client sending never-repeating texts can pin.
 type preparedQuery struct {
 	translation *translate.Translation
 	stmt        *sql.SelectStmt
 	tail        []gremlin.Step
 }
+
+const maxPrepared = 4096
 
 // TranslateOptions mirrors translate.Options at the store API surface.
 type TranslateOptions = translate.Options

@@ -98,9 +98,10 @@ type Store struct {
 	wal    *wal.Log
 	snapMu sync.Mutex // serializes checkpoints
 
-	prepared sync.Map          // gremlin text -> *preparedQuery
-	tracer   *trace.Recorder   // trace rings + write-path counters (never nil)
-	optStats *stats.Collection // planner statistics (never nil)
+	prepared    sync.Map          // gremlin text -> *preparedQuery, at most maxPrepared
+	preparedLen atomic.Int64      // entries stored since the cache was last emptied
+	tracer      *trace.Recorder   // trace rings + write-path counters (never nil)
+	optStats    *stats.Collection // planner statistics (never nil)
 
 	// Telemetry (telemetry.go): prepared-statement cache and tail-executor
 	// counters, plus the lifecycle event journal.

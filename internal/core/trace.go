@@ -83,6 +83,14 @@ func (s *Store) runQuery(b *trace.Builder, gremlinText string, opts TranslateOpt
 			return nil, fmt.Errorf("core: translated SQL is not a SELECT")
 		}
 		prep = &preparedQuery{translation: tr, stmt: sel, tail: tail}
+		// Past maxPrepared the cache is emptied, not evicted piecemeal: a
+		// text still in use re-enters on its next request for one
+		// parse+translate, and a stream of texts that never repeat cannot
+		// grow the heap without bound.
+		if s.preparedLen.Add(1) > maxPrepared {
+			s.prepared.Range(func(k, _ any) bool { s.prepared.Delete(k); return true })
+			s.preparedLen.Store(1)
+		}
 		s.prepared.Store(key, prep)
 	}
 	b.SetSQL(prep.translation.SQL)

@@ -5,6 +5,7 @@ import (
 
 	"sqlgraph/internal/rel"
 	"sqlgraph/internal/sql"
+	"sqlgraph/internal/sqljson"
 )
 
 // compiledExpr is an expression specialized against a fixed scope: column
@@ -121,9 +122,12 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		}
 		not := v.Not
 		if allConst {
-			// Constant IN-list: evaluate once into a hash set.
-			set := make(map[string]bool, len(items))
-			sawNull := false
+			// Constant IN-list: evaluate once into a hash set. An all-BIGINT
+			// list — the id list of g.V(ids) — is held as ints, and BIGINT
+			// operands looked up as such; canonical string keys are built
+			// only if an operand of another kind ever shows up.
+			var vals []rel.Value
+			sawNull, allInt := false, true
 			for _, ce := range items {
 				iv, err := ce(nil)
 				if err != nil {
@@ -133,14 +137,35 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 					sawNull = true
 					continue
 				}
-				set[iv.Key()] = true
+				allInt = allInt && iv.Kind() == rel.KindInt
+				vals = append(vals, iv)
 			}
+			var ints map[int64]struct{}
+			if allInt {
+				ints = make(map[int64]struct{}, len(vals))
+				for _, iv := range vals {
+					ints[iv.Int()] = struct{}{}
+				}
+			}
+			var keys map[string]bool
 			return func(row []rel.Value) (rel.Value, error) {
 				xv, err := xe(row)
 				if err != nil || xv.IsNull() {
 					return rel.Null, err
 				}
-				if set[xv.Key()] {
+				var hit bool
+				if ints != nil && xv.Kind() == rel.KindInt {
+					_, hit = ints[xv.Int()]
+				} else {
+					if keys == nil {
+						keys = make(map[string]bool, len(vals))
+						for _, iv := range vals {
+							keys[iv.Key()] = true
+						}
+					}
+					hit = keys[xv.Key()]
+				}
+				if hit {
 					return rel.NewBool(!not), nil
 				}
 				if sawNull {
@@ -375,17 +400,18 @@ func (e *Engine) compileFunc(q *queryState, sc *scope, v *sql.FuncCall) (compile
 	// filter in the translation).
 	if name == "JSON_VAL" && len(v.Args) == 2 {
 		if lit, ok := v.Args[1].(*sql.Literal); ok {
-			if path, ok := lit.Val.(string); ok {
+			if text, ok := lit.Val.(string); ok {
 				doc, err := e.compile(q, sc, v.Args[0])
 				if err != nil {
 					return nil, err
 				}
+				path := sqljson.CompilePath(text)
 				return func(row []rel.Value) (rel.Value, error) {
 					dv, err := doc(row)
 					if err != nil {
 						return rel.Null, err
 					}
-					return jsonVal(dv, rel.NewString(path)), nil
+					return jsonValPath(dv, path), nil
 				}, nil
 			}
 		}

@@ -33,10 +33,11 @@ type Engine struct {
 	funcsMu sync.RWMutex
 	funcs   map[string]ScalarFunc
 
-	iosim     atomic.Pointer[IOSim]        // optional buffer-pool simulation (Figure 8c)
-	execOpts  atomic.Pointer[ExecOptions]  // nil = defaults
-	statsProv atomic.Pointer[statsProvBox] // optimizer statistics, nil = legacy planning
-	planCache sync.Map                     // *sql.SimpleSelect -> *planCacheEntry (see planner.go)
+	iosim        atomic.Pointer[IOSim]        // optional buffer-pool simulation (Figure 8c)
+	execOpts     atomic.Pointer[ExecOptions]  // nil = defaults
+	statsProv    atomic.Pointer[statsProvBox] // optimizer statistics, nil = legacy planning
+	planCache    sync.Map                     // *sql.SimpleSelect -> *planCacheEntry (see planner.go)
+	planCacheLen atomic.Int64                 // entries stored since the cache was last emptied
 
 	planHits          atomic.Uint64 // plan cache hits
 	planMisses        atomic.Uint64 // plan cache misses (no entry for the statement)

@@ -492,6 +492,11 @@ func (e *Engine) evalFunc(ctx *evalCtx, v *sql.FuncCall) (rel.Value, error) {
 // jsonVal implements JSON_VAL(doc, 'path'): extract a value from a JSON
 // column, returning SQL NULL when the path is absent.
 func jsonVal(doc, path rel.Value) rel.Value {
+	return jsonValPath(doc, sqljson.CompilePath(valueText(path)))
+}
+
+// jsonValPath is jsonVal for a path compiled ahead of the row loop.
+func jsonValPath(doc rel.Value, path sqljson.Path) rel.Value {
 	var d *sqljson.Doc
 	switch doc.Kind() {
 	case rel.KindJSON:
@@ -505,7 +510,7 @@ func jsonVal(doc, path rel.Value) rel.Value {
 	default:
 		return rel.Null
 	}
-	v, err := d.Val(valueText(path))
+	v, err := d.ValPath(path)
 	if err != nil {
 		return rel.Null
 	}

@@ -12,6 +12,7 @@ import (
 // applied exactly once, as early as possible (predicate pushdown).
 type conjunct struct {
 	expr    sql.Expr
+	refs    *exprRefs // columns the term reads (see colNeeds)
 	applied bool
 }
 
@@ -24,14 +25,22 @@ func splitConjuncts(e sql.Expr, out []*conjunct) []*conjunct {
 		out = splitConjuncts(b.L, out)
 		return splitConjuncts(b.R, out)
 	}
-	return append(out, &conjunct{expr: e})
+	return append(out, &conjunct{expr: e, refs: refsOf(e)})
 }
 
-// exprTables collects the table qualifiers and bare column names an
-// expression references.
+// exprRefs collects the qualified columns (and their table aliases) and
+// the bare column names an expression references.
 type exprRefs struct {
-	qualified map[string]bool // table aliases
-	bare      map[string]bool // unqualified column names
+	qualified map[string]bool  // table aliases
+	cols      map[colInfo]bool // qualified column references
+	bare      map[string]bool  // unqualified column names
+}
+
+// reads reports whether the expression may read the column: a qualified
+// reference names it exactly, a bare one matches it by name under any
+// alias (so a name two tables share stays ambiguous downstream too).
+func (r *exprRefs) reads(c colInfo) bool {
+	return r.bare[c.name] || r.cols[c]
 }
 
 func collectRefs(e sql.Expr, r *exprRefs) {
@@ -40,6 +49,7 @@ func collectRefs(e sql.Expr, r *exprRefs) {
 	case *sql.ColumnRef:
 		if v.Table != "" {
 			r.qualified[v.Table] = true
+			r.cols[colInfo{table: v.Table, name: v.Column}] = true
 		} else {
 			r.bare[v.Column] = true
 		}
@@ -87,16 +97,21 @@ func collectRefs(e sql.Expr, r *exprRefs) {
 	}
 }
 
+func newExprRefs() *exprRefs {
+	return &exprRefs{qualified: map[string]bool{}, cols: map[colInfo]bool{}, bare: map[string]bool{}}
+}
+
 func refsOf(e sql.Expr) *exprRefs {
-	r := &exprRefs{qualified: map[string]bool{}, bare: map[string]bool{}}
+	r := newExprRefs()
 	collectRefs(e, r)
 	return r
 }
 
 // resolvableIn reports whether every column the expression references can
 // be resolved in the scope.
-func resolvableIn(e sql.Expr, sc *scope) bool {
-	r := refsOf(e)
+func resolvableIn(e sql.Expr, sc *scope) bool { return refsOf(e).resolvableIn(sc) }
+
+func (r *exprRefs) resolvableIn(sc *scope) bool {
 	for alias := range r.qualified {
 		found := false
 		for _, c := range sc.cols {
@@ -120,8 +135,7 @@ func resolvableIn(e sql.Expr, sc *scope) bool {
 // onlyReferences reports whether the expression references columns of the
 // single alias (and nothing else). Bare names are accepted when they
 // resolve within the alias's column set.
-func onlyReferences(e sql.Expr, alias string, cols []colInfo) bool {
-	r := refsOf(e)
+func (r *exprRefs) onlyReferences(alias string, cols []colInfo) bool {
 	for a := range r.qualified {
 		if a != alias {
 			return false
@@ -162,13 +176,22 @@ func (e *Engine) evalSimpleSelect(q *queryState, sel *sql.SimpleSelect) (*relati
 			q.stats.PlanVariants = fp.variants
 		}
 	}
+	// ON terms are split up front so the needed-column analysis sees every
+	// term that will ever read a column of this core.
+	on := make([][][]*conjunct, len(refs))
+	for i, ref := range refs {
+		for _, jc := range ref.Joins {
+			on[i] = append(on[i], splitConjuncts(jc.On, nil))
+		}
+	}
+	needs := newColNeeds(sel, refs, conjs, on)
 	for i, ref := range refs {
 		var sp *stepPlan
 		if i < len(steps) {
 			sp = steps[i]
 		}
 		var err error
-		cur, err = e.joinRef(q, cur, ref, conjs, sp)
+		cur, err = e.joinRef(q, cur, ref, conjs, on[i], sp, needs)
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +204,7 @@ func (e *Engine) evalSimpleSelect(q *queryState, sel *sql.SimpleSelect) (*relati
 		if c.applied {
 			continue
 		}
-		if !resolvableIn(c.expr, sc) {
+		if !c.refs.resolvableIn(sc) {
 			return nil, fmt.Errorf("%w in WHERE term %s", ErrUnknownColumn, c.expr.SQL())
 		}
 		remaining = append(remaining, c)
@@ -296,12 +319,12 @@ func (e *Engine) project(q *queryState, in *relation, items []sql.SelectItem) (*
 		}
 		fns[i] = fn
 	}
-	// Identity projection (SELECT each input column once, in order) can
-	// reuse the input rows outright.
+	// Identity projection (SELECT each input column once, in order) shares
+	// the input rows outright — after a pruned join, every Table-8 hop.
 	if identity := identityProjection(plan, len(in.cols)); identity {
 		return &relation{cols: outCols, rows: in.rows}, nil
 	}
-	arena := newRowArena(len(outCols))
+	arena := newRowArena(len(outCols), len(in.rows))
 	out := &relation{cols: outCols, rows: make([][]rel.Value, 0, len(in.rows))}
 	for _, row := range in.rows {
 		outRow := arena.alloc()
@@ -406,15 +429,16 @@ func projectionPlan(sc *scope, inCols []colInfo, items []sql.SelectItem) ([]colI
 
 // joinRef folds one FROM item (plus its JOIN chain) into cur. sp is the
 // planner's decision for the primary reference (nil = legacy heuristics);
-// explicit JOIN chains are never reordered and always run legacy.
-func (e *Engine) joinRef(q *queryState, cur *relation, ref sql.TableRef, conjs []*conjunct, sp *stepPlan) (*relation, error) {
-	out, err := e.joinOne(q, cur, ref, conjs, "INNER", nil, sp)
+// explicit JOIN chains are never reordered and always run legacy. on holds
+// the split ON terms of the item's JOIN clauses.
+func (e *Engine) joinRef(q *queryState, cur *relation, ref sql.TableRef, conjs []*conjunct, on [][]*conjunct, sp *stepPlan, needs *colNeeds) (*relation, error) {
+	out, err := e.joinOne(q, cur, ref, conjs, "INNER", nil, sp, needs)
 	if err != nil {
 		return nil, err
 	}
-	for _, jc := range ref.Joins {
-		onConjs := splitConjuncts(jc.On, nil)
-		out, err = e.joinOne(q, out, jc.Right, onConjs, jc.Kind, onConjs, nil)
+	for i, jc := range ref.Joins {
+		onConjs := on[i]
+		out, err = e.joinOne(q, out, jc.Right, onConjs, jc.Kind, onConjs, nil, needs)
 		if err != nil {
 			return nil, err
 		}
@@ -471,8 +495,9 @@ func (q *queryState) stampJoin(nBefore int, sp *stepPlan, legacyAlt JoinStrategy
 // joinOne joins one primary table reference into cur. For INNER joins the
 // conjunct pool is the statement's WHERE (or the ON clause); for LEFT
 // joins it is the ON clause only. sp, when non-nil, carries the cost-based
-// planner's strategy choice and estimates for this step.
-func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs []*conjunct, kind string, onOnly []*conjunct, sp *stepPlan) (*relation, error) {
+// planner's strategy choice and estimates for this step. The output keeps
+// only the columns needs still wants once this join's terms are applied.
+func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs []*conjunct, kind string, onOnly []*conjunct, sp *stepPlan, needs *colNeeds) (*relation, error) {
 	if ref.TableFn != nil {
 		if kind != "INNER" {
 			return nil, fmt.Errorf("engine: TABLE(VALUES) requires inner join semantics")
@@ -494,8 +519,8 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 	rightRel := &relation{cols: rightCols, rows: right.rows}
 
 	curScope := newScope(cur.cols)
-	outCols := append(append([]colInfo(nil), cur.cols...), rightCols...)
-	outScope := newScope(outCols)
+	fullCols := append(append([]colInfo(nil), cur.cols...), rightCols...)
+	fullScope := newScope(fullCols)
 	rightScope := newScope(rightCols)
 
 	// Classify available conjuncts.
@@ -508,11 +533,11 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 		if c.applied {
 			continue
 		}
-		if onlyReferences(c.expr, alias, rightCols) && resolvableIn(c.expr, rightScope) {
+		if c.refs.onlyReferences(alias, rightCols) && c.refs.resolvableIn(rightScope) {
 			rightOnly = append(rightOnly, c)
 			continue
 		}
-		if !resolvableIn(c.expr, outScope) {
+		if !c.refs.resolvableIn(fullScope) {
 			continue // belongs to a later join
 		}
 		if lx, rpos, ok := equiJoinParts(c.expr, curScope, rightScope); ok {
@@ -521,7 +546,7 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 			joinEqRight = append(joinEqRight, rpos)
 			continue
 		}
-		if resolvableIn(c.expr, curScope) && onOnly == nil {
+		if c.refs.resolvableIn(curScope) && onOnly == nil {
 			// Pure left-side WHERE term: filter cur now.
 			ce, err := e.compile(q, curScope, c.expr)
 			if err != nil {
@@ -544,6 +569,22 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 		residual = append(residual, c)
 	}
 
+	// Equi-join terms forced down to a nested loop are evaluated as
+	// residual predicates (same NULL semantics: a NULL-keyed comparison
+	// is not true, so the row does not match).
+	demotedEq := q.force == StrategyNestedLoop && len(joinEq) > 0
+	pairTerms := residual
+	if demotedEq {
+		pairTerms = append(append([]*conjunct(nil), joinEq...), residual...)
+	}
+	// What the join emits: the columns still read once its own terms are
+	// consumed.
+	shape := newJoinShape(cur.cols, rightCols, fullScope, needs.keep(fullCols, joinEq, rightOnly, residual), pairTerms)
+	estRows := int64(-1)
+	if sp != nil {
+		estRows = sp.estRows
+	}
+
 	// Base tables with an index on a join column use an index nested-loop
 	// join: probe the index once per outer row instead of materializing
 	// the whole table (this is what makes the OPA/OSA/EA traversal
@@ -554,34 +595,26 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 		if ix, mapping := joinIndexFor(baseTable, joinEqRight, q.asOf); ix != nil {
 			nJoins := len(q.stats.Joins)
 			out, err := e.indexNLJoin(q, cur, baseTable, ix, mapping, kind, indexNLArgs{
-				outCols:     outCols,
+				shape:       shape,
 				curScope:    curScope,
-				outScope:    outScope,
 				rightScope:  rightScope,
 				joinEqLeft:  joinEqLeft,
 				joinEqRight: joinEqRight,
 				rightOnly:   rightOnly,
-				residual:    residual,
+				estRows:     estRows,
 			})
 			if err != nil {
 				return nil, err
 			}
 			q.stampJoin(nJoins, sp, StrategyHash)
-			for _, c := range joinEq {
-				c.applied = true
-			}
-			for _, c := range rightOnly {
-				c.applied = true
-			}
-			for _, c := range residual {
-				c.applied = true
-			}
+			markApplied(joinEq, rightOnly, residual)
 			return out, nil
 		}
 	}
 
 	// Filter the right side with its own predicates (possibly via index
-	// when the right side is a base table).
+	// when the right side is a base table). Either way the surviving rows
+	// are the source's own: nothing is copied.
 	if baseTable != nil {
 		if sp != nil && sp.estScan >= 0 {
 			q.scanEst, q.scanEstValid = sp.estScan, true
@@ -590,8 +623,6 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 		if err != nil {
 			return nil, err
 		}
-		rightCols = rightRel.cols
-		rightScope = newScope(rightCols)
 	} else if len(rightOnly) > 0 {
 		pass, err := e.compilePredicates(q, rightScope, rightOnly)
 		if err != nil {
@@ -608,33 +639,27 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 			}
 		}
 		rightRel = &relation{cols: rightCols, rows: filtered}
-		for _, c := range rightOnly {
-			c.applied = true
-		}
+		markApplied(rightOnly)
 	}
 
-	// Equi-join terms forced down to a nested loop are evaluated as
-	// residual predicates (same NULL semantics: a NULL-keyed comparison
-	// is not true, so the row does not match).
-	demotedEq := false
-	if q.force == StrategyNestedLoop && len(joinEq) > 0 {
-		residual = append(joinEq, residual...)
-		joinEq, joinEqLeft, joinEqRight = nil, nil, nil
-		demotedEq = true
+	// The first FROM item meets the one-row, no-column unit relation: its
+	// rows are the result as they stand, shared with the CTE or table
+	// they came from (see the immutability rule in DESIGN.md §8).
+	if kind == "INNER" && len(cur.cols) == 0 && len(cur.rows) == 1 && len(joinEq) == 0 && len(residual) == 0 {
+		return rightRel, nil
 	}
 
 	var out *relation
 	nJoins := len(q.stats.Joins)
-	if len(joinEq) > 0 {
+	if len(joinEq) > 0 && !demotedEq {
 		// Hash join: the default for equi-joins no index covers.
 		out, err = e.hashJoin(q, cur, rightRel, kind, hashJoinArgs{
-			outCols:     outCols,
+			shape:       shape,
 			curScope:    curScope,
-			outScope:    outScope,
 			joinEqLeft:  joinEqLeft,
 			joinEqRight: joinEqRight,
-			residual:    residual,
 			rightName:   alias,
+			estRows:     estRows,
 		})
 		if err != nil {
 			return nil, err
@@ -642,7 +667,7 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 		q.stampJoin(nJoins, sp, StrategyNestedLoop)
 	} else {
 		// Nested-loop join: true cross joins and non-equi conditions only.
-		out, err = e.nestedLoopJoin(q, cur, rightRel, kind, outCols, outScope, residual, alias)
+		out, err = e.nestedLoopJoin(q, cur, rightRel, kind, shape, alias)
 		if err != nil {
 			return nil, err
 		}
@@ -652,51 +677,38 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 		}
 		q.stampJoin(nJoins, sp, legacyAlt)
 	}
-	for _, c := range joinEq {
-		c.applied = true
-	}
-	for _, c := range residual {
-		c.applied = true
-	}
+	markApplied(joinEq, residual)
 	return out, nil
 }
 
-// nestedLoopJoin compares every pair of rows, keeping pairs that pass the
-// residual predicates. The outer loop is morsel-parallel when the
-// predicates are parallel-safe.
-func (e *Engine) nestedLoopJoin(q *queryState, cur, right *relation, kind string, outCols []colInfo, outScope *scope, residual []*conjunct, rightName string) (*relation, error) {
-	opT := time.Now()
-	leftArity := len(cur.cols)
-	width := len(outCols)
+func markApplied(lists ...[]*conjunct) {
+	for _, list := range lists {
+		for _, c := range list {
+			c.applied = true
+		}
+	}
+}
 
+// nestedLoopJoin compares every pair of rows, keeping pairs that pass the
+// shape's residual predicates. The outer loop is morsel-parallel when the
+// predicates are parallel-safe.
+func (e *Engine) nestedLoopJoin(q *queryState, cur, right *relation, kind string, shape *joinShape, rightName string) (*relation, error) {
+	opT := time.Now()
 	par := q.par
-	if !parallelSafeConjuncts(residual) {
+	if !parallelSafeConjuncts(shape.residual) {
 		par = 1
 	}
 	morsels, _ := morselPlan(len(cur.rows), par)
 	chunks := make([][][]rel.Value, morsels)
 
-	type worker struct {
-		resid func(row []rel.Value) (bool, error)
-		arena *rowArena
-	}
-	newWorker := func() (*worker, error) {
-		pass, err := e.compilePredicates(q, outScope, residual)
-		if err != nil {
-			return nil, err
-		}
-		return &worker{resid: pass, arena: newRowArena(width)}, nil
-	}
-	m, w, err := runMorsels(len(cur.rows), par, newWorker, func(wk *worker, m, lo, hi int) error {
+	newWorker := func() (*joinEmitter, error) { return e.newJoinEmitter(q, shape, 0) }
+	m, w, err := runMorsels(len(cur.rows), par, newWorker, func(je *joinEmitter, m, lo, hi int) error {
 		var buf [][]rel.Value
 		for i := lo; i < hi; i++ {
 			lrow := cur.rows[i]
 			matched := false
 			for _, rrow := range right.rows {
-				joined := wk.arena.alloc()
-				copy(joined, lrow)
-				copy(joined[leftArity:], rrow)
-				ok, err := wk.resid(joined)
+				joined, ok, err := je.pair(lrow, rrow)
 				if err != nil {
 					return err
 				}
@@ -706,9 +718,7 @@ func (e *Engine) nestedLoopJoin(q *queryState, cur, right *relation, kind string
 				}
 			}
 			if !matched && kind == "LEFT" {
-				joined := wk.arena.alloc()
-				copy(joined, lrow)
-				buf = append(buf, joined)
+				buf = append(buf, je.unmatched(lrow))
 			}
 		}
 		chunks[m] = buf
@@ -717,25 +727,21 @@ func (e *Engine) nestedLoopJoin(q *queryState, cur, right *relation, kind string
 	if err != nil {
 		return nil, err
 	}
-	out := &relation{cols: outCols, rows: mergeMorsels(chunks)}
-	// Attaching the first FROM table crosses it with the initial empty
-	// one-row scope; that is not a join worth reporting.
-	if leftArity > 0 {
-		q.stats.Joins = append(q.stats.Joins, JoinStat{
-			Strategy:  StrategyNestedLoop,
-			Table:     rightName,
-			BuildRows: len(cur.rows),
-			ProbeRows: len(right.rows),
-			OutRows:   len(out.rows),
-			Morsels:   m,
-			Workers:   w,
-			StartNs:   q.sinceStart(opT),
-			Nanos:     time.Since(opT).Nanoseconds(),
-			EstRows:   -1,
-			EstCost:   -1,
-			AltCost:   -1,
-		})
-	}
+	out := &relation{cols: shape.cols, rows: mergeMorsels(chunks)}
+	q.stats.Joins = append(q.stats.Joins, JoinStat{
+		Strategy:  StrategyNestedLoop,
+		Table:     rightName,
+		BuildRows: len(cur.rows),
+		ProbeRows: len(right.rows),
+		OutRows:   len(out.rows),
+		Morsels:   m,
+		Workers:   w,
+		StartNs:   q.sinceStart(opT),
+		Nanos:     time.Since(opT).Nanoseconds(),
+		EstRows:   -1,
+		EstCost:   -1,
+		AltCost:   -1,
+	})
 	return out, nil
 }
 
@@ -791,7 +797,7 @@ func (e *Engine) lateralValues(q *queryState, cur *relation, ref sql.TableRef, c
 		if c.applied {
 			continue
 		}
-		if resolvableIn(c.expr, outScope) && !resolvableIn(c.expr, curScope) {
+		if c.refs.resolvableIn(outScope) && !c.refs.resolvableIn(curScope) {
 			inline = append(inline, c)
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"sqlgraph/internal/rel"
@@ -11,20 +12,14 @@ import (
 
 // hashJoinArgs bundles the precomputed state for hashJoin.
 type hashJoinArgs struct {
-	outCols     []colInfo
+	shape       *joinShape
 	curScope    *scope
-	outScope    *scope
 	joinEqLeft  []sql.Expr // per equi-join term: expression over cur
 	joinEqRight []int      // per equi-join term: right column position
-	residual    []*conjunct
-	rightName   string // right-side alias, for stats
-	simTable    string // synthetic IOSim table for this join's hash table
+	rightName   string     // right-side alias, for stats
+	simTable    string     // synthetic IOSim table for this join's hash table
+	estRows     int64      // planner's output estimate, -1 unknown
 }
-
-// nullKeySentinel marks rows whose join key contains a SQL NULL: they
-// match nothing (and for LEFT joins emit the null-extended row), exactly
-// like the index nested-loop join's null-key handling.
-const nullKeySentinel = ""
 
 // hashJoin performs an equi-join by hashing the smaller input on the
 // equi-join columns and probing from the larger one. Output order is the
@@ -33,25 +28,23 @@ const nullKeySentinel = ""
 // many workers probed, so results are deterministic. LEFT joins emit
 // unmatched left rows null-extended; rows whose key contains NULL never
 // match.
+//
+// A single BIGINT key column — every id-to-id join of the translation —
+// hashes as int64; anything else as canonical Value.Key() strings.
 func (e *Engine) hashJoin(q *queryState, cur, right *relation, kind string, a hashJoinArgs) (*relation, error) {
 	opT := time.Now()
 	if e.ioSim() != nil {
 		a.simTable = fmt.Sprintf("#hash%d", len(q.stats.Joins))
 	}
-	leftKeys, err := e.leftJoinKeys(q, cur, a)
-	if err != nil {
-		return nil, err
-	}
-	rightKeys := rightJoinKeys(right, a.joinEqRight)
-
 	stat := JoinStat{Strategy: StrategyHash, Table: a.rightName, Morsels: 1, Workers: 1, EstRows: -1, EstCost: -1, AltCost: -1}
 	var out *relation
-	if len(right.rows) <= len(cur.rows) {
-		stat.BuildSide, stat.BuildRows, stat.ProbeRows = "right", len(right.rows), len(cur.rows)
-		out, stat.Morsels, stat.Workers, err = e.hashJoinBuildRight(q, cur, right, leftKeys, rightKeys, kind, a)
-	} else {
-		stat.BuildSide, stat.BuildRows, stat.ProbeRows = "left", len(cur.rows), len(right.rows)
-		out, stat.Morsels, stat.Workers, err = e.hashJoinBuildLeft(q, cur, right, leftKeys, rightKeys, kind, a)
+	var err error
+	done := false
+	if len(a.joinEqRight) == 1 {
+		out, done, err = hashJoinKeyed(e, q, cur, right, kind, a, &stat, intJoinKey)
+	}
+	if err == nil && !done {
+		out, _, err = hashJoinKeyed(e, q, cur, right, kind, a, &stat, stringJoinKey)
 	}
 	if err != nil {
 		return nil, err
@@ -63,19 +56,85 @@ func (e *Engine) hashJoin(q *queryState, cur, right *relation, kind string, a ha
 	return out, nil
 }
 
-// leftJoinKeys evaluates the left-side key expressions for every row of
-// cur, encoding each key as a canonical string (nullKeySentinel for keys
-// containing NULL). Evaluation is morsel-parallel when the expressions
-// are parallel-safe.
-func (e *Engine) leftJoinKeys(q *queryState, cur *relation, a hashJoinArgs) ([]string, error) {
-	keys := make([]string, len(cur.rows))
+// intJoinKey hashes a single BIGINT key column as itself; ok is false for
+// any other kind, which sends the whole join to string keys.
+func intJoinKey(vals []rel.Value) (int64, bool) {
+	return vals[0].Int(), vals[0].Kind() == rel.KindInt
+}
+
+// stringJoinKey renders the key columns as one canonical string.
+func stringJoinKey(vals []rel.Value) (string, bool) {
+	if len(vals) == 1 {
+		return vals[0].Key(), true
+	}
+	var kb strings.Builder
+	for _, v := range vals {
+		kb.WriteString(v.Key())
+		kb.WriteByte(0xFF)
+	}
+	return kb.String(), true
+}
+
+// joinKeys holds one side's join keys. null marks rows whose key contains
+// a SQL NULL: they match nothing (and for LEFT joins emit the
+// null-extended row), exactly like the index nested-loop join's null-key
+// handling.
+type joinKeys[K comparable] struct {
+	keys []K
+	null []bool
+}
+
+// joinKeyFn evaluates the equi-join key columns of one row into dst.
+type joinKeyFn func(row, dst []rel.Value) error
+
+// joinKeysOf evaluates and encodes the join key of every row, morsel-
+// parallel under the given budget. ok is false when enc could not hold
+// some key; the caller then retries with an encoding that can.
+func joinKeysOf[K comparable](rows [][]rel.Value, width, par int, newKeyFn func() (joinKeyFn, error), enc func([]rel.Value) (K, bool)) (joinKeys[K], bool, error) {
+	jk := joinKeys[K]{keys: make([]K, len(rows)), null: make([]bool, len(rows))}
+	var misfit atomic.Bool
+	type worker struct {
+		key joinKeyFn
+		dst []rel.Value
+	}
+	newWorker := func() (*worker, error) {
+		key, err := newKeyFn()
+		return &worker{key: key, dst: make([]rel.Value, width)}, err
+	}
+	_, _, err := runMorsels(len(rows), par, newWorker, func(w *worker, m, lo, hi int) error {
+		for i := lo; i < hi && !misfit.Load(); i++ {
+			if err := w.key(rows[i], w.dst); err != nil {
+				return err
+			}
+			for _, v := range w.dst {
+				if v.IsNull() {
+					jk.null[i] = true
+				}
+			}
+			if jk.null[i] {
+				continue
+			}
+			k, ok := enc(w.dst)
+			if !ok {
+				misfit.Store(true)
+			}
+			jk.keys[i] = k
+		}
+		return nil
+	})
+	return jk, !misfit.Load(), err
+}
+
+// hashJoinKeyed runs the join with keys of type K, building on the
+// smaller input. done is false when enc cannot represent the keys.
+func hashJoinKeyed[K comparable](e *Engine, q *queryState, cur, right *relation, kind string, a hashJoinArgs, stat *JoinStat, enc func([]rel.Value) (K, bool)) (out *relation, done bool, err error) {
+	width := len(a.joinEqRight)
 	par := q.par
 	if !parallelSafeExprs(a.joinEqLeft) {
 		par = 1
 	}
-	type worker struct{ fns []compiledExpr }
-	newWorker := func() (*worker, error) {
-		fns := make([]compiledExpr, len(a.joinEqLeft))
+	leftKeys, ok, err := joinKeysOf(cur.rows, width, par, func() (joinKeyFn, error) {
+		fns := make([]compiledExpr, width)
 		for i, lx := range a.joinEqLeft {
 			fn, err := e.compile(q, a.curScope, lx)
 			if err != nil {
@@ -83,114 +142,101 @@ func (e *Engine) leftJoinKeys(q *queryState, cur *relation, a hashJoinArgs) ([]s
 			}
 			fns[i] = fn
 		}
-		return &worker{fns: fns}, nil
-	}
-	_, _, err := runMorsels(len(cur.rows), par, newWorker, func(w *worker, m, lo, hi int) error {
-		var kb strings.Builder
-		for i := lo; i < hi; i++ {
-			kb.Reset()
-			null := false
-			for _, fn := range w.fns {
-				v, err := fn(cur.rows[i])
-				if err != nil {
+		return func(row, dst []rel.Value) (err error) {
+			for i, fn := range fns {
+				if dst[i], err = fn(row); err != nil {
 					return err
 				}
-				if v.IsNull() {
-					null = true
-					break
-				}
-				kb.WriteString(v.Key())
-				kb.WriteByte(0xFF)
 			}
-			if null {
-				keys[i] = nullKeySentinel
-			} else {
-				keys[i] = kb.String()
-			}
-		}
-		return nil
-	})
-	return keys, err
-}
-
-// rightJoinKeys encodes the right-side key columns for every row.
-func rightJoinKeys(right *relation, positions []int) []string {
-	keys := make([]string, len(right.rows))
-	var kb strings.Builder
-	for i, row := range right.rows {
-		kb.Reset()
-		null := false
-		for _, pos := range positions {
-			v := row[pos]
-			if v.IsNull() {
-				null = true
-				break
-			}
-			kb.WriteString(v.Key())
-			kb.WriteByte(0xFF)
-		}
-		if null {
-			keys[i] = nullKeySentinel
-		} else {
-			keys[i] = kb.String()
-		}
+			return nil
+		}, nil
+	}, enc)
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	return keys
+	rightKeys, ok, err := joinKeysOf(right.rows, width, q.par, func() (joinKeyFn, error) {
+		return func(row, dst []rel.Value) error {
+			for i, pos := range a.joinEqRight {
+				dst[i] = row[pos]
+			}
+			return nil
+		}, nil
+	}, enc)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+
+	if len(right.rows) <= len(cur.rows) {
+		stat.BuildSide, stat.BuildRows, stat.ProbeRows = "right", len(right.rows), len(cur.rows)
+		out, stat.Morsels, stat.Workers, err = hashJoinBuildRight(e, q, cur, right, leftKeys, rightKeys, kind, a)
+	} else {
+		stat.BuildSide, stat.BuildRows, stat.ProbeRows = "left", len(cur.rows), len(right.rows)
+		out, stat.Morsels, stat.Workers, err = hashJoinBuildLeft(e, q, cur, right, leftKeys, rightKeys, kind, a)
+	}
+	return out, true, err
 }
 
-// buildTable maps a key to the input row indices bearing it, in input
-// order. Rows with NULL-containing keys are excluded. Each insert is
-// charged to the buffer-pool model: a build side larger than the pool
-// spills, like the paper's memory sweep.
-func (e *Engine) buildTable(q *queryState, keys []string, simTable string) map[string][]int32 {
-	build := make(map[string][]int32, len(keys))
-	for i, k := range keys {
-		if k == nullKeySentinel {
+// hashTable maps a key to the input rows bearing it, in input order, as
+// chains through one shared next array: two allocations however many
+// distinct keys there are.
+type hashTable[K comparable] struct {
+	span map[K][2]int32 // key -> first and last row bearing it
+	next []int32        // row -> next row with the same key, -1 at the end
+}
+
+// buildTable hashes one side. Rows with NULL-containing keys are
+// excluded. Each insert is charged to the buffer-pool model: a build side
+// larger than the pool spills, like the paper's memory sweep.
+func buildTable[K comparable](e *Engine, q *queryState, jk joinKeys[K], simTable string) hashTable[K] {
+	ht := hashTable[K]{span: make(map[K][2]int32, len(jk.keys)), next: make([]int32, len(jk.keys))}
+	for i, k := range jk.keys {
+		if jk.null[i] {
 			continue
 		}
-		build[k] = append(build[k], int32(i))
+		ht.next[i] = -1
+		if sp, ok := ht.span[k]; ok {
+			ht.next[sp[1]] = int32(i)
+			ht.span[k] = [2]int32{sp[0], int32(i)}
+		} else {
+			ht.span[k] = [2]int32{int32(i), int32(i)}
+		}
 		e.hashAccess(q, simTable, i)
 	}
-	return build
+	return ht
+}
+
+// first returns the first row bearing the key, or -1.
+func (ht hashTable[K]) first(k K) int32 {
+	if sp, ok := ht.span[k]; ok {
+		return sp[0]
+	}
+	return -1
 }
 
 // hashJoinBuildRight is the common case: hash the right side, probe with
 // left rows morsel-parallel, merging per-morsel outputs in order.
-func (e *Engine) hashJoinBuildRight(q *queryState, cur, right *relation, leftKeys, rightKeys []string, kind string, a hashJoinArgs) (*relation, int, int, error) {
-	build := e.buildTable(q, rightKeys, a.simTable)
-	width := len(a.outCols)
-	leftArity := len(cur.cols)
-
+func hashJoinBuildRight[K comparable](e *Engine, q *queryState, cur, right *relation, leftKeys, rightKeys joinKeys[K], kind string, a hashJoinArgs) (*relation, int, int, error) {
+	build := buildTable(e, q, rightKeys, a.simTable)
+	n := len(cur.rows)
 	par := q.par
-	if !parallelSafeConjuncts(a.residual) {
+	if !parallelSafeConjuncts(a.shape.residual) {
 		par = 1
 	}
-	morsels, _ := morselPlan(len(cur.rows), par)
+	morsels, _ := morselPlan(n, par)
 	chunks := make([][][]rel.Value, morsels)
 
-	type worker struct {
-		resid func(row []rel.Value) (bool, error)
-		arena *rowArena
+	newWorker := func() (*joinEmitter, error) {
+		return e.newJoinEmitter(q, a.shape, rowsHint(a.estRows, n, 0, min(n, morselRows)))
 	}
-	newWorker := func() (*worker, error) {
-		pass, err := e.compilePredicates(q, a.outScope, a.residual)
-		if err != nil {
-			return nil, err
-		}
-		return &worker{resid: pass, arena: newRowArena(width)}, nil
-	}
-	m, w, err := runMorsels(len(cur.rows), par, newWorker, func(wk *worker, m, lo, hi int) error {
-		buf := make([][]rel.Value, 0, hi-lo)
+	m, w, err := runMorsels(n, par, newWorker, func(je *joinEmitter, m, lo, hi int) error {
+		buf := make([][]rel.Value, 0, rowsHint(a.estRows, n, lo, hi))
 		for i := lo; i < hi; i++ {
 			lrow := cur.rows[i]
 			matched := false
-			if k := leftKeys[i]; k != nullKeySentinel {
-				for _, ri := range build[k] {
+			if !leftKeys.null[i] {
+				for ri := build.first(leftKeys.keys[i]); ri >= 0; ri = build.next[ri] {
 					e.hashAccess(q, a.simTable, int(ri))
-					joined := wk.arena.alloc()
-					copy(joined, lrow)
-					copy(joined[leftArity:], right.rows[ri])
-					ok, err := wk.resid(joined)
+					joined, ok, err := je.pair(lrow, right.rows[ri])
 					if err != nil {
 						return err
 					}
@@ -201,9 +247,7 @@ func (e *Engine) hashJoinBuildRight(q *queryState, cur, right *relation, leftKey
 				}
 			}
 			if !matched && kind == "LEFT" {
-				joined := wk.arena.alloc()
-				copy(joined, lrow)
-				buf = append(buf, joined)
+				buf = append(buf, je.unmatched(lrow))
 			}
 		}
 		chunks[m] = buf
@@ -212,22 +256,20 @@ func (e *Engine) hashJoinBuildRight(q *queryState, cur, right *relation, leftKey
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return &relation{cols: a.outCols, rows: mergeMorsels(chunks)}, m, w, nil
+	return &relation{cols: a.shape.cols, rows: mergeMorsels(chunks)}, m, w, nil
 }
 
 // hashJoinBuildLeft hashes the (smaller) left side and probes with right
 // rows. Matches are collected per left row and emitted in left-row order
 // so the output is identical to hashJoinBuildRight's.
-func (e *Engine) hashJoinBuildLeft(q *queryState, cur, right *relation, leftKeys, rightKeys []string, kind string, a hashJoinArgs) (*relation, int, int, error) {
-	build := e.buildTable(q, leftKeys, a.simTable)
-	width := len(a.outCols)
-	leftArity := len(cur.cols)
-
+func hashJoinBuildLeft[K comparable](e *Engine, q *queryState, cur, right *relation, leftKeys, rightKeys joinKeys[K], kind string, a hashJoinArgs) (*relation, int, int, error) {
+	build := buildTable(e, q, leftKeys, a.simTable)
+	n := len(right.rows)
 	par := q.par
-	if !parallelSafeConjuncts(a.residual) {
+	if !parallelSafeConjuncts(a.shape.residual) {
 		par = 1
 	}
-	morsels, _ := morselPlan(len(right.rows), par)
+	morsels, _ := morselPlan(n, par)
 
 	type match struct {
 		left int32
@@ -235,31 +277,19 @@ func (e *Engine) hashJoinBuildLeft(q *queryState, cur, right *relation, leftKeys
 	}
 	chunks := make([][]match, morsels)
 
-	type worker struct {
-		resid func(row []rel.Value) (bool, error)
-		arena *rowArena
+	newWorker := func() (*joinEmitter, error) {
+		return e.newJoinEmitter(q, a.shape, rowsHint(a.estRows, n, 0, min(n, morselRows)))
 	}
-	newWorker := func() (*worker, error) {
-		pass, err := e.compilePredicates(q, a.outScope, a.residual)
-		if err != nil {
-			return nil, err
-		}
-		return &worker{resid: pass, arena: newRowArena(width)}, nil
-	}
-	m, w, err := runMorsels(len(right.rows), par, newWorker, func(wk *worker, m, lo, hi int) error {
+	m, w, err := runMorsels(n, par, newWorker, func(je *joinEmitter, m, lo, hi int) error {
 		var buf []match
 		for i := lo; i < hi; i++ {
-			k := rightKeys[i]
-			if k == nullKeySentinel {
+			if rightKeys.null[i] {
 				continue
 			}
 			rrow := right.rows[i]
-			for _, li := range build[k] {
+			for li := build.first(rightKeys.keys[i]); li >= 0; li = build.next[li] {
 				e.hashAccess(q, a.simTable, int(li))
-				joined := wk.arena.alloc()
-				copy(joined, cur.rows[li])
-				copy(joined[leftArity:], rrow)
-				ok, err := wk.resid(joined)
+				joined, ok, err := je.pair(cur.rows[li], rrow)
 				if err != nil {
 					return err
 				}
@@ -275,30 +305,41 @@ func (e *Engine) hashJoinBuildLeft(q *queryState, cur, right *relation, leftKeys
 		return nil, 0, 0, err
 	}
 
-	// Regroup matches per left row. Probing right rows in morsel order
-	// means each left row's bucket accumulates matches in right-row
-	// order; emitting buckets in left-row order restores the canonical
-	// left-major order.
-	perLeft := make([][][]rel.Value, len(cur.rows))
-	total := 0
+	// Regroup matches per left row: a counting sort on the left row index.
+	// Visiting chunks in morsel order keeps each left row's matches in
+	// right-row order, and laying the groups out in left-row order restores
+	// the canonical left-major order.
+	start := make([]int, len(cur.rows)+1)
 	for _, c := range chunks {
 		for _, mt := range c {
-			perLeft[mt.left] = append(perLeft[mt.left], mt.row)
-			total++
+			start[mt.left+1]++
 		}
 	}
-	out := &relation{cols: a.outCols, rows: make([][]rel.Value, 0, total)}
-	arena := newRowArena(width)
-	for i, lrow := range cur.rows {
-		if rows := perLeft[i]; len(rows) > 0 {
-			out.rows = append(out.rows, rows...)
-		} else if kind == "LEFT" {
-			joined := arena.alloc()
-			copy(joined, lrow)
-			out.rows = append(out.rows, joined)
+	unmatched := 0
+	for i := range cur.rows {
+		if start[i+1] == 0 && kind == "LEFT" {
+			start[i+1] = 1
+			unmatched++
+		}
+		start[i+1] += start[i]
+	}
+	rows := make([][]rel.Value, start[len(cur.rows)])
+	fill := append([]int(nil), start[:len(cur.rows)]...)
+	for _, c := range chunks {
+		for _, mt := range c {
+			rows[fill[mt.left]] = mt.row
+			fill[mt.left]++
 		}
 	}
-	return out, m, w, nil
+	if unmatched > 0 {
+		je := &joinEmitter{shape: a.shape, arena: newRowArena(len(a.shape.cols), unmatched)}
+		for i, lrow := range cur.rows {
+			if fill[i] == start[i] {
+				rows[start[i]] = je.unmatched(lrow)
+			}
+		}
+	}
+	return &relation{cols: a.shape.cols, rows: rows}, m, w, nil
 }
 
 // hashAccess charges a hash-table build insert or probe hit to the

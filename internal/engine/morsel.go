@@ -119,6 +119,9 @@ func runMorsels[W any](n, par int, newWorker func() (W, error), process func(w W
 // mergeMorsels concatenates per-morsel output buffers in morsel order,
 // preserving the serial row order.
 func mergeMorsels(chunks [][][]rel.Value) [][]rel.Value {
+	if len(chunks) == 1 {
+		return chunks[0] // the common small input: nothing to concatenate
+	}
 	total := 0
 	for _, c := range chunks {
 		total += len(c)

@@ -256,28 +256,46 @@ func TestMorselEdgeCases(t *testing.T) {
 }
 
 // TestParallelScanDeterminism: a morsel-parallel scan+filter must emit
-// byte-identical rows in the same order as serial execution.
+// byte-identical rows in the same order as serial execution, and fan out
+// exactly from parallelMinRows rows on — one row below the gate the scan
+// stays serial however many workers it is offered, so the assertions hold
+// at any GOMAXPROCS.
 func TestParallelScanDeterminism(t *testing.T) {
 	e := New(rel.NewCatalog())
 	if _, err := e.Exec("CREATE TABLE T (N BIGINT, S VARCHAR)"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3*morselRows; i++ {
-		if _, err := e.Exec("INSERT INTO T VALUES (?, ?)", int64(i), fmt.Sprintf("s%d", i%97)); err != nil {
-			t.Fatal(err)
+	insert := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if _, err := e.Exec("INSERT INTO T VALUES (?, ?)", int64(i), fmt.Sprintf("s%d", i%97)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	q := "SELECT N, S FROM T WHERE N % 3 = 0 AND S <> 's5'"
-	serial := queryForced(t, e, StrategyAuto, 1, q)
-	par := queryForced(t, e, StrategyAuto, 0, q)
-	if !sameStrings(rowsKeys(serial), rowsKeys(par)) {
-		t.Fatal("parallel scan output differs from serial")
+	check := func(wantWorkers int) {
+		t.Helper()
+		serial := queryForced(t, e, StrategyAuto, 1, q)
+		par := queryForced(t, e, StrategyAuto, 4, q)
+		if !sameStrings(rowsKeys(serial), rowsKeys(par)) {
+			t.Fatal("parallel scan output differs from serial")
+		}
+		if got := par.Stats.MaxWorkers(); got != wantWorkers {
+			t.Fatalf("Parallelism=4 over %d rows used %d workers, want %d, stats:\n%s", par.Stats.Scans[0].RowsIn, got, wantWorkers, par.Stats.String())
+		}
+		if serial.Stats.MaxWorkers() != 1 {
+			t.Fatalf("Parallelism=1 must stay serial, stats:\n%s", serial.Stats.String())
+		}
 	}
-	if runtime.GOMAXPROCS(0) > 1 && par.Stats.MaxWorkers() < 2 {
-		t.Fatalf("expected parallel scan to fan out, stats:\n%s", par.Stats.String())
-	}
-	if serial.Stats.MaxWorkers() != 1 {
-		t.Fatalf("Parallelism=1 must stay serial, stats:\n%s", serial.Stats.String())
+	insert(0, parallelMinRows-1)
+	check(1) // one row short of the gate
+	insert(parallelMinRows-1, parallelMinRows)
+	check(4) // at the gate: parallelMinRows/morselRows morsels, one worker each
+	// The default budget is GOMAXPROCS workers, capped by the morsel count.
+	auto := queryForced(t, e, StrategyAuto, 0, q)
+	if want := min(runtime.GOMAXPROCS(0), parallelMinRows/morselRows); auto.Stats.MaxWorkers() != want {
+		t.Fatalf("Parallelism=0 used %d workers, want %d, stats:\n%s", auto.Stats.MaxWorkers(), want, auto.Stats.String())
 	}
 }
 

@@ -46,13 +46,29 @@ const (
 	selCTEGeneric     = 0.7  // unrecognized predicate on a CTE input
 	costProbe         = 2.0  // per-outer-row index probe overhead
 	costBuildRow      = 1.2  // per-row hash build weight vs probe weight 1
+	// Access-path costing (chooseAccessPath), in units of one heap row a
+	// full scan examines. An index entry costs three of them: the B-tree
+	// step, the rid-to-slot lookup and the staleness check make it about
+	// 1.5 times a sequential row, and an index walk runs on one worker
+	// where the full scan runs on all of them. With strategyHedge on the
+	// index side, a predicate keeping more than about two fifths of the
+	// table is read by full scan.
+	costScanRow  = 1.0
+	costIndexRow = 3.0
+	// selIndexUnknown is the fraction an indexable predicate is assumed to
+	// keep when no statistic answers it (expression indexes, untracked
+	// tables): optimistic on purpose — whoever built that index expected
+	// it to be selective — so statistics can only ever demote an index
+	// path, never a missing statistic.
+	selIndexUnknown = 0.1
 	// reorderHedge: a non-syntactic order must beat the syntactic one by
 	// this factor before the planner switches — the Table-8 templates'
 	// written order is well tuned, so near-ties keep it (and keep the
 	// microbench never-slower gate honest).
 	reorderHedge = 0.9
-	// strategyHedge: hash must beat index-NL by this factor before the
-	// planner overrides the executor's index preference.
+	// strategyHedge: hash must beat index-NL, and a full scan an index
+	// access path, by this factor before the planner overrides the
+	// executor's index preference.
 	strategyHedge = 0.8
 	// maxExhaustiveRels bounds exhaustive join-order enumeration; larger
 	// cores fall back to [syntactic, greedy].
@@ -150,6 +166,14 @@ func (e *Engine) planFrom(q *queryState, sel *sql.SimpleSelect, conjs []*conjunc
 	}
 	plan := e.planFromFresh(q, sel, conjs)
 	if cacheable {
+		// Entries are keyed by statement node and outlive the statement, so
+		// the cache is emptied past maxCachedPlans: plans of statements
+		// still prepared come back on their next execution, those of
+		// discarded ones (and the nodes they pin) go.
+		if e.planCacheLen.Add(1) > maxCachedPlans {
+			e.planCache.Range(func(k, _ any) bool { e.planCache.Delete(k); return true })
+			e.planCacheLen.Store(1)
+		}
 		e.planCache.Store(sel, &planCacheEntry{version: ver, asOf: q.asOf, forcePlan: q.forcePlan, hintsSig: sig, plan: plan})
 	}
 	return plan
@@ -166,6 +190,10 @@ type StatsVersioner interface {
 	// StatsVersion advances whenever any tracked statistic may change.
 	StatsVersion() uint64
 }
+
+// maxCachedPlans bounds the plan cache (one entry per SELECT core, a
+// handful per statement).
+const maxCachedPlans = 1 << 14
 
 // planCacheEntry is one cached planFrom result (plan may be nil: "this
 // core is not plannable" is itself worth caching).
@@ -327,7 +355,7 @@ func (e *Engine) buildPlanRel(q *queryState, ref sql.TableRef) *planRel {
 // machinery could classify: WHERE conjuncts plus the ON clauses and
 // lateral VALUES cells of every FROM item.
 func collectBareNames(sel *sql.SimpleSelect, conjs []*conjunct) map[string]bool {
-	r := &exprRefs{qualified: map[string]bool{}, bare: map[string]bool{}}
+	r := newExprRefs()
 	for _, c := range conjs {
 		collectRefs(c.expr, r)
 	}
@@ -354,7 +382,7 @@ func (e *Engine) relFilter(q *queryState, r *planRel, conjs []*conjunct) {
 		if c.applied {
 			continue
 		}
-		if !onlyReferences(c.expr, r.alias, r.cols) || !resolvableIn(c.expr, r.scope) {
+		if !c.refs.onlyReferences(r.alias, r.cols) || !c.refs.resolvableIn(r.scope) {
 			continue
 		}
 		sel *= e.conjSelectivity(q, r, c.expr)

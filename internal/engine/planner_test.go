@@ -254,3 +254,32 @@ func TestPlannerEnumerationBounds(t *testing.T) {
 		t.Fatalf("duplicate orders: %d distinct of %d", len(seen), len(orders))
 	}
 }
+
+// TestPlanCacheBounded: plans are keyed by statement node, so statements
+// that are parsed, run once and dropped must not accumulate.
+func TestPlanCacheBounded(t *testing.T) {
+	e := newPlannerEngine(t, 50)
+	for i := 0; i < maxCachedPlans+10; i++ {
+		if _, err := e.Query(plannerQuery); err != nil { // a fresh AST, so a fresh cache key, each time
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	e.planCache.Range(func(_, _ any) bool { n++; return true })
+	if n == 0 || n > maxCachedPlans {
+		t.Fatalf("plan cache holds %d entries after %d one-shot statements, cap %d", n, maxCachedPlans+10, maxCachedPlans)
+	}
+	stmt, err := e.Prepare(plannerQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.PlanCacheStats().Hits
+	for i := 0; i < 3; i++ {
+		if _, err := stmt.Query(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.PlanCacheStats().Hits - before; got != 2 {
+		t.Fatalf("prepared statement after the cache was emptied: %d plan-cache hits in 3 runs, want 2", got)
+	}
+}

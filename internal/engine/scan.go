@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"time"
 
 	"sqlgraph/internal/rel"
@@ -98,75 +99,56 @@ func (e *Engine) constValue(q *queryState, x sql.Expr) (rel.Value, error) {
 	return e.eval(ctx, x)
 }
 
-// chooseAccessPath inspects the pushable conjuncts for an indexable
-// predicate, preferring equality, then IN, then range, then IS NOT NULL.
+// chooseAccessPath inspects the pushable conjuncts for indexable
+// predicates and picks how scanBase reads the table. One candidate is
+// collected per kind — the first equality, IN list, range and IS NOT NULL
+// an index matches. Without optimizer statistics the pick is syntactic:
+// equality, then IN, then range, then IS NOT NULL. With a StatsProvider
+// every candidate and the full scan are costed (accessCost) and the
+// cheapest wins, ties going to the syntactic order: a range that keeps
+// most of the table — the soft-delete guard VID >= 0 — loses to the
+// morsel-parallel full scan, a selective one stays an index probe.
 func (e *Engine) chooseAccessPath(q *queryState, t *rel.Table, alias string, conjs []*conjunct) (*accessPath, error) {
-	var rangePath, notNullPath, inPath *accessPath
+	var eqPath, inPath, rangePath, notNullPath *accessPath
 	for _, c := range conjs {
 		if c.applied {
 			continue
 		}
 		switch v := c.expr.(type) {
 		case *sql.Binary:
-			if v.Op == "=" {
-				if ix := matchIndexExpr(t, alias, v.L, q.asOf); ix != nil && isConstExpr(v.R) {
-					key, err := e.constValue(q, v.R)
-					if err != nil {
-						return nil, err
-					}
-					return &accessPath{index: ix, kind: accessEq, keys: [][]rel.Value{{key}}, consumed: c}, nil
-				}
-				if ix := matchIndexExpr(t, alias, v.R, q.asOf); ix != nil && isConstExpr(v.L) {
-					key, err := e.constValue(q, v.L)
-					if err != nil {
-						return nil, err
-					}
-					return &accessPath{index: ix, kind: accessEq, keys: [][]rel.Value{{key}}, consumed: c}, nil
-				}
+			side, bound, op := v.L, v.R, v.Op
+			if !isConstExpr(bound) {
+				side, bound, op = v.R, v.L, flipCmp(v.Op)
 			}
-			if rangePath == nil {
-				var side, bound sql.Expr
-				op := v.Op
-				if isConstExpr(v.R) {
-					side, bound = v.L, v.R
-				} else if isConstExpr(v.L) {
-					side, bound = v.R, v.L
-					// Flip the operator when the constant is on the left.
-					switch op {
-					case "<":
-						op = ">"
-					case "<=":
-						op = ">="
-					case ">":
-						op = "<"
-					case ">=":
-						op = "<="
-					}
-				}
-				if side != nil {
-					if ix := matchIndexExpr(t, alias, side, q.asOf); ix != nil {
-						b, err := e.constValue(q, bound)
-						if err != nil {
-							return nil, err
-						}
-						p := &accessPath{index: ix, kind: accessRange, consumed: c}
-						switch op {
-						case "<":
-							p.hi = b
-						case "<=":
-							p.hi, p.hiInc = b, true
-						case ">":
-							p.lo = b
-						case ">=":
-							p.lo, p.loInc = b, true
-						default:
-							p = nil
-						}
-						if p != nil {
-							rangePath = p
-						}
-					}
-				}
+			isRange := op == "<" || op == "<=" || op == ">" || op == ">="
+			if !isConstExpr(bound) || !(op == "=" && eqPath == nil || isRange && rangePath == nil) {
+				continue
+			}
+			ix := matchIndexExpr(t, alias, side, q.asOf)
+			if ix == nil {
+				continue
+			}
+			b, err := e.constValue(q, bound)
+			if err != nil {
+				return nil, err
+			}
+			p := &accessPath{index: ix, kind: accessRange, consumed: c}
+			switch op {
+			case "=":
+				p.kind, p.keys = accessEq, [][]rel.Value{{b}}
+			case "<":
+				p.hi = b
+			case "<=":
+				p.hi, p.hiInc = b, true
+			case ">":
+				p.lo = b
+			case ">=":
+				p.lo, p.loInc = b, true
+			}
+			if isRange {
+				rangePath = p
+			} else {
+				eqPath = p
 			}
 		case *sql.InList:
 			if !v.Not && inPath == nil {
@@ -211,16 +193,78 @@ func (e *Engine) chooseAccessPath(q *queryState, t *rel.Table, alias string, con
 			}
 		}
 	}
-	if inPath != nil {
-		return inPath, nil
+	best := &accessPath{kind: accessFullScan}
+	bestCost := accessCost(q.provider, t, best)
+	for _, p := range []*accessPath{notNullPath, rangePath, inPath, eqPath} {
+		if p == nil {
+			continue
+		}
+		// Later candidates rank higher syntactically and win ties; with no
+		// provider every index path costs 0 and the last one stands.
+		if cost := accessCost(q.provider, t, p); cost <= bestCost {
+			best, bestCost = p, cost
+		}
 	}
-	if rangePath != nil {
-		return rangePath, nil
+	return best, nil
+}
+
+// accessCost estimates an access path in units of one heap row examined
+// by a full scan (constants in planner.go, derivation in DESIGN.md §15).
+// Without a provider index paths are free and the full scan is not, which
+// reduces the choice to the syntactic preference order.
+func accessCost(prov StatsProvider, t *rel.Table, p *accessPath) float64 {
+	if prov == nil {
+		if p.kind == accessFullScan {
+			return 1
+		}
+		return 0
 	}
-	if notNullPath != nil {
-		return notNullPath, nil
+	rows := float64(t.LiveLocked()) // the engine holds the table's read lock
+	if p.kind == accessFullScan {
+		return rows * costScanRow
 	}
-	return &accessPath{kind: accessFullScan}, nil
+	// Only a plain column index has a column the provider keeps statistics
+	// on; an expression index (ord -1) is costed at selIndexUnknown.
+	table, ord := t.Name(), -1
+	if ords := p.index.ColumnOrdinals(); len(ords) > 0 {
+		ord = ords[0]
+	}
+	sel, known := 0.0, false
+	switch p.kind {
+	case accessEq, accessIn:
+		known = true
+		for _, key := range p.keys {
+			s, ok := prov.SelEq(table, ord, key[0])
+			if p.index.Unique() && len(p.index.ColumnOrdinals()) == 1 {
+				s, ok = 1/math.Max(rows, 1), true // exact, where an NDV sketch saturates
+			}
+			sel, known = sel+s, known && ok
+		}
+	case accessRange:
+		if p.hi.IsNull() && p.loInc && p.lo.Kind() == rel.KindInt && p.lo.Int() == 0 {
+			// col >= 0 over an id column is the soft-delete guard; the
+			// negative-count statistic answers it exactly.
+			sel, known = prov.FracNonNeg(table, ord)
+		}
+		if !known {
+			var lo, hi *rel.Value
+			if !p.lo.IsNull() {
+				lo = &p.lo
+			}
+			if !p.hi.IsNull() {
+				hi = &p.hi
+			}
+			sel, known = prov.SelRange(table, ord, lo, hi)
+		}
+	case accessNotNull:
+		sel, known = prov.FracNonNull(table, ord)
+	}
+	if !known {
+		sel = selIndexUnknown
+	}
+	// Hedged like the join strategies: the full scan must be predicted a
+	// fifth cheaper before it displaces an index path.
+	return strategyHedge * (costProbe*float64(max(len(p.keys), 1)) + math.Min(sel, 1)*rows*costIndexRow)
 }
 
 // accessName names an access path kind for ExecStats.

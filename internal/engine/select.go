@@ -160,7 +160,9 @@ func (e *Engine) applyLimit(q *queryState, r *relation, limit, offset sql.Expr) 
 	if end < start {
 		end = start
 	}
-	r.rows = r.rows[start:end]
+	// Capacity is clamped: the rows may be shared (DESIGN.md §8), so a
+	// later append must not write into the slice they came from.
+	r.rows = r.rows[start:end:end]
 	return nil
 }
 
@@ -204,9 +206,13 @@ func (e *Engine) orderRows(q *queryState, r *relation, items []sql.OrderItem) er
 		}
 		return false
 	})
+	// The input slice may be shared with a CTE another branch still reads
+	// (DESIGN.md §8): the order goes into a slice of its own.
+	sorted := make([][]rel.Value, len(keyed))
 	for i := range keyed {
-		r.rows[i] = keyed[i].row
+		sorted[i] = keyed[i].row
 	}
+	r.rows = sorted
 	q.stats.Ops = append(q.stats.Ops, OpStat{
 		Kind:    "sort",
 		RowsIn:  len(r.rows),

@@ -7,20 +7,9 @@ import (
 )
 
 // KeyFunc derives the indexed key values from a row. Expression indexes
-// (e.g. over JSON_VAL(ATTR,'name')) supply a custom function; plain column
-// indexes are built with ColumnsKey.
+// (e.g. over JSON_VAL(ATTR,'name')) supply one; plain column indexes read
+// their ordinals straight off the row and need none.
 type KeyFunc func(vals []Value) []Value
-
-// ColumnsKey returns a KeyFunc projecting the given column ordinals.
-func ColumnsKey(ordinals ...int) KeyFunc {
-	return func(vals []Value) []Value {
-		out := make([]Value, len(ordinals))
-		for i, o := range ordinals {
-			out[i] = vals[o]
-		}
-		return out
-	}
-}
 
 // Index is a secondary (or primary) B-tree index over a table. Entries
 // are order-preserving encoded byte strings (see keyenc.go) so lookups
@@ -32,7 +21,7 @@ func ColumnsKey(ordinals ...int) KeyFunc {
 type Index struct {
 	name    string
 	table   string
-	keyFn   KeyFunc
+	keyFn   KeyFunc // expression indexes only; nil for plain column indexes
 	unique  bool
 	colOrds []int // ordinals for plain column indexes; nil for expression indexes
 	expr    string
@@ -44,9 +33,6 @@ type Index struct {
 // for expression indexes pass nil ordinals, a key function, and a
 // normalized expression string used by the planner to match predicates.
 func NewIndex(name, table string, unique bool, ordinals []int, expr string, keyFn KeyFunc) *Index {
-	if keyFn == nil {
-		keyFn = ColumnsKey(ordinals...)
-	}
 	return &Index{
 		name:    name,
 		table:   table,
@@ -95,9 +81,50 @@ func (ix *Index) remove(vals []Value, rid RowID) {
 	ix.tree.Delete(ix.entryFor(vals, rid))
 }
 
+// keyOf returns the indexed key values of a row image. It allocates, so
+// it serves error messages and expression indexes only; the probe path
+// encodes keys straight off the row (appendKey).
+func (ix *Index) keyOf(vals []Value) []Value {
+	if ix.keyFn != nil {
+		return ix.keyFn(vals)
+	}
+	out := make([]Value, len(ix.colOrds))
+	for i, o := range ix.colOrds {
+		out[i] = vals[o]
+	}
+	return out
+}
+
+// appendKey appends the encoded key of a row image to b.
+func (ix *Index) appendKey(b []byte, vals []Value) []byte {
+	if ix.keyFn != nil {
+		return appendEncodedKey(b, ix.keyFn(vals))
+	}
+	for _, o := range ix.colOrds {
+		b = appendEncodedValue(b, vals[o])
+	}
+	return b
+}
+
+// sameKey reports whether two row images index under the same key.
+func (ix *Index) sameKey(a, b []Value) bool {
+	var ab, bb [keyBufLen]byte
+	return string(ix.appendKey(ab[:0], a)) == string(ix.appendKey(bb[:0], b))
+}
+
 // entryFor returns the exact tree entry an image of the row produces.
 func (ix *Index) entryFor(vals []Value, rid RowID) string {
-	return encodeEntry(ix.keyFn(vals), rid)
+	var kb [keyBufLen]byte
+	return string(appendRID(ix.appendKey(kb[:0], vals), rid))
+}
+
+// owns reports whether the row image produces the entry's key, i.e. the
+// entry (which names that row) is not a stale one left behind for a
+// superseded image. The image's key is encoded into a stack buffer and
+// compared as bytes: the check runs once per probe candidate.
+func (ix *Index) owns(entry string, vals []Value) bool {
+	var kb [keyBufLen]byte
+	return entry[:len(entry)-ridLen] == string(ix.appendKey(kb[:0], vals))
 }
 
 // removeEntry deletes one exact tree entry (deferred cleanup path).
@@ -105,47 +132,53 @@ func (ix *Index) removeEntry(entry string) {
 	ix.tree.Delete(entry)
 }
 
-// probeEntries calls fn with every (entry, rid) whose key starts with the
-// given component prefix, until fn returns false. Entries may be stale —
+// seek positions an ascent at the first entry not below from. The bound
+// is only ever compared against, never retained, so it may live in the
+// caller's stack buffer.
+func seek(from []byte) func(entry string) bool {
+	return func(entry string) bool { return entry < string(from) }
+}
+
+// probeEntries calls fn with every entry whose key starts with the given
+// encoded component prefix, until fn returns false. Entries may be stale —
 // callers filter against row visibility (see Table.ProbeAt).
-func (ix *Index) probeEntries(key []Value, fn func(entry string, rid RowID) bool) {
-	prefix := EncodeKey(key)
-	ix.tree.AscendFrom(prefix, func(entry string, _ struct{}) bool {
+func (ix *Index) probeEntries(prefix []byte, fn func(entry string) bool) {
+	ix.tree.AscendSeek(seek(prefix), func(entry string, _ struct{}) bool {
 		if !entryHasKeyPrefix(entry, prefix) {
 			return false
 		}
-		return fn(entry, decodeRID(entry))
+		return fn(entry)
 	})
 }
 
 // probeRangeEntries calls fn for entries with lo <= first-component <= hi
 // (per the inclusive flags). Either bound may be Null to mean unbounded on
 // that side; NULL-keyed entries never match.
-func (ix *Index) probeRangeEntries(lo, hi Value, loInclusive, hiInclusive bool, fn func(entry string, rid RowID) bool) {
-	start := string([]byte{tagBool}) // skip NULL entries (tagNull == 0x00)
-	var encLo string
+func (ix *Index) probeRangeEntries(lo, hi Value, loInclusive, hiInclusive bool, fn func(entry string) bool) {
+	var lb, hb [keyBufLen]byte
+	start := append(lb[:0], tagBool) // skip NULL entries (tagNull == 0x00)
+	var encLo, encHi []byte
 	if !lo.IsNull() {
-		encLo = EncodeKey([]Value{lo})
+		encLo = appendEncodedValue(lb[:0], lo)
 		start = encLo
 	}
-	var encHi string
 	if !hi.IsNull() {
-		encHi = EncodeKey([]Value{hi})
+		encHi = appendEncodedValue(hb[:0], hi)
 	}
-	ix.tree.AscendFrom(start, func(entry string, _ struct{}) bool {
-		if encLo != "" && !loInclusive && entryHasKeyPrefix(entry, encLo) {
+	ix.tree.AscendSeek(seek(start), func(entry string, _ struct{}) bool {
+		if encLo != nil && !loInclusive && entryHasKeyPrefix(entry, encLo) {
 			return true // skip the excluded boundary
 		}
-		if encHi != "" {
+		if encHi != nil {
 			if entryHasKeyPrefix(entry, encHi) {
 				if !hiInclusive {
 					return false
 				}
-			} else if entry > encHi {
+			} else if entry > string(encHi) {
 				return false
 			}
 		}
-		return fn(entry, decodeRID(entry))
+		return fn(entry)
 	})
 }
 
@@ -154,7 +187,8 @@ func (ix *Index) probeRangeEntries(lo, hi Value, loInclusive, hiInclusive bool, 
 // the table's read lock and re-verify values on the fetched rows; entries
 // can be stale under MVCC, so prefer Table.ProbeAt, which filters them.
 func (ix *Index) Probe(key []Value, fn func(rid RowID) bool) {
-	ix.probeEntries(key, func(_ string, rid RowID) bool { return fn(rid) })
+	var kb [keyBufLen]byte
+	ix.probeEntries(appendEncodedKey(kb[:0], key), func(entry string) bool { return fn(decodeRID(entry)) })
 }
 
 // ProbeRange calls fn for candidate entries with lo <= first-component <=
@@ -162,7 +196,7 @@ func (ix *Index) Probe(key []Value, fn func(rid RowID) bool) {
 // unbounded on that side; NULL-keyed entries never match. As with Probe,
 // prefer Table.ProbeRangeAt, which filters stale entries.
 func (ix *Index) ProbeRange(lo, hi Value, loInclusive, hiInclusive bool, fn func(rid RowID) bool) {
-	ix.probeRangeEntries(lo, hi, loInclusive, hiInclusive, func(_ string, rid RowID) bool { return fn(rid) })
+	ix.probeRangeEntries(lo, hi, loInclusive, hiInclusive, func(entry string) bool { return fn(decodeRID(entry)) })
 }
 
 // CountPrefix counts entries matching the key prefix, including any stale

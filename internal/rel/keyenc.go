@@ -3,7 +3,6 @@ package rel
 import (
 	"encoding/binary"
 	"math"
-	"strings"
 )
 
 // Order-preserving key encoding: composite index keys are encoded into
@@ -82,35 +81,44 @@ func appendEscaped(b []byte, s string) []byte {
 	return append(b, 0x00, 0x00)
 }
 
-// EncodeKey encodes a composite key.
-func EncodeKey(vals []Value) string {
-	b := make([]byte, 0, 16*len(vals))
+// keyBufLen sizes the stack buffers probes encode keys into. It covers
+// the integer-id and short-label keys every graph table is indexed on;
+// a longer key just makes append spill to the heap.
+const keyBufLen = 64
+
+// ridLen is the length of the row-id uniquifier that ends every entry.
+const ridLen = 8
+
+// appendEncodedKey appends every component of a composite key.
+func appendEncodedKey(b []byte, vals []Value) []byte {
 	for _, v := range vals {
 		b = appendEncodedValue(b, v)
 	}
-	return string(b)
+	return b
 }
 
-// encodeEntry encodes key components plus the row-id uniquifier.
-func encodeEntry(vals []Value, rid RowID) string {
-	b := make([]byte, 0, 16*len(vals)+8)
-	for _, v := range vals {
-		b = appendEncodedValue(b, v)
-	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(rid)+(1<<63)) // sign-flipped for order
-	return string(append(b, buf[:]...))
+// appendRID appends the row-id uniquifier, sign-flipped for order.
+func appendRID(b []byte, rid RowID) []byte {
+	return binary.BigEndian.AppendUint64(b, uint64(rid)+(1<<63))
+}
+
+// EncodeKey encodes a composite key.
+func EncodeKey(vals []Value) string {
+	return string(appendEncodedKey(make([]byte, 0, 16*len(vals)), vals))
 }
 
 // decodeRID extracts the row id from an entry's trailing 8 bytes.
 func decodeRID(entry string) RowID {
-	tail := entry[len(entry)-8:]
-	return RowID(binary.BigEndian.Uint64([]byte(tail)) - (1 << 63))
+	var u uint64
+	for i := len(entry) - ridLen; i < len(entry); i++ {
+		u = u<<8 | uint64(entry[i])
+	}
+	return RowID(u - (1 << 63))
 }
 
 // entryHasKeyPrefix reports whether the entry's component area starts
 // with the encoded prefix (component encodings are self-delimiting, so a
 // byte prefix match is a component prefix match).
-func entryHasKeyPrefix(entry, prefix string) bool {
-	return len(entry) >= len(prefix)+8 && strings.HasPrefix(entry, prefix)
+func entryHasKeyPrefix(entry string, prefix []byte) bool {
+	return len(entry) >= len(prefix)+ridLen && entry[:len(prefix)] == string(prefix)
 }

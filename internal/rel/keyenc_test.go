@@ -117,15 +117,15 @@ func TestStringEscaping(t *testing.T) {
 
 func TestEntryRoundTrip(t *testing.T) {
 	for _, rid := range []RowID{0, 1, 12345, 1 << 40} {
-		entry := encodeEntry([]Value{NewInt(7), NewString("knows")}, rid)
+		entry := string(appendRID(appendEncodedKey(nil, []Value{NewInt(7), NewString("knows")}), rid))
 		if got := decodeRID(entry); got != rid {
 			t.Fatalf("rid round trip: %d -> %d", rid, got)
 		}
-		prefix := EncodeKey([]Value{NewInt(7)})
+		prefix := []byte(EncodeKey([]Value{NewInt(7)}))
 		if !entryHasKeyPrefix(entry, prefix) {
 			t.Fatal("prefix probe missed matching entry")
 		}
-		if entryHasKeyPrefix(entry, EncodeKey([]Value{NewInt(8)})) {
+		if entryHasKeyPrefix(entry, []byte(EncodeKey([]Value{NewInt(8)}))) {
 			t.Fatal("prefix probe matched wrong key")
 		}
 	}

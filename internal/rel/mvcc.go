@@ -296,16 +296,16 @@ func (t *Table) applyGarbageLocked(g garbageRec, min Version) {
 		// remove the entry when no potentially visible image produces it;
 		// otherwise a later record (queued by whatever supersedes that
 		// image) will retire it.
-		if slot, ok := t.byRID[g.rid]; ok {
+		if slot, ok := t.slotOf(g.rid); ok {
 			s := &t.rows[slot]
 			if !s.dead {
 				visible := s.died == 0 || s.died > min
-				if visible && g.ix.entryFor(s.vals, g.rid) == g.entry {
+				if visible && g.ix.owns(g.entry, s.vals) {
 					return
 				}
 				succBorn := s.born
 				for img := s.prev; img != nil; img = img.prev {
-					if succBorn > min && g.ix.entryFor(img.vals, g.rid) == g.entry {
+					if succBorn > min && g.ix.owns(g.entry, img.vals) {
 						return
 					}
 					succBorn = img.born
@@ -314,7 +314,7 @@ func (t *Table) applyGarbageLocked(g garbageRec, min Version) {
 		}
 		g.ix.removeEntry(g.entry)
 	case gcSlot:
-		slot, ok := t.byRID[g.rid]
+		slot, ok := t.slotOf(g.rid)
 		if !ok {
 			return
 		}
@@ -327,9 +327,9 @@ func (t *Table) applyGarbageLocked(g garbageRec, min Version) {
 		}
 		t.rows[slot] = rowSlot{dead: true}
 		t.free = append(t.free, slot)
-		delete(t.byRID, g.rid)
+		t.byRID[g.rid] = 0
 	case gcHistory:
-		slot, ok := t.byRID[g.rid]
+		slot, ok := t.slotOf(g.rid)
 		if !ok {
 			return
 		}

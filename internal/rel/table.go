@@ -57,7 +57,7 @@ type Table struct {
 	name    string
 	schema  *Schema
 	rows    []rowSlot
-	byRID   map[RowID]int
+	byRID   []int32 // row id -> slot+1, 0 = no such row (ids are sequential, so dense)
 	free    []int
 	nextRID RowID
 	live    int
@@ -113,7 +113,26 @@ func (s *rowSlot) visibleAt(v Version) ([]Value, bool) {
 
 // NewTable creates an empty table.
 func NewTable(name string, schema *Schema) *Table {
-	return &Table{name: name, schema: schema, byRID: map[RowID]int{}}
+	return &Table{name: name, schema: schema}
+}
+
+// slotOf returns the slot holding the row, if the id names one.
+func (t *Table) slotOf(rid RowID) (int, bool) {
+	if rid < 0 || int(rid) >= len(t.byRID) {
+		return 0, false
+	}
+	s := t.byRID[rid]
+	return int(s) - 1, s != 0
+}
+
+// bindSlot records where a row lives. Row ids are handed out in sequence
+// and never reused, so the table grows by one entry per row ever
+// inserted: four bytes against the forty-odd a map entry costs.
+func (t *Table) bindSlot(rid RowID, slot int) {
+	for int(rid) >= len(t.byRID) {
+		t.byRID = append(t.byRID, 0)
+	}
+	t.byRID[rid] = int32(slot + 1)
 }
 
 // Name returns the table name.
@@ -159,11 +178,13 @@ func (t *Table) Indexes() []*Index { return t.indexes }
 // deleted rows; only entries backed by a currently live image count.
 func (t *Table) findDuplicateLocked(ix *Index, vals []Value, self RowID) bool {
 	dup := false
-	ix.probeEntries(ix.keyFn(vals), func(entry string, rid RowID) bool {
+	var kb [keyBufLen]byte
+	ix.probeEntries(ix.appendKey(kb[:0], vals), func(entry string) bool {
+		rid := decodeRID(entry)
 		if rid == self {
 			return true
 		}
-		slot, ok := t.byRID[rid]
+		slot, ok := t.slotOf(rid)
 		if !ok {
 			return true
 		}
@@ -171,7 +192,7 @@ func (t *Table) findDuplicateLocked(ix *Index, vals []Value, self RowID) bool {
 		if s.dead || s.died != 0 {
 			return true
 		}
-		if ix.entryFor(s.vals, rid) != entry {
+		if !ix.owns(entry, s.vals) {
 			return true // stale entry for a superseded image
 		}
 		dup = true
@@ -187,7 +208,7 @@ func (t *Table) insertLocked(vals []Value, ver Version) (RowID, error) {
 	}
 	for _, ix := range t.indexes {
 		if ix.unique && t.findDuplicateLocked(ix, vals, -1) {
-			return 0, fmt.Errorf("rel: unique index %s on %s: duplicate key %v", ix.name, ix.table, ix.keyFn(vals))
+			return 0, fmt.Errorf("rel: unique index %s on %s: duplicate key %v", ix.name, ix.table, ix.keyOf(vals))
 		}
 	}
 	rid := t.nextRID
@@ -201,7 +222,7 @@ func (t *Table) insertLocked(vals []Value, ver Version) (RowID, error) {
 		slot = len(t.rows)
 		t.rows = append(t.rows, rowSlot{rid: rid, vals: vals, born: ver})
 	}
-	t.byRID[rid] = slot
+	t.bindSlot(rid, slot)
 	t.live++
 	for _, v := range vals {
 		t.bytes += int64(v.Size())
@@ -215,7 +236,7 @@ func (t *Table) insertLocked(vals []Value, ver Version) (RowID, error) {
 func (t *Table) removeSlot(slot int, rid RowID, vals []Value) {
 	t.rows[slot] = rowSlot{dead: true}
 	t.free = append(t.free, slot)
-	delete(t.byRID, rid)
+	t.byRID[rid] = 0
 	t.live--
 	for _, v := range vals {
 		t.bytes -= int64(v.Size())
@@ -229,7 +250,7 @@ func (t *Table) removeSlot(slot int, rid RowID, vals []Value) {
 // defers physical reclamation until every pin has passed ver. It returns
 // an undo record (table field unset) and any garbage produced.
 func (t *Table) deleteLocked(rid RowID, ver Version) (undoRec, []garbageRec, bool) {
-	slot, ok := t.byRID[rid]
+	slot, ok := t.slotOf(rid)
 	if !ok {
 		return undoRec{}, nil, false
 	}
@@ -264,7 +285,7 @@ func (t *Table) deleteLocked(rid RowID, ver Version) (undoRec, []garbageRec, boo
 // committed row pushes the old image onto the history chain, keeps its
 // index entries alive for pinned snapshots, and defers their removal.
 func (t *Table) updateLocked(rid RowID, vals []Value, ver Version) (undoRec, []garbageRec, error) {
-	slot, ok := t.byRID[rid]
+	slot, ok := t.slotOf(rid)
 	if !ok {
 		return undoRec{}, nil, fmt.Errorf("rel: table %s: update of missing row %d", t.name, rid)
 	}
@@ -281,14 +302,14 @@ func (t *Table) updateLocked(rid RowID, vals []Value, ver Version) (undoRec, []g
 	// alone).
 	var touched []*Index
 	for _, ix := range t.indexes {
-		if keysEqual(ix.keyFn(old), ix.keyFn(vals)) {
+		if ix.sameKey(old, vals) {
 			continue
 		}
 		touched = append(touched, ix)
 	}
 	for _, ix := range touched {
 		if ix.unique && t.findDuplicateLocked(ix, vals, rid) {
-			return undoRec{}, nil, fmt.Errorf("rel: unique index %s on %s: duplicate key %v", ix.name, ix.table, ix.keyFn(vals))
+			return undoRec{}, nil, fmt.Errorf("rel: unique index %s on %s: duplicate key %v", ix.name, ix.table, ix.keyOf(vals))
 		}
 	}
 	var rec undoRec
@@ -329,7 +350,7 @@ func (t *Table) updateLocked(rid RowID, vals []Value, ver Version) (undoRec, []g
 // transaction. Any later same-transaction updates have already been
 // reverted, so the slot holds the insert-time image with no history.
 func (t *Table) revertInsertLocked(rid RowID) {
-	slot, ok := t.byRID[rid]
+	slot, ok := t.slotOf(rid)
 	if !ok {
 		return
 	}
@@ -346,7 +367,7 @@ func (t *Table) revertDeleteLocked(rec undoRec) {
 		t.reinsertLocked(rec.rid, rec.vals, rec.born, nil)
 		return
 	}
-	slot, ok := t.byRID[rec.rid]
+	slot, ok := t.slotOf(rec.rid)
 	if !ok {
 		return
 	}
@@ -360,14 +381,14 @@ func (t *Table) revertDeleteLocked(rec undoRec) {
 
 // revertUpdateLocked undoes an in-place (same-version) update.
 func (t *Table) revertUpdateLocked(rid RowID, old []Value) {
-	slot, ok := t.byRID[rid]
+	slot, ok := t.slotOf(rid)
 	if !ok {
 		return
 	}
 	s := &t.rows[slot]
 	cur := s.vals
 	for _, ix := range t.indexes {
-		if keysEqual(ix.keyFn(cur), ix.keyFn(old)) {
+		if ix.sameKey(cur, old) {
 			continue
 		}
 		ix.remove(cur, rid)
@@ -387,7 +408,7 @@ func (t *Table) revertUpdateLocked(rid RowID, old []Value) {
 // image are removed — unless an older retained image happens to share the
 // same entry (a key the row held before), in which case the entry stays.
 func (t *Table) revertVersionUpdateLocked(rec undoRec) {
-	slot, ok := t.byRID[rec.rid]
+	slot, ok := t.slotOf(rec.rid)
 	if !ok {
 		return
 	}
@@ -397,11 +418,11 @@ func (t *Table) revertVersionUpdateLocked(rec undoRec) {
 	s.born = rec.born
 	s.prev = rec.prev
 	for _, ix := range t.indexes {
-		if keysEqual(ix.keyFn(cur), ix.keyFn(rec.vals)) {
+		if ix.sameKey(cur, rec.vals) {
 			continue
 		}
 		entry := ix.entryFor(cur, rec.rid)
-		if !t.entryInChainLocked(s, ix, entry, rec.rid) {
+		if !t.entryInChainLocked(s, ix, entry) {
 			ix.removeEntry(entry)
 		}
 	}
@@ -415,12 +436,12 @@ func (t *Table) revertVersionUpdateLocked(rec undoRec) {
 
 // entryInChainLocked reports whether any image of the slot (current or
 // historical) produces the given index entry.
-func (t *Table) entryInChainLocked(s *rowSlot, ix *Index, entry string, rid RowID) bool {
-	if ix.entryFor(s.vals, rid) == entry {
+func (t *Table) entryInChainLocked(s *rowSlot, ix *Index, entry string) bool {
+	if ix.owns(entry, s.vals) {
 		return true
 	}
 	for img := s.prev; img != nil; img = img.prev {
-		if ix.entryFor(img.vals, rid) == entry {
+		if ix.owns(entry, img.vals) {
 			return true
 		}
 	}
@@ -436,7 +457,7 @@ func (t *Table) Get(rid RowID) ([]Value, bool) {
 // GetAt returns the row image visible at version v. Callers must hold a
 // read lock and must not mutate the slice.
 func (t *Table) GetAt(rid RowID, v Version) ([]Value, bool) {
-	slot, ok := t.byRID[rid]
+	slot, ok := t.slotOf(rid)
 	if !ok {
 		return nil, false
 	}
@@ -499,54 +520,38 @@ func (t *Table) ScanSlotsAt(lo, hi int, v Version, fn func(rid RowID, vals []Val
 // an index entry with the given key prefix. Stale entries — ones whose
 // row image at v no longer (or never did) produce that exact entry — are
 // filtered here, so callers see each matching row at most once per entry
-// it genuinely owns at v. Callers must hold a read lock.
+// it genuinely owns at v. Callers must hold a read lock. The probe
+// allocates nothing for keys that fit keyBufLen: a Table-8 hop runs one
+// per frontier row.
 func (t *Table) ProbeAt(ix *Index, key []Value, v Version, fn func(rid RowID, vals []Value) bool) {
-	ix.probeEntries(key, func(entry string, rid RowID) bool {
-		slot, ok := t.byRID[rid]
-		if !ok {
-			return true
-		}
-		vals, ok := t.rows[slot].visibleAt(v)
-		if !ok {
-			return true
-		}
-		if ix.entryFor(vals, rid) != entry {
-			return true
-		}
-		return fn(rid, vals)
+	var kb [keyBufLen]byte
+	ix.probeEntries(appendEncodedKey(kb[:0], key), func(entry string) bool {
+		return t.visitEntry(ix, entry, v, fn)
 	})
 }
 
 // ProbeRangeAt is ProbeAt over a first-component range (see
 // Index.ProbeRange for bound semantics).
 func (t *Table) ProbeRangeAt(ix *Index, lo, hi Value, loInclusive, hiInclusive bool, v Version, fn func(rid RowID, vals []Value) bool) {
-	ix.probeRangeEntries(lo, hi, loInclusive, hiInclusive, func(entry string, rid RowID) bool {
-		slot, ok := t.byRID[rid]
-		if !ok {
-			return true
-		}
-		vals, ok := t.rows[slot].visibleAt(v)
-		if !ok {
-			return true
-		}
-		if ix.entryFor(vals, rid) != entry {
-			return true
-		}
-		return fn(rid, vals)
+	ix.probeRangeEntries(lo, hi, loInclusive, hiInclusive, func(entry string) bool {
+		return t.visitEntry(ix, entry, v, fn)
 	})
 }
 
-// keysEqual compares index key slices.
-func keysEqual(a, b []Value) bool {
-	if len(a) != len(b) {
-		return false
+// visitEntry resolves one candidate entry to the row image visible at v
+// and hands it to fn, unless the row is gone at v or the entry is a stale
+// one that image does not own.
+func (t *Table) visitEntry(ix *Index, entry string, v Version, fn func(rid RowID, vals []Value) bool) bool {
+	rid := decodeRID(entry)
+	slot, ok := t.slotOf(rid)
+	if !ok {
+		return true
 	}
-	for i := range a {
-		if Compare(a[i], b[i]) != 0 {
-			return false
-		}
+	vals, ok := t.rows[slot].visibleAt(v)
+	if !ok || !ix.owns(entry, vals) {
+		return true
 	}
-	return true
+	return fn(rid, vals)
 }
 
 // addIndex attaches an index and populates it from rows currently live.
@@ -560,7 +565,7 @@ func (t *Table) addIndex(ix *Index) error {
 			continue
 		}
 		if ix.unique && t.hasEntryForKeyLocked(ix, s.vals) {
-			return fmt.Errorf("rel: unique index %s on %s: duplicate key %v", ix.name, ix.table, ix.keyFn(s.vals))
+			return fmt.Errorf("rel: unique index %s on %s: duplicate key %v", ix.name, ix.table, ix.keyOf(s.vals))
 		}
 		ix.insert(s.vals, s.rid)
 	}
@@ -573,7 +578,8 @@ func (t *Table) addIndex(ix *Index) error {
 // fresh unique index, where every entry belongs to a live row).
 func (t *Table) hasEntryForKeyLocked(ix *Index, vals []Value) bool {
 	found := false
-	ix.probeEntries(ix.keyFn(vals), func(string, RowID) bool {
+	var kb [keyBufLen]byte
+	ix.probeEntries(ix.appendKey(kb[:0], vals), func(string) bool {
 		found = true
 		return false
 	})
@@ -592,7 +598,7 @@ func (t *Table) reinsertLocked(rid RowID, vals []Value, born Version, prev *verI
 		slot = len(t.rows)
 		t.rows = append(t.rows, rowSlot{rid: rid, vals: vals, born: born, prev: prev})
 	}
-	t.byRID[rid] = slot
+	t.bindSlot(rid, slot)
 	t.live++
 	for _, v := range vals {
 		t.bytes += int64(v.Size())

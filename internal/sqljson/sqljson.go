@@ -150,11 +150,44 @@ var ErrNoValue = errors.New("sqljson: path has no value")
 // suffixes for array elements ("a.b[2].c"). It returns ErrNoValue when any
 // step is missing.
 func (d *Doc) Val(path string) (any, error) {
+	return d.ValPath(CompilePath(path))
+}
+
+// Path is a parsed JSON_VAL path. A query applies one constant path to
+// every row it examines; compiling it once keeps the split off that loop.
+type Path []pathStep
+
+type pathStep struct {
+	key   string
+	index int // -1 when absent
+}
+
+// CompilePath parses a JSON_VAL-style path (see Val).
+func CompilePath(path string) Path {
+	if !strings.ContainsAny(path, ".[") {
+		return Path{{key: path, index: -1}}
+	}
+	var steps Path
+	for _, part := range strings.Split(path, ".") {
+		idx := -1
+		if open := strings.IndexByte(part, '['); open >= 0 && strings.HasSuffix(part, "]") {
+			if n, err := strconv.Atoi(part[open+1 : len(part)-1]); err == nil {
+				idx = n
+				part = part[:open]
+			}
+		}
+		steps = append(steps, pathStep{key: part, index: idx})
+	}
+	return steps
+}
+
+// ValPath is Val for a compiled path.
+func (d *Doc) ValPath(path Path) (any, error) {
 	if d == nil {
 		return nil, ErrNoValue
 	}
 	var cur any = d.m
-	for _, step := range splitPath(path) {
+	for _, step := range path {
 		if step.key != "" {
 			m, ok := cur.(map[string]any)
 			if !ok {
@@ -174,26 +207,6 @@ func (d *Doc) Val(path string) (any, error) {
 		}
 	}
 	return cur, nil
-}
-
-type pathStep struct {
-	key   string
-	index int // -1 when absent
-}
-
-func splitPath(path string) []pathStep {
-	var steps []pathStep
-	for _, part := range strings.Split(path, ".") {
-		idx := -1
-		if open := strings.IndexByte(part, '['); open >= 0 && strings.HasSuffix(part, "]") {
-			if n, err := strconv.Atoi(part[open+1 : len(part)-1]); err == nil {
-				idx = n
-				part = part[:open]
-			}
-		}
-		steps = append(steps, pathStep{key: part, index: idx})
-	}
-	return steps
 }
 
 // Map returns a deep copy of the document as a plain Go map.
