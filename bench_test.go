@@ -7,12 +7,16 @@
 package sqlgraph
 
 import (
+	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"sqlgraph/internal/baseline"
+	"sqlgraph/internal/bench/dbpedia"
 	"sqlgraph/internal/bench/experiments"
 	"sqlgraph/internal/bench/queries"
 	"sqlgraph/internal/core"
@@ -382,5 +386,95 @@ func BenchmarkAddEdge(b *testing.B) {
 		if err := g.AddEdge(int64(i), int64(i%1000), int64((i+1)%1000), "e", nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// chainEnv is the small DBpedia fixture of BenchmarkTraverseChain and
+// TestTraverseChainStaysFused, with their two texts: the 6-hop
+// both(team).dedup().count() chain of Table 1 and a 4-hop in() chain
+// that returns its frontier as a list.
+var (
+	chainOnce sync.Once
+	chainEnv  *experiments.DBpediaEnv
+	chainErr  error
+)
+
+func chainFixture(tb testing.TB) (g *Graph, both6, in4 string) {
+	chainOnce.Do(func() {
+		chainEnv, chainErr = experiments.SetupDBpedia(experiments.ScaleSmall, baseline.CostModel{}, false)
+	})
+	if chainErr != nil {
+		tb.Fatal(chainErr)
+	}
+	d := chainEnv.Data
+	both6 = queries.PathQueries(d)[7]
+	in4 = fmt.Sprintf("g.V(%d)%s", d.Countries[0], strings.Repeat(".in('"+dbpedia.LabelIsPartOf+"')", 4))
+	return &Graph{store: chainEnv.Store}, both6, in4
+}
+
+// BenchmarkTraverseChain measures whole CTE chains behind warm caches.
+// Run with -benchmem: a chain whose single-consumer CTEs stream into
+// their readers allocates for its DISTINCT sets and its result, not for
+// every hop's rows.
+func BenchmarkTraverseChain(b *testing.B) {
+	g, both6, in4 := chainFixture(b)
+	for _, c := range []struct{ name, text string }{{"both6_dedup_count", both6}, {"in4_list", in4}} {
+		b.Run(c.name, func(b *testing.B) {
+			if _, err := g.Query(c.text); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.Query(c.text); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestTraverseChainStaysFused guards what BenchmarkTraverseChain
+// measures: the 6-hop dedup chain stores its start vertex, the six
+// DISTINCT frontiers and the count — every other CTE streams into its
+// reader — and allocates accordingly. A silent fall-back to storing each
+// CTE shows as a fivefold byte count.
+func TestTraverseChainStaysFused(t *testing.T) {
+	g, both6, _ := chainFixture(t)
+	res, err := g.Query(both6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, distinct := 0, 0
+	for _, c := range res.Stats.CTEs {
+		if !c.Fused {
+			stored += c.Rows
+		}
+	}
+	for _, op := range res.Stats.Ops {
+		if op.Kind == "dedup" {
+			distinct += op.RowsOut
+		}
+	}
+	// T1 (one start vertex, read by both directions of the first hop) and
+	// the final COUNT row are the two stored rows that are not DISTINCT
+	// output.
+	if got := res.Stats.MaterializedRows; got != stored || got != distinct+2 || distinct == 0 {
+		t.Fatalf("MaterializedRows = %d, stored CTE rows = %d, DISTINCT outputs = %d + start vertex + count\n%s", got, stored, distinct, res.Stats.String())
+	}
+
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := g.Query(both6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// 1.07 MB per query measured (5.64 MB with every CTE stored), x 1.5.
+	const ceiling = 1_600_000
+	if perQuery := (after.TotalAlloc - before.TotalAlloc) / runs; perQuery > ceiling {
+		t.Fatalf("6-hop chain allocates %d bytes per query, ceiling %d", perQuery, ceiling)
 	}
 }

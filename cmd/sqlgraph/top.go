@@ -113,6 +113,9 @@ func topFrame(client *http.Client, addr string, window time.Duration) (string, e
 	p99 := topQuantile(oldest.V, newest.V, "sqlgraphd_request_seconds_bucket", 0.99)
 	fmt.Fprintf(&b, "  queries   %8.1f qps   requests %8.1f rps   errors %6.2f/s\n", qps, rps, errs)
 	fmt.Fprintf(&b, "  latency   p50 %s   p99 %s\n", topDur(p50), topDur(p99))
+	fmt.Fprintf(&b, "  executor  stored rows/query mean %s   p99 %s\n",
+		topCount(topRate(oldest.V, newest.V, "sqlgraphd_exec_materialized_rows_sum", dt)/topRate(oldest.V, newest.V, "sqlgraphd_exec_materialized_rows_count", dt)),
+		topCount(topQuantile(oldest.V, newest.V, "sqlgraphd_exec_materialized_rows_bucket", 0.99)))
 	fmt.Fprintf(&b, "  admission in-flight %s   queued %s   rejected %.2f/s\n",
 		topInt(newest.V, "sqlgraphd_in_flight"), topInt(newest.V, "sqlgraphd_admission_queued"),
 		topRate(oldest.V, newest.V, "sqlgraphd_admission_rejected_total", dt))
@@ -292,6 +295,14 @@ func topHitRate(v map[string]float64, hits, misses string) string {
 
 func topInt(v map[string]float64, key string) string {
 	return strconv.FormatInt(int64(v[key]), 10)
+}
+
+// topCount renders a row count, or "--" when the window has no data.
+func topCount(n float64) string {
+	if math.IsNaN(n) || math.IsInf(n, 0) {
+		return "--"
+	}
+	return strconv.FormatFloat(n, 'f', 0, 64)
 }
 
 // topDur renders a duration in seconds at a human scale.

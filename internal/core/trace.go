@@ -139,10 +139,19 @@ func (s *Store) runQuery(b *trace.Builder, gremlinText string, opts TranslateOpt
 // children of the execute span. Stat offsets are relative to the query's
 // start inside QueryStmtAt, which is itself inside the execute span, so
 // children always nest within their parent.
+//
+// The executor times runs, not operators (engine.PipelineStat): a run of
+// two or more operators becomes one "pipeline" span carrying the run's
+// time, with its join stages and terminal beneath it carrying their row
+// counts and no time of their own. A run of one operator is that
+// operator's span, as before.
 func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStats) {
 	for i := range st.CTEs {
 		c := &st.CTEs[i]
 		detail := c.Name
+		if c.Fused {
+			detail += " fused"
+		}
 		if c.EstRows >= 0 {
 			detail += fmt.Sprintf(" est=%d act=%d", c.EstRows, c.Rows)
 		}
@@ -156,8 +165,7 @@ func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStat
 		}
 		b.Child(exec, "scan", detail, sc.StartNs, sc.Nanos, int64(sc.RowsIn), int64(sc.RowsOut))
 	}
-	for i := range st.Joins {
-		j := &st.Joins[i]
+	join := func(parent *trace.Span, j *engine.JoinStat, startNs, nanos int64) {
 		detail := fmt.Sprintf("%s %s", j.Table, j.Strategy)
 		if j.BuildSide != "" {
 			detail += " build=" + j.BuildSide
@@ -174,15 +182,50 @@ func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStat
 				detail += fmt.Sprintf("(cost=%.0f)", j.AltCost)
 			}
 		}
-		b.Child(exec, "join", detail, j.StartNs, j.Nanos, int64(j.BuildRows+j.ProbeRows), int64(j.OutRows))
+		b.Child(parent, "join", detail, startNs, nanos, int64(j.BuildRows+j.ProbeRows), int64(j.OutRows))
 	}
-	for i := range st.Ops {
-		op := &st.Ops[i]
+	op := func(parent *trace.Span, op *engine.OpStat, startNs, nanos int64) {
 		detail := ""
 		if op.Kind == "agg" {
 			detail = fmt.Sprintf("groups=%d", op.Groups)
 		}
-		b.Child(exec, op.Kind, detail, op.StartNs, op.Nanos, int64(op.RowsIn), int64(op.RowsOut))
+		b.Child(parent, op.Kind, detail, startNs, nanos, int64(op.RowsIn), int64(op.RowsOut))
+	}
+	pipedJoins, pipedOps := make([]bool, len(st.Joins)), make([]bool, len(st.Ops))
+	for i := range st.Pipelines {
+		p := &st.Pipelines[i]
+		n := len(p.Joins)
+		if p.Op >= 0 {
+			n++
+		}
+		if n < 2 {
+			continue
+		}
+		rowsOut := int64(0)
+		if p.Op >= 0 {
+			rowsOut = int64(st.Ops[p.Op].RowsOut)
+		} else {
+			rowsOut = int64(st.Joins[p.Joins[len(p.Joins)-1]].OutRows)
+		}
+		sp := b.Child(exec, "pipeline", fmt.Sprintf("%d stages", n), p.StartNs, p.Nanos, int64(p.RowsIn), rowsOut)
+		for _, ji := range p.Joins {
+			pipedJoins[ji] = true
+			join(sp, &st.Joins[ji], 0, 0)
+		}
+		if p.Op >= 0 {
+			pipedOps[p.Op] = true
+			op(sp, &st.Ops[p.Op], 0, 0)
+		}
+	}
+	for i := range st.Joins {
+		if j := &st.Joins[i]; !pipedJoins[i] {
+			join(exec, j, j.StartNs, j.Nanos)
+		}
+	}
+	for i := range st.Ops {
+		if o := &st.Ops[i]; !pipedOps[i] {
+			op(exec, o, o.StartNs, o.Nanos)
+		}
 	}
 }
 

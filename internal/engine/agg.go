@@ -78,36 +78,57 @@ func hasAggregates(sel *sql.SimpleSelect) bool {
 	return len(collectAggCalls(sel.Having, nil)) > 0
 }
 
-// aggregate groups the input rows and evaluates the select list with
-// aggregate results bound.
+// aggregate evaluates an aggregating core over in. Without GROUP BY the
+// one group is a terminal: rows stream into its accumulators and nothing
+// is stored. GROUP BY is a breaker: in is stored, its rows are grouped,
+// and each group's rows feed accumulators of their own.
 func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (*relation, error) {
-	opT := time.Now()
 	sc := newScope(in.cols)
-
-	var aggCalls []*sql.FuncCall
+	ag := &aggregator{e: e, q: q, scope: sc, sel: sel}
 	for _, item := range sel.Items {
-		if !item.Star {
-			aggCalls = collectAggCalls(item.Expr, aggCalls)
+		if item.Star {
+			return nil, fmt.Errorf("engine: SELECT * is not allowed with aggregation")
+		}
+		if !resolvableIn(item.Expr, sc) {
+			return nil, fmt.Errorf("%w in select item %s", ErrUnknownColumn, item.Expr.SQL())
+		}
+		ag.calls = collectAggCalls(item.Expr, ag.calls)
+	}
+	ag.calls = collectAggCalls(sel.Having, ag.calls)
+	ag.args = make([]compiledExpr, len(ag.calls))
+	for i, call := range ag.calls {
+		if call.Star && strings.EqualFold(call.Name, "COUNT") {
+			continue
+		}
+		if len(call.Args) != 1 {
+			return nil, fmt.Errorf("engine: aggregate %s takes one argument", strings.ToUpper(call.Name))
+		}
+		var err error
+		if ag.args[i], err = e.compile(q, sc, call.Args[0]); err != nil {
+			return nil, err
 		}
 	}
-	aggCalls = collectAggCalls(sel.Having, aggCalls)
+	op := len(q.stats.Ops)
+	q.stats.Ops = append(q.stats.Ops, OpStat{Kind: "agg", StartNs: q.sinceStart(time.Now())})
 
-	type group struct {
-		first []rel.Value
-		rows  [][]rel.Value
-	}
-	groups := map[string]*group{}
-	var order []string
-
+	out := &relation{cols: aggregateCols(sel.Items)}
+	rowsIn, groups := 0, 1
 	if len(sel.GroupBy) == 0 {
-		groups[""] = &group{rows: in.rows}
-		if len(in.rows) > 0 {
-			groups[""].first = in.rows[0]
-		} else {
-			groups[""].first = make([]rel.Value, len(in.cols))
+		g := ag.newGroup()
+		if err := e.run(q, in, g, op); err != nil {
+			return nil, err
 		}
-		order = append(order, "")
+		if err := ag.emit(g, out); err != nil {
+			return nil, err
+		}
+		rowsIn = g.n
 	} else {
+		if err := e.materialize(q, in); err != nil {
+			return nil, err
+		}
+		opT := time.Now()
+		byKey := map[string]*aggGroup{}
+		var order []*aggGroup
 		for _, row := range in.rows {
 			ctx := &evalCtx{eng: e, scope: sc, row: row, params: q.params, q: q}
 			var kb strings.Builder
@@ -119,28 +140,38 @@ func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (
 				kb.WriteString(v.Key())
 				kb.WriteByte(0xFF)
 			}
-			k := kb.String()
-			g, ok := groups[k]
+			g, ok := byKey[kb.String()]
 			if !ok {
-				g = &group{first: row}
-				groups[k] = g
-				order = append(order, k)
+				g = ag.newGroup()
+				byKey[kb.String()] = g
+				order = append(order, g)
 			}
-			g.rows = append(g.rows, row)
+			if err := g.push(row); err != nil {
+				return nil, err
+			}
 		}
+		for _, g := range order {
+			if err := ag.emit(g, out); err != nil {
+				return nil, err
+			}
+		}
+		rowsIn, groups = len(in.rows), len(order)
+		q.stats.Ops[op].Nanos = time.Since(opT).Nanoseconds()
 	}
+	st := &q.stats.Ops[op]
+	st.RowsIn, st.RowsOut, st.Groups = rowsIn, len(out.rows), groups
+	q.stats.MaterializedRows += len(out.rows)
+	if sel.Distinct {
+		return e.distinct(q, out)
+	}
+	return out, nil
+}
 
-	// Output columns from the select list.
-	var outCols []colInfo
-	for i, item := range sel.Items {
-		if item.Star {
-			return nil, fmt.Errorf("engine: SELECT * is not allowed with aggregation")
-		}
-		if !resolvableIn(item.Expr, sc) {
-			return nil, fmt.Errorf("%w in select item %s", ErrUnknownColumn, item.Expr.SQL())
-		}
-		name := item.Alias
-		table := ""
+// aggregateCols names an aggregating core's output columns.
+func aggregateCols(items []sql.SelectItem) []colInfo {
+	cols := make([]colInfo, len(items))
+	for i, item := range items {
+		name, table := item.Alias, ""
 		if name == "" {
 			if cr, ok := item.Expr.(*sql.ColumnRef); ok {
 				name, table = cr.Column, cr.Table
@@ -148,137 +179,170 @@ func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (
 				name = fmt.Sprintf("COL%d", i+1)
 			}
 		}
-		outCols = append(outCols, colInfo{table: table, name: name})
+		cols[i] = colInfo{table: table, name: name}
 	}
-
-	out := &relation{cols: outCols}
-	for _, k := range order {
-		g := groups[k]
-		aggs := map[sql.Expr]rel.Value{}
-		for _, call := range aggCalls {
-			v, err := e.computeAggregate(q, sc, g.rows, call)
-			if err != nil {
-				return nil, err
-			}
-			aggs[call] = v
-		}
-		ctx := &evalCtx{eng: e, scope: sc, row: g.first, params: q.params, aggs: aggs, q: q}
-		if sel.Having != nil {
-			hv, err := e.eval(ctx, sel.Having)
-			if err != nil {
-				return nil, err
-			}
-			if hv.IsNull() || !hv.Truthy() {
-				continue
-			}
-		}
-		outRow := make([]rel.Value, len(sel.Items))
-		for i, item := range sel.Items {
-			v, err := e.eval(ctx, item.Expr)
-			if err != nil {
-				return nil, err
-			}
-			outRow[i] = v
-		}
-		out.rows = append(out.rows, outRow)
-	}
-	q.stats.Ops = append(q.stats.Ops, OpStat{
-		Kind:    "agg",
-		RowsIn:  len(in.rows),
-		RowsOut: len(out.rows),
-		Groups:  len(order),
-		StartNs: q.sinceStart(opT),
-		Nanos:   time.Since(opT).Nanoseconds(),
-	})
-	if sel.Distinct {
-		q.timedDedupe(out)
-	}
-	return out, nil
+	return cols
 }
 
-func (e *Engine) computeAggregate(q *queryState, sc *scope, rows [][]rel.Value, call *sql.FuncCall) (rel.Value, error) {
-	name := strings.ToUpper(call.Name)
-	if name == "COUNT" && call.Star {
-		return rel.NewInt(int64(len(rows))), nil
-	}
-	if len(call.Args) != 1 {
-		return rel.Null, fmt.Errorf("engine: aggregate %s takes one argument", name)
-	}
-	arg := call.Args[0]
+// aggregator is what the groups of one aggregating core share.
+type aggregator struct {
+	e     *Engine
+	q     *queryState
+	scope *scope
+	sel   *sql.SimpleSelect
+	calls []*sql.FuncCall
+	args  []compiledExpr // per call; nil for COUNT(*)
+}
 
-	var count int64
-	var sumI int64
-	var sumF float64
-	allInt := true
-	var minV, maxV rel.Value
-	var listVals []rel.Value
-	seen := map[string]bool{}
+// aggGroup accumulates one group's rows: a terminal when the core has no
+// GROUP BY.
+type aggGroup struct {
+	accs  []aggAcc
+	first []rel.Value // the group's first row: what non-aggregate expressions read
+	n     int
+}
 
-	for _, row := range rows {
-		ctx := &evalCtx{eng: e, scope: sc, row: row, params: q.params, q: q}
-		v, err := e.eval(ctx, arg)
+func (ag *aggregator) newGroup() *aggGroup {
+	g := &aggGroup{accs: make([]aggAcc, len(ag.calls)), first: make([]rel.Value, len(ag.scope.cols))}
+	for i, call := range ag.calls {
+		g.accs[i] = aggAcc{name: strings.ToUpper(call.Name), arg: ag.args[i], distinct: call.Distinct, allInt: true}
+	}
+	return g
+}
+
+func (g *aggGroup) push(row []rel.Value) error {
+	if g.n == 0 {
+		copy(g.first, row)
+	}
+	g.n++
+	for i := range g.accs {
+		if err := g.accs[i].add(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// absorb takes a morsel's buffered rows in order, so a sum of doubles
+// adds up as it does on one worker.
+func (g *aggGroup) absorb(m morselBuf) error {
+	for _, row := range m.rows {
+		if err := g.push(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// emit evaluates HAVING and the select list for one finished group and
+// appends the row it yields to out.
+func (ag *aggregator) emit(g *aggGroup, out *relation) error {
+	aggs := make(map[sql.Expr]rel.Value, len(ag.calls))
+	for i, call := range ag.calls {
+		aggs[call] = g.accs[i].result()
+	}
+	ctx := &evalCtx{eng: ag.e, scope: ag.scope, row: g.first, params: ag.q.params, aggs: aggs, q: ag.q}
+	if ag.sel.Having != nil {
+		hv, err := ag.e.eval(ctx, ag.sel.Having)
+		if err != nil || hv.IsNull() || !hv.Truthy() {
+			return err
+		}
+	}
+	row := make([]rel.Value, len(ag.sel.Items))
+	for i, item := range ag.sel.Items {
+		v, err := ag.e.eval(ctx, item.Expr)
 		if err != nil {
-			return rel.Null, err
+			return err
 		}
-		if v.IsNull() {
-			continue
-		}
-		if call.Distinct {
-			k := v.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		count++
-		switch v.Kind() {
-		case rel.KindInt:
-			sumI += v.Int()
-			sumF += v.Float()
-		case rel.KindFloat:
-			allInt = false
-			sumF += v.Float()
-		default:
-			allInt = false
-		}
-		if minV.IsNull() || rel.Compare(v, minV) < 0 {
-			minV = v
-		}
-		if maxV.IsNull() || rel.Compare(v, maxV) > 0 {
-			maxV = v
-		}
-		if name == "LISTAGG" {
-			listVals = append(listVals, v)
-		}
+		row[i] = v
 	}
+	out.rows = append(out.rows, row)
+	return nil
+}
 
-	switch name {
+// aggAcc is the running state of one aggregate call over one group.
+type aggAcc struct {
+	name     string
+	arg      compiledExpr // nil for COUNT(*)
+	distinct bool
+	seen     map[string]bool
+
+	count      int64
+	sumI       int64
+	sumF       float64
+	allInt     bool
+	minV, maxV rel.Value
+	list       []rel.Value
+}
+
+func (a *aggAcc) add(row []rel.Value) error {
+	if a.arg == nil {
+		a.count++
+		return nil
+	}
+	v, err := a.arg(row)
+	if err != nil || v.IsNull() {
+		return err
+	}
+	if a.distinct {
+		k := v.Key()
+		if a.seen[k] {
+			return nil
+		}
+		if a.seen == nil {
+			a.seen = map[string]bool{}
+		}
+		a.seen[k] = true
+	}
+	a.count++
+	switch v.Kind() {
+	case rel.KindInt:
+		a.sumI += v.Int()
+		a.sumF += v.Float()
+	case rel.KindFloat:
+		a.allInt = false
+		a.sumF += v.Float()
+	default:
+		a.allInt = false
+	}
+	if a.minV.IsNull() || rel.Compare(v, a.minV) < 0 {
+		a.minV = v
+	}
+	if a.maxV.IsNull() || rel.Compare(v, a.maxV) > 0 {
+		a.maxV = v
+	}
+	if a.name == "LISTAGG" {
+		a.list = append(a.list, v)
+	}
+	return nil
+}
+
+func (a *aggAcc) result() rel.Value {
+	switch a.name {
 	case "COUNT":
-		return rel.NewInt(count), nil
+		return rel.NewInt(a.count)
 	case "SUM":
-		if count == 0 {
-			return rel.Null, nil
+		if a.count == 0 {
+			return rel.Null
 		}
-		if allInt {
-			return rel.NewInt(sumI), nil
+		if a.allInt {
+			return rel.NewInt(a.sumI)
 		}
-		return rel.NewFloat(sumF), nil
+		return rel.NewFloat(a.sumF)
 	case "AVG":
-		if count == 0 {
-			return rel.Null, nil
+		if a.count == 0 {
+			return rel.Null
 		}
-		return rel.NewFloat(sumF / float64(count)), nil
+		return rel.NewFloat(a.sumF / float64(a.count))
 	case "MIN":
-		return minV, nil
+		return a.minV
 	case "MAX":
-		return maxV, nil
-	case "LISTAGG":
+		return a.maxV
+	default: // LISTAGG: isAggregateName admits no other name
 		// Deterministic output independent of row order: non-null values
 		// sorted ascending. (Standard LISTAGG requires WITHIN GROUP; a
 		// fixed ascending order serves the same purpose here.)
-		sort.SliceStable(listVals, func(i, j int) bool { return rel.Compare(listVals[i], listVals[j]) < 0 })
-		return rel.NewList(listVals), nil
-	default:
-		return rel.Null, fmt.Errorf("engine: unknown aggregate %s", name)
+		sort.SliceStable(a.list, func(i, j int) bool { return rel.Compare(a.list[i], a.list[j]) < 0 })
+		return rel.NewList(a.list)
 	}
 }

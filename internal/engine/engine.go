@@ -264,8 +264,8 @@ func toValues(params []any) []rel.Value {
 // names that shadow base tables are still included (a harmless extra read
 // lock) — correctness over precision.
 func (e *Engine) baseTablesOf(stmt *sql.SelectStmt) []string {
-	names := map[string]bool{}
-	collectSelectTables(stmt, names)
+	names := map[string]int{}
+	countTableRefs(stmt, 1, names)
 	var out []string
 	for n := range names {
 		if _, ok := e.cat.Table(n); ok {
@@ -291,105 +291,65 @@ func (e *Engine) rlockAll(tables []string) func() {
 	}
 }
 
-func collectSelectTables(stmt *sql.SelectStmt, names map[string]bool) {
-	if stmt == nil {
-		return
-	}
-	for _, cte := range stmt.With {
-		collectSelectTables(cte.Query, names)
-	}
-	collectBodyTables(stmt.Body, names)
-	for _, o := range stmt.OrderBy {
-		collectExprTables(o.Expr, names)
-	}
-}
-
-func collectBodyTables(body sql.SelectBody, names map[string]bool) {
-	switch b := body.(type) {
-	case *sql.SetOp:
-		collectBodyTables(b.Left, names)
-		collectBodyTables(b.Right, names)
-	case *sql.SimpleSelect:
-		for _, ref := range b.From {
-			collectRefTables(ref, names)
+// countTableRefs adds to n, per table or CTE name, the FROM references a
+// statement makes to it. A reference in the statement's own cores — or
+// those of its CTEs — weighs weight; one that may be evaluated again or
+// not at all weighs 2: in a recursive CTE, a derived table or an
+// expression's subquery.
+func countTableRefs(stmt *sql.SelectStmt, weight int, n map[string]int) {
+	var inStmt func(s *sql.SelectStmt, weight int)
+	nested := func(s *sql.SelectStmt) { inStmt(s, 2) }
+	var inRef func(ref sql.TableRef, weight int)
+	inRef = func(ref sql.TableRef, weight int) {
+		if ref.Table != "" {
+			n[ref.Table] += weight
 		}
-		collectExprTables(b.Where, names)
-		collectExprTables(b.Having, names)
-		for _, item := range b.Items {
-			if !item.Star {
-				collectExprTables(item.Expr, names)
+		if ref.Subquery != nil {
+			nested(ref.Subquery)
+		}
+		if ref.TableFn != nil {
+			for _, row := range ref.TableFn.Rows {
+				for _, x := range row {
+					walkSubqueries(x, nested)
+				}
+			}
+		}
+		for _, j := range ref.Joins {
+			inRef(j.Right, weight)
+			walkSubqueries(j.On, nested)
+		}
+	}
+	var inBody func(body sql.SelectBody, weight int)
+	inBody = func(body sql.SelectBody, weight int) {
+		switch b := body.(type) {
+		case *sql.SetOp:
+			inBody(b.Left, weight)
+			inBody(b.Right, weight)
+		case *sql.SimpleSelect:
+			for _, ref := range b.From {
+				inRef(ref, weight)
+			}
+			walkSubqueries(b.Where, nested)
+			walkSubqueries(b.Having, nested)
+			for _, item := range b.Items {
+				walkSubqueries(item.Expr, nested)
 			}
 		}
 	}
-}
-
-func collectRefTables(ref sql.TableRef, names map[string]bool) {
-	if ref.Table != "" {
-		names[ref.Table] = true
-	}
-	if ref.Subquery != nil {
-		collectSelectTables(ref.Subquery, names)
-	}
-	if ref.TableFn != nil {
-		for _, row := range ref.TableFn.Rows {
-			for _, x := range row {
-				collectExprTables(x, names)
+	inStmt = func(s *sql.SelectStmt, weight int) {
+		for _, cte := range s.With {
+			if cte.Recursive && referencesTable(cte.Query.Body, cte.Name) {
+				nested(cte.Query)
+			} else {
+				inStmt(cte.Query, weight)
 			}
 		}
-	}
-	for _, j := range ref.Joins {
-		collectRefTables(j.Right, names)
-		collectExprTables(j.On, names)
-	}
-}
-
-func collectExprTables(x sql.Expr, names map[string]bool) {
-	switch v := x.(type) {
-	case nil:
-	case *sql.Unary:
-		collectExprTables(v.X, names)
-	case *sql.Binary:
-		collectExprTables(v.L, names)
-		collectExprTables(v.R, names)
-	case *sql.IsNull:
-		collectExprTables(v.X, names)
-	case *sql.InList:
-		collectExprTables(v.X, names)
-		for _, item := range v.List {
-			collectExprTables(item, names)
-		}
-	case *sql.InSubquery:
-		collectExprTables(v.X, names)
-		collectSelectTables(v.Query, names)
-	case *sql.Exists:
-		collectSelectTables(v.Query, names)
-	case *sql.ScalarSubquery:
-		collectSelectTables(v.Query, names)
-	case *sql.Between:
-		collectExprTables(v.X, names)
-		collectExprTables(v.Lo, names)
-		collectExprTables(v.Hi, names)
-	case *sql.FuncCall:
-		for _, a := range v.Args {
-			collectExprTables(a, names)
-		}
-	case *sql.Cast:
-		collectExprTables(v.X, names)
-	case *sql.Subscript:
-		collectExprTables(v.X, names)
-		collectExprTables(v.Index, names)
-	case *sql.CaseExpr:
-		if v.Operand != nil {
-			collectExprTables(v.Operand, names)
-		}
-		for _, w := range v.Whens {
-			collectExprTables(w.Cond, names)
-			collectExprTables(w.Result, names)
-		}
-		if v.Else != nil {
-			collectExprTables(v.Else, names)
+		inBody(s.Body, weight)
+		for _, o := range s.OrderBy {
+			walkSubqueries(o.Expr, nested)
 		}
 	}
+	inStmt(stmt, weight)
 }
 
 // --- buffer-pool simulation (Figure 8c) ---

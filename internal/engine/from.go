@@ -160,8 +160,11 @@ func isConstExpr(e sql.Expr) bool {
 	return len(r.qualified) == 0 && len(r.bare) == 0
 }
 
-// evalSimpleSelect executes one SELECT core: FROM pipeline with pushdown
-// and join selection, WHERE residue, grouping, projection, DISTINCT.
+// evalSimpleSelect builds one SELECT core's pipeline — FROM items with
+// pushdown and join selection, WHERE residue, projection — on top of the
+// relation its first FROM item reads, and returns it pending. The core's
+// own breakers run it here: GROUP BY stores its input, plain aggregates
+// and DISTINCT are terminals.
 func (e *Engine) evalSimpleSelect(q *queryState, sel *sql.SimpleSelect) (*relation, error) {
 	conjs := splitConjuncts(sel.Where, nil)
 
@@ -169,6 +172,9 @@ func (e *Engine) evalSimpleSelect(q *queryState, sel *sql.SimpleSelect) (*relati
 	cur := &relation{rows: [][]rel.Value{{}}}
 	refs := sel.From
 	var steps []*stepPlan
+	if err := e.settlePlanInputs(q, sel); err != nil {
+		return nil, err
+	}
 	if fp := e.planFrom(q, sel, conjs); fp != nil {
 		refs = fp.orderedRefs(sel.From)
 		steps = fp.steps
@@ -208,150 +214,115 @@ func (e *Engine) evalSimpleSelect(q *queryState, sel *sql.SimpleSelect) (*relati
 			return nil, fmt.Errorf("%w in WHERE term %s", ErrUnknownColumn, c.expr.SQL())
 		}
 		remaining = append(remaining, c)
-		c.applied = true
 	}
 	if len(remaining) > 0 {
-		filtered, err := e.filterRows(q, sc, remaining, cur.rows)
-		if err != nil {
-			return nil, err
-		}
-		cur.rows = filtered
+		cur = e.where(q, cur, sc, remaining)
 	}
 
-	// Aggregation?
 	if len(sel.GroupBy) > 0 || hasAggregates(sel) {
 		return e.aggregate(q, cur, sel)
 	}
-
 	out, err := e.project(q, cur, sel.Items)
-	if err != nil {
-		return nil, err
+	if err != nil || !sel.Distinct {
+		return out, err
 	}
-	if sel.Distinct {
-		q.timedDedupe(out)
-	}
-	return out, nil
+	return e.distinct(q, out)
 }
 
-// timedDedupe removes duplicate rows and records a "dedup" operator stat.
-func (q *queryState) timedDedupe(r *relation) {
-	opT := time.Now()
-	in := len(r.rows)
-	dedupeRelation(r)
-	q.stats.Ops = append(q.stats.Ops, OpStat{
-		Kind:    "dedup",
-		RowsIn:  in,
-		RowsOut: len(r.rows),
-		StartNs: q.sinceStart(opT),
-		Nanos:   time.Since(opT).Nanoseconds(),
-	})
-}
-
-// filterRows keeps the rows passing every conjunct, preserving order.
-// Evaluation is morsel-parallel when the predicates are parallel-safe:
-// each worker compiles its own predicate closures and fills per-morsel
-// buffers that merge in input order.
-func (e *Engine) filterRows(q *queryState, sc *scope, conjs []*conjunct, rows [][]rel.Value) ([][]rel.Value, error) {
-	par := q.par
-	if !parallelSafeConjuncts(conjs) {
-		par = 1
+// settlePlanInputs stores the pending CTEs a FROM clause reads when the
+// planner is going to cost it: the planner costs a CTE input by its
+// actual row count, never by a guess (DESIGN.md §15).
+func (e *Engine) settlePlanInputs(q *queryState, sel *sql.SimpleSelect) error {
+	if len(sel.From) < 2 || q.provider == nil || q.forcePlan < 0 {
+		return nil
 	}
-	morsels, _ := morselPlan(len(rows), par)
-	chunks := make([][][]rel.Value, morsels)
-
-	type worker struct {
-		pass func(row []rel.Value) (bool, error)
-	}
-	newWorker := func() (*worker, error) {
-		pass, err := e.compilePredicates(q, sc, conjs)
-		if err != nil {
-			return nil, err
-		}
-		return &worker{pass: pass}, nil
-	}
-	_, _, err := runMorsels(len(rows), par, newWorker, func(wk *worker, m, lo, hi int) error {
-		var buf [][]rel.Value
-		for i := lo; i < hi; i++ {
-			ok, err := wk.pass(rows[i])
-			if err != nil {
+	for _, ref := range sel.From {
+		if cte, ok := q.ctes[ref.Table]; ok {
+			if err := e.materialize(q, cte); err != nil {
 				return err
 			}
-			if ok {
-				buf = append(buf, rows[i])
-			}
 		}
-		chunks[m] = buf
-		return nil
-	})
-	if err != nil {
+	}
+	return nil
+}
+
+// distinct runs r into the set of its distinct rows, in first-occurrence
+// order, and records a "dedup" operator stat.
+func (e *Engine) distinct(q *queryState, r *relation) (*relation, error) {
+	op := len(q.stats.Ops)
+	q.stats.Ops = append(q.stats.Ops, OpStat{Kind: "dedup", StartNs: q.sinceStart(time.Now())})
+	c := newCollect(len(r.cols), &deduper{})
+	if err := e.run(q, r, c, op); err != nil {
 		return nil, err
 	}
-	return mergeMorsels(chunks), nil
+	q.stats.Ops[op].RowsIn, q.stats.Ops[op].RowsOut = c.in, len(c.rows)
+	q.stats.MaterializedRows += len(c.rows)
+	return &relation{cols: r.cols, rows: c.rows}, nil
 }
 
-func dedupeRelation(r *relation) {
-	var d deduper
-	kept := r.rows[:0:0]
-	for _, row := range r.rows {
-		if !d.seen(row) {
-			kept = append(kept, row)
-		}
-	}
-	r.rows = kept
-}
-
-// project evaluates the select list against each row.
+// project appends the select list to in's pipeline.
 func (e *Engine) project(q *queryState, in *relation, items []sql.SelectItem) (*relation, error) {
 	sc := newScope(in.cols)
 	outCols, plan, err := projectionPlan(sc, in.cols, items)
 	if err != nil {
 		return nil, err
 	}
-	// Compile non-star, non-column projection expressions once.
-	fns := make([]compiledExpr, len(plan))
-	for i, step := range plan {
-		if step.star || step.colPos >= 0 {
-			continue
-		}
-		fn, err := e.compile(q, sc, step.expr)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = fn
+	// Identity projection (SELECT each input column once, in order) is a
+	// change of column names — after a pruned join, every Table-8 hop.
+	if identityProjection(plan, len(in.cols)) {
+		return in.as(outCols), nil
 	}
-	// Identity projection (SELECT each input column once, in order) shares
-	// the input rows outright — after a pruned join, every Table-8 hop.
-	if identity := identityProjection(plan, len(in.cols)); identity {
-		return &relation{cols: outCols, rows: in.rows}, nil
+	serial := false
+	for _, step := range plan {
+		serial = serial || step.expr != nil && hasSubquery(step.expr)
 	}
-	arena := newRowArena(len(outCols), len(in.rows))
-	out := &relation{cols: outCols, rows: make([][]rel.Value, 0, len(in.rows))}
-	for _, row := range in.rows {
-		outRow := arena.alloc()
-		n := 0
+	return in.then(outCols, stageFunc(func(next sink) (sink, error) {
+		s := &projectSink{plan: plan, fns: make([]compiledExpr, len(plan)), out: make([]rel.Value, len(outCols)), next: next}
 		for i, step := range plan {
-			if step.star {
-				for _, pos := range step.positions {
-					outRow[n] = row[pos]
-					n++
-				}
+			if step.star || step.colPos >= 0 {
 				continue
 			}
-			if step.colPos >= 0 {
-				outRow[n] = row[step.colPos]
-				n++
-				continue
-			}
-			v, err := fns[i](row)
+			fn, err := e.compile(q, sc, step.expr)
 			if err != nil {
 				return nil, err
 			}
-			outRow[n] = v
-			n++
+			s.fns[i] = fn
 		}
-		out.rows = append(out.rows, outRow)
+		return s, nil
+	}), emitsScratch|oneToOne|serialIf(serial)), nil
+}
+
+// projectSink evaluates the select list against each row.
+type projectSink struct {
+	plan []projStep
+	fns  []compiledExpr // per plan step; nil for stars and plain column references
+	out  []rel.Value
+	next sink
+}
+
+func (s *projectSink) push(row []rel.Value) error {
+	n := 0
+	for i, step := range s.plan {
+		if step.star {
+			for _, pos := range step.positions {
+				s.out[n] = row[pos]
+				n++
+			}
+			continue
+		}
+		if step.colPos >= 0 {
+			s.out[n] = row[step.colPos]
+			n++
+			continue
+		}
+		v, err := s.fns[i](row)
+		if err != nil {
+			return err
+		}
+		s.out[n] = v
+		n++
 	}
-	return out, nil
+	return s.next.push(s.out)
 }
 
 // identityProjection reports whether the plan copies every input column
@@ -445,6 +416,7 @@ func (e *Engine) joinRef(q *queryState, cur *relation, ref sql.TableRef, conjs [
 		// Any ON conjunct that could not be consumed by the join machinery
 		// is an error for LEFT joins (semantics would change) and a filter
 		// for INNER joins.
+		var rest []*conjunct
 		for _, c := range onConjs {
 			if c.applied {
 				continue
@@ -452,20 +424,10 @@ func (e *Engine) joinRef(q *queryState, cur *relation, ref sql.TableRef, conjs [
 			if jc.Kind == "LEFT" {
 				return nil, fmt.Errorf("engine: unsupported LEFT JOIN ON condition %s", c.expr.SQL())
 			}
-			sc := newScope(out.cols)
-			filtered := out.rows[:0:0]
-			for _, row := range out.rows {
-				ctx := &evalCtx{eng: e, scope: sc, row: row, params: q.params, q: q}
-				v, err := e.eval(ctx, c.expr)
-				if err != nil {
-					return nil, err
-				}
-				if !v.IsNull() && v.Truthy() {
-					filtered = append(filtered, row)
-				}
-			}
-			out.rows = filtered
-			c.applied = true
+			rest = append(rest, c)
+		}
+		if len(rest) > 0 {
+			out = e.where(q, out, newScope(out.cols), rest)
 		}
 	}
 	return out, nil
@@ -497,6 +459,11 @@ func (q *queryState) stampJoin(nBefore int, sp *stepPlan, legacyAlt JoinStrategy
 // joins it is the ON clause only. sp, when non-nil, carries the cost-based
 // planner's strategy choice and estimates for this step. The output keeps
 // only the columns needs still wants once this join's terms are applied.
+//
+// cur may be pending, and stays so through an index or nested-loop join,
+// which are stages over it. A hash join stores it (see hashJoin). The
+// right side is stored unless it is the first FROM item, which becomes
+// cur as it stands.
 func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs []*conjunct, kind string, onOnly []*conjunct, sp *stepPlan, needs *colNeeds) (*relation, error) {
 	if ref.TableFn != nil {
 		if kind != "INNER" {
@@ -516,7 +483,7 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 	for i, c := range right.cols {
 		rightCols[i] = colInfo{table: alias, name: c.name}
 	}
-	rightRel := &relation{cols: rightCols, rows: right.rows}
+	rightRel := right.as(rightCols)
 
 	curScope := newScope(cur.cols)
 	fullCols := append(append([]colInfo(nil), cur.cols...), rightCols...)
@@ -525,6 +492,7 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 
 	// Classify available conjuncts.
 	var rightOnly []*conjunct // filter the right side before joining
+	var leftOnly []*conjunct  // pure left-side WHERE terms: filter cur now
 	var joinEq []*conjunct    // equi-join terms left-expr = right-col
 	var joinEqLeft []sql.Expr // expression over cur per joinEq
 	var joinEqRight []int     // right column position per joinEq
@@ -547,26 +515,13 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 			continue
 		}
 		if c.refs.resolvableIn(curScope) && onOnly == nil {
-			// Pure left-side WHERE term: filter cur now.
-			ce, err := e.compile(q, curScope, c.expr)
-			if err != nil {
-				return nil, err
-			}
-			filtered := cur.rows[:0:0]
-			for _, row := range cur.rows {
-				v, err := ce(row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.IsNull() && v.Truthy() {
-					filtered = append(filtered, row)
-				}
-			}
-			cur = &relation{cols: cur.cols, rows: filtered}
-			c.applied = true
+			leftOnly = append(leftOnly, c)
 			continue
 		}
 		residual = append(residual, c)
+	}
+	if len(leftOnly) > 0 {
+		cur = e.where(q, cur, curScope, leftOnly)
 	}
 
 	// Equi-join terms forced down to a nested loop are evaluated as
@@ -580,10 +535,8 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 	// What the join emits: the columns still read once its own terms are
 	// consumed.
 	shape := newJoinShape(cur.cols, rightCols, fullScope, needs.keep(fullCols, joinEq, rightOnly, residual), pairTerms)
-	estRows := int64(-1)
-	if sp != nil {
-		estRows = sp.estRows
-	}
+	serial := !parallelSafeExprs(joinEqLeft) || !parallelSafeConjuncts(rightOnly) || !parallelSafeConjuncts(pairTerms)
+	nJoins := len(q.stats.Joins)
 
 	// Base tables with an index on a join column use an index nested-loop
 	// join: probe the index once per outer row instead of materializing
@@ -593,22 +546,12 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 	// as the clear winner.
 	if baseTable != nil && len(joinEq) > 0 && q.force == StrategyAuto && (sp == nil || sp.strategy != StrategyHash) {
 		if ix, mapping := joinIndexFor(baseTable, joinEqRight, q.asOf); ix != nil {
-			nJoins := len(q.stats.Joins)
-			out, err := e.indexNLJoin(q, cur, baseTable, ix, mapping, kind, indexNLArgs{
-				shape:       shape,
-				curScope:    curScope,
-				rightScope:  rightScope,
-				joinEqLeft:  joinEqLeft,
-				joinEqRight: joinEqRight,
-				rightOnly:   rightOnly,
-				estRows:     estRows,
-			})
-			if err != nil {
-				return nil, err
-			}
+			st := &indexNLStage{e: e, q: q, t: baseTable, ix: ix, mapping: mapping, kind: kind, shape: shape,
+				curScope: curScope, rightScope: rightScope, joinEqLeft: joinEqLeft, joinEqRight: joinEqRight, rightOnly: rightOnly,
+				stat: q.newJoinStat(JoinStat{Strategy: StrategyIndexNL, Table: baseTable.Name()})}
 			q.stampJoin(nJoins, sp, StrategyHash)
 			markApplied(joinEq, rightOnly, residual)
-			return out, nil
+			return cur.then(shape.cols, st, emitsScratch|serialIf(serial)), nil
 		}
 	}
 
@@ -624,42 +567,32 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 			return nil, err
 		}
 	} else if len(rightOnly) > 0 {
-		pass, err := e.compilePredicates(q, rightScope, rightOnly)
-		if err != nil {
-			return nil, err
-		}
-		filtered := rightRel.rows[:0:0]
-		for _, row := range rightRel.rows {
-			keep, err := pass(row)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				filtered = append(filtered, row)
-			}
-		}
-		rightRel = &relation{cols: rightCols, rows: filtered}
-		markApplied(rightOnly)
+		rightRel = e.where(q, rightRel, rightScope, rightOnly)
 	}
 
 	// The first FROM item meets the one-row, no-column unit relation: its
-	// rows are the result as they stand, shared with the CTE or table
-	// they came from (see the immutability rule in DESIGN.md §8).
-	if kind == "INNER" && len(cur.cols) == 0 && len(cur.rows) == 1 && len(joinEq) == 0 && len(residual) == 0 {
+	// rows are the result as they stand — a pending CTE's pipeline, or rows
+	// shared with the CTE or table they came from (see the immutability
+	// rule in DESIGN.md §8).
+	if kind == "INNER" && len(cur.cols) == 0 && cur.src == nil && len(cur.rows) == 1 && len(joinEq) == 0 && len(residual) == 0 {
 		return rightRel, nil
+	}
+	if err := e.materialize(q, rightRel); err != nil {
+		return nil, err
 	}
 
 	var out *relation
-	nJoins := len(q.stats.Joins)
 	if len(joinEq) > 0 && !demotedEq {
 		// Hash join: the default for equi-joins no index covers.
+		if err := e.materialize(q, cur); err != nil {
+			return nil, err
+		}
 		out, err = e.hashJoin(q, cur, rightRel, kind, hashJoinArgs{
 			shape:       shape,
 			curScope:    curScope,
 			joinEqLeft:  joinEqLeft,
 			joinEqRight: joinEqRight,
 			rightName:   alias,
-			estRows:     estRows,
 		})
 		if err != nil {
 			return nil, err
@@ -667,10 +600,9 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 		q.stampJoin(nJoins, sp, StrategyNestedLoop)
 	} else {
 		// Nested-loop join: true cross joins and non-equi conditions only.
-		out, err = e.nestedLoopJoin(q, cur, rightRel, kind, shape, alias)
-		if err != nil {
-			return nil, err
-		}
+		st := &nestedLoopStage{e: e, q: q, right: rightRel.rows, kind: kind, shape: shape,
+			stat: q.newJoinStat(JoinStat{Strategy: StrategyNestedLoop, Table: alias, ProbeRows: len(rightRel.rows)})}
+		out = cur.then(shape.cols, st, emitsScratch|serialIf(serial))
 		legacyAlt := StrategyAuto
 		if demotedEq {
 			legacyAlt = StrategyHash
@@ -689,60 +621,51 @@ func markApplied(lists ...[]*conjunct) {
 	}
 }
 
-// nestedLoopJoin compares every pair of rows, keeping pairs that pass the
-// shape's residual predicates. The outer loop is morsel-parallel when the
-// predicates are parallel-safe.
-func (e *Engine) nestedLoopJoin(q *queryState, cur, right *relation, kind string, shape *joinShape, rightName string) (*relation, error) {
-	opT := time.Now()
-	par := q.par
-	if !parallelSafeConjuncts(shape.residual) {
-		par = 1
-	}
-	morsels, _ := morselPlan(len(cur.rows), par)
-	chunks := make([][][]rel.Value, morsels)
+// nestedLoopStage compares every outer row pushed into it with every row
+// of the stored right side, pushing on the pairs that pass the shape's
+// residual predicates.
+type nestedLoopStage struct {
+	e     *Engine
+	q     *queryState
+	right [][]rel.Value
+	kind  string
+	shape *joinShape
+	stat  int // index into ExecStats.Joins
+}
 
-	newWorker := func() (*joinEmitter, error) { return e.newJoinEmitter(q, shape, 0) }
-	m, w, err := runMorsels(len(cur.rows), par, newWorker, func(je *joinEmitter, m, lo, hi int) error {
-		var buf [][]rel.Value
-		for i := lo; i < hi; i++ {
-			lrow := cur.rows[i]
-			matched := false
-			for _, rrow := range right.rows {
-				joined, ok, err := je.pair(lrow, rrow)
-				if err != nil {
-					return err
-				}
-				if ok {
-					matched = true
-					buf = append(buf, joined)
-				}
-			}
-			if !matched && kind == "LEFT" {
-				buf = append(buf, je.unmatched(lrow))
-			}
+func (s *nestedLoopStage) joinStat() int { return s.stat }
+
+type nestedLoopWorker struct {
+	*nestedLoopStage
+	emit  *joinEmitter
+	outer int
+}
+
+func (s *nestedLoopStage) open(next sink) (sink, error) {
+	emit, err := s.e.newJoinEmitter(s.q, s.shape, next)
+	return &nestedLoopWorker{nestedLoopStage: s, emit: emit}, err
+}
+
+func (w *nestedLoopWorker) push(lrow []rel.Value) error {
+	w.outer++
+	matched := false
+	for _, rrow := range w.right {
+		ok, err := w.emit.emit(lrow, rrow)
+		if err != nil {
+			return err
 		}
-		chunks[m] = buf
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		matched = matched || ok
 	}
-	out := &relation{cols: shape.cols, rows: mergeMorsels(chunks)}
-	q.stats.Joins = append(q.stats.Joins, JoinStat{
-		Strategy:  StrategyNestedLoop,
-		Table:     rightName,
-		BuildRows: len(cur.rows),
-		ProbeRows: len(right.rows),
-		OutRows:   len(out.rows),
-		Morsels:   m,
-		Workers:   w,
-		StartNs:   q.sinceStart(opT),
-		Nanos:     time.Since(opT).Nanoseconds(),
-		EstRows:   -1,
-		EstCost:   -1,
-		AltCost:   -1,
-	})
-	return out, nil
+	if !matched && w.kind == "LEFT" {
+		return w.emit.emitUnmatched(lrow)
+	}
+	return nil
+}
+
+func (w *nestedLoopWorker) done() {
+	st := &w.q.stats.Joins[w.stat]
+	st.BuildRows += w.outer
+	st.OutRows += w.emit.n
 }
 
 // equiJoinParts decomposes expr as (left-side expr) = (right column ref),
@@ -780,73 +703,76 @@ func equiJoinParts(expr sql.Expr, left, right *scope) (sql.Expr, int, bool) {
 // (evaluated in cur's scope) bound to the declared columns.
 func (e *Engine) lateralValues(q *queryState, cur *relation, ref sql.TableRef, conjs []*conjunct) (*relation, error) {
 	fn := ref.TableFn
-	alias := ref.Alias
-	newCols := make([]colInfo, len(fn.Columns))
-	for i, c := range fn.Columns {
-		newCols[i] = colInfo{table: alias, name: c}
+	outCols := append([]colInfo(nil), cur.cols...)
+	for _, c := range fn.Columns {
+		outCols = append(outCols, colInfo{table: ref.Alias, name: c})
 	}
-	outCols := append(append([]colInfo(nil), cur.cols...), newCols...)
-	outScope := newScope(outCols)
-	curScope := newScope(cur.cols)
+	curScope, outScope := newScope(cur.cols), newScope(outCols)
 
 	// Conjuncts that become resolvable once the lateral columns exist and
 	// were not resolvable before are applied inline (e.g. t.val IS NOT
 	// NULL in the paper's out-pipe template).
 	var inline []*conjunct
 	for _, c := range conjs {
-		if c.applied {
-			continue
-		}
-		if c.refs.resolvableIn(outScope) && !c.refs.resolvableIn(curScope) {
+		if !c.applied && c.refs.resolvableIn(outScope) && !c.refs.resolvableIn(curScope) {
 			inline = append(inline, c)
 		}
 	}
-
-	// Compile each VALUES cell and the inline filters once.
-	cellFns := make([][]compiledExpr, len(fn.Rows))
-	for ri, valueRow := range fn.Rows {
+	serial := !parallelSafeConjuncts(inline)
+	for _, valueRow := range fn.Rows {
 		if len(valueRow) != len(fn.Columns) {
 			return nil, fmt.Errorf("engine: VALUES row arity %d, declared %d columns", len(valueRow), len(fn.Columns))
 		}
-		cellFns[ri] = make([]compiledExpr, len(valueRow))
-		for ci, vx := range valueRow {
-			cf, err := e.compile(q, curScope, vx)
-			if err != nil {
-				return nil, err
-			}
-			cellFns[ri][ci] = cf
-		}
+		serial = serial || !parallelSafeExprs(valueRow)
 	}
-	pass, err := e.compilePredicates(q, outScope, inline)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &relation{cols: outCols, rows: make([][]rel.Value, 0, len(cur.rows)*len(fn.Rows))}
-	for _, lrow := range cur.rows {
-		for _, cells := range cellFns {
-			joined := make([]rel.Value, 0, len(outCols))
-			joined = append(joined, lrow...)
-			for _, cf := range cells {
-				v, err := cf(lrow)
+	markApplied(inline)
+	// Each worker compiles every VALUES cell and the inline filters once.
+	return cur.then(outCols, stageFunc(func(next sink) (sink, error) {
+		s := &lateralSink{cells: make([][]compiledExpr, len(fn.Rows)), out: make([]rel.Value, len(outCols)), next: next}
+		for ri, valueRow := range fn.Rows {
+			s.cells[ri] = make([]compiledExpr, len(valueRow))
+			for ci, vx := range valueRow {
+				cf, err := e.compile(q, curScope, vx)
 				if err != nil {
 					return nil, err
 				}
-				joined = append(joined, v)
+				s.cells[ri][ci] = cf
 			}
-			keep, err := pass(joined)
+		}
+		var err error
+		s.pass, err = e.compilePredicates(q, outScope, inline)
+		return s, err
+	}), emitsScratch|serialIf(serial)), nil
+}
+
+type lateralSink struct {
+	cells [][]compiledExpr
+	pass  func(row []rel.Value) (bool, error)
+	out   []rel.Value
+	next  sink
+}
+
+func (s *lateralSink) push(lrow []rel.Value) error {
+	n := copy(s.out, lrow)
+	for _, cells := range s.cells {
+		for i, cf := range cells {
+			v, err := cf(lrow)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if keep {
-				out.rows = append(out.rows, joined)
+			s.out[n+i] = v
+		}
+		keep, err := s.pass(s.out)
+		if err != nil {
+			return err
+		}
+		if keep {
+			if err := s.next.push(s.out); err != nil {
+				return err
 			}
 		}
 	}
-	for _, c := range inline {
-		c.applied = true
-	}
-	return out, nil
+	return nil
 }
 
 // rightSource resolves a table reference to its rows: a CTE, a base

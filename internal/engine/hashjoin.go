@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -18,48 +19,51 @@ type hashJoinArgs struct {
 	joinEqRight []int      // per equi-join term: right column position
 	rightName   string     // right-side alias, for stats
 	simTable    string     // synthetic IOSim table for this join's hash table
-	estRows     int64      // planner's output estimate, -1 unknown
 }
 
-// hashJoin performs an equi-join by hashing the smaller input on the
-// equi-join columns and probing from the larger one. Output order is the
-// serial nested-loop order — for each left row in input order, matching
-// right rows in input order — regardless of which side was built or how
-// many workers probed, so results are deterministic. LEFT joins emit
-// unmatched left rows null-extended; rows whose key contains NULL never
-// match.
+// hashJoin performs an equi-join of two stored inputs by hashing the
+// smaller one on the equi-join columns and probing from the larger one.
+// Output order is the serial nested-loop order — for each left row in
+// input order, matching right rows in input order — regardless of which
+// side was built or how many workers probed, so results are
+// deterministic. LEFT joins emit unmatched left rows null-extended; rows
+// whose key contains NULL never match.
+//
+// Both sides are pipeline breakers: the build side because it is hashed
+// whole, and cur because which side that is depends on how many rows it
+// really has. With the right side built, the probe is a stage over cur
+// and its output flows on; with cur built, matches are regrouped per
+// left row and stored.
 //
 // A single BIGINT key column — every id-to-id join of the translation —
 // hashes as int64; anything else as canonical Value.Key() strings.
 func (e *Engine) hashJoin(q *queryState, cur, right *relation, kind string, a hashJoinArgs) (*relation, error) {
-	opT := time.Now()
 	if e.ioSim() != nil {
 		a.simTable = fmt.Sprintf("#hash%d", len(q.stats.Joins))
 	}
-	stat := JoinStat{Strategy: StrategyHash, Table: a.rightName, Morsels: 1, Workers: 1, EstRows: -1, EstCost: -1, AltCost: -1}
-	var out *relation
-	var err error
-	done := false
 	if len(a.joinEqRight) == 1 {
-		out, done, err = hashJoinKeyed(e, q, cur, right, kind, a, &stat, intJoinKey)
+		if out, done, err := hashJoinKeyed(e, q, cur, right, kind, a, intJoinKey); done || err != nil {
+			return out, err
+		}
 	}
-	if err == nil && !done {
-		out, _, err = hashJoinKeyed(e, q, cur, right, kind, a, &stat, stringJoinKey)
-	}
-	if err != nil {
-		return nil, err
-	}
-	stat.OutRows = len(out.rows)
-	stat.StartNs = q.sinceStart(opT)
-	stat.Nanos = time.Since(opT).Nanoseconds()
-	q.stats.Joins = append(q.stats.Joins, stat)
-	return out, nil
+	out, _, err := hashJoinKeyed(e, q, cur, right, kind, a, stringJoinKey)
+	return out, err
 }
 
-// intJoinKey hashes a single BIGINT key column as itself; ok is false for
-// any other kind, which sends the whole join to string keys.
+// intJoinKey hashes a single BIGINT key column as itself, and an integral
+// DOUBLE as the BIGINT it equals (Value.Key gives the two one key). ok is
+// false for anything else: on the build side that sends the whole join to
+// string keys, on the probe side it means the row matches nothing.
 func intJoinKey(vals []rel.Value) (int64, bool) {
-	return vals[0].Int(), vals[0].Kind() == rel.KindInt
+	switch v := vals[0]; v.Kind() {
+	case rel.KindInt:
+		return v.Int(), true
+	case rel.KindFloat:
+		if f := v.Float(); f == math.Trunc(f) && math.Abs(f) < 1<<53 {
+			return int64(f), true
+		}
+	}
+	return 0, false
 }
 
 // stringJoinKey renders the key columns as one canonical string.
@@ -75,8 +79,8 @@ func stringJoinKey(vals []rel.Value) (string, bool) {
 	return kb.String(), true
 }
 
-// joinKeys holds one side's join keys. null marks rows whose key contains
-// a SQL NULL: they match nothing (and for LEFT joins emit the
+// joinKeys holds the build side's join keys. null marks rows whose key
+// contains a SQL NULL: they match nothing (and for LEFT joins emit the
 // null-extended row), exactly like the index nested-loop join's null-key
 // handling.
 type joinKeys[K comparable] struct {
@@ -84,12 +88,43 @@ type joinKeys[K comparable] struct {
 	null []bool
 }
 
-// joinKeyFn evaluates the equi-join key columns of one row into dst.
-type joinKeyFn func(row, dst []rel.Value) error
+// joinKeyFn evaluates the equi-join key columns of one row into dst and
+// reports whether one of them is NULL.
+type joinKeyFn func(row, dst []rel.Value) (null bool, err error)
 
-// joinKeysOf evaluates and encodes the join key of every row, morsel-
-// parallel under the given budget. ok is false when enc could not hold
-// some key; the caller then retries with an encoding that can.
+// leftKeyFn compiles the key function of cur's rows.
+func (a *hashJoinArgs) leftKeyFn(e *Engine, q *queryState) (joinKeyFn, error) {
+	fns := make([]compiledExpr, len(a.joinEqLeft))
+	for i, lx := range a.joinEqLeft {
+		fn, err := e.compile(q, a.curScope, lx)
+		if err != nil {
+			return nil, err
+		}
+		fns[i] = fn
+	}
+	return func(row, dst []rel.Value) (null bool, err error) {
+		for i, fn := range fns {
+			if dst[i], err = fn(row); err != nil {
+				return false, err
+			}
+			null = null || dst[i].IsNull()
+		}
+		return null, nil
+	}, nil
+}
+
+// rightKey is the key function of the right side's rows.
+func (a *hashJoinArgs) rightKey(row, dst []rel.Value) (null bool, err error) {
+	for i, pos := range a.joinEqRight {
+		dst[i] = row[pos]
+		null = null || dst[i].IsNull()
+	}
+	return null, nil
+}
+
+// joinKeysOf evaluates and encodes the join key of every build-side row,
+// morsel-parallel under the given budget. ok is false when enc could not
+// hold some key; the caller then retries with an encoding that can.
 func joinKeysOf[K comparable](rows [][]rel.Value, width, par int, newKeyFn func() (joinKeyFn, error), enc func([]rel.Value) (K, bool)) (joinKeys[K], bool, error) {
 	jk := joinKeys[K]{keys: make([]K, len(rows)), null: make([]bool, len(rows))}
 	var misfit atomic.Bool
@@ -101,15 +136,10 @@ func joinKeysOf[K comparable](rows [][]rel.Value, width, par int, newKeyFn func(
 		key, err := newKeyFn()
 		return &worker{key: key, dst: make([]rel.Value, width)}, err
 	}
-	_, _, err := runMorsels(len(rows), par, newWorker, func(w *worker, m, lo, hi int) error {
+	_, _, err := runMorsels(len(rows), par, newWorker, func(w *worker, m, lo, hi int) (err error) {
 		for i := lo; i < hi && !misfit.Load(); i++ {
-			if err := w.key(rows[i], w.dst); err != nil {
+			if jk.null[i], err = w.key(rows[i], w.dst); err != nil {
 				return err
-			}
-			for _, v := range w.dst {
-				if v.IsNull() {
-					jk.null[i] = true
-				}
 			}
 			if jk.null[i] {
 				continue
@@ -126,53 +156,31 @@ func joinKeysOf[K comparable](rows [][]rel.Value, width, par int, newKeyFn func(
 }
 
 // hashJoinKeyed runs the join with keys of type K, building on the
-// smaller input. done is false when enc cannot represent the keys.
-func hashJoinKeyed[K comparable](e *Engine, q *queryState, cur, right *relation, kind string, a hashJoinArgs, stat *JoinStat, enc func([]rel.Value) (K, bool)) (out *relation, done bool, err error) {
+// smaller input. done is false when enc cannot represent the build keys.
+func hashJoinKeyed[K comparable](e *Engine, q *queryState, cur, right *relation, kind string, a hashJoinArgs, enc func([]rel.Value) (K, bool)) (out *relation, done bool, err error) {
+	opT := time.Now()
 	width := len(a.joinEqRight)
+	serial := !parallelSafeExprs(a.joinEqLeft) || !parallelSafeConjuncts(a.shape.residual)
+	if len(right.rows) <= len(cur.rows) {
+		keys, ok, err := joinKeysOf(right.rows, width, q.par, func() (joinKeyFn, error) { return a.rightKey, nil }, enc)
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		st := &hashProbeStage[K]{e: e, q: q, a: a, kind: kind, enc: enc, right: right.rows, table: buildTable(e, q, keys, a.simTable)}
+		// The build is timed here; the runs the probe is first join of add theirs.
+		st.stat = q.newJoinStat(JoinStat{Strategy: StrategyHash, Table: a.rightName, BuildSide: "right", BuildRows: len(right.rows),
+			StartNs: q.sinceStart(opT), Nanos: time.Since(opT).Nanoseconds()})
+		return cur.then(a.shape.cols, st, emitsScratch|serialIf(serial)), true, nil
+	}
 	par := q.par
-	if !parallelSafeExprs(a.joinEqLeft) {
+	if serial {
 		par = 1
 	}
-	leftKeys, ok, err := joinKeysOf(cur.rows, width, par, func() (joinKeyFn, error) {
-		fns := make([]compiledExpr, width)
-		for i, lx := range a.joinEqLeft {
-			fn, err := e.compile(q, a.curScope, lx)
-			if err != nil {
-				return nil, err
-			}
-			fns[i] = fn
-		}
-		return func(row, dst []rel.Value) (err error) {
-			for i, fn := range fns {
-				if dst[i], err = fn(row); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, nil
-	}, enc)
+	keys, ok, err := joinKeysOf(cur.rows, width, par, func() (joinKeyFn, error) { return a.leftKeyFn(e, q) }, enc)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	rightKeys, ok, err := joinKeysOf(right.rows, width, q.par, func() (joinKeyFn, error) {
-		return func(row, dst []rel.Value) error {
-			for i, pos := range a.joinEqRight {
-				dst[i] = row[pos]
-			}
-			return nil
-		}, nil
-	}, enc)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-
-	if len(right.rows) <= len(cur.rows) {
-		stat.BuildSide, stat.BuildRows, stat.ProbeRows = "right", len(right.rows), len(cur.rows)
-		out, stat.Morsels, stat.Workers, err = hashJoinBuildRight(e, q, cur, right, leftKeys, rightKeys, kind, a)
-	} else {
-		stat.BuildSide, stat.BuildRows, stat.ProbeRows = "left", len(cur.rows), len(right.rows)
-		out, stat.Morsels, stat.Workers, err = hashJoinBuildLeft(e, q, cur, right, leftKeys, rightKeys, kind, a)
-	}
+	out, err = hashJoinBuildLeft(e, q, cur, right, buildTable(e, q, keys, a.simTable), par, kind, a, enc, opT)
 	return out, true, err
 }
 
@@ -213,62 +221,72 @@ func (ht hashTable[K]) first(k K) int32 {
 	return -1
 }
 
-// hashJoinBuildRight is the common case: hash the right side, probe with
-// left rows morsel-parallel, merging per-morsel outputs in order.
-func hashJoinBuildRight[K comparable](e *Engine, q *queryState, cur, right *relation, leftKeys, rightKeys joinKeys[K], kind string, a hashJoinArgs) (*relation, int, int, error) {
-	build := buildTable(e, q, rightKeys, a.simTable)
-	n := len(cur.rows)
-	par := q.par
-	if !parallelSafeConjuncts(a.shape.residual) {
-		par = 1
-	}
-	morsels, _ := morselPlan(n, par)
-	chunks := make([][][]rel.Value, morsels)
-
-	newWorker := func() (*joinEmitter, error) {
-		return e.newJoinEmitter(q, a.shape, rowsHint(a.estRows, n, 0, min(n, morselRows)))
-	}
-	m, w, err := runMorsels(n, par, newWorker, func(je *joinEmitter, m, lo, hi int) error {
-		buf := make([][]rel.Value, 0, rowsHint(a.estRows, n, lo, hi))
-		for i := lo; i < hi; i++ {
-			lrow := cur.rows[i]
-			matched := false
-			if !leftKeys.null[i] {
-				for ri := build.first(leftKeys.keys[i]); ri >= 0; ri = build.next[ri] {
-					e.hashAccess(q, a.simTable, int(ri))
-					joined, ok, err := je.pair(lrow, right.rows[ri])
-					if err != nil {
-						return err
-					}
-					if ok {
-						matched = true
-						buf = append(buf, joined)
-					}
-				}
-			}
-			if !matched && kind == "LEFT" {
-				buf = append(buf, je.unmatched(lrow))
-			}
-		}
-		chunks[m] = buf
-		return nil
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return &relation{cols: a.shape.cols, rows: mergeMorsels(chunks)}, m, w, nil
+// hashProbeStage is the common case: the right side is hashed, and every
+// left row pushed into the stage probes it and pushes its matches on.
+type hashProbeStage[K comparable] struct {
+	e     *Engine
+	q     *queryState
+	a     hashJoinArgs
+	kind  string
+	enc   func([]rel.Value) (K, bool)
+	right [][]rel.Value
+	table hashTable[K]
+	stat  int // index into ExecStats.Joins
 }
 
-// hashJoinBuildLeft hashes the (smaller) left side and probes with right
-// rows. Matches are collected per left row and emitted in left-row order
-// so the output is identical to hashJoinBuildRight's.
-func hashJoinBuildLeft[K comparable](e *Engine, q *queryState, cur, right *relation, leftKeys, rightKeys joinKeys[K], kind string, a hashJoinArgs) (*relation, int, int, error) {
-	build := buildTable(e, q, leftKeys, a.simTable)
-	n := len(right.rows)
-	par := q.par
-	if !parallelSafeConjuncts(a.shape.residual) {
-		par = 1
+func (s *hashProbeStage[K]) joinStat() int { return s.stat }
+
+type hashProbeWorker[K comparable] struct {
+	*hashProbeStage[K]
+	key    joinKeyFn
+	dst    []rel.Value
+	emit   *joinEmitter
+	probed int
+}
+
+func (s *hashProbeStage[K]) open(next sink) (sink, error) {
+	key, err := s.a.leftKeyFn(s.e, s.q)
+	if err != nil {
+		return nil, err
 	}
+	emit, err := s.e.newJoinEmitter(s.q, s.a.shape, next)
+	return &hashProbeWorker[K]{hashProbeStage: s, key: key, dst: make([]rel.Value, len(s.a.joinEqRight)), emit: emit}, err
+}
+
+func (w *hashProbeWorker[K]) push(lrow []rel.Value) error {
+	w.probed++
+	null, err := w.key(lrow, w.dst)
+	if err != nil {
+		return err
+	}
+	matched := false
+	if k, ok := w.enc(w.dst); ok && !null {
+		for ri := w.table.first(k); ri >= 0; ri = w.table.next[ri] {
+			w.e.hashAccess(w.q, w.a.simTable, int(ri))
+			ok, err := w.emit.emit(lrow, w.right[ri])
+			if err != nil {
+				return err
+			}
+			matched = matched || ok
+		}
+	}
+	if !matched && w.kind == "LEFT" {
+		return w.emit.emitUnmatched(lrow)
+	}
+	return nil
+}
+
+func (w *hashProbeWorker[K]) done() {
+	st := &w.q.stats.Joins[w.stat]
+	st.ProbeRows += w.probed
+	st.OutRows += w.emit.n
+}
+
+// hashJoinBuildLeft probes the hashed (smaller) left side with right
+// rows. Matches are collected per left row and stored in left-row order,
+// so the output is identical to the probe stage's.
+func hashJoinBuildLeft[K comparable](e *Engine, q *queryState, cur, right *relation, build hashTable[K], par int, kind string, a hashJoinArgs, enc func([]rel.Value) (K, bool), opT time.Time) (*relation, error) {
+	n := len(right.rows)
 	morsels, _ := morselPlan(n, par)
 
 	type match struct {
@@ -276,25 +294,33 @@ func hashJoinBuildLeft[K comparable](e *Engine, q *queryState, cur, right *relat
 		row  []rel.Value
 	}
 	chunks := make([][]match, morsels)
-
-	newWorker := func() (*joinEmitter, error) {
-		return e.newJoinEmitter(q, a.shape, rowsHint(a.estRows, n, 0, min(n, morselRows)))
+	type worker struct {
+		emit  *joinEmitter
+		arena *rowArena
+		dst   []rel.Value
 	}
-	m, w, err := runMorsels(n, par, newWorker, func(je *joinEmitter, m, lo, hi int) error {
+	newWorker := func() (*worker, error) {
+		emit, err := e.newJoinEmitter(q, a.shape, nil)
+		return &worker{emit: emit, arena: newRowArena(len(a.shape.cols), 0), dst: make([]rel.Value, len(a.joinEqRight))}, err
+	}
+	m, w, err := runMorsels(n, par, newWorker, func(wk *worker, m, lo, hi int) error {
 		var buf []match
-		for i := lo; i < hi; i++ {
-			if rightKeys.null[i] {
+		for _, rrow := range right.rows[lo:hi] {
+			null, _ := a.rightKey(rrow, wk.dst)
+			k, ok := enc(wk.dst)
+			if null || !ok {
 				continue
 			}
-			rrow := right.rows[i]
-			for li := build.first(rightKeys.keys[i]); li >= 0; li = build.next[li] {
+			for li := build.first(k); li >= 0; li = build.next[li] {
 				e.hashAccess(q, a.simTable, int(li))
-				joined, ok, err := je.pair(cur.rows[li], rrow)
+				joined, ok, err := wk.emit.pair(cur.rows[li], rrow)
 				if err != nil {
 					return err
 				}
 				if ok {
-					buf = append(buf, match{left: li, row: joined})
+					kept := wk.arena.alloc()
+					copy(kept, joined)
+					buf = append(buf, match{left: li, row: kept})
 				}
 			}
 		}
@@ -302,7 +328,7 @@ func hashJoinBuildLeft[K comparable](e *Engine, q *queryState, cur, right *relat
 		return nil
 	})
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 
 	// Regroup matches per left row: a counting sort on the left row index.
@@ -332,14 +358,20 @@ func hashJoinBuildLeft[K comparable](e *Engine, q *queryState, cur, right *relat
 		}
 	}
 	if unmatched > 0 {
-		je := &joinEmitter{shape: a.shape, arena: newRowArena(len(a.shape.cols), unmatched)}
+		arena := newRowArena(len(a.shape.cols), unmatched)
 		for i, lrow := range cur.rows {
 			if fill[i] == start[i] {
-				rows[start[i]] = je.unmatched(lrow)
+				rows[start[i]] = arena.alloc()
+				for c, p := range a.shape.leftSrc {
+					rows[start[i]][c] = lrow[p]
+				}
 			}
 		}
 	}
-	return &relation{cols: a.shape.cols, rows: rows}, m, w, nil
+	q.stats.MaterializedRows += len(rows)
+	q.newJoinStat(JoinStat{Strategy: StrategyHash, Table: a.rightName, BuildSide: "left", BuildRows: len(cur.rows), ProbeRows: n,
+		OutRows: len(rows), Morsels: m, Workers: w, StartNs: q.sinceStart(opT), Nanos: time.Since(opT).Nanoseconds()})
+	return &relation{cols: a.shape.cols, rows: rows}, nil
 }
 
 // hashAccess charges a hash-table build insert or probe hit to the

@@ -1,30 +1,40 @@
 package engine
 
 import (
-	"time"
-
 	"sqlgraph/internal/rel"
 	"sqlgraph/internal/sql"
 )
 
-// indexNLArgs bundles the precomputed join state for indexNLJoin.
-type indexNLArgs struct {
+// indexNLStage is an index nested-loop join: for every outer row pushed
+// into it, it evaluates the equi-join expressions, probes the chosen
+// index with the key columns it covers, verifies the remaining join terms
+// and filters, and pushes the joined rows on. kind is "INNER" or "LEFT".
+// Being a stage, it runs on as many workers as the pipe it is part of
+// (each with its own key functions, predicates and emitter), and the rows
+// of one outer row stay together and in probe order.
+type indexNLStage struct {
+	e           *Engine
+	q           *queryState
+	t           *rel.Table
+	ix          *rel.Index
+	mapping     []int // per leading index column: the equi-join term supplying it
+	kind        string
 	shape       *joinShape
 	curScope    *scope
 	rightScope  *scope
-	joinEqLeft  []sql.Expr // per equi-join term: expression over cur
+	joinEqLeft  []sql.Expr // per equi-join term: expression over the outer row
 	joinEqRight []int      // per equi-join term: right column position
 	rightOnly   []*conjunct
-	estRows     int64 // planner's output estimate, -1 unknown
+	stat        int // index into ExecStats.Joins
 }
+
+func (s *indexNLStage) joinStat() int { return s.stat }
 
 // indexNLWorker is one worker's private state for an index nested-loop
 // join: compiled key expressions and predicates, probe key, emitter, and
 // the per-outer-row fields its probe callback reads and writes.
 type indexNLWorker struct {
-	e         *Engine
-	q         *queryState
-	a         *indexNLArgs
+	*indexNLStage
 	tableName string
 	keyFns    []compiledExpr
 	rightPass func(row []rel.Value) (bool, error)
@@ -36,8 +46,30 @@ type indexNLWorker struct {
 	lrow    []rel.Value // current outer row
 	matched bool
 	err     error
-	buf     [][]rel.Value // current morsel's output
-	probed  int           // candidate rows index probes returned
+	outer   int // outer rows received
+	probed  int // candidate rows index probes returned
+}
+
+func (s *indexNLStage) open(next sink) (sink, error) {
+	w := &indexNLWorker{indexNLStage: s, tableName: s.t.Name(),
+		keyFns:   make([]compiledExpr, len(s.joinEqLeft)),
+		leftVals: make([]rel.Value, len(s.joinEqLeft)),
+		key:      make([]rel.Value, len(s.mapping)),
+	}
+	w.visitFn = w.visit
+	var err error
+	for i, lx := range s.joinEqLeft {
+		if w.keyFns[i], err = s.e.compile(s.q, s.curScope, lx); err != nil {
+			return nil, err
+		}
+	}
+	if w.rightPass, err = s.e.compilePredicates(s.q, s.rightScope, s.rightOnly); err != nil {
+		return nil, err
+	}
+	if w.emit, err = s.e.newJoinEmitter(s.q, s.shape, next); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // visit handles one candidate the index probe returned for the current
@@ -47,119 +79,63 @@ func (w *indexNLWorker) visit(rid rel.RowID, rvals []rel.Value) bool {
 	w.probed++
 	w.e.pageAccess(w.q, w.tableName, rid)
 	// Verify every equi-join term (the index may cover only a subset).
-	for j, pos := range w.a.joinEqRight {
+	for j, pos := range w.joinEqRight {
 		if rvals[pos].IsNull() || !rel.Equal(w.leftVals[j], rvals[pos]) {
 			return true
 		}
 	}
 	ok, err := w.rightPass(rvals)
 	if err == nil && ok {
-		var joined []rel.Value
-		if joined, ok, err = w.emit.pair(w.lrow, rvals); ok {
+		if ok, err = w.emit.emit(w.lrow, rvals); ok {
 			w.matched = true
-			w.buf = append(w.buf, joined)
 		}
 	}
 	w.err = err
 	return err == nil
 }
 
-// indexNLJoin performs an index nested-loop join: for every outer row it
-// evaluates the equi-join expressions, probes the chosen index with the
-// key columns it covers, verifies the remaining join terms and filters,
-// and emits joined rows. kind is "INNER" or "LEFT". The outer loop is
-// morsel-parallel like the other joins' probe phases: each worker
-// compiles its own key functions and predicates and fills per-morsel
-// buffers that merge in outer-row order, so the output is byte-identical
-// to a serial run.
-func (e *Engine) indexNLJoin(q *queryState, cur *relation, t *rel.Table, ix *rel.Index, mapping []int, kind string, a indexNLArgs) (*relation, error) {
-	opT := time.Now()
-	par := q.par
-	if !parallelSafeExprs(a.joinEqLeft) || !parallelSafeConjuncts(a.rightOnly) || !parallelSafeConjuncts(a.shape.residual) {
-		par = 1
+func (w *indexNLWorker) push(lrow []rel.Value) error {
+	w.outer++
+	nullKey := false
+	for j, fn := range w.keyFns {
+		v, err := fn(lrow)
+		if err != nil {
+			return err
+		}
+		if v.IsNull() {
+			nullKey = true
+		}
+		w.leftVals[j] = v
 	}
-	n := len(cur.rows)
-	morsels, _ := morselPlan(n, par)
-	chunks := make([][][]rel.Value, morsels)
-	probed := make([]int, morsels)
+	w.lrow, w.matched = lrow, false
+	if !nullKey {
+		for i, mi := range w.mapping {
+			w.key[i] = w.leftVals[mi]
+		}
+		// ProbeAt resolves entries to the images visible at the query's
+		// snapshot version and filters stale entries (see Table.ProbeAt).
+		w.t.ProbeAt(w.ix, w.key, w.q.asOf, w.visitFn)
+		if w.err != nil {
+			return w.err
+		}
+	}
+	if !w.matched && w.kind == "LEFT" {
+		return w.emit.emitUnmatched(lrow)
+	}
+	return nil
+}
 
-	newWorker := func() (*indexNLWorker, error) {
-		w := &indexNLWorker{e: e, q: q, a: &a, tableName: t.Name(),
-			keyFns:   make([]compiledExpr, len(a.joinEqLeft)),
-			leftVals: make([]rel.Value, len(a.joinEqLeft)),
-			key:      make([]rel.Value, len(mapping)),
-		}
-		w.visitFn = w.visit
-		var err error
-		for i, lx := range a.joinEqLeft {
-			if w.keyFns[i], err = e.compile(q, a.curScope, lx); err != nil {
-				return nil, err
-			}
-		}
-		if w.rightPass, err = e.compilePredicates(q, a.rightScope, a.rightOnly); err != nil {
-			return nil, err
-		}
-		if w.emit, err = e.newJoinEmitter(q, a.shape, rowsHint(a.estRows, n, 0, min(n, morselRows))); err != nil {
-			return nil, err
-		}
-		return w, nil
-	}
-	m, workers, err := runMorsels(n, par, newWorker, func(w *indexNLWorker, m, lo, hi int) error {
-		// Sized from the estimate, or from what this worker's previous
-		// morsel produced when the estimate fell short of it.
-		w.buf = make([][]rel.Value, 0, max(rowsHint(a.estRows, n, lo, hi), len(w.buf)))
-		w.probed = 0
-		for _, lrow := range cur.rows[lo:hi] {
-			nullKey := false
-			for j, fn := range w.keyFns {
-				v, err := fn(lrow)
-				if err != nil {
-					return err
-				}
-				if v.IsNull() {
-					nullKey = true
-				}
-				w.leftVals[j] = v
-			}
-			w.lrow, w.matched = lrow, false
-			if !nullKey {
-				for i, mi := range mapping {
-					w.key[i] = w.leftVals[mi]
-				}
-				// ProbeAt resolves entries to the images visible at the query's
-				// snapshot version and filters stale entries (see Table.ProbeAt).
-				t.ProbeAt(ix, w.key, q.asOf, w.visitFn)
-				if w.err != nil {
-					return w.err
-				}
-			}
-			if !w.matched && kind == "LEFT" {
-				w.buf = append(w.buf, w.emit.unmatched(lrow))
-			}
-		}
-		chunks[m], probed[m] = w.buf, w.probed
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &relation{cols: a.shape.cols, rows: mergeMorsels(chunks)}
-	stat := JoinStat{
-		Strategy:  StrategyIndexNL,
-		Table:     t.Name(),
-		BuildRows: n, // outer rows driving index probes
-		OutRows:   len(out.rows),
-		Morsels:   m,
-		Workers:   workers,
-		StartNs:   q.sinceStart(opT),
-		Nanos:     time.Since(opT).Nanoseconds(),
-		EstRows:   -1,
-		EstCost:   -1,
-		AltCost:   -1,
-	}
-	for _, p := range probed {
-		stat.ProbeRows += p
-	}
-	q.stats.Joins = append(q.stats.Joins, stat)
-	return out, nil
+func (w *indexNLWorker) done() {
+	st := &w.q.stats.Joins[w.stat]
+	st.BuildRows += w.outer // outer rows driving index probes
+	st.ProbeRows += w.probed
+	st.OutRows += w.emit.n
+}
+
+// newJoinStat appends a join's statistics entry, to be filled in as the
+// join's stage instances finish, and returns its index.
+func (q *queryState) newJoinStat(st JoinStat) int {
+	st.EstRows, st.EstCost, st.AltCost = -1, -1, -1
+	q.stats.Joins = append(q.stats.Joins, st)
+	return len(q.stats.Joins) - 1
 }

@@ -139,55 +139,55 @@ func mergeMorsels(chunks [][][]rel.Value) [][]rel.Value {
 // parallel workers.
 func hasSubquery(x sql.Expr) bool {
 	found := false
-	var walk func(sql.Expr)
-	walk = func(e sql.Expr) {
-		if found {
-			return
-		}
-		switch v := e.(type) {
-		case nil:
-		case *sql.Unary:
-			walk(v.X)
-		case *sql.Binary:
-			walk(v.L)
-			walk(v.R)
-		case *sql.IsNull:
-			walk(v.X)
-		case *sql.InList:
-			walk(v.X)
-			for _, item := range v.List {
-				walk(item)
-			}
-		case *sql.InSubquery, *sql.Exists, *sql.ScalarSubquery:
-			found = true
-		case *sql.Between:
-			walk(v.X)
-			walk(v.Lo)
-			walk(v.Hi)
-		case *sql.FuncCall:
-			for _, a := range v.Args {
-				walk(a)
-			}
-		case *sql.Cast:
-			walk(v.X)
-		case *sql.Subscript:
-			walk(v.X)
-			walk(v.Index)
-		case *sql.CaseExpr:
-			if v.Operand != nil {
-				walk(v.Operand)
-			}
-			for _, w := range v.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			if v.Else != nil {
-				walk(v.Else)
-			}
-		}
-	}
-	walk(x)
+	walkSubqueries(x, func(*sql.SelectStmt) { found = true })
 	return found
+}
+
+// walkSubqueries calls fn for every nested SELECT of an expression
+// (without descending into it).
+func walkSubqueries(x sql.Expr, fn func(*sql.SelectStmt)) {
+	switch v := x.(type) {
+	case nil:
+	case *sql.Unary:
+		walkSubqueries(v.X, fn)
+	case *sql.Binary:
+		walkSubqueries(v.L, fn)
+		walkSubqueries(v.R, fn)
+	case *sql.IsNull:
+		walkSubqueries(v.X, fn)
+	case *sql.InList:
+		walkSubqueries(v.X, fn)
+		for _, item := range v.List {
+			walkSubqueries(item, fn)
+		}
+	case *sql.InSubquery:
+		walkSubqueries(v.X, fn)
+		fn(v.Query)
+	case *sql.Exists:
+		fn(v.Query)
+	case *sql.ScalarSubquery:
+		fn(v.Query)
+	case *sql.Between:
+		walkSubqueries(v.X, fn)
+		walkSubqueries(v.Lo, fn)
+		walkSubqueries(v.Hi, fn)
+	case *sql.FuncCall:
+		for _, a := range v.Args {
+			walkSubqueries(a, fn)
+		}
+	case *sql.Cast:
+		walkSubqueries(v.X, fn)
+	case *sql.Subscript:
+		walkSubqueries(v.X, fn)
+		walkSubqueries(v.Index, fn)
+	case *sql.CaseExpr:
+		walkSubqueries(v.Operand, fn)
+		for _, w := range v.Whens {
+			walkSubqueries(w.Cond, fn)
+			walkSubqueries(w.Result, fn)
+		}
+		walkSubqueries(v.Else, fn)
+	}
 }
 
 // parallelSafeConjuncts reports whether every conjunct can be evaluated

@@ -218,10 +218,10 @@ func TestCTEStatsAndHints(t *testing.T) {
 		t.Fatalf("CTEs = %+v", r.Stats.CTEs)
 	}
 	c := r.Stats.CTEs[0]
-	if c.Name != "FRONTIER" || c.EstRows != 12 || c.Rows != 10 {
+	if c.Name != "FRONTIER" || c.EstRows != 12 || c.Rows != 10 || !c.Fused {
 		t.Fatalf("CTEStat = %+v", c)
 	}
-	if !strings.Contains(r.Stats.String(), "cte FRONTIER est=12 act=10") {
+	if !strings.Contains(r.Stats.String(), "cte FRONTIER fused est=12 act=10") {
 		t.Fatalf("String() missing cte line: %s", r.Stats.String())
 	}
 

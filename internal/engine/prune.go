@@ -121,17 +121,20 @@ func newJoinShape(leftCols, rightCols []colInfo, full *scope, keep []int, residu
 }
 
 // joinEmitter is one worker's state for emitting a join's rows: its own
-// compiled residual predicate, scratch row and arena.
+// compiled residual predicate, the scratch rows it assembles in, and the
+// sink its rows go to.
 type joinEmitter struct {
 	shape   *joinShape
 	resid   func(row []rel.Value) (bool, error) // nil when there are no residual terms
 	scratch []rel.Value                         // full-width row the residual terms read
-	arena   *rowArena
+	out     []rel.Value                         // the emitted row, overwritten by the next one
+	next    sink
+	n       int // rows pushed on
 }
 
-// newJoinEmitter builds a worker's emitter; rowsHint sizes its arena.
-func (e *Engine) newJoinEmitter(q *queryState, s *joinShape, rowsHint int) (*joinEmitter, error) {
-	je := &joinEmitter{shape: s, arena: newRowArena(len(s.cols), rowsHint)}
+// newJoinEmitter builds a worker's emitter pushing into next.
+func (e *Engine) newJoinEmitter(q *queryState, s *joinShape, next sink) (*joinEmitter, error) {
+	je := &joinEmitter{shape: s, out: make([]rel.Value, len(s.cols)), next: next}
 	if len(s.residual) > 0 {
 		resid, err := e.compilePredicates(q, s.full, s.residual)
 		if err != nil {
@@ -143,9 +146,10 @@ func (e *Engine) newJoinEmitter(q *queryState, s *joinShape, rowsHint int) (*joi
 	return je, nil
 }
 
-// pair returns the output row for a left/right pair that already passed
+// pair assembles the output row for a left/right pair that already passed
 // the join's key and single-side checks, unless a residual term rejects
-// it. Both inputs are read in place: only the kept columns are copied.
+// it. Both inputs are read in place: only the kept columns are copied,
+// into a row that is valid until the emitter's next call.
 func (je *joinEmitter) pair(l, r []rel.Value) ([]rel.Value, bool, error) {
 	s := je.shape
 	if je.resid != nil {
@@ -155,35 +159,34 @@ func (je *joinEmitter) pair(l, r []rel.Value) ([]rel.Value, bool, error) {
 			return nil, false, err
 		}
 	}
-	out := je.arena.alloc()
 	for i, p := range s.leftSrc {
-		out[i] = l[p]
+		je.out[i] = l[p]
 	}
 	k := len(s.leftSrc)
 	for i, p := range s.rightSrc {
-		out[k+i] = r[p]
+		je.out[k+i] = r[p]
 	}
-	return out, true, nil
+	return je.out, true, nil
 }
 
-// unmatched returns the null-extended output row of a LEFT join's
+// emit pushes the pair's output row on, unless a residual term rejects
+// the pair.
+func (je *joinEmitter) emit(l, r []rel.Value) (matched bool, err error) {
+	row, ok, err := je.pair(l, r)
+	if !ok {
+		return false, err
+	}
+	je.n++
+	return true, je.next.push(row)
+}
+
+// emitUnmatched pushes on the null-extended output row of a LEFT join's
 // unmatched left row.
-func (je *joinEmitter) unmatched(l []rel.Value) []rel.Value {
-	out := je.arena.alloc()
+func (je *joinEmitter) emitUnmatched(l []rel.Value) error {
 	for i, p := range je.shape.leftSrc {
-		out[i] = l[p]
+		je.out[i] = l[p]
 	}
-	return out
-}
-
-// rowsHint scales a join's estimated output to the rows [lo, hi) of its
-// n-row driving input, for presizing a morsel's buffer and arena. Without
-// an estimate it assumes one output row per input row.
-func rowsHint(est int64, n, lo, hi int) int {
-	span := hi - lo
-	if est < 0 || n <= 0 {
-		return span
-	}
-	hint := (min(est, 1<<30)*int64(span) + int64(n) - 1) / int64(n)
-	return int(min(max(hint, 1), 1<<16))
+	clear(je.out[len(je.shape.leftSrc):])
+	je.n++
+	return je.next.push(je.out)
 }

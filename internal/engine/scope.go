@@ -20,10 +20,12 @@ type colInfo struct {
 	name  string // column name, upper-cased
 }
 
-// relation is a materialized intermediate result.
+// relation is an intermediate result: stored rows or, while src is set,
+// the output of pipelines that have not run yet (see pipeline.go).
 type relation struct {
 	cols []colInfo
 	rows [][]rel.Value
+	src  []*pipe
 }
 
 // scope resolves column references against a relation's columns.

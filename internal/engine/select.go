@@ -53,10 +53,22 @@ func (q *queryState) sinceStart(t time.Time) int64 {
 	return t.Sub(q.t0).Nanoseconds()
 }
 
+// evalSelect evaluates a statement into stored rows.
 func (e *Engine) evalSelect(q *queryState, stmt *sql.SelectStmt) (*relation, error) {
-	// Materialize CTEs in order; later CTEs may reference earlier ones.
-	// CTE names shadow base tables and earlier same-named CTEs for the
-	// remainder of the statement.
+	r, err := e.openSelect(q, stmt)
+	if err == nil {
+		err = e.materialize(q, r)
+	}
+	return r, err
+}
+
+// openSelect evaluates a statement as far as it must: a statement that is
+// one SELECT core or UNION ALL of cores, without WITH, ORDER BY or LIMIT,
+// comes back pending, for its reader to extend or run.
+func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, error) {
+	// Bind CTEs in order; later CTEs may reference earlier ones. CTE names
+	// shadow base tables and earlier same-named CTEs for the remainder of
+	// the statement.
 	saved := map[string]*relation{}
 	defined := []string{}
 	defer func() {
@@ -69,6 +81,10 @@ func (e *Engine) evalSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 			}
 		}
 	}()
+	var readers map[string]int
+	if len(stmt.With) > 0 {
+		readers = cteReaders(stmt)
+	}
 	for _, cte := range stmt.With {
 		cteT := time.Now()
 		var r *relation
@@ -76,22 +92,11 @@ func (e *Engine) evalSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 		if cte.Recursive && referencesTable(cte.Query.Body, cte.Name) {
 			r, err = e.evalRecursiveCTE(q, cte)
 		} else {
-			r, err = e.evalSelect(q, cte.Query)
+			r, err = e.openSelect(q, cte.Query)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("in CTE %s: %w", cte.Name, err)
 		}
-		est := int64(-1)
-		if h, ok := q.hints[cte.Name]; ok {
-			est = roundEst(h)
-		}
-		q.stats.CTEs = append(q.stats.CTEs, CTEStat{
-			Name:    cte.Name,
-			EstRows: est,
-			Rows:    len(r.rows),
-			StartNs: q.sinceStart(cteT),
-			Nanos:   time.Since(cteT).Nanoseconds(),
-		})
 		if len(cte.Columns) > 0 {
 			if len(cte.Columns) != len(r.cols) {
 				return nil, fmt.Errorf("engine: CTE %s declares %d columns, query yields %d", cte.Name, len(cte.Columns), len(r.cols))
@@ -100,8 +105,23 @@ func (e *Engine) evalSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 			for i, c := range cte.Columns {
 				cols[i] = colInfo{name: c}
 			}
-			r = &relation{cols: cols, rows: r.rows}
+			r = r.as(cols)
 		}
+		stat := CTEStat{Name: cte.Name, EstRows: -1, StartNs: q.sinceStart(cteT)}
+		if h, ok := q.hints[cte.Name]; ok {
+			stat.EstRows = roundEst(h)
+		}
+		// A CTE with exactly one reader is left pending for that reader to
+		// splice into its own pipeline, or to store if it reads it any other
+		// way than as its driving input. Every other CTE is stored now.
+		if r.src != nil && readers[cte.Name] == 1 {
+			r = r.then(r.cols, cteMark(q, len(q.stats.CTEs)), oneToOne)
+		} else if err := e.materialize(q, r); err != nil {
+			return nil, fmt.Errorf("in CTE %s: %w", cte.Name, err)
+		}
+		stat.Rows = len(r.rows)
+		stat.Nanos = time.Since(cteT).Nanoseconds()
+		q.stats.CTEs = append(q.stats.CTEs, stat)
 		if prev, ok := q.ctes[cte.Name]; ok {
 			saved[cte.Name] = prev
 		}
@@ -113,7 +133,14 @@ func (e *Engine) evalSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 	if err != nil {
 		return nil, err
 	}
-
+	if len(stmt.With) == 0 && len(stmt.OrderBy) == 0 && stmt.Offset == nil && stmt.Limit == nil {
+		return out, nil
+	}
+	// Run before the WITH names go out of scope (a stage's subquery may
+	// read them), and before sorting or cutting.
+	if err := e.materialize(q, out); err != nil {
+		return nil, err
+	}
 	if len(stmt.OrderBy) > 0 {
 		if err := e.orderRows(q, out, stmt.OrderBy); err != nil {
 			return nil, err
@@ -125,6 +152,21 @@ func (e *Engine) evalSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 		}
 	}
 	return out, nil
+}
+
+// cteReaders counts how often the names a WITH list binds are read
+// (countTableRefs). A name bound twice counts as read twice.
+func cteReaders(stmt *sql.SelectStmt) map[string]int {
+	n := map[string]int{}
+	countTableRefs(stmt, 1, n)
+	for i, cte := range stmt.With {
+		for _, other := range stmt.With[:i] {
+			if other.Name == cte.Name {
+				n[cte.Name] += 2
+			}
+		}
+	}
+	return n
 }
 
 func (e *Engine) applyLimit(q *queryState, r *relation, limit, offset sql.Expr) error {
@@ -236,57 +278,47 @@ func (e *Engine) evalBody(q *queryState, body sql.SelectBody) (*relation, error)
 		if err != nil {
 			return nil, err
 		}
-		return combineSetOp(b.Op, left, right)
+		return e.combineSetOp(q, b.Op, left, right)
 	default:
 		return nil, fmt.Errorf("engine: unknown select body %T", body)
 	}
 }
 
-func combineSetOp(op string, left, right *relation) (*relation, error) {
+// combineSetOp applies a set operation. UNION ALL is its arms' pipelines
+// one after the other, still pending, and UNION that run into a DISTINCT
+// terminal; INTERSECT and EXCEPT store both arms.
+func (e *Engine) combineSetOp(q *queryState, op string, left, right *relation) (*relation, error) {
 	if len(left.cols) != len(right.cols) {
 		return nil, fmt.Errorf("engine: set operation arity mismatch: %d vs %d", len(left.cols), len(right.cols))
 	}
 	out := &relation{cols: anonymizeCols(left.cols)}
 	switch op {
 	case "UNION ALL":
-		out.rows = make([][]rel.Value, 0, len(left.rows)+len(right.rows))
-		out.rows = append(out.rows, left.rows...)
-		out.rows = append(out.rows, right.rows...)
+		out.src = append(left.pipes(), right.pipes()...)
+		return out, nil
 	case "UNION":
-		var seen deduper
-		for _, rows := range [][][]rel.Value{left.rows, right.rows} {
-			for _, row := range rows {
-				if !seen.seen(row) {
-					out.rows = append(out.rows, row)
-				}
-			}
+		out.src = append(left.pipes(), right.pipes()...)
+		return e.distinct(q, out)
+	case "INTERSECT", "EXCEPT":
+		if err := e.materialize(q, left); err != nil {
+			return nil, err
 		}
-	case "INTERSECT":
-		var rightSet deduper
+		if err := e.materialize(q, right); err != nil {
+			return nil, err
+		}
+		var rightSet, seen deduper
 		for _, row := range right.rows {
 			rightSet.seen(row)
 		}
-		var seen deduper
 		for _, row := range left.rows {
-			if rightSet.has(row) && !seen.seen(row) {
+			if rightSet.has(row) == (op == "INTERSECT") && !seen.seen(row) {
 				out.rows = append(out.rows, row)
 			}
 		}
-	case "EXCEPT":
-		var rightSet deduper
-		for _, row := range right.rows {
-			rightSet.seen(row)
-		}
-		var seen deduper
-		for _, row := range left.rows {
-			if !rightSet.has(row) && !seen.seen(row) {
-				out.rows = append(out.rows, row)
-			}
-		}
+		return out, nil
 	default:
 		return nil, fmt.Errorf("engine: unknown set operation %s", op)
 	}
-	return out, nil
 }
 
 // anonymizeCols drops table qualifiers (set-op outputs have no table).
@@ -317,9 +349,26 @@ type deduper struct {
 	strs map[string]struct{}
 }
 
+// intRow reports whether the row can live in the int map.
+func (d *deduper) intRow(row []rel.Value) bool {
+	return d.strs == nil && len(row) == 1 && row[0].Kind() == rel.KindInt
+}
+
+// toStrings moves the set to canonical string keys, once.
+func (d *deduper) toStrings() {
+	if d.strs != nil {
+		return
+	}
+	d.strs = make(map[string]struct{}, len(d.ints))
+	for v := range d.ints {
+		d.strs[rowKey([]rel.Value{rel.NewInt(v)})] = struct{}{}
+	}
+	d.ints = nil
+}
+
 // seen records the row and reports whether it was already present.
 func (d *deduper) seen(row []rel.Value) bool {
-	if d.strs == nil && len(row) == 1 && row[0].Kind() == rel.KindInt {
+	if d.intRow(row) {
 		if d.ints == nil {
 			d.ints = map[int64]struct{}{}
 		}
@@ -330,13 +379,7 @@ func (d *deduper) seen(row []rel.Value) bool {
 		d.ints[v] = struct{}{}
 		return false
 	}
-	if d.strs == nil {
-		d.strs = make(map[string]struct{}, len(d.ints))
-		for v := range d.ints {
-			d.strs[rowKey([]rel.Value{rel.NewInt(v)})] = struct{}{}
-		}
-		d.ints = nil
-	}
+	d.toStrings()
 	k := rowKey(row)
 	if _, ok := d.strs[k]; ok {
 		return true
@@ -345,43 +388,53 @@ func (d *deduper) seen(row []rel.Value) bool {
 	return false
 }
 
-// has reports membership without recording.
+// has reports membership without recording. The first row that is not a
+// single integer moves an int set to string keys, as in seen: every later
+// probe is one lookup, not a pass over the set.
 func (d *deduper) has(row []rel.Value) bool {
-	if d.strs == nil {
-		if len(row) == 1 && row[0].Kind() == rel.KindInt {
-			_, ok := d.ints[row[0].Int()]
-			return ok
-		}
-		// Mixed probe against an int set: compare canonical keys.
-		if d.ints == nil {
-			return false
-		}
-		k := rowKey(row)
-		for v := range d.ints {
-			if rowKey([]rel.Value{rel.NewInt(v)}) == k {
-				return true
-			}
-		}
-		return false
+	if d.intRow(row) {
+		_, ok := d.ints[row[0].Int()]
+		return ok
 	}
+	d.toStrings()
 	_, ok := d.strs[rowKey(row)]
 	return ok
 }
 
 // evalRecursiveCTE evaluates WITH RECURSIVE via semi-naive iteration: the
 // base term seeds the result; the recursive term is re-evaluated against
-// the previous iteration's delta until no new rows appear.
+// the previous iteration's delta until no new rows appear. The CTE is a
+// breaker — base, delta and total are stored — but each term is a core
+// like any other and runs through the same sinks, UNION's duplicate
+// elimination being the collect terminal's.
 func (e *Engine) evalRecursiveCTE(q *queryState, cte sql.CTE) (*relation, error) {
 	top, ok := cte.Query.Body.(*sql.SetOp)
 	if !ok || (top.Op != "UNION" && top.Op != "UNION ALL") {
 		return nil, fmt.Errorf("engine: recursive CTE %s must be base UNION [ALL] recursive", cte.Name)
 	}
-	dedupe := top.Op == "UNION"
-	base, err := e.evalBody(q, top.Left)
+	var seen *deduper
+	if top.Op == "UNION" {
+		seen = &deduper{}
+	}
+	// fresh runs a term and returns the rows it adds to the result.
+	fresh := func(term sql.SelectBody, arity int) ([][]rel.Value, []colInfo, error) {
+		r, err := e.evalBody(q, term)
+		if err != nil {
+			return nil, nil, err
+		}
+		if arity >= 0 && len(r.cols) != arity {
+			return nil, nil, fmt.Errorf("engine: recursive CTE %s arity changed", cte.Name)
+		}
+		c := newCollect(len(r.cols), seen)
+		err = e.run(q, r, c, -1)
+		q.stats.MaterializedRows += len(c.rows)
+		return c.rows, r.cols, err
+	}
+	rows, baseCols, err := fresh(top.Left, -1)
 	if err != nil {
 		return nil, err
 	}
-	cols := anonymizeCols(base.cols)
+	cols := anonymizeCols(baseCols)
 	if len(cte.Columns) > 0 {
 		if len(cte.Columns) != len(cols) {
 			return nil, fmt.Errorf("engine: CTE %s declares %d columns, base yields %d", cte.Name, len(cte.Columns), len(cols))
@@ -390,20 +443,7 @@ func (e *Engine) evalRecursiveCTE(q *queryState, cte sql.CTE) (*relation, error)
 			cols[i] = colInfo{name: c}
 		}
 	}
-	total := &relation{cols: cols, rows: append([][]rel.Value(nil), base.rows...)}
-	seen := map[string]bool{}
-	if dedupe {
-		deduped := total.rows[:0]
-		for _, row := range total.rows {
-			k := rowKey(row)
-			if !seen[k] {
-				seen[k] = true
-				deduped = append(deduped, row)
-			}
-		}
-		total.rows = deduped
-	}
-	delta := &relation{cols: cols, rows: total.rows}
+	total := &relation{cols: cols, rows: rows}
 
 	saved, had := q.ctes[cte.Name]
 	defer func() {
@@ -413,65 +453,25 @@ func (e *Engine) evalRecursiveCTE(q *queryState, cte sql.CTE) (*relation, error)
 			delete(q.ctes, cte.Name)
 		}
 	}()
-	for iter := 0; len(delta.rows) > 0; iter++ {
+	for iter := 0; len(rows) > 0; iter++ {
 		if iter >= maxRecursionIters {
 			return nil, fmt.Errorf("engine: recursive CTE %s exceeded %d iterations", cte.Name, maxRecursionIters)
 		}
-		q.ctes[cte.Name] = delta
-		next, err := e.evalBody(q, top.Right)
-		if err != nil {
+		q.ctes[cte.Name] = &relation{cols: cols, rows: rows}
+		if rows, _, err = fresh(top.Right, len(cols)); err != nil {
 			return nil, err
 		}
-		if len(next.cols) != len(cols) {
-			return nil, fmt.Errorf("engine: recursive CTE %s arity changed", cte.Name)
-		}
-		var fresh [][]rel.Value
-		if dedupe {
-			for _, row := range next.rows {
-				k := rowKey(row)
-				if !seen[k] {
-					seen[k] = true
-					fresh = append(fresh, row)
-				}
-			}
-		} else {
-			fresh = next.rows
-		}
-		total.rows = append(total.rows, fresh...)
-		delta = &relation{cols: cols, rows: fresh}
+		total.rows = append(total.rows, rows...)
 	}
 	return total, nil
 }
 
-// referencesTable reports whether a select body references name in any
-// FROM clause (used to detect genuine recursion).
+// referencesTable reports whether a select body reads name in any FROM
+// clause (used to detect genuine recursion).
 func referencesTable(body sql.SelectBody, name string) bool {
-	switch b := body.(type) {
-	case *sql.SetOp:
-		return referencesTable(b.Left, name) || referencesTable(b.Right, name)
-	case *sql.SimpleSelect:
-		for _, ref := range b.From {
-			if tableRefMentions(ref, name) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func tableRefMentions(ref sql.TableRef, name string) bool {
-	if ref.Table == name {
-		return true
-	}
-	if ref.Subquery != nil && referencesTable(ref.Subquery.Body, name) {
-		return true
-	}
-	for _, j := range ref.Joins {
-		if tableRefMentions(j.Right, name) {
-			return true
-		}
-	}
-	return false
+	n := map[string]int{}
+	countTableRefs(&sql.SelectStmt{Body: body}, 1, n)
+	return n[name] > 0
 }
 
 // subquery evaluates a nested SELECT with the current query state.

@@ -30,10 +30,10 @@ type JoinStat struct {
 	BuildRows int    // rows hashed (hash) / outer rows (index-nl, nested-loop)
 	ProbeRows int    // rows probed against the build side
 	OutRows   int    // rows emitted (before later operators)
-	Morsels   int    // morsels the probe phase was split into (0 = not morselized)
-	Workers   int    // workers that executed the probe (1 = serial)
-	StartNs   int64  // operator start, relative to query start
-	Nanos     int64  // operator wall time
+	Morsels   int    // morsels of the run the join was a stage of
+	Workers   int    // workers that executed that run (1 = serial)
+	StartNs   int64  // start of that run, relative to query start
+	Nanos     int64  // wall time of the runs the join was the first join of (see PipelineStat)
 
 	// Cost-based planner annotations. EstRows/EstCost are the planner's
 	// estimates for this join (-1 when the planner did not cost it);
@@ -59,11 +59,25 @@ type ScanStat struct {
 	EstRows int64 // planner-estimated output rows (-1 when not costed)
 }
 
-// CTEStat records one materialized common table expression.
+// CTEStat records one common table expression.
 type CTEStat struct {
 	Name    string
 	EstRows int64 // graph-level cardinality hint (-1 when none)
-	Rows    int   // rows actually materialized
+	Rows    int   // rows the CTE produced, stored or not
+	Fused   bool  // the rows flowed into the CTE's one reader; nothing was stored
+	StartNs int64
+	Nanos   int64 // binding the name; a fused CTE's rows are produced in its reader's run
+}
+
+// PipelineStat records one run: stored rows pushed through a chain of
+// stages into a terminal that stores, deduplicates or aggregates them.
+// Only the run is timed. Its wall time is charged to its first join (or,
+// having none, to its terminal operator); the other stages carry row
+// counts and no time.
+type PipelineStat struct {
+	Joins   []int // indices into ExecStats.Joins of the join stages, in order
+	Op      int   // index into ExecStats.Ops of the dedup or agg terminal, -1 when rows were just stored
+	RowsIn  int   // stored rows the run started from
 	StartNs int64
 	Nanos   int64
 }
@@ -89,6 +103,12 @@ type ExecStats struct {
 	Joins []JoinStat
 	Ops   []OpStat
 	CTEs  []CTEStat
+	// Pipelines lists the runs the operators above executed in.
+	Pipelines []PipelineStat
+	// MaterializedRows totals the rows operators stored: CTEs with several
+	// readers, DISTINCT and aggregate outputs, hash-join inputs, sort
+	// inputs. Rows that only flowed through a pipeline are not in it.
+	MaterializedRows int
 	// PlanVariants is the number of distinct join orders the planner
 	// enumerated for the largest reorderable FROM clause in the query
 	// (0 when nothing was reorderable). The plan-equivalence differential
@@ -131,7 +151,11 @@ func (s *ExecStats) String() string {
 		if c.EstRows >= 0 {
 			est = fmt.Sprintf(" est=%d", c.EstRows)
 		}
-		fmt.Fprintf(&sb, "cte %s%s act=%d time=%s\n", c.Name, est, c.Rows, fmtNanos(c.Nanos))
+		fused := ""
+		if c.Fused {
+			fused = " fused"
+		}
+		fmt.Fprintf(&sb, "cte %s%s%s act=%d time=%s\n", c.Name, fused, est, c.Rows, fmtNanos(c.Nanos))
 	}
 	for _, sc := range s.Scans {
 		est := ""

@@ -17,6 +17,10 @@ import (
 // is for spotting saturation, the load harness measures exact quantiles.
 var latencyBuckets = []float64{0.00025, 0.001, 0.004, 0.016, 0.064, 0.256, 1.024, 4.096, 16.384}
 
+// materializedRowsBuckets are the upper bounds of the per-query stored-rows
+// histogram: powers of ten from one row to ten million.
+var materializedRowsBuckets = []float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7}
+
 // telemetry is the serving layer's view over the metrics registry: typed
 // handles for the counters the request path touches, plus registered
 // callbacks that scrape the store's own atomic counters (trace recorder,
@@ -41,7 +45,8 @@ type telemetry struct {
 	scanRows    *metrics.Counter
 	joins       *metrics.CounterVec // strategy
 	joinRows    *metrics.Counter
-	maxFanout   atomic.Int64 // high-water morsel parallelism, rendered as a gauge
+	matRows     *metrics.Histogram // rows one query's operators stored
+	maxFanout   atomic.Int64       // high-water morsel parallelism, rendered as a gauge
 
 	// replicaOnce guards the follower gauge registration: AttachReplica
 	// runs again after a replicator restart, but each series registers
@@ -84,6 +89,9 @@ func newTelemetry(s *Server) *telemetry {
 		"Join operators executed, by strategy.", "strategy")
 	t.joinRows = reg.Counter("sqlgraphd_exec_join_rows_total",
 		"Rows produced by join operators.")
+	t.matRows = reg.Histogram("sqlgraphd_exec_materialized_rows",
+		"Rows one query's operators stored (multi-reader CTEs, DISTINCT and aggregate outputs, hash-join and sort inputs); rows that only flowed through a pipeline are not counted.",
+		materializedRowsBuckets)
 	reg.GaugeFunc("sqlgraphd_exec_max_workers",
 		"High-water morsel-parallel worker count observed in one query.",
 		func() float64 { return float64(t.maxFanout.Load()) })
@@ -289,6 +297,7 @@ func (t *telemetry) observeExec(stats *engine.ExecStats, err error) {
 		t.joins.With(string(j.Strategy)).Add(1)
 		t.joinRows.Add(uint64(j.OutRows))
 	}
+	t.matRows.Observe(float64(stats.MaterializedRows))
 	w := int64(stats.MaxWorkers())
 	for {
 		cur := t.maxFanout.Load()
