@@ -334,6 +334,9 @@ func countTableRefs(stmt *sql.SelectStmt, weight int, n map[string]int) {
 			for _, item := range b.Items {
 				walkSubqueries(item.Expr, nested)
 			}
+			for _, g := range b.GroupBy {
+				walkSubqueries(g, nested)
+			}
 		}
 	}
 	inStmt = func(s *sql.SelectStmt, weight int) {
@@ -348,6 +351,8 @@ func countTableRefs(stmt *sql.SelectStmt, weight int, n map[string]int) {
 		for _, o := range s.OrderBy {
 			walkSubqueries(o.Expr, nested)
 		}
+		walkSubqueries(s.Limit, nested)
+		walkSubqueries(s.Offset, nested)
 	}
 	inStmt(stmt, weight)
 }

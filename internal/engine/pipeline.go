@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -60,18 +61,26 @@ const (
 
 // pipes hands over the pipelines whose output, in order, is r: its own
 // while r is pending (r gives them up — a pending relation has one
-// reader), else its stored rows with no stage.
+// reader), else its stored rows with no stage. A second reader of a taken
+// relation — one the reader count (cteReaders) missed — gets a pipeline
+// that fails when it runs.
 func (r *relation) pipes() []*pipe {
-	if src := r.src; src != nil {
-		r.src = nil
+	switch {
+	case r.src != nil:
+		src := r.src
+		r.src, r.taken = nil, true
 		return src
+	case r.taken:
+		return []*pipe{{stages: []stage{stageFunc(func(sink) (sink, error) { return nil, errTaken })}}}
 	}
 	return []*pipe{{head: r.rows}}
 }
 
+var errTaken = errors.New("engine: internal error: a pipelined relation was read twice")
+
 // as returns r under other column names.
 func (r *relation) as(cols []colInfo) *relation {
-	if r.src == nil {
+	if r.src == nil && !r.taken {
 		return &relation{cols: cols, rows: r.rows}
 	}
 	return &relation{cols: cols, src: r.pipes()}
@@ -225,12 +234,12 @@ func (e *Engine) run(q *queryState, r *relation, term terminal, op int) error {
 
 func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (morsels, workers int, err error) {
 	n := len(p.head)
+	stores, _ := term.(*collect) // nil: term keeps no rows, morsel buffers are transit
 	par := q.par
-	if p.serial {
-		par = 1
+	if p.serial || stores == nil && len(p.stages) == 0 {
+		par = 1 // a subquery stage; or no stage at all, and workers would only buffer the head for term to replay
 	}
 	_, workers = morselPlan(n, par)
-	stores, _ := term.(*collect) // nil: term keeps no rows, morsel buffers are transit
 	var bufs []morselBuf
 	if workers > 1 {
 		bufs = make([]morselBuf, (n+morselRows-1)/morselRows)
@@ -293,6 +302,9 @@ func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (mors
 // materialize runs a pending relation into stored rows. A head no stage
 // touches is shared as it stands (the immutability rule of DESIGN.md §8).
 func (e *Engine) materialize(q *queryState, r *relation) error {
+	if r.taken {
+		return errTaken
+	}
 	if r.src == nil {
 		return nil
 	}
@@ -315,7 +327,7 @@ func (e *Engine) materialize(q *queryState, r *relation) error {
 	if err := e.run(q, r, c, -1); err != nil {
 		return err
 	}
-	r.rows = c.rows
+	r.rows, r.taken = c.rows, false
 	q.stats.MaterializedRows += len(c.rows)
 	return nil
 }

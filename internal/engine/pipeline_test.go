@@ -127,6 +127,19 @@ func pipelineShapes() map[string]struct {
 	return shapes
 }
 
+// rowsText renders a result on one line: rows apart by spaces, columns by |.
+func rowsText(rows *Rows) string {
+	var out []string
+	for _, row := range rows.Data {
+		var cells []string
+		for _, v := range row {
+			cells = append(cells, v.String())
+		}
+		out = append(out, strings.Join(cells, "|"))
+	}
+	return strings.Join(out, " ")
+}
+
 func fusedCTEs(st *ExecStats) map[string]bool {
 	m := map[string]bool{}
 	for _, c := range st.CTEs {
@@ -265,6 +278,62 @@ func TestPipelineBreakers(t *testing.T) {
 	rows = mustQuery(t, e, sub.sql(false))
 	if fusedCTEs(&rows.Stats)["T2"] || rows.Data[0][0].Int() == 0 {
 		t.Fatalf("CTE read by an IN subquery: fused=%v count=%v", fusedCTEs(&rows.Stats), rows.Data[0][0])
+	}
+
+	// A subquery in GROUP BY, LIMIT or OFFSET is a second reader of the CTE
+	// the core drives from.
+	five := cteStmt{}.with("T1", "SELECT ID AS VAL FROM O WHERE ID < 5")
+	for final, want := range map[string]string{
+		"SELECT COUNT(*), MIN(VAL) FROM T1 GROUP BY VAL < (SELECT COUNT(*) FROM T1) - 2": "3|0 2|3",
+		"SELECT VAL FROM T1 LIMIT (SELECT COUNT(*) FROM T1) - 2":                         "0 1 2",
+		"SELECT VAL FROM T1 LIMIT 5 OFFSET (SELECT COUNT(*) FROM T1) - 2":                "3 4",
+	} {
+		five.final = final
+		for _, stored := range []bool{false, true} {
+			rows = mustQuery(t, e, five.sql(stored))
+			if got := rowsText(rows); got != want || fusedCTEs(&rows.Stats)["T1"] {
+				t.Fatalf("%s (stored=%v) = %q, want %q (fused %v)", final, stored, got, want, fusedCTEs(&rows.Stats))
+			}
+		}
+	}
+
+	// A CTE whose stage holds a subquery is stored where it is bound: the
+	// names the subquery reads mean what they mean there, whatever a later
+	// WITH entry or the reader's own WITH rebinds them to.
+	for q, want := range map[string]string{
+		`WITH T0 AS (SELECT ID AS VAL FROM O WHERE ID < 3),
+			T2 AS (SELECT ID + (SELECT COUNT(*) FROM T0) AS VAL FROM O WHERE ID < 4),
+			T0 AS (SELECT ID AS VAL FROM O WHERE ID > 5) SELECT VAL FROM T2`: "3 4 5 6",
+		`WITH T0 AS (SELECT ID AS VAL FROM O WHERE ID < 3),
+			T2 AS (SELECT ID + (SELECT COUNT(*) FROM T0) AS VAL FROM O WHERE ID < 4),
+			T3 AS (WITH T0 AS (SELECT ID AS VAL FROM O WHERE ID > 5) SELECT VAL FROM T2) SELECT VAL FROM T3`: "3 4 5 6",
+		`WITH T0 AS (SELECT ID AS VAL FROM O WHERE ID < 3), T1 AS (SELECT ID AS VAL FROM O WHERE ID < 10),
+			T2 AS (SELECT VAL FROM T1 WHERE VAL - 3 IN (SELECT VAL - 3 + (SELECT COUNT(*) FROM T0) FROM T0)),
+			T3 AS (WITH T0 AS (SELECT ID AS VAL FROM O WHERE ID > 5) SELECT VAL + 0 AS VAL FROM T2) SELECT VAL FROM T3`: "3 4 5",
+	} {
+		rows = mustQuery(t, e, q)
+		if got := rowsText(rows); got != want {
+			t.Fatalf("%s = %q, want %q: the subquery read a rebound T0", q, got, want)
+		}
+		if fusedCTEs(&rows.Stats)["T2"] {
+			t.Fatalf("%s: T2 has a subquery stage and was fused", q)
+		}
+	}
+
+	// A relation its one reader has taken fails a second reader: a reader
+	// the count missed must not see an empty input.
+	taken := &relation{cols: []colInfo{{name: "X"}}, rows: [][]rel.Value{{rel.NewInt(1)}}}
+	pending := taken.then(taken.cols, stageFunc(func(next sink) (sink, error) { return next, nil }), oneToOne)
+	first := pending.as(pending.cols)
+	qs := &queryState{}
+	if err := e.materialize(qs, first); err != nil || len(first.rows) != 1 {
+		t.Fatalf("first reader: %v, %d rows", err, len(first.rows))
+	}
+	if err := e.materialize(qs, pending); err != errTaken {
+		t.Fatalf("storing a taken relation = %v, want errTaken", err)
+	}
+	if err := e.materialize(qs, pending.as(pending.cols)); err != errTaken {
+		t.Fatalf("second reader = %v, want errTaken", err)
 	}
 }
 

@@ -21,11 +21,14 @@ type colInfo struct {
 }
 
 // relation is an intermediate result: stored rows or, while src is set,
-// the output of pipelines that have not run yet (see pipeline.go).
+// the output of pipelines that have not run yet (see pipeline.go). A
+// pending relation has one reader; once that reader has its pipelines the
+// relation is taken, and reading it again is an error, not an empty result.
 type relation struct {
-	cols []colInfo
-	rows [][]rel.Value
-	src  []*pipe
+	cols  []colInfo
+	rows  [][]rel.Value
+	src   []*pipe
+	taken bool
 }
 
 // scope resolves column references against a relation's columns.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -113,8 +114,11 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 		}
 		// A CTE with exactly one reader is left pending for that reader to
 		// splice into its own pipeline, or to store if it reads it any other
-		// way than as its driving input. Every other CTE is stored now.
-		if r.src != nil && readers[cte.Name] == 1 {
+		// way than as its driving input. Every other CTE is stored now — as
+		// is one with a subquery in a stage, which resolves the names it
+		// reads when it runs: they must mean what they mean here, not what
+		// a later WITH entry or the reader's own WITH rebinds them to.
+		if r.src != nil && readers[cte.Name] == 1 && !slices.ContainsFunc(r.src, func(p *pipe) bool { return p.serial }) {
 			r = r.then(r.cols, cteMark(q, len(q.stats.CTEs)), oneToOne)
 		} else if err := e.materialize(q, r); err != nil {
 			return nil, fmt.Errorf("in CTE %s: %w", cte.Name, err)

@@ -107,7 +107,8 @@ type ExecStats struct {
 	Pipelines []PipelineStat
 	// MaterializedRows totals the rows operators stored: CTEs with several
 	// readers, DISTINCT and aggregate outputs, hash-join inputs, sort
-	// inputs. Rows that only flowed through a pipeline are not in it.
+	// inputs. Rows that only flowed through a pipeline are not in it, nor
+	// are the per-morsel buffers a parallel run hands an aggregate in order.
 	MaterializedRows int
 	// PlanVariants is the number of distinct join orders the planner
 	// enumerated for the largest reorderable FROM clause in the query
