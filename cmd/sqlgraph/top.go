@@ -123,6 +123,13 @@ func topFrame(client *http.Client, addr string, window time.Duration) (string, e
 		topRate(oldest.V, newest.V, "sqlgraphd_wal_fsyncs_total", dt),
 		topRate(oldest.V, newest.V, "sqlgraphd_wal_appends_total", dt),
 		topInt(newest.V, "sqlgraphd_wal_buffered_records"))
+	// Checkpoints run beside the writers: "busy" is the share of the window
+	// one was running, "exclusive" the share during which writers waited.
+	fmt.Fprintf(&b, "  checkpnt  %5.2f/min   busy %4.1f%%   exclusive %5.2f%%   errors %s\n",
+		60*topRate(oldest.V, newest.V, "sqlgraphd_checkpoints_total", dt),
+		100*topRate(oldest.V, newest.V, "sqlgraphd_checkpoint_seconds_total", dt),
+		100*topRate(oldest.V, newest.V, "sqlgraphd_checkpoint_exclusive_seconds_total", dt),
+		topInt(newest.V, "sqlgraphd_checkpoint_errors_total"))
 	fmt.Fprintf(&b, "  mvcc      gc backlog %s records   pins %s   oldest pin %s\n",
 		topInt(newest.V, "sqlgraphd_mvcc_gc_backlog_records"),
 		topInt(newest.V, "sqlgraphd_snapshot_pins"),

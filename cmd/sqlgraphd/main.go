@@ -195,7 +195,8 @@ func main() {
 	}
 	if rep != nil {
 		rep.Stop()
-		store = rep.Store() // a resync may have swapped the live store
+		store = rep.Store()        // a resync may have swapped the live store
+		store.WaitCheckpointIdle() // records applied since the drain may have started a checkpoint, which pins
 	}
 	if pins := store.PinnedSnapshots(); pins != 0 {
 		logger.Warn("snapshot pins leaked", slog.Int("pins", pins))

@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"io"
+	"sync"
 	"time"
 
 	"sqlgraph/internal/blueprints"
 	"sqlgraph/internal/core/coloring"
 	"sqlgraph/internal/rel"
 	"sqlgraph/internal/sqljson"
+	"sqlgraph/internal/stats"
 	"sqlgraph/internal/wal"
 )
 
@@ -220,6 +223,7 @@ func (s *Store) applyRecord(rec wal.Record) error {
 // for one.
 func (s *Store) attachWAL(l *wal.Log) {
 	s.wal = l
+	s.cpIdle = sync.NewCond(&s.cpMu)
 	tracer := s.tracer
 	l.SetSyncObserver(func(d time.Duration, records int) {
 		tracer.ObserveWALFsync(d)
@@ -259,8 +263,8 @@ func (s *Store) logAppend(w *writeOp, rec wal.Record) error {
 // as "wal-fsync", plus a "wal-batch" span recording how many records the
 // covering flush amortized over. A crash before the flush loses only the
 // tail of *committed* operations — the recovered state is still a
-// consistent prefix. Afterwards the store checkpoints if the log has
-// grown past the snapshot cadence.
+// consistent prefix. Afterwards a checkpoint is started in the background
+// if the log has grown past the snapshot cadence.
 func (s *Store) logCommit(w *writeOp) error {
 	if s.wal == nil {
 		return nil
@@ -277,95 +281,202 @@ func (s *Store) logCommit(w *writeOp) error {
 		return err
 	}
 	w.observeDetail("wal-batch", fmt.Sprintf("records=%d", batch), t, d)
-	return s.maybeSnapshot()
+	s.maybeSnapshot()
+	return nil
 }
 
-func (s *Store) maybeSnapshot() error {
+// maxLogFactor bounds recovery time: a writer whose commit finds the log
+// past this many times the snapshot cadence waits for the checkpoint in
+// flight instead of letting the log grow further.
+const maxLogFactor = 4
+
+// maybeSnapshot starts a checkpoint on its own goroutine once the log
+// holds SnapshotEvery records the snapshot does not cover. The writer
+// that crosses the threshold does not wait for it, at most one runs at a
+// time however many writers cross together, and a failure is journaled
+// and counted, not returned: the caller's mutation is already durable.
+func (s *Store) maybeSnapshot() {
 	every := s.opts.SnapshotEvery
 	if every == 0 {
 		every = defaultSnapshotEvery
 	}
 	if every < 0 || s.wal.RecordsSinceSnapshot() < every {
-		return nil
+		return
 	}
-	return s.Checkpoint()
+	s.cpMu.Lock()
+	defer s.cpMu.Unlock()
+	if !s.cpRunning && !s.closed {
+		s.cpRunning = true
+		go func() {
+			_ = s.checkpoint() // journaled and counted there
+			s.cpMu.Lock()
+			s.cpRunning = false
+			s.cpIdle.Broadcast()
+			s.cpMu.Unlock()
+		}()
+	}
+	for s.cpRunning && s.wal.RecordsSinceSnapshot() >= maxLogFactor*every {
+		s.cpIdle.Wait()
+	}
 }
 
-// Checkpoint dumps the full catalog to a new snapshot and truncates the
-// log. Read locks on every table exclude in-flight writers, and appends
-// happen only inside write transactions, so the log position observed
-// under those locks covers exactly the committed state being dumped.
-func (s *Store) Checkpoint() (err error) {
+// WaitCheckpointIdle returns once no background checkpoint is in flight.
+func (s *Store) WaitCheckpointIdle() {
+	s.cpMu.Lock()
+	defer s.cpMu.Unlock()
+	for s.cpRunning {
+		s.cpIdle.Wait()
+	}
+}
+
+// Checkpoint writes a snapshot of the whole catalog and drops the log
+// records it covers, synchronously. It shares everything but the trigger
+// with the automatic checkpoints, waiting its turn behind one in flight.
+func (s *Store) Checkpoint() error {
 	if s.wal == nil {
 		return fmt.Errorf("core: checkpoint: store is not durable")
 	}
-	w := s.startWrite("Checkpoint")
-	cpT := time.Now()
-	s.events.Load().Record("checkpoint-start", fmt.Sprintf("lsn=%d", s.wal.LastLSN()))
-	defer func() {
-		s.tracer.ObserveCheckpoint(time.Since(cpT))
-		s.events.Load().RecordDur("checkpoint", fmt.Sprintf("lsn=%d", s.wal.LastLSN()), time.Since(cpT), err)
-		w.done(err)
-	}()
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-
-	dumpT := time.Now()
-	snap, err := s.dumpSnapshot()
-	if err != nil {
-		return err
-	}
-	w.observe("dump", dumpT, time.Since(dumpT))
-	wrT := time.Now()
-	err = s.wal.WriteSnapshot(snap)
-	w.observe("snapshot-write", wrT, time.Since(wrT))
-	if err != nil {
-		return err
-	}
-	// Checkpoint is the histogram refresh cadence: equi-height histograms
-	// are rebuild-only, so piggyback on the full-scan moment.
-	return s.optStats.RebuildAll()
+	return s.checkpoint()
 }
 
-// dumpSnapshot collects the full catalog as a snapshot value. The caller
-// must hold snapMu; the read locks the footprint transaction takes on
-// every table exclude in-flight writers, so the log position observed
-// here covers exactly the committed state being dumped.
-func (s *Store) dumpSnapshot() (*wal.Snapshot, error) {
+// snapPoint is the consistent triple a dump starts from — catalog
+// version, log position, list-id allocator — plus each table's row count
+// at that version, which the snapshot format wants ahead of the rows.
+type snapPoint struct {
+	ver     rel.Version
+	mark    wal.Mark
+	nextLID int64
+	rows    []int // by writeTables index
+}
+
+// pinSnapshot takes the triple under read locks on every table, held only
+// while it reads a few counters. Appends happen inside write transactions
+// as their last step before commit, so with no write transaction open the
+// log position covers exactly the committed state, which is the state at
+// the pinned version and has as many rows per table as are live now. The
+// caller unpins p.ver when its dump is done.
+func (s *Store) pinSnapshot() snapPoint {
 	tx := s.fpReadAll.Begin()
 	defer tx.Rollback()
+	p := snapPoint{ver: s.cat.Pin(), mark: s.wal.Mark(), rows: make([]int, len(writeTables))}
+	s.mu.Lock()
+	p.nextLID = s.nextLID
+	s.mu.Unlock()
+	for i, name := range writeTables {
+		t, _ := s.cat.Table(name)
+		p.rows[i] = t.LiveLocked()
+	}
+	return p
+}
 
-	snap := &wal.Snapshot{
-		LastLSN:    s.wal.LastLSN(),
+// dumpChunk is how many row slots one read-lock acquisition of the dump
+// covers. Under the lock only the slots' row images are gathered (tens of
+// microseconds); they are immutable once committed and kept alive by the
+// pin, so encoding them happens with no lock held.
+const dumpChunk = 4096
+
+// dumpAt streams the catalog as of p into w in snapshot format v1 and
+// returns how many rows and bytes that took. Writers run meanwhile: rows they add, change or
+// delete are invisible at p.ver, and the pin keeps the images and slots
+// visible there from being reclaimed. When hist is non-nil the values of
+// the histogram columns are collected from the same scan.
+func (s *Store) dumpAt(w io.Writer, p snapPoint, hist *stats.HistBuilder) (rows, size int64, err error) {
+	sw := wal.NewSnapshotWriter(w, &wal.Snapshot{
+		LastLSN:    p.mark.LSN,
 		OutCols:    s.outCols,
 		InCols:     s.inCols,
 		Coloring:   int(s.opts.Coloring),
 		DeleteMode: int(s.opts.DeleteMode),
+		NextLID:    p.nextLID,
 		OutAssign:  s.outAssign.ByLabel,
 		InAssign:   s.inAssign.ByLabel,
-		Tables:     make(map[string][][]rel.Value, len(writeTables)),
-	}
-	s.mu.Lock()
-	snap.NextLID = s.nextLID
-	s.mu.Unlock()
-	for _, name := range writeTables {
-		var rows [][]rel.Value
-		if err := tx.Scan(name, func(rid rel.RowID, vals []rel.Value) bool {
-			rows = append(rows, append([]rel.Value(nil), vals...))
-			return true
-		}); err != nil {
-			return nil, err
+	}, len(writeTables))
+	batch := make([][]rel.Value, 0, dumpChunk)
+	for i, name := range writeTables { // sorted, so equal stores dump equal bytes
+		t, _ := s.cat.Table(name)
+		sw.BeginTable(name, p.rows[i])
+		for lo, slots := 0, 1; lo < slots; lo += dumpChunk {
+			batch = batch[:0]
+			t.RLock()
+			slots = t.Slots()
+			t.ScanSlotsAt(lo, lo+dumpChunk, p.ver, func(_ rel.RowID, vals []rel.Value) bool {
+				batch = append(batch, vals)
+				return true
+			})
+			t.RUnlock()
+			for _, row := range batch {
+				if err := sw.WriteRow(row); err != nil {
+					return 0, 0, err
+				}
+				hist.Add(name, row)
+			}
+			// A log closed or killed under the dump has no use for it.
+			if err := s.wal.Err(); err != nil {
+				return 0, 0, err
+			}
 		}
-		snap.Tables[name] = rows
 	}
-	return snap, nil
+	size, err = sw.Close()
+	return sw.Rows(), size, err
 }
 
-// Close flushes and closes the WAL. In-memory stores close trivially.
+// checkpoint is the one checkpoint path. Writers are excluded twice, for
+// microseconds each: while pinSnapshot reads its counters, and while the
+// log installs the finished snapshot and swaps its file for the records
+// appended since (wal.Log.WriteSnapshot). Everything between — the scan
+// at the pinned version, encoding, writing and fsyncing the temp file,
+// building histograms — runs beside them.
+func (s *Store) checkpoint() (err error) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	w := s.startWrite("Checkpoint")
+	cpT := time.Now()
+	s.events.Load().Record("checkpoint-start", fmt.Sprintf("lsn=%d", s.wal.LastLSN()))
+	var p snapPoint
+	var st wal.SnapshotStats
+	var rows, size int64
+	var pinD time.Duration
+	defer func() {
+		excl := pinD + st.Install
+		s.tracer.ObserveCheckpoint(time.Since(cpT), excl, err)
+		s.events.Load().RecordDur("checkpoint", fmt.Sprintf("lsn=%d rows=%d bytes=%d tail_records=%d exclusive_us=%d",
+			p.mark.LSN, rows, size, st.TailRecords, excl.Microseconds()), time.Since(cpT), err)
+		w.done(err)
+	}()
+
+	pinT := time.Now()
+	p = s.pinSnapshot()
+	pinD = time.Since(pinT)
+	defer s.cat.Unpin(p.ver)
+
+	// Checkpoint is the histogram refresh cadence: equi-height histograms
+	// are rebuild-only, and this scan sees every value anyway. Counters
+	// and sketches are maintained per commit and need no refresh.
+	hist := s.optStats.NewHistBuilder()
+	wrT := time.Now()
+	st, err = s.wal.WriteSnapshot(p.mark, func(f io.Writer) (derr error) {
+		rows, size, derr = s.dumpAt(f, p, hist)
+		return derr
+	})
+	w.observe("dump", wrT, st.Dump)
+	w.observe("snapshot-write", wrT.Add(st.Dump), time.Since(wrT)-st.Dump)
+	if err != nil {
+		return err
+	}
+	hist.Install()
+	return nil
+}
+
+// Close waits for a checkpoint in flight, then flushes and closes the
+// WAL. It is idempotent; in-memory stores close trivially.
 func (s *Store) Close() error {
 	if s.wal == nil {
 		return nil
 	}
+	s.cpMu.Lock()
+	s.closed = true // no checkpoint starts from here on
+	s.cpMu.Unlock()
+	s.WaitCheckpointIdle()
 	return s.wal.Close()
 }
 

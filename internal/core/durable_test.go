@@ -176,14 +176,20 @@ func TestDurableSnapshotCadence(t *testing.T) {
 		v := v
 		mutateBoth(t, s, g, func(m graphMutator) error { return m.AddVertex(v, map[string]any{"n": v}) })
 	}
-	// 20 records at cadence 5: the log must have been rotated; at most 4
-	// records remain.
+	// 20 records at cadence 5: checkpoints ran beside the writer, each
+	// keeping the records committed since it pinned its version. Once the
+	// last one is done the log has been rotated at least once and holds
+	// fewer records than a writer would have been made to wait at.
+	s.WaitCheckpointIdle()
 	frames, err := wal.ScanFrames(filepath.Join(dir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frames) >= 5 {
-		t.Fatalf("log holds %d records; snapshot cadence 5 never rotated it", len(frames))
+	if s.WAL().SnapshotLSN() == 0 || len(frames) >= 20 || len(frames) != s.WAL().RecordsSinceSnapshot() {
+		t.Fatalf("log holds %d records after snapshot LSN %d; snapshot cadence 5 never rotated it", len(frames), s.WAL().SnapshotLSN())
+	}
+	if ws := s.Tracer().WriteStats(); ws.CheckpointErrors != 0 {
+		t.Fatalf("%d checkpoints failed", ws.CheckpointErrors)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

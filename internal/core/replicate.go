@@ -12,6 +12,7 @@ package core
 // ApplyReplicated skips anything at or below it.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -71,21 +72,19 @@ func (s *Store) ApplyReplicated(rec wal.Record) (bool, error) {
 
 // SnapshotBytes encodes a consistent point-in-time snapshot of the
 // store for replica bootstrap, without checkpointing (the primary's log
-// is left untouched, so a tail started at LastLSN+1 has no gap). The
+// is left untouched, so a tail started at LastLSN+1 has no gap). It is
+// the checkpoint's pinned dump streamed into memory instead of a file,
+// so it runs beside the writers — and beside a checkpoint — too. The
 // returned LSN is the snapshot's high-water mark.
 func (s *Store) SnapshotBytes() ([]byte, uint64, error) {
 	if s.wal == nil {
 		return nil, 0, fmt.Errorf("core: snapshot export requires a durable store")
 	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	snap, err := s.dumpSnapshot()
-	if err != nil {
+	p := s.pinSnapshot()
+	defer s.cat.Unpin(p.ver)
+	var buf bytes.Buffer
+	if _, _, err := s.dumpAt(&buf, p, nil); err != nil {
 		return nil, 0, err
 	}
-	data, err := wal.EncodeSnapshotBytes(snap)
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, snap.LastLSN, nil
+	return buf.Bytes(), p.mark.LSN, nil
 }

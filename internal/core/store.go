@@ -96,7 +96,14 @@ type Store struct {
 
 	// Durability (nil / zero for in-memory stores).
 	wal    *wal.Log
-	snapMu sync.Mutex // serializes checkpoints
+	snapMu sync.Mutex // serializes checkpoints, explicit and automatic
+
+	// The automatic checkpoint runs on a goroutine of its own, one at a
+	// time (durable.go: maybeSnapshot).
+	cpMu      sync.Mutex
+	cpIdle    *sync.Cond // signalled when cpRunning falls
+	cpRunning bool
+	closed    bool // Close was called: no further automatic checkpoint
 
 	prepared    sync.Map          // gremlin text -> *preparedQuery, at most maxPrepared
 	preparedLen atomic.Int64      // entries stored since the cache was last emptied
@@ -119,7 +126,7 @@ type Store struct {
 	fpReadVA  *rel.Footprint // read: VA
 	fpReadEA  *rel.Footprint // read: EA
 	fpReadEV  *rel.Footprint // read: EA + VA
-	fpReadAll *rel.Footprint // read: every table (checkpoint, fsck)
+	fpReadAll *rel.Footprint // read: every table (checkpoint pin section, fsck)
 }
 
 // initFootprints builds the cached lock plans; called after createSchema.

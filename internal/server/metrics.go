@@ -198,11 +198,17 @@ func newTelemetry(s *Server) *telemetry {
 		})
 
 	reg.CounterFunc("sqlgraphd_checkpoints_total",
-		"Checkpoints completed (snapshot dump + log reset).",
+		"Checkpoints completed (snapshot dump + log swap).",
 		func() float64 { return float64(ws().Checkpoints) })
 	reg.CounterFunc("sqlgraphd_checkpoint_seconds_total",
-		"Total seconds spent checkpointing.",
+		"Total seconds spent checkpointing, nearly all of it in the background beside the writers.",
 		func() float64 { return float64(ws().CheckpointNs) / 1e9 })
+	reg.CounterFunc("sqlgraphd_checkpoint_exclusive_seconds_total",
+		"Seconds of checkpointing during which writers were excluded (pin section + install section).",
+		func() float64 { return float64(ws().CheckpointExclusiveNs) / 1e9 })
+	reg.CounterFunc("sqlgraphd_checkpoint_errors_total",
+		"Checkpoints that failed; an automatic checkpoint's error reaches no writer, only this counter and the event journal.",
+		func() float64 { return float64(ws().CheckpointErrors) })
 	reg.CounterFunc("sqlgraphd_vacuums_total",
 		"Vacuum passes completed.",
 		func() float64 { return float64(ws().Vacuums) })

@@ -317,6 +317,11 @@ func (s *Server) Close(ctx context.Context) error {
 	drained := make(chan struct{})
 	go func() {
 		s.wg.Wait()
+		// A mutation answered moments ago may have started the store's
+		// background checkpoint, which reads on a pinned snapshot: drained
+		// means that is over too, so the store is quiescent (and holds no
+		// pin) when Close returns.
+		s.st().WaitCheckpointIdle()
 		close(drained)
 	}()
 	var err error

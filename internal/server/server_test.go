@@ -515,6 +515,30 @@ func TestCheckpointOnDurableStore(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("checkpoint: %d", resp.StatusCode)
 	}
+	// Synchronous: the answer means the snapshot is installed, counted and
+	// journaled with what it wrote and how long it kept writers out.
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"sqlgraphd_checkpoints_total 2", // the load's and this one
+		"sqlgraphd_checkpoint_errors_total 0",
+		"# TYPE sqlgraphd_checkpoint_exclusive_seconds_total counter",
+	} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	if strings.Contains(string(text), "sqlgraphd_checkpoint_exclusive_seconds_total 0\n") {
+		t.Error("no exclusive time recorded for two checkpoints")
+	}
+	ev := store.Events().Events()[0]
+	if ev.Kind != "checkpoint" || !strings.Contains(ev.Detail, " bytes=") || !strings.Contains(ev.Detail, " tail_records=0 exclusive_us=") {
+		t.Errorf("journal: %+v", ev)
+	}
 }
 
 func TestMetricsExposition(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -251,9 +252,14 @@ func cloneVal(v any) any {
 // String renders the document as canonical JSON with sorted keys, so test
 // output and on-disk sizes are deterministic.
 func (d *Doc) String() string {
-	var sb strings.Builder
-	writeJSON(&sb, d.mOrEmpty())
-	return sb.String()
+	return string(d.AppendJSON(nil))
+}
+
+// AppendJSON appends the canonical rendering String returns to b. The
+// checkpoint encodes every stored document through it, so it allocates
+// nothing for documents of plain scalars and short key sets.
+func (d *Doc) AppendJSON(b []byte) []byte {
+	return appendJSON(b, d.mOrEmpty())
 }
 
 func (d *Doc) mOrEmpty() map[string]any {
@@ -276,53 +282,63 @@ func (d *Doc) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-func writeJSON(sb *strings.Builder, v any) {
+func appendJSON(b []byte, v any) []byte {
 	switch x := v.(type) {
 	case nil:
-		sb.WriteString("null")
+		return append(b, "null"...)
 	case bool:
-		if x {
-			sb.WriteString("true")
-		} else {
-			sb.WriteString("false")
-		}
+		return strconv.AppendBool(b, x)
 	case int64:
-		sb.WriteString(strconv.FormatInt(x, 10))
+		return strconv.AppendInt(b, x, 10)
 	case float64:
-		sb.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
+		return strconv.AppendFloat(b, x, 'g', -1, 64)
 	case string:
-		b, _ := json.Marshal(x)
-		sb.Write(b)
+		return appendJSONString(b, x)
 	case []any:
-		sb.WriteByte('[')
+		b = append(b, '[')
 		for i, e := range x {
 			if i > 0 {
-				sb.WriteByte(',')
+				b = append(b, ',')
 			}
-			writeJSON(sb, e)
+			b = appendJSON(b, e)
 		}
-		sb.WriteByte(']')
+		return append(b, ']')
 	case map[string]any:
-		sb.WriteByte('{')
-		keys := make([]string, 0, len(x))
+		var few [8]string // most attribute sets are small: sort them on the stack
+		keys := few[:0]
 		for k := range x {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
+		b = append(b, '{')
 		for i, k := range keys {
 			if i > 0 {
-				sb.WriteByte(',')
+				b = append(b, ',')
 			}
-			b, _ := json.Marshal(k)
-			sb.Write(b)
-			sb.WriteByte(':')
-			writeJSON(sb, x[k])
+			b = appendJSONString(b, k)
+			b = append(b, ':')
+			b = appendJSON(b, x[k])
 		}
-		sb.WriteByte('}')
+		return append(b, '}')
 	default:
-		b, _ := json.Marshal(x)
-		sb.Write(b)
+		enc, _ := json.Marshal(x)
+		return append(b, enc...)
 	}
+}
+
+// appendJSONString quotes s exactly as encoding/json does. A string of
+// printable ASCII that needs no escape — nearly every key and most values
+// — is copied; anything else takes the library's path.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, _ := json.Marshal(s)
+			return append(b, enc...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Size approximates the serialized size in bytes without serializing; used

@@ -2,6 +2,7 @@ package sqljson
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -194,5 +195,36 @@ func TestSizePositiveAndMonotone(t *testing.T) {
 	d.Set("b", true)
 	if d.Size() <= 0 {
 		t.Fatal("Size must stay positive")
+	}
+}
+
+// AppendJSON copies plain strings and sorts small key sets on the stack;
+// both shortcuts must render exactly what encoding/json does, which is
+// what the WAL and snapshot files already hold.
+func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
+	many := map[string]any{}
+	for i := 0; i < 20; i++ { // more keys than the stack array holds
+		many[fmt.Sprintf("k%02d", 19-i)] = int64(i)
+	}
+	for _, m := range []map[string]any{
+		{},
+		{"plain": "ascii only", "n": int64(-7), "ok": true, "none": nil},
+		{"quote\"key": "back\\slash", "html": "<a href='x'>&</a>", "ctl": "tab\there\n", "del": "\x7f"},
+		{"utf8": "héllo — 世界", "bad": "\xff\xfe", "sep": "\u2028"},
+		{"nested": map[string]any{"b": []any{int64(1), "two", map[string]any{"z": "<", "a": ""}}, "a": "x"}},
+		many,
+	} {
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := FromMap(m)
+		prefix := []byte("keep:")
+		if got := d.AppendJSON(prefix); string(got) != "keep:"+string(want) {
+			t.Errorf("AppendJSON = %s\nencoding/json = %s", got[len("keep:"):], want)
+		}
+		if got := d.String(); got != string(want) {
+			t.Errorf("String = %s\nencoding/json = %s", got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"sort"
 
 	"sqlgraph/internal/rel"
@@ -22,22 +23,23 @@ type Histogram struct {
 	Max    rel.Value
 }
 
-// buildHistogram sorts a copy of vals and cuts it into equi-height
+// buildHistogram sorts vals in place and cuts them into equi-height
 // buckets. Returns nil for empty input.
 func buildHistogram(vals []rel.Value) *Histogram {
-	if len(vals) == 0 {
+	slices.SortFunc(vals, rel.Compare)
+	return cutHistogram(len(vals), func(i int) rel.Value { return vals[i] })
+}
+
+// cutHistogram cuts n values, of which at(i) is the i-th smallest, into
+// equi-height buckets. Returns nil for n == 0.
+func cutHistogram(n int, at func(i int) rel.Value) *Histogram {
+	if n == 0 {
 		return nil
 	}
-	sorted := make([]rel.Value, len(vals))
-	copy(sorted, vals)
-	sort.Slice(sorted, func(i, j int) bool { return rel.Compare(sorted[i], sorted[j]) < 0 })
-	b := histogramBuckets
-	if b > len(sorted) {
-		b = len(sorted)
-	}
-	h := &Histogram{Total: int64(len(sorted)), Min: sorted[0], Max: sorted[len(sorted)-1]}
+	b := min(histogramBuckets, n)
+	h := &Histogram{Total: int64(n), Min: at(0), Max: at(n - 1)}
 	for i := 1; i <= b; i++ {
-		h.Bounds = append(h.Bounds, sorted[i*len(sorted)/b-1])
+		h.Bounds = append(h.Bounds, at(i*n/b-1))
 	}
 	return h
 }

@@ -91,17 +91,19 @@ type Recorder struct {
 	logger    atomic.Pointer[slog.Logger]
 	slowObs   atomic.Pointer[func(*Trace)]
 
-	walAppends    atomic.Uint64
-	walAppendNs   atomic.Int64
-	walFsyncs     atomic.Uint64
-	walFsyncNs    atomic.Int64
-	walFsyncLat   [len(FsyncLatencyBuckets) + 1]atomic.Uint64
-	walFlushRecs  atomic.Uint64
-	walFlushSizes [len(FlushBatchBuckets) + 1]atomic.Uint64
-	checkpoints   atomic.Uint64
-	checkpointNs  atomic.Int64
-	vacuums       atomic.Uint64
-	vacuumNs      atomic.Int64
+	walAppends       atomic.Uint64
+	walAppendNs      atomic.Int64
+	walFsyncs        atomic.Uint64
+	walFsyncNs       atomic.Int64
+	walFsyncLat      [len(FsyncLatencyBuckets) + 1]atomic.Uint64
+	walFlushRecs     atomic.Uint64
+	walFlushSizes    [len(FlushBatchBuckets) + 1]atomic.Uint64
+	checkpoints      atomic.Uint64
+	checkpointNs     atomic.Int64
+	checkpointExclNs atomic.Int64
+	checkpointErrs   atomic.Uint64
+	vacuums          atomic.Uint64
+	vacuumNs         atomic.Int64
 }
 
 // FlushBatchBuckets are the upper bounds (inclusive) of the
@@ -256,10 +258,16 @@ func (r *Recorder) ObserveWALFlush(records int) {
 	r.walFlushSizes[i].Add(1)
 }
 
-// ObserveCheckpoint charges one checkpoint (snapshot dump + log reset).
-func (r *Recorder) ObserveCheckpoint(d time.Duration) {
+// ObserveCheckpoint charges one finished checkpoint (snapshot dump + log
+// swap): its whole duration, most of which runs beside the writers, the
+// part of it during which writers were excluded, and its outcome.
+func (r *Recorder) ObserveCheckpoint(d, exclusive time.Duration, err error) {
 	r.checkpoints.Add(1)
 	r.checkpointNs.Add(d.Nanoseconds())
+	r.checkpointExclNs.Add(exclusive.Nanoseconds())
+	if err != nil {
+		r.checkpointErrs.Add(1)
+	}
 }
 
 // ObserveVacuum charges one vacuum pass.
@@ -287,22 +295,30 @@ type WriteStats struct {
 	WALFlushSizes [len(FlushBatchBuckets) + 1]uint64
 	Checkpoints   uint64
 	CheckpointNs  int64
-	Vacuums       uint64
-	VacuumNs      int64
+	// CheckpointExclusiveNs is the part of CheckpointNs during which
+	// writers could not proceed: the pin section and the install section.
+	CheckpointExclusiveNs int64
+	// CheckpointErrors counts checkpoints that failed. An automatic
+	// checkpoint's error reaches no caller, only this and the journal.
+	CheckpointErrors uint64
+	Vacuums          uint64
+	VacuumNs         int64
 }
 
 // WriteStats returns the current write-path counters.
 func (r *Recorder) WriteStats() WriteStats {
 	st := WriteStats{
-		WALAppends:      r.walAppends.Load(),
-		WALAppendNs:     r.walAppendNs.Load(),
-		WALFsyncs:       r.walFsyncs.Load(),
-		WALFsyncNs:      r.walFsyncNs.Load(),
-		WALFlushRecords: r.walFlushRecs.Load(),
-		Checkpoints:     r.checkpoints.Load(),
-		CheckpointNs:    r.checkpointNs.Load(),
-		Vacuums:         r.vacuums.Load(),
-		VacuumNs:        r.vacuumNs.Load(),
+		WALAppends:            r.walAppends.Load(),
+		WALAppendNs:           r.walAppendNs.Load(),
+		WALFsyncs:             r.walFsyncs.Load(),
+		WALFsyncNs:            r.walFsyncNs.Load(),
+		WALFlushRecords:       r.walFlushRecs.Load(),
+		Checkpoints:           r.checkpoints.Load(),
+		CheckpointNs:          r.checkpointNs.Load(),
+		CheckpointExclusiveNs: r.checkpointExclNs.Load(),
+		CheckpointErrors:      r.checkpointErrs.Load(),
+		Vacuums:               r.vacuums.Load(),
+		VacuumNs:              r.vacuumNs.Load(),
 	}
 	for i := range r.walFlushSizes {
 		st.WALFlushSizes[i] = r.walFlushSizes[i].Load()

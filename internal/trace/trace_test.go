@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -177,11 +178,15 @@ func TestRecorderWriteStats(t *testing.T) {
 	r.ObserveWALAppend(time.Microsecond)
 	r.ObserveWALFsync(2 * time.Millisecond)
 	r.ObserveWALFsync(3 * time.Millisecond)
-	r.ObserveCheckpoint(time.Millisecond)
+	r.ObserveCheckpoint(time.Millisecond, 10*time.Microsecond, nil)
+	r.ObserveCheckpoint(time.Millisecond, 5*time.Microsecond, errors.New("disk full"))
 	r.ObserveVacuum(time.Millisecond)
 	ws := r.WriteStats()
-	if ws.WALAppends != 1 || ws.WALFsyncs != 2 || ws.Checkpoints != 1 || ws.Vacuums != 1 {
+	if ws.WALAppends != 1 || ws.WALFsyncs != 2 || ws.Checkpoints != 2 || ws.Vacuums != 1 {
 		t.Fatalf("counters = %+v", ws)
+	}
+	if ws.CheckpointNs != int64(2*time.Millisecond) || ws.CheckpointExclusiveNs != int64(15*time.Microsecond) || ws.CheckpointErrors != 1 {
+		t.Fatalf("checkpoint counters = %+v", ws)
 	}
 	if ws.WALFsyncNs != int64(5*time.Millisecond) {
 		t.Fatalf("fsync ns = %d", ws.WALFsyncNs)

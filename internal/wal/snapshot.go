@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -21,7 +24,9 @@ import (
 // allocator, and every row of every table. The file is written atomically
 // (temp + rename) and carries a trailing CRC over the whole payload, so a
 // crash mid-snapshot leaves the previous snapshot intact and a damaged
-// file is detected rather than loaded.
+// file is detected rather than loaded. Checkpoints never build this value:
+// they stream rows through a SnapshotWriter, passing a Snapshot without
+// Tables as the header; only decoding fills Tables in.
 type Snapshot struct {
 	// LastLSN is the last log record whose effects the dump includes;
 	// recovery replays only records after it.
@@ -67,7 +72,17 @@ func appendValue(b []byte, v rel.Value) ([]byte, error) {
 	case rel.KindString:
 		return appendString(append(b, tagString), v.Str()), nil
 	case rel.KindJSON:
-		return appendString(append(b, tagJSON), v.JSON().String()), nil
+		// A length-prefixed string like tagString's, rendered in place:
+		// the text goes in first, then moves up to admit its length.
+		b = append(b, tagJSON)
+		at := len(b)
+		b = v.JSON().AppendJSON(b)
+		var pre [binary.MaxVarintLen64]byte
+		k := binary.PutUvarint(pre[:], uint64(len(b)-at))
+		b = append(b, pre[:k]...)
+		copy(b[at+k:], b[at:len(b)-k])
+		copy(b[at:], pre[:k])
+		return b, nil
 	case rel.KindList:
 		list := v.List()
 		b = binary.AppendUvarint(append(b, tagList), uint64(len(list)))
@@ -157,39 +172,102 @@ func (r *byteReader) assign() map[string]int {
 	return m
 }
 
-func encodeSnapshot(s *Snapshot) ([]byte, error) {
-	b := []byte(snapMagic)
-	b = binary.AppendUvarint(b, 1) // format version
-	b = binary.AppendUvarint(b, s.LastLSN)
-	b = binary.AppendUvarint(b, uint64(s.OutCols))
-	b = binary.AppendUvarint(b, uint64(s.InCols))
-	b = append(b, byte(s.Coloring), byte(s.DeleteMode))
-	b = appendZigzag(b, s.NextLID)
-	b = appendAssign(b, s.OutAssign)
-	b = appendAssign(b, s.InAssign)
+// SnapshotWriter streams a snapshot in format v1 — the byte sequence
+// decodeSnapshot reads — without ever holding the encoded file in
+// memory: the header up front, then per table its name, row count and
+// rows, with a running CRC written as the trailer. Each table's row
+// count precedes its rows in the format, so the caller declares it at
+// BeginTable and Close fails if the rows written disagree.
+type SnapshotWriter struct {
+	w      *bufio.Writer
+	crc    hash.Hash32
+	buf    []byte // one row's encoding, reused
+	n      int64  // bytes written so far
+	rows   int64  // total rows written
+	tables int    // tables still owed
+	owed   uint64 // rows still owed to the current table
+	err    error
+}
 
-	names := make([]string, 0, len(s.Tables))
-	for n := range s.Tables {
-		names = append(names, n)
+// NewSnapshotWriter writes the header (hdr.Tables is ignored) and
+// announces how many tables follow.
+func NewSnapshotWriter(w io.Writer, hdr *Snapshot, tables int) *SnapshotWriter {
+	sw := &SnapshotWriter{w: bufio.NewWriterSize(w, 1<<16), crc: crc32.NewIEEE(), tables: tables}
+	if _, err := sw.w.WriteString(snapMagic); err != nil {
+		sw.err = err
 	}
-	sort.Strings(names)
-	b = binary.AppendUvarint(b, uint64(len(names)))
-	var err error
-	for _, name := range names {
-		b = appendString(b, name)
-		rows := s.Tables[name]
-		b = binary.AppendUvarint(b, uint64(len(rows)))
-		for _, row := range rows {
-			b = binary.AppendUvarint(b, uint64(len(row)))
-			for _, v := range row {
-				if b, err = appendValue(b, v); err != nil {
-					return nil, err
-				}
-			}
+	sw.n = int64(len(snapMagic))
+	b := binary.AppendUvarint(sw.buf, 1) // format version
+	b = binary.AppendUvarint(b, hdr.LastLSN)
+	b = binary.AppendUvarint(b, uint64(hdr.OutCols))
+	b = binary.AppendUvarint(b, uint64(hdr.InCols))
+	b = append(b, byte(hdr.Coloring), byte(hdr.DeleteMode))
+	b = appendZigzag(b, hdr.NextLID)
+	b = appendAssign(b, hdr.OutAssign)
+	b = appendAssign(b, hdr.InAssign)
+	b = binary.AppendUvarint(b, uint64(tables))
+	sw.write(b)
+	return sw
+}
+
+// write sends checksummed payload bytes downstream and keeps b's
+// backing array as the scratch buffer.
+func (sw *SnapshotWriter) write(b []byte) {
+	sw.buf = b[:0]
+	if sw.err != nil {
+		return
+	}
+	sw.crc.Write(b)
+	sw.n += int64(len(b))
+	_, sw.err = sw.w.Write(b)
+}
+
+// BeginTable starts the next table, which will hold exactly rows rows.
+// The decoder accepts tables in any order; writing them sorted by name
+// keeps the file a function of the store's contents.
+func (sw *SnapshotWriter) BeginTable(name string, rows int) {
+	if sw.err == nil && (sw.owed != 0 || sw.tables == 0) {
+		sw.err = fmt.Errorf("wal: snapshot: table %s begun with %d rows and %d tables still owed", name, sw.owed, sw.tables)
+	}
+	sw.tables--
+	sw.owed = uint64(rows)
+	sw.write(binary.AppendUvarint(appendString(sw.buf, name), sw.owed))
+}
+
+// WriteRow appends one row to the current table.
+func (sw *SnapshotWriter) WriteRow(vals []rel.Value) error {
+	b := binary.AppendUvarint(sw.buf, uint64(len(vals)))
+	for _, v := range vals {
+		var err error
+		if b, err = appendValue(b, v); err != nil {
+			sw.err = err
+			return err
 		}
 	}
-	sum := crc32.ChecksumIEEE(b[len(snapMagic):])
-	return binary.LittleEndian.AppendUint32(b, sum), nil
+	sw.owed--
+	sw.rows++
+	sw.write(b)
+	return sw.err
+}
+
+// Rows reports how many rows have been written.
+func (sw *SnapshotWriter) Rows() int64 { return sw.rows }
+
+// Close writes the CRC trailer and flushes, returning the total size of
+// the encoded snapshot. It fails if a declared table or row is missing:
+// such a file would decode as corrupt.
+func (sw *SnapshotWriter) Close() (int64, error) {
+	if sw.err == nil && (sw.owed != 0 || sw.tables != 0) {
+		// owed wraps below zero when a table received more rows than declared.
+		sw.err = fmt.Errorf("wal: snapshot: closed with %d rows and %d tables still owed", int64(sw.owed), sw.tables)
+	}
+	if sw.err != nil {
+		return sw.n, sw.err
+	}
+	if _, err := sw.w.Write(binary.LittleEndian.AppendUint32(nil, sw.crc.Sum32())); err != nil {
+		return sw.n, err
+	}
+	return sw.n + 4, sw.w.Flush()
 }
 
 func decodeSnapshot(data []byte) (*Snapshot, error) {
@@ -247,19 +325,9 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// writeSnapshotFile writes the snapshot atomically: temp file, fsync,
-// rename, directory fsync (best effort).
-func writeSnapshotFile(dir string, s *Snapshot) error {
-	data, err := encodeSnapshot(s)
-	if err != nil {
-		return err
-	}
-	return writeSnapshotBytes(dir, data)
-}
-
-// writeSnapshotBytes installs already-encoded snapshot bytes with the
-// same atomic temp+fsync+rename protocol (replication bootstrap reuses
-// it for snapshots received over the wire).
+// writeSnapshotBytes installs already-encoded snapshot bytes (received
+// over the wire by replication bootstrap) into a directory no log is open
+// on: temp file, fsync, rename, directory fsync (best effort).
 func writeSnapshotBytes(dir string, data []byte) error {
 	tmp := filepath.Join(dir, tmpName)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -284,10 +352,7 @@ func writeSnapshotBytes(dir string, data []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	if d, derr := os.Open(dir); derr == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
+	syncDir(dir)
 	return nil
 }
 

@@ -98,9 +98,13 @@ const maxTailBatch = 1 << 20
 
 // TailReader iterates the valid frames of a live log file starting at a
 // given LSN. It tolerates concurrent appends (a partially written final
-// frame is simply not ready yet) and checkpoint truncation (the file
-// restarting at a higher LSN), and reports ErrGap when the wanted LSN
-// has been folded into the snapshot and can never appear.
+// frame is simply not ready yet) and checkpoints: a checkpoint replaces
+// wal.log with a new file holding the records after its snapshot, and a
+// reader that has drained the file it holds open moves on to the one now
+// at the path. Because the replacement keeps that tail, a reader near the
+// head crosses any number of checkpoints without a gap; ErrGap is
+// reported only when the wanted LSN has been folded into the snapshot and
+// can never appear.
 type TailReader struct {
 	path     string
 	snapPath string
@@ -156,22 +160,43 @@ func (t *TailReader) Next() ([]byte, []FrameInfo, error) {
 		}
 		t.f = f
 	}
-	st, err := t.f.Stat()
-	if err != nil {
-		return nil, nil, err
-	}
-	size := st.Size()
-	if size < t.off {
-		// A checkpoint truncated the log; it restarts after the new
-		// snapshot. Rescan from the top — and re-check that the wanted
-		// LSN wasn't folded into that snapshot.
+	var size int64
+	for {
+		st, err := t.f.Stat()
+		if err != nil {
+			return nil, nil, err
+		}
+		size = st.Size()
+		if size > t.off {
+			break
+		}
+		if size == t.off {
+			// Drained. The file is final if a checkpoint has put another at
+			// the path; once nothing was added to it before that, follow.
+			if cur, err := os.Stat(t.path); err != nil || os.SameFile(st, cur) {
+				return nil, nil, nil // caught up (a missing path: mid-swap, poll again)
+			}
+			if st, err = t.f.Stat(); err != nil {
+				return nil, nil, err
+			}
+			if size = st.Size(); size > t.off {
+				break
+			}
+			f, err := os.Open(t.path)
+			if err != nil {
+				return nil, nil, err
+			}
+			t.f.Close()
+			t.f = f
+		}
+		// A replaced file, or one Open restarted in place because the
+		// snapshot covered all of it: rescan from the top (frames already
+		// delivered are skipped) — and re-check that the wanted LSN wasn't
+		// folded into the snapshot.
 		t.off = 0
 		if err := t.checkGap(); err != nil {
 			return nil, nil, err
 		}
-	}
-	if size == t.off {
-		return nil, nil, nil
 	}
 	n := size - t.off
 	if n > maxTailBatch {
@@ -248,10 +273,6 @@ func ReadSnapshotLSN(path string) (uint64, error) {
 	}
 	return lsn, nil
 }
-
-// EncodeSnapshotBytes serializes a snapshot with the same codec the
-// checkpoint file uses (replication bootstrap ships these bytes).
-func EncodeSnapshotBytes(s *Snapshot) ([]byte, error) { return encodeSnapshot(s) }
 
 // DecodeSnapshotBytes validates and parses an encoded snapshot.
 func DecodeSnapshotBytes(data []byte) (*Snapshot, error) { return decodeSnapshot(data) }

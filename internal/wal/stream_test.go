@@ -254,7 +254,7 @@ func TestTailReaderGapAndTruncation(t *testing.T) {
 	}
 	defer trBehind.Close()
 
-	// A caught-up reader survives the truncation transparently.
+	// A caught-up reader follows the log to its replacement file.
 	trAhead, err := OpenTail(dir, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestTailReaderGapAndTruncation(t *testing.T) {
 		t.Fatalf("pre-truncation drain: %d frames, %v", len(fs), err)
 	}
 
-	if err := l.WriteSnapshot(sampleSnapshot(uint64(len(recs)))); err != nil {
+	if _, err := checkpointAt(l, l.Mark()); err != nil {
 		t.Fatal(err)
 	}
 	writeAll(t, l, []Record{{Op: OpAddVertex, ID: 9, Doc: `{}`}})
@@ -318,7 +318,7 @@ func TestInstallSnapshot(t *testing.T) {
 	l.Close()
 
 	snap := sampleSnapshot(uint64(len(testRecords())))
-	data, err := EncodeSnapshotBytes(snap)
+	data, err := encodeSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,10 @@ import (
 )
 
 const (
-	logName  = "wal.log"
-	snapName = "snapshot.db"
-	tmpName  = "snapshot.db.tmp"
+	logName    = "wal.log"
+	logTmpName = "wal.log.tmp"
+	snapName   = "snapshot.db"
+	tmpName    = "snapshot.db.tmp"
 
 	// maxRecord bounds a single record payload; a frame claiming more is
 	// treated as garbage rather than allocated.
@@ -70,11 +71,13 @@ type Log struct {
 	pending   int    // records in buf (appended, not yet handed to a flush)
 	nextLSN   uint64
 	durable   uint64 // highest LSN covered by a completed fsync or snapshot
-	snapLSN   uint64 // LastLSN of the snapshot the log starts after
-	sinceSnap int
-	flushing  bool // a leader or the flusher owns the swapped-out batch
-	lastBatch int  // records covered by the most recently completed flush
+	snapLSN   uint64 // LastLSN of the latest installed snapshot
+	written   int64  // bytes of the current log file handed to flushes so far
+	gen       uint64 // bumped each time a checkpoint replaces the log file
+	flushing  bool   // a leader or the flusher owns the swapped-out batch
+	lastBatch int    // records covered by the most recently completed flush
 	hook      WriteHook
+	stageHook func(CheckpointStage) error
 	syncObs   func(d time.Duration, records int) // observes each physical fsync
 	closed    bool
 	err       error
@@ -232,12 +235,15 @@ func ScanFrames(path string) ([]FrameInfo, error) {
 }
 
 // Open recovers dir and returns an append-ready log positioned after the
-// last valid record. A torn tail is physically truncated; stale records
-// already covered by the snapshot are dropped with the whole log.
+// last valid record. A torn tail is physically truncated; a log whose
+// every record is already covered by the snapshot is restarted. Temporary
+// files a checkpoint left behind when the process died are removed.
 func Open(dir string) (*Log, *RecoveredState, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: open: %w", err)
 	}
+	_ = os.Remove(filepath.Join(dir, tmpName))
+	_ = os.Remove(filepath.Join(dir, logTmpName))
 	st, err := Recover(dir)
 	if err != nil {
 		return nil, nil, err
@@ -254,7 +260,7 @@ func Open(dir string) (*Log, *RecoveredState, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: open: %w", err)
 	}
-	l := &Log{f: f, dir: dir, nextLSN: st.NextLSN, durable: st.NextLSN - 1, sinceSnap: len(st.Records)}
+	l := &Log{f: f, dir: dir, nextLSN: st.NextLSN, durable: st.NextLSN - 1, written: int64(st.ValidBytes)}
 	l.cond = sync.NewCond(&l.mu)
 	if st.Snapshot != nil {
 		l.snapLSN = st.Snapshot.LastLSN
@@ -312,6 +318,9 @@ func (l *Log) flusherLoop() {
 			}
 		}
 		l.mu.Lock()
+		for l.flushing { // a Flush caller leads a batch: take the next one
+			l.cond.Wait()
+		}
 		err := l.flushBatchLocked()
 		l.mu.Unlock()
 		if err != nil {
@@ -334,12 +343,7 @@ func (l *Log) SetWriteHook(h WriteHook) {
 func (l *Log) Kill(err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err == nil {
-		l.err = err
-	}
-	if l.cond != nil {
-		l.cond.Broadcast()
-	}
+	l.failLocked(err)
 }
 
 // SetSyncObserver installs a callback invoked after every successful
@@ -373,21 +377,21 @@ func (l *Log) LastLSN() uint64 {
 	return l.nextLSN - 1
 }
 
-// SnapshotLSN returns the LastLSN of the snapshot the current log file
-// starts after (0 when the directory has never been checkpointed). The
-// log holds exactly the records in (SnapshotLSN, LastLSN].
+// SnapshotLSN returns the LastLSN of the latest installed snapshot (0
+// when the directory has never been checkpointed). The log holds at least
+// the records in (SnapshotLSN, LastLSN].
 func (l *Log) SnapshotLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.snapLSN
 }
 
-// RecordsSinceSnapshot counts appends since the last snapshot rotation
-// (including records recovered from the current log at Open).
+// RecordsSinceSnapshot counts the records recovery would replay: those
+// appended after the latest installed snapshot's LSN.
 func (l *Log) RecordsSinceSnapshot() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.sinceSnap
+	return int(l.nextLSN - 1 - l.snapLSN)
 }
 
 // Buffered reports how many appended records are sitting in the buffer
@@ -414,7 +418,6 @@ func (l *Log) Append(r Record) (uint64, error) {
 	putFrameHeader(hdr[:], payload)
 	l.buf = append(l.buf, hdr[:]...)
 	l.buf = append(l.buf, payload...)
-	l.sinceSnap++
 	l.pending++
 	if l.kickC != nil {
 		if l.pending == 1 {
@@ -508,6 +511,7 @@ func (l *Log) flushBatchLocked() error {
 	l.buf = l.spare[:0]
 	l.spare = nil
 	l.pending = 0
+	l.written += int64(len(p))
 	l.flushing = true
 	hook := l.hook
 	f := l.f
@@ -560,50 +564,263 @@ func (l *Log) flushBatchLocked() error {
 	return nil
 }
 
-// WriteSnapshot durably replaces the snapshot file (write-temp, fsync,
-// rename) and resets the log, which the snapshot now supersedes. The
-// caller must hold locks that exclude concurrent appends and must pass
-// snap.LastLSN equal to the last appended LSN, so no record can be lost to
-// the truncation.
-func (l *Log) WriteSnapshot(snap *Snapshot) error {
+// Mark is a log position a snapshot can be taken at: the last appended
+// LSN, and where the record after it starts in the current log file.
+type Mark struct {
+	LSN uint64
+	off int64
+	gen uint64
+}
+
+// Mark returns the current position. A checkpoint calls it in the same
+// critical section that pins the state it will dump, so LSN is exactly
+// the last record that state includes.
+func (l *Log) Mark() Mark {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// An in-flight flush would write its batch into the truncated file;
-	// wait it out first (it covers only LSNs <= LastLSN, which the
-	// snapshot is about to supersede anyway).
+	return Mark{LSN: l.nextLSN - 1, off: l.written + int64(len(l.buf)), gen: l.gen}
+}
+
+// CheckpointStage names a point of WriteSnapshot's protocol for
+// SetCheckpointHook.
+type CheckpointStage string
+
+const (
+	// StageDump: the dump is running and its first bytes are about to
+	// reach the temp file. The log mutex is not held.
+	StageDump CheckpointStage = "dump"
+	// StageTempSynced: the temp file is complete and fsynced, not yet
+	// renamed. The log mutex is not held.
+	StageTempSynced CheckpointStage = "temp-synced"
+	// StageSnapshotRenamed: the new snapshot is in place, the log still
+	// the old one. The log mutex is held.
+	StageSnapshotRenamed CheckpointStage = "snapshot-renamed"
+	// StageLogRenamed: the replacement log is in place, the handle not
+	// yet swapped. The log mutex is held.
+	StageLogRenamed CheckpointStage = "log-renamed"
+)
+
+// SetCheckpointHook installs a hook WriteSnapshot calls at each stage. An
+// error it returns simulates the process dying right there: the log is
+// killed with it and every file is left as it is. Test use only; must be
+// set before concurrent use.
+func (l *Log) SetCheckpointHook(h func(CheckpointStage) error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.stageHook = h
+}
+
+// SnapshotStats reports what one WriteSnapshot did.
+type SnapshotStats struct {
+	// TailRecords is how many durable records after the snapshot's LSN the
+	// replacement log carried over.
+	TailRecords int
+	// Dump is the time spent streaming the dump into the temp file.
+	Dump time.Duration
+	// Install is the time the log mutex was held to swap snapshot and log
+	// in — the only part of a checkpoint during which appends wait.
+	Install time.Duration
+}
+
+// WriteSnapshot makes the state dump writes — which must be the state as
+// of at — the directory's snapshot, and drops the log records it covers.
+// Appends and commits proceed while dump runs and while the temp file is
+// fsynced; only the install excludes them, for a rename and the copy of
+// the few records appended since at:
+//
+//  1. stream dump into snapshot.db.tmp, fsync it                (no lock)
+//  2. wait out an in-flight flush; refuse if the log is dead    (l.mu)
+//  3. rename the temp file over snapshot.db
+//  4. write the frames after at.LSN to wal.log.tmp, fsync, rename it over
+//     wal.log and continue on its handle
+//
+// A crash before 3 leaves the old snapshot and the whole log; between 3
+// and 4 the new snapshot and a log whose leading frames it already covers,
+// which Recover skips; after 4 the new pair. A log that was closed or
+// killed while the dump ran installs nothing, so a successor opened on the
+// directory is never overwritten. An I/O error in step 4 leaves the log on
+// its old file, where it stays valid, and is returned. When at found
+// records still buffered, at.off lies past what has been flushed: they are
+// in the snapshot, and the copy starts at the end of the file instead.
+func (l *Log) WriteSnapshot(at Mark, dump func(w io.Writer) error) (st SnapshotStats, err error) {
+	l.mu.Lock()
+	hook := l.stageHook
+	err = l.err
+	l.mu.Unlock()
+	if err != nil {
+		return st, err
+	}
+	stage := func(s CheckpointStage) error {
+		if hook == nil {
+			return nil
+		}
+		return hook(s)
+	}
+	tmp := filepath.Join(l.dir, tmpName)
+	t := time.Now()
+	f, err := createTemp(tmp)
+	if err != nil {
+		return st, fmt.Errorf("wal: snapshot: %w", err)
+	}
+	var w io.Writer = f
+	if hook != nil {
+		w = &stagedWriter{w: f, before: func() error {
+			err := hook(StageDump)
+			if err != nil {
+				l.Kill(err)
+			}
+			return err
+		}}
+	}
+	err = dump(w)
+	st.Dump = time.Since(t)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		if l.Err() == nil { // a dead log's directory may have a new owner
+			os.Remove(tmp)
+		}
+		return st, fmt.Errorf("wal: snapshot: %w", err)
+	}
+	if err := stage(StageTempSynced); err != nil {
+		l.Kill(err)
+		return st, err
+	}
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	// An in-flight flush holds the old file handle; its batch belongs in
+	// the old file, whose tail is copied below.
 	for l.flushing {
 		l.cond.Wait()
 	}
+	t = time.Now()
+	defer func() { st.Install = time.Since(t) }()
 	if l.err != nil {
-		return l.err
+		// Closed or killed meanwhile: the directory may already belong to
+		// a successor, so not even the temp file is touched.
+		return st, l.err
 	}
-	if snap.LastLSN != l.nextLSN-1 {
-		return fmt.Errorf("wal: snapshot at LSN %d but log is at %d", snap.LastLSN, l.nextLSN-1)
+	if at.gen != l.gen || at.LSN < l.snapLSN || at.LSN >= l.nextLSN {
+		os.Remove(tmp)
+		return st, fmt.Errorf("wal: snapshot mark at LSN %d is not a position of this log (snapshot %d, last %d)", at.LSN, l.snapLSN, l.nextLSN-1)
 	}
-	if err := writeSnapshotFile(l.dir, snap); err != nil {
-		return err
+	if err := os.Rename(tmp, filepath.Join(l.dir, snapName)); err != nil {
+		os.Remove(tmp)
+		return st, fmt.Errorf("wal: snapshot: %w", err)
 	}
-	// Everything buffered or logged is <= LastLSN and folded into the
-	// snapshot; restart the log.
-	l.buf = l.buf[:0]
-	l.pending = 0
-	if err := l.f.Truncate(0); err != nil {
-		l.err = err
+	syncDir(l.dir)
+	if l.durable > at.LSN {
+		st.TailRecords = int(l.durable - at.LSN)
+	} else {
+		l.durable = at.LSN // committed in memory before the pin, durable with the snapshot
 		l.cond.Broadcast()
+	}
+	l.snapLSN = at.LSN
+	if err := stage(StageSnapshotRenamed); err != nil {
+		return st, l.failLocked(err)
+	}
+
+	if err := l.swapLogLocked(min(at.off, l.written), stage); err != nil {
+		return st, fmt.Errorf("wal: snapshot installed, log not compacted: %w", err)
+	}
+	return st, nil
+}
+
+// swapLogLocked replaces wal.log with a new file holding its bytes from
+// offset from on, and continues the log on that file. Caller holds l.mu
+// with no flush in flight, so the file holds exactly the bytes up to
+// l.written; records still buffered stay buffered and are flushed to the
+// new file. A real I/O error leaves the log on its old file; a hook's
+// simulated crash kills it.
+func (l *Log) swapLogLocked(from int64, stage func(CheckpointStage) error) error {
+	tail := make([]byte, l.written-from)
+	if _, err := l.f.ReadAt(tail, from); err != nil {
 		return err
 	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
+	logTmp := filepath.Join(l.dir, logTmpName)
+	nf, err := createTemp(logTmp)
+	if err != nil {
+		return err
+	}
+	allow, herr := len(tail), error(nil)
+	if l.hook != nil {
+		allow, herr = l.hook(tail)
+		allow = max(0, min(allow, len(tail)))
+	}
+	_, err = nf.Write(tail[:allow])
+	if herr != nil {
+		nf.Close()
+		return l.failLocked(herr)
+	}
+	if err == nil {
+		err = nf.Sync()
+	}
+	if err == nil {
+		err = os.Rename(logTmp, filepath.Join(l.dir, logName))
+	}
+	if err != nil {
+		nf.Close()
+		os.Remove(logTmp)
+		return err
+	}
+	syncDir(l.dir)
+	if err := stage(StageLogRenamed); err != nil {
+		nf.Close()
+		return l.failLocked(err)
+	}
+	l.f.Close()
+	l.f = nf
+	l.written = int64(len(tail))
+	l.gen++
+	return nil
+}
+
+// stagedWriter calls before ahead of the first write it passes on.
+type stagedWriter struct {
+	w      io.Writer
+	before func() error
+}
+
+func (s *stagedWriter) Write(p []byte) (int, error) {
+	if s.before != nil {
+		err := s.before()
+		s.before = nil
+		if err != nil {
+			return 0, err
+		}
+	}
+	return s.w.Write(p)
+}
+
+// failLocked makes err the log's sticky error and wakes every waiter.
+// Caller holds l.mu.
+func (l *Log) failLocked(err error) error {
+	if l.err == nil {
 		l.err = err
-		l.cond.Broadcast()
-		return err
-	}
-	l.snapLSN = snap.LastLSN
-	l.sinceSnap = 0
-	if snap.LastLSN > l.durable {
-		l.durable = snap.LastLSN
 	}
 	l.cond.Broadcast()
-	return nil
+	return err
+}
+
+// createTemp creates path for writing, replacing whatever a dead
+// predecessor left there with a new file rather than truncating a file
+// that predecessor's abandoned goroutine may still hold open.
+func createTemp(path string) (*os.File, error) {
+	_ = os.Remove(path)
+	return os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+}
+
+// syncDir makes a rename in dir durable (best effort).
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		_ = d.Close()
+	}
 }
 
 // Close stops the group-commit flusher (if any), flushes buffered
