@@ -134,10 +134,9 @@ func topFrame(client *http.Client, addr string, window time.Duration) (string, e
 		topInt(newest.V, "sqlgraphd_mvcc_gc_backlog_records"),
 		topInt(newest.V, "sqlgraphd_snapshot_pins"),
 		topDur(newest.V["sqlgraphd_mvcc_oldest_pin_age_seconds"]))
-	fmt.Fprintf(&b, "  caches    plan hit%% %s   prepared hit%% %s   tail fallbacks %.2f/s\n",
+	fmt.Fprintf(&b, "  caches    plan hit%% %s   prepared hit%% %s\n",
 		topHitRate(newest.V, "sqlgraphd_plan_cache_hits_total", "sqlgraphd_plan_cache_misses_total"),
-		topHitRate(newest.V, "sqlgraphd_prepared_cache_hits_total", "sqlgraphd_prepared_cache_misses_total"),
-		topRate(oldest.V, newest.V, "sqlgraphd_tail_fallback_queries_total", dt))
+		topHitRate(newest.V, "sqlgraphd_prepared_cache_hits_total", "sqlgraphd_prepared_cache_misses_total"))
 
 	// Replication: follower lag per /wal stream on a primary, or this
 	// node's own lag when it is a replica.

@@ -294,9 +294,8 @@ const nationalFrance = "http://dbpedia.org/resource/France"
 
 // OrderGroupQueries builds the order/group workload: sorted pagination
 // (ORDER BY ... LIMIT) and grouped aggregation (GROUP BY) shapes that
-// the translator must compile into single SQL statements — the figure
-// guards the pushdown templates against regressing into tail
-// evaluation or slow plans.
+// the translator compiles into single SQL statements — the figure
+// guards the pushdown templates against regressing into slow plans.
 func OrderGroupQueries(d *dbpedia.Dataset) []string {
 	pick := func(ids []int64, i int) int64 {
 		if len(ids) == 0 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -185,6 +186,15 @@ var corpusQueries = []string{
 	"g.V.out.dedup().count()",
 	"g.V.both.count()",
 	"g.V.outE.count()",
+	// Division by whatever the data holds: lop has no age (NULL divisor),
+	// it.age - it.age is a zero divisor. Both are NULL, not an error, and
+	// any pipe may follow.
+	"g.V.filter{60 / it.age >= 2}.id",
+	"g.V.filter{1 / (it.age - it.age) == 1}",
+	"g.V.filter{it.age % 0 == 1}",
+	"g.V.filter{60 / it.age >= 2}.out.path",
+	"g.V.as('x').out.filter{60 / it.age >= 1}.back('x')",
+	"g.V.filter{60 / it.age >= 2}.ifThenElse{it.age % 2 == 1}{it.out('created')}{it.out('knows')}",
 }
 
 func TestCorpusAgainstOracleBulkLoad(t *testing.T) {
@@ -699,6 +709,34 @@ func TestOutEdgesWithAttrs(t *testing.T) {
 	}
 	if _, _, err := s.OutEdgesWithAttrs(4, 0); !errors.Is(err, blueprints.ErrNotFound) {
 		t.Fatalf("deleted vertex err = %v", err)
+	}
+}
+
+// TestOrderGroupPushdown pins the exact, ordered output of the order,
+// range and group templates, after closures that divide by row data too:
+// edge `label` through LBL, groups packed as (key, value) in key order,
+// range clamped like LIMIT/OFFSET.
+func TestOrderGroupPushdown(t *testing.T) {
+	s := loadFigure2a(t, Options{})
+	defer s.Close()
+	for q, want := range map[string][]any{
+		"g.V.order{it.name}.range(0, 1).id": {int64(4), int64(3)}, // josh, lop
+		"g.E.groupCount{it.label}": {
+			[]any{"created", int64(2)}, []any{"knows", int64(2)}, []any{"likes", int64(1)}},
+		// 60/29 = 2, 60/27 = 2, 60/32 = 1; lop has no age.
+		"g.V.filter{60 / it.age >= 2}.outE.label.dedup.order()": {"created", "knows"},
+		"g.V.filter{60 / (it.age + 0) >= 1}.groupCount{it.age}": {
+			[]any{int64(27), int64(1)}, []any{int64(29), int64(1)}, []any{int64(32), int64(1)}},
+		// Ordered by age: 2 (27), 1 (29), 4 (32); offset 1 keeps [1, 4].
+		"g.V.filter{120 / it.age >= 1}.order{it.age}.range(1, 5)": {int64(1), int64(4)},
+	} {
+		res, err := s.Query(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if !reflect.DeepEqual(res.Values, want) {
+			t.Errorf("%q = %v, want %v", q, res.Values, want)
+		}
 	}
 }
 

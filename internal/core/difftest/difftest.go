@@ -62,86 +62,79 @@ func GenGraph(rng *rand.Rand) *blueprints.MemGraph {
 }
 
 // genVertexExpr emits a random closure expression over a vertex item,
-// bounded at the given combinator depth, and reports whether it forces
-// the translator's tail fallback (a data-dependent divisor). Divisors
-// are constructed to never be zero — it.k is 0..4 — so a generated
-// closure never raises a division error on either path.
-func genVertexExpr(rng *rand.Rand, depth int) (string, bool) {
+// bounded at the given combinator depth. Divisors are whatever the data
+// holds: it.k is 0..4, so zero; it.name is a string or absent, so a value
+// that coerces to zero or NULL; a fractional literal truncates to zero
+// under %. All of them make the quotient NULL on both paths.
+func genVertexExpr(rng *rand.Rand, depth int) string {
 	if depth > 0 && rng.Intn(3) == 0 {
-		l, t1 := genVertexExpr(rng, depth-1)
-		r, t2 := genVertexExpr(rng, depth-1)
+		l := genVertexExpr(rng, depth-1)
+		r := genVertexExpr(rng, depth-1)
 		switch rng.Intn(4) {
 		case 0:
-			return fmt.Sprintf("%s && %s", l, r), t1 || t2
+			return fmt.Sprintf("%s && %s", l, r)
 		case 1:
-			return fmt.Sprintf("%s || %s", l, r), t1 || t2
+			return fmt.Sprintf("%s || %s", l, r)
 		case 2:
-			return fmt.Sprintf("!(%s)", l), t1
+			return fmt.Sprintf("!(%s)", l)
 		default:
-			return fmt.Sprintf("!(%s) && %s", l, r), t1 || t2
+			return fmt.Sprintf("!(%s) && %s", l, r)
 		}
 	}
-	switch rng.Intn(9) {
+	switch rng.Intn(11) {
 	case 0:
-		return fmt.Sprintf("it.k %s %d", pick(rng, "<", "<=", ">", ">=", "==", "!="), rng.Intn(5)), false
+		return fmt.Sprintf("it.k %s %d", pick(rng, "<", "<=", ">", ">=", "==", "!="), rng.Intn(5))
 	case 1:
 		return fmt.Sprintf("it.k %s %d %s %d", pick(rng, "+", "-"), 1+rng.Intn(3),
-			pick(rng, "<", ">", "=="), rng.Intn(6)), false
+			pick(rng, "<", ">", "=="), rng.Intn(6))
 	case 2:
-		return fmt.Sprintf("it.k * %d >= %d", 1+rng.Intn(3), rng.Intn(8)), false
+		return fmt.Sprintf("it.k * %d >= %d", 1+rng.Intn(3), rng.Intn(8))
 	case 3:
-		return fmt.Sprintf("it.k %s %d == %d", pick(rng, "/", "%"), 2+rng.Intn(2), rng.Intn(3)), false
+		return fmt.Sprintf("it.k %s %d == %d", pick(rng, "/", "%"), 2+rng.Intn(2), rng.Intn(3))
 	case 4:
-		// Data-dependent divisor: forces the tail fallback, never zero.
-		return fmt.Sprintf("%d / (it.k + 1) >= %d", 2+rng.Intn(8), 1+rng.Intn(3)), true
+		return fmt.Sprintf("%d %s it.k >= %d", 2+rng.Intn(8), pick(rng, "/", "%"), rng.Intn(3))
 	case 5:
 		return fmt.Sprintf("it.name %s '%s'", pick(rng, "==", "!=", "<", ">="),
-			nameVals[rng.Intn(len(nameVals))]), false
+			nameVals[rng.Intn(len(nameVals))])
 	case 6:
-		return fmt.Sprintf("it.name.contains('%s')", pick(rng, "n", "0", "1", "3")), false
+		return fmt.Sprintf("it.name.contains('%s')", pick(rng, "n", "0", "1", "3"))
 	case 7:
-		return fmt.Sprintf("it.name.startsWith('n%d')", rng.Intn(5)), false
+		return fmt.Sprintf("it.name.startsWith('n%d')", rng.Intn(5))
+	case 8:
+		return fmt.Sprintf("it.k %s it.name %s 0", pick(rng, "/", "%"), pick(rng, "==", "!="))
+	case 9:
+		return fmt.Sprintf("it.k %% %s == 0", pick(rng, "0.5", "1.5"))
 	default:
-		return fmt.Sprintf("it.id %% %d == %d", 2+rng.Intn(3), rng.Intn(2)), false
+		return fmt.Sprintf("it.id %% %d == %d", 2+rng.Intn(3), rng.Intn(2))
 	}
 }
 
 // genEdgeExpr is genVertexExpr for edge items (it.w float, it.label).
-func genEdgeExpr(rng *rand.Rand, depth int) (string, bool) {
+// it.w is in [0, 0.99]: sometimes a zero divisor, always one under %.
+func genEdgeExpr(rng *rand.Rand, depth int) string {
 	if depth > 0 && rng.Intn(3) == 0 {
-		l, t1 := genEdgeExpr(rng, depth-1)
-		r, t2 := genEdgeExpr(rng, depth-1)
+		l := genEdgeExpr(rng, depth-1)
+		r := genEdgeExpr(rng, depth-1)
 		if rng.Intn(2) == 0 {
-			return fmt.Sprintf("%s && %s", l, r), t1 || t2
+			return fmt.Sprintf("%s && %s", l, r)
 		}
-		return fmt.Sprintf("%s || !(%s)", l, r), t1 || t2
+		return fmt.Sprintf("%s || !(%s)", l, r)
 	}
-	switch rng.Intn(6) {
+	switch rng.Intn(7) {
 	case 0:
-		return fmt.Sprintf("it.w %s 0.%d", pick(rng, "<", "<=", ">", ">="), 1+rng.Intn(9)), false
+		return fmt.Sprintf("it.w %s 0.%d", pick(rng, "<", "<=", ">", ">="), 1+rng.Intn(9))
 	case 1:
-		return fmt.Sprintf("it.w * 2.0 %s 1.0", pick(rng, "<", ">")), false
+		return fmt.Sprintf("it.w * 2.0 %s 1.0", pick(rng, "<", ">"))
 	case 2:
-		return fmt.Sprintf("it.label %s '%s'", pick(rng, "==", "!="), edgeLabels[rng.Intn(len(edgeLabels))]), false
+		return fmt.Sprintf("it.label %s '%s'", pick(rng, "==", "!="), edgeLabels[rng.Intn(len(edgeLabels))])
 	case 3:
-		return fmt.Sprintf("it.label.contains('%s')", edgeLabels[rng.Intn(len(edgeLabels))]), false
+		return fmt.Sprintf("it.label.contains('%s')", edgeLabels[rng.Intn(len(edgeLabels))])
 	case 4:
-		return fmt.Sprintf("it.label.startsWith('%s')", edgeLabels[rng.Intn(len(edgeLabels))]), false
+		return fmt.Sprintf("it.label.startsWith('%s')", edgeLabels[rng.Intn(len(edgeLabels))])
+	case 5:
+		return fmt.Sprintf("%d %% it.w == 0", 1+rng.Intn(5))
 	default:
-		// it.w is in [0, 0.99], so the divisor stays in [0.5, 1.49].
-		return fmt.Sprintf("1.0 / (it.w + 0.5) %s 1.0", pick(rng, ">", "<=")), true
-	}
-}
-
-// pushdownVertexExpr draws a vertex closure guaranteed to compile into
-// SQL (used where a tail fallback would make the whole step a hard
-// error, e.g. ifThenElse tests).
-func pushdownVertexExpr(rng *rand.Rand, depth int) string {
-	for {
-		e, tail := genVertexExpr(rng, depth)
-		if !tail {
-			return e
-		}
+		return fmt.Sprintf("0.5 / it.w %s 1.0", pick(rng, ">", "<="))
 	}
 }
 
@@ -149,11 +142,8 @@ func pushdownVertexExpr(rng *rand.Rand, depth int) string {
 // grammar both execution paths support: vertex/edge sources, labeled
 // hops, edge hops with endpoint steps, attribute predicates, general
 // closures (filter/ifThenElse/order/groupBy/groupCount), aggregates
-// with except/retain, dedup/simplePath, bounded loops with closure
-// bounds, and range/count terminals. Once a closure that forces the
-// translator's tail fallback has been emitted, later steps are drawn
-// only from the tail-evaluable subset (no paths, marks, loops, or
-// branches), so every generated pipeline is executable on both paths.
+// with except/retain, dedup/simplePath, marks with back, bounded loops
+// with closure bounds, and path/range/count terminals.
 func GenPipeline(rng *rand.Rand, numVertices int) string {
 	q := "g"
 	edgeCtx := false
@@ -171,8 +161,7 @@ func GenPipeline(rng *rand.Rand, numVertices int) string {
 		q += fmt.Sprintf(".V('name', '%s')", nameVals[rng.Intn(len(nameVals))])
 	}
 	steps := 1 + rng.Intn(4)
-	deduped := false  // dedup() before a path-dependent step is rejected by the translator
-	tailMode := false // a tail-fallback closure restricts the remaining grammar
+	deduped := false // dedup() before a path-dependent step is rejected by the translator
 	for i := 0; i < steps; i++ {
 		if edgeCtx {
 			switch rng.Intn(7) {
@@ -186,9 +175,7 @@ func GenPipeline(rng *rand.Rand, numVertices int) string {
 				q += ".bothV"
 				edgeCtx = false
 			case 3:
-				expr, tail := genEdgeExpr(rng, 1+rng.Intn(2))
-				q += fmt.Sprintf(".filter{%s}", expr)
-				tailMode = tailMode || tail
+				q += fmt.Sprintf(".filter{%s}", genEdgeExpr(rng, 1+rng.Intn(2)))
 			case 4:
 				q += ".order{it.w}"
 				deduped = true // like dedup, order refuses later path steps
@@ -208,7 +195,7 @@ func GenPipeline(rng *rand.Rand, numVertices int) string {
 			}
 			continue
 		}
-		switch rng.Intn(18) {
+		switch rng.Intn(19) {
 		case 0, 1:
 			q += "." + pick(rng, "out", "in", "both") + labelArgs(rng)
 		case 2:
@@ -225,24 +212,18 @@ func GenPipeline(rng *rand.Rand, numVertices int) string {
 		case 7:
 			q += fmt.Sprintf(".filter{it.k %s %d}", pick(rng, "<=", ">", "=="), rng.Intn(5))
 		case 8, 9:
-			expr, tail := genVertexExpr(rng, 1+rng.Intn(2))
-			q += fmt.Sprintf(".filter{%s}", expr)
-			tailMode = tailMode || tail
+			q += fmt.Sprintf(".filter{%s}", genVertexExpr(rng, 1+rng.Intn(2)))
 		case 10:
 			q += ".dedup()"
 			deduped = true
 		case 11:
-			if deduped || tailMode {
+			if deduped {
 				q += ".dedup()"
 				deduped = true
 				continue
 			}
 			q += ".out.in.simplePath"
 		case 12:
-			if tailMode {
-				q += fmt.Sprintf(".has('k', T.lte, %d)", 1+rng.Intn(4))
-				continue
-			}
 			mark := fmt.Sprintf("s%d", i)
 			bound := pick(rng,
 				fmt.Sprintf("it.loops < %d", 2+rng.Intn(2)),
@@ -250,17 +231,9 @@ func GenPipeline(rng *rand.Rand, numVertices int) string {
 				fmt.Sprintf("it.loops + 1 < %d", 3+rng.Intn(2)))
 			q += fmt.Sprintf(".as('%s').out%s.loop('%s'){%s}", mark, labelArgs(rng), mark, bound)
 		case 13:
-			if tailMode {
-				q += ".dedup()"
-				deduped = true
-				continue
-			}
 			q += fmt.Sprintf(".ifThenElse{%s}{it.out%s}{it.in%s}",
-				pushdownVertexExpr(rng, 1), labelArgs(rng), labelArgs(rng))
+				genVertexExpr(rng, 1), labelArgs(rng), labelArgs(rng))
 		case 14:
-			if tailMode {
-				continue
-			}
 			name := fmt.Sprintf("ag%d", i)
 			q += fmt.Sprintf(".aggregate('%s').out%s.%s('%s')",
 				name, labelArgs(rng), pick(rng, "except", "retain"), name)
@@ -268,9 +241,7 @@ func GenPipeline(rng *rand.Rand, numVertices int) string {
 			if rng.Intn(2) == 0 {
 				q += ".order()"
 			} else {
-				expr, tail := genVertexExpr(rng, 1)
-				q += fmt.Sprintf(".order{%s}", expr)
-				tailMode = tailMode || tail
+				q += fmt.Sprintf(".order{%s}", genVertexExpr(rng, 1))
 			}
 			deduped = true // like dedup, order refuses later path steps
 		case 16:
@@ -284,6 +255,12 @@ func GenPipeline(rng *rand.Rand, numVertices int) string {
 				q += ".count()"
 			}
 			return q
+		case 17:
+			if deduped {
+				continue
+			}
+			mark := fmt.Sprintf("b%d", i)
+			q += fmt.Sprintf(".as('%s').out%s.filter{%s}.back('%s')", mark, labelArgs(rng), genVertexExpr(rng, 1), mark)
 		default:
 			q += "." + pick(rng, "out", "in") + labelArgs(rng)
 		}
@@ -305,6 +282,10 @@ func GenPipeline(rng *rand.Rand, numVertices int) string {
 		// An unordered cut has no deterministic contents, but its size is
 		// comparable.
 		q += fmt.Sprintf(".range(%d, %d).count()", rng.Intn(3), 2+rng.Intn(8))
+	case 4:
+		if !edgeCtx && !deduped {
+			q += ".path"
+		}
 	}
 	return q
 }

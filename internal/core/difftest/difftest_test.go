@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -27,7 +28,8 @@ func TestDifferentialShrunk(t *testing.T) {
 
 // TestGeneratorCoversNewConstructs pins the generator's reach: across a
 // fixed-seed sample it must emit every new pipe and every closure
-// operator, including the tail-fallback trigger shapes. Without this, a
+// operator, every kind of divisor, and a dividing closure ahead of each
+// pipe that needs path bookkeeping, marks or branches. Without this, a
 // generator regression could silently stop exercising a construct and
 // the differential property would hold vacuously.
 func TestGeneratorCoversNewConstructs(t *testing.T) {
@@ -41,18 +43,24 @@ func TestGeneratorCoversNewConstructs(t *testing.T) {
 	for _, want := range []string{
 		".filter{", ".order()", ".order{", ".groupCount{", ".groupBy{",
 		".ifThenElse{", ".loop(", ".aggregate(", ".range(", ".dedup()",
-		".simplePath", ".count()",
+		".simplePath", ".count()", ".back(", ".path",
 		// closure operators and builtins
 		" && ", " || ", "!(", " + ", " - ", " * ", " / ", " % ",
 		" < ", " <= ", " > ", " >= ", " == ", " != ",
 		".contains(", ".startsWith(",
 		// it projections
 		"it.k", "it.name", "it.id", "it.w", "it.label", "it.loops",
-		// tail-fallback triggers: data-dependent divisors
-		"/ (it.k + 1)", "/ (it.w + 0.5)",
+		// divisors: an int that may be zero, a string or absent attribute,
+		// a fractional literal and a fractional attribute under %
+		" / it.k", " % it.k", " / it.name", " % it.name", " % 0.5", " / it.w", " % it.w",
 	} {
 		if !strings.Contains(corpus, want) {
 			t.Errorf("600-pipeline sample never emitted %q", want)
+		}
+	}
+	for _, after := range []string{`\.path`, `\.simplePath`, `\.back\(`, `\.loop\(`, `\.ifThenElse\{`} {
+		if !regexp.MustCompile(`(?m)^.* [/%] it\.(k|name|w)\b.*` + after).MatchString(corpus) {
+			t.Errorf("600-pipeline sample never put a data-dependent divisor before %s", after)
 		}
 	}
 }

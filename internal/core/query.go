@@ -28,10 +28,7 @@ func (r *Result) Count() int { return len(r.Values) }
 // preparedQuery caches a translation together with its parsed SQL, so a
 // cache hit skips Gremlin parsing, translation, and SQL parsing. The AST
 // is shared across executions safely: the engine never mutates statement
-// nodes (per-query state lives in its own structures). When the
-// translator fell back to a prefix + tail split (translate.ErrTailEval),
-// the untranslated suffix rides along; tail steps are never mutated
-// after parse, so sharing them across executions is safe too.
+// nodes (per-query state lives in its own structures).
 //
 // The cache holds at most maxPrepared statements (about 5 KB each with
 // their plans): enough for any application's fixed set of traversals,
@@ -39,7 +36,6 @@ func (r *Result) Count() int { return len(r.Values) }
 type preparedQuery struct {
 	translation *translate.Translation
 	stmt        *sql.SelectStmt
-	tail        []gremlin.Step
 }
 
 const maxPrepared = 4096

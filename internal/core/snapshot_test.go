@@ -97,6 +97,15 @@ func TestSnapshotFrozenView(t *testing.T) {
 	if res.Count() != 0 {
 		t.Errorf("snapshot sees post-pin age update: %v", res.Values)
 	}
+	// A closure reads attributes at the pinned version too: 60/29 and 60/27
+	// keep marko and the since-removed vadas, not the re-aged marko alone.
+	res, err = snap.Query("g.V.filter{60 / it.age >= 2}.id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := canonical(res.Values); !reflect.DeepEqual(got, []string{"int64:1", "int64:2"}) {
+		t.Errorf("snapshot closure filter = %v, want vertices 1 and 2", got)
+	}
 	// VerticesByAttr at the snapshot (raw-SQL read path).
 	ids, err := snap.VerticesByAttr("name", "peter")
 	if err != nil {

@@ -110,11 +110,10 @@ type Store struct {
 	tracer      *trace.Recorder   // trace rings + write-path counters (never nil)
 	optStats    *stats.Collection // planner statistics (never nil)
 
-	// Telemetry (telemetry.go): prepared-statement cache and tail-executor
-	// counters, plus the lifecycle event journal.
+	// Telemetry (telemetry.go): prepared-statement cache counters, plus
+	// the lifecycle event journal.
 	preparedHits   atomic.Uint64
 	preparedMisses atomic.Uint64
-	tailQueries    atomic.Uint64
 	events         atomic.Pointer[metrics.Journal] // never nil after construction
 
 	// Pre-resolved transaction lock plans for the stored procedures (one

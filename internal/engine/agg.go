@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -84,7 +85,8 @@ func hasAggregates(sel *sql.SimpleSelect) bool {
 // and each group's rows feed accumulators of their own.
 func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (*relation, error) {
 	sc := newScope(in.cols)
-	ag := &aggregator{e: e, q: q, scope: sc, sel: sel}
+	ag := &aggregator{width: len(in.cols), items: make([]compiledExpr, len(sel.Items))}
+	var calls []*sql.FuncCall
 	for _, item := range sel.Items {
 		if item.Star {
 			return nil, fmt.Errorf("engine: SELECT * is not allowed with aggregation")
@@ -92,19 +94,42 @@ func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (
 		if !resolvableIn(item.Expr, sc) {
 			return nil, fmt.Errorf("%w in select item %s", ErrUnknownColumn, item.Expr.SQL())
 		}
-		ag.calls = collectAggCalls(item.Expr, ag.calls)
+		calls = collectAggCalls(item.Expr, calls)
 	}
-	ag.calls = collectAggCalls(sel.Having, ag.calls)
-	ag.args = make([]compiledExpr, len(ag.calls))
-	for i, call := range ag.calls {
-		if call.Star && strings.EqualFold(call.Name, "COUNT") {
+	calls = collectAggCalls(sel.Having, calls)
+	// A group's row is its first input row followed by one slot per
+	// aggregate call: HAVING and the select list read both by position.
+	grouped := *sc
+	grouped.aggs = make(map[*sql.FuncCall]int, len(calls))
+	ag.accs = make([]aggAcc, len(calls))
+	for i, call := range calls {
+		grouped.aggs[call] = ag.width + i
+		ag.accs[i] = aggAcc{name: strings.ToUpper(call.Name), distinct: call.Distinct, allInt: true}
+		if call.Star && ag.accs[i].name == "COUNT" {
 			continue
 		}
 		if len(call.Args) != 1 {
-			return nil, fmt.Errorf("engine: aggregate %s takes one argument", strings.ToUpper(call.Name))
+			return nil, fmt.Errorf("engine: aggregate %s takes one argument", ag.accs[i].name)
 		}
 		var err error
-		if ag.args[i], err = e.compile(q, sc, call.Args[0]); err != nil {
+		if ag.accs[i].arg, err = e.compile(q, sc, call.Args[0]); err != nil {
+			return nil, err
+		}
+	}
+	var err error
+	if sel.Having != nil {
+		if ag.having, err = e.compile(q, &grouped, sel.Having); err != nil {
+			return nil, err
+		}
+	}
+	for i, item := range sel.Items {
+		if ag.items[i], err = e.compile(q, &grouped, item.Expr); err != nil {
+			return nil, err
+		}
+	}
+	keys := make([]compiledExpr, len(sel.GroupBy))
+	for i, gx := range sel.GroupBy {
+		if keys[i], err = e.compile(q, sc, gx); err != nil {
 			return nil, err
 		}
 	}
@@ -113,7 +138,7 @@ func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (
 
 	out := &relation{cols: aggregateCols(sel.Items)}
 	rowsIn, groups := 0, 1
-	if len(sel.GroupBy) == 0 {
+	if len(keys) == 0 {
 		g := ag.newGroup()
 		if err := e.run(q, in, g, op); err != nil {
 			return nil, err
@@ -130,10 +155,9 @@ func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (
 		byKey := map[string]*aggGroup{}
 		var order []*aggGroup
 		for _, row := range in.rows {
-			ctx := &evalCtx{eng: e, scope: sc, row: row, params: q.params, q: q}
 			var kb strings.Builder
-			for _, gx := range sel.GroupBy {
-				v, err := e.eval(ctx, gx)
+			for _, key := range keys {
+				v, err := key(row)
 				if err != nil {
 					return nil, err
 				}
@@ -186,33 +210,27 @@ func aggregateCols(items []sql.SelectItem) []colInfo {
 
 // aggregator is what the groups of one aggregating core share.
 type aggregator struct {
-	e     *Engine
-	q     *queryState
-	scope *scope
-	sel   *sql.SimpleSelect
-	calls []*sql.FuncCall
-	args  []compiledExpr // per call; nil for COUNT(*)
+	width  int      // columns of an input row; the aggregate slots follow them
+	accs   []aggAcc // per aggregate call, in its initial state
+	having compiledExpr
+	items  []compiledExpr
 }
 
 // aggGroup accumulates one group's rows: a terminal when the core has no
 // GROUP BY.
 type aggGroup struct {
-	accs  []aggAcc
-	first []rel.Value // the group's first row: what non-aggregate expressions read
-	n     int
+	accs []aggAcc
+	row  []rel.Value // the group's first row (what non-aggregate expressions read), then the aggregate slots
+	n    int
 }
 
 func (ag *aggregator) newGroup() *aggGroup {
-	g := &aggGroup{accs: make([]aggAcc, len(ag.calls)), first: make([]rel.Value, len(ag.scope.cols))}
-	for i, call := range ag.calls {
-		g.accs[i] = aggAcc{name: strings.ToUpper(call.Name), arg: ag.args[i], distinct: call.Distinct, allInt: true}
-	}
-	return g
+	return &aggGroup{accs: slices.Clone(ag.accs), row: make([]rel.Value, ag.width+len(ag.accs))}
 }
 
 func (g *aggGroup) push(row []rel.Value) error {
 	if g.n == 0 {
-		copy(g.first, row)
+		copy(g.row, row)
 	}
 	g.n++
 	for i := range g.accs {
@@ -237,24 +255,21 @@ func (g *aggGroup) absorb(m morselBuf) error {
 // emit evaluates HAVING and the select list for one finished group and
 // appends the row it yields to out.
 func (ag *aggregator) emit(g *aggGroup, out *relation) error {
-	aggs := make(map[sql.Expr]rel.Value, len(ag.calls))
-	for i, call := range ag.calls {
-		aggs[call] = g.accs[i].result()
+	for i := range g.accs {
+		g.row[ag.width+i] = g.accs[i].result()
 	}
-	ctx := &evalCtx{eng: ag.e, scope: ag.scope, row: g.first, params: ag.q.params, aggs: aggs, q: ag.q}
-	if ag.sel.Having != nil {
-		hv, err := ag.e.eval(ctx, ag.sel.Having)
+	if ag.having != nil {
+		hv, err := ag.having(g.row)
 		if err != nil || hv.IsNull() || !hv.Truthy() {
 			return err
 		}
 	}
-	row := make([]rel.Value, len(ag.sel.Items))
-	for i, item := range ag.sel.Items {
-		v, err := ag.e.eval(ctx, item.Expr)
-		if err != nil {
+	row := make([]rel.Value, len(ag.items))
+	for i, item := range ag.items {
+		var err error
+		if row[i], err = item(g.row); err != nil {
 			return err
 		}
-		row[i] = v
 	}
 	out.rows = append(out.rows, row)
 	return nil

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 
 	"sqlgraph/internal/rel"
 	"sqlgraph/internal/sql"
@@ -16,8 +18,12 @@ import (
 // interpreted and a compiled query plan.
 type compiledExpr func(row []rel.Value) (rel.Value, error)
 
-// compile builds a compiledExpr. Expressions containing subqueries fall
-// back to the tree-walking evaluator (they carry their own state).
+// compile builds a compiledExpr. It is the engine's one evaluator: every
+// sql.Expr compiles or the statement fails here, before any row is read.
+// A closure may be called from several goroutines at once (an expression
+// index's key function is); morsel workers nevertheless compile their own
+// (stage.open). One holding a subquery runs it against q and stays on the
+// dispatching goroutine (pipe.serial).
 func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, error) {
 	switch v := x.(type) {
 	case *sql.Literal:
@@ -25,7 +31,7 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		return func([]rel.Value) (rel.Value, error) { return val, nil }, nil
 	case *sql.Param:
 		if v.Index >= len(q.params) {
-			break // let the interpreter produce the error
+			return nil, fmt.Errorf("engine: missing parameter %d", v.Index+1)
 		}
 		val := q.params[v.Index]
 		return func([]rel.Value) (rel.Value, error) { return val, nil }, nil
@@ -65,15 +71,21 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		case "-":
 			return func(row []rel.Value) (rel.Value, error) {
 				iv, err := inner(row)
-				if err != nil || iv.IsNull() {
+				if err != nil {
 					return rel.Null, err
 				}
-				if iv.Kind() == rel.KindFloat {
+				switch iv.Kind() {
+				case rel.KindNull:
+					return rel.Null, nil
+				case rel.KindInt:
+					return rel.NewInt(-iv.Int()), nil
+				case rel.KindFloat:
 					return rel.NewFloat(-iv.Float()), nil
 				}
-				return rel.NewInt(-iv.Int()), nil
+				return rel.Null, fmt.Errorf("engine: cannot negate %s", iv.Kind())
 			}, nil
 		}
+		return nil, fmt.Errorf("engine: unknown unary op %s", v.Op)
 	case *sql.Binary:
 		return e.compileBinary(q, sc, v)
 	case *sql.Between:
@@ -148,6 +160,7 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 				}
 			}
 			var keys map[string]bool
+			var keysOnce sync.Once
 			return func(row []rel.Value) (rel.Value, error) {
 				xv, err := xe(row)
 				if err != nil || xv.IsNull() {
@@ -157,12 +170,12 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 				if ints != nil && xv.Kind() == rel.KindInt {
 					_, hit = ints[xv.Int()]
 				} else {
-					if keys == nil {
+					keysOnce.Do(func() {
 						keys = make(map[string]bool, len(vals))
 						for _, iv := range vals {
 							keys[iv.Key()] = true
 						}
-					}
+					})
 					hit = keys[xv.Key()]
 				}
 				if hit {
@@ -240,15 +253,52 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		return e.compileFunc(q, sc, v)
 	case *sql.CaseExpr:
 		return e.compileCase(q, sc, v)
+	case *sql.InSubquery:
+		xe, err := e.compile(q, sc, v.X)
+		if err != nil {
+			return nil, err
+		}
+		query, not := v.Query, v.Not
+		return func(row []rel.Value) (rel.Value, error) {
+			xv, err := xe(row)
+			if err != nil {
+				return rel.Null, err
+			}
+			res, err := e.subquery(q, query)
+			if err != nil {
+				return rel.Null, err
+			}
+			set, err := res.keySet()
+			if err != nil || xv.IsNull() {
+				return rel.Null, err
+			}
+			return rel.NewBool(set[xv.Key()] != not), nil
+		}, nil
+	case *sql.Exists:
+		query, not := v.Query, v.Not
+		return func([]rel.Value) (rel.Value, error) {
+			res, err := e.subquery(q, query)
+			if err != nil {
+				return rel.Null, err
+			}
+			return rel.NewBool((len(res.rows) > 0) != not), nil
+		}, nil
+	case *sql.ScalarSubquery:
+		query := v.Query
+		return func([]rel.Value) (rel.Value, error) {
+			res, err := e.subquery(q, query)
+			switch {
+			case err != nil:
+				return rel.Null, err
+			case len(res.rows) == 0:
+				return rel.Null, nil
+			case len(res.rows) > 1 || len(res.rows[0]) != 1:
+				return rel.Null, fmt.Errorf("engine: scalar subquery returned %d rows", len(res.rows))
+			}
+			return res.rows[0][0], nil
+		}, nil
 	}
-	// Fallback: subqueries and anything unhandled go through the
-	// tree-walking evaluator.
-	ctx := &evalCtx{eng: e, scope: sc, params: q.params, q: q}
-	expr := x
-	return func(row []rel.Value) (rel.Value, error) {
-		ctx.row = row
-		return e.eval(ctx, expr)
-	}, nil
+	return nil, fmt.Errorf("engine: unsupported expression %T", x)
 }
 
 func firstErr(errs ...error) error {
@@ -385,27 +435,35 @@ func (e *Engine) compileBinary(q *queryState, sc *scope, v *sql.Binary) (compile
 			return arith(op, lv, rv)
 		}, nil
 	}
-	// Unknown operator: interpreter will produce the error.
-	ctx := &evalCtx{eng: e, scope: sc, params: q.params, q: q}
-	expr := v
-	return func(row []rel.Value) (rel.Value, error) {
-		ctx.row = row
-		return e.eval(ctx, expr)
-	}, nil
+	return nil, fmt.Errorf("engine: unknown binary op %s", v.Op)
 }
 
+// compileFunc compiles a function call. Under a grouping scope an
+// aggregate call is a read of the slot its result was put in; anywhere
+// else it is an error. JSON_VAL with a constant path (every attribute
+// filter in the translation) and COALESCE (every multi-valued hop) skip
+// the argument vector; every other function is looked up once, here
+// (scalarFunc).
 func (e *Engine) compileFunc(q *queryState, sc *scope, v *sql.FuncCall) (compiledExpr, error) {
+	if slot, ok := sc.aggs[v]; ok {
+		return func(row []rel.Value) (rel.Value, error) { return row[slot], nil }, nil
+	}
 	name := strings.ToUpper(v.Name)
-	// JSON_VAL with a constant path is the hot case (every attribute
-	// filter in the translation).
-	if name == "JSON_VAL" && len(v.Args) == 2 {
+	if isAggregateName(name) {
+		return nil, fmt.Errorf("engine: aggregate %s used outside aggregation context", name)
+	}
+	args := make([]compiledExpr, len(v.Args))
+	for i, a := range v.Args {
+		ce, err := e.compile(q, sc, a)
+		if err != nil {
+			return nil, err
+		}
+		args[i] = ce
+	}
+	if name == "JSON_VAL" && len(args) == 2 {
 		if lit, ok := v.Args[1].(*sql.Literal); ok {
 			if text, ok := lit.Val.(string); ok {
-				doc, err := e.compile(q, sc, v.Args[0])
-				if err != nil {
-					return nil, err
-				}
-				path := sqljson.CompilePath(text)
+				doc, path := args[0], sqljson.CompilePath(text)
 				return func(row []rel.Value) (rel.Value, error) {
 					dv, err := doc(row)
 					if err != nil {
@@ -417,14 +475,6 @@ func (e *Engine) compileFunc(q *queryState, sc *scope, v *sql.FuncCall) (compile
 		}
 	}
 	if name == "COALESCE" {
-		args := make([]compiledExpr, len(v.Args))
-		for i, a := range v.Args {
-			ce, err := e.compile(q, sc, a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ce
-		}
 		return func(row []rel.Value) (rel.Value, error) {
 			for _, a := range args {
 				av, err := a(row)
@@ -438,22 +488,74 @@ func (e *Engine) compileFunc(q *queryState, sc *scope, v *sql.FuncCall) (compile
 			return rel.Null, nil
 		}, nil
 	}
-	// Everything else goes through the generic evaluator (still with
-	// pre-resolved scope, via the fallback in compile).
-	ctx := &evalCtx{eng: e, scope: sc, params: q.params, q: q}
-	expr := v
+	fn, err := e.scalarFunc(name, len(args))
+	if err != nil {
+		return nil, err
+	}
 	return func(row []rel.Value) (rel.Value, error) {
-		ctx.row = row
-		return e.eval(ctx, expr)
+		vals := make([]rel.Value, len(args))
+		for i, a := range args {
+			var err error
+			if vals[i], err = a(row); err != nil {
+				return rel.Null, err
+			}
+		}
+		return fn(vals)
 	}, nil
 }
 
+// compileCase compiles CASE: with an operand the first arm equal to it
+// wins, without one the first arm that is true.
 func (e *Engine) compileCase(q *queryState, sc *scope, v *sql.CaseExpr) (compiledExpr, error) {
-	ctx := &evalCtx{eng: e, scope: sc, params: q.params, q: q}
-	expr := v
+	// The operand and ELSE may be absent: nil stands for that.
+	optional := func(x sql.Expr) (compiledExpr, error) {
+		if x == nil {
+			return nil, nil
+		}
+		return e.compile(q, sc, x)
+	}
+	operand, err := optional(v.Operand)
+	if err != nil {
+		return nil, err
+	}
+	els, err := optional(v.Else)
+	if err != nil {
+		return nil, err
+	}
+	conds, results := make([]compiledExpr, len(v.Whens)), make([]compiledExpr, len(v.Whens))
+	for i, w := range v.Whens {
+		if conds[i], err = e.compile(q, sc, w.Cond); err != nil {
+			return nil, err
+		}
+		if results[i], err = e.compile(q, sc, w.Result); err != nil {
+			return nil, err
+		}
+	}
 	return func(row []rel.Value) (rel.Value, error) {
-		ctx.row = row
-		return e.eval(ctx, expr)
+		var ov rel.Value
+		if operand != nil {
+			var err error
+			if ov, err = operand(row); err != nil {
+				return rel.Null, err
+			}
+		}
+		for i, cond := range conds {
+			c, err := cond(row)
+			if err != nil {
+				return rel.Null, err
+			}
+			matched := !c.IsNull() && c.Truthy()
+			if operand != nil {
+				matched = !ov.IsNull() && !c.IsNull() && rel.Equal(ov, c)
+			}
+			if matched {
+				return results[i](row)
+			}
+		}
+		if els != nil {
+			return els(row)
+		}
+		return rel.Null, nil
 	}, nil
 }
 

@@ -110,27 +110,38 @@ func (e *Engine) execCreateIndex(s *sql.CreateIndexStmt) error {
 	// Expression index: evaluate the expressions against each row. The
 	// normalized first expression's SQL is recorded so the planner can
 	// match predicates against it (JSON attribute indexes, paper §3.3).
-	exprs := s.Exprs
-	cols := make([]colInfo, t.Schema().Len())
-	for i, c := range t.Schema().Columns {
-		cols[i] = colInfo{name: c.Name}
+	sc := newScope(tableCols(t, ""))
+	fns := make([]compiledExpr, len(s.Exprs))
+	for i, x := range s.Exprs {
+		// Readers and writers derive keys concurrently, and a subquery's
+		// result lives on a query state, which only one goroutine may use.
+		if hasSubquery(x) {
+			return fmt.Errorf("engine: create index %s: subquery in index expression %s", s.Name, x.SQL())
+		}
+		var err error
+		if fns[i], err = e.compile(&queryState{}, sc, x); err != nil {
+			return fmt.Errorf("engine: create index %s: %w", s.Name, err)
+		}
 	}
-	sc := newScope(cols)
 	keyFn := func(vals []rel.Value) []rel.Value {
-		out := make([]rel.Value, len(exprs))
-		ctx := &evalCtx{eng: e, scope: sc, row: vals, q: &queryState{ctes: map[string]*relation{}}}
-		for i, x := range exprs {
-			v, err := e.eval(ctx, x)
-			if err != nil {
-				out[i] = rel.Null
-				continue
-			}
-			out[i] = v
+		out := make([]rel.Value, len(fns))
+		for i, fn := range fns {
+			// A row the expression fails on indexes under NULL.
+			out[i], _ = fn(vals)
 		}
 		return out
 	}
-	_, err := e.cat.CreateIndex(s.Name, s.Table, s.Unique, nil, exprs[0].SQL(), keyFn)
+	_, err := e.cat.CreateIndex(s.Name, s.Table, s.Unique, nil, s.Exprs[0].SQL(), keyFn)
 	return err
+}
+
+// tableCols names a base table's columns under an alias.
+func tableCols(t *rel.Table, alias string) []colInfo {
+	cols := make([]colInfo, t.Schema().Len())
+	for i, c := range t.Schema().Columns {
+		cols[i] = colInfo{table: alias, name: c.Name}
+	}
+	return cols
 }
 
 func (e *Engine) execInsert(s *sql.InsertStmt, params []rel.Value) (int, error) {
@@ -183,15 +194,12 @@ func (e *Engine) execInsert(s *sql.InsertStmt, params []rel.Value) (int, error) 
 		}
 		sourceRows = r.rows
 	} else {
-		ctx := &evalCtx{eng: e, scope: newScope(nil), params: params, q: q}
 		for _, exprRow := range s.Rows {
 			row := make([]rel.Value, len(exprRow))
 			for i, x := range exprRow {
-				v, err := e.eval(ctx, x)
-				if err != nil {
+				if row[i], err = e.constValue(q, x); err != nil {
 					return 0, err
 				}
-				row[i] = v
 			}
 			sourceRows = append(sourceRows, row)
 		}
@@ -220,27 +228,28 @@ func (e *Engine) execUpdate(s *sql.UpdateStmt, params []rel.Value) (int, error) 
 	if !ok {
 		return 0, fmt.Errorf("engine: update of unknown table %s", s.Table)
 	}
-	schema := t.Schema()
-	setOrds := make([]int, len(s.Set))
-	for i, a := range s.Set {
-		ord := schema.Ordinal(a.Column)
-		if ord < 0 {
-			return 0, fmt.Errorf("engine: update: unknown column %s", a.Column)
-		}
-		setOrds[i] = ord
-	}
-	cols := make([]colInfo, schema.Len())
-	for i, c := range schema.Columns {
-		cols[i] = colInfo{table: s.Table, name: c.Name}
-	}
-	sc := newScope(cols)
-	q := &queryState{ctes: map[string]*relation{}, params: params}
-
 	tx, err := e.cat.Begin([]string{s.Table}, nil)
 	if err != nil {
 		return 0, err
 	}
 	defer tx.Rollback()
+
+	sc := newScope(tableCols(t, s.Table))
+	q := &queryState{ctes: map[string]*relation{}, params: params}
+	match, err := e.compilePredicates(q, sc, splitConjuncts(s.Where, nil))
+	if err != nil {
+		return 0, err
+	}
+	setOrds := make([]int, len(s.Set))
+	setFns := make([]compiledExpr, len(s.Set))
+	for i, a := range s.Set {
+		if setOrds[i] = t.Schema().Ordinal(a.Column); setOrds[i] < 0 {
+			return 0, fmt.Errorf("engine: update: unknown column %s", a.Column)
+		}
+		if setFns[i], err = e.compile(q, sc, a.Value); err != nil {
+			return 0, err
+		}
+	}
 
 	// Collect matching rows first, then apply (updates must not see their
 	// own effects mid-scan).
@@ -251,25 +260,15 @@ func (e *Engine) execUpdate(s *sql.UpdateStmt, params []rel.Value) (int, error) 
 	var changes []change
 	var scanErr error
 	t.Scan(func(rid rel.RowID, vals []rel.Value) bool {
-		ctx := &evalCtx{eng: e, scope: sc, row: vals, params: params, q: q}
-		if s.Where != nil {
-			v, err := e.eval(ctx, s.Where)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if v.IsNull() || !v.Truthy() {
-				return true
-			}
+		var ok bool
+		if ok, scanErr = match(vals); scanErr != nil || !ok {
+			return scanErr == nil
 		}
 		updated := append([]rel.Value(nil), vals...)
-		for i, a := range s.Set {
-			v, err := e.eval(ctx, a.Value)
-			if err != nil {
-				scanErr = err
+		for i, fn := range setFns {
+			if updated[setOrds[i]], scanErr = fn(vals); scanErr != nil {
 				return false
 			}
-			updated[setOrds[i]] = v
 		}
 		changes = append(changes, change{rid: rid, vals: updated})
 		return true
@@ -291,36 +290,25 @@ func (e *Engine) execDelete(s *sql.DeleteStmt, params []rel.Value) (int, error) 
 	if !ok {
 		return 0, fmt.Errorf("engine: delete from unknown table %s", s.Table)
 	}
-	schema := t.Schema()
-	cols := make([]colInfo, schema.Len())
-	for i, c := range schema.Columns {
-		cols[i] = colInfo{table: s.Table, name: c.Name}
-	}
-	sc := newScope(cols)
-	q := &queryState{ctes: map[string]*relation{}, params: params}
-
 	tx, err := e.cat.Begin([]string{s.Table}, nil)
 	if err != nil {
 		return 0, err
 	}
 	defer tx.Rollback()
 
+	q := &queryState{ctes: map[string]*relation{}, params: params}
+	match, err := e.compilePredicates(q, newScope(tableCols(t, s.Table)), splitConjuncts(s.Where, nil))
+	if err != nil {
+		return 0, err
+	}
 	var rids []rel.RowID
 	var scanErr error
 	t.Scan(func(rid rel.RowID, vals []rel.Value) bool {
-		if s.Where != nil {
-			ctx := &evalCtx{eng: e, scope: sc, row: vals, params: params, q: q}
-			v, err := e.eval(ctx, s.Where)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if v.IsNull() || !v.Truthy() {
-				return true
-			}
+		var ok bool
+		if ok, scanErr = match(vals); ok {
+			rids = append(rids, rid)
 		}
-		rids = append(rids, rid)
-		return true
+		return scanErr == nil
 	})
 	if scanErr != nil {
 		return 0, scanErr

@@ -82,14 +82,6 @@ func (e *Engine) RegisterFunc(name string, fn ScalarFunc) {
 	e.funcs[strings.ToUpper(name)] = fn
 }
 
-// scalarFunc looks up a registered scalar function.
-func (e *Engine) scalarFunc(name string) (ScalarFunc, bool) {
-	e.funcsMu.RLock()
-	defer e.funcsMu.RUnlock()
-	fn, ok := e.funcs[name]
-	return fn, ok
-}
-
 // SetIOSim attaches (or removes, with nil) a simulated buffer pool.
 func (e *Engine) SetIOSim(sim *IOSim) { e.iosim.Store(sim) }
 

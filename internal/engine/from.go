@@ -154,10 +154,11 @@ func (r *exprRefs) onlyReferences(alias string, cols []colInfo) bool {
 }
 
 // isConstExpr reports whether an expression references no columns at all
-// (literals, params, and functions of those).
+// (literals, params, and functions of those) and no group: COUNT(*) names
+// no column but is not a constant.
 func isConstExpr(e sql.Expr) bool {
 	r := refsOf(e)
-	return len(r.qualified) == 0 && len(r.bare) == 0
+	return len(r.qualified) == 0 && len(r.bare) == 0 && len(collectAggCalls(e, nil)) == 0
 }
 
 // evalSimpleSelect builds one SELECT core's pipeline — FROM items with
@@ -797,11 +798,7 @@ func (e *Engine) rightSource(q *queryState, ref sql.TableRef) (*relation, *rel.T
 		if !ok {
 			return nil, nil, fmt.Errorf("engine: unknown table %s", ref.Table)
 		}
-		cols := make([]colInfo, t.Schema().Len())
-		for i, c := range t.Schema().Columns {
-			cols[i] = colInfo{name: c.Name}
-		}
-		return &relation{cols: cols}, t, nil
+		return &relation{cols: tableCols(t, "")}, t, nil
 	default:
 		return nil, nil, fmt.Errorf("engine: empty table reference")
 	}

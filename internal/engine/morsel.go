@@ -135,7 +135,7 @@ func mergeMorsels(chunks [][][]rel.Value) [][]rel.Value {
 
 // hasSubquery reports whether an expression contains a nested SELECT.
 // Subquery evaluation mutates shared per-query state (CTE bindings, the
-// IN-subquery memo), so expressions containing one must not run on
+// kept subquery results), so expressions containing one must not run on
 // parallel workers.
 func hasSubquery(x sql.Expr) bool {
 	found := false

@@ -93,10 +93,16 @@ func matchIndexExpr(t *rel.Table, alias string, side sql.Expr, asOf rel.Version)
 	return nil
 }
 
+// noCols is the scope of a column-free expression (never written to).
+var noCols = newScope(nil)
+
 // constValue evaluates a column-free expression.
 func (e *Engine) constValue(q *queryState, x sql.Expr) (rel.Value, error) {
-	ctx := &evalCtx{eng: e, scope: newScope(nil), params: q.params, q: q}
-	return e.eval(ctx, x)
+	fn, err := e.compile(q, noCols, x)
+	if err != nil {
+		return rel.Null, err
+	}
+	return fn(nil)
 }
 
 // chooseAccessPath inspects the pushable conjuncts for indexable
@@ -292,10 +298,7 @@ func (k accessKind) accessName() string {
 // already hold the table's read lock (the engine acquires query locks up
 // front).
 func (e *Engine) scanBase(q *queryState, t *rel.Table, alias string, conjs []*conjunct) (*relation, error) {
-	cols := make([]colInfo, t.Schema().Len())
-	for i, c := range t.Schema().Columns {
-		cols[i] = colInfo{table: alias, name: c.Name}
-	}
+	cols := tableCols(t, alias)
 	sc := newScope(cols)
 	path, err := e.chooseAccessPath(q, t, alias, conjs)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"sqlgraph/internal/rel"
+	"sqlgraph/internal/sql"
 )
 
 // colInfo names one column of an intermediate relation.
@@ -31,11 +32,13 @@ type relation struct {
 	taken bool
 }
 
-// scope resolves column references against a relation's columns.
+// scope resolves column references against a relation's columns and,
+// past a grouping, aggregate calls against the slots their results are in.
 type scope struct {
 	cols   []colInfo
 	byQual map[string]int
 	byName map[string][]int
+	aggs   map[*sql.FuncCall]int // row position of each aggregate call's result; nil outside HAVING and an aggregating select list
 }
 
 func newScope(cols []colInfo) *scope {

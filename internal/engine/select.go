@@ -24,13 +24,13 @@ const maxRecursionIters = 10000
 type queryState struct {
 	ctes     map[string]*relation
 	params   []rel.Value
-	inSets   map[*sql.SelectStmt]map[string]bool // memoized IN-subquery results
-	ioMisses int64                               // buffer-pool misses (atomic; morsel workers add concurrently)
-	par      int                                 // morsel-parallelism budget (0 = GOMAXPROCS, 1 = serial)
-	force    JoinStrategy                        // forced join strategy, StrategyAuto for planner's choice
-	asOf     rel.Version                         // snapshot version for base-table reads (zero = latest)
-	t0       time.Time                           // query start; anchors operator StartNs offsets
-	stats    ExecStats                           // per-operator execution statistics
+	subs     map[*sql.SelectStmt]*subResult // results of the subqueries expressions hold
+	ioMisses int64                          // buffer-pool misses (atomic; morsel workers add concurrently)
+	par      int                            // morsel-parallelism budget (0 = GOMAXPROCS, 1 = serial)
+	force    JoinStrategy                   // forced join strategy, StrategyAuto for planner's choice
+	asOf     rel.Version                    // snapshot version for base-table reads (zero = latest)
+	t0       time.Time                      // query start; anchors operator StartNs offsets
+	stats    ExecStats                      // per-operator execution statistics
 
 	// Cost-based planner state. All fields are zero-value-safe so DML
 	// expression evaluation (which builds bare queryStates) stays on the
@@ -174,10 +174,9 @@ func cteReaders(stmt *sql.SelectStmt) map[string]int {
 }
 
 func (e *Engine) applyLimit(q *queryState, r *relation, limit, offset sql.Expr) error {
-	emptyCtx := &evalCtx{eng: e, scope: newScope(nil), params: q.params, q: q}
 	start := 0
 	if offset != nil {
-		v, err := e.eval(emptyCtx, offset)
+		v, err := e.constValue(q, offset)
 		if err != nil {
 			return err
 		}
@@ -188,7 +187,7 @@ func (e *Engine) applyLimit(q *queryState, r *relation, limit, offset sql.Expr) 
 	}
 	end := len(r.rows)
 	if limit != nil {
-		v, err := e.eval(emptyCtx, limit)
+		v, err := e.constValue(q, limit)
 		if err != nil {
 			return err
 		}
@@ -215,27 +214,32 @@ func (e *Engine) applyLimit(q *queryState, r *relation, limit, offset sql.Expr) 
 func (e *Engine) orderRows(q *queryState, r *relation, items []sql.OrderItem) error {
 	opT := time.Now()
 	sc := newScope(r.cols)
+	keyFns := make([]compiledExpr, len(items))
+	for j, item := range items {
+		// Positional ORDER BY (ORDER BY 1).
+		if lit, ok := item.Expr.(*sql.Literal); ok {
+			if pos, isInt := lit.Val.(int64); isInt && pos >= 1 && int(pos) <= len(r.cols) {
+				keyFns[j] = func(row []rel.Value) (rel.Value, error) { return row[pos-1], nil }
+				continue
+			}
+		}
+		var err error
+		if keyFns[j], err = e.compile(q, sc, item.Expr); err != nil {
+			return err
+		}
+	}
 	type sortKey struct {
 		keys []rel.Value
 		row  []rel.Value
 	}
 	keyed := make([]sortKey, len(r.rows))
 	for i, row := range r.rows {
-		ctx := &evalCtx{eng: e, scope: sc, row: row, params: q.params, q: q}
 		keys := make([]rel.Value, len(items))
-		for j, item := range items {
-			// Positional ORDER BY (ORDER BY 1).
-			if lit, ok := item.Expr.(*sql.Literal); ok {
-				if pos, isInt := lit.Val.(int64); isInt && pos >= 1 && int(pos) <= len(row) {
-					keys[j] = row[pos-1]
-					continue
-				}
-			}
-			v, err := e.eval(ctx, item.Expr)
-			if err != nil {
+		for j, fn := range keyFns {
+			var err error
+			if keys[j], err = fn(row); err != nil {
 				return err
 			}
-			keys[j] = v
 		}
 		keyed[i] = sortKey{keys: keys, row: row}
 	}
@@ -461,7 +465,10 @@ func (e *Engine) evalRecursiveCTE(q *queryState, cte sql.CTE) (*relation, error)
 		if iter >= maxRecursionIters {
 			return nil, fmt.Errorf("engine: recursive CTE %s exceeded %d iterations", cte.Name, maxRecursionIters)
 		}
+		// The name means the last iteration's rows now: a subquery that
+		// read it (or anything else) runs again.
 		q.ctes[cte.Name] = &relation{cols: cols, rows: rows}
+		clear(q.subs)
 		if rows, _, err = fresh(top.Right, len(cols)); err != nil {
 			return nil, err
 		}
@@ -478,34 +485,43 @@ func referencesTable(body sql.SelectBody, name string) bool {
 	return n[name] > 0
 }
 
-// subquery evaluates a nested SELECT with the current query state.
-func (e *Engine) subquery(ctx *evalCtx, stmt *sql.SelectStmt) (*relation, error) {
-	return e.evalSelect(ctx.q, stmt)
+// subResult is what a subquery held by an expression returned.
+type subResult struct {
+	*relation
+	keys map[string]bool // IN (subquery): its one column's non-NULL values, built at the first probe
 }
 
-// subqueryKeySet evaluates an IN-subquery once and returns the key set of
-// its single output column. Results are memoized per query so repeated
-// probes do not re-execute the subquery.
-func (e *Engine) subqueryKeySet(ctx *evalCtx, stmt *sql.SelectStmt) (map[string]bool, error) {
-	if ctx.q.inSets == nil {
-		ctx.q.inSets = map[*sql.SelectStmt]map[string]bool{}
+// subquery evaluates a nested SELECT held by an expression. Subqueries
+// are uncorrelated in this dialect, so one runs once per statement however
+// many rows probe it: the result is kept on the query state.
+func (e *Engine) subquery(q *queryState, stmt *sql.SelectStmt) (*subResult, error) {
+	if res, ok := q.subs[stmt]; ok {
+		return res, nil
 	}
-	if set, ok := ctx.q.inSets[stmt]; ok {
-		return set, nil
-	}
-	rows, err := e.subquery(ctx, stmt)
+	r, err := e.evalSelect(q, stmt)
 	if err != nil {
 		return nil, err
 	}
-	if len(rows.cols) != 1 {
-		return nil, fmt.Errorf("engine: IN subquery must return one column, got %d", len(rows.cols))
+	if q.subs == nil {
+		q.subs = map[*sql.SelectStmt]*subResult{}
 	}
-	set := make(map[string]bool, len(rows.rows))
-	for _, row := range rows.rows {
-		if !row[0].IsNull() {
-			set[row[0].Key()] = true
+	res := &subResult{relation: r}
+	q.subs[stmt] = res
+	return res, nil
+}
+
+// keySet returns the set an IN probes.
+func (res *subResult) keySet() (map[string]bool, error) {
+	if res.keys == nil {
+		if len(res.cols) != 1 {
+			return nil, fmt.Errorf("engine: IN subquery must return one column, got %d", len(res.cols))
+		}
+		res.keys = make(map[string]bool, len(res.rows))
+		for _, row := range res.rows {
+			if !row[0].IsNull() {
+				res.keys[row[0].Key()] = true
+			}
 		}
 	}
-	ctx.q.inSets[stmt] = set
-	return set, nil
+	return res.keys, nil
 }

@@ -157,7 +157,7 @@ type Env interface {
 
 // Eval evaluates the expression over one item. Semantics match the SQL
 // engine: AND/OR are three-valued and short-circuiting, comparisons and
-// arithmetic propagate NULL, division/modulo by zero is an error.
+// arithmetic propagate NULL, division/modulo by zero is NULL.
 func Eval(n Node, env Env) (rel.Value, error) {
 	switch x := n.(type) {
 	case *Lit:
@@ -303,7 +303,7 @@ func evalBinary(b *Binary, env Env) (rel.Value, error) {
 
 // arith mirrors the engine's arithmetic exactly: NULL propagates,
 // integer ops stay integral only when both sides are ints, modulo always
-// coerces to int, division/modulo by zero is a hard error.
+// coerces to int, division and modulo by a zero divisor are NULL.
 func arith(op string, l, r rel.Value) (rel.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return rel.Null, nil
@@ -326,19 +326,16 @@ func arith(op string, l, r rel.Value) (rel.Value, error) {
 		}
 		return rel.NewFloat(l.Float() * r.Float()), nil
 	case "/":
-		if intOp {
-			if r.Int() == 0 {
-				return rel.Null, fmt.Errorf("expr: division by zero")
-			}
+		switch {
+		case r.Float() == 0:
+			return rel.Null, nil
+		case intOp:
 			return rel.NewInt(l.Int() / r.Int()), nil
-		}
-		if r.Float() == 0 {
-			return rel.Null, fmt.Errorf("expr: division by zero")
 		}
 		return rel.NewFloat(l.Float() / r.Float()), nil
 	case "%":
 		if r.Int() == 0 {
-			return rel.Null, fmt.Errorf("expr: division by zero")
+			return rel.Null, nil
 		}
 		return rel.NewInt(l.Int() % r.Int()), nil
 	}

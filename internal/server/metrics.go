@@ -66,7 +66,7 @@ func newTelemetry(s *Server) *telemetry {
 	t.latency = reg.HistogramVec("sqlgraphd_request_seconds",
 		"HTTP request latency in seconds, by route.", latencyBuckets, "route")
 	t.stages = reg.HistogramVec("sqlgraphd_query_stage_seconds",
-		"Query stage latency in seconds (parse, translate, plan, execute, tail).", latencyBuckets, "stage")
+		"Query stage latency in seconds (parse, translate, plan, execute).", latencyBuckets, "stage")
 
 	t.admitted = reg.Counter("sqlgraphd_admission_admitted_total",
 		"Requests admitted past the concurrency gate.")
@@ -141,9 +141,6 @@ func newTelemetry(s *Server) *telemetry {
 	reg.CounterFunc("sqlgraphd_prepared_cache_misses_total",
 		"Prepared Gremlin statement cache misses.",
 		func() float64 { _, m := s.st().PreparedCacheStats(); return float64(m) })
-	reg.CounterFunc("sqlgraphd_tail_fallback_queries_total",
-		"Queries that fell back to the tail executor for steps SQL cannot express.",
-		func() float64 { return float64(s.st().TailQueries()) })
 
 	// Slow queries and the write path, scraped from the trace recorder's
 	// atomic counters.

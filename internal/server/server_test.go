@@ -571,7 +571,6 @@ func TestMetricsExposition(t *testing.T) {
 		"sqlgraphd_plan_cache_hits_total",
 		"sqlgraphd_plan_cache_misses_total",
 		"sqlgraphd_plan_cache_invalidations_total",
-		"sqlgraphd_tail_fallback_queries_total",
 		"sqlgraphd_mvcc_oldest_pin_age_seconds",
 		"sqlgraphd_mvcc_gc_backlog_records",
 		"sqlgraphd_mvcc_gc_reclaimed_rows_total",

@@ -11,10 +11,9 @@ import (
 // current CTE and — for vertex/edge inputs — A to the matching attribute
 // table row (VA or EA), which is where `it.<prop>` resolves. The SQL
 // engine's expression semantics (3VL AND/OR, null propagation, mixed
-// int/float arithmetic, division-by-zero errors) are the reference
+// int/float arithmetic, NULL for a zero divisor) are the reference
 // semantics the closure evaluator copies, so rendering is a direct
-// syntax mapping; the one case that cannot map — `/` or `%` whose
-// divisor is not a nonzero numeric literal — returns ErrTailEval.
+// syntax mapping.
 func (t *translator) renderExpr(n expr.Node) (string, error) {
 	switch x := n.(type) {
 	case *expr.Lit:
@@ -31,11 +30,6 @@ func (t *translator) renderExpr(n expr.Node) (string, error) {
 		}
 		return fmt.Sprintf("(- %s)", sub), nil
 	case *expr.Binary:
-		if x.Op == "/" || x.Op == "%" {
-			if err := checkDivisor(x); err != nil {
-				return "", err
-			}
-		}
 		l, err := t.renderExpr(x.L)
 		if err != nil {
 			return "", err
@@ -102,61 +96,6 @@ func (t *translator) renderIt(x *expr.It) (string, error) {
 			return "NULL", nil
 		}
 	}
-}
-
-// checkDivisor enforces the pushdown precondition for `/` and `%`: the
-// divisor must be a numeric literal (optionally negated) that does not
-// trigger the engine's division-by-zero error. Anything else — a
-// data-dependent divisor, or a literal zero — is flagged ErrTailEval so
-// the per-row error surfaces from the closure evaluator, matching the
-// interpreter exactly, instead of from deep inside a SQL scan.
-func checkDivisor(b *expr.Binary) error {
-	v, ok := numericLit(b.R)
-	if !ok {
-		return fmt.Errorf("%w: non-literal divisor in %s", ErrTailEval, b.String())
-	}
-	var zero bool
-	switch n := v.(type) {
-	case int64:
-		zero = n == 0
-	case float64:
-		if b.Op == "%" {
-			// Modulo truncates the divisor to int first.
-			zero = int64(n) == 0
-		} else {
-			zero = n == 0
-		}
-	}
-	if zero {
-		return fmt.Errorf("%w: zero divisor in %s", ErrTailEval, b.String())
-	}
-	return nil
-}
-
-// numericLit unwraps an optionally-negated numeric literal.
-func numericLit(n expr.Node) (any, bool) {
-	neg := false
-	if u, ok := n.(*expr.Unary); ok && u.Op == "-" {
-		n = u.X
-		neg = true
-	}
-	l, ok := n.(*expr.Lit)
-	if !ok {
-		return nil, false
-	}
-	switch v := l.Val.(type) {
-	case int64:
-		if neg {
-			return -v, true
-		}
-		return v, true
-	case float64:
-		if neg {
-			return -v, true
-		}
-		return v, true
-	}
-	return nil, false
 }
 
 // sqlExprLit renders a closure literal as SQL. Unlike lit(), floats are

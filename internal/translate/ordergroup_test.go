@@ -1,17 +1,13 @@
 package translate
 
 import (
-	"errors"
 	"strings"
 	"testing"
-
-	"sqlgraph/internal/gremlin"
 )
 
 // SQL-shape tests for the closure/order/group templates, pinned across
-// all three storage modes: the acceptance bar is that order+range and
-// groupCount shapes are SQL pushdown (never tail fallback), and that the
-// refuse-and-fallback decision points fire exactly where designed.
+// all three storage modes: every closure, whatever it divides by, is part
+// of the one statement its query compiles to.
 
 var allOpts = []Options{{}, {ForceEA: true}, {ForceHashTables: true}}
 
@@ -106,55 +102,40 @@ func TestClosureIfThenElseTemplate(t *testing.T) {
 	)
 }
 
-func TestTailEvalDecisionPoints(t *testing.T) {
-	sch := fakeSchema{}
-	mustSplit := func(q string, wantTail int) {
-		t.Helper()
-		parsed, err := gremlin.Parse(q)
-		if err != nil {
-			t.Fatalf("parse %q: %v", q, err)
-		}
-		for _, opts := range allOpts {
-			if _, err := Translate(parsed, sch, opts); !errors.Is(err, ErrTailEval) {
-				t.Fatalf("%q: want ErrTailEval, got %v", q, err)
-			}
-			trn, tail, err := TranslateWithTail(parsed, sch, opts)
-			if err != nil {
-				t.Fatalf("%q: split failed: %v", q, err)
-			}
-			if len(tail) != wantTail {
-				t.Fatalf("%q: tail has %d steps, want %d", q, len(tail), wantTail)
-			}
-			if trn.SQL == "" {
-				t.Fatalf("%q: empty prefix SQL", q)
-			}
-		}
-	}
-	// Data-dependent divisor: the filter and everything after it move to
-	// the tail.
-	mustSplit("g.V.filter{60 / it.age >= 2}", 1)
-	mustSplit("g.V.out.filter{60 / it.age >= 2}.out.count()", 3)
-	// Literal zero divisor raises per-row errors; same fallback.
-	mustSplit("g.V.filter{it.age % 0 == 1}", 1)
-	// The divisor rule also fires inside order/group key closures.
-	mustSplit("g.V.order{100 / it.age}", 1)
-	mustSplit("g.V.groupCount{it.age / (it.k + 1)}", 1)
-
-	// A nonzero literal divisor stays pushdown.
+// TestDivisionIsOneStatement: `/` and `%` map to SQL like every other
+// operator, whatever the divisor (a zero divisor is NULL in the engine and
+// in the closure evaluator alike), so a dividing closure is one more CTE of
+// the one statement and may be followed by any pipe.
+func TestDivisionIsOneStatement(t *testing.T) {
+	const src = "WITH T1 AS (SELECT VID AS VAL FROM VA WHERE VID >= 0), "
 	for _, opts := range allOpts {
-		sql := tr(t, "g.V.filter{it.age / 2 >= 14}", opts).SQL
-		wants(t, sql, "(JSON_VAL(A.ATTR, 'age') / 2)")
-		sql = tr(t, "g.V.filter{it.age % 7 == 1}", opts).SQL
-		wants(t, sql, "(JSON_VAL(A.ATTR, 'age') % 7)")
-	}
-
-	// Suffixes the tail executor cannot run keep the original error.
-	parsed, err := gremlin.Parse("g.V.as('x').out.filter{60 / it.age >= 2}.back('x')")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := TranslateWithTail(parsed, sch, Options{}); !errors.Is(err, ErrTailEval) {
-		t.Fatalf("non-tail-evaluable suffix: want original ErrTailEval, got %v", err)
+		for q, want := range map[string]string{
+			"g.V.filter{60 / it.age >= 2}": src +
+				"T2 AS (SELECT V.VAL AS VAL FROM T1 V, VA A WHERE A.VID = V.VAL AND ((60 / JSON_VAL(A.ATTR, 'age')) >= 2)) SELECT VAL FROM T2",
+			"g.V.order{100 / it.age}": src +
+				"T2 AS (SELECT V.VAL AS VAL, (100 / JSON_VAL(A.ATTR, 'age')) AS OKEY FROM T1 V, VA A WHERE A.VID = V.VAL), " +
+				"T3 AS (SELECT VAL, OKEY FROM T2 ORDER BY OKEY, VAL), T4 AS (SELECT VAL FROM T3) SELECT VAL FROM T4",
+			"g.V.groupCount{it.k % it.m}": src +
+				"T2 AS (SELECT (LIST() || (JSON_VAL(A.ATTR, 'k') % JSON_VAL(A.ATTR, 'm')) || COUNT(*)) AS VAL FROM T1 V, VA A WHERE A.VID = V.VAL " +
+				"GROUP BY (JSON_VAL(A.ATTR, 'k') % JSON_VAL(A.ATTR, 'm'))), T3 AS (SELECT VAL FROM T2 ORDER BY VAL) SELECT VAL FROM T3",
+			"g.V.filter{it.age / 0 == 1}": src +
+				"T2 AS (SELECT V.VAL AS VAL FROM T1 V, VA A WHERE A.VID = V.VAL AND ((JSON_VAL(A.ATTR, 'age') / 0) = 1)) SELECT VAL FROM T2",
+		} {
+			if got := tr(t, q, opts).SQL; got != want {
+				t.Errorf("%q %+v:\n got %s\nwant %s", q, opts, got, want)
+			}
+		}
+		// Pipes that need path bookkeeping, marks or branches after the
+		// division translate like after any other filter.
+		for _, q := range []string{
+			"g.V.filter{60 / it.age >= 2}.out.path",
+			"g.V.filter{60 / it.age >= 2}.out.in.simplePath",
+			"g.V.as('x').out.filter{60 / it.age >= 2}.back('x')",
+			"g.V.filter{it.m / it.k == 1}.as('s').out.loop('s'){it.loops < 3}",
+			"g.V.filter{1 / it.k > 0}.ifThenElse{it.age % it.k == 0}{it.out}{it.in}",
+		} {
+			wants(t, tr(t, q, opts).SQL, " / JSON_VAL(A.ATTR, ", "WITH T1 AS (")
+		}
 	}
 }
 

@@ -7,21 +7,11 @@
 package translate
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
 	"sqlgraph/internal/gremlin"
 )
-
-// ErrTailEval marks a closure the translator cannot push into SQL with
-// semantics identical to the engine's (today: division or modulo whose
-// divisor is not a nonzero numeric literal, where SQL's per-row
-// division-by-zero error would depend on data the translator cannot see).
-// TranslateWithTail catches it and falls back to translating the prefix,
-// leaving the offending step and everything after it for the caller's
-// tail executor.
-var ErrTailEval = errors.New("translate: closure requires tail evaluation")
 
 // ElemType tracks what the VAL column currently holds.
 type ElemType int
@@ -106,61 +96,19 @@ func Translate(q *gremlin.Query, sch Schema, opts Options) (*Translation, error)
 	return newTranslator(sch, opts).translate(q)
 }
 
-// TranslateWithTail compiles q, and when the only obstacle is a closure
-// flagged ErrTailEval it retries with the longest translatable prefix,
-// returning the untranslated suffix for post-SQL evaluation. A nil tail
-// means the whole query compiled. Any other error — including tails the
-// executor cannot evaluate (path pipes, back/as, loops, branches) — is
-// returned as-is.
+// TranslateWithTail is Translate with a nil tail: every query compiles
+// whole. Its sole caller is the frozen benchmark harness (benchmark/).
 func TranslateWithTail(q *gremlin.Query, sch Schema, opts Options) (*Translation, []gremlin.Step, error) {
-	tr := newTranslator(sch, opts)
-	out, err := tr.translate(q)
-	if err == nil {
-		return out, nil, nil
-	}
-	if !errors.Is(err, ErrTailEval) || tr.tailAbs < 1 || tr.tailAbs >= len(q.Steps) {
-		return nil, nil, err
-	}
-	tail := q.Steps[tr.tailAbs:]
-	if !tailSupported(tail) {
-		return nil, nil, err
-	}
-	prefix := &gremlin.Query{Text: q.Text, Steps: q.Steps[:tr.tailAbs]}
-	out, perr := newTranslator(sch, opts).translate(prefix)
-	if perr != nil {
-		return nil, nil, err
-	}
-	return out, tail, nil
-}
-
-// tailSupported reports whether every step can be evaluated by the
-// post-SQL tail executor: plain stream transforms only — nothing that
-// needs path bookkeeping, marks, aggregates or branching.
-func tailSupported(steps []gremlin.Step) bool {
-	for i := range steps {
-		switch steps[i].Kind {
-		case gremlin.StepOut, gremlin.StepIn, gremlin.StepBoth,
-			gremlin.StepOutE, gremlin.StepInE, gremlin.StepBothE,
-			gremlin.StepOutV, gremlin.StepInV, gremlin.StepBothV,
-			gremlin.StepID, gremlin.StepLabel, gremlin.StepProperty,
-			gremlin.StepHas, gremlin.StepHasNot, gremlin.StepInterval,
-			gremlin.StepFilter, gremlin.StepDedup, gremlin.StepRange,
-			gremlin.StepCount, gremlin.StepOrder, gremlin.StepGroupBy,
-			gremlin.StepGroupCount, gremlin.StepTable, gremlin.StepIterate:
-		default:
-			return false
-		}
-	}
-	return true
+	tr, err := Translate(q, sch, opts)
+	return tr, nil, err
 }
 
 func newTranslator(sch Schema, opts Options) *translator {
 	tr := &translator{
-		sch:     sch,
-		opts:    opts,
-		marks:   map[string]mark{},
-		aggs:    map[string]string{},
-		tailAbs: -1,
+		sch:   sch,
+		opts:  opts,
+		marks: map[string]mark{},
+		aggs:  map[string]string{},
 	}
 	if gs, ok := sch.(GraphStats); ok && gs != nil {
 		tr.gstats = gs
@@ -194,10 +142,6 @@ type translator struct {
 	gstats GraphStats         // nil = no cardinality hints
 	est    float64            // running frontier cardinality estimate
 	hints  map[string]float64 // CTE name -> estimate snapshot at add()
-
-	srcConsumed int // filters the source lookup merged (absolute index math)
-	plDepth     int // pipeline nesting (1 = top level)
-	tailAbs     int // absolute index of the first ErrTailEval step, -1 if none
 }
 
 type cte struct {
@@ -334,8 +278,7 @@ func (t *translator) translate(q *gremlin.Query) (*Translation, error) {
 // pipeline translates a run of steps.
 func (t *translator) pipeline(steps []gremlin.Step) error {
 	outer := t.rest
-	t.plDepth++
-	defer func() { t.rest = outer; t.plDepth-- }()
+	defer func() { t.rest = outer }()
 	for i := 0; i < len(steps); i++ {
 		s := &steps[i]
 		// Expose the downstream steps (this pipeline's tail, then the
@@ -350,14 +293,6 @@ func (t *translator) pipeline(steps []gremlin.Step) error {
 			err = t.step(s)
 		}
 		if err != nil {
-			// Record where the SQL-translatable prefix ends so
-			// TranslateWithTail can split the query. Only top-level
-			// positions qualify: an ErrTailEval inside a branch or loop
-			// body surfaces at the enclosing step, which the tail
-			// executor rejects anyway.
-			if t.plDepth == 1 && t.tailAbs < 0 && errors.Is(err, ErrTailEval) {
-				t.tailAbs = 1 + t.srcConsumed + i
-			}
 			return err
 		}
 	}
@@ -499,7 +434,6 @@ func (t *translator) source(s *gremlin.Step, rest []gremlin.Step) ([]gremlin.Ste
 	}
 	t.depth = 1
 	t.hist = []ElemType{t.typ}
-	t.srcConsumed = consumed
 	return rest[consumed:], nil
 }
 
