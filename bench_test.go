@@ -20,6 +20,7 @@ import (
 	"sqlgraph/internal/bench/experiments"
 	"sqlgraph/internal/bench/queries"
 	"sqlgraph/internal/core"
+	"sqlgraph/internal/gremlin"
 	"sqlgraph/internal/rel"
 )
 
@@ -292,6 +293,40 @@ func BenchmarkQueryTranslation(b *testing.B) {
 		if _, err := g.Translate("g.V.has('label', 'x').out('a').in('b').dedup().count()"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkParseIDList measures the Gremlin parse of a 12 960-id source —
+// the largest Table-1 text — which runs on every request now that the
+// prepared cache is keyed by the parsed query's shape. Ids go from the
+// token stream straight into the step's []int64: it must report at most
+// one allocation per 64 ids.
+func BenchmarkParseIDList(b *testing.B) {
+	const ids = 12960
+	var sb strings.Builder
+	sb.WriteString("g.V(")
+	for i := 0; i < ids; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprint(&sb, 1000+7*i)
+	}
+	sb.WriteString(").out('isPartOf').dedup().count()")
+	text := sb.String()
+	parse := func() {
+		q, err := gremlin.Parse(text)
+		if err != nil || len(q.Args) != 1 || len(q.Args[0].IDs) != ids {
+			b.Fatalf("Parse: %v", err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, parse); allocs > ids/64 {
+		b.Fatalf("%v allocations for %d ids, want at most one per 64 ids (%d)", allocs, ids, ids/64)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(text)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		parse()
 	}
 }
 

@@ -134,9 +134,10 @@ func topFrame(client *http.Client, addr string, window time.Duration) (string, e
 		topInt(newest.V, "sqlgraphd_mvcc_gc_backlog_records"),
 		topInt(newest.V, "sqlgraphd_snapshot_pins"),
 		topDur(newest.V["sqlgraphd_mvcc_oldest_pin_age_seconds"]))
-	fmt.Fprintf(&b, "  caches    plan hit%% %s   prepared hit%% %s\n",
+	fmt.Fprintf(&b, "  caches    plan hit%% %s   prepared hit%% %s   statements %s\n",
 		topHitRate(newest.V, "sqlgraphd_plan_cache_hits_total", "sqlgraphd_plan_cache_misses_total"),
-		topHitRate(newest.V, "sqlgraphd_prepared_cache_hits_total", "sqlgraphd_prepared_cache_misses_total"))
+		topHitRate(newest.V, "sqlgraphd_prepared_cache_hits_total", "sqlgraphd_prepared_cache_misses_total"),
+		topInt(newest.V, "sqlgraphd_prepared_statements"))
 
 	// Replication: follower lag per /wal stream on a primary, or this
 	// node's own lag when it is a replica.

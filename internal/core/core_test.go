@@ -760,36 +760,42 @@ func TestRemoveEdgeCollapsesEmptyCell(t *testing.T) {
 	assertSameResults(t, s, oracle, "g.V(1).out('knows')", TranslateOptions{ForceHashTables: true})
 }
 
-// TestPreparedCacheBounded: a client sending texts that never repeat must
-// not grow the prepared-statement cache (or the engine's plan cache behind
-// it) without bound, and texts evicted with the rest still answer.
+// TestPreparedCacheBounded: texts that differ in their literals share one
+// statement, but a client can still mint shapes — here property keys that
+// never repeat — and must not grow the prepared-statement cache (or the
+// engine's plan cache behind it) without bound; shapes evicted with the
+// rest still answer.
 func TestPreparedCacheBounded(t *testing.T) {
 	s := loadFigure2a(t, Options{})
-	count := func() (n int) {
-		s.prepared.Range(func(_, _ any) bool { n++; return true })
-		return n
-	}
-	for i := 0; i < maxPrepared+100; i++ {
-		// Distinct texts: an id list that grows by one never-matching id.
+	for i := 0; i < 50; i++ { // one shape, fifty texts
 		if _, err := s.Query(fmt.Sprintf("g.V(1, %d).out('knows')", 1000+i)); err != nil {
 			t.Fatal(err)
 		}
-		if n := count(); n > maxPrepared {
-			t.Fatalf("prepared cache holds %d statements after %d distinct texts, cap %d", n, i+1, maxPrepared)
+	}
+	if n := s.PreparedStatements(); n != 1 {
+		t.Fatalf("prepared cache holds %d statements after 50 texts of one shape, want 1", n)
+	}
+	shape := func(i int) string { return fmt.Sprintf("g.V(1).out('knows').hasNot('k%d')", i) }
+	for i := 0; i < maxPrepared+100; i++ {
+		if _, err := s.Query(shape(i)); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.PreparedStatements(); n > maxPrepared {
+			t.Fatalf("prepared cache holds %d statements after %d distinct shapes, cap %d", n, i+1, maxPrepared)
 		}
 	}
-	if n := count(); n < 100 || n > maxPrepared {
+	if n := s.PreparedStatements(); n < 100 || n > maxPrepared {
 		t.Fatalf("prepared cache holds %d statements after one overflow, want the %d since it", n, 101)
 	}
 	hits, _ := s.PreparedCacheStats()
-	res, err := s.Query("g.V(1, 1000).out('knows')") // evicted with the rest: re-prepared
+	res, err := s.Query(shape(0)) // evicted with the rest: re-prepared
 	if err != nil || res.Count() != 2 {
-		t.Fatalf("evicted text after overflow: %v, %v", res, err)
+		t.Fatalf("evicted shape after overflow: %v, %v", res, err)
 	}
-	if _, err := s.Query("g.V(1, 1000).out('knows')"); err != nil {
+	if _, err := s.Query(shape(0)); err != nil {
 		t.Fatal(err)
 	}
 	if after, _ := s.PreparedCacheStats(); after != hits+1 {
-		t.Fatalf("re-prepared text: %d cache hits, want %d", after, hits+1)
+		t.Fatalf("re-prepared shape: %d cache hits, want %d", after, hits+1)
 	}
 }

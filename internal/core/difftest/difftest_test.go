@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sqlgraph/internal/core"
+	"sqlgraph/internal/gremlin"
 )
 
 // allModes exercises the default translation plus both forced adjacency
@@ -24,6 +25,63 @@ func TestDifferentialShrunk(t *testing.T) {
 	if err := Run(1, 6, 40, allModes); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDifferentialShapes is the "same shape, different literals,
+// interleaved" arm: one statement per query shape serves every
+// instantiation of a pipeline — id lists of one, two and five hundred
+// ids, comparison values that change and cross between int and string —
+// and each answer must still be the interpreter's. The full corpus runs
+// with -tags slow.
+func TestDifferentialShapes(t *testing.T) {
+	if err := RunShapes(300, 5, 30, allModes); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRedrawKeepsTheShape: drawing literals again changes a pipeline's
+// text, not its shape, unless a value crossed kinds — the arm above would
+// otherwise test nothing about shared statements.
+func TestRedrawKeepsTheShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sameShape, changed, total := 0, 0, 0
+	for i := 0; i < 200; i++ {
+		query := GenPipeline(rng, 20)
+		for _, n := range idListLengths {
+			redrawn, err := Redraw(rng, query, 20, n)
+			if err != nil {
+				t.Fatalf("Redraw(%q): %v", query, err)
+			}
+			a, b := mustShape(t, query), mustShape(t, redrawn)
+			total++
+			if a.Shape == b.Shape {
+				sameShape++
+			}
+			if a.String() != b.String() {
+				changed++
+			}
+			if len(a.Args) != len(b.Args) {
+				t.Fatalf("redraw changed the argument count: %q -> %q", query, redrawn)
+			}
+			for j := range b.Args {
+				if ids := b.Args[j].IDs; ids != nil && len(ids) != n {
+					t.Fatalf("redraw to %d ids gave %d: %q", n, len(ids), redrawn)
+				}
+			}
+		}
+	}
+	if sameShape < total/2 || changed < total/3 {
+		t.Fatalf("of %d redraws %d kept the shape and %d changed the text", total, sameShape, changed)
+	}
+}
+
+func mustShape(t *testing.T, query string) *gremlin.Query {
+	t.Helper()
+	q, err := gremlin.Parse(query)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", query, err)
+	}
+	return q
 }
 
 // TestGeneratorCoversNewConstructs pins the generator's reach: across a

@@ -27,3 +27,14 @@ func TestDifferentialPlanEquivalenceFull(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDifferentialShapesFull is the full "same shape, different literals,
+// interleaved" corpus, cold pass and warm pass, in every translation mode.
+func TestDifferentialShapesFull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full shapes corpus")
+	}
+	if err := RunShapes(400, 16, 120, allModes); err != nil {
+		t.Fatal(err)
+	}
+}

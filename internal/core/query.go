@@ -25,17 +25,28 @@ type Result struct {
 // Count returns the number of emitted objects.
 func (r *Result) Count() int { return len(r.Values) }
 
-// preparedQuery caches a translation together with its parsed SQL, so a
-// cache hit skips Gremlin parsing, translation, and SQL parsing. The AST
-// is shared across executions safely: the engine never mutates statement
-// nodes (per-query state lives in its own structures).
+// preparedQuery is the statement of one query shape: the translation
+// (a template with ? where the queries of the shape differ) and its parsed
+// SQL, so a hit skips translation and SQL parsing and leaves one Gremlin
+// parse, one map probe and the bind. It is shared by every execution of
+// the shape, concurrent ones included: the engine never mutates statement
+// nodes, and a request's arguments travel beside the statement, never in
+// it (DESIGN.md §8).
 //
 // The cache holds at most maxPrepared statements (about 5 KB each with
-// their plans): enough for any application's fixed set of traversals,
-// and a bound on what a client sending never-repeating texts can pin.
+// their plans). An application has a few dozen shapes however many
+// distinct texts it sends; the bound is for a client that mints shapes.
 type preparedQuery struct {
-	translation *translate.Translation
-	stmt        *sql.SelectStmt
+	translation  *translate.Translation
+	stmt         *sql.SelectStmt
+	cachedDetail string // detail of the plan span of a hit
+}
+
+// preparedKey identifies a statement: the query's shape under the
+// translation options.
+type preparedKey struct {
+	opts  TranslateOptions
+	shape string
 }
 
 const maxPrepared = 4096
@@ -44,8 +55,8 @@ const maxPrepared = 4096
 type TranslateOptions = translate.Options
 
 // Query parses, translates, and executes a Gremlin query as one SQL
-// statement (the paper's core execution model, Section 4.2). Translations
-// are cached per query text.
+// statement (the paper's core execution model, Section 4.2). Statements
+// are cached per query shape and bound to each query's literals.
 func (s *Store) Query(gremlinText string) (*Result, error) {
 	return s.QueryWithOptions(gremlinText, TranslateOptions{})
 }

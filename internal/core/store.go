@@ -105,10 +105,10 @@ type Store struct {
 	cpRunning bool
 	closed    bool // Close was called: no further automatic checkpoint
 
-	prepared    sync.Map          // gremlin text -> *preparedQuery, at most maxPrepared
-	preparedLen atomic.Int64      // entries stored since the cache was last emptied
-	tracer      *trace.Recorder   // trace rings + write-path counters (never nil)
-	optStats    *stats.Collection // planner statistics (never nil)
+	preparedMu sync.RWMutex
+	prepared   map[preparedKey]*preparedQuery // one statement per query shape, at most maxPrepared
+	tracer     *trace.Recorder                // trace rings + write-path counters (never nil)
+	optStats   *stats.Collection              // planner statistics (never nil)
 
 	// Telemetry (telemetry.go): prepared-statement cache counters, plus
 	// the lifecycle event journal.

@@ -36,10 +36,17 @@ func (s *Store) Events() *metrics.Journal { return s.events.Load() }
 // PlanCacheStats reports the SQL engine's plan-cache counters.
 func (s *Store) PlanCacheStats() engine.PlanCacheStats { return s.eng.PlanCacheStats() }
 
-// PreparedCacheStats reports hits and misses of the prepared-query cache
-// (parsed + translated Gremlin statements).
+// PreparedCacheStats reports hits and misses of the prepared-statement
+// cache, per query shape: a miss is one translation and one SQL parse.
 func (s *Store) PreparedCacheStats() (hits, misses uint64) {
 	return s.preparedHits.Load(), s.preparedMisses.Load()
+}
+
+// PreparedStatements reports how many query shapes hold a statement.
+func (s *Store) PreparedStatements() int {
+	s.preparedMu.RLock()
+	defer s.preparedMu.RUnlock()
+	return len(s.prepared)
 }
 
 // TailQueries is always 0: every query is one SQL statement. Its sole

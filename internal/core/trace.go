@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"sqlgraph/internal/engine"
@@ -32,11 +33,12 @@ func (sn *Snap) QueryTraced(gremlinText string, opts TranslateOptions, traceID s
 	return sn.s.queryTraced(gremlinText, opts, traceID, sn.ver)
 }
 
-// queryTraced is the one Gremlin execution path: parse → translate → plan
-// on a prepared-cache miss (a hit collapses the three into one "plan
-// [cached]" span), then execute with per-operator spans lifted from the
-// executor's stats. ver is rel.Latest for the store head or a pinned
-// snapshot version.
+// queryTraced is the one Gremlin execution path: parse the text into a
+// shape and its arguments, find the statement prepared for the shape
+// (translate → plan on a miss, a single "plan [cached shape …]" span on a
+// hit), bind the arguments and execute, with per-operator spans lifted
+// from the executor's stats. ver is rel.Latest for the store head or a
+// pinned snapshot version.
 func (s *Store) queryTraced(gremlinText string, opts TranslateOptions, traceID string, ver rel.Version) (*Result, error) {
 	b := trace.NewBuilder(traceID, "query", gremlinText)
 	res, err := s.runQuery(b, gremlinText, opts, ver)
@@ -50,65 +52,98 @@ func (s *Store) queryTraced(gremlinText string, opts TranslateOptions, traceID s
 }
 
 func (s *Store) runQuery(b *trace.Builder, gremlinText string, opts TranslateOptions, ver rel.Version) (*Result, error) {
-	key := fmt.Sprintf("%+v|%s", opts, gremlinText)
-	var prep *preparedQuery
-	if cached, ok := s.prepared.Load(key); ok {
-		s.preparedHits.Add(1)
-		prep = cached.(*preparedQuery)
-		sp := b.Begin("plan")
-		sp.Detail = "cached"
-		b.End(sp)
-	} else {
-		s.preparedMisses.Add(1)
-		sp := b.Begin("parse")
-		q, err := gremlin.Parse(gremlinText)
-		b.End(sp)
-		if err != nil {
-			return nil, err
-		}
-		sp = b.Begin("translate")
-		tr, err := translate.Translate(q, s, opts)
-		b.End(sp)
-		if err != nil {
-			return nil, err
-		}
-		sp = b.Begin("plan")
-		stmt, err := sql.Parse(tr.SQL)
-		b.End(sp)
-		if err != nil {
-			return nil, fmt.Errorf("core: parsing translated SQL: %w", err)
-		}
-		sel, ok := stmt.(*sql.SelectStmt)
-		if !ok {
-			return nil, fmt.Errorf("core: translated SQL is not a SELECT")
-		}
-		prep = &preparedQuery{translation: tr, stmt: sel}
-		// Past maxPrepared the cache is emptied, not evicted piecemeal: a
-		// text still in use re-enters on its next request for one
-		// parse+translate, and a stream of texts that never repeat cannot
-		// grow the heap without bound.
-		if s.preparedLen.Add(1) > maxPrepared {
-			s.prepared.Range(func(k, _ any) bool { s.prepared.Delete(k); return true })
-			s.preparedLen.Store(1)
-		}
-		s.prepared.Store(key, prep)
+	sp := b.Begin("parse")
+	q, err := gremlin.Parse(gremlinText)
+	b.End(sp)
+	if err != nil {
+		return nil, err
 	}
-	b.SetSQL(prep.translation.SQL)
+	prep, err := s.prepare(b, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	tr, qargs := prep.translation, q.Args // the trace keeps these two, not the parsed query
+	b.SetStatement(tr.Template, func() (string, []string) {
+		args := make([]string, len(qargs))
+		for i, a := range qargs {
+			args[i] = translate.ArgSQL(a)
+		}
+		return tr.Render(qargs), args
+	})
 
-	sp := b.Begin("execute")
-	rows, err := s.eng.QueryStmtHintedAt(prep.stmt, ver, prep.translation.Hints)
+	// The statement is shared; what this request binds to it goes beside
+	// it, to the execution alone.
+	args := make([]engine.Arg, len(q.Args))
+	for i, a := range q.Args {
+		if a.IDs != nil {
+			args[i].IDs = a.IDs
+		} else {
+			args[i].Val = rel.FromAny(a.Val)
+		}
+	}
+	sp = b.Begin("execute")
+	rows, err := s.eng.QueryStmtArgsAt(prep.stmt, ver, tr.HintsFor(q.Args), args)
 	b.End(sp)
 	if err != nil {
 		return nil, fmt.Errorf("core: executing translated SQL: %w", err)
 	}
 	attachOperatorSpans(b, sp, &rows.Stats)
 
-	out := &Result{ElemType: prep.translation.ElemType, Stats: rows.Stats}
+	out := &Result{ElemType: tr.ElemType, Stats: rows.Stats}
 	out.Values = make([]any, 0, len(rows.Data))
 	for _, row := range rows.Data {
 		out.Values = append(out.Values, valueToAny(row[0]))
 	}
 	return out, nil
+}
+
+// prepare returns the statement for q's shape under opts, translating and
+// parsing it on the first query of the shape.
+func (s *Store) prepare(b *trace.Builder, q *gremlin.Query, opts TranslateOptions) (*preparedQuery, error) {
+	key := preparedKey{opts: opts, shape: q.Shape}
+	s.preparedMu.RLock()
+	prep := s.prepared[key]
+	s.preparedMu.RUnlock()
+	if prep != nil {
+		s.preparedHits.Add(1)
+		sp := b.Begin("plan")
+		sp.Detail = prep.cachedDetail
+		b.End(sp)
+		return prep, nil
+	}
+	s.preparedMisses.Add(1)
+	sp := b.Begin("translate")
+	tr, err := translate.Translate(q, s, opts)
+	b.End(sp)
+	if err != nil {
+		return nil, err
+	}
+	sp = b.Begin("plan")
+	stmt, err := sql.Parse(tr.Template)
+	b.End(sp)
+	if err != nil {
+		return nil, fmt.Errorf("core: parsing translated SQL: %w", err)
+	}
+	sel, ok := stmt.(*sql.SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("core: translated SQL is not a SELECT")
+	}
+	prep = &preparedQuery{
+		translation:  tr,
+		stmt:         sel,
+		cachedDetail: fmt.Sprintf("cached shape %s args=%d", q.Shape, len(q.Args)),
+	}
+	s.preparedMu.Lock()
+	// Past maxPrepared the cache is emptied, not evicted piecemeal: a
+	// shape still in use re-enters on its next request for one translate
+	// and parse, and a client minting shapes (keys, labels, pipe
+	// sequences) cannot grow the heap without bound.
+	if s.prepared == nil || len(s.prepared) >= maxPrepared {
+		s.prepared = map[preparedKey]*preparedQuery{}
+	}
+	s.prepared[key] = prep
+	s.preparedMu.Unlock()
+	return prep, nil
 }
 
 // attachOperatorSpans lifts the executor's per-operator timings into
@@ -121,51 +156,60 @@ func (s *Store) runQuery(b *trace.Builder, gremlinText string, opts TranslateOpt
 // time, with its join stages and terminal beneath it carrying their row
 // counts and no time of their own. A run of one operator is that
 // operator's span, as before.
+//
+// Only EXPLAIN and /debug/queries read a span's detail, and every request
+// pays for it: the details of one request are appended to one buffer and
+// cut out of one string.
 func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStats) {
+	d := spanDetails{buf: make([]byte, 0, 256), cuts: make([]detailCut, 0, 16)}
+	estAct := func(est int64, act int) {
+		if est >= 0 {
+			d.buf = strconv.AppendInt(append(d.buf, " est="...), est, 10)
+			d.buf = strconv.AppendInt(append(d.buf, " act="...), int64(act), 10)
+		}
+	}
 	for i := range st.CTEs {
 		c := &st.CTEs[i]
-		detail := c.Name
+		d.buf = append(d.buf, c.Name...)
 		if c.Fused {
-			detail += " fused"
+			d.buf = append(d.buf, " fused"...)
 		}
-		if c.EstRows >= 0 {
-			detail += fmt.Sprintf(" est=%d act=%d", c.EstRows, c.Rows)
-		}
-		b.Child(exec, "cte", detail, c.StartNs, c.Nanos, int64(c.Rows), int64(c.Rows))
+		estAct(c.EstRows, c.Rows)
+		d.cut(b.Child(exec, "cte", "", c.StartNs, c.Nanos, int64(c.Rows), int64(c.Rows)))
 	}
 	for i := range st.Scans {
 		sc := &st.Scans[i]
-		detail := fmt.Sprintf("%s %s workers=%d", sc.Table, sc.Access, sc.Workers)
-		if sc.EstRows >= 0 {
-			detail += fmt.Sprintf(" est=%d act=%d", sc.EstRows, sc.RowsOut)
-		}
-		b.Child(exec, "scan", detail, sc.StartNs, sc.Nanos, int64(sc.RowsIn), int64(sc.RowsOut))
+		d.buf = append(append(append(d.buf, sc.Table...), ' '), sc.Access...)
+		d.buf = strconv.AppendInt(append(d.buf, " workers="...), int64(sc.Workers), 10)
+		estAct(sc.EstRows, sc.RowsOut)
+		d.cut(b.Child(exec, "scan", "", sc.StartNs, sc.Nanos, int64(sc.RowsIn), int64(sc.RowsOut)))
 	}
 	join := func(parent *trace.Span, j *engine.JoinStat, startNs, nanos int64) {
-		detail := fmt.Sprintf("%s %s", j.Table, j.Strategy)
+		d.buf = append(append(append(d.buf, j.Table...), ' '), j.Strategy...)
 		if j.BuildSide != "" {
-			detail += " build=" + j.BuildSide
+			d.buf = append(append(d.buf, " build="...), j.BuildSide...)
 		}
 		if j.Workers > 1 {
-			detail += fmt.Sprintf(" workers=%d", j.Workers)
+			d.buf = strconv.AppendInt(append(d.buf, " workers="...), int64(j.Workers), 10)
 		}
 		if j.EstRows >= 0 {
-			detail += fmt.Sprintf(" est=%d act=%d cost=%.0f", j.EstRows, j.OutRows, j.EstCost)
+			estAct(j.EstRows, j.OutRows)
+			d.buf = strconv.AppendFloat(append(d.buf, " cost="...), j.EstCost, 'f', 0, 64)
 		}
 		if j.AltStrategy != engine.StrategyAuto {
-			detail += fmt.Sprintf(" alt=%s", j.AltStrategy)
+			d.buf = append(append(d.buf, " alt="...), j.AltStrategy...)
 			if j.AltCost >= 0 {
-				detail += fmt.Sprintf("(cost=%.0f)", j.AltCost)
+				d.buf = strconv.AppendFloat(append(d.buf, "(cost="...), j.AltCost, 'f', 0, 64)
+				d.buf = append(d.buf, ')')
 			}
 		}
-		b.Child(parent, "join", detail, startNs, nanos, int64(j.BuildRows+j.ProbeRows), int64(j.OutRows))
+		d.cut(b.Child(parent, "join", "", startNs, nanos, int64(j.BuildRows+j.ProbeRows), int64(j.OutRows)))
 	}
 	op := func(parent *trace.Span, op *engine.OpStat, startNs, nanos int64) {
-		detail := ""
 		if op.Kind == "agg" {
-			detail = fmt.Sprintf("groups=%d", op.Groups)
+			d.buf = strconv.AppendInt(append(d.buf, "groups="...), int64(op.Groups), 10)
 		}
-		b.Child(parent, op.Kind, detail, startNs, nanos, int64(op.RowsIn), int64(op.RowsOut))
+		d.cut(b.Child(parent, op.Kind, "", startNs, nanos, int64(op.RowsIn), int64(op.RowsOut)))
 	}
 	pipedJoins, pipedOps := make([]bool, len(st.Joins)), make([]bool, len(st.Ops))
 	for i := range st.Pipelines {
@@ -183,7 +227,9 @@ func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStat
 		} else {
 			rowsOut = int64(st.Joins[p.Joins[len(p.Joins)-1]].OutRows)
 		}
-		sp := b.Child(exec, "pipeline", fmt.Sprintf("%d stages", n), p.StartNs, p.Nanos, int64(p.RowsIn), rowsOut)
+		d.buf = append(strconv.AppendInt(d.buf, int64(n), 10), " stages"...)
+		sp := b.Child(exec, "pipeline", "", p.StartNs, p.Nanos, int64(p.RowsIn), rowsOut)
+		d.cut(sp)
 		for _, ji := range p.Joins {
 			pipedJoins[ji] = true
 			join(sp, &st.Joins[ji], 0, 0)
@@ -202,6 +248,37 @@ func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStat
 		if o := &st.Ops[i]; !pipedOps[i] {
 			op(exec, o, o.StartNs, o.Nanos)
 		}
+	}
+	d.assign()
+}
+
+// spanDetails collects the detail strings of a request's operator spans
+// in one buffer.
+type spanDetails struct {
+	buf  []byte
+	cuts []detailCut
+}
+
+// detailCut is one span's share of the buffer: buf[from:to].
+type detailCut struct {
+	sp       *trace.Span
+	from, to int
+}
+
+// cut ends the detail being appended and gives it to sp.
+func (d *spanDetails) cut(sp *trace.Span) {
+	from := 0
+	if n := len(d.cuts); n > 0 {
+		from = d.cuts[n-1].to
+	}
+	d.cuts = append(d.cuts, detailCut{sp: sp, from: from, to: len(d.buf)})
+}
+
+// assign hands each span its detail: slices of one string.
+func (d *spanDetails) assign() {
+	all := string(d.buf)
+	for _, c := range d.cuts {
+		c.sp.Detail = all[c.from:c.to]
 	}
 }
 

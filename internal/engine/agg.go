@@ -100,10 +100,9 @@ func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (
 	// A group's row is its first input row followed by one slot per
 	// aggregate call: HAVING and the select list read both by position.
 	grouped := *sc
-	grouped.aggs = make(map[*sql.FuncCall]int, len(calls))
+	grouped.aggs, grouped.aggBase = calls, ag.width
 	ag.accs = make([]aggAcc, len(calls))
 	for i, call := range calls {
-		grouped.aggs[call] = ag.width + i
 		ag.accs[i] = aggAcc{name: strings.ToUpper(call.Name), distinct: call.Distinct, allInt: true}
 		if call.Star && ag.accs[i].name == "COUNT" {
 			continue

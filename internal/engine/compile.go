@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -33,7 +35,10 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		if v.Index >= len(q.params) {
 			return nil, fmt.Errorf("engine: missing parameter %d", v.Index+1)
 		}
-		val := q.params[v.Index]
+		if q.params[v.Index].IDs != nil {
+			return nil, fmt.Errorf("engine: parameter %d is an id list: it can only be read as x IN (?)", v.Index+1)
+		}
+		val := q.params[v.Index].Val
 		return func([]rel.Value) (rel.Value, error) { return val, nil }, nil
 	case *sql.ColumnRef:
 		i, err := sc.resolve(v.Table, v.Column)
@@ -119,6 +124,16 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		xe, err := e.compile(q, sc, v.X)
 		if err != nil {
 			return nil, err
+		}
+		if ids, ok := q.idList(v); ok {
+			set, not := newIDSet(ids), v.Not
+			return func(row []rel.Value) (rel.Value, error) {
+				xv, err := xe(row)
+				if err != nil || xv.IsNull() {
+					return rel.Null, err
+				}
+				return rel.NewBool(set.has(xv) != not), nil
+			}, nil
 		}
 		items := make([]compiledExpr, len(v.List))
 		allConst := true
@@ -301,6 +316,60 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 	return nil, fmt.Errorf("engine: unsupported expression %T", x)
 }
 
+// idList returns the ids x IN (?) tests against when its parameter is
+// bound to an id list.
+func (q *queryState) idList(v *sql.InList) ([]int64, bool) {
+	if len(v.List) != 1 {
+		return nil, false
+	}
+	p, ok := v.List[0].(*sql.Param)
+	if !ok || p.Index >= len(q.params) || q.params[p.Index].IDs == nil {
+		return nil, false
+	}
+	return q.params[p.Index].IDs, true
+}
+
+// idSet tests membership in an id list: by comparing with each of a few
+// ids, through a hash set with many.
+type idSet struct {
+	ids []int64
+	set map[int64]struct{}
+}
+
+func newIDSet(ids []int64) *idSet {
+	s := &idSet{ids: ids}
+	if len(ids) > 8 {
+		s.set = make(map[int64]struct{}, len(ids))
+		for _, id := range ids {
+			s.set[id] = struct{}{}
+		}
+	}
+	return s
+}
+
+// has reports whether v equals one of the ids, as rel.Compare has it: a
+// DOUBLE with an integral value equals that BIGINT.
+func (s *idSet) has(v rel.Value) bool {
+	var x int64
+	switch v.Kind() {
+	case rel.KindInt:
+		x = v.Int()
+	case rel.KindFloat:
+		f := v.Float()
+		if f != math.Trunc(f) || math.Abs(f) >= 1<<53 {
+			return false
+		}
+		x = int64(f)
+	default:
+		return false
+	}
+	if s.set != nil {
+		_, ok := s.set[x]
+		return ok
+	}
+	return slices.Contains(s.ids, x)
+}
+
 func firstErr(errs ...error) error {
 	for _, err := range errs {
 		if err != nil {
@@ -445,7 +514,8 @@ func (e *Engine) compileBinary(q *queryState, sc *scope, v *sql.Binary) (compile
 // the argument vector; every other function is looked up once, here
 // (scalarFunc).
 func (e *Engine) compileFunc(q *queryState, sc *scope, v *sql.FuncCall) (compiledExpr, error) {
-	if slot, ok := sc.aggs[v]; ok {
+	if i := slices.Index(sc.aggs, v); i >= 0 {
+		slot := sc.aggBase + i
 		return func(row []rel.Value) (rel.Value, error) { return row[slot], nil }, nil
 	}
 	name := strings.ToUpper(v.Name)

@@ -47,6 +47,13 @@ func TestCompileTotal(t *testing.T) {
 		{x: age + " IS NULL"}, {x: age + " IS NOT NULL"}, {x: "VID BETWEEN 2 AND 3"}, {x: age + " NOT BETWEEN 28 AND 40"},
 		{x: "VID IN (1, 3)"}, {x: "VID IN (1, 2.0, 'x')"}, {x: age + " NOT IN (27, NULL)"}, {x: "VID IN (" + age + " - 28, 3)"},
 		{x: "VID IN (?, ?)", args: []any{2, 4}},
+		// an id list bound to the one parameter of IN (?): a few ids are compared, many go through a hash set
+		{x: "VID IN (?)", args: []any{[]int64{2, 4}}}, {x: "VID NOT IN (?)", args: []any{[]int64{2, 4}}},
+		{x: "VID IN (?)", args: []any{[]int64{9, 8, 7, 6, 5, 4, 3, 12, 11, 10}}}, {x: "VID IN (?)", args: []any{[]int64{}}},
+		{x: "VID / 2.0 IN (?)", args: []any{[]int64{1, 2}}}, {x: age + " IN (?)", args: []any{[]int64{29}}}, {x: name + " IN (?)", args: []any{[]int64{1}}},
+		{x: "VID IN (?)", args: []any{3}},
+		{x: "VID = ?", args: []any{[]int64{1}}, err: "parameter 1 is an id list"},
+		{x: "VID IN (?, ?)", args: []any{[]int64{1}, 2}, err: "parameter 1 is an id list"},
 		// InSubquery, Exists, ScalarSubquery
 		{x: "VID IN (SELECT OUTV FROM EA)"}, {x: "VID NOT IN (SELECT INV FROM EA)"}, {x: age + " IN (SELECT 29)"},
 		{x: "EXISTS (SELECT 1 FROM EA WHERE INV = 4)"}, {x: "NOT EXISTS (SELECT 1 FROM EA WHERE INV = 4)"},

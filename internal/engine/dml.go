@@ -22,11 +22,11 @@ func (e *Engine) Exec(sqlText string, params ...any) (int, error) {
 func (e *Engine) ExecStmt(stmt sql.Statement, params ...any) (int, error) {
 	switch s := stmt.(type) {
 	case *sql.InsertStmt:
-		return e.execInsert(s, toValues(params))
+		return e.execInsert(s, toArgs(params))
 	case *sql.UpdateStmt:
-		return e.execUpdate(s, toValues(params))
+		return e.execUpdate(s, toArgs(params))
 	case *sql.DeleteStmt:
-		return e.execDelete(s, toValues(params))
+		return e.execDelete(s, toArgs(params))
 	case *sql.CreateTableStmt:
 		return 0, e.execCreateTable(s)
 	case *sql.CreateIndexStmt:
@@ -144,7 +144,7 @@ func tableCols(t *rel.Table, alias string) []colInfo {
 	return cols
 }
 
-func (e *Engine) execInsert(s *sql.InsertStmt, params []rel.Value) (int, error) {
+func (e *Engine) execInsert(s *sql.InsertStmt, params []Arg) (int, error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return 0, fmt.Errorf("engine: insert into unknown table %s", s.Table)
@@ -223,7 +223,7 @@ func (e *Engine) execInsert(s *sql.InsertStmt, params []rel.Value) (int, error) 
 	return n, nil
 }
 
-func (e *Engine) execUpdate(s *sql.UpdateStmt, params []rel.Value) (int, error) {
+func (e *Engine) execUpdate(s *sql.UpdateStmt, params []Arg) (int, error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return 0, fmt.Errorf("engine: update of unknown table %s", s.Table)
@@ -285,7 +285,7 @@ func (e *Engine) execUpdate(s *sql.UpdateStmt, params []rel.Value) (int, error) 
 	return len(changes), nil
 }
 
-func (e *Engine) execDelete(s *sql.DeleteStmt, params []rel.Value) (int, error) {
+func (e *Engine) execDelete(s *sql.DeleteStmt, params []Arg) (int, error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return 0, fmt.Errorf("engine: delete from unknown table %s", s.Table)

@@ -213,9 +213,26 @@ func (e *Engine) QueryStmtAt(sel *sql.SelectStmt, asOf rel.Version, params ...an
 
 // QueryStmtHintedAt executes an already-parsed SELECT at a snapshot
 // version with graph-level cardinality hints: hints maps CTE names to the
-// translator's estimated row counts, which the planner folds into join
-// costing and EXPLAIN ANALYZE reports as est= on cte lines.
+// translator's estimated row counts, which EXPLAIN ANALYZE reports as
+// est= on cte lines.
 func (e *Engine) QueryStmtHintedAt(sel *sql.SelectStmt, asOf rel.Version, hints map[string]float64, params ...any) (*Rows, error) {
+	return e.QueryStmtArgsAt(sel, asOf, hints, toArgs(params))
+}
+
+// Arg is one argument of an execution, read by the statement's ?
+// parameters: a value, or — where the statement says x IN (?) — a list
+// of ids. Arguments live in the execution's own state: the statement and
+// the plans cached for it are shared by concurrent executions and never
+// hold one (DESIGN.md §8).
+type Arg struct {
+	Val rel.Value
+	IDs []int64 // non-nil: an id list, and Val is unused
+}
+
+// QueryStmtArgsAt is QueryStmtHintedAt with the arguments already in the
+// engine's form. sel is only read: any number of executions, each with
+// arguments of its own, may share it.
+func (e *Engine) QueryStmtArgsAt(sel *sql.SelectStmt, asOf rel.Version, hints map[string]float64, args []Arg) (*Rows, error) {
 	tables := e.baseTablesOf(sel)
 	unlock := e.rlockAll(tables)
 	defer unlock()
@@ -223,7 +240,7 @@ func (e *Engine) QueryStmtHintedAt(sel *sql.SelectStmt, asOf rel.Version, hints 
 	opts := e.ExecOptionsInEffect()
 	q := &queryState{
 		ctes:      map[string]*relation{},
-		params:    toValues(params),
+		params:    args,
 		par:       opts.Parallelism,
 		force:     opts.ForceJoin,
 		asOf:      asOf,
@@ -244,10 +261,17 @@ func (e *Engine) QueryStmtHintedAt(sel *sql.SelectStmt, asOf rel.Version, hints 
 	return &Rows{Columns: cols, Data: r.rows, Stats: q.stats}, nil
 }
 
-func toValues(params []any) []rel.Value {
-	out := make([]rel.Value, len(params))
+func toArgs(params []any) []Arg {
+	if len(params) == 0 {
+		return nil
+	}
+	out := make([]Arg, len(params))
 	for i, p := range params {
-		out[i] = rel.FromAny(p)
+		if ids, ok := p.([]int64); ok {
+			out[i] = Arg{IDs: ids}
+		} else {
+			out[i] = Arg{Val: rel.FromAny(p)}
+		}
 	}
 	return out
 }

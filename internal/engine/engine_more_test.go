@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"sqlgraph/internal/rel"
@@ -367,4 +370,54 @@ func TestSubqueryMemoization(t *testing.T) {
 	if got != 50 {
 		t.Fatalf("memoized in = %d", got)
 	}
+}
+
+// TestIDListParam: x IN (?) bound to an id list reads like the list written
+// out — same rows, same index access path, one probe per id — for a short
+// list and for one past the hash-set threshold, and numbered parameters
+// let one argument be read twice.
+func TestIDListParam(t *testing.T) {
+	e := newTestEngine(t)
+	seedGraph(t, e)
+	for _, ids := range [][]int64{{1, 3}, {4}, {99}, {12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2}} {
+		parts := make([]string, len(ids))
+		for i, id := range ids {
+			parts[i] = fmt.Sprint(id)
+		}
+		for _, q := range []string{
+			"SELECT VID FROM VA WHERE VID IN (%s)",
+			"SELECT P.OUTV FROM VA V, EA P WHERE P.INV = V.VID AND V.VID IN (%s) AND P.LBL <> 'likes'",
+			"SELECT EID FROM EA WHERE INV NOT IN (%s)",
+		} {
+			lit, err := e.Query(fmt.Sprintf(q, strings.Join(parts, ", ")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := e.Query(fmt.Sprintf(q, "?"), ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(lit.Data, par.Data) {
+				t.Fatalf("%s with %v: %v, written out: %v", q, ids, par.Data, lit.Data)
+			}
+			if len(lit.Stats.Scans) == 0 || !reflect.DeepEqual(scanShapes(lit), scanShapes(par)) {
+				t.Fatalf("%s with %v: scans %v, written out: %v", q, ids, scanShapes(par), scanShapes(lit))
+			}
+		}
+	}
+	r, err := e.Query("SELECT VID FROM VA WHERE VID IN (?1) AND VID + 0 IN (?1) AND VID < ?2", []int64{1, 2, 4}, 4)
+	if err != nil || len(r.Data) != 2 {
+		t.Fatalf("numbered parameters: %v, %v", r, err)
+	}
+	if r.Stats.Scans[0].Access != "index-in" || r.Stats.Scans[0].RowsIn != 3 {
+		t.Fatalf("IN (?) over the primary key: %+v, want 3 rows probed through the index", r.Stats.Scans[0])
+	}
+}
+
+func scanShapes(r *Rows) []string {
+	var out []string
+	for _, s := range r.Stats.Scans {
+		out = append(out, fmt.Sprintf("%s %s in=%d out=%d", s.Table, s.Access, s.RowsIn, s.RowsOut))
+	}
+	return out
 }

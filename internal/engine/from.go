@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"sqlgraph/internal/rel"
@@ -29,18 +30,27 @@ func splitConjuncts(e sql.Expr, out []*conjunct) []*conjunct {
 }
 
 // exprRefs collects the qualified columns (and their table aliases) and
-// the bare column names an expression references.
+// the bare column names an expression references. An expression names a
+// few columns at most and most name none (a literal or parameter
+// operand), so the sets are slices, empty until something is added.
 type exprRefs struct {
-	qualified map[string]bool  // table aliases
-	cols      map[colInfo]bool // qualified column references
-	bare      map[string]bool  // unqualified column names
+	qualified []string  // table aliases
+	cols      []colInfo // qualified column references
+	bare      []string  // unqualified column names
 }
 
 // reads reports whether the expression may read the column: a qualified
 // reference names it exactly, a bare one matches it by name under any
 // alias (so a name two tables share stays ambiguous downstream too).
 func (r *exprRefs) reads(c colInfo) bool {
-	return r.bare[c.name] || r.cols[c]
+	return slices.Contains(r.bare, c.name) || slices.Contains(r.cols, c)
+}
+
+func addOnce[T comparable](set []T, x T) []T {
+	if slices.Contains(set, x) {
+		return set
+	}
+	return append(set, x)
 }
 
 func collectRefs(e sql.Expr, r *exprRefs) {
@@ -48,10 +58,10 @@ func collectRefs(e sql.Expr, r *exprRefs) {
 	case nil:
 	case *sql.ColumnRef:
 		if v.Table != "" {
-			r.qualified[v.Table] = true
-			r.cols[colInfo{table: v.Table, name: v.Column}] = true
+			r.qualified = addOnce(r.qualified, v.Table)
+			r.cols = addOnce(r.cols, colInfo{table: v.Table, name: v.Column})
 		} else {
-			r.bare[v.Column] = true
+			r.bare = addOnce(r.bare, v.Column)
 		}
 	case *sql.Literal, *sql.Param:
 	case *sql.Unary:
@@ -97,35 +107,28 @@ func collectRefs(e sql.Expr, r *exprRefs) {
 	}
 }
 
-func newExprRefs() *exprRefs {
-	return &exprRefs{qualified: map[string]bool{}, cols: map[colInfo]bool{}, bare: map[string]bool{}}
-}
-
 func refsOf(e sql.Expr) *exprRefs {
-	r := newExprRefs()
+	r := &exprRefs{}
 	collectRefs(e, r)
 	return r
 }
 
 // resolvableIn reports whether every column the expression references can
 // be resolved in the scope.
-func resolvableIn(e sql.Expr, sc *scope) bool { return refsOf(e).resolvableIn(sc) }
+func resolvableIn(e sql.Expr, sc *scope) bool {
+	var r exprRefs
+	collectRefs(e, &r)
+	return r.resolvableIn(sc)
+}
 
 func (r *exprRefs) resolvableIn(sc *scope) bool {
-	for alias := range r.qualified {
-		found := false
-		for _, c := range sc.cols {
-			if c.table == alias {
-				found = true
-				break
-			}
-		}
-		if !found {
+	for _, alias := range r.qualified {
+		if !slices.ContainsFunc(sc.cols, func(c colInfo) bool { return c.table == alias }) {
 			return false
 		}
 	}
-	for name := range r.bare {
-		if len(sc.byName[name]) == 0 {
+	for _, name := range r.bare {
+		if !sc.has(name) {
 			return false
 		}
 	}
@@ -136,17 +139,13 @@ func (r *exprRefs) resolvableIn(sc *scope) bool {
 // single alias (and nothing else). Bare names are accepted when they
 // resolve within the alias's column set.
 func (r *exprRefs) onlyReferences(alias string, cols []colInfo) bool {
-	for a := range r.qualified {
+	for _, a := range r.qualified {
 		if a != alias {
 			return false
 		}
 	}
-	names := map[string]bool{}
-	for _, c := range cols {
-		names[c.name] = true
-	}
-	for name := range r.bare {
-		if !names[name] {
+	for _, name := range r.bare {
+		if !slices.ContainsFunc(cols, func(c colInfo) bool { return c.name == name }) {
 			return false
 		}
 	}
@@ -157,7 +156,14 @@ func (r *exprRefs) onlyReferences(alias string, cols []colInfo) bool {
 // (literals, params, and functions of those) and no group: COUNT(*) names
 // no column but is not a constant.
 func isConstExpr(e sql.Expr) bool {
-	r := refsOf(e)
+	switch e.(type) {
+	case *sql.Literal, *sql.Param:
+		return true
+	case *sql.ColumnRef:
+		return false
+	}
+	var r exprRefs
+	collectRefs(e, &r)
 	return len(r.qualified) == 0 && len(r.bare) == 0 && len(collectAggCalls(e, nil)) == 0
 }
 

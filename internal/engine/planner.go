@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math"
+	"math/bits"
+	"sync"
 
 	"sqlgraph/internal/rel"
 	"sqlgraph/internal/sql"
@@ -144,28 +146,20 @@ func (e *Engine) planFrom(q *queryState, sel *sql.SimpleSelect, conjs []*conjunc
 	if q.forcePlan == 0 && q.provider == nil {
 		return nil
 	}
-	ver, cacheable := uint64(0), false
-	if vp, ok := q.provider.(StatsVersioner); ok && len(q.params) == 0 {
-		// Params fold into selectivities, so parameterized executions
-		// are planned fresh each time.
-		ver, cacheable = vp.StatsVersion(), true
+	vp, cacheable := q.provider.(StatsVersioner)
+	if !cacheable {
+		return e.planFromFresh(q, sel, conjs)
 	}
-	var sig uint64
-	if cacheable {
-		sig = hintsSig(q.hints)
-		if c, ok := e.planCache.Load(sel); ok {
-			ce := c.(*planCacheEntry)
-			if ce.version == ver && ce.asOf == q.asOf && ce.forcePlan == q.forcePlan && ce.hintsSig == sig {
-				e.planHits.Add(1)
-				return ce.plan
-			}
-			e.planInvalidations.Add(1)
-		} else {
-			e.planMisses.Add(1)
+	stamp := planStamp{version: vp.StatsVersion(), asOf: q.asOf, forcePlan: q.forcePlan, bind: e.bindSig(q, sel)}
+	c, cached := e.planCache.Load(sel)
+	if cached {
+		if plan, ok := c.(*planCacheEntry).lookup(stamp); ok {
+			e.planHits.Add(1)
+			return plan
 		}
-	}
-	plan := e.planFromFresh(q, sel, conjs)
-	if cacheable {
+		e.planInvalidations.Add(1)
+	} else {
+		e.planMisses.Add(1)
 		// Entries are keyed by statement node and outlive the statement, so
 		// the cache is emptied past maxCachedPlans: plans of statements
 		// still prepared come back on their next execution, those of
@@ -174,50 +168,185 @@ func (e *Engine) planFrom(q *queryState, sel *sql.SimpleSelect, conjs []*conjunc
 			e.planCache.Range(func(k, _ any) bool { e.planCache.Delete(k); return true })
 			e.planCacheLen.Store(1)
 		}
-		e.planCache.Store(sel, &planCacheEntry{version: ver, asOf: q.asOf, forcePlan: q.forcePlan, hintsSig: sig, plan: plan})
+		c, _ = e.planCache.LoadOrStore(sel, &planCacheEntry{})
 	}
+	plan := e.planFromFresh(q, sel, conjs)
+	c.(*planCacheEntry).store(stamp, plan)
 	return plan
 }
 
 // StatsVersioner is optionally implemented by a StatsProvider. When
-// present, each SELECT core's plan is cached on the statement node,
-// stamped with (stats version, as-of version, ForcePlan, hints
-// signature); repeated executions of a prepared statement then skip
-// enumeration and costing until a write or rebuild advances the
-// version. The plan and its steps are never mutated after planning, so
-// one cached plan may serve concurrent executions.
+// present, each SELECT core's plans are cached on the statement node,
+// one per stamp; repeated executions of a prepared statement then skip
+// enumeration and costing until a write or rebuild advances the version
+// or an execution's arguments move it to another stamp. A plan and its
+// steps are never mutated after planning and hold nothing of the
+// execution that planned them, so one cached plan may serve concurrent
+// executions with different arguments.
 type StatsVersioner interface {
 	// StatsVersion advances whenever any tracked statistic may change.
 	StatsVersion() uint64
 }
 
-// maxCachedPlans bounds the plan cache (one entry per SELECT core, a
-// handful per statement).
-const maxCachedPlans = 1 << 14
+const (
+	// maxCachedPlans bounds the plan cache (one entry per SELECT core, a
+	// handful per statement).
+	maxCachedPlans = 1 << 14
+	// maxPlanVariants bounds the plans kept for one core: enough for the
+	// magnitudes a statement's bindings spread over and for a live reader
+	// beside pinned snapshots; the oldest goes first.
+	maxPlanVariants = 8
+)
 
-// planCacheEntry is one cached planFrom result (plan may be nil: "this
-// core is not plannable" is itself worth caching).
-type planCacheEntry struct {
+// planStamp is what a cached plan was made under. Beside the statistics,
+// the snapshot and ForcePlan, that is what the execution's arguments can
+// change (bindSig): the plan is reused by every binding that agrees on it.
+type planStamp struct {
 	version   uint64
 	asOf      rel.Version
 	forcePlan int
-	hintsSig  uint64
-	plan      *fromPlan
+	bind      uint64
 }
 
-// hintsSig folds the per-CTE cardinality hints into an order-independent
-// signature for the plan-cache stamp.
-func hintsSig(hints map[string]float64) uint64 {
-	var sig uint64 = 0xcbf29ce484222325
-	for k, v := range hints {
-		h := uint64(0xcbf29ce484222325)
-		for i := 0; i < len(k); i++ {
-			h = (h ^ uint64(k[i])) * 0x100000001b3
+// planCacheEntry holds the plans cached for one SELECT core, newest first
+// (a plan may be nil: "this core is not plannable" is itself worth
+// caching).
+type planCacheEntry struct {
+	mu       sync.Mutex
+	variants []planVariant
+}
+
+type planVariant struct {
+	stamp planStamp
+	plan  *fromPlan
+}
+
+func (ce *planCacheEntry) lookup(stamp planStamp) (*fromPlan, bool) {
+	ce.mu.Lock()
+	defer ce.mu.Unlock()
+	for _, v := range ce.variants {
+		if v.stamp == stamp {
+			return v.plan, true
 		}
-		h = (h ^ math.Float64bits(v)) * 0x100000001b3
-		sig ^= h
+	}
+	return nil, false
+}
+
+func (ce *planCacheEntry) store(stamp planStamp, plan *fromPlan) {
+	ce.mu.Lock()
+	defer ce.mu.Unlock()
+	if len(ce.variants) < maxPlanVariants {
+		ce.variants = append(ce.variants, planVariant{})
+	}
+	copy(ce.variants[1:], ce.variants)
+	ce.variants[0] = planVariant{stamp: stamp, plan: plan}
+}
+
+// magnitude is the order of magnitude a plan is cached under: ⌊log₂(n+1)⌋.
+func magnitude(n float64) uint64 {
+	if n < 0 {
+		n = 0
+	}
+	return uint64(bits.Len64(uint64(n)+1) - 1)
+}
+
+// bindSig folds into one word what this execution's arguments can change
+// about the core's plan, each to its order of magnitude: the actual row
+// count of every CTE the FROM clause reads (stored by settlePlanInputs —
+// the planner costs a CTE input by its count, and V(2 ids) must not share
+// a join strategy with V(12 960 ids)); the length of an id list bound to
+// x IN (?); and, for a parameter compared with a base-table column, the
+// rows the statistics expect the predicate to keep, with the comparison's
+// kind — a unique-index equality never shares a plan with a range that
+// keeps half the table. A core with one FROM item has no plan to vary.
+func (e *Engine) bindSig(q *queryState, sel *sql.SimpleSelect) uint64 {
+	if len(sel.From) < 2 {
+		return 0
+	}
+	sig := uint64(0xcbf29ce484222325)
+	for i := range sel.From {
+		if cte, ok := q.ctes[sel.From[i].Table]; ok {
+			sig = foldSig(sig, uint64(i)<<8|magnitude(float64(len(cte.rows))))
+		}
+	}
+	return e.bindSigWhere(q, sel, sel.Where, sig)
+}
+
+func foldSig(sig, x uint64) uint64 { return (sig ^ x) * 0x100000001b3 }
+
+// bindSigWhere folds the parameterised terms of a WHERE clause into sig.
+func (e *Engine) bindSigWhere(q *queryState, sel *sql.SimpleSelect, x sql.Expr, sig uint64) uint64 {
+	switch v := x.(type) {
+	case *sql.Binary:
+		if v.Op == "AND" {
+			return e.bindSigWhere(q, sel, v.R, e.bindSigWhere(q, sel, v.L, sig))
+		}
+		col, op := v.L, v.Op
+		p, ok := v.R.(*sql.Param)
+		if !ok {
+			col, op = v.R, flipCmp(v.Op)
+			p, ok = v.L.(*sql.Param)
+		}
+		if !ok {
+			return sig
+		}
+		if val, ok := plannerConstValue(q, p); ok {
+			if rows, ok := e.paramRows(q, sel, col, op, val); ok {
+				sig = foldSig(sig, uint64(op[0])<<8|magnitude(rows))
+			}
+		}
+	case *sql.InList:
+		if ids, ok := q.idList(v); ok {
+			sig = foldSig(sig, 'I'<<8|magnitude(float64(len(ids))))
+		}
 	}
 	return sig
+}
+
+// paramRows estimates the rows of a base table of the core that col op val
+// keeps, when col is a column of one and the statistics answer.
+func (e *Engine) paramRows(q *queryState, sel *sql.SimpleSelect, col sql.Expr, op string, val rel.Value) (float64, bool) {
+	cr, ok := col.(*sql.ColumnRef)
+	if !ok {
+		return 0, false
+	}
+	for i := range sel.From {
+		ref := &sel.From[i]
+		alias := ref.Alias
+		if alias == "" {
+			alias = ref.Table
+		}
+		if _, isCTE := q.ctes[ref.Table]; isCTE || ref.Table == "" || cr.Table != "" && cr.Table != alias {
+			continue
+		}
+		t, ok := e.cat.Table(ref.Table)
+		if !ok {
+			continue
+		}
+		ord := t.Schema().Ordinal(cr.Column)
+		if ord < 0 {
+			continue
+		}
+		rows := float64(t.LiveLocked()) // the engine holds the table's read lock
+		switch op {
+		case "=":
+			if q.provider.GroupColumn(ref.Table) == ord {
+				if cnt, ok := q.provider.GroupCount(ref.Table, val); ok {
+					return float64(cnt), true
+				}
+			}
+			s, ok := q.provider.SelEq(ref.Table, ord, val)
+			return s * rows, ok
+		case ">", ">=":
+			s, ok := q.provider.SelRange(ref.Table, ord, &val, nil)
+			return s * rows, ok
+		case "<", "<=":
+			s, ok := q.provider.SelRange(ref.Table, ord, nil, &val)
+			return s * rows, ok
+		}
+		return 0, false
+	}
+	return 0, false
 }
 
 // planFromFresh is planFrom without the cache: it classifies the
@@ -256,7 +385,7 @@ func (e *Engine) planFromFresh(q *queryState, sel *sql.SimpleSelect, conjs []*co
 	// Pushdown classifies bare column names by membership in the current
 	// right side's column set, so a bare name two core relations could
 	// claim makes reordering unsafe.
-	for name := range collectBareNames(sel, conjs) {
+	for _, name := range collectBareNames(sel, conjs) {
 		owners := 0
 		for _, r := range rels {
 			if _, ok := r.ords[name]; ok {
@@ -354,8 +483,8 @@ func (e *Engine) buildPlanRel(q *queryState, ref sql.TableRef) *planRel {
 // collectBareNames gathers every unqualified column name the pushdown
 // machinery could classify: WHERE conjuncts plus the ON clauses and
 // lateral VALUES cells of every FROM item.
-func collectBareNames(sel *sql.SimpleSelect, conjs []*conjunct) map[string]bool {
-	r := newExprRefs()
+func collectBareNames(sel *sql.SimpleSelect, conjs []*conjunct) []string {
+	r := &exprRefs{}
 	for _, c := range conjs {
 		collectRefs(c.expr, r)
 	}
@@ -417,8 +546,8 @@ func plannerConstValue(q *queryState, x sql.Expr) (rel.Value, bool) {
 	case *sql.Literal:
 		return rel.FromAny(v.Val), true
 	case *sql.Param:
-		if v.Index >= 1 && v.Index <= len(q.params) {
-			return q.params[v.Index-1], true
+		if v.Index < len(q.params) && q.params[v.Index].IDs == nil {
+			return q.params[v.Index].Val, true
 		}
 	}
 	return rel.Null, false
@@ -526,18 +655,27 @@ func (e *Engine) conjSelectivity(q *queryState, r *planRel, x sql.Expr) float64 
 			return r.genericSel()
 		}
 		ord := relColOrd(r, v.X)
+		// The first member's selectivity stands for each of them, whether
+		// the list is written out or bound to the parameter as an id list.
+		n := len(v.List)
+		first, haveFirst := rel.Null, false
+		if ids, ok := q.idList(v); ok {
+			if n = len(ids); n > 0 {
+				first, haveFirst = rel.NewInt(ids[0]), true
+			}
+		} else if n > 0 {
+			first, haveFirst = plannerConstValue(q, v.List[0])
+		}
 		per := selEqDefault
-		if ord >= 0 && r.base != nil && prov != nil && len(v.List) > 0 {
-			if val, ok := plannerConstValue(q, v.List[0]); ok {
-				if s, ok := prov.SelEq(r.table, ord, val); ok {
-					per = s
-				}
+		if haveFirst && ord >= 0 && r.base != nil && prov != nil {
+			if s, ok := prov.SelEq(r.table, ord, first); ok {
+				per = s
 			}
 		}
 		if ord >= 0 {
 			r.eqOrds = append(r.eqOrds, ord)
 		}
-		s := float64(len(v.List)) * per
+		s := float64(n) * per
 		if s > 1 {
 			s = 1
 		}

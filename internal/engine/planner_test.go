@@ -255,12 +255,16 @@ func TestPlannerEnumerationBounds(t *testing.T) {
 	}
 }
 
-// TestPlanCacheBounded: plans are keyed by statement node, so statements
-// that are parsed, run once and dropped must not accumulate.
+// TestPlanCacheBounded: plans are keyed by statement node, so a client
+// that mints statements — here a key that never repeats, which the layer
+// above cannot fold into one shape — must not accumulate them; and one
+// statement executed with arguments of every magnitude holds a bounded
+// number of plans.
 func TestPlanCacheBounded(t *testing.T) {
 	e := newPlannerEngine(t, 50)
 	for i := 0; i < maxCachedPlans+10; i++ {
-		if _, err := e.Query(plannerQuery); err != nil { // a fresh AST, so a fresh cache key, each time
+		minted := fmt.Sprintf("SELECT BIG.V, BIG.K AS K%d FROM BIG, SMALL WHERE BIG.K = SMALL.K AND SMALL.ID = 3 ORDER BY BIG.V", i)
+		if _, err := e.Query(minted); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,5 +285,103 @@ func TestPlanCacheBounded(t *testing.T) {
 	}
 	if got := e.PlanCacheStats().Hits - before; got != 2 {
 		t.Fatalf("prepared statement after the cache was emptied: %d plan-cache hits in 3 runs, want 2", got)
+	}
+
+	// One statement, id lists of every order of magnitude.
+	bound, err := e.Prepare("SELECT BIG.V FROM BIG, SMALL WHERE BIG.K = SMALL.K AND SMALL.ID IN (?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 1<<(maxPlanVariants+4); n *= 2 {
+		ids := make([]int64, n)
+		for i := range ids {
+			ids[i] = int64(i % 10)
+		}
+		r, err := bound.Query(ids)
+		if err != nil || len(r.Data) != 1 { // SMALL's row 0 is the one with a partner in BIG
+			t.Fatalf("IN (?) with %d ids: %v rows, %v", n, r, err)
+		}
+	}
+	c, ok := e.planCache.Load(bound.sel.Body)
+	if !ok {
+		t.Fatal("no plans cached for the bound statement")
+	}
+	if got := len(c.(*planCacheEntry).variants); got != maxPlanVariants {
+		t.Fatalf("%d plans held for one core after %d magnitudes of arguments, cap %d", got, maxPlanVariants+5, maxPlanVariants)
+	}
+}
+
+// TestPlannerParamSelectivity: a parameter is folded into a selectivity
+// like the literal it stands for. sql.Param.Index counts from 0; the
+// planner used to read params[Index-1], so a statement's first ? was
+// never folded and every later one was estimated from its neighbour's
+// value.
+func TestPlannerParamSelectivity(t *testing.T) {
+	e := New(rel.NewCatalog())
+	mustExec := func(q string, args ...any) {
+		t.Helper()
+		if _, err := e.Exec(q, args...); err != nil {
+			t.Fatalf("Exec(%s): %v", q, err)
+		}
+	}
+	mustExec("CREATE TABLE T (A BIGINT, B BIGINT)")
+	mustExec("CREATE UNIQUE INDEX T_A ON T (A)")
+	mustExec("CREATE TABLE U (K BIGINT, W BIGINT)")
+	coll := stats.NewCollection(e.Catalog(), stats.Config{Tables: []stats.TableSpec{
+		{Name: "T", NDVCols: []int{0, 1}, GroupCol: 1}, // B partitions T: 3 values, skewed
+		{Name: "U", NDVCols: []int{0}, GroupCol: -1},
+	}})
+	e.Catalog().SetChangeObserver(coll)
+	e.SetStatsProvider(coll)
+	for i := 0; i < 1000; i++ {
+		b := 0
+		switch {
+		case i%20 == 0:
+			b = 2
+		case i%4 == 1:
+			b = 1
+		}
+		mustExec("INSERT INTO T VALUES (?, ?)", int64(i), int64(b))
+		mustExec("INSERT INTO U VALUES (?, ?)", int64(i%50), int64(i))
+	}
+	estimates := func(r *Rows) string {
+		var sb strings.Builder
+		for _, s := range r.Stats.Scans {
+			fmt.Fprintf(&sb, "scan %s %s est=%d; ", s.Table, s.Access, s.EstRows)
+		}
+		for _, j := range r.Stats.Joins {
+			fmt.Fprintf(&sb, "join %s %s est=%d cost=%.1f; ", j.Table, j.Strategy, j.EstRows, j.EstCost)
+		}
+		return sb.String()
+	}
+	for _, c := range []struct {
+		literal, param string
+		args           []any
+	}{
+		{"SELECT U.W FROM T, U WHERE T.A = 40 AND T.B = 2 AND U.K = T.A",
+			"SELECT U.W FROM T, U WHERE T.A = ? AND T.B = ? AND U.K = T.A", []any{int64(40), int64(2)}},
+		{"SELECT U.W FROM T, U WHERE T.B = 1 AND T.A = 5 AND U.K = T.A",
+			"SELECT U.W FROM T, U WHERE T.B = ? AND T.A = ? AND U.K = T.A", []any{int64(1), int64(5)}},
+		{"SELECT U.W FROM T, U WHERE T.B = 2 AND U.K = T.A",
+			"SELECT U.W FROM T, U WHERE T.B = ? AND U.K = T.A", []any{int64(2)}},
+	} {
+		lit, err := e.Query(c.literal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := e.Query(c.param, c.args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(lit.Data, par.Data) {
+			t.Fatalf("%s: rows differ from the literal statement's", c.param)
+		}
+		want, got := estimates(lit), estimates(par)
+		if want == "" || !strings.Contains(want, "est=") {
+			t.Fatalf("%s: no estimates recorded: %q", c.literal, want)
+		}
+		if got != want {
+			t.Fatalf("%s with %v:\n  estimates %s\n  literal   %s", c.param, c.args, got, want)
+		}
 	}
 }

@@ -26,7 +26,7 @@ type colNeeds struct {
 // order, where its WHERE terms and on the ON terms of its explicit JOINs,
 // per FROM item and JOIN clause.
 func newColNeeds(sel *sql.SimpleSelect, refs []sql.TableRef, where []*conjunct, on [][][]*conjunct) *colNeeds {
-	n := &colNeeds{fixed: newExprRefs(), pending: where}
+	n := &colNeeds{fixed: &exprRefs{}, pending: where}
 	for _, item := range sel.Items {
 		switch {
 		case item.Star && item.Table == "":

@@ -13,6 +13,7 @@ type accessPath struct {
 	index    *rel.Index
 	kind     accessKind
 	keys     [][]rel.Value // one probe key per entry (eq: 1, in: n)
+	ids      []int64       // in, from a bound id list: one probe per id, keys unused
 	lo, hi   rel.Value
 	loInc    bool
 	hiInc    bool
@@ -158,7 +159,10 @@ func (e *Engine) chooseAccessPath(q *queryState, t *rel.Table, alias string, con
 			}
 		case *sql.InList:
 			if !v.Not && inPath == nil {
-				if ix := matchIndexExpr(t, alias, v.X, q.asOf); ix != nil {
+				ix := matchIndexExpr(t, alias, v.X, q.asOf)
+				if ids, ok := q.idList(v); ok && ix != nil {
+					inPath = &accessPath{index: ix, kind: accessIn, ids: ids, consumed: c}
+				} else if ix != nil {
 					allConst := true
 					keys := make([][]rel.Value, 0, len(v.List))
 					for _, item := range v.List {
@@ -239,12 +243,21 @@ func accessCost(prov StatsProvider, t *rel.Table, p *accessPath) float64 {
 	switch p.kind {
 	case accessEq, accessIn:
 		known = true
+		unique := p.index.Unique() && len(p.index.ColumnOrdinals()) == 1
 		for _, key := range p.keys {
 			s, ok := prov.SelEq(table, ord, key[0])
-			if p.index.Unique() && len(p.index.ColumnOrdinals()) == 1 {
+			if unique {
 				s, ok = 1/math.Max(rows, 1), true // exact, where an NDV sketch saturates
 			}
 			sel, known = sel+s, known && ok
+		}
+		if n := float64(len(p.ids)); n > 0 && unique {
+			sel = n / math.Max(rows, 1)
+		} else if n > 0 {
+			// As the planner costs an IN list: the first id's selectivity
+			// for each of them.
+			s, ok := prov.SelEq(table, ord, rel.NewInt(p.ids[0]))
+			sel, known = n*s, ok
 		}
 	case accessRange:
 		if p.hi.IsNull() && p.loInc && p.lo.Kind() == rel.KindInt && p.lo.Int() == 0 {
@@ -270,7 +283,7 @@ func accessCost(prov StatsProvider, t *rel.Table, p *accessPath) float64 {
 	}
 	// Hedged like the join strategies: the full scan must be predicted a
 	// fifth cheaper before it displaces an index path.
-	return strategyHedge * (costProbe*float64(max(len(p.keys), 1)) + math.Min(sel, 1)*rows*costIndexRow)
+	return strategyHedge * (costProbe*float64(max(len(p.keys)+len(p.ids), 1)) + math.Min(sel, 1)*rows*costIndexRow)
 }
 
 // accessName names an access path kind for ExecStats.
@@ -375,6 +388,14 @@ func (e *Engine) indexScan(q *queryState, t *rel.Table, cols []colInfo, sc *scop
 	case accessEq, accessIn:
 		for _, key := range path.keys {
 			t.ProbeAt(path.index, key, q.asOf, visit)
+			if emitErr != nil {
+				return nil, emitErr
+			}
+		}
+		var key [1]rel.Value
+		for _, id := range path.ids {
+			key[0] = rel.NewInt(id)
+			t.ProbeAt(path.index, key[:], q.asOf, visit)
 			if emitErr != nil {
 				return nil, emitErr
 			}

@@ -34,52 +34,57 @@ type relation struct {
 
 // scope resolves column references against a relation's columns and,
 // past a grouping, aggregate calls against the slots their results are in.
+// It resolves by scanning the columns: a Table-8 relation has a handful,
+// and a statement builds a dozen scopes per execution.
 type scope struct {
-	cols   []colInfo
-	byQual map[string]int
-	byName map[string][]int
-	aggs   map[*sql.FuncCall]int // row position of each aggregate call's result; nil outside HAVING and an aggregating select list
+	cols []colInfo
+	// Past a grouping (HAVING and an aggregating select list) the result
+	// of aggs[i] is at row position aggBase+i; nil anywhere else.
+	aggs    []*sql.FuncCall
+	aggBase int
 }
 
-func newScope(cols []colInfo) *scope {
-	s := &scope{cols: cols, byQual: map[string]int{}, byName: map[string][]int{}}
-	for i, c := range cols {
-		if c.table != "" {
-			s.byQual[c.table+"."+c.name] = i
-		}
-		s.byName[c.name] = append(s.byName[c.name], i)
-	}
-	return s
-}
+func newScope(cols []colInfo) *scope { return &scope{cols: cols} }
 
 // resolve returns the position of the referenced column.
 func (s *scope) resolve(table, col string) (int, error) {
 	if table != "" {
-		if i, ok := s.byQual[table+"."+col]; ok {
-			return i, nil
+		// The last of two columns with one qualified name wins.
+		for i := len(s.cols) - 1; i >= 0; i-- {
+			if s.cols[i].name == col && s.cols[i].table == table {
+				return i, nil
+			}
 		}
 		return -1, fmt.Errorf("engine: unknown column %s.%s", table, col)
 	}
-	positions := s.byName[col]
-	switch len(positions) {
-	case 0:
-		return -1, fmt.Errorf("engine: unknown column %s", col)
-	case 1:
-		return positions[0], nil
-	default:
-		// Ambiguity is tolerated when all candidates share the same table
-		// alias (duplicate projection); otherwise it is an error.
-		first := positions[0]
-		for _, p := range positions[1:] {
-			if s.cols[p].table != s.cols[first].table {
-				return -1, fmt.Errorf("engine: ambiguous column %s", col)
-			}
+	first := -1
+	for i := range s.cols {
+		switch {
+		case s.cols[i].name != col:
+		case first < 0:
+			first = i
+		case s.cols[i].table != s.cols[first].table:
+			// Ambiguity is tolerated when all candidates share the same table
+			// alias (duplicate projection); otherwise it is an error.
+			return -1, fmt.Errorf("engine: ambiguous column %s", col)
 		}
-		return first, nil
 	}
+	if first < 0 {
+		return -1, fmt.Errorf("engine: unknown column %s", col)
+	}
+	return first, nil
 }
 
-// tablesOf returns the set of table aliases a column belongs to.
+// has reports whether a column of that name is in scope, under any alias.
+func (s *scope) has(col string) bool {
+	for i := range s.cols {
+		if s.cols[i].name == col {
+			return true
+		}
+	}
+	return false
+}
+
 func (s *scope) String() string {
 	parts := make([]string, len(s.cols))
 	for i, c := range s.cols {

@@ -23,7 +23,7 @@ const maxRecursionIters = 10000
 // by the operator after its workers join).
 type queryState struct {
 	ctes     map[string]*relation
-	params   []rel.Value
+	params   []Arg                          // this execution's arguments; never stored in the statement or a cached plan
 	subs     map[*sql.SelectStmt]*subResult // results of the subqueries expressions hold
 	ioMisses int64                          // buffer-pool misses (atomic; morsel workers add concurrently)
 	par      int                            // morsel-parallelism budget (0 = GOMAXPROCS, 1 = serial)
@@ -37,7 +37,7 @@ type queryState struct {
 	// legacy syntactic path.
 	provider     StatsProvider      // optimizer statistics, nil = legacy planning
 	forcePlan    int                // ExecOptions.ForcePlan (0 auto, -1 syntactic, k>=1 pinned)
-	hints        map[string]float64 // graph-level CTE cardinality hints from the translator
+	hints        map[string]float64 // graph-level CTE cardinality hints from the translator (EXPLAIN's est= on cte lines)
 	scanEst      int64              // planner row estimate for the next base scan...
 	scanEstValid bool               // ...consumed (and reset) by scanBase
 }

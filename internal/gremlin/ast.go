@@ -7,6 +7,7 @@ package gremlin
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"sqlgraph/internal/gremlin/expr"
@@ -136,6 +137,12 @@ type Step struct {
 	StartKey string  // V('key', val)
 	StartVal any
 
+	// Arg is the position in Query.Args of the step's first argument: the
+	// id list or the value of a source, the value of has/filter or of an
+	// ifThenElse test, the low bound of interval (the high bound follows
+	// it). Meaningless for a step that carries none.
+	Arg int
+
 	// Branch payloads.
 	Test     *Predicate
 	Then     []Step
@@ -155,108 +162,216 @@ type Step struct {
 	ValueExpr  expr.Node
 }
 
+// Arg is one literal a query carries beside its shape: the id list of
+// V(...)/E(...), or the comparison value of V(key, v), has, interval, a
+// filter closure of the form it.key op literal, or an ifThenElse test of
+// that form.
+type Arg struct {
+	Val any     // int64, float64, string or bool; nil for an id list
+	IDs []int64 // the ids of V(...)/E(...)
+}
+
 // Query is a parsed Gremlin query: a pipeline rooted at a source step.
+//
+// Shape is the query with its arguments cut out: String() with a marker
+// in place of each Arg — ?* for an id list, ?i ?f ?s ?b for a value of
+// that kind — so g.V(1, 2).out and g.V(7, 8, 9).out share a shape, and
+// has('k', 1) and has('k', 'x') do not. Labels, property keys,
+// comparison operators, loop and range bounds and general closure
+// bodies are what a translation's structure depends on and stay in the
+// shape. Args holds the arguments in the order of their markers.
 type Query struct {
 	Steps []Step
 	Text  string // original query text
+	Shape string
+	Args  []Arg
 }
 
 // String reconstructs a canonical form of the query.
 func (q *Query) String() string {
 	var sb strings.Builder
-	sb.WriteString("g")
-	for i := range q.Steps {
-		sb.WriteByte('.')
-		sb.WriteString(formatStep(&q.Steps[i]))
-	}
+	q.write(&sb, nil)
 	return sb.String()
 }
 
-func formatStep(s *Step) string {
-	switch s.Kind {
-	case StepV, StepE:
-		name := s.Kind.String()
-		if len(s.StartIDs) > 0 {
-			return fmt.Sprintf("%s(%s)", name, joinIDs(s.StartIDs))
-		}
-		if s.StartKey != "" {
-			return fmt.Sprintf("%s(%s, %s)", name, quote(s.StartKey), formatVal(s.StartVal))
-		}
-		return name
-	case StepOut, StepIn, StepBoth, StepOutE, StepInE, StepBothE:
-		if len(s.Labels) == 0 {
-			return s.Kind.String()
-		}
-		parts := make([]string, len(s.Labels))
-		for i, l := range s.Labels {
-			parts[i] = quote(l)
-		}
-		return fmt.Sprintf("%s(%s)", s.Kind, strings.Join(parts, ", "))
-	case StepHas:
-		if s.Op == "" {
-			return fmt.Sprintf("has(%s)", quote(s.Key))
-		}
-		if s.Op == OpEq {
-			return fmt.Sprintf("has(%s, %s)", quote(s.Key), formatVal(s.Value))
-		}
-		return fmt.Sprintf("has(%s, T.%s, %s)", quote(s.Key), opToken(s.Op), formatVal(s.Value))
-	case StepHasNot:
-		return fmt.Sprintf("hasNot(%s)", quote(s.Key))
-	case StepInterval:
-		return fmt.Sprintf("interval(%s, %s, %s)", quote(s.Key), formatVal(s.Lo), formatVal(s.Hi))
-	case StepFilter:
-		if s.Key == "" && s.FilterExpr != nil {
-			return fmt.Sprintf("filter{%s}", s.FilterExpr)
-		}
-		if s.Op == "" && s.Value == nil {
-			return fmt.Sprintf("filter{it.%s}", s.Key) // existence test
-		}
-		return fmt.Sprintf("filter{it.%s %s %s}", s.Key, s.Op, formatVal(s.Value))
-	case StepRange:
-		return fmt.Sprintf("range(%v, %v)", s.Lo, s.Hi)
-	case StepProperty:
-		return s.Key
-	case StepBack:
-		if s.Name != "" {
-			return fmt.Sprintf("back(%s)", quote(s.Name))
-		}
-		return fmt.Sprintf("back(%d)", s.BackN)
-	case StepAs, StepAggregate, StepExcept, StepRetain, StepTable:
-		return fmt.Sprintf("%s(%s)", s.Kind, quote(s.Name))
-	case StepIfThenElse:
-		if s.Test == nil && s.TestExpr != nil {
-			return fmt.Sprintf("ifThenElse{%s}{%s}{%s}", s.TestExpr, formatSteps(s.Then), formatSteps(s.Else))
-		}
-		return fmt.Sprintf("ifThenElse{%s}{%s}{%s}", s.Test, formatSteps(s.Then), formatSteps(s.Else))
-	case StepLoop:
-		target := quote(s.Name)
-		if s.Name == "" {
-			target = fmt.Sprintf("%d", s.BackN)
-		}
-		return fmt.Sprintf("loop(%s){it.loops < %d}", target, s.LoopMax)
-	case StepOrder:
-		if s.KeyExpr == nil {
-			return "order()"
-		}
-		return fmt.Sprintf("order{%s}", s.KeyExpr)
-	case StepGroupBy:
-		return fmt.Sprintf("groupBy{%s}{%s}", s.KeyExpr, s.ValueExpr)
-	case StepGroupCount:
-		return fmt.Sprintf("groupCount{%s}", s.KeyExpr)
-	case StepCount, StepDedup, StepIterate:
-		return s.Kind.String() + "()"
-	default:
-		return s.Kind.String()
+// write renders the query: in full when args is nil, else as its shape,
+// the arguments going to args and their positions to the steps.
+func (q *Query) write(sb *strings.Builder, args *[]Arg) {
+	sb.WriteString("g")
+	for i := range q.Steps {
+		sb.WriteByte('.')
+		writeStep(sb, &q.Steps[i], args)
 	}
 }
 
-func formatSteps(steps []Step) string {
-	parts := make([]string, 0, len(steps)+1)
-	parts = append(parts, "it")
-	for i := range steps {
-		parts = append(parts, formatStep(&steps[i]))
+// writeVal renders a comparison value, or in a shape the marker of its
+// kind.
+func writeVal(sb *strings.Builder, v any, args *[]Arg) {
+	if args == nil {
+		sb.WriteString(formatVal(v))
+		return
 	}
-	return strings.Join(parts, ".")
+	kind := byte('i')
+	switch v.(type) {
+	case float64:
+		kind = 'f'
+	case string:
+		kind = 's'
+	case bool:
+		kind = 'b'
+	}
+	sb.WriteByte('?')
+	sb.WriteByte(kind)
+	*args = append(*args, Arg{Val: v})
+}
+
+// writeQuoted renders pipe('name').
+func writeQuoted(sb *strings.Builder, pipe, name string) {
+	sb.WriteString(pipe)
+	sb.WriteByte('(')
+	writeQuote(sb, name)
+	sb.WriteByte(')')
+}
+
+func writeStep(sb *strings.Builder, s *Step, args *[]Arg) {
+	if args != nil {
+		s.Arg = len(*args)
+	}
+	switch s.Kind {
+	case StepV, StepE:
+		sb.WriteString(s.Kind.String())
+		switch {
+		case len(s.StartIDs) > 0 && args != nil:
+			sb.WriteString("(?*)")
+			*args = append(*args, Arg{IDs: s.StartIDs})
+		case len(s.StartIDs) > 0:
+			sb.WriteByte('(')
+			for i, id := range s.StartIDs {
+				if i > 0 {
+					sb.WriteString(", ")
+				}
+				sb.WriteString(strconv.FormatInt(id, 10))
+			}
+			sb.WriteByte(')')
+		case s.StartKey != "":
+			sb.WriteByte('(')
+			writeQuote(sb, s.StartKey)
+			sb.WriteString(", ")
+			writeVal(sb, s.StartVal, args)
+			sb.WriteByte(')')
+		}
+	case StepOut, StepIn, StepBoth, StepOutE, StepInE, StepBothE:
+		sb.WriteString(s.Kind.String())
+		if len(s.Labels) > 0 {
+			sb.WriteByte('(')
+			for i, l := range s.Labels {
+				if i > 0 {
+					sb.WriteString(", ")
+				}
+				writeQuote(sb, l)
+			}
+			sb.WriteByte(')')
+		}
+	case StepHas:
+		sb.WriteString("has(")
+		writeQuote(sb, s.Key)
+		if s.Op != "" {
+			if s.Op != OpEq {
+				sb.WriteString(", T.")
+				sb.WriteString(opToken(s.Op))
+			}
+			sb.WriteString(", ")
+			writeVal(sb, s.Value, args)
+		}
+		sb.WriteByte(')')
+	case StepHasNot:
+		writeQuoted(sb, "hasNot", s.Key)
+	case StepInterval:
+		sb.WriteString("interval(")
+		writeQuote(sb, s.Key)
+		sb.WriteString(", ")
+		writeVal(sb, s.Lo, args)
+		sb.WriteString(", ")
+		writeVal(sb, s.Hi, args)
+		sb.WriteByte(')')
+	case StepFilter:
+		sb.WriteString("filter{")
+		switch {
+		case s.Key == "" && s.FilterExpr != nil:
+			sb.WriteString(s.FilterExpr.String())
+		case s.Op == "" && s.Value == nil:
+			sb.WriteString("it." + s.Key) // existence test
+		default:
+			writePredicate(sb, s.Key, s.Op, s.Value, args)
+		}
+		sb.WriteByte('}')
+	case StepRange:
+		fmt.Fprintf(sb, "range(%v, %v)", s.Lo, s.Hi)
+	case StepProperty:
+		sb.WriteString(s.Key)
+	case StepBack:
+		if s.Name != "" {
+			writeQuoted(sb, "back", s.Name)
+		} else {
+			fmt.Fprintf(sb, "back(%d)", s.BackN)
+		}
+	case StepAs, StepAggregate, StepExcept, StepRetain, StepTable:
+		writeQuoted(sb, s.Kind.String(), s.Name)
+	case StepIfThenElse:
+		sb.WriteString("ifThenElse{")
+		switch {
+		case s.Test == nil && s.TestExpr != nil:
+			sb.WriteString(s.TestExpr.String())
+		case s.Test.Op == "":
+			sb.WriteString("it." + s.Test.Key)
+		default:
+			writePredicate(sb, s.Test.Key, s.Test.Op, s.Test.Value, args)
+		}
+		sb.WriteString("}{")
+		writeSteps(sb, s.Then, args)
+		sb.WriteString("}{")
+		writeSteps(sb, s.Else, args)
+		sb.WriteByte('}')
+	case StepLoop:
+		target := quote(s.Name)
+		if s.Name == "" {
+			target = strconv.Itoa(s.BackN)
+		}
+		fmt.Fprintf(sb, "loop(%s){it.loops < %d}", target, s.LoopMax)
+	case StepOrder:
+		if s.KeyExpr == nil {
+			sb.WriteString("order()")
+		} else {
+			fmt.Fprintf(sb, "order{%s}", s.KeyExpr)
+		}
+	case StepGroupBy:
+		fmt.Fprintf(sb, "groupBy{%s}{%s}", s.KeyExpr, s.ValueExpr)
+	case StepGroupCount:
+		fmt.Fprintf(sb, "groupCount{%s}", s.KeyExpr)
+	case StepCount, StepDedup, StepIterate:
+		sb.WriteString(s.Kind.String())
+		sb.WriteString("()")
+	default:
+		sb.WriteString(s.Kind.String())
+	}
+}
+
+// writePredicate renders it.key op value.
+func writePredicate(sb *strings.Builder, key string, op CmpOp, val any, args *[]Arg) {
+	sb.WriteString("it.")
+	sb.WriteString(key)
+	sb.WriteByte(' ')
+	sb.WriteString(string(op))
+	sb.WriteByte(' ')
+	writeVal(sb, val, args)
+}
+
+func writeSteps(sb *strings.Builder, steps []Step, args *[]Arg) {
+	sb.WriteString("it")
+	for i := range steps {
+		sb.WriteByte('.')
+		writeStep(sb, &steps[i], args)
+	}
 }
 
 func opToken(op CmpOp) string {
@@ -277,19 +392,10 @@ func opToken(op CmpOp) string {
 	return "?"
 }
 
-func joinIDs(ids []int64) string {
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = fmt.Sprint(id)
-	}
-	return strings.Join(parts, ", ")
-}
-
-// quote renders a string literal, escaping the characters the lexer
+// writeQuote renders a string literal, escaping the characters the lexer
 // treats specially so String() output always re-parses to the same
 // value (the FuzzParse round-trip property).
-func quote(s string) string {
-	var sb strings.Builder
+func writeQuote(sb *strings.Builder, s string) {
 	sb.WriteByte('\'')
 	for i := 0; i < len(s); i++ {
 		if s[i] == '\'' || s[i] == '\\' {
@@ -298,6 +404,11 @@ func quote(s string) string {
 		sb.WriteByte(s[i])
 	}
 	sb.WriteByte('\'')
+}
+
+func quote(s string) string {
+	var sb strings.Builder
+	writeQuote(&sb, s)
 	return sb.String()
 }
 

@@ -9,6 +9,7 @@ import (
 //  1. Parse never panics, whatever the input.
 //  2. Anything Parse accepts renders (String) to a form Parse accepts
 //     again, and the rendering is a fixed point (stable round trip).
+//  3. A query and its rendering have one shape and as many arguments.
 //
 // Run with: go test -fuzz=FuzzParse ./internal/gremlin/
 // Crashers get minimized into testdata/fuzz and, once fixed, folded
@@ -106,6 +107,10 @@ func FuzzParse(f *testing.F) {
 		}
 		if again := q2.String(); again != rendered {
 			t.Fatalf("rendering not a fixed point for %q: %q vs %q", src, rendered, again)
+		}
+		if q2.Shape != q.Shape || len(q2.Args) != len(q.Args) {
+			t.Fatalf("%q and its rendering %q differ in shape: %q (%d args) vs %q (%d args)",
+				src, rendered, q.Shape, len(q.Args), q2.Shape, len(q2.Args))
 		}
 	})
 }

@@ -28,85 +28,98 @@ type gtok struct {
 	pos  int
 }
 
-func lex(src string) ([]gtok, error) {
-	var toks []gtok
-	i, n := 0, len(src)
-	for i < n {
-		c := src[i]
+// lexer scans Gremlin tokens off the source one at a time.
+type lexer struct {
+	src string
+	i   int
+}
+
+// scan returns the next token. Token text is a slice of the source
+// wherever it can be: only a string with escapes is copied.
+func (l *lexer) scan() (gtok, error) {
+	src, n := l.src, len(l.src)
+	for l.i < n {
+		c := src[l.i]
+		if c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == ';' {
+			l.i++
+			continue
+		}
+		start := l.i
 		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == ';':
-			i++
 		case c == '\'' || c == '"':
-			quoteCh := c
-			start := i
-			i++
-			var sb strings.Builder
-			for {
-				if i >= n {
-					return nil, fmt.Errorf("gremlin: unterminated string at %d", start+1)
-				}
-				if src[i] == '\\' && i+1 < n {
-					sb.WriteByte(src[i+1])
-					i += 2
-					continue
-				}
-				if src[i] == quoteCh {
-					i++
-					break
-				}
-				sb.WriteByte(src[i])
-				i++
-			}
-			toks = append(toks, gtok{gtokString, sb.String(), start + 1})
+			text, end, err := scanString(src, start)
+			l.i = end
+			return gtok{gtokString, text, start + 1}, err
 		case c >= '0' && c <= '9':
-			start := i
-			isFloat := false
+			i := start
 			for i < n && src[i] >= '0' && src[i] <= '9' {
 				i++
 			}
+			kind := gtokInt
 			// A '.' is part of the number only when followed by a digit
 			// (so g.V(1).out lexes correctly).
 			if i+1 < n && src[i] == '.' && src[i+1] >= '0' && src[i+1] <= '9' {
-				isFloat = true
+				kind = gtokFloat
 				i++
 				for i < n && src[i] >= '0' && src[i] <= '9' {
 					i++
 				}
 			}
-			kind := gtokInt
-			if isFloat {
-				kind = gtokFloat
-			}
-			toks = append(toks, gtok{kind, src[start:i], start + 1})
+			l.i = i
+			return gtok{kind, src[start:i], start + 1}, nil
 		case isGIdentStart(rune(c)):
-			start := i
+			i := start
 			for i < n && isGIdentPart(rune(src[i])) {
 				i++
 			}
-			toks = append(toks, gtok{gtokIdent, src[start:i], start + 1})
-		default:
-			start := i
-			two := ""
-			if i+1 < n {
-				two = src[i : i+2]
-			}
-			switch two {
+			l.i = i
+			return gtok{gtokIdent, src[start:i], start + 1}, nil
+		}
+		if start+1 < n {
+			switch src[start : start+2] {
 			case "==", "!=", "<=", ">=", "&&", "||":
-				toks = append(toks, gtok{gtokSym, two, start + 1})
-				i += 2
-			default:
-				switch c {
-				case '.', '(', ')', '{', '}', ',', '<', '>', '-', '!', '+', '*', '/', '%':
-					toks = append(toks, gtok{gtokSym, string(c), start + 1})
-					i++
-				default:
-					return nil, fmt.Errorf("gremlin: unexpected character %q at %d", c, i+1)
-				}
+				l.i += 2
+				return gtok{gtokSym, src[start : start+2], start + 1}, nil
 			}
 		}
+		switch c {
+		case '.', '(', ')', '{', '}', ',', '<', '>', '-', '!', '+', '*', '/', '%':
+			l.i++
+			return gtok{gtokSym, src[start : start+1], start + 1}, nil
+		}
+		return gtok{}, fmt.Errorf("gremlin: unexpected character %q at %d", c, start+1)
 	}
-	toks = append(toks, gtok{gtokEOF, "", n + 1})
-	return toks, nil
+	return gtok{gtokEOF, "", n + 1}, nil
+}
+
+// scanString reads the quoted string starting at src[start] and returns
+// its value and the offset past its closing quote.
+func scanString(src string, start int) (string, int, error) {
+	quoteCh, n := src[start], len(src)
+	i := start + 1
+	for i < n && src[i] != quoteCh && src[i] != '\\' {
+		i++
+	}
+	if i < n && src[i] == quoteCh {
+		return src[start+1 : i], i + 1, nil // no escapes: the source's own bytes
+	}
+	var sb strings.Builder
+	sb.WriteString(src[start+1 : i])
+	for {
+		if i >= n {
+			return "", n, fmt.Errorf("gremlin: unterminated string at %d", start+1)
+		}
+		if src[i] == '\\' && i+1 < n {
+			sb.WriteByte(src[i+1])
+			i += 2
+			continue
+		}
+		if src[i] == quoteCh {
+			return sb.String(), i + 1, nil
+		}
+		sb.WriteByte(src[i])
+		i++
+	}
 }
 
 func isGIdentStart(r rune) bool { return r == '_' || r == '$' || unicode.IsLetter(r) }
@@ -116,11 +129,16 @@ func isGIdentPart(r rune) bool {
 
 // Parse parses one Gremlin query of the form g.<pipe>.<pipe>... .
 func Parse(src string) (*Query, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+	p := &gparser{lex: lexer{src: src}}
+	p.advance()
+	q, err := p.parseQuery()
+	if p.lexErr != nil {
+		return nil, p.lexErr // what stopped the parser, whatever it made of it
 	}
-	p := &gparser{toks: toks, src: src}
+	return q, err
+}
+
+func (p *gparser) parseQuery() (*Query, error) {
 	if !p.acceptIdent("g") {
 		return nil, p.errorf("query must start with g")
 	}
@@ -137,27 +155,46 @@ func Parse(src string) (*Query, error) {
 	if steps[0].Kind != StepV && steps[0].Kind != StepE {
 		return nil, p.errorf("pipeline must start with V or E")
 	}
-	return &Query{Steps: steps, Text: src}, nil
+	q := &Query{Steps: steps, Text: p.lex.src}
+	var sb strings.Builder
+	sb.Grow(len(q.Text))
+	q.write(&sb, &q.Args)
+	q.Shape = sb.String()
+	return q, nil
 }
 
+// gparser reads the token stream through one token of lookahead. A
+// character the lexer rejects ends the stream: the parser sees EOF there
+// and Parse reports the lexer's error.
 type gparser struct {
-	toks []gtok
-	pos  int
-	src  string
+	lex    lexer
+	tok    gtok
+	lexErr error
 }
 
-func (p *gparser) peek() gtok { return p.toks[p.pos] }
+func (p *gparser) peek() gtok { return p.tok }
 
-// next consumes a token but never advances past the EOF sentinel, so a
-// parse function that keeps consuming on truncated input reports a
-// clean error instead of running off the token slice.
-func (p *gparser) next() gtok {
-	t := p.toks[p.pos]
-	if t.kind != gtokEOF {
-		p.pos++
+// advance moves the lookahead on. It never moves past the EOF sentinel,
+// so a parse function that keeps consuming on truncated input reports a
+// clean error instead of running off the source.
+func (p *gparser) advance() {
+	if p.lexErr != nil {
+		return
 	}
+	var err error
+	if p.tok, err = p.lex.scan(); err != nil {
+		p.lexErr = err
+		p.tok = gtok{gtokEOF, "", p.lex.i + 1}
+	}
+}
+
+// next consumes and returns the lookahead.
+func (p *gparser) next() gtok {
+	t := p.tok
+	p.advance()
 	return t
 }
+
 func (p *gparser) errorf(format string, args ...any) error {
 	return fmt.Errorf("gremlin: parse error near position %d: %s", p.peek().pos, fmt.Sprintf(format, args...))
 }
@@ -165,7 +202,7 @@ func (p *gparser) errorf(format string, args ...any) error {
 func (p *gparser) accept(kind gtokKind, text string) bool {
 	t := p.peek()
 	if t.kind == kind && (text == "" || t.text == text) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -184,11 +221,13 @@ func (p *gparser) expectSym(s string) error {
 func (p *gparser) parsePipeline() ([]Step, error) {
 	var steps []Step
 	for p.accept(gtokSym, ".") {
-		step, err := p.parseStep()
-		if err != nil {
+		if steps == nil {
+			steps = make([]Step, 0, 4) // a Step is some 340 bytes: parse in place, grow seldom
+		}
+		steps = append(steps, Step{})
+		if err := p.parseStep(&steps[len(steps)-1]); err != nil {
 			return nil, err
 		}
-		steps = append(steps, *step)
 	}
 	return steps, nil
 }
@@ -209,18 +248,23 @@ var kindByName = map[string]StepKind{
 	"order": StepOrder, "groupBy": StepGroupBy, "groupCount": StepGroupCount,
 }
 
-func (p *gparser) parseStep() (*Step, error) {
+// parseStep parses one pipe into step, which is zero.
+func (p *gparser) parseStep(step *Step) error {
 	t := p.peek()
 	if t.kind != gtokIdent {
-		return nil, p.errorf("expected pipe name, found %q", t.text)
+		return p.errorf("expected pipe name, found %q", t.text)
 	}
-	p.pos++
+	p.advance()
 	kind, known := kindByName[t.text]
 	if !known {
 		// Bare property access: .name is shorthand for .property('name').
-		return &Step{Kind: StepProperty, Key: t.text}, nil
+		step.Kind, step.Key = StepProperty, t.text
+		return nil
 	}
-	step := &Step{Kind: kind}
+	step.Kind = kind
+	if kind == StepV || kind == StepE {
+		return p.parseSourceArgs(step)
+	}
 
 	// Argument list.
 	var args []any
@@ -228,82 +272,78 @@ func (p *gparser) parseStep() (*Step, error) {
 		for !p.accept(gtokSym, ")") {
 			if len(args) > 0 {
 				if err := p.expectSym(","); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			arg, err := p.parseArg()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			args = append(args, arg)
 		}
 	}
 
 	switch kind {
-	case StepV, StepE:
-		if err := applySourceArgs(step, args); err != nil {
-			return nil, p.errorf("%v", err)
-		}
 	case StepOut, StepIn, StepBoth, StepOutE, StepInE, StepBothE:
 		for _, a := range args {
 			s, ok := a.(string)
 			if !ok {
-				return nil, p.errorf("%s expects string edge labels", kind)
+				return p.errorf("%s expects string edge labels", kind)
 			}
 			step.Labels = append(step.Labels, s)
 		}
 	case StepProperty:
 		if len(args) != 1 {
-			return nil, p.errorf("property expects one key argument")
+			return p.errorf("property expects one key argument")
 		}
 		key, ok := args[0].(string)
 		if !ok {
-			return nil, p.errorf("property key must be a string")
+			return p.errorf("property key must be a string")
 		}
 		step.Key = key
 	case StepHas:
 		if err := applyHasArgs(step, args); err != nil {
-			return nil, p.errorf("%v", err)
+			return p.errorf("%v", err)
 		}
 	case StepHasNot:
 		if len(args) != 1 {
-			return nil, p.errorf("hasNot expects one key argument")
+			return p.errorf("hasNot expects one key argument")
 		}
 		key, ok := args[0].(string)
 		if !ok {
-			return nil, p.errorf("hasNot key must be a string")
+			return p.errorf("hasNot key must be a string")
 		}
 		step.Key = key
 	case StepInterval:
 		if len(args) != 3 {
-			return nil, p.errorf("interval expects (key, lo, hi)")
+			return p.errorf("interval expects (key, lo, hi)")
 		}
 		key, ok := args[0].(string)
 		if !ok {
-			return nil, p.errorf("interval key must be a string")
+			return p.errorf("interval key must be a string")
 		}
 		lo, err := valueArg(args[1])
 		if err != nil {
-			return nil, p.errorf("interval lo: %v", err)
+			return p.errorf("interval lo: %v", err)
 		}
 		hi, err := valueArg(args[2])
 		if err != nil {
-			return nil, p.errorf("interval hi: %v", err)
+			return p.errorf("interval hi: %v", err)
 		}
 		step.Key, step.Lo, step.Hi = key, lo, hi
 	case StepRange:
 		if len(args) != 2 {
-			return nil, p.errorf("range expects (low, high)")
+			return p.errorf("range expects (low, high)")
 		}
 		lo, ok1 := args[0].(int64)
 		hi, ok2 := args[1].(int64)
 		if !ok1 || !ok2 {
-			return nil, p.errorf("range bounds must be integers")
+			return p.errorf("range bounds must be integers")
 		}
 		step.Lo, step.Hi = lo, hi
 	case StepBack:
 		if len(args) != 1 {
-			return nil, p.errorf("back expects one argument")
+			return p.errorf("back expects one argument")
 		}
 		switch v := args[0].(type) {
 		case string:
@@ -311,11 +351,11 @@ func (p *gparser) parseStep() (*Step, error) {
 		case int64:
 			step.BackN = int(v)
 		default:
-			return nil, p.errorf("back expects a name or step count")
+			return p.errorf("back expects a name or step count")
 		}
 	case StepAs, StepAggregate, StepExcept, StepRetain, StepTable:
 		if len(args) != 1 {
-			return nil, p.errorf("%s expects one argument", kind)
+			return p.errorf("%s expects one argument", kind)
 		}
 		switch v := args[0].(type) {
 		case string:
@@ -323,12 +363,12 @@ func (p *gparser) parseStep() (*Step, error) {
 		case ident:
 			step.Name = string(v)
 		default:
-			return nil, p.errorf("%s expects a name", kind)
+			return p.errorf("%s expects a name", kind)
 		}
 	case StepFilter:
 		node, err := p.parseExprClosure("filter")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		step.FilterExpr = node
 		// Simple closures reduce to the legacy Key/Op/Value predicate so
@@ -340,7 +380,7 @@ func (p *gparser) parseStep() (*Step, error) {
 	case StepIfThenElse:
 		node, err := p.parseExprClosure("ifThenElse")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		step.TestExpr = node
 		if pred := simplePredicate(node); pred != nil {
@@ -349,49 +389,49 @@ func (p *gparser) parseStep() (*Step, error) {
 		}
 		thenSteps, err := p.parsePipelineClosure()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		elseSteps, err := p.parsePipelineClosure()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		step.Then, step.Else = thenSteps, elseSteps
 	case StepOrder:
 		if len(args) != 0 {
-			return nil, p.errorf("order takes no arguments")
+			return p.errorf("order takes no arguments")
 		}
 		if p.peek().kind == gtokSym && p.peek().text == "{" {
 			node, err := p.parseExprClosure("order")
 			if err != nil {
-				return nil, err
+				return err
 			}
 			step.KeyExpr = node
 		}
 	case StepGroupBy:
 		if len(args) != 0 {
-			return nil, p.errorf("groupBy takes no arguments")
+			return p.errorf("groupBy takes no arguments")
 		}
 		key, err := p.parseExprClosure("groupBy")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		val, err := p.parseExprClosure("groupBy")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		step.KeyExpr, step.ValueExpr = key, val
 	case StepGroupCount:
 		if len(args) != 0 {
-			return nil, p.errorf("groupCount takes no arguments")
+			return p.errorf("groupCount takes no arguments")
 		}
 		key, err := p.parseExprClosure("groupCount")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		step.KeyExpr = key
 	case StepLoop:
 		if len(args) != 1 {
-			return nil, p.errorf("loop expects a step name or count")
+			return p.errorf("loop expects a step name or count")
 		}
 		switch v := args[0].(type) {
 		case string:
@@ -399,21 +439,21 @@ func (p *gparser) parseStep() (*Step, error) {
 		case int64:
 			step.BackN = int(v)
 		default:
-			return nil, p.errorf("loop expects a name or step count")
+			return p.errorf("loop expects a name or step count")
 		}
 		max, err := p.parseLoopClosure()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		step.LoopMax = max
 		step.LoopPred = &Predicate{Key: "loops", Op: OpLt, Value: int64(max)}
 	case StepCount, StepDedup, StepIterate, StepPath, StepSimplePath,
 		StepID, StepLabel, StepOutV, StepInV, StepBothV:
 		if len(args) != 0 {
-			return nil, p.errorf("%s takes no arguments", kind)
+			return p.errorf("%s takes no arguments", kind)
 		}
 	}
-	return step, nil
+	return nil
 }
 
 // ident marks a bare identifier argument (aggregate(x), table(t1)).
@@ -423,17 +463,17 @@ func (p *gparser) parseArg() (any, error) {
 	t := p.peek()
 	switch t.kind {
 	case gtokString:
-		p.pos++
+		p.advance()
 		return t.text, nil
 	case gtokInt:
-		p.pos++
+		p.advance()
 		v, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, p.errorf("bad integer %q", t.text)
 		}
 		return v, nil
 	case gtokFloat:
-		p.pos++
+		p.advance()
 		v, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, p.errorf("bad float %q", t.text)
@@ -441,7 +481,7 @@ func (p *gparser) parseArg() (any, error) {
 		return v, nil
 	case gtokSym:
 		if t.text == "-" {
-			p.pos++
+			p.advance()
 			inner, err := p.parseArg()
 			if err != nil {
 				return nil, err
@@ -457,7 +497,7 @@ func (p *gparser) parseArg() (any, error) {
 		}
 		return nil, p.errorf("unexpected %q in argument list", t.text)
 	case gtokIdent:
-		p.pos++
+		p.advance()
 		switch t.text {
 		case "true":
 			return true, nil
@@ -504,40 +544,56 @@ func tokenOp(name string) (CmpOp, error) {
 	}
 }
 
-func applySourceArgs(step *Step, args []any) error {
-	switch len(args) {
-	case 0:
+// parseSourceArgs parses the arguments of V and E: none, (key, value), or
+// ids. An id list may run to thousands of entries (the Table-1 texts), so
+// ids go from the token stream straight into StartIDs.
+func (p *gparser) parseSourceArgs(step *Step) error {
+	if !p.accept(gtokSym, "(") || p.accept(gtokSym, ")") {
 		return nil
-	case 1:
-		id, ok := args[0].(int64)
-		if !ok {
-			return fmt.Errorf("%s(id) expects an integer id", step.Kind)
+	}
+	if p.peek().kind == gtokString {
+		key := p.next().text
+		if p.accept(gtokSym, ")") {
+			return p.errorf("%s(id) expects an integer id", step.Kind)
 		}
-		step.StartIDs = []int64{id}
+		if err := p.expectSym(","); err != nil {
+			return err
+		}
+		arg, err := p.parseArg()
+		if err != nil {
+			return err
+		}
+		if !p.accept(gtokSym, ")") {
+			return p.errorf("%s(ids...) expects integer ids", step.Kind)
+		}
+		val, err := valueArg(arg)
+		if err != nil {
+			return p.errorf("%s(key, value): %v", step.Kind, err)
+		}
+		step.StartKey, step.StartVal = key, val
 		return nil
-	case 2:
-		if key, ok := args[0].(string); ok {
-			val, err := valueArg(args[1])
-			if err != nil {
-				return fmt.Errorf("%s(key, value): %w", step.Kind, err)
-			}
-			step.StartKey = key
-			step.StartVal = val
+	}
+	for {
+		neg := p.accept(gtokSym, "-")
+		t := p.peek()
+		if t.kind != gtokInt {
+			return p.errorf("%s(ids...) expects integer ids", step.Kind)
+		}
+		p.advance()
+		if neg {
+			t.text = "-" + t.text
+		}
+		id, err := strconv.ParseInt(t.text, 10, 64)
+		if err != nil {
+			return p.errorf("bad integer %q", t.text)
+		}
+		step.StartIDs = append(step.StartIDs, id)
+		if p.accept(gtokSym, ")") {
 			return nil
 		}
-		fallthrough
-	default:
-		// V(1, 2, 3): multiple ids.
-		ids := make([]int64, len(args))
-		for i, a := range args {
-			id, ok := a.(int64)
-			if !ok {
-				return fmt.Errorf("%s(ids...) expects integer ids", step.Kind)
-			}
-			ids[i] = id
+		if err := p.expectSym(","); err != nil {
+			return err
 		}
-		step.StartIDs = ids
-		return nil
 	}
 }
 
@@ -632,7 +688,7 @@ func (p *gparser) rawExprClosure(pipe string) (expr.Node, error) {
 	}
 	// Token positions are 1-based start offsets: the body is everything
 	// strictly between the braces.
-	body := p.src[open.pos : close.pos-1]
+	body := p.lex.src[open.pos : close.pos-1]
 	node, err := expr.Parse(body)
 	if err != nil {
 		return nil, fmt.Errorf("gremlin: %s closure near position %d: %w", pipe, open.pos, err)

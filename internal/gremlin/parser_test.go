@@ -214,7 +214,7 @@ func TestParseOrderGroup(t *testing.T) {
 
 	for _, bad := range []string{
 		"g.V.order{}",              // empty key closure
-		"g.V.order{it.age",        // unterminated
+		"g.V.order{it.age",         // unterminated
 		"g.V.groupBy{it.a}",        // missing value closure
 		"g.V.groupCount{it.a}{it}", // groupCount takes one closure
 		"g.V.groupCount{it.loops}", // it.loops outside a loop closure
@@ -324,5 +324,71 @@ func TestRoundTripEscapedStrings(t *testing.T) {
 		if q2.String() != rendered {
 			t.Fatalf("round trip unstable: %q vs %q", rendered, q2.String())
 		}
+	}
+}
+
+// TestShapeKey pins which literals of a query are arguments and which are
+// part of its shape — the key one prepared statement is shared under.
+func TestShapeKey(t *testing.T) {
+	same := [][2]string{
+		{"g.V(1,2)", "g.V(7, 8, 9)"}, // an id list of any length is one argument
+		{"g.V(1).out('a')", "g.V(2, 3).out('a')"},
+		{"g.E(5).inV", "g.E(6, 7).inV"},
+		{"g.V.has('k', 1)", "g.V.has('k', -20)"},
+		{"g.V.has('k', 'x')", `g.V.has("k", 'it\'s')`},
+		{"g.V.has('k', T.gt, 1)", "g.V.has( 'k' , T.gt , 99 )"},
+		{"g.V('name', 'a').out", "g.V('name', 'b').out"},
+		{"g.V.interval('k', 1, 5)", "g.V.interval('k', 2, 3)"},
+		{"g.V.filter{it.k > 1}", "g.V.filter{it.k > 4}"}, // a closure that is one comparison is a has
+		{"g.V.ifThenElse{it.k == 1}{it.out}{it.in}", "g.V.ifThenElse{it.k == 3}{it.out}{it.in}"},
+	}
+	for _, c := range same {
+		a, b := mustParse(t, c[0]), mustParse(t, c[1])
+		if a.Shape != b.Shape {
+			t.Errorf("%q and %q differ in shape: %q vs %q", c[0], c[1], a.Shape, b.Shape)
+		}
+	}
+	differ := [][2]string{
+		{"g.V(1).out('a')", "g.V(1).out('b')"},              // labels
+		{"g.V(1).out('a')", "g.V(1).out('a', 'b')"},         //
+		{"g.V.has('k', 1)", "g.V.has('j', 1)"},              // property keys
+		{"g.V.has('k', 1)", "g.V.has('k', 'x')"},            // an argument's kind
+		{"g.V.has('k', 1)", "g.V.has('k', 1.5)"},            //
+		{"g.V.has('k', 1)", "g.V.has('k', true)"},           //
+		{"g.V.has('k', 1)", "g.V.has('k', T.gt, 1)"},        // comparison operators
+		{"g.V.has('k', T.gt, 1)", "g.V.has('k', T.gte, 1)"}, //
+		{"g.V.has('k', 1)", "g.V.has('k')"},                 //
+		{"g.V(1)", "g.V"},                                   // sources
+		{"g.V(1)", "g.E(1)"},                                //
+		{"g.V(1)", "g.V('k', 1)"},                           //
+		{"g.V.as('s').out.loop('s'){it.loops < 2}", "g.V.as('s').out.loop('s'){it.loops < 3}"}, // loop depths
+		{"g.V.out.back(1)", "g.V.out.back(2)"},                                                 // path positions
+		{"g.V.range(0, 4)", "g.V.range(0, 5)"},                                                 // range bounds decide LIMIT and the estimates
+		{"g.V.filter{it.k + 1 > 2}", "g.V.filter{it.k + 1 > 3}"},                               // a general closure's constants are rendered with it
+		{"g.V.order{it.k}", "g.V.order{it.j}"},
+	}
+	for _, c := range differ {
+		a, b := mustParse(t, c[0]), mustParse(t, c[1])
+		if a.Shape == b.Shape {
+			t.Errorf("%q and %q share the shape %q", c[0], c[1], a.Shape)
+		}
+	}
+
+	// The arguments, in marker order, with the positions the steps record.
+	q := mustParse(t, "g.V(4, 5).has('a', 'x').interval('b', 1, 2.5).ifThenElse{it.c == true}{it.out.has('d', 7)}{it.in}")
+	wantShape := "g.V(?*).has('a', ?s).interval('b', ?i, ?f).ifThenElse{it.c == ?b}{it.out.has('d', ?i)}{it.in}"
+	if q.Shape != wantShape {
+		t.Fatalf("shape = %q, want %q", q.Shape, wantShape)
+	}
+	if len(q.Args) != 6 || len(q.Args[0].IDs) != 2 || q.Args[1].Val != "x" || q.Args[2].Val != int64(1) ||
+		q.Args[3].Val != 2.5 || q.Args[4].Val != true || q.Args[5].Val != int64(7) {
+		t.Fatalf("args = %+v", q.Args)
+	}
+	if q.Steps[0].Arg != 0 || q.Steps[1].Arg != 1 || q.Steps[2].Arg != 2 || q.Steps[3].Arg != 4 || q.Steps[3].Then[1].Arg != 5 {
+		t.Fatalf("argument positions: %d %d %d %d %d", q.Steps[0].Arg, q.Steps[1].Arg, q.Steps[2].Arg, q.Steps[3].Arg, q.Steps[3].Then[1].Arg)
+	}
+	// Writing the arguments back gives the canonical text.
+	if q.String() != "g.V(4, 5).has('a', 'x').interval('b', 1, 2.5).ifThenElse{it.c == true}{it.out.has('d', 7)}{it.in}" {
+		t.Fatalf("String() = %q", q.String())
 	}
 }

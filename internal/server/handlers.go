@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"sqlgraph/internal/blueprints"
@@ -55,7 +56,8 @@ type queryResponse struct {
 }
 
 type translateResponse struct {
-	SQL      string `json:"sql"`
+	SQL      string `json:"sql"`      // the literal statement
+	Template string `json:"template"` // the statement prepared for the query's shape, ?N where its literals are bound
 	ElemType string `json:"elem_type"`
 }
 
@@ -260,6 +262,11 @@ func (s *Server) handleDebugQueryGet(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprint(w, t.Text())
+		if _, args := t.Statement(); t.Template != "" {
+			// The statement as prepared for the query's shape, and what this
+			// request bound to it (the sql: line above is the two together).
+			fmt.Fprintf(w, "template: %s\nargs: %s\n", t.Template, strings.Join(args, " | "))
+		}
 		return
 	}
 	writeJSON(w, http.StatusOK, t)
@@ -360,7 +367,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if tr := res.Trace; tr != nil {
 			resp.TraceID = tr.ID
 			if req.Explain {
-				resp.SQL = tr.SQL
+				resp.SQL, _ = tr.Statement()
 				resp.Plan = tr
 				resp.PlanText = tr.Text()
 				resp.Stats = res.Stats.String()
@@ -380,7 +387,7 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, statusFor(err), err
 		}
-		return translateResponse{SQL: tr.SQL, ElemType: tr.ElemType.String()}, http.StatusOK, nil
+		return translateResponse{SQL: tr.SQL, Template: tr.Template, ElemType: tr.ElemType.String()}, http.StatusOK, nil
 	})
 }
 

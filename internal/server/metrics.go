@@ -136,11 +136,14 @@ func newTelemetry(s *Server) *telemetry {
 		"SQL plan cache entries discarded for a stale statistics version or changed execution stamp.",
 		func() float64 { return float64(s.st().PlanCacheStats().Invalidations) })
 	reg.CounterFunc("sqlgraphd_prepared_cache_hits_total",
-		"Prepared Gremlin statement cache hits (parse+translate skipped).",
+		"Queries whose shape had a prepared statement (translation and SQL parse skipped, literals bound).",
 		func() float64 { h, _ := s.st().PreparedCacheStats(); return float64(h) })
 	reg.CounterFunc("sqlgraphd_prepared_cache_misses_total",
-		"Prepared Gremlin statement cache misses.",
+		"Queries of a shape seen for the first time (one translation and one SQL parse).",
 		func() float64 { _, m := s.st().PreparedCacheStats(); return float64(m) })
+	reg.GaugeFunc("sqlgraphd_prepared_statements",
+		"Query shapes holding a prepared statement.",
+		func() float64 { return float64(s.st().PreparedStatements()) })
 
 	// Slow queries and the write path, scraped from the trace recorder's
 	// atomic counters.

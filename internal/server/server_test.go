@@ -242,7 +242,7 @@ func TestTranslateEndpoint(t *testing.T) {
 		t.Fatalf("translate: %d %s", code, body)
 	}
 	resp := decodeInto[translateResponse](t, body)
-	if !strings.Contains(resp.SQL, "SELECT") || resp.ElemType != "value" {
+	if !strings.Contains(resp.SQL, "= 'marko'") || !strings.Contains(resp.Template, "= ?1") || resp.ElemType != "value" {
 		t.Fatalf("unexpected translation: %+v", resp)
 	}
 	// Untranslatable input is the client's fault.
@@ -565,9 +565,10 @@ func TestMetricsExposition(t *testing.T) {
 		"# HELP sqlgraphd_request_seconds ",
 		"# TYPE sqlgraphd_request_seconds histogram",
 		// Subsystems instrumented through the registry.
-		// Both queries miss the prepared cache (the unparsable one counts
-		// its miss before the parse fails).
-		"sqlgraphd_prepared_cache_misses_total 2",
+		// The query misses the prepared cache; the unparsable one has no
+		// shape to look up.
+		"sqlgraphd_prepared_cache_misses_total 1",
+		"sqlgraphd_prepared_statements 1",
 		"sqlgraphd_plan_cache_hits_total",
 		"sqlgraphd_plan_cache_misses_total",
 		"sqlgraphd_plan_cache_invalidations_total",

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -115,6 +116,30 @@ func TestDebugQueriesEndpoint(t *testing.T) {
 	if got.ID != id || got.Root == nil {
 		t.Fatalf("retrieved trace mismatch: %+v", got)
 	}
+	// The statement as the shared template, this request's arguments, and
+	// the two written together; the name is the request's own text.
+	if !strings.Contains(got.Template, "JSON_VAL(ATTR, 'name') = ?1") || !reflect.DeepEqual(got.Args, []string{"'marko'"}) ||
+		!strings.Contains(got.SQL, "JSON_VAL(ATTR, 'name') = 'marko'") || strings.Contains(got.SQL, "?") ||
+		got.Name != "g.V.has('name', 'marko').out('knows').name" {
+		t.Fatalf("trace statement: name %q template %q args %q sql %q", got.Name, got.Template, got.Args, got.SQL)
+	}
+
+	// The same shape with another literal runs the cached statement: one
+	// plan span saying so, and its own arguments in its own trace.
+	code, body = env.doJSON(t, "POST", "/query", map[string]any{
+		"gremlin": "g.V.has('name', 'josh').out('knows').name", "explain": true,
+	})
+	if code != http.StatusOK {
+		t.Fatalf("query: %d %s", code, body)
+	}
+	second := decodeInto[queryResponse](t, body)
+	if !strings.Contains(second.PlanText, "plan [cached shape g.V.has('name', ?s).out('knows').name args=1]") ||
+		strings.Contains(second.PlanText, "translate") {
+		t.Fatalf("plan of the shape's second query:\n%s", second.PlanText)
+	}
+	if !strings.Contains(second.SQL, "= 'josh'") || second.Plan.Template != got.Template || !reflect.DeepEqual(second.Plan.Args, []string{"'josh'"}) {
+		t.Fatalf("second query's statement: sql %q template %q args %q", second.SQL, second.Plan.Template, second.Plan.Args)
+	}
 
 	code, _ = env.doJSON(t, "GET", "/debug/queries/"+strings.Repeat("0", 32), nil)
 	if code != http.StatusNotFound {
@@ -123,7 +148,8 @@ func TestDebugQueriesEndpoint(t *testing.T) {
 
 	// Text form for humans.
 	code, body = env.doJSON(t, "GET", "/debug/queries/"+id+"?format=text", nil)
-	if code != http.StatusOK || !strings.Contains(string(body), "trace "+id) {
+	if code != http.StatusOK || !strings.Contains(string(body), "trace "+id) ||
+		!strings.Contains(string(body), "= ?1") || !strings.Contains(string(body), "args: 'marko'") {
 		t.Fatalf("debug text form: %d %s", code, body)
 	}
 }

@@ -205,11 +205,14 @@ func (l *Literal) SQL() string {
 	}
 }
 
-// Param is a positional parameter (?), numbered from 0 in parse order.
+// Param is a parameter. Index counts from 0: a plain ? takes the position
+// after the highest one before it, ?N names position N-1, so one argument
+// can be read in several places (the Table-8 templates: an unrolled loop
+// repeats its segment's parameters).
 type Param struct{ Index int }
 
 func (*Param) expr()         {}
-func (p *Param) SQL() string { return "?" }
+func (p *Param) SQL() string { return "?" + itoa(int64(p.Index+1)) }
 
 // Unary is NOT x or -x.
 type Unary struct {

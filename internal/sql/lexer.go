@@ -150,8 +150,13 @@ func Lex(src string) ([]Token, error) {
 			}
 			toks = append(toks, Token{Kind: kind, Text: word, Pos: start + 1})
 		case c == '?':
-			toks = append(toks, Token{Kind: TokParam, Text: "?", Pos: i + 1})
+			// ? takes the next free position, ?N names position N (from 1).
+			start := i
 			i++
+			for i < n && src[i] >= '0' && src[i] <= '9' {
+				i++
+			}
+			toks = append(toks, Token{Kind: TokParam, Text: src[start:i], Pos: start + 1})
 		default:
 			start := i
 			var sym string

@@ -917,9 +917,16 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &Literal{Val: t.Text}, nil
 	case t.Kind == TokParam:
 		p.next()
-		e := &Param{Index: p.nparams}
-		p.nparams++
-		return e, nil
+		idx := p.nparams
+		if len(t.Text) > 1 {
+			n, err := strconv.Atoi(t.Text[1:])
+			if err != nil || n < 1 {
+				return nil, p.errorf("bad parameter number %s", t.Text)
+			}
+			idx = n - 1
+		}
+		p.nparams = max(p.nparams, idx+1)
+		return &Param{Index: idx}, nil
 	case p.acceptKeyword("NULL"):
 		return &Literal{Val: nil}, nil
 	case p.acceptKeyword("TRUE"):

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -237,6 +238,23 @@ func TestParamNumbering(t *testing.T) {
 	walk(e)
 	if len(idxs) != 3 || idxs[0] != 0 || idxs[1] != 1 || idxs[2] != 2 {
 		t.Fatalf("param indexes = %v", idxs)
+	}
+
+	// ?N names position N-1 and may repeat; a plain ? takes the position
+	// after the highest so far.
+	idxs = nil
+	if e, err = ParseExpr("a = ?2 AND b = ?1 OR c = ? AND d = ?2"); err != nil {
+		t.Fatal(err)
+	}
+	walk(e)
+	if !reflect.DeepEqual(idxs, []int{1, 0, 2, 1}) {
+		t.Fatalf("numbered param indexes = %v", idxs)
+	}
+	if got := e.SQL(); !strings.Contains(got, "A = ?2") || !strings.Contains(got, "C = ?3") {
+		t.Fatalf("SQL() = %s", got)
+	}
+	if _, err := ParseExpr("a = ?0"); err == nil {
+		t.Fatal("?0 accepted: parameters are numbered from 1")
 	}
 }
 

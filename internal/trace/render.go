@@ -19,8 +19,8 @@ func (t *Trace) Text() string {
 		fmt.Fprintf(&b, " error=%q", t.Err)
 	}
 	b.WriteByte('\n')
-	if t.SQL != "" {
-		fmt.Fprintf(&b, "sql: %s\n", t.SQL)
+	if sql, _ := t.Statement(); sql != "" {
+		fmt.Fprintf(&b, "sql: %s\n", sql)
 	}
 	if t.Root != nil {
 		for _, c := range t.Root.Children {

@@ -11,6 +11,8 @@
 package trace
 
 import (
+	"encoding/json"
+	"sync"
 	"time"
 )
 
@@ -30,16 +32,57 @@ type Span struct {
 
 // Trace is one recorded request: a query (kind "query") or a graph
 // mutation / maintenance operation (kind "write").
+//
+// A query's trace carries the statement it ran as the shared template and
+// a way to write this request's arguments into it; the literal statement
+// and the rendered arguments are written when the trace is read
+// (Statement, Text, MarshalJSON), not on the request's path. SQL and Args
+// are set on a trace decoded from JSON.
 type Trace struct {
-	ID    string    `json:"id"`
-	Kind  string    `json:"kind"`
-	Name  string    `json:"name"`
-	SQL   string    `json:"sql,omitempty"`
-	Start time.Time `json:"start"`
-	DurNs int64     `json:"dur_ns"`
-	Err   string    `json:"error,omitempty"`
-	Slow  bool      `json:"slow,omitempty"`
-	Root  *Span     `json:"root"`
+	ID       string    `json:"id"`
+	Kind     string    `json:"kind"`
+	Name     string    `json:"name"`
+	SQL      string    `json:"sql,omitempty"`
+	Template string    `json:"template,omitempty"`
+	Args     []string  `json:"args,omitempty"`
+	Start    time.Time `json:"start"`
+	DurNs    int64     `json:"dur_ns"`
+	Err      string    `json:"error,omitempty"`
+	Slow     bool      `json:"slow,omitempty"`
+	Root     *Span     `json:"root"`
+
+	stmt *lazyStatement
+}
+
+// lazyStatement renders a trace's literal SQL and arguments once, on the
+// first read.
+type lazyStatement struct {
+	once   sync.Once
+	render func() (sql string, args []string)
+	sql    string
+	args   []string
+}
+
+// Statement returns the literal SQL the request ran and its arguments as
+// SQL text.
+func (t *Trace) Statement() (sql string, args []string) {
+	l := t.stmt
+	if l == nil {
+		return t.SQL, t.Args
+	}
+	l.once.Do(func() {
+		l.sql, l.args = l.render()
+		l.render = nil
+	})
+	return l.sql, l.args
+}
+
+// MarshalJSON encodes the trace with its statement rendered.
+func (t *Trace) MarshalJSON() ([]byte, error) {
+	type plain Trace // the fields without the method
+	p := plain(*t)
+	p.SQL, p.Args = t.Statement()
+	return json.Marshal(&p)
 }
 
 // Duration returns the trace's total wall time.
@@ -143,8 +186,13 @@ func (b *Builder) Observe(name, detail string, start time.Time, d time.Duration)
 // Span returns the trace's root span (for attaching detail mid-build).
 func (b *Builder) Span() *Span { return b.tr.Root }
 
-// SetSQL records the translated SQL on the trace.
-func (b *Builder) SetSQL(sql string) { b.tr.SQL = sql }
+// SetStatement records the statement the request runs: its template, and
+// how to write the literal SQL and the rendered arguments when the trace
+// is read. render runs at most once, possibly long after the request; it
+// must only read what stays unchanged.
+func (b *Builder) SetStatement(template string, render func() (sql string, args []string)) {
+	b.tr.Template, b.tr.stmt = template, &lazyStatement{render: render}
+}
 
 // Finish closes every open span and seals the trace.
 func (b *Builder) Finish(err error) *Trace {

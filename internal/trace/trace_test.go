@@ -228,7 +228,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 
 func TestTextRendering(t *testing.T) {
 	b := NewBuilder("deadbeefdeadbeefdeadbeefdeadbeef", "query", "g.V().out()")
-	b.SetSQL("SELECT * FROM VA")
+	b.SetStatement("SELECT * FROM VA WHERE VID = ?1", func() (string, []string) { return "SELECT * FROM VA", []string{"7"} })
 	exec := b.Begin("execute")
 	b.Child(exec, "scan", "VA full", 0, 1500, 100, 40)
 	b.End(exec)

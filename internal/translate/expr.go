@@ -85,12 +85,12 @@ func (t *translator) renderIt(x *expr.It) (string, error) {
 	default:
 		switch t.typ {
 		case ElemVertex:
-			return fmt.Sprintf("JSON_VAL(A.ATTR, %s)", lit(x.Field)), nil
+			return fmt.Sprintf("JSON_VAL(A.ATTR, %s)", strLit(x.Field)), nil
 		case ElemEdge:
 			if x.Field == "label" {
 				return "A.LBL", nil
 			}
-			return fmt.Sprintf("JSON_VAL(A.ATTR, %s)", lit(x.Field)), nil
+			return fmt.Sprintf("JSON_VAL(A.ATTR, %s)", strLit(x.Field)), nil
 		default:
 			// Plain values carry no attributes.
 			return "NULL", nil
@@ -98,12 +98,13 @@ func (t *translator) renderIt(x *expr.It) (string, error) {
 	}
 }
 
-// sqlExprLit renders a closure literal as SQL. Unlike lit(), floats are
-// rendered in fixed-point notation (the SQL lexer does not accept
-// exponent forms) with a forced decimal point so they stay floats.
+// sqlExprLit renders the constant of a general closure as SQL. Such a
+// constant is part of the query's shape, not an argument (its rendering
+// is the closure's own: floats in fixed-point notation with a forced
+// decimal point, so they stay floats), and is written into the template.
 func sqlExprLit(v any) string {
 	if f, ok := v.(float64); ok {
 		return expr.FormatFloat(f)
 	}
-	return lit(v)
+	return valueSQL(v)
 }

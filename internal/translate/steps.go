@@ -27,52 +27,50 @@ func (t *translator) estimateStep(s *gremlin.Step) {
 	}
 	switch s.Kind {
 	case gremlin.StepOut, gremlin.StepOutE:
-		t.est *= t.gstats.OutFanout(s.Labels)
+		t.estScale(t.gstats.OutFanout(s.Labels))
 	case gremlin.StepIn, gremlin.StepInE:
-		t.est *= t.gstats.InFanout(s.Labels)
+		t.estScale(t.gstats.InFanout(s.Labels))
 	case gremlin.StepBoth, gremlin.StepBothE:
-		t.est *= t.gstats.OutFanout(s.Labels) + t.gstats.InFanout(s.Labels)
+		t.estScale(t.gstats.OutFanout(s.Labels) + t.gstats.InFanout(s.Labels))
 	case gremlin.StepBothV:
-		t.est *= 2
+		t.estScale(2)
 	case gremlin.StepHas, gremlin.StepFilter:
 		if s.Op == gremlin.OpEq {
-			t.est *= hintSelEq
+			t.estScale(hintSelEq)
 		} else {
-			t.est *= hintSelFilter
+			t.estScale(hintSelFilter)
 		}
 	case gremlin.StepHasNot, gremlin.StepInterval:
-		t.est *= hintSelFilter
+		t.estScale(hintSelFilter)
 	case gremlin.StepDedup:
 		switch t.typ {
 		case ElemVertex:
-			t.est = math.Min(t.est, t.gstats.VertexCount())
+			t.estCap(t.gstats.VertexCount())
 		case ElemEdge:
-			t.est = math.Min(t.est, t.gstats.EdgeCount())
+			t.estCap(t.gstats.EdgeCount())
 		}
 	case gremlin.StepCount:
-		t.est = 1
+		t.estConst(1)
 	case gremlin.StepRange:
 		if lo, ok := s.Lo.(int64); ok {
 			if hi, ok := s.Hi.(int64); ok {
-				n := float64(hi - lo + 1)
-				if n < 0 {
-					n = 0
-				}
-				t.est = math.Min(t.est, n)
+				t.estCap(max(float64(hi-lo+1), 0))
 			}
 		}
 	case gremlin.StepExcept, gremlin.StepRetain:
-		t.est *= 0.5
+		t.estScale(0.5)
 	case gremlin.StepSimplePath:
-		t.est *= 0.9
+		t.estScale(0.9)
 	case gremlin.StepGroupBy, gremlin.StepGroupCount:
 		// One output row per distinct key; model the collapse like a
 		// coarse filter but never below one group.
-		t.est = math.Max(1, t.est*hintSelFilter)
+		t.estMap(func(est float64) float64 { return math.Max(1, est*hintSelFilter) })
 	}
-	if t.est < 0 {
-		t.est = 0
-	}
+}
+
+// estCap bounds the running estimate by limit.
+func (t *translator) estCap(limit float64) {
+	t.estMap(func(est float64) float64 { return math.Min(est, limit) })
 }
 
 // step translates one non-loop pipe.
@@ -269,11 +267,11 @@ func (t *translator) adjacencyEA(labels []string, d direction, toEdges bool) str
 	}
 	cond := fmt.Sprintf("P.%s = V.VAL", srcCol)
 	if len(labels) == 1 {
-		cond += fmt.Sprintf(" AND P.LBL = %s", lit(labels[0]))
+		cond += fmt.Sprintf(" AND P.LBL = %s", strLit(labels[0]))
 	} else if len(labels) > 1 {
 		quoted := make([]string, len(labels))
 		for i, l := range labels {
-			quoted[i] = lit(l)
+			quoted[i] = strLit(l)
 		}
 		cond += " AND P.LBL IN (" + strings.Join(quoted, ", ") + ")"
 	}
@@ -322,11 +320,11 @@ func (t *translator) adjacencyHash(labels []string, d direction, toEdges bool) (
 			if toEdges {
 				body = fmt.Sprintf(
 					"SELECT P.EID%d AS EID, P.VAL%d AS VAL%s FROM %s V, %s P WHERE P.VID = V.VAL AND P.VID >= 0 AND P.LBL%d = %s AND P.VAL%d IS NOT NULL",
-					k, k, t.extendPath(), t.cur, primary, k, lit(label), k)
+					k, k, t.extendPath(), t.cur, primary, k, strLit(label), k)
 			} else {
 				body = fmt.Sprintf(
 					"SELECT P.VAL%d AS VAL%s FROM %s V, %s P WHERE P.VID = V.VAL AND P.VID >= 0 AND P.LBL%d = %s AND P.VAL%d IS NOT NULL",
-					k, t.extendPath(), t.cur, primary, k, lit(label), k)
+					k, t.extendPath(), t.cur, primary, k, strLit(label), k)
 			}
 			primaries = append(primaries, t.add(body))
 		}
@@ -389,7 +387,7 @@ func (t *translator) edgeEndpoints(kind gremlin.StepKind) error {
 func (t *translator) property(key string) error {
 	switch t.typ {
 	case ElemVertex:
-		jv := fmt.Sprintf("JSON_VAL(A.ATTR, %s)", lit(key))
+		jv := fmt.Sprintf("JSON_VAL(A.ATTR, %s)", strLit(key))
 		t.cur = t.add(fmt.Sprintf(
 			"SELECT %s AS VAL%s FROM %s V, VA A WHERE A.VID = V.VAL AND %s IS NOT NULL",
 			jv, t.extendPath(), t.cur, jv))
@@ -397,7 +395,7 @@ func (t *translator) property(key string) error {
 		if key == "label" {
 			return t.step(&gremlin.Step{Kind: gremlin.StepLabel})
 		}
-		jv := fmt.Sprintf("JSON_VAL(A.ATTR, %s)", lit(key))
+		jv := fmt.Sprintf("JSON_VAL(A.ATTR, %s)", strLit(key))
 		t.cur = t.add(fmt.Sprintf(
 			"SELECT %s AS VAL%s FROM %s V, EA A WHERE A.EID = V.VAL AND %s IS NOT NULL",
 			jv, t.extendPath(), t.cur, jv))
@@ -444,7 +442,7 @@ func (t *translator) filter(s *gremlin.Step) error {
 			return err
 		}
 		t.cur = t.add(fmt.Sprintf("SELECT V.VAL AS VAL%s FROM %s V WHERE V.VAL %s %s",
-			t.carryPath(), t.cur, op, lit(s.Value)))
+			t.carryPath(), t.cur, op, param(s.Arg)))
 	}
 	return nil
 }
@@ -550,18 +548,18 @@ func edgeFilterCond(s *gremlin.Step) (string, error) {
 			if s.Key == "label" {
 				return "A.LBL IS NOT NULL", nil
 			}
-			return fmt.Sprintf("JSON_VAL(A.ATTR, %s) IS NOT NULL", lit(s.Key)), nil
+			return fmt.Sprintf("JSON_VAL(A.ATTR, %s) IS NOT NULL", strLit(s.Key)), nil
 		}
 		op, err := sqlOp(s.Op)
 		if err != nil {
 			return "", err
 		}
-		return edgeKeyCond(s.Key, op, s.Value, "A.ATTR", "A.LBL"), nil
+		return edgeKeyCond(s.Key, op, param(s.Arg), "A.ATTR", "A.LBL"), nil
 	case gremlin.StepHasNot:
-		return fmt.Sprintf("JSON_VAL(A.ATTR, %s) IS NULL", lit(s.Key)), nil
+		return fmt.Sprintf("JSON_VAL(A.ATTR, %s) IS NULL", strLit(s.Key)), nil
 	case gremlin.StepInterval:
-		jv := fmt.Sprintf("JSON_VAL(A.ATTR, %s)", lit(s.Key))
-		return fmt.Sprintf("%s >= %s AND %s < %s", jv, lit(s.Lo), jv, lit(s.Hi)), nil
+		jv := fmt.Sprintf("JSON_VAL(A.ATTR, %s)", strLit(s.Key))
+		return fmt.Sprintf("%s >= %s AND %s < %s", jv, param(s.Arg), jv, param(s.Arg+1)), nil
 	default:
 		return "", fmt.Errorf("translate: unsupported edge filter %v", s.Kind)
 	}
@@ -620,13 +618,13 @@ func (t *translator) ifThenElse(s *gremlin.Step) error {
 		}
 		cond = c
 	case t.typ == ElemVertex:
-		c, ok, err := attrCond(&gremlin.Step{Kind: gremlin.StepFilter, Key: s.Test.Key, Op: s.Test.Op, Value: s.Test.Value}, "A.ATTR")
+		c, ok, err := attrCond(&gremlin.Step{Kind: gremlin.StepFilter, Key: s.Test.Key, Op: s.Test.Op, Value: s.Test.Value, Arg: s.Arg}, "A.ATTR")
 		if err != nil || !ok {
 			return fmt.Errorf("translate: unsupported ifThenElse test: %v", err)
 		}
 		cond = c
 	default:
-		c, err := edgeFilterCond(&gremlin.Step{Kind: gremlin.StepFilter, Key: s.Test.Key, Op: s.Test.Op, Value: s.Test.Value})
+		c, err := edgeFilterCond(&gremlin.Step{Kind: gremlin.StepFilter, Key: s.Test.Key, Op: s.Test.Op, Value: s.Test.Value, Arg: s.Arg})
 		if err != nil {
 			return err
 		}
@@ -636,7 +634,7 @@ func (t *translator) ifThenElse(s *gremlin.Step) error {
 	// The predicate splits the stream; estimate half down each branch and
 	// sum the branch outputs at the union.
 	savedEst := t.est
-	t.est = savedEst * 0.5
+	t.estScale(0.5)
 
 	var thenIn string
 	if t.typ == ElemVertex {
@@ -660,7 +658,8 @@ func (t *translator) ifThenElse(s *gremlin.Step) error {
 	thenEst := t.est
 
 	t.cur, t.depth, t.typ = elseIn, savedDepth, savedType
-	t.est = savedEst * 0.5
+	t.est = savedEst
+	t.estScale(0.5)
 	t.hist = savedHist
 	if err := t.pipeline(s.Else); err != nil {
 		return err
@@ -672,7 +671,10 @@ func (t *translator) ifThenElse(s *gremlin.Step) error {
 			thenType, thenDepth, elseType, elseDepth)
 	}
 	t.depth, t.typ = thenDepth, thenType
-	t.est += thenEst
+	if thenEst != nil {
+		elseEst := t.est
+		t.est = func(ids float64) float64 { return elseEst(ids) + thenEst(ids) }
+	}
 	t.cur = t.add(fmt.Sprintf("SELECT VAL%s FROM %s UNION ALL SELECT VAL%s FROM %s",
 		t.pathSel(), thenOut, t.pathSel(), elseOut))
 	return nil
@@ -731,7 +733,7 @@ func (t *translator) recursiveLoop(seg *gremlin.Step, max int) (string, bool) {
 		}
 		quoted := make([]string, len(seg.Labels))
 		for i, l := range seg.Labels {
-			quoted[i] = lit(l)
+			quoted[i] = strLit(l)
 		}
 		if len(quoted) == 1 {
 			return " AND P.LBL = " + quoted[0]

@@ -8,6 +8,7 @@ package translate
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"sqlgraph/internal/gremlin"
@@ -82,13 +83,121 @@ type Options struct {
 	RecursiveLoops bool
 }
 
-// Translation is the compiled form of a Gremlin query.
+// Translation is the compiled form of a Gremlin query: one statement per
+// query shape, and what this query's arguments make of it.
 type Translation struct {
+	// Template is the statement with ?N where the query's N-th argument
+	// (gremlin.Query.Args, from 1) goes: a comparison value, or after IN
+	// an id list. It depends on the query's shape and the Options only,
+	// so it can be executed for any query of that shape, bound to that
+	// query's arguments.
+	Template string
+	// SQL is the template with this query's arguments written in as
+	// literals: executable on its own, and what /translate, EXPLAIN and
+	// the trace show.
 	SQL      string
 	ElemType ElemType
 	// Hints maps emitted CTE names to the translator's estimated row
-	// counts (nil when the Schema does not implement GraphStats).
+	// counts for this query's arguments (nil when the Schema does not
+	// implement GraphStats). HintsFor gives them for another query of
+	// the shape.
 	Hints map[string]float64
+
+	hintFns map[string]estimate
+	idArg   int // position of the id list among the arguments, -1 without one
+	ids     int // its length in the query translated
+}
+
+// estimate is a cardinality as a function of the length of the query's
+// id list — the one property of the arguments the hint model reads.
+type estimate func(ids float64) float64
+
+// HintsFor returns the hints for a query of this translation's shape with
+// the given arguments: Hints itself unless its id list is of another
+// length.
+func (tr *Translation) HintsFor(args []gremlin.Arg) map[string]float64 {
+	if tr.hintFns == nil || tr.idArg < 0 || len(args[tr.idArg].IDs) == tr.ids {
+		return tr.Hints
+	}
+	return evalHints(tr.hintFns, len(args[tr.idArg].IDs))
+}
+
+func evalHints(fns map[string]estimate, ids int) map[string]float64 {
+	hints := make(map[string]float64, len(fns))
+	for name, f := range fns {
+		hints[name] = max(f(float64(ids)), 0)
+	}
+	return hints
+}
+
+// Render writes args into the template as literals. An argument is
+// rendered the way the translator always wrote a Gremlin value into SQL,
+// so the text is the one a translation of the query itself carries as SQL.
+func (tr *Translation) Render(args []gremlin.Arg) string {
+	var sb strings.Builder
+	sb.Grow(len(tr.Template))
+	t := tr.Template
+	for i := 0; i < len(t); {
+		switch t[i] {
+		case '\'':
+			// A key or label: copied through to its closing quote ('' is an
+			// escaped one and reads as two strings back to back).
+			end := i + 1 + strings.IndexByte(t[i+1:], '\'')
+			sb.WriteString(t[i : end+1])
+			i = end + 1
+		case '?':
+			end := i + 1
+			for end < len(t) && t[end] >= '0' && t[end] <= '9' {
+				end++
+			}
+			n, _ := strconv.Atoi(t[i+1 : end])
+			writeArg(&sb, args[n-1])
+			i = end
+		default:
+			sb.WriteByte(t[i])
+			i++
+		}
+	}
+	return sb.String()
+}
+
+// ArgSQL renders a Gremlin argument as the SQL text Render writes for it.
+func ArgSQL(a gremlin.Arg) string {
+	var sb strings.Builder
+	writeArg(&sb, a)
+	return sb.String()
+}
+
+func writeArg(sb *strings.Builder, a gremlin.Arg) {
+	for i, id := range a.IDs {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(strconv.FormatInt(id, 10))
+	}
+	if a.IDs == nil {
+		sb.WriteString(valueSQL(a.Val))
+	}
+}
+
+// valueSQL renders a Gremlin value as a SQL literal. Only Render (an
+// argument) and sqlExprLit (a general closure's constant, which belongs
+// to the shape) write one into SQL; the translator itself writes
+// parameters.
+func valueSQL(v any) string {
+	switch x := v.(type) {
+	case string:
+		return strLit(x)
+	case bool:
+		if x {
+			return "TRUE"
+		}
+		return "FALSE"
+	case nil:
+		return "NULL"
+	default:
+		return fmt.Sprint(x)
+	}
 }
 
 // Translate compiles a parsed Gremlin query.
@@ -112,7 +221,7 @@ func newTranslator(sch Schema, opts Options) *translator {
 	}
 	if gs, ok := sch.(GraphStats); ok && gs != nil {
 		tr.gstats = gs
-		tr.hints = map[string]float64{}
+		tr.hints = map[string]estimate{}
 	}
 	return tr
 }
@@ -139,9 +248,26 @@ type translator struct {
 	aggs      map[string]string // aggregate name -> CTE
 	traversal int               // total adjacency steps in the query (for the EA optimization)
 
-	gstats GraphStats         // nil = no cardinality hints
-	est    float64            // running frontier cardinality estimate
-	hints  map[string]float64 // CTE name -> estimate snapshot at add()
+	gstats GraphStats          // nil = no cardinality hints
+	est    estimate            // running frontier cardinality estimate
+	hints  map[string]estimate // CTE name -> estimate snapshot at add()
+}
+
+// estConst sets the running estimate to x whatever the arguments.
+func (t *translator) estConst(x float64) {
+	t.est = func(float64) float64 { return x }
+}
+
+// estMap passes the running estimate through f.
+func (t *translator) estMap(f func(est float64) float64) {
+	if prev := t.est; prev != nil {
+		t.est = func(ids float64) float64 { return f(prev(ids)) }
+	}
+}
+
+// estScale multiplies the running estimate by x.
+func (t *translator) estScale(x float64) {
+	t.estMap(func(est float64) float64 { return est * x })
 }
 
 type cte struct {
@@ -268,11 +394,15 @@ func (t *translator) translate(q *gremlin.Query) (*Translation, error) {
 		sb.WriteString(" SELECT VAL FROM ")
 		sb.WriteString(t.ctes[len(t.ctes)-1].name)
 	}
-	return &Translation{
-		SQL:      sb.String(),
-		ElemType: t.typ,
-		Hints:    t.hints,
-	}, nil
+	tr := &Translation{Template: sb.String(), ElemType: t.typ, hintFns: t.hints, idArg: -1}
+	if src := &q.Steps[0]; len(src.StartIDs) > 0 {
+		tr.idArg, tr.ids = src.Arg, len(src.StartIDs)
+	}
+	if t.hints != nil {
+		tr.Hints = evalHints(t.hints, tr.ids)
+	}
+	tr.SQL = tr.Render(q.Args)
+	return tr, nil
 }
 
 // pipeline translates a run of steps.
@@ -299,22 +429,15 @@ func (t *translator) pipeline(steps []gremlin.Step) error {
 	return nil
 }
 
-// lit renders a Gremlin literal as SQL.
-func lit(v any) string {
-	switch x := v.(type) {
-	case string:
-		return "'" + strings.ReplaceAll(x, "'", "''") + "'"
-	case bool:
-		if x {
-			return "TRUE"
-		}
-		return "FALSE"
-	case nil:
-		return "NULL"
-	default:
-		return fmt.Sprint(x)
-	}
+// strLit renders a property key or an edge label as a SQL string. Keys
+// and labels are part of a query's shape; its values are arguments and
+// reach the statement as parameters (param).
+func strLit(s string) string {
+	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
 }
+
+// param renders the parameter that reads the query's argument at pos.
+func param(pos int) string { return "?" + strconv.Itoa(pos+1) }
 
 func sqlOp(op gremlin.CmpOp) (string, error) {
 	switch op {
@@ -345,25 +468,13 @@ func (t *translator) source(s *gremlin.Step, rest []gremlin.Step) ([]gremlin.Ste
 	switch s.Kind {
 	case gremlin.StepV:
 		t.typ = ElemVertex
-		if t.gstats != nil {
-			t.est = t.gstats.VertexCount()
-			if len(s.StartIDs) > 0 {
-				t.est = float64(len(s.StartIDs))
-			}
-			if s.StartKey != "" {
-				t.est *= hintSelEq
-			}
-		}
+		t.estSource(s, GraphStats.VertexCount)
 		conds = append(conds, "VID >= 0")
 		if len(s.StartIDs) > 0 {
-			ids := make([]string, len(s.StartIDs))
-			for i, id := range s.StartIDs {
-				ids[i] = fmt.Sprint(id)
-			}
-			conds = append(conds, "VID IN ("+strings.Join(ids, ", ")+")")
+			conds = append(conds, "VID IN ("+param(s.Arg)+")")
 		}
 		if s.StartKey != "" {
-			conds = append(conds, fmt.Sprintf("JSON_VAL(ATTR, %s) = %s", lit(s.StartKey), lit(s.StartVal)))
+			conds = append(conds, fmt.Sprintf("JSON_VAL(ATTR, %s) = %s", strLit(s.StartKey), param(s.Arg)))
 		}
 		// GraphQuery merge: fold subsequent vertex attribute filters in.
 		for consumed < len(rest) {
@@ -375,9 +486,7 @@ func (t *translator) source(s *gremlin.Step, rest []gremlin.Step) ([]gremlin.Ste
 				break
 			}
 			conds = append(conds, cond)
-			if t.gstats != nil {
-				t.est *= hintSelFilter
-			}
+			t.estScale(hintSelFilter)
 			consumed++
 		}
 		sel := "SELECT VID AS VAL"
@@ -387,24 +496,12 @@ func (t *translator) source(s *gremlin.Step, rest []gremlin.Step) ([]gremlin.Ste
 		t.cur = t.add(sel + " FROM VA WHERE " + strings.Join(conds, " AND "))
 	case gremlin.StepE:
 		t.typ = ElemEdge
-		if t.gstats != nil {
-			t.est = t.gstats.EdgeCount()
-			if len(s.StartIDs) > 0 {
-				t.est = float64(len(s.StartIDs))
-			}
-			if s.StartKey != "" {
-				t.est *= hintSelEq
-			}
-		}
+		t.estSource(s, GraphStats.EdgeCount)
 		if len(s.StartIDs) > 0 {
-			ids := make([]string, len(s.StartIDs))
-			for i, id := range s.StartIDs {
-				ids[i] = fmt.Sprint(id)
-			}
-			conds = append(conds, "EID IN ("+strings.Join(ids, ", ")+")")
+			conds = append(conds, "EID IN ("+param(s.Arg)+")")
 		}
 		if s.StartKey != "" {
-			conds = append(conds, edgeKeyCond(s.StartKey, "=", s.StartVal, "ATTR", "LBL"))
+			conds = append(conds, edgeKeyCond(s.StartKey, "=", param(s.Arg), "ATTR", "LBL"))
 		}
 		for consumed < len(rest) {
 			cond, ok, err := edgeAttrCond(&rest[consumed])
@@ -415,9 +512,7 @@ func (t *translator) source(s *gremlin.Step, rest []gremlin.Step) ([]gremlin.Ste
 				break
 			}
 			conds = append(conds, cond)
-			if t.gstats != nil {
-				t.est *= hintSelFilter
-			}
+			t.estScale(hintSelFilter)
 			consumed++
 		}
 		sel := "SELECT EID AS VAL"
@@ -446,7 +541,7 @@ func attrCond(s *gremlin.Step, attrCol string) (string, bool, error) {
 			// General closure filter: not a mergeable simple predicate.
 			return "", false, nil
 		}
-		jv := fmt.Sprintf("JSON_VAL(%s, %s)", attrCol, lit(s.Key))
+		jv := fmt.Sprintf("JSON_VAL(%s, %s)", attrCol, strLit(s.Key))
 		if s.Op == "" {
 			return jv + " IS NOT NULL", true, nil
 		}
@@ -454,12 +549,12 @@ func attrCond(s *gremlin.Step, attrCol string) (string, bool, error) {
 		if err != nil {
 			return "", false, err
 		}
-		return fmt.Sprintf("%s %s %s", jv, op, lit(s.Value)), true, nil
+		return fmt.Sprintf("%s %s %s", jv, op, param(s.Arg)), true, nil
 	case gremlin.StepHasNot:
-		return fmt.Sprintf("JSON_VAL(%s, %s) IS NULL", attrCol, lit(s.Key)), true, nil
+		return fmt.Sprintf("JSON_VAL(%s, %s) IS NULL", attrCol, strLit(s.Key)), true, nil
 	case gremlin.StepInterval:
-		jv := fmt.Sprintf("JSON_VAL(%s, %s)", attrCol, lit(s.Key))
-		return fmt.Sprintf("%s >= %s AND %s < %s", jv, lit(s.Lo), jv, lit(s.Hi)), true, nil
+		jv := fmt.Sprintf("JSON_VAL(%s, %s)", attrCol, strLit(s.Key))
+		return fmt.Sprintf("%s >= %s AND %s < %s", jv, param(s.Arg), jv, param(s.Arg+1)), true, nil
 	default:
 		return "", false, nil
 	}
@@ -477,26 +572,45 @@ func edgeAttrCond(s *gremlin.Step) (string, bool, error) {
 			if s.Key == "label" {
 				return "LBL IS NOT NULL", true, nil
 			}
-			return fmt.Sprintf("JSON_VAL(ATTR, %s) IS NOT NULL", lit(s.Key)), true, nil
+			return fmt.Sprintf("JSON_VAL(ATTR, %s) IS NOT NULL", strLit(s.Key)), true, nil
 		}
 		op, err := sqlOp(s.Op)
 		if err != nil {
 			return "", false, err
 		}
-		return edgeKeyCond(s.Key, op, s.Value, "ATTR", "LBL"), true, nil
+		return edgeKeyCond(s.Key, op, param(s.Arg), "ATTR", "LBL"), true, nil
 	case gremlin.StepHasNot:
-		return fmt.Sprintf("JSON_VAL(ATTR, %s) IS NULL", lit(s.Key)), true, nil
+		return fmt.Sprintf("JSON_VAL(ATTR, %s) IS NULL", strLit(s.Key)), true, nil
 	case gremlin.StepInterval:
-		jv := fmt.Sprintf("JSON_VAL(ATTR, %s)", lit(s.Key))
-		return fmt.Sprintf("%s >= %s AND %s < %s", jv, lit(s.Lo), jv, lit(s.Hi)), true, nil
+		jv := fmt.Sprintf("JSON_VAL(ATTR, %s)", strLit(s.Key))
+		return fmt.Sprintf("%s >= %s AND %s < %s", jv, param(s.Arg), jv, param(s.Arg+1)), true, nil
 	default:
 		return "", false, nil
 	}
 }
 
-func edgeKeyCond(key, op string, val any, attrCol, lblCol string) string {
+// edgeKeyCond compares an edge attribute — or, for the pseudo-attribute
+// "label", the LBL column — with the rendered value val.
+func edgeKeyCond(key, op, val, attrCol, lblCol string) string {
 	if key == "label" {
-		return fmt.Sprintf("%s %s %s", lblCol, op, lit(val))
+		return fmt.Sprintf("%s %s %s", lblCol, op, val)
 	}
-	return fmt.Sprintf("JSON_VAL(%s, %s) %s %s", attrCol, lit(key), op, lit(val))
+	return fmt.Sprintf("JSON_VAL(%s, %s) %s %s", attrCol, strLit(key), op, val)
+}
+
+// estSource starts the running estimate at a source step: the length of
+// its id list, or the count of every element, times the selectivity of a
+// key lookup.
+func (t *translator) estSource(s *gremlin.Step, count func(GraphStats) float64) {
+	if t.gstats == nil {
+		return
+	}
+	if len(s.StartIDs) > 0 {
+		t.est = func(ids float64) float64 { return ids }
+	} else {
+		t.estConst(count(t.gstats))
+	}
+	if s.StartKey != "" {
+		t.estScale(hintSelEq)
+	}
 }

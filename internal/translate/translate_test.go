@@ -1,6 +1,8 @@
 package translate
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -251,4 +253,94 @@ func TestPropertyPipe(t *testing.T) {
 	wants(t, sql, "JSON_VAL(A.ATTR, 'name')", "IS NOT NULL")
 	sql = tr(t, "g.E(5).weight", Options{}).SQL
 	wants(t, sql, "EA A", "JSON_VAL(A.ATTR, 'weight')")
+}
+
+// TestTemplateAndRender: a translation is a template — ?N where the
+// query's N-th argument goes, keys and labels written in — that depends on
+// the query's shape only, and its SQL is that template with the arguments
+// rendered as the translator always wrote Gremlin values into SQL.
+func TestTemplateAndRender(t *testing.T) {
+	a := tr(t, "g.V(1, 2).out('knows').has('age', T.gt, 29).interval('w', 0.5, 2)", Options{})
+	wants(t, a.Template, "VID IN (?1)", "P.LBL = 'knows'", "JSON_VAL(A.ATTR, 'age') > ?2",
+		"JSON_VAL(A.ATTR, 'w') >= ?3 AND JSON_VAL(A.ATTR, 'w') < ?4")
+	wants(t, a.SQL, "VID IN (1, 2)", "JSON_VAL(A.ATTR, 'age') > 29", "JSON_VAL(A.ATTR, 'w') >= 0.5 AND JSON_VAL(A.ATTR, 'w') < 2")
+	rejects(t, a.SQL, "?")
+
+	// Another query of the shape: the same template, and rendering its
+	// arguments into the first one's template gives its own SQL.
+	b := tr(t, "g.V(7, 8, 9).out('knows').has('age', T.gt, -4).interval('w', 1.25, 10)", Options{})
+	if a.Template != b.Template {
+		t.Fatalf("one shape, two templates:\n%s\n%s", a.Template, b.Template)
+	}
+	qb, _ := gremlin.Parse("g.V(7, 8, 9).out('knows').has('age', T.gt, -4).interval('w', 1.25, 10)")
+	if got := a.Render(qb.Args); got != b.SQL {
+		t.Fatalf("Render = %s\nwant %s", got, b.SQL)
+	}
+
+	// Every kind of value, and a key that holds what look like markers.
+	c := tr(t, `g.V('na?1me', "it's ?2").has('ok', true).has('k?', 'x').has('f', 2.0)`, Options{})
+	wants(t, c.Template, "JSON_VAL(ATTR, 'na?1me') = ?1", "JSON_VAL(ATTR, 'ok') = ?2", "JSON_VAL(ATTR, 'k?') = ?3", "JSON_VAL(ATTR, 'f') = ?4")
+	wants(t, c.SQL, "JSON_VAL(ATTR, 'na?1me') = 'it''s ?2'", "JSON_VAL(ATTR, 'ok') = TRUE", "JSON_VAL(ATTR, 'k?') = 'x'", "JSON_VAL(ATTR, 'f') = 2")
+
+	// An unrolled loop repeats its segment, and the segment's argument.
+	d := tr(t, "g.V(1).as('s').out.has('k', 5).loop('s'){it.loops < 3}", Options{})
+	if n := strings.Count(d.Template, "= ?2"); n != 3 {
+		t.Fatalf("loop segment's argument read %d times, want once per pass:\n%s", n, d.Template)
+	}
+
+	// The constants of a general closure belong to the shape.
+	e := tr(t, "g.V.filter{it.age * 2 > 60}", Options{})
+	wants(t, e.Template, "* 2) > 60)")
+	rejects(t, e.Template, "?")
+}
+
+// statsSchema adds graph-level cardinalities to fakeSchema: 100 vertices,
+// 300 edges, 3 out- and in-edges per vertex.
+type statsSchema struct{ fakeSchema }
+
+func (statsSchema) VertexCount() float64       { return 100 }
+func (statsSchema) EdgeCount() float64         { return 300 }
+func (statsSchema) OutFanout([]string) float64 { return 3 }
+func (statsSchema) InFanout([]string) float64  { return 3 }
+
+// TestHintsFollowTheArguments: the estimates start from the length of the
+// id list, so a statement shared by queries of one shape gives each the
+// hints its own translation would carry.
+func TestHintsFollowTheArguments(t *testing.T) {
+	parse := func(query string) *gremlin.Query {
+		q, err := gremlin.Parse(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	translate := func(q *gremlin.Query) *Translation {
+		out, err := Translate(q, statsSchema{}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	two := parse("g.V(1, 2).out.has('k', 1).out.out.dedup()")
+	fifty := parse("g.V(" + strings.Repeat("7, ", 49) + "7).out.has('k', 5).out.out.dedup()")
+	a, b := translate(two), translate(fifty)
+	if a.Hints["T1"] != 2 || b.Hints["T1"] != 50 {
+		t.Fatalf("source estimates %v and %v, want the id counts", a.Hints["T1"], b.Hints["T1"])
+	}
+	if got := a.HintsFor(fifty.Args); !reflect.DeepEqual(got, b.Hints) {
+		t.Fatalf("hints of the 2-id statement for 50 ids:\n%v\nthe 50-id query's own:\n%v", got, b.Hints)
+	}
+	if got := b.HintsFor(two.Args); !reflect.DeepEqual(got, a.Hints) {
+		t.Fatalf("hints of the 50-id statement for 2 ids:\n%v\nthe 2-id query's own:\n%v", got, a.Hints)
+	}
+	// dedup caps at the vertex count: the estimate is not linear in the ids.
+	last := fmt.Sprintf("T%d", len(a.Hints))
+	if a.Hints[last] >= b.Hints[last] || b.Hints[last] != 100 {
+		t.Fatalf("dedup estimates %v (2 ids) and %v (50 ids), want the second capped at 100 vertices", a.Hints[last], b.Hints[last])
+	}
+	// Without an id list nothing depends on the arguments.
+	c := translate(parse("g.V.has('k', 1).out"))
+	if got := c.HintsFor(parse("g.V.has('k', 9).out").Args); !reflect.DeepEqual(got, c.Hints) {
+		t.Fatalf("hints moved with a comparison value: %v vs %v", got, c.Hints)
+	}
 }

@@ -126,6 +126,10 @@ func (r *Result) Count() int { return len(r.Values) }
 type Translation struct {
 	// SQL is the single statement the query compiles to.
 	SQL string
+	// Template is that statement as the store prepares it, once for every
+	// query of this shape: ?N where the query's N-th literal (an id list,
+	// a comparison value) is bound per execution.
+	Template string
 	// ElemType names what the result column holds: "vertex", "edge", or
 	// "value".
 	ElemType string
@@ -212,7 +216,7 @@ func (g *Graph) Translate(gremlin string) (*Translation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Translation{SQL: tr.SQL, ElemType: tr.ElemType.String()}, nil
+	return &Translation{SQL: tr.SQL, Template: tr.Template, ElemType: tr.ElemType.String()}, nil
 }
 
 // AddVertex inserts a vertex.
