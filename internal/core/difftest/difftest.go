@@ -13,6 +13,7 @@ package difftest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -143,7 +144,7 @@ func genEdgeExpr(rng *rand.Rand, depth int) string {
 // hops, edge hops with endpoint steps, attribute predicates, general
 // closures (filter/ifThenElse/order/groupBy/groupCount), aggregates
 // with except/retain, dedup/simplePath, marks with back, bounded loops
-// with closure bounds, and path/range/count terminals.
+// with closure bounds, and path/range/count/property terminals.
 func GenPipeline(rng *rand.Rand, numVertices int) string {
 	q := "g"
 	edgeCtx := false
@@ -285,6 +286,12 @@ func GenPipeline(rng *rand.Rand, numVertices int) string {
 	case 4:
 		if !edgeCtx && !deduped {
 			q += ".path"
+		}
+	case 5:
+		if edgeCtx {
+			q += ".w"
+		} else {
+			q += "." + pick(rng, "k", "name")
 		}
 	}
 	return q
@@ -494,7 +501,8 @@ func render(vals []any, ordered bool) []string {
 }
 
 // normalize converts interpreter outputs to the store's value domain
-// (int64 ids, nested []any paths).
+// (int64 ids, nested []any paths, and integral attribute numbers as
+// int64, which is how the store's JSON documents keep them).
 func normalize(vals []any) []any {
 	out := make([]any, len(vals))
 	for i, v := range vals {
@@ -507,6 +515,11 @@ func normalizeVal(v any) any {
 	switch x := v.(type) {
 	case int:
 		return int64(x)
+	case float64:
+		if x == math.Trunc(x) && math.Abs(x) < 1<<53 {
+			return int64(x)
+		}
+		return x
 	case []any:
 		out := make([]any, len(x))
 		for i, e := range x {

@@ -121,6 +121,58 @@ func TestGeneratorCoversNewConstructs(t *testing.T) {
 			t.Errorf("600-pipeline sample never put a data-dependent divisor before %s", after)
 		}
 	}
+
+	// Every form the translator folds into the source scan, over VA and
+	// EA, in every storage mode: the differential property checks them
+	// only if the sample translates to them.
+	s, err := core.Load(GenGraph(rand.New(rand.NewSource(42))), core.Options{OutCols: 3, InCols: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fused := []struct {
+		name string
+		re   *regexp.Regexp
+	}{
+		{"closure filter on VA", regexp.MustCompile(`^SELECT VID AS VAL FROM VA WHERE (.* AND )?(\(|STARTSWITH\(|CONTAINS\()`)},
+		{"closure filter on EA", regexp.MustCompile(`^SELECT EID AS VAL FROM EA WHERE (.* AND )?(\(|STARTSWITH\(|CONTAINS\()`)},
+		{"order{} on VA", regexp.MustCompile(`^SELECT VID AS VAL, .* AS OKEY FROM VA WHERE `)},
+		{"order{} on EA", regexp.MustCompile(`^SELECT EID AS VAL, .* AS OKEY FROM EA`)},
+		{"groupCount on VA", regexp.MustCompile(`^SELECT \(LIST\(\) \|\| .* \|\| COUNT\(\*\)\) AS VAL FROM VA WHERE .* GROUP BY `)},
+		{"groupCount on EA", regexp.MustCompile(`^SELECT \(LIST\(\) \|\| .* \|\| COUNT\(\*\)\) AS VAL FROM EA( WHERE .*)? GROUP BY `)},
+		{"groupBy on VA", regexp.MustCompile(`^SELECT \(LIST\(\) \|\| .* \|\| LISTAGG\(.*\)\) AS VAL FROM VA WHERE .* GROUP BY `)},
+		{"groupBy on EA", regexp.MustCompile(`^SELECT \(LIST\(\) \|\| .* \|\| LISTAGG\(.*\)\) AS VAL FROM EA( WHERE .*)? GROUP BY `)},
+		{"property on VA", regexp.MustCompile(`^SELECT JSON_VAL\(ATTR, '(k|name)'\) AS VAL FROM VA WHERE `)},
+		{"property on EA", regexp.MustCompile(`^SELECT JSON_VAL\(ATTR, 'w'\) AS VAL FROM EA WHERE `)},
+		{"order{}.range cut in the sort", regexp.MustCompile(`^SELECT VAL, OKEY FROM T\d+ ORDER BY OKEY, VAL LIMIT \d+ OFFSET \d+$`)},
+	}
+	// A larger sample than above: a fold needs the fused step right
+	// after the source, and an edge property is a rare terminal.
+	rng = rand.New(rand.NewSource(43))
+	var sample []string
+	for i := 0; i < 3000; i++ {
+		sample = append(sample, GenPipeline(rng, 20))
+	}
+	cteSep := regexp.MustCompile(`^WITH T1 AS \(|\), T\d+ AS \(|\) SELECT VAL FROM T\d+$`)
+	for _, opts := range allModes {
+		seen := make([]bool, len(fused))
+		for _, query := range sample {
+			tr, err := s.Translate(query, opts)
+			if err != nil {
+				continue // refused on both paths alike (Check)
+			}
+			for _, body := range cteSep.Split(tr.SQL, -1) {
+				for i, f := range fused {
+					seen[i] = seen[i] || f.re.MatchString(body)
+				}
+			}
+		}
+		for i, f := range fused {
+			if !seen[i] {
+				t.Errorf("%+v: 3000-pipeline sample never translated to the fused %s", opts, f.name)
+			}
+		}
+	}
 }
 
 // TestShrinkMinimizes drives the shrinker with a synthetic reproduction

@@ -159,6 +159,35 @@ func TestJSONVal(t *testing.T) {
 	}
 }
 
+// TestJSONValOverStrings: a string column is parsed per row, and only a
+// whole JSON object (or null) is a document — text after the closing
+// brace makes the value NULL, as json.Unmarshal rejects it. The path may
+// come from a column too.
+func TestJSONValOverStrings(t *testing.T) {
+	e := newTestEngine(t)
+	for _, q := range []string{
+		"CREATE TABLE DOCS (ID BIGINT, TXT VARCHAR, K VARCHAR)",
+		`INSERT INTO DOCS VALUES (1, '{"a":1}', 'a'), (2, '{"a":1} x', 'a'), (3, ' {"a":2} ', 'a'),
+			(4, '[1]', 'a'), (5, 'null', 'a'), (6, '{"a":{"b":3}}', 'a.b'), (7, '{"zz9":4}', 'zz9')`,
+	} {
+		if _, err := e.Exec(q); err != nil {
+			t.Fatalf("Exec(%s): %v", q, err)
+		}
+	}
+	for _, c := range []struct{ q, want string }{
+		{"SELECT ID, JSON_VAL(TXT, 'a') FROM DOCS ORDER BY ID", "1:1 2:NULL 3:2 4:NULL 5:NULL 6:map[b:3] 7:NULL"},
+		{"SELECT ID, JSON_VAL(TXT, K) FROM DOCS ORDER BY ID", "1:1 2:NULL 3:2 4:NULL 5:NULL 6:3 7:4"},
+	} {
+		var got []string
+		for _, row := range mustQuery(t, e, c.q).Data {
+			got = append(got, fmt.Sprintf("%d:%v", row[0].Int(), row[1]))
+		}
+		if s := strings.Join(got, " "); s != c.want {
+			t.Errorf("%s\n got %s\nwant %s", c.q, s, c.want)
+		}
+	}
+}
+
 func TestExpressionIndexUsedAndCorrect(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -368,4 +369,32 @@ func TestConcurrentQueries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestOrderLimitTopK: ORDER BY with a LIMIT keeps only OFFSET+LIMIT rows
+// while it sorts; what it returns must be exactly the full sort cut to
+// [OFFSET, OFFSET+LIMIT) — equal keys (the key domain is tiny) in input
+// order, NULL keys where the full sort puts them, either direction —
+// serially and under morsel parallelism.
+func TestOrderLimitTopK(t *testing.T) {
+	e := newJoinEngine(t, 11, 150, 0)
+	for _, order := range []string{"K", "K DESC", "K, P", "K DESC, P DESC", "P DESC"} {
+		for _, cut := range [][2]int{{0, 0}, {0, 1}, {0, 7}, {3, 10}, {140, 20}, {150, 5}, {400, 3}, {0, 150}, {0, 1000}, {10, 0}} {
+			off, lim := cut[0], cut[1]
+			for _, par := range []int{1, 4} {
+				full := rowsKeys(queryForced(t, e, StrategyAuto, par, "SELECT K, P FROM L ORDER BY "+order))
+				want := full[min(off, len(full)):min(off+lim, len(full))]
+				q := fmt.Sprintf("SELECT K, P FROM L ORDER BY %s LIMIT %d OFFSET %d", order, lim, off)
+				if got := rowsKeys(queryForced(t, e, StrategyAuto, par, q)); !slices.Equal(got, want) {
+					t.Fatalf("par=%d %s:\n got %v\nwant %v", par, q, got, want)
+				}
+				// The translator's shape: the sort is a CTE its projection reads.
+				q = fmt.Sprintf("WITH T1 AS (SELECT P AS VAL, K AS OKEY FROM L), T2 AS (SELECT VAL, OKEY FROM T1 ORDER BY %s LIMIT %d OFFSET %d) SELECT OKEY, VAL FROM T2",
+					strings.NewReplacer("K", "OKEY", "P", "VAL").Replace(order), lim, off)
+				if got := rowsKeys(queryForced(t, e, StrategyAuto, par, q)); !slices.Equal(got, want) {
+					t.Fatalf("par=%d %s:\n got %v\nwant %v", par, q, got, want)
+				}
+			}
+		}
+	}
 }

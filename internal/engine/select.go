@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -145,16 +144,21 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 	if err := e.materialize(q, out); err != nil {
 		return nil, err
 	}
-	if len(stmt.OrderBy) > 0 {
-		if err := e.orderRows(q, out, stmt.OrderBy); err != nil {
-			return nil, err
-		}
-	}
+	start, end := 0, len(out.rows)
 	if stmt.Offset != nil || stmt.Limit != nil {
-		if err := e.applyLimit(q, out, stmt.Limit, stmt.Offset); err != nil {
+		var err error
+		if start, end, err = e.limitBounds(q, len(out.rows), stmt.Limit, stmt.Offset); err != nil {
 			return nil, err
 		}
 	}
+	if len(stmt.OrderBy) > 0 {
+		if err := e.orderRows(q, out, stmt.OrderBy, end); err != nil {
+			return nil, err
+		}
+	}
+	// Capacity is clamped: the rows may be shared (DESIGN.md §8), so a
+	// later append must not write into the slice they came from.
+	out.rows = out.rows[start:end:end]
 	return out, nil
 }
 
@@ -173,45 +177,39 @@ func cteReaders(stmt *sql.SelectStmt) map[string]int {
 	return n
 }
 
-func (e *Engine) applyLimit(q *queryState, r *relation, limit, offset sql.Expr) error {
-	start := 0
+// limitBounds returns the rows [start, end) of n that OFFSET and LIMIT
+// keep.
+func (e *Engine) limitBounds(q *queryState, n int, limit, offset sql.Expr) (start, end int, err error) {
 	if offset != nil {
 		v, err := e.constValue(q, offset)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
-		start = int(v.Int())
-		if start < 0 {
-			start = 0
-		}
+		start = min(max(int(v.Int()), 0), n)
 	}
-	end := len(r.rows)
+	end = n
 	if limit != nil {
 		v, err := e.constValue(q, limit)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
-		n := int(v.Int())
-		if n < 0 {
-			n = 0
-		}
-		if start+n < end {
-			end = start + n
-		}
+		end = min(start+max(int(v.Int()), 0), n)
 	}
-	if start > len(r.rows) {
-		start = len(r.rows)
-	}
-	if end < start {
-		end = start
-	}
-	// Capacity is clamped: the rows may be shared (DESIGN.md §8), so a
-	// later append must not write into the slice they came from.
-	r.rows = r.rows[start:end:end]
-	return nil
+	return start, end, nil
 }
 
-func (e *Engine) orderRows(q *queryState, r *relation, items []sql.OrderItem) error {
+// sortRow is a row with its ORDER BY keys and its input position, which
+// breaks ties: equal keys keep their input order.
+type sortRow struct {
+	keys []rel.Value // a window of one array shared by all the rows kept
+	row  []rel.Value
+	seq  int
+}
+
+// orderRows sorts r's rows by items and keeps the first keep of them
+// (all when keep is len(r.rows)). Fewer than all are chosen by a bounded
+// heap, so a LIMIT over many rows holds only what it returns.
+func (e *Engine) orderRows(q *queryState, r *relation, items []sql.OrderItem, keep int) error {
 	opT := time.Now()
 	sc := newScope(r.cols)
 	keyFns := make([]compiledExpr, len(items))
@@ -228,49 +226,90 @@ func (e *Engine) orderRows(q *queryState, r *relation, items []sql.OrderItem) er
 			return err
 		}
 	}
-	type sortKey struct {
-		keys []rel.Value
-		row  []rel.Value
+	compare := func(a, b *sortRow) int {
+		for j, item := range items {
+			if c := rel.Compare(a.keys[j], b.keys[j]); c != 0 {
+				if item.Desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return a.seq - b.seq
 	}
-	keyed := make([]sortKey, len(r.rows))
+	nk := len(keyFns)
+	bounded := keep < len(r.rows)
+	flat := make([]rel.Value, keep*nk)
+	kept := make([]sortRow, 0, keep)
+	cand := sortRow{keys: make([]rel.Value, nk)}
 	for i, row := range r.rows {
-		keys := make([]rel.Value, len(items))
+		cand.row, cand.seq = row, i
 		for j, fn := range keyFns {
 			var err error
-			if keys[j], err = fn(row); err != nil {
+			if cand.keys[j], err = fn(row); err != nil {
 				return err
 			}
 		}
-		keyed[i] = sortKey{keys: keys, row: row}
-	}
-	sort.SliceStable(keyed, func(a, b int) bool {
-		for j, item := range items {
-			c := rel.Compare(keyed[a].keys[j], keyed[b].keys[j])
-			if c == 0 {
-				continue
+		switch {
+		case len(kept) < keep:
+			keys := flat[len(kept)*nk : (len(kept)+1)*nk]
+			copy(keys, cand.keys)
+			kept = append(kept, sortRow{keys: keys, row: row, seq: i})
+			if bounded {
+				siftUp(kept, len(kept)-1, compare)
 			}
-			if item.Desc {
-				return c > 0
-			}
-			return c < 0
+		case keep > 0 && compare(&cand, &kept[0]) < 0:
+			// The heap's root is the last of the rows kept so far.
+			copy(kept[0].keys, cand.keys)
+			kept[0].row, kept[0].seq = row, i
+			siftDown(kept, 0, compare)
 		}
-		return false
-	})
+	}
+	slices.SortFunc(kept, func(a, b sortRow) int { return compare(&a, &b) })
 	// The input slice may be shared with a CTE another branch still reads
 	// (DESIGN.md §8): the order goes into a slice of its own.
-	sorted := make([][]rel.Value, len(keyed))
-	for i := range keyed {
-		sorted[i] = keyed[i].row
+	sorted := make([][]rel.Value, len(kept))
+	for i := range kept {
+		sorted[i] = kept[i].row
 	}
-	r.rows = sorted
 	q.stats.Ops = append(q.stats.Ops, OpStat{
 		Kind:    "sort",
 		RowsIn:  len(r.rows),
-		RowsOut: len(r.rows),
+		RowsOut: len(sorted),
 		StartNs: q.sinceStart(opT),
 		Nanos:   time.Since(opT).Nanoseconds(),
 	})
+	r.rows = sorted
 	return nil
+}
+
+// siftUp and siftDown keep h a max-heap under compare: its root is the
+// row that sorts last.
+func siftUp(h []sortRow, i int, compare func(a, b *sortRow) int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if compare(&h[i], &h[parent]) <= 0 {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func siftDown(h []sortRow, i int, compare func(a, b *sortRow) int) {
+	for {
+		top := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if compare(&h[c], &h[top]) > 0 {
+				top = c
+			}
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
 }
 
 func (e *Engine) evalBody(q *queryState, body sql.SelectBody) (*relation, error) {

@@ -7,46 +7,51 @@
 // calls during query evaluation do not re-parse the text. Numbers are kept
 // as int64 when they are integral, otherwise float64, mirroring the
 // numeric casting behavior the paper's micro-benchmark (Table 2) exercises.
+//
+// A document's top-level fields are one slice sorted by key, and the keys
+// are interned: the attribute keys of a graph are its schema, shared by
+// every row, so each is stored once and a compiled JSON_VAL path finds its
+// field by comparing key handles rather than hashing strings. Nested
+// objects and arrays are plain map[string]any and []any values.
+//
+// Attribute keys are interned in a table that keeps every key a document
+// has held. A compiled path only looks its keys up, so a query naming keys
+// that no document has does not grow the table.
 package sqljson
 
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // Doc is a parsed JSON object. The zero value is an empty document.
 type Doc struct {
-	m map[string]any
+	fields []field // sorted by key, each key once
 }
 
+type field struct {
+	key sym
+	val any
+}
+
+func byKey(a, b field) int { return strings.Compare(a.key.Value(), b.key.Value()) }
+
 // New returns an empty document.
-func New() *Doc { return &Doc{m: map[string]any{}} }
+func New() *Doc { return &Doc{} }
 
 // FromMap builds a document from a Go map. Values must be nil, bool,
 // int/int64, float64, string, []any, map[string]any, or nested *Doc.
 func FromMap(m map[string]any) *Doc {
-	d := New()
+	d := &Doc{fields: make([]field, 0, len(m))}
 	for k, v := range m {
-		d.Set(k, v)
+		d.fields = append(d.fields, field{intern(k), normalize(v)})
 	}
+	slices.SortFunc(d.fields, byKey)
 	return d
-}
-
-// Parse decodes a JSON object.
-func Parse(s string) (*Doc, error) {
-	dec := json.NewDecoder(strings.NewReader(s))
-	dec.UseNumber()
-	var raw map[string]any
-	if err := dec.Decode(&raw); err != nil {
-		return nil, fmt.Errorf("sqljson: parse: %w", err)
-	}
-	return &Doc{m: normalizeMap(raw)}, nil
 }
 
 func normalizeMap(m map[string]any) map[string]any {
@@ -60,11 +65,7 @@ func normalizeMap(m map[string]any) map[string]any {
 func normalize(v any) any {
 	switch x := v.(type) {
 	case json.Number:
-		if i, err := x.Int64(); err == nil {
-			return i
-		}
-		f, _ := x.Float64()
-		return f
+		return number(string(x))
 	case int:
 		return int64(x)
 	case float64:
@@ -81,67 +82,93 @@ func normalize(v any) any {
 		}
 		return out
 	case *Doc:
-		return x.m
+		m := make(map[string]any, x.Len())
+		for _, f := range x.fieldsOrNil() {
+			m[f.key.Value()] = f.val
+		}
+		return m
 	default:
 		return v
 	}
 }
 
-// Len reports the number of top-level keys.
-func (d *Doc) Len() int {
+func (d *Doc) fieldsOrNil() []field {
 	if d == nil {
-		return 0
+		return nil
 	}
-	return len(d.m)
+	return d.fields
 }
+
+// search finds key's field, or where it would go.
+func (d *Doc) search(key string) (int, bool) {
+	return slices.BinarySearchFunc(d.fieldsOrNil(), key, func(f field, key string) int {
+		return strings.Compare(f.key.Value(), key)
+	})
+}
+
+// find locates a compiled path step's key. An interned key is found by a
+// scan comparing handles: attribute sets are small (DBpedia vertices carry
+// 1–5 keys, edges 3), so that beats a binary search reading every probed
+// key's bytes. A name no document held when the path was compiled may be
+// held since, so it is searched for by string.
+func (d *Doc) find(step pathStep) (int, bool) {
+	if step.key == (sym{}) {
+		return d.search(step.name)
+	}
+	for i := range d.fields {
+		if d.fields[i].key == step.key {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// Len reports the number of top-level keys.
+func (d *Doc) Len() int { return len(d.fieldsOrNil()) }
 
 // Keys returns the top-level keys in sorted order.
 func (d *Doc) Keys() []string {
 	if d == nil {
 		return nil
 	}
-	keys := make([]string, 0, len(d.m))
-	for k := range d.m {
-		keys = append(keys, k)
+	keys := make([]string, len(d.fields))
+	for i, f := range d.fields {
+		keys[i] = f.key.Value()
 	}
-	sort.Strings(keys)
 	return keys
 }
 
 // Set stores v (normalized) under key.
 func (d *Doc) Set(key string, v any) {
-	if d.m == nil {
-		d.m = map[string]any{}
+	v = normalize(v)
+	if i, ok := d.search(key); ok {
+		d.fields[i].val = v
+	} else {
+		d.fields = slices.Insert(d.fields, i, field{intern(key), v})
 	}
-	d.m[key] = normalize(v)
 }
 
 // Delete removes key and reports whether it was present.
 func (d *Doc) Delete(key string) bool {
-	if d == nil || d.m == nil {
-		return false
+	i, ok := d.search(key)
+	if ok {
+		d.fields = slices.Delete(d.fields, i, i+1)
 	}
-	_, ok := d.m[key]
-	delete(d.m, key)
 	return ok
 }
 
 // Has reports whether the top-level key exists.
 func (d *Doc) Has(key string) bool {
-	if d == nil {
-		return false
-	}
-	_, ok := d.m[key]
+	_, ok := d.search(key)
 	return ok
 }
 
 // Get returns the value at the top-level key.
 func (d *Doc) Get(key string) (any, bool) {
-	if d == nil {
-		return nil, false
+	if i, ok := d.search(key); ok {
+		return d.fields[i].val, true
 	}
-	v, ok := d.m[key]
-	return v, ok
+	return nil, false
 }
 
 // ErrNoValue is returned by Val for paths that do not resolve.
@@ -151,6 +178,12 @@ var ErrNoValue = errors.New("sqljson: path has no value")
 // suffixes for array elements ("a.b[2].c"). It returns ErrNoValue when any
 // step is missing.
 func (d *Doc) Val(path string) (any, error) {
+	if !strings.ContainsAny(path, ".[") && path != "" {
+		if v, ok := d.Get(path); ok {
+			return v, nil
+		}
+		return nil, ErrNoValue
+	}
 	return d.ValPath(CompilePath(path))
 }
 
@@ -159,14 +192,17 @@ func (d *Doc) Val(path string) (any, error) {
 type Path []pathStep
 
 type pathStep struct {
-	key   string
-	index int // -1 when absent
+	name  string // "" when the step only indexes
+	key   sym    // name's handle; zero if no document held name
+	index int    // -1 when absent
 }
 
-// CompilePath parses a JSON_VAL-style path (see Val).
+// CompilePath parses a JSON_VAL-style path (see Val). It looks its keys up
+// and interns none, so paths naming keys no document has add nothing to
+// the table.
 func CompilePath(path string) Path {
 	if !strings.ContainsAny(path, ".[") {
-		return Path{{key: path, index: -1}}
+		return Path{{name: path, key: lookup(path), index: -1}}
 	}
 	var steps Path
 	for _, part := range strings.Split(path, ".") {
@@ -177,24 +213,29 @@ func CompilePath(path string) Path {
 				part = part[:open]
 			}
 		}
-		steps = append(steps, pathStep{key: part, index: idx})
+		steps = append(steps, pathStep{name: part, key: lookup(part), index: idx})
 	}
 	return steps
 }
 
-// ValPath is Val for a compiled path.
+// ValPath is Val for a compiled path. The empty path is the document itself.
 func (d *Doc) ValPath(path Path) (any, error) {
 	if d == nil {
 		return nil, ErrNoValue
 	}
-	var cur any = d.m
+	var cur any = d
 	for _, step := range path {
-		if step.key != "" {
-			m, ok := cur.(map[string]any)
-			if !ok {
-				return nil, ErrNoValue
+		if step.name != "" {
+			var ok bool
+			switch c := cur.(type) {
+			case *Doc:
+				var i int
+				if i, ok = c.find(step); ok {
+					cur = c.fields[i].val
+				}
+			case map[string]any:
+				cur, ok = c[step.name]
 			}
-			cur, ok = m[step.key]
 			if !ok {
 				return nil, ErrNoValue
 			}
@@ -212,18 +253,20 @@ func (d *Doc) ValPath(path Path) (any, error) {
 
 // Map returns a deep copy of the document as a plain Go map.
 func (d *Doc) Map() map[string]any {
-	if d == nil {
-		return map[string]any{}
+	m := make(map[string]any, d.Len())
+	for _, f := range d.fieldsOrNil() {
+		m[f.key.Value()] = cloneVal(f.val)
 	}
-	return cloneMap(d.mOrEmpty())
+	return m
 }
 
 // Clone returns a deep copy of the document.
 func (d *Doc) Clone() *Doc {
-	if d == nil {
-		return New()
+	out := &Doc{fields: make([]field, d.Len())}
+	for i, f := range d.fieldsOrNil() {
+		out.fields[i] = field{f.key, cloneVal(f.val)}
 	}
-	return &Doc{m: cloneMap(d.m)}
+	return out
 }
 
 func cloneMap(m map[string]any) map[string]any {
@@ -257,16 +300,18 @@ func (d *Doc) String() string {
 
 // AppendJSON appends the canonical rendering String returns to b. The
 // checkpoint encodes every stored document through it, so it allocates
-// nothing for documents of plain scalars and short key sets.
+// nothing for documents of plain scalars and short nested key sets.
 func (d *Doc) AppendJSON(b []byte) []byte {
-	return appendJSON(b, d.mOrEmpty())
-}
-
-func (d *Doc) mOrEmpty() map[string]any {
-	if d == nil || d.m == nil {
-		return map[string]any{}
+	b = append(b, '{')
+	for i, f := range d.fieldsOrNil() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, f.key.Value())
+		b = append(b, ':')
+		b = appendJSON(b, f.val)
 	}
-	return d.m
+	return append(b, '}')
 }
 
 // MarshalJSON implements json.Marshaler with sorted keys.
@@ -278,7 +323,7 @@ func (d *Doc) UnmarshalJSON(b []byte) error {
 	if err != nil {
 		return err
 	}
-	d.m = parsed.m
+	d.fields = parsed.fields
 	return nil
 }
 
@@ -345,7 +390,11 @@ func appendJSONString(b []byte, s string) []byte {
 // by the storage layer to report on-disk footprint (paper Section 5.1
 // compares database sizes).
 func (d *Doc) Size() int {
-	return sizeOf(d.mOrEmpty())
+	n := 2
+	for _, f := range d.fieldsOrNil() {
+		n += len(f.key.Value()) + 3 + sizeOf(f.val) + 1
+	}
+	return n
 }
 
 func sizeOf(v any) int {

@@ -3,6 +3,11 @@ package sqljson
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -227,4 +232,310 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("String = %s\nencoding/json = %s", got, want)
 		}
 	}
+}
+
+// refDoc is the layout documents had before they became sorted field
+// slices: one map per document. Its rendering and size are what the WAL,
+// the snapshot and stored_bytes_per_user_byte were built on, so the slice
+// layout must reproduce both exactly.
+type refDoc map[string]any
+
+func (r refDoc) json() string { return string(appendJSON(nil, map[string]any(r))) }
+func (r refDoc) size() int    { return sizeOf(map[string]any(r)) }
+
+func sameAsRef(t *testing.T, what string, d *Doc, ref refDoc) {
+	t.Helper()
+	if got, want := d.String(), ref.json(); got != want {
+		t.Fatalf("%s: AppendJSON\n got %s\nwant %s", what, got, want)
+	}
+	if got, want := d.Size(), ref.size(); got != want {
+		t.Fatalf("%s: Size = %d, map layout %d (%s)", what, got, want, ref.json())
+	}
+	if d.Len() != len(ref) {
+		t.Fatalf("%s: Len = %d, want %d", what, d.Len(), len(ref))
+	}
+	keys := make([]string, 0, len(ref))
+	for k := range ref {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	if got := d.Keys(); !slices.Equal(got, keys) {
+		t.Fatalf("%s: Keys = %q, want %q", what, got, keys)
+	}
+	for _, k := range keys {
+		if v, ok := d.Get(k); !ok || !reflect.DeepEqual(v, ref[k]) {
+			t.Fatalf("%s: Get(%q) = %v, %v; want %v", what, k, v, ok, ref[k])
+		}
+	}
+	if !reflect.DeepEqual(d.Map(), map[string]any(ref)) {
+		t.Fatalf("%s: Map = %v, want %v", what, d.Map(), ref)
+	}
+}
+
+var randKeys = []string{"a", "b", "name", "age", "k", "zz", "", "quote\"d", "ü", "A"}
+
+func randValue(rng *rand.Rand, depth int) any {
+	switch n := rng.Intn(10); {
+	case n == 0:
+		return nil
+	case n == 1:
+		return rng.Intn(2) == 0
+	case n == 2:
+		return rng.Int63n(1<<40) - 1<<39
+	case n == 3:
+		return int64(rng.Intn(300))
+	case n == 4:
+		return float64(rng.Intn(1000)) + 0.25
+	case n == 5:
+		return float64(rng.Intn(10)) // integral: FromMap and Set store an int64
+	case n == 6 && depth > 0:
+		arr := make([]any, rng.Intn(4))
+		for i := range arr {
+			arr[i] = randValue(rng, depth-1)
+		}
+		return arr
+	case n == 7 && depth > 0:
+		return map[string]any(randMap(rng, depth-1))
+	default:
+		return pick(rng, "x", "", "with space", "tab\there", "<&>", "héllo", "\xff", "quote\"", `back\slash`)
+	}
+}
+
+func randMap(rng *rand.Rand, depth int) refDoc {
+	m := refDoc{}
+	for i := rng.Intn(6); i > 0; i-- {
+		m[pick(rng, randKeys...)] = randValue(rng, depth)
+	}
+	return m
+}
+
+func pick(rng *rand.Rand, opts ...string) string { return opts[rng.Intn(len(opts))] }
+
+// TestDocMatchesMapLayout builds random documents — nested values
+// included — through every constructor and mutator and requires the
+// rendering, size and reads of the one-map-per-document reference.
+func TestDocMatchesMapLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 500; iter++ {
+		m := randMap(rng, 2)
+		ref := refDoc(normalizeMap(m))
+		d := FromMap(m)
+		sameAsRef(t, "FromMap", d, ref)
+
+		// Invalid UTF-8 reads back as U+FFFD, so the text's own decode is
+		// the reference here.
+		parsed, err := Parse(d.String())
+		want, werr := refParse(d.String())
+		if err != nil || werr != nil {
+			t.Fatalf("Parse(%s): %v, encoding/json: %v", d, err, werr)
+		}
+		sameAsRef(t, "Parse", parsed, want)
+
+		clone := d.Clone()
+		for op := 0; op < 8; op++ {
+			k := pick(rng, randKeys...)
+			if rng.Intn(3) == 0 {
+				_, had := ref[k]
+				delete(ref, k)
+				if got := d.Delete(k); got != had {
+					t.Fatalf("Delete(%q) = %v, key present %v", k, got, had)
+				}
+			} else {
+				v := randValue(rng, 1)
+				ref[k] = normalize(v)
+				d.Set(k, v)
+			}
+			sameAsRef(t, fmt.Sprintf("op %d", op), d, ref)
+		}
+		sameAsRef(t, "Clone, after the original changed", clone, refDoc(normalizeMap(m)))
+	}
+}
+
+func TestParseDuplicatesNullAndEmpty(t *testing.T) {
+	for src, want := range map[string]string{
+		`{"b":1,"a":2,"b":3}`:            `{"a":2,"b":3}`,
+		`{"a":1,"a":{"x":1,"x":[2]}}`:    `{"a":{"x":[2]}}`,
+		`{"z":0,"y":0,"z":"last","y":1}`: `{"y":1,"z":"last"}`,
+		`null`:                           `{}`,
+		` {} `:                           `{}`,
+	} {
+		d, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%s): %v", src, err)
+		}
+		if d.String() != want {
+			t.Errorf("Parse(%s) = %s, want %s", src, d, want)
+		}
+	}
+}
+
+// TestReadsAllocateNothing: JSON_VAL runs once per examined row, and the
+// storage layer sizes every stored document.
+func TestReadsAllocateNothing(t *testing.T) {
+	d, err := Parse(`{"name":"marko","age":29,"langs":["java"],"addr":{"city":"x"},"w":0.5}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, city, missing := CompilePath("name"), CompilePath("addr.city"), CompilePath("nope")
+	allocs := testing.AllocsPerRun(100, func() {
+		if v, err := d.ValPath(name); err != nil || v != "marko" {
+			t.Fatal("ValPath(name)")
+		}
+		if v, err := d.ValPath(city); err != nil || v != "x" {
+			t.Fatal("ValPath(addr.city)")
+		}
+		if _, err := d.ValPath(missing); err != ErrNoValue {
+			t.Fatal("ValPath(nope)")
+		}
+		if v, err := d.Val("age"); err != nil || v != int64(29) {
+			t.Fatal("Val(age)")
+		}
+		if !d.Has("w") || d.Has("x") || d.Len() != 5 || d.Size() == 0 {
+			t.Fatal("Has/Len/Size")
+		}
+		if v, ok := d.Get("langs"); !ok || len(v.([]any)) != 1 {
+			t.Fatal("Get(langs)")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reads allocate %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestPathsInternNothing: compiling a path only looks its keys up, so a
+// query naming keys no document holds leaves the table alone, and a path
+// compiled before any document holds its key still finds it afterwards.
+func TestPathsInternNothing(t *testing.T) {
+	size := func() int {
+		syms.Lock()
+		defer syms.Unlock()
+		return len(syms.m)
+	}
+	before := size()
+	// The table never forgets, so each run (-count) names keys of its own.
+	k := fmt.Sprintf("unheld%d-", before)
+	plain, nested := CompilePath(k+"1"), CompilePath(k+"2.x[0]")
+	if _, err := New().Val(k + "3.y"); err != ErrNoValue {
+		t.Fatalf("Val(%s3.y) = %v", k, err)
+	}
+	if got := size(); got != before {
+		t.Fatalf("compiling paths interned %d keys", got-before)
+	}
+	d, err := Parse(fmt.Sprintf(`{"%[1]s1":1,"%[1]s2":{"x":[2]}}`, k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := d.ValPath(plain); err != nil || v != int64(1) {
+		t.Fatalf("ValPath(%s1) = %v, %v", k, v, err)
+	}
+	if v, err := d.ValPath(nested); err != nil || v != int64(2) {
+		t.Fatalf("ValPath(%s2.x[0]) = %v, %v", k, v, err)
+	}
+	if got := size(); got != before+2 {
+		t.Fatalf("the document interned %d keys, want its 2 top-level ones", got-before)
+	}
+}
+
+// TestInternConcurrent: goroutines parsing documents and compiling paths
+// over the same fresh keys share one table, and every document ends up
+// with the one sym of each key.
+func TestInternConcurrent(t *testing.T) {
+	const workers, keys = 8, 50
+	docs := make([][]*Doc, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < keys; k++ {
+				key := fmt.Sprintf("conc-%d", (k+w*7)%keys)
+				CompilePath(key)
+				d, err := Parse(fmt.Sprintf(`{%q:%d}`, key, w))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				docs[w] = append(docs[w], d)
+			}
+		}()
+	}
+	wg.Wait()
+	for w, ds := range docs {
+		for _, d := range ds {
+			key := d.fields[0].key
+			if want := CompilePath(key.Value())[0].key; key != want {
+				t.Fatalf("worker %d: key %q has two syms", w, key.Value())
+			}
+			if v, err := d.ValPath(CompilePath(key.Value())); err != nil || v != int64(w) {
+				t.Fatalf("worker %d: %s reads %v, %v", w, d, v, err)
+			}
+		}
+	}
+}
+
+// refParse is what Parse must agree with: encoding/json's verdict on the
+// text, and a UseNumber decode of it normalized to int64/float64.
+func refParse(s string) (map[string]any, error) {
+	if !json.Valid([]byte(s)) {
+		return nil, fmt.Errorf("invalid JSON")
+	}
+	dec := json.NewDecoder(strings.NewReader(s))
+	dec.UseNumber()
+	var m map[string]any
+	if err := dec.Decode(&m); err != nil {
+		return nil, err
+	}
+	return numbers(m).(map[string]any), nil
+}
+
+// numbers turns a UseNumber decode's json.Number values into int64 when
+// they parse as one and float64 otherwise.
+func numbers(v any) any {
+	switch x := v.(type) {
+	case json.Number:
+		if i, err := x.Int64(); err == nil {
+			return i
+		}
+		f, _ := x.Float64()
+		return f
+	case map[string]any:
+		out := make(map[string]any, len(x))
+		for k, e := range x {
+			out[k] = numbers(e)
+		}
+		return out
+	case []any:
+		for i, e := range x {
+			x[i] = numbers(e)
+		}
+	}
+	return v
+}
+
+func FuzzDocParse(f *testing.F) {
+	for _, s := range []string{
+		`{}`, `null`, ` { "a" : 1 } `, `{"a":1,"a":2}`, `{"b":[1,2.5,-0,1e3,1E-2,-12.5e+2]}`,
+		`{"big":9007199254740993,"huge":1e400,"neg":-9223372036854775809}`,
+		`{"s":"é😀\ud800x\udc00\n\t\"\\\/\b\f\r"}`, "{\"raw\":\"\xff\xfe ok\"}",
+		`{"n":{"m":{"k":[true,false,null,{}]}}}`, `{"a":1,}`, `{"a" 1}`, `[1]`, `"s"`, `1`, `{"a":01}`,
+		`{"a":1} x`, `{"a":"\x"}`, `{"a":"\u12"}`, "{\"ctl\":\"a\x01\"}", `{"a":-}`, `{"a":1.}`, `{"a":tru}`, ``,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, werr := refParse(s)
+		d, err := Parse(s)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("Parse(%q) error %v, encoding/json %v", s, err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if got := d.Map(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Parse(%q) = %#v\nencoding/json: %#v", s, got, want)
+		}
+		if got, ref := d.String(), refDoc(want).json(); got != ref {
+			t.Fatalf("Parse(%q) renders %s, map layout %s", s, got, ref)
+		}
+	})
 }

@@ -7,21 +7,19 @@ import (
 )
 
 // renderExpr compiles a closure expression into a SQL scalar expression
-// over the current element. The caller's template must bind V to the
-// current CTE and — for vertex/edge inputs — A to the matching attribute
-// table row (VA or EA), which is where `it.<prop>` resolves. The SQL
-// engine's expression semantics (3VL AND/OR, null propagation, mixed
-// int/float arithmetic, NULL for a zero divisor) are the reference
-// semantics the closure evaluator copies, so rendering is a direct
-// syntax mapping.
-func (t *translator) renderExpr(n expr.Node) (string, error) {
+// over the current element, which r names (see row): `it.<prop>` resolves
+// in r's attribute document. The SQL engine's expression semantics (3VL
+// AND/OR, null propagation, mixed int/float arithmetic, NULL for a zero
+// divisor) are the reference semantics the closure evaluator copies, so
+// rendering is a direct syntax mapping.
+func (t *translator) renderExpr(n expr.Node, r row) (string, error) {
 	switch x := n.(type) {
 	case *expr.Lit:
 		return sqlExprLit(x.Val), nil
 	case *expr.It:
-		return t.renderIt(x)
+		return t.renderIt(x, r)
 	case *expr.Unary:
-		sub, err := t.renderExpr(x.X)
+		sub, err := t.renderExpr(x.X, r)
 		if err != nil {
 			return "", err
 		}
@@ -30,11 +28,11 @@ func (t *translator) renderExpr(n expr.Node) (string, error) {
 		}
 		return fmt.Sprintf("(- %s)", sub), nil
 	case *expr.Binary:
-		l, err := t.renderExpr(x.L)
+		l, err := t.renderExpr(x.L, r)
 		if err != nil {
 			return "", err
 		}
-		r, err := t.renderExpr(x.R)
+		r, err := t.renderExpr(x.R, r)
 		if err != nil {
 			return "", err
 		}
@@ -51,11 +49,11 @@ func (t *translator) renderExpr(n expr.Node) (string, error) {
 		}
 		return fmt.Sprintf("(%s %s %s)", l, op, r), nil
 	case *expr.Call:
-		recv, err := t.renderExpr(x.Recv)
+		recv, err := t.renderExpr(x.Recv, r)
 		if err != nil {
 			return "", err
 		}
-		arg, err := t.renderExpr(x.Arg)
+		arg, err := t.renderExpr(x.Arg, r)
 		if err != nil {
 			return "", err
 		}
@@ -69,10 +67,10 @@ func (t *translator) renderExpr(n expr.Node) (string, error) {
 	}
 }
 
-func (t *translator) renderIt(x *expr.It) (string, error) {
+func (t *translator) renderIt(x *expr.It, r row) (string, error) {
 	switch x.Field {
 	case "":
-		return "V.VAL", nil
+		return r.id, nil
 	case "loops":
 		// Loop closures are resolved to a static bound at parse time;
 		// it.loops anywhere else has no SQL counterpart.
@@ -81,16 +79,16 @@ func (t *translator) renderIt(x *expr.It) (string, error) {
 		if t.typ == ElemValue {
 			return "NULL", nil
 		}
-		return "V.VAL", nil
+		return r.id, nil
 	default:
 		switch t.typ {
 		case ElemVertex:
-			return fmt.Sprintf("JSON_VAL(A.ATTR, %s)", strLit(x.Field)), nil
+			return fmt.Sprintf("JSON_VAL(%s, %s)", r.attr, strLit(x.Field)), nil
 		case ElemEdge:
 			if x.Field == "label" {
-				return "A.LBL", nil
+				return r.lbl, nil
 			}
-			return fmt.Sprintf("JSON_VAL(A.ATTR, %s)", strLit(x.Field)), nil
+			return fmt.Sprintf("JSON_VAL(%s, %s)", r.attr, strLit(x.Field)), nil
 		default:
 			// Plain values carry no attributes.
 			return "NULL", nil

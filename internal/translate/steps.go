@@ -143,6 +143,17 @@ func (t *translator) step(s *gremlin.Step) error {
 		if n < 0 {
 			n = 0
 		}
+		if t.sorted {
+			// range right after order{key}: the sort keeps only what the
+			// cut returns, and the projection after it reads no more.
+			sort := &t.ctes[len(t.ctes)-2]
+			sort.body += fmt.Sprintf(" LIMIT %d OFFSET %d", n, lo)
+			if t.hints != nil {
+				t.hints[sort.name], t.hints[t.cur] = t.est, t.est
+			}
+			t.sorted = false
+			return nil
+		}
 		t.cur = t.add(fmt.Sprintf("SELECT VAL%s FROM %s LIMIT %d OFFSET %d",
 			t.pathSel(), t.cur, n, lo))
 		return nil
@@ -385,87 +396,54 @@ func (t *translator) edgeEndpoints(kind gremlin.StepKind) error {
 
 // property translates property access: JSON attribute lookup in VA or EA.
 func (t *translator) property(key string) error {
-	switch t.typ {
-	case ElemVertex:
-		jv := fmt.Sprintf("JSON_VAL(A.ATTR, %s)", strLit(key))
-		t.cur = t.add(fmt.Sprintf(
-			"SELECT %s AS VAL%s FROM %s V, VA A WHERE A.VID = V.VAL AND %s IS NOT NULL",
-			jv, t.extendPath(), t.cur, jv))
-	case ElemEdge:
-		if key == "label" {
-			return t.step(&gremlin.Step{Kind: gremlin.StepLabel})
-		}
-		jv := fmt.Sprintf("JSON_VAL(A.ATTR, %s)", strLit(key))
-		t.cur = t.add(fmt.Sprintf(
-			"SELECT %s AS VAL%s FROM %s V, EA A WHERE A.EID = V.VAL AND %s IS NOT NULL",
-			jv, t.extendPath(), t.cur, jv))
-	default:
+	switch {
+	case t.typ == ElemValue:
 		return fmt.Errorf("translate: property access on values")
+	case t.typ == ElemEdge && key == "label":
+		return t.step(&gremlin.Step{Kind: gremlin.StepLabel})
 	}
+	r := t.row(false)
+	jv := fmt.Sprintf("JSON_VAL(%s, %s)", r.attr, strLit(key))
+	t.emit(r, jv+" AS VAL"+t.extendPath(), term{sql: jv + " IS NOT NULL", operand: jv, exists: true}, "")
 	t.bumpDepth(ElemValue)
 	return nil
 }
 
-// filter translates mid-pipeline has/hasNot/filter/interval.
+// filter translates has/hasNot/filter/interval.
 func (t *translator) filter(s *gremlin.Step) error {
 	if s.Kind == gremlin.StepFilter && s.Key == "" && s.FilterExpr != nil {
-		return t.exprFilter(s)
+		// A general closure compiles to a WHERE condition over the element
+		// and its attribute row, so SQL's three-valued WHERE gives exactly
+		// the evaluator's truthy-or-drop rule.
+		r := t.row(false)
+		cond, err := t.renderExpr(s.FilterExpr, r)
+		if err != nil {
+			return err
+		}
+		t.emit(r, "", term{sql: cond}, "")
+		return nil
 	}
-	switch t.typ {
-	case ElemVertex:
-		cond, ok, err := attrCond(s, "A.ATTR")
+	r := t.row(true)
+	if t.typ != ElemValue {
+		cond, err := t.attrCond(s, r)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			return fmt.Errorf("translate: unsupported vertex filter %v", s.Kind)
-		}
-		t.cur = t.add(fmt.Sprintf("SELECT V.VAL AS VAL%s FROM %s V, VA A WHERE A.VID = V.VAL AND %s",
-			t.carryPath(), t.cur, cond))
-	case ElemEdge:
-		cond, err := edgeFilterCond(s)
-		if err != nil {
-			return err
-		}
-		t.cur = t.add(fmt.Sprintf("SELECT V.VAL AS VAL%s FROM %s V, EA A WHERE A.EID = V.VAL AND %s",
-			t.carryPath(), t.cur, cond))
-	default:
-		// Value filter compares VAL directly.
-		if s.Kind != gremlin.StepFilter && s.Kind != gremlin.StepHas {
-			return fmt.Errorf("translate: %v unsupported on values", s.Kind)
-		}
-		if s.Op == "" {
-			return fmt.Errorf("translate: existence test unsupported on values")
-		}
-		op, err := sqlOp(s.Op)
-		if err != nil {
-			return err
-		}
-		t.cur = t.add(fmt.Sprintf("SELECT V.VAL AS VAL%s FROM %s V WHERE V.VAL %s %s",
-			t.carryPath(), t.cur, op, param(s.Arg)))
+		t.emit(r, "", cond, "")
+		return nil
 	}
-	return nil
-}
-
-// exprFilter translates a general closure filter: the closure compiles
-// to a WHERE condition over the element and its attribute row, so SQL's
-// three-valued WHERE gives exactly the evaluator's truthy-or-drop rule.
-func (t *translator) exprFilter(s *gremlin.Step) error {
-	cond, err := t.renderExpr(s.FilterExpr)
+	// Value filter compares VAL directly.
+	if s.Kind != gremlin.StepFilter && s.Kind != gremlin.StepHas {
+		return fmt.Errorf("translate: %v unsupported on values", s.Kind)
+	}
+	if s.Op == "" {
+		return fmt.Errorf("translate: existence test unsupported on values")
+	}
+	op, err := sqlOp(s.Op)
 	if err != nil {
 		return err
 	}
-	switch t.typ {
-	case ElemVertex:
-		t.cur = t.add(fmt.Sprintf("SELECT V.VAL AS VAL%s FROM %s V, VA A WHERE A.VID = V.VAL AND %s",
-			t.carryPath(), t.cur, cond))
-	case ElemEdge:
-		t.cur = t.add(fmt.Sprintf("SELECT V.VAL AS VAL%s FROM %s V, EA A WHERE A.EID = V.VAL AND %s",
-			t.carryPath(), t.cur, cond))
-	default:
-		t.cur = t.add(fmt.Sprintf("SELECT V.VAL AS VAL%s FROM %s V WHERE %s",
-			t.carryPath(), t.cur, cond))
-	}
+	t.emit(r, "", term{sql: fmt.Sprintf("V.VAL %s %s", op, param(s.Arg))}, "")
 	return nil
 }
 
@@ -484,22 +462,15 @@ func (t *translator) order(s *gremlin.Step) error {
 		t.track = false
 		return nil
 	}
-	key, err := t.renderExpr(s.KeyExpr)
+	r := t.row(false)
+	key, err := t.renderExpr(s.KeyExpr, r)
 	if err != nil {
 		return err
 	}
-	switch t.typ {
-	case ElemVertex:
-		t.cur = t.add(fmt.Sprintf("SELECT V.VAL AS VAL, %s AS OKEY FROM %s V, VA A WHERE A.VID = V.VAL",
-			key, t.cur))
-	case ElemEdge:
-		t.cur = t.add(fmt.Sprintf("SELECT V.VAL AS VAL, %s AS OKEY FROM %s V, EA A WHERE A.EID = V.VAL",
-			key, t.cur))
-	default:
-		t.cur = t.add(fmt.Sprintf("SELECT V.VAL AS VAL, %s AS OKEY FROM %s V", key, t.cur))
-	}
+	t.emit(r, r.id+" AS VAL, "+key+" AS OKEY", term{}, "")
 	t.cur = t.add(fmt.Sprintf("SELECT VAL, OKEY FROM %s ORDER BY OKEY, VAL", t.cur))
 	t.cur = t.add(fmt.Sprintf("SELECT VAL FROM %s", t.cur))
+	t.sorted = true
 	t.track = false
 	return nil
 }
@@ -512,57 +483,26 @@ func (t *translator) group(s *gremlin.Step) error {
 	if t.track && needsPathTracking(t.rest) {
 		return fmt.Errorf("translate: %v before a path-dependent step is unsupported", s.Kind)
 	}
-	key, err := t.renderExpr(s.KeyExpr)
+	r := t.row(false)
+	key, err := t.renderExpr(s.KeyExpr, r)
 	if err != nil {
 		return err
 	}
 	agg := "COUNT(*)"
 	if s.Kind == gremlin.StepGroupBy {
-		val, err := t.renderExpr(s.ValueExpr)
+		val, err := t.renderExpr(s.ValueExpr, r)
 		if err != nil {
 			return err
 		}
 		agg = fmt.Sprintf("LISTAGG(%s)", val)
 	}
-	sel := fmt.Sprintf("SELECT (LIST() || %s || %s) AS VAL", key, agg)
-	switch t.typ {
-	case ElemVertex:
-		t.cur = t.add(fmt.Sprintf("%s FROM %s V, VA A WHERE A.VID = V.VAL GROUP BY %s", sel, t.cur, key))
-	case ElemEdge:
-		t.cur = t.add(fmt.Sprintf("%s FROM %s V, EA A WHERE A.EID = V.VAL GROUP BY %s", sel, t.cur, key))
-	default:
-		t.cur = t.add(fmt.Sprintf("%s FROM %s V GROUP BY %s", sel, t.cur, key))
-	}
+	t.emit(r, fmt.Sprintf("(LIST() || %s || %s) AS VAL", key, agg), term{}, "GROUP BY "+key)
 	t.cur = t.add(fmt.Sprintf("SELECT VAL FROM %s ORDER BY VAL", t.cur))
 	t.typ = ElemValue
 	t.track = false
 	t.depth = 1
 	t.typeHistReset(ElemValue)
 	return nil
-}
-
-func edgeFilterCond(s *gremlin.Step) (string, error) {
-	switch s.Kind {
-	case gremlin.StepHas, gremlin.StepFilter:
-		if s.Op == "" {
-			if s.Key == "label" {
-				return "A.LBL IS NOT NULL", nil
-			}
-			return fmt.Sprintf("JSON_VAL(A.ATTR, %s) IS NOT NULL", strLit(s.Key)), nil
-		}
-		op, err := sqlOp(s.Op)
-		if err != nil {
-			return "", err
-		}
-		return edgeKeyCond(s.Key, op, param(s.Arg), "A.ATTR", "A.LBL"), nil
-	case gremlin.StepHasNot:
-		return fmt.Sprintf("JSON_VAL(A.ATTR, %s) IS NULL", strLit(s.Key)), nil
-	case gremlin.StepInterval:
-		jv := fmt.Sprintf("JSON_VAL(A.ATTR, %s)", strLit(s.Key))
-		return fmt.Sprintf("%s >= %s AND %s < %s", jv, param(s.Arg), jv, param(s.Arg+1)), nil
-	default:
-		return "", fmt.Errorf("translate: unsupported edge filter %v", s.Kind)
-	}
 }
 
 // back translates back(n) / back('name') using the statically known path
@@ -607,28 +547,16 @@ func (t *translator) ifThenElse(s *gremlin.Step) error {
 	if t.typ == ElemValue {
 		return fmt.Errorf("translate: ifThenElse on values")
 	}
-	var cond string
-	switch {
-	case s.Test == nil && s.TestExpr != nil:
-		// General closure test: compiled like an expression filter; the
-		// then-branch template below binds the same V/A aliases.
-		c, err := t.renderExpr(s.TestExpr)
-		if err != nil {
-			return err
-		}
-		cond = c
-	case t.typ == ElemVertex:
-		c, ok, err := attrCond(&gremlin.Step{Kind: gremlin.StepFilter, Key: s.Test.Key, Op: s.Test.Op, Value: s.Test.Value, Arg: s.Arg}, "A.ATTR")
-		if err != nil || !ok {
-			return fmt.Errorf("translate: unsupported ifThenElse test: %v", err)
-		}
-		cond = c
-	default:
-		c, err := edgeFilterCond(&gremlin.Step{Kind: gremlin.StepFilter, Key: s.Test.Key, Op: s.Test.Op, Value: s.Test.Value, Arg: s.Arg})
-		if err != nil {
-			return err
-		}
-		cond = c
+	r := t.row(true)
+	var cond term
+	var err error
+	if s.Test == nil && s.TestExpr != nil {
+		cond.sql, err = t.renderExpr(s.TestExpr, r)
+	} else {
+		cond, err = t.attrCond(&gremlin.Step{Kind: gremlin.StepFilter, Key: s.Test.Key, Op: s.Test.Op, Value: s.Test.Value, Arg: s.Arg}, r)
+	}
+	if err != nil {
+		return err
 	}
 
 	// The predicate splits the stream; estimate half down each branch and
@@ -636,16 +564,11 @@ func (t *translator) ifThenElse(s *gremlin.Step) error {
 	savedEst := t.est
 	t.estScale(0.5)
 
-	var thenIn string
-	if t.typ == ElemVertex {
-		thenIn = t.add(fmt.Sprintf("SELECT V.VAL AS VAL%s FROM %s V, VA A WHERE A.VID = V.VAL AND %s",
-			t.carryPath(), t.cur, cond))
-	} else {
-		thenIn = t.add(fmt.Sprintf("SELECT V.VAL AS VAL%s FROM %s V, EA A WHERE A.EID = V.VAL AND %s",
-			t.carryPath(), t.cur, cond))
-	}
+	in := t.cur
+	t.emit(r, "", cond, "")
+	thenIn := t.cur
 	elseIn := t.add(fmt.Sprintf("SELECT V.VAL AS VAL%s FROM %s V WHERE V.VAL NOT IN (SELECT VAL FROM %s)",
-		t.carryPath(), t.cur, thenIn))
+		t.carryPath(), in, thenIn))
 
 	savedDepth, savedType := t.depth, t.typ
 	savedHist := append([]ElemType(nil), t.hist...)

@@ -247,6 +247,8 @@ type translator struct {
 	marks     map[string]mark
 	aggs      map[string]string // aggregate name -> CTE
 	traversal int               // total adjacency steps in the query (for the EA optimization)
+	src       *scan             // the source CTE while steps may fold into it (row)
+	sorted    bool              // the last two CTEs are a keyed order's sort and projection
 
 	gstats GraphStats          // nil = no cardinality hints
 	est    estimate            // running frontier cardinality estimate
@@ -280,7 +282,10 @@ func (t *translator) fresh() string {
 	return fmt.Sprintf("T%d", t.nameSeq)
 }
 
+// add appends a CTE. It reads the current one, so the source scan takes
+// no more folds and a keyed order's sort no more cut.
 func (t *translator) add(body string) string {
+	t.src, t.sorted = nil, false
 	name := t.fresh()
 	t.ctes = append(t.ctes, cte{name: name, body: body})
 	if t.hints != nil {
@@ -369,11 +374,10 @@ func (t *translator) translate(q *gremlin.Query) (*Translation, error) {
 	t.track = needsPathTracking(q.Steps)
 	t.traversal = countTraversals(q.Steps)
 
-	rest, err := t.source(&q.Steps[0], q.Steps[1:])
-	if err != nil {
+	if err := t.source(&q.Steps[0]); err != nil {
 		return nil, err
 	}
-	if err := t.pipeline(rest); err != nil {
+	if err := t.pipeline(q.Steps[1:]); err != nil {
 		return nil, err
 	}
 
@@ -416,6 +420,9 @@ func (t *translator) pipeline(steps []gremlin.Step) error {
 		// path tracking is still needed.
 		t.rest = append(append([]gremlin.Step{}, steps[i+1:]...), outer...)
 		var err error
+		if !foldable(s.Kind) {
+			t.src = nil
+		}
 		if s.Kind == gremlin.StepLoop {
 			err = t.loop(steps, i, s)
 		} else {
@@ -458,144 +465,45 @@ func sqlOp(op gremlin.CmpOp) (string, error) {
 	}
 }
 
-// source emits the first CTE and returns the remaining steps (merging
-// immediately-following attribute filters into the source lookup — the
-// GraphQuery rewrite of Section 4.5.1).
-func (t *translator) source(s *gremlin.Step, rest []gremlin.Step) ([]gremlin.Step, error) {
-	var conds []string
-	consumed := 0
-
+// source emits the first CTE, a scan of VA or EA, and leaves it open for
+// the steps right after it to fold into (row).
+func (t *translator) source(s *gremlin.Step) error {
+	sc := &scan{}
 	switch s.Kind {
 	case gremlin.StepV:
 		t.typ = ElemVertex
 		t.estSource(s, GraphStats.VertexCount)
-		conds = append(conds, "VID >= 0")
-		if len(s.StartIDs) > 0 {
-			conds = append(conds, "VID IN ("+param(s.Arg)+")")
-		}
-		if s.StartKey != "" {
-			conds = append(conds, fmt.Sprintf("JSON_VAL(ATTR, %s) = %s", strLit(s.StartKey), param(s.Arg)))
-		}
-		// GraphQuery merge: fold subsequent vertex attribute filters in.
-		for consumed < len(rest) {
-			cond, ok, err := attrCond(&rest[consumed], "ATTR")
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			conds = append(conds, cond)
-			t.estScale(hintSelFilter)
-			consumed++
-		}
-		sel := "SELECT VID AS VAL"
-		if t.track {
-			sel += ", LIST() AS PATH"
-		}
-		t.cur = t.add(sel + " FROM VA WHERE " + strings.Join(conds, " AND "))
+		sc.table, sc.id = "VA", "VID"
+		sc.terms = append(sc.terms, term{sql: "VID >= 0"})
 	case gremlin.StepE:
 		t.typ = ElemEdge
 		t.estSource(s, GraphStats.EdgeCount)
-		if len(s.StartIDs) > 0 {
-			conds = append(conds, "EID IN ("+param(s.Arg)+")")
-		}
-		if s.StartKey != "" {
-			conds = append(conds, edgeKeyCond(s.StartKey, "=", param(s.Arg), "ATTR", "LBL"))
-		}
-		for consumed < len(rest) {
-			cond, ok, err := edgeAttrCond(&rest[consumed])
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			conds = append(conds, cond)
-			t.estScale(hintSelFilter)
-			consumed++
-		}
-		sel := "SELECT EID AS VAL"
-		if t.track {
-			sel += ", LIST() AS PATH"
-		}
-		body := sel + " FROM EA"
-		if len(conds) > 0 {
-			body += " WHERE " + strings.Join(conds, " AND ")
-		}
-		t.cur = t.add(body)
+		sc.table, sc.id = "EA", "EID"
 	default:
-		return nil, fmt.Errorf("translate: query must start with V or E")
+		return fmt.Errorf("translate: query must start with V or E")
 	}
+	if len(s.StartIDs) > 0 {
+		sc.terms = append(sc.terms, term{sql: sc.id + " IN (" + param(s.Arg) + ")"})
+	}
+	sc.sel = sc.id + " AS VAL"
+	if t.track {
+		sc.sel += ", LIST() AS PATH"
+	}
+	t.cur = t.add(sc.body())
+	sc.cte = len(t.ctes) - 1
+	t.src = sc
 	t.depth = 1
 	t.hist = []ElemType{t.typ}
-	return rest[consumed:], nil
-}
-
-// attrCond renders a vertex attribute filter step as a condition over the
-// given JSON column, or reports it cannot.
-func attrCond(s *gremlin.Step, attrCol string) (string, bool, error) {
-	switch s.Kind {
-	case gremlin.StepHas, gremlin.StepFilter:
-		if s.Kind == gremlin.StepFilter && s.Key == "" {
-			// General closure filter: not a mergeable simple predicate.
-			return "", false, nil
-		}
-		jv := fmt.Sprintf("JSON_VAL(%s, %s)", attrCol, strLit(s.Key))
-		if s.Op == "" {
-			return jv + " IS NOT NULL", true, nil
-		}
-		op, err := sqlOp(s.Op)
+	if s.StartKey != "" {
+		// V(key, value) is has(key, value) folded into the scan.
+		r := t.row(true)
+		c, err := t.attrCond(&gremlin.Step{Kind: gremlin.StepHas, Key: s.StartKey, Op: gremlin.OpEq, Arg: s.Arg}, r)
 		if err != nil {
-			return "", false, err
+			return err
 		}
-		return fmt.Sprintf("%s %s %s", jv, op, param(s.Arg)), true, nil
-	case gremlin.StepHasNot:
-		return fmt.Sprintf("JSON_VAL(%s, %s) IS NULL", attrCol, strLit(s.Key)), true, nil
-	case gremlin.StepInterval:
-		jv := fmt.Sprintf("JSON_VAL(%s, %s)", attrCol, strLit(s.Key))
-		return fmt.Sprintf("%s >= %s AND %s < %s", jv, param(s.Arg), jv, param(s.Arg+1)), true, nil
-	default:
-		return "", false, nil
+		t.emit(r, "", c, "")
 	}
-}
-
-// edgeAttrCond is attrCond for edges, where the pseudo-attribute "label"
-// maps to the LBL column.
-func edgeAttrCond(s *gremlin.Step) (string, bool, error) {
-	switch s.Kind {
-	case gremlin.StepHas, gremlin.StepFilter:
-		if s.Kind == gremlin.StepFilter && s.Key == "" {
-			return "", false, nil
-		}
-		if s.Op == "" {
-			if s.Key == "label" {
-				return "LBL IS NOT NULL", true, nil
-			}
-			return fmt.Sprintf("JSON_VAL(ATTR, %s) IS NOT NULL", strLit(s.Key)), true, nil
-		}
-		op, err := sqlOp(s.Op)
-		if err != nil {
-			return "", false, err
-		}
-		return edgeKeyCond(s.Key, op, param(s.Arg), "ATTR", "LBL"), true, nil
-	case gremlin.StepHasNot:
-		return fmt.Sprintf("JSON_VAL(ATTR, %s) IS NULL", strLit(s.Key)), true, nil
-	case gremlin.StepInterval:
-		jv := fmt.Sprintf("JSON_VAL(ATTR, %s)", strLit(s.Key))
-		return fmt.Sprintf("%s >= %s AND %s < %s", jv, param(s.Arg), jv, param(s.Arg+1)), true, nil
-	default:
-		return "", false, nil
-	}
-}
-
-// edgeKeyCond compares an edge attribute — or, for the pseudo-attribute
-// "label", the LBL column — with the rendered value val.
-func edgeKeyCond(key, op, val, attrCol, lblCol string) string {
-	if key == "label" {
-		return fmt.Sprintf("%s %s %s", lblCol, op, val)
-	}
-	return fmt.Sprintf("JSON_VAL(%s, %s) %s %s", attrCol, strLit(key), op, val)
+	return nil
 }
 
 // estSource starts the running estimate at a source step: the length of

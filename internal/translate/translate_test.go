@@ -249,9 +249,9 @@ func TestLabelPipe(t *testing.T) {
 }
 
 func TestPropertyPipe(t *testing.T) {
-	sql := tr(t, "g.V(1).name", Options{}).SQL
+	sql := tr(t, "g.V(1).out.name", Options{}).SQL
 	wants(t, sql, "JSON_VAL(A.ATTR, 'name')", "IS NOT NULL")
-	sql = tr(t, "g.E(5).weight", Options{}).SQL
+	sql = tr(t, "g.V(1).outE.weight", Options{}).SQL
 	wants(t, sql, "EA A", "JSON_VAL(A.ATTR, 'weight')")
 }
 
