@@ -138,6 +138,17 @@ func topFrame(client *http.Client, addr string, window time.Duration) (string, e
 		topHitRate(newest.V, "sqlgraphd_plan_cache_hits_total", "sqlgraphd_plan_cache_misses_total"),
 		topHitRate(newest.V, "sqlgraphd_prepared_cache_hits_total", "sqlgraphd_prepared_cache_misses_total"),
 		topInt(newest.V, "sqlgraphd_prepared_statements"))
+	// GC share of CPU as the benchmark's process.gc_cpu_pct defines it:
+	// gc ÷ (gc + user) CPU seconds over the window. The runtime updates both
+	// at each GC, so a window without a cycle reads "--".
+	gcCPU := topRate(oldest.V, newest.V, "sqlgraphd_go_gc_cpu_seconds_total", dt)
+	userCPU := topRate(oldest.V, newest.V, "sqlgraphd_go_user_cpu_seconds_total", dt)
+	gcShare := "  --"
+	if gcCPU+userCPU > 0 {
+		gcShare = fmt.Sprintf("%4.1f%%", 100*gcCPU/(gcCPU+userCPU))
+	}
+	fmt.Fprintf(&b, "  runtime   heap live %.1f MB   gc cpu %s   goroutines %s\n",
+		newest.V["sqlgraphd_go_heap_live_bytes"]/(1<<20), gcShare, topInt(newest.V, "sqlgraphd_go_goroutines"))
 
 	// Replication: follower lag per /wal stream on a primary, or this
 	// node's own lag when it is a replica.

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sqlgraph/internal/faultinject"
@@ -10,17 +12,21 @@ import (
 )
 
 // dumpTables captures every table's full contents (row values in scan
-// order), for exact before/after comparison around a rolled-back
-// transaction.
-func dumpTables(t *testing.T, s *Store) map[string][][]rel.Value {
+// order, each rendered as its kind and Key), for exact before/after
+// comparison around a rolled-back transaction.
+func dumpTables(t *testing.T, s *Store) map[string][]string {
 	t.Helper()
-	out := map[string][][]rel.Value{}
+	out := map[string][]string{}
 	tx := s.fpReadAll.Begin()
 	defer tx.Rollback()
 	for _, name := range writeTables {
-		var rows [][]rel.Value
+		var rows []string
 		if err := tx.Scan(name, func(rid rel.RowID, vals []rel.Value) bool {
-			rows = append(rows, append([]rel.Value(nil), vals...))
+			var row strings.Builder
+			for _, v := range vals {
+				fmt.Fprintf(&row, "%s%q ", v.Kind(), v.Key())
+			}
+			rows = append(rows, row.String())
 			return true
 		}); err != nil {
 			t.Fatal(err)

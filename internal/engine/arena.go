@@ -20,9 +20,10 @@ type rowArena struct {
 const (
 	// arenaMinRows is the smallest chunk, in rows.
 	arenaMinRows = 8
-	// arenaMaxValues caps a chunk (1.5 MB of rel.Value): past it doubling
-	// buys nothing and a single surviving row would pin too much.
-	arenaMaxValues = 1 << 15
+	// arenaMaxValues caps a chunk (1.5 MB of 24-byte rel.Value, the size
+	// rel's TestValueLayout pins): past it doubling buys nothing and a
+	// single surviving row would pin too much.
+	arenaMaxValues = 1 << 16
 )
 
 // newRowArena returns an arena for rows of the given width whose first

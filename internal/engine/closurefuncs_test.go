@@ -51,7 +51,7 @@ func TestListAggGroupPacking(t *testing.T) {
 		{rel.NewString("knows"), rel.NewFloat(0.5), rel.NewFloat(1.0)},
 		{rel.NewString("likes"), rel.NewFloat(0.2)},
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !sameRows(got, want) {
 		t.Fatalf("LISTAGG groups = %v, want %v", got, want)
 	}
 

@@ -397,7 +397,7 @@ func TestIDListParam(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(lit.Data, par.Data) {
+			if !sameRows(lit.Data, par.Data) {
 				t.Fatalf("%s with %v: %v, written out: %v", q, ids, par.Data, lit.Data)
 			}
 			if len(lit.Stats.Scans) == 0 || !reflect.DeepEqual(scanShapes(lit), scanShapes(par)) {

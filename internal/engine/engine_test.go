@@ -92,6 +92,26 @@ func mustQuery(t *testing.T, e *Engine, q string, args ...any) *Rows {
 	return r
 }
 
+// sameRows reports whether two results hold the same rows in the same
+// order, value by value: equal kind and Compare == 0. reflect.DeepEqual
+// would compare string and list addresses, not contents.
+func sameRows(a, b [][]rel.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j, v := range a[i] {
+			if v.Kind() != b[i][j].Kind() || !rel.Equal(v, b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func scalarInt(t *testing.T, e *Engine, q string, args ...any) int64 {
 	t.Helper()
 	r := mustQuery(t, e, q, args...)

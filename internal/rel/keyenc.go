@@ -7,9 +7,10 @@ import (
 
 // Order-preserving key encoding: composite index keys are encoded into
 // byte strings whose memcmp order agrees with Compare over the component
-// values. String keys make the index B-trees GC-opaque (no interior
-// pointers to scan) and turn key comparison into memcmp — both dominated
-// write-heavy profiles when keys were []Value slices.
+// values. Each index entry is one string, so it holds one pointer for
+// the collector to follow (to pointer-free bytes) where a []Value key held
+// one per component plus the slice's, and key comparison is memcmp — both
+// dominated write-heavy profiles when keys were []Value slices.
 //
 // Layout per component: a kind tag establishing the cross-kind order of
 // Compare, then a payload. Integers and floats share the numeric tag
@@ -32,7 +33,7 @@ func appendEncodedValue(b []byte, v Value) []byte {
 	case KindNull:
 		return append(b, tagNull)
 	case KindBool:
-		if v.num != 0 {
+		if v.n != 0 {
 			return append(b, tagBool, 1)
 		}
 		return append(b, tagBool, 0)
@@ -48,7 +49,7 @@ func appendEncodedValue(b []byte, v Value) []byte {
 		binary.BigEndian.PutUint64(buf[:], bits)
 		return append(append(b, tagNumber), buf[:]...)
 	case KindString:
-		return appendEscaped(append(b, tagString), v.s)
+		return appendEscaped(append(b, tagString), v.str())
 	case KindJSON:
 		return appendEscaped(append(b, tagJSON), v.JSON().String())
 	case KindList:

@@ -9,6 +9,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"sqlgraph/internal/sqljson"
 )
@@ -52,14 +53,26 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed SQL value. The zero Value is SQL NULL.
-// The layout is deliberately compact (numerics share one word, documents
-// and lists share the aux slot): rows are copied throughout the executor
-// and value size is directly visible in query time.
+//
+// A Value is three words, so an 8-column row spans three cache lines and
+// a compiled expression returns three words (DESIGN §19):
+//
+//	p     string bytes (string), *sqljson.Doc (JSON), first element (list)
+//	n     int64 bits (int, bool: 0 or 1), float64 bits (float),
+//	      byte count (string), element count (list)
+//	kind  which of the above applies
+//
+// p is the only pointer, so the collector scans one word per value. A
+// string or list payload is shared, not copied, when wrapped and must
+// not be modified afterwards.
+//
+// Value is not comparable: == would compare string and list addresses,
+// not contents. Use Equal or Compare, and Key for a map key.
 type Value struct {
+	_    [0]func()
+	p    unsafe.Pointer
+	n    uint64
 	kind Kind
-	num  uint64 // int64 bits (int/bool) or float64 bits (float)
-	s    string
-	aux  any // *sqljson.Doc for JSON, []Value for lists
 }
 
 // Null is the SQL NULL value.
@@ -69,19 +82,21 @@ var Null = Value{}
 func NewBool(b bool) Value {
 	v := Value{kind: KindBool}
 	if b {
-		v.num = 1
+		v.n = 1
 	}
 	return v
 }
 
 // NewInt returns a BIGINT value.
-func NewInt(i int64) Value { return Value{kind: KindInt, num: uint64(i)} }
+func NewInt(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // NewFloat returns a DOUBLE value.
-func NewFloat(f float64) Value { return Value{kind: KindFloat, num: math.Float64bits(f)} }
+func NewFloat(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
-// NewString returns a VARCHAR value.
-func NewString(s string) Value { return Value{kind: KindString, s: s} }
+// NewString returns a VARCHAR value. It shares s's bytes.
+func NewString(s string) Value {
+	return Value{kind: KindString, p: unsafe.Pointer(unsafe.StringData(s)), n: uint64(len(s))}
+}
 
 // NewJSON returns a JSON value wrapping doc (which may be nil: an empty
 // document).
@@ -89,15 +104,13 @@ func NewJSON(doc *sqljson.Doc) Value {
 	if doc == nil {
 		doc = sqljson.New()
 	}
-	return Value{kind: KindJSON, aux: doc}
+	return Value{kind: KindJSON, p: unsafe.Pointer(doc)}
 }
 
-// NewList returns a LIST value. The slice is not copied.
+// NewList returns a LIST value. The slice is not copied, and the caller
+// must not modify its elements afterwards.
 func NewList(vals []Value) Value {
-	if vals == nil {
-		vals = []Value{}
-	}
-	return Value{kind: KindList, aux: vals}
+	return Value{kind: KindList, p: unsafe.Pointer(unsafe.SliceData(vals)), n: uint64(len(vals))}
 }
 
 // FromAny converts a Go value (as produced by sqljson or user input) to a
@@ -144,17 +157,17 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // Bool returns the boolean payload (false for non-bool values).
-func (v Value) Bool() bool { return v.kind == KindBool && v.num != 0 }
+func (v Value) Bool() bool { return v.kind == KindBool && v.n != 0 }
 
 // Int returns the integer payload, converting floats by truncation.
 func (v Value) Int() int64 {
 	switch v.kind {
 	case KindInt, KindBool:
-		return int64(v.num)
+		return int64(v.n)
 	case KindFloat:
-		return int64(math.Float64frombits(v.num))
+		return int64(math.Float64frombits(v.n))
 	case KindString:
-		i, _ := strconv.ParseInt(v.s, 10, 64)
+		i, _ := strconv.ParseInt(v.str(), 10, 64)
 		return i
 	default:
 		return 0
@@ -165,11 +178,11 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
-		return math.Float64frombits(v.num)
+		return math.Float64frombits(v.n)
 	case KindInt, KindBool:
-		return float64(int64(v.num))
+		return float64(int64(v.n))
 	case KindString:
-		f, _ := strconv.ParseFloat(v.s, 64)
+		f, _ := strconv.ParseFloat(v.str(), 64)
 		return f
 	default:
 		return 0
@@ -180,7 +193,7 @@ func (v Value) Float() float64 {
 // rendered form of any value).
 func (v Value) Str() string {
 	if v.kind == KindString {
-		return v.s
+		return v.str()
 	}
 	return ""
 }
@@ -188,18 +201,25 @@ func (v Value) Str() string {
 // JSON returns the JSON document payload, or nil for non-JSON values.
 func (v Value) JSON() *sqljson.Doc {
 	if v.kind == KindJSON {
-		return v.aux.(*sqljson.Doc)
+		return (*sqljson.Doc)(v.p)
 	}
 	return nil
 }
 
-// List returns the list payload, or nil.
+// List returns the list payload (never nil for a list), or nil. Its
+// capacity equals its length, so appending to it copies.
 func (v Value) List() []Value {
-	if v.kind == KindList {
-		return v.aux.([]Value)
+	if v.kind != KindList {
+		return nil
 	}
-	return nil
+	if v.n == 0 {
+		return []Value{}
+	}
+	return unsafe.Slice((*Value)(v.p), v.n)
 }
+
+// str reads the string payload of a KindString value.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), v.n) }
 
 // String renders the value for display.
 func (v Value) String() string {
@@ -207,16 +227,16 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		if v.num != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case KindInt:
-		return strconv.FormatInt(int64(v.num), 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
 		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindJSON:
 		return v.JSON().String()
 	case KindList:
@@ -250,7 +270,7 @@ func Compare(a, b Value) int {
 	}
 	if a.numeric() && b.numeric() {
 		if a.kind == KindInt && b.kind == KindInt {
-			ai, bi := int64(a.num), int64(b.num)
+			ai, bi := int64(a.n), int64(b.n)
 			switch {
 			case ai < bi:
 				return -1
@@ -275,9 +295,9 @@ func Compare(a, b Value) int {
 	}
 	switch a.kind {
 	case KindBool:
-		return int(int64(a.num) - int64(b.num))
+		return int(int64(a.n) - int64(b.n))
 	case KindString:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.str(), b.str())
 	case KindJSON:
 		return strings.Compare(a.JSON().String(), b.JSON().String())
 	case KindList:
@@ -308,12 +328,12 @@ func (v Value) Key() string {
 	case KindNull:
 		return "\x00"
 	case KindBool:
-		if v.num != 0 {
+		if v.n != 0 {
 			return "\x01t"
 		}
 		return "\x01f"
 	case KindInt:
-		return "\x02i" + strconv.FormatInt(int64(v.num), 10)
+		return "\x02i" + strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
 		// Integral floats share their key with the equivalent int so that
 		// DISTINCT and hash joins agree with Compare on numeric equality.
@@ -323,7 +343,7 @@ func (v Value) Key() string {
 		}
 		return "\x02f" + strconv.FormatFloat(f, 'g', -1, 64)
 	case KindString:
-		return "\x03" + v.s
+		return "\x03" + v.str()
 	case KindJSON:
 		return "\x04" + v.JSON().String()
 	case KindList:
@@ -353,7 +373,7 @@ func (v Value) Size() int {
 	case KindFloat:
 		return 8
 	case KindString:
-		return len(v.s) + 4
+		return int(v.n) + 4
 	case KindJSON:
 		return v.JSON().Size() + 4
 	case KindList:
@@ -372,11 +392,11 @@ func (v Value) Size() int {
 func (v Value) Truthy() bool {
 	switch v.kind {
 	case KindBool, KindInt:
-		return v.num != 0
+		return v.n != 0
 	case KindFloat:
 		return v.Float() != 0
 	case KindString:
-		return v.s == "true"
+		return v.str() == "true"
 	default:
 		return false
 	}

@@ -1,6 +1,9 @@
 package rel
 
 import (
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -233,5 +236,253 @@ func TestKindString(t *testing.T) {
 		if k.String() != want {
 			t.Fatalf("Kind(%d).String() = %s, want %s", k, k, want)
 		}
+	}
+}
+
+// TestValueLayout pins the three-word layout (DESIGN §19): the executor's
+// arena budget and every row's footprint are sized on 24 bytes, and the
+// non-comparable marker keeps == (which would compare string addresses)
+// from compiling.
+func TestValueLayout(t *testing.T) {
+	typ := reflect.TypeOf(Value{})
+	if typ.Size() != 24 {
+		t.Fatalf("Value is %d bytes, want 24", typ.Size())
+	}
+	if typ.Comparable() {
+		t.Fatal("Value is comparable; it must carry the non-comparable marker")
+	}
+}
+
+// TestValueRoundTrip wraps every kind, edge cases included, and reads it
+// back through the accessors.
+func TestValueRoundTrip(t *testing.T) {
+	if v := (Value{}); !v.IsNull() || v.Kind() != KindNull || v.Str() != "" || v.List() != nil || v.JSON() != nil {
+		t.Fatalf("zero Value is not NULL: %v", v)
+	}
+	for _, b := range []bool{false, true} {
+		if v := NewBool(b); v.Kind() != KindBool || v.Bool() != b {
+			t.Fatalf("NewBool(%v) = %v", b, v)
+		}
+	}
+	for _, i := range []int64{0, -1, 1, math.MinInt64, math.MaxInt64} {
+		if v := NewInt(i); v.Kind() != KindInt || v.Int() != i {
+			t.Fatalf("NewInt(%d) = %v", i, v)
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for _, f := range []float64{0, negZero, 2.5, -1e300, math.Inf(1), math.SmallestNonzeroFloat64} {
+		v := NewFloat(f)
+		if v.Kind() != KindFloat || math.Float64bits(v.Float()) != math.Float64bits(f) {
+			t.Fatalf("NewFloat(%v) = %v", f, v)
+		}
+	}
+	if f := NewFloat(math.NaN()).Float(); !math.IsNaN(f) {
+		t.Fatalf("NewFloat(NaN) = %v", f)
+	}
+	big := strings.Repeat("0123456789abcdef", 1<<16) // 1 MB
+	for _, s := range []string{"", "a", "a\x00b", "héllo", big} {
+		v := NewString(s)
+		if v.Kind() != KindString || v.Str() != s || v.String() != s || v.Size() != len(s)+4 {
+			t.Fatalf("NewString(%d bytes) does not round-trip", len(s))
+		}
+		if v.List() != nil || v.JSON() != nil || v.Int() != 0 {
+			t.Fatalf("NewString(%q) answers another kind's accessor", s)
+		}
+	}
+	if v := NewString(big[5:7]); v.Str() != "56" {
+		t.Fatalf("substring = %q", v.Str())
+	}
+	if d := NewJSON(nil).JSON(); d == nil || d.Len() != 0 {
+		t.Fatalf("NewJSON(nil) = %v, want an empty document", d)
+	}
+	doc := sqljson.New()
+	doc.Set("k", "v")
+	if v := NewJSON(doc); v.Kind() != KindJSON || v.JSON() != doc || v.Str() != "" || v.List() != nil {
+		t.Fatalf("NewJSON(doc) = %v", v)
+	}
+	for _, in := range [][]Value{nil, {}} {
+		l := NewList(in).List()
+		if l == nil || len(l) != 0 {
+			t.Fatalf("NewList(%#v).List() = %#v, want a non-nil empty list", in, l)
+		}
+	}
+	elems := []Value{NewInt(1), NewString("x"), Null, NewList([]Value{NewFloat(0.5)})}
+	l := NewList(elems).List()
+	if len(l) != len(elems) || &l[0] != &elems[0] {
+		t.Fatalf("NewList does not share its elements: %v", l)
+	}
+	if NewList(elems).JSON() != nil || NewList(elems).Str() != "" {
+		t.Fatal("a list answers another kind's accessor")
+	}
+}
+
+var (
+	sinkValue Value
+	sinkStr   string
+	sinkList  []Value
+	sinkDoc   *sqljson.Doc
+)
+
+// TestValueNoAllocs: wrapping a payload and reading it back allocates
+// nothing (a list used to box its slice header into an interface).
+func TestValueNoAllocs(t *testing.T) {
+	s := strings.Repeat("x", 100)
+	vals := []Value{NewInt(1), NewString("a")}
+	doc := sqljson.New()
+	str, list, empty, js := NewString(s), NewList(vals), NewList(nil), NewJSON(doc)
+	cases := map[string]func(){
+		"NewString":   func() { sinkValue = NewString(s) },
+		"NewList":     func() { sinkValue = NewList(vals) },
+		"NewJSON":     func() { sinkValue = NewJSON(doc) },
+		"Str":         func() { sinkStr = str.Str() },
+		"List":        func() { sinkList = list.List() },
+		"List(empty)": func() { sinkList = empty.List() },
+		"JSON":        func() { sinkDoc = js.JSON() },
+	}
+	for _, boxed := range []any{s, int64(1 << 40), 2.5, true, doc} {
+		cases["FromAny("+reflect.TypeOf(boxed).String()+")"] = func() { sinkValue = FromAny(boxed) }
+	}
+	for name, f := range cases {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: %v allocations, want 0", name, n)
+		}
+	}
+}
+
+// TestValueListCapacity: the slice List returns ends at its own length,
+// so appending to it cannot write into the array behind another list.
+func TestValueListCapacity(t *testing.T) {
+	backing := []Value{NewInt(1), NewInt(2), NewInt(3)}
+	v := NewList(backing[:1])
+	l := v.List()
+	if cap(l) != len(l) {
+		t.Fatalf("cap(List()) = %d, len = %d", cap(l), len(l))
+	}
+	_ = append(l, NewInt(9))
+	if backing[1].Int() != 2 {
+		t.Fatalf("append onto List() overwrote the backing array: %v", backing)
+	}
+	if l := NewList(backing).List(); cap(l) != 3 || len(l) != 3 {
+		t.Fatalf("cap/len = %d/%d, want 3/3", cap(l), len(l))
+	}
+}
+
+// TestValueFormatGolden pins Compare, Key, Size and EncodeKey as literals.
+// The WAL, snapshot, index and DISTINCT formats are built from these, so
+// a change to Value's layout must leave every line here as it is.
+func TestValueFormatGolden(t *testing.T) {
+	doc := sqljson.New()
+	doc.Set("b", "x")
+	doc.Set("a", int64(1))
+	corpus := []Value{
+		Null,
+		NewBool(false),
+		NewBool(true),
+		NewInt(math.MinInt64),
+		NewInt(-1),
+		NewInt(0),
+		NewFloat(math.Copysign(0, -1)),
+		NewFloat(0.5),
+		NewInt(3),
+		NewFloat(3),
+		NewFloat(-2.5),
+		NewFloat(1e300),
+		NewFloat(math.NaN()),
+		NewInt(math.MaxInt64),
+		NewString(""),
+		NewString("a"),
+		NewString("a\x00b"),
+		NewString("héllo"),
+		NewJSON(nil),
+		NewJSON(doc),
+		NewList(nil),
+		NewList([]Value{NewInt(1), NewString("x")}),
+		NewList([]Value{Null}),
+		NewList([]Value{NewInt(1), NewList([]Value{NewFloat(0.25)})}),
+	}
+	// Sign of Compare(corpus[i], corpus[j]) at row i, column j. NaN (row
+	// 12) compares equal to every number.
+	compare := []string{
+		"0-----------------------",
+		"+0----------------------",
+		"++0---------------------",
+		"+++0--------0-----------",
+		"++++0-----+-0-----------",
+		"+++++00---+-0-----------",
+		"+++++00---+-0-----------",
+		"+++++++0--+-0-----------",
+		"++++++++00+-0-----------",
+		"++++++++00+-0-----------",
+		"++++------0-0-----------",
+		"+++++++++++00+----------",
+		"+++00000000000----------",
+		"+++++++++++-00----------",
+		"++++++++++++++0---------",
+		"+++++++++++++++0--------",
+		"++++++++++++++++0-------",
+		"+++++++++++++++++0------",
+		"++++++++++++++++++0+----",
+		"++++++++++++++++++-0----",
+		"++++++++++++++++++++0---",
+		"+++++++++++++++++++++0+-",
+		"+++++++++++++++++++++-0-",
+		"+++++++++++++++++++++++0",
+	}
+	want := []struct {
+		key  string
+		size int
+		enc  string
+	}{
+		{"\x00", 1, "\x00"},      // 0
+		{"\x01f", 1, "\x01\x00"}, // 1
+		{"\x01t", 1, "\x01\x01"}, // 2
+		{"\x02i-9223372036854775808", 8, "\x02<\x1f\xff\xff\xff\xff\xff\xff"},                    // 3
+		{"\x02i-1", 8, "\x02@\x0f\xff\xff\xff\xff\xff\xff"},                                      // 4
+		{"\x02i0", 8, "\x02\x80\x00\x00\x00\x00\x00\x00\x00"},                                    // 5
+		{"\x02i0", 8, "\x02\x7f\xff\xff\xff\xff\xff\xff\xff"},                                    // 6
+		{"\x02f0.5", 8, "\x02\xbf\xe0\x00\x00\x00\x00\x00\x00"},                                  // 7
+		{"\x02i3", 8, "\x02\xc0\b\x00\x00\x00\x00\x00\x00"},                                      // 8
+		{"\x02i3", 8, "\x02\xc0\b\x00\x00\x00\x00\x00\x00"},                                      // 9
+		{"\x02f-2.5", 8, "\x02?\xfb\xff\xff\xff\xff\xff\xff"},                                    // 10
+		{"\x02f1e+300", 8, "\x02\xfe7\xe4<\x88\x00u\x9c"},                                        // 11
+		{"\x02fNaN", 8, "\x02\xff\xf8\x00\x00\x00\x00\x00\x01"},                                  // 12
+		{"\x02i9223372036854775807", 8, "\x02\xc3\xe0\x00\x00\x00\x00\x00\x00"},                  // 13
+		{"\x03", 4, "\x03\x00\x00"},                                                              // 14
+		{"\x03a", 5, "\x03a\x00\x00"},                                                            // 15
+		{"\x03a\x00b", 7, "\x03a\x00\x01b\x00\x00"},                                              // 16
+		{"\x03héllo", 10, "\x03héllo\x00\x00"},                                                   // 17
+		{"\x04{}", 6, "\x04{}\x00\x00"},                                                          // 18
+		{"\x04{\"a\":1,\"b\":\"x\"}", 20, "\x04{\"a\":1,\"b\":\"x\"}\x00\x00"},                   // 19
+		{"\x05", 4, "\x05\x00"},                                                                  // 20
+		{"\x053:\x02i12:\x03x", 17, "\x05\x02\xbf\xf0\x00\x00\x00\x00\x00\x00\x03x\x00\x00\x00"}, // 21
+		{"\x051:\x00", 5, "\x05\x00\x00"},                                                        // 22
+		{"\x053:\x02i19:\x056:\x02f0.25", 24, "\x05\x02\xbf\xf0\x00\x00\x00\x00\x00\x00\x05\x02\xbf\xd0\x00\x00\x00\x00\x00\x00\x00\x00"}, // 23
+	}
+	for i, a := range corpus {
+		for j, b := range corpus {
+			sign := byte('0')
+			if c := Compare(a, b); c < 0 {
+				sign = '-'
+			} else if c > 0 {
+				sign = '+'
+			}
+			if sign != compare[i][j] {
+				t.Errorf("Compare(%v, %v) sign %c, want %c", a, b, sign, compare[i][j])
+			}
+		}
+		w := want[i]
+		if got := a.Key(); got != w.key {
+			t.Errorf("%d: Key() = %q, want %q", i, got, w.key)
+		}
+		if got := a.Size(); got != w.size {
+			t.Errorf("%d: Size() = %d, want %d", i, got, w.size)
+		}
+		if got := EncodeKey([]Value{a}); got != w.enc {
+			t.Errorf("%d: EncodeKey = %q, want %q", i, got, w.enc)
+		}
+	}
+	all := "\x00\x01\x00\x01\x01\x02<\x1f\xff\xff\xff\xff\xff\xff\x02@\x0f\xff\xff\xff\xff\xff\xff\x02\x80\x00\x00\x00\x00\x00\x00\x00\x02\x7f\xff\xff\xff\xff\xff\xff\xff\x02\xbf\xe0\x00\x00\x00\x00\x00\x00\x02\xc0\b\x00\x00\x00\x00\x00\x00\x02\xc0\b\x00\x00\x00\x00\x00\x00\x02?\xfb\xff\xff\xff\xff\xff\xff\x02\xfe7\xe4<\x88\x00u\x9c\x02\xff\xf8\x00\x00\x00\x00\x00\x01\x02\xc3\xe0\x00\x00\x00\x00\x00\x00\x03\x00\x00\x03a\x00\x00\x03a\x00\x01b\x00\x00\x03héllo\x00\x00\x04{}\x00\x00\x04{\"a\":1,\"b\":\"x\"}\x00\x00\x05\x00\x05\x02\xbf\xf0\x00\x00\x00\x00\x00\x00\x03x\x00\x00\x00\x05\x00\x00\x05\x02\xbf\xf0\x00\x00\x00\x00\x00\x00\x05\x02\xbf\xd0\x00\x00\x00\x00\x00\x00\x00\x00"
+	if got := EncodeKey(corpus); got != all {
+		t.Errorf("EncodeKey(corpus) = %q, want %q", got, all)
 	}
 }

@@ -2,6 +2,9 @@ package server
 
 import (
 	"io"
+	"math"
+	rtmetrics "runtime/metrics"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -20,6 +23,10 @@ var latencyBuckets = []float64{0.00025, 0.001, 0.004, 0.016, 0.064, 0.256, 1.024
 // materializedRowsBuckets are the upper bounds of the per-query stored-rows
 // histogram: powers of ten from one row to ten million.
 var materializedRowsBuckets = []float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7}
+
+// pauseBuckets are the upper bounds of the GC pause histogram in seconds
+// (powers of four from 16µs to ~65ms).
+var pauseBuckets = []float64{0.000016, 0.000064, 0.000256, 0.001024, 0.004096, 0.016384, 0.065536}
 
 // telemetry is the serving layer's view over the metrics registry: typed
 // handles for the counters the request path touches, plus registered
@@ -246,7 +253,71 @@ func newTelemetry(s *Server) *telemetry {
 			return out
 		})
 
+	// Go runtime, read from runtime/metrics at scrape time: the samples the
+	// benchmark harness reads, so a live daemon and the ledger report the
+	// same quantities (process.gc_cpu_pct is gc ÷ (gc + user) CPU seconds
+	// over a window, and `sqlgraph top` computes it the same way).
+	reg.GaugeFunc("sqlgraphd_go_heap_live_bytes",
+		"Heap bytes marked live by the last GC cycle (/gc/heap/live:bytes).",
+		func() float64 { return runtimeValue("/gc/heap/live:bytes") })
+	reg.GaugeFunc("sqlgraphd_go_goroutines",
+		"Live goroutines (/sched/goroutines:goroutines).",
+		func() float64 { return runtimeValue("/sched/goroutines:goroutines") })
+	reg.CounterFunc("sqlgraphd_go_gc_cpu_seconds_total",
+		"Estimated CPU seconds spent in the garbage collector, updated at each GC (/cpu/classes/gc/total:cpu-seconds).",
+		func() float64 { return runtimeValue("/cpu/classes/gc/total:cpu-seconds") })
+	reg.CounterFunc("sqlgraphd_go_user_cpu_seconds_total",
+		"Estimated CPU seconds spent running Go code, updated at each GC (/cpu/classes/user:cpu-seconds).",
+		func() float64 { return runtimeValue("/cpu/classes/user:cpu-seconds") })
+	reg.HistogramFunc("sqlgraphd_go_gc_pause_seconds",
+		"Stop-the-world GC pause latency in seconds (/sched/pauses/total/gc:seconds); the sum is estimated from bucket midpoints.",
+		pauseBuckets, gcPauses)
+
 	return t
+}
+
+// runtimeValue reads one scalar runtime/metrics sample (0 if this Go
+// release does not have it).
+func runtimeValue(name string) float64 {
+	s := []rtmetrics.Sample{{Name: name}}
+	rtmetrics.Read(s)
+	switch s[0].Value.Kind() {
+	case rtmetrics.KindUint64:
+		return float64(s[0].Value.Uint64())
+	case rtmetrics.KindFloat64:
+		return s[0].Value.Float64()
+	default:
+		return 0
+	}
+}
+
+// gcPauses folds the runtime's fine-grained pause histogram into
+// pauseBuckets. Each runtime bucket is counted at its upper edge, so a
+// bound still bounds every pause below it.
+func gcPauses() metrics.HistSnapshot {
+	out := metrics.HistSnapshot{Counts: make([]uint64, len(pauseBuckets)+1)}
+	s := []rtmetrics.Sample{{Name: "/sched/pauses/total/gc:seconds"}}
+	rtmetrics.Read(s)
+	if s[0].Value.Kind() != rtmetrics.KindFloat64Histogram {
+		return out
+	}
+	h := s[0].Value.Float64Histogram()
+	for i, c := range h.Counts {
+		if c == 0 {
+			continue
+		}
+		lo, hi := h.Buckets[i], h.Buckets[i+1]
+		out.Counts[sort.SearchFloat64s(pauseBuckets, hi)] += c
+		out.Count += c
+		mid := (lo + hi) / 2
+		if math.IsInf(lo, -1) {
+			mid = hi
+		} else if math.IsInf(hi, 1) {
+			mid = lo
+		}
+		out.Sum += mid * float64(c)
+	}
+	return out
 }
 
 // registerReplica adds the follower-side replication gauges on the

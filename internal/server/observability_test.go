@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -267,5 +269,56 @@ func TestSamplerSeriesMatchExposition(t *testing.T) {
 	}
 	if _, ok := snap["sqlgraphd_queries_total"]; !ok {
 		t.Error("snapshot missing sqlgraphd_queries_total")
+	}
+}
+
+// TestRuntimeSeries: the Go runtime series render with sane values, the
+// pause histogram's buckets are cumulative up to its count, and the two
+// CPU counters are the pair process.gc_cpu_pct is computed from.
+func TestRuntimeSeries(t *testing.T) {
+	env := newTestEnv(t, Config{})
+	env.doJSON(t, "POST", "/query", map[string]any{"gremlin": "g.V.out.name"})
+	runtime.GC() // the CPU classes and the live heap are updated per cycle
+	_, body := env.doJSON(t, "GET", "/metrics", nil)
+	series := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if key, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			series[key] = v
+		}
+	}
+	sane := map[string][2]float64{ // [min, max]
+		"sqlgraphd_go_heap_live_bytes":        {64 << 10, 64 << 30},
+		"sqlgraphd_go_goroutines":             {2, 1e6},
+		"sqlgraphd_go_gc_cpu_seconds_total":   {1e-9, 1e6},
+		"sqlgraphd_go_user_cpu_seconds_total": {1e-9, 1e6},
+		"sqlgraphd_go_gc_pause_seconds_count": {1, 1e9},
+		"sqlgraphd_go_gc_pause_seconds_sum":   {1e-9, 1e6},
+	}
+	for key, r := range sane {
+		if v, ok := series[key]; !ok || v < r[0] || v > r[1] {
+			t.Errorf("%s = %v (present %v), want within %v", key, v, ok, r)
+		}
+	}
+	prev := 0.0
+	for _, ub := range pauseBuckets {
+		key := fmt.Sprintf("sqlgraphd_go_gc_pause_seconds_bucket{le=%q}", strconv.FormatFloat(ub, 'g', -1, 64))
+		v, ok := series[key]
+		if !ok {
+			t.Fatalf("%s not rendered", key)
+		}
+		if v < prev {
+			t.Fatalf("pause buckets not cumulative at le=%g: %v < %v", ub, v, prev)
+		}
+		prev = v
+	}
+	if inf := series[`sqlgraphd_go_gc_pause_seconds_bucket{le="+Inf"}`]; inf < prev || inf != series["sqlgraphd_go_gc_pause_seconds_count"] {
+		t.Errorf("+Inf bucket %v, last finite %v, count %v", inf, prev, series["sqlgraphd_go_gc_pause_seconds_count"])
+	}
+	if mean := series["sqlgraphd_go_gc_pause_seconds_sum"] / series["sqlgraphd_go_gc_pause_seconds_count"]; mean > 1 {
+		t.Errorf("mean GC pause %vs", mean)
 	}
 }
