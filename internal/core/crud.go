@@ -408,9 +408,11 @@ func (s *Store) removeAdjacent(tx *rel.Txn, outgoing bool, vid, eid int64, label
 		}
 		// Multi-valued: remove the matching secondary row by its exact
 		// (lid, eid) key, then check emptiness with an early-stopping
-		// prefix probe. Both are logarithmic — a linear scan here made
-		// deleting a supernode's edges O(degree) each (it dominated
-		// LinkBench's delete_link at scale).
+		// prefix probe. The secondary index is hashed on the list id
+		// (DESIGN §20): the first probe walks the list's entries in the
+		// index's own arrays, comparing EID words, and reads only the
+		// matching row — a scan of the rows here once dominated
+		// LinkBench's delete_link at scale.
 		lid := row.vals[adjVAL(col)].Int()
 		var target rel.RowID
 		found := false

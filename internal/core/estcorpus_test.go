@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -21,15 +22,18 @@ type estCase struct {
 	Name    string  `json:"name"`
 	Gremlin string  `json:"gremlin"`
 	MaxQ    float64 `json:"max_q"`
+	// Vertices sizes the graph the case runs on (default 200). Above
+	// 2 048 the per-column NDV sketches leave the range a single linear
+	// counter of their size can read.
+	Vertices int `json:"vertices,omitempty"`
 }
 
 // estCorpusGraph builds the deterministic graph the corpus queries run
-// on: 200 vertices (k = i mod 5, name on even ids), a dense "a" ring,
-// a sparser "b" fan, and a rare "c" label.
-func estCorpusGraph(t *testing.T) *Store {
+// on: nV vertices (k = i mod 5, name on even ids), a dense "a" ring, a
+// sparser "b" fan, and a rare "c" label.
+func estCorpusGraph(t *testing.T, nV int) *Store {
 	t.Helper()
 	g := blueprints.NewMemGraph()
-	const nV = 200
 	for i := 0; i < nV; i++ {
 		attrs := map[string]any{"k": int64(i % 5)}
 		if i%2 == 0 {
@@ -122,10 +126,14 @@ func TestEstimateCorpus(t *testing.T) {
 	if len(cases) == 0 {
 		t.Fatal("empty corpus")
 	}
-	s := estCorpusGraph(t)
+	stores := map[int]*Store{}
 	for _, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
-			res, err := s.QueryTraced(c.Gremlin, TranslateOptions{}, "")
+			nV := cmp.Or(c.Vertices, 200)
+			if stores[nV] == nil {
+				stores[nV] = estCorpusGraph(t, nV)
+			}
+			res, err := stores[nV].QueryTraced(c.Gremlin, TranslateOptions{}, "")
 			if err != nil {
 				t.Fatalf("%s: %v", c.Gremlin, err)
 			}
@@ -138,5 +146,42 @@ func TestEstimateCorpus(t *testing.T) {
 					c.Gremlin, worst, c.MaxQ, ops)
 			}
 		})
+	}
+}
+
+// TestPlannerLargeFrontierIndexNL: on a 25 000-vertex graph, a 5 000-row
+// frontier (then a 7 500-row one) hops through OPA on P.VID = V.VAL.
+// OPA's vertex-id NDV reads about 25 000, so a probe's fan-out is costed
+// at one row: each hop is an index nested-loop join whose output is
+// estimated within 1.25x of the actual rows. A sketch saturated at its
+// 2 048 cells read the NDV as 2 048, costed the fan-out at ~12 and sent
+// both hops to hash joins over full OPA scans, each estimated at 25 000
+// rows.
+func TestPlannerLargeFrontierIndexNL(t *testing.T) {
+	const nV = 25000
+	s := estCorpusGraph(t, nV)
+	ndv, ok := s.OptimizerStats().ColumnNDV(TableOPA, adjVID)
+	if !ok || qerr(int64(ndv), nV) > 1.25 {
+		t.Fatalf("OPA vertex-id NDV = %.0f (ok %v), want within 1.25x of %d", ndv, ok, nV)
+	}
+	res, err := s.QueryTraced("g.V.has('k', 1).out().out()", TranslateOptions{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hops := 0
+	for _, j := range res.Stats.Joins {
+		if j.Table != TableOPA && j.Table != "P" {
+			continue
+		}
+		hops++
+		if j.Strategy != engine.StrategyIndexNL || j.BuildRows < 5000 {
+			t.Errorf("hop %d: %s join driven by %d rows, want index-nl over >= 5000\n%s", hops, j.Strategy, j.BuildRows, res.Stats.String())
+		}
+		if q := qerr(j.EstRows, j.OutRows); q > 1.25 {
+			t.Errorf("hop %d: est=%d act=%d, q-error %.2f > 1.25", hops, j.EstRows, j.OutRows, q)
+		}
+	}
+	if hops != 2 {
+		t.Fatalf("found %d OPA joins, want 2\n%s", hops, res.Stats.String())
 	}
 }

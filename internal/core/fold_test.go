@@ -13,7 +13,7 @@ import (
 // shapes allocate accordingly. A fall-back to the join shows as a second
 // access and a join, and as several times the bytes.
 func TestAttributeStepsOneScan(t *testing.T) {
-	s := estCorpusGraph(t)
+	s := estCorpusGraph(t, 200)
 	defer s.Close()
 	var texts []string
 	for _, src := range []string{"g.V", "g.V(3, 4, 5, 6)", "g.V('name', 'n2')"} {

@@ -134,22 +134,33 @@ func createSchema(cat *rel.Catalog, outCols, inCols int) error {
 	if err := mk(TableEA, eaSchema()); err != nil {
 		return err
 	}
+	// The adjacency tables are the paper's hash tables: every read of them
+	// is an equality probe on the vertex or list id (a hop, a stored
+	// procedure, the (VALID, EID) lookup of an edge removal), so their id
+	// indexes are hashed. VA and EA also serve ranges and stay ordered.
 	type ix struct {
 		name, table string
 		unique      bool
+		hashed      bool
 		ords        []int
 	}
 	for _, i := range []ix{
-		{IndexOPAVID, TableOPA, false, []int{adjVID}},
-		{IndexIPAVID, TableIPA, false, []int{adjVID}},
-		{IndexOSAVALID, TableOSA, false, []int{secVALID, secEID}},
-		{IndexISAVALID, TableISA, false, []int{secVALID, secEID}},
-		{IndexVAPK, TableVA, true, []int{vaVID}},
-		{IndexEAPK, TableEA, true, []int{eaEID}},
-		{IndexEAInLbl, TableEA, false, []int{eaINV, eaLBL}},
-		{IndexEAOutLbl, TableEA, false, []int{eaOUTV, eaLBL}},
+		{IndexOPAVID, TableOPA, false, true, []int{adjVID}},
+		{IndexIPAVID, TableIPA, false, true, []int{adjVID}},
+		{IndexOSAVALID, TableOSA, false, true, []int{secVALID, secEID}},
+		{IndexISAVALID, TableISA, false, true, []int{secVALID, secEID}},
+		{IndexVAPK, TableVA, true, false, []int{vaVID}},
+		{IndexEAPK, TableEA, true, false, []int{eaEID}},
+		{IndexEAInLbl, TableEA, false, false, []int{eaINV, eaLBL}},
+		{IndexEAOutLbl, TableEA, false, false, []int{eaOUTV, eaLBL}},
 	} {
-		if _, err := cat.CreateIndex(i.name, i.table, i.unique, i.ords, "", nil); err != nil {
+		var err error
+		if i.hashed {
+			_, err = cat.CreateHashIndex(i.name, i.table, i.ords)
+		} else {
+			_, err = cat.CreateIndex(i.name, i.table, i.unique, i.ords, "", nil)
+		}
+		if err != nil {
 			return err
 		}
 	}

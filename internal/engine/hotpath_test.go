@@ -98,6 +98,62 @@ func TestAccessPathChoice(t *testing.T) {
 	}
 }
 
+// TestAccessPathHashedIndex: a hashed index, as on the adjacency tables,
+// serves equality and IN only. The soft-delete guard `P.VID >= 0` and
+// every other range or IS NOT NULL predicate is read by full scan under
+// either regime — or through an ordered index on the same column when
+// there is one — and never reaches the hashed index as a range.
+func TestAccessPathHashedIndex(t *testing.T) {
+	for _, withStats := range []bool{false, true} {
+		e := New(rel.NewCatalog())
+		mustExecAll(t, e, "CREATE TABLE OPA (VID BIGINT, VAL BIGINT)", "CREATE TABLE Q (VID BIGINT, VAL BIGINT)")
+		for _, table := range []string{"OPA", "Q"} {
+			if _, err := e.Catalog().CreateHashIndex(table+"_VID", table, []int{0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustExecAll(t, e, "CREATE INDEX Q_VID_ORDERED ON Q (VID)")
+		for i := -20; i < 2000; i++ {
+			for _, table := range []string{"OPA", "Q"} {
+				if _, err := e.Exec("INSERT INTO "+table+" VALUES (?, ?)", int64(i), int64(i%7)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if withStats {
+			coll := stats.NewCollection(e.Catalog(), stats.Config{Tables: []stats.TableSpec{
+				{Name: "OPA", NDVCols: []int{0}, HistCols: []int{0}, GroupCol: -1},
+				{Name: "Q", NDVCols: []int{0}, HistCols: []int{0}, GroupCol: -1},
+			}})
+			if err := coll.RebuildAll(); err != nil {
+				t.Fatal(err)
+			}
+			e.SetStatsProvider(coll)
+		}
+		for _, tc := range []struct {
+			query, access string
+			rows          int
+		}{
+			{"SELECT P.VAL FROM OPA P WHERE P.VID >= 0", "full-scan", 2000},
+			{"SELECT P.VAL FROM OPA P WHERE P.VID < 0", "full-scan", 20},
+			{"SELECT P.VAL FROM OPA P WHERE P.VID BETWEEN 10 AND 19", "full-scan", 10},
+			{"SELECT P.VAL FROM OPA P WHERE P.VID IS NOT NULL", "full-scan", 2020},
+			{"SELECT P.VAL FROM OPA P WHERE P.VID >= 0 AND P.VID = 5", "index-eq", 1},
+			{"SELECT P.VAL FROM OPA P WHERE P.VID >= 0 AND P.VID IN (1, 2, 3, 5000)", "index-in", 3},
+			{"SELECT P.VAL FROM OPA P WHERE P.VID = 5.0", "index-eq", 1},
+			{"SELECT Q.VAL FROM Q WHERE Q.VID < -10", "index-range", 10},
+		} {
+			res := mustQuery(t, e, tc.query)
+			if got := res.Stats.Scans[0].Access; got != tc.access {
+				t.Errorf("stats=%v %s: access %s, want %s", withStats, tc.query, got, tc.access)
+			}
+			if len(res.Data) != tc.rows {
+				t.Errorf("stats=%v %s: %d rows, want %d", withStats, tc.query, len(res.Data), tc.rows)
+			}
+		}
+	}
+}
+
 // TestAccessPathSkipsIndexYoungerThanSnapshot: historical images are not
 // back-indexed, so a snapshot pinned before an index existed must never
 // be read through it, whatever the cost model thinks of it.

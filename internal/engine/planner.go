@@ -54,7 +54,9 @@ const (
 	// 1.5 times a sequential row, and an index walk runs on one worker
 	// where the full scan runs on all of them. With strategyHedge on the
 	// index side, a predicate keeping more than about two fifths of the
-	// table is read by full scan.
+	// table is read by full scan. A hashed index's entry is cheaper (a
+	// hash lookup, an integer staleness check), but it only ever serves
+	// equality and IN, which win on selectivity, so it shares the constant.
 	costScanRow  = 1.0
 	costIndexRow = 3.0
 	// selIndexUnknown is the fraction an indexable predicate is assumed to

@@ -69,17 +69,19 @@ func indexUsableAt(ix *rel.Index, asOf rel.Version) bool {
 }
 
 // matchIndexExpr finds an index matching the given side expression and
-// usable at the query's snapshot version: a plain single-column index for
-// a column reference, or an expression index whose normalized text equals
-// the expression's.
-func matchIndexExpr(t *rel.Table, alias string, side sql.Expr, asOf rel.Version) *rel.Index {
+// usable at the query's snapshot version: a plain index led by the
+// column for a column reference, or an expression index whose normalized
+// text equals the expression's. A range or IS NOT NULL path asks for an
+// ordered index; a hashed one answers equality only.
+func matchIndexExpr(t *rel.Table, alias string, side sql.Expr, asOf rel.Version, ordered bool) *rel.Index {
+	usable := func(ix *rel.Index) bool { return indexUsableAt(ix, asOf) && (!ordered || ix.Ordered()) }
 	if cr, ok := side.(*sql.ColumnRef); ok && (cr.Table == "" || cr.Table == alias) {
 		ord := t.Schema().Ordinal(cr.Column)
 		if ord < 0 {
 			return nil
 		}
 		for _, ix := range t.Indexes() {
-			if ords := ix.ColumnOrdinals(); len(ords) >= 1 && ords[0] == ord && indexUsableAt(ix, asOf) {
+			if ords := ix.ColumnOrdinals(); len(ords) >= 1 && ords[0] == ord && usable(ix) {
 				return ix
 			}
 		}
@@ -87,7 +89,7 @@ func matchIndexExpr(t *rel.Table, alias string, side sql.Expr, asOf rel.Version)
 	}
 	want := stripAlias(side, alias).SQL()
 	for _, ix := range t.Indexes() {
-		if ix.Expr() != "" && ix.Expr() == want && indexUsableAt(ix, asOf) {
+		if ix.Expr() != "" && ix.Expr() == want && usable(ix) {
 			return ix
 		}
 	}
@@ -131,7 +133,7 @@ func (e *Engine) chooseAccessPath(q *queryState, t *rel.Table, alias string, con
 			if !isConstExpr(bound) || !(op == "=" && eqPath == nil || isRange && rangePath == nil) {
 				continue
 			}
-			ix := matchIndexExpr(t, alias, side, q.asOf)
+			ix := matchIndexExpr(t, alias, side, q.asOf, isRange)
 			if ix == nil {
 				continue
 			}
@@ -159,7 +161,7 @@ func (e *Engine) chooseAccessPath(q *queryState, t *rel.Table, alias string, con
 			}
 		case *sql.InList:
 			if !v.Not && inPath == nil {
-				ix := matchIndexExpr(t, alias, v.X, q.asOf)
+				ix := matchIndexExpr(t, alias, v.X, q.asOf, false)
 				if ids, ok := q.idList(v); ok && ix != nil {
 					inPath = &accessPath{index: ix, kind: accessIn, ids: ids, consumed: c}
 				} else if ix != nil {
@@ -183,7 +185,7 @@ func (e *Engine) chooseAccessPath(q *queryState, t *rel.Table, alias string, con
 			}
 		case *sql.Between:
 			if !v.Not && rangePath == nil && isConstExpr(v.Lo) && isConstExpr(v.Hi) {
-				if ix := matchIndexExpr(t, alias, v.X, q.asOf); ix != nil {
+				if ix := matchIndexExpr(t, alias, v.X, q.asOf, true); ix != nil {
 					lo, err := e.constValue(q, v.Lo)
 					if err != nil {
 						return nil, err
@@ -197,7 +199,7 @@ func (e *Engine) chooseAccessPath(q *queryState, t *rel.Table, alias string, con
 			}
 		case *sql.IsNull:
 			if v.Not && notNullPath == nil {
-				if ix := matchIndexExpr(t, alias, v.X, q.asOf); ix != nil {
+				if ix := matchIndexExpr(t, alias, v.X, q.asOf, true); ix != nil {
 					notNullPath = &accessPath{index: ix, kind: accessNotNull, consumed: c}
 				}
 			}
@@ -247,7 +249,7 @@ func accessCost(prov StatsProvider, t *rel.Table, p *accessPath) float64 {
 		for _, key := range p.keys {
 			s, ok := prov.SelEq(table, ord, key[0])
 			if unique {
-				s, ok = 1/math.Max(rows, 1), true // exact, where an NDV sketch saturates
+				s, ok = 1/math.Max(rows, 1), true // exact, where the sketch is within a few percent
 			}
 			sel, known = sel+s, known && ok
 		}

@@ -67,21 +67,35 @@ func (c *Catalog) Tables() []string {
 	return names
 }
 
-// CreateIndex builds an index over an existing table, populating it from
-// current rows.
+// CreateIndex builds an ordered index over an existing table, populating
+// it from current rows.
 func (c *Catalog) CreateIndex(name, table string, unique bool, ordinals []int, expr string, keyFn KeyFunc) (*Index, error) {
+	return c.addIndex(NewIndex(name, table, unique, ordinals, expr, keyFn))
+}
+
+// CreateHashIndex builds a non-unique hashed index over plain columns
+// (see Index): equality and prefix probes only, hashed on the first
+// column.
+func (c *Catalog) CreateHashIndex(name, table string, ordinals []int) (*Index, error) {
+	if len(ordinals) == 0 || len(ordinals) > maxHashedColumns {
+		return nil, fmt.Errorf("rel: create index %s: a hashed index takes 1 to %d columns", name, maxHashedColumns)
+	}
+	return c.addIndex(newHashedIndex(name, table, ordinals))
+}
+
+func (c *Catalog) addIndex(ix *Index) (*Index, error) {
+	name, table := ix.name, ix.table
 	c.mu.RLock()
 	t, ok := c.tables[table]
 	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("rel: create index %s: table %s does not exist", name, table)
 	}
-	for _, o := range ordinals {
+	for _, o := range ix.colOrds {
 		if o < 0 || o >= t.schema.Len() {
 			return nil, fmt.Errorf("rel: create index %s: ordinal %d out of range", name, o)
 		}
 	}
-	ix := NewIndex(name, table, unique, ordinals, expr, keyFn)
 	t.Lock()
 	defer t.Unlock()
 	// Stamp the creation version under the table lock: no writer can be

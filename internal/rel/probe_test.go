@@ -5,23 +5,44 @@ import (
 	"testing"
 )
 
+// organisations names the two index organisations, for tests that run
+// over both.
+var organisations = []struct {
+	name   string
+	hashed bool
+}{{"ordered", false}, {"hashed", true}}
+
+// createIndex creates a non-unique index of either organisation.
+func createIndex(t testing.TB, c *Catalog, name, table string, hashed bool, ords ...int) *Index {
+	t.Helper()
+	var ix *Index
+	var err error
+	if hashed {
+		ix, err = c.CreateHashIndex(name, table, ords)
+	} else {
+		ix, err = c.CreateIndex(name, table, false, ords, "", nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Ordered() == hashed {
+		t.Fatalf("index %s: Ordered() = %v for hashed = %v", name, ix.Ordered(), hashed)
+	}
+	return ix
+}
+
 // probeFixture builds T(ID, NAME, SCORE) with a single-column index on ID
-// and a composite one on (ID, NAME), n rows, two per ID.
-func probeFixture(t testing.TB, n int) (*Catalog, *Table, *Index, *Index, *Footprint) {
+// and a composite one on (ID, NAME), both of the given organisation, n
+// rows, two per ID.
+func probeFixture(t testing.TB, n int, hashed bool) (*Catalog, *Table, *Index, *Index, *Footprint) {
 	t.Helper()
 	c := NewCatalog()
 	tb, err := c.CreateTable("T", testSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID, err := c.CreateIndex("IX_ID", "T", false, []int{0}, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byIDName, err := c.CreateIndex("IX_ID_NAME", "T", false, []int{0, 1}, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	byID := createIndex(t, c, "IX_ID", "T", hashed, 0)
+	byIDName := createIndex(t, c, "IX_ID_NAME", "T", hashed, 0, 1)
 	fp, err := c.Footprint([]string{"T"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -37,39 +58,48 @@ func probeFixture(t testing.TB, n int) (*Catalog, *Table, *Index, *Index, *Footp
 }
 
 // TestProbeAtAllocFree: a probe encodes its key and every candidate's key
-// into stack buffers and finds slots through the dense rid table, so the
-// per-frontier-row probe of a traversal hop allocates nothing.
+// into stack buffers (an ordered index) or compares words (a hashed one)
+// and finds slots through the dense rid table, so the per-frontier-row
+// probe of a traversal hop allocates nothing.
 func TestProbeAtAllocFree(t *testing.T) {
-	_, tb, byID, byIDName, _ := probeFixture(t, 4096)
-	tb.RLock()
-	defer tb.RUnlock()
-	seen := 0
-	visit := func(RowID, []Value) bool { seen++; return true }
+	for _, org := range organisations {
+		t.Run(org.name, func(t *testing.T) {
+			_, tb, byID, byIDName, _ := probeFixture(t, 4096, org.hashed)
+			tb.RLock()
+			defer tb.RUnlock()
+			seen := 0
+			visit := func(RowID, []Value) bool { seen++; return true }
 
-	intKey := []Value{NewInt(0)}
-	i := int64(0)
-	if a := testing.AllocsPerRun(200, func() {
-		intKey[0] = NewInt(i % 2048)
-		i++
-		tb.ProbeAt(byID, intKey, Latest, visit)
-	}); a != 0 {
-		t.Fatalf("ProbeAt on an int key: %v allocs per probe, want 0", a)
-	}
-	compKey := []Value{NewInt(0), NewString("http://example.org/label/1")}
-	if a := testing.AllocsPerRun(200, func() {
-		compKey[0] = NewInt(i % 2048)
-		i++
-		tb.ProbeAt(byIDName, compKey, Latest, visit)
-	}); a != 0 {
-		t.Fatalf("ProbeAt on a composite key: %v allocs per probe, want 0", a)
-	}
-	if a := testing.AllocsPerRun(50, func() {
-		tb.ProbeRangeAt(byID, NewInt(10), NewInt(20), true, false, Latest, visit)
-	}); a != 0 {
-		t.Fatalf("ProbeRangeAt: %v allocs per probe, want 0", a)
-	}
-	if want := 200*2 + 200*1 + 50*20; seen < want {
-		t.Fatalf("probes visited %d rows, want at least %d", seen, want)
+			intKey := []Value{NewInt(0)}
+			i := int64(0)
+			if a := testing.AllocsPerRun(200, func() {
+				intKey[0] = NewInt(i % 2048)
+				i++
+				tb.ProbeAt(byID, intKey, Latest, visit)
+			}); a != 0 {
+				t.Fatalf("ProbeAt on an int key: %v allocs per probe, want 0", a)
+			}
+			compKey := []Value{NewInt(0), NewString("http://example.org/label/1")}
+			if a := testing.AllocsPerRun(200, func() {
+				compKey[0] = NewInt(i % 2048)
+				i++
+				tb.ProbeAt(byIDName, compKey, Latest, visit)
+			}); a != 0 {
+				t.Fatalf("ProbeAt on a composite key: %v allocs per probe, want 0", a)
+			}
+			want := 200*2 + 200*1
+			if !org.hashed {
+				if a := testing.AllocsPerRun(50, func() {
+					tb.ProbeRangeAt(byID, NewInt(10), NewInt(20), true, false, Latest, visit)
+				}); a != 0 {
+					t.Fatalf("ProbeRangeAt: %v allocs per probe, want 0", a)
+				}
+				want += 50 * 20
+			}
+			if seen < want {
+				t.Fatalf("probes visited %d rows, want at least %d", seen, want)
+			}
+		})
 	}
 }
 
@@ -79,7 +109,13 @@ func TestProbeAtAllocFree(t *testing.T) {
 // image they own, whatever stale entries and slot reuse the tree and the
 // rid table carry at that moment.
 func TestStaleEntriesThroughDenseRIDTable(t *testing.T) {
-	c, tb, byID, byIDName, fp := probeFixture(t, 8)
+	for _, org := range organisations {
+		t.Run(org.name, func(t *testing.T) { staleEntriesThroughDenseRIDTable(t, org.hashed) })
+	}
+}
+
+func staleEntriesThroughDenseRIDTable(t *testing.T, hashed bool) {
+	c, tb, byID, byIDName, fp := probeFixture(t, 8, hashed)
 	rfp, err := c.Footprint(nil, []string{"T"})
 	if err != nil {
 		t.Fatal(err)

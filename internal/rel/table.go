@@ -524,9 +524,39 @@ func (t *Table) ScanSlotsAt(lo, hi int, v Version, fn func(rid RowID, vals []Val
 // allocates nothing for keys that fit keyBufLen: a Table-8 hop runs one
 // per frontier row.
 func (t *Table) ProbeAt(ix *Index, key []Value, v Version, fn func(rid RowID, vals []Value) bool) {
+	if ix.hash != nil {
+		t.probeHashedAt(ix, key, v, fn)
+		return
+	}
 	var kb [keyBufLen]byte
 	ix.probeEntries(appendEncodedKey(kb[:0], key), func(entry string) bool {
 		return t.visitEntry(ix, entry, v, fn)
+	})
+}
+
+// probeHashedAt is ProbeAt on a hashed index. Its candidates are the
+// entries filed under the leading component's word whose later words
+// match the key's later components — integer work in the index's own
+// arrays; a row is read only for those, and kept when its image visible
+// at v still produces the entry.
+func (t *Table) probeHashedAt(ix *Index, key []Value, v Version, fn func(rid RowID, vals []Value) bool) {
+	h := ix.hash
+	var wb [maxHashedColumns]uint64
+	ws := probeWords(wb[:0], key)
+	h.each(ws[0], func(e int32) bool {
+		if !h.hasPrefix(e, ws[1:]) {
+			return true
+		}
+		rid := h.rids[e]
+		slot, ok := t.slotOf(rid)
+		if !ok {
+			return true
+		}
+		vals, ok := t.rows[slot].visibleAt(v)
+		if !ok || !ix.ownsEntry(vals, ws[0], e) {
+			return true
+		}
+		return fn(rid, vals)
 	})
 }
 

@@ -1,5 +1,6 @@
 // Package rel implements the relational storage substrate SQLGraph runs
-// on: typed values, tables, B-tree indexes, a catalog, and transactional
+// on: typed values, tables, ordered (B-tree) and hashed indexes, a catalog,
+// and transactional
 // multi-table updates with table-granularity locking. The SQL front-end
 // (internal/sql) and executor (internal/engine) sit on top of it.
 package rel

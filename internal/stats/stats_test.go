@@ -9,14 +9,21 @@ import (
 	"sqlgraph/internal/rel"
 )
 
+// TestSketchAddRemoveExact: the cells and every level's occupancy are a
+// function of the live multiset alone. The 20 000 distinct keys load the
+// first levels past their full mark, so the estimate reads from a level
+// above the first.
 func TestSketchAddRemoveExact(t *testing.T) {
 	a, b := NewSketch(), NewSketch()
 	rng := rand.New(rand.NewSource(1))
-	keys := make([]string, 0, 5000)
-	for i := 0; i < 5000; i++ {
-		k := fmt.Sprintf("k%d", rng.Intn(900))
+	keys := make([]string, 0, 60000)
+	for i := 0; i < 60000; i++ {
+		k := fmt.Sprintf("k%d", rng.Intn(20000))
 		keys = append(keys, k)
 		a.Add(k)
+	}
+	if a.occ[0] <= sketchFullOcc || a.occ[1] <= sketchFullOcc {
+		t.Fatalf("fixture does not load the first levels past full: occupancy %v", a.occ)
 	}
 	// b sees the same multiset interleaved with extra add/remove pairs.
 	for i, k := range keys {
@@ -30,40 +37,50 @@ func TestSketchAddRemoveExact(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatalf("len mismatch: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a.cells {
-		if a.cells[i] != b.cells[i] {
-			t.Fatalf("cell %d mismatch: %d vs %d", i, a.cells[i], b.cells[i])
-		}
+	if a.cells != b.cells || a.occ != b.occ {
+		t.Fatalf("sketches of one multiset differ: occupancy %v vs %v", a.occ, b.occ)
 	}
-	// Removing everything empties the sketch exactly.
+	if a.NDV() != b.NDV() {
+		t.Fatalf("estimates differ: %v vs %v", a.NDV(), b.NDV())
+	}
+	// Removing everything empties the sketch exactly, at every level.
 	for _, k := range keys {
 		a.Remove(k)
 	}
 	if !a.Empty() || a.NDV() != 0 {
 		t.Fatalf("sketch not empty after removing all keys: n=%d ndv=%v", a.n, a.NDV())
 	}
-	for i := range a.cells {
-		if a.cells[i] != 0 {
-			t.Fatalf("cell %d nonzero after full removal", i)
-		}
+	if a.cells != ([sketchCells]int32{}) || a.occ != ([sketchLevels]int32{}) {
+		t.Fatalf("sketch not zero after full removal: occupancy %v", a.occ)
 	}
 }
 
+// TestSketchNDVAccuracy reads the estimate at distinct counts from one to
+// a million, past the 2 048 a single linear counter of the sketch's size
+// saturates at (OPA's 56 672 vertex ids read as 2 048 there), for plain
+// string keys and for the rel.Value.Key strings the collection adds.
 func TestSketchNDVAccuracy(t *testing.T) {
-	for _, distinct := range []int{1, 10, 100, 1000, 5000} {
-		s := NewSketch()
-		for i := 0; i < distinct; i++ {
-			k := fmt.Sprintf("key-%d", i)
-			s.Add(k)
-			s.Add(k) // duplicates must not inflate the estimate
-		}
-		est := s.NDV()
-		relErr := math.Abs(est-float64(distinct)) / float64(distinct)
-		if distinct <= 100 && relErr > 0.05 {
-			t.Errorf("distinct=%d est=%.1f relerr=%.3f", distinct, est, relErr)
-		}
-		if relErr > 0.25 {
-			t.Errorf("distinct=%d est=%.1f relerr=%.3f exceeds 25%%", distinct, est, relErr)
+	keyFns := map[string]func(i int) string{
+		"string":    func(i int) string { return fmt.Sprintf("key-%d", i) },
+		"value-key": func(i int) string { return rel.NewInt(int64(i)).Key() },
+	}
+	for name, key := range keyFns {
+		for _, distinct := range []int{1, 10, 100, 1000, 5000, 20000, 56672, 1000000} {
+			s := NewSketch()
+			for i := 0; i < distinct; i++ {
+				k := key(i)
+				s.Add(k)
+				s.Add(k) // duplicates must not inflate the estimate
+			}
+			est := s.NDV()
+			relErr := math.Abs(est-float64(distinct)) / float64(distinct)
+			q := math.Max(est, float64(distinct)) / math.Min(est, float64(distinct))
+			if distinct <= 100 && relErr > 0.05 {
+				t.Errorf("%s: distinct=%d est=%.1f relerr=%.3f", name, distinct, est, relErr)
+			}
+			if q > 1.25 {
+				t.Errorf("%s: distinct=%d est=%.1f q-error %.3f exceeds 1.25", name, distinct, est, q)
+			}
 		}
 	}
 }
