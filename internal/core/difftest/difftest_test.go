@@ -39,6 +39,39 @@ func TestDifferentialShapes(t *testing.T) {
 	}
 }
 
+// TestDifferentialOrderedDedup pins the order guard of DISTINCT: the
+// store emits a dedup() over order-free ids in ascending id order, and
+// must not do so after an order, whose result is compared element by
+// element. Every case on several graphs, in every storage mode.
+func TestDifferentialOrderedDedup(t *testing.T) {
+	cases := []string{
+		"g.V.order{it.id % 4 == 0}.dedup()",
+		"g.V.order{it.name}.dedup()",
+		"g.V.order().dedup()",
+		"g.V.out.dedup().order()",
+	}
+	for _, query := range cases {
+		if !orderedResult(mustShape(t, query).Steps) {
+			t.Fatalf("%s would be compared as a multiset", query)
+		}
+	}
+	for seed := int64(118); seed < 122; seed++ {
+		g := GenGraph(rand.New(rand.NewSource(seed)))
+		s, err := core.Load(g, core.Options{OutCols: 3, InCols: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, query := range cases {
+			for _, opts := range allModes {
+				if err := Check(s, g, query, opts); err != nil {
+					t.Errorf("seed %d %+v: %v", seed, opts, err)
+				}
+			}
+		}
+		s.Close()
+	}
+}
+
 // TestRedrawKeepsTheShape: drawing literals again changes a pipeline's
 // text, not its shape, unless a value crossed kinds — the arm above would
 // otherwise test nothing about shared statements.

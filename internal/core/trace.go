@@ -206,8 +206,11 @@ func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStat
 		d.cut(b.Child(parent, "join", "", startNs, nanos, int64(j.BuildRows+j.ProbeRows), int64(j.OutRows)))
 	}
 	op := func(parent *trace.Span, op *engine.OpStat, startNs, nanos int64) {
-		if op.Kind == "agg" {
+		switch op.Kind {
+		case "agg":
 			d.buf = strconv.AppendInt(append(d.buf, "groups="...), int64(op.Groups), 10)
+		case "dedup":
+			d.buf = append(d.buf, op.Order...)
 		}
 		d.cut(b.Child(parent, op.Kind, "", startNs, nanos, int64(op.RowsIn), int64(op.RowsOut)))
 	}

@@ -135,7 +135,7 @@ func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (
 	op := len(q.stats.Ops)
 	q.stats.Ops = append(q.stats.Ops, OpStat{Kind: "agg", StartNs: q.sinceStart(time.Now())})
 
-	out := &relation{cols: aggregateCols(sel.Items)}
+	out := &relation{cols: aggregateCols(sel.Items), ordered: in.ordered} // groups come out in first-occurrence order
 	rowsIn, groups := 0, 1
 	if len(keys) == 0 {
 		g := ag.newGroup()

@@ -330,18 +330,18 @@ func (q *queryState) idList(v *sql.InList) ([]int64, bool) {
 }
 
 // idSet tests membership in an id list: by comparing with each of a few
-// ids, through a hash set with many.
+// ids, through an intSet with many.
 type idSet struct {
 	ids []int64
-	set map[int64]struct{}
+	set *intSet
 }
 
 func newIDSet(ids []int64) *idSet {
 	s := &idSet{ids: ids}
 	if len(ids) > 8 {
-		s.set = make(map[int64]struct{}, len(ids))
+		s.set = &intSet{}
 		for _, id := range ids {
-			s.set[id] = struct{}{}
+			s.set.add(id)
 		}
 	}
 	return s
@@ -364,8 +364,7 @@ func (s *idSet) has(v rel.Value) bool {
 		return false
 	}
 	if s.set != nil {
-		_, ok := s.set[x]
-		return ok
+		return s.set.has(x)
 	}
 	return slices.Contains(s.ids, x)
 }

@@ -253,18 +253,32 @@ func (e *Engine) settlePlanInputs(q *queryState, sel *sql.SimpleSelect) error {
 	return nil
 }
 
-// distinct runs r into the set of its distinct rows, in first-occurrence
-// order, and records a "dedup" operator stat.
+// distinct runs r into the set of its distinct rows and records a "dedup"
+// operator stat. Rows that are one integer each — a frontier of element
+// ids — come out in ascending order unless an ORDER BY is upstream, so
+// the next hop probes the adjacency tables in the order they were loaded
+// (DESIGN.md §21); every other result keeps first occurrences, in order.
+// Building the rows is charged to the operator and to the run.
 func (e *Engine) distinct(q *queryState, r *relation) (*relation, error) {
 	op := len(q.stats.Ops)
 	q.stats.Ops = append(q.stats.Ops, OpStat{Kind: "dedup", StartNs: q.sinceStart(time.Now())})
 	c := newCollect(len(r.cols), &deduper{})
+	c.ascending = !r.ordered
 	if err := e.run(q, r, c, op); err != nil {
 		return nil, err
 	}
-	q.stats.Ops[op].RowsIn, q.stats.Ops[op].RowsOut = c.in, len(c.rows)
+	finT := time.Now()
+	st := &q.stats.Ops[op]
+	st.Order = OrderFirstOccurrence
+	if c.finish() {
+		st.Order = OrderAscending
+	}
+	d := time.Since(finT).Nanoseconds()
+	st.Nanos += d
+	q.stats.Pipelines[len(q.stats.Pipelines)-1].Nanos += d
+	st.RowsIn, st.RowsOut = c.in, len(c.rows)
 	q.stats.MaterializedRows += len(c.rows)
-	return &relation{cols: r.cols, rows: c.rows}, nil
+	return &relation{cols: r.cols, rows: c.rows, ordered: r.ordered}, nil
 }
 
 // project appends the select list to in's pipeline.
@@ -616,6 +630,9 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 		}
 		q.stampJoin(nJoins, sp, legacyAlt)
 	}
+	// Output order follows the outer rows, and each one's matches the
+	// order of the rows stored on the other side.
+	out.ordered = cur.ordered || rightRel.ordered
 	markApplied(joinEq, residual)
 	return out, nil
 }

@@ -81,14 +81,14 @@ var errTaken = errors.New("engine: internal error: a pipelined relation was read
 // as returns r under other column names.
 func (r *relation) as(cols []colInfo) *relation {
 	if r.src == nil && !r.taken {
-		return &relation{cols: cols, rows: r.rows}
+		return &relation{cols: cols, rows: r.rows, ordered: r.ordered}
 	}
-	return &relation{cols: cols, src: r.pipes()}
+	return &relation{cols: cols, src: r.pipes(), ordered: r.ordered}
 }
 
 // then returns the pending relation of r's rows passed through st.
 func (r *relation) then(cols []colInfo, st stage, kind stageKind) *relation {
-	out := &relation{cols: cols, src: r.pipes()}
+	out := &relation{cols: cols, src: r.pipes(), ordered: r.ordered}
 	for _, p := range out.src {
 		p.stages = append(p.stages, st)
 		p.scratch = p.scratch || kind&emitsScratch != 0
@@ -111,22 +111,30 @@ type terminal interface {
 }
 
 // morselBuf is what a worker's partial kept of one morsel, and how many
-// rows it was pushed to get there.
+// rows it was pushed to get there. Under DISTINCT it may be ids instead
+// of rows: the morsel's one-integer rows, in first-occurrence order.
 type morselBuf struct {
 	rows [][]rel.Value
+	ids  []int64
 	in   int
 }
 
 // collect stores the rows it receives: the terminal of every
-// materialisation and, with seen set, of DISTINCT (first occurrences
-// only).
+// materialisation and, with seen set, of DISTINCT. Under DISTINCT a row
+// that is one integer — every frontier of the translation — is kept as
+// its id in the set until finish builds the rows, all at once: ascending
+// when the input carries no order (ascending set), in first-occurrence
+// order otherwise (the set lists them). The first row that is not one
+// integer builds the ids kept so far into rows, and rows are kept as
+// they arrive from then on.
 type collect struct {
-	rows    [][]rel.Value
-	arena   *rowArena
-	copy    bool     // pushed rows are scratch
-	seen    *deduper // nil keeps duplicates
-	in      int      // rows received
-	transit bool     // a morsel buffer on the way to a terminal that stores nothing
+	rows      [][]rel.Value
+	arena     *rowArena
+	seen      *deduper // nil keeps duplicates
+	in        int      // rows received
+	copy      bool     // pushed rows are scratch
+	ascending bool     // under DISTINCT: the input is order-free, so ids come out ascending
+	transit   bool     // a morsel buffer on the way to a terminal that stores nothing
 }
 
 func newCollect(width int, seen *deduper) *collect {
@@ -135,16 +143,78 @@ func newCollect(width int, seen *deduper) *collect {
 
 func (c *collect) push(row []rel.Value) error {
 	c.in++
-	if c.seen != nil && c.seen.seen(row) {
+	if c.seen != nil {
+		c.offer(row, c.copy)
 		return nil
 	}
 	if c.copy && len(row) > 0 {
-		kept := c.arena.alloc()
-		copy(kept, row)
-		row = kept
+		row = c.clone(row)
 	}
 	c.rows = append(c.rows, row)
 	return nil
+}
+
+func (c *collect) clone(row []rel.Value) []rel.Value {
+	kept := c.arena.alloc()
+	copy(kept, row)
+	return kept
+}
+
+// offer keeps row under DISTINCT unless it was seen before; scratch says
+// row is valid only until offer returns.
+func (c *collect) offer(row []rel.Value, scratch bool) {
+	if id, ok := c.seen.intRow(row); ok {
+		c.addID(id)
+		return
+	}
+	if c.seen.strs == nil {
+		c.settle(false) // the ids go ahead of the rows that follow them
+	}
+	if c.seen.seen(row) {
+		return
+	}
+	if scratch && len(row) > 0 {
+		row = c.clone(row)
+	}
+	c.rows = append(c.rows, row)
+}
+
+// addID offers the row {id} while the set holds ids.
+func (c *collect) addID(id int64) {
+	if c.seen.ints.add(id) && !c.ascending {
+		c.seen.ids = append(c.seen.ids, id)
+	}
+}
+
+// settle appends the rows of the ids accepted so far: the set's, sorted,
+// under an ascending DISTINCT, else those it listed, in order. At the
+// final settle the set's table, no longer needed, is the sort's scratch.
+func (c *collect) settle(final bool) {
+	ids := c.seen.ids
+	if c.ascending {
+		ids = c.seen.ints.appendTo(make([]int64, 0, c.seen.ints.len()))
+		var scratch []int64
+		if final {
+			scratch = c.seen.ints.slots
+		}
+		sortIDs(ids, scratch)
+	}
+	if len(ids) > 0 {
+		c.rows = appendIntRows(c.rows, ids)
+	}
+	c.seen.ids = nil
+}
+
+// finish ends a DISTINCT: it builds the rows of the ids still kept and
+// reports whether the result came out in ascending order, which it does
+// when the input was order-free and every row was one integer.
+func (c *collect) finish() (ascending bool) {
+	if c.seen == nil {
+		return false
+	}
+	ascending = c.ascending && len(c.rows) == 0
+	c.settle(true)
+	return ascending
 }
 
 func (c *collect) absorb(m morselBuf) error {
@@ -153,21 +223,31 @@ func (c *collect) absorb(m morselBuf) error {
 		c.rows = append(c.rows, m.rows...)
 		return nil
 	}
-	for _, row := range m.rows {
-		if !c.seen.seen(row) {
-			c.rows = append(c.rows, row)
+	for _, id := range m.ids {
+		if c.seen.strs == nil {
+			c.addID(id)
+		} else {
+			row := c.arena.alloc()
+			row[0] = rel.NewInt(id)
+			c.offer(row, false)
 		}
+	}
+	for _, row := range m.rows {
+		c.offer(row, false)
 	}
 	return nil
 }
 
 // takeMorsel returns what was collected since the last call and starts
-// the next morsel's buffer.
+// the next morsel's buffer. Under DISTINCT the morsel's set is emptied
+// and kept for the next.
 func (c *collect) takeMorsel() morselBuf {
 	m := morselBuf{rows: c.rows, in: c.in}
 	c.rows, c.in = make([][]rel.Value, 0, len(m.rows)), 0
 	if c.seen != nil {
-		*c.seen = deduper{}
+		m.ids = c.seen.ids
+		c.seen.reset()
+		c.seen.ids = make([]int64, 0, len(m.ids))
 	}
 	return m
 }

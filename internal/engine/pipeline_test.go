@@ -408,8 +408,8 @@ func TestPipelineDeduperProbe(t *testing.T) {
 			t.Fatalf("has(%v %s) = %v, want %v", c.v.Kind(), c.v.Key(), got, c.want)
 		}
 	}
-	if d.ints != nil || len(d.strs) != 1000 {
-		t.Fatalf("set did not move to string keys once: ints=%d strs=%d", len(d.ints), len(d.strs))
+	if d.ints.len() != 0 || len(d.strs) != 1000 {
+		t.Fatalf("set did not move to string keys once: ints=%d strs=%d", d.ints.len(), len(d.strs))
 	}
 	e := New(rel.NewCatalog())
 	mustExecAll(t, e, "CREATE TABLE A (X DOUBLE)", "CREATE TABLE B (Y BIGINT)", "INSERT INTO A VALUES (1.0), (2.5), (NULL), (3.0)", "INSERT INTO B VALUES (1), (2), (3), (3)")

@@ -25,11 +25,17 @@ type colInfo struct {
 // the output of pipelines that have not run yet (see pipeline.go). A
 // pending relation has one reader; once that reader has its pipelines the
 // relation is taken, and reading it again is an error, not an empty result.
+//
+// ordered says an ORDER BY of the statement may be upstream of the rows:
+// their order is then the result's to keep, and a DISTINCT over them
+// keeps first occurrences in order (DESIGN.md §21). It is set by the sort
+// and carried, conservatively, by everything that passes rows on.
 type relation struct {
-	cols  []colInfo
-	rows  [][]rel.Value
-	src   []*pipe
-	taken bool
+	cols    []colInfo
+	rows    [][]rel.Value
+	src     []*pipe
+	taken   bool
+	ordered bool
 }
 
 // scope resolves column references against a relation's columns and,

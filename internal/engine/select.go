@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -155,6 +154,7 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 		if err := e.orderRows(q, out, stmt.OrderBy, end); err != nil {
 			return nil, err
 		}
+		out.ordered = true
 	}
 	// Capacity is clamped: the rows may be shared (DESIGN.md §8), so a
 	// later append must not write into the slice they came from.
@@ -338,7 +338,7 @@ func (e *Engine) combineSetOp(q *queryState, op string, left, right *relation) (
 	if len(left.cols) != len(right.cols) {
 		return nil, fmt.Errorf("engine: set operation arity mismatch: %d vs %d", len(left.cols), len(right.cols))
 	}
-	out := &relation{cols: anonymizeCols(left.cols)}
+	out := &relation{cols: anonymizeCols(left.cols), ordered: left.ordered || right.ordered}
 	switch op {
 	case "UNION ALL":
 		out.src = append(left.pipes(), right.pipes()...)
@@ -377,77 +377,6 @@ func anonymizeCols(cols []colInfo) []colInfo {
 	return out
 }
 
-func rowKey(row []rel.Value) string {
-	var sb strings.Builder
-	for _, v := range row {
-		k := v.Key()
-		sb.WriteString(k)
-		sb.WriteByte(0xFF)
-	}
-	return sb.String()
-}
-
-// deduper tracks seen rows. Single-column integer rows — the dominant
-// case for the translation's DISTINCT over element ids — use an int map;
-// anything else falls back to canonical string keys (migrating already
-// seen keys on the way).
-type deduper struct {
-	ints map[int64]struct{}
-	strs map[string]struct{}
-}
-
-// intRow reports whether the row can live in the int map.
-func (d *deduper) intRow(row []rel.Value) bool {
-	return d.strs == nil && len(row) == 1 && row[0].Kind() == rel.KindInt
-}
-
-// toStrings moves the set to canonical string keys, once.
-func (d *deduper) toStrings() {
-	if d.strs != nil {
-		return
-	}
-	d.strs = make(map[string]struct{}, len(d.ints))
-	for v := range d.ints {
-		d.strs[rowKey([]rel.Value{rel.NewInt(v)})] = struct{}{}
-	}
-	d.ints = nil
-}
-
-// seen records the row and reports whether it was already present.
-func (d *deduper) seen(row []rel.Value) bool {
-	if d.intRow(row) {
-		if d.ints == nil {
-			d.ints = map[int64]struct{}{}
-		}
-		v := row[0].Int()
-		if _, ok := d.ints[v]; ok {
-			return true
-		}
-		d.ints[v] = struct{}{}
-		return false
-	}
-	d.toStrings()
-	k := rowKey(row)
-	if _, ok := d.strs[k]; ok {
-		return true
-	}
-	d.strs[k] = struct{}{}
-	return false
-}
-
-// has reports membership without recording. The first row that is not a
-// single integer moves an int set to string keys, as in seen: every later
-// probe is one lookup, not a pass over the set.
-func (d *deduper) has(row []rel.Value) bool {
-	if d.intRow(row) {
-		_, ok := d.ints[row[0].Int()]
-		return ok
-	}
-	d.toStrings()
-	_, ok := d.strs[rowKey(row)]
-	return ok
-}
-
 // evalRecursiveCTE evaluates WITH RECURSIVE via semi-naive iteration: the
 // base term seeds the result; the recursive term is re-evaluated against
 // the previous iteration's delta until no new rows appear. The CTE is a
@@ -463,7 +392,9 @@ func (e *Engine) evalRecursiveCTE(q *queryState, cte sql.CTE) (*relation, error)
 	if top.Op == "UNION" {
 		seen = &deduper{}
 	}
-	// fresh runs a term and returns the rows it adds to the result.
+	// fresh runs a term and returns the rows it adds to the result, in
+	// the order they first occur: the set is shared by every iteration.
+	ordered := false
 	fresh := func(term sql.SelectBody, arity int) ([][]rel.Value, []colInfo, error) {
 		r, err := e.evalBody(q, term)
 		if err != nil {
@@ -472,10 +403,14 @@ func (e *Engine) evalRecursiveCTE(q *queryState, cte sql.CTE) (*relation, error)
 		if arity >= 0 && len(r.cols) != arity {
 			return nil, nil, fmt.Errorf("engine: recursive CTE %s arity changed", cte.Name)
 		}
+		ordered = ordered || r.ordered
 		c := newCollect(len(r.cols), seen)
-		err = e.run(q, r, c, -1)
+		if err := e.run(q, r, c, -1); err != nil {
+			return nil, nil, err
+		}
+		c.finish()
 		q.stats.MaterializedRows += len(c.rows)
-		return c.rows, r.cols, err
+		return c.rows, r.cols, nil
 	}
 	rows, baseCols, err := fresh(top.Left, -1)
 	if err != nil {
@@ -506,13 +441,14 @@ func (e *Engine) evalRecursiveCTE(q *queryState, cte sql.CTE) (*relation, error)
 		}
 		// The name means the last iteration's rows now: a subquery that
 		// read it (or anything else) runs again.
-		q.ctes[cte.Name] = &relation{cols: cols, rows: rows}
+		q.ctes[cte.Name] = &relation{cols: cols, rows: rows, ordered: ordered}
 		clear(q.subs)
 		if rows, _, err = fresh(top.Right, len(cols)); err != nil {
 			return nil, err
 		}
 		total.rows = append(total.rows, rows...)
 	}
+	total.ordered = ordered
 	return total, nil
 }
 

@@ -88,10 +88,20 @@ type OpStat struct {
 	Kind    string // "agg", "sort", "dedup"
 	RowsIn  int
 	RowsOut int
-	Groups  int   // aggregation groups (agg only)
-	StartNs int64 // operator start, relative to query start
-	Nanos   int64 // operator wall time
+	Groups  int    // aggregation groups (agg only)
+	Order   string // the order a dedup emitted its rows in: OrderAscending or OrderFirstOccurrence
+	StartNs int64  // operator start, relative to query start
+	Nanos   int64  // operator wall time
 }
+
+// The orders a DISTINCT emits its rows in (OpStat.Order).
+const (
+	// OrderAscending: every row was one integer and no ORDER BY was
+	// upstream, so the ids came out sorted.
+	OrderAscending = "ascending"
+	// OrderFirstOccurrence: rows came out in the order they first arrived.
+	OrderFirstOccurrence = "first-occurrence"
+)
 
 // ExecStats summarizes how a query executed: which join strategies ran,
 // what each operator examined and emitted, how work was morselized, and
@@ -194,7 +204,10 @@ func (s *ExecStats) String() string {
 		case "agg":
 			fmt.Fprintf(&sb, "agg groups=%d in=%d out=%d time=%s\n",
 				op.Groups, op.RowsIn, op.RowsOut, fmtNanos(op.Nanos))
-		default: // sort, dedup
+		case "dedup":
+			fmt.Fprintf(&sb, "dedup in=%d out=%d order=%s time=%s\n",
+				op.RowsIn, op.RowsOut, op.Order, fmtNanos(op.Nanos))
+		default: // sort
 			fmt.Fprintf(&sb, "%s in=%d out=%d time=%s\n",
 				op.Kind, op.RowsIn, op.RowsOut, fmtNanos(op.Nanos))
 		}

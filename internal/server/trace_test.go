@@ -255,33 +255,41 @@ func TestRequestLogLine(t *testing.T) {
 var timingRE = regexp.MustCompile(`(time|total)=[^ \n]+`)
 
 // TestExplainAnalyzeGoldenText locks the EXPLAIN ANALYZE text shape:
-// stage and operator lines with rows, details, and (normalized) times.
+// stage and operator lines with rows, details, and (normalized) times —
+// among them dedups that name the order they emitted their rows in:
+// ascending ids from an order-free input, first occurrences after a sort.
 func TestExplainAnalyzeGoldenText(t *testing.T) {
 	env := newTestEnv(t, Config{})
-	code, body := env.doJSONTraced(t, "POST", "/query", map[string]any{
-		"gremlin": "g.V.has('name', 'marko').out('knows').name",
-		"explain": true,
-	})
-	if code != http.StatusOK {
-		t.Fatalf("query: %d %s", code, body)
-	}
-	resp := decodeInto[queryResponse](t, body)
-	text := timingRE.ReplaceAllString(resp.PlanText, "$1=X")
+	for file, gremlin := range map[string]string{
+		"explain_analyze.txt":              "g.V.has('name', 'marko').out('knows').name",
+		"explain_analyze_dedup.txt":        "g.V.both.dedup()",
+		"explain_analyze_sorted_dedup.txt": "g.V.order{it.name}.dedup()",
+	} {
+		code, body := env.doJSONTraced(t, "POST", "/query", map[string]any{
+			"gremlin": gremlin,
+			"explain": true,
+		})
+		if code != http.StatusOK {
+			t.Fatalf("query: %d %s", code, body)
+		}
+		resp := decodeInto[queryResponse](t, body)
+		text := timingRE.ReplaceAllString(resp.PlanText, "$1=X")
 
-	golden := filepath.Join("testdata", "golden", "explain_analyze.txt")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
+		golden := filepath.Join("testdata", "golden", file)
+		if *update {
+			if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := os.WriteFile(golden, []byte(text), 0o644); err != nil {
-			t.Fatal(err)
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("missing golden (run with -update): %v", err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update): %v", err)
-	}
-	if text != string(want) {
-		t.Fatalf("EXPLAIN ANALYZE text drifted:\n got: %q\nwant: %q", text, want)
+		if text != string(want) {
+			t.Fatalf("EXPLAIN ANALYZE text of %s drifted:\n got: %q\nwant: %q", gremlin, text, want)
+		}
 	}
 }
