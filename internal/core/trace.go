@@ -153,9 +153,9 @@ func (s *Store) prepare(b *trace.Builder, q *gremlin.Query, opts TranslateOption
 //
 // The executor times runs, not operators (engine.PipelineStat): a run of
 // two or more operators becomes one "pipeline" span carrying the run's
-// time, with its join stages and terminal beneath it carrying their row
-// counts and no time of their own. A run of one operator is that
-// operator's span, as before.
+// time, with the full scan it started at, its join stages and its
+// terminal beneath it carrying their row counts and no time of their
+// own. A run of one operator is that operator's span, as before.
 //
 // Only EXPLAIN and /debug/queries read a span's detail, and every request
 // pays for it: the details of one request are appended to one buffer and
@@ -177,12 +177,34 @@ func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStat
 		estAct(c.EstRows, c.Rows)
 		d.cut(b.Child(exec, "cte", "", c.StartNs, c.Nanos, int64(c.Rows), int64(c.Rows)))
 	}
-	for i := range st.Scans {
-		sc := &st.Scans[i]
+	// A run of two or more operators, its full scan among them, is a
+	// pipeline span: see which operators go beneath one first.
+	stages := func(p *engine.PipelineStat) int {
+		n := len(p.Joins)
+		if p.Op >= 0 {
+			n++
+		}
+		if p.Scan >= 0 {
+			n++
+		}
+		return n
+	}
+	pipedScans := make([]bool, len(st.Scans))
+	for i := range st.Pipelines {
+		if p := &st.Pipelines[i]; p.Scan >= 0 && stages(p) >= 2 {
+			pipedScans[p.Scan] = true
+		}
+	}
+	scan := func(parent *trace.Span, sc *engine.ScanStat, startNs, nanos int64) {
 		d.buf = append(append(append(d.buf, sc.Table...), ' '), sc.Access...)
 		d.buf = strconv.AppendInt(append(d.buf, " workers="...), int64(sc.Workers), 10)
 		estAct(sc.EstRows, sc.RowsOut)
-		d.cut(b.Child(exec, "scan", "", sc.StartNs, sc.Nanos, int64(sc.RowsIn), int64(sc.RowsOut)))
+		d.cut(b.Child(parent, "scan", "", startNs, nanos, int64(sc.RowsIn), int64(sc.RowsOut)))
+	}
+	for i := range st.Scans {
+		if sc := &st.Scans[i]; !pipedScans[i] {
+			scan(exec, sc, sc.StartNs, sc.Nanos)
+		}
 	}
 	join := func(parent *trace.Span, j *engine.JoinStat, startNs, nanos int64) {
 		d.buf = append(append(append(d.buf, j.Table...), ' '), j.Strategy...)
@@ -217,10 +239,7 @@ func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStat
 	pipedJoins, pipedOps := make([]bool, len(st.Joins)), make([]bool, len(st.Ops))
 	for i := range st.Pipelines {
 		p := &st.Pipelines[i]
-		n := len(p.Joins)
-		if p.Op >= 0 {
-			n++
-		}
+		n := stages(p)
 		if n < 2 {
 			continue
 		}
@@ -233,6 +252,9 @@ func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStat
 		d.buf = append(strconv.AppendInt(d.buf, int64(n), 10), " stages"...)
 		sp := b.Child(exec, "pipeline", "", p.StartNs, p.Nanos, int64(p.RowsIn), rowsOut)
 		d.cut(sp)
+		if p.Scan >= 0 {
+			scan(sp, &st.Scans[p.Scan], 0, 0)
+		}
 		for _, ji := range p.Joins {
 			pipedJoins[ji] = true
 			join(sp, &st.Joins[ji], 0, 0)

@@ -46,7 +46,9 @@ type JoinStat struct {
 	AltCost     float64
 }
 
-// ScanStat records one base-table access.
+// ScanStat records one base-table access. A full scan is the head of a
+// run (PipelineStat): its start, wall time, morsels and workers are the
+// run's.
 type ScanStat struct {
 	Table   string
 	Access  string // "full-scan", "index-eq", "index-in", "index-range", "index-notnull"
@@ -69,15 +71,17 @@ type CTEStat struct {
 	Nanos   int64 // binding the name; a fused CTE's rows are produced in its reader's run
 }
 
-// PipelineStat records one run: stored rows pushed through a chain of
-// stages into a terminal that stores, deduplicates or aggregates them.
-// Only the run is timed. Its wall time is charged to its first join (or,
-// having none, to its terminal operator); the other stages carry row
-// counts and no time.
+// PipelineStat records one run: stored rows, or the rows a full table
+// scan passes, pushed through a chain of stages into a terminal that
+// stores, deduplicates or aggregates them. Only the run is timed. Its
+// wall time is charged to its scan (or, having none, to its first join,
+// or, having neither, to its terminal operator); the other stages carry
+// row counts and no time.
 type PipelineStat struct {
+	Scan    int   // index into ExecStats.Scans of the full scan the run started at, -1 when it started from stored rows
 	Joins   []int // indices into ExecStats.Joins of the join stages, in order
 	Op      int   // index into ExecStats.Ops of the dedup or agg terminal, -1 when rows were just stored
-	RowsIn  int   // stored rows the run started from
+	RowsIn  int   // stored rows, or rows scanned, the run started from
 	StartNs int64
 	Nanos   int64
 }
@@ -118,7 +122,9 @@ type ExecStats struct {
 	// MaterializedRows totals the rows operators stored: CTEs with several
 	// readers, DISTINCT and aggregate outputs, hash-join inputs, sort
 	// inputs. Rows that only flowed through a pipeline are not in it, nor
-	// are the per-morsel buffers a parallel run hands an aggregate in order.
+	// are the per-morsel buffers a parallel run hands an aggregate in order,
+	// nor a table's row images collected as they are (a hash-join build side
+	// read straight from a filtered scan).
 	MaterializedRows int
 	// PlanVariants is the number of distinct join orders the planner
 	// enumerated for the largest reorderable FROM clause in the query

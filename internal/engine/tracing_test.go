@@ -10,8 +10,11 @@ import (
 // with aggregation, sort, and DISTINCT, and asserts every operator stat
 // carries a wall time consistent with the query's total elapsed time
 // (operator spans must nest inside the query: StartNs ≥ 0 and
-// StartNs+Nanos ≤ total). Run under -race this also proves the timing
-// fields are written without data races while morsel workers are live.
+// StartNs+Nanos ≤ total). The GROUP BY is the terminal of the hash
+// probe's run, whose time goes to the join; the agg still carries a time
+// of its own, that of emitting its groups. Each scan carries the time of
+// the run it headed. Run under -race this also proves the timing fields
+// are written without data races while morsel workers are live.
 func TestOperatorTimingsUnderParallelism(t *testing.T) {
 	e := newJoinEngine(t, 7, 6000, 6000) // above parallelMinRows so the probe fans out
 	e.SetExecOptions(ExecOptions{Parallelism: 4, ForceJoin: StrategyHash})
