@@ -93,12 +93,6 @@ func maxQError(st *engine.ExecStats) (worst float64, ops []string) {
 			worst = q
 		}
 	}
-	for i := range st.CTEs {
-		c := &st.CTEs[i]
-		if c.EstRows >= 0 {
-			note("cte", c.Name, c.EstRows, c.Rows)
-		}
-	}
 	for i := range st.Scans {
 		sc := &st.Scans[i]
 		if sc.EstRows >= 0 {
@@ -139,7 +133,7 @@ func TestEstimateCorpus(t *testing.T) {
 			}
 			worst, ops := maxQError(&res.Stats)
 			if len(ops) == 0 {
-				t.Fatalf("%s: no estimated operators — planner hints lost?", c.Gremlin)
+				t.Fatalf("%s: no estimated operators — planner statistics lost?", c.Gremlin)
 			}
 			if worst > c.MaxQ {
 				t.Errorf("%s: worst q-error %.2f exceeds pinned bound %.2f\n%v",

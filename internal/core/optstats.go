@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sqlgraph/internal/rel"
-	"sqlgraph/internal/stats"
-)
+import "sqlgraph/internal/stats"
 
 // Optimizer statistics wiring. Every store carries a stats.Collection
 // attached as the catalog's change observer, so the cost-based planner
@@ -49,55 +46,3 @@ func (s *Store) OptimizerStats() *stats.Collection { return s.optStats }
 // RefreshStats rebuilds every tracked table's statistics from a scan,
 // including the rebuild-only histograms.
 func (s *Store) RefreshStats() error { return s.optStats.RebuildAll() }
-
-// ---- translate.GraphStats ----
-//
-// The Gremlin translator type-asserts its Schema to GraphStats and, when
-// present, threads per-CTE cardinality hints into the planner. All
-// methods answer from the maintained collection — no scans.
-
-// VertexCount returns the live (non-soft-deleted) vertex count.
-func (s *Store) VertexCount() float64 { return s.liveRows(TableVA, vaVID) }
-
-// EdgeCount returns the live edge count.
-func (s *Store) EdgeCount() float64 { return s.liveRows(TableEA, eaEID) }
-
-// liveRows estimates live rows as rows × frac(idCol >= 0): soft deletes
-// negate ids in place, and the NonNeg counters track that guard exactly.
-func (s *Store) liveRows(table string, idCol int) float64 {
-	rows, ok := s.optStats.TableRows(table)
-	if !ok || rows <= 0 {
-		return 0
-	}
-	if frac, ok := s.optStats.FracNonNeg(table, idCol); ok {
-		return float64(rows) * frac
-	}
-	return float64(rows)
-}
-
-// OutFanout estimates out-edges per frontier vertex for a labeled
-// traversal: the summed per-label edge counts over the live vertex
-// count. An empty label set means all labels.
-func (s *Store) OutFanout(labels []string) float64 { return s.fanout(labels) }
-
-// InFanout is the in-edge analogue. Labeled edge counts are symmetric
-// (every edge has one source and one target), so the per-label totals
-// are shared; only the traversal direction differs for the caller.
-func (s *Store) InFanout(labels []string) float64 { return s.fanout(labels) }
-
-func (s *Store) fanout(labels []string) float64 {
-	vcount := s.VertexCount()
-	if vcount <= 0 {
-		return 0
-	}
-	if len(labels) == 0 {
-		return s.EdgeCount() / vcount
-	}
-	var edges float64
-	for _, lbl := range labels {
-		if n, ok := s.optStats.GroupCount(TableEA, rel.NewString(lbl)); ok {
-			edges += float64(n)
-		}
-	}
-	return edges / vcount
-}

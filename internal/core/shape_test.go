@@ -14,8 +14,6 @@ import (
 	"sqlgraph/internal/engine"
 	"sqlgraph/internal/gremlin"
 	"sqlgraph/internal/gremlin/interp"
-	"sqlgraph/internal/rel"
-	"sqlgraph/internal/sql"
 )
 
 // shapeDataset is a DBpedia-shaped graph large enough for an id list of
@@ -182,11 +180,7 @@ func TestPlanStampMagnitude(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stmt, err := sql.Parse(tr.SQL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := s.Engine().QueryStmtHintedAt(stmt.(*sql.SelectStmt), rel.Latest, tr.Hints)
+		rows, err := s.Engine().Query(tr.SQL)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,9 +31,6 @@ func (s *Store) Snapshot() *Snap {
 	return &Snap{s: s, ver: s.cat.Pin()}
 }
 
-// BeginRead is an alias for Snapshot, mirroring transactional naming.
-func (s *Store) BeginRead() *Snap { return s.Snapshot() }
-
 // Version reports the store version this snapshot reads at.
 func (sn *Snap) Version() uint64 { return uint64(sn.ver) }
 

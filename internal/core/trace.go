@@ -82,7 +82,7 @@ func (s *Store) runQuery(b *trace.Builder, gremlinText string, opts TranslateOpt
 		}
 	}
 	sp = b.Begin("execute")
-	rows, err := s.eng.QueryStmtArgsAt(prep.stmt, ver, tr.HintsFor(q.Args), args)
+	rows, err := s.eng.QueryStmtAt(prep.stmt, ver, args)
 	b.End(sp)
 	if err != nil {
 		return nil, fmt.Errorf("core: executing translated SQL: %w", err)
@@ -174,7 +174,6 @@ func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStat
 		if c.Fused {
 			d.buf = append(d.buf, " fused"...)
 		}
-		estAct(c.EstRows, c.Rows)
 		d.cut(b.Child(exec, "cte", "", c.StartNs, c.Nanos, int64(c.Rows), int64(c.Rows)))
 	}
 	// A run of two or more operators, its full scan among them, is a

@@ -41,7 +41,7 @@ type Engine struct {
 
 	planHits          atomic.Uint64 // plan cache hits
 	planMisses        atomic.Uint64 // plan cache misses (no entry for the statement)
-	planInvalidations atomic.Uint64 // entries discarded for a stale stats/as-of/hints stamp
+	planInvalidations atomic.Uint64 // entries discarded for a stale stats/as-of/ForcePlan/binding stamp
 }
 
 // PlanCacheStats is a snapshot of the plan-cache counters.
@@ -53,7 +53,7 @@ type PlanCacheStats struct {
 
 // PlanCacheStats reports plan-cache hit/miss/invalidation totals.
 // Invalidations count cached entries discarded because their stamp
-// (stats version, as-of, ForcePlan, hints) no longer matched.
+// (stats version, as-of, ForcePlan, binding) no longer matched.
 func (e *Engine) PlanCacheStats() PlanCacheStats {
 	return PlanCacheStats{
 		Hits:          e.planHits.Load(),
@@ -141,52 +141,9 @@ func (r *Rows) Scalar() (rel.Value, error) {
 	return r.Data[0][0], nil
 }
 
-// Query parses and executes a SELECT statement.
+// Query parses and executes a SELECT statement against the latest state.
 func (e *Engine) Query(sqlText string, params ...any) (*Rows, error) {
-	stmt, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("engine: Query requires a SELECT statement; use Exec")
-	}
-	return e.QueryStmt(sel, params...)
-}
-
-// Prepare parses a SELECT once for repeated execution.
-func (e *Engine) Prepare(sqlText string) (*Stmt, error) {
-	stmt, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("engine: Prepare requires a SELECT statement")
-	}
-	return &Stmt{eng: e, sel: sel}, nil
-}
-
-// Stmt is a prepared SELECT.
-type Stmt struct {
-	eng *Engine
-	sel *sql.SelectStmt
-}
-
-// Query executes the prepared statement.
-func (s *Stmt) Query(params ...any) (*Rows, error) {
-	return s.eng.QueryStmt(s.sel, params...)
-}
-
-// QueryAt executes the prepared statement against the state visible at
-// the given snapshot version.
-func (s *Stmt) QueryAt(asOf rel.Version, params ...any) (*Rows, error) {
-	return s.eng.QueryStmtAt(s.sel, asOf, params...)
-}
-
-// QueryStmt executes an already-parsed SELECT against the latest state.
-func (e *Engine) QueryStmt(sel *sql.SelectStmt, params ...any) (*Rows, error) {
-	return e.QueryStmtAt(sel, rel.Latest, params...)
+	return e.QueryAt(sqlText, rel.Latest, params...)
 }
 
 // QueryAt parses and executes a SELECT against the state visible at the
@@ -201,22 +158,16 @@ func (e *Engine) QueryAt(sqlText string, asOf rel.Version, params ...any) (*Rows
 	}
 	sel, ok := stmt.(*sql.SelectStmt)
 	if !ok {
-		return nil, fmt.Errorf("engine: QueryAt requires a SELECT statement; use Exec")
+		return nil, fmt.Errorf("engine: Query requires a SELECT statement; use Exec")
 	}
-	return e.QueryStmtAt(sel, asOf, params...)
+	return e.QueryStmtAt(sel, asOf, toArgs(params))
 }
 
-// QueryStmtAt executes an already-parsed SELECT at a snapshot version.
-func (e *Engine) QueryStmtAt(sel *sql.SelectStmt, asOf rel.Version, params ...any) (*Rows, error) {
-	return e.QueryStmtHintedAt(sel, asOf, nil, params...)
-}
-
-// QueryStmtHintedAt executes an already-parsed SELECT at a snapshot
-// version with graph-level cardinality hints: hints maps CTE names to the
-// translator's estimated row counts, which EXPLAIN ANALYZE reports as
-// est= on cte lines.
+// QueryStmtHintedAt is QueryStmtAt with the arguments as Go values; hints
+// is ignored. Its sole caller is the frozen benchmark harness
+// (benchmark/).
 func (e *Engine) QueryStmtHintedAt(sel *sql.SelectStmt, asOf rel.Version, hints map[string]float64, params ...any) (*Rows, error) {
-	return e.QueryStmtArgsAt(sel, asOf, hints, toArgs(params))
+	return e.QueryStmtAt(sel, asOf, toArgs(params))
 }
 
 // Arg is one argument of an execution, read by the statement's ?
@@ -229,10 +180,10 @@ type Arg struct {
 	IDs []int64 // non-nil: an id list, and Val is unused
 }
 
-// QueryStmtArgsAt is QueryStmtHintedAt with the arguments already in the
-// engine's form. sel is only read: any number of executions, each with
-// arguments of its own, may share it.
-func (e *Engine) QueryStmtArgsAt(sel *sql.SelectStmt, asOf rel.Version, hints map[string]float64, args []Arg) (*Rows, error) {
+// QueryStmtAt executes an already-parsed SELECT at a snapshot version
+// (rel.Latest for the latest state). sel is only read: any number of
+// executions, each with arguments of its own, may share it.
+func (e *Engine) QueryStmtAt(sel *sql.SelectStmt, asOf rel.Version, args []Arg) (*Rows, error) {
 	tables := e.baseTablesOf(sel)
 	unlock := e.rlockAll(tables)
 	defer unlock()
@@ -247,7 +198,6 @@ func (e *Engine) QueryStmtArgsAt(sel *sql.SelectStmt, asOf rel.Version, hints ma
 		t0:        time.Now(),
 		provider:  e.statsProvider(),
 		forcePlan: opts.ForcePlan,
-		hints:     hints,
 	}
 	r, err := e.evalSelect(q, sel)
 	if err != nil {

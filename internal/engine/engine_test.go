@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sqlgraph/internal/rel"
+	"sqlgraph/internal/sql"
 	"sqlgraph/internal/sqljson"
 )
 
@@ -632,15 +633,22 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	}
 }
 
-func TestPreparedStatement(t *testing.T) {
-	e := newTestEngine(t)
-	seedGraph(t, e)
-	st, err := e.Prepare("SELECT COUNT(*) FROM EA WHERE INV = ?")
+// mustSelect parses a SELECT once, for tests that execute it repeatedly.
+func mustSelect(t *testing.T, text string) *sql.SelectStmt {
+	t.Helper()
+	stmt, err := sql.Parse(text)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return stmt.(*sql.SelectStmt)
+}
+
+func TestPreparedStatement(t *testing.T) {
+	e := newTestEngine(t)
+	seedGraph(t, e)
+	sel := mustSelect(t, "SELECT COUNT(*) FROM EA WHERE INV = ?")
 	for want, inv := range map[int64]int64{3: 1, 2: 4, 0: 2} {
-		r, err := st.Query(inv)
+		r, err := e.QueryStmtAt(sel, rel.Latest, []Arg{{Val: rel.NewInt(inv)}})
 		if err != nil {
 			t.Fatal(err)
 		}

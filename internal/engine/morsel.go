@@ -14,7 +14,7 @@ import (
 // al., "Morsel-Driven Parallelism"). Each worker owns its compiled
 // expressions, row arena, and output buffers; per-morsel outputs are
 // merged in morsel order, so parallel execution is byte-identical to
-// serial execution. This is safe because QueryStmt holds read locks on
+// serial execution. This is safe because QueryStmtAt holds read locks on
 // every base table for the query's duration — workers only read shared
 // state.
 

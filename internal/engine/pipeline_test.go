@@ -341,20 +341,14 @@ func TestPipelineBreakers(t *testing.T) {
 
 // TestPipelinePlannerInputsStored: with statistics attached, a CTE that a
 // two-table FROM clause reads is stored before the planner costs the
-// clause — whatever the translator's hint says — so the plan is the one
-// its actual row count earns; the CTE behind it, read by a single-table
-// core, still streams.
+// clause, so the plan is the one its actual row count earns; the CTE
+// behind it, read by a single-table core, still streams.
 func TestPipelinePlannerInputsStored(t *testing.T) {
 	e := newPlannerEngine(t, 2000)
-	stmt, err := e.Prepare(`WITH PICK AS (SELECT K AS VAL FROM SMALL WHERE ID = 3),
+	r, err := e.Query(`WITH PICK AS (SELECT K AS VAL FROM SMALL WHERE ID = 3),
 		SAME AS (SELECT VAL FROM PICK WHERE VAL >= 0),
 		HOP AS (SELECT B.V AS VAL FROM SAME S, BIG B WHERE B.K = S.VAL)
 		SELECT VAL FROM HOP`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The hint claims SAME is huge; a planner that believed it would hash.
-	r, err := e.QueryStmtHintedAt(stmt.sel, rel.Latest, map[string]float64{"PICK": 1, "SAME": 1e6, "HOP": 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +357,7 @@ func TestPipelinePlannerInputsStored(t *testing.T) {
 		t.Fatalf("fused=%v rows=%v, want PICK fused, SAME stored, one row 2100", fused, rowsKeys(r))
 	}
 	if j := r.Stats.Joins[0]; j.Strategy != StrategyIndexNL || j.BuildRows != 1 {
-		t.Fatalf("hop planned from a hint, not from SAME's one row: %+v", j)
+		t.Fatalf("hop not planned from SAME's one row: %+v", j)
 	}
 }
 

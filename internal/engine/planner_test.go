@@ -204,13 +204,9 @@ func TestLegacyAltStrategyReported(t *testing.T) {
 	}
 }
 
-func TestCTEStatsAndHints(t *testing.T) {
+func TestCTEStats(t *testing.T) {
 	e := newPlannerEngine(t, 30)
-	stmt, err := e.Prepare("WITH FRONTIER AS (SELECT K FROM SMALL) SELECT COUNT(*) FROM FRONTIER")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := e.QueryStmtHintedAt(stmt.sel, rel.Latest, map[string]float64{"FRONTIER": 12})
+	r, err := e.Query("WITH FRONTIER AS (SELECT K FROM SMALL) SELECT COUNT(*) FROM FRONTIER")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,20 +214,11 @@ func TestCTEStatsAndHints(t *testing.T) {
 		t.Fatalf("CTEs = %+v", r.Stats.CTEs)
 	}
 	c := r.Stats.CTEs[0]
-	if c.Name != "FRONTIER" || c.EstRows != 12 || c.Rows != 10 || !c.Fused {
+	if c.Name != "FRONTIER" || c.Rows != 10 || !c.Fused {
 		t.Fatalf("CTEStat = %+v", c)
 	}
-	if !strings.Contains(r.Stats.String(), "cte FRONTIER fused est=12 act=10") {
+	if !strings.Contains(r.Stats.String(), "cte FRONTIER fused act=10") {
 		t.Fatalf("String() missing cte line: %s", r.Stats.String())
-	}
-
-	// Without hints the estimate is unknown, not fabricated.
-	r, err = e.QueryStmtAt(stmt.sel, rel.Latest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.CTEs[0].EstRows != -1 {
-		t.Fatalf("unhinted CTE est = %d, want -1", r.Stats.CTEs[0].EstRows)
 	}
 }
 
@@ -273,13 +260,10 @@ func TestPlanCacheBounded(t *testing.T) {
 	if n == 0 || n > maxCachedPlans {
 		t.Fatalf("plan cache holds %d entries after %d one-shot statements, cap %d", n, maxCachedPlans+10, maxCachedPlans)
 	}
-	stmt, err := e.Prepare(plannerQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := mustSelect(t, plannerQuery)
 	before := e.PlanCacheStats().Hits
 	for i := 0; i < 3; i++ {
-		if _, err := stmt.Query(); err != nil {
+		if _, err := e.QueryStmtAt(sel, rel.Latest, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,21 +272,18 @@ func TestPlanCacheBounded(t *testing.T) {
 	}
 
 	// One statement, id lists of every order of magnitude.
-	bound, err := e.Prepare("SELECT BIG.V FROM BIG, SMALL WHERE BIG.K = SMALL.K AND SMALL.ID IN (?)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bound := mustSelect(t, "SELECT BIG.V FROM BIG, SMALL WHERE BIG.K = SMALL.K AND SMALL.ID IN (?)")
 	for n := 1; n <= 1<<(maxPlanVariants+4); n *= 2 {
 		ids := make([]int64, n)
 		for i := range ids {
 			ids[i] = int64(i % 10)
 		}
-		r, err := bound.Query(ids)
+		r, err := e.QueryStmtAt(bound, rel.Latest, []Arg{{IDs: ids}})
 		if err != nil || len(r.Data) != 1 { // SMALL's row 0 is the one with a partner in BIG
 			t.Fatalf("IN (?) with %d ids: %v rows, %v", n, r, err)
 		}
 	}
-	c, ok := e.planCache.Load(bound.sel.Body)
+	c, ok := e.planCache.Load(bound.Body)
 	if !ok {
 		t.Fatal("no plans cached for the bound statement")
 	}

@@ -33,11 +33,10 @@ type queryState struct {
 	// Cost-based planner state. All fields are zero-value-safe so DML
 	// expression evaluation (which builds bare queryStates) stays on the
 	// legacy syntactic path.
-	provider     StatsProvider      // optimizer statistics, nil = legacy planning
-	forcePlan    int                // ExecOptions.ForcePlan (0 auto, -1 syntactic, k>=1 pinned)
-	hints        map[string]float64 // graph-level CTE cardinality hints from the translator (EXPLAIN's est= on cte lines)
-	scanEst      int64              // planner row estimate for the next base scan...
-	scanEstValid bool               // ...consumed (and reset) by scanBase
+	provider     StatsProvider // optimizer statistics, nil = legacy planning
+	forcePlan    int           // ExecOptions.ForcePlan (0 auto, -1 syntactic, k>=1 pinned)
+	scanEst      int64         // planner row estimate for the next base scan...
+	scanEstValid bool          // ...consumed (and reset) by scanBase
 }
 
 // addIOMiss atomically charges one buffer-pool miss to the query.
@@ -106,10 +105,7 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 			}
 			r = r.as(cols)
 		}
-		stat := CTEStat{Name: cte.Name, EstRows: -1, StartNs: q.sinceStart(cteT)}
-		if h, ok := q.hints[cte.Name]; ok {
-			stat.EstRows = roundEst(h)
-		}
+		stat := CTEStat{Name: cte.Name, StartNs: q.sinceStart(cteT)}
 		// A CTE with exactly one reader is left pending for that reader to
 		// splice into its own pipeline, or to store if it reads it any other
 		// way than as its driving input. Every other CTE is stored now — as

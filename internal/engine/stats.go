@@ -64,9 +64,8 @@ type ScanStat struct {
 // CTEStat records one common table expression.
 type CTEStat struct {
 	Name    string
-	EstRows int64 // graph-level cardinality hint (-1 when none)
-	Rows    int   // rows the CTE produced, stored or not
-	Fused   bool  // the rows flowed into the CTE's one reader; nothing was stored
+	Rows    int  // rows the CTE produced, stored or not
+	Fused   bool // the rows flowed into the CTE's one reader; nothing was stored
 	StartNs int64
 	Nanos   int64 // binding the name; a fused CTE's rows are produced in its reader's run
 }
@@ -164,15 +163,11 @@ func (s *ExecStats) MaxWorkers() int {
 func (s *ExecStats) String() string {
 	var sb strings.Builder
 	for _, c := range s.CTEs {
-		est := ""
-		if c.EstRows >= 0 {
-			est = fmt.Sprintf(" est=%d", c.EstRows)
-		}
 		fused := ""
 		if c.Fused {
 			fused = " fused"
 		}
-		fmt.Fprintf(&sb, "cte %s%s%s act=%d time=%s\n", c.Name, fused, est, c.Rows, fmtNanos(c.Nanos))
+		fmt.Fprintf(&sb, "cte %s%s act=%d time=%s\n", c.Name, fused, c.Rows, fmtNanos(c.Nanos))
 	}
 	for _, sc := range s.Scans {
 		est := ""

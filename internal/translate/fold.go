@@ -123,9 +123,6 @@ func (t *translator) emit(r row, proj string, cond term, tail string) {
 			t.src = nil
 		}
 		t.ctes[sc.cte].body = sc.body() + tail
-		if t.hints != nil {
-			t.hints[t.ctes[sc.cte].name] = t.est
-		}
 		return
 	}
 	if proj == "" {

@@ -1,11 +1,6 @@
 package translate
 
-import (
-	"strings"
-	"testing"
-
-	"sqlgraph/internal/gremlin"
-)
+import "testing"
 
 // TestAttributeStepsFold: every template that reads the attribute row,
 // right after each kind of source, folds into the source's own scan of
@@ -92,38 +87,4 @@ func TestRedundantExistenceTerm(t *testing.T) {
 	// A closure's comparison may keep a row whose attribute is missing
 	// (it.k > 1 || true), so it leaves the existence test alone.
 	wants(t, tr(t, "g.V.has('k').filter{it.k * 2 > 1}", Options{}).Template, "JSON_VAL(ATTR, 'k') IS NOT NULL AND ((JSON_VAL(ATTR, 'k') * 2) > 1)")
-}
-
-// TestFoldedHints: the scan a step folds into carries the estimate the
-// CTE the step no longer emits would have carried, and a cut pushed into
-// a keyed order's sort caps the sort's estimate.
-func TestFoldedHints(t *testing.T) {
-	hints := func(query string) map[string]float64 {
-		q, err := gremlin.Parse(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := Translate(q, statsSchema{}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := strings.Count(out.Template, " AS ("); n != len(out.Hints) && !(n == 0 && len(out.Hints) == 1) {
-			t.Fatalf("%s: %d CTEs, %d hints", query, n, len(out.Hints))
-		}
-		return out.Hints
-	}
-	for q, want := range map[string]map[string]float64{
-		"g.V.has('k', 1)": {"T1": 10},
-		"g.V.filter{it.k * 2 > 1}.has('k').count()": {"T1": 6.25, "T2": 1},
-		"g.V.groupCount{it.k}":                      {"T1": 25, "T2": 25},
-		"g.V.order{it.k}.range(0, 4)":               {"T1": 100, "T2": 5, "T3": 5},
-		"g.V(1, 2).k":                               {"T1": 2},
-	} {
-		got := hints(q)
-		for name, est := range want {
-			if got[name] != est {
-				t.Errorf("%s: %s est %v, want %v (all: %v)", q, name, got[name], est, got)
-			}
-		}
-	}
 }

@@ -2,7 +2,6 @@ package translate
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"sqlgraph/internal/gremlin"
@@ -15,63 +14,6 @@ const (
 	dirOut direction = iota
 	dirIn
 )
-
-// estimateStep advances the running cardinality estimate past one pipe,
-// so the CTEs the pipe emits snapshot the pipe's output estimate. The
-// model is deliberately coarse (uniform-fanout traversals, fixed filter
-// selectivities): hints only steer join costing and EXPLAIN's est=
-// column, never correctness.
-func (t *translator) estimateStep(s *gremlin.Step) {
-	if t.gstats == nil {
-		return
-	}
-	switch s.Kind {
-	case gremlin.StepOut, gremlin.StepOutE:
-		t.estScale(t.gstats.OutFanout(s.Labels))
-	case gremlin.StepIn, gremlin.StepInE:
-		t.estScale(t.gstats.InFanout(s.Labels))
-	case gremlin.StepBoth, gremlin.StepBothE:
-		t.estScale(t.gstats.OutFanout(s.Labels) + t.gstats.InFanout(s.Labels))
-	case gremlin.StepBothV:
-		t.estScale(2)
-	case gremlin.StepHas, gremlin.StepFilter:
-		if s.Op == gremlin.OpEq {
-			t.estScale(hintSelEq)
-		} else {
-			t.estScale(hintSelFilter)
-		}
-	case gremlin.StepHasNot, gremlin.StepInterval:
-		t.estScale(hintSelFilter)
-	case gremlin.StepDedup:
-		switch t.typ {
-		case ElemVertex:
-			t.estCap(t.gstats.VertexCount())
-		case ElemEdge:
-			t.estCap(t.gstats.EdgeCount())
-		}
-	case gremlin.StepCount:
-		t.estConst(1)
-	case gremlin.StepRange:
-		if lo, ok := s.Lo.(int64); ok {
-			if hi, ok := s.Hi.(int64); ok {
-				t.estCap(max(float64(hi-lo+1), 0))
-			}
-		}
-	case gremlin.StepExcept, gremlin.StepRetain:
-		t.estScale(0.5)
-	case gremlin.StepSimplePath:
-		t.estScale(0.9)
-	case gremlin.StepGroupBy, gremlin.StepGroupCount:
-		// One output row per distinct key; model the collapse like a
-		// coarse filter but never below one group.
-		t.estMap(func(est float64) float64 { return math.Max(1, est*hintSelFilter) })
-	}
-}
-
-// estCap bounds the running estimate by limit.
-func (t *translator) estCap(limit float64) {
-	t.estMap(func(est float64) float64 { return math.Min(est, limit) })
-}
 
 // step translates one non-loop pipe.
 func (t *translator) step(s *gremlin.Step) error {
@@ -148,9 +90,6 @@ func (t *translator) step(s *gremlin.Step) error {
 			// cut returns, and the projection after it reads no more.
 			sort := &t.ctes[len(t.ctes)-2]
 			sort.body += fmt.Sprintf(" LIMIT %d OFFSET %d", n, lo)
-			if t.hints != nil {
-				t.hints[sort.name], t.hints[t.cur] = t.est, t.est
-			}
 			t.sorted = false
 			return nil
 		}
@@ -559,11 +498,6 @@ func (t *translator) ifThenElse(s *gremlin.Step) error {
 		return err
 	}
 
-	// The predicate splits the stream; estimate half down each branch and
-	// sum the branch outputs at the union.
-	savedEst := t.est
-	t.estScale(0.5)
-
 	in := t.cur
 	t.emit(r, "", cond, "")
 	thenIn := t.cur
@@ -578,11 +512,8 @@ func (t *translator) ifThenElse(s *gremlin.Step) error {
 		return err
 	}
 	thenOut, thenDepth, thenType := t.cur, t.depth, t.typ
-	thenEst := t.est
 
 	t.cur, t.depth, t.typ = elseIn, savedDepth, savedType
-	t.est = savedEst
-	t.estScale(0.5)
 	t.hist = savedHist
 	if err := t.pipeline(s.Else); err != nil {
 		return err
@@ -594,10 +525,6 @@ func (t *translator) ifThenElse(s *gremlin.Step) error {
 			thenType, thenDepth, elseType, elseDepth)
 	}
 	t.depth, t.typ = thenDepth, thenType
-	if thenEst != nil {
-		elseEst := t.est
-		t.est = func(ids float64) float64 { return elseEst(ids) + thenEst(ids) }
-	}
 	t.cur = t.add(fmt.Sprintf("SELECT VAL%s FROM %s UNION ALL SELECT VAL%s FROM %s",
 		t.pathSel(), thenOut, t.pathSel(), elseOut))
 	return nil
@@ -615,17 +542,10 @@ func (t *translator) loop(steps []gremlin.Step, loopIdx int, s *gremlin.Step) er
 		return fmt.Errorf("translate: loop bound must be positive")
 	}
 	if t.opts.RecursiveLoops && !t.track && len(segment) == 1 && t.typ == ElemVertex {
-		// Advance the estimate for the remaining passes before the
-		// recursive CTE is emitted (restored if the fallback unrolls).
-		savedEst := t.est
-		for pass := 1; pass < s.LoopMax; pass++ {
-			t.estimateStep(&segment[0])
-		}
 		if rc, ok := t.recursiveLoop(&segment[0], s.LoopMax); ok {
 			t.cur = rc
 			return nil
 		}
-		t.est = savedEst
 	}
 	// Unroll: the segment has already run once; repeat LoopMax-1 times.
 	for pass := 1; pass < s.LoopMax; pass++ {

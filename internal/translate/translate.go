@@ -43,32 +43,6 @@ type Schema interface {
 	InColumnFor(label string) int
 }
 
-// GraphStats exposes graph-level cardinalities. When the Schema value
-// also implements it (discovered by type assertion, so translation
-// Options — and with them the prepared-query cache key — are unchanged),
-// the translator maintains a running frontier estimate and snapshots it
-// per emitted CTE into Translation.Hints; the engine's cost-based planner
-// folds those hints into join costing, and EXPLAIN ANALYZE reports them
-// as est= on cte lines.
-type GraphStats interface {
-	// VertexCount returns the live vertex count.
-	VertexCount() float64
-	// EdgeCount returns the live edge count.
-	EdgeCount() float64
-	// OutFanout estimates the out-edges per frontier vertex matching the
-	// label set (empty = all labels); InFanout the in-edge analogue.
-	OutFanout(labels []string) float64
-	InFanout(labels []string) float64
-}
-
-// Hint-model selectivities for predicates the translator cannot cost
-// (coarse on purpose: hints are advisory, and the estimate-vs-actual
-// corpus pins per-query q-error bounds rather than exact numbers).
-const (
-	hintSelEq     = 0.1  // attribute equality
-	hintSelFilter = 0.25 // any other attribute predicate
-)
-
 // Options tune the translation (defaults reproduce the paper's choices).
 type Options struct {
 	// ForceEA answers every adjacency step from the EA table (the paper's
@@ -97,37 +71,9 @@ type Translation struct {
 	// the trace show.
 	SQL      string
 	ElemType ElemType
-	// Hints maps emitted CTE names to the translator's estimated row
-	// counts for this query's arguments (nil when the Schema does not
-	// implement GraphStats). HintsFor gives them for another query of
-	// the shape.
+	// Hints is always nil: cardinality is the engine planner's alone. Its
+	// sole reader is the frozen benchmark harness (benchmark/).
 	Hints map[string]float64
-
-	hintFns map[string]estimate
-	idArg   int // position of the id list among the arguments, -1 without one
-	ids     int // its length in the query translated
-}
-
-// estimate is a cardinality as a function of the length of the query's
-// id list — the one property of the arguments the hint model reads.
-type estimate func(ids float64) float64
-
-// HintsFor returns the hints for a query of this translation's shape with
-// the given arguments: Hints itself unless its id list is of another
-// length.
-func (tr *Translation) HintsFor(args []gremlin.Arg) map[string]float64 {
-	if tr.hintFns == nil || tr.idArg < 0 || len(args[tr.idArg].IDs) == tr.ids {
-		return tr.Hints
-	}
-	return evalHints(tr.hintFns, len(args[tr.idArg].IDs))
-}
-
-func evalHints(fns map[string]estimate, ids int) map[string]float64 {
-	hints := make(map[string]float64, len(fns))
-	for name, f := range fns {
-		hints[name] = max(f(float64(ids)), 0)
-	}
-	return hints
 }
 
 // Render writes args into the template as literals. An argument is
@@ -219,10 +165,6 @@ func newTranslator(sch Schema, opts Options) *translator {
 		marks: map[string]mark{},
 		aggs:  map[string]string{},
 	}
-	if gs, ok := sch.(GraphStats); ok && gs != nil {
-		tr.gstats = gs
-		tr.hints = map[string]estimate{}
-	}
 	return tr
 }
 
@@ -249,27 +191,6 @@ type translator struct {
 	traversal int               // total adjacency steps in the query (for the EA optimization)
 	src       *scan             // the source CTE while steps may fold into it (row)
 	sorted    bool              // the last two CTEs are a keyed order's sort and projection
-
-	gstats GraphStats          // nil = no cardinality hints
-	est    estimate            // running frontier cardinality estimate
-	hints  map[string]estimate // CTE name -> estimate snapshot at add()
-}
-
-// estConst sets the running estimate to x whatever the arguments.
-func (t *translator) estConst(x float64) {
-	t.est = func(float64) float64 { return x }
-}
-
-// estMap passes the running estimate through f.
-func (t *translator) estMap(f func(est float64) float64) {
-	if prev := t.est; prev != nil {
-		t.est = func(ids float64) float64 { return f(prev(ids)) }
-	}
-}
-
-// estScale multiplies the running estimate by x.
-func (t *translator) estScale(x float64) {
-	t.estMap(func(est float64) float64 { return est * x })
 }
 
 type cte struct {
@@ -288,9 +209,6 @@ func (t *translator) add(body string) string {
 	t.src, t.sorted = nil, false
 	name := t.fresh()
 	t.ctes = append(t.ctes, cte{name: name, body: body})
-	if t.hints != nil {
-		t.hints[name] = t.est
-	}
 	return name
 }
 
@@ -398,13 +316,7 @@ func (t *translator) translate(q *gremlin.Query) (*Translation, error) {
 		sb.WriteString(" SELECT VAL FROM ")
 		sb.WriteString(t.ctes[len(t.ctes)-1].name)
 	}
-	tr := &Translation{Template: sb.String(), ElemType: t.typ, hintFns: t.hints, idArg: -1}
-	if src := &q.Steps[0]; len(src.StartIDs) > 0 {
-		tr.idArg, tr.ids = src.Arg, len(src.StartIDs)
-	}
-	if t.hints != nil {
-		tr.Hints = evalHints(t.hints, tr.ids)
-	}
+	tr := &Translation{Template: sb.String(), ElemType: t.typ}
 	tr.SQL = tr.Render(q.Args)
 	return tr, nil
 }
@@ -426,7 +338,6 @@ func (t *translator) pipeline(steps []gremlin.Step) error {
 		if s.Kind == gremlin.StepLoop {
 			err = t.loop(steps, i, s)
 		} else {
-			t.estimateStep(s)
 			err = t.step(s)
 		}
 		if err != nil {
@@ -472,12 +383,10 @@ func (t *translator) source(s *gremlin.Step) error {
 	switch s.Kind {
 	case gremlin.StepV:
 		t.typ = ElemVertex
-		t.estSource(s, GraphStats.VertexCount)
 		sc.table, sc.id = "VA", "VID"
 		sc.terms = append(sc.terms, term{sql: "VID >= 0"})
 	case gremlin.StepE:
 		t.typ = ElemEdge
-		t.estSource(s, GraphStats.EdgeCount)
 		sc.table, sc.id = "EA", "EID"
 	default:
 		return fmt.Errorf("translate: query must start with V or E")
@@ -504,21 +413,4 @@ func (t *translator) source(s *gremlin.Step) error {
 		t.emit(r, "", c, "")
 	}
 	return nil
-}
-
-// estSource starts the running estimate at a source step: the length of
-// its id list, or the count of every element, times the selectivity of a
-// key lookup.
-func (t *translator) estSource(s *gremlin.Step, count func(GraphStats) float64) {
-	if t.gstats == nil {
-		return
-	}
-	if len(s.StartIDs) > 0 {
-		t.est = func(ids float64) float64 { return ids }
-	} else {
-		t.estConst(count(t.gstats))
-	}
-	if s.StartKey != "" {
-		t.estScale(hintSelEq)
-	}
 }

@@ -1,8 +1,6 @@
 package translate
 
 import (
-	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -292,55 +290,4 @@ func TestTemplateAndRender(t *testing.T) {
 	e := tr(t, "g.V.filter{it.age * 2 > 60}", Options{})
 	wants(t, e.Template, "* 2) > 60)")
 	rejects(t, e.Template, "?")
-}
-
-// statsSchema adds graph-level cardinalities to fakeSchema: 100 vertices,
-// 300 edges, 3 out- and in-edges per vertex.
-type statsSchema struct{ fakeSchema }
-
-func (statsSchema) VertexCount() float64       { return 100 }
-func (statsSchema) EdgeCount() float64         { return 300 }
-func (statsSchema) OutFanout([]string) float64 { return 3 }
-func (statsSchema) InFanout([]string) float64  { return 3 }
-
-// TestHintsFollowTheArguments: the estimates start from the length of the
-// id list, so a statement shared by queries of one shape gives each the
-// hints its own translation would carry.
-func TestHintsFollowTheArguments(t *testing.T) {
-	parse := func(query string) *gremlin.Query {
-		q, err := gremlin.Parse(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return q
-	}
-	translate := func(q *gremlin.Query) *Translation {
-		out, err := Translate(q, statsSchema{}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	two := parse("g.V(1, 2).out.has('k', 1).out.out.dedup()")
-	fifty := parse("g.V(" + strings.Repeat("7, ", 49) + "7).out.has('k', 5).out.out.dedup()")
-	a, b := translate(two), translate(fifty)
-	if a.Hints["T1"] != 2 || b.Hints["T1"] != 50 {
-		t.Fatalf("source estimates %v and %v, want the id counts", a.Hints["T1"], b.Hints["T1"])
-	}
-	if got := a.HintsFor(fifty.Args); !reflect.DeepEqual(got, b.Hints) {
-		t.Fatalf("hints of the 2-id statement for 50 ids:\n%v\nthe 50-id query's own:\n%v", got, b.Hints)
-	}
-	if got := b.HintsFor(two.Args); !reflect.DeepEqual(got, a.Hints) {
-		t.Fatalf("hints of the 50-id statement for 2 ids:\n%v\nthe 2-id query's own:\n%v", got, a.Hints)
-	}
-	// dedup caps at the vertex count: the estimate is not linear in the ids.
-	last := fmt.Sprintf("T%d", len(a.Hints))
-	if a.Hints[last] >= b.Hints[last] || b.Hints[last] != 100 {
-		t.Fatalf("dedup estimates %v (2 ids) and %v (50 ids), want the second capped at 100 vertices", a.Hints[last], b.Hints[last])
-	}
-	// Without an id list nothing depends on the arguments.
-	c := translate(parse("g.V.has('k', 1).out"))
-	if got := c.HintsFor(parse("g.V.has('k', 9).out").Args); !reflect.DeepEqual(got, c.Hints) {
-		t.Fatalf("hints moved with a comparison value: %v vs %v", got, c.Hints)
-	}
 }
