@@ -21,8 +21,8 @@ import (
 // the log tail, which reconstructs every redundant representation (EA +
 // both hash-adjacency sides) exactly as the original execution did.
 //
-// Durability covers the graph mutation API. Raw SQL DML issued through
-// Store.Engine bypasses the log and is not replayed.
+// Durability covers the graph mutation API. A transaction opened
+// straight on Store.Catalog bypasses the log and is not replayed.
 
 // defaultSnapshotEvery is the checkpoint cadence when Options.SnapshotEvery
 // is zero.

@@ -10,6 +10,7 @@ import (
 	"sqlgraph/internal/engine"
 	"sqlgraph/internal/metrics"
 	"sqlgraph/internal/rel"
+	"sqlgraph/internal/sql"
 	"sqlgraph/internal/stats"
 	"sqlgraph/internal/trace"
 	"sqlgraph/internal/wal"
@@ -502,8 +503,10 @@ func (s *Store) createAttrIndex(table, prefix, key string) error {
 			}
 		}
 	}
-	_, err := s.eng.Exec(fmt.Sprintf("CREATE INDEX %s ON %s (JSON_VAL(ATTR, '%s'))", name, table, escapeSQL(key)))
-	return err
+	return s.eng.CreateIndex(name, table, &sql.FuncCall{
+		Name: "JSON_VAL",
+		Args: []sql.Expr{&sql.ColumnRef{Column: "ATTR"}, &sql.Literal{Val: key}},
+	})
 }
 
 func fnvName(s string) uint32 {

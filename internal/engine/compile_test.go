@@ -163,9 +163,7 @@ func TestSubqueryRunsOnce(t *testing.T) {
 	seedGraph(t, e)
 	const outer = 1000
 	for i := scalarInt(t, e, "SELECT COUNT(*) FROM NUMS"); i < outer; i++ {
-		if _, err := e.Exec("INSERT INTO NUMS VALUES (?, 'n')", i); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, e, "NUMS", row(i, "n"))
 	}
 	for _, sql := range []string{
 		"SELECT N FROM NUMS WHERE EXISTS (SELECT 1 FROM EA WHERE INV = 4)",

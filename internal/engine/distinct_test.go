@@ -24,14 +24,17 @@ func distinctVal(k int) int64 { return int64(k*7919%5003 - 2500) }
 func newDistinctEngine(t testing.TB) *Engine {
 	t.Helper()
 	e := New(rel.NewCatalog())
-	mustExecAll(t, e, "CREATE TABLE O (ID BIGINT)", "CREATE TABLE P (K BIGINT, V BIGINT)", "CREATE INDEX P_K ON P (K)")
+	mustTable(t, e, "O", intCol("ID"))
+	mustTable(t, e, "P", intCol("K"), intCol("V"))
+	mustIndex(t, e, "P_K", "P", "K")
 	for lo := 0; lo < distinctRows; lo += 500 {
-		var o, p []string
+		var o, p [][]any
 		for k := lo; k < lo+500; k++ {
-			o = append(o, fmt.Sprintf("(%d)", k))
-			p = append(p, fmt.Sprintf("(%d, %d)", k, distinctVal(k)))
+			o = append(o, row(k))
+			p = append(p, row(k, distinctVal(k)))
 		}
-		mustExecAll(t, e, "INSERT INTO O VALUES "+strings.Join(o, ", "), "INSERT INTO P VALUES "+strings.Join(p, ", "))
+		mustInsert(t, e, "O", o...)
+		mustInsert(t, e, "P", p...)
 	}
 	return e
 }
@@ -152,7 +155,10 @@ func TestDistinctMixedRows(t *testing.T) {
 		}
 	}
 
-	mustExecAll(t, e, "CREATE TABLE A (X DOUBLE)", "CREATE TABLE B (Y BIGINT)", "INSERT INTO A VALUES (1.0), (2.5), (NULL), (3.0)", "INSERT INTO B VALUES (1), (2), (3), (3)")
+	mustTable(t, e, "A", floatCol("X"))
+	mustTable(t, e, "B", intCol("Y"))
+	mustInsert(t, e, "A", row(1.0), row(2.5), row(nil), row(3.0))
+	mustInsert(t, e, "B", row(1), row(2), row(3), row(3))
 	for q, want := range map[string]string{
 		"WITH T AS (SELECT Y AS V FROM B UNION ALL SELECT X AS V FROM A) SELECT DISTINCT V FROM T": "1 2 3 2.5 NULL",
 		"WITH T AS (SELECT X AS V FROM A UNION ALL SELECT Y AS V FROM B) SELECT DISTINCT V FROM T": "1 2.5 NULL 3 2",
@@ -219,9 +225,10 @@ func TestDistinctSetOperations(t *testing.T) {
 	}
 
 	// A cycle 0 -> 99 -> 98 -> ... -> 1 -> 0, entered at 50.
-	mustExecAll(t, e, "CREATE TABLE E (A BIGINT, B BIGINT)", "INSERT INTO E VALUES (0, 99)")
+	mustTable(t, e, "E", intCol("A"), intCol("B"))
+	mustInsert(t, e, "E", row(0, 99))
 	for a := 1; a < 100; a++ {
-		mustExecAll(t, e, fmt.Sprintf("INSERT INTO E VALUES (%d, %d)", a, a-1))
+		mustInsert(t, e, "E", row(a, a-1))
 	}
 	var want []string
 	for v := 50; v >= 0; v-- {

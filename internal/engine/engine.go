@@ -20,13 +20,14 @@ import (
 // client error.
 var ErrUnknownColumn = errors.New("engine: unknown column")
 
-// Engine executes SQL against a catalog. It is safe for concurrent use:
+// Engine executes SQL SELECTs against a catalog; writes are the
+// catalog's own transactions (rel.Txn). It is safe for concurrent use:
 // queries take read locks on the base tables they touch (in sorted name
-// order, matching the transaction layer's write ordering), DML statements
-// run as transactions. RegisterFunc, SetIOSim, and SetExecOptions may be
-// called concurrently with queries; user-defined scalar functions must be
-// safe for concurrent calls (morsel-parallel operators evaluate
-// expressions from several goroutines).
+// order, matching the transaction layer's write ordering). RegisterFunc,
+// SetIOSim, and SetExecOptions may be called concurrently with queries;
+// user-defined scalar functions must be safe for concurrent calls
+// (morsel-parallel operators evaluate expressions from several
+// goroutines).
 type Engine struct {
 	cat *rel.Catalog
 
@@ -158,7 +159,7 @@ func (e *Engine) QueryAt(sqlText string, asOf rel.Version, params ...any) (*Rows
 	}
 	sel, ok := stmt.(*sql.SelectStmt)
 	if !ok {
-		return nil, fmt.Errorf("engine: Query requires a SELECT statement; use Exec")
+		return nil, fmt.Errorf("engine: Query requires a SELECT statement")
 	}
 	return e.QueryStmtAt(sel, asOf, toArgs(params))
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sqlgraph/internal/rel"
+	"sqlgraph/internal/sql"
 )
 
 func TestArithmetic(t *testing.T) {
@@ -188,59 +189,40 @@ func TestDerivedTableRequiresAlias(t *testing.T) {
 	}
 }
 
-func TestInsertErrors(t *testing.T) {
+func TestCreateIndexErrors(t *testing.T) {
 	e := newTestEngine(t)
-	if _, err := e.Exec("INSERT INTO MISSING VALUES (1)"); err == nil {
-		t.Fatal("insert into missing table accepted")
-	}
-	if _, err := e.Exec("INSERT INTO NUMS (NOPE) VALUES (1)"); err == nil {
-		t.Fatal("insert into missing column accepted")
-	}
-	if _, err := e.Exec("INSERT INTO NUMS (N) VALUES (1, 2)"); err == nil {
-		t.Fatal("arity mismatch accepted")
-	}
-	if _, err := e.Exec("UPDATE MISSING SET A = 1"); err == nil {
-		t.Fatal("update missing table accepted")
-	}
-	if _, err := e.Exec("UPDATE NUMS SET NOPE = 1"); err == nil {
-		t.Fatal("update missing column accepted")
-	}
-	if _, err := e.Exec("DELETE FROM MISSING"); err == nil {
-		t.Fatal("delete from missing table accepted")
-	}
-	if _, err := e.Exec("DROP TABLE MISSING"); err == nil {
-		t.Fatal("drop missing table accepted")
-	}
-	if _, err := e.Exec("CREATE TABLE BAD (A WIBBLE)"); err == nil {
-		t.Fatal("unknown column type accepted")
-	}
-	if _, err := e.Exec("CREATE INDEX IX ON MISSING (A)"); err == nil {
+	num := &sql.ColumnRef{Column: "N"}
+	if err := e.CreateIndex("IX", "MISSING", num); err == nil {
 		t.Fatal("index on missing table accepted")
 	}
-	if _, err := e.Exec("CREATE INDEX IX ON NUMS (NOPE)"); err == nil {
+	if err := e.CreateIndex("IX", "NUMS", &sql.ColumnRef{Column: "NOPE"}); err == nil {
 		t.Fatal("index on missing column accepted")
 	}
-}
-
-func TestDropTable(t *testing.T) {
-	e := newTestEngine(t)
-	if _, err := e.Exec("CREATE TABLE TEMP1 (A BIGINT)"); err != nil {
+	if err := e.CreateIndex("IX", "NUMS"); err == nil {
+		t.Fatal("index without a key accepted")
+	}
+	sub, err := sql.ParseExpr("(SELECT 1)")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Exec("DROP TABLE TEMP1"); err != nil {
+	if err := e.CreateIndex("IX", "NUMS", sub); err == nil {
+		t.Fatal("subquery index expression accepted")
+	}
+	if err := e.CreateIndex("IX", "NUMS", num); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query("SELECT * FROM TEMP1"); err == nil {
-		t.Fatal("dropped table still queryable")
+	if err := e.CreateIndex("IX", "NUMS", num); err == nil {
+		t.Fatal("duplicate index name accepted")
 	}
 }
 
+// TestDeleteAll: COUNT(*) over a table whose every row is deleted is one
+// row holding 0.
 func TestDeleteAll(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
-	n, err := e.Exec("DELETE FROM NUMS")
-	if err != nil || n != 100 {
-		t.Fatalf("delete all = %d, %v", n, err)
+	if n := mustDeleteWhere(t, e, "NUMS", func([]rel.Value) bool { return true }); n != 100 {
+		t.Fatalf("delete all = %d", n)
 	}
 	if got := scalarInt(t, e, "SELECT COUNT(*) FROM NUMS"); got != 0 {
 		t.Fatalf("count = %d", got)
@@ -292,9 +274,7 @@ func TestCTEShadowsBaseTable(t *testing.T) {
 func TestRangeScanOnIndex(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
-	if _, err := e.Exec("CREATE INDEX NUMS_N ON NUMS (N)"); err != nil {
-		t.Fatal(err)
-	}
+	mustIndex(t, e, "NUMS_N", "NUMS", "N")
 	if got := scalarInt(t, e, "SELECT COUNT(*) FROM NUMS WHERE N > 89"); got != 10 {
 		t.Fatalf("range > = %d", got)
 	}

@@ -17,17 +17,13 @@ import (
 func newTestEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := New(rel.NewCatalog())
-	mustExec := func(q string, args ...any) {
-		t.Helper()
-		if _, err := e.Exec(q, args...); err != nil {
-			t.Fatalf("Exec(%s): %v", q, err)
-		}
-	}
-	mustExec("CREATE TABLE VA (VID BIGINT PRIMARY KEY, ATTR JSON)")
-	mustExec("CREATE TABLE EA (EID BIGINT PRIMARY KEY, INV BIGINT, OUTV BIGINT, LBL VARCHAR, ATTR JSON)")
-	mustExec("CREATE INDEX EA_INV ON EA (INV)")
-	mustExec("CREATE INDEX EA_OUTV ON EA (OUTV)")
-	mustExec("CREATE TABLE NUMS (N BIGINT, LABEL VARCHAR)")
+	mustTable(t, e, "VA", intCol("VID"), jsonCol("ATTR"))
+	mustUniqueIndex(t, e, "VA_PK", "VA", "VID")
+	mustTable(t, e, "EA", intCol("EID"), intCol("INV"), intCol("OUTV"), strCol("LBL"), jsonCol("ATTR"))
+	mustUniqueIndex(t, e, "EA_PK", "EA", "EID")
+	mustIndex(t, e, "EA_INV", "EA", "INV")
+	mustIndex(t, e, "EA_OUTV", "EA", "OUTV")
+	mustTable(t, e, "NUMS", intCol("N"), strCol("LABEL"))
 	return e
 }
 
@@ -44,9 +40,7 @@ func seedGraph(t *testing.T, e *Engine) {
 		{4, `{"name":"josh","age":32}`},
 	}
 	for _, v := range vertices {
-		if _, err := e.Exec("INSERT INTO VA VALUES (?, ?)", v.id, mustDoc(t, v.json)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, e, "VA", row(v.id, mustDoc(t, v.json)))
 	}
 	edges := []struct {
 		eid, inv, outv int64
@@ -60,18 +54,14 @@ func seedGraph(t *testing.T, e *Engine) {
 		{11, 4, 3, "created", `{"weight":0.8}`},
 	}
 	for _, ed := range edges {
-		if _, err := e.Exec("INSERT INTO EA VALUES (?, ?, ?, ?, ?)", ed.eid, ed.inv, ed.outv, ed.lbl, mustDoc(t, ed.json)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, e, "EA", row(ed.eid, ed.inv, ed.outv, ed.lbl, mustDoc(t, ed.json)))
 	}
 	for i := int64(0); i < 100; i++ {
 		label := "even"
 		if i%2 == 1 {
 			label = "odd"
 		}
-		if _, err := e.Exec("INSERT INTO NUMS VALUES (?, ?)", i, label); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, e, "NUMS", row(i, label))
 	}
 }
 
@@ -186,15 +176,9 @@ func TestJSONVal(t *testing.T) {
 // come from a column too.
 func TestJSONValOverStrings(t *testing.T) {
 	e := newTestEngine(t)
-	for _, q := range []string{
-		"CREATE TABLE DOCS (ID BIGINT, TXT VARCHAR, K VARCHAR)",
-		`INSERT INTO DOCS VALUES (1, '{"a":1}', 'a'), (2, '{"a":1} x', 'a'), (3, ' {"a":2} ', 'a'),
-			(4, '[1]', 'a'), (5, 'null', 'a'), (6, '{"a":{"b":3}}', 'a.b'), (7, '{"zz9":4}', 'zz9')`,
-	} {
-		if _, err := e.Exec(q); err != nil {
-			t.Fatalf("Exec(%s): %v", q, err)
-		}
-	}
+	mustTable(t, e, "DOCS", intCol("ID"), strCol("TXT"), strCol("K"))
+	mustInsert(t, e, "DOCS", row(1, `{"a":1}`, "a"), row(2, `{"a":1} x`, "a"), row(3, ` {"a":2} `, "a"),
+		row(4, "[1]", "a"), row(5, "null", "a"), row(6, `{"a":{"b":3}}`, "a.b"), row(7, `{"zz9":4}`, "zz9"))
 	for _, c := range []struct{ q, want string }{
 		{"SELECT ID, JSON_VAL(TXT, 'a') FROM DOCS ORDER BY ID", "1:1 2:NULL 3:2 4:NULL 5:NULL 6:map[b:3] 7:NULL"},
 		{"SELECT ID, JSON_VAL(TXT, K) FROM DOCS ORDER BY ID", "1:1 2:NULL 3:2 4:NULL 5:NULL 6:3 7:4"},
@@ -212,7 +196,7 @@ func TestJSONValOverStrings(t *testing.T) {
 func TestExpressionIndexUsedAndCorrect(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
-	if _, err := e.Exec("CREATE INDEX VA_NAME ON VA (JSON_VAL(ATTR, 'name'))"); err != nil {
+	if err := e.CreateIndex("VA_NAME", "VA", jsonVal("ATTR", "name")); err != nil {
 		t.Fatal(err)
 	}
 	r := mustQuery(t, e, "SELECT VID FROM VA WHERE JSON_VAL(ATTR, 'name') = 'josh'")
@@ -220,15 +204,11 @@ func TestExpressionIndexUsedAndCorrect(t *testing.T) {
 		t.Fatalf("rows = %v", r.Data)
 	}
 	// The index must stay correct under mutation.
-	if _, err := e.Exec("INSERT INTO VA VALUES (?, ?)", int64(5), mustDoc(t, `{"name":"josh"}`)); err != nil {
-		t.Fatal(err)
-	}
+	mustInsert(t, e, "VA", row(5, mustDoc(t, `{"name":"josh"}`)))
 	if got := scalarInt(t, e, "SELECT COUNT(*) FROM VA WHERE JSON_VAL(ATTR, 'name') = 'josh'"); got != 2 {
 		t.Fatalf("count after insert = %d", got)
 	}
-	if _, err := e.Exec("DELETE FROM VA WHERE VID = 5"); err != nil {
-		t.Fatal(err)
-	}
+	mustDeleteWhere(t, e, "VA", func(r []rel.Value) bool { return r[0].Int() == 5 })
 	if got := scalarInt(t, e, "SELECT COUNT(*) FROM VA WHERE JSON_VAL(ATTR, 'name') = 'josh'"); got != 1 {
 		t.Fatalf("count after delete = %d", got)
 	}
@@ -284,15 +264,9 @@ func TestLeftJoinCoalescePattern(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
 	// The paper's OSA pattern: COALESCE(s.val, p.val).
-	if _, err := e.Exec("CREATE TABLE OSA (VALID BIGINT, EID BIGINT, VAL BIGINT)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Exec("CREATE INDEX OSA_VALID ON OSA (VALID)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Exec("INSERT INTO OSA VALUES (101, 7, 2), (101, 8, 4)"); err != nil {
-		t.Fatal(err)
-	}
+	mustTable(t, e, "OSA", intCol("VALID"), intCol("EID"), intCol("VAL"))
+	mustIndex(t, e, "OSA_VALID", "OSA", "VALID")
+	mustInsert(t, e, "OSA", row(101, 7, 2), row(101, 8, 4))
 	r := mustQuery(t, e, `WITH T0(VAL) AS (SELECT 101 FROM VA WHERE VID = 1 UNION ALL SELECT 3 FROM VA WHERE VID = 1)
 		SELECT COALESCE(S.VAL, P.VAL) AS VAL FROM T0 P LEFT OUTER JOIN OSA S ON P.VAL = S.VALID ORDER BY VAL`)
 	// 101 expands to {2,4}; 3 passes through.
@@ -310,9 +284,7 @@ func TestTableValuesLateral(t *testing.T) {
 		t.Fatalf("rows = %v", r.Data)
 	}
 	// IS NOT NULL filter inline (paper template).
-	if _, err := e.Exec("INSERT INTO EA VALUES (?, ?, ?, ?, ?)", int64(99), int64(5), nil, "x", mustDoc(t, `{}`)); err != nil {
-		t.Fatal(err)
-	}
+	mustInsert(t, e, "EA", row(99, 5, nil, "x", mustDoc(t, `{}`)))
 	r = mustQuery(t, e, `SELECT T.VAL FROM EA P, TABLE(VALUES(P.INV), (P.OUTV)) AS T(VAL)
 		WHERE P.EID = 99 AND T.VAL IS NOT NULL`)
 	if len(r.Data) != 1 || r.Data[0][0].Int() != 5 {
@@ -367,12 +339,8 @@ func TestRecursiveCTE(t *testing.T) {
 
 func TestRecursiveCTECycleTerminates(t *testing.T) {
 	e := newTestEngine(t)
-	if _, err := e.Exec("CREATE TABLE CYC (A BIGINT, B BIGINT)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Exec("INSERT INTO CYC VALUES (1, 2), (2, 1)"); err != nil {
-		t.Fatal(err)
-	}
+	mustTable(t, e, "CYC", intCol("A"), intCol("B"))
+	mustInsert(t, e, "CYC", row(1, 2), row(2, 1))
 	// UNION (dedup) recursion over a cycle terminates.
 	got := scalarInt(t, e, `WITH RECURSIVE R(V) AS (
 		SELECT B FROM CYC WHERE A = 1
@@ -507,55 +475,31 @@ func TestCaseExpr(t *testing.T) {
 	}
 }
 
+// TestUpdateDelete: a query sees what a committed transaction updated
+// and deleted.
 func TestUpdateDelete(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
-	n, err := e.Exec("UPDATE NUMS SET LABEL = 'big' WHERE N >= 90")
-	if err != nil || n != 10 {
-		t.Fatalf("update = %d, %v", n, err)
+	big := func(r []rel.Value) bool { return r[0].Int() >= 90 }
+	if n := mustUpdateWhere(t, e, "NUMS", big, func(r []rel.Value) { r[1] = rel.NewString("big") }); n != 10 {
+		t.Fatalf("update = %d", n)
 	}
 	if got := scalarInt(t, e, "SELECT COUNT(*) FROM NUMS WHERE LABEL = 'big'"); got != 10 {
 		t.Fatalf("post-update = %d", got)
 	}
-	n, err = e.Exec("DELETE FROM NUMS WHERE LABEL = 'big'")
-	if err != nil || n != 10 {
-		t.Fatalf("delete = %d, %v", n, err)
+	if n := mustDeleteWhere(t, e, "NUMS", big); n != 10 {
+		t.Fatalf("delete = %d", n)
 	}
 	if got := scalarInt(t, e, "SELECT COUNT(*) FROM NUMS"); got != 90 {
 		t.Fatalf("post-delete = %d", got)
 	}
 }
 
-func TestInsertSelect(t *testing.T) {
-	e := newTestEngine(t)
-	seedGraph(t, e)
-	if _, err := e.Exec("CREATE TABLE COPY (N BIGINT, LABEL VARCHAR)"); err != nil {
-		t.Fatal(err)
-	}
-	n, err := e.Exec("INSERT INTO COPY SELECT N, LABEL FROM NUMS WHERE N < 5")
-	if err != nil || n != 5 {
-		t.Fatalf("insert-select = %d, %v", n, err)
-	}
-	if got := scalarInt(t, e, "SELECT COUNT(*) FROM COPY"); got != 5 {
-		t.Fatalf("copy count = %d", got)
-	}
-}
-
-func TestInsertColumnSubset(t *testing.T) {
-	e := newTestEngine(t)
-	if _, err := e.Exec("INSERT INTO NUMS (N) VALUES (1)"); err != nil {
-		t.Fatal(err)
-	}
-	r := mustQuery(t, e, "SELECT LABEL FROM NUMS WHERE N = 1")
-	if len(r.Data) != 1 || !r.Data[0][0].IsNull() {
-		t.Fatalf("missing column should be NULL: %v", r.Data)
-	}
-}
-
 func TestUniquePrimaryKeyViolation(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
-	if _, err := e.Exec("INSERT INTO VA VALUES (?, ?)", int64(1), mustDoc(t, `{}`)); err == nil {
+	// The duplicate comes second: the first row must roll back with it.
+	if err := insertRows(e, "VA", row(5, mustDoc(t, `{}`)), row(1, mustDoc(t, `{}`))); err == nil {
 		t.Fatal("duplicate PK accepted")
 	}
 	// Table must be unchanged.
@@ -594,9 +538,6 @@ func TestQueryErrors(t *testing.T) {
 			t.Fatalf("Query(%q) succeeded, want error", q)
 		}
 	}
-	if _, err := e.Exec("SELECT 1"); err == nil {
-		t.Fatal("Exec of SELECT accepted")
-	}
 	if _, err := e.Query("INSERT INTO NUMS VALUES (1, 'x')"); err == nil {
 		t.Fatal("Query of INSERT accepted")
 	}
@@ -612,7 +553,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := e.Exec("INSERT INTO NUMS VALUES (?, ?)", int64(1000+w*100+i), "conc"); err != nil {
+				if err := insertRows(e, "NUMS", row(1000+w*100+i, "conc")); err != nil {
 					errs <- err
 					return
 				}
@@ -710,17 +651,11 @@ func TestManyRowsJoinPerformanceSanity(t *testing.T) {
 		t.Skip("short mode")
 	}
 	e := newTestEngine(t)
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO EA VALUES ")
-	for i := 0; i < 20000; i++ {
-		if i > 0 {
-			sb.WriteString(",")
-		}
-		fmt.Fprintf(&sb, "(%d, %d, %d, 'e', NULL)", i, i%1000, (i+1)%1000)
+	rows := make([][]any, 20000)
+	for i := range rows {
+		rows[i] = row(i, i%1000, (i+1)%1000, "e", nil)
 	}
-	if _, err := e.Exec(sb.String()); err != nil {
-		t.Fatal(err)
-	}
+	mustInsert(t, e, "EA", rows...)
 	got := scalarInt(t, e, `SELECT COUNT(*) FROM EA A, EA B WHERE B.INV = A.OUTV AND A.EID < 100`)
 	if got == 0 {
 		t.Fatal("join returned nothing")

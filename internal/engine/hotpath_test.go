@@ -11,34 +11,23 @@ import (
 	"sqlgraph/internal/stats"
 )
 
-func mustExecAll(t testing.TB, e *Engine, stmts ...string) {
-	t.Helper()
-	for _, q := range stmts {
-		if _, err := e.Exec(q); err != nil {
-			t.Fatalf("Exec(%s): %v", q, err)
-		}
-	}
-}
-
 // newAccessPathEngine builds T(ID, ATTR) with an index on ID: ids 0..1999
 // plus twenty negative (soft-deleted) ones. Every tenth row carries a
 // 'tag' attribute, indexed by an expression index.
 func newAccessPathEngine(t *testing.T, withStats bool) *Engine {
 	t.Helper()
 	e := New(rel.NewCatalog())
-	mustExecAll(t, e,
-		"CREATE TABLE T (ID BIGINT, ATTR JSON)",
-		"CREATE INDEX T_ID ON T (ID)",
-		"CREATE INDEX T_TAG ON T (JSON_VAL(ATTR, 'tag'))",
-	)
+	mustTable(t, e, "T", intCol("ID"), jsonCol("ATTR"))
+	mustIndex(t, e, "T_ID", "T", "ID")
+	if err := e.CreateIndex("T_TAG", "T", jsonVal("ATTR", "tag")); err != nil {
+		t.Fatal(err)
+	}
 	for i := -20; i < 2000; i++ {
 		doc := "{}"
 		if i%10 == 0 {
 			doc = fmt.Sprintf(`{"tag": "t%d"}`, i%30)
 		}
-		if _, err := e.Exec("INSERT INTO T VALUES (?, ?)", int64(i), mustDoc(t, doc)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, e, "T", row(i, mustDoc(t, doc)))
 	}
 	if withStats {
 		coll := stats.NewCollection(e.Catalog(), stats.Config{Tables: []stats.TableSpec{
@@ -106,18 +95,17 @@ func TestAccessPathChoice(t *testing.T) {
 func TestAccessPathHashedIndex(t *testing.T) {
 	for _, withStats := range []bool{false, true} {
 		e := New(rel.NewCatalog())
-		mustExecAll(t, e, "CREATE TABLE OPA (VID BIGINT, VAL BIGINT)", "CREATE TABLE Q (VID BIGINT, VAL BIGINT)")
+		mustTable(t, e, "OPA", intCol("VID"), intCol("VAL"))
+		mustTable(t, e, "Q", intCol("VID"), intCol("VAL"))
 		for _, table := range []string{"OPA", "Q"} {
 			if _, err := e.Catalog().CreateHashIndex(table+"_VID", table, []int{0}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		mustExecAll(t, e, "CREATE INDEX Q_VID_ORDERED ON Q (VID)")
+		mustIndex(t, e, "Q_VID_ORDERED", "Q", "VID")
 		for i := -20; i < 2000; i++ {
 			for _, table := range []string{"OPA", "Q"} {
-				if _, err := e.Exec("INSERT INTO "+table+" VALUES (?, ?)", int64(i), int64(i%7)); err != nil {
-					t.Fatal(err)
-				}
+				mustInsert(t, e, table, row(i, i%7))
 			}
 		}
 		if withStats {
@@ -160,11 +148,9 @@ func TestAccessPathHashedIndex(t *testing.T) {
 func TestAccessPathSkipsIndexYoungerThanSnapshot(t *testing.T) {
 	for _, withStats := range []bool{false, true} {
 		e := New(rel.NewCatalog())
-		mustExecAll(t, e, "CREATE TABLE T (ID BIGINT, N BIGINT)")
+		mustTable(t, e, "T", intCol("ID"), intCol("N"))
 		for i := 0; i < 200; i++ {
-			if _, err := e.Exec("INSERT INTO T VALUES (?, ?)", int64(i), int64(i%7)); err != nil {
-				t.Fatal(err)
-			}
+			mustInsert(t, e, "T", row(i, i%7))
 		}
 		if withStats {
 			coll := stats.NewCollection(e.Catalog(), stats.Config{Tables: []stats.TableSpec{{Name: "T", NDVCols: []int{0, 1}, HistCols: []int{0}, GroupCol: -1}}})
@@ -174,7 +160,8 @@ func TestAccessPathSkipsIndexYoungerThanSnapshot(t *testing.T) {
 			e.SetStatsProvider(coll)
 		}
 		old := e.Catalog().Pin()
-		mustExecAll(t, e, "UPDATE T SET ID = 1000 WHERE ID = 5", "CREATE INDEX T_ID ON T (ID)")
+		mustUpdateWhere(t, e, "T", func(r []rel.Value) bool { return r[0].Int() == 5 }, func(r []rel.Value) { r[0] = rel.NewInt(1000) })
+		mustIndex(t, e, "T_ID", "T", "ID")
 		for _, q := range []string{"SELECT N FROM T WHERE ID = 5", "SELECT N FROM T WHERE ID IN (5, 6)", "SELECT N FROM T WHERE ID < 6 AND ID > 4"} {
 			at, err := e.QueryAt(q, old)
 			if err != nil {
@@ -204,9 +191,10 @@ func TestAccessPathSkipsIndexYoungerThanSnapshot(t *testing.T) {
 func newPruneEngine(t *testing.T, seed int64, nLeft, nRight int, indexed bool) *Engine {
 	t.Helper()
 	e := New(rel.NewCatalog())
-	mustExecAll(t, e, "CREATE TABLE L (K BIGINT, A BIGINT, P VARCHAR)", "CREATE TABLE R (K BIGINT, B BIGINT, Q VARCHAR)")
+	mustTable(t, e, "L", intCol("K"), intCol("A"), strCol("P"))
+	mustTable(t, e, "R", intCol("K"), intCol("B"), strCol("Q"))
 	if indexed {
-		mustExecAll(t, e, "CREATE INDEX R_K ON R (K)")
+		mustIndex(t, e, "R_K", "R", "K")
 	}
 	rng := rand.New(rand.NewSource(seed))
 	fill := func(table, tag string, n int) {
@@ -215,9 +203,7 @@ func newPruneEngine(t *testing.T, seed int64, nLeft, nRight int, indexed bool) *
 			if rng.Intn(9) == 0 {
 				k = nil
 			}
-			if _, err := e.Exec("INSERT INTO "+table+" VALUES (?, ?, ?)", k, int64(rng.Intn(10)), fmt.Sprintf("%s%d", tag, i)); err != nil {
-				t.Fatal(err)
-			}
+			mustInsert(t, e, table, row(k, rng.Intn(10), fmt.Sprintf("%s%d", tag, i)))
 		}
 	}
 	fill("L", "l", nLeft)
@@ -297,7 +283,8 @@ func TestPrunedEmitEquivalence(t *testing.T) {
 // WHERE residue reads must survive the joins before it.
 func TestPrunedJoinKeepsLaterTermsColumns(t *testing.T) {
 	e := newPruneEngine(t, 9, 40, 60, true)
-	mustExecAll(t, e, "CREATE TABLE M (B BIGINT, W VARCHAR)", "INSERT INTO M VALUES (1, 'one'), (3, 'three'), (7, 'seven')")
+	mustTable(t, e, "M", intCol("B"), strCol("W"))
+	mustInsert(t, e, "M", row(1, "one"), row(3, "three"), row(7, "seven"))
 	pruned := mustQuery(t, e, "SELECT M.W FROM L, R, M WHERE L.K = R.K AND R.B = M.B AND L.A < M.B")
 	full := mustQuery(t, e, "SELECT * FROM L, R, M WHERE L.K = R.K AND R.B = M.B AND L.A < M.B")
 	want := make([]string, len(full.Data))
@@ -324,19 +311,17 @@ func sortedStrings(in []string) []string {
 // engages exactly from parallelMinRows outer rows on.
 func TestParallelIndexNLDeterminism(t *testing.T) {
 	e := New(rel.NewCatalog())
-	mustExecAll(t, e, "CREATE TABLE O (ID BIGINT, G BIGINT)", "CREATE TABLE ADJ (VID BIGINT, LBL VARCHAR, VAL BIGINT)", "CREATE INDEX ADJ_VID ON ADJ (VID)")
+	mustTable(t, e, "O", intCol("ID"), intCol("G"))
+	mustTable(t, e, "ADJ", intCol("VID"), strCol("LBL"), intCol("VAL"))
+	mustIndex(t, e, "ADJ_VID", "ADJ", "VID")
 	outer := parallelMinRows + morselRows + 37
 	for i := 0; i < outer; i++ {
-		if _, err := e.Exec("INSERT INTO O VALUES (?, ?)", int64(i), int64(i%5)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, e, "O", row(i, i%5))
 		// No adjacency rows for the outer rows either side of every morsel
 		// boundary, nor for every 11th row; up to three rows for the rest.
 		edge := i%morselRows == 0 || i%morselRows == morselRows-1
 		for k := 0; !edge && i%11 != 0 && k < 1+i%3; k++ {
-			if _, err := e.Exec("INSERT INTO ADJ VALUES (?, ?, ?)", int64(i), fmt.Sprintf("l%d", k%2), int64(1000*k+i)); err != nil {
-				t.Fatal(err)
-			}
+			mustInsert(t, e, "ADJ", row(i, fmt.Sprintf("l%d", k%2), 1000*k+i))
 		}
 	}
 	for _, q := range []string{
@@ -365,7 +350,7 @@ func TestParallelIndexNLDeterminism(t *testing.T) {
 	// is a stage of the pipe O's scan heads, and the deletes leave O's
 	// slots behind: the gate counts the table's live rows, not the slots
 	// its morsels are cut from.
-	mustExecAll(t, e, fmt.Sprintf("DELETE FROM O WHERE ID >= %d", parallelMinRows-1))
+	mustDeleteWhere(t, e, "O", func(r []rel.Value) bool { return r[0].Int() >= parallelMinRows-1 })
 	small := queryForced(t, e, StrategyAuto, 4, "SELECT P.VAL FROM O V, ADJ P WHERE P.VID = V.ID")
 	if j := small.Stats.Joins[0]; j.Strategy != StrategyIndexNL || j.Workers != 1 || j.BuildRows != parallelMinRows-1 {
 		t.Fatalf("below the gate: %s workers=%d outer=%d, want index-nl on 1 worker over %d rows", j.Strategy, j.Workers, j.BuildRows, parallelMinRows-1)
@@ -377,7 +362,8 @@ func TestParallelIndexNLDeterminism(t *testing.T) {
 // not disturb what another branch of the same statement reads.
 func TestSharedCTERowsNotReordered(t *testing.T) {
 	e := New(rel.NewCatalog())
-	mustExecAll(t, e, "CREATE TABLE NUMS (N BIGINT)", "INSERT INTO NUMS VALUES (3), (1), (4), (1), (5), (9), (2), (6)")
+	mustTable(t, e, "NUMS", intCol("N"))
+	mustInsert(t, e, "NUMS", row(3), row(1), row(4), row(1), row(5), row(9), row(2), row(6))
 	rows := mustQuery(t, e, `WITH T AS (SELECT N FROM NUMS),
 		TOP AS (SELECT N FROM T ORDER BY N DESC LIMIT 3),
 		LOW AS (SELECT N FROM T ORDER BY N LIMIT 2 OFFSET 1)
@@ -397,11 +383,10 @@ func TestSharedCTERowsNotReordered(t *testing.T) {
 // join back to them (an integral DOUBLE still matches its BIGINT twin).
 func TestHashJoinIntKeysMatchStringKeys(t *testing.T) {
 	e := New(rel.NewCatalog())
-	mustExecAll(t, e,
-		"CREATE TABLE A (K BIGINT, P VARCHAR)", "CREATE TABLE B (K DOUBLE, Q VARCHAR)",
-		"INSERT INTO A VALUES (1, 'a1'), (2, 'a2'), (NULL, 'an'), (2, 'a2b'), (9, 'a9')",
-		"INSERT INTO B VALUES (2.0, 'b2'), (1.5, 'b15'), (NULL, 'bn'), (1.0, 'b1'), (2.0, 'b2b')",
-	)
+	mustTable(t, e, "A", intCol("K"), strCol("P"))
+	mustTable(t, e, "B", floatCol("K"), strCol("Q"))
+	mustInsert(t, e, "A", row(1, "a1"), row(2, "a2"), row(nil, "an"), row(2, "a2b"), row(9, "a9"))
+	mustInsert(t, e, "B", row(2.0, "b2"), row(1.5, "b15"), row(nil, "bn"), row(1.0, "b1"), row(2.0, "b2b"))
 	mixed := queryForced(t, e, StrategyHash, 1, "SELECT A.P, B.Q FROM A JOIN B ON A.K = B.K")
 	ref := queryForced(t, e, StrategyNestedLoop, 1, "SELECT A.P, B.Q FROM A JOIN B ON A.K = B.K")
 	if len(ref.Data) != 5 || !sameStrings(rowsKeys(mixed), rowsKeys(ref)) {

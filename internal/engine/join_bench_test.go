@@ -13,22 +13,11 @@ import (
 func newBenchJoinEngine(b *testing.B, n int) *Engine {
 	b.Helper()
 	e := New(rel.NewCatalog())
-	for _, q := range []string{
-		"CREATE TABLE L (K BIGINT, P VARCHAR)",
-		"CREATE TABLE R (K BIGINT, Q VARCHAR)",
-	} {
-		if _, err := e.Exec(q); err != nil {
-			b.Fatal(err)
-		}
-	}
+	mustTable(b, e, "L", intCol("K"), strCol("P"))
+	mustTable(b, e, "R", intCol("K"), strCol("Q"))
 	for i := 0; i < n; i++ {
-		k := int64((i * 7919) % n)
-		if _, err := e.Exec("INSERT INTO L VALUES (?, ?)", k, fmt.Sprintf("l%d", i)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Exec("INSERT INTO R VALUES (?, ?)", int64((i*104729)%n), fmt.Sprintf("r%d", i)); err != nil {
-			b.Fatal(err)
-		}
+		mustInsert(b, e, "L", row((i*7919)%n, fmt.Sprintf("l%d", i)))
+		mustInsert(b, e, "R", row((i*104729)%n, fmt.Sprintf("r%d", i)))
 	}
 	return e
 }

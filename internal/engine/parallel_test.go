@@ -54,26 +54,16 @@ func sameStrings(a, b []string) bool {
 func newJoinEngine(t testing.TB, seed int64, nLeft, nRight int) *Engine {
 	t.Helper()
 	e := New(rel.NewCatalog())
-	for _, q := range []string{
-		"CREATE TABLE L (K BIGINT, P VARCHAR)",
-		"CREATE TABLE R (K BIGINT, Q VARCHAR)",
-	} {
-		if _, err := e.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	mustTable(t, e, "L", intCol("K"), strCol("P"))
+	mustTable(t, e, "R", intCol("K"), strCol("Q"))
 	rng := rand.New(rand.NewSource(seed))
 	insert := func(table string, n int, payload string) {
 		for i := 0; i < n; i++ {
 			if rng.Intn(10) == 0 { // NULL join key: must never match
-				if _, err := e.Exec("INSERT INTO "+table+" VALUES (NULL, ?)", fmt.Sprintf("%s%d", payload, i)); err != nil {
-					t.Fatal(err)
-				}
+				mustInsert(t, e, table, row(nil, fmt.Sprintf("%s%d", payload, i)))
 				continue
 			}
-			if _, err := e.Exec("INSERT INTO "+table+" VALUES (?, ?)", int64(rng.Intn(40)), fmt.Sprintf("%s%d", payload, i)); err != nil {
-				t.Fatal(err)
-			}
+			mustInsert(t, e, table, row(rng.Intn(40), fmt.Sprintf("%s%d", payload, i)))
 		}
 	}
 	insert("L", nLeft, "l")
@@ -122,9 +112,7 @@ func TestJoinStrategyEquivalence(t *testing.T) {
 // order may differ).
 func TestJoinStrategyEquivalenceIndexed(t *testing.T) {
 	e := newJoinEngine(t, 7, 80, 120)
-	if _, err := e.Exec("CREATE INDEX R_K ON R (K)"); err != nil {
-		t.Fatal(err)
-	}
+	mustIndex(t, e, "R_K", "R", "K")
 	q := "SELECT L.K, L.P, R.Q FROM L JOIN R ON L.K = R.K"
 	ref := queryForced(t, e, StrategyNestedLoop, 1, q)
 	auto := queryForced(t, e, StrategyAuto, 1, q)
@@ -160,16 +148,10 @@ func TestHashJoinChosenForNonIndexedEquiJoin(t *testing.T) {
 // strategy.
 func TestHashJoinNullKeys(t *testing.T) {
 	e := New(rel.NewCatalog())
-	for _, q := range []string{
-		"CREATE TABLE L (K BIGINT, P VARCHAR)",
-		"CREATE TABLE R (K BIGINT, Q VARCHAR)",
-		"INSERT INTO L VALUES (1, 'a'), (NULL, 'b'), (2, 'c')",
-		"INSERT INTO R VALUES (1, 'x'), (NULL, 'y')",
-	} {
-		if _, err := e.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	mustTable(t, e, "L", intCol("K"), strCol("P"))
+	mustTable(t, e, "R", intCol("K"), strCol("Q"))
+	mustInsert(t, e, "L", row(1, "a"), row(nil, "b"), row(2, "c"))
+	mustInsert(t, e, "R", row(1, "x"), row(nil, "y"))
 	for _, force := range []JoinStrategy{StrategyAuto, StrategyHash, StrategyNestedLoop} {
 		inner := queryForced(t, e, force, 1, "SELECT L.P, R.Q FROM L JOIN R ON L.K = R.K")
 		if want := []string{"\x03a|\x03x"}; !sameStrings(sortedKeys(inner), want) {
@@ -195,15 +177,9 @@ func TestHashJoinNullKeys(t *testing.T) {
 // null-pad every left row regardless of strategy or build-side choice.
 func TestLeftJoinEmptyBuildSide(t *testing.T) {
 	e := New(rel.NewCatalog())
-	for _, q := range []string{
-		"CREATE TABLE L (K BIGINT, P VARCHAR)",
-		"CREATE TABLE R (K BIGINT, Q VARCHAR)",
-		"INSERT INTO L VALUES (1, 'a'), (2, 'b')",
-	} {
-		if _, err := e.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	mustTable(t, e, "L", intCol("K"), strCol("P"))
+	mustTable(t, e, "R", intCol("K"), strCol("Q"))
+	mustInsert(t, e, "L", row(1, "a"), row(2, "b"))
 	for _, force := range []JoinStrategy{StrategyAuto, StrategyHash, StrategyNestedLoop} {
 		rows := queryForced(t, e, force, 2, "SELECT L.P, R.Q FROM L LEFT JOIN R ON L.K = R.K")
 		if len(rows.Data) != 2 {
@@ -226,9 +202,7 @@ func TestLeftJoinEmptyBuildSide(t *testing.T) {
 // tables, single rows, and row counts straddling the morsel boundary.
 func TestMorselEdgeCases(t *testing.T) {
 	e := New(rel.NewCatalog())
-	if _, err := e.Exec("CREATE TABLE T (N BIGINT)"); err != nil {
-		t.Fatal(err)
-	}
+	mustTable(t, e, "T", intCol("N"))
 	check := func(wantRows int) {
 		t.Helper()
 		for _, par := range []int{0, 1, 3} {
@@ -244,14 +218,10 @@ func TestMorselEdgeCases(t *testing.T) {
 		}
 	}
 	check(0) // empty table
-	if _, err := e.Exec("INSERT INTO T VALUES (0)"); err != nil {
-		t.Fatal(err)
-	}
+	mustInsert(t, e, "T", row(0))
 	check(1) // single row
 	for n := 1; n < morselRows+5; n++ {
-		if _, err := e.Exec("INSERT INTO T VALUES (?)", int64(n)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, e, "T", row(n))
 	}
 	check(morselRows + 5) // straddles one morsel boundary
 }
@@ -263,15 +233,11 @@ func TestMorselEdgeCases(t *testing.T) {
 // at any GOMAXPROCS.
 func TestParallelScanDeterminism(t *testing.T) {
 	e := New(rel.NewCatalog())
-	if _, err := e.Exec("CREATE TABLE T (N BIGINT, S VARCHAR)"); err != nil {
-		t.Fatal(err)
-	}
+	mustTable(t, e, "T", intCol("N"), strCol("S"))
 	insert := func(from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
-			if _, err := e.Exec("INSERT INTO T VALUES (?, ?)", int64(i), fmt.Sprintf("s%d", i%97)); err != nil {
-				t.Fatal(err)
-			}
+			mustInsert(t, e, "T", row(i, fmt.Sprintf("s%d", i%97)))
 		}
 	}
 	q := "SELECT N, S FROM T WHERE N % 3 = 0 AND S <> 's5'"
@@ -305,14 +271,8 @@ func TestParallelScanDeterminism(t *testing.T) {
 // race on the engine's funcs map.
 func TestRegisterFuncRace(t *testing.T) {
 	e := New(rel.NewCatalog())
-	for _, q := range []string{
-		"CREATE TABLE T (N BIGINT)",
-		"INSERT INTO T VALUES (1), (2), (3), (4)",
-	} {
-		if _, err := e.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	mustTable(t, e, "T", intCol("N"))
+	mustInsert(t, e, "T", row(1), row(2), row(3), row(4))
 	e.RegisterFunc("DOUBLEIT", func(args []rel.Value) (rel.Value, error) {
 		return rel.NewInt(args[0].Int() * 2), nil
 	})

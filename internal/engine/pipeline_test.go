@@ -44,29 +44,24 @@ func (s cteStmt) sql(stored bool) string {
 func newPipelineEngine(t testing.TB, outer int) *Engine {
 	t.Helper()
 	e := New(rel.NewCatalog())
-	mustExecAll(t, e,
-		"CREATE TABLE O (ID BIGINT, G BIGINT)",
-		"CREATE TABLE ADJ (VID BIGINT, LBL VARCHAR, VAL BIGINT)", "CREATE INDEX ADJ_VID ON ADJ (VID)",
-		"CREATE TABLE SEC (VALID BIGINT, VAL BIGINT)", "CREATE INDEX SEC_VALID ON SEC (VALID)")
+	mustTable(t, e, "O", intCol("ID"), intCol("G"))
+	mustTable(t, e, "ADJ", intCol("VID"), strCol("LBL"), intCol("VAL"))
+	mustIndex(t, e, "ADJ_VID", "ADJ", "VID")
+	mustTable(t, e, "SEC", intCol("VALID"), intCol("VAL"))
+	mustIndex(t, e, "SEC_VALID", "SEC", "VALID")
 	for i := 0; i < outer; i++ {
-		if _, err := e.Exec("INSERT INTO O VALUES (?, ?)", int64(i), int64(i%5)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, e, "O", row(i, i%5))
 		edge := i%morselRows == 0 || i%morselRows == morselRows-1
 		for k := 0; !edge && i%11 != 0 && k < 1+i%3; k++ {
 			var val any = int64((i*7 + 13*k) % outer)
 			if i%17 == 0 && k == 0 {
 				val = nil
 			}
-			if _, err := e.Exec("INSERT INTO ADJ VALUES (?, ?, ?)", int64(i), fmt.Sprintf("l%d", k%2), val); err != nil {
-				t.Fatal(err)
-			}
+			mustInsert(t, e, "ADJ", row(i, fmt.Sprintf("l%d", k%2), val))
 		}
 		if i%9 == 4 {
 			for k := 0; k < 1+i%2; k++ {
-				if _, err := e.Exec("INSERT INTO SEC VALUES (?, ?)", int64(i), int64((i+100*k)%outer)); err != nil {
-					t.Fatal(err)
-				}
+				mustInsert(t, e, "SEC", row(i, (i+100*k)%outer))
 			}
 		}
 	}
@@ -370,7 +365,9 @@ func TestPipelineAsOf(t *testing.T) {
 	before := mustQuery(t, e, s.sql(false))
 	ver := e.Catalog().Pin()
 	defer e.Catalog().Unpin(ver)
-	mustExecAll(t, e, "DELETE FROM ADJ WHERE VID < 250", "UPDATE SEC SET VAL = 1 WHERE VALID > 100", "INSERT INTO ADJ VALUES (3, 'l0', 4)")
+	mustDeleteWhere(t, e, "ADJ", func(r []rel.Value) bool { return r[0].Int() < 250 })
+	mustUpdateWhere(t, e, "SEC", func(r []rel.Value) bool { return r[0].Int() > 100 }, func(r []rel.Value) { r[1] = rel.NewInt(1) })
+	mustInsert(t, e, "ADJ", row(3, "l0", 4))
 	after := mustQuery(t, e, s.sql(false))
 	if sameStrings(rowsKeys(before), rowsKeys(after)) {
 		t.Fatal("mutations did not change the chain's result: the fixture proves nothing")
@@ -406,7 +403,10 @@ func TestPipelineDeduperProbe(t *testing.T) {
 		t.Fatalf("set did not move to string keys once: ints=%d strs=%d", d.ints.len(), len(d.strs))
 	}
 	e := New(rel.NewCatalog())
-	mustExecAll(t, e, "CREATE TABLE A (X DOUBLE)", "CREATE TABLE B (Y BIGINT)", "INSERT INTO A VALUES (1.0), (2.5), (NULL), (3.0)", "INSERT INTO B VALUES (1), (2), (3), (3)")
+	mustTable(t, e, "A", floatCol("X"))
+	mustTable(t, e, "B", intCol("Y"))
+	mustInsert(t, e, "A", row(1.0), row(2.5), row(nil), row(3.0))
+	mustInsert(t, e, "B", row(1), row(2), row(3), row(3))
 	for q, want := range map[string]string{
 		"SELECT X FROM A INTERSECT SELECT Y FROM B": "1 3",
 		"SELECT X FROM A EXCEPT SELECT Y FROM B":    "2.5 NULL",

@@ -17,15 +17,9 @@ import (
 func newPlannerEngine(t *testing.T, rows int) *Engine {
 	t.Helper()
 	e := New(rel.NewCatalog())
-	mustExec := func(q string, args ...any) {
-		t.Helper()
-		if _, err := e.Exec(q, args...); err != nil {
-			t.Fatalf("Exec(%s): %v", q, err)
-		}
-	}
-	mustExec("CREATE TABLE BIG (K BIGINT, V BIGINT)")
-	mustExec("CREATE INDEX BIG_K ON BIG (K)")
-	mustExec("CREATE TABLE SMALL (K BIGINT, ID BIGINT)")
+	mustTable(t, e, "BIG", intCol("K"), intCol("V"))
+	mustIndex(t, e, "BIG_K", "BIG", "K")
+	mustTable(t, e, "SMALL", intCol("K"), intCol("ID"))
 
 	// Attach stats before loading so the commit observer maintains them.
 	coll := stats.NewCollection(e.Catalog(), stats.Config{Tables: []stats.TableSpec{
@@ -36,10 +30,10 @@ func newPlannerEngine(t *testing.T, rows int) *Engine {
 	e.SetStatsProvider(coll)
 
 	for i := 0; i < rows; i++ {
-		mustExec("INSERT INTO BIG VALUES (?, ?)", int64(i), int64(i*7))
+		mustInsert(t, e, "BIG", row(i, i*7))
 	}
 	for i := 0; i < 10; i++ {
-		mustExec("INSERT INTO SMALL VALUES (?, ?)", int64(i*100), int64(i))
+		mustInsert(t, e, "SMALL", row(i*100, i))
 	}
 	return e
 }
@@ -299,15 +293,9 @@ func TestPlanCacheBounded(t *testing.T) {
 // value.
 func TestPlannerParamSelectivity(t *testing.T) {
 	e := New(rel.NewCatalog())
-	mustExec := func(q string, args ...any) {
-		t.Helper()
-		if _, err := e.Exec(q, args...); err != nil {
-			t.Fatalf("Exec(%s): %v", q, err)
-		}
-	}
-	mustExec("CREATE TABLE T (A BIGINT, B BIGINT)")
-	mustExec("CREATE UNIQUE INDEX T_A ON T (A)")
-	mustExec("CREATE TABLE U (K BIGINT, W BIGINT)")
+	mustTable(t, e, "T", intCol("A"), intCol("B"))
+	mustUniqueIndex(t, e, "T_A", "T", "A")
+	mustTable(t, e, "U", intCol("K"), intCol("W"))
 	coll := stats.NewCollection(e.Catalog(), stats.Config{Tables: []stats.TableSpec{
 		{Name: "T", NDVCols: []int{0, 1}, GroupCol: 1}, // B partitions T: 3 values, skewed
 		{Name: "U", NDVCols: []int{0}, GroupCol: -1},
@@ -322,8 +310,8 @@ func TestPlannerParamSelectivity(t *testing.T) {
 		case i%4 == 1:
 			b = 1
 		}
-		mustExec("INSERT INTO T VALUES (?, ?)", int64(i), int64(b))
-		mustExec("INSERT INTO U VALUES (?, ?)", int64(i%50), int64(i))
+		mustInsert(t, e, "T", row(i, b))
+		mustInsert(t, e, "U", row(i%50, i))
 	}
 	estimates := func(r *Rows) string {
 		var sb strings.Builder

@@ -44,19 +44,17 @@ func scanDoc(i int) *sqljson.Doc {
 func newScanEngine(t testing.TB, rows int) *Engine {
 	t.Helper()
 	e := New(rel.NewCatalog())
-	mustExecAll(t, e,
-		"CREATE TABLE D (ID BIGINT, G BIGINT, ATTR JSON)",
-		"CREATE TABLE X (VID BIGINT, V BIGINT)", "CREATE INDEX X_VID ON X (VID)",
-		"CREATE TABLE H (K BIGINT, W VARCHAR)",
-		"CREATE TABLE M (B BIGINT)",
-		"INSERT INTO H VALUES (0, 'w0'), (1, 'w1'), (2, 'w2'), (3, 'w3'), (4, 'w4'), (5, 'w5'), (6, 'w6')",
-		"INSERT INTO M VALUES (2), (5)")
+	mustTable(t, e, "D", intCol("ID"), intCol("G"), jsonCol("ATTR"))
+	mustTable(t, e, "X", intCol("VID"), intCol("V"))
+	mustIndex(t, e, "X_VID", "X", "VID")
+	mustTable(t, e, "H", intCol("K"), strCol("W"))
+	mustTable(t, e, "M", intCol("B"))
+	mustInsert(t, e, "H", row(0, "w0"), row(1, "w1"), row(2, "w2"), row(3, "w3"), row(4, "w4"), row(5, "w5"), row(6, "w6"))
+	mustInsert(t, e, "M", row(2), row(5))
 	for i := 0; i < rows; i++ {
-		if _, err := e.Exec("INSERT INTO D VALUES (?, ?, ?)", int64(i), int64(i%7), scanDoc(i)); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, e, "D", row(i, i%7, scanDoc(i)))
 		if i%3 == 0 {
-			mustExecAll(t, e, fmt.Sprintf("INSERT INTO X VALUES (%d, %d), (%d, %d)", i, 10*i, i, 10*i+1))
+			mustInsert(t, e, "X", row(i, 10*i), row(i, 10*i+1))
 		}
 	}
 	return e
@@ -210,7 +208,8 @@ func TestScanPipeEquivalence(t *testing.T) {
 	checkScanShapes(t, e, scanRows)
 
 	// Deleted slots: every tenth row, and the whole third morsel.
-	mustExecAll(t, e, "DELETE FROM D WHERE ID % 10 = 3", fmt.Sprintf("DELETE FROM D WHERE ID >= %d AND ID < %d", 2*morselRows, 3*morselRows))
+	mustDeleteWhere(t, e, "D", func(r []rel.Value) bool { return r[0].Int()%10 == 3 })
+	mustDeleteWhere(t, e, "D", func(r []rel.Value) bool { return r[0].Int() >= 2*morselRows && r[0].Int() < 3*morselRows })
 	live := int(scalarInt(t, e, "SELECT COUNT(*) FROM D"))
 	if d, _ := e.cat.Table("D"); d.Slots() == live {
 		t.Fatal("deletes left no dead slot: the fixture proves nothing")
@@ -218,7 +217,7 @@ func TestScanPipeEquivalence(t *testing.T) {
 	checkScanShapes(t, e, live)
 
 	// Below the gate in live rows, however many slots they lie in.
-	mustExecAll(t, e, fmt.Sprintf("DELETE FROM D WHERE ID >= %d", parallelMinRows))
+	mustDeleteWhere(t, e, "D", func(r []rel.Value) bool { return r[0].Int() >= parallelMinRows })
 	checkScanShapes(t, e, int(scalarInt(t, e, "SELECT COUNT(*) FROM D")))
 
 	checkScanShapes(t, newScanEngine(t, 0), 0)
@@ -252,11 +251,12 @@ func TestScanPipeAsOf(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := e.Exec("INSERT INTO D VALUES (?, ?, ?)", int64(i), int64(i%7), scanDoc(i)); err != nil {
+			if err := insertRows(e, "D", row(i, i%7, scanDoc(i))); err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := e.Exec("DELETE FROM D WHERE ID = ?", int64((i*37)%scanRows)); err != nil {
+			gone := int64((i * 37) % scanRows)
+			if _, err := deleteWhere(e, "D", func(r []rel.Value) bool { return r[0].Int() == gone }); err != nil {
 				t.Error(err)
 				return
 			}
@@ -305,7 +305,7 @@ const lateFirst = 6*morselRows + 9
 func newAggEngine(t testing.TB) *Engine {
 	t.Helper()
 	e := New(rel.NewCatalog())
-	mustExecAll(t, e, "CREATE TABLE P (ID BIGINT, G VARCHAR, X DOUBLE)")
+	mustTable(t, e, "P", intCol("ID"), strCol("G"), floatCol("X"))
 	type tie struct {
 		g string
 		x any
@@ -327,9 +327,7 @@ func newAggEngine(t testing.TB) *Engine {
 		if v, ok := ties[i]; ok {
 			g, x = v.g, v.x
 		}
-		if _, err := e.Exec("INSERT INTO P VALUES (?, ?, ?)", int64(i), g, x); err != nil {
-			t.Fatal(err)
-		}
+		mustInsert(t, e, "P", row(i, g, x))
 	}
 	return e
 }

@@ -30,9 +30,9 @@ type queryState struct {
 	t0       time.Time                      // query start; anchors operator StartNs offsets
 	stats    ExecStats                      // per-operator execution statistics
 
-	// Cost-based planner state. All fields are zero-value-safe so DML
-	// expression evaluation (which builds bare queryStates) stays on the
-	// legacy syntactic path.
+	// Cost-based planner state. All fields are zero-value-safe so an
+	// expression index's key functions (compiled over a bare queryState)
+	// stay on the legacy syntactic path.
 	provider     StatsProvider // optimizer statistics, nil = legacy planning
 	forcePlan    int           // ExecOptions.ForcePlan (0 auto, -1 syntactic, k>=1 pinned)
 	scanEst      int64         // planner row estimate for the next base scan...
@@ -43,7 +43,7 @@ type queryState struct {
 func (q *queryState) addIOMiss() { atomic.AddInt64(&q.ioMisses, 1) }
 
 // sinceStart returns t's offset from the query start, or 0 when the
-// state was built without a clock (DML expression evaluation).
+// state was built without a clock (an expression index's key function).
 func (q *queryState) sinceStart(t time.Time) int64 {
 	if q.t0.IsZero() {
 		return 0

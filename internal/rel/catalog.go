@@ -8,9 +8,9 @@ import (
 )
 
 // Catalog is a database: a set of named tables and their indexes.
-// Structural changes (create/drop) take the catalog write lock; queries
-// and DML take the read lock plus the per-table locks of the tables they
-// touch.
+// Creating a table takes the catalog write lock; queries and
+// transactions take the read lock plus the per-table locks of the tables
+// they touch.
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
@@ -34,17 +34,6 @@ func (c *Catalog) CreateTable(name string, schema *Schema) (*Table, error) {
 	t := NewTable(name, schema)
 	c.tables[name] = t
 	return t, nil
-}
-
-// DropTable removes a table.
-func (c *Catalog) DropTable(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[name]; !ok {
-		return fmt.Errorf("rel: table %s does not exist", name)
-	}
-	delete(c.tables, name)
-	return nil
 }
 
 // Table looks up a table by name.

@@ -308,12 +308,6 @@ func TestCatalog(t *testing.T) {
 	if len(names) != 2 || names[0] != "A" || names[1] != "B" {
 		t.Fatalf("Tables = %v", names)
 	}
-	if err := c.DropTable("A"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DropTable("A"); err == nil {
-		t.Fatal("double drop accepted")
-	}
 	if _, err := c.CreateIndex("IX", "MISSING", false, []int{0}, "", nil); err == nil {
 		t.Fatal("index on missing table accepted")
 	}

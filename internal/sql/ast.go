@@ -4,7 +4,7 @@ import (
 	"strings"
 )
 
-// Statement is any parsed SQL statement.
+// Statement is a parsed SQL statement; *SelectStmt is the only kind.
 type Statement interface{ stmt() }
 
 // Expr is any scalar expression node.
@@ -103,72 +103,6 @@ type JoinClause struct {
 	On    Expr
 }
 
-// InsertStmt is INSERT INTO t [(cols)] VALUES (...),(...)
-// or INSERT INTO t [(cols)] SELECT ...
-type InsertStmt struct {
-	Table   string
-	Columns []string
-	Rows    [][]Expr
-	Query   *SelectStmt
-}
-
-func (*InsertStmt) stmt() {}
-
-// UpdateStmt is UPDATE t SET col = expr, ... [WHERE expr].
-type UpdateStmt struct {
-	Table string
-	Set   []Assignment
-	Where Expr
-}
-
-func (*UpdateStmt) stmt() {}
-
-// Assignment is one SET column = expr.
-type Assignment struct {
-	Column string
-	Value  Expr
-}
-
-// DeleteStmt is DELETE FROM t [WHERE expr].
-type DeleteStmt struct {
-	Table string
-	Where Expr
-}
-
-func (*DeleteStmt) stmt() {}
-
-// CreateTableStmt is CREATE TABLE t (col TYPE, ...).
-type CreateTableStmt struct {
-	Name    string
-	Columns []ColumnDef
-}
-
-func (*CreateTableStmt) stmt() {}
-
-// ColumnDef is one column definition.
-type ColumnDef struct {
-	Name       string
-	Type       string // BIGINT, DOUBLE, VARCHAR, JSON, BOOLEAN, LIST
-	PrimaryKey bool
-}
-
-// CreateIndexStmt is CREATE [UNIQUE] INDEX name ON t (expr, ...). Columns
-// may be plain column references or expressions (expression indexes, used
-// for JSON attribute indexes per paper Section 3.3).
-type CreateIndexStmt struct {
-	Name   string
-	Table  string
-	Unique bool
-	Exprs  []Expr
-}
-
-func (*CreateIndexStmt) stmt() {}
-
-// DropTableStmt is DROP TABLE t.
-type DropTableStmt struct{ Name string }
-
-func (*DropTableStmt) stmt() {}
-
 // --- Expressions ---
 
 // ColumnRef references a column, optionally qualified by table alias.
@@ -180,9 +114,22 @@ type ColumnRef struct {
 func (*ColumnRef) expr() {}
 func (c *ColumnRef) SQL() string {
 	if c.Table != "" {
-		return c.Table + "." + c.Column
+		return ident(c.Table) + "." + ident(c.Column)
 	}
-	return c.Column
+	return ident(c.Column)
+}
+
+// ident renders a name so the lexer reads it back as itself: bare when it
+// is an upper-case identifier and no keyword, in double quotes otherwise.
+func ident(name string) string {
+	bare := name != "" && isIdentStart(name[0]) && !keywords[name]
+	for i := 0; bare && i < len(name); i++ {
+		bare = isIdentPart(name[i]) && !('a' <= name[i] && name[i] <= 'z')
+	}
+	if bare {
+		return name
+	}
+	return `"` + name + `"`
 }
 
 // Literal is a constant. Val holds nil, bool, int64, float64, or string.
@@ -328,8 +275,12 @@ type FuncCall struct {
 
 func (*FuncCall) expr() {}
 func (f *FuncCall) SQL() string {
+	name := f.Name
+	if name != "COUNT" { // the one keyword read as a function name
+		name = ident(name)
+	}
 	if f.Star {
-		return f.Name + "(*)"
+		return name + "(*)"
 	}
 	parts := make([]string, len(f.Args))
 	for i, a := range f.Args {
@@ -339,7 +290,7 @@ func (f *FuncCall) SQL() string {
 	if f.Distinct {
 		inner = "DISTINCT " + inner
 	}
-	return f.Name + "(" + inner + ")"
+	return name + "(" + inner + ")"
 }
 
 // Cast is CAST(x AS TYPE).
@@ -349,7 +300,7 @@ type Cast struct {
 }
 
 func (*Cast) expr()         {}
-func (c *Cast) SQL() string { return "CAST(" + c.X.SQL() + " AS " + c.Type + ")" }
+func (c *Cast) SQL() string { return "CAST(" + c.X.SQL() + " AS " + ident(c.Type) + ")" }
 
 // Subscript is x[i], indexing a LIST value (traversal paths).
 type Subscript struct {
@@ -394,7 +345,13 @@ func toString(v any) string {
 	case int64:
 		return itoa(x)
 	case float64:
-		return ftoa(x)
+		// A float keeps its point, so it reads back as a float, not as
+		// an integer (-0 would lose its sign).
+		s := ftoa(x)
+		if !strings.ContainsAny(s, ".eIN") {
+			s += ".0"
+		}
+		return s
 	default:
 		return "?"
 	}

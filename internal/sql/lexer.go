@@ -1,13 +1,13 @@
 // Package sql implements the SQL front-end of the relational substrate:
 // a lexer, an abstract syntax tree, and a recursive-descent parser for the
 // dialect the Gremlin translator emits (CTEs, joins, lateral TABLE(VALUES)
-// unnesting, JSON_VAL, set operations, and basic DML/DDL).
+// unnesting, JSON_VAL and set operations). It parses queries only:
+// writes are the relational layer's transactions.
 package sql
 
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // TokenKind classifies lexer tokens.
@@ -53,10 +53,7 @@ var keywords = map[string]bool{
 	"IN": true, "IS": true, "NULL": true, "LIKE": true, "BETWEEN": true,
 	"TRUE": true, "FALSE": true, "CASE": true, "WHEN": true, "THEN": true,
 	"ELSE": true, "END": true, "CAST": true, "EXISTS": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true,
-	"SET": true, "DELETE": true, "CREATE": true, "TABLE": true,
-	"INDEX": true, "UNIQUE": true, "DROP": true, "COUNT": true,
-	"TABLES": true,
+	"VALUES": true, "TABLE": true, "TABLES": true, "COUNT": true,
 }
 
 // Lex tokenizes a SQL string.
@@ -138,9 +135,9 @@ func Lex(src string) ([]Token, error) {
 				kind = TokFloat
 			}
 			toks = append(toks, Token{Kind: kind, Text: src[start:i], Pos: start + 1})
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			start := i
-			for i < n && isIdentPart(rune(src[i])) {
+			for i < n && isIdentPart(src[i]) {
 				i++
 			}
 			word := strings.ToUpper(src[start:i])
@@ -184,10 +181,13 @@ func Lex(src string) ([]Token, error) {
 	return toks, nil
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+// Unquoted identifiers are ASCII: the lexer reads bytes, and a byte of a
+// multi-byte character is not a letter of its own. Any other name is
+// written in double quotes.
+func isIdentStart(c byte) bool {
+	return c == '_' || 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z'
 }
 
-func isIdentPart(r rune) bool {
-	return r == '_' || r == '$' || unicode.IsLetter(r) || unicode.IsDigit(r)
+func isIdentPart(c byte) bool {
+	return isIdentStart(c) || c == '$' || '0' <= c && c <= '9'
 }

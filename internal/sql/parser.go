@@ -8,14 +8,17 @@ import (
 func itoa(i int64) string   { return strconv.FormatInt(i, 10) }
 func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
-// Parse parses a single SQL statement.
+// Parse parses a single SQL statement: a SELECT, the only kind there is.
 func Parse(src string) (Statement, error) {
 	toks, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks, src: src}
-	stmt, err := p.parseStatement()
+	if !p.at(TokKeyword, "SELECT") && !p.at(TokKeyword, "WITH") && !p.at(TokSymbol, "(") {
+		return nil, p.errorf("expected SELECT, found %s", p.peek())
+	}
+	stmt, err := p.parseSelect()
 	if err != nil {
 		return nil, err
 	}
@@ -27,8 +30,7 @@ func Parse(src string) (Statement, error) {
 	return stmt, nil
 }
 
-// ParseExpr parses a standalone scalar expression (used by CREATE INDEX
-// processing and tests).
+// ParseExpr parses a standalone scalar expression.
 func ParseExpr(src string) (Expr, error) {
 	toks, err := Lex(src)
 	if err != nil {
@@ -93,25 +95,6 @@ func (p *parser) expectIdent() (string, error) {
 		return t.Text, nil
 	}
 	return "", p.errorf("expected identifier, found %s", t)
-}
-
-func (p *parser) parseStatement() (Statement, error) {
-	switch {
-	case p.at(TokKeyword, "SELECT") || p.at(TokKeyword, "WITH") || p.at(TokSymbol, "("):
-		return p.parseSelect()
-	case p.acceptKeyword("INSERT"):
-		return p.parseInsert()
-	case p.acceptKeyword("UPDATE"):
-		return p.parseUpdate()
-	case p.acceptKeyword("DELETE"):
-		return p.parseDelete()
-	case p.acceptKeyword("CREATE"):
-		return p.parseCreate()
-	case p.acceptKeyword("DROP"):
-		return p.parseDrop()
-	default:
-		return nil, p.errorf("expected statement, found %s", p.peek())
-	}
 }
 
 // parseSelect parses WITH? set-op-tree ORDER BY? LIMIT? OFFSET?.
@@ -471,207 +454,6 @@ func (p *parser) parseTablePrimary() (TableRef, error) {
 		}
 	}
 	return ref, nil
-}
-
-func (p *parser) parseInsert() (Statement, error) {
-	if _, err := p.expect(TokKeyword, "INTO"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	stmt := &InsertStmt{Table: table}
-	if p.accept(TokSymbol, "(") {
-		for {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			stmt.Columns = append(stmt.Columns, col)
-			if !p.accept(TokSymbol, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(TokSymbol, ")"); err != nil {
-			return nil, err
-		}
-	}
-	if p.acceptKeyword("VALUES") {
-		for {
-			if _, err := p.expect(TokSymbol, "("); err != nil {
-				return nil, err
-			}
-			var row []Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, e)
-				if !p.accept(TokSymbol, ",") {
-					break
-				}
-			}
-			if _, err := p.expect(TokSymbol, ")"); err != nil {
-				return nil, err
-			}
-			stmt.Rows = append(stmt.Rows, row)
-			if !p.accept(TokSymbol, ",") {
-				break
-			}
-		}
-		return stmt, nil
-	}
-	q, err := p.parseSelect()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Query = q
-	return stmt, nil
-}
-
-func (p *parser) parseUpdate() (Statement, error) {
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	stmt := &UpdateStmt{Table: table}
-	if _, err := p.expect(TokKeyword, "SET"); err != nil {
-		return nil, err
-	}
-	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokSymbol, "="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Set = append(stmt.Set, Assignment{Column: col, Value: e})
-		if !p.accept(TokSymbol, ",") {
-			break
-		}
-	}
-	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Where = e
-	}
-	return stmt, nil
-}
-
-func (p *parser) parseDelete() (Statement, error) {
-	if _, err := p.expect(TokKeyword, "FROM"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	stmt := &DeleteStmt{Table: table}
-	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Where = e
-	}
-	return stmt, nil
-}
-
-func (p *parser) parseCreate() (Statement, error) {
-	unique := p.acceptKeyword("UNIQUE")
-	switch {
-	case !unique && p.acceptKeyword("TABLE"):
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokSymbol, "("); err != nil {
-			return nil, err
-		}
-		stmt := &CreateTableStmt{Name: name}
-		for {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			typ := "VARCHAR"
-			if p.peek().Kind == TokIdent {
-				typ = p.next().Text
-			}
-			def := ColumnDef{Name: col, Type: typ}
-			// Optional PRIMARY KEY marker (two identifiers).
-			if p.peek().Kind == TokIdent && p.peek().Text == "PRIMARY" {
-				p.next()
-				if p.peek().Kind == TokIdent && p.peek().Text == "KEY" {
-					p.next()
-					def.PrimaryKey = true
-				} else {
-					return nil, p.errorf("expected KEY after PRIMARY")
-				}
-			}
-			stmt.Columns = append(stmt.Columns, def)
-			if !p.accept(TokSymbol, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(TokSymbol, ")"); err != nil {
-			return nil, err
-		}
-		return stmt, nil
-	case p.acceptKeyword("INDEX"):
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		// ON table (expr, ...)
-		if !p.accept(TokKeyword, "ON") {
-			return nil, p.errorf("expected ON in CREATE INDEX")
-		}
-		table, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokSymbol, "("); err != nil {
-			return nil, err
-		}
-		stmt := &CreateIndexStmt{Name: name, Table: table, Unique: unique}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			stmt.Exprs = append(stmt.Exprs, e)
-			if !p.accept(TokSymbol, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(TokSymbol, ")"); err != nil {
-			return nil, err
-		}
-		return stmt, nil
-	default:
-		return nil, p.errorf("expected TABLE or INDEX after CREATE")
-	}
-}
-
-func (p *parser) parseDrop() (Statement, error) {
-	if _, err := p.expect(TokKeyword, "TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	return &DropTableStmt{Name: name}, nil
 }
 
 // --- Expression parsing (precedence climbing) ---
