@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sqlgraph/internal/rel"
+	"sqlgraph/internal/sqljson"
 )
 
 // buildCheckedStore creates a store exercising spills, multi-valued
@@ -194,7 +195,7 @@ func TestCheckDetectsCorruption(t *testing.T) {
 		}},
 		{"EA row with unknown endpoint", "EA_ENDPOINT_MISSING", func(s *Store, tx *rel.Txn) error {
 			_, err := tx.Insert(TableEA, []rel.Value{
-				rel.NewInt(99), rel.NewInt(12345), rel.NewInt(2), rel.NewString("a"), rel.NewJSON(docFromMap(nil)),
+				rel.NewInt(99), rel.NewInt(12345), rel.NewInt(2), rel.NewString("a"), rel.NewJSON(sqljson.FromMap(nil)),
 			})
 			return err
 		}},

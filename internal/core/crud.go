@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -12,44 +13,16 @@ import (
 
 // The graph update operations are implemented as multi-table "stored
 // procedures" (paper Section 4.5.2): one transaction spanning the hash
-// adjacency tables and the attribute tables.
-
-func docFromMap(attrs map[string]any) *sqljson.Doc {
-	return sqljson.FromMap(attrs)
-}
+// adjacency tables and the attribute tables. Each public mutation builds
+// its WAL record and hands it to write (batch.go), the one mutation path;
+// the *Tx functions here are the procedures' bodies.
 
 // writeTables is the full write footprint of edge/vertex updates.
 var writeTables = []string{TableEA, TableIPA, TableISA, TableOPA, TableOSA, TableVA}
 
 // AddVertex implements blueprints.Graph.
-func (s *Store) AddVertex(id int64, attrs map[string]any) (err error) {
-	if id < 0 {
-		return fmt.Errorf("core: vertex ids must be non-negative (negative ids mark deletions)")
-	}
-	tx := s.fpVA.Begin()
-	defer tx.Rollback()
-	if vertexLiveTx(tx, id) {
-		return fmt.Errorf("%w: vertex %d", blueprints.ErrExists, id)
-	}
-	if vertexTombstoneTx(tx, id) {
-		// Re-adding a soft-deleted id: its tombstone rows must be purged
-		// first or fsck reports the id as both live and deleted. Purging
-		// touches the adjacency tables too, so restart under the full
-		// write footprint.
-		tx.Rollback()
-		return s.addVertexPurging(id, attrs)
-	}
-	w := s.startWrite("AddVertex")
-	defer func() { w.done(err) }()
-	doc := docFromMap(attrs)
-	if _, err := tx.Insert(TableVA, []rel.Value{rel.NewInt(id), rel.NewJSON(doc)}); err != nil {
-		return err
-	}
-	if err := s.logAppend(w, wal.Record{Op: wal.OpAddVertex, ID: id, Doc: doc.String()}); err != nil {
-		return err
-	}
-	tx.Commit()
-	return s.logCommit(w)
+func (s *Store) AddVertex(id int64, attrs map[string]any) error {
+	return s.write(BatchAddVertex(id, attrs))
 }
 
 // vertexTombstoneTx reports whether a soft-deleted VA row exists for id.
@@ -62,47 +35,36 @@ func vertexTombstoneTx(tx *rel.Txn, id int64) bool {
 	return found
 }
 
-// addVertexPurging is AddVertex's slow path for an id with soft-delete
-// tombstones: under the full write footprint it physically removes the
-// id's negated VA and adjacency rows (including owned secondary lists,
-// the same ownership rule Vacuum applies) and then inserts the fresh
-// vertex.
-func (s *Store) addVertexPurging(id int64, attrs map[string]any) (err error) {
-	w := s.startWrite("AddVertex purge")
-	defer func() { w.done(err) }()
-	tx := s.fpAll.Begin()
-	defer tx.Rollback()
-	doc, err := s.addVertexTx(tx, id, attrs)
+// errWiden is addVertexTx's answer under the VA-only footprint when the
+// id has soft-delete remains: purging them writes the adjacency tables
+// too, so write restarts the operation under the full footprint.
+var errWiden = errors.New("core: operation needs the full write footprint")
+
+// addVertexTx inserts a vertex with the attribute document attrs (JSON
+// text). Soft-delete tombstones for the id are purged first, or fsck
+// would report the id as both live and deleted; that needs the full
+// footprint (see errWiden).
+func (s *Store) addVertexTx(tx *rel.Txn, id int64, attrs string) error {
+	doc, err := sqljson.Parse(attrs)
 	if err != nil {
 		return err
 	}
-	if err := s.logAppend(w, wal.Record{Op: wal.OpAddVertex, ID: id, Doc: doc}); err != nil {
-		return err
-	}
-	tx.Commit()
-	return s.logCommit(w)
-}
-
-// addVertexTx inserts a vertex under a full-footprint transaction,
-// purging soft-delete tombstones for the id first. It returns the
-// attribute document for the caller's WAL record.
-func (s *Store) addVertexTx(tx *rel.Txn, id int64, attrs map[string]any) (string, error) {
 	if id < 0 {
-		return "", fmt.Errorf("core: vertex ids must be non-negative (negative ids mark deletions)")
+		return fmt.Errorf("core: vertex ids must be non-negative (negative ids mark deletions)")
 	}
 	if vertexLiveTx(tx, id) {
-		return "", fmt.Errorf("%w: vertex %d", blueprints.ErrExists, id)
+		return fmt.Errorf("%w: vertex %d", blueprints.ErrExists, id)
 	}
 	if vertexTombstoneTx(tx, id) {
+		if !tx.Writes(TableOPA) {
+			return errWiden
+		}
 		if err := s.purgeVertexTx(tx, id); err != nil {
-			return "", err
+			return err
 		}
 	}
-	doc := docFromMap(attrs)
-	if _, err := tx.Insert(TableVA, []rel.Value{rel.NewInt(id), rel.NewJSON(doc)}); err != nil {
-		return "", err
-	}
-	return doc.String(), nil
+	_, err = tx.Insert(TableVA, []rel.Value{rel.NewInt(id), rel.NewJSON(doc)})
+	return err
 }
 
 // purgeVertexTx physically removes the id's soft-delete remains: negated
@@ -173,53 +135,38 @@ func (s *Store) purgeVertexTx(tx *rel.Txn, id int64) error {
 
 // AddEdge implements blueprints.Graph: insert into EA plus both hash
 // adjacency sides.
-func (s *Store) AddEdge(id int64, out, in int64, label string, attrs map[string]any) (err error) {
-	if id < 0 {
-		return fmt.Errorf("core: edge ids must be non-negative")
-	}
-	w := s.startWrite("AddEdge")
-	defer func() { w.done(err) }()
-	tx := s.fpAll.Begin()
-	defer tx.Rollback()
-	doc, err := s.addEdgeTx(tx, id, out, in, label, attrs)
-	if err != nil {
-		return err
-	}
-	if err := s.logAppend(w, wal.Record{Op: wal.OpAddEdge, ID: id, Out: out, In: in, Label: label, Doc: doc}); err != nil {
-		return err
-	}
-	tx.Commit()
-	return s.logCommit(w)
+func (s *Store) AddEdge(id int64, out, in int64, label string, attrs map[string]any) error {
+	return s.write(BatchAddEdge(id, out, in, label, attrs))
 }
 
 // addEdgeTx inserts an edge (EA plus both hash-adjacency sides) under a
-// full-footprint transaction and returns the attribute document for the
-// caller's WAL record.
-func (s *Store) addEdgeTx(tx *rel.Txn, id, out, in int64, label string, attrs map[string]any) (string, error) {
+// full-footprint transaction.
+func (s *Store) addEdgeTx(tx *rel.Txn, rec wal.Record) error {
+	doc, err := sqljson.Parse(rec.Doc)
+	if err != nil {
+		return err
+	}
+	id, out, in, label := rec.ID, rec.Out, rec.In, rec.Label
 	if id < 0 {
-		return "", fmt.Errorf("core: edge ids must be non-negative")
+		return fmt.Errorf("core: edge ids must be non-negative")
 	}
 	for _, v := range []int64{out, in} {
 		if !vertexLiveTx(tx, v) {
-			return "", fmt.Errorf("%w: vertex %d", blueprints.ErrNotFound, v)
+			return fmt.Errorf("%w: vertex %d", blueprints.ErrNotFound, v)
 		}
 	}
 	if _, _, ok := edgeTx(tx, id); ok {
-		return "", fmt.Errorf("%w: edge %d", blueprints.ErrExists, id)
+		return fmt.Errorf("%w: edge %d", blueprints.ErrExists, id)
 	}
-	doc := docFromMap(attrs)
 	if _, err := tx.Insert(TableEA, []rel.Value{
 		rel.NewInt(id), rel.NewInt(out), rel.NewInt(in), rel.NewString(label), rel.NewJSON(doc),
 	}); err != nil {
-		return "", err
+		return err
 	}
 	if err := s.addAdjacent(tx, true, out, id, label, in); err != nil {
-		return "", err
+		return err
 	}
-	if err := s.addAdjacent(tx, false, in, id, label, out); err != nil {
-		return "", err
-	}
-	return doc.String(), nil
+	return s.addAdjacent(tx, false, in, id, label, out)
 }
 
 func vertexLiveTx(tx *rel.Txn, id int64) bool {
@@ -335,19 +282,8 @@ func (s *Store) addAdjacent(tx *rel.Txn, outgoing bool, vid, eid int64, label st
 }
 
 // RemoveEdge implements blueprints.Graph.
-func (s *Store) RemoveEdge(id int64) (err error) {
-	w := s.startWrite("RemoveEdge")
-	defer func() { w.done(err) }()
-	tx := s.fpAll.Begin()
-	defer tx.Rollback()
-	if err := s.removeEdgeTx(tx, id); err != nil {
-		return err
-	}
-	if err := s.logAppend(w, wal.Record{Op: wal.OpRemoveEdge, ID: id}); err != nil {
-		return err
-	}
-	tx.Commit()
-	return s.logCommit(w)
+func (s *Store) RemoveEdge(id int64) error {
+	return s.write(BatchRemoveEdge(id))
 }
 
 // removeEdgeTx deletes an edge from EA and both adjacency sides under a
@@ -452,19 +388,8 @@ func (s *Store) removeAdjacent(tx *rel.Txn, outgoing bool, vid, eid int64, label
 // delete (paper Section 4.5.2). In DeleteClean mode it also cleans the
 // neighbors' adjacency entries; in DeletePaperSoft mode it only negates
 // ids and drops EA rows, as in the paper.
-func (s *Store) RemoveVertex(id int64) (err error) {
-	w := s.startWrite("RemoveVertex")
-	defer func() { w.done(err) }()
-	tx := s.fpAll.Begin()
-	defer tx.Rollback()
-	if err := s.removeVertexTx(tx, id); err != nil {
-		return err
-	}
-	if err := s.logAppend(w, wal.Record{Op: wal.OpRemoveVertex, ID: id}); err != nil {
-		return err
-	}
-	tx.Commit()
-	return s.logCommit(w)
+func (s *Store) RemoveVertex(id int64) error {
+	return s.write(BatchRemoveVertex(id))
 }
 
 // removeVertexTx soft-deletes a vertex under a full-footprint
@@ -570,10 +495,7 @@ func (s *Store) Vacuum() (removed int, err error) {
 		s.events.Load().RecordDur("vacuum", fmt.Sprintf("removed=%d", removed), time.Since(vacT), err)
 		w.done(err)
 	}()
-	tx, err := s.cat.Begin(writeTables, nil)
-	if err != nil {
-		return 0, err
-	}
+	tx := s.fpAll.Begin()
 	defer tx.Rollback()
 
 	// Gather deleted vertex ids from VA.
@@ -720,92 +642,56 @@ func valDoc(val any) string {
 
 // SetVertexAttr implements blueprints.Graph.
 func (s *Store) SetVertexAttr(id int64, key string, val any) error {
-	rec := wal.Record{Op: wal.OpSetVertexAttr, ID: id, Key: key, Doc: valDoc(val)}
-	return s.mutateVertexDoc(id, rec, func(doc *sqljson.Doc) { doc.Set(key, val) })
+	return s.write(BatchSetVertexAttr(id, key, val))
 }
 
 // RemoveVertexAttr implements blueprints.Graph.
 func (s *Store) RemoveVertexAttr(id int64, key string) error {
-	rec := wal.Record{Op: wal.OpRemoveVertexAttr, ID: id, Key: key}
-	return s.mutateVertexDoc(id, rec, func(doc *sqljson.Doc) { doc.Delete(key) })
-}
-
-func (s *Store) mutateVertexDoc(id int64, rec wal.Record, mutate func(*sqljson.Doc)) (err error) {
-	w := s.startWrite(rec.Op.String())
-	defer func() { w.done(err) }()
-	tx := s.fpVA.Begin()
-	defer tx.Rollback()
-	if err := mutateVertexDocTx(tx, id, mutate); err != nil {
-		return err
-	}
-	if err := s.logAppend(w, rec); err != nil {
-		return err
-	}
-	tx.Commit()
-	return s.logCommit(w)
-}
-
-// mutateVertexDocTx rewrites a vertex's attribute document under any
-// transaction whose footprint covers VA.
-func mutateVertexDocTx(tx *rel.Txn, id int64, mutate func(*sqljson.Doc)) error {
-	var rid rel.RowID
-	var vals []rel.Value
-	found := false
-	_ = tx.Probe(TableVA, IndexVAPK, []rel.Value{rel.NewInt(id)}, func(r rel.RowID, v []rel.Value) bool {
-		rid, vals, found = r, append([]rel.Value(nil), v...), true
-		return false
-	})
-	if !found {
-		return fmt.Errorf("%w: vertex %d", blueprints.ErrNotFound, id)
-	}
-	doc := vals[vaATTR].JSON().Clone()
-	mutate(doc)
-	vals[vaATTR] = rel.NewJSON(doc)
-	return tx.Update(TableVA, rid, vals)
+	return s.write(BatchRemoveVertexAttr(id, key))
 }
 
 // SetEdgeAttr implements blueprints.Graph.
 func (s *Store) SetEdgeAttr(id int64, key string, val any) error {
-	rec := wal.Record{Op: wal.OpSetEdgeAttr, ID: id, Key: key, Doc: valDoc(val)}
-	return s.mutateEdgeDoc(id, rec, func(doc *sqljson.Doc) { doc.Set(key, val) })
+	return s.write(BatchSetEdgeAttr(id, key, val))
 }
 
 // RemoveEdgeAttr implements blueprints.Graph.
 func (s *Store) RemoveEdgeAttr(id int64, key string) error {
-	rec := wal.Record{Op: wal.OpRemoveEdgeAttr, ID: id, Key: key}
-	return s.mutateEdgeDoc(id, rec, func(doc *sqljson.Doc) { doc.Delete(key) })
+	return s.write(BatchRemoveEdgeAttr(id, key))
 }
 
-func (s *Store) mutateEdgeDoc(id int64, rec wal.Record, mutate func(*sqljson.Doc)) (err error) {
-	w := s.startWrite(rec.Op.String())
-	defer func() { w.done(err) }()
-	tx := s.fpEA.Begin()
-	defer tx.Rollback()
-	if err := mutateEdgeDocTx(tx, id, mutate); err != nil {
-		return err
+// mutateDocTx sets (set) or removes the record's key in the attribute
+// document of a vertex (table VA) or an edge (table EA). A set's value is
+// the "v" field of the record's {"v": ...} envelope.
+func mutateDocTx(tx *rel.Txn, table string, rec wal.Record, set bool) error {
+	var val any
+	if set {
+		env, err := sqljson.Parse(rec.Doc)
+		if err != nil {
+			return err
+		}
+		val, _ = env.Get("v")
 	}
-	if err := s.logAppend(w, rec); err != nil {
-		return err
+	index, col, kind := IndexVAPK, vaATTR, "vertex"
+	if table == TableEA {
+		index, col, kind = IndexEAPK, eaATTR, "edge"
 	}
-	tx.Commit()
-	return s.logCommit(w)
-}
-
-// mutateEdgeDocTx rewrites an edge's attribute document under any
-// transaction whose footprint covers EA.
-func mutateEdgeDocTx(tx *rel.Txn, id int64, mutate func(*sqljson.Doc)) error {
 	var rid rel.RowID
 	var vals []rel.Value
 	found := false
-	_ = tx.Probe(TableEA, IndexEAPK, []rel.Value{rel.NewInt(id)}, func(r rel.RowID, v []rel.Value) bool {
+	_ = tx.Probe(table, index, []rel.Value{rel.NewInt(rec.ID)}, func(r rel.RowID, v []rel.Value) bool {
 		rid, vals, found = r, append([]rel.Value(nil), v...), true
 		return false
 	})
 	if !found {
-		return fmt.Errorf("%w: edge %d", blueprints.ErrNotFound, id)
+		return fmt.Errorf("%w: %s %d", blueprints.ErrNotFound, kind, rec.ID)
 	}
-	doc := vals[eaATTR].JSON().Clone()
-	mutate(doc)
-	vals[eaATTR] = rel.NewJSON(doc)
-	return tx.Update(TableEA, rid, vals)
+	doc := vals[col].JSON().Clone()
+	if set {
+		doc.Set(rec.Key, val)
+	} else {
+		doc.Delete(rec.Key)
+	}
+	vals[col] = rel.NewJSON(doc)
+	return tx.Update(table, rid, vals)
 }

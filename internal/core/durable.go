@@ -9,17 +9,16 @@ import (
 	"sqlgraph/internal/blueprints"
 	"sqlgraph/internal/core/coloring"
 	"sqlgraph/internal/rel"
-	"sqlgraph/internal/sqljson"
 	"sqlgraph/internal/stats"
 	"sqlgraph/internal/wal"
 )
 
-// Durable stores log *logical* mutations: each stored procedure appends
-// its record as the last action before the rel.Txn commits (rollback
-// paths therefore never log), then flushes after the commit. Recovery
-// rebuilds the snapshot's tables and re-runs the stored procedures for
-// the log tail, which reconstructs every redundant representation (EA +
-// both hash-adjacency sides) exactly as the original execution did.
+// Durable stores log *logical* mutations: write (batch.go) appends each
+// record as the last action before the rel.Txn commits (rollback paths
+// therefore never log), then flushes after the commit. Recovery rebuilds
+// the snapshot's tables and hands the log tail to the same write, which
+// reconstructs every redundant representation (EA + both hash-adjacency
+// sides) exactly as the original execution did.
 //
 // Durability covers the graph mutation API. A transaction opened
 // straight on Store.Catalog bypasses the log and is not replayed.
@@ -84,8 +83,8 @@ func loadDurable(src blueprints.Graph, opts Options) (*Store, error) {
 }
 
 // rebuildStore reconstructs an in-memory store from recovered state: the
-// snapshot's rows verbatim, then the log tail replayed through the stored
-// procedures. The store has no WAL attached yet, so replay does not log.
+// snapshot's rows verbatim, then the log tail replayed through write.
+// The store has no WAL attached yet, so replay does not log.
 func rebuildStore(st *wal.RecoveredState, opts Options) (*Store, error) {
 	var s *Store
 	if snap := st.Snapshot; snap != nil {
@@ -111,7 +110,7 @@ func rebuildStore(st *wal.RecoveredState, opts Options) (*Store, error) {
 		}
 	}
 	for _, rec := range st.Records {
-		if err := s.applyRecord(rec); err != nil {
+		if err := s.replay(rec); err != nil {
 			return nil, fmt.Errorf("%w: replaying LSN %d (%s): %v", wal.ErrCorrupt, rec.LSN, rec.Op, err)
 		}
 	}
@@ -157,64 +156,14 @@ func (s *Store) restoreTables(tables map[string][][]rel.Value) error {
 	return nil
 }
 
-func parseAttrDoc(doc string) (map[string]any, error) {
-	d, err := sqljson.Parse(doc)
-	if err != nil {
-		return nil, err
-	}
-	return d.Map(), nil
-}
-
-// parseValDoc unwraps the {"v": ...} envelope Set*Attr records use.
-func parseValDoc(doc string) (any, error) {
-	d, err := sqljson.Parse(doc)
-	if err != nil {
-		return nil, err
-	}
-	return d.Map()["v"], nil
-}
-
-// applyRecord re-runs one logged mutation through the stored procedures.
-func (s *Store) applyRecord(rec wal.Record) error {
-	switch rec.Op {
-	case wal.OpAddVertex:
-		attrs, err := parseAttrDoc(rec.Doc)
-		if err != nil {
-			return err
-		}
-		return s.AddVertex(rec.ID, attrs)
-	case wal.OpAddEdge:
-		attrs, err := parseAttrDoc(rec.Doc)
-		if err != nil {
-			return err
-		}
-		return s.AddEdge(rec.ID, rec.Out, rec.In, rec.Label, attrs)
-	case wal.OpRemoveEdge:
-		return s.RemoveEdge(rec.ID)
-	case wal.OpRemoveVertex:
-		return s.RemoveVertex(rec.ID)
-	case wal.OpSetVertexAttr:
-		v, err := parseValDoc(rec.Doc)
-		if err != nil {
-			return err
-		}
-		return s.SetVertexAttr(rec.ID, rec.Key, v)
-	case wal.OpRemoveVertexAttr:
-		return s.RemoveVertexAttr(rec.ID, rec.Key)
-	case wal.OpSetEdgeAttr:
-		v, err := parseValDoc(rec.Doc)
-		if err != nil {
-			return err
-		}
-		return s.SetEdgeAttr(rec.ID, rec.Key, v)
-	case wal.OpRemoveEdgeAttr:
-		return s.RemoveEdgeAttr(rec.ID, rec.Key)
-	case wal.OpVacuum:
+// replay applies one logged record: Vacuum runs as itself, every other
+// op through write, the path that applied it on the primary.
+func (s *Store) replay(rec wal.Record) error {
+	if rec.Op == wal.OpVacuum {
 		_, err := s.Vacuum()
 		return err
-	default:
-		return fmt.Errorf("core: unknown op %v", rec.Op)
 	}
+	return s.write(rec)
 }
 
 // attachWAL binds the log to the store: physical fsyncs are charged to

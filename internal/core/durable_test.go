@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -134,6 +135,32 @@ func TestDurableReopenRoundTrip(t *testing.T) {
 	mutateBoth(t, s, g, func(m graphMutator) error { return m.SetVertexAttr(1, "name", "ada") })
 	mutateBoth(t, s, g, func(m graphMutator) error { return m.RemoveEdge(11) })
 	mutateBoth(t, s, g, func(m graphMutator) error { return m.RemoveVertex(5) })
+
+	// A value with no JSON form is refused before anything is logged, by
+	// every mutation that carries one; a stored NaN would be logged as text
+	// the replay cannot parse, and the directory could not be reopened.
+	lsn := s.AppliedLSN()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		attrs := map[string]any{"x": bad}
+		for _, c := range []struct {
+			op  string
+			err error
+		}{
+			{"AddVertex", s.AddVertex(6, attrs)},
+			{"AddEdge", s.AddEdge(14, 1, 2, "a", attrs)},
+			{"SetVertexAttr", s.SetVertexAttr(1, "x", bad)},
+			{"SetEdgeAttr", s.SetEdgeAttr(10, "x", bad)},
+			{"ApplyBatch", s.ApplyBatch([]wal.Record{BatchAddVertex(7, nil), BatchSetVertexAttr(7, "x", bad)})},
+		} {
+			if c.err == nil {
+				t.Errorf("%s with %v succeeded", c.op, bad)
+			}
+		}
+		if got := s.AppliedLSN(); got != lsn {
+			t.Fatalf("refused writes of %v moved the log from LSN %d to %d", bad, lsn, got)
+		}
+	}
+	assertStoreMatchesOracle(t, s, g, "after refused writes")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

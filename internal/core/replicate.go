@@ -1,9 +1,9 @@
 package core
 
-// Replica apply path. A follower replays the primary's logical WAL
-// records through the same stored procedures the primary ran, so every
-// redundant representation (EA + both hash-adjacency sides) is rebuilt
-// identically. Because each mutation logs exactly one record, the
+// Replica apply path. A follower hands the primary's logical WAL records
+// to the same write the primary applied them with, so every redundant
+// representation (EA + both hash-adjacency sides) and every stored
+// document is rebuilt identically. Because each mutation logs exactly one record, the
 // follower's own WAL assigns the same LSNs the primary did — the
 // follower's LastLSN *is* its applied-primary-LSN, persisted atomically
 // with the data by the ordinary durability machinery. Exactly-once
@@ -41,7 +41,7 @@ func (s *Store) AppliedLSN() uint64 {
 // ApplyReplicated applies one record received from a primary's WAL
 // stream. Records at or below the applied LSN are skipped (idempotent
 // re-delivery after reconnect or crash replay), the next-in-sequence
-// record runs through the stored procedures and is logged locally, and
+// record runs through write and is logged locally, and
 // anything further ahead is a gap. Returns whether the record changed
 // the store.
 //
@@ -58,10 +58,10 @@ func (s *Store) ApplyReplicated(rec wal.Record) (bool, error) {
 	if rec.LSN != last+1 {
 		return false, fmt.Errorf("%w: have LSN %d, stream delivered %d", ErrReplicaGap, last, rec.LSN)
 	}
-	if err := s.applyRecord(rec); err != nil {
+	if err := s.replay(rec); err != nil {
 		return false, fmt.Errorf("core: applying replicated LSN %d (%s): %w", rec.LSN, rec.Op, err)
 	}
-	// The stored procedure logged its own record; if the locally assigned
+	// write logged the record locally; if the locally assigned
 	// LSN differs from the primary's, the one-record-per-mutation
 	// invariant broke and resume positions would lie. Fail loudly.
 	if got := s.wal.LastLSN(); got != rec.LSN {

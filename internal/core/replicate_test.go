@@ -68,7 +68,27 @@ func seedPrimary(t *testing.T, dir string) *Store {
 	must(s.RemoveVertexAttr(1, "age"))
 	must(s.RemoveEdge(102))
 	must(s.RemoveVertex(4))
+	// Values whose Go form and JSON form differ: invalid UTF-8 (stored
+	// as U+FFFD) and a uint8 (stored as the int64 its JSON reads back as).
+	must(s.SetVertexAttr(2, "name", "a\xffb"))
+	must(s.SetVertexAttr(3, "u", uint8(7)))
 	return s
+}
+
+// seedCounts are the has() counts over seedPrimary's values whose Go form
+// and JSON form differ; a primary, its reopened self and a follower must
+// agree on them.
+func seedCounts(t *testing.T, s *Store) [3]int {
+	t.Helper()
+	var out [3]int
+	for i, q := range []string{"g.V.has('name','a\xffb')", "g.V.has('name','a\uFFFDb')", "g.V.has('u',7)"} {
+		res, err := s.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		out[i] = res.Count()
+	}
+	return out
 }
 
 // assertConverged checks the follower serves the primary's exact state
@@ -132,6 +152,13 @@ func TestApplyReplicatedExactlyOnce(t *testing.T) {
 		}
 	}
 	assertConverged(t, p, f, "after first apply")
+	want := seedCounts(t, p)
+	if want[2] != 1 {
+		t.Fatalf("has('u',7) finds %d vertices on the primary, want 1", want[2])
+	}
+	if got := seedCounts(t, f); got != want {
+		t.Fatalf("has() counts: primary %v, follower %v", want, got)
+	}
 
 	// Replaying the same range is a no-op: every record is skipped and the
 	// state is unchanged (exactly-once keyed on LSN).
@@ -145,6 +172,19 @@ func TestApplyReplicatedExactlyOnce(t *testing.T) {
 		}
 	}
 	assertConverged(t, p, f, "after double replay")
+
+	// The primary reopened from its own log answers as it did live.
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := Open(Options{Dir: pdir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	if got := seedCounts(t, p2); got != want {
+		t.Fatalf("has() counts: primary %v before reopen, %v after", want, got)
+	}
 }
 
 func TestApplyReplicatedGapDetected(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"sqlgraph/internal/metrics"
 	"sqlgraph/internal/rel"
 	"sqlgraph/internal/sql"
+	"sqlgraph/internal/sqljson"
 	"sqlgraph/internal/stats"
 	"sqlgraph/internal/trace"
 	"sqlgraph/internal/wal"
@@ -121,12 +122,14 @@ type Store struct {
 	// transaction per graph operation; re-resolving names per call showed
 	// up in write-heavy profiles).
 	fpAll     *rel.Footprint // write: every table
-	fpVA      *rel.Footprint // write: VA
-	fpEA      *rel.Footprint // write: EA
 	fpReadVA  *rel.Footprint // read: VA
 	fpReadEA  *rel.Footprint // read: EA
 	fpReadEV  *rel.Footprint // read: EA + VA
 	fpReadAll *rel.Footprint // read: every table (checkpoint pin section, fsck)
+
+	// fpOne is the write footprint of a lone record of an op that writes
+	// one table (VA or EA); other ops and batches take fpAll.
+	fpOne map[wal.OpKind]*rel.Footprint
 }
 
 // initFootprints builds the cached lock plans; called after createSchema.
@@ -135,11 +138,17 @@ func (s *Store) initFootprints() error {
 	if s.fpAll, err = s.cat.Footprint(writeTables, nil); err != nil {
 		return err
 	}
-	if s.fpVA, err = s.cat.Footprint([]string{TableVA}, nil); err != nil {
+	va, err := s.cat.Footprint([]string{TableVA}, nil)
+	if err != nil {
 		return err
 	}
-	if s.fpEA, err = s.cat.Footprint([]string{TableEA}, nil); err != nil {
+	ea, err := s.cat.Footprint([]string{TableEA}, nil)
+	if err != nil {
 		return err
+	}
+	s.fpOne = map[wal.OpKind]*rel.Footprint{
+		wal.OpAddVertex: va, wal.OpSetVertexAttr: va, wal.OpRemoveVertexAttr: va,
+		wal.OpSetEdgeAttr: ea, wal.OpRemoveEdgeAttr: ea,
 	}
 	if s.fpReadVA, err = s.cat.Footprint(nil, []string{TableVA}); err != nil {
 		return err
@@ -278,7 +287,7 @@ func loadMem(src blueprints.Graph, opts Options) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := tx.Insert(TableVA, []rel.Value{rel.NewInt(v), rel.NewJSON(docFromMap(attrs))}); err != nil {
+		if _, err := tx.Insert(TableVA, []rel.Value{rel.NewInt(v), rel.NewJSON(sqljson.FromMap(attrs))}); err != nil {
 			return nil, err
 		}
 		outs, err := src.OutEdges(v)
@@ -307,7 +316,7 @@ func loadMem(src blueprints.Graph, opts Options) (*Store, error) {
 		}
 		if _, err := tx.Insert(TableEA, []rel.Value{
 			rel.NewInt(rec.ID), rel.NewInt(rec.Out), rel.NewInt(rec.In),
-			rel.NewString(rec.Label), rel.NewJSON(docFromMap(attrs)),
+			rel.NewString(rec.Label), rel.NewJSON(sqljson.FromMap(attrs)),
 		}); err != nil {
 			return nil, err
 		}

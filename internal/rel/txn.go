@@ -149,6 +149,12 @@ func (fp *Footprint) BeginAt(asOf Version) *Txn {
 // read-only transactions).
 func (tx *Txn) Version() Version { return tx.ver }
 
+// Writes reports whether the transaction's footprint writes table.
+func (tx *Txn) Writes(table string) bool {
+	_, ok := tx.write[table]
+	return ok
+}
+
 func (tx *Txn) table(name string, forWrite bool) (*Table, error) {
 	if t, ok := tx.write[name]; ok {
 		return t, nil

@@ -52,7 +52,7 @@ func (o batchOp) record() (wal.Record, error) {
 // handleBatch (POST /batch) applies many mutations under one writer
 // acquisition and one WAL flush via Store.ApplyBatch. The batch is
 // atomic: any failing op rolls the whole request back with nothing
-// applied, and the error names the offending op index.
+// applied, and the error of a multi-op batch names the offending op index.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var body batchRequest
 	if !s.decode(w, r, &body) {

@@ -15,6 +15,7 @@ import (
 	"sqlgraph/internal/metrics"
 	"sqlgraph/internal/trace"
 	"sqlgraph/internal/translate"
+	"sqlgraph/internal/wal"
 )
 
 // ---- request/response shapes --------------------------------------------
@@ -559,18 +560,17 @@ func (s *Server) handleEdgeDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleVertexAttrs and handleEdgeAttrs apply a {"set": {...},
-// "remove": [...]} patch. Sets are applied in sorted key order so a
-// patch is deterministic.
+// "remove": [...]} patch as one write: sets in sorted key order (so a
+// patch is deterministic), then removes, all committed or none.
 func (s *Server) handleVertexAttrs(w http.ResponseWriter, r *http.Request) {
-	s.handleAttrPatch(w, r, s.st().SetVertexAttr, s.st().RemoveVertexAttr)
+	s.handleAttrPatch(w, r, false)
 }
 
 func (s *Server) handleEdgeAttrs(w http.ResponseWriter, r *http.Request) {
-	s.handleAttrPatch(w, r, s.st().SetEdgeAttr, s.st().RemoveEdgeAttr)
+	s.handleAttrPatch(w, r, true)
 }
 
-func (s *Server) handleAttrPatch(w http.ResponseWriter, r *http.Request,
-	set func(int64, string, any) error, remove func(int64, string) error) {
+func (s *Server) handleAttrPatch(w http.ResponseWriter, r *http.Request, edge bool) {
 	id, ok := pathID(w, r)
 	if !ok {
 		return
@@ -579,21 +579,25 @@ func (s *Server) handleAttrPatch(w http.ResponseWriter, r *http.Request,
 	if !s.decode(w, r, &patch) {
 		return
 	}
+	set, remove := core.BatchSetVertexAttr, core.BatchRemoveVertexAttr
+	if edge {
+		set, remove = core.BatchSetEdgeAttr, core.BatchRemoveEdgeAttr
+	}
 	s.run(w, r, func() (any, int, error) {
 		keys := make([]string, 0, len(patch.Set))
 		for k := range patch.Set {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
+		recs := make([]wal.Record, 0, len(keys)+len(patch.Remove))
 		for _, k := range keys {
-			if err := set(id, k, patch.Set[k]); err != nil {
-				return nil, statusFor(err), err
-			}
+			recs = append(recs, set(id, k, patch.Set[k]))
 		}
 		for _, k := range patch.Remove {
-			if err := remove(id, k); err != nil {
-				return nil, statusFor(err), err
-			}
+			recs = append(recs, remove(id, k))
+		}
+		if err := s.st().ApplyBatch(recs); err != nil {
+			return nil, statusFor(err), err
 		}
 		return map[string]any{"id": id, "set": len(keys), "removed": len(patch.Remove)}, http.StatusOK, nil
 	})

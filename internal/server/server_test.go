@@ -507,6 +507,21 @@ func TestCheckpointOnDurableStore(t *testing.T) {
 	defer ts.Close()
 	defer srv.Close(context.Background())
 
+	// A multi-key attribute patch is one write: one record per key, all
+	// appended by a single commit.
+	env := &testEnv{store: store, srv: srv, ts: ts}
+	lsn, syncs := store.AppliedLSN(), store.Tracer().WriteStats().WALFsyncs
+	code, body := env.doJSON(t, "PATCH", "/vertex/1/attrs", attrPatch{Set: map[string]any{"age": 30, "city": "rome"}, Remove: []string{"nope"}})
+	if code != http.StatusOK || strings.TrimSpace(string(body)) != `{"id":1,"removed":1,"set":2}` {
+		t.Fatalf("attr patch: %d %s", code, body)
+	}
+	if got := store.AppliedLSN(); got != lsn+3 {
+		t.Fatalf("3-key patch moved the log from LSN %d to %d, want %d", lsn, got, lsn+3)
+	}
+	if got := store.Tracer().WriteStats().WALFsyncs - syncs; got != 1 {
+		t.Fatalf("3-key patch took %d log flushes, want 1", got)
+	}
+
 	resp, err := http.Post(ts.URL+"/admin/checkpoint", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)

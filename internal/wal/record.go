@@ -10,6 +10,12 @@
 // re-runs the stored procedures, which rebuild every redundant
 // representation consistently.
 //
+// The store applies a Record on every path — a live mutation, recovery
+// and a follower — through one function that parses the record's JSON
+// document and stores the parsed form, so the primary holds exactly what
+// replay rebuilds. A Record is therefore the mutation itself, not a
+// description of one applied some other way.
+//
 // Log format: a sequence of frames, each
 //
 //	[4-byte little-endian payload length][4-byte CRC32 (IEEE) of payload][payload]

@@ -219,14 +219,17 @@ func (g *Graph) Translate(gremlin string) (*Translation, error) {
 	return &Translation{SQL: tr.SQL, Template: tr.Template, ElemType: tr.ElemType.String()}, nil
 }
 
-// AddVertex inserts a vertex.
+// AddVertex inserts a vertex. Attribute values are stored as their JSON
+// reading (a Go integer of any type becomes an int64 when it fits, a
+// string's invalid UTF-8 bytes become U+FFFD); a value with no JSON form
+// (NaN, ±Inf) is an error and nothing is written.
 func (g *Graph) AddVertex(id int64, attrs map[string]any) error {
 	return g.store.AddVertex(id, attrs)
 }
 
 // AddEdge inserts an edge from `from` to `to` (a multi-table stored
 // procedure updating the hash adjacency tables and the edge table
-// atomically).
+// atomically). Attribute values are stored as AddVertex stores them.
 func (g *Graph) AddEdge(id, from, to int64, label string, attrs map[string]any) error {
 	return g.store.AddEdge(id, from, to, label, attrs)
 }
@@ -238,7 +241,8 @@ func (g *Graph) RemoveVertex(id int64) error { return g.store.RemoveVertex(id) }
 // RemoveEdge deletes an edge.
 func (g *Graph) RemoveEdge(id int64) error { return g.store.RemoveEdge(id) }
 
-// SetVertexAttr sets one vertex attribute.
+// SetVertexAttr sets one vertex attribute. The value is stored as its
+// JSON reading; NaN and ±Inf are rejected (see AddVertex).
 func (g *Graph) SetVertexAttr(id int64, key string, val any) error {
 	return g.store.SetVertexAttr(id, key, val)
 }
@@ -248,7 +252,8 @@ func (g *Graph) RemoveVertexAttr(id int64, key string) error {
 	return g.store.RemoveVertexAttr(id, key)
 }
 
-// SetEdgeAttr sets one edge attribute.
+// SetEdgeAttr sets one edge attribute. The value is stored as its JSON
+// reading; NaN and ±Inf are rejected (see AddVertex).
 func (g *Graph) SetEdgeAttr(id int64, key string, val any) error {
 	return g.store.SetEdgeAttr(id, key, val)
 }
