@@ -511,13 +511,86 @@ func TestTraverseChainStaysFused(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// 508 KB per query measured at GOMAXPROCS 1, 2 and 4 with DISTINCT
-	// keeping ids in an open-addressing set and building its rows once
-	// (739 KB with a Go map and rows copied as they arrived, 853 KB with
-	// the 48-byte rel.Value, 5.64 MB with every CTE stored), x 1.35.
-	const ceiling = 686_000
+	// 394 KB per query measured at GOMAXPROCS 4 (368 KB at 2; 265 KB at
+	// 1, where nothing fans out) with DISTINCT frontiers kept as ids,
+	// hops fanning out by their work and set tables recycled (508 KB when
+	// frontiers were rebuilt as rows and only heads of 4 096 rows fanned
+	// out, 739 KB with a Go map and rows copied as they arrived, 853 KB
+	// with the 48-byte rel.Value, 5.64 MB with every CTE stored), x 1.35.
+	const ceiling = 532_000
 	if perQuery := (after.TotalAlloc - before.TotalAlloc) / runs; perQuery > ceiling {
 		t.Fatalf("6-hop chain allocates %d bytes per query, ceiling %d", perQuery, ceiling)
+	}
+}
+
+// TestHopFansOutByWork guards how a run from stored rows decides its
+// fan-out: by the work its first few head rows do — themselves and the
+// rows they emit — not by how many head rows it has. A hop from 300 frontier ids that each reach 100
+// members emits 30 000 rows and runs on both workers of Parallelism 2;
+// a one-vertex start and an ad-hoc two-hop stay one morsel on one
+// worker. Each answer is the serial one.
+func TestHopFansOutByWork(t *testing.T) {
+	b := NewBuilder()
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	const teams, players, members = 300, 3000, 100
+	must(b.AddVertex(0, map[string]any{"name": "hub"}))
+	edge := int64(100_000)
+	for i := int64(1); i <= teams; i++ {
+		must(b.AddVertex(i, map[string]any{"name": "team"}))
+		must(b.AddEdge(edge, 0, i, "has", nil))
+		edge++
+	}
+	for i := int64(0); i < players; i++ {
+		must(b.AddVertex(1000+i, map[string]any{"name": "player"}))
+		must(b.AddEdge(edge, 1000+i, 1+i%teams, "likes", nil))
+		edge++
+	}
+	for i := int64(1); i <= teams; i++ {
+		for k := int64(0); k < members; k++ {
+			must(b.AddEdge(edge, i, 1000+(i*7+k*31)%players, "member", nil))
+			edge++
+		}
+	}
+	g, err := Load(b, Options{})
+	must(err)
+	defer g.Close()
+
+	run := func(text string, par int) *Result {
+		g.SetParallelism(par)
+		res, err := g.Query(text)
+		must(err)
+		return res
+	}
+	for _, c := range []struct {
+		text   string
+		fanned bool // the hop from the frontier runs on two workers
+	}{
+		{"g.V(0).out('has').dedup().out('member').dedup()", true},
+		{"g.V(1).out('member')", false},
+		{"g.V(1).out('member').out('likes')", false},
+	} {
+		serial, par := run(c.text, 1), run(c.text, 2)
+		if got, want := fmt.Sprint(par.Values), fmt.Sprint(serial.Values); got != want || len(serial.Values) == 0 {
+			t.Fatalf("%s: %d values at Parallelism 2, %d at 1, or they differ", c.text, len(par.Values), len(serial.Values))
+		}
+		fanned := false
+		for _, j := range par.Stats.Joins {
+			switch {
+			case j.BuildRows == teams && j.Workers == 2 && j.Morsels > 2:
+				fanned = true
+			case j.Workers != 1 || j.Morsels != 1:
+				if !c.fanned {
+					t.Fatalf("%s: join %s ran on %d workers in %d morsels, want 1 and 1\n%s", c.text, j.Table, j.Workers, j.Morsels, par.Stats.String())
+				}
+			}
+		}
+		if fanned != c.fanned {
+			t.Fatalf("%s: hop from %d frontier ids fanned out: %v, want %v\n%s", c.text, teams, fanned, c.fanned, par.Stats.String())
+		}
 	}
 }
 

@@ -423,17 +423,42 @@ func Shrink(query string, still func(string) bool) string {
 	}
 }
 
+// Arm sets up a freshly loaded store before a corpus runs on it; nil
+// leaves the store as it loads.
+type Arm func(*core.Store)
+
+// TinyMorsels is the tiny-morsel arm: four workers, morsels that aim at
+// eight rows and a fan-out gate of sixteen. The random graphs hold tens
+// of rows, far below the default gate, so without it the oracle only
+// ever checks the serial executor; with it their pipelines run through
+// the morsel-parallel paths — scans and stored heads cut into morsels,
+// per-morsel DISTINCT sets and partial aggregates merged in morsel
+// order, hash builds and probes on several workers.
+func TinyMorsels(s *core.Store) {
+	s.SetParallelism(4)
+	s.Engine().SetMorselSizesForTesting(8, 16)
+}
+
+// load loads g as every corpus does, set up by arm.
+func load(g *blueprints.MemGraph, arm Arm) (*core.Store, error) {
+	s, err := core.Load(g, core.Options{OutCols: 3, InCols: 3})
+	if err == nil && arm != nil {
+		arm(s)
+	}
+	return s, err
+}
+
 // Run generates `graphs` random graphs from consecutive seeds starting
 // at seed0 and `pipelines` random pipelines per graph, checking each
-// against the oracle under every translation mode in opts. The first
-// divergence is shrunk to a minimal reproducing pipeline and returned
-// with its reproduction seed.
-func Run(seed0 int64, graphs, pipelines int, opts []core.TranslateOptions) error {
+// against the oracle under every translation mode in opts, on stores set
+// up by arm. The first divergence is shrunk to a minimal reproducing
+// pipeline and returned with its reproduction seed.
+func Run(seed0 int64, graphs, pipelines int, opts []core.TranslateOptions, arm Arm) error {
 	for gi := 0; gi < graphs; gi++ {
 		seed := seed0 + int64(gi)
 		rng := rand.New(rand.NewSource(seed))
 		g := GenGraph(rng)
-		s, err := core.Load(g, core.Options{OutCols: 3, InCols: 3})
+		s, err := load(g, arm)
 		if err != nil {
 			return fmt.Errorf("seed %d: load: %w", seed, err)
 		}

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"fmt"
 	"math/rand"
 	"regexp"
 	"strings"
@@ -22,7 +23,7 @@ var allModes = []core.TranslateOptions{
 // graphs, a few dozen random pipelines each, against the interpreter
 // oracle. The full corpus runs with -tags slow.
 func TestDifferentialShrunk(t *testing.T) {
-	if err := Run(1, 6, 40, allModes); err != nil {
+	if err := Run(1, 6, 40, allModes, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -34,7 +35,7 @@ func TestDifferentialShrunk(t *testing.T) {
 // and each answer must still be the interpreter's. The full corpus runs
 // with -tags slow.
 func TestDifferentialShapes(t *testing.T) {
-	if err := RunShapes(300, 5, 30, allModes); err != nil {
+	if err := RunShapes(300, 5, 30, allModes, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -230,7 +231,70 @@ func TestShrinkMinimizes(t *testing.T) {
 // strategy, and must reproduce the oracle's result multiset each time.
 // The full corpus runs with -tags slow.
 func TestDifferentialPlanEquivalence(t *testing.T) {
-	if err := RunPlans(7, 3, 15, []core.TranslateOptions{{}}); err != nil {
+	if err := RunPlans(7, 3, 15, []core.TranslateOptions{{}}, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDifferentialTinyMorsels is the tiny-morsel arm (TinyMorsels): the
+// always-on corpus in every storage mode and the plan-space sweep, with
+// morsels of eight rows on four workers, so every morsel-parallel path
+// meets the oracle. The full corpus runs with -tags slow.
+func TestDifferentialTinyMorsels(t *testing.T) {
+	// The arm is not vacuous: on one of its graphs, runs from a scan and
+	// runs from stored rows both fan out.
+	rng := rand.New(rand.NewSource(1))
+	g := GenGraph(rng)
+	s, err := load(g, TinyMorsels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scans, stored int
+	for pi := 0; pi < 40; pi++ {
+		res, err := s.Query(GenPipeline(rng, g.CountVertices()))
+		if err != nil {
+			continue
+		}
+		for _, p := range res.Stats.Pipelines {
+			switch {
+			case p.Workers < 2:
+			case p.Scan >= 0:
+				scans++
+			default:
+				stored++
+			}
+		}
+	}
+	if scans == 0 || stored == 0 {
+		t.Fatalf("parallel runs from a scan: %d, from stored rows: %d; want both", scans, stored)
+	}
+	// No Gremlin text puts a subquery into an aggregate, so the corpus
+	// never meets one: these do, on the same morsels, against the serial
+	// answer. Run under -race, since a subquery evaluated on the workers
+	// races on the query's state.
+	for _, q := range []string{
+		"SELECT COUNT(*), MIN(VID) FROM VA GROUP BY VID % 3 + (SELECT MAX(VID) FROM VA)",
+		"SELECT COUNT(VID + (SELECT MIN(VID) FROM VA)), MAX(VID - (SELECT MAX(VID) FROM VA)) FROM VA",
+	} {
+		var want string
+		for _, par := range []int{1, 4} {
+			s.SetParallelism(par)
+			rows, err := s.Engine().Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if got := fmt.Sprint(rows.Data); par == 1 {
+				want = got
+			} else if got != want || rows.Stats.MaxWorkers() < 2 {
+				t.Fatalf("%s on %d workers: %s, serially %s", q, rows.Stats.MaxWorkers(), got, want)
+			}
+		}
+	}
+	s.Close()
+	if err := Run(1, 6, 40, allModes, TinyMorsels); err != nil {
+		t.Fatal(err)
+	}
+	if err := RunPlans(7, 3, 15, allModes, TinyMorsels); err != nil {
 		t.Fatal(err)
 	}
 }

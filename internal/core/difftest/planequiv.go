@@ -97,13 +97,14 @@ func compareCanonical(want, got []string, query, label string) error {
 // RunPlans generates random graphs and pipelines exactly like Run and
 // applies CheckPlans to each. Each store carries maintained optimizer
 // statistics (attached by core.Load), so the cost-based baseline
-// exercises real estimates, not the no-provider fallback.
-func RunPlans(seed0 int64, graphs, pipelines int, opts []core.TranslateOptions) error {
+// exercises real estimates, not the no-provider fallback. arm sets each
+// store up as Run's does.
+func RunPlans(seed0 int64, graphs, pipelines int, opts []core.TranslateOptions, arm Arm) error {
 	for gi := 0; gi < graphs; gi++ {
 		seed := seed0 + int64(gi)
 		rng := rand.New(rand.NewSource(seed))
 		g := GenGraph(rng)
-		s, err := core.Load(g, core.Options{OutCols: 3, InCols: 3})
+		s, err := load(g, arm)
 		if err != nil {
 			return fmt.Errorf("seed %d: load: %w", seed, err)
 		}

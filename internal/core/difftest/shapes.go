@@ -97,13 +97,13 @@ func redrawValue(rng *rand.Rand, v any) any {
 // idListLengths, executed draw by draw across all pipelines — so the
 // first round prepares the statements and every later one binds other
 // literals to them — and then once more in reverse order against the
-// fully warm store.
-func RunShapes(seed0 int64, graphs, pipelines int, opts []core.TranslateOptions) error {
+// fully warm store. arm sets each store up as Run's does.
+func RunShapes(seed0 int64, graphs, pipelines int, opts []core.TranslateOptions, arm Arm) error {
 	for gi := 0; gi < graphs; gi++ {
 		seed := seed0 + int64(gi)
 		rng := rand.New(rand.NewSource(seed))
 		g := GenGraph(rng)
-		s, err := core.Load(g, core.Options{OutCols: 3, InCols: 3})
+		s, err := load(g, arm)
 		if err != nil {
 			return fmt.Errorf("seed %d: load: %w", seed, err)
 		}

@@ -12,7 +12,7 @@ func TestDifferentialFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full differential corpus")
 	}
-	if err := Run(100, 24, 150, allModes); err != nil {
+	if err := Run(100, 24, 150, allModes, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -23,7 +23,7 @@ func TestDifferentialPlanEquivalenceFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full plan-equivalence corpus")
 	}
-	if err := RunPlans(200, 12, 60, allModes); err != nil {
+	if err := RunPlans(200, 12, 60, allModes, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -34,7 +34,21 @@ func TestDifferentialShapesFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full shapes corpus")
 	}
-	if err := RunShapes(400, 16, 120, allModes); err != nil {
+	if err := RunShapes(400, 16, 120, allModes, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDifferentialTinyMorselsFull is the full corpus and plan-space
+// sweep of the tiny-morsel arm, in every translation mode.
+func TestDifferentialTinyMorselsFull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full tiny-morsel corpus")
+	}
+	if err := Run(100, 24, 150, allModes, TinyMorsels); err != nil {
+		t.Fatal(err)
+	}
+	if err := RunPlans(200, 12, 60, allModes, TinyMorsels); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -248,7 +248,10 @@ func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStat
 		} else {
 			rowsOut = int64(st.Joins[p.Joins[len(p.Joins)-1]].OutRows)
 		}
-		d.buf = append(strconv.AppendInt(d.buf, int64(n), 10), " stages"...)
+		d.buf = append(strconv.AppendInt(d.buf, int64(n), 10), " stages morsels="...)
+		d.buf = append(strconv.AppendInt(d.buf, int64(p.Morsels), 10), "×"...)
+		d.buf = append(strconv.AppendInt(d.buf, int64(p.MorselRows), 10), " workers="...)
+		d.buf = strconv.AppendInt(d.buf, int64(p.Workers), 10)
 		sp := b.Child(exec, "pipeline", "", p.StartNs, p.Nanos, int64(p.RowsIn), rowsOut)
 		d.cut(sp)
 		if p.Scan >= 0 {

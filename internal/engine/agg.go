@@ -295,6 +295,8 @@ func (t *aggTable) part(width int, scratch bool) (part, error) {
 
 func (t *aggTable) replays() bool { return !t.ag.exact }
 
+func (t *aggTable) received() int { return t.in }
+
 // takeMorsel hands over the groups of the morsel that ended and empties
 // the table for the next.
 func (t *aggTable) takeMorsel() morselBuf {

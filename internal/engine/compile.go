@@ -296,21 +296,23 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 			if err != nil {
 				return rel.Null, err
 			}
-			return rel.NewBool((len(res.rows) > 0) != not), nil
+			return rel.NewBool((res.count() > 0) != not), nil
 		}, nil
 	case *sql.ScalarSubquery:
 		query := v.Query
 		return func([]rel.Value) (rel.Value, error) {
 			res, err := e.subquery(q, query)
-			switch {
-			case err != nil:
+			if err != nil {
 				return rel.Null, err
-			case len(res.rows) == 0:
-				return rel.Null, nil
-			case len(res.rows) > 1 || len(res.rows[0]) != 1:
-				return rel.Null, fmt.Errorf("engine: scalar subquery returned %d rows", len(res.rows))
 			}
-			return res.rows[0][0], nil
+			switch rows := res.rowsOf(); {
+			case len(rows) == 0:
+				return rel.Null, nil
+			case len(rows) > 1 || len(rows[0]) != 1:
+				return rel.Null, fmt.Errorf("engine: scalar subquery returned %d rows", len(rows))
+			default:
+				return rows[0][0], nil
+			}
 		}, nil
 	}
 	return nil, fmt.Errorf("engine: unsupported expression %T", x)
@@ -340,6 +342,7 @@ func newIDSet(ids []int64) *idSet {
 	s := &idSet{ids: ids}
 	if len(ids) > 8 {
 		s.set = &intSet{}
+		s.set.reserve(len(ids))
 		for _, id := range ids {
 			s.set.add(id)
 		}

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 
 	"sqlgraph/internal/rel"
 )
@@ -19,9 +20,63 @@ import (
 // zero slot is free; the id 0 itself is a flag.
 type intSet struct {
 	slots []int64
-	shift uint // 64 - log2(len(slots))
-	n     int  // ids in slots
-	zero  bool // 0 is in the set
+	shift uint        // 64 - log2(len(slots))
+	n     int         // ids in slots
+	zero  bool        // 0 is in the set
+	stock *tableStock // where the set takes its tables from and gives them back to; nil: the heap
+}
+
+// tableStock holds the tables a query's sets have outgrown or finished
+// with, for the next set that needs a table of that size: a chain of
+// DISTINCTs, and each worker's per-morsel sets, allocate each size about
+// once per query rather than once per set. Workers share it. When the
+// query ends its tables go to spareTables, where the next query's stock
+// finds them unless a garbage collection has dropped them first.
+type tableStock struct {
+	mu   sync.Mutex
+	free [][]int64
+}
+
+// spareTables holds, per power-of-two size, tables whose query has ended.
+var spareTables [64]sync.Pool
+
+// take returns an empty table of size slots.
+func (st *tableStock) take(size int) []int64 {
+	if st == nil {
+		return make([]int64, size)
+	}
+	st.mu.Lock()
+	for i := len(st.free) - 1; i >= 0; i-- {
+		if t := st.free[i]; len(t) == size {
+			st.free = slices.Delete(st.free, i, i+1)
+			st.mu.Unlock()
+			clear(t)
+			return t
+		}
+	}
+	st.mu.Unlock()
+	if t, ok := spareTables[bits.TrailingZeros(uint(size))].Get().(*[]int64); ok {
+		clear(*t)
+		return *t
+	}
+	return make([]int64, size)
+}
+
+// drain hands the stock's tables on to the next queries.
+func (st *tableStock) drain() {
+	for _, t := range st.free {
+		spareTables[bits.TrailingZeros(uint(len(t)))].Put(&t)
+	}
+	st.free = nil
+}
+
+// give takes back a table no set uses any more.
+func (st *tableStock) give(t []int64) {
+	if st != nil && len(t) > 0 {
+		st.mu.Lock()
+		st.free = append(st.free, t)
+		st.mu.Unlock()
+	}
 }
 
 // intSetMinSlots is the table a set starts with.
@@ -39,7 +94,7 @@ func (s *intSet) add(id int64) bool {
 		return added
 	}
 	if (s.n+1)*4 > len(s.slots)*3 {
-		s.grow()
+		s.resize(max(2*len(s.slots), intSetMinSlots))
 	}
 	mask := len(s.slots) - 1
 	for i := s.home(id); ; i = (i + 1) & mask {
@@ -73,10 +128,22 @@ func (s *intSet) has(id int64) bool {
 	}
 }
 
-func (s *intSet) grow() {
+// reserve makes room for n ids in all without growing.
+func (s *intSet) reserve(n int) {
+	size := intSetMinSlots
+	for size*3 < n*4 {
+		size *= 2
+	}
+	if size > len(s.slots) {
+		s.resize(size)
+	}
+}
+
+// resize moves the set to a table of size slots, a power of two.
+func (s *intSet) resize(size int) {
 	old := s.slots
-	size := max(2*len(old), intSetMinSlots)
-	s.slots = make([]int64, size)
+	defer s.stock.give(old)
+	s.slots = s.stock.take(size)
 	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	mask := size - 1
 	for _, id := range old {
@@ -102,6 +169,12 @@ func (s *intSet) len() int {
 func (s *intSet) reset() {
 	clear(s.slots)
 	s.n, s.zero = 0, false
+}
+
+// release empties the set and gives its table back to the stock.
+func (s *intSet) release() {
+	s.stock.give(s.slots)
+	*s = intSet{stock: s.stock}
 }
 
 // appendTo appends the set's ids to dst, in no particular order.
@@ -239,12 +312,4 @@ func (d *deduper) has(row []rel.Value) bool {
 	d.toStrings()
 	_, ok := d.strs[rowKey(row)]
 	return ok
-}
-
-// reset empties the set for reuse: the id table is kept, the list of
-// ids left to whoever took it.
-func (d *deduper) reset() {
-	d.ints.reset()
-	d.strs = nil
-	d.ids = nil
 }

@@ -243,9 +243,9 @@ func TestDistinctSetOperations(t *testing.T) {
 	}
 }
 
-// TestDistinctSetResetAllocFree: a morsel's set is emptied and refilled
-// without allocating once its table has grown, ids and string keys alike
-// moving through it.
+// TestDistinctSetResetAllocFree: a set is emptied and refilled without
+// allocating once its table has grown, and a morsel buffer keeps its set
+// from one morsel to the next, so a worker lists each id once.
 func TestDistinctSetResetAllocFree(t *testing.T) {
 	var d deduper
 	row := []rel.Value{{}}
@@ -257,14 +257,14 @@ func TestDistinctSetResetAllocFree(t *testing.T) {
 	}
 	fill()
 	table := &d.ints.slots[0]
-	if n := testing.AllocsPerRun(20, func() { d.reset(); fill() }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { d.ints.reset(); fill() }); n != 0 {
 		t.Fatalf("reset and refill allocate %.0f times", n)
 	}
 	if &d.ints.slots[0] != table || d.ints.len() != 4000 {
 		t.Fatalf("reset gave the table back or lost ids: %d ids", d.ints.len())
 	}
 
-	// A morsel buffer hands its ids on and keeps its set.
+	// A morsel buffer hands its ids on and keeps its set as it stands.
 	c := &collect{arena: newRowArena(1, 0), seen: &deduper{}}
 	for i := int64(0); i < 3000; i++ {
 		row[0] = rel.NewInt(i % 2000)
@@ -276,8 +276,17 @@ func TestDistinctSetResetAllocFree(t *testing.T) {
 	if m := c.takeMorsel(); len(m.ids) != 2000 || len(m.rows) != 0 || m.in != 3000 || m.ids[1999] != 1999 {
 		t.Fatalf("morsel buffer: %d ids, %d rows, %d in", len(m.ids), len(m.rows), m.in)
 	}
-	if &c.seen.ints.slots[0] != table || c.seen.ints.len() != 0 {
-		t.Fatal("the next morsel got a new set, or a full one")
+	if &c.seen.ints.slots[0] != table || c.seen.ints.len() != 2000 {
+		t.Fatal("the next morsel got a new set, or an emptied one")
+	}
+	for i := int64(1000); i < 2500; i++ {
+		row[0] = rel.NewInt(i)
+		if err := c.push(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := c.takeMorsel(); len(m.ids) != 500 || m.ids[0] != 2000 || m.in != 1500 {
+		t.Fatalf("second morsel: %d ids, first %v, %d in; want the 500 not kept before", len(m.ids), m.ids[:min(1, len(m.ids))], m.in)
 	}
 }
 

@@ -43,6 +43,8 @@ type Engine struct {
 	planHits          atomic.Uint64 // plan cache hits
 	planMisses        atomic.Uint64 // plan cache misses (no entry for the statement)
 	planInvalidations atomic.Uint64 // entries discarded for a stale stats/as-of/ForcePlan/binding stamp
+
+	sizes morselSizes // morsel work target and fan-out gate: the package defaults outside tests
 }
 
 // PlanCacheStats is a snapshot of the plan-cache counters.
@@ -69,7 +71,7 @@ type statsProvBox struct{ p StatsProvider }
 
 // New creates an engine over a catalog.
 func New(cat *rel.Catalog) *Engine {
-	return &Engine{cat: cat, funcs: map[string]ScalarFunc{}}
+	return &Engine{cat: cat, funcs: map[string]ScalarFunc{}, sizes: defaultMorselSizes}
 }
 
 // Catalog returns the underlying catalog.
@@ -194,12 +196,14 @@ func (e *Engine) QueryStmtAt(sel *sql.SelectStmt, asOf rel.Version, args []Arg) 
 		ctes:      map[string]*relation{},
 		params:    args,
 		par:       opts.Parallelism,
+		sizes:     e.sizes,
 		force:     opts.ForceJoin,
 		asOf:      asOf,
 		t0:        time.Now(),
 		provider:  e.statsProvider(),
 		forcePlan: opts.ForcePlan,
 	}
+	defer q.tables.drain()
 	r, err := e.evalSelect(q, sel)
 	if err != nil {
 		return nil, err
@@ -209,7 +213,7 @@ func (e *Engine) QueryStmtAt(sel *sql.SelectStmt, asOf rel.Version, args []Arg) 
 	for i, c := range r.cols {
 		cols[i] = c.name
 	}
-	return &Rows{Columns: cols, Data: r.rows, Stats: q.stats}, nil
+	return &Rows{Columns: cols, Data: r.rowsOf(), Stats: q.stats}, nil
 }
 
 func toArgs(params []any) []Arg {

@@ -255,14 +255,15 @@ func (e *Engine) settlePlanInputs(q *queryState, sel *sql.SimpleSelect) error {
 
 // distinct runs r into the set of its distinct rows and records a "dedup"
 // operator stat. Rows that are one integer each — a frontier of element
-// ids — come out in ascending order unless an ORDER BY is upstream, so
-// the next hop probes the adjacency tables in the order they were loaded
-// (DESIGN.md §21); every other result keeps first occurrences, in order.
-// Building the rows is charged to the operator and to the run.
+// ids — are kept as ids, in ascending order unless an ORDER BY is
+// upstream, so the next hop probes the adjacency tables in the order they
+// were loaded (DESIGN.md §21); every other result keeps first
+// occurrences, in order. Finishing the set is charged to the operator and
+// to the run; its table then goes back to the query's stock.
 func (e *Engine) distinct(q *queryState, r *relation) (*relation, error) {
 	op := len(q.stats.Ops)
 	q.stats.Ops = append(q.stats.Ops, OpStat{Kind: "dedup", StartNs: q.sinceStart(time.Now())})
-	c := newCollect(len(r.cols), &deduper{})
+	c := newCollect(len(r.cols), &deduper{ints: intSet{stock: &q.tables}})
 	c.ascending = !r.ordered
 	if err := e.run(q, r, c, op); err != nil {
 		return nil, err
@@ -273,12 +274,14 @@ func (e *Engine) distinct(q *queryState, r *relation) (*relation, error) {
 	if c.finish() {
 		st.Order = OrderAscending
 	}
+	c.seen.ints.release()
 	d := time.Since(finT).Nanoseconds()
 	st.Nanos += d
 	q.stats.Pipelines[len(q.stats.Pipelines)-1].Nanos += d
-	st.RowsIn, st.RowsOut = c.in, len(c.rows)
-	q.stats.MaterializedRows += len(c.rows)
-	return &relation{cols: r.cols, rows: c.rows, ordered: r.ordered}, nil
+	out := &relation{cols: r.cols, rows: c.rows, ids: c.ids, ordered: r.ordered}
+	st.RowsIn, st.RowsOut = c.in, out.count()
+	q.stats.MaterializedRows += out.count()
+	return out, nil
 }
 
 // project appends the select list to in's pipeline.
@@ -621,8 +624,9 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 		q.stampJoin(nJoins, sp, StrategyNestedLoop)
 	} else {
 		// Nested-loop join: true cross joins and non-equi conditions only.
-		st := &nestedLoopStage{e: e, q: q, right: rightRel.rows, kind: kind, shape: shape,
-			stat: q.newJoinStat(JoinStat{Strategy: StrategyNestedLoop, Table: alias, ProbeRows: len(rightRel.rows)})}
+		right := rightRel.rowsOf()
+		st := &nestedLoopStage{e: e, q: q, right: right, kind: kind, shape: shape,
+			stat: q.newJoinStat(JoinStat{Strategy: StrategyNestedLoop, Table: alias, ProbeRows: len(right)})}
 		out = cur.then(shape.cols, st, emitsScratch|serialIf(serial))
 		legacyAlt := StrategyAuto
 		if demotedEq {

@@ -125,7 +125,7 @@ func (a *hashJoinArgs) rightKey(row, dst []rel.Value) (null bool, err error) {
 // joinKeysOf evaluates and encodes the join key of every build-side row,
 // morsel-parallel under the given budget. ok is false when enc could not
 // hold some key; the caller then retries with an encoding that can.
-func joinKeysOf[K comparable](rows [][]rel.Value, width, par int, newKeyFn func() (joinKeyFn, error), enc func([]rel.Value) (K, bool)) (joinKeys[K], bool, error) {
+func joinKeysOf[K comparable](q *queryState, rows [][]rel.Value, width, par int, newKeyFn func() (joinKeyFn, error), enc func([]rel.Value) (K, bool)) (joinKeys[K], bool, error) {
 	jk := joinKeys[K]{keys: make([]K, len(rows)), null: make([]bool, len(rows))}
 	var misfit atomic.Bool
 	type worker struct {
@@ -136,7 +136,9 @@ func joinKeysOf[K comparable](rows [][]rel.Value, width, par int, newKeyFn func(
 		key, err := newKeyFn()
 		return &worker{key: key, dst: make([]rel.Value, width)}, err
 	}
-	_, _, err := runMorsels(len(rows), par, newWorker, func(w *worker, m, lo, hi int) (err error) {
+	z := q.morsels()
+	_, workers := z.plan(len(rows), len(rows), par)
+	_, err := runMorsels(len(rows), z.target, workers, newWorker, func(w *worker, m, lo, hi int) (err error) {
 		for i := lo; i < hi && !misfit.Load(); i++ {
 			if jk.null[i], err = w.key(rows[i], w.dst); err != nil {
 				return err
@@ -161,14 +163,15 @@ func hashJoinKeyed[K comparable](e *Engine, q *queryState, cur, right *relation,
 	opT := time.Now()
 	width := len(a.joinEqRight)
 	serial := !parallelSafeExprs(a.joinEqLeft) || !parallelSafeConjuncts(a.shape.residual)
-	if len(right.rows) <= len(cur.rows) {
-		keys, ok, err := joinKeysOf(right.rows, width, q.par, func() (joinKeyFn, error) { return a.rightKey, nil }, enc)
+	if right.count() <= cur.count() {
+		rows := right.rowsOf()
+		keys, ok, err := joinKeysOf(q, rows, width, q.par, func() (joinKeyFn, error) { return a.rightKey, nil }, enc)
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		st := &hashProbeStage[K]{e: e, q: q, a: a, kind: kind, enc: enc, right: right.rows, table: buildTable(e, q, keys, a.simTable)}
+		st := &hashProbeStage[K]{e: e, q: q, a: a, kind: kind, enc: enc, right: rows, table: buildTable(e, q, keys, a.simTable)}
 		// The build is timed here; the runs the probe is first join of add theirs.
-		st.stat = q.newJoinStat(JoinStat{Strategy: StrategyHash, Table: a.rightName, BuildSide: "right", BuildRows: len(right.rows),
+		st.stat = q.newJoinStat(JoinStat{Strategy: StrategyHash, Table: a.rightName, BuildSide: "right", BuildRows: len(rows),
 			StartNs: q.sinceStart(opT), Nanos: time.Since(opT).Nanoseconds()})
 		return cur.then(a.shape.cols, st, emitsScratch|serialIf(serial)), true, nil
 	}
@@ -176,7 +179,7 @@ func hashJoinKeyed[K comparable](e *Engine, q *queryState, cur, right *relation,
 	if serial {
 		par = 1
 	}
-	keys, ok, err := joinKeysOf(cur.rows, width, par, func() (joinKeyFn, error) { return a.leftKeyFn(e, q) }, enc)
+	keys, ok, err := joinKeysOf(q, cur.rowsOf(), width, par, func() (joinKeyFn, error) { return a.leftKeyFn(e, q) }, enc)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -286,8 +289,9 @@ func (w *hashProbeWorker[K]) done() {
 // rows. Matches are collected per left row and stored in left-row order,
 // so the output is identical to the probe stage's.
 func hashJoinBuildLeft[K comparable](e *Engine, q *queryState, cur, right *relation, build hashTable[K], par int, kind string, a hashJoinArgs, enc func([]rel.Value) (K, bool), opT time.Time) (*relation, error) {
-	n := len(right.rows)
-	morsels, _ := morselPlan(n, par)
+	n := len(right.rowsOf())
+	z := q.morsels()
+	morsels, workers := z.plan(n, n, par)
 
 	type match struct {
 		left int32
@@ -303,7 +307,7 @@ func hashJoinBuildLeft[K comparable](e *Engine, q *queryState, cur, right *relat
 		emit, err := e.newJoinEmitter(q, a.shape, nil)
 		return &worker{emit: emit, arena: newRowArena(len(a.shape.cols), 0), dst: make([]rel.Value, len(a.joinEqRight))}, err
 	}
-	m, w, err := runMorsels(n, par, newWorker, func(wk *worker, m, lo, hi int) error {
+	_, err := runMorsels(n, z.target, workers, newWorker, func(wk *worker, m, lo, hi int) error {
 		var buf []match
 		for _, rrow := range right.rows[lo:hi] {
 			null, _ := a.rightKey(rrow, wk.dst)
@@ -370,7 +374,7 @@ func hashJoinBuildLeft[K comparable](e *Engine, q *queryState, cur, right *relat
 	}
 	q.stats.MaterializedRows += len(rows)
 	q.newJoinStat(JoinStat{Strategy: StrategyHash, Table: a.rightName, BuildSide: "left", BuildRows: len(cur.rows), ProbeRows: n,
-		OutRows: len(rows), Morsels: m, Workers: w, StartNs: q.sinceStart(opT), Nanos: time.Since(opT).Nanoseconds()})
+		OutRows: len(rows), Morsels: morsels, MorselRows: z.target, Workers: workers, StartNs: q.sinceStart(opT), Nanos: time.Since(opT).Nanoseconds()})
 	return &relation{cols: a.shape.cols, rows: rows}, nil
 }
 

@@ -43,10 +43,12 @@ type stageFunc func(next sink) (sink, error)
 
 func (f stageFunc) open(next sink) (sink, error) { return f(next) }
 
-// pipe is a pipeline that has not run: its head — stored rows, or a
-// table scan — and the stages each row of it passes through, in order.
+// pipe is a pipeline that has not run: its head — stored rows, stored
+// ids, or a table scan — and the stages each row of it passes through, in
+// order.
 type pipe struct {
 	head    [][]rel.Value
+	ids     []int64     // non-nil: the head is these ids, each pushed as a one-value row; head is unused
 	scan    *scanSource // non-nil: the rows come from a full scan, head is unused
 	stages  []stage
 	joins   []int // ExecStats.Joins indices of the join stages, in order
@@ -55,14 +57,15 @@ type pipe struct {
 	fans    bool  // a stage or the scan's filter may emit fewer or more rows than it is pushed
 }
 
-// size returns the rows the pipe's morsels are cut from — stored rows or
-// table slots — and how many of them are rows, which is what decides
-// whether the pipe fans out: a scan's slots include deleted rows.
+// size returns the rows the pipe's morsels are cut from — stored rows,
+// ids or table slots — and how many of them are rows: a scan's slots
+// include deleted rows.
 func (p *pipe) size() (n, rows int) {
 	if p.scan != nil {
-		return p.scan.t.Slots(), p.scan.t.LiveLocked()
+		return p.scan.size()
 	}
-	return len(p.head), len(p.head)
+	n = len(p.head) + len(p.ids)
+	return n, n
 }
 
 // stageKind says what a stage does to the rows it is pushed.
@@ -88,7 +91,8 @@ func (r *relation) pipes() []*pipe {
 	case r.taken:
 		return []*pipe{{stages: []stage{stageFunc(func(sink) (sink, error) { return nil, errTaken })}}}
 	}
-	return []*pipe{{head: r.rows}}
+	// A one-value row built from an id is the pushing worker's scratch.
+	return []*pipe{{head: r.rows, ids: r.ids, scratch: r.ids != nil}}
 }
 
 var errTaken = errors.New("engine: internal error: a pipelined relation was read twice")
@@ -96,7 +100,7 @@ var errTaken = errors.New("engine: internal error: a pipelined relation was read
 // as returns r under other column names.
 func (r *relation) as(cols []colInfo) *relation {
 	if r.src == nil && !r.taken {
-		return &relation{cols: cols, rows: r.rows, ordered: r.ordered}
+		return &relation{cols: cols, rows: r.rows, ids: r.ids, ordered: r.ordered}
 	}
 	return &relation{cols: cols, src: r.pipes(), ordered: r.ordered}
 }
@@ -131,6 +135,9 @@ type terminal interface {
 	// absorb to push again: a pipe from stored rows with no stage then runs
 	// on one worker, since its workers would have nothing else to do.
 	replays() bool
+	// received returns the rows pushed into it so far, its parts' included
+	// once absorbed: what a run measures its fan-out by.
+	received() int
 }
 
 // part is one worker's end of a parallel run: it keeps what its terminal
@@ -155,13 +162,14 @@ type morselBuf struct {
 // collect stores the rows it receives: the terminal of every
 // materialisation and, with seen set, of DISTINCT. Under DISTINCT a row
 // that is one integer — every frontier of the translation — is kept as
-// its id in the set until finish builds the rows, all at once: ascending
-// when the input carries no order (ascending set), in first-occurrence
-// order otherwise (the set lists them). The first row that is not one
-// integer builds the ids kept so far into rows, and rows are kept as
-// they arrive from then on.
+// its id in the set, and while every row is, the result is the ids
+// (finish): ascending when the input carries no order (ascending set),
+// in first-occurrence order otherwise (the set lists them). The first row
+// that is not one integer builds the ids kept so far into rows, and rows
+// are kept as they arrive from then on.
 type collect struct {
 	rows      [][]rel.Value
+	ids       []int64 // under DISTINCT, once finished: the result, when every row was one integer
 	arena     *rowArena
 	seen      *deduper // nil keeps duplicates
 	in        int      // rows received
@@ -201,7 +209,8 @@ func (c *collect) offer(row []rel.Value, scratch bool) {
 		return
 	}
 	if c.seen.strs == nil {
-		c.settle(false) // the ids go ahead of the rows that follow them
+		// The ids go ahead of the rows that follow them.
+		c.rows = appendIntRows(c.rows, c.takeIDs(false))
 	}
 	if c.seen.seen(row) {
 		return
@@ -219,10 +228,10 @@ func (c *collect) addID(id int64) {
 	}
 }
 
-// settle appends the rows of the ids accepted so far: the set's, sorted,
-// under an ascending DISTINCT, else those it listed, in order. At the
-// final settle the set's table, no longer needed, is the sort's scratch.
-func (c *collect) settle(final bool) {
+// takeIDs returns the ids accepted so far: the set's, sorted, under an
+// ascending DISTINCT, else those it listed, in order. At the final take
+// the set's table, no longer needed, is the sort's scratch.
+func (c *collect) takeIDs(final bool) []int64 {
 	ids := c.seen.ids
 	if c.ascending {
 		ids = c.seen.ints.appendTo(make([]int64, 0, c.seen.ints.len()))
@@ -232,22 +241,19 @@ func (c *collect) settle(final bool) {
 		}
 		sortIDs(ids, scratch)
 	}
-	if len(ids) > 0 {
-		c.rows = appendIntRows(c.rows, ids)
-	}
 	c.seen.ids = nil
+	return ids
 }
 
-// finish ends a DISTINCT: it builds the rows of the ids still kept and
-// reports whether the result came out in ascending order, which it does
-// when the input was order-free and every row was one integer.
+// finish ends a DISTINCT: while every row was one integer its result is
+// the ids, which it reports came out in ascending order when the input
+// was order-free.
 func (c *collect) finish() (ascending bool) {
-	if c.seen == nil {
+	if c.seen == nil || c.seen.strs != nil {
 		return false
 	}
-	ascending = c.ascending && len(c.rows) == 0
-	c.settle(true)
-	return ascending
+	c.ids = c.takeIDs(true)
+	return c.ascending
 }
 
 // part returns a morsel buffer for c: under DISTINCT one that drops the
@@ -255,12 +261,14 @@ func (c *collect) finish() (ascending bool) {
 func (c *collect) part(width int, scratch bool) (part, error) {
 	p := &collect{arena: newRowArena(width, 0), copy: scratch}
 	if c.seen != nil {
-		p.seen = &deduper{}
+		p.seen = &deduper{ints: intSet{stock: c.seen.ints.stock}}
 	}
 	return p, nil
 }
 
 func (c *collect) replays() bool { return c.seen == nil }
+
+func (c *collect) received() int { return c.in }
 
 func (c *collect) absorb(ms []morselBuf) error {
 	if c.seen == nil {
@@ -294,14 +302,15 @@ func (c *collect) absorb(ms []morselBuf) error {
 }
 
 // takeMorsel returns what was collected since the last call and starts
-// the next morsel's buffer. Under DISTINCT the morsel's set is emptied
-// and kept for the next.
+// the next morsel's buffer. Under DISTINCT the set is kept as it stands:
+// a worker claims morsels in ascending order, so what it kept of an
+// earlier morsel is ahead of this one in the merge, and it need not be
+// kept again.
 func (c *collect) takeMorsel() morselBuf {
 	m := morselBuf{rows: c.rows, in: c.in}
 	c.rows, c.in = make([][]rel.Value, 0, len(m.rows)), 0
 	if c.seen != nil {
 		m.ids = c.seen.ids
-		c.seen.reset()
 		c.seen.ids = make([]int64, 0, len(m.ids))
 	}
 	return m
@@ -313,7 +322,8 @@ type chain struct {
 	scan  *scanWorker
 	head  sink
 	sinks []sink
-	tail  part // the worker's end of a parallel run; nil when the chain ends in the terminal
+	tail  part        // the worker's end of a parallel run; nil when the chain ends in the terminal
+	idRow []rel.Value // under an id head: the one-value row each id is pushed in
 }
 
 func (p *pipe) open(tail sink) (*chain, error) {
@@ -331,35 +341,64 @@ func (p *pipe) open(tail sink) (*chain, error) {
 			return nil, err
 		}
 	}
+	if p.ids != nil {
+		c.idRow = make([]rel.Value, 1)
+	}
 	return c, nil
 }
 
+// pushHead pushes the stored head rows [lo, hi) of p into the chain.
+func (c *chain) pushHead(p *pipe, lo, hi int) error {
+	if p.ids != nil {
+		for _, id := range p.ids[lo:hi] {
+			c.idRow[0] = rel.NewInt(id)
+			if err := c.head.push(c.idRow); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, row := range p.head[lo:hi] {
+		if err := c.head.push(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// morselCut is how a pipe ran: morsels of rows head rows (a scan's:
+// slots) each, on workers workers.
+type morselCut struct{ morsels, rows, workers int }
+
 // run pushes r's rows, in order, into term. Each pipe runs morsel-parallel
-// over its head — stored rows or a table's slots — when that holds enough
-// rows (morselPlan): every worker has a chain of its own ending in a part
-// of term's, and the parts' morsels reach term in morsel order, so what
-// term sees is what a serial run would have pushed. Stages are not timed
-// one by one: a pipe's wall time is charged to its scan, or else to its
-// first join, or, when it has neither, to the operator stat op (-1: to
-// nothing).
+// when that is worth it (runPipe): every worker has a chain of its own
+// ending in a part of term's, and the parts' morsels reach term in morsel
+// order, so what term sees is what a serial run would have pushed. Stages
+// are not timed one by one: a pipe's wall time is charged to its scan, or
+// else to its first join, or, when it has neither, to the operator stat
+// op (-1: to nothing).
 func (e *Engine) run(q *queryState, r *relation, term terminal, op int) error {
 	runT := time.Now()
 	ps := PipelineStat{Op: op, Scan: -1, StartNs: q.sinceStart(runT)}
 	for _, p := range r.pipes() {
 		pipeT := time.Now()
-		morsels, workers, err := e.runPipe(q, p, len(r.cols), term)
+		cut, err := e.runPipe(q, p, len(r.cols), term)
 		if err != nil {
 			return err
 		}
 		d := time.Since(pipeT).Nanoseconds()
+		ps.Morsels += cut.morsels
+		ps.MorselRows = cut.rows
+		ps.Workers = max(ps.Workers, cut.workers)
 		timed := false
 		if p.scan != nil {
 			sc := &q.stats.Scans[p.scan.stat]
-			sc.Morsels, sc.Workers = morsels, workers
+			sc.Morsels, sc.Workers = cut.morsels, cut.workers
 			sc.StartNs, sc.Nanos = q.sinceStart(pipeT), d
 			ps.Scan, ps.RowsIn, timed = p.scan.stat, ps.RowsIn+sc.RowsIn, true
 		} else {
-			ps.RowsIn += len(p.head)
+			n, _ := p.size()
+			ps.RowsIn += n
 		}
 		for _, j := range p.joins {
 			js := &q.stats.Joins[j]
@@ -369,8 +408,9 @@ func (e *Engine) run(q *queryState, r *relation, term terminal, op int) error {
 					js.StartNs = q.sinceStart(pipeT)
 				}
 			}
-			js.Morsels += morsels
-			js.Workers = max(js.Workers, workers)
+			js.Morsels += cut.morsels
+			js.MorselRows = cut.rows
+			js.Workers = max(js.Workers, cut.workers)
 			if !timed {
 				js.Nanos += d
 				timed = true
@@ -385,69 +425,128 @@ func (e *Engine) run(q *queryState, r *relation, term terminal, op int) error {
 	return nil
 }
 
-func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (morsels, workers int, err error) {
-	n, rows := p.size()
-	par := q.par
+// runPipe runs one pipe into term. A scan's slots are cut into morsels of
+// the target size, and fan out when the table has gate live rows (plan).
+// A pipe from stored rows decides late (DESIGN.md §8): it pushes a first
+// morsel of at most probeRows head rows straight into term, on this
+// goroutine, and measures its work per head row — the head row itself
+// and the rows that reached term for it. It fans out only when the whole
+// head is expected to come to gate rows of work, and then cuts the rest
+// so that each morsel does about the target: a hop from a few hundred
+// frontier ids that each fan out a hundredfold is worth the workers of a
+// scan of as many rows, and is cut into morsels of ten ids.
+func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (cut morselCut, err error) {
+	n, live := p.size()
+	par := budget(q.par)
 	switch {
 	case p.serial:
 		par = 1 // a subquery stage
-	case rows < parallelMinRows:
-		par = 1 // too few rows to be worth the fan-out, however many slots they lie in
 	case p.scan == nil && len(p.stages) == 0 && term.replays():
 		par = 1 // workers would only buffer the head for term to replay
 	}
-	_, workers = morselPlan(n, par)
-	var bufs []morselBuf
-	if workers > 1 {
-		bufs = make([]morselBuf, (n+morselRows-1)/morselRows)
-	} else if c, ok := term.(*collect); ok {
+	if c, ok := term.(*collect); ok {
 		c.copy = p.scratch
 	}
 	var mu sync.Mutex
 	var chains []*chain
-	newWorker := func() (*chain, error) {
-		var tail part
-		var end sink = term
-		if bufs != nil {
-			var err error
-			if tail, err = term.part(width, p.scratch); err != nil {
-				return nil, err
-			}
-			end = tail
-		}
+	open := func(end sink) (*chain, error) {
 		c, err := p.open(end)
 		if err != nil {
 			return nil, err
 		}
-		c.tail = tail
 		mu.Lock()
 		chains = append(chains, c)
 		mu.Unlock()
 		return c, nil
 	}
-	morsels, workers, err = runMorsels(n, par, newWorker, func(c *chain, m, lo, hi int) error {
-		if c.scan != nil {
-			if err := c.scan.run(lo, hi, c.head); err != nil {
-				return err
-			}
-		} else {
-			for _, row := range p.head[lo:hi] {
-				if err := c.head.push(row); err != nil {
-					return err
+	z := q.morsels()
+	from, size := 0, z.target
+	if p.scan != nil {
+		cut.morsels, cut.workers = z.plan(n, live, par)
+		cut.rows = min(size, n)
+	} else {
+		c, err := open(term)
+		if err != nil {
+			return cut, err
+		}
+		from = n
+		before := term.received()
+		if par > 1 {
+			// The probe ends early once a quarter of a morsel's rows has
+			// reached term: a hop that fans out a hundredfold knows after a
+			// few head rows.
+			from = min(n, probeRows, size)
+			for i := 0; i < from; i++ {
+				if err := c.pushHead(p, i, i+1); err != nil {
+					return cut, err
+				}
+				if term.received()-before >= z.target/4 {
+					from = i + 1
 				}
 			}
+		} else if err := c.pushHead(p, 0, from); err != nil {
+			return cut, err
 		}
-		if c.tail != nil {
-			bufs[m] = c.tail.takeMorsel()
+		cut = morselCut{morsels: 1, rows: n, workers: 1}
+		// Every head row is work, whether or not it reaches term: a probe
+		// that finds nothing has still probed.
+		if work := from + term.received() - before; from < n && work*n >= z.gate*from {
+			size = max(z.target*from/work, 1)
+			if morsels := (n - from + size - 1) / size; morsels > 1 {
+				cut = morselCut{morsels: 1 + morsels, rows: size, workers: min(par, morsels)}
+			}
 		}
-		return nil
-	})
-	if err != nil {
-		return morsels, workers, err
+		if cut.workers == 1 {
+			if err := c.pushHead(p, from, n); err != nil {
+				return cut, err
+			}
+			from = n
+		}
+	}
+	var bufs []morselBuf
+	if p.scan != nil || from < n {
+		if cut.workers > 1 {
+			bufs = make([]morselBuf, (n-from+size-1)/size)
+		}
+		newWorker := func() (*chain, error) {
+			var tail part
+			var end sink = term
+			if bufs != nil {
+				var err error
+				if tail, err = term.part(width, p.scratch); err != nil {
+					return nil, err
+				}
+				end = tail
+			}
+			c, err := open(end)
+			if err != nil {
+				return nil, err
+			}
+			c.tail = tail
+			return c, nil
+		}
+		_, err = runMorsels(n-from, size, cut.workers, newWorker, func(c *chain, m, lo, hi int) error {
+			var err error
+			if c.scan != nil {
+				err = c.scan.run(lo, hi, c.head)
+			} else {
+				err = c.pushHead(p, from+lo, from+hi)
+			}
+			if err == nil && c.tail != nil {
+				bufs[m] = c.tail.takeMorsel()
+			}
+			return err
+		})
+		if err != nil {
+			return cut, err
+		}
 	}
 	for _, c := range chains {
 		if c.scan != nil {
 			c.scan.done()
+		}
+		if t, ok := c.tail.(*collect); ok && t.seen != nil {
+			t.seen.ints.release()
 		}
 		for _, s := range c.sinks {
 			if s, ok := s.(counter); ok {
@@ -458,7 +557,7 @@ func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (mors
 	if bufs != nil {
 		err = term.absorb(bufs)
 	}
-	return morsels, workers, err
+	return cut, err
 }
 
 // materialize runs a pending relation into stored rows. A stored head no
@@ -474,7 +573,7 @@ func (e *Engine) materialize(q *queryState, r *relation) error {
 		return nil
 	}
 	if len(r.src) == 1 && len(r.src[0].stages) == 0 && r.src[0].scan == nil {
-		r.rows, r.src = r.src[0].head, nil
+		r.rows, r.ids, r.src = r.src[0].head, r.src[0].ids, nil
 		return nil
 	}
 	c := newCollect(len(r.cols), nil)

@@ -268,7 +268,7 @@ func (e *Engine) bindSig(q *queryState, sel *sql.SimpleSelect) uint64 {
 	sig := uint64(0xcbf29ce484222325)
 	for i := range sel.From {
 		if cte, ok := q.ctes[sel.From[i].Table]; ok {
-			sig = foldSig(sig, uint64(i)<<8|magnitude(float64(len(cte.rows))))
+			sig = foldSig(sig, uint64(i)<<8|magnitude(float64(cte.count())))
 		}
 	}
 	return e.bindSigWhere(q, sel, sel.Where, sig)
@@ -459,7 +459,7 @@ func (e *Engine) buildPlanRel(q *queryState, ref sql.TableRef) *planRel {
 	}
 	r := &planRel{alias: alias, ords: map[string]int{}}
 	if cte, ok := q.ctes[ref.Table]; ok {
-		r.rows = float64(len(cte.rows))
+		r.rows = float64(cte.count())
 		for i, c := range cte.cols {
 			if _, dup := r.ords[c.name]; !dup {
 				r.ords[c.name] = i

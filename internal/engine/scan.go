@@ -306,11 +306,12 @@ func (k accessKind) accessName() string {
 
 // scanBase reads a base table under an alias, pushing the given
 // single-table conjuncts into the scan and using an index when one
-// matches. An index path is read now, into stored rows. A full scan is
-// returned pending, as the head of a pipe (scanSource): it runs with the
-// pipe's stages and into its reader's terminal, morsel-parallel over the
-// heap's slot array, each worker filtering the rows of its slot ranges
-// with its own compiled predicates and pushing them on, in slot order.
+// matches. An index path is read now, into stored rows, unless it probes
+// a bound id list. A full scan, or the probes of an id list, is returned
+// pending, as the head of a pipe (scanSource): it runs with the pipe's
+// stages and into its reader's terminal, morsel-parallel over the heap's
+// slot array or the ids, each worker filtering the rows of its ranges
+// with its own compiled predicates and pushing them on, in order.
 // The caller must already hold the table's read lock (the engine acquires
 // query locks up front).
 func (e *Engine) scanBase(q *queryState, t *rel.Table, alias string, conjs []*conjunct) (*relation, error) {
@@ -339,11 +340,11 @@ func (e *Engine) scanBase(q *queryState, t *rel.Table, alias string, conjs []*co
 		q.scanEst, q.scanEstValid = 0, false
 	}
 	markApplied(conjs)
-	if path.kind == accessFullScan {
+	if path.kind == accessFullScan || path.ids != nil {
 		// Rows, morsels, workers and time are the run's (Engine.run).
 		q.stats.Scans = append(q.stats.Scans, stat)
-		src := &scanSource{e: e, q: q, t: t, sc: sc, filters: filters, stat: len(q.stats.Scans) - 1}
-		return &relation{cols: cols, src: []*pipe{{scan: src, serial: !parallelSafeConjuncts(filters), fans: len(filters) > 0}}}, nil
+		src := &scanSource{e: e, q: q, t: t, sc: sc, filters: filters, stat: len(q.stats.Scans) - 1, index: path.index, ids: path.ids}
+		return &relation{cols: cols, src: []*pipe{{scan: src, serial: !parallelSafeConjuncts(filters), fans: len(filters) > 0 || path.ids != nil}}}, nil
 	}
 	opT := time.Now()
 	out, err := e.indexScan(q, t, cols, sc, path, filters, &stat)
@@ -357,9 +358,9 @@ func (e *Engine) scanBase(q *queryState, t *rel.Table, alias string, conjs []*co
 	return out, nil
 }
 
-// indexScan materializes the rows an index access path yields, serially
-// (probe result sizes are small by construction — that is why the index
-// was chosen).
+// indexScan materializes the rows an index access path other than a
+// bound id list yields, serially (probe result sizes are small by
+// construction — that is why the index was chosen).
 func (e *Engine) indexScan(q *queryState, t *rel.Table, cols []colInfo, sc *scope, path *accessPath, filters []*conjunct, stat *ScanStat) (*relation, error) {
 	pass, err := e.compilePredicates(q, sc, filters)
 	if err != nil {
@@ -392,14 +393,6 @@ func (e *Engine) indexScan(q *queryState, t *rel.Table, cols []colInfo, sc *scop
 				return nil, emitErr
 			}
 		}
-		var key [1]rel.Value
-		for _, id := range path.ids {
-			key[0] = rel.NewInt(id)
-			t.ProbeAt(path.index, key[:], q.asOf, visit)
-			if emitErr != nil {
-				return nil, emitErr
-			}
-		}
 	case accessRange:
 		t.ProbeRangeAt(path.index, path.lo, path.hi, path.loInc, path.hiInc, q.asOf, visit)
 	case accessNotNull:
@@ -411,10 +404,13 @@ func (e *Engine) indexScan(q *queryState, t *rel.Table, cols []colInfo, sc *scop
 	return out, nil
 }
 
-// scanSource is the head of a pipe that starts at a full table scan: the
-// row images of t visible at the query's version, in slot order, that
-// pass the conjuncts pushed into the scan. The images are the table's
-// own, never scratch. stat indexes ExecStats.Scans.
+// scanSource is the head of a pipe that starts at a table: the row
+// images of t visible at the query's version that pass the conjuncts
+// pushed into the scan — in slot order, or, for a bound id list, those
+// index probes return for each id in list order (g.V(12 960 ids) is
+// 12 960 probes, and its morsels are cut from the ids as a full scan's
+// are from the slots). The images are the table's own, never scratch.
+// stat indexes ExecStats.Scans.
 type scanSource struct {
 	e       *Engine
 	q       *queryState
@@ -422,6 +418,18 @@ type scanSource struct {
 	sc      *scope
 	filters []*conjunct
 	stat    int
+	index   *rel.Index // with ids: the index each id is probed in
+	ids     []int64    // non-nil: probe these instead of scanning the slots
+}
+
+// size returns the units the scan's morsels are cut from — ids, or
+// slots — and how many rows they hold at most: a table's slots include
+// deleted rows.
+func (s *scanSource) size() (n, rows int) {
+	if s.ids != nil {
+		return len(s.ids), len(s.ids)
+	}
+	return s.t.Slots(), s.t.LiveLocked()
 }
 
 // scanWorker is one worker's instance of a scan: its own compiled
@@ -438,14 +446,14 @@ func (s *scanSource) open() (*scanWorker, error) {
 	return &scanWorker{scanSource: s, pass: pass}, err
 }
 
-// run pushes the rows of slots [lo, hi) that pass the filters into next.
-// It counts in locals: this worker's fields, like every per-morsel
-// output, are written once per morsel (runMorsels).
+// run pushes the rows of slots (or ids) [lo, hi) that pass the filters
+// into next. It counts in locals: this worker's fields, like every
+// per-morsel output, are written once per morsel (runMorsels).
 func (w *scanWorker) run(lo, hi int, next sink) error {
 	in, out := 0, 0
 	var err error
 	name := w.t.Name()
-	w.t.ScanSlotsAt(lo, hi, w.q.asOf, func(rid rel.RowID, vals []rel.Value) bool {
+	visit := func(rid rel.RowID, vals []rel.Value) bool {
 		in++
 		w.e.pageAccess(w.q, name, rid)
 		var ok bool
@@ -455,7 +463,15 @@ func (w *scanWorker) run(lo, hi int, next sink) error {
 		out++
 		err = next.push(vals)
 		return err == nil
-	})
+	}
+	if w.ids == nil {
+		w.t.ScanSlotsAt(lo, hi, w.q.asOf, visit)
+	}
+	var key [1]rel.Value
+	for i := lo; i < hi && w.ids != nil && err == nil; i++ {
+		key[0] = rel.NewInt(w.ids[i])
+		w.t.ProbeAt(w.index, key[:], w.q.asOf, visit)
+	}
 	w.in, w.out = w.in+in, w.out+out
 	return err
 }

@@ -21,10 +21,17 @@ type colInfo struct {
 	name  string // column name, upper-cased
 }
 
-// relation is an intermediate result: stored rows or, while src is set,
-// the output of pipelines that have not run yet (see pipeline.go). A
-// pending relation has one reader; once that reader has its pipelines the
-// relation is taken, and reading it again is an error, not an empty result.
+// relation is an intermediate result: stored rows, stored ids or, while
+// src is set, the output of pipelines that have not run yet (see
+// pipeline.go). A pending relation has one reader; once that reader has
+// its pipelines the relation is taken, and reading it again is an error,
+// not an empty result.
+//
+// A DISTINCT whose rows were all one integer — every frontier of the
+// translation — stores its result as ids, one int64 per row, in the
+// result's order (DESIGN.md §21). The next hop's pipe runs from the ids
+// as they are; a reader that needs the rows (the result, a hash build, a
+// sort) builds them once, through rowsOf.
 //
 // ordered says an ORDER BY of the statement may be upstream of the rows:
 // their order is then the result's to keep, and a DISTINCT over them
@@ -33,9 +40,22 @@ type colInfo struct {
 type relation struct {
 	cols    []colInfo
 	rows    [][]rel.Value
+	ids     []int64 // non-nil: the rows, one integer each, and rows is nil
 	src     []*pipe
 	taken   bool
 	ordered bool
+}
+
+// count returns how many rows r stores.
+func (r *relation) count() int { return len(r.rows) + len(r.ids) }
+
+// rowsOf returns r's stored rows, built from its ids the first time a
+// reader asks for them.
+func (r *relation) rowsOf() [][]rel.Value {
+	if r.ids != nil {
+		r.rows, r.ids = appendIntRows(nil, r.ids), nil
+	}
+	return r.rows
 }
 
 // scope resolves column references against a relation's columns and,

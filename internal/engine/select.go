@@ -25,6 +25,8 @@ type queryState struct {
 	subs     map[*sql.SelectStmt]*subResult // results of the subqueries expressions hold
 	ioMisses int64                          // buffer-pool misses (atomic; morsel workers add concurrently)
 	par      int                            // morsel-parallelism budget (0 = GOMAXPROCS, 1 = serial)
+	sizes    morselSizes                    // the engine's morsel work target and fan-out gate (zero: the defaults)
+	tables   tableStock                     // the DISTINCT sets' spare tables
 	force    JoinStrategy                   // forced join strategy, StrategyAuto for planner's choice
 	asOf     rel.Version                    // snapshot version for base-table reads (zero = latest)
 	t0       time.Time                      // query start; anchors operator StartNs offsets
@@ -117,7 +119,7 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 		} else if err := e.materialize(q, r); err != nil {
 			return nil, fmt.Errorf("in CTE %s: %w", cte.Name, err)
 		}
-		stat.Rows = len(r.rows)
+		stat.Rows = r.count()
 		stat.Nanos = time.Since(cteT).Nanoseconds()
 		q.stats.CTEs = append(q.stats.CTEs, stat)
 		if prev, ok := q.ctes[cte.Name]; ok {
@@ -139,10 +141,11 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 	if err := e.materialize(q, out); err != nil {
 		return nil, err
 	}
-	start, end := 0, len(out.rows)
+	rows := out.rowsOf()
+	start, end := 0, len(rows)
 	if stmt.Offset != nil || stmt.Limit != nil {
 		var err error
-		if start, end, err = e.limitBounds(q, len(out.rows), stmt.Limit, stmt.Offset); err != nil {
+		if start, end, err = e.limitBounds(q, len(rows), stmt.Limit, stmt.Offset); err != nil {
 			return nil, err
 		}
 	}
@@ -234,11 +237,12 @@ func (e *Engine) orderRows(q *queryState, r *relation, items []sql.OrderItem, ke
 		return a.seq - b.seq
 	}
 	nk := len(keyFns)
-	bounded := keep < len(r.rows)
+	rows := r.rowsOf()
+	bounded := keep < len(rows)
 	flat := make([]rel.Value, keep*nk)
 	kept := make([]sortRow, 0, keep)
 	cand := sortRow{keys: make([]rel.Value, nk)}
-	for i, row := range r.rows {
+	for i, row := range rows {
 		cand.row, cand.seq = row, i
 		for j, fn := range keyFns {
 			var err error
@@ -270,7 +274,7 @@ func (e *Engine) orderRows(q *queryState, r *relation, items []sql.OrderItem, ke
 	}
 	q.stats.Ops = append(q.stats.Ops, OpStat{
 		Kind:    "sort",
-		RowsIn:  len(r.rows),
+		RowsIn:  len(rows),
 		RowsOut: len(sorted),
 		StartNs: q.sinceStart(opT),
 		Nanos:   time.Since(opT).Nanoseconds(),
@@ -350,10 +354,10 @@ func (e *Engine) combineSetOp(q *queryState, op string, left, right *relation) (
 			return nil, err
 		}
 		var rightSet, seen deduper
-		for _, row := range right.rows {
+		for _, row := range right.rowsOf() {
 			rightSet.seen(row)
 		}
-		for _, row := range left.rows {
+		for _, row := range left.rowsOf() {
 			if rightSet.has(row) == (op == "INTERSECT") && !seen.seen(row) {
 				out.rows = append(out.rows, row)
 			}
@@ -405,8 +409,9 @@ func (e *Engine) evalRecursiveCTE(q *queryState, cte sql.CTE) (*relation, error)
 			return nil, nil, err
 		}
 		c.finish()
-		q.stats.MaterializedRows += len(c.rows)
-		return c.rows, r.cols, nil
+		out := &relation{rows: c.rows, ids: c.ids}
+		q.stats.MaterializedRows += out.count()
+		return out.rowsOf(), r.cols, nil
 	}
 	rows, baseCols, err := fresh(top.Left, -1)
 	if err != nil {
@@ -487,8 +492,9 @@ func (res *subResult) keySet() (map[string]bool, error) {
 		if len(res.cols) != 1 {
 			return nil, fmt.Errorf("engine: IN subquery must return one column, got %d", len(res.cols))
 		}
-		res.keys = make(map[string]bool, len(res.rows))
-		for _, row := range res.rows {
+		rows := res.rowsOf()
+		res.keys = make(map[string]bool, len(rows))
+		for _, row := range rows {
 			if !row[0].IsNull() {
 				res.keys[row[0].Key()] = true
 			}

@@ -24,16 +24,17 @@ const (
 
 // JoinStat records one executed join operator.
 type JoinStat struct {
-	Strategy  JoinStrategy
-	Table     string // right-side alias (or table name) being joined in
-	BuildSide string // "left" or "right" for hash joins; "" otherwise
-	BuildRows int    // rows hashed (hash) / outer rows (index-nl, nested-loop)
-	ProbeRows int    // rows probed against the build side
-	OutRows   int    // rows emitted (before later operators)
-	Morsels   int    // morsels of the run the join was a stage of
-	Workers   int    // workers that executed that run (1 = serial)
-	StartNs   int64  // start of that run, relative to query start
-	Nanos     int64  // wall time of the runs the join was the first join of (see PipelineStat)
+	Strategy   JoinStrategy
+	Table      string // right-side alias (or table name) being joined in
+	BuildSide  string // "left" or "right" for hash joins; "" otherwise
+	BuildRows  int    // rows hashed (hash) / outer rows (index-nl, nested-loop)
+	ProbeRows  int    // rows probed against the build side
+	OutRows    int    // rows emitted (before later operators)
+	Morsels    int    // morsels of the runs the join was a stage of
+	MorselRows int    // head rows per morsel of the last of those runs (see PipelineStat)
+	Workers    int    // workers that executed those runs (1 = serial)
+	StartNs    int64  // start of that run, relative to query start
+	Nanos      int64  // wall time of the runs the join was the first join of (see PipelineStat)
 
 	// Cost-based planner annotations. EstRows/EstCost are the planner's
 	// estimates for this join (-1 when the planner did not cost it);
@@ -77,12 +78,19 @@ type CTEStat struct {
 // or, having neither, to its terminal operator); the other stages carry
 // row counts and no time.
 type PipelineStat struct {
-	Scan    int   // index into ExecStats.Scans of the full scan the run started at, -1 when it started from stored rows
-	Joins   []int // indices into ExecStats.Joins of the join stages, in order
-	Op      int   // index into ExecStats.Ops of the dedup or agg terminal, -1 when rows were just stored
-	RowsIn  int   // stored rows, or rows scanned, the run started from
-	StartNs int64
-	Nanos   int64
+	Scan   int   // index into ExecStats.Scans of the full scan the run started at, -1 when it started from stored rows
+	Joins  []int // indices into ExecStats.Joins of the join stages, in order
+	Op     int   // index into ExecStats.Ops of the dedup or agg terminal, -1 when rows were just stored
+	RowsIn int   // stored rows, or rows scanned, the run started from
+	// Morsels, MorselRows and Workers say how the run was cut: a run on one
+	// worker is one morsel of all its head rows; a parallel run from stored
+	// rows is a first morsel that measured the fan-out, then morsels of
+	// MorselRows head rows each; a scan's morsels are MorselRows slots.
+	Morsels    int
+	MorselRows int
+	Workers    int
+	StartNs    int64
+	Nanos      int64
 }
 
 // OpStat records a non-scan, non-join operator: aggregation, sort, or
@@ -157,6 +165,36 @@ func (s *ExecStats) MaxWorkers() int {
 	return w
 }
 
+// Work is the planner's cost formula (costOrder) evaluated on the rows
+// each scan and join actually saw rather than on estimates: a full scan
+// costs the rows it examined, an index access the rows it returned plus
+// a probe; an index nested-loop join a probe per outer row plus the
+// candidates the probes returned, a hash join its build rows weighted
+// plus its probe rows, a nested loop outer times inner rows. Two runs of
+// one plan do the same work, so it compares the plans of two planner
+// settings without timing noise.
+func (s *ExecStats) Work() float64 {
+	w := 0.0
+	for _, sc := range s.Scans {
+		if sc.Access == "full-scan" {
+			w += costScanRow * float64(sc.RowsIn)
+		} else {
+			w += float64(sc.RowsOut) + costProbe
+		}
+	}
+	for _, j := range s.Joins {
+		switch j.Strategy {
+		case StrategyIndexNL:
+			w += costProbe*float64(j.BuildRows) + float64(j.ProbeRows)
+		case StrategyHash:
+			w += costBuildRow*float64(j.BuildRows) + float64(j.ProbeRows)
+		default:
+			w += float64(j.BuildRows) * max(float64(j.ProbeRows), 1)
+		}
+	}
+	return w
+}
+
 // String renders a compact one-line-per-operator plan summary, timing
 // included — the same operator lines the server's EXPLAIN ANALYZE span
 // tree carries.
@@ -197,8 +235,8 @@ func (s *ExecStats) String() string {
 				alt = fmt.Sprintf(" alt=%s", j.AltStrategy)
 			}
 		}
-		fmt.Fprintf(&sb, "join %s [%s]%s build=%d probe=%d out=%d%s%s morsels=%d workers=%d time=%s\n",
-			j.Table, j.Strategy, side, j.BuildRows, j.ProbeRows, j.OutRows, est, alt, j.Morsels, j.Workers, fmtNanos(j.Nanos))
+		fmt.Fprintf(&sb, "join %s [%s]%s build=%d probe=%d out=%d%s%s morsels=%d×%d workers=%d time=%s\n",
+			j.Table, j.Strategy, side, j.BuildRows, j.ProbeRows, j.OutRows, est, alt, j.Morsels, j.MorselRows, j.Workers, fmtNanos(j.Nanos))
 	}
 	for _, op := range s.Ops {
 		switch op.Kind {
