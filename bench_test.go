@@ -286,7 +286,7 @@ func BenchmarkAblationSoftDelete(b *testing.B) {
 // BenchmarkQueryTranslation measures Gremlin-to-SQL compilation alone.
 func BenchmarkQueryTranslation(b *testing.B) {
 	env, _ := sharedEnvs(b)
-	g := &Graph{store: env.Store}
+	g := newGraph(env.Store)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -333,7 +333,7 @@ func BenchmarkParseIDList(b *testing.B) {
 // BenchmarkSingleHop measures one EA-backed hop end to end.
 func BenchmarkSingleHop(b *testing.B) {
 	env, _ := sharedEnvs(b)
-	g := &Graph{store: env.Store}
+	g := newGraph(env.Store)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -350,7 +350,7 @@ func BenchmarkSingleHop(b *testing.B) {
 // are what pruned join rows and allocation-free probes buy.
 func BenchmarkTraverseHop(b *testing.B) {
 	env, _ := sharedEnvs(b)
-	g := &Graph{store: env.Store}
+	g := newGraph(env.Store)
 	text := queries.PathQueries(env.Data)[0]
 	if _, err := g.Query(text); err != nil {
 		b.Fatal(err)
@@ -444,7 +444,7 @@ func chainFixture(tb testing.TB) (g *Graph, both6, in4 string) {
 	d := chainEnv.Data
 	both6 = queries.PathQueries(d)[7]
 	in4 = fmt.Sprintf("g.V(%d)%s", d.Countries[0], strings.Repeat(".in('"+dbpedia.LabelIsPartOf+"')", 4))
-	return &Graph{store: chainEnv.Store}, both6, in4
+	return newGraph(chainEnv.Store), both6, in4
 }
 
 // BenchmarkTraverseChain measures whole CTE chains behind warm caches.

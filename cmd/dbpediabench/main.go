@@ -26,7 +26,7 @@ func main() {
 	servercpu := flag.Duration("servercpu", 40*time.Microsecond, "simulated serialized per-call server CPU for baseline stores")
 	flag.Parse()
 
-	s, err := parseScale(*scale)
+	s, err := experiments.ParseScale(*scale)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,19 +56,4 @@ func main() {
 	run("memory", func() error { return experiments.Fig8cMemory(env, os.Stdout) })
 	run("summary", func() error { return experiments.Fig8dSummary(env, os.Stdout) })
 	run("translation", func() error { return experiments.AblationTranslation(env, os.Stdout) })
-}
-
-func parseScale(s string) (experiments.Scale, error) {
-	switch s {
-	case "tiny":
-		return experiments.ScaleTiny, nil
-	case "small":
-		return experiments.ScaleSmall, nil
-	case "medium":
-		return experiments.ScaleMedium, nil
-	case "large":
-		return experiments.ScaleLarge, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q", s)
-	}
 }

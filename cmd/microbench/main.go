@@ -83,7 +83,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "executor parallelism: 0 = GOMAXPROCS, 1 = serial")
 	flag.Parse()
 
-	s, err := parseScale(*scale)
+	s, err := experiments.ParseScale(*scale)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -195,20 +195,5 @@ func main() {
 		if err := experiments.CompareEngineBench(base, fresh, *maxRatio, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-	}
-}
-
-func parseScale(s string) (experiments.Scale, error) {
-	switch s {
-	case "tiny":
-		return experiments.ScaleTiny, nil
-	case "small":
-		return experiments.ScaleSmall, nil
-	case "medium":
-		return experiments.ScaleMedium, nil
-	case "large":
-		return experiments.ScaleLarge, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q", s)
 	}
 }

@@ -208,43 +208,25 @@ func main() {
 // buildGraph constructs the selected dataset. With a Dir option the graph
 // is bulk-loaded into a fresh durable directory.
 func buildGraph(dataset, scale string, opts sqlgraph.Options) (*sqlgraph.Graph, error) {
-	switch dataset {
-	case "sample":
-		return sampleGraph(opts)
-	case "dbpedia":
-		var s experiments.Scale
-		switch scale {
-		case "tiny":
-			s = experiments.ScaleTiny
-		case "small":
-			s = experiments.ScaleSmall
-		case "medium":
-			s = experiments.ScaleMedium
-		default:
-			return nil, fmt.Errorf("unknown scale %q", scale)
-		}
-		d, err := dbpedia.Generate(experiments.DBpediaConfig(s))
-		if err != nil {
+	src, err := datasetGraph(dataset, scale)
+	if err != nil {
+		return nil, err
+	}
+	b := sqlgraph.NewBuilder()
+	for _, v := range src.VertexIDs() {
+		attrs, _ := src.VertexAttrs(v)
+		if err := b.AddVertex(v, attrs); err != nil {
 			return nil, err
 		}
-		b := sqlgraph.NewBuilder()
-		for _, v := range d.Graph.VertexIDs() {
-			attrs, _ := d.Graph.VertexAttrs(v)
-			if err := b.AddVertex(v, attrs); err != nil {
-				return nil, err
-			}
-		}
-		for _, e := range d.Graph.EdgeIDs() {
-			rec, _ := d.Graph.Edge(e)
-			attrs, _ := d.Graph.EdgeAttrs(e)
-			if err := b.AddEdge(rec.ID, rec.Out, rec.In, rec.Label, attrs); err != nil {
-				return nil, err
-			}
-		}
-		return sqlgraph.Load(b, opts)
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
 	}
+	for _, e := range src.EdgeIDs() {
+		rec, _ := src.Edge(e)
+		attrs, _ := src.EdgeAttrs(e)
+		if err := b.AddEdge(rec.ID, rec.Out, rec.In, rec.Label, attrs); err != nil {
+			return nil, err
+		}
+	}
+	return sqlgraph.Load(b, opts)
 }
 
 // loadChunk is the records-per-ApplyBatch granularity of the parallel
@@ -359,41 +341,15 @@ func applyChunks(st *core.Store, recs []wal.Record, workers int) error {
 }
 
 // datasetGraph materializes the selected dataset as an in-memory
-// blueprints graph for the parallel loader to partition.
+// blueprints graph.
 func datasetGraph(dataset, scale string) (blueprints.Graph, error) {
 	switch dataset {
 	case "sample":
-		g := blueprints.NewMemGraph()
-		var err error
-		must := func(e error) {
-			if err == nil {
-				err = e
-			}
-		}
-		must(g.AddVertex(1, map[string]any{"name": "marko", "age": 29}))
-		must(g.AddVertex(2, map[string]any{"name": "vadas", "age": 27}))
-		must(g.AddVertex(3, map[string]any{"name": "lop", "lang": "java"}))
-		must(g.AddVertex(4, map[string]any{"name": "josh", "age": 32}))
-		must(g.AddEdge(7, 1, 2, "knows", map[string]any{"weight": 0.5}))
-		must(g.AddEdge(8, 1, 4, "knows", map[string]any{"weight": 1.0}))
-		must(g.AddEdge(9, 1, 3, "created", map[string]any{"weight": 0.4}))
-		must(g.AddEdge(10, 4, 2, "likes", map[string]any{"weight": 0.2}))
-		must(g.AddEdge(11, 4, 3, "created", map[string]any{"weight": 0.8}))
+		return blueprints.Figure2a(), nil
+	case "dbpedia":
+		s, err := experiments.ParseScale(scale)
 		if err != nil {
 			return nil, err
-		}
-		return g, nil
-	case "dbpedia":
-		var s experiments.Scale
-		switch scale {
-		case "tiny":
-			s = experiments.ScaleTiny
-		case "small":
-			s = experiments.ScaleSmall
-		case "medium":
-			s = experiments.ScaleMedium
-		default:
-			return nil, fmt.Errorf("unknown scale %q", scale)
 		}
 		d, err := dbpedia.Generate(experiments.DBpediaConfig(s))
 		if err != nil {
@@ -403,28 +359,6 @@ func datasetGraph(dataset, scale string) (blueprints.Graph, error) {
 	default:
 		return nil, fmt.Errorf("unknown dataset %q", dataset)
 	}
-}
-
-// sampleGraph builds the paper's Figure 2a property graph.
-func sampleGraph(opts sqlgraph.Options) (*sqlgraph.Graph, error) {
-	b := sqlgraph.NewBuilder()
-	steps := []error{
-		b.AddVertex(1, map[string]any{"name": "marko", "age": 29}),
-		b.AddVertex(2, map[string]any{"name": "vadas", "age": 27}),
-		b.AddVertex(3, map[string]any{"name": "lop", "lang": "java"}),
-		b.AddVertex(4, map[string]any{"name": "josh", "age": 32}),
-		b.AddEdge(7, 1, 2, "knows", map[string]any{"weight": 0.5}),
-		b.AddEdge(8, 1, 4, "knows", map[string]any{"weight": 1.0}),
-		b.AddEdge(9, 1, 3, "created", map[string]any{"weight": 0.4}),
-		b.AddEdge(10, 4, 2, "likes", map[string]any{"weight": 0.2}),
-		b.AddEdge(11, 4, 3, "created", map[string]any{"weight": 0.8}),
-	}
-	for _, err := range steps {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sqlgraph.Load(b, opts)
 }
 
 func demo(g *sqlgraph.Graph) {

@@ -223,18 +223,11 @@ func openStore(dir, dataset, scale string, gc wal.GroupCommit) (*core.Store, err
 	}
 	switch dataset {
 	case "sample":
-		return figure2a(opts)
+		return core.Load(blueprints.Figure2a(), opts)
 	case "dbpedia":
-		var s experiments.Scale
-		switch scale {
-		case "tiny":
-			s = experiments.ScaleTiny
-		case "small":
-			s = experiments.ScaleSmall
-		case "medium":
-			s = experiments.ScaleMedium
-		default:
-			return nil, fmt.Errorf("unknown scale %q", scale)
+		s, err := experiments.ParseScale(scale)
+		if err != nil {
+			return nil, err
 		}
 		d, err := dbpedia.Generate(experiments.DBpediaConfig(s))
 		if err != nil {
@@ -244,28 +237,4 @@ func openStore(dir, dataset, scale string, gc wal.GroupCommit) (*core.Store, err
 	default:
 		return nil, fmt.Errorf("unknown dataset %q (want sample or dbpedia)", dataset)
 	}
-}
-
-// figure2a loads the paper's Figure 2a sample graph.
-func figure2a(opts core.Options) (*core.Store, error) {
-	g := blueprints.NewMemGraph()
-	var err error
-	must := func(e error) {
-		if err == nil {
-			err = e
-		}
-	}
-	must(g.AddVertex(1, map[string]any{"name": "marko", "age": 29}))
-	must(g.AddVertex(2, map[string]any{"name": "vadas", "age": 27}))
-	must(g.AddVertex(3, map[string]any{"name": "lop", "lang": "java"}))
-	must(g.AddVertex(4, map[string]any{"name": "josh", "age": 32}))
-	must(g.AddEdge(7, 1, 2, "knows", map[string]any{"weight": 0.5}))
-	must(g.AddEdge(8, 1, 4, "knows", map[string]any{"weight": 1.0}))
-	must(g.AddEdge(9, 1, 3, "created", map[string]any{"weight": 0.4}))
-	must(g.AddEdge(10, 4, 2, "likes", map[string]any{"weight": 0.2}))
-	must(g.AddEdge(11, 4, 3, "created", map[string]any{"weight": 0.8}))
-	if err != nil {
-		return nil, err
-	}
-	return core.Load(g, opts)
 }

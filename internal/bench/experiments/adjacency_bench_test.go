@@ -22,7 +22,7 @@ func BenchmarkProfileAdjacency(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range qs {
-			if _, err := s.QueryWithOptions(q.Gremlin(), translate.Options{ForceHashTables: true}); err != nil {
+			if _, err := s.QueryTraced(q.Gremlin(), translate.Options{ForceHashTables: true}, ""); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -61,7 +61,7 @@ func EngineBenchReportData(env *DBpediaEnv, scaleName string) (*EngineBenchRepor
 		var total time.Duration
 		for i := 0; i < runs; i++ {
 			t0 := time.Now()
-			r, err := env.Store.QueryWithOptions(gq, opts)
+			r, err := env.Store.QueryTraced(gq, opts, "")
 			dt := time.Since(t0)
 			if err != nil {
 				return fmt.Errorf("%s %s: %w", figure, name, err)

@@ -32,6 +32,21 @@ const (
 	ScaleLarge
 )
 
+// ParseScale reads a -scale flag value: tiny, small, medium or large.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "tiny":
+		return ScaleTiny, nil
+	case "small":
+		return ScaleSmall, nil
+	case "medium":
+		return ScaleMedium, nil
+	case "large":
+		return ScaleLarge, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q", name)
+}
+
 // DBpediaConfig maps a scale to generator parameters.
 func DBpediaConfig(s Scale) dbpedia.Config {
 	switch s {
@@ -132,7 +147,7 @@ func sqlGraphSystem(store *core.Store, opts translate.Options) bench.System {
 	return bench.System{
 		Name: "SQLGraph",
 		Run: func(q string) (int, error) {
-			r, err := store.QueryWithOptions(q, opts)
+			r, err := store.QueryTraced(q, opts, "")
 			if err != nil {
 				return 0, err
 			}

@@ -35,7 +35,7 @@ func PlannerGate(env *DBpediaEnv, maxRatio float64, w io.Writer) error {
 		// other mode's timed window.
 		runtime.GC()
 		t0 := time.Now()
-		res, err := env.Store.QueryWithOptions(gq, opts)
+		res, err := env.Store.QueryTraced(gq, opts, "")
 		if err != nil {
 			return 0, 0, err
 		}

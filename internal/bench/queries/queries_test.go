@@ -55,7 +55,7 @@ func TestAdjacencyQueriesAgreeAcrossStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range AdjacencyQueries(d)[:6] { // hierarchy queries
-		r, err := store.QueryWithOptions(q.Gremlin(), core.TranslateOptions{ForceHashTables: true})
+		r, err := store.QueryTraced(q.Gremlin(), core.TranslateOptions{ForceHashTables: true}, "")
 		if err != nil {
 			t.Fatalf("query %d: %v", q.ID, err)
 		}

@@ -36,6 +36,22 @@ func NewMemGraph() *MemGraph {
 	}
 }
 
+// Figure2a builds the paper's Figure 2a sample property graph.
+func Figure2a() *MemGraph {
+	g := NewMemGraph()
+	// Fresh, distinct ids over existing endpoints: no insert can fail.
+	_ = g.AddVertex(1, map[string]any{"name": "marko", "age": 29})
+	_ = g.AddVertex(2, map[string]any{"name": "vadas", "age": 27})
+	_ = g.AddVertex(3, map[string]any{"name": "lop", "lang": "java"})
+	_ = g.AddVertex(4, map[string]any{"name": "josh", "age": 32})
+	_ = g.AddEdge(7, 1, 2, "knows", map[string]any{"weight": 0.5})
+	_ = g.AddEdge(8, 1, 4, "knows", map[string]any{"weight": 1.0})
+	_ = g.AddEdge(9, 1, 3, "created", map[string]any{"weight": 0.4})
+	_ = g.AddEdge(10, 4, 2, "likes", map[string]any{"weight": 0.2})
+	_ = g.AddEdge(11, 4, 3, "created", map[string]any{"weight": 0.8})
+	return g
+}
+
 // AddVertex implements Graph.
 func (g *MemGraph) AddVertex(id ID, attrs map[string]any) error {
 	g.mu.Lock()

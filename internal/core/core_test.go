@@ -85,7 +85,7 @@ func assertSameResults(t testing.TB, s *Store, oracle blueprints.Graph, query st
 	if err != nil {
 		t.Fatalf("oracle %q: %v", query, err)
 	}
-	got, err := s.QueryWithOptions(query, opts)
+	got, err := s.QueryTraced(query, opts, "")
 	if err != nil {
 		tr, terr := s.Translate(query, opts)
 		sql := "?"

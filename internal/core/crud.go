@@ -307,7 +307,7 @@ func edgeTx(tx *rel.Txn, id int64) (blueprints.EdgeRec, rel.RowID, bool) {
 	var rid rel.RowID
 	found := false
 	_ = tx.Probe(TableEA, IndexEAPK, []rel.Value{rel.NewInt(id)}, func(r rel.RowID, vals []rel.Value) bool {
-		rec = blueprints.EdgeRec{ID: vals[eaEID].Int(), Out: vals[eaINV].Int(), In: vals[eaOUTV].Int(), Label: vals[eaLBL].Str()}
+		rec = edgeRec(vals)
 		rid = r
 		found = true
 		return false
@@ -420,7 +420,7 @@ func (s *Store) removeVertexTx(tx *rel.Txn, id int64) error {
 				rec blueprints.EdgeRec
 				rid rel.RowID
 			}{
-				rec: blueprints.EdgeRec{ID: vals[eaEID].Int(), Out: vals[eaINV].Int(), In: vals[eaOUTV].Int(), Label: vals[eaLBL].Str()},
+				rec: edgeRec(vals),
 				rid: rid,
 			})
 			return true

@@ -325,7 +325,7 @@ func Check(s *core.Store, oracle blueprints.Graph, query string, opts core.Trans
 		return fmt.Errorf("parse %q: %w", query, err)
 	}
 	want, werr := interp.Eval(oracle, q)
-	got, gerr := s.QueryWithOptions(query, opts)
+	got, gerr := s.QueryTraced(query, opts, "")
 	if werr != nil || gerr != nil {
 		if werr != nil && gerr != nil {
 			return nil

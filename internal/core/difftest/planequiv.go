@@ -43,7 +43,7 @@ func CheckPlans(s *core.Store, oracle blueprints.Graph, query string, opts core.
 
 	defer setExec(s, 0, engine.StrategyAuto)
 	setExec(s, 0, engine.StrategyAuto)
-	base, err := s.QueryWithOptions(query, opts)
+	base, err := s.QueryTraced(query, opts, "")
 	if werr != nil {
 		// Both paths must refuse together; there is no plan space to walk
 		// for a refused pipeline.
@@ -67,7 +67,7 @@ func CheckPlans(s *core.Store, oracle blueprints.Graph, query string, opts core.
 		}
 		for _, force := range forcedStrategies {
 			setExec(s, k, force)
-			got, err := s.QueryWithOptions(query, opts)
+			got, err := s.QueryTraced(query, opts, "")
 			label := fmt.Sprintf("plan=%d force=%s", k, force)
 			if err != nil {
 				return fmt.Errorf("store %q (%s): %w", query, label, err)

@@ -247,12 +247,48 @@ func TestDurableLoad(t *testing.T) {
 		eid++
 	}
 	dir := t.TempDir()
+
+	// The loader stores what the record path stores: a value with no JSON
+	// form fails the load before anything is written, so the directory
+	// takes the next load; any other Go value is held as its JSON reading.
+	bad := blueprints.NewMemGraph()
+	if err := bad.AddVertex(1, map[string]any{"x": math.NaN()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bad, Options{Dir: dir}); err == nil {
+		t.Fatal("Load of a NaN attribute succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.db")); !os.IsNotExist(err) {
+		t.Fatalf("refused Load left a snapshot: %v", err)
+	}
+	if err := g.SetVertexAttr(2, "u", uint8(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetVertexAttr(3, "f", float32(0.1)); err != nil {
+		t.Fatal(err)
+	}
+
 	s, err := Load(g, Options{Dir: dir, OutCols: 2, InCols: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertStoreMatchesOracle(t, s, g, "after durable load")
 	mutateBoth(t, s, g, func(m graphMutator) error { return m.AddVertex(50, nil) })
+	mutateBoth(t, s, g, func(m graphMutator) error { return m.SetVertexAttr(4, "u", int64(7)) })
+	mutateBoth(t, s, g, func(m graphMutator) error { return m.SetVertexAttr(5, "u", uint16(7)) })
+	countU7 := func(s *Store, when string) {
+		t.Helper()
+		for q, want := range map[string]int64{"g.V.has('u',7).count()": 3, "g.V.has('f',0.1).count()": 1} {
+			res, err := s.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Values[0]; got != want {
+				t.Errorf("%s: %s = %v, want %d", when, q, got, want)
+			}
+		}
+	}
+	countU7(s, "before reopen")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,6 +303,7 @@ func TestDurableLoad(t *testing.T) {
 		t.Fatalf("Check after reopen: %v", v)
 	}
 	assertStoreMatchesOracle(t, s2, g, "after reopening loaded store")
+	countU7(s2, "after reopen")
 
 	// Loading into a non-empty directory must refuse.
 	if _, err := Load(g, Options{Dir: dir}); err == nil {

@@ -24,7 +24,7 @@ func TestAttributeStepsOneScan(t *testing.T) {
 	texts = append(texts, "g.E.filter{it.w * 2 > 1}", "g.E.order{it.w}", "g.E.groupCount{it.label}", "g.E.groupBy{it.label}{it.w}", "g.E.w")
 	for _, opts := range []TranslateOptions{{}, {ForceEA: true}, {ForceHashTables: true}} {
 		for _, text := range texts {
-			res, err := s.QueryWithOptions(text, opts)
+			res, err := s.QueryTraced(text, opts, "")
 			if err != nil {
 				t.Fatalf("%s: %v", text, err)
 			}

@@ -54,20 +54,6 @@ const maxPrepared = 4096
 // TranslateOptions mirrors translate.Options at the store API surface.
 type TranslateOptions = translate.Options
 
-// Query parses, translates, and executes a Gremlin query as one SQL
-// statement (the paper's core execution model, Section 4.2). Statements
-// are cached per query shape and bound to each query's literals.
-func (s *Store) Query(gremlinText string) (*Result, error) {
-	return s.QueryWithOptions(gremlinText, TranslateOptions{})
-}
-
-// QueryWithOptions executes a Gremlin query with explicit translation
-// options (ablation modes). Tracing is always on (it is cheap — see
-// internal/trace); the span tree rides on the Result.
-func (s *Store) QueryWithOptions(gremlinText string, opts TranslateOptions) (*Result, error) {
-	return s.queryTraced(gremlinText, opts, "", rel.Latest)
-}
-
 // Translate compiles a Gremlin query to SQL without executing it.
 func (s *Store) Translate(gremlinText string, opts TranslateOptions) (*translate.Translation, error) {
 	q, err := gremlin.Parse(gremlinText)

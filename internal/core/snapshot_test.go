@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,115 +8,93 @@ import (
 	"testing"
 )
 
+// viewReads calls every View method once over the Figure 2a graph, with
+// arguments the writes of TestSnapshotFrozenView change the answer to.
+// Each read returns what the tests compare: the value, or the error's
+// text. closed is what the read gives on a closed snapshot.
+var viewReads = []struct {
+	name   string
+	read   func(v *View) any
+	closed any
+}{
+	{"VertexExists", func(v *View) any { return v.VertexExists(2) }, false},
+	{"VertexAttrs", func(v *View) any { return result(v.VertexAttrs(1)) }, ErrSnapshotClosed.Error()},
+	{"Edge", func(v *View) any { return result(v.Edge(7)) }, ErrSnapshotClosed.Error()},
+	{"EdgeAttrs", func(v *View) any { return result(v.EdgeAttrs(8)) }, ErrSnapshotClosed.Error()},
+	{"OutEdges", func(v *View) any { return result(v.OutEdges(1)) }, ErrSnapshotClosed.Error()},
+	{"InEdges", func(v *View) any { return result(v.InEdges(3, "created")) }, ErrSnapshotClosed.Error()},
+	{"OutEdgesWithAttrs", func(v *View) any {
+		recs, attrs, err := v.OutEdgesWithAttrs(1, 0)
+		return result([]any{recs, attrs}, err)
+	}, ErrSnapshotClosed.Error()},
+	{"VertexIDs", func(v *View) any { return v.VertexIDs() }, []int64(nil)},
+	{"EdgeIDs", func(v *View) any { return v.EdgeIDs() }, []int64(nil)},
+	{"VerticesByAttr", func(v *View) any { return result(v.VerticesByAttr("name", "peter")) }, ErrSnapshotClosed.Error()},
+	{"CountVertices", func(v *View) any { return v.CountVertices() }, 0},
+	{"CountEdges", func(v *View) any { return v.CountEdges() }, 0},
+	{"Query", func(v *View) any { return queryResult(v.Query("g.V.has('name', 'marko').out.name")) }, ErrSnapshotClosed.Error()},
+	{"Query (attribute at the version)", func(v *View) any { return queryResult(v.Query("g.V.has('age', 30).id")) }, ErrSnapshotClosed.Error()},
+	// A closure reads attributes at the view's version too: 60/29 and 60/27
+	// keep marko and vadas, not the re-aged marko alone.
+	{"QueryTraced", func(v *View) any {
+		return queryResult(v.QueryTraced("g.V.filter{60 / it.age >= 2}.id", TranslateOptions{ForceHashTables: true}, ""))
+	}, ErrSnapshotClosed.Error()},
+}
+
+func result[T any](val T, err error) any {
+	if err != nil {
+		return err.Error()
+	}
+	return val
+}
+
+func queryResult(res *Result, err error) any {
+	if err != nil {
+		return err.Error()
+	}
+	return canonical(res.Values)
+}
+
 // TestSnapshotFrozenView pins a snapshot, mutates the store through every
-// CRUD path, and checks the snapshot still answers exactly as the store
-// did at pin time — Gremlin queries and direct reads alike.
+// CRUD path, and calls every view method at the head, which must see the
+// writes, and on the snapshot, which must answer exactly as the store did
+// at pin time.
 func TestSnapshotFrozenView(t *testing.T) {
 	s := loadFigure2a(t, Options{})
-
+	before := make([]any, len(viewReads))
+	for i, c := range viewReads {
+		before[i] = c.read(&s.View)
+	}
 	snap := s.Snapshot()
 	defer snap.Close()
 
-	wantV := s.VertexIDs()
-	wantE := s.EdgeIDs()
-	wantMarkoOut, err := s.OutEdges(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAttrs, err := s.VertexAttrs(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// Mutate everything the store supports.
-	if err := s.AddVertex(50, map[string]any{"name": "peter"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddEdge(60, 50, 3, "created", map[string]any{"weight": 0.2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetVertexAttr(1, "age", int64(30)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveEdge(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveVertex(2); err != nil {
-		t.Fatal(err)
+	for _, err := range []error{
+		s.AddVertex(50, map[string]any{"name": "peter"}),
+		s.AddVertex(51, nil),
+		s.AddEdge(60, 50, 3, "created", map[string]any{"weight": 0.2}),
+		s.AddEdge(61, 50, 51, "knows", nil),
+		s.AddEdge(62, 51, 4, "knows", nil),
+		s.SetVertexAttr(1, "age", int64(30)),
+		s.SetEdgeAttr(8, "weight", 2.5),
+		s.RemoveEdge(7),
+		s.RemoveVertex(2),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := s.Vacuum(); err != nil {
 		t.Fatal(err)
 	}
 
-	if got := snap.VertexIDs(); !reflect.DeepEqual(got, wantV) {
-		t.Errorf("snapshot VertexIDs = %v, want %v", got, wantV)
-	}
-	if got := snap.EdgeIDs(); !reflect.DeepEqual(got, wantE) {
-		t.Errorf("snapshot EdgeIDs = %v, want %v", got, wantE)
-	}
-	if got, err := snap.OutEdges(1); err != nil || !reflect.DeepEqual(got, wantMarkoOut) {
-		t.Errorf("snapshot OutEdges(1) = %v (%v), want %v", got, err, wantMarkoOut)
-	}
-	if got, err := snap.VertexAttrs(1); err != nil || !reflect.DeepEqual(got, wantAttrs) {
-		t.Errorf("snapshot VertexAttrs(1) = %v (%v), want %v", got, err, wantAttrs)
-	}
-	if !snap.VertexExists(2) {
-		t.Error("snapshot should still see removed vertex 2")
-	}
-	if snap.VertexExists(50) {
-		t.Error("snapshot must not see vertex 50 added after the pin")
-	}
-	if _, err := snap.Edge(7); err != nil {
-		t.Errorf("snapshot should still see removed edge 7: %v", err)
-	}
-	if snap.CountVertices() != len(wantV) || snap.CountEdges() != len(wantE) {
-		t.Errorf("snapshot counts = %d/%d, want %d/%d",
-			snap.CountVertices(), snap.CountEdges(), len(wantV), len(wantE))
-	}
-
-	// Gremlin via the translated-SQL path must read at the pinned version.
-	res, err := snap.Query("g.V.has('name', 'marko').out.name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[any]bool{}
-	for _, v := range res.Values {
-		got[v] = true
-	}
-	for _, want := range []string{"vadas", "josh", "lop"} {
-		if !got[want] {
-			t.Errorf("snapshot Gremlin out-names missing %q (got %v)", want, res.Values)
+	for i, c := range viewReads {
+		if got := c.read(&snap.View); !reflect.DeepEqual(got, before[i]) {
+			t.Errorf("snapshot %s = %v, want %v as at the pin", c.name, got, before[i])
 		}
-	}
-	// Age update after the pin is invisible.
-	res, err = snap.Query("g.V.has('age', 30).id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count() != 0 {
-		t.Errorf("snapshot sees post-pin age update: %v", res.Values)
-	}
-	// A closure reads attributes at the pinned version too: 60/29 and 60/27
-	// keep marko and the since-removed vadas, not the re-aged marko alone.
-	res, err = snap.Query("g.V.filter{60 / it.age >= 2}.id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := canonical(res.Values); !reflect.DeepEqual(got, []string{"int64:1", "int64:2"}) {
-		t.Errorf("snapshot closure filter = %v, want vertices 1 and 2", got)
-	}
-	// VerticesByAttr at the snapshot (raw-SQL read path).
-	ids, err := snap.VerticesByAttr("name", "peter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 0 {
-		t.Errorf("snapshot VerticesByAttr sees post-pin vertex: %v", ids)
-	}
-
-	// The live store sees the new world.
-	if s.VertexExists(2) || !s.VertexExists(50) {
-		t.Error("live store should reflect the mutations")
+		if got := c.read(&s.View); reflect.DeepEqual(got, before[i]) {
+			t.Errorf("head %s = %v, unchanged by the writes", c.name, got)
+		}
 	}
 }
 
@@ -146,25 +123,18 @@ func TestSnapshotSeesIndexOnlyIfBornBefore(t *testing.T) {
 }
 
 // TestSnapshotClosed verifies Close is idempotent, releases the pin, and
-// makes subsequent reads fail loudly instead of reading at a
-// garbage-collected version.
+// makes every subsequent read fail loudly (or report nothing) instead of
+// reading at a garbage-collected version.
 func TestSnapshotClosed(t *testing.T) {
 	s := loadFigure2a(t, Options{})
 	snap := s.Snapshot()
 	snap.Close()
 	snap.Close() // idempotent
 
-	if _, err := snap.Query("g.V.count"); !errors.Is(err, ErrSnapshotClosed) {
-		t.Errorf("Query after Close: err = %v, want ErrSnapshotClosed", err)
-	}
-	if _, err := snap.VertexAttrs(1); !errors.Is(err, ErrSnapshotClosed) {
-		t.Errorf("VertexAttrs after Close: err = %v, want ErrSnapshotClosed", err)
-	}
-	if snap.VertexExists(1) {
-		t.Error("VertexExists after Close should report false")
-	}
-	if got := snap.VertexIDs(); got != nil {
-		t.Errorf("VertexIDs after Close = %v, want nil", got)
+	for _, c := range viewReads {
+		if got := c.read(&snap.View); !reflect.DeepEqual(got, c.closed) {
+			t.Errorf("%s after Close = %#v, want %#v", c.name, got, c.closed)
+		}
 	}
 	if pins := s.Catalog().PinnedVersions(); pins != 0 {
 		t.Errorf("pins remain after Close: %v", pins)

@@ -83,8 +83,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Store is a SQLGraph property-graph store over the embedded relational
-// engine.
+// engine. Its reads and queries are those of its View at the head.
 type Store struct {
+	View // the store head: st is the store itself, ver rel.Latest
+
 	opts      Options
 	cat       *rel.Catalog
 	eng       *engine.Engine
@@ -188,6 +190,7 @@ func newMemStore(opts Options) (*Store, error) {
 		nextLID: -1,
 		tracer:  trace.NewRecorder(0, 0),
 	}
+	s.View.st = s
 	empty := coloring.NewCooccurrence()
 	s.outAssign = buildAssignment(empty, opts.OutCols, opts.Coloring)
 	s.outAssign.Columns = opts.OutCols
@@ -257,6 +260,7 @@ func loadMem(src blueprints.Graph, opts Options) (*Store, error) {
 		nextLID:   -1,
 		tracer:    trace.NewRecorder(0, 0),
 	}
+	s.View.st = s
 	if s.outCols < 1 {
 		s.outCols = 1
 	}
@@ -283,11 +287,11 @@ func loadMem(src blueprints.Graph, opts Options) (*Store, error) {
 	defer tx.Rollback()
 
 	for _, v := range vids {
-		attrs, err := src.VertexAttrs(v)
+		doc, err := loadDoc(src.VertexAttrs(v))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: load: vertex %d: %w", v, err)
 		}
-		if _, err := tx.Insert(TableVA, []rel.Value{rel.NewInt(v), rel.NewJSON(sqljson.FromMap(attrs))}); err != nil {
+		if _, err := tx.Insert(TableVA, []rel.Value{rel.NewInt(v), rel.NewJSON(doc)}); err != nil {
 			return nil, err
 		}
 		outs, err := src.OutEdges(v)
@@ -310,13 +314,13 @@ func loadMem(src blueprints.Graph, opts Options) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		attrs, err := src.EdgeAttrs(eid)
+		doc, err := loadDoc(src.EdgeAttrs(eid))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: load: edge %d: %w", eid, err)
 		}
 		if _, err := tx.Insert(TableEA, []rel.Value{
 			rel.NewInt(rec.ID), rel.NewInt(rec.Out), rel.NewInt(rec.In),
-			rel.NewString(rec.Label), rel.NewJSON(sqljson.FromMap(attrs)),
+			rel.NewString(rec.Label), rel.NewJSON(doc),
 		}); err != nil {
 			return nil, err
 		}
@@ -328,6 +332,16 @@ func loadMem(src blueprints.Graph, opts Options) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// loadDoc is the document the loader stores for an element's attributes:
+// what the record path stores for them (sqljson.Build), so a value with
+// no JSON form fails the load before anything is written.
+func loadDoc(attrs map[string]any, err error) (*sqljson.Doc, error) {
+	if err != nil {
+		return nil, err
+	}
+	return sqljson.Build(attrs)
 }
 
 func labelsOf(recs []blueprints.EdgeRec) []string {

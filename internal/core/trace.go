@@ -17,33 +17,31 @@ import (
 // write-path traces, and WAL/checkpoint counters.
 func (s *Store) Tracer() *trace.Recorder { return s.tracer }
 
-// QueryTraced is QueryWithOptions with an explicit trace id (usually from
-// an incoming W3C traceparent; empty mints a fresh one). The returned
-// Result carries the full span tree; the trace is also retained in the
-// store's ring buffer for /debug/queries, success or failure.
-func (s *Store) QueryTraced(gremlinText string, opts TranslateOptions, traceID string) (*Result, error) {
-	return s.queryTraced(gremlinText, opts, traceID, rel.Latest)
+// Query parses, translates, and executes a Gremlin query as one SQL
+// statement (the paper's core execution model, Section 4.2) at the view's
+// version. Statements are cached per query shape and bound to each
+// query's literals.
+func (v *View) Query(gremlinText string) (*Result, error) {
+	return v.QueryTraced(gremlinText, TranslateOptions{}, "")
 }
 
-// QueryTraced mirrors Store.QueryTraced for a pinned snapshot.
-func (sn *Snap) QueryTraced(gremlinText string, opts TranslateOptions, traceID string) (*Result, error) {
-	if !sn.ok() {
+// QueryTraced is Query with explicit translation options (ablation
+// modes) and trace id (usually from an incoming W3C traceparent; empty
+// mints a fresh one). It is the one Gremlin execution path: parse the
+// text into a shape and its arguments, find the statement prepared for
+// the shape (translate → plan on a miss, a single "plan [cached shape …]"
+// span on a hit), bind the arguments and execute, with per-operator spans
+// lifted from the executor's stats. The returned Result carries the full
+// span tree; the trace is also retained in the store's ring buffer for
+// /debug/queries, success or failure.
+func (v *View) QueryTraced(gremlinText string, opts TranslateOptions, traceID string) (*Result, error) {
+	if v.released.Load() {
 		return nil, ErrSnapshotClosed
 	}
-	return sn.s.queryTraced(gremlinText, opts, traceID, sn.ver)
-}
-
-// queryTraced is the one Gremlin execution path: parse the text into a
-// shape and its arguments, find the statement prepared for the shape
-// (translate → plan on a miss, a single "plan [cached shape …]" span on a
-// hit), bind the arguments and execute, with per-operator spans lifted
-// from the executor's stats. ver is rel.Latest for the store head or a
-// pinned snapshot version.
-func (s *Store) queryTraced(gremlinText string, opts TranslateOptions, traceID string, ver rel.Version) (*Result, error) {
 	b := trace.NewBuilder(traceID, "query", gremlinText)
-	res, err := s.runQuery(b, gremlinText, opts, ver)
+	res, err := v.st.runQuery(b, gremlinText, opts, v.ver)
 	tr := b.Finish(err)
-	s.tracer.Record(tr)
+	v.st.tracer.Record(tr)
 	if err != nil {
 		return nil, err
 	}

@@ -122,23 +122,12 @@ func pathID(w http.ResponseWriter, r *http.Request) (int64, bool) {
 	return id, true
 }
 
-// readView is the slice of the point-read API shared by the live store
-// and a pinned snapshot.
-type readView interface {
-	VertexExists(int64) bool
-	VertexAttrs(int64) (map[string]any, error)
-	Edge(int64) (blueprints.EdgeRec, error)
-	EdgeAttrs(int64) (map[string]any, error)
-	OutEdges(int64, ...string) ([]blueprints.EdgeRec, error)
-	InEdges(int64, ...string) ([]blueprints.EdgeRec, error)
-}
-
 // acquireRead resolves the view a read request runs on: the session's
-// pinned snapshot when ?session= names one, otherwise a fresh snapshot
+// pinned snapshot when sessionID names one, otherwise a fresh snapshot
 // pinned for just this request. release must be called when done.
-func (s *Server) acquireRead(r *http.Request) (view readView, release func(), err error) {
-	if id := r.URL.Query().Get("session"); id != "" {
-		sess, err := s.sess.Acquire(id)
+func (s *Server) acquireRead(sessionID string) (view *core.Snap, release func(), err error) {
+	if sessionID != "" {
+		sess, err := s.sess.Acquire(sessionID)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -335,25 +324,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		traceID = st.traceID
 	}
 	s.run(w, r, func() (any, int, error) {
-		var (
-			res *core.Result
-			ver uint64
-			err error
-		)
-		if req.Session != "" {
-			sess, aerr := s.sess.Acquire(req.Session)
-			if aerr != nil {
-				return nil, statusFor(aerr), aerr
-			}
-			defer s.sess.Done(sess)
-			ver = sess.snap.Version()
-			res, err = sess.snap.QueryTraced(req.Gremlin, req.Options.internal(), traceID)
-		} else {
-			snap := s.st().Snapshot()
-			defer snap.Close()
-			ver = snap.Version()
-			res, err = snap.QueryTraced(req.Gremlin, req.Options.internal(), traceID)
+		view, release, err := s.acquireRead(req.Session)
+		if err != nil {
+			return nil, statusFor(err), err
 		}
+		defer release()
+		res, err := view.QueryTraced(req.Gremlin, req.Options.internal(), traceID)
 		if err != nil {
 			s.met.observeExec(nil, err)
 			return nil, statusFor(err), err
@@ -364,7 +340,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if vals == nil {
 			vals = []any{}
 		}
-		resp := queryResponse{Count: len(vals), Values: vals, Version: ver}
+		resp := queryResponse{Count: len(vals), Values: vals, Version: view.Version()}
 		if tr := res.Trace; tr != nil {
 			resp.TraceID = tr.ID
 			if req.Explain {
@@ -436,7 +412,7 @@ func (s *Server) handleVertexGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.run(w, r, func() (any, int, error) {
-		view, release, err := s.acquireRead(r)
+		view, release, err := s.acquireRead(r.URL.Query().Get("session"))
 		if err != nil {
 			return nil, statusFor(err), err
 		}
@@ -460,7 +436,7 @@ func (s *Server) handleVertexEdges(w http.ResponseWriter, r *http.Request) {
 	}
 	outgoing := r.URL.Path[len(r.URL.Path)-4:] == "/out"
 	s.run(w, r, func() (any, int, error) {
-		view, release, err := s.acquireRead(r)
+		view, release, err := s.acquireRead(r.URL.Query().Get("session"))
 		if err != nil {
 			return nil, statusFor(err), err
 		}
@@ -488,7 +464,7 @@ func (s *Server) handleEdgeGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.run(w, r, func() (any, int, error) {
-		view, release, err := s.acquireRead(r)
+		view, release, err := s.acquireRead(r.URL.Query().Get("session"))
 		if err != nil {
 			return nil, statusFor(err), err
 		}

@@ -89,7 +89,8 @@ func (w *walker) value() any {
 		var v any
 		_ = dec.Decode(&v) // cannot fail: the text is valid
 		w.i += int(dec.InputOffset())
-		return normalize(v)
+		v, _ = normalize(v) // a number beyond float64 is kept as ±Inf, as at the top level
+		return v
 	case 't':
 		w.i += len("true")
 		return true

@@ -20,12 +20,16 @@
 package sqljson
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Doc is a parsed JSON object. The zero value is an empty document.
@@ -43,53 +47,195 @@ func byKey(a, b field) int { return strings.Compare(a.key.Value(), b.key.Value()
 // New returns an empty document.
 func New() *Doc { return &Doc{} }
 
-// FromMap builds a document from a Go map. Values must be nil, bool,
-// int/int64, float64, string, []any, map[string]any, or nested *Doc.
-func FromMap(m map[string]any) *Doc {
-	d := &Doc{fields: make([]field, 0, len(m))}
-	for k, v := range m {
-		d.fields = append(d.fields, field{intern(k), normalize(v)})
+// Build builds a document from a Go map, holding every value as its JSON
+// text reads back, so Build(m) and Parse(Build(m).String()) are the same
+// document (a json.Number aside: it is held as Parse reads its own text):
+//   - a Go integer of any kind is an int64 (a uint beyond int64 the
+//     nearest float64), and a float of any kind a float64 as its JSON
+//     text reads (float32(0.1) is 0.1), or an int64 when integral and
+//     within ±2^53;
+//   - invalid UTF-8 in a key or a string is U+FFFD, byte by byte (of keys
+//     that then coincide one value is kept);
+//   - any other type is its encoding/json reading.
+//
+// NaN and ±Inf have no JSON form (nor has a json.Number beyond the
+// float64 range, nor a value encoding/json refuses, such as a channel):
+// Build fails on them.
+func Build(m map[string]any) (*Doc, error) {
+	d, err := fromMap(m)
+	if err != nil {
+		return nil, err
 	}
-	slices.SortFunc(d.fields, byKey)
+	return d, nil
+}
+
+// FromMap is Build for a map the caller has no error path for. A value
+// with no JSON form is kept as given, so the document's text (String)
+// fails to parse: a write carrying it is refused when its record is
+// applied.
+func FromMap(m map[string]any) *Doc {
+	d, _ := fromMap(m)
 	return d
 }
 
-func normalizeMap(m map[string]any) map[string]any {
-	out := make(map[string]any, len(m))
+func fromMap(m map[string]any) (*Doc, error) {
+	d := &Doc{fields: make([]field, 0, len(m))}
+	var err error
+	var bad []string // keys that are not valid UTF-8
 	for k, v := range m {
-		out[k] = normalize(v)
+		if !utf8.ValidString(k) {
+			bad = append(bad, k)
+			continue
+		}
+		nv, verr := normalize(v)
+		err = keyErr(err, k, verr)
+		d.fields = append(d.fields, field{intern(k), nv})
 	}
-	return out
+	slices.SortFunc(d.fields, byKey)
+	// Set reads each as U+FFFD; in byte order, of keys that then coincide
+	// the same one wins every time.
+	slices.Sort(bad)
+	for _, k := range bad {
+		nv, verr := normalize(m[k])
+		err = keyErr(err, k, verr)
+		d.Set(k, nv)
+	}
+	return d, err
 }
 
-func normalize(v any) any {
-	switch x := v.(type) {
-	case json.Number:
-		return number(string(x))
-	case int:
-		return int64(x)
-	case float64:
-		if x == math.Trunc(x) && math.Abs(x) < 1<<53 {
-			return int64(x)
+func normalizeMap(m map[string]any) (map[string]any, error) {
+	out := make(map[string]any, len(m))
+	var err error
+	var bad []string // as in fromMap
+	for k, v := range m {
+		if !utf8.ValidString(k) {
+			bad = append(bad, k)
+			continue
 		}
-		return x
+		nv, verr := normalize(v)
+		err = keyErr(err, k, verr)
+		out[k] = nv
+	}
+	slices.Sort(bad)
+	for _, k := range bad {
+		nv, verr := normalize(m[k])
+		err = keyErr(err, k, verr)
+		out[validUTF8(k)] = nv
+	}
+	return out, err
+}
+
+// keyErr is err, or, when there is none yet, the error of key's value.
+func keyErr(err error, key string, verr error) error {
+	if err == nil && verr != nil {
+		return fmt.Errorf("sqljson: key %q: %w", key, verr)
+	}
+	return err
+}
+
+// normalize returns v as its JSON text reads back (see Build). A value
+// with no JSON form is an error; it is kept as given (a json.Number as
+// the ±Inf Parse reads), and a map or slice holding it is still
+// normalized around it, so Parse, which ignores the error, reads nested
+// numbers as it always has.
+func normalize(v any) (any, error) {
+	switch x := v.(type) {
+	case nil, bool, int64:
+		return v, nil
+	case string:
+		if utf8.ValidString(x) {
+			return v, nil // no new box: documents hold their strings as given
+		}
+		return validUTF8(x), nil
+	case int:
+		return int64(x), nil
+	case float64:
+		return floatValue(x)
+	case json.Number:
+		n := number(string(x))
+		if f, ok := n.(float64); ok && math.IsInf(f, 0) {
+			return n, errNotFinite
+		}
+		return n, nil
 	case map[string]any:
 		return normalizeMap(x)
 	case []any:
+		var err error
 		out := make([]any, len(x))
 		for i, e := range x {
-			out[i] = normalize(e)
+			ne, eerr := normalize(e)
+			if eerr != nil && err == nil {
+				err = eerr
+			}
+			out[i] = ne
 		}
-		return out
+		return out, err
 	case *Doc:
 		m := make(map[string]any, x.Len())
 		for _, f := range x.fieldsOrNil() {
 			m[f.key.Value()] = f.val
 		}
-		return m
-	default:
-		return v
+		return m, nil
 	}
+	if _, ok := v.(json.Marshaler); !ok {
+		switch rv := reflect.ValueOf(v); rv.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			return rv.Int(), nil
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+			if u := rv.Uint(); u <= math.MaxInt64 {
+				return int64(u), nil
+			}
+			return float64(rv.Uint()), nil
+		case reflect.Float32:
+			// encoding/json writes a float32 in its own shortest form.
+			f, _ := strconv.ParseFloat(strconv.FormatFloat(rv.Float(), 'g', -1, 32), 64)
+			return floatValue(f)
+		case reflect.Float64:
+			return floatValue(rv.Float())
+		}
+	}
+	// Anything else reads back as encoding/json writes it.
+	text, err := json.Marshal(v)
+	if err != nil {
+		return v, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(text))
+	dec.UseNumber()
+	var out any
+	if err := dec.Decode(&out); err != nil {
+		return v, err
+	}
+	return normalize(out)
+}
+
+var errNotFinite = errors.New("NaN and ±Inf have no JSON form")
+
+// floatValue is a float64 as its JSON text reads back: an int64 when
+// integral and within ±2^53 (as Parse reads such text), NaN and ±Inf
+// refused.
+func floatValue(x float64) (any, error) {
+	switch {
+	case math.IsNaN(x) || math.IsInf(x, 0):
+		return x, errNotFinite
+	case x == math.Trunc(x) && math.Abs(x) < 1<<53:
+		return int64(x), nil
+	}
+	return x, nil
+}
+
+// validUTF8 replaces each byte of s that is not part of valid UTF-8 with
+// U+FFFD, as encoding/json writes such a string.
+func validUTF8(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); {
+		r, n := utf8.DecodeRuneInString(s[i:])
+		b.WriteRune(r) // utf8.RuneError is U+FFFD
+		i += n
+	}
+	return b.String()
 }
 
 func (d *Doc) fieldsOrNil() []field {
@@ -138,9 +284,11 @@ func (d *Doc) Keys() []string {
 	return keys
 }
 
-// Set stores v (normalized) under key.
+// Set stores v, normalized as Build does, under key (with invalid UTF-8
+// read as U+FFFD). A value with no JSON form is stored as given.
 func (d *Doc) Set(key string, v any) {
-	v = normalize(v)
+	v, _ = normalize(v)
+	key = validUTF8(key)
 	if i, ok := d.search(key); ok {
 		d.fields[i].val = v
 	} else {

@@ -3,6 +3,7 @@ package sqljson
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -205,31 +206,74 @@ func TestSizePositiveAndMonotone(t *testing.T) {
 
 // AppendJSON copies plain strings and sorts small key sets on the stack;
 // both shortcuts must render exactly what encoding/json does, which is
-// what the WAL and snapshot files already hold.
+// what the WAL and snapshot files already hold. Build holds each value as
+// its JSON text reads back (held, when that differs from the map given)
+// and refuses a value with no JSON form.
 func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	many := map[string]any{}
 	for i := 0; i < 20; i++ { // more keys than the stack array holds
 		many[fmt.Sprintf("k%02d", 19-i)] = int64(i)
 	}
-	for _, m := range []map[string]any{
-		{},
-		{"plain": "ascii only", "n": int64(-7), "ok": true, "none": nil},
-		{"quote\"key": "back\\slash", "html": "<a href='x'>&</a>", "ctl": "tab\there\n", "del": "\x7f"},
-		{"utf8": "héllo — 世界", "bad": "\xff\xfe", "sep": "\u2028"},
-		{"nested": map[string]any{"b": []any{int64(1), "two", map[string]any{"z": "<", "a": ""}}, "a": "x"}},
-		many,
+	type named int16
+	for _, c := range []struct {
+		m, held map[string]any
+		refused bool
+	}{
+		{m: map[string]any{}},
+		{m: map[string]any{"plain": "ascii only", "n": int64(-7), "ok": true, "none": nil}},
+		{m: map[string]any{"quote\"key": "back\\slash", "html": "<a href='x'>&</a>", "ctl": "tab\there\n", "del": "\x7f"}},
+		{m: map[string]any{"utf8": "héllo — 世界", "sep": "\u2028"}},
+		{m: map[string]any{"nested": map[string]any{"b": []any{int64(1), "two", map[string]any{"z": "<", "a": ""}}, "a": "x"}}},
+		{m: many},
+		{
+			m:    map[string]any{"u8": uint8(7), "i32": int32(-3), "n": named(4), "f32": float32(0.1), "f": 2.0},
+			held: map[string]any{"u8": int64(7), "i32": int64(-3), "n": int64(4), "f32": 0.1, "f": int64(2)},
+		},
+		{
+			m:    map[string]any{"bad": "\xff\xfe", "k\xff": []any{"\xc3"}, "in": map[string]any{"\x80": int64(1)}},
+			held: map[string]any{"bad": "\ufffd\ufffd", "k\ufffd": []any{"\ufffd"}, "in": map[string]any{"\ufffd": int64(1)}},
+		},
+		{
+			m:    map[string]any{"strs": []string{"a"}, "ints": map[string]int{"a": 1}, "ptr": new(float32)},
+			held: map[string]any{"strs": []any{"a"}, "ints": map[string]any{"a": int64(1)}, "ptr": int64(0)},
+		},
+		{m: map[string]any{"x": math.NaN()}, refused: true},
+		{m: map[string]any{"x": math.Inf(1)}, refused: true},
+		{m: map[string]any{"x": []any{int64(1), float32(math.Inf(-1))}}, refused: true},
+		{m: map[string]any{"in": map[string]any{"x": math.NaN()}}, refused: true},
+		{m: map[string]any{"c": make(chan int)}, refused: true},
+		{m: map[string]any{"n": []any{json.Number("1e400")}}, refused: true},
 	} {
-		want, err := json.Marshal(m)
+		d, err := Build(c.m)
+		if c.refused {
+			if err == nil {
+				t.Errorf("Build(%v) = %s, want an error", c.m, d)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Build(%v): %v", c.m, err)
+		}
+		held := c.held
+		if held == nil {
+			held = c.m
+		}
+		if !reflect.DeepEqual(d.Map(), held) {
+			t.Errorf("Build(%v) holds %#v, want %#v", c.m, d.Map(), held)
+		}
+		want, err := json.Marshal(held)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := FromMap(m)
 		prefix := []byte("keep:")
 		if got := d.AppendJSON(prefix); string(got) != "keep:"+string(want) {
 			t.Errorf("AppendJSON = %s\nencoding/json = %s", got[len("keep:"):], want)
 		}
 		if got := d.String(); got != string(want) {
 			t.Errorf("String = %s\nencoding/json = %s", got, want)
+		}
+		if got := FromMap(c.m).String(); got != string(want) {
+			t.Errorf("FromMap renders %s, Build %s", got, want)
 		}
 	}
 }
@@ -318,7 +362,11 @@ func TestDocMatchesMapLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 500; iter++ {
 		m := randMap(rng, 2)
-		ref := refDoc(normalizeMap(m))
+		nm, err := normalizeMap(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := refDoc(nm)
 		d := FromMap(m)
 		sameAsRef(t, "FromMap", d, ref)
 
@@ -342,12 +390,13 @@ func TestDocMatchesMapLayout(t *testing.T) {
 				}
 			} else {
 				v := randValue(rng, 1)
-				ref[k] = normalize(v)
+				ref[k], _ = normalize(v)
 				d.Set(k, v)
 			}
 			sameAsRef(t, fmt.Sprintf("op %d", op), d, ref)
 		}
-		sameAsRef(t, "Clone, after the original changed", clone, refDoc(normalizeMap(m)))
+		orig, _ := normalizeMap(m)
+		sameAsRef(t, "Clone, after the original changed", clone, refDoc(orig))
 	}
 }
 
@@ -536,6 +585,38 @@ func FuzzDocParse(f *testing.F) {
 		}
 		if got, ref := d.String(), refDoc(want).json(); got != ref {
 			t.Fatalf("Parse(%q) renders %s, map layout %s", s, got, ref)
+		}
+	})
+}
+
+// FuzzFromMapFixedPoint checks that a document holds what its own text
+// reads back: FromMap(m) equals Parse(FromMap(m).String()) for every map
+// Build accepts, and Build refuses only a map with no JSON form.
+func FuzzFromMapFixedPoint(f *testing.F) {
+	f.Add("k", "v", int64(-1), uint8(7), uint64(7), float32(1.5), 2.0)
+	f.Add("nan", "ok", int64(0), uint8(0), uint64(0), float32(0), math.NaN())
+	f.Add("f32", "", int64(1<<60), uint8(255), uint64(1<<63), float32(0.1), 1e300)
+	f.Add("\xffkey", "bad \xfe\xc3 utf8", int64(9007199254740993), uint8(1), uint64(1<<64-1), float32(math.Inf(1)), 0.5)
+	f.Fuzz(func(t *testing.T, key, s string, i int64, u uint8, u64 uint64, f32 float32, f64 float64) {
+		m := map[string]any{
+			key: s, "i": i, "u": u, "u64": u64, "f32": f32, "f64": f64,
+			"nested": map[string]any{key: []any{s, f64, u}},
+		}
+		d, err := Build(m)
+		finite := !math.IsNaN(f64) && !math.IsInf(f64, 0) && !math.IsNaN(float64(f32)) && !math.IsInf(float64(f32), 0)
+		if (err == nil) != finite {
+			t.Fatalf("Build(%v) error %v", m, err)
+		}
+		if err != nil {
+			return
+		}
+		fm := FromMap(m)
+		p, err := Parse(fm.String())
+		if err != nil {
+			t.Fatalf("Parse(%s): %v", fm, err)
+		}
+		if !reflect.DeepEqual(p.Map(), fm.Map()) || !reflect.DeepEqual(fm.Map(), d.Map()) {
+			t.Fatalf("FromMap holds %#v, its text reads back %#v, Build holds %#v", fm.Map(), p.Map(), d.Map())
 		}
 	})
 }

@@ -20,6 +20,13 @@
 //	g, err := sqlgraph.Load(b, sqlgraph.Options{})
 //	...
 //	res, err := g.Query("g.V.has('name', 'marko').out('created').name")
+//
+// A Graph and a Snapshot have one set of reads and queries (Query,
+// QueryWithOptions, VertexExists, VertexAttrs, EdgeByID, EdgeAttrs,
+// OutEdges, InEdges, VertexIDs, EdgeIDs, VerticesByAttr, CountVertices,
+// CountEdges): a Graph's read the latest committed state, a Snapshot's
+// its pinned version. Load and the mutations store every attribute value
+// as its JSON reading and refuse NaN and ±Inf, which have none.
 package sqlgraph
 
 import (
@@ -162,10 +169,15 @@ func (b *Builder) Counts() (vertices, edges int) {
 	return b.mem.CountVertices(), b.mem.CountEdges()
 }
 
-// Graph is a SQLGraph property-graph store.
+// Graph is a SQLGraph property-graph store. Its reads and queries see
+// the latest committed state; a Snapshot offers the same set at a pinned
+// version.
 type Graph struct {
+	reader
 	store *core.Store
 }
+
+func newGraph(s *core.Store) *Graph { return &Graph{reader: reader{&s.View}, store: s} }
 
 // Open creates an empty store; labels hash to columns on first sight. Use
 // Load when the data is available up front — the analyzed coloring packs
@@ -175,7 +187,7 @@ func Open(opts Options) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{store: s}, nil
+	return newGraph(s), nil
 }
 
 // Load bulk-loads a built graph.
@@ -184,30 +196,7 @@ func Load(b *Builder, opts Options) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{store: s}, nil
-}
-
-// Query runs a side-effect-free Gremlin query, compiled to a single SQL
-// statement.
-func (g *Graph) Query(gremlin string) (*Result, error) {
-	r, err := g.store.Query(gremlin)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Values: r.Values, Stats: r.Stats, Trace: r.Trace}, nil
-}
-
-// QueryWithOptions runs a query with explicit translation options.
-func (g *Graph) QueryWithOptions(gremlin string, opts QueryOptions) (*Result, error) {
-	r, err := g.store.QueryWithOptions(gremlin, translate.Options{
-		ForceEA:         opts.ForceEA,
-		ForceHashTables: opts.ForceHashTables,
-		RecursiveLoops:  opts.RecursiveLoops,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Values: r.Values, Stats: r.Stats, Trace: r.Trace}, nil
+	return newGraph(s), nil
 }
 
 // Translate compiles a Gremlin query to SQL without executing it.
@@ -263,54 +252,6 @@ func (g *Graph) RemoveEdgeAttr(id int64, key string) error {
 	return g.store.RemoveEdgeAttr(id, key)
 }
 
-// VertexExists reports whether the vertex is live.
-func (g *Graph) VertexExists(id int64) bool { return g.store.VertexExists(id) }
-
-// VertexAttrs returns a copy of a vertex's attributes.
-func (g *Graph) VertexAttrs(id int64) (map[string]any, error) {
-	return g.store.VertexAttrs(id)
-}
-
-// EdgeByID returns an edge's endpoints and label.
-func (g *Graph) EdgeByID(id int64) (Edge, error) {
-	rec, err := g.store.Edge(id)
-	if err != nil {
-		return Edge{}, err
-	}
-	return Edge{ID: rec.ID, From: rec.Out, To: rec.In, Label: rec.Label}, nil
-}
-
-// EdgeAttrs returns a copy of an edge's attributes.
-func (g *Graph) EdgeAttrs(id int64) (map[string]any, error) {
-	return g.store.EdgeAttrs(id)
-}
-
-// OutEdges lists a vertex's outgoing edges, optionally label-filtered.
-func (g *Graph) OutEdges(v int64, labels ...string) ([]Edge, error) {
-	recs, err := g.store.OutEdges(v, labels...)
-	return toEdges(recs), err
-}
-
-// InEdges lists a vertex's incoming edges.
-func (g *Graph) InEdges(v int64, labels ...string) ([]Edge, error) {
-	recs, err := g.store.InEdges(v, labels...)
-	return toEdges(recs), err
-}
-
-func toEdges(recs []blueprints.EdgeRec) []Edge {
-	out := make([]Edge, len(recs))
-	for i, r := range recs {
-		out[i] = Edge{ID: r.ID, From: r.Out, To: r.In, Label: r.Label}
-	}
-	return out
-}
-
-// VerticesByAttr finds vertices by attribute value (indexed when
-// CreateVertexAttrIndex has been called for the key).
-func (g *Graph) VerticesByAttr(key string, val any) ([]int64, error) {
-	return g.store.VerticesByAttr(key, val)
-}
-
 // CreateVertexAttrIndex builds a JSON expression index over a vertex
 // attribute key.
 func (g *Graph) CreateVertexAttrIndex(key string) error {
@@ -323,12 +264,6 @@ func (g *Graph) CreateEdgeAttrIndex(key string) error {
 	return g.store.CreateEdgeAttrIndex(key)
 }
 
-// CountVertices returns the number of live vertices.
-func (g *Graph) CountVertices() int { return g.store.CountVertices() }
-
-// CountEdges returns the number of edges.
-func (g *Graph) CountEdges() int { return g.store.CountEdges() }
-
 // Snapshot pins the current version of the graph and returns a
 // consistent read-only view of it. Any number of snapshots can be read
 // concurrently — with each other and with writers: mutations made after
@@ -340,12 +275,16 @@ func (g *Graph) CountEdges() int { return g.store.CountEdges() }
 //	defer snap.Close()
 //	res, err := snap.Query("g.V.count")  // frozen even if writers proceed
 func (g *Graph) Snapshot() *Snapshot {
-	return &Snapshot{snap: g.store.Snapshot()}
+	sn := g.store.Snapshot()
+	return &Snapshot{reader: reader{&sn.View}, snap: sn}
 }
 
 // Snapshot is a pinned, immutable view of the whole graph at one
-// version, safe for concurrent use from multiple goroutines.
+// version, safe for concurrent use from multiple goroutines. It has the
+// Graph's reads and queries; after Close they fail (or report missing
+// elements).
 type Snapshot struct {
+	reader
 	snap *core.Snap
 }
 
@@ -355,79 +294,84 @@ func (s *Snapshot) Version() uint64 { return s.snap.Version() }
 // Close releases the snapshot. Idempotent; reads after Close fail.
 func (s *Snapshot) Close() { s.snap.Close() }
 
-// Query runs a side-effect-free Gremlin query against the snapshot.
-func (s *Snapshot) Query(gremlin string) (*Result, error) {
-	r, err := s.snap.Query(gremlin)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Values: r.Values, Stats: r.Stats, Trace: r.Trace}, nil
+// reader is the one set of reads and queries Graph and Snapshot share: at
+// the store head for a Graph, at the pinned version for a Snapshot.
+type reader struct{ v *core.View }
+
+// Query runs a side-effect-free Gremlin query, compiled to a single SQL
+// statement.
+func (r reader) Query(gremlin string) (*Result, error) {
+	return r.QueryWithOptions(gremlin, QueryOptions{})
 }
 
-// QueryWithOptions runs a query against the snapshot with explicit
-// translation options.
-func (s *Snapshot) QueryWithOptions(gremlin string, opts QueryOptions) (*Result, error) {
-	r, err := s.snap.QueryWithOptions(gremlin, translate.Options{
+// QueryWithOptions runs a query with explicit translation options.
+func (r reader) QueryWithOptions(gremlin string, opts QueryOptions) (*Result, error) {
+	res, err := r.v.QueryTraced(gremlin, translate.Options{
 		ForceEA:         opts.ForceEA,
 		ForceHashTables: opts.ForceHashTables,
 		RecursiveLoops:  opts.RecursiveLoops,
-	})
+	}, "")
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Values: r.Values, Stats: r.Stats, Trace: r.Trace}, nil
+	return &Result{Values: res.Values, Stats: res.Stats, Trace: res.Trace}, nil
 }
 
-// VertexExists reports whether the vertex was live at the snapshot.
-func (s *Snapshot) VertexExists(id int64) bool { return s.snap.VertexExists(id) }
+// VertexExists reports whether the vertex is live.
+func (r reader) VertexExists(id int64) bool { return r.v.VertexExists(id) }
 
-// VertexAttrs returns a vertex's attributes at the snapshot.
-func (s *Snapshot) VertexAttrs(id int64) (map[string]any, error) {
-	return s.snap.VertexAttrs(id)
-}
+// VertexAttrs returns a copy of a vertex's attributes.
+func (r reader) VertexAttrs(id int64) (map[string]any, error) { return r.v.VertexAttrs(id) }
 
-// EdgeByID returns an edge's endpoints and label at the snapshot.
-func (s *Snapshot) EdgeByID(id int64) (Edge, error) {
-	rec, err := s.snap.Edge(id)
+// EdgeByID returns an edge's endpoints and label.
+func (r reader) EdgeByID(id int64) (Edge, error) {
+	rec, err := r.v.Edge(id)
 	if err != nil {
 		return Edge{}, err
 	}
 	return Edge{ID: rec.ID, From: rec.Out, To: rec.In, Label: rec.Label}, nil
 }
 
-// EdgeAttrs returns an edge's attributes at the snapshot.
-func (s *Snapshot) EdgeAttrs(id int64) (map[string]any, error) {
-	return s.snap.EdgeAttrs(id)
-}
+// EdgeAttrs returns a copy of an edge's attributes.
+func (r reader) EdgeAttrs(id int64) (map[string]any, error) { return r.v.EdgeAttrs(id) }
 
-// OutEdges lists a vertex's outgoing edges at the snapshot.
-func (s *Snapshot) OutEdges(v int64, labels ...string) ([]Edge, error) {
-	recs, err := s.snap.OutEdges(v, labels...)
+// OutEdges lists a vertex's outgoing edges, optionally label-filtered.
+func (r reader) OutEdges(v int64, labels ...string) ([]Edge, error) {
+	recs, err := r.v.OutEdges(v, labels...)
 	return toEdges(recs), err
 }
 
-// InEdges lists a vertex's incoming edges at the snapshot.
-func (s *Snapshot) InEdges(v int64, labels ...string) ([]Edge, error) {
-	recs, err := s.snap.InEdges(v, labels...)
+// InEdges lists a vertex's incoming edges, optionally label-filtered.
+func (r reader) InEdges(v int64, labels ...string) ([]Edge, error) {
+	recs, err := r.v.InEdges(v, labels...)
 	return toEdges(recs), err
 }
 
-// VertexIDs lists live vertex ids at the snapshot, sorted.
-func (s *Snapshot) VertexIDs() []int64 { return s.snap.VertexIDs() }
+// VertexIDs lists live vertex ids, sorted.
+func (r reader) VertexIDs() []int64 { return r.v.VertexIDs() }
 
-// EdgeIDs lists edge ids at the snapshot, sorted.
-func (s *Snapshot) EdgeIDs() []int64 { return s.snap.EdgeIDs() }
+// EdgeIDs lists edge ids, sorted.
+func (r reader) EdgeIDs() []int64 { return r.v.EdgeIDs() }
 
-// VerticesByAttr finds vertices by attribute value at the snapshot.
-func (s *Snapshot) VerticesByAttr(key string, val any) ([]int64, error) {
-	return s.snap.VerticesByAttr(key, val)
+// VerticesByAttr finds vertices by attribute value (indexed when
+// CreateVertexAttrIndex has been called for the key).
+func (r reader) VerticesByAttr(key string, val any) ([]int64, error) {
+	return r.v.VerticesByAttr(key, val)
 }
 
-// CountVertices counts live vertices at the snapshot.
-func (s *Snapshot) CountVertices() int { return s.snap.CountVertices() }
+// CountVertices returns the number of live vertices.
+func (r reader) CountVertices() int { return r.v.CountVertices() }
 
-// CountEdges counts edges at the snapshot.
-func (s *Snapshot) CountEdges() int { return s.snap.CountEdges() }
+// CountEdges returns the number of edges.
+func (r reader) CountEdges() int { return r.v.CountEdges() }
+
+func toEdges(recs []blueprints.EdgeRec) []Edge {
+	out := make([]Edge, len(recs))
+	for i, r := range recs {
+		out[i] = Edge{ID: r.ID, From: r.Out, To: r.In, Label: r.Label}
+	}
+	return out
+}
 
 // PinnedSnapshots reports how many distinct store versions are still
 // pinned by open snapshots. Zero means every Snapshot has been closed

@@ -1,6 +1,7 @@
 package sqlgraph
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -89,6 +90,9 @@ func TestPublicCRUD(t *testing.T) {
 	if !g.VertexExists(1) || g.VertexExists(3) {
 		t.Fatal("VertexExists wrong")
 	}
+	if vs, es := g.VertexIDs(), g.EdgeIDs(); !reflect.DeepEqual(vs, []int64{1, 2}) || !reflect.DeepEqual(es, []int64{10}) {
+		t.Fatalf("VertexIDs = %v, EdgeIDs = %v", vs, es)
+	}
 	attrs, err := g.VertexAttrs(1)
 	if err != nil || attrs["k"] != "v" {
 		t.Fatalf("attrs = %v, %v", attrs, err)
@@ -132,6 +136,9 @@ func TestPublicCRUD(t *testing.T) {
 	}
 	if g.CountEdges() != 0 {
 		t.Fatalf("edges = %d", g.CountEdges())
+	}
+	if vs, es := g.VertexIDs(), g.EdgeIDs(); !reflect.DeepEqual(vs, []int64{1}) || len(es) != 0 {
+		t.Fatalf("after removals: VertexIDs = %v, EdgeIDs = %v", vs, es)
 	}
 	if _, err := g.Vacuum(); err != nil {
 		t.Fatal(err)
