@@ -82,11 +82,11 @@ func adjDoc(recs []blueprints.EdgeRec, outgoing bool) *sqljson.Doc {
 		}
 		byLabel[r.Label] = append(byLabel[r.Label], map[string]any{"eid": r.ID, "val": other})
 	}
-	doc := sqljson.New()
+	m := make(map[string]any, len(byLabel))
 	for l, entries := range byLabel {
-		doc.Set(l, entries)
+		m[l] = entries
 	}
-	return doc
+	return sqljson.FromMap(m)
 }
 
 // Engine exposes the underlying engine (footprint reporting).
@@ -151,7 +151,7 @@ func (s *JSONAdjStore) Neighbors(frontier []int64, labels []string, outgoing boo
 	return next, nil
 }
 
-func labelsOrAll(doc *sqljson.Doc, labels []string) []string {
+func labelsOrAll(doc sqljson.Doc, labels []string) []string {
 	if len(labels) > 0 {
 		return labels
 	}

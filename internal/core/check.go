@@ -71,7 +71,7 @@ func Check(s *Store) []Violation {
 }
 
 func (c *checker) checkJSON(code string, v rel.Value, what string) {
-	if v.Kind() != rel.KindJSON || v.JSON() == nil {
+	if v.Kind() != rel.KindJSON {
 		c.addf(code, "%s attribute column is not a JSON document", what)
 		return
 	}

@@ -217,6 +217,36 @@ func TestCorpusAgainstOracleIncremental(t *testing.T) {
 	}
 }
 
+// TestNestedAttributesMatchOracle: an attribute holding an object or an
+// array answers as the interpreter does — the object itself, the array's
+// elements — whether the store was bulk-loaded or written one record at
+// a time, and the object's fields stay reachable by a closure.
+func TestNestedAttributesMatchOracle(t *testing.T) {
+	oracle := blueprints.NewMemGraph()
+	for _, err := range []error{
+		oracle.AddVertex(1, map[string]any{"o": map[string]any{"a": 1}, "arr": []any{1, "x"}, "name": "n1"}),
+		oracle.AddVertex(2, map[string]any{"o": map[string]any{"a": 2, "b": map[string]any{"c": "d"}}, "name": "n2"}),
+		oracle.AddEdge(3, 1, 2, "l", map[string]any{"meta": map[string]any{"w": 0.5}, "list": []any{}}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	loaded, err := Load(oracle, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyInto(t, oracle, written)
+	for _, q := range []string{"g.V(1).o", "g.V.o", "g.V(1).arr", "g.E(3).meta", "g.E(3).list", "g.V(1).out.o", "g.V.filter{it.name == 'n2'}.o"} {
+		assertSameResults(t, loaded, oracle, q, TranslateOptions{})
+		assertSameResults(t, written, oracle, q, TranslateOptions{})
+	}
+}
+
 func TestCorpusForceEA(t *testing.T) {
 	oracle := figure2a(t)
 	s := loadFigure2a(t, Options{})

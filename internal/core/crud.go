@@ -63,7 +63,7 @@ func (s *Store) addVertexTx(tx *rel.Txn, id int64, attrs string) error {
 			return err
 		}
 	}
-	_, err = tx.Insert(TableVA, []rel.Value{rel.NewInt(id), rel.NewJSON(doc)})
+	_, err = tx.Insert(TableVA, []rel.Value{rel.NewInt(id), rel.NewJSON(&doc)})
 	return err
 }
 
@@ -159,7 +159,7 @@ func (s *Store) addEdgeTx(tx *rel.Txn, rec wal.Record) error {
 		return fmt.Errorf("%w: edge %d", blueprints.ErrExists, id)
 	}
 	if _, err := tx.Insert(TableEA, []rel.Value{
-		rel.NewInt(id), rel.NewInt(out), rel.NewInt(in), rel.NewString(label), rel.NewJSON(doc),
+		rel.NewInt(id), rel.NewInt(out), rel.NewInt(in), rel.NewString(label), rel.NewJSON(&doc),
 	}); err != nil {
 		return err
 	}
@@ -686,12 +686,14 @@ func mutateDocTx(tx *rel.Txn, table string, rec wal.Record, set bool) error {
 	if !found {
 		return fmt.Errorf("%w: %s %d", blueprints.ErrNotFound, kind, rec.ID)
 	}
-	doc := vals[col].JSON().Clone()
+	// The stored record is immutable (a pinned snapshot may be reading
+	// it): the change is a new document.
+	doc := vals[col].JSON()
 	if set {
-		doc.Set(rec.Key, val)
+		doc = doc.With(rec.Key, val)
 	} else {
-		doc.Delete(rec.Key)
+		doc, _ = doc.Without(rec.Key)
 	}
-	vals[col] = rel.NewJSON(doc)
+	vals[col] = rel.NewJSON(&doc)
 	return tx.Update(table, rid, vals)
 }

@@ -289,6 +289,19 @@ func TestDurableLoad(t *testing.T) {
 		}
 	}
 	countU7(s, "before reopen")
+	// A record whose document holds a number beyond the float64 range is
+	// refused before it is logged, so the checkpoint cannot write a +Inf
+	// the next Open would reject.
+	last := s.WAL().LastLSN()
+	if err := s.ApplyBatch([]wal.Record{{Op: wal.OpAddVertex, ID: 60, Doc: `{"x":1e400}`}}); err == nil {
+		t.Fatal(`ApplyBatch of {"x":1e400} succeeded`)
+	}
+	if got := s.WAL().LastLSN(); got != last {
+		t.Fatalf("the refused record was logged: LastLSN %d, want %d", got, last)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

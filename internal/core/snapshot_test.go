@@ -34,6 +34,11 @@ var viewReads = []struct {
 	{"CountEdges", func(v *View) any { return v.CountEdges() }, 0},
 	{"Query", func(v *View) any { return queryResult(v.Query("g.V.has('name', 'marko').out.name")) }, ErrSnapshotClosed.Error()},
 	{"Query (attribute at the version)", func(v *View) any { return queryResult(v.Query("g.V.has('age', 30).id")) }, ErrSnapshotClosed.Error()},
+	// JSON_VAL reads a number and a string out of the document the view's
+	// version stored; an update writes a new document, and Vacuum leaves a
+	// pinned version's alone.
+	{"Query (JSON_VAL of a number at the version)", func(v *View) any { return queryResult(v.Query("g.V(1).age")) }, ErrSnapshotClosed.Error()},
+	{"Query (JSON_VAL of a string at the version)", func(v *View) any { return queryResult(v.Query("g.V(4).name")) }, ErrSnapshotClosed.Error()},
 	// A closure reads attributes at the view's version too: 60/29 and 60/27
 	// keep marko and vadas, not the re-aged marko alone.
 	{"QueryTraced", func(v *View) any {
@@ -76,6 +81,7 @@ func TestSnapshotFrozenView(t *testing.T) {
 		s.AddEdge(61, 50, 51, "knows", nil),
 		s.AddEdge(62, 51, 4, "knows", nil),
 		s.SetVertexAttr(1, "age", int64(30)),
+		s.SetVertexAttr(4, "name", "joshua"),
 		s.SetEdgeAttr(8, "weight", 2.5),
 		s.RemoveEdge(7),
 		s.RemoveVertex(2),

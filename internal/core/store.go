@@ -286,12 +286,25 @@ func loadMem(src blueprints.Graph, opts Options) (*Store, error) {
 	}
 	defer tx.Rollback()
 
-	for _, v := range vids {
-		doc, err := loadDoc(src.VertexAttrs(v))
+	// The documents are built in bulk: a table's records lie in shared
+	// chunks in slot order, not one allocation each, and so do the VA and
+	// EA rows, cut from one array per table, so a scan of either reads
+	// memory in order. Build is what the record path stores, so a value
+	// with no JSON form fails the load before anything is written.
+	var docs sqljson.Bulk
+	vaRows := make([]rel.Value, 2*len(vids))
+	for i, v := range vids {
+		attrs, err := src.VertexAttrs(v)
+		var doc sqljson.Doc
+		if err == nil {
+			doc, err = docs.Build(attrs)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: load: vertex %d: %w", v, err)
 		}
-		if _, err := tx.Insert(TableVA, []rel.Value{rel.NewInt(v), rel.NewJSON(doc)}); err != nil {
+		row := vaRows[2*i : 2*i+2 : 2*i+2]
+		row[0], row[1] = rel.NewInt(v), rel.NewJSON(&doc)
+		if _, err := tx.Insert(TableVA, row); err != nil {
 			return nil, err
 		}
 		outs, err := src.OutEdges(v)
@@ -309,19 +322,25 @@ func loadMem(src blueprints.Graph, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	for _, eid := range src.EdgeIDs() {
+	eids := src.EdgeIDs()
+	eaRows := make([]rel.Value, 5*len(eids))
+	for i, eid := range eids {
 		rec, err := src.Edge(eid)
 		if err != nil {
 			return nil, err
 		}
-		doc, err := loadDoc(src.EdgeAttrs(eid))
+		attrs, err := src.EdgeAttrs(eid)
+		var doc sqljson.Doc
+		if err == nil {
+			doc, err = docs.Build(attrs)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: load: edge %d: %w", eid, err)
 		}
-		if _, err := tx.Insert(TableEA, []rel.Value{
-			rel.NewInt(rec.ID), rel.NewInt(rec.Out), rel.NewInt(rec.In),
-			rel.NewString(rec.Label), rel.NewJSON(doc),
-		}); err != nil {
+		row := eaRows[5*i : 5*i+5 : 5*i+5]
+		row[0], row[1], row[2] = rel.NewInt(rec.ID), rel.NewInt(rec.Out), rel.NewInt(rec.In)
+		row[3], row[4] = rel.NewString(rec.Label), rel.NewJSON(&doc)
+		if _, err := tx.Insert(TableEA, row); err != nil {
 			return nil, err
 		}
 	}
@@ -332,16 +351,6 @@ func loadMem(src blueprints.Graph, opts Options) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// loadDoc is the document the loader stores for an element's attributes:
-// what the record path stores for them (sqljson.Build), so a value with
-// no JSON form fails the load before anything is written.
-func loadDoc(attrs map[string]any, err error) (*sqljson.Doc, error) {
-	if err != nil {
-		return nil, err
-	}
-	return sqljson.Build(attrs)
 }
 
 func labelsOf(recs []blueprints.EdgeRec) []string {

@@ -186,9 +186,11 @@ func substr(a []rel.Value) (rel.Value, error) {
 }
 
 // jsonValPath extracts the value at a compiled path from a JSON column,
-// NULL when the path is absent.
+// NULL when the path is absent. A scalar is read straight from the
+// document's record, and a string result shares the record's bytes, so
+// neither allocates; a nested object is a JSON value sharing its record.
 func jsonValPath(doc rel.Value, path sqljson.Path) rel.Value {
-	var d *sqljson.Doc
+	var d sqljson.Doc
 	switch doc.Kind() {
 	case rel.KindJSON:
 		d = doc.JSON()
@@ -201,11 +203,35 @@ func jsonValPath(doc rel.Value, path sqljson.Path) rel.Value {
 	default:
 		return rel.Null
 	}
-	v, err := d.ValPath(path)
-	if err != nil {
+	it, ok := d.Lookup(path)
+	if !ok {
 		return rel.Null
 	}
-	return rel.FromAny(v)
+	return itemValue(it)
+}
+
+// itemValue is a document item as a value; an array is a list.
+func itemValue(it sqljson.Item) rel.Value {
+	switch it.Kind() {
+	case sqljson.KindBool:
+		return rel.NewBool(it.Bool())
+	case sqljson.KindInt:
+		return rel.NewInt(it.Int())
+	case sqljson.KindFloat:
+		return rel.NewFloat(it.Float())
+	case sqljson.KindString:
+		return rel.NewString(it.Str())
+	case sqljson.KindObject:
+		obj := it.Doc()
+		return rel.NewJSON(&obj)
+	case sqljson.KindArray:
+		list := make([]rel.Value, it.Len())
+		for i := range list {
+			list[i] = itemValue(it.Index(i))
+		}
+		return rel.NewList(list)
+	}
+	return rel.Null
 }
 
 // valueText renders a value the way string functions see it.

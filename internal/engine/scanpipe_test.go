@@ -434,7 +434,7 @@ func TestGroupKeyMatchesValueKey(t *testing.T) {
 	for _, v := range []rel.Value{
 		rel.Null, rel.NewBool(true), rel.NewBool(false), rel.NewInt(0), rel.NewInt(-7), rel.NewInt(1 << 60),
 		rel.NewFloat(1), rel.NewFloat(-2.5), rel.NewFloat(1e300), rel.NewFloat(1 << 53), rel.NewString(""), rel.NewString("abc"),
-		rel.NewJSON(doc), rel.NewList([]rel.Value{rel.NewInt(1), rel.NewString("x")}),
+		rel.NewJSON(&doc), rel.NewList([]rel.Value{rel.NewInt(1), rel.NewString("x")}),
 	} {
 		if got, want := string(appendGroupKey([]byte("p"), v)), "p"+v.Key()+"\xff"; got != want {
 			t.Errorf("%s %s: key %q, want %q", v.Kind(), v, got, want)
@@ -467,7 +467,7 @@ func TestDocPredicateMatchesCompare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, []rel.Value{rel.NewJSON(d)}, []rel.Value{rel.NewString(text)})
+		rows = append(rows, []rel.Value{rel.NewJSON(&d)}, []rel.Value{rel.NewString(text)})
 	}
 	rows = append(rows, []rel.Value{rel.Null}, []rel.Value{rel.NewString("not a document")}, []rel.Value{rel.NewInt(3)})
 	compile := func(q *queryState, text string) compiledExpr {
@@ -534,6 +534,41 @@ func TestDocPredicateMatchesCompare(t *testing.T) {
 				t.Fatal(err)
 			}
 			same(text, row, got, rel.NewBool(jsonValPath(row[0], path).IsNull() != not))
+		}
+	}
+}
+
+// TestJSONValNoAllocs: JSON_VAL of a stored document reads an int, a
+// float, a bool or a string straight out of the document's record — the
+// string shares its bytes — and allocates nothing, a missing key included.
+func TestJSONValNoAllocs(t *testing.T) {
+	e := New(rel.NewCatalog())
+	doc, err := sqljson.Parse(`{"i":7,"f":2.5,"b":true,"s":"text","o":{"x":1}}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := []rel.Value{rel.NewJSON(&doc)}
+	sc := newScope([]colInfo{{name: "ATTR"}})
+	for _, c := range []struct {
+		key  string
+		want rel.Value
+	}{
+		{"i", rel.NewInt(7)}, {"f", rel.NewFloat(2.5)}, {"b", rel.NewBool(true)}, {"s", rel.NewString("text")}, {"missing", rel.Null},
+	} {
+		x, err := sql.ParseExpr("JSON_VAL(ATTR, '" + c.key + "')")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, err := e.compile(&queryState{}, sc, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got rel.Value
+		if n := testing.AllocsPerRun(100, func() { got, _ = fn(row) }); n != 0 {
+			t.Errorf("JSON_VAL(ATTR, %q): %v allocations, want 0", c.key, n)
+		}
+		if got.Kind() != c.want.Kind() || !rel.Equal(got, c.want) {
+			t.Errorf("JSON_VAL(ATTR, %q) = %s %s, want %s %s", c.key, got.Kind(), got, c.want.Kind(), c.want)
 		}
 	}
 }

@@ -58,14 +58,15 @@ func (k Kind) String() string {
 // A Value is three words, so an 8-column row spans three cache lines and
 // a compiled expression returns three words (DESIGN §19):
 //
-//	p     string bytes (string), *sqljson.Doc (JSON), first element (list)
+//	p     string bytes (string), the document's record (JSON),
+//	      first element (list)
 //	n     int64 bits (int, bool: 0 or 1), float64 bits (float),
-//	      byte count (string), element count (list)
+//	      byte count (string, JSON), element count (list)
 //	kind  which of the above applies
 //
-// p is the only pointer, so the collector scans one word per value. A
-// string or list payload is shared, not copied, when wrapped and must
-// not be modified afterwards.
+// p is the only pointer, so the collector scans one word per value, and
+// a document's record holds none. A string, record or list payload is
+// shared, not copied, when wrapped and must not be modified afterwards.
 //
 // Value is not comparable: == would compare string and list addresses,
 // not contents. Use Equal or Compare, and Key for a map key.
@@ -99,13 +100,14 @@ func NewString(s string) Value {
 	return Value{kind: KindString, p: unsafe.Pointer(unsafe.StringData(s)), n: uint64(len(s))}
 }
 
-// NewJSON returns a JSON value wrapping doc (which may be nil: an empty
-// document).
+// NewJSON returns a JSON value holding doc's record (doc may be nil: an
+// empty document). It shares the record, which is immutable.
 func NewJSON(doc *sqljson.Doc) Value {
 	if doc == nil {
-		doc = sqljson.New()
+		return Value{kind: KindJSON}
 	}
-	return Value{kind: KindJSON, p: unsafe.Pointer(doc)}
+	rec := doc.Record()
+	return Value{kind: KindJSON, p: unsafe.Pointer(unsafe.StringData(rec)), n: uint64(len(rec))}
 }
 
 // NewList returns a LIST value. The slice is not copied, and the caller
@@ -136,6 +138,8 @@ func FromAny(v any) Value {
 		return NewString(x)
 	case *sqljson.Doc:
 		return NewJSON(x)
+	case sqljson.Doc:
+		return NewJSON(&x)
 	case Value:
 		return x
 	case []Value:
@@ -199,12 +203,13 @@ func (v Value) Str() string {
 	return ""
 }
 
-// JSON returns the JSON document payload, or nil for non-JSON values.
-func (v Value) JSON() *sqljson.Doc {
-	if v.kind == KindJSON {
-		return (*sqljson.Doc)(v.p)
+// JSON returns the JSON document payload, sharing its record, or the
+// empty document for non-JSON values.
+func (v Value) JSON() sqljson.Doc {
+	if v.kind != KindJSON {
+		return sqljson.Doc{}
 	}
-	return nil
+	return sqljson.FromRecord(unsafe.String((*byte)(v.p), v.n))
 }
 
 // List returns the list payload (never nil for a list), or nil. Its

@@ -26,12 +26,11 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if v := NewBool(true); !v.Bool() {
 		t.Fatalf("NewBool: %v", v)
 	}
-	doc := sqljson.New()
-	doc.Set("a", 1)
+	doc := sqljson.FromMap(map[string]any{"a": 1})
 	if v := NewJSON(doc); v.JSON().Len() != 1 {
 		t.Fatalf("NewJSON: %v", v)
 	}
-	if v := NewJSON(nil); v.JSON() == nil {
+	if v := NewJSON(nil); v.Kind() != KindJSON || v.JSON().Len() != 0 {
 		t.Fatal("NewJSON(nil) should wrap empty doc")
 	}
 	if v := NewList([]Value{NewInt(1)}); len(v.List()) != 1 {
@@ -71,6 +70,7 @@ func TestFromAny(t *testing.T) {
 		{float32(2.5), KindFloat},
 		{"s", KindString},
 		{sqljson.New(), KindJSON},
+		{sqljson.Doc{}, KindJSON},
 		{[]any{1, 2}, KindList},
 		{[]Value{NewInt(1)}, KindList},
 		{NewInt(9), KindInt},
@@ -256,7 +256,7 @@ func TestValueLayout(t *testing.T) {
 // TestValueRoundTrip wraps every kind, edge cases included, and reads it
 // back through the accessors.
 func TestValueRoundTrip(t *testing.T) {
-	if v := (Value{}); !v.IsNull() || v.Kind() != KindNull || v.Str() != "" || v.List() != nil || v.JSON() != nil {
+	if v := (Value{}); !v.IsNull() || v.Kind() != KindNull || v.Str() != "" || v.List() != nil || v.JSON() != (sqljson.Doc{}) {
 		t.Fatalf("zero Value is not NULL: %v", v)
 	}
 	for _, b := range []bool{false, true} {
@@ -285,19 +285,18 @@ func TestValueRoundTrip(t *testing.T) {
 		if v.Kind() != KindString || v.Str() != s || v.String() != s || v.Size() != len(s)+4 {
 			t.Fatalf("NewString(%d bytes) does not round-trip", len(s))
 		}
-		if v.List() != nil || v.JSON() != nil || v.Int() != 0 {
+		if v.List() != nil || v.JSON() != (sqljson.Doc{}) || v.Int() != 0 {
 			t.Fatalf("NewString(%q) answers another kind's accessor", s)
 		}
 	}
 	if v := NewString(big[5:7]); v.Str() != "56" {
 		t.Fatalf("substring = %q", v.Str())
 	}
-	if d := NewJSON(nil).JSON(); d == nil || d.Len() != 0 {
+	if d := NewJSON(nil).JSON(); d.Len() != 0 {
 		t.Fatalf("NewJSON(nil) = %v, want an empty document", d)
 	}
-	doc := sqljson.New()
-	doc.Set("k", "v")
-	if v := NewJSON(doc); v.Kind() != KindJSON || v.JSON() != doc || v.Str() != "" || v.List() != nil {
+	doc := sqljson.FromMap(map[string]any{"k": "v"})
+	if v := NewJSON(doc); v.Kind() != KindJSON || v.JSON() != *doc || v.Str() != "" || v.List() != nil {
 		t.Fatalf("NewJSON(doc) = %v", v)
 	}
 	for _, in := range [][]Value{nil, {}} {
@@ -311,7 +310,7 @@ func TestValueRoundTrip(t *testing.T) {
 	if len(l) != len(elems) || &l[0] != &elems[0] {
 		t.Fatalf("NewList does not share its elements: %v", l)
 	}
-	if NewList(elems).JSON() != nil || NewList(elems).Str() != "" {
+	if NewList(elems).JSON() != (sqljson.Doc{}) || NewList(elems).Str() != "" {
 		t.Fatal("a list answers another kind's accessor")
 	}
 }
@@ -320,7 +319,7 @@ var (
 	sinkValue Value
 	sinkStr   string
 	sinkList  []Value
-	sinkDoc   *sqljson.Doc
+	sinkDoc   sqljson.Doc
 )
 
 // TestValueNoAllocs: wrapping a payload and reading it back allocates
@@ -371,9 +370,7 @@ func TestValueListCapacity(t *testing.T) {
 // The WAL, snapshot, index and DISTINCT formats are built from these, so
 // a change to Value's layout must leave every line here as it is.
 func TestValueFormatGolden(t *testing.T) {
-	doc := sqljson.New()
-	doc.Set("b", "x")
-	doc.Set("a", int64(1))
+	doc := sqljson.FromMap(map[string]any{"b": "x", "a": int64(1)})
 	corpus := []Value{
 		Null,
 		NewBool(false),

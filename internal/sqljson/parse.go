@@ -2,20 +2,35 @@ package sqljson
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 )
 
 // Parse decodes a JSON object, or null as an empty document.
-// encoding/json checks the text first, so Parse accepts exactly what
-// json.Unmarshal into a map accepts; text after the object is an error.
-// The walk that follows reads known-good text and puts the top-level
-// fields straight into the document. A key given twice keeps its last
-// value, and numbers become the values a UseNumber decode normalizes to.
-func Parse(s string) (*Doc, error) {
+// encoding/json checks the text first, so Parse accepts what json.Unmarshal
+// into a map accepts, save text holding a number beyond the float64 range,
+// which has no float64 to hold (Build refuses one too), even where a
+// later value of its key replaces it; text after the object is an error. The walk that follows reads known-good text straight into a
+// record. A key given twice keeps its last value, and a number is an
+// int64 when it parses as one and a float64 otherwise, as a UseNumber
+// decode's json.Number reads.
+func Parse(s string) (Doc, error) {
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.out = e.out[:0]
+	if err := e.parse(s); err != nil {
+		return Doc{}, err
+	}
+	return Doc{rec: string(e.out)}, nil
+}
+
+var errRange = errors.New("number out of the float64 range")
+
+// parse reads the document s into a record appended to out.
+func (e *encoder) parse(s string) error {
 	w := walker{s: s}
 	var first byte
 	if json.Valid([]byte(s)) {
@@ -23,41 +38,92 @@ func Parse(s string) (*Doc, error) {
 	}
 	switch first {
 	case 'n':
-		return &Doc{}, nil
+		return nil
 	case '{':
 	default: // not valid, or not an object: let encoding/json say why
-		return nil, fmt.Errorf("sqljson: parse: %w", json.Unmarshal([]byte(s), new(struct{})))
+		return fmt.Errorf("sqljson: parse: %w", json.Unmarshal([]byte(s), new(struct{})))
 	}
-	d := &Doc{}
-	var few [16]field
-	fields := few[:0]
-	for w.i++; w.next() != '}'; {
-		k := w.str()
-		fields = append(fields, field{intern(k), w.value()})
+	mark := len(e.ms)
+	if err := e.walkObject(&w); err != nil {
+		e.pop(mark)
+		return fmt.Errorf("sqljson: parse: %w", err)
 	}
-	if fields = sortFields(fields); len(fields) > 0 {
-		d.fields = slices.Clone(fields)
-	}
-	return d, nil
+	return nil
 }
 
-// sortFields orders parsed fields by key. Of a key given twice the later
-// value wins, as it does in encoding/json's map.
-func sortFields(fs []field) []field {
-	for i := 1; i < len(fs); i++ {
-		if byKey(fs[i-1], fs[i]) >= 0 {
-			slices.SortStableFunc(fs, byKey)
-			out := fs[:0]
-			for j, f := range fs {
-				if j+1 < len(fs) && fs[j+1].key == f.key {
-					continue
-				}
-				out = append(out, f)
-			}
-			return out
+// walkObject reads the object at w into a record appended to out.
+func (e *encoder) walkObject(w *walker) error {
+	mark := len(e.ms)
+	for w.i++; w.next() != '}'; {
+		m := member{key: w.str()}
+		if err := e.walkValue(w, &m); err != nil {
+			return err
 		}
+		e.ms = append(e.ms, m)
 	}
-	return fs
+	w.i++
+	e.endObject(mark)
+	return nil
+}
+
+// walkValue reads the value at w into m.
+func (e *encoder) walkValue(w *walker, m *member) error {
+	switch w.next() {
+	case '"':
+		m.kind, m.s = KindString, w.str()
+		return nil
+	case '{':
+		start := len(e.out)
+		if err := e.walkObject(w); err != nil {
+			return err
+		}
+		e.nested(m, KindObject, start)
+		return nil
+	case '[':
+		start, mark := len(e.out), len(e.ms)
+		for w.i++; w.next() != ']'; {
+			var el member
+			if err := e.walkValue(w, &el); err != nil {
+				return err
+			}
+			e.ms = append(e.ms, el)
+		}
+		w.i++
+		e.endArray(mark)
+		e.nested(m, KindArray, start)
+		return nil
+	case 't':
+		w.i += len("true")
+		m.kind, m.bits = KindBool, 1
+		return nil
+	case 'f':
+		w.i += len("false")
+		m.kind = KindBool
+		return nil
+	case 'n':
+		w.i += len("null")
+		m.kind = KindNull
+		return nil
+	}
+	start := w.i
+	for w.i < len(w.s) && isNumberByte(w.s[w.i]) {
+		w.i++
+	}
+	text := w.s[start:w.i]
+	if n, err := strconv.ParseInt(text, 10, 64); err == nil {
+		m.kind, m.bits = KindInt, uint64(n)
+		return nil
+	}
+	f, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return fmt.Errorf("%w: %s", errRange, text)
+	}
+	m.kind, m.bits = KindFloat, math.Float64bits(f)
+	return nil
+}
+
+func isNumberByte(c byte) bool {
+	return c >= '0' && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
 }
 
 // walker reads text json.Valid has accepted, so it checks nothing.
@@ -76,46 +142,6 @@ func (w *walker) next() byte {
 			return c
 		}
 	}
-}
-
-func (w *walker) value() any {
-	switch w.next() {
-	case '"':
-		return strings.Clone(w.str())
-	case '{', '[':
-		// Nested values keep encoding/json's form; they are rare.
-		dec := json.NewDecoder(strings.NewReader(w.s[w.i:]))
-		dec.UseNumber()
-		var v any
-		_ = dec.Decode(&v) // cannot fail: the text is valid
-		w.i += int(dec.InputOffset())
-		v, _ = normalize(v) // a number beyond float64 is kept as ±Inf, as at the top level
-		return v
-	case 't':
-		w.i += len("true")
-		return true
-	case 'f':
-		w.i += len("false")
-		return false
-	case 'n':
-		w.i += len("null")
-		return nil
-	}
-	start := w.i
-	for strings.IndexByte("+-.0123456789Ee", w.s[w.i]) >= 0 {
-		w.i++
-	}
-	return number(w.s[start:w.i])
-}
-
-// number is a JSON number as json.Number gives it: an int64 when it parses
-// as one, otherwise its nearest float64 (±Inf beyond the range).
-func number(text string) any {
-	if n, err := strconv.ParseInt(text, 10, 64); err == nil {
-		return n
-	}
-	f, _ := strconv.ParseFloat(text, 64)
-	return f
 }
 
 // str reads the string literal at w.i. One without escapes whose bytes are

@@ -8,15 +8,20 @@
 // as int64 when they are integral, otherwise float64, mirroring the
 // numeric casting behavior the paper's micro-benchmark (Table 2) exercises.
 //
-// A document's top-level fields are one slice sorted by key, and the keys
-// are interned: the attribute keys of a graph are its schema, shared by
-// every row, so each is stored once and a compiled JSON_VAL path finds its
-// field by comparing key handles rather than hashing strings. Nested
-// objects and arrays are plain map[string]any and []any values.
+// A document is one immutable, pointer-free byte record (record.go): a
+// count, one fixed-size entry per top-level key sorted by key, then the
+// bytes of its strings and of its nested objects and arrays, each of which
+// is a record too. The collector never scans a record, a read returns an
+// Item whose string is a slice of it, and a change builds a new document
+// (With, Without) instead of writing the old one. A Bulk packs the records
+// of a bulk load into shared chunks, in the order they are built.
 //
-// Attribute keys are interned in a table that keeps every key a document
-// has held. A compiled path only looks its keys up, so a query naming keys
-// that no document has does not grow the table.
+// Keys are interned as uint32 syms: the attribute keys of a graph are its
+// schema, shared by every row, so each is stored once and a compiled
+// JSON_VAL path finds its field by comparing syms rather than strings. The
+// table keeps every key a document has held. A compiled path only looks
+// its keys up, so a query naming keys that no document has does not grow
+// the table.
 package sqljson
 
 import (
@@ -32,20 +37,23 @@ import (
 	"unicode/utf8"
 )
 
-// Doc is a parsed JSON object. The zero value is an empty document.
+// Doc is a JSON object: its record. The zero value is an empty document.
+// A Doc is immutable, so copies of it share the record.
 type Doc struct {
-	fields []field // sorted by key, each key once
+	rec string
 }
-
-type field struct {
-	key sym
-	val any
-}
-
-func byKey(a, b field) int { return strings.Compare(a.key.Value(), b.key.Value()) }
 
 // New returns an empty document.
 func New() *Doc { return &Doc{} }
+
+// Record returns the document's record, for a caller that keeps documents
+// as their bytes (rel keeps a JSON value as the record's address and
+// length). FromRecord(d.Record()) is d.
+func (d Doc) Record() string { return d.rec }
+
+// FromRecord returns the document whose record is rec, which must be a
+// string Record returned.
+func FromRecord(rec string) Doc { return Doc{rec: rec} }
 
 // Build builds a document from a Go map, holding every value as its JSON
 // text reads back, so Build(m) and Parse(Build(m).String()) are the same
@@ -56,30 +64,39 @@ func New() *Doc { return &Doc{} }
 //     within ±2^53;
 //   - invalid UTF-8 in a key or a string is U+FFFD, byte by byte (of keys
 //     that then coincide one value is kept);
+//   - a Doc is the object it holds;
 //   - any other type is its encoding/json reading.
 //
 // NaN and ±Inf have no JSON form (nor has a json.Number beyond the
 // float64 range, nor a value encoding/json refuses, such as a channel):
 // Build fails on them.
-func Build(m map[string]any) (*Doc, error) {
-	d, err := fromMap(m)
-	if err != nil {
-		return nil, err
+func Build(m map[string]any) (Doc, error) {
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.out = e.out[:0]
+	if err := e.object(m); err != nil {
+		return Doc{}, err
 	}
-	return d, nil
+	return Doc{rec: string(e.out)}, nil
 }
 
 // FromMap is Build for a map the caller has no error path for. A value
-// with no JSON form is kept as given, so the document's text (String)
-// fails to parse: a write carrying it is refused when its record is
-// applied.
+// with no JSON form is kept as near as the record can hold it (NaN and
+// ±Inf as themselves, anything else as nothing), so the document's text
+// (String) fails to parse: a write carrying it is refused when its record
+// is applied.
 func FromMap(m map[string]any) *Doc {
-	d, _ := fromMap(m)
-	return d
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.out = e.out[:0]
+	_ = e.object(m)
+	return &Doc{rec: string(e.out)}
 }
 
-func fromMap(m map[string]any) (*Doc, error) {
-	d := &Doc{fields: make([]field, 0, len(m))}
+// object reads m into a record appended to out. Of its errors the first
+// is returned; the record is complete either way.
+func (e *encoder) object(m map[string]any) error {
+	mark := len(e.ms)
 	var err error
 	var bad []string // keys that are not valid UTF-8
 	for k, v := range m {
@@ -87,42 +104,20 @@ func fromMap(m map[string]any) (*Doc, error) {
 			bad = append(bad, k)
 			continue
 		}
-		nv, verr := normalize(v)
-		err = keyErr(err, k, verr)
-		d.fields = append(d.fields, field{intern(k), nv})
+		mem := member{key: k}
+		err = keyErr(err, k, e.value(v, &mem))
+		e.ms = append(e.ms, mem)
 	}
-	slices.SortFunc(d.fields, byKey)
-	// Set reads each as U+FFFD; in byte order, of keys that then coincide
-	// the same one wins every time.
+	// Each reads as U+FFFD; they follow the valid keys in byte order and
+	// the later of keys that coincide wins, so the same one wins every time.
 	slices.Sort(bad)
 	for _, k := range bad {
-		nv, verr := normalize(m[k])
-		err = keyErr(err, k, verr)
-		d.Set(k, nv)
+		mem := member{key: validUTF8(k)}
+		err = keyErr(err, k, e.value(m[k], &mem))
+		e.ms = append(e.ms, mem)
 	}
-	return d, err
-}
-
-func normalizeMap(m map[string]any) (map[string]any, error) {
-	out := make(map[string]any, len(m))
-	var err error
-	var bad []string // as in fromMap
-	for k, v := range m {
-		if !utf8.ValidString(k) {
-			bad = append(bad, k)
-			continue
-		}
-		nv, verr := normalize(v)
-		err = keyErr(err, k, verr)
-		out[k] = nv
-	}
-	slices.Sort(bad)
-	for _, k := range bad {
-		nv, verr := normalize(m[k])
-		err = keyErr(err, k, verr)
-		out[validUTF8(k)] = nv
-	}
-	return out, err
+	e.endObject(mark)
+	return err
 }
 
 // keyErr is err, or, when there is none yet, the error of key's value.
@@ -133,94 +128,123 @@ func keyErr(err error, key string, verr error) error {
 	return err
 }
 
-// normalize returns v as its JSON text reads back (see Build). A value
-// with no JSON form is an error; it is kept as given (a json.Number as
-// the ±Inf Parse reads), and a map or slice holding it is still
-// normalized around it, so Parse, which ignores the error, reads nested
-// numbers as it always has.
-func normalize(v any) (any, error) {
+// value sets m to v as its JSON text reads back (see Build). A value with
+// no JSON form is an error; it is held as near as the record can (a
+// json.Number as the ±Inf strconv reads), and a map or slice holding it
+// is still read around it.
+func (e *encoder) value(v any, m *member) error {
 	switch x := v.(type) {
-	case nil, bool, int64:
-		return v, nil
-	case string:
-		if utf8.ValidString(x) {
-			return v, nil // no new box: documents hold their strings as given
+	case nil:
+		m.kind = KindNull
+		return nil
+	case bool:
+		m.kind = KindBool
+		if x {
+			m.bits = 1
 		}
-		return validUTF8(x), nil
+		return nil
+	case int64:
+		m.kind, m.bits = KindInt, uint64(x)
+		return nil
 	case int:
-		return int64(x), nil
+		m.kind, m.bits = KindInt, uint64(x)
+		return nil
+	case string:
+		m.kind, m.s = KindString, validUTF8(x)
+		return nil
 	case float64:
-		return floatValue(x)
+		return floatMember(x, m)
 	case json.Number:
-		n := number(string(x))
-		if f, ok := n.(float64); ok && math.IsInf(f, 0) {
-			return n, errNotFinite
+		if i, err := strconv.ParseInt(string(x), 10, 64); err == nil {
+			m.kind, m.bits = KindInt, uint64(i)
+			return nil
 		}
-		return n, nil
+		f, _ := strconv.ParseFloat(string(x), 64)
+		m.kind, m.bits = KindFloat, math.Float64bits(f)
+		if math.IsInf(f, 0) {
+			return errNotFinite
+		}
+		return nil
 	case map[string]any:
-		return normalizeMap(x)
+		start := len(e.out)
+		err := e.object(x)
+		e.nested(m, KindObject, start)
+		return err
 	case []any:
+		start, mark := len(e.out), len(e.ms)
 		var err error
-		out := make([]any, len(x))
-		for i, e := range x {
-			ne, eerr := normalize(e)
-			if eerr != nil && err == nil {
+		for _, el := range x {
+			mem := member{}
+			if eerr := e.value(el, &mem); eerr != nil && err == nil {
 				err = eerr
 			}
-			out[i] = ne
+			e.ms = append(e.ms, mem)
 		}
-		return out, err
+		e.endArray(mark)
+		e.nested(m, KindArray, start)
+		return err
 	case *Doc:
-		m := make(map[string]any, x.Len())
-		for _, f := range x.fieldsOrNil() {
-			m[f.key.Value()] = f.val
+		m.kind = KindObject
+		if x != nil {
+			m.s = x.rec
 		}
-		return m, nil
+		return nil
+	case Doc:
+		m.kind, m.s = KindObject, x.rec
+		return nil
 	}
 	if _, ok := v.(json.Marshaler); !ok {
 		switch rv := reflect.ValueOf(v); rv.Kind() {
 		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			return rv.Int(), nil
+			m.kind, m.bits = KindInt, uint64(rv.Int())
+			return nil
 		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
 			if u := rv.Uint(); u <= math.MaxInt64 {
-				return int64(u), nil
+				m.kind, m.bits = KindInt, u
+				return nil
 			}
-			return float64(rv.Uint()), nil
+			m.kind, m.bits = KindFloat, math.Float64bits(float64(rv.Uint()))
+			return nil
 		case reflect.Float32:
 			// encoding/json writes a float32 in its own shortest form.
 			f, _ := strconv.ParseFloat(strconv.FormatFloat(rv.Float(), 'g', -1, 32), 64)
-			return floatValue(f)
+			return floatMember(f, m)
 		case reflect.Float64:
-			return floatValue(rv.Float())
+			return floatMember(rv.Float(), m)
 		}
 	}
 	// Anything else reads back as encoding/json writes it.
 	text, err := json.Marshal(v)
 	if err != nil {
-		return v, err
+		m.kind = kindInvalid
+		return err
 	}
 	dec := json.NewDecoder(bytes.NewReader(text))
 	dec.UseNumber()
 	var out any
 	if err := dec.Decode(&out); err != nil {
-		return v, err
+		m.kind = kindInvalid
+		return err
 	}
-	return normalize(out)
+	return e.value(out, m)
 }
 
 var errNotFinite = errors.New("NaN and ±Inf have no JSON form")
 
-// floatValue is a float64 as its JSON text reads back: an int64 when
-// integral and within ±2^53 (as Parse reads such text), NaN and ±Inf
+// floatMember sets m to a float64 as its JSON text reads back: an int64
+// when integral and within ±2^53 (as Parse reads such text), NaN and ±Inf
 // refused.
-func floatValue(x float64) (any, error) {
+func floatMember(x float64, m *member) error {
 	switch {
 	case math.IsNaN(x) || math.IsInf(x, 0):
-		return x, errNotFinite
+		m.kind, m.bits = KindFloat, math.Float64bits(x)
+		return errNotFinite
 	case x == math.Trunc(x) && math.Abs(x) < 1<<53:
-		return int64(x), nil
+		m.kind, m.bits = KindInt, uint64(int64(x))
+		return nil
 	}
-	return x, nil
+	m.kind, m.bits = KindFloat, math.Float64bits(x)
+	return nil
 }
 
 // validUTF8 replaces each byte of s that is not part of valid UTF-8 with
@@ -238,83 +262,126 @@ func validUTF8(s string) string {
 	return b.String()
 }
 
-func (d *Doc) fieldsOrNil() []field {
-	if d == nil {
-		return nil
-	}
-	return d.fields
+// With returns a document holding d's fields and v, read as Build reads
+// it, under key (invalid UTF-8 read as U+FFFD). d is unchanged. A value
+// with no JSON form is held as FromMap holds it.
+func (d Doc) With(key string, v any) Doc {
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.out = e.out[:0]
+	mark := len(e.ms)
+	e.ms = d.appendMembers(e.ms)
+	mem := member{key: validUTF8(key)}
+	_ = e.value(v, &mem)
+	e.ms = append(e.ms, mem) // after d's fields: it wins over one of its key
+	e.endObject(mark)
+	return Doc{rec: string(e.out)}
 }
 
-// search finds key's field, or where it would go.
-func (d *Doc) search(key string) (int, bool) {
-	return slices.BinarySearchFunc(d.fieldsOrNil(), key, func(f field, key string) int {
-		return strings.Compare(f.key.Value(), key)
-	})
+// Without returns d without key, and whether d held it. d is unchanged.
+func (d Doc) Without(key string) (Doc, bool) {
+	i, ok := d.search(key)
+	if !ok {
+		return d, false
+	}
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.out = e.out[:0]
+	mark := len(e.ms)
+	e.ms = d.appendMembers(e.ms)
+	e.ms = slices.Delete(e.ms, mark+i, mark+i+1)
+	e.endObject(mark)
+	return Doc{rec: string(e.out)}, true
 }
 
-// find locates a compiled path step's key. An interned key is found by a
-// scan comparing handles: attribute sets are small (DBpedia vertices carry
-// 1–5 keys, edges 3), so that beats a binary search reading every probed
-// key's bytes. A name no document held when the path was compiled may be
-// held since, so it is searched for by string.
-func (d *Doc) find(step pathStep) (int, bool) {
-	if step.key == (sym{}) {
-		return d.search(step.name)
+// appendMembers appends d's fields to ms, in order.
+func (d Doc) appendMembers(ms []member) []member {
+	for i := range count(d.rec) {
+		k, it := entry(d.rec, i)
+		ms = append(ms, member{key: k.name(), sym: k, kind: it.kind, bits: it.bits, s: it.s})
 	}
-	for i := range d.fields {
-		if d.fields[i].key == step.key {
-			return i, true
+	return ms
+}
+
+// search finds key's field by its string, or where it would go.
+func (d Doc) search(key string) (int, bool) {
+	names := *syms.names.Load()
+	lo, hi := 0, count(d.rec)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := strings.Compare(names[keyAt(d.rec, mid)], key); {
+		case c == 0:
+			return mid, true
+		case c < 0:
+			lo = mid + 1
+		default:
+			hi = mid
 		}
 	}
-	return 0, false
+	return lo, false
+}
+
+// find locates a compiled path step's key in the object record rec. An
+// interned key is found by a scan comparing syms: attribute sets are small
+// (DBpedia vertices carry 1–5 keys, edges 3), so that beats a binary
+// search reading every probed key's bytes. A name no document held when
+// the path was compiled may be held since, so it is searched for by
+// string.
+func find(rec string, step *pathStep) (Item, bool) {
+	if step.key == 0 {
+		if i, ok := (Doc{rec: rec}).search(step.name); ok {
+			_, it := entry(rec, i)
+			return it, true
+		}
+		return Item{}, false
+	}
+	end := 4 + entrySize*count(rec)
+	if end > len(rec) {
+		return Item{}, false // only the empty record
+	}
+	for at := 4; at < end; at += entrySize {
+		if sym(u32(rec, at)) == step.key {
+			return itemAt(rec, at), true
+		}
+	}
+	return Item{}, false
 }
 
 // Len reports the number of top-level keys.
-func (d *Doc) Len() int { return len(d.fieldsOrNil()) }
+func (d Doc) Len() int { return count(d.rec) }
 
 // Keys returns the top-level keys in sorted order.
-func (d *Doc) Keys() []string {
-	if d == nil {
+func (d Doc) Keys() []string {
+	n := count(d.rec)
+	if n == 0 {
 		return nil
 	}
-	keys := make([]string, len(d.fields))
-	for i, f := range d.fields {
-		keys[i] = f.key.Value()
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = keyAt(d.rec, i).name()
 	}
 	return keys
 }
 
-// Set stores v, normalized as Build does, under key (with invalid UTF-8
-// read as U+FFFD). A value with no JSON form is stored as given.
-func (d *Doc) Set(key string, v any) {
-	v, _ = normalize(v)
-	key = validUTF8(key)
-	if i, ok := d.search(key); ok {
-		d.fields[i].val = v
-	} else {
-		d.fields = slices.Insert(d.fields, i, field{intern(key), v})
-	}
-}
-
-// Delete removes key and reports whether it was present.
-func (d *Doc) Delete(key string) bool {
-	i, ok := d.search(key)
-	if ok {
-		d.fields = slices.Delete(d.fields, i, i+1)
-	}
-	return ok
-}
-
 // Has reports whether the top-level key exists.
-func (d *Doc) Has(key string) bool {
+func (d Doc) Has(key string) bool {
 	_, ok := d.search(key)
 	return ok
 }
 
-// Get returns the value at the top-level key.
-func (d *Doc) Get(key string) (any, bool) {
+// Field returns the item at the top-level key.
+func (d Doc) Field(key string) (Item, bool) {
 	if i, ok := d.search(key); ok {
-		return d.fields[i].val, true
+		_, it := entry(d.rec, i)
+		return it, true
+	}
+	return Item{}, false
+}
+
+// Get returns the value at the top-level key, as Item.Any reads it.
+func (d Doc) Get(key string) (any, bool) {
+	if it, ok := d.Field(key); ok {
+		return it.Any(), true
 	}
 	return nil, false
 }
@@ -325,7 +392,7 @@ var ErrNoValue = errors.New("sqljson: path has no value")
 // Val resolves a JSON_VAL-style path: dot-separated keys, with [i]
 // suffixes for array elements ("a.b[2].c"). It returns ErrNoValue when any
 // step is missing.
-func (d *Doc) Val(path string) (any, error) {
+func (d Doc) Val(path string) (any, error) {
 	if !strings.ContainsAny(path, ".[") && path != "" {
 		if v, ok := d.Get(path); ok {
 			return v, nil
@@ -341,7 +408,7 @@ type Path []pathStep
 
 type pathStep struct {
 	name  string // "" when the step only indexes
-	key   sym    // name's handle; zero if no document held name
+	key   sym    // name's sym; zero if no document held name
 	index int    // -1 when absent
 }
 
@@ -366,157 +433,117 @@ func CompilePath(path string) Path {
 	return steps
 }
 
-// ValPath is Val for a compiled path. The empty path is the document itself.
-func (d *Doc) ValPath(path Path) (any, error) {
-	if d == nil {
-		return nil, ErrNoValue
-	}
-	var cur any = d
-	for _, step := range path {
+// Lookup resolves a compiled path to the item it names. It allocates
+// nothing: JSON_VAL runs it once per examined row. The empty path is the
+// document itself.
+func (d Doc) Lookup(path Path) (Item, bool) {
+	cur := Item{kind: KindObject, s: d.rec}
+	for i := range path {
+		step := &path[i]
 		if step.name != "" {
-			var ok bool
-			switch c := cur.(type) {
-			case *Doc:
-				var i int
-				if i, ok = c.find(step); ok {
-					cur = c.fields[i].val
-				}
-			case map[string]any:
-				cur, ok = c[step.name]
+			if cur.kind != KindObject {
+				return Item{}, false
 			}
-			if !ok {
-				return nil, ErrNoValue
+			var ok bool
+			if cur, ok = find(cur.s, step); !ok {
+				return Item{}, false
 			}
 		}
 		if step.index >= 0 {
-			arr, ok := cur.([]any)
-			if !ok || step.index >= len(arr) {
-				return nil, ErrNoValue
+			if cur.kind != KindArray || step.index >= count(cur.s) {
+				return Item{}, false
 			}
-			cur = arr[step.index]
+			_, cur = entry(cur.s, step.index)
 		}
 	}
-	return cur, nil
+	return cur, true
 }
 
-// Map returns a deep copy of the document as a plain Go map.
-func (d *Doc) Map() map[string]any {
-	m := make(map[string]any, d.Len())
-	for _, f := range d.fieldsOrNil() {
-		m[f.key.Value()] = cloneVal(f.val)
+// ValPath is Val for a compiled path.
+func (d Doc) ValPath(path Path) (any, error) {
+	if it, ok := d.Lookup(path); ok {
+		return it.Any(), nil
+	}
+	return nil, ErrNoValue
+}
+
+// Map returns the document as a plain Go map (see Item.Any).
+func (d Doc) Map() map[string]any {
+	n := count(d.rec)
+	m := make(map[string]any, n)
+	for i := 0; i < n; i++ {
+		k, it := entry(d.rec, i)
+		m[k.name()] = it.Any()
 	}
 	return m
 }
 
-// Clone returns a deep copy of the document.
-func (d *Doc) Clone() *Doc {
-	out := &Doc{fields: make([]field, d.Len())}
-	for i, f := range d.fieldsOrNil() {
-		out.fields[i] = field{f.key, cloneVal(f.val)}
-	}
-	return out
-}
-
-func cloneMap(m map[string]any) map[string]any {
-	out := make(map[string]any, len(m))
-	for k, v := range m {
-		out[k] = cloneVal(v)
-	}
-	return out
-}
-
-func cloneVal(v any) any {
-	switch x := v.(type) {
-	case map[string]any:
-		return cloneMap(x)
-	case []any:
-		out := make([]any, len(x))
-		for i, e := range x {
-			out[i] = cloneVal(e)
-		}
-		return out
-	default:
-		return v
-	}
-}
-
 // String renders the document as canonical JSON with sorted keys, so test
 // output and on-disk sizes are deterministic.
-func (d *Doc) String() string {
+func (d Doc) String() string {
 	return string(d.AppendJSON(nil))
 }
 
-// AppendJSON appends the canonical rendering String returns to b. The
-// checkpoint encodes every stored document through it, so it allocates
-// nothing for documents of plain scalars and short nested key sets.
-func (d *Doc) AppendJSON(b []byte) []byte {
+// AppendJSON appends the canonical rendering String returns to b: what
+// encoding/json writes for the document's map. The checkpoint encodes
+// every stored document through it, and it allocates nothing for
+// documents whose strings need no escaping.
+func (d Doc) AppendJSON(b []byte) []byte { return appendObject(b, d.rec) }
+
+func appendObject(b []byte, rec string) []byte {
 	b = append(b, '{')
-	for i, f := range d.fieldsOrNil() {
+	for i, n := 0, count(rec); i < n; i++ {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendJSONString(b, f.key.Value())
+		k, it := entry(rec, i)
+		b = appendJSONString(b, k.name())
 		b = append(b, ':')
-		b = appendJSON(b, f.val)
+		b = appendItem(b, it)
 	}
 	return append(b, '}')
 }
 
-// MarshalJSON implements json.Marshaler with sorted keys.
-func (d *Doc) MarshalJSON() ([]byte, error) { return []byte(d.String()), nil }
+func appendItem(b []byte, it Item) []byte {
+	switch it.kind {
+	case KindNull:
+		return append(b, "null"...)
+	case KindBool:
+		return strconv.AppendBool(b, it.bits != 0)
+	case KindInt:
+		return strconv.AppendInt(b, int64(it.bits), 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, math.Float64frombits(it.bits), 'g', -1, 64)
+	case KindString:
+		return appendJSONString(b, it.s)
+	case KindObject:
+		return appendObject(b, it.s)
+	case KindArray:
+		b = append(b, '[')
+		for i, n := 0, count(it.s); i < n; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			_, e := entry(it.s, i)
+			b = appendItem(b, e)
+		}
+		return append(b, ']')
+	}
+	return b // kindInvalid: encoding/json wrote nothing for it
+}
 
-// UnmarshalJSON implements json.Unmarshaler.
+// MarshalJSON implements json.Marshaler with sorted keys.
+func (d Doc) MarshalJSON() ([]byte, error) { return d.AppendJSON(nil), nil }
+
+// UnmarshalJSON implements json.Unmarshaler. It replaces *d with the
+// parsed document; the record *d held is not written.
 func (d *Doc) UnmarshalJSON(b []byte) error {
 	parsed, err := Parse(string(b))
 	if err != nil {
 		return err
 	}
-	d.fields = parsed.fields
+	*d = parsed
 	return nil
-}
-
-func appendJSON(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(b, "null"...)
-	case bool:
-		return strconv.AppendBool(b, x)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case float64:
-		return strconv.AppendFloat(b, x, 'g', -1, 64)
-	case string:
-		return appendJSONString(b, x)
-	case []any:
-		b = append(b, '[')
-		for i, e := range x {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSON(b, e)
-		}
-		return append(b, ']')
-	case map[string]any:
-		var few [8]string // most attribute sets are small: sort them on the stack
-		keys := few[:0]
-		for k := range x {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		b = append(b, '{')
-		for i, k := range keys {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONString(b, k)
-			b = append(b, ':')
-			b = appendJSON(b, x[k])
-		}
-		return append(b, '}')
-	default:
-		enc, _ := json.Marshal(x)
-		return append(b, enc...)
-	}
 }
 
 // appendJSONString quotes s exactly as encoding/json does. A string of
@@ -537,21 +564,25 @@ func appendJSONString(b []byte, s string) []byte {
 // Size approximates the serialized size in bytes without serializing; used
 // by the storage layer to report on-disk footprint (paper Section 5.1
 // compares database sizes).
-func (d *Doc) Size() int {
+func (d Doc) Size() int { return objectSize(d.rec) }
+
+func objectSize(rec string) int {
 	n := 2
-	for _, f := range d.fieldsOrNil() {
-		n += len(f.key.Value()) + 3 + sizeOf(f.val) + 1
+	for i, c := 0, count(rec); i < c; i++ {
+		k, it := entry(rec, i)
+		n += len(k.name()) + 3 + itemSize(it) + 1
 	}
 	return n
 }
 
-func sizeOf(v any) int {
-	switch x := v.(type) {
-	case nil:
+func itemSize(it Item) int {
+	switch it.kind {
+	case KindNull:
 		return 4
-	case bool:
+	case KindBool:
 		return 5
-	case int64:
+	case KindInt:
+		x := int64(it.bits)
 		if x == 0 {
 			return 1
 		}
@@ -564,23 +595,19 @@ func sizeOf(v any) int {
 			n++
 		}
 		return n
-	case float64:
+	case KindFloat:
 		return 12
-	case string:
-		return len(x) + 2
-	case []any:
+	case KindString:
+		return len(it.s) + 2
+	case KindObject:
+		return objectSize(it.s)
+	case KindArray:
 		n := 2
-		for _, e := range x {
-			n += sizeOf(e) + 1
+		for i, c := 0, count(it.s); i < c; i++ {
+			_, e := entry(it.s, i)
+			n += itemSize(e) + 1
 		}
 		return n
-	case map[string]any:
-		n := 2
-		for k, e := range x {
-			n += len(k) + 3 + sizeOf(e) + 1
-		}
-		return n
-	default:
-		return 8
 	}
+	return 8
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -69,32 +70,33 @@ func TestNumbersStayIntegral(t *testing.T) {
 	}
 }
 
+// TestSetDeleteHas: With sets a key and Without deletes one, each in a
+// new document.
 func TestSetDeleteHas(t *testing.T) {
-	d := New()
-	d.Set("a", 1)
-	d.Set("b", "two")
-	d.Set("c", []any{1, "x"})
+	d := Doc{}.With("a", 1).With("b", "two").With("c", []any{1, "x"})
 	if !d.Has("a") || !d.Has("b") || !d.Has("c") || d.Has("d") {
 		t.Fatal("Has mismatch")
 	}
 	if v, _ := d.Val("a"); v != int64(1) {
 		t.Fatalf("a = %v (%T), want int64(1)", v, v)
 	}
-	if !d.Delete("a") {
-		t.Fatal("Delete(a) = false")
+	d, ok := d.Without("a")
+	if !ok {
+		t.Fatal("Without(a) = false")
 	}
-	if d.Delete("a") {
-		t.Fatal("second Delete(a) = true")
+	if _, ok := d.Without("a"); ok {
+		t.Fatal("second Without(a) = true")
 	}
 	if d.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", d.Len())
 	}
+	if d = d.With("b", 2.5); d.String() != `{"b":2.5,"c":[1,"x"]}` {
+		t.Fatalf("With over a held key = %s", d)
+	}
 }
 
 func TestStringCanonical(t *testing.T) {
-	d := New()
-	d.Set("b", 2)
-	d.Set("a", "x")
+	d := Doc{}.With("b", 2).With("a", "x")
 	if got, want := d.String(), `{"a":"x","b":2}`; got != want {
 		t.Fatalf("String() = %s, want %s", got, want)
 	}
@@ -115,32 +117,39 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
+// TestWithLeavesOriginal: a document is immutable; With and Without
+// build new ones, and a nested value they carry over is the same bytes.
+func TestWithLeavesOriginal(t *testing.T) {
 	d, _ := Parse(`{"a":{"b":1},"c":[1,2]}`)
-	cl := d.Clone()
-	cl.Set("a", "changed")
-	if v, _ := d.Val("a.b"); v != int64(1) {
-		t.Fatal("Clone mutated original")
+	rec := d.Record()
+	changed := d.With("a", "changed")
+	dropped, _ := d.Without("c")
+	if v, _ := d.Val("a.b"); v != int64(1) || d.Record() != rec {
+		t.Fatal("With changed the original")
 	}
-	var nilDoc *Doc
-	if nilDoc.Clone().Len() != 0 {
-		t.Fatal("Clone of nil doc not empty")
+	if changed.String() != `{"a":"changed","c":[1,2]}` || dropped.String() != `{"a":{"b":1}}` {
+		t.Fatalf("With = %s, Without = %s", changed, dropped)
+	}
+	if (Doc{}).With("x", 1).Len() != 1 {
+		t.Fatal("With on the empty document")
 	}
 }
 
-func TestNilDocSafe(t *testing.T) {
-	var d *Doc
-	if d.Len() != 0 || d.Has("x") || d.Keys() != nil {
-		t.Fatal("nil doc accessors not safe")
+func TestZeroDocSafe(t *testing.T) {
+	var d Doc
+	if d.Len() != 0 || d.Has("x") || d.Keys() != nil || d.String() != "{}" || d.Size() != 2 {
+		t.Fatal("zero doc accessors not safe")
 	}
 	if _, err := d.Val("x"); err != ErrNoValue {
-		t.Fatal("nil doc Val should be ErrNoValue")
+		t.Fatal("zero doc Val should be ErrNoValue")
+	}
+	if _, ok := d.Without("x"); ok {
+		t.Fatal("zero doc Without found a key")
 	}
 }
 
 func TestMarshalerInterface(t *testing.T) {
-	d := New()
-	d.Set("k", "v")
+	d := FromMap(map[string]any{"k": "v"})
 	b, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +164,9 @@ func TestMarshalerInterface(t *testing.T) {
 }
 
 func TestKeysSorted(t *testing.T) {
-	d := New()
+	var d Doc
 	for _, k := range []string{"zeta", "alpha", "mid"} {
-		d.Set(k, 1)
+		d = d.With(k, 1)
 	}
 	keys := d.Keys()
 	if len(keys) != 3 || keys[0] != "alpha" || keys[1] != "mid" || keys[2] != "zeta" {
@@ -169,12 +178,12 @@ func TestKeysSorted(t *testing.T) {
 // serialize/parse round trip with identical canonical form.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(keys []string, vals []int64) bool {
-		d := New()
+		var d Doc
 		for i, k := range keys {
 			if i < len(vals) {
-				d.Set(k, vals[i])
+				d = d.With(k, vals[i])
 			} else {
-				d.Set(k, "s")
+				d = d.With(k, "s")
 			}
 		}
 		parsed, err := Parse(d.String())
@@ -189,16 +198,13 @@ func TestQuickRoundTrip(t *testing.T) {
 }
 
 func TestSizePositiveAndMonotone(t *testing.T) {
-	d := New()
+	var d Doc
 	base := d.Size()
-	d.Set("key", "value")
+	d = d.With("key", "value")
 	if d.Size() <= base {
 		t.Fatalf("Size did not grow: %d -> %d", base, d.Size())
 	}
-	d.Set("n", int64(-1234))
-	d.Set("f", 1.5)
-	d.Set("arr", []any{1, 2, 3})
-	d.Set("b", true)
+	d = d.With("n", int64(-1234)).With("f", 1.5).With("arr", []any{1, 2, 3}).With("b", true)
 	if d.Size() <= 0 {
 		t.Fatal("Size must stay positive")
 	}
@@ -278,16 +284,103 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// refDoc is the layout documents had before they became sorted field
-// slices: one map per document. Its rendering and size are what the WAL,
-// the snapshot and stored_bytes_per_user_byte were built on, so the slice
-// layout must reproduce both exactly.
+// refDoc is the layout documents had before they became records: one
+// map per document. Its rendering and size (refAppendJSON, refSize: the
+// map layout's own code) are what the WAL, the snapshot and
+// stored_bytes_per_user_byte were built on, so a record must reproduce
+// both exactly.
 type refDoc map[string]any
 
-func (r refDoc) json() string { return string(appendJSON(nil, map[string]any(r))) }
-func (r refDoc) size() int    { return sizeOf(map[string]any(r)) }
+func (r refDoc) json() string { return string(refAppendJSON(nil, map[string]any(r))) }
+func (r refDoc) size() int    { return refSize(map[string]any(r)) }
 
-func sameAsRef(t *testing.T, what string, d *Doc, ref refDoc) {
+func refAppendJSON(b []byte, v any) []byte {
+	switch x := v.(type) {
+	case nil:
+		return append(b, "null"...)
+	case bool:
+		return strconv.AppendBool(b, x)
+	case int64:
+		return strconv.AppendInt(b, x, 10)
+	case float64:
+		return strconv.AppendFloat(b, x, 'g', -1, 64)
+	case string:
+		enc, _ := json.Marshal(x)
+		return append(b, enc...)
+	case []any:
+		b = append(b, '[')
+		for i, e := range x {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = refAppendJSON(b, e)
+		}
+		return append(b, ']')
+	case map[string]any:
+		keys := make([]string, 0, len(x))
+		for k := range x {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		b = append(b, '{')
+		for i, k := range keys {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = refAppendJSON(b, k)
+			b = append(b, ':')
+			b = refAppendJSON(b, x[k])
+		}
+		return append(b, '}')
+	}
+	enc, _ := json.Marshal(v)
+	return append(b, enc...)
+}
+
+func refSize(v any) int {
+	switch x := v.(type) {
+	case nil:
+		return 4
+	case bool:
+		return 5
+	case int64:
+		return len(strconv.FormatInt(x, 10))
+	case float64:
+		return 12
+	case string:
+		return len(x) + 2
+	case []any:
+		n := 2
+		for _, e := range x {
+			n += refSize(e) + 1
+		}
+		return n
+	case map[string]any:
+		n := 2
+		for k, e := range x {
+			n += len(k) + 3 + refSize(e) + 1
+		}
+		return n
+	}
+	return 8
+}
+
+// jsonReading is m as its encoding/json text reads back (refParse): what
+// Build holds for a map of plain values.
+func jsonReading(t *testing.T, m map[string]any) refDoc {
+	t.Helper()
+	text, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := refParse(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func sameAsRef(t *testing.T, what string, d Doc, ref refDoc) {
 	t.Helper()
 	if got, want := d.String(), ref.json(); got != want {
 		t.Fatalf("%s: AppendJSON\n got %s\nwant %s", what, got, want)
@@ -356,19 +449,26 @@ func randMap(rng *rand.Rand, depth int) refDoc {
 func pick(rng *rand.Rand, opts ...string) string { return opts[rng.Intn(len(opts))] }
 
 // TestDocMatchesMapLayout builds random documents — nested values
-// included — through every constructor and mutator and requires the
-// rendering, size and reads of the one-map-per-document reference.
+// included — through every constructor, With and Without, and requires
+// the rendering, size and reads of the one-map-per-document reference:
+// encoding/json's reading of the same map.
 func TestDocMatchesMapLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var bulk Bulk
 	for iter := 0; iter < 500; iter++ {
 		m := randMap(rng, 2)
-		nm, err := normalizeMap(m)
+		ref := jsonReading(t, m)
+		d := *FromMap(m)
+		sameAsRef(t, "FromMap", d, ref)
+		built, err := Build(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := refDoc(nm)
-		d := FromMap(m)
-		sameAsRef(t, "FromMap", d, ref)
+		sameAsRef(t, "Build", built, ref)
+		packed, err := bulk.Build(m)
+		if err != nil || packed.Record() != d.Record() {
+			t.Fatalf("Bulk.Build(%v) = %s, %v; Build %s", m, packed, err, d)
+		}
 
 		// Invalid UTF-8 reads back as U+FFFD, so the text's own decode is
 		// the reference here.
@@ -379,24 +479,24 @@ func TestDocMatchesMapLayout(t *testing.T) {
 		}
 		sameAsRef(t, "Parse", parsed, want)
 
-		clone := d.Clone()
+		cur := d
 		for op := 0; op < 8; op++ {
 			k := pick(rng, randKeys...)
 			if rng.Intn(3) == 0 {
 				_, had := ref[k]
 				delete(ref, k)
-				if got := d.Delete(k); got != had {
-					t.Fatalf("Delete(%q) = %v, key present %v", k, got, had)
+				var got bool
+				if cur, got = cur.Without(k); got != had {
+					t.Fatalf("Without(%q) = %v, key present %v", k, got, had)
 				}
 			} else {
 				v := randValue(rng, 1)
-				ref[k], _ = normalize(v)
-				d.Set(k, v)
+				ref[k] = jsonReading(t, map[string]any{"v": v})["v"]
+				cur = cur.With(k, v)
 			}
-			sameAsRef(t, fmt.Sprintf("op %d", op), d, ref)
+			sameAsRef(t, fmt.Sprintf("op %d", op), cur, ref)
 		}
-		orig, _ := normalizeMap(m)
-		sameAsRef(t, "Clone, after the original changed", clone, refDoc(orig))
+		sameAsRef(t, "the original, after With and Without", d, jsonReading(t, m))
 	}
 }
 
@@ -418,32 +518,49 @@ func TestParseDuplicatesNullAndEmpty(t *testing.T) {
 	}
 }
 
-// TestReadsAllocateNothing: JSON_VAL runs once per examined row, and the
-// storage layer sizes every stored document.
+// TestReadsAllocateNothing: JSON_VAL runs once per examined row, the
+// storage layer sizes every stored document and the checkpoint renders
+// each one. Items are read from the record in place.
 func TestReadsAllocateNothing(t *testing.T) {
-	d, err := Parse(`{"name":"marko","age":29,"langs":["java"],"addr":{"city":"x"},"w":0.5}`)
+	d, err := Parse(`{"name":"marko","age":29,"langs":["java"],"addr":{"city":"x"},"w":0.5,"ok":true}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	name, city, missing := CompilePath("name"), CompilePath("addr.city"), CompilePath("nope")
+	name, city, lang, missing := CompilePath("name"), CompilePath("addr.city"), CompilePath("langs[0]"), CompilePath("nope")
+	buf := make([]byte, 0, 256)
 	allocs := testing.AllocsPerRun(100, func() {
-		if v, err := d.ValPath(name); err != nil || v != "marko" {
-			t.Fatal("ValPath(name)")
+		if it, ok := d.Lookup(name); !ok || it.Kind() != KindString || it.Str() != "marko" {
+			t.Fatal("Lookup(name)")
 		}
-		if v, err := d.ValPath(city); err != nil || v != "x" {
-			t.Fatal("ValPath(addr.city)")
+		if it, ok := d.Lookup(city); !ok || it.Str() != "x" {
+			t.Fatal("Lookup(addr.city)")
 		}
-		if _, err := d.ValPath(missing); err != ErrNoValue {
-			t.Fatal("ValPath(nope)")
+		if it, ok := d.Lookup(lang); !ok || it.Str() != "java" {
+			t.Fatal("Lookup(langs[0])")
 		}
-		if v, err := d.Val("age"); err != nil || v != int64(29) {
-			t.Fatal("Val(age)")
+		if _, ok := d.Lookup(missing); ok {
+			t.Fatal("Lookup(nope)")
 		}
-		if !d.Has("w") || d.Has("x") || d.Len() != 5 || d.Size() == 0 {
+		if it, ok := d.Field("age"); !ok || it.Kind() != KindInt || it.Int() != 29 {
+			t.Fatal("Field(age)")
+		}
+		if it, ok := d.Field("w"); !ok || it.Kind() != KindFloat || it.Float() != 0.5 {
+			t.Fatal("Field(w)")
+		}
+		if it, ok := d.Field("ok"); !ok || !it.Bool() {
+			t.Fatal("Field(ok)")
+		}
+		if !d.Has("w") || d.Has("x") || d.Len() != 6 || d.Size() == 0 {
 			t.Fatal("Has/Len/Size")
 		}
-		if v, ok := d.Get("langs"); !ok || len(v.([]any)) != 1 {
-			t.Fatal("Get(langs)")
+		if it, ok := d.Field("langs"); !ok || it.Len() != 1 || it.Index(0).Str() != "java" {
+			t.Fatal("Field(langs)")
+		}
+		if it, ok := d.Field("addr"); !ok || it.Doc().Len() != 1 {
+			t.Fatal("Field(addr)")
+		}
+		if buf = d.AppendJSON(buf[:0]); len(buf) == 0 {
+			t.Fatal("AppendJSON")
 		}
 	})
 	if allocs != 0 {
@@ -453,7 +570,8 @@ func TestReadsAllocateNothing(t *testing.T) {
 
 // TestPathsInternNothing: compiling a path only looks its keys up, so a
 // query naming keys no document holds leaves the table alone, and a path
-// compiled before any document holds its key still finds it afterwards.
+// compiled before any document holds its key still finds it afterwards,
+// a nested key included.
 func TestPathsInternNothing(t *testing.T) {
 	size := func() int {
 		syms.Lock()
@@ -463,14 +581,14 @@ func TestPathsInternNothing(t *testing.T) {
 	before := size()
 	// The table never forgets, so each run (-count) names keys of its own.
 	k := fmt.Sprintf("unheld%d-", before)
-	plain, nested := CompilePath(k+"1"), CompilePath(k+"2.x[0]")
+	plain, nested := CompilePath(k+"1"), CompilePath(k+"2."+k+"x[0]")
 	if _, err := New().Val(k + "3.y"); err != ErrNoValue {
 		t.Fatalf("Val(%s3.y) = %v", k, err)
 	}
 	if got := size(); got != before {
 		t.Fatalf("compiling paths interned %d keys", got-before)
 	}
-	d, err := Parse(fmt.Sprintf(`{"%[1]s1":1,"%[1]s2":{"x":[2]}}`, k))
+	d, err := Parse(fmt.Sprintf(`{"%[1]s1":1,"%[1]s2":{"%[1]sx":[2]}}`, k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,10 +596,10 @@ func TestPathsInternNothing(t *testing.T) {
 		t.Fatalf("ValPath(%s1) = %v, %v", k, v, err)
 	}
 	if v, err := d.ValPath(nested); err != nil || v != int64(2) {
-		t.Fatalf("ValPath(%s2.x[0]) = %v, %v", k, v, err)
+		t.Fatalf("ValPath(%[1]s2.%[1]sx[0]) = %v, %v", k, v, err)
 	}
-	if got := size(); got != before+2 {
-		t.Fatalf("the document interned %d keys, want its 2 top-level ones", got-before)
+	if got := size(); got != before+3 {
+		t.Fatalf("the document interned %d keys, want its 3, the nested one included", got-before)
 	}
 }
 
@@ -490,7 +608,7 @@ func TestPathsInternNothing(t *testing.T) {
 // with the one sym of each key.
 func TestInternConcurrent(t *testing.T) {
 	const workers, keys = 8, 50
-	docs := make([][]*Doc, workers)
+	docs := make([][]Doc, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -511,11 +629,11 @@ func TestInternConcurrent(t *testing.T) {
 	wg.Wait()
 	for w, ds := range docs {
 		for _, d := range ds {
-			key := d.fields[0].key
-			if want := CompilePath(key.Value())[0].key; key != want {
-				t.Fatalf("worker %d: key %q has two syms", w, key.Value())
+			key := keyAt(d.rec, 0)
+			if want := CompilePath(key.name())[0].key; key != want {
+				t.Fatalf("worker %d: key %q has two syms", w, key.name())
 			}
-			if v, err := d.ValPath(CompilePath(key.Value())); err != nil || v != int64(w) {
+			if v, err := d.ValPath(CompilePath(key.name())); err != nil || v != int64(w) {
 				t.Fatalf("worker %d: %s reads %v, %v", w, d, v, err)
 			}
 		}
@@ -523,10 +641,25 @@ func TestInternConcurrent(t *testing.T) {
 }
 
 // refParse is what Parse must agree with: encoding/json's verdict on the
-// text, and a UseNumber decode of it normalized to int64/float64.
-func refParse(s string) (map[string]any, error) {
+// text, and a UseNumber decode of it normalized to int64/float64. A text
+// holding a number no float64 holds is refused, even where a later value
+// of the same key would replace it.
+func refParse(s string) (refDoc, error) {
 	if !json.Valid([]byte(s)) {
 		return nil, fmt.Errorf("invalid JSON")
+	}
+	toks := json.NewDecoder(strings.NewReader(s))
+	toks.UseNumber()
+	for {
+		tok, err := toks.Token()
+		if err != nil {
+			break // the end: the text is valid
+		}
+		if n, ok := tok.(json.Number); ok {
+			if _, err := n.Float64(); err != nil {
+				return nil, err
+			}
+		}
 	}
 	dec := json.NewDecoder(strings.NewReader(s))
 	dec.UseNumber()
@@ -568,6 +701,14 @@ func FuzzDocParse(f *testing.F) {
 		`{"s":"é😀\ud800x\udc00\n\t\"\\\/\b\f\r"}`, "{\"raw\":\"\xff\xfe ok\"}",
 		`{"n":{"m":{"k":[true,false,null,{}]}}}`, `{"a":1,}`, `{"a" 1}`, `[1]`, `"s"`, `1`, `{"a":01}`,
 		`{"a":1} x`, `{"a":"\x"}`, `{"a":"\u12"}`, "{\"ctl\":\"a\x01\"}", `{"a":-}`, `{"a":1.}`, `{"a":tru}`, ``,
+		// Added with records: nesting, the float64 range, -0.0, integers
+		// beyond 2^53, invalid UTF-8 in keys and nested values, empties.
+		`{"o":{"b":{"c":[1,{"d":"e","a":null}]},"a":[]},"e":[[],[{}],[[2.5]]],"z":{"z":{"z":{}}}}`,
+		`{"x":1e400}`, `{"x":[1,{"y":-1e400}]}`, `{"x":1e-400,"y":1.7976931348623157e308}`,
+		`{"x":-0.0,"y":-0,"z":0.0,"w":[-0.0]}`,
+		`{"x":9007199254740993,"y":-9007199254740993,"z":18446744073709551616,"w":[9223372036854775807]}`,
+		"{\"\xff\":\"\xfe\",\"o\":{\"k\xc3\":[\"\xed\xa0\x80\"]}}",
+		`{"e":{},"a":[]}`, `{"":1e700,"":0}`,
 	} {
 		f.Add(s)
 	}
@@ -580,11 +721,29 @@ func FuzzDocParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := d.Map(); !reflect.DeepEqual(got, want) {
+		if got := d.Map(); !reflect.DeepEqual(got, map[string]any(want)) {
 			t.Fatalf("Parse(%q) = %#v\nencoding/json: %#v", s, got, want)
 		}
-		if got, ref := d.String(), refDoc(want).json(); got != ref {
+		for k, v := range want {
+			if got, ok := d.Get(k); !ok || !reflect.DeepEqual(got, v) {
+				t.Fatalf("Parse(%q).Get(%q) = %#v, %v; encoding/json %#v", s, k, got, ok, v)
+			}
+		}
+		if got, ref := d.String(), want.json(); got != ref {
 			t.Fatalf("Parse(%q) renders %s, map layout %s", s, got, ref)
+		}
+		// Parse after AppendJSON is a fixed point from its first result on.
+		once, err := Parse(string(d.AppendJSON(nil)))
+		if err != nil {
+			t.Fatalf("Parse(%s): %v", d, err)
+		}
+		twice, err := Parse(string(once.AppendJSON(nil)))
+		if err != nil || twice.Record() != once.Record() || twice.String() != once.String() {
+			t.Fatalf("Parse(%q): %s reads back as %s, then %s (%v)", s, d, once, twice, err)
+		}
+		var bulk Bulk
+		if packed, err := bulk.Parse(s); err != nil || packed.Record() != d.Record() {
+			t.Fatalf("Bulk.Parse(%q) = %s, %v; Parse %s", s, packed, err, d)
 		}
 	})
 }

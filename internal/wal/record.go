@@ -30,6 +30,8 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+
+	"sqlgraph/internal/sqljson"
 )
 
 // OpKind enumerates the logical graph mutations the log records. The
@@ -143,9 +145,10 @@ func (r *Record) encodePayload(b []byte) []byte {
 // are total functions over arbitrary bytes (the recovery fuzzer feeds them
 // garbage).
 type byteReader struct {
-	b   []byte
-	off int
-	bad bool
+	b    []byte
+	off  int
+	bad  bool
+	docs *sqljson.Bulk // where a snapshot's documents are built
 }
 
 func (r *byteReader) uvarint() uint64 {

@@ -121,12 +121,12 @@ func (r *byteReader) value() rel.Value {
 		if r.bad {
 			return rel.Null
 		}
-		doc, err := sqljson.Parse(s)
+		doc, err := r.docs.Parse(s)
 		if err != nil {
 			r.bad = true
 			return rel.Null
 		}
-		return rel.NewJSON(doc)
+		return rel.NewJSON(&doc)
 	case tagList:
 		n := r.uvarint()
 		if r.bad || n > uint64(len(r.b)-r.off) {
@@ -279,7 +279,9 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	if crc32.ChecksumIEEE(data[len(snapMagic):len(data)-4]) != want {
 		return nil, fmt.Errorf("%w: snapshot: checksum mismatch", ErrCorrupt)
 	}
-	r := &byteReader{b: payload}
+	// The documents restored are packed into shared chunks in the order
+	// they are read, which is each table's slot order.
+	r := &byteReader{b: payload, docs: new(sqljson.Bulk)}
 	if v := r.uvarint(); v != 1 {
 		return nil, fmt.Errorf("%w: snapshot: unsupported version %d", ErrCorrupt, v)
 	}

@@ -235,7 +235,7 @@ func sampleSnapshot(lastLSN uint64) *Snapshot {
 		InAssign:   map[string]int{"knows": 1},
 		Tables: map[string][][]rel.Value{
 			"VA": {
-				{rel.NewInt(1), rel.NewJSON(doc)},
+				{rel.NewInt(1), rel.NewJSON(&doc)},
 				{rel.NewInt(-3), rel.Null},
 			},
 			"OSA": {
