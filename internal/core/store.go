@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -287,11 +289,13 @@ func loadMem(src blueprints.Graph, opts Options) (*Store, error) {
 	defer tx.Rollback()
 
 	// The documents are built in bulk: a table's records lie in shared
-	// chunks in slot order, not one allocation each, and so do the VA and
-	// EA rows, cut from one array per table, so a scan of either reads
-	// memory in order. Build is what the record path stores, so a value
-	// with no JSON form fails the load before anything is written.
+	// chunks in slot order, not one allocation each, and so do the rows of
+	// every table, cut from one array per table, so a scan of VA or EA and
+	// an ascending hop over the adjacency tables read memory in order.
+	// Build is what the record path stores, so a value with no JSON form
+	// fails the load before anything is written.
 	var docs sqljson.Bulk
+	adj := adjRows{byLabel: map[string]int32{}}
 	vaRows := make([]rel.Value, 2*len(vids))
 	for i, v := range vids {
 		attrs, err := src.VertexAttrs(v)
@@ -311,16 +315,15 @@ func loadMem(src blueprints.Graph, opts Options) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.shredSide(tx, v, outs, true); err != nil {
-			return nil, err
-		}
+		s.shredSide(&adj, v, outs, true)
 		ins, err := src.InEdges(v)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.shredSide(tx, v, ins, false); err != nil {
-			return nil, err
-		}
+		s.shredSide(&adj, v, ins, false)
+	}
+	if err := adj.insert(tx, [4]int{2 + 3*s.outCols, 3, 2 + 3*s.inCols, 3}); err != nil {
+		return nil, err
 	}
 	eids := src.EdgeIDs()
 	eaRows := make([]rel.Value, 5*len(eids))
@@ -361,102 +364,113 @@ func labelsOf(recs []blueprints.EdgeRec) []string {
 	return out
 }
 
-// shredSide writes one vertex's adjacency (one direction) into the
-// primary and secondary hash tables.
-func (s *Store) shredSide(tx *rel.Txn, v int64, recs []blueprints.EdgeRec, outgoing bool) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	assign := s.outAssign
-	primary, secondary := TableOPA, TableOSA
-	cols := s.outCols
-	if !outgoing {
-		assign = s.inAssign
-		primary, secondary = TableIPA, TableISA
-		cols = s.inCols
-	}
+// adjRows collects the bulk load's adjacency rows. Per table, each row's
+// values follow the previous row's in one growing array; insert then cuts
+// the rows from one exactly sized copy, so that a table's row images lie
+// in slot order in one allocation. Allocated row by row as the vertices
+// come, the OPA and IPA images (and the OSA and ISA ones) alternate in the
+// allocator's size classes, so an ascending hop's rows are not adjacent.
+type adjRows struct {
+	vals [4][]rel.Value // OPA, OSA, IPA, ISA
 
-	// Group edges by label, preserving order.
-	type group struct {
-		label string
-		eids  []int64
-		vals  []int64
-	}
-	var groups []*group
-	byLabel := map[string]*group{}
-	for _, r := range recs {
-		gr, ok := byLabel[r.Label]
-		if !ok {
-			gr = &group{label: r.Label}
-			byLabel[r.Label] = gr
-			groups = append(groups, gr)
-		}
-		gr.eids = append(gr.eids, r.ID)
-		other := r.In
-		if !outgoing {
-			other = r.Out
-		}
-		gr.vals = append(gr.vals, other)
-	}
+	// Grouping state for one vertex's edges, reused by every vertex.
+	byLabel map[string]int32
+	group   []int32 // per edge, its label's group
+	order   []int32 // edge indexes, by group, each group's in the given order
+}
 
-	type cell struct {
-		eid rel.Value
-		lbl rel.Value
-		val rel.Value
-	}
-	var rows [][]cell // each row: cols cells
-	place := func(col int, c cell) {
-		for _, row := range rows {
-			if row[col].lbl.IsNull() {
-				row[col] = c
-				return
-			}
-		}
-		fresh := make([]cell, cols)
-		for i := range fresh {
-			fresh[i] = cell{eid: rel.Null, lbl: rel.Null, val: rel.Null}
-		}
-		fresh[col] = c
-		rows = append(rows, fresh)
-	}
-	for _, gr := range groups {
-		col := assign.Column(gr.label)
-		if col >= cols {
-			col = col % cols
-		}
-		if len(gr.eids) == 1 {
-			place(col, cell{eid: rel.NewInt(gr.eids[0]), lbl: rel.NewString(gr.label), val: rel.NewInt(gr.vals[0])})
-			continue
-		}
-		// Multi-valued label: allocate a list id and push pairs into the
-		// secondary table.
-		lid := s.allocLID()
-		for i := range gr.eids {
-			if _, err := tx.Insert(secondary, []rel.Value{rel.NewInt(lid), rel.NewInt(gr.eids[i]), rel.NewInt(gr.vals[i])}); err != nil {
+var adjTables = [4]string{TableOPA, TableOSA, TableIPA, TableISA}
+
+// insert inserts every collected row, table by table, each table's rows in
+// the order they were collected; widths are the tables' arities.
+func (a *adjRows) insert(tx *rel.Txn, widths [4]int) error {
+	for t, name := range adjTables {
+		vals, w := slices.Clone(a.vals[t]), widths[t]
+		a.vals[t] = nil
+		for i := 0; i < len(vals); i += w {
+			if _, err := tx.Insert(name, vals[i:i+w:i+w]); err != nil {
 				return err
 			}
 		}
-		place(col, cell{eid: rel.Null, lbl: rel.NewString(gr.label), val: rel.NewInt(lid)})
-	}
-
-	spill := int64(0)
-	if len(rows) > 1 {
-		spill = 1
-	}
-	for _, row := range rows {
-		vals := make([]rel.Value, 2+3*cols)
-		vals[adjVID] = rel.NewInt(v)
-		vals[adjSPILL] = rel.NewInt(spill)
-		for k := 0; k < cols; k++ {
-			vals[adjEID(k)] = row[k].eid
-			vals[adjLBL(k)] = row[k].lbl
-			vals[adjVAL(k)] = row[k].val
-		}
-		if _, err := tx.Insert(primary, vals); err != nil {
-			return err
-		}
 	}
 	return nil
+}
+
+// shredSide collects one vertex's adjacency (one direction) as rows of the
+// primary and secondary hash tables.
+func (s *Store) shredSide(a *adjRows, v int64, recs []blueprints.EdgeRec, outgoing bool) {
+	if len(recs) == 0 {
+		return
+	}
+	assign, cols, t := s.outAssign, s.outCols, 0
+	if !outgoing {
+		assign, cols, t = s.inAssign, s.inCols, 2
+	}
+	other := func(r blueprints.EdgeRec) rel.Value {
+		if outgoing {
+			return rel.NewInt(r.In)
+		}
+		return rel.NewInt(r.Out)
+	}
+
+	// Group the edges by label: groups in the order their labels first
+	// appear, each group's edges in the order given.
+	clear(a.byLabel)
+	a.group, a.order = a.group[:0], a.order[:0]
+	for i, r := range recs {
+		g, ok := a.byLabel[r.Label]
+		if !ok {
+			g = int32(len(a.byLabel))
+			a.byLabel[r.Label] = g
+		}
+		a.group = append(a.group, g)
+		a.order = append(a.order, int32(i))
+	}
+	slices.SortStableFunc(a.order, func(i, j int32) int { return cmp.Compare(a.group[i], a.group[j]) })
+
+	// Each label takes a cell of its column in the vertex's first row that
+	// has the column free; a fresh row starts all NULL.
+	w := 2 + 3*cols
+	rows := a.vals[t]
+	start := len(rows)
+	for lo := 0; lo < len(a.order); {
+		hi := lo + 1
+		for hi < len(a.order) && a.group[a.order[hi]] == a.group[a.order[lo]] {
+			hi++
+		}
+		first := recs[a.order[lo]]
+		eid, val := rel.NewInt(first.ID), other(first)
+		if hi-lo > 1 {
+			// Multi-valued label: allocate a list id and push pairs into
+			// the secondary table.
+			lid := s.allocLID()
+			for _, i := range a.order[lo:hi] {
+				a.vals[t+1] = append(a.vals[t+1], rel.NewInt(lid), rel.NewInt(recs[i].ID), other(recs[i]))
+			}
+			eid, val = rel.Null, rel.NewInt(lid)
+		}
+		col := assign.Column(first.Label)
+		if col >= cols {
+			col = col % cols
+		}
+		r := start
+		for r < len(rows) && !rows[r+adjLBL(col)].IsNull() {
+			r += w
+		}
+		if r == len(rows) {
+			rows = append(rows, make([]rel.Value, w)...)
+		}
+		rows[r+adjEID(col)], rows[r+adjLBL(col)], rows[r+adjVAL(col)] = eid, rel.NewString(first.Label), val
+		lo = hi
+	}
+	spill := int64(0)
+	if len(rows)-start > w {
+		spill = 1
+	}
+	for r := start; r < len(rows); r += w {
+		rows[r+adjVID], rows[r+adjSPILL] = rel.NewInt(v), rel.NewInt(spill)
+	}
+	a.vals[t] = rows
 }
 
 func (s *Store) allocLID() int64 {

@@ -24,7 +24,7 @@ import (
 type hashIndex struct {
 	words []uint64
 	tail  []int32
-	shift uint // 64 - log2(len(words))
+	shift uint // 64 - log2(len(words)/hashBlock)
 	keys  int  // occupied slots
 
 	width int      // key columns after the leading one
@@ -121,9 +121,19 @@ func entryWords(ws []uint64, entry string) []uint64 {
 	return ws
 }
 
-// home is a word's first slot: Fibonacci hashing spreads the sequential
-// ids every graph table is keyed on over the whole table.
-func (h *hashIndex) home(w uint64) int { return int((w * 0x9E3779B97F4A7C15) >> h.shift) }
+// hashBlock is the number of consecutive words that file into one run of
+// consecutive slots: 8 words are one cache line of the slot table.
+const hashBlock = 8
+
+// home is a word's first slot. Each aligned run of hashBlock words goes
+// to hashBlock consecutive slots, and Fibonacci hashing of the run's
+// number spreads the runs over the whole table: the sequential ids every
+// graph table is keyed on still scatter, so an absent key's probe stays
+// short, but an ascending frontier reads one slot line per hashBlock ids
+// instead of one random line per id.
+func (h *hashIndex) home(w uint64) int {
+	return int(((w/hashBlock)*0x9E3779B97F4A7C15)>>h.shift)*hashBlock | int(w%hashBlock)
+}
 
 // find returns the slot holding w, or the empty slot where it would go
 // (ok false; -1 when the table has no slots yet).
@@ -279,7 +289,7 @@ func (h *hashIndex) grow() {
 	words, tail := h.words, h.tail
 	n := max(2*len(words), 16)
 	h.words, h.tail = make([]uint64, n), make([]int32, n)
-	h.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	h.shift = uint(64 - bits.TrailingZeros(uint(n/hashBlock)))
 	for i, t := range tail {
 		if t != 0 {
 			j, _ := h.find(words[i])

@@ -99,6 +99,109 @@ func TestHashIndexMatchesModel(t *testing.T) {
 	}
 }
 
+// TestHashIndexProbeRuns files key families of the shapes graph tables
+// hold, and some that defeat simple homes, through many grows with
+// removes interleaved: dense ascending ids, list ids (-1, -2, ...),
+// strides of 8, of the final slot count and of 2^32, sparse random words
+// and hashed strings. Whenever the slot table has grown, and at the end,
+// the index must agree with a model, and no probe, for a key that is
+// there or for one that is not (the family's next keys and the removed
+// ones), may read a run of more than maxRun slots.
+func TestHashIndexProbeRuns(t *testing.T) {
+	const n, maxRun = 20000, 64
+	slots := 16
+	for n*4 > slots*3 {
+		slots *= 2
+	}
+	families := []struct {
+		name string
+		key  func(i int) uint64
+	}{
+		{"dense", func(i int) uint64 { return uint64(i) }},
+		{"list ids", func(i int) uint64 { return uint64(-int64(i) - 1) }},
+		{"stride 8", func(i int) uint64 { return uint64(i) * 8 }},
+		{"stride slots", func(i int) uint64 { return uint64(i) * uint64(slots) }},
+		{"stride 2^32", func(i int) uint64 { return uint64(i) << 32 }},
+		{"random", func(i int) uint64 { return splitmix(uint64(i)) }},
+		{"strings", func(i int) uint64 { return keyWord(NewString(fmt.Sprintf("key-%d", i))) }},
+	}
+	for _, f := range families {
+		t.Run(f.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			h := newHashIndex(0)
+			model := map[uint64]RowID{}
+			var present, removed []uint64
+			maxHit, maxMiss := 0, 0
+			defer func() { t.Logf("longest runs: hit %d miss %d", maxHit, maxMiss) }()
+			check := func() {
+				t.Helper()
+				if h.keys != len(model) || h.n != len(model) {
+					t.Fatalf("%d keys, %d entries; want %d of each", h.keys, h.n, len(model))
+				}
+				probe := func(w uint64) {
+					t.Helper()
+					var got []RowID
+					h.each(w, func(e int32) bool { got = append(got, h.rids[e]); return true })
+					rid, ok := model[w]
+					if ok && !slices.Equal(got, []RowID{rid}) || !ok && got != nil {
+						t.Fatalf("key %#x holds %v, model %v (%v)", w, got, rid, ok)
+					}
+					mask := len(h.words) - 1
+					run := 1
+					for i := h.home(w); h.tail[i] != 0 && h.words[i] != w; i = (i + 1) & mask {
+						run++
+					}
+					if ok {
+						maxHit = max(maxHit, run)
+					} else {
+						maxMiss = max(maxMiss, run)
+					}
+					if run > maxRun {
+						t.Fatalf("key %#x (present %v): a probe reads %d slots, more than %d, at %d keys in %d slots", w, ok, run, maxRun, h.keys, len(h.words))
+					}
+				}
+				for w := range model {
+					probe(w)
+				}
+				for i := n; i < 2*n; i++ {
+					probe(f.key(i))
+				}
+				for _, w := range removed {
+					probe(w)
+				}
+			}
+			for i := 0; i < n; i++ {
+				w := f.key(i)
+				grew := len(h.words)
+				h.add([]uint64{w}, RowID(i))
+				model[w] = RowID(i)
+				present = append(present, w)
+				if rng.Intn(4) == 0 { // remove a present key
+					j := rng.Intn(len(present))
+					r := present[j]
+					h.remove([]uint64{r}, model[r])
+					delete(model, r)
+					present[j] = present[len(present)-1]
+					present = present[:len(present)-1]
+					removed = append(removed, r)
+				}
+				if len(h.words) != grew {
+					check()
+				}
+			}
+			check()
+		})
+	}
+}
+
+// splitmix is the SplitMix64 finaliser: sparse random words, one per i.
+func splitmix(i uint64) uint64 {
+	i += 0x9E3779B97F4A7C15
+	i = (i ^ i>>30) * 0xBF58476D1CE4E5B9
+	i = (i ^ i>>27) * 0x94D049BB133111EB
+	return i ^ i>>31
+}
+
 // TestKeyWordAgreesWithValueKey: a hashed index finds what a hash join on
 // the same column matches — integral doubles below 2^53 file with the
 // integer they equal, other values by their encoding.
@@ -309,41 +412,54 @@ func TestHashedIndexHasNoRange(t *testing.T) {
 }
 
 // BenchmarkIndexOrganisations probes 200 000 integer keys, one row each,
-// in random order through either organisation, and reports the heap
-// bytes the index holds per entry.
+// through either organisation, in random order and in ascending order
+// (a sorted frontier's), and reports the heap bytes the index holds per
+// entry.
 func BenchmarkIndexOrganisations(b *testing.B) {
 	const n = 200000
+	orders := []struct {
+		name string
+		keys []int
+	}{
+		{"random", rand.New(rand.NewSource(1)).Perm(n)},
+		{"ascending", nil},
+	}
 	for _, org := range organisations {
-		b.Run(org.name, func(b *testing.B) {
-			c := NewCatalog()
-			tb, err := c.CreateTable("T", testSchema())
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				if _, err := tb.insertLocked([]Value{NewInt(int64(i)), Null, Null}, 0); err != nil {
+		for _, order := range orders {
+			b.Run(org.name+"/"+order.name, func(b *testing.B) {
+				c := NewCatalog()
+				tb, err := c.CreateTable("T", testSchema())
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			ix := createIndex(b, c, "IX", "T", org.hashed, 0)
-			runtime.GC()
-			runtime.ReadMemStats(&after)
-			keys := rand.New(rand.NewSource(1)).Perm(n)
-			key := []Value{Null}
-			found := 0
-			visit := func(RowID, []Value) bool { found++; return true }
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				key[0] = NewInt(int64(keys[i%n]))
-				tb.ProbeAt(ix, key, Latest, visit)
-			}
-			if found != b.N {
-				b.Fatalf("%d probes found %d rows", b.N, found)
-			}
-			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/n, "B/entry")
-		})
+				for i := 0; i < n; i++ {
+					if _, err := tb.insertLocked([]Value{NewInt(int64(i)), Null, Null}, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				ix := createIndex(b, c, "IX", "T", org.hashed, 0)
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				key := []Value{Null}
+				found := 0
+				visit := func(RowID, []Value) bool { found++; return true }
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k := i % n
+					if order.keys != nil {
+						k = order.keys[k]
+					}
+					key[0] = NewInt(int64(k))
+					tb.ProbeAt(ix, key, Latest, visit)
+				}
+				if found != b.N {
+					b.Fatalf("%d probes found %d rows", b.N, found)
+				}
+				b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/n, "B/entry")
+			})
+		}
 	}
 }

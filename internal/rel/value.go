@@ -330,40 +330,50 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // GROUP BY, hash joins). Distinct values produce distinct keys; int and
 // float encodings collide exactly when Compare says they are equal.
 func (v Value) Key() string {
+	if v.kind == KindString {
+		return "\x03" + v.str() // one allocation at any length
+	}
+	var b [32]byte
+	return string(v.AppendKey(b[:0]))
+}
+
+// AppendKey appends v.Key() to b: a caller that only hashes the key
+// builds it in a buffer of its own and allocates nothing. b must not
+// reach a call the compiler cannot see through (a document's recursive
+// AppendJSON is one), or every caller's buffer moves to the heap.
+func (v Value) AppendKey(b []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "\x00"
+		return append(b, 0)
 	case KindBool:
 		if v.n != 0 {
-			return "\x01t"
+			return append(b, "\x01t"...)
 		}
-		return "\x01f"
+		return append(b, "\x01f"...)
 	case KindInt:
-		return "\x02i" + strconv.FormatInt(int64(v.n), 10)
+		return strconv.AppendInt(append(b, "\x02i"...), int64(v.n), 10)
 	case KindFloat:
 		// Integral floats share their key with the equivalent int so that
 		// DISTINCT and hash joins agree with Compare on numeric equality.
 		f := v.Float()
 		if f == math.Trunc(f) && math.Abs(f) < 1<<53 {
-			return "\x02i" + strconv.FormatInt(int64(f), 10)
+			return strconv.AppendInt(append(b, "\x02i"...), int64(f), 10)
 		}
-		return "\x02f" + strconv.FormatFloat(f, 'g', -1, 64)
+		return strconv.AppendFloat(append(b, "\x02f"...), f, 'g', -1, 64)
 	case KindString:
-		return "\x03" + v.str()
+		return append(append(b, 3), v.str()...)
 	case KindJSON:
-		return "\x04" + v.JSON().String()
+		return append(append(b, 4), v.JSON().String()...)
 	case KindList:
-		var sb strings.Builder
-		sb.WriteString("\x05")
+		b = append(b, 5)
 		for _, e := range v.List() {
 			k := e.Key()
-			sb.WriteString(strconv.Itoa(len(k)))
-			sb.WriteByte(':')
-			sb.WriteString(k)
+			b = append(strconv.AppendInt(b, int64(len(k)), 10), ':')
+			b = append(b, k...)
 		}
-		return sb.String()
+		return b
 	default:
-		return "?"
+		return append(b, '?')
 	}
 }
 

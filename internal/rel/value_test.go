@@ -471,6 +471,9 @@ func TestValueFormatGolden(t *testing.T) {
 		if got := a.Key(); got != w.key {
 			t.Errorf("%d: Key() = %q, want %q", i, got, w.key)
 		}
+		if got := string(a.AppendKey([]byte("x"))); got != "x"+w.key {
+			t.Errorf("%d: AppendKey = %q, want %q", i, got, "x"+w.key)
+		}
 		if got := a.Size(); got != w.size {
 			t.Errorf("%d: Size() = %d, want %d", i, got, w.size)
 		}

@@ -74,7 +74,10 @@ func newTableStats(spec TableSpec, arity int) *TableStats {
 }
 
 // apply folds one row into (delta=+1) or out of (delta=-1) the counters.
+// Each key is built in kb: a sketch only hashes it, and a group's map
+// lookup does not keep it, so a row costs no allocation.
 func (ts *TableStats) apply(vals []rel.Value, delta int64) {
+	var kb [32]byte
 	ts.Rows += delta
 	for i := range ts.Cols {
 		if i >= len(vals) {
@@ -89,33 +92,25 @@ func (ts *TableStats) apply(vals []rel.Value, delta int64) {
 			ts.Cols[i].NonNeg += delta
 		}
 		if sk := ts.Cols[i].Sketch; sk != nil {
-			if delta > 0 {
-				sk.Add(v.Key())
-			} else {
-				sk.Remove(v.Key())
-			}
+			sk.apply(string(v.AppendKey(kb[:0])), delta)
 		}
 	}
 	if ts.Spec.GroupCol >= 0 && ts.Spec.GroupCol < len(vals) && !vals[ts.Spec.GroupCol].IsNull() {
-		key := vals[ts.Spec.GroupCol].Key()
-		g := ts.Groups[key]
+		key := vals[ts.Spec.GroupCol].AppendKey(kb[:0])
+		g := ts.Groups[string(key)]
 		if g == nil {
 			g = &GroupStats{NDV: map[int]*Sketch{}}
 			for _, o := range ts.Spec.GroupNDVCols {
 				g.NDV[o] = NewSketch()
 			}
-			ts.Groups[key] = g
+			ts.Groups[string(key)] = g
 		}
 		g.Count += delta
 		for _, o := range ts.Spec.GroupNDVCols {
 			if o < 0 || o >= len(vals) || vals[o].IsNull() {
 				continue
 			}
-			if delta > 0 {
-				g.NDV[o].Add(vals[o].Key())
-			} else {
-				g.NDV[o].Remove(vals[o].Key())
-			}
+			g.NDV[o].apply(string(vals[o].AppendKey(kb[:0])), delta)
 		}
 	}
 }

@@ -83,6 +83,15 @@ func (s *Sketch) Add(key string) {
 	s.n++
 }
 
+// apply records one occurrence of key (delta > 0) or undoes one.
+func (s *Sketch) apply(key string, delta int64) {
+	if delta > 0 {
+		s.Add(key)
+	} else {
+		s.Remove(key)
+	}
+}
+
 // Remove undoes one Add of key.
 func (s *Sketch) Remove(key string) {
 	level, i := cellOf(key)

@@ -304,17 +304,30 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		if r.bad || nrows > uint64(len(payload)) {
 			return nil, fmt.Errorf("%w: snapshot: malformed table %q", ErrCorrupt, name)
 		}
+		// The rows are cut from one array per table, in slot order, as the
+		// loader cuts them. It is sized by the first row's width, and every
+		// value takes at least one byte, which bounds it. Should a later
+		// row not fit, append moves on to a new array; the rows cut before
+		// keep the old one.
 		rows := make([][]rel.Value, 0, nrows)
+		var vals []rel.Value
 		for i := uint64(0); i < nrows; i++ {
 			ncols := r.uvarint()
 			if r.bad || ncols > uint64(len(payload)) {
 				break
 			}
-			row := make([]rel.Value, 0, ncols)
-			for c := uint64(0); c < ncols && !r.bad; c++ {
-				row = append(row, r.value())
+			if i == 0 {
+				n := uint64(len(payload) - r.off)
+				if ncols == 0 || nrows <= n/ncols {
+					n = nrows * ncols
+				}
+				vals = make([]rel.Value, 0, n)
 			}
-			rows = append(rows, row)
+			start := len(vals)
+			for c := uint64(0); c < ncols && !r.bad; c++ {
+				vals = append(vals, r.value())
+			}
+			rows = append(rows, vals[start:len(vals):len(vals)])
 		}
 		if r.bad {
 			return nil, fmt.Errorf("%w: snapshot: malformed rows in table %q", ErrCorrupt, name)
