@@ -42,12 +42,13 @@
 // as figure "replication" entries.
 //
 // With -linkbench N, the LinkBench operation mix is driven by N
-// concurrent requesters against a durable store twice — synchronous WAL
-// versus group commit — reporting throughput and the fsyncs-per-mutation
-// amortization ratio. The group-commit per-op p50s join the -json report
-// and -baseline gate as figure "linkbench" entries, and the run fails
-// outright when >= 8 requesters cannot amortize below 0.5 fsyncs per
-// mutation.
+// concurrent requesters against a durable store twice — every mutation
+// serialized through its own fsync, then the WAL's commit pipeline —
+// reporting throughput and the fsyncs-per-mutation amortization ratio.
+// The pipeline's per-op p50s join the -json report and -baseline gate as
+// figure "linkbench" entries, and the run fails outright when >= 8
+// requesters cannot amortize below 0.5 fsyncs per mutation or do not
+// out-run fsync-per-commit.
 //
 // With -serve addr, the benchmark dataset is served over HTTP on addr
 // (blocking) so external load generators can drive it.
@@ -77,7 +78,7 @@ func main() {
 	concurrency := flag.Int("concurrency", 0, "run the concurrent snapshot-read experiment with up to N readers")
 	httpClients := flag.Int("http", 0, "drive an in-process HTTP server with N concurrent clients")
 	replicas := flag.Int("replicas", 0, "measure read scaling across 1..N streaming-replication followers")
-	linkbenchN := flag.Int("linkbench", 0, "run the durable LinkBench write bench with N concurrent requesters (sync vs group-commit WAL)")
+	linkbenchN := flag.Int("linkbench", 0, "run the durable LinkBench write bench with N concurrent requesters (fsync-per-commit vs the WAL commit pipeline)")
 	serveAddr := flag.String("serve", "", "serve the benchmark dataset over HTTP on this address (blocks)")
 	duration := flag.Duration("duration", 2*time.Second, "measurement window per concurrency point")
 	parallel := flag.Int("parallel", 0, "executor parallelism: 0 = GOMAXPROCS, 1 = serial")

@@ -25,11 +25,9 @@
 // events). It accepts -addr (default http://127.0.0.1:8080), -interval,
 // -window, and -once to print a single frame and exit.
 //
-// load accepts -workers N: the dataset is partitioned into batches
-// applied concurrently through the group-commit WAL pipeline (vertices
-// first, then edges, so endpoints always exist), each batch one writer
-// transaction and one shared fsync. With -workers 1 (the default) load
-// uses the single-threaded bulk path.
+// load builds the whole dataset in memory with the bulk loader (the
+// greedy column coloring is computed from the complete graph) and writes
+// it to -dir as the directory's first snapshot; the log starts empty.
 //
 // fsck recovers the graph from the snapshot and write-ahead log, then
 // checks the hybrid schema's internal invariants. It exits 0 when the
@@ -43,15 +41,11 @@ import (
 	"log"
 	"os"
 	"strings"
-	"sync"
-	"time"
 
 	"sqlgraph"
 	"sqlgraph/internal/bench/dbpedia"
 	"sqlgraph/internal/bench/experiments"
 	"sqlgraph/internal/blueprints"
-	"sqlgraph/internal/core"
-	"sqlgraph/internal/wal"
 )
 
 func main() {
@@ -59,7 +53,6 @@ func main() {
 	scale := flag.String("scale", "tiny", "dbpedia dataset scale: tiny, small, medium")
 	dir := flag.String("dir", "", "durable store directory (load populates it; other commands open it)")
 	parallel := flag.Int("parallel", 0, "executor worker cap for one query: 0 = GOMAXPROCS, 1 = serial")
-	workers := flag.Int("workers", 1, "load: concurrent batch writers feeding the group-commit WAL pipeline (1 = single-threaded bulk load)")
 	explain := flag.Bool("explain", false, "after query: print the timed plan tree and executor statistics")
 	forcePlan := flag.Int("force-plan", 0, "join-order pin: 0 = cost-based, -1 = syntactic FROM order, k>=1 = k-th enumerated order")
 	flag.Parse()
@@ -98,12 +91,6 @@ func main() {
 	case "load":
 		if *dir == "" {
 			log.Fatal("load requires -dir")
-		}
-		if *workers > 1 {
-			if err := parallelLoad(*dataset, *scale, *dir, *workers); err != nil {
-				log.Fatal(err)
-			}
-			return
 		}
 		g, err := buildGraph(*dataset, *scale, sqlgraph.Options{Dir: *dir})
 		if err != nil {
@@ -227,117 +214,6 @@ func buildGraph(dataset, scale string, opts sqlgraph.Options) (*sqlgraph.Graph, 
 		}
 	}
 	return sqlgraph.Load(b, opts)
-}
-
-// loadChunk is the records-per-ApplyBatch granularity of the parallel
-// loader: big enough to amortize writer acquisition and fsync, small
-// enough to keep all workers busy on modest datasets.
-const loadChunk = 512
-
-// parallelLoad bulk-loads the dataset into a fresh durable directory
-// using N concurrent batch writers over the group-commit WAL pipeline.
-// Vertices load first and edges only after every vertex batch has
-// committed, so edge endpoints always exist regardless of scheduling.
-func parallelLoad(dataset, scale, dir string, workers int) error {
-	src, err := datasetGraph(dataset, scale)
-	if err != nil {
-		return err
-	}
-	st, err := core.Open(core.Options{
-		Dir:         dir,
-		GroupCommit: wal.GroupCommit{MaxDelay: 2 * time.Millisecond, MaxBatch: 4 * loadChunk},
-	})
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	var vrecs []wal.Record
-	for _, v := range src.VertexIDs() {
-		attrs, err := src.VertexAttrs(v)
-		if err != nil {
-			st.Close()
-			return err
-		}
-		vrecs = append(vrecs, core.BatchAddVertex(v, attrs))
-	}
-	if err := applyChunks(st, vrecs, workers); err != nil {
-		st.Close()
-		return fmt.Errorf("load vertices: %w", err)
-	}
-	var erecs []wal.Record
-	for _, e := range src.EdgeIDs() {
-		rec, err := src.Edge(e)
-		if err != nil {
-			st.Close()
-			return err
-		}
-		attrs, err := src.EdgeAttrs(e)
-		if err != nil {
-			st.Close()
-			return err
-		}
-		erecs = append(erecs, core.BatchAddEdge(rec.ID, rec.Out, rec.In, rec.Label, attrs))
-	}
-	if err := applyChunks(st, erecs, workers); err != nil {
-		st.Close()
-		return fmt.Errorf("load edges: %w", err)
-	}
-	elapsed := time.Since(start)
-	// Checkpoint so later opens recover from the snapshot instead of
-	// replaying the whole load from the log.
-	if err := st.Checkpoint(); err != nil {
-		st.Close()
-		return err
-	}
-	ws := st.Tracer().WriteStats()
-	fmt.Printf("loaded %s into %s: %d vertices, %d edges (%d workers, %.1fs, %d records/%d fsyncs)\n",
-		dataset, dir, st.CountVertices(), st.CountEdges(),
-		workers, elapsed.Seconds(), ws.WALAppends, ws.WALFsyncs)
-	return st.Close()
-}
-
-// applyChunks partitions recs into loadChunk-sized batches and applies
-// them from `workers` goroutines, each batch one ApplyBatch call (one
-// writer transaction, one durability wait). The first error wins and
-// remaining chunks are abandoned.
-func applyChunks(st *core.Store, recs []wal.Record, workers int) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	chunks := make(chan []wal.Record, workers)
-	errc := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range chunks {
-				if err := st.ApplyBatch(c); err != nil {
-					select {
-					case errc <- err:
-					default:
-					}
-					return
-				}
-			}
-		}()
-	}
-	for len(recs) > 0 {
-		n := loadChunk
-		if n > len(recs) {
-			n = len(recs)
-		}
-		chunks <- recs[:n]
-		recs = recs[n:]
-	}
-	close(chunks)
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return err
-	default:
-		return nil
-	}
 }
 
 // datasetGraph materializes the selected dataset as an in-memory

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	sqlgraphd [-addr :8080] [-dir path] [-dataset sample|dbpedia] [-scale tiny|small|medium]
-//	          [-group-commit 2ms] [-group-commit-batch 128]
 //	          [-replica-of addr] [-inflight 64] [-queue 64] [-timeout 30s] [-session-ttl 60s]
 //	          [-max-body 1048576] [-parallel N] [-slow-query 250ms]
 //	          [-trace-buffer 128] [-sample-interval 1s] [-sample-retention 600]
@@ -14,7 +13,9 @@
 //
 // With -dir the daemon opens (or creates) a durable store there; without
 // it, the selected dataset is built in memory (sample = the paper's
-// Figure 2a graph — handy for the quickstart).
+// Figure 2a graph — handy for the quickstart). A mutation is durable when
+// its response is sent: writers that commit while an fsync runs share
+// the next one.
 //
 // With -replica-of the daemon runs as a read-only follower: it
 // bootstraps from the primary's /snapshot into -dir (required), tails
@@ -71,14 +72,11 @@ import (
 	"sqlgraph/internal/blueprints"
 	"sqlgraph/internal/core"
 	"sqlgraph/internal/server"
-	"sqlgraph/internal/wal"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dir := flag.String("dir", "", "durable store directory (empty = in-memory dataset)")
-	gcDelay := flag.Duration("group-commit", 0, "WAL group-commit window: batch concurrent commits for up to this long into one fsync (0 = synchronous; requires -dir)")
-	gcBatch := flag.Int("group-commit-batch", 128, "flush the group-commit window early at this many pending records (with -group-commit)")
 	replicaOf := flag.String("replica-of", "", "primary address to follow (read-only replica mode; requires -dir)")
 	dataset := flag.String("dataset", "sample", "in-memory dataset: sample (paper Figure 2a) or dbpedia")
 	scale := flag.String("scale", "tiny", "dbpedia dataset scale: tiny, small, medium")
@@ -130,12 +128,8 @@ func main() {
 		}
 		store = rep.Store()
 	} else {
-		var gc wal.GroupCommit
-		if *gcDelay > 0 {
-			gc = wal.GroupCommit{MaxDelay: *gcDelay, MaxBatch: *gcBatch}
-		}
 		var err error
-		store, err = openStore(*dir, *dataset, *scale, gc)
+		store, err = openStore(*dir, *dataset, *scale)
 		if err != nil {
 			fatal("open store", err)
 		}
@@ -209,15 +203,14 @@ func main() {
 
 // openStore opens the durable directory (seeding a fresh one with the
 // named dataset) or builds the dataset in memory when no -dir is given.
-func openStore(dir, dataset, scale string, gc wal.GroupCommit) (*core.Store, error) {
+func openStore(dir, dataset, scale string) (*core.Store, error) {
 	var opts core.Options
-	opts.GroupCommit = gc
 	if dir != "" {
 		if _, err := os.Stat(filepath.Join(dir, "wal.log")); err == nil {
-			return core.Open(core.Options{Dir: dir, GroupCommit: gc})
+			return core.Open(core.Options{Dir: dir})
 		}
 		if _, err := os.Stat(filepath.Join(dir, "snapshot.db")); err == nil {
-			return core.Open(core.Options{Dir: dir, GroupCommit: gc})
+			return core.Open(core.Options{Dir: dir})
 		}
 		opts.Dir = dir // fresh directory: bulk-load the dataset into it
 	}

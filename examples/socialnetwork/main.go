@@ -2,7 +2,7 @@
 // end-to-end over HTTP. The social graph comes from the LinkBench
 // generator (power-law out-degrees, typed objects and associations) and
 // is loaded through POST /batch — many operations per request, one
-// writer transaction and one group-commit fsync each — then queried
+// writer transaction and one durability wait each — then queried
 // with Gremlin via POST /query and updated by concurrent clients
 // issuing batches against the same durable store.
 package main
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -20,13 +21,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sqlgraph/internal/bench/linkbench"
 	"sqlgraph/internal/blueprints"
 	"sqlgraph/internal/core"
 	"sqlgraph/internal/server"
-	"sqlgraph/internal/wal"
 )
 
 const (
@@ -100,14 +99,11 @@ func main() {
 	check(err)
 	defer os.RemoveAll(dir)
 
-	// A durable store with the group-commit pipeline, served over HTTP —
-	// the same serving layer sqlgraphd boots.
-	store, err := core.Open(core.Options{
-		Dir:         dir,
-		GroupCommit: wal.GroupCommit{MaxDelay: time.Millisecond, MaxBatch: 128},
-	})
+	// A durable store served over HTTP — the same serving layer sqlgraphd
+	// boots.
+	store, err := core.Open(core.Options{Dir: dir})
 	check(err)
-	srv := server.New(store, server.Config{ErrorLog: log.New(io.Discard, "", 0)})
+	srv := server.New(store, server.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -143,7 +139,7 @@ func main() {
 
 	// Concurrent update burst: 8 clients each push batches of friend
 	// edges; the server applies every batch as one writer transaction and
-	// the WAL amortizes their flushes through group commit.
+	// batches that commit while an fsync runs share the next one.
 	var nextEdge atomic.Int64
 	nextEdge.Store(10_000_000)
 	before := store.Tracer().WriteStats()
@@ -176,8 +172,8 @@ func main() {
 		muts, fsyncs, float64(fsyncs)/float64(muts))
 	show("after concurrent burst:", "g.E.count()")
 
-	// The flush-batch histogram from /metrics shows the amortization the
-	// group-commit window achieved.
+	// The flush-batch histogram from /metrics shows how many records each
+	// fsync covered.
 	resp, err := http.Get(ts.URL + "/metrics")
 	check(err)
 	raw, _ := io.ReadAll(resp.Body)

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -15,6 +15,9 @@ import (
 
 	"sqlgraph/internal/server"
 )
+
+// discardLog silences the servers the experiments boot.
+var discardLog = slog.New(slog.NewTextHandler(io.Discard, nil))
 
 // httpWorkload is one end-to-end serving shape: every iteration builds a
 // request via req(i) and the runner measures wall-clock latency from
@@ -37,7 +40,7 @@ func HTTPLoadBench(env *DBpediaEnv, clients int, dur time.Duration, w io.Writer)
 
 	srv := server.New(env.Store, server.Config{
 		MaxInFlight: 2 * clients,
-		ErrorLog:    log.New(io.Discard, "", 0),
+		Logger:      discardLog,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

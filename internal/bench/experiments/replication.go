@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -45,7 +44,7 @@ func ReplicationLoadBench(env *DBpediaEnv, maxReplicas, clients int, dur time.Du
 	defer primary.Close()
 	pSrv := server.New(primary, server.Config{
 		MaxInFlight: 2 * clients,
-		ErrorLog:    log.New(io.Discard, "", 0),
+		Logger:      discardLog,
 	})
 	pTS := httptest.NewServer(pSrv.Handler())
 	defer pTS.Close()
@@ -153,7 +152,7 @@ func runReplicaPoint(client *http.Client, quiet *slog.Logger, primaryURL string,
 		}
 		f.srv = server.New(f.rep.Store(), server.Config{
 			MaxInFlight: 2 * clients,
-			ErrorLog:    log.New(io.Discard, "", 0),
+			Logger:      discardLog,
 		})
 		f.srv.AttachReplica(f.rep)
 		f.ts = httptest.NewServer(f.srv.Handler())

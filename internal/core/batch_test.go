@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sqlgraph/internal/blueprints"
 	"sqlgraph/internal/faultinject"
@@ -174,8 +173,8 @@ func TestApplyBatchRejectsNonBatchableOps(t *testing.T) {
 // TestApplyBatchCrashPrefixAndReplicaResync kills the store mid-batch-
 // fsync at several byte limits. Recovery must always yield a consistent
 // committed prefix (fsck-clean, consecutive LSNs), and a follower fed
-// the recovered tail through ApplyReplicated must converge on it —
-// group-commit batching must not perturb the record-per-mutation,
+// the recovered tail through ApplyReplicated must converge on it — a
+// batch sharing one fsync must not perturb the record-per-mutation,
 // consecutive-LSN contract replication relies on.
 func TestApplyBatchCrashPrefixAndReplicaResync(t *testing.T) {
 	// Size the crash points off a clean run of the same workload.
@@ -202,10 +201,7 @@ func TestApplyBatchCrashPrefixAndReplicaResync(t *testing.T) {
 
 	for _, limit := range []int{0, logBytes / 8, logBytes / 3, logBytes / 2, 3 * logBytes / 4} {
 		dir := t.TempDir()
-		s, err := Open(Options{
-			Dir: dir, OutCols: 2, InCols: 2, SnapshotEvery: -1,
-			GroupCommit: wal.GroupCommit{MaxDelay: 200 * time.Microsecond, MaxBatch: 4},
-		})
+		s, err := Open(Options{Dir: dir, OutCols: 2, InCols: 2, SnapshotEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,15 +263,12 @@ func TestApplyBatchCrashPrefixAndReplicaResync(t *testing.T) {
 }
 
 // TestConcurrentWritersDurability is the -race contract for the whole
-// store: N writers mutate a group-commit store concurrently; every
+// store: N writers mutate a durable store concurrently; every
 // mutation that returned success must be on disk even though the
 // process never closes cleanly (the dirty Log is simply abandoned).
 func TestConcurrentWritersDurability(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{
-		Dir: dir, SnapshotEvery: -1,
-		GroupCommit: wal.GroupCommit{MaxDelay: 300 * time.Microsecond, MaxBatch: 16},
-	})
+	s, err := Open(Options{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

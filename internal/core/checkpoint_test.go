@@ -455,22 +455,20 @@ func TestCheckpointCrashSweep(t *testing.T) {
 	}
 }
 
-// The same stages with the dedicated group-commit flusher doing the log
-// writes, and the paper's soft delete.
-func TestCheckpointCrashSweepGroupCommit(t *testing.T) {
+// The same stages under the paper's soft delete.
+func TestCheckpointCrashSweepSoftDelete(t *testing.T) {
 	ops := buildWorkload(60)
-	opts := Options{DeleteMode: DeletePaperSoft, GroupCommit: wal.GroupCommit{MaxDelay: 200 * time.Microsecond, MaxBatch: 8}}
+	opts := Options{DeleteMode: DeletePaperSoft}
 	for _, st := range append([]wal.CheckpointStage{"none"}, cpCrashStages...) {
 		runCheckpointCrash(t, ops, opts, cpCrash{stage: st})
 	}
 }
 
-// Automatic checkpoints under group commit, beside four writers: whatever
-// was acknowledged is recovered.
-func TestBackgroundCheckpointsGroupCommit(t *testing.T) {
+// Automatic checkpoints beside four writers sharing fsyncs: whatever was
+// acknowledged is recovered.
+func TestBackgroundCheckpointsConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, OutCols: 2, InCols: 2, SnapshotEvery: 32,
-		GroupCommit: wal.GroupCommit{MaxDelay: 200 * time.Microsecond, MaxBatch: 16}})
+	s, err := Open(Options{Dir: dir, OutCols: 2, InCols: 2, SnapshotEvery: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,6 @@ func openDurable(opts Options) (*Store, error) {
 		l.Close()
 		return nil, err
 	}
-	s.opts.GroupCommit = opts.GroupCommit
 	s.attachWAL(l)
 	if st.Snapshot == nil {
 		// Fresh directory: checkpoint immediately so the structural
@@ -71,7 +70,6 @@ func loadDurable(src blueprints.Graph, opts Options) (*Store, error) {
 	}
 	s.opts.Dir = opts.Dir
 	s.opts.SnapshotEvery = opts.SnapshotEvery
-	s.opts.GroupCommit = opts.GroupCommit
 	s.attachWAL(l)
 	// Checkpoint the bulk-loaded state; this also persists the greedy
 	// coloring built by the analysis pass.
@@ -168,8 +166,7 @@ func (s *Store) replay(rec wal.Record) error {
 
 // attachWAL binds the log to the store: physical fsyncs are charged to
 // the WAL counters (one observation per flush, however many commits it
-// covered), and the group-commit flusher is started when the options ask
-// for one.
+// covered).
 func (s *Store) attachWAL(l *wal.Log) {
 	s.wal = l
 	s.cpIdle = sync.NewCond(&s.cpMu)
@@ -178,9 +175,6 @@ func (s *Store) attachWAL(l *wal.Log) {
 		tracer.ObserveWALFsync(d)
 		tracer.ObserveWALFlush(records)
 	})
-	if s.opts.GroupCommit.Enabled() {
-		l.EnableGroupCommit(s.opts.GroupCommit)
-	}
 }
 
 // logAppend buffers the record for the mutation the caller is about to
@@ -205,10 +199,10 @@ func (s *Store) logAppend(w *writeOp, rec wal.Record) error {
 }
 
 // logCommit makes the just-committed mutation durable — it blocks until
-// the operation's LSN is covered by a flush. Under group commit many
-// writers share one write+fsync; the physical sync itself is charged to
-// the WAL counters by the log's sync observer, so fsyncs-per-mutation is
-// directly readable from WriteStats. The wait appears in the write trace
+// the operation's LSN is covered by a flush. Writers that append while a
+// flush runs share the next write+fsync; the physical sync itself is
+// charged to the WAL counters by the log's sync observer, so
+// fsyncs-per-mutation is directly readable from WriteStats. The wait appears in the write trace
 // as "wal-fsync", plus a "wal-batch" span recording how many records the
 // covering flush amortized over. A crash before the flush loses only the
 // tail of *committed* operations — the recovered state is still a

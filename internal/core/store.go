@@ -66,12 +66,6 @@ type Options struct {
 	// default (4096), negative disables automatic snapshots. Only
 	// meaningful with Dir.
 	SnapshotEvery int
-	// GroupCommit enables cross-writer group commit on the WAL: a
-	// dedicated flusher batches concurrent commits into one write+fsync.
-	// The zero value keeps commits synchronous (each committer leads its
-	// own flush). Only meaningful with Dir; not pinned by snapshots, so
-	// it may differ across opens of the same directory.
-	GroupCommit wal.GroupCommit
 }
 
 func (o Options) withDefaults() Options {

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"io"
-	"log"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -27,7 +25,7 @@ func fuzzSetup(t testing.TB) http.Handler {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := New(store, Config{ErrorLog: log.New(io.Discard, "", 0)})
+		srv := New(store, Config{Logger: quietLog})
 		fuzzHandler = srv.Handler()
 	})
 	return fuzzHandler

@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"io"
-	"log"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -57,7 +55,7 @@ func TestDebugEventsLifecycle(t *testing.T) {
 	}
 	defer store.Close()
 	// SlowQuery threshold 1ns: every query is slow.
-	srv := New(store, Config{ErrorLog: log.New(io.Discard, "", 0), SlowQuery: time.Nanosecond})
+	srv := New(store, Config{Logger: quietLog, SlowQuery: time.Nanosecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	env := &testEnv{store: store, srv: srv, ts: ts}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
@@ -26,7 +25,7 @@ func replCfg() Config {
 	return Config{
 		ReplicationPoll:      2 * time.Millisecond,
 		ReplicationHeartbeat: 15 * time.Millisecond,
-		ErrorLog:             log.New(io.Discard, "", 0),
+		Logger:               quietLog,
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -55,13 +54,9 @@ type Config struct {
 	MaxSessions int
 	// RetryAfter is the hint returned with 429 responses (default 1s).
 	RetryAfter time.Duration
-	// ErrorLog is the legacy logger field. When Logger is unset and
-	// ErrorLog is set, a text slog handler is layered over its writer so
-	// existing configurations keep capturing server output.
-	ErrorLog *log.Logger
 	// Logger receives the structured request log: one summary line per
 	// HTTP request plus panic stacks and slow-query warnings (default:
-	// derived from ErrorLog if set, else slog.Default()).
+	// slog.Default()).
 	Logger *slog.Logger
 	// SlowQuery is the threshold above which a query trace lands in the
 	// slow-query log (default 250ms; negative disables slow capture).
@@ -121,11 +116,7 @@ func (c Config) withDefaults() Config {
 		c.ReplicationHeartbeat = 500 * time.Millisecond
 	}
 	if c.Logger == nil {
-		if c.ErrorLog != nil {
-			c.Logger = slog.New(slog.NewTextHandler(c.ErrorLog.Writer(), nil))
-		} else {
-			c.Logger = slog.Default()
-		}
+		c.Logger = slog.Default()
 	}
 	return c
 }

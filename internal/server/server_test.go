@@ -7,7 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -51,14 +51,17 @@ type testEnv struct {
 	ts    *httptest.Server
 }
 
+// quietLog keeps the servers the tests boot from writing to stderr.
+var quietLog = slog.New(slog.NewTextHandler(io.Discard, nil))
+
 func newTestEnv(t testing.TB, cfg Config) *testEnv {
 	t.Helper()
 	store, err := core.Load(figure2a(t), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ErrorLog == nil {
-		cfg.ErrorLog = log.New(io.Discard, "", 0) // keep panic-path tests quiet
+	if cfg.Logger == nil {
+		cfg.Logger = quietLog // keep panic-path tests quiet
 	}
 	srv := New(store, cfg)
 	ts := httptest.NewServer(srv.Handler())
@@ -502,7 +505,7 @@ func TestCheckpointOnDurableStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	srv := New(store, Config{ErrorLog: log.New(io.Discard, "", 0)})
+	srv := New(store, Config{Logger: quietLog})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close(context.Background())
@@ -640,7 +643,7 @@ func TestShutdownRejectsNewRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(store, Config{ErrorLog: log.New(io.Discard, "", 0)})
+	srv := New(store, Config{Logger: quietLog})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	if err := srv.Close(context.Background()); err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -41,7 +40,7 @@ func TestServerSoak(t *testing.T) {
 		MaxInFlight: 32,
 		MaxQueue:    64,
 		SessionTTL:  150 * time.Millisecond, // force lease expiry under load
-		ErrorLog:    log.New(io.Discard, "", 0),
+		Logger:      quietLog,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	client := ts.Client()

@@ -467,24 +467,6 @@ func (c *Collection) GroupNDV(table string, group rel.Value, col int) (float64, 
 	return sk.NDV(), true
 }
 
-// Groups returns the group keys of a table with live rows, sorted.
-func (c *Collection) GroupKeys(table string) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ts, ok := c.tables[table]
-	if !ok || ts.Groups == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(ts.Groups))
-	for k, g := range ts.Groups {
-		if g.Count > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // ---- inspection (server /stats, CLI, tests) ----
 
 // ColDescription is one column's stats in a JSON-friendly shape.

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"sqlgraph/internal/faultinject"
 )
@@ -341,62 +340,59 @@ func TestTailReaderFollowsCheckpoints(t *testing.T) {
 	}
 }
 
-// Checkpoints beside concurrent committers, with the dedicated flusher:
-// every acknowledged LSN survives, in both commit modes.
+// Checkpoints beside concurrent committers: every acknowledged LSN
+// survives.
 func TestCheckpointBesideCommitters(t *testing.T) {
-	for _, gc := range []GroupCommit{{}, {MaxDelay: 200 * time.Microsecond, MaxBatch: 8}} {
-		dir := t.TempDir()
-		l, _, err := Open(dir)
-		if err != nil {
+	dir := t.TempDir()
+	l, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, each = 4, 60
+	var wg sync.WaitGroup
+	acked := make([]uint64, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				lsn, err := l.Append(vertexRec(int64(w*each + i)))
+				if err == nil {
+					_, err = l.Commit(lsn)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				acked[w] = lsn
+			}
+		}(w)
+	}
+	checkpoints := 0
+	for done := false; !done; {
+		done = l.LastLSN() == writers*each
+		m := l.Mark()
+		if _, err := l.WriteSnapshot(m, func(w io.Writer) error {
+			return dumpOf(sampleSnapshot(m.LSN))(w)
+		}); err != nil {
 			t.Fatal(err)
 		}
-		l.EnableGroupCommit(gc)
-		const writers, each = 4, 60
-		var wg sync.WaitGroup
-		acked := make([]uint64, writers)
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < each; i++ {
-					lsn, err := l.Append(vertexRec(int64(w*each + i)))
-					if err == nil {
-						_, err = l.Commit(lsn)
-					}
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					acked[w] = lsn
-				}
-			}(w)
-		}
-		checkpoints := 0
-		for done := false; !done; {
-			done = l.LastLSN() == writers*each
-			m := l.Mark()
-			if _, err := l.WriteSnapshot(m, func(w io.Writer) error {
-				return dumpOf(sampleSnapshot(m.LSN))(w)
-			}); err != nil {
-				t.Fatal(err)
-			}
-			checkpoints++
-		}
-		wg.Wait()
-		last := l.LastLSN()
-		l.Kill(errors.New("crashed"))
-		l.Close()
-		st, err := Recover(dir)
-		if err != nil {
-			t.Fatalf("gc=%+v: recover after %d checkpoints: %v", gc, checkpoints, err)
-		}
-		if st.NextLSN != last+1 {
-			t.Fatalf("gc=%+v: recovered through LSN %d, acknowledged through %d", gc, st.NextLSN-1, last)
-		}
-		for w, lsn := range acked {
-			if lsn >= st.NextLSN {
-				t.Fatalf("gc=%+v: writer %d's acknowledged LSN %d was lost", gc, w, lsn)
-			}
+		checkpoints++
+	}
+	wg.Wait()
+	last := l.LastLSN()
+	l.Kill(errors.New("crashed"))
+	l.Close()
+	st, err := Recover(dir)
+	if err != nil {
+		t.Fatalf("recover after %d checkpoints: %v", checkpoints, err)
+	}
+	if st.NextLSN != last+1 {
+		t.Fatalf("recovered through LSN %d, acknowledged through %d", st.NextLSN-1, last)
+	}
+	for w, lsn := range acked {
+		if lsn >= st.NextLSN {
+			t.Fatalf("writer %d's acknowledged LSN %d was lost", w, lsn)
 		}
 	}
 }

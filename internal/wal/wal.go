@@ -35,25 +35,6 @@ var ErrCorrupt = errors.New("wal: corrupt")
 // Returning (len(p), nil) is a no-op.
 type WriteHook func(p []byte) (int, error)
 
-// GroupCommit configures the cross-writer group-commit window. The zero
-// value keeps the log synchronous: each committer that finds no flush in
-// flight leads its own (batching only with writers that happen to
-// overlap). When enabled, a dedicated flusher goroutine accumulates
-// appends for up to MaxDelay — or until MaxBatch records are pending —
-// and makes them durable with one write+fsync; committers are pure
-// waiters on their LSN.
-type GroupCommit struct {
-	// MaxDelay bounds how long a committed record may wait for
-	// companions before the flusher syncs it.
-	MaxDelay time.Duration
-	// MaxBatch flushes the window early once this many records are
-	// pending (0 = no record cap).
-	MaxBatch int
-}
-
-// Enabled reports whether the options ask for a dedicated flusher.
-func (g GroupCommit) Enabled() bool { return g.MaxDelay > 0 || g.MaxBatch > 0 }
-
 // Log is an append-only write-ahead log bound to a directory. Appends are
 // buffered; Commit (or Flush) performs the group commit: one write +
 // fsync for everything buffered since the last flush. The physical
@@ -74,19 +55,13 @@ type Log struct {
 	snapLSN   uint64 // LastLSN of the latest installed snapshot
 	written   int64  // bytes of the current log file handed to flushes so far
 	gen       uint64 // bumped each time a checkpoint replaces the log file
-	flushing  bool   // a leader or the flusher owns the swapped-out batch
+	flushing  bool   // a leader owns the swapped-out batch
 	lastBatch int    // records covered by the most recently completed flush
 	hook      WriteHook
 	stageHook func(CheckpointStage) error
 	syncObs   func(d time.Duration, records int) // observes each physical fsync
 	closed    bool
 	err       error
-
-	gc          GroupCommit
-	kickC       chan struct{} // tells the flusher records are pending
-	fullC       chan struct{} // tells the flusher MaxBatch has been reached
-	stopC       chan struct{}
-	flusherDone chan struct{}
 }
 
 // RecoveredState is what Recover reads back from a directory.
@@ -268,67 +243,6 @@ func Open(dir string) (*Log, *RecoveredState, error) {
 	return l, st, nil
 }
 
-// EnableGroupCommit starts the dedicated flusher goroutine with the given
-// accumulation window. Call at most once, right after Open, before any
-// concurrent use; Close stops the flusher.
-func (l *Log) EnableGroupCommit(gc GroupCommit) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.flusherDone != nil || l.closed || !gc.Enabled() {
-		return
-	}
-	l.gc = gc
-	l.kickC = make(chan struct{}, 1)
-	l.fullC = make(chan struct{}, 1)
-	l.stopC = make(chan struct{})
-	l.flusherDone = make(chan struct{})
-	go l.flusherLoop()
-}
-
-// flusherLoop waits for appends, lets companions accumulate for the
-// configured window, and flushes each batch with one write+fsync. A kick
-// token is sent exactly when pending goes 0→1, so every pending record is
-// covered by a current or future loop iteration.
-func (l *Log) flusherLoop() {
-	defer close(l.flusherDone)
-	for {
-		select {
-		case <-l.stopC:
-			return
-		case <-l.kickC:
-		}
-		if d := l.gc.MaxDelay; d > 0 {
-			select {
-			case <-l.fullC: // drain a stale full signal from a prior batch
-			default:
-			}
-			l.mu.Lock()
-			full := l.gc.MaxBatch > 0 && l.pending >= l.gc.MaxBatch
-			l.mu.Unlock()
-			if !full {
-				t := time.NewTimer(d)
-				select {
-				case <-t.C:
-				case <-l.fullC:
-					t.Stop()
-				case <-l.stopC:
-					t.Stop()
-					return // Close flushes the remainder
-				}
-			}
-		}
-		l.mu.Lock()
-		for l.flushing { // a Flush caller leads a batch: take the next one
-			l.cond.Wait()
-		}
-		err := l.flushBatchLocked()
-		l.mu.Unlock()
-		if err != nil {
-			return // sticky error: waiters have been woken with l.err set
-		}
-	}
-}
-
 // SetWriteHook installs a fault-injection hook on physical log writes.
 // Test use only; must be set before concurrent use.
 func (l *Log) SetWriteHook(h WriteHook) {
@@ -395,7 +309,7 @@ func (l *Log) RecordsSinceSnapshot() int {
 }
 
 // Buffered reports how many appended records are sitting in the buffer
-// awaiting their group-commit flush (a gauge of write-path backpressure).
+// awaiting their flush (a gauge of write-path backpressure).
 func (l *Log) Buffered() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -419,30 +333,16 @@ func (l *Log) Append(r Record) (uint64, error) {
 	l.buf = append(l.buf, hdr[:]...)
 	l.buf = append(l.buf, payload...)
 	l.pending++
-	if l.kickC != nil {
-		if l.pending == 1 {
-			select {
-			case l.kickC <- struct{}{}:
-			default:
-			}
-		}
-		if l.gc.MaxBatch > 0 && l.pending >= l.gc.MaxBatch {
-			select {
-			case l.fullC <- struct{}{}:
-			default:
-			}
-		}
-	}
 	return r.LSN, nil
 }
 
 // Commit blocks until the record at lsn is durable and returns the size
 // of the flush batch observed when durability was confirmed (how many
-// records the fsync amortized over). In synchronous mode the first
-// committer to find no flush in flight becomes the leader — it swaps the
-// buffer out under the lock and performs the write+fsync outside it —
-// and overlapping committers wait to be covered. With EnableGroupCommit
-// every committer is a pure waiter on the dedicated flusher.
+// records the fsync amortized over). The first committer to find no
+// flush in flight becomes the leader — it swaps the buffer out under the
+// lock and performs the write+fsync outside it — and committers that
+// arrive meanwhile wait, then either find their record covered or lead
+// the next flush for everything appended while the previous one ran.
 func (l *Log) Commit(lsn uint64) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -453,7 +353,7 @@ func (l *Log) Commit(lsn uint64) (int, error) {
 		if l.durable >= lsn {
 			return l.lastBatch, nil
 		}
-		if l.flusherDone != nil || l.flushing {
+		if l.flushing {
 			l.cond.Wait()
 			continue
 		}
@@ -823,27 +723,17 @@ func syncDir(dir string) {
 	}
 }
 
-// Close stops the group-commit flusher (if any), flushes buffered
-// records, and closes the file. Close is idempotent — the second and
-// later calls return nil — and safe after Kill: a killed log skips the
-// flush (its buffer is already condemned) and just releases the file
-// handle.
+// Close flushes buffered records and closes the file. Close is
+// idempotent — the second and later calls return nil — and safe after
+// Kill: a killed log skips the flush (its buffer is already condemned)
+// and just releases the file handle.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	stop, done := l.stopC, l.flusherDone
-	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var ferr error
 	if l.err == nil {
 		ferr = l.flushAllLocked()

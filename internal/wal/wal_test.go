@@ -81,7 +81,9 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGroupCommitSingleFlush(t *testing.T) {
+// TestFlushMakesBufferDurable: appended records reach the disk only with
+// a flush, and one Flush makes every one of them durable.
+func TestFlushMakesBufferDurable(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir)
 	if err != nil {

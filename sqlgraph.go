@@ -31,7 +31,6 @@ package sqlgraph
 
 import (
 	"fmt"
-	"time"
 
 	"sqlgraph/internal/blueprints"
 	"sqlgraph/internal/core"
@@ -39,7 +38,6 @@ import (
 	"sqlgraph/internal/stats"
 	"sqlgraph/internal/trace"
 	"sqlgraph/internal/translate"
-	"sqlgraph/internal/wal"
 )
 
 // Options configures a store.
@@ -66,21 +64,10 @@ type Options struct {
 	// many logged mutations (durable stores only). Zero picks a sensible
 	// default; negative disables automatic snapshots.
 	SnapshotEvery int
-	// GroupCommitDelay enables cross-writer group commit (durable stores
-	// only): a dedicated flusher accumulates concurrent commits for up to
-	// this long and makes them durable with one write+fsync. Zero keeps
-	// every commit synchronous.
-	GroupCommitDelay time.Duration
-	// GroupCommitBatch flushes the group-commit window early once this
-	// many mutations are pending (0 = no record cap).
-	GroupCommitBatch int
 }
 
 func (o Options) internal() core.Options {
-	opts := core.Options{
-		OutCols: o.OutCols, InCols: o.InCols, Dir: o.Dir, SnapshotEvery: o.SnapshotEvery,
-		GroupCommit: wal.GroupCommit{MaxDelay: o.GroupCommitDelay, MaxBatch: o.GroupCommitBatch},
-	}
+	opts := core.Options{OutCols: o.OutCols, InCols: o.InCols, Dir: o.Dir, SnapshotEvery: o.SnapshotEvery}
 	if o.ModuloColoring {
 		opts.Coloring = core.ColoringModulo
 	}
