@@ -109,9 +109,9 @@ func (s *Store) applyRecordTx(tx *rel.Txn, rec wal.Record) error {
 }
 
 // Batch record constructors: the records the per-op methods hand to
-// write, and the wire shape shared by POST /batch, the parallel loader,
-// and the tests. Attribute maps are encoded into the record's Doc as
-// canonical JSON, the text every path then parses and stores.
+// write, and the wire shape shared by POST /batch and the tests.
+// Attribute maps are encoded into the record's Doc as canonical JSON, the
+// text every path then parses and stores.
 
 // BatchAddVertex builds an OpAddVertex record.
 func BatchAddVertex(id int64, attrs map[string]any) wal.Record {

@@ -66,7 +66,10 @@ func GenGraph(rng *rand.Rand) *blueprints.MemGraph {
 // bounded at the given combinator depth. Divisors are whatever the data
 // holds: it.k is 0..4, so zero; it.name is a string or absent, so a value
 // that coerces to zero or NULL; a fractional literal truncates to zero
-// under %. All of them make the quotient NULL on both paths.
+// under %. All of them make the quotient NULL on both paths. Negating
+// it.k reaches SQL's unary minus. (Negating it.name is an error, which
+// only GenPipeline's source filter can place where both paths meet it
+// on the same rows: see there.)
 func genVertexExpr(rng *rand.Rand, depth int) string {
 	if depth > 0 && rng.Intn(3) == 0 {
 		l := genVertexExpr(rng, depth-1)
@@ -82,7 +85,7 @@ func genVertexExpr(rng *rand.Rand, depth int) string {
 			return fmt.Sprintf("!(%s) && %s", l, r)
 		}
 	}
-	switch rng.Intn(11) {
+	switch rng.Intn(12) {
 	case 0:
 		return fmt.Sprintf("it.k %s %d", pick(rng, "<", "<=", ">", ">=", "==", "!="), rng.Intn(5))
 	case 1:
@@ -105,6 +108,8 @@ func genVertexExpr(rng *rand.Rand, depth int) string {
 		return fmt.Sprintf("it.k %s it.name %s 0", pick(rng, "/", "%"), pick(rng, "==", "!="))
 	case 9:
 		return fmt.Sprintf("it.k %% %s == 0", pick(rng, "0.5", "1.5"))
+	case 10:
+		return fmt.Sprintf("-it.k %s %d", pick(rng, "<", ">=", "=="), -rng.Intn(5))
 	default:
 		return fmt.Sprintf("it.id %% %d == %d", 2+rng.Intn(3), rng.Intn(2))
 	}
@@ -148,18 +153,25 @@ func genEdgeExpr(rng *rand.Rand, depth int) string {
 func GenPipeline(rng *rand.Rand, numVertices int) string {
 	q := "g"
 	edgeCtx := false
-	switch rng.Intn(10) {
-	case 0, 1, 2, 3:
+	switch rng.Intn(21) {
+	case 0, 1, 2, 3, 4, 5, 6, 7:
 		q += ".V"
-	case 4, 5, 6:
+	case 8, 9, 10, 11, 12, 13:
 		q += fmt.Sprintf(".V(%d)", rng.Intn(numVertices))
-	case 7:
+	case 14, 15:
 		q += fmt.Sprintf(".V(%d, %d)", rng.Intn(numVertices), rng.Intn(numVertices))
-	case 8:
+	case 16, 17:
 		q += ".E"
 		edgeCtx = true
-	default:
+	case 18, 19:
 		q += fmt.Sprintf(".V('name', '%s')", nameVals[rng.Intn(len(nameVals))])
+	default:
+		// Negating a string is an error on both paths. Right after the
+		// source both evaluate it on every vertex; anywhere else the
+		// store's plan decides which rows a term meets (pushed below a
+		// join, or skipped behind a conjunct that is NULL), so whether
+		// it errs is the plan's choice.
+		q += fmt.Sprintf(".V.filter{-it.name %s 0}", pick(rng, "<", "=="))
 	}
 	steps := 1 + rng.Intn(4)
 	deduped := false // dedup() before a path-dependent step is rejected by the translator

@@ -269,12 +269,13 @@ func TestDifferentialTinyMorsels(t *testing.T) {
 		t.Fatalf("parallel runs from a scan: %d, from stored rows: %d; want both", scans, stored)
 	}
 	// No Gremlin text puts a subquery into an aggregate, so the corpus
-	// never meets one: these do, on the same morsels, against the serial
-	// answer. Run under -race, since a subquery evaluated on the workers
-	// races on the query's state.
+	// never meets one: these do, in a GROUP BY key and in aggregate
+	// arguments, on the same morsels, against the serial answer. Run under
+	// -race, since a subquery evaluated on the workers races on the
+	// query's state.
 	for _, q := range []string{
-		"SELECT COUNT(*), MIN(VID) FROM VA GROUP BY VID % 3 + (SELECT MAX(VID) FROM VA)",
-		"SELECT COUNT(VID + (SELECT MIN(VID) FROM VA)), MAX(VID - (SELECT MAX(VID) FROM VA)) FROM VA",
+		"SELECT COUNT(*), VID, LISTAGG(VID) FROM VA GROUP BY VID % 3 + 1 IN (SELECT VID FROM VA WHERE VID < 3)",
+		"SELECT COUNT(VID IN (SELECT VID FROM VA WHERE VID % 2 = 0)), LISTAGG(VID IN (SELECT VID FROM VA WHERE VID > 10)) FROM VA",
 	} {
 		var want string
 		for _, par := range []int{1, 4} {

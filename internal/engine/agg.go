@@ -13,9 +13,11 @@ import (
 	"sqlgraph/internal/sql"
 )
 
+// isAggregateName reports whether a call is one of the two aggregates:
+// COUNT (every count template) and LISTAGG (groupBy's value lists).
 func isAggregateName(name string) bool {
 	switch strings.ToUpper(name) {
-	case "COUNT", "SUM", "MIN", "MAX", "AVG", "LISTAGG":
+	case "COUNT", "LISTAGG":
 		return true
 	}
 	return false
@@ -24,61 +26,20 @@ func isAggregateName(name string) bool {
 // collectAggCalls gathers aggregate function calls from an expression
 // (without descending into subqueries, which evaluate independently).
 func collectAggCalls(e sql.Expr, out []*sql.FuncCall) []*sql.FuncCall {
-	switch v := e.(type) {
-	case nil:
-	case *sql.FuncCall:
-		if isAggregateName(v.Name) {
-			return append(out, v)
-		}
-		for _, a := range v.Args {
-			out = collectAggCalls(a, out)
-		}
-	case *sql.Unary:
-		out = collectAggCalls(v.X, out)
-	case *sql.Binary:
-		out = collectAggCalls(v.L, out)
-		out = collectAggCalls(v.R, out)
-	case *sql.IsNull:
-		out = collectAggCalls(v.X, out)
-	case *sql.InList:
-		out = collectAggCalls(v.X, out)
-		for _, item := range v.List {
-			out = collectAggCalls(item, out)
-		}
-	case *sql.Between:
-		out = collectAggCalls(v.X, out)
-		out = collectAggCalls(v.Lo, out)
-		out = collectAggCalls(v.Hi, out)
-	case *sql.Cast:
-		out = collectAggCalls(v.X, out)
-	case *sql.Subscript:
-		out = collectAggCalls(v.X, out)
-		out = collectAggCalls(v.Index, out)
-	case *sql.CaseExpr:
-		if v.Operand != nil {
-			out = collectAggCalls(v.Operand, out)
-		}
-		for _, w := range v.Whens {
-			out = collectAggCalls(w.Cond, out)
-			out = collectAggCalls(w.Result, out)
-		}
-		if v.Else != nil {
-			out = collectAggCalls(v.Else, out)
-		}
+	if v, ok := e.(*sql.FuncCall); ok && isAggregateName(v.Name) {
+		return append(out, v)
 	}
+	sql.Children(e, func(c sql.Expr) { out = collectAggCalls(c, out) })
 	return out
 }
 
 func hasAggregates(sel *sql.SimpleSelect) bool {
 	for _, item := range sel.Items {
-		if item.Star {
-			continue
-		}
 		if len(collectAggCalls(item.Expr, nil)) > 0 {
 			return true
 		}
 	}
-	return len(collectAggCalls(sel.Having, nil)) > 0
+	return false
 }
 
 // aggregate evaluates an aggregating core over in. Its run ends in the
@@ -87,28 +48,22 @@ func hasAggregates(sel *sql.SimpleSelect) bool {
 // workers each worker keeps a table of the groups of the morsel it runs,
 // and the terminal merges them in morsel order where every aggregate
 // merges exactly (aggregator.exact); otherwise the workers buffer their
-// morsels' rows and the terminal replays them in order, so a sum of
-// doubles adds up as it does on one worker.
+// morsels' rows and the terminal replays them in order.
 func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (*relation, error) {
 	sc := newScope(in.cols)
 	ag := &aggregator{width: len(in.cols), items: make([]compiledExpr, len(sel.Items)), exact: true}
 	var calls []*sql.FuncCall
 	for _, item := range sel.Items {
-		if item.Star {
-			return nil, fmt.Errorf("engine: SELECT * is not allowed with aggregation")
-		}
 		if !resolvableIn(item.Expr, sc) {
 			return nil, fmt.Errorf("%w in select item %s", ErrUnknownColumn, item.Expr.SQL())
 		}
 		calls = collectAggCalls(item.Expr, calls)
 	}
-	calls = collectAggCalls(sel.Having, calls)
 	for _, call := range calls {
-		name := strings.ToUpper(call.Name)
-		if !(call.Star && name == "COUNT") && len(call.Args) != 1 {
-			return nil, fmt.Errorf("engine: aggregate %s takes one argument", name)
+		if !call.Star && len(call.Args) != 1 {
+			return nil, fmt.Errorf("engine: aggregate %s takes one argument", strings.ToUpper(call.Name))
 		}
-		ag.exact = ag.exact && !call.Distinct && name != "SUM" && name != "AVG" && parallelSafeExprs(call.Args)
+		ag.exact = ag.exact && parallelSafeExprs(call.Args)
 	}
 	// A key or argument holding a subquery is evaluated on the dispatching
 	// goroutine: its workers only buffer rows, for the terminal to replay.
@@ -118,8 +73,8 @@ func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (
 	ag.inputs = func() (keys []compiledExpr, accs []aggAcc, err error) {
 		accs = make([]aggAcc, len(calls))
 		for i, call := range calls {
-			accs[i] = aggAcc{name: strings.ToUpper(call.Name), distinct: call.Distinct, allInt: true}
-			if call.Star && accs[i].name == "COUNT" {
+			accs[i].list = strings.ToUpper(call.Name) == "LISTAGG"
+			if call.Star {
 				continue
 			}
 			if accs[i].arg, err = e.compile(q, sc, call.Args[0]); err != nil {
@@ -139,14 +94,9 @@ func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (
 		return nil, err
 	}
 	// A group's row is its first input row followed by one slot per
-	// aggregate call: HAVING and the select list read both by position.
+	// aggregate call: the select list reads both by position.
 	grouped := *sc
 	grouped.aggs, grouped.aggBase = calls, ag.width
-	if sel.Having != nil {
-		if ag.having, err = e.compile(q, &grouped, sel.Having); err != nil {
-			return nil, err
-		}
-	}
 	for i, item := range sel.Items {
 		if ag.items[i], err = e.compile(q, &grouped, item.Expr); err != nil {
 			return nil, err
@@ -158,8 +108,8 @@ func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (
 		return nil, err
 	}
 	// Emitting the groups is charged to the operator and to this run. Its
-	// index is taken now: a subquery that HAVING or the select list runs
-	// appends a run of its own.
+	// index is taken now: a subquery the select list runs appends a run
+	// of its own.
 	pi := len(q.stats.Pipelines) - 1
 	finT := time.Now()
 	if len(sel.GroupBy) == 0 && len(term.groups) == 0 {
@@ -203,12 +153,11 @@ func aggregateCols(items []sql.SelectItem) []colInfo {
 // aggregator is what the group tables of one aggregating core share.
 type aggregator struct {
 	width int // columns of an input row; the aggregate slots follow them
-	// exact says every aggregate call merges exactly from per-morsel
-	// partial states — COUNT, MIN, MAX and LISTAGG without DISTINCT — and
-	// no GROUP BY key or aggregate argument holds a subquery.
+	// exact says the aggregates merge from per-morsel partial states: no
+	// GROUP BY key or aggregate argument holds a subquery. COUNT and
+	// LISTAGG themselves always merge exactly.
 	exact  bool
 	inputs func() (keys []compiledExpr, accs []aggAcc, err error) // one table's GROUP BY keys and accumulators
-	having compiledExpr
 	items  []compiledExpr
 }
 
@@ -378,17 +327,11 @@ func appendGroupKey(b []byte, v rel.Value) []byte {
 	return append(b, 0xFF)
 }
 
-// emit evaluates HAVING and the select list for one finished group and
-// appends the row it yields to out.
+// emit evaluates the select list for one finished group and appends the
+// row it yields to out.
 func (ag *aggregator) emit(g *aggGroup, out *relation) error {
 	for i := range g.accs {
 		g.row[ag.width+i] = g.accs[i].result()
-	}
-	if ag.having != nil {
-		hv, err := ag.having(g.row)
-		if err != nil || hv.IsNull() || !hv.Truthy() {
-			return err
-		}
 	}
 	row := make([]rel.Value, len(ag.items))
 	for i, item := range ag.items {
@@ -401,19 +344,14 @@ func (ag *aggregator) emit(g *aggGroup, out *relation) error {
 	return nil
 }
 
-// aggAcc is the running state of one aggregate call over one group.
+// aggAcc is the running state of one aggregate call over one group:
+// COUNT's count of rows (of non-NULL arguments) or LISTAGG's list of
+// non-NULL arguments.
 type aggAcc struct {
-	name     string
-	arg      compiledExpr // nil for COUNT(*)
-	distinct bool
-	seen     map[string]bool
-
-	count      int64
-	sumI       int64
-	sumF       float64
-	allInt     bool
-	minV, maxV rel.Value
-	list       []rel.Value
+	arg   compiledExpr // nil for COUNT(*)
+	list  bool         // LISTAGG
+	count int64
+	vals  []rel.Value
 }
 
 func (a *aggAcc) add(row []rel.Value) error {
@@ -425,80 +363,28 @@ func (a *aggAcc) add(row []rel.Value) error {
 	if err != nil || v.IsNull() {
 		return err
 	}
-	if a.distinct {
-		k := v.Key()
-		if a.seen[k] {
-			return nil
-		}
-		if a.seen == nil {
-			a.seen = map[string]bool{}
-		}
-		a.seen[k] = true
-	}
 	a.count++
-	switch v.Kind() {
-	case rel.KindInt:
-		a.sumI += v.Int()
-		a.sumF += v.Float()
-	case rel.KindFloat:
-		a.allInt = false
-		a.sumF += v.Float()
-	default:
-		a.allInt = false
-	}
-	if a.minV.IsNull() || rel.Compare(v, a.minV) < 0 {
-		a.minV = v
-	}
-	if a.maxV.IsNull() || rel.Compare(v, a.maxV) > 0 {
-		a.maxV = v
-	}
-	if a.name == "LISTAGG" {
-		a.list = append(a.list, v)
+	if a.list {
+		a.vals = append(a.vals, v)
 	}
 	return nil
 }
 
-// merge takes in the state b reached over the rows that followed a's, for
-// the calls that merge exactly: COUNT adds up, MIN and MAX keep a's value
-// on a tie as a serial run keeps the first, and LISTAGG's list goes on
-// in row order (result sorts it stably).
+// merge takes in the state b reached over the rows that followed a's:
+// counts add up, and LISTAGG's list goes on in row order (result sorts
+// it stably).
 func (a *aggAcc) merge(b *aggAcc) {
 	a.count += b.count
-	if !b.minV.IsNull() && (a.minV.IsNull() || rel.Compare(b.minV, a.minV) < 0) {
-		a.minV = b.minV
-	}
-	if !b.maxV.IsNull() && (a.maxV.IsNull() || rel.Compare(b.maxV, a.maxV) > 0) {
-		a.maxV = b.maxV
-	}
-	a.list = append(a.list, b.list...)
+	a.vals = append(a.vals, b.vals...)
 }
 
 func (a *aggAcc) result() rel.Value {
-	switch a.name {
-	case "COUNT":
+	if !a.list {
 		return rel.NewInt(a.count)
-	case "SUM":
-		if a.count == 0 {
-			return rel.Null
-		}
-		if a.allInt {
-			return rel.NewInt(a.sumI)
-		}
-		return rel.NewFloat(a.sumF)
-	case "AVG":
-		if a.count == 0 {
-			return rel.Null
-		}
-		return rel.NewFloat(a.sumF / float64(a.count))
-	case "MIN":
-		return a.minV
-	case "MAX":
-		return a.maxV
-	default: // LISTAGG: isAggregateName admits no other name
-		// Deterministic output independent of row order: non-null values
-		// sorted ascending. (Standard LISTAGG requires WITHIN GROUP; a
-		// fixed ascending order serves the same purpose here.)
-		sort.SliceStable(a.list, func(i, j int) bool { return rel.Compare(a.list[i], a.list[j]) < 0 })
-		return rel.NewList(a.list)
 	}
+	// Deterministic output independent of row order: non-null values
+	// sorted ascending. (Standard LISTAGG requires WITHIN GROUP; a fixed
+	// ascending order serves the same purpose here.)
+	sort.SliceStable(a.vals, func(i, j int) bool { return rel.Compare(a.vals[i], a.vals[j]) < 0 })
+	return rel.NewList(a.vals)
 }

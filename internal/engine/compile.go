@@ -93,33 +93,6 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		return nil, fmt.Errorf("engine: unknown unary op %s", v.Op)
 	case *sql.Binary:
 		return e.compileBinary(q, sc, v)
-	case *sql.Between:
-		xe, err1 := e.compile(q, sc, v.X)
-		lo, err2 := e.compile(q, sc, v.Lo)
-		hi, err3 := e.compile(q, sc, v.Hi)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, firstErr(err1, err2, err3)
-		}
-		not := v.Not
-		return func(row []rel.Value) (rel.Value, error) {
-			xv, err := xe(row)
-			if err != nil {
-				return rel.Null, err
-			}
-			lv, err := lo(row)
-			if err != nil {
-				return rel.Null, err
-			}
-			hv, err := hi(row)
-			if err != nil {
-				return rel.Null, err
-			}
-			if xv.IsNull() || lv.IsNull() || hv.IsNull() {
-				return rel.Null, nil
-			}
-			in := rel.Compare(xv, lv) >= 0 && rel.Compare(xv, hv) <= 0
-			return rel.NewBool(in != not), nil
-		}, nil
 	case *sql.InList:
 		xe, err := e.compile(q, sc, v.X)
 		if err != nil {
@@ -135,91 +108,56 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 				return rel.NewBool(set.has(xv) != not), nil
 			}, nil
 		}
-		items := make([]compiledExpr, len(v.List))
-		allConst := true
-		for i, it := range v.List {
-			ce, err := e.compile(q, sc, it)
+		// The list is constants: the translation's labels and bound
+		// parameters. It is evaluated once into a hash set. An all-BIGINT
+		// list — the id list of g.V(ids) — is held as ints, and BIGINT
+		// operands looked up as such; canonical string keys are built only
+		// if an operand of another kind ever shows up.
+		var vals []rel.Value
+		sawNull, allInt, not := false, true, v.Not
+		for _, it := range v.List {
+			if !isConstExpr(it) {
+				return nil, fmt.Errorf("engine: IN list item %s is not a constant", it.SQL())
+			}
+			iv, err := e.constValue(q, it)
 			if err != nil {
 				return nil, err
 			}
-			items[i] = ce
-			if !isConstExpr(it) {
-				allConst = false
+			if iv.IsNull() {
+				sawNull = true
+				continue
+			}
+			allInt = allInt && iv.Kind() == rel.KindInt
+			vals = append(vals, iv)
+		}
+		var ints map[int64]struct{}
+		if allInt {
+			ints = make(map[int64]struct{}, len(vals))
+			for _, iv := range vals {
+				ints[iv.Int()] = struct{}{}
 			}
 		}
-		not := v.Not
-		if allConst {
-			// Constant IN-list: evaluate once into a hash set. An all-BIGINT
-			// list — the id list of g.V(ids) — is held as ints, and BIGINT
-			// operands looked up as such; canonical string keys are built
-			// only if an operand of another kind ever shows up.
-			var vals []rel.Value
-			sawNull, allInt := false, true
-			for _, ce := range items {
-				iv, err := ce(nil)
-				if err != nil {
-					return nil, err
-				}
-				if iv.IsNull() {
-					sawNull = true
-					continue
-				}
-				allInt = allInt && iv.Kind() == rel.KindInt
-				vals = append(vals, iv)
-			}
-			var ints map[int64]struct{}
-			if allInt {
-				ints = make(map[int64]struct{}, len(vals))
-				for _, iv := range vals {
-					ints[iv.Int()] = struct{}{}
-				}
-			}
-			var keys map[string]bool
-			var keysOnce sync.Once
-			return func(row []rel.Value) (rel.Value, error) {
-				xv, err := xe(row)
-				if err != nil || xv.IsNull() {
-					return rel.Null, err
-				}
-				var hit bool
-				if ints != nil && xv.Kind() == rel.KindInt {
-					_, hit = ints[xv.Int()]
-				} else {
-					keysOnce.Do(func() {
-						keys = make(map[string]bool, len(vals))
-						for _, iv := range vals {
-							keys[iv.Key()] = true
-						}
-					})
-					hit = keys[xv.Key()]
-				}
-				if hit {
-					return rel.NewBool(!not), nil
-				}
-				if sawNull {
-					return rel.Null, nil
-				}
-				return rel.NewBool(not), nil
-			}, nil
-		}
+		var keys map[string]bool
+		var keysOnce sync.Once
 		return func(row []rel.Value) (rel.Value, error) {
 			xv, err := xe(row)
 			if err != nil || xv.IsNull() {
 				return rel.Null, err
 			}
-			sawNull := false
-			for _, ce := range items {
-				iv, err := ce(row)
-				if err != nil {
-					return rel.Null, err
-				}
-				if iv.IsNull() {
-					sawNull = true
-					continue
-				}
-				if rel.Equal(xv, iv) {
-					return rel.NewBool(!not), nil
-				}
+			var hit bool
+			if ints != nil && xv.Kind() == rel.KindInt {
+				_, hit = ints[xv.Int()]
+			} else {
+				keysOnce.Do(func() {
+					keys = make(map[string]bool, len(vals))
+					for _, iv := range vals {
+						keys[iv.Key()] = true
+					}
+				})
+				hit = keys[xv.Key()]
+			}
+			if hit {
+				return rel.NewBool(!not), nil
 			}
 			if sawNull {
 				return rel.Null, nil
@@ -231,13 +169,16 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		if err != nil {
 			return nil, err
 		}
-		typ := v.Type
+		toInt := v.Type == "BIGINT" // the parser admits BIGINT and DOUBLE
 		return func(row []rel.Value) (rel.Value, error) {
 			iv, err := inner(row)
-			if err != nil {
+			switch {
+			case err != nil || iv.IsNull():
 				return rel.Null, err
+			case toInt:
+				return rel.NewInt(iv.Int()), nil
 			}
-			return castValue(iv, typ)
+			return rel.NewFloat(iv.Float()), nil
 		}, nil
 	case *sql.Subscript:
 		base, err1 := e.compile(q, sc, v.X)
@@ -266,8 +207,6 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		}, nil
 	case *sql.FuncCall:
 		return e.compileFunc(q, sc, v)
-	case *sql.CaseExpr:
-		return e.compileCase(q, sc, v)
 	case *sql.InSubquery:
 		xe, err := e.compile(q, sc, v.X)
 		if err != nil {
@@ -288,31 +227,6 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 				return rel.Null, err
 			}
 			return rel.NewBool(set[xv.Key()] != not), nil
-		}, nil
-	case *sql.Exists:
-		query, not := v.Query, v.Not
-		return func([]rel.Value) (rel.Value, error) {
-			res, err := e.subquery(q, query)
-			if err != nil {
-				return rel.Null, err
-			}
-			return rel.NewBool((res.count() > 0) != not), nil
-		}, nil
-	case *sql.ScalarSubquery:
-		query := v.Query
-		return func([]rel.Value) (rel.Value, error) {
-			res, err := e.subquery(q, query)
-			if err != nil {
-				return rel.Null, err
-			}
-			switch rows := res.rowsOf(); {
-			case len(rows) == 0:
-				return rel.Null, nil
-			case len(rows) > 1 || len(rows[0]) != 1:
-				return rel.Null, fmt.Errorf("engine: scalar subquery returned %d rows", len(rows))
-			default:
-				return rows[0][0], nil
-			}
 		}, nil
 	}
 	return nil, fmt.Errorf("engine: unsupported expression %T", x)
@@ -577,61 +491,6 @@ func (e *Engine) compileFunc(q *queryState, sc *scope, v *sql.FuncCall) (compile
 			}
 		}
 		return fn(vals)
-	}, nil
-}
-
-// compileCase compiles CASE: with an operand the first arm equal to it
-// wins, without one the first arm that is true.
-func (e *Engine) compileCase(q *queryState, sc *scope, v *sql.CaseExpr) (compiledExpr, error) {
-	// The operand and ELSE may be absent: nil stands for that.
-	optional := func(x sql.Expr) (compiledExpr, error) {
-		if x == nil {
-			return nil, nil
-		}
-		return e.compile(q, sc, x)
-	}
-	operand, err := optional(v.Operand)
-	if err != nil {
-		return nil, err
-	}
-	els, err := optional(v.Else)
-	if err != nil {
-		return nil, err
-	}
-	conds, results := make([]compiledExpr, len(v.Whens)), make([]compiledExpr, len(v.Whens))
-	for i, w := range v.Whens {
-		if conds[i], err = e.compile(q, sc, w.Cond); err != nil {
-			return nil, err
-		}
-		if results[i], err = e.compile(q, sc, w.Result); err != nil {
-			return nil, err
-		}
-	}
-	return func(row []rel.Value) (rel.Value, error) {
-		var ov rel.Value
-		if operand != nil {
-			var err error
-			if ov, err = operand(row); err != nil {
-				return rel.Null, err
-			}
-		}
-		for i, cond := range conds {
-			c, err := cond(row)
-			if err != nil {
-				return rel.Null, err
-			}
-			matched := !c.IsNull() && c.Truthy()
-			if operand != nil {
-				matched = !ov.IsNull() && !c.IsNull() && rel.Equal(ov, c)
-			}
-			if matched {
-				return results[i](row)
-			}
-		}
-		if els != nil {
-			return els(row)
-		}
-		return rel.Null, nil
 	}, nil
 }
 

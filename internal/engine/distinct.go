@@ -9,7 +9,7 @@ import (
 	"sqlgraph/internal/rel"
 )
 
-// DISTINCT, UNION, INTERSECT and EXCEPT decide membership with a deduper
+// DISTINCT decides membership with a deduper
 // (DESIGN.md §8, §21). The translation's DISTINCT is over one column of
 // element ids, so one-integer rows live in an intSet; anything else falls
 // back to canonical string keys.
@@ -300,16 +300,4 @@ func (d *deduper) seen(row []rel.Value) bool {
 	}
 	d.strs[k] = struct{}{}
 	return false
-}
-
-// has reports membership without recording. The first row that is not a
-// single integer moves an int set to string keys, as in seen: every later
-// probe is one lookup, not a pass over the set.
-func (d *deduper) has(row []rel.Value) bool {
-	if id, ok := d.intRow(row); ok {
-		return d.ints.has(id)
-	}
-	d.toStrings()
-	_, ok := d.strs[rowKey(row)]
-	return ok
 }

@@ -88,7 +88,7 @@ func TestDistinctAscendingAnyParallelism(t *testing.T) {
 	}
 	for _, q := range []string{
 		"SELECT DISTINCT P.V FROM O, P WHERE P.K = O.ID",
-		"SELECT P.V FROM O, P WHERE P.K = O.ID AND O.ID < 6000 UNION SELECT P.V FROM O, P WHERE P.K = O.ID AND O.ID >= 6000",
+		"WITH U AS (SELECT P.V AS V FROM O, P WHERE P.K = O.ID AND O.ID < 6000 UNION ALL SELECT P.V AS V FROM O, P WHERE P.K = O.ID AND O.ID >= 6000) SELECT DISTINCT V FROM U",
 	} {
 		var first string
 		for _, par := range []int{1, 2, 4} {
@@ -123,8 +123,12 @@ func TestDistinctAscendingAnyParallelism(t *testing.T) {
 // are one row wherever they meet.
 func TestDistinctMixedRows(t *testing.T) {
 	e := newDistinctEngine(t)
-	q := `SELECT DISTINCT CASE WHEN O.ID = 7000 THEN NULL WHEN O.ID = 9000 THEN 'x' WHEN O.ID = 8000 THEN P.V + 0.0 ELSE P.V END AS V
-		FROM O, P WHERE P.K = O.ID`
+	q := `WITH T AS (SELECT P.V AS V FROM O, P WHERE P.K = O.ID AND O.ID < 7000
+		UNION ALL SELECT NULL AS V FROM O WHERE O.ID = 7000
+		UNION ALL SELECT P.V + 0.0 AS V FROM O, P WHERE P.K = O.ID AND O.ID = 8000
+		UNION ALL SELECT 'x' AS V FROM O WHERE O.ID = 9000
+		UNION ALL SELECT P.V AS V FROM O, P WHERE P.K = O.ID AND O.ID > 7000 AND O.ID <> 8000 AND O.ID <> 9000)
+		SELECT DISTINCT V FROM T`
 	want := map[string]bool{"NULL": true, "x": true}
 	for k := 0; k < distinctRows; k++ {
 		if k != 7000 && k != 9000 {
@@ -172,19 +176,19 @@ func TestDistinctMixedRows(t *testing.T) {
 // TestDistinctOrderedInput: a DISTINCT with an ORDER BY upstream keeps
 // first occurrences in order — the ORDER BY reaching it through a CTE, a
 // CTE's column list, the outer side of a join, a UNION ALL arm, a
-// grouping or a derived table.
+// grouping or a derived table. (The sort key - K orders by K descending.)
 func TestDistinctOrderedInput(t *testing.T) {
 	e := newDistinctEngine(t)
 	desc := firstOccurrences(keyRange(distinctRows-1, -1, -1))
 	armsKeys := append(keyRange(0, 6000, 1), keyRange(distinctRows-1, 5999, -1)...)
 	for q, want := range map[string]string{
-		"WITH S AS (SELECT V, K FROM P ORDER BY K DESC) SELECT DISTINCT V FROM S":                                                                                  desc,
-		"WITH S(W, K) AS (SELECT V, K FROM P ORDER BY K DESC) SELECT DISTINCT W FROM S":                                                                            desc,
-		"WITH S AS (SELECT ID FROM O ORDER BY ID DESC) SELECT DISTINCT P.V FROM S, P WHERE P.K = S.ID":                                                             desc,
-		"WITH S AS (SELECT V, K FROM P ORDER BY K DESC) SELECT DISTINCT V FROM S GROUP BY V":                                                                       desc,
-		"SELECT DISTINCT V FROM (SELECT V, K FROM P ORDER BY K DESC) D":                                                                                            desc,
-		"WITH S AS (SELECT V, K FROM P ORDER BY K DESC) SELECT V FROM S UNION SELECT V FROM P WHERE K < 10":                                                        desc,
-		"WITH S AS (SELECT V, K FROM P WHERE K >= 6000 ORDER BY K DESC), U AS (SELECT V FROM P WHERE K < 6000 UNION ALL SELECT V FROM S) SELECT DISTINCT V FROM U": firstOccurrences(armsKeys),
+		"WITH S AS (SELECT V, K FROM P ORDER BY - K) SELECT DISTINCT V FROM S":                                                                                  desc,
+		"WITH S(W, K) AS (SELECT V, K FROM P ORDER BY - K) SELECT DISTINCT W FROM S":                                                                            desc,
+		"WITH S AS (SELECT ID FROM O ORDER BY - ID) SELECT DISTINCT P.V FROM S, P WHERE P.K = S.ID":                                                             desc,
+		"WITH S AS (SELECT V, K FROM P ORDER BY - K) SELECT DISTINCT V FROM S GROUP BY V":                                                                       desc,
+		"SELECT DISTINCT V FROM (SELECT V, K FROM P ORDER BY - K) D":                                                                                            desc,
+		"WITH S AS (SELECT V, K FROM P ORDER BY - K), U AS (SELECT V FROM S UNION ALL SELECT V FROM P WHERE K < 10) SELECT DISTINCT V FROM U":                   desc,
+		"WITH S AS (SELECT V, K FROM P WHERE K >= 6000 ORDER BY - K), U AS (SELECT V FROM P WHERE K < 6000 UNION ALL SELECT V FROM S) SELECT DISTINCT V FROM U": firstOccurrences(armsKeys),
 	} {
 		for _, par := range []int{1, 4} {
 			rows := queryForced(t, e, StrategyAuto, par, q)
@@ -198,29 +202,29 @@ func TestDistinctOrderedInput(t *testing.T) {
 	}
 }
 
-// TestDistinctSetOperations: INTERSECT and EXCEPT keep the left side's
-// order and a recursive UNION its discovery order, as before the set
-// changed: none of them sorts.
+// TestDistinctSetOperations: IN and NOT IN subqueries (the retain and
+// except templates) keep the left side's order, and a recursive UNION ALL
+// (the recursive loop template) its discovery order: none of them sorts.
 func TestDistinctSetOperations(t *testing.T) {
 	e := newDistinctEngine(t)
 	right := map[int64]bool{}
 	for k := 0; k < 3000; k++ {
 		right[distinctVal(k)] = true
 	}
-	var inter, except []int
+	var in, notIn []string
 	for k := 6000; k < distinctRows; k++ {
-		if right[distinctVal(k)] {
-			inter = append(inter, k)
+		if v := fmt.Sprint(distinctVal(k)); right[distinctVal(k)] {
+			in = append(in, v)
 		} else {
-			except = append(except, k)
+			notIn = append(notIn, v)
 		}
 	}
 	for q, want := range map[string]string{
-		"SELECT V FROM P WHERE K >= 6000 INTERSECT SELECT V FROM P WHERE K < 3000": firstOccurrences(inter),
-		"SELECT V FROM P WHERE K >= 6000 EXCEPT SELECT V FROM P WHERE K < 3000":    firstOccurrences(except),
+		"SELECT V FROM P WHERE K >= 6000 AND V IN (SELECT V FROM P WHERE K < 3000)":     strings.Join(in, " "),
+		"SELECT V FROM P WHERE K >= 6000 AND V NOT IN (SELECT V FROM P WHERE K < 3000)": strings.Join(notIn, " "),
 	} {
 		if got := rowsText(mustQuery(t, e, q)); got != want {
-			t.Fatalf("%s: not the left side's first occurrences in order", q)
+			t.Fatalf("%s: not the left side's rows in order", q)
 		}
 	}
 
@@ -237,9 +241,9 @@ func TestDistinctSetOperations(t *testing.T) {
 	for v := 99; v > 50; v-- {
 		want = append(want, fmt.Sprint(v))
 	}
-	rows := mustQuery(t, e, "WITH RECURSIVE R(V) AS (SELECT 50 UNION SELECT E.B FROM R, E WHERE E.A = R.V) SELECT V FROM R")
+	rows := mustQuery(t, e, "WITH RECURSIVE R(V, D) AS (SELECT 50, 1 UNION ALL SELECT E.B, R.D + 1 FROM R, E WHERE E.A = R.V AND R.D < 100) SELECT V FROM R")
 	if got := rowsText(rows); got != strings.Join(want, " ") {
-		t.Fatalf("recursive UNION = %s, want discovery order %s", got, strings.Join(want, " "))
+		t.Fatalf("recursive UNION ALL = %s, want discovery order %s", got, strings.Join(want, " "))
 	}
 }
 

@@ -293,7 +293,7 @@ func countTableRefs(stmt *sql.SelectStmt, weight int, n map[string]int) {
 	var inBody func(body sql.SelectBody, weight int)
 	inBody = func(body sql.SelectBody, weight int) {
 		switch b := body.(type) {
-		case *sql.SetOp:
+		case *sql.UnionAll:
 			inBody(b.Left, weight)
 			inBody(b.Right, weight)
 		case *sql.SimpleSelect:
@@ -301,7 +301,6 @@ func countTableRefs(stmt *sql.SelectStmt, weight int, n map[string]int) {
 				inRef(ref, weight)
 			}
 			walkSubqueries(b.Where, nested)
-			walkSubqueries(b.Having, nested)
 			for _, item := range b.Items {
 				walkSubqueries(item.Expr, nested)
 			}
@@ -320,7 +319,7 @@ func countTableRefs(stmt *sql.SelectStmt, weight int, n map[string]int) {
 		}
 		inBody(s.Body, weight)
 		for _, o := range s.OrderBy {
-			walkSubqueries(o.Expr, nested)
+			walkSubqueries(o, nested)
 		}
 		walkSubqueries(s.Limit, nested)
 		walkSubqueries(s.Offset, nested)

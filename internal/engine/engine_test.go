@@ -298,17 +298,16 @@ func TestCTEAndSetOps(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
 	if got := scalarInt(t, e, `WITH A AS (SELECT N FROM NUMS WHERE N < 10),
-		B AS (SELECT N FROM NUMS WHERE N >= 5 AND N < 15)
-		SELECT COUNT(*) FROM (SELECT N FROM A UNION SELECT N FROM B) U`); got != 15 {
-		t.Fatalf("union = %d", got)
+		B AS (SELECT N FROM NUMS WHERE N >= 5 AND N < 15),
+		U AS (SELECT N FROM A UNION ALL SELECT N FROM B)
+		SELECT COUNT(*) FROM (SELECT DISTINCT N FROM U) D`); got != 15 {
+		t.Fatalf("distinct union all = %d", got)
 	}
-	if got := scalarInt(t, e, `SELECT COUNT(*) FROM (
-		SELECT N FROM NUMS WHERE N < 10 INTERSECT SELECT N FROM NUMS WHERE N >= 5) X`); got != 5 {
-		t.Fatalf("intersect = %d", got)
+	if got := scalarInt(t, e, `SELECT COUNT(*) FROM NUMS WHERE N < 10 AND N IN (SELECT N FROM NUMS WHERE N >= 5)`); got != 5 {
+		t.Fatalf("in subquery = %d", got)
 	}
-	if got := scalarInt(t, e, `SELECT COUNT(*) FROM (
-		SELECT N FROM NUMS WHERE N < 10 EXCEPT SELECT N FROM NUMS WHERE N >= 5) X`); got != 5 {
-		t.Fatalf("except = %d", got)
+	if got := scalarInt(t, e, `SELECT COUNT(*) FROM NUMS WHERE N < 10 AND N NOT IN (SELECT N FROM NUMS WHERE N >= 5)`); got != 5 {
+		t.Fatalf("not in subquery = %d", got)
 	}
 	if got := scalarInt(t, e, `SELECT COUNT(*) FROM (
 		SELECT N FROM NUMS WHERE N < 3 UNION ALL SELECT N FROM NUMS WHERE N < 3) X`); got != 6 {
@@ -320,11 +319,11 @@ func TestRecursiveCTE(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
 	// Transitive closure from vertex 1 over EA (1->2, 1->4, 1->3, 4->2, 4->3).
-	got := scalarInt(t, e, `WITH RECURSIVE R(V) AS (
-		SELECT OUTV FROM EA WHERE INV = 1
-		UNION
-		SELECT E.OUTV FROM R, EA E WHERE E.INV = R.V
-	) SELECT COUNT(*) FROM R`)
+	got := scalarInt(t, e, `WITH RECURSIVE R(V, D) AS (
+		SELECT OUTV, 1 FROM EA WHERE INV = 1
+		UNION ALL
+		SELECT E.OUTV, R.D + 1 FROM R, EA E WHERE E.INV = R.V AND R.D < 5
+	) SELECT COUNT(*) FROM (SELECT DISTINCT V FROM R) X`)
 	if got != 3 {
 		t.Fatalf("closure size = %d, want 3", got)
 	}
@@ -333,7 +332,7 @@ func TestRecursiveCTE(t *testing.T) {
 		SELECT 0, 0
 		UNION ALL
 		SELECT R.V + 1, R.D + 1 FROM R WHERE R.D < 10
-	) SELECT MAX(V) FROM R`)
+	) SELECT V FROM R ORDER BY - V LIMIT 1`)
 	if got != 10 {
 		t.Fatalf("max = %d, want 10", got)
 	}
@@ -343,14 +342,14 @@ func TestRecursiveCTECycleTerminates(t *testing.T) {
 	e := newTestEngine(t)
 	mustTable(t, e, "CYC", intCol("A"), intCol("B"))
 	mustInsert(t, e, "CYC", row(1, 2), row(2, 1))
-	// UNION (dedup) recursion over a cycle terminates.
-	got := scalarInt(t, e, `WITH RECURSIVE R(V) AS (
-		SELECT B FROM CYC WHERE A = 1
-		UNION
-		SELECT C.B FROM R, CYC C WHERE C.A = R.V
+	// Depth-bounded recursion over a cycle (the loop template) terminates.
+	got := scalarInt(t, e, `WITH RECURSIVE R(V, D) AS (
+		SELECT B, 1 FROM CYC WHERE A = 1
+		UNION ALL
+		SELECT C.B, R.D + 1 FROM R, CYC C WHERE C.A = R.V AND R.D < 4
 	) SELECT COUNT(*) FROM R`)
-	if got != 2 {
-		t.Fatalf("cycle closure = %d", got)
+	if got != 4 {
+		t.Fatalf("bounded cycle walk = %d", got)
 	}
 	// UNION ALL recursion over a cycle hits the iteration guard.
 	if _, err := e.Query(`WITH RECURSIVE R(V) AS (
@@ -365,30 +364,27 @@ func TestRecursiveCTECycleTerminates(t *testing.T) {
 func TestAggregates(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
-	r := mustQuery(t, e, "SELECT LABEL, COUNT(*) AS C, SUM(N) AS S, MIN(N) AS MN, MAX(N) AS MX, AVG(N) AS A FROM NUMS GROUP BY LABEL ORDER BY LABEL")
+	r := mustQuery(t, e, "SELECT LABEL, COUNT(*) AS C, LISTAGG(N) AS L FROM NUMS GROUP BY LABEL ORDER BY LABEL")
 	if len(r.Data) != 2 {
 		t.Fatalf("groups = %v", r.Data)
 	}
 	even := r.Data[0]
-	if even[0].Str() != "even" || even[1].Int() != 50 || even[2].Int() != 2450 || even[3].Int() != 0 || even[4].Int() != 98 || even[5].Float() != 49 {
+	if list := even[2].List(); even[0].Str() != "even" || even[1].Int() != 50 || len(list) != 50 || list[0].Int() != 0 || list[49].Int() != 98 {
 		t.Fatalf("even = %v", even)
 	}
-	// Zero-row aggregate.
-	if got := scalarInt(t, e, "SELECT COUNT(*) FROM NUMS WHERE N > 1000"); got != 0 {
-		t.Fatalf("empty count = %d", got)
+	// Zero-row aggregate: one group, a count of 0 and an empty list.
+	r = mustQuery(t, e, "SELECT COUNT(*), LISTAGG(N) FROM NUMS WHERE N > 1000")
+	if len(r.Data) != 1 || r.Data[0][0].Int() != 0 || len(r.Data[0][1].List()) != 0 {
+		t.Fatalf("empty aggregate = %v", r.Data)
 	}
-	r = mustQuery(t, e, "SELECT SUM(N) FROM NUMS WHERE N > 1000")
-	if !r.Data[0][0].IsNull() {
-		t.Fatalf("empty SUM = %v, want NULL", r.Data[0][0])
+	// COUNT(x) and LISTAGG(x) skip NULL (vertex 3 has no age).
+	r = mustQuery(t, e, "SELECT COUNT(JSON_VAL(ATTR, 'age')), LISTAGG(JSON_VAL(ATTR, 'age')) FROM VA")
+	if r.Data[0][0].Int() != 3 || fmt.Sprint(r.Data[0][1].List()) != "[27 29 32]" {
+		t.Fatalf("aggregates over NULL = %v", r.Data)
 	}
-	// HAVING.
-	r = mustQuery(t, e, "SELECT LABEL FROM NUMS GROUP BY LABEL HAVING COUNT(*) > 49 ORDER BY LABEL")
-	if len(r.Data) != 2 {
-		t.Fatalf("having rows = %v", r.Data)
-	}
-	// COUNT(DISTINCT ...).
-	if got := scalarInt(t, e, "SELECT COUNT(DISTINCT LABEL) FROM NUMS"); got != 2 {
-		t.Fatalf("count distinct = %d", got)
+	// Distinct groups counted.
+	if got := scalarInt(t, e, "SELECT COUNT(*) FROM (SELECT DISTINCT LABEL FROM NUMS) D"); got != 2 {
+		t.Fatalf("count of distinct = %d", got)
 	}
 }
 
@@ -399,7 +395,7 @@ func TestDistinctOrderLimit(t *testing.T) {
 	if len(r.Data) != 2 || r.Data[0][0].Str() != "even" {
 		t.Fatalf("distinct = %v", r.Data)
 	}
-	r = mustQuery(t, e, "SELECT N FROM NUMS ORDER BY N DESC LIMIT 3 OFFSET 2")
+	r = mustQuery(t, e, "SELECT N FROM NUMS ORDER BY - N LIMIT 3 OFFSET 2")
 	if len(r.Data) != 3 || r.Data[0][0].Int() != 97 || r.Data[2][0].Int() != 95 {
 		t.Fatalf("limit/offset = %v", r.Data)
 	}
@@ -421,17 +417,6 @@ func TestInSubquery(t *testing.T) {
 	}
 }
 
-func TestScalarSubqueryAndExists(t *testing.T) {
-	e := newTestEngine(t)
-	seedGraph(t, e)
-	if got := scalarInt(t, e, "SELECT (SELECT COUNT(*) FROM EA)"); got != 5 {
-		t.Fatalf("scalar subquery = %d", got)
-	}
-	if got := scalarInt(t, e, "SELECT COUNT(*) FROM VA WHERE EXISTS (SELECT 1 FROM EA WHERE EID = 7)"); got != 4 {
-		t.Fatalf("exists = %d", got)
-	}
-}
-
 func TestPathListOperations(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
@@ -439,10 +424,6 @@ func TestPathListOperations(t *testing.T) {
 	r := mustQuery(t, e, "SELECT (LIST(VID) || VID)[1] FROM VA WHERE VID = 2")
 	if r.Data[0][0].Int() != 2 {
 		t.Fatalf("path append/index = %v", r.Data)
-	}
-	r = mustQuery(t, e, "SELECT CARDINALITY(LIST(1, 2, 3))")
-	if r.Data[0][0].Int() != 3 {
-		t.Fatalf("cardinality = %v", r.Data)
 	}
 	// Negative index counts from the end.
 	r = mustQuery(t, e, "SELECT LIST(10, 20, 30)[-1]")
@@ -462,18 +443,6 @@ func TestUDF(t *testing.T) {
 	}
 	if _, err := e.Query("SELECT NO_SUCH_FN(1)"); err == nil {
 		t.Fatal("unknown function accepted")
-	}
-}
-
-func TestCaseExpr(t *testing.T) {
-	e := newTestEngine(t)
-	seedGraph(t, e)
-	if got := scalarInt(t, e, "SELECT COUNT(*) FROM NUMS WHERE CASE WHEN N < 50 THEN TRUE ELSE FALSE END"); got != 50 {
-		t.Fatalf("case = %d", got)
-	}
-	r := mustQuery(t, e, "SELECT CASE 2 WHEN 1 THEN 'one' WHEN 2 THEN 'two' ELSE 'many' END")
-	if r.Data[0][0].Str() != "two" {
-		t.Fatalf("case operand = %v", r.Data)
 	}
 }
 
@@ -529,11 +498,11 @@ func TestThreeValuedLogic(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	e := newTestEngine(t)
 	bad := []string{
-		"SELECT * FROM MISSING",
+		"SELECT VID FROM MISSING",
 		"SELECT BAD_COL FROM VA",
-		"SELECT V.VID FROM VA",                              // unknown alias
-		"SELECT VID FROM VA WHERE X = 1",                    // unknown column
-		"SELECT VID FROM VA UNION SELECT VID, ATTR FROM VA", // arity
+		"SELECT V.VID FROM VA",                                  // unknown alias
+		"SELECT VID FROM VA WHERE X = 1",                        // unknown column
+		"SELECT VID FROM VA UNION ALL SELECT VID, ATTR FROM VA", // arity
 	}
 	for _, q := range bad {
 		if _, err := e.Query(q); err == nil {

@@ -53,57 +53,18 @@ func addOnce[T comparable](set []T, x T) []T {
 	return append(set, x)
 }
 
+// collectRefs adds the columns e references to r. A subquery is
+// uncorrelated: it reads no column of the outer row.
 func collectRefs(e sql.Expr, r *exprRefs) {
-	switch v := e.(type) {
-	case nil:
-	case *sql.ColumnRef:
-		if v.Table != "" {
-			r.qualified = addOnce(r.qualified, v.Table)
-			r.cols = addOnce(r.cols, colInfo{table: v.Table, name: v.Column})
-		} else {
-			r.bare = addOnce(r.bare, v.Column)
-		}
-	case *sql.Literal, *sql.Param:
-	case *sql.Unary:
-		collectRefs(v.X, r)
-	case *sql.Binary:
-		collectRefs(v.L, r)
-		collectRefs(v.R, r)
-	case *sql.IsNull:
-		collectRefs(v.X, r)
-	case *sql.InList:
-		collectRefs(v.X, r)
-		for _, item := range v.List {
-			collectRefs(item, r)
-		}
-	case *sql.InSubquery:
-		collectRefs(v.X, r)
-	case *sql.Between:
-		collectRefs(v.X, r)
-		collectRefs(v.Lo, r)
-		collectRefs(v.Hi, r)
-	case *sql.FuncCall:
-		for _, a := range v.Args {
-			collectRefs(a, r)
-		}
-	case *sql.Cast:
-		collectRefs(v.X, r)
-	case *sql.Subscript:
-		collectRefs(v.X, r)
-		collectRefs(v.Index, r)
-	case *sql.CaseExpr:
-		if v.Operand != nil {
-			collectRefs(v.Operand, r)
-		}
-		for _, w := range v.Whens {
-			collectRefs(w.Cond, r)
-			collectRefs(w.Result, r)
-		}
-		if v.Else != nil {
-			collectRefs(v.Else, r)
-		}
-	case *sql.Exists, *sql.ScalarSubquery:
-		// Subqueries are uncorrelated in this dialect; no outer refs.
+	v, ok := e.(*sql.ColumnRef)
+	switch {
+	case !ok:
+		sql.Children(e, func(c sql.Expr) { collectRefs(c, r) })
+	case v.Table != "":
+		r.qualified = addOnce(r.qualified, v.Table)
+		r.cols = addOnce(r.cols, colInfo{table: v.Table, name: v.Column})
+	default:
+		r.bare = addOnce(r.bare, v.Column)
 	}
 }
 
@@ -287,7 +248,7 @@ func (e *Engine) distinct(q *queryState, r *relation) (*relation, error) {
 // project appends the select list to in's pipeline.
 func (e *Engine) project(q *queryState, in *relation, items []sql.SelectItem) (*relation, error) {
 	sc := newScope(in.cols)
-	outCols, plan, err := projectionPlan(sc, in.cols, items)
+	outCols, plan, err := projectionPlan(sc, items)
 	if err != nil {
 		return nil, err
 	}
@@ -298,12 +259,12 @@ func (e *Engine) project(q *queryState, in *relation, items []sql.SelectItem) (*
 	}
 	serial := false
 	for _, step := range plan {
-		serial = serial || step.expr != nil && hasSubquery(step.expr)
+		serial = serial || hasSubquery(step.expr)
 	}
 	return in.then(outCols, stageFunc(func(next sink) (sink, error) {
 		s := &projectSink{plan: plan, fns: make([]compiledExpr, len(plan)), out: make([]rel.Value, len(outCols)), next: next}
 		for i, step := range plan {
-			if step.star || step.colPos >= 0 {
+			if step.colPos >= 0 {
 				continue
 			}
 			fn, err := e.compile(q, sc, step.expr)
@@ -319,84 +280,46 @@ func (e *Engine) project(q *queryState, in *relation, items []sql.SelectItem) (*
 // projectSink evaluates the select list against each row.
 type projectSink struct {
 	plan []projStep
-	fns  []compiledExpr // per plan step; nil for stars and plain column references
+	fns  []compiledExpr // per plan step; nil for plain column references
 	out  []rel.Value
 	next sink
 }
 
 func (s *projectSink) push(row []rel.Value) error {
-	n := 0
 	for i, step := range s.plan {
-		if step.star {
-			for _, pos := range step.positions {
-				s.out[n] = row[pos]
-				n++
-			}
-			continue
-		}
 		if step.colPos >= 0 {
-			s.out[n] = row[step.colPos]
-			n++
+			s.out[i] = row[step.colPos]
 			continue
 		}
 		v, err := s.fns[i](row)
 		if err != nil {
 			return err
 		}
-		s.out[n] = v
-		n++
+		s.out[i] = v
 	}
 	return s.next.push(s.out)
 }
 
 // identityProjection reports whether the plan copies every input column
-// once, in order (e.g. SELECT * FROM t, or SELECT VAL FROM t over a
-// single-column input).
+// once, in order (e.g. SELECT VAL FROM t over a single-column input).
 func identityProjection(plan []projStep, inWidth int) bool {
-	next := 0
-	for _, step := range plan {
-		if step.star {
-			for _, pos := range step.positions {
-				if pos != next {
-					return false
-				}
-				next++
-			}
-			continue
-		}
-		if step.colPos != next {
+	for i, step := range plan {
+		if step.colPos != i {
 			return false
 		}
-		next++
 	}
-	return next == inWidth
+	return len(plan) == inWidth
 }
 
 type projStep struct {
-	star      bool
-	positions []int
-	expr      sql.Expr
-	colPos    int // resolved position for plain column refs; -1 otherwise
+	expr   sql.Expr
+	colPos int // resolved position for plain column refs; -1 otherwise
 }
 
-func projectionPlan(sc *scope, inCols []colInfo, items []sql.SelectItem) ([]colInfo, []projStep, error) {
+func projectionPlan(sc *scope, items []sql.SelectItem) ([]colInfo, []projStep, error) {
 	var outCols []colInfo
 	var plan []projStep
 	for i, item := range items {
-		if item.Star {
-			step := projStep{star: true}
-			for pos, c := range inCols {
-				if item.Table == "" || c.table == item.Table {
-					step.positions = append(step.positions, pos)
-					outCols = append(outCols, colInfo{table: c.table, name: c.name})
-				}
-			}
-			if item.Table != "" && len(step.positions) == 0 {
-				return nil, nil, fmt.Errorf("engine: unknown table %s in %s.*", item.Table, item.Table)
-			}
-			plan = append(plan, step)
-			continue
-		}
 		if !resolvableIn(item.Expr, sc) {
 			return nil, nil, fmt.Errorf("engine: unknown column in select item %s", item.Expr.SQL())
 		}
@@ -422,10 +345,10 @@ func projectionPlan(sc *scope, inCols []colInfo, items []sql.SelectItem) ([]colI
 	return outCols, plan, nil
 }
 
-// joinRef folds one FROM item (plus its JOIN chain) into cur. sp is the
-// planner's decision for the primary reference (nil = legacy heuristics);
-// explicit JOIN chains are never reordered and always run legacy. on holds
-// the split ON terms of the item's JOIN clauses.
+// joinRef folds one FROM item (plus its LEFT JOIN chain) into cur. sp is
+// the planner's decision for the primary reference (nil = legacy
+// heuristics); LEFT JOIN chains are never reordered and always run legacy.
+// on holds the split ON terms of the item's JOIN clauses.
 func (e *Engine) joinRef(q *queryState, cur *relation, ref sql.TableRef, conjs []*conjunct, on [][]*conjunct, sp *stepPlan, needs *colNeeds) (*relation, error) {
 	out, err := e.joinOne(q, cur, ref, conjs, "INNER", nil, sp, needs)
 	if err != nil {
@@ -433,25 +356,16 @@ func (e *Engine) joinRef(q *queryState, cur *relation, ref sql.TableRef, conjs [
 	}
 	for i, jc := range ref.Joins {
 		onConjs := on[i]
-		out, err = e.joinOne(q, out, jc.Right, onConjs, jc.Kind, onConjs, nil, needs)
+		out, err = e.joinOne(q, out, jc.Right, onConjs, "LEFT", onConjs, nil, needs)
 		if err != nil {
 			return nil, err
 		}
-		// Any ON conjunct that could not be consumed by the join machinery
-		// is an error for LEFT joins (semantics would change) and a filter
-		// for INNER joins.
-		var rest []*conjunct
+		// An ON conjunct the join machinery could not consume would change
+		// what the outer join keeps.
 		for _, c := range onConjs {
-			if c.applied {
-				continue
-			}
-			if jc.Kind == "LEFT" {
+			if !c.applied {
 				return nil, fmt.Errorf("engine: unsupported LEFT JOIN ON condition %s", c.expr.SQL())
 			}
-			rest = append(rest, c)
-		}
-		if len(rest) > 0 {
-			out = e.where(q, out, newScope(out.cols), rest)
 		}
 	}
 	return out, nil

@@ -58,7 +58,9 @@ func TestAccessPathChoice(t *testing.T) {
 		{"ID >= 0", "full-scan", "index-range", 2000},
 		// A selective range stays an index probe.
 		{"ID >= 1990", "index-range", "index-range", 10},
-		{"ID BETWEEN 10 AND 29", "index-range", "index-range", 20},
+		// interval's two-sided range is two conjuncts: the path bounds the
+		// first, which keeps 99%.
+		{"ID >= 10 AND ID < 30", "full-scan", "index-range", 20},
 		{"ID < 0", "index-range", "index-range", 20},
 		// A range keeping half the table is past the break-even two fifths.
 		{"ID >= 1000", "full-scan", "index-range", 1000},
@@ -124,7 +126,7 @@ func TestAccessPathHashedIndex(t *testing.T) {
 		}{
 			{"SELECT P.VAL FROM OPA P WHERE P.VID >= 0", "full-scan", 2000},
 			{"SELECT P.VAL FROM OPA P WHERE P.VID < 0", "full-scan", 20},
-			{"SELECT P.VAL FROM OPA P WHERE P.VID BETWEEN 10 AND 19", "full-scan", 10},
+			{"SELECT P.VAL FROM OPA P WHERE P.VID >= 10 AND P.VID < 20", "full-scan", 10},
 			{"SELECT P.VAL FROM OPA P WHERE P.VID IS NOT NULL", "full-scan", 2020},
 			{"SELECT P.VAL FROM OPA P WHERE P.VID >= 0 AND P.VID = 5", "index-eq", 1},
 			{"SELECT P.VAL FROM OPA P WHERE P.VID >= 0 AND P.VID IN (1, 2, 3, 5000)", "index-in", 3},
@@ -213,9 +215,9 @@ func newPruneEngine(t *testing.T, seed int64, nLeft, nRight int, indexed bool) *
 
 // TestPrunedEmitEquivalence: a join that emits only the columns the
 // SELECT reads must produce, row for row, the projection of the join that
-// emits everything (SELECT * needs every column, so nothing is pruned) —
-// for INNER and LEFT joins under every strategy and build side, with and
-// without a residual term that reads both inputs.
+// emits everything (a select list naming every column, so nothing is
+// pruned) — for comma (inner) and LEFT joins under every strategy and
+// build side, with and without a residual term that reads both inputs.
 func TestPrunedEmitEquivalence(t *testing.T) {
 	type variant struct {
 		name          string
@@ -233,17 +235,15 @@ func TestPrunedEmitEquivalence(t *testing.T) {
 		{"nested-loop", 50, 70, false, StrategyNestedLoop, StrategyNestedLoop, ""},
 	} {
 		e := newPruneEngine(t, 5, v.nLeft, v.nRight, v.indexed)
-		for _, kind := range []string{"JOIN", "LEFT JOIN"} {
+		const all = "SELECT L.K, L.A, L.P, R.K, R.B, R.Q"
+		for _, join := range []string{" FROM L, R WHERE ", " FROM L LEFT JOIN R ON "} {
 			for _, on := range []string{"L.K = R.K", "L.K = R.K AND L.A < R.B", "L.K = R.K AND L.A + R.B = 9"} {
-				from := fmt.Sprintf(" FROM L %s R ON %s", kind, on)
+				from := join + on
 				for _, par := range []int{1, 4} {
-					full := queryForced(t, e, v.force, par, "SELECT *"+from)
+					full := queryForced(t, e, v.force, par, all+from)
 					j := full.Stats.Joins[0]
 					if j.Strategy != v.strategy || j.BuildSide != v.buildSide {
 						t.Fatalf("%s: ran as %s build=%q, want %s build=%q", v.name, j.Strategy, j.BuildSide, v.strategy, v.buildSide)
-					}
-					if len(full.Columns) != 6 {
-						t.Fatalf("%s: SELECT * has %d columns, want 6", v.name, len(full.Columns))
 					}
 					// Column subsets in and out of input order, none at all,
 					// and an expression over both sides.
@@ -269,7 +269,7 @@ func TestPrunedEmitEquivalence(t *testing.T) {
 							want[i] = sel.pick(row)
 						}
 						if !sameStrings(rowsKeys(pruned), want) {
-							t.Fatalf("%s par=%d: SELECT %s%s differs from the projection of SELECT *\ngot  %v\nwant %v",
+							t.Fatalf("%s par=%d: SELECT %s%s differs from the projection of every column\ngot  %v\nwant %v",
 								v.name, par, sel.items, from, rowsKeys(pruned), want)
 						}
 					}
@@ -286,7 +286,7 @@ func TestPrunedJoinKeepsLaterTermsColumns(t *testing.T) {
 	mustTable(t, e, "M", intCol("B"), strCol("W"))
 	mustInsert(t, e, "M", row(1, "one"), row(3, "three"), row(7, "seven"))
 	pruned := mustQuery(t, e, "SELECT M.W FROM L, R, M WHERE L.K = R.K AND R.B = M.B AND L.A < M.B")
-	full := mustQuery(t, e, "SELECT * FROM L, R, M WHERE L.K = R.K AND R.B = M.B AND L.A < M.B")
+	full := mustQuery(t, e, "SELECT L.K, L.A, L.P, R.K, R.B, R.Q, M.B, M.W FROM L, R, M WHERE L.K = R.K AND R.B = M.B AND L.A < M.B")
 	want := make([]string, len(full.Data))
 	for i, row := range full.Data {
 		want[i] = row[len(row)-1].Key()
@@ -306,7 +306,7 @@ func sortedStrings(in []string) []string {
 }
 
 // TestParallelIndexNLDeterminism: the morsel-parallel index nested-loop
-// join is byte-identical to the serial one — INNER and LEFT, with the
+// join is byte-identical to the serial one — comma and LEFT, with the
 // unmatched outer rows of a LEFT join sitting on morsel boundaries — and
 // engages exactly from parallelMinRows outer rows on.
 func TestParallelIndexNLDeterminism(t *testing.T) {
@@ -326,7 +326,7 @@ func TestParallelIndexNLDeterminism(t *testing.T) {
 	}
 	for _, q := range []string{
 		"SELECT P.VAL FROM O V, ADJ P WHERE P.VID = V.ID AND P.VID >= 0 AND P.LBL = 'l0' AND P.VAL IS NOT NULL",
-		"SELECT V.ID, P.VAL FROM O V JOIN ADJ P ON P.VID = V.ID AND P.VAL + V.G > 1002",
+		"SELECT V.ID, P.VAL FROM O V, ADJ P WHERE P.VID = V.ID AND P.VAL + V.G > 1002",
 		"SELECT V.ID, P.VAL, P.LBL FROM O V LEFT JOIN ADJ P ON V.ID = P.VID",
 		"SELECT COALESCE(P.VAL, V.ID) FROM O V LEFT JOIN ADJ P ON V.ID = P.VID AND P.VAL + V.G > 1002",
 	} {
@@ -365,7 +365,7 @@ func TestSharedCTERowsNotReordered(t *testing.T) {
 	mustTable(t, e, "NUMS", intCol("N"))
 	mustInsert(t, e, "NUMS", row(3), row(1), row(4), row(1), row(5), row(9), row(2), row(6))
 	rows := mustQuery(t, e, `WITH T AS (SELECT N FROM NUMS),
-		TOP AS (SELECT N FROM T ORDER BY N DESC LIMIT 3),
+		TOP AS (SELECT N FROM T ORDER BY - N LIMIT 3),
 		LOW AS (SELECT N FROM T ORDER BY N LIMIT 2 OFFSET 1)
 		SELECT N FROM TOP UNION ALL SELECT N FROM T UNION ALL SELECT N FROM LOW UNION ALL SELECT N FROM T`)
 	var got []string
@@ -387,8 +387,8 @@ func TestHashJoinIntKeysMatchStringKeys(t *testing.T) {
 	mustTable(t, e, "B", floatCol("K"), strCol("Q"))
 	mustInsert(t, e, "A", row(1, "a1"), row(2, "a2"), row(nil, "an"), row(2, "a2b"), row(9, "a9"))
 	mustInsert(t, e, "B", row(2.0, "b2"), row(1.5, "b15"), row(nil, "bn"), row(1.0, "b1"), row(2.0, "b2b"))
-	mixed := queryForced(t, e, StrategyHash, 1, "SELECT A.P, B.Q FROM A JOIN B ON A.K = B.K")
-	ref := queryForced(t, e, StrategyNestedLoop, 1, "SELECT A.P, B.Q FROM A JOIN B ON A.K = B.K")
+	mixed := queryForced(t, e, StrategyHash, 1, "SELECT A.P, B.Q FROM A, B WHERE A.K = B.K")
+	ref := queryForced(t, e, StrategyNestedLoop, 1, "SELECT A.P, B.Q FROM A, B WHERE A.K = B.K")
 	if len(ref.Data) != 5 || !sameStrings(rowsKeys(mixed), rowsKeys(ref)) {
 		t.Fatalf("BIGINT x DOUBLE hash join = %v, nested loop = %v", rowsKeys(mixed), rowsKeys(ref))
 	}

@@ -22,7 +22,7 @@ func newBenchJoinEngine(b *testing.B, n int) *Engine {
 	return e
 }
 
-const benchJoinSQL = "SELECT L.P, R.Q FROM L JOIN R ON L.K = R.K"
+const benchJoinSQL = "SELECT L.P, R.Q FROM L, R WHERE L.K = R.K"
 
 func runJoinBench(b *testing.B, n int, opts ExecOptions, wantStrategy JoinStrategy) {
 	e := newBenchJoinEngine(b, n)
@@ -58,7 +58,7 @@ func BenchmarkEquiJoin10k_NestedLoop(b *testing.B) {
 // The morsel-parallelism pair: same hash join plus a pushed-down scan
 // filter, serial vs all cores. Results are verified byte-identical in
 // TestParallelScanDeterminism / TestJoinStrategyEquivalence.
-const benchParSQL = "SELECT L.P, R.Q FROM L JOIN R ON L.K = R.K WHERE L.K % 3 != 1 AND R.Q != 'r7'"
+const benchParSQL = "SELECT L.P, R.Q FROM L, R WHERE L.K = R.K AND L.K % 3 != 1 AND R.Q != 'r7'"
 
 func runParBench(b *testing.B, par int) {
 	e := newBenchJoinEngine(b, 60_000)

@@ -156,48 +156,10 @@ func hasSubquery(x sql.Expr) bool {
 // walkSubqueries calls fn for every nested SELECT of an expression
 // (without descending into it).
 func walkSubqueries(x sql.Expr, fn func(*sql.SelectStmt)) {
-	switch v := x.(type) {
-	case nil:
-	case *sql.Unary:
-		walkSubqueries(v.X, fn)
-	case *sql.Binary:
-		walkSubqueries(v.L, fn)
-		walkSubqueries(v.R, fn)
-	case *sql.IsNull:
-		walkSubqueries(v.X, fn)
-	case *sql.InList:
-		walkSubqueries(v.X, fn)
-		for _, item := range v.List {
-			walkSubqueries(item, fn)
-		}
-	case *sql.InSubquery:
-		walkSubqueries(v.X, fn)
+	if v, ok := x.(*sql.InSubquery); ok {
 		fn(v.Query)
-	case *sql.Exists:
-		fn(v.Query)
-	case *sql.ScalarSubquery:
-		fn(v.Query)
-	case *sql.Between:
-		walkSubqueries(v.X, fn)
-		walkSubqueries(v.Lo, fn)
-		walkSubqueries(v.Hi, fn)
-	case *sql.FuncCall:
-		for _, a := range v.Args {
-			walkSubqueries(a, fn)
-		}
-	case *sql.Cast:
-		walkSubqueries(v.X, fn)
-	case *sql.Subscript:
-		walkSubqueries(v.X, fn)
-		walkSubqueries(v.Index, fn)
-	case *sql.CaseExpr:
-		walkSubqueries(v.Operand, fn)
-		for _, w := range v.Whens {
-			walkSubqueries(w.Cond, fn)
-			walkSubqueries(w.Result, fn)
-		}
-		walkSubqueries(v.Else, fn)
 	}
+	sql.Children(x, func(c sql.Expr) { walkSubqueries(c, fn) })
 }
 
 // parallelSafeConjuncts reports whether every conjunct can be evaluated

@@ -88,9 +88,9 @@ func TestJoinStrategyEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		e := newJoinEngine(t, seed, 90, 130)
 		for _, q := range []string{
-			"SELECT L.K, L.P, R.Q FROM L JOIN R ON L.K = R.K",
+			"SELECT L.K, L.P, R.Q FROM L, R WHERE L.K = R.K",
 			"SELECT L.K, L.P, R.Q FROM L LEFT JOIN R ON L.K = R.K",
-			"SELECT L.P, R.Q FROM L JOIN R ON L.K = R.K WHERE R.Q <> 'r3'",
+			"SELECT L.P, R.Q FROM L, R WHERE L.K = R.K AND R.Q <> 'r3'",
 		} {
 			ref := queryForced(t, e, StrategyNestedLoop, 1, q)
 			for _, force := range []JoinStrategy{StrategyHash, StrategyAuto} {
@@ -113,7 +113,7 @@ func TestJoinStrategyEquivalence(t *testing.T) {
 func TestJoinStrategyEquivalenceIndexed(t *testing.T) {
 	e := newJoinEngine(t, 7, 80, 120)
 	mustIndex(t, e, "R_K", "R", "K")
-	q := "SELECT L.K, L.P, R.Q FROM L JOIN R ON L.K = R.K"
+	q := "SELECT L.K, L.P, R.Q FROM L, R WHERE L.K = R.K"
 	ref := queryForced(t, e, StrategyNestedLoop, 1, q)
 	auto := queryForced(t, e, StrategyAuto, 1, q)
 	hash := queryForced(t, e, StrategyHash, 4, q)
@@ -132,7 +132,7 @@ func TestJoinStrategyEquivalenceIndexed(t *testing.T) {
 // no usable index on the join key means a hash join, not a nested loop.
 func TestHashJoinChosenForNonIndexedEquiJoin(t *testing.T) {
 	e := newJoinEngine(t, 11, 50, 60)
-	rows := queryForced(t, e, StrategyAuto, 0, "SELECT L.P, R.Q FROM L JOIN R ON L.K = R.K")
+	rows := queryForced(t, e, StrategyAuto, 0, "SELECT L.P, R.Q FROM L, R WHERE L.K = R.K")
 	got := rows.Stats.JoinStrategies()
 	if len(got) != 1 || got[0] != StrategyHash {
 		t.Fatalf("join strategies = %v, want [hash]\nstats:\n%s", got, rows.Stats.String())
@@ -153,7 +153,7 @@ func TestHashJoinNullKeys(t *testing.T) {
 	mustInsert(t, e, "L", row(1, "a"), row(nil, "b"), row(2, "c"))
 	mustInsert(t, e, "R", row(1, "x"), row(nil, "y"))
 	for _, force := range []JoinStrategy{StrategyAuto, StrategyHash, StrategyNestedLoop} {
-		inner := queryForced(t, e, force, 1, "SELECT L.P, R.Q FROM L JOIN R ON L.K = R.K")
+		inner := queryForced(t, e, force, 1, "SELECT L.P, R.Q FROM L, R WHERE L.K = R.K")
 		if want := []string{"\x03a|\x03x"}; !sameStrings(sortedKeys(inner), want) {
 			t.Fatalf("force=%q inner join = %q, want %q", force, sortedKeys(inner), want)
 		}
@@ -191,7 +191,7 @@ func TestLeftJoinEmptyBuildSide(t *testing.T) {
 			}
 		}
 		// Inner join against the empty side yields nothing.
-		inner := queryForced(t, e, force, 2, "SELECT L.P, R.Q FROM L JOIN R ON L.K = R.K")
+		inner := queryForced(t, e, force, 2, "SELECT L.P, R.Q FROM L, R WHERE L.K = R.K")
 		if len(inner.Data) != 0 {
 			t.Fatalf("force=%q inner join vs empty table: %d rows, want 0", force, len(inner.Data))
 		}
@@ -308,7 +308,7 @@ func TestRegisterFuncRace(t *testing.T) {
 // keep them independent.
 func TestConcurrentQueries(t *testing.T) {
 	e := newJoinEngine(t, 23, 200, 200)
-	ref := queryForced(t, e, StrategyAuto, 0, "SELECT L.P, R.Q FROM L JOIN R ON L.K = R.K")
+	ref := queryForced(t, e, StrategyAuto, 0, "SELECT L.P, R.Q FROM L, R WHERE L.K = R.K")
 	want := rowsKeys(ref)
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
@@ -316,7 +316,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				rows, err := e.Query("SELECT L.P, R.Q FROM L JOIN R ON L.K = R.K")
+				rows, err := e.Query("SELECT L.P, R.Q FROM L, R WHERE L.K = R.K")
 				if err != nil {
 					t.Errorf("query: %v", err)
 					return
@@ -338,7 +338,7 @@ func TestConcurrentQueries(t *testing.T) {
 // serially and under morsel parallelism.
 func TestOrderLimitTopK(t *testing.T) {
 	e := newJoinEngine(t, 11, 150, 0)
-	for _, order := range []string{"K", "K DESC", "K, P", "K DESC, P DESC", "P DESC"} {
+	for _, order := range []string{"K", "- K", "K, P", "- K, P", "P"} {
 		for _, cut := range [][2]int{{0, 0}, {0, 1}, {0, 7}, {3, 10}, {140, 20}, {150, 5}, {400, 3}, {0, 150}, {0, 1000}, {10, 0}} {
 			off, lim := cut[0], cut[1]
 			for _, par := range []int{1, 4} {

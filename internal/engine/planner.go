@@ -75,7 +75,7 @@ const (
 	// executor's index preference.
 	strategyHedge = 0.8
 	// maxExhaustiveRels bounds exhaustive join-order enumeration; larger
-	// cores fall back to [syntactic, greedy].
+	// cores keep the syntactic order (no emitted core comes near it).
 	maxExhaustiveRels = 5
 )
 
@@ -138,9 +138,9 @@ type planEdge struct {
 // left-to-right fold untouched — when planning is disabled
 // (ForcePlan < 0, or no statistics attached in auto mode), when the
 // reorderable core has fewer than two relations, or when reordering
-// cannot be proven output-equivalent (star projections pin column
-// order; a bare column name resolvable in two core relations would
-// change which relation absorbs a pushed-down predicate).
+// cannot be proven output-equivalent (a bare column name resolvable in
+// two core relations would change which relation absorbs a pushed-down
+// predicate).
 func (e *Engine) planFrom(q *queryState, sel *sql.SimpleSelect, conjs []*conjunct) *fromPlan {
 	if q.forcePlan < 0 {
 		return nil
@@ -369,11 +369,6 @@ func (e *Engine) planFromFresh(q *queryState, sel *sql.SimpleSelect, conjs []*co
 	if n < 2 {
 		return nil
 	}
-	for _, item := range sel.Items {
-		if item.Star {
-			return nil // star output column order follows FROM order
-		}
-	}
 	rels := make([]*planRel, n)
 	seenAlias := map[string]bool{}
 	for i := 0; i < n; i++ {
@@ -406,7 +401,7 @@ func (e *Engine) planFromFresh(q *queryState, sel *sql.SimpleSelect, conjs []*co
 
 	orders := enumerateOrders(n)
 	if orders == nil {
-		orders = [][]int{identityOrder(n), greedyOrder(q, rels, edges)}
+		orders = [][]int{identityOrder(n)}
 	}
 
 	p := &fromPlan{variants: len(orders)}
@@ -541,8 +536,7 @@ func relColOrd(r *planRel, x sql.Expr) int {
 }
 
 // plannerConstValue evaluates plan-time constants: literals and bound
-// parameters only (scalar subqueries are const-foldable at execution
-// but must not run during planning).
+// parameters only.
 func plannerConstValue(q *queryState, x sql.Expr) (rel.Value, bool) {
 	switch v := x.(type) {
 	case *sql.Literal:
@@ -682,19 +676,6 @@ func (e *Engine) conjSelectivity(q *queryState, r *planRel, x sql.Expr) float64 
 			s = 1
 		}
 		return s
-	case *sql.Between:
-		if v.Not {
-			return r.genericSel()
-		}
-		ord := relColOrd(r, v.X)
-		lo, okLo := plannerConstValue(q, v.Lo)
-		hi, okHi := plannerConstValue(q, v.Hi)
-		if ord >= 0 && okLo && okHi && r.base != nil && prov != nil {
-			if s, ok := prov.SelRange(r.table, ord, &lo, &hi); ok {
-				return s
-			}
-		}
-		return selRangeDefault
 	}
 	return r.genericSel()
 }
@@ -913,46 +894,4 @@ func enumerateOrders(n int) [][]int {
 	}
 	build(nil, identityOrder(n))
 	return out
-}
-
-// greedyOrder starts from the smallest filtered relation and repeatedly
-// appends the connected relation minimizing the running estimate — the
-// fallback for cores too large to enumerate.
-func greedyOrder(q *queryState, rels []*planRel, edges []planEdge) []int {
-	n := len(rels)
-	used := make([]bool, n)
-	order := make([]int, 0, n)
-	best := 0
-	for i := 1; i < n; i++ {
-		if rels[i].filtered < rels[best].filtered {
-			best = i
-		}
-	}
-	order = append(order, best)
-	used[best] = true
-	for len(order) < n {
-		next, nextScore := -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			connected := false
-			for _, ed := range edges {
-				if (used[ed.a] && ed.b == i) || (used[ed.b] && ed.a == i) {
-					connected = true
-					break
-				}
-			}
-			score := rels[i].filtered
-			if !connected {
-				score *= 1e6 // defer cross joins
-			}
-			if score < nextScore {
-				next, nextScore = i, score
-			}
-		}
-		order = append(order, next)
-		used[next] = true
-	}
-	return order
 }

@@ -143,15 +143,6 @@ func TestPlannerDeclinesUnsafeReorders(t *testing.T) {
 	if r.Stats.PlanVariants != 0 {
 		t.Fatalf("reordered despite ambiguous bare column: variants=%d", r.Stats.PlanVariants)
 	}
-
-	// Star projections pin output column order.
-	r, err = e.Query("SELECT * FROM BIG, SMALL WHERE BIG.K = SMALL.K")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.PlanVariants != 0 {
-		t.Fatalf("reordered despite star projection: variants=%d", r.Stats.PlanVariants)
-	}
 }
 
 func TestLegacyAltStrategyReported(t *testing.T) {

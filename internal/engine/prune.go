@@ -11,15 +11,13 @@ import (
 // of the result; joins consult colNeeds and emit only what is read later,
 // instead of the full concatenation.
 //
-// A column is needed while the select list, GROUP BY, HAVING or a lateral
-// VALUES cell names it, or a WHERE/ON term that has not been applied yet
+// A column is needed while the select list, GROUP BY or a lateral VALUES
+// cell names it, or a WHERE/ON term that has not been applied yet
 // does. ORDER BY and LIMIT run on the projected output and need nothing
 // here.
 type colNeeds struct {
-	all     bool            // SELECT *: every column is output
-	tables  map[string]bool // SELECT t.*: every column of t is output
-	fixed   *exprRefs       // select items, GROUP BY, HAVING, lateral VALUES cells
-	pending []*conjunct     // WHERE and ON terms; each is needed until applied
+	fixed   *exprRefs   // select items, GROUP BY, lateral VALUES cells
+	pending []*conjunct // WHERE and ON terms; each is needed until applied
 }
 
 // newColNeeds analyses a SELECT core. refs is its FROM list in execution
@@ -28,22 +26,11 @@ type colNeeds struct {
 func newColNeeds(sel *sql.SimpleSelect, refs []sql.TableRef, where []*conjunct, on [][][]*conjunct) *colNeeds {
 	n := &colNeeds{fixed: &exprRefs{}, pending: where}
 	for _, item := range sel.Items {
-		switch {
-		case item.Star && item.Table == "":
-			n.all = true
-		case item.Star:
-			if n.tables == nil {
-				n.tables = map[string]bool{}
-			}
-			n.tables[item.Table] = true
-		default:
-			collectRefs(item.Expr, n.fixed)
-		}
+		collectRefs(item.Expr, n.fixed)
 	}
 	for _, gx := range sel.GroupBy {
 		collectRefs(gx, n.fixed)
 	}
-	collectRefs(sel.Having, n.fixed)
 	for i, ref := range refs {
 		if ref.TableFn != nil {
 			for _, row := range ref.TableFn.Rows {
@@ -70,7 +57,7 @@ func (n *colNeeds) keep(cols []colInfo, applying ...[]*conjunct) []int {
 	}
 	keep := make([]int, 0, len(cols))
 	for p, c := range cols {
-		needed := n.all || n.tables[c.table]
+		needed := false
 		for i := 0; !needed && i < len(live); i++ {
 			needed = live[i].reads(c)
 		}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"sqlgraph/internal/rel"
@@ -85,29 +84,15 @@ type builtin struct {
 	fn       ScalarFunc
 }
 
-// builtins is the one table of scalar functions; user-defined functions
-// (RegisterFunc) are looked up after it.
+// builtins is the one table of scalar functions: those the translation's
+// templates call. User-defined functions (RegisterFunc) are looked up
+// after it.
 var builtins = map[string]builtin{
 	// JSON_VAL(doc, 'path') extracts a value from a JSON column, NULL when
 	// the path is absent.
 	"JSON_VAL": {2, 2, func(a []rel.Value) (rel.Value, error) {
 		return jsonValPath(a[0], sqljson.CompilePath(valueText(a[1]))), nil
 	}},
-	"LENGTH": {1, 1, length},
-	"LEN":    {1, 1, length},
-	"UPPER":  {1, 1, textFunc(strings.ToUpper)},
-	"LOWER":  {1, 1, textFunc(strings.ToLower)},
-	"ABS": {1, 1, func(a []rel.Value) (rel.Value, error) {
-		switch a[0].Kind() {
-		case rel.KindNull:
-			return rel.Null, nil
-		case rel.KindInt:
-			return rel.NewInt(max(a[0].Int(), -a[0].Int())), nil
-		}
-		return rel.NewFloat(math.Abs(a[0].Float())), nil
-	}},
-	"SUBSTR":    {2, 3, substr},
-	"SUBSTRING": {2, 3, substr},
 	// LIST(a, b, ...) constructs a LIST value (used to seed traversal
 	// paths in the translation).
 	"LIST": {0, -1, func(a []rel.Value) (rel.Value, error) { return rel.NewList(a), nil }},
@@ -116,12 +101,6 @@ var builtins = map[string]builtin{
 	// strings, matching the closure evaluator.
 	"CONTAINS":   {2, 2, stringPred(strings.Contains)},
 	"STARTSWITH": {2, 2, stringPred(strings.HasPrefix)},
-	"CARDINALITY": {1, 1, func(a []rel.Value) (rel.Value, error) {
-		if a[0].Kind() != rel.KindList {
-			return rel.Null, nil
-		}
-		return rel.NewInt(int64(len(a[0].List()))), nil
-	}},
 }
 
 // scalarFunc resolves a function name (upper-cased) called with n
@@ -141,25 +120,6 @@ func (e *Engine) scalarFunc(name string, n int) (ScalarFunc, error) {
 	return nil, fmt.Errorf("engine: unknown function %s", name)
 }
 
-func length(a []rel.Value) (rel.Value, error) {
-	switch a[0].Kind() {
-	case rel.KindNull:
-		return rel.Null, nil
-	case rel.KindList:
-		return rel.NewInt(int64(len(a[0].List()))), nil
-	}
-	return rel.NewInt(int64(len(valueText(a[0])))), nil
-}
-
-func textFunc(f func(string) string) ScalarFunc {
-	return func(a []rel.Value) (rel.Value, error) {
-		if a[0].IsNull() {
-			return rel.Null, nil
-		}
-		return rel.NewString(f(valueText(a[0]))), nil
-	}
-}
-
 func stringPred(f func(s, arg string) bool) ScalarFunc {
 	return func(a []rel.Value) (rel.Value, error) {
 		if a[0].Kind() != rel.KindString || a[1].Kind() != rel.KindString {
@@ -167,22 +127,6 @@ func stringPred(f func(s, arg string) bool) ScalarFunc {
 		}
 		return rel.NewBool(f(a[0].Str(), a[1].Str())), nil
 	}
-}
-
-// substr implements SUBSTR(s, start[, n]); start is 1-based.
-func substr(a []rel.Value) (rel.Value, error) {
-	if a[0].IsNull() {
-		return rel.Null, nil
-	}
-	s := valueText(a[0])
-	start := min(max(int(a[1].Int())-1, 0), len(s))
-	end := len(s)
-	if len(a) == 3 {
-		if n := int(a[2].Int()); start+n < end {
-			end = max(start+n, start)
-		}
-	}
-	return rel.NewString(s[start:end]), nil
 }
 
 // jsonValPath extracts the value at a compiled path from a JSON column,
@@ -277,23 +221,4 @@ func likeRec(s, p string) bool {
 		}
 	}
 	return len(s) == 0
-}
-
-// castValue implements CAST.
-func castValue(v rel.Value, typ string) (rel.Value, error) {
-	if v.IsNull() {
-		return rel.Null, nil
-	}
-	switch strings.ToUpper(typ) {
-	case "BIGINT", "INTEGER", "INT":
-		return rel.NewInt(v.Int()), nil
-	case "DOUBLE", "FLOAT", "DECIMAL":
-		return rel.NewFloat(v.Float()), nil
-	case "VARCHAR", "TEXT", "STRING":
-		return rel.NewString(valueText(v)), nil
-	case "BOOLEAN":
-		return rel.NewBool(v.Truthy()), nil
-	default:
-		return rel.Null, fmt.Errorf("engine: unsupported cast target %s", typ)
-	}
 }

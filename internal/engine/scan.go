@@ -51,7 +51,7 @@ func stripAlias(e sql.Expr, alias string) sql.Expr {
 		for i, a := range v.Args {
 			args[i] = stripAlias(a, alias)
 		}
-		return &sql.FuncCall{Name: v.Name, Args: args, Star: v.Star, Distinct: v.Distinct}
+		return &sql.FuncCall{Name: v.Name, Args: args, Star: v.Star}
 	case *sql.Cast:
 		return &sql.Cast{X: stripAlias(v.X, alias), Type: v.Type}
 	case *sql.Subscript:
@@ -181,20 +181,6 @@ func (e *Engine) chooseAccessPath(q *queryState, t *rel.Table, alias string, con
 					if allConst {
 						inPath = &accessPath{index: ix, kind: accessIn, keys: keys, consumed: c}
 					}
-				}
-			}
-		case *sql.Between:
-			if !v.Not && rangePath == nil && isConstExpr(v.Lo) && isConstExpr(v.Hi) {
-				if ix := matchIndexExpr(t, alias, v.X, q.asOf, true); ix != nil {
-					lo, err := e.constValue(q, v.Lo)
-					if err != nil {
-						return nil, err
-					}
-					hi, err := e.constValue(q, v.Hi)
-					if err != nil {
-						return nil, err
-					}
-					rangePath = &accessPath{index: ix, kind: accessRange, lo: lo, hi: hi, loInc: true, hiInc: true, consumed: c}
 				}
 			}
 		case *sql.IsNull:

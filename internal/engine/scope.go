@@ -3,8 +3,8 @@
 // subset of a mature relational optimizer that the SQLGraph translation
 // relies on: predicate pushdown, index selection (including JSON
 // expression indexes), index-nested-loop and hash joins, CTE
-// materialization, recursive CTEs, lateral VALUES unnesting, set
-// operations, grouping, and ordering.
+// materialization, recursive CTEs, lateral VALUES unnesting, UNION ALL,
+// grouping (COUNT, LISTAGG), and ordering.
 package engine
 
 import (

@@ -205,32 +205,29 @@ type sortRow struct {
 	seq  int
 }
 
-// orderRows sorts r's rows by items and keeps the first keep of them
-// (all when keep is len(r.rows)). Fewer than all are chosen by a bounded
-// heap, so a LIMIT over many rows holds only what it returns.
-func (e *Engine) orderRows(q *queryState, r *relation, items []sql.OrderItem, keep int) error {
+// orderRows sorts r's rows by keys, ascending, and keeps the first keep
+// of them (all when keep is len(r.rows)). Fewer than all are chosen by a
+// bounded heap, so a LIMIT over many rows holds only what it returns.
+func (e *Engine) orderRows(q *queryState, r *relation, keys []sql.Expr, keep int) error {
 	opT := time.Now()
 	sc := newScope(r.cols)
-	keyFns := make([]compiledExpr, len(items))
-	for j, item := range items {
+	keyFns := make([]compiledExpr, len(keys))
+	for j, key := range keys {
 		// Positional ORDER BY (ORDER BY 1).
-		if lit, ok := item.Expr.(*sql.Literal); ok {
+		if lit, ok := key.(*sql.Literal); ok {
 			if pos, isInt := lit.Val.(int64); isInt && pos >= 1 && int(pos) <= len(r.cols) {
 				keyFns[j] = func(row []rel.Value) (rel.Value, error) { return row[pos-1], nil }
 				continue
 			}
 		}
 		var err error
-		if keyFns[j], err = e.compile(q, sc, item.Expr); err != nil {
+		if keyFns[j], err = e.compile(q, sc, key); err != nil {
 			return err
 		}
 	}
 	compare := func(a, b *sortRow) int {
-		for j, item := range items {
+		for j := range keyFns {
 			if c := rel.Compare(a.keys[j], b.keys[j]); c != 0 {
-				if item.Desc {
-					return -c
-				}
 				return c
 			}
 		}
@@ -312,63 +309,30 @@ func siftDown(h []sortRow, i int, compare func(a, b *sortRow) int) {
 	}
 }
 
+// evalBody evaluates a core, or a UNION ALL: its arms' pipelines one
+// after the other, still pending.
 func (e *Engine) evalBody(q *queryState, body sql.SelectBody) (*relation, error) {
-	switch b := body.(type) {
-	case *sql.SimpleSelect:
-		return e.evalSimpleSelect(q, b)
-	case *sql.SetOp:
-		left, err := e.evalBody(q, b.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.evalBody(q, b.Right)
-		if err != nil {
-			return nil, err
-		}
-		return e.combineSetOp(q, b.Op, left, right)
-	default:
-		return nil, fmt.Errorf("engine: unknown select body %T", body)
+	u, ok := body.(*sql.UnionAll)
+	if !ok {
+		return e.evalSimpleSelect(q, body.(*sql.SimpleSelect))
 	}
-}
-
-// combineSetOp applies a set operation. UNION ALL is its arms' pipelines
-// one after the other, still pending, and UNION that run into a DISTINCT
-// terminal; INTERSECT and EXCEPT store both arms.
-func (e *Engine) combineSetOp(q *queryState, op string, left, right *relation) (*relation, error) {
+	left, err := e.evalBody(q, u.Left)
+	if err != nil {
+		return nil, err
+	}
+	right, err := e.evalBody(q, u.Right)
+	if err != nil {
+		return nil, err
+	}
 	if len(left.cols) != len(right.cols) {
-		return nil, fmt.Errorf("engine: set operation arity mismatch: %d vs %d", len(left.cols), len(right.cols))
+		return nil, fmt.Errorf("engine: UNION ALL arity mismatch: %d vs %d", len(left.cols), len(right.cols))
 	}
-	out := &relation{cols: anonymizeCols(left.cols), ordered: left.ordered || right.ordered}
-	switch op {
-	case "UNION ALL":
-		out.src = append(left.pipes(), right.pipes()...)
-		return out, nil
-	case "UNION":
-		out.src = append(left.pipes(), right.pipes()...)
-		return e.distinct(q, out)
-	case "INTERSECT", "EXCEPT":
-		if err := e.materialize(q, left); err != nil {
-			return nil, err
-		}
-		if err := e.materialize(q, right); err != nil {
-			return nil, err
-		}
-		var rightSet, seen deduper
-		for _, row := range right.rowsOf() {
-			rightSet.seen(row)
-		}
-		for _, row := range left.rowsOf() {
-			if rightSet.has(row) == (op == "INTERSECT") && !seen.seen(row) {
-				out.rows = append(out.rows, row)
-			}
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("engine: unknown set operation %s", op)
-	}
+	return &relation{cols: anonymizeCols(left.cols), ordered: left.ordered || right.ordered,
+		src: append(left.pipes(), right.pipes()...)}, nil
 }
 
-// anonymizeCols drops table qualifiers (set-op outputs have no table).
+// anonymizeCols drops table qualifiers (a UNION ALL's outputs have no
+// table).
 func anonymizeCols(cols []colInfo) []colInfo {
 	out := make([]colInfo, len(cols))
 	for i, c := range cols {
@@ -379,21 +343,15 @@ func anonymizeCols(cols []colInfo) []colInfo {
 
 // evalRecursiveCTE evaluates WITH RECURSIVE via semi-naive iteration: the
 // base term seeds the result; the recursive term is re-evaluated against
-// the previous iteration's delta until no new rows appear. The CTE is a
+// the previous iteration's rows until it yields none. The CTE is a
 // breaker — base, delta and total are stored — but each term is a core
-// like any other and runs through the same sinks, UNION's duplicate
-// elimination being the collect terminal's.
+// like any other and runs through the same sinks.
 func (e *Engine) evalRecursiveCTE(q *queryState, cte sql.CTE) (*relation, error) {
-	top, ok := cte.Query.Body.(*sql.SetOp)
-	if !ok || (top.Op != "UNION" && top.Op != "UNION ALL") {
-		return nil, fmt.Errorf("engine: recursive CTE %s must be base UNION [ALL] recursive", cte.Name)
+	top, ok := cte.Query.Body.(*sql.UnionAll)
+	if !ok {
+		return nil, fmt.Errorf("engine: recursive CTE %s must be base UNION ALL recursive", cte.Name)
 	}
-	var seen *deduper
-	if top.Op == "UNION" {
-		seen = &deduper{}
-	}
-	// fresh runs a term and returns the rows it adds to the result, in
-	// the order they first occur: the set is shared by every iteration.
+	// fresh runs a term and returns the rows it adds to the result.
 	ordered := false
 	fresh := func(term sql.SelectBody, arity int) ([][]rel.Value, []colInfo, error) {
 		r, err := e.evalBody(q, term)
@@ -404,7 +362,7 @@ func (e *Engine) evalRecursiveCTE(q *queryState, cte sql.CTE) (*relation, error)
 			return nil, nil, fmt.Errorf("engine: recursive CTE %s arity changed", cte.Name)
 		}
 		ordered = ordered || r.ordered
-		c := newCollect(len(r.cols), seen)
+		c := newCollect(len(r.cols), nil)
 		if err := e.run(q, r, c, -1); err != nil {
 			return nil, nil, err
 		}

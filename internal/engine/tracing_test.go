@@ -20,7 +20,7 @@ func TestOperatorTimingsUnderParallelism(t *testing.T) {
 	e.SetExecOptions(ExecOptions{Parallelism: 4, ForceJoin: StrategyHash})
 
 	t0 := time.Now()
-	rows, err := e.Query("SELECT DISTINCT L.K, COUNT(*) AS N FROM L, R WHERE L.K = R.K GROUP BY L.K ORDER BY N DESC")
+	rows, err := e.Query("SELECT DISTINCT L.K, COUNT(*) AS N FROM L, R WHERE L.K = R.K GROUP BY L.K ORDER BY - N")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,13 @@ type Expr interface {
 
 // --- Statements ---
 
-// SelectStmt is a full query: an optional WITH clause wrapping a set-
-// operation tree of simple selects, plus ORDER BY / LIMIT.
+// SelectStmt is a full query: an optional WITH clause wrapping a
+// UNION ALL tree of simple selects, plus ORDER BY (ascending keys) and
+// LIMIT / OFFSET.
 type SelectStmt struct {
 	With    []CTE
 	Body    SelectBody
-	OrderBy []OrderItem
+	OrderBy []Expr
 	Limit   Expr // nil when absent
 	Offset  Expr // nil when absent
 }
@@ -38,47 +39,36 @@ type CTE struct {
 	Recursive bool
 }
 
-// SelectBody is a simple SELECT or a set operation over two bodies.
+// SelectBody is a simple SELECT or UNION ALL of two bodies.
 type SelectBody interface{ body() }
 
-// SetOp combines two select bodies.
-type SetOp struct {
-	Op    string // "UNION", "UNION ALL", "INTERSECT", "EXCEPT"
+// UnionAll is Left UNION ALL Right.
+type UnionAll struct {
 	Left  SelectBody
 	Right SelectBody
 }
 
-func (*SetOp) body() {}
+func (*UnionAll) body() {}
 
-// SimpleSelect is one SELECT ... FROM ... WHERE ... GROUP BY ... HAVING.
+// SimpleSelect is one SELECT ... FROM ... WHERE ... GROUP BY.
 type SimpleSelect struct {
 	Distinct bool
 	Items    []SelectItem
 	From     []TableRef
 	Where    Expr
 	GroupBy  []Expr
-	Having   Expr
 }
 
 func (*SimpleSelect) body() {}
 
-// SelectItem is one output column. Star selects all columns of Table (or
-// of every FROM table when Table is empty).
+// SelectItem is one output column.
 type SelectItem struct {
 	Expr  Expr
 	Alias string
-	Star  bool
-	Table string // for "t.*"
-}
-
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	Expr Expr
-	Desc bool
 }
 
 // TableRef is a named table, a derived table, or a lateral VALUES
-// unnesting, optionally chained with JOIN clauses.
+// unnesting, optionally chained with LEFT OUTER JOIN clauses.
 type TableRef struct {
 	// Exactly one of Table, Subquery, TableFn is set.
 	Table    string
@@ -96,9 +86,8 @@ type TableFunc struct {
 	Columns []string // declared output column names
 }
 
-// JoinClause is one JOIN attached to a TableRef.
+// JoinClause is one LEFT OUTER JOIN attached to a TableRef.
 type JoinClause struct {
-	Kind  string // "INNER", "LEFT"
 	Right TableRef
 	On    Expr
 }
@@ -229,48 +218,11 @@ func (i *InSubquery) SQL() string {
 	return i.X.SQL() + op
 }
 
-// Exists is EXISTS (SELECT ...).
-type Exists struct {
-	Query *SelectStmt
-	Not   bool
-}
-
-func (*Exists) expr() {}
-func (e *Exists) SQL() string {
-	if e.Not {
-		return "NOT EXISTS (<subquery>)"
-	}
-	return "EXISTS (<subquery>)"
-}
-
-// ScalarSubquery is (SELECT single-value).
-type ScalarSubquery struct{ Query *SelectStmt }
-
-func (*ScalarSubquery) expr()         {}
-func (s *ScalarSubquery) SQL() string { return "(<subquery>)" }
-
-// Between is x [NOT] BETWEEN lo AND hi.
-type Between struct {
-	X, Lo, Hi Expr
-	Not       bool
-}
-
-func (*Between) expr() {}
-func (b *Between) SQL() string {
-	op := " BETWEEN "
-	if b.Not {
-		op = " NOT BETWEEN "
-	}
-	return b.X.SQL() + op + b.Lo.SQL() + " AND " + b.Hi.SQL()
-}
-
-// FuncCall is a scalar or aggregate function call. Star marks COUNT(*);
-// Distinct marks COUNT(DISTINCT x).
+// FuncCall is a scalar or aggregate function call. Star marks COUNT(*).
 type FuncCall struct {
-	Name     string
-	Args     []Expr
-	Star     bool
-	Distinct bool
+	Name string
+	Args []Expr
+	Star bool
 }
 
 func (*FuncCall) expr() {}
@@ -286,21 +238,17 @@ func (f *FuncCall) SQL() string {
 	for i, a := range f.Args {
 		parts[i] = a.SQL()
 	}
-	inner := strings.Join(parts, ", ")
-	if f.Distinct {
-		inner = "DISTINCT " + inner
-	}
-	return name + "(" + inner + ")"
+	return name + "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Cast is CAST(x AS TYPE).
+// Cast is CAST(x AS BIGINT) or CAST(x AS DOUBLE).
 type Cast struct {
 	X    Expr
-	Type string
+	Type string // "BIGINT" or "DOUBLE"
 }
 
 func (*Cast) expr()         {}
-func (c *Cast) SQL() string { return "CAST(" + c.X.SQL() + " AS " + ident(c.Type) + ")" }
+func (c *Cast) SQL() string { return "CAST(" + c.X.SQL() + " AS " + c.Type + ")" }
 
 // Subscript is x[i], indexing a LIST value (traversal paths).
 type Subscript struct {
@@ -310,34 +258,34 @@ type Subscript struct {
 func (*Subscript) expr()         {}
 func (s *Subscript) SQL() string { return s.X.SQL() + "[" + s.Index.SQL() + "]" }
 
-// CaseExpr is CASE [operand] WHEN ... THEN ... [ELSE ...] END.
-type CaseExpr struct {
-	Operand Expr // nil for searched CASE
-	Whens   []WhenClause
-	Else    Expr
-}
-
-// WhenClause is one WHEN cond THEN result arm.
-type WhenClause struct {
-	Cond   Expr
-	Result Expr
-}
-
-func (*CaseExpr) expr() {}
-func (c *CaseExpr) SQL() string {
-	var sb strings.Builder
-	sb.WriteString("CASE")
-	if c.Operand != nil {
-		sb.WriteString(" " + c.Operand.SQL())
+// Children calls fn on each expression x holds directly, left to right.
+// A subquery is not an expression: InSubquery's X is its one child.
+func Children(x Expr, fn func(Expr)) {
+	switch v := x.(type) {
+	case *Unary:
+		fn(v.X)
+	case *Binary:
+		fn(v.L)
+		fn(v.R)
+	case *IsNull:
+		fn(v.X)
+	case *InList:
+		fn(v.X)
+		for _, item := range v.List {
+			fn(item)
+		}
+	case *InSubquery:
+		fn(v.X)
+	case *FuncCall:
+		for _, a := range v.Args {
+			fn(a)
+		}
+	case *Cast:
+		fn(v.X)
+	case *Subscript:
+		fn(v.X)
+		fn(v.Index)
 	}
-	for _, w := range c.Whens {
-		sb.WriteString(" WHEN " + w.Cond.SQL() + " THEN " + w.Result.SQL())
-	}
-	if c.Else != nil {
-		sb.WriteString(" ELSE " + c.Else.SQL())
-	}
-	sb.WriteString(" END")
-	return sb.String()
 }
 
 func toString(v any) string {

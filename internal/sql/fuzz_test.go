@@ -38,20 +38,21 @@ func FuzzParseExpr(f *testing.F) {
 		"a + b * c - d / e % f",
 		"x NOT LIKE 'a%'",
 		"x NOT IN (1, 2, 3)",
-		"x NOT BETWEEN 1 AND 10",
 		"NOT (a = b) OR c <> d",
 		"COALESCE(a, b, c)",
-		"COUNT(DISTINCT x)",
 		"CAST(x AS BIGINT)",
 		"(a || b)",
-		"CASE WHEN a = 1 THEN 'x' ELSE 'y' END",
-		"CASE a WHEN 1 THEN 'x' WHEN 2 THEN 'y' END",
 		"-5",
 		"-x",
 		"- 2.5",
 		"1e21 + .5",
 		"NULL IS NULL",
 		"x IN (SELECT v FROM t)",
+		// Forms outside the closed dialect: refused.
+		"x NOT BETWEEN 1 AND 10",
+		"COUNT(DISTINCT x)",
+		"CASE WHEN a = 1 THEN 'x' ELSE 'y' END",
+		"CASE a WHEN 1 THEN 'x' WHEN 2 THEN 'y' END",
 		"EXISTS (SELECT 1 FROM t)",
 		// Near-misses.
 		"",
@@ -64,7 +65,7 @@ func FuzzParseExpr(f *testing.F) {
 		`""`,       // an empty quoted name rendered bare
 		`"t".a`,    // a lower-case quoted name rendered bare
 		`"SELECT"`, // a keyword as a quoted name
-		`"f"(1) + CAST(x AS "big int")`,
+		`"f"(1) + CAST(x AS "DOUBLE")`,
 		"-0.", // a float rendered as an integer
 	}
 	for _, s := range seeds {

@@ -1,8 +1,12 @@
 // Package sql implements the SQL front-end of the relational substrate:
-// a lexer, an abstract syntax tree, and a recursive-descent parser for the
-// dialect the Gremlin translator emits (CTEs, joins, lateral TABLE(VALUES)
-// unnesting, JSON_VAL and set operations). It parses queries only:
-// writes are the relational layer's transactions.
+// a lexer, an abstract syntax tree, and a recursive-descent parser for a
+// closed dialect — the SQL the Gremlin translator's Table-8 templates,
+// View.VerticesByAttr and the figure code emit (CTE chains, UNION ALL,
+// comma joins, LEFT OUTER JOIN, lateral TABLE(VALUES) unnesting, a
+// recursive CTE, IN/NOT IN subqueries, JSON_VAL). Anything else is a
+// parse error, never another query; DESIGN.md §23 lists the grammar and
+// the emitter each construct serves. It parses queries only: writes are
+// the relational layer's transactions.
 package sql
 
 import (
@@ -45,15 +49,12 @@ func (t Token) String() string {
 
 var keywords = map[string]bool{
 	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true,
-	"GROUP": true, "BY": true, "HAVING": true, "ORDER": true, "ASC": true,
-	"DESC": true, "LIMIT": true, "OFFSET": true, "UNION": true, "ALL": true,
-	"INTERSECT": true, "EXCEPT": true, "WITH": true, "RECURSIVE": true,
-	"AS": true, "JOIN": true, "LEFT": true, "RIGHT": true, "INNER": true,
-	"OUTER": true, "ON": true, "AND": true, "OR": true, "NOT": true,
-	"IN": true, "IS": true, "NULL": true, "LIKE": true, "BETWEEN": true,
-	"TRUE": true, "FALSE": true, "CASE": true, "WHEN": true, "THEN": true,
-	"ELSE": true, "END": true, "CAST": true, "EXISTS": true,
-	"VALUES": true, "TABLE": true, "TABLES": true, "COUNT": true,
+	"GROUP": true, "BY": true, "ORDER": true, "LIMIT": true, "OFFSET": true,
+	"UNION": true, "ALL": true, "WITH": true, "RECURSIVE": true, "AS": true,
+	"JOIN": true, "LEFT": true, "OUTER": true, "ON": true, "AND": true,
+	"OR": true, "NOT": true, "IN": true, "IS": true, "NULL": true,
+	"LIKE": true, "TRUE": true, "FALSE": true, "CAST": true, "VALUES": true,
+	"TABLE": true, "COUNT": true,
 }
 
 // Lex tokenizes a SQL string.

@@ -97,7 +97,7 @@ func (p *parser) expectIdent() (string, error) {
 	return "", p.errorf("expected identifier, found %s", t)
 }
 
-// parseSelect parses WITH? set-op-tree ORDER BY? LIMIT? OFFSET?.
+// parseSelect parses WITH? union-all-tree ORDER BY? LIMIT? OFFSET?.
 func (p *parser) parseSelect() (*SelectStmt, error) {
 	stmt := &SelectStmt{}
 	if p.acceptKeyword("WITH") {
@@ -113,30 +113,14 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			}
 		}
 	}
-	body, err := p.parseSetOps()
+	body, err := p.parseUnionAll()
 	if err != nil {
 		return nil, err
 	}
 	stmt.Body = body
 	if p.acceptKeyword("ORDER") {
-		if _, err := p.expect(TokKeyword, "BY"); err != nil {
+		if stmt.OrderBy, err = p.parseByList(); err != nil {
 			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Expr: e}
-			if p.acceptKeyword("DESC") {
-				item.Desc = true
-			} else {
-				p.acceptKeyword("ASC")
-			}
-			stmt.OrderBy = append(stmt.OrderBy, item)
-			if !p.accept(TokSymbol, ",") {
-				break
-			}
 		}
 	}
 	if p.acceptKeyword("LIMIT") {
@@ -194,39 +178,47 @@ func (p *parser) parseCTE(recursive bool) (CTE, error) {
 	return cte, nil
 }
 
-// parseSetOps parses a left-associative chain of UNION/INTERSECT/EXCEPT.
-func (p *parser) parseSetOps() (SelectBody, error) {
+// parseByList parses BY e1, e2, ... (of GROUP BY and ORDER BY).
+func (p *parser) parseByList() ([]Expr, error) {
+	if _, err := p.expect(TokKeyword, "BY"); err != nil {
+		return nil, err
+	}
+	var list []Expr
+	for {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		list = append(list, e)
+		if !p.accept(TokSymbol, ",") {
+			return list, nil
+		}
+	}
+}
+
+// parseUnionAll parses a left-associative chain of UNION ALL.
+func (p *parser) parseUnionAll() (SelectBody, error) {
 	left, err := p.parseSelectCore()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		var op string
-		switch {
-		case p.acceptKeyword("UNION"):
-			op = "UNION"
-			if p.acceptKeyword("ALL") {
-				op = "UNION ALL"
-			}
-		case p.acceptKeyword("INTERSECT"):
-			op = "INTERSECT"
-		case p.acceptKeyword("EXCEPT"):
-			op = "EXCEPT"
-		default:
-			return left, nil
+	for p.acceptKeyword("UNION") {
+		if _, err := p.expect(TokKeyword, "ALL"); err != nil {
+			return nil, err
 		}
 		right, err := p.parseSelectCore()
 		if err != nil {
 			return nil, err
 		}
-		left = &SetOp{Op: op, Left: left, Right: right}
+		left = &UnionAll{Left: left, Right: right}
 	}
+	return left, nil
 }
 
-// parseSelectCore parses one SELECT ... or a parenthesized set-op tree.
+// parseSelectCore parses one SELECT ... or a parenthesized UNION ALL tree.
 func (p *parser) parseSelectCore() (SelectBody, error) {
 	if p.accept(TokSymbol, "(") {
-		body, err := p.parseSetOps()
+		body, err := p.parseUnionAll()
 		if err != nil {
 			return nil, err
 		}
@@ -270,43 +262,15 @@ func (p *parser) parseSelectCore() (SelectBody, error) {
 		sel.Where = e
 	}
 	if p.acceptKeyword("GROUP") {
-		if _, err := p.expect(TokKeyword, "BY"); err != nil {
+		var err error
+		if sel.GroupBy, err = p.parseByList(); err != nil {
 			return nil, err
 		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			sel.GroupBy = append(sel.GroupBy, e)
-			if !p.accept(TokSymbol, ",") {
-				break
-			}
-		}
-	}
-	if p.acceptKeyword("HAVING") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Having = e
 	}
 	return sel, nil
 }
 
 func (p *parser) parseSelectItem() (SelectItem, error) {
-	if p.accept(TokSymbol, "*") {
-		return SelectItem{Star: true}, nil
-	}
-	// t.* form.
-	if p.peek().Kind == TokIdent && p.pos+2 < len(p.toks) &&
-		p.toks[p.pos+1].Kind == TokSymbol && p.toks[p.pos+1].Text == "." &&
-		p.toks[p.pos+2].Kind == TokSymbol && p.toks[p.pos+2].Text == "*" {
-		tbl := p.next().Text
-		p.next() // .
-		p.next() // *
-		return SelectItem{Star: true, Table: tbl}, nil
-	}
 	e, err := p.parseExpr()
 	if err != nil {
 		return SelectItem{}, err
@@ -329,24 +293,10 @@ func (p *parser) parseTableRef() (TableRef, error) {
 	if err != nil {
 		return TableRef{}, err
 	}
-	for {
-		var kind string
-		switch {
-		case p.acceptKeyword("LEFT"):
-			p.acceptKeyword("OUTER")
-			if _, err := p.expect(TokKeyword, "JOIN"); err != nil {
-				return TableRef{}, err
-			}
-			kind = "LEFT"
-		case p.acceptKeyword("INNER"):
-			if _, err := p.expect(TokKeyword, "JOIN"); err != nil {
-				return TableRef{}, err
-			}
-			kind = "INNER"
-		case p.acceptKeyword("JOIN"):
-			kind = "INNER"
-		default:
-			return ref, nil
+	for p.acceptKeyword("LEFT") {
+		p.acceptKeyword("OUTER")
+		if _, err := p.expect(TokKeyword, "JOIN"); err != nil {
+			return TableRef{}, err
 		}
 		right, err := p.parseTablePrimary()
 		if err != nil {
@@ -359,17 +309,16 @@ func (p *parser) parseTableRef() (TableRef, error) {
 		if err != nil {
 			return TableRef{}, err
 		}
-		ref.Joins = append(ref.Joins, JoinClause{Kind: kind, Right: right, On: on})
+		ref.Joins = append(ref.Joins, JoinClause{Right: right, On: on})
 	}
+	return ref, nil
 }
 
 func (p *parser) parseTablePrimary() (TableRef, error) {
 	var ref TableRef
 	switch {
-	case p.at(TokKeyword, "TABLE") || p.at(TokKeyword, "TABLES"):
-		// TABLE(VALUES (e1),(e2),...) AS t(col,...) — also accept the
-		// TABLES spelling that appears in the paper's listings.
-		p.next()
+	case p.acceptKeyword("TABLE"):
+		// TABLE(VALUES (e1),(e2),...) AS t(col,...)
 		if _, err := p.expect(TokSymbol, "("); err != nil {
 			return ref, err
 		}
@@ -516,7 +465,7 @@ func (p *parser) parseComparison() (Expr, error) {
 	}
 	notIn := false
 	if p.at(TokKeyword, "NOT") && p.pos+1 < len(p.toks) &&
-		(p.toks[p.pos+1].Text == "IN" || p.toks[p.pos+1].Text == "LIKE" || p.toks[p.pos+1].Text == "BETWEEN") {
+		(p.toks[p.pos+1].Text == "IN" || p.toks[p.pos+1].Text == "LIKE") {
 		p.next()
 		notIn = true
 	}
@@ -560,19 +509,6 @@ func (p *parser) parseComparison() (Expr, error) {
 			e = &Unary{Op: "NOT", X: e}
 		}
 		return e, nil
-	case p.acceptKeyword("BETWEEN"):
-		lo, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokKeyword, "AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return &Between{X: left, Lo: lo, Hi: hi, Not: notIn}, nil
 	}
 	for _, op := range []string{"=", "<>", "!=", "<=", ">=", "<", ">"} {
 		if p.accept(TokSymbol, op) {
@@ -715,8 +651,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &Literal{Val: true}, nil
 	case p.acceptKeyword("FALSE"):
 		return &Literal{Val: false}, nil
-	case p.acceptKeyword("CASE"):
-		return p.parseCase()
 	case p.acceptKeyword("CAST"):
 		if _, err := p.expect(TokSymbol, "("); err != nil {
 			return nil, err
@@ -728,26 +662,15 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if _, err := p.expect(TokKeyword, "AS"); err != nil {
 			return nil, err
 		}
-		typ, err := p.expectIdent()
-		if err != nil {
-			return nil, err
+		typ := p.peek()
+		if typ.Kind != TokIdent || typ.Text != "BIGINT" && typ.Text != "DOUBLE" {
+			return nil, p.errorf("expected BIGINT or DOUBLE, found %s", typ)
 		}
+		p.next()
 		if _, err := p.expect(TokSymbol, ")"); err != nil {
 			return nil, err
 		}
-		return &Cast{X: x, Type: typ}, nil
-	case p.acceptKeyword("EXISTS"):
-		if _, err := p.expect(TokSymbol, "("); err != nil {
-			return nil, err
-		}
-		q, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokSymbol, ")"); err != nil {
-			return nil, err
-		}
-		return &Exists{Query: q}, nil
+		return &Cast{X: x, Type: typ.Text}, nil
 	case p.acceptKeyword("COUNT"):
 		// COUNT is a keyword so COUNT(*) parses cleanly.
 		if _, err := p.expect(TokSymbol, "("); err != nil {
@@ -759,7 +682,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 			}
 			return &FuncCall{Name: "COUNT", Star: true}, nil
 		}
-		distinct := p.acceptKeyword("DISTINCT")
 		arg, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -767,18 +689,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if _, err := p.expect(TokSymbol, ")"); err != nil {
 			return nil, err
 		}
-		return &FuncCall{Name: "COUNT", Args: []Expr{arg}, Distinct: distinct}, nil
+		return &FuncCall{Name: "COUNT", Args: []Expr{arg}}, nil
 	case p.accept(TokSymbol, "("):
-		if p.at(TokKeyword, "SELECT") || p.at(TokKeyword, "WITH") {
-			q, err := p.parseSelect()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokSymbol, ")"); err != nil {
-				return nil, err
-			}
-			return &ScalarSubquery{Query: q}, nil
-		}
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -792,7 +704,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 		// Function call?
 		if p.accept(TokSymbol, "(") {
 			fc := &FuncCall{Name: t.Text}
-			fc.Distinct = p.acceptKeyword("DISTINCT")
 			if !p.accept(TokSymbol, ")") {
 				for {
 					arg, err := p.parseExpr()
@@ -822,43 +733,4 @@ func (p *parser) parsePrimary() (Expr, error) {
 	default:
 		return nil, p.errorf("expected expression, found %s", t)
 	}
-}
-
-func (p *parser) parseCase() (Expr, error) {
-	c := &CaseExpr{}
-	if !p.at(TokKeyword, "WHEN") {
-		op, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Operand = op
-	}
-	for p.acceptKeyword("WHEN") {
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokKeyword, "THEN"); err != nil {
-			return nil, err
-		}
-		res, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Whens = append(c.Whens, WhenClause{Cond: cond, Result: res})
-	}
-	if len(c.Whens) == 0 {
-		return nil, p.errorf("CASE requires at least one WHEN")
-	}
-	if p.acceptKeyword("ELSE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Else = e
-	}
-	if _, err := p.expect(TokKeyword, "END"); err != nil {
-		return nil, err
-	}
-	return c, nil
 }

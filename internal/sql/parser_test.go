@@ -59,7 +59,7 @@ func TestLexErrors(t *testing.T) {
 }
 
 func TestParseSimpleSelect(t *testing.T) {
-	sel := mustSelect(t, "SELECT a, b AS bee, t.* FROM t1, t2 AS u WHERE a = 1 AND b <> 'x'")
+	sel := mustSelect(t, "SELECT a, b AS bee, t.c FROM t1, t2 AS u WHERE a = 1 AND b <> 'x'")
 	body := sel.Body.(*SimpleSelect)
 	if len(body.Items) != 3 {
 		t.Fatalf("items = %d", len(body.Items))
@@ -67,8 +67,8 @@ func TestParseSimpleSelect(t *testing.T) {
 	if body.Items[1].Alias != "BEE" {
 		t.Fatalf("alias = %q", body.Items[1].Alias)
 	}
-	if !body.Items[2].Star || body.Items[2].Table != "T" {
-		t.Fatalf("t.* item = %+v", body.Items[2])
+	if c, ok := body.Items[2].Expr.(*ColumnRef); !ok || c.Table != "T" || c.Column != "C" {
+		t.Fatalf("t.c item = %+v", body.Items[2])
 	}
 	if len(body.From) != 2 || body.From[1].Alias != "U" {
 		t.Fatalf("from = %+v", body.From)
@@ -78,21 +78,13 @@ func TestParseSimpleSelect(t *testing.T) {
 	}
 }
 
-func TestParseSelectStar(t *testing.T) {
-	sel := mustSelect(t, "SELECT * FROM t")
-	body := sel.Body.(*SimpleSelect)
-	if len(body.Items) != 1 || !body.Items[0].Star {
-		t.Fatalf("items = %+v", body.Items)
-	}
-}
-
 func TestParseDistinctCountLimit(t *testing.T) {
-	sel := mustSelect(t, "SELECT DISTINCT val FROM t ORDER BY val DESC LIMIT 10 OFFSET 5")
+	sel := mustSelect(t, "SELECT DISTINCT val FROM t ORDER BY okey, val LIMIT 10 OFFSET 5")
 	body := sel.Body.(*SimpleSelect)
 	if !body.Distinct {
 		t.Fatal("distinct not parsed")
 	}
-	if len(sel.OrderBy) != 1 || !sel.OrderBy[0].Desc {
+	if len(sel.OrderBy) != 2 || sel.OrderBy[1].SQL() != "VAL" {
 		t.Fatalf("order by = %+v", sel.OrderBy)
 	}
 	if sel.Limit == nil || sel.Offset == nil {
@@ -104,27 +96,23 @@ func TestParseDistinctCountLimit(t *testing.T) {
 	if fc.Name != "COUNT" || !fc.Star {
 		t.Fatalf("count = %+v", fc)
 	}
-	sel = mustSelect(t, "SELECT COUNT(DISTINCT x) FROM t")
+	sel = mustSelect(t, "SELECT COUNT(x) FROM t")
 	fc = sel.Body.(*SimpleSelect).Items[0].Expr.(*FuncCall)
-	if !fc.Distinct || len(fc.Args) != 1 {
-		t.Fatalf("count distinct = %+v", fc)
+	if fc.Star || len(fc.Args) != 1 {
+		t.Fatalf("count(x) = %+v", fc)
 	}
 }
 
 func TestParseJoins(t *testing.T) {
-	sel := mustSelect(t, "SELECT * FROM a LEFT OUTER JOIN b ON a.x = b.y INNER JOIN c ON b.z = c.w")
+	// OUTER is optional; every JOIN is a LEFT OUTER JOIN.
+	sel := mustSelect(t, "SELECT a.x FROM a LEFT OUTER JOIN b ON a.x = b.y LEFT JOIN c ON b.z = c.w")
 	body := sel.Body.(*SimpleSelect)
 	if len(body.From) != 1 {
 		t.Fatalf("from = %d refs", len(body.From))
 	}
 	joins := body.From[0].Joins
-	if len(joins) != 2 || joins[0].Kind != "LEFT" || joins[1].Kind != "INNER" {
+	if len(joins) != 2 || joins[0].Right.Table != "B" || joins[1].On.SQL() != "(B.Z = C.W)" {
 		t.Fatalf("joins = %+v", joins)
-	}
-	// Bare JOIN means INNER.
-	sel = mustSelect(t, "SELECT * FROM a JOIN b ON a.x = b.y")
-	if sel.Body.(*SimpleSelect).From[0].Joins[0].Kind != "INNER" {
-		t.Fatal("bare JOIN should be INNER")
 	}
 }
 
@@ -147,8 +135,8 @@ func TestParseRecursiveCTE(t *testing.T) {
 	if len(sel.With) != 1 || !sel.With[0].Recursive {
 		t.Fatalf("recursive cte = %+v", sel.With)
 	}
-	if _, ok := sel.With[0].Query.Body.(*SetOp); !ok {
-		t.Fatal("recursive body should be a set op")
+	if _, ok := sel.With[0].Query.Body.(*UnionAll); !ok {
+		t.Fatal("recursive body should be a UNION ALL")
 	}
 }
 
@@ -162,30 +150,20 @@ func TestParseTableFunc(t *testing.T) {
 	if fn == nil || len(fn.Rows) != 3 || fn.Columns[0] != "VAL" {
 		t.Fatalf("tablefn = %+v", fn)
 	}
-	// TABLES spelling from the paper listings.
-	sel = mustSelect(t, `SELECT t.val FROM opa p, TABLES(VALUES(p.val0)) AS t(val)`)
-	if sel.Body.(*SimpleSelect).From[1].TableFn == nil {
-		t.Fatal("TABLES spelling rejected")
-	}
 }
 
 func TestParseSetOps(t *testing.T) {
-	sel := mustSelect(t, "SELECT a FROM x UNION ALL SELECT b FROM y UNION SELECT c FROM z")
-	top, ok := sel.Body.(*SetOp)
-	if !ok || top.Op != "UNION" {
+	// UNION ALL associates to the left.
+	sel := mustSelect(t, "SELECT a FROM x UNION ALL SELECT b FROM y UNION ALL SELECT c FROM z")
+	top, ok := sel.Body.(*UnionAll)
+	if !ok {
 		t.Fatalf("top = %+v", sel.Body)
 	}
-	inner, ok := top.Left.(*SetOp)
-	if !ok || inner.Op != "UNION ALL" {
-		t.Fatalf("inner = %+v", top.Left)
+	if _, ok := top.Left.(*UnionAll); !ok {
+		t.Fatalf("left = %+v", top.Left)
 	}
-	sel = mustSelect(t, "SELECT a FROM x INTERSECT SELECT b FROM y")
-	if sel.Body.(*SetOp).Op != "INTERSECT" {
-		t.Fatal("intersect")
-	}
-	sel = mustSelect(t, "SELECT a FROM x EXCEPT SELECT b FROM y")
-	if sel.Body.(*SetOp).Op != "EXCEPT" {
-		t.Fatal("except")
+	if _, ok := top.Right.(*SimpleSelect); !ok {
+		t.Fatalf("right = %+v", top.Right)
 	}
 }
 
@@ -198,16 +176,13 @@ func TestParseExpressions(t *testing.T) {
 		"x NOT IN (SELECT v FROM t)",
 		"x IS NULL",
 		"x IS NOT NULL",
-		"x BETWEEN 1 AND 10",
 		"NOT (a = b)",
 		"COALESCE(a, b, c)",
 		"JSON_VAL(attr, 'name')",
 		"CAST(x AS BIGINT)",
+		"CAST(x AS DOUBLE)",
 		"path[0]",
 		"(a || b)",
-		"CASE WHEN a = 1 THEN 'x' ELSE 'y' END",
-		"CASE a WHEN 1 THEN 'x' WHEN 2 THEN 'y' END",
-		"EXISTS (SELECT 1 FROM t)",
 		"-5",
 		"-x",
 		"a = ? AND b = ?",
@@ -317,6 +292,36 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t WHERE a IN ()",
 		"CASE END",
 		"SELECT CAST(a, BIGINT) FROM t",
+		// The dialect is closed to what the templates, VerticesByAttr and
+		// the figure code emit (DESIGN §23). A form outside it is refused,
+		// never read as another query, as a word that is no keyword now
+		// could be (an alias, a column, a function name).
+		"SELECT CASE WHEN a = 1 THEN 'x' ELSE 'y' END FROM t",
+		"SELECT a FROM t WHERE CASE a WHEN 1 THEN TRUE END",
+		"SELECT a FROM t WHERE x BETWEEN 1 AND 2",
+		"SELECT a FROM t WHERE x NOT BETWEEN 1 AND 2",
+		"SELECT a FROM t WHERE EXISTS (SELECT b FROM u)",
+		"SELECT a FROM t WHERE NOT EXISTS (SELECT b FROM u)",
+		"SELECT (SELECT COUNT(*) FROM u) FROM t",
+		"SELECT a FROM t WHERE a = (SELECT b FROM u)",
+		"SELECT a FROM t INTERSECT SELECT b FROM u",
+		"SELECT a FROM t EXCEPT SELECT b FROM u",
+		"SELECT a FROM t x EXCEPT SELECT b FROM u",
+		"SELECT a FROM t UNION SELECT b FROM u",
+		"WITH RECURSIVE r(v) AS (SELECT 1 UNION SELECT v + 1 FROM r) SELECT v FROM r",
+		"SELECT k FROM t GROUP BY k HAVING COUNT(*) > 1",
+		"SELECT a FROM t ORDER BY x DESC",
+		"SELECT a FROM t ORDER BY x ASC",
+		"SELECT * FROM t",
+		"SELECT t.* FROM t",
+		"SELECT a FROM t INNER JOIN u ON t.a = u.b",
+		"SELECT a FROM t JOIN u ON t.a = u.b",
+		"SELECT a FROM t RIGHT JOIN u ON t.a = u.b",
+		"SELECT COUNT(DISTINCT a) FROM t",
+		"SELECT LISTAGG(DISTINCT a) FROM t",
+		"SELECT CAST(a AS VARCHAR) FROM t",
+		"SELECT CAST(a AS BOOLEAN) FROM t",
+		"SELECT t.v FROM p, TABLES(VALUES(p.a)) AS t(v)",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -379,21 +384,15 @@ func TestExprSQLRendering(t *testing.T) {
 	}
 }
 
-func TestScalarSubquery(t *testing.T) {
-	sel := mustSelect(t, "SELECT (SELECT COUNT(*) FROM u) FROM t")
-	item := sel.Body.(*SimpleSelect).Items[0]
-	if _, ok := item.Expr.(*ScalarSubquery); !ok {
-		t.Fatalf("item = %T", item.Expr)
-	}
-}
-
+// TestParenthesizedSetOpBody: a parenthesized UNION ALL is one operand,
+// as the recursive-loop template writes its recursive side.
 func TestParenthesizedSetOpBody(t *testing.T) {
-	sel := mustSelect(t, "(SELECT a FROM x UNION SELECT b FROM y) INTERSECT SELECT c FROM z")
-	top := sel.Body.(*SetOp)
-	if top.Op != "INTERSECT" {
-		t.Fatalf("top op = %s", top.Op)
+	sel := mustSelect(t, "SELECT a FROM x UNION ALL (SELECT b FROM y UNION ALL SELECT c FROM z)")
+	top := sel.Body.(*UnionAll)
+	if _, ok := top.Left.(*SimpleSelect); !ok {
+		t.Fatalf("left = %+v", top.Left)
 	}
-	if strings.ToUpper(top.Left.(*SetOp).Op) != "UNION" {
-		t.Fatal("left should be the parenthesized union")
+	if _, ok := top.Right.(*UnionAll); !ok {
+		t.Fatal("right should be the parenthesized union")
 	}
 }
