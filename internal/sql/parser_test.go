@@ -78,6 +78,22 @@ func TestParseSimpleSelect(t *testing.T) {
 	}
 }
 
+// TestParseSelectStar: * and t.* are outside the closed dialect (every
+// emitter names its columns), so both are refused where the projection
+// starts; COUNT(*) keeps its star.
+func TestParseSelectStar(t *testing.T) {
+	for _, src := range []string{"SELECT * FROM t", "SELECT t.* FROM t"} {
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), "found *") {
+			t.Fatalf("Parse(%q) = %v, want a refusal at the star", src, err)
+		}
+	}
+	fc := mustSelect(t, "SELECT COUNT(*) FROM t").Body.(*SimpleSelect).Items[0].Expr.(*FuncCall)
+	if fc.Name != "COUNT" || !fc.Star {
+		t.Fatalf("count(*) = %+v", fc)
+	}
+}
+
 func TestParseDistinctCountLimit(t *testing.T) {
 	sel := mustSelect(t, "SELECT DISTINCT val FROM t ORDER BY okey, val LIMIT 10 OFFSET 5")
 	body := sel.Body.(*SimpleSelect)
@@ -302,8 +318,6 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t WHERE x NOT BETWEEN 1 AND 2",
 		"SELECT a FROM t WHERE EXISTS (SELECT b FROM u)",
 		"SELECT a FROM t WHERE NOT EXISTS (SELECT b FROM u)",
-		"SELECT (SELECT COUNT(*) FROM u) FROM t",
-		"SELECT a FROM t WHERE a = (SELECT b FROM u)",
 		"SELECT a FROM t INTERSECT SELECT b FROM u",
 		"SELECT a FROM t EXCEPT SELECT b FROM u",
 		"SELECT a FROM t x EXCEPT SELECT b FROM u",
@@ -312,8 +326,6 @@ func TestParseErrors(t *testing.T) {
 		"SELECT k FROM t GROUP BY k HAVING COUNT(*) > 1",
 		"SELECT a FROM t ORDER BY x DESC",
 		"SELECT a FROM t ORDER BY x ASC",
-		"SELECT * FROM t",
-		"SELECT t.* FROM t",
 		"SELECT a FROM t INNER JOIN u ON t.a = u.b",
 		"SELECT a FROM t JOIN u ON t.a = u.b",
 		"SELECT a FROM t RIGHT JOIN u ON t.a = u.b",
@@ -381,6 +393,25 @@ func TestExprSQLRendering(t *testing.T) {
 		if _, err := ParseExpr(e.SQL()); err != nil {
 			t.Fatalf("re-parse of %q failed: %v", e.SQL(), err)
 		}
+	}
+}
+
+// TestScalarSubquery: a subquery in expression position is refused; the
+// only subquery an expression may hold is the right side of IN.
+func TestScalarSubquery(t *testing.T) {
+	for _, src := range []string{
+		"SELECT (SELECT COUNT(*) FROM u) FROM t",
+		"SELECT a FROM t WHERE a = (SELECT b FROM u)",
+	} {
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), "expected expression, found SELECT") {
+			t.Fatalf("Parse(%q) = %v, want a refusal at the subquery", src, err)
+		}
+	}
+	sel := mustSelect(t, "SELECT a FROM t WHERE a IN (SELECT b FROM u)")
+	in, ok := sel.Body.(*SimpleSelect).Where.(*InSubquery)
+	if !ok || in.Query == nil {
+		t.Fatalf("where = %+v", sel.Body.(*SimpleSelect).Where)
 	}
 }
 
