@@ -99,10 +99,12 @@ func (o *durableOutcome) fsyncsPerMutation() float64 {
 // per-op p50/p99 latency, and returns figure "linkbench" entries
 // (ns_per_op = commit-pipeline p50) for the BENCH_engine.json gate.
 //
-// With >= 8 requesters the run *fails* unless the pipeline amortizes
-// fsyncs below 0.5 per mutation and out-runs the fsync-per-commit
-// baseline — those two properties are the point of the pipeline, so CI
-// treats losing either as a regression.
+// With >= 8 requesters the run *fails* unless the pipeline out-runs the
+// fsync-per-commit baseline. The fsyncs-per-mutation ratio is reported
+// only: how many commits arrive during one flush is up to the scheduler.
+// The amortization itself is gated by internal/wal's
+// TestCommitsDuringFlushShareOneFsync, which holds eight commits behind
+// one flush and requires two fsyncs.
 func LinkBenchDurable(requesters, opsPerRequester int, w io.Writer) ([]EngineBenchEntry, error) {
 	header(w, "LinkBench over a durable store: commit-pipeline comparison")
 	cfg := linkbench.Config{Objects: linkbenchDurableObjects, Seed: 42}
@@ -196,17 +198,10 @@ func LinkBenchDurable(requesters, opsPerRequester int, w io.Writer) ([]EngineBen
 	fmt.Fprintln(w, "\nper-operation latency (commit pipeline):")
 	perOp.Write(w)
 
-	if requesters >= 8 {
-		if ratio := pipeRun.fsyncsPerMutation(); ratio >= 0.5 {
-			return nil, fmt.Errorf(
-				"linkbench durable: the commit pipeline amortized only %.3f fsyncs/mutation at %d requesters (want < 0.5)",
-				ratio, requesters)
-		}
-		if pipeRun.res.Throughput <= serialRun.res.Throughput {
-			return nil, fmt.Errorf(
-				"linkbench durable: the commit pipeline (%.0f ops/s) did not beat the fsync-per-commit baseline (%.0f ops/s) at %d requesters",
-				pipeRun.res.Throughput, serialRun.res.Throughput, requesters)
-		}
+	if requesters >= 8 && pipeRun.res.Throughput <= serialRun.res.Throughput {
+		return nil, fmt.Errorf(
+			"linkbench durable: the commit pipeline (%.0f ops/s) did not beat the fsync-per-commit baseline (%.0f ops/s) at %d requesters",
+			pipeRun.res.Throughput, serialRun.res.Throughput, requesters)
 	}
 	return entries, nil
 }

@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 
-	"sqlgraph/internal/engine"
 	"sqlgraph/internal/rel"
 )
 
@@ -165,39 +164,4 @@ func createSchema(cat *rel.Catalog, outCols, inCols int) error {
 		}
 	}
 	return nil
-}
-
-// registerUDFs installs the SQL UDFs the translation relies on (paper
-// Section 4.3 defines UDFs for filter conditions SQL lacks, e.g.
-// simplePath).
-func registerUDFs(eng *engine.Engine) {
-	eng.RegisterFunc("ISSIMPLEPATH", func(args []rel.Value) (rel.Value, error) {
-		if len(args) != 1 {
-			return rel.Null, fmt.Errorf("ISSIMPLEPATH takes one list argument")
-		}
-		list := args[0].List()
-		seen := make(map[string]bool, len(list))
-		for _, v := range list {
-			k := v.Key()
-			if seen[k] {
-				return rel.NewInt(0), nil
-			}
-			seen[k] = true
-		}
-		return rel.NewInt(1), nil
-	})
-	eng.RegisterFunc("LIST_TRIM", func(args []rel.Value) (rel.Value, error) {
-		if len(args) != 2 {
-			return rel.Null, fmt.Errorf("LIST_TRIM takes (list, n)")
-		}
-		list := args[0].List()
-		n := int(args[1].Int())
-		if n <= 0 {
-			return args[0], nil
-		}
-		if n >= len(list) {
-			return rel.NewList(nil), nil
-		}
-		return rel.NewList(list[:len(list)-n]), nil
-	})
 }

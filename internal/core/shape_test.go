@@ -142,15 +142,15 @@ var statTimes = regexp.MustCompile(` time=\S+`)
 // explain is the statement's EXPLAIN ANALYZE without the clock.
 func explain(st *engine.ExecStats) string { return statTimes.ReplaceAllString(st.String(), "") }
 
-// planOf keeps what the planner decided: each join's table, strategy and
-// build side, each scan's table and access path.
+// planOf keeps what the planner decided: each join's table and strategy,
+// each scan's table and access path.
 func planOf(st *engine.ExecStats) string {
 	var sb strings.Builder
 	for _, sc := range st.Scans {
 		fmt.Fprintf(&sb, "scan %s %s; ", sc.Table, sc.Access)
 	}
 	for _, j := range st.Joins {
-		fmt.Fprintf(&sb, "join %s %s %s; ", j.Table, j.Strategy, j.BuildSide)
+		fmt.Fprintf(&sb, "join %s %s; ", j.Table, j.Strategy)
 	}
 	return sb.String()
 }

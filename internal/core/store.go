@@ -196,7 +196,6 @@ func newMemStore(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.eng = engine.New(s.cat)
-	registerUDFs(s.eng)
 	s.initOptStats()
 	s.SetEventJournal(metrics.NewJournal(0))
 	if err := s.initFootprints(); err != nil {
@@ -267,7 +266,6 @@ func loadMem(src blueprints.Graph, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.eng = engine.New(s.cat)
-	registerUDFs(s.eng)
 	s.initOptStats()
 	s.SetEventJournal(metrics.NewJournal(0))
 	if err := s.initFootprints(); err != nil {

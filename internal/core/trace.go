@@ -205,9 +205,6 @@ func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStat
 	}
 	join := func(parent *trace.Span, j *engine.JoinStat, startNs, nanos int64) {
 		d.buf = append(append(append(d.buf, j.Table...), ' '), j.Strategy...)
-		if j.BuildSide != "" {
-			d.buf = append(append(d.buf, " build="...), j.BuildSide...)
-		}
 		if j.Workers > 1 {
 			d.buf = strconv.AppendInt(append(d.buf, " workers="...), int64(j.Workers), 10)
 		}

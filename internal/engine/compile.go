@@ -478,7 +478,7 @@ func (e *Engine) compileFunc(q *queryState, sc *scope, v *sql.FuncCall) (compile
 			return rel.Null, nil
 		}, nil
 	}
-	fn, err := e.scalarFunc(name, len(args))
+	fn, err := scalarFunc(name, len(args))
 	if err != nil {
 		return nil, err
 	}

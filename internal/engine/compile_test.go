@@ -20,9 +20,6 @@ import (
 func TestCompileTotal(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
-	e.RegisterFunc("twice", func(args []rel.Value) (rel.Value, error) {
-		return rel.NewInt(2 * args[0].Int()), nil
-	})
 	const name, age = "JSON_VAL(ATTR, 'name')", "JSON_VAL(ATTR, 'age')"
 	cases := []struct {
 		x    string
@@ -59,12 +56,14 @@ func TestCompileTotal(t *testing.T) {
 		// InSubquery
 		{x: "VID IN (SELECT OUTV FROM EA)"}, {x: "VID NOT IN (SELECT INV FROM EA)"}, {x: age + " IN (SELECT 29)"},
 		{x: "VID IN (SELECT INV, OUTV FROM EA)", err: "IN subquery must return one column"},
-		// FuncCall: every built-in, a user-defined function, and the errors
+		// FuncCall: every built-in, called in any case, and the errors
 		{x: "COALESCE(" + age + ", VID)"}, {x: "COALESCE(NULL, NULL)"}, {x: "JSON_VAL(ATTR, 'na' || 'me')"}, {x: "JSON_VAL(ATTR, 'nosuch')"},
 		{x: "LIST()"}, {x: "LIST(VID, " + name + ")"}, {x: "CONTAINS(" + name + ", 'a')"}, {x: "STARTSWITH(" + name + ", 'ma')"},
-		{x: "CONTAINS(" + age + ", '2')"}, {x: "TWICE(VID)"},
+		{x: "CONTAINS(" + age + ", '2')"}, {x: "IsSimplePath(LIST(VID, 1, 2))"}, {x: "ISSIMPLEPATH(LIST(" + age + ", " + name + "))"},
+		{x: "list_trim(LIST(VID, 2, " + name + "), VID)"}, {x: "LIST_TRIM(LIST(VID, 2), 0 - 1)"},
 		{x: "NOSUCH(VID)", err: "unknown function NOSUCH"},
 		{x: "CONTAINS(" + name + ")", err: "CONTAINS does not take 1 arguments"},
+		{x: "ISSIMPLEPATH(LIST(VID), 1)", err: "ISSIMPLEPATH does not take 2 arguments"},
 		// Cast, Subscript
 		{x: "CAST(VID AS DOUBLE)"}, {x: "CAST(" + name + " AS BIGINT)"}, {x: "CAST(" + age + " AS BIGINT)"},
 		{x: "LIST(VID, 9)[0]"}, {x: "LIST(VID, 9)[0 - 1]"}, {x: "LIST(VID, 9)[VID]"},

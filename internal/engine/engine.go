@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,16 +22,10 @@ var ErrUnknownColumn = errors.New("engine: unknown column")
 // Engine executes SQL SELECTs against a catalog; writes are the
 // catalog's own transactions (rel.Txn). It is safe for concurrent use:
 // queries take read locks on the base tables they touch (in sorted name
-// order, matching the transaction layer's write ordering). RegisterFunc,
-// SetIOSim, and SetExecOptions may be called concurrently with queries;
-// user-defined scalar functions must be safe for concurrent calls
-// (morsel-parallel operators evaluate expressions from several
-// goroutines).
+// order, matching the transaction layer's write ordering). SetIOSim and
+// SetExecOptions may be called concurrently with queries.
 type Engine struct {
 	cat *rel.Catalog
-
-	funcsMu sync.RWMutex
-	funcs   map[string]ScalarFunc
 
 	iosim        atomic.Pointer[IOSim]        // optional buffer-pool simulation (Figure 8c)
 	execOpts     atomic.Pointer[ExecOptions]  // nil = defaults
@@ -71,19 +64,11 @@ type statsProvBox struct{ p StatsProvider }
 
 // New creates an engine over a catalog.
 func New(cat *rel.Catalog) *Engine {
-	return &Engine{cat: cat, funcs: map[string]ScalarFunc{}, sizes: defaultMorselSizes}
+	return &Engine{cat: cat, sizes: defaultMorselSizes}
 }
 
 // Catalog returns the underlying catalog.
 func (e *Engine) Catalog() *rel.Catalog { return e.cat }
-
-// RegisterFunc installs a user-defined scalar function (names are matched
-// case-insensitively). The function must be safe for concurrent calls.
-func (e *Engine) RegisterFunc(name string, fn ScalarFunc) {
-	e.funcsMu.Lock()
-	defer e.funcsMu.Unlock()
-	e.funcs[strings.ToUpper(name)] = fn
-}
 
 // SetIOSim attaches (or removes, with nil) a simulated buffer pool.
 func (e *Engine) SetIOSim(sim *IOSim) { e.iosim.Store(sim) }

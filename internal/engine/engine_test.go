@@ -432,14 +432,13 @@ func TestPathListOperations(t *testing.T) {
 	}
 }
 
+// TestUDF: the paper's UDFs (§4.3) are built-ins of every engine, called
+// by name in any case; a name no built-in has is an error.
 func TestUDF(t *testing.T) {
 	e := newTestEngine(t)
-	e.RegisterFunc("DOUBLE_IT", func(args []rel.Value) (rel.Value, error) {
-		return rel.NewInt(args[0].Int() * 2), nil
-	})
-	r := mustQuery(t, e, "SELECT DOUBLE_IT(21)")
-	if r.Data[0][0].Int() != 42 {
-		t.Fatalf("udf = %v", r.Data)
+	r := mustQuery(t, e, "SELECT IsSimplePath(LIST(1, 2, 3)), ISSIMPLEPATH(LIST(1, 2, 1)), LIST_TRIM(LIST(1, 2, 3), 2), LIST_TRIM(LIST(1, 2), 5)")
+	if got := rowsText(r); got != "1|0|[1]|[]" {
+		t.Fatalf("udf = %s", got)
 	}
 	if _, err := e.Query("SELECT NO_SUCH_FN(1)"); err == nil {
 		t.Fatal("unknown function accepted")

@@ -398,10 +398,9 @@ func (q *queryState) stampJoin(nBefore int, sp *stepPlan, legacyAlt JoinStrategy
 // planner's strategy choice and estimates for this step. The output keeps
 // only the columns needs still wants once this join's terms are applied.
 //
-// cur may be pending, and stays so through an index or nested-loop join,
-// which are stages over it. A hash join stores it (see hashJoin). The
-// right side is stored unless it is the first FROM item, which becomes
-// cur as it stands.
+// cur may be pending, and stays so through every join, each a stage over
+// it. The right side is stored unless it is the first FROM item, which
+// becomes cur as it stands, or is probed through an index.
 func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs []*conjunct, kind string, onOnly []*conjunct, sp *stepPlan, needs *colNeeds) (*relation, error) {
 	if ref.TableFn != nil {
 		if kind != "INNER" {
@@ -522,19 +521,13 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 	var out *relation
 	if len(joinEq) > 0 && !demotedEq {
 		// Hash join: the default for equi-joins no index covers.
-		if err := e.materialize(q, cur); err != nil {
-			return nil, err
-		}
-		out, err = e.hashJoin(q, cur, rightRel, kind, hashJoinArgs{
+		out = e.hashJoin(q, cur, rightRel, kind, hashJoinArgs{
 			shape:       shape,
 			curScope:    curScope,
 			joinEqLeft:  joinEqLeft,
 			joinEqRight: joinEqRight,
 			rightName:   alias,
 		})
-		if err != nil {
-			return nil, err
-		}
 		q.stampJoin(nJoins, sp, StrategyNestedLoop)
 	} else {
 		// Nested-loop join: true cross joins and non-equi conditions only.

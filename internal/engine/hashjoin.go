@@ -21,33 +21,27 @@ type hashJoinArgs struct {
 	simTable    string     // synthetic IOSim table for this join's hash table
 }
 
-// hashJoin performs an equi-join of two stored inputs by hashing the
-// smaller one on the equi-join columns and probing from the larger one.
-// Output order is the serial nested-loop order — for each left row in
-// input order, matching right rows in input order — regardless of which
-// side was built or how many workers probed, so results are
-// deterministic. LEFT joins emit unmatched left rows null-extended; rows
-// whose key contains NULL never match.
-//
-// Both sides are pipeline breakers: the build side because it is hashed
-// whole, and cur because which side that is depends on how many rows it
-// really has. With the right side built, the probe is a stage over cur
-// and its output flows on; with cur built, matches are regrouped per
-// left row and stored.
+// hashJoin performs an equi-join by hashing the stored right input on
+// its equi-join columns and returning cur with the probe appended as a
+// stage: every left row pushed into it probes the table and pushes its
+// matches on, in right-row order, so the output is the serial
+// nested-loop order whatever the worker count. cur stays as it was —
+// pending or stored — and only the right input is a pipeline breaker.
+// LEFT joins emit unmatched left rows null-extended; rows whose key
+// contains NULL never match.
 //
 // A single BIGINT key column — every id-to-id join of the translation —
 // hashes as int64; anything else as canonical Value.Key() strings.
-func (e *Engine) hashJoin(q *queryState, cur, right *relation, kind string, a hashJoinArgs) (*relation, error) {
+func (e *Engine) hashJoin(q *queryState, cur, right *relation, kind string, a hashJoinArgs) *relation {
 	if e.ioSim() != nil {
 		a.simTable = fmt.Sprintf("#hash%d", len(q.stats.Joins))
 	}
 	if len(a.joinEqRight) == 1 {
-		if out, done, err := hashJoinKeyed(e, q, cur, right, kind, a, intJoinKey); done || err != nil {
-			return out, err
+		if out := hashJoinKeyed(e, q, cur, right, kind, a, intJoinKey); out != nil {
+			return out
 		}
 	}
-	out, _, err := hashJoinKeyed(e, q, cur, right, kind, a, stringJoinKey)
-	return out, err
+	return hashJoinKeyed(e, q, cur, right, kind, a, stringJoinKey)
 }
 
 // intJoinKey hashes a single BIGINT key column as itself, and an integral
@@ -114,39 +108,29 @@ func (a *hashJoinArgs) leftKeyFn(e *Engine, q *queryState) (joinKeyFn, error) {
 }
 
 // rightKey is the key function of the right side's rows.
-func (a *hashJoinArgs) rightKey(row, dst []rel.Value) (null bool, err error) {
+func (a *hashJoinArgs) rightKey(row, dst []rel.Value) (null bool) {
 	for i, pos := range a.joinEqRight {
 		dst[i] = row[pos]
 		null = null || dst[i].IsNull()
 	}
-	return null, nil
+	return null
 }
 
-// joinKeysOf evaluates and encodes the join key of every build-side row,
-// morsel-parallel under the given budget. ok is false when enc could not
-// hold some key; the caller then retries with an encoding that can.
-func joinKeysOf[K comparable](q *queryState, rows [][]rel.Value, width, par int, newKeyFn func() (joinKeyFn, error), enc func([]rel.Value) (K, bool)) (joinKeys[K], bool, error) {
+// rightKeys encodes the join key of every right row, morsel-parallel. ok
+// is false when enc could not hold some key; the caller then retries with
+// an encoding that can.
+func rightKeys[K comparable](q *queryState, rows [][]rel.Value, a *hashJoinArgs, enc func([]rel.Value) (K, bool)) (joinKeys[K], bool) {
 	jk := joinKeys[K]{keys: make([]K, len(rows)), null: make([]bool, len(rows))}
 	var misfit atomic.Bool
-	type worker struct {
-		key joinKeyFn
-		dst []rel.Value
-	}
-	newWorker := func() (*worker, error) {
-		key, err := newKeyFn()
-		return &worker{key: key, dst: make([]rel.Value, width)}, err
-	}
+	newWorker := func() ([]rel.Value, error) { return make([]rel.Value, len(a.joinEqRight)), nil }
 	z := q.morsels()
-	_, workers := z.plan(len(rows), len(rows), par)
-	_, err := runMorsels(len(rows), z.target, workers, newWorker, func(w *worker, m, lo, hi int) (err error) {
+	_, workers := z.plan(len(rows), len(rows), q.par)
+	runMorsels(len(rows), z.target, workers, newWorker, func(dst []rel.Value, m, lo, hi int) error {
 		for i := lo; i < hi && !misfit.Load(); i++ {
-			if jk.null[i], err = w.key(rows[i], w.dst); err != nil {
-				return err
-			}
-			if jk.null[i] {
+			if jk.null[i] = a.rightKey(rows[i], dst); jk.null[i] {
 				continue
 			}
-			k, ok := enc(w.dst)
+			k, ok := enc(dst)
 			if !ok {
 				misfit.Store(true)
 			}
@@ -154,37 +138,24 @@ func joinKeysOf[K comparable](q *queryState, rows [][]rel.Value, width, par int,
 		}
 		return nil
 	})
-	return jk, !misfit.Load(), err
+	return jk, !misfit.Load()
 }
 
-// hashJoinKeyed runs the join with keys of type K, building on the
-// smaller input. done is false when enc cannot represent the build keys.
-func hashJoinKeyed[K comparable](e *Engine, q *queryState, cur, right *relation, kind string, a hashJoinArgs, enc func([]rel.Value) (K, bool)) (out *relation, done bool, err error) {
+// hashJoinKeyed runs the join with keys of type K. It returns nil when
+// enc cannot represent the right side's keys.
+func hashJoinKeyed[K comparable](e *Engine, q *queryState, cur, right *relation, kind string, a hashJoinArgs, enc func([]rel.Value) (K, bool)) *relation {
 	opT := time.Now()
-	width := len(a.joinEqRight)
+	rows := right.rowsOf()
+	keys, ok := rightKeys(q, rows, &a, enc)
+	if !ok {
+		return nil
+	}
+	st := &hashProbeStage[K]{e: e, q: q, a: a, kind: kind, enc: enc, right: rows, table: buildTable(e, q, keys, a.simTable)}
+	// The build is timed here; the runs the probe is first join of add theirs.
+	st.stat = q.newJoinStat(JoinStat{Strategy: StrategyHash, Table: a.rightName, BuildRows: len(rows),
+		StartNs: q.sinceStart(opT), Nanos: time.Since(opT).Nanoseconds()})
 	serial := !parallelSafeExprs(a.joinEqLeft) || !parallelSafeConjuncts(a.shape.residual)
-	if right.count() <= cur.count() {
-		rows := right.rowsOf()
-		keys, ok, err := joinKeysOf(q, rows, width, q.par, func() (joinKeyFn, error) { return a.rightKey, nil }, enc)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		st := &hashProbeStage[K]{e: e, q: q, a: a, kind: kind, enc: enc, right: rows, table: buildTable(e, q, keys, a.simTable)}
-		// The build is timed here; the runs the probe is first join of add theirs.
-		st.stat = q.newJoinStat(JoinStat{Strategy: StrategyHash, Table: a.rightName, BuildSide: "right", BuildRows: len(rows),
-			StartNs: q.sinceStart(opT), Nanos: time.Since(opT).Nanoseconds()})
-		return cur.then(a.shape.cols, st, emitsScratch|serialIf(serial)), true, nil
-	}
-	par := q.par
-	if serial {
-		par = 1
-	}
-	keys, ok, err := joinKeysOf(q, cur.rowsOf(), width, par, func() (joinKeyFn, error) { return a.leftKeyFn(e, q) }, enc)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out, err = hashJoinBuildLeft(e, q, cur, right, buildTable(e, q, keys, a.simTable), par, kind, a, enc, opT)
-	return out, true, err
+	return cur.then(a.shape.cols, st, emitsScratch|serialIf(serial))
 }
 
 // hashTable maps a key to the input rows bearing it, in input order, as
@@ -195,7 +166,7 @@ type hashTable[K comparable] struct {
 	next []int32        // row -> next row with the same key, -1 at the end
 }
 
-// buildTable hashes one side. Rows with NULL-containing keys are
+// buildTable hashes the right side. Rows with NULL-containing keys are
 // excluded. Each insert is charged to the buffer-pool model: a build side
 // larger than the pool spills, like the paper's memory sweep.
 func buildTable[K comparable](e *Engine, q *queryState, jk joinKeys[K], simTable string) hashTable[K] {
@@ -224,8 +195,8 @@ func (ht hashTable[K]) first(k K) int32 {
 	return -1
 }
 
-// hashProbeStage is the common case: the right side is hashed, and every
-// left row pushed into the stage probes it and pushes its matches on.
+// hashProbeStage is the probe: every left row pushed into it probes the
+// hashed right side and pushes its matches on.
 type hashProbeStage[K comparable] struct {
 	e     *Engine
 	q     *queryState
@@ -283,99 +254,6 @@ func (w *hashProbeWorker[K]) done() {
 	st := &w.q.stats.Joins[w.stat]
 	st.ProbeRows += w.probed
 	st.OutRows += w.emit.n
-}
-
-// hashJoinBuildLeft probes the hashed (smaller) left side with right
-// rows. Matches are collected per left row and stored in left-row order,
-// so the output is identical to the probe stage's.
-func hashJoinBuildLeft[K comparable](e *Engine, q *queryState, cur, right *relation, build hashTable[K], par int, kind string, a hashJoinArgs, enc func([]rel.Value) (K, bool), opT time.Time) (*relation, error) {
-	n := len(right.rowsOf())
-	z := q.morsels()
-	morsels, workers := z.plan(n, n, par)
-
-	type match struct {
-		left int32
-		row  []rel.Value
-	}
-	chunks := make([][]match, morsels)
-	type worker struct {
-		emit  *joinEmitter
-		arena *rowArena
-		dst   []rel.Value
-	}
-	newWorker := func() (*worker, error) {
-		emit, err := e.newJoinEmitter(q, a.shape, nil)
-		return &worker{emit: emit, arena: newRowArena(len(a.shape.cols), 0), dst: make([]rel.Value, len(a.joinEqRight))}, err
-	}
-	_, err := runMorsels(n, z.target, workers, newWorker, func(wk *worker, m, lo, hi int) error {
-		var buf []match
-		for _, rrow := range right.rows[lo:hi] {
-			null, _ := a.rightKey(rrow, wk.dst)
-			k, ok := enc(wk.dst)
-			if null || !ok {
-				continue
-			}
-			for li := build.first(k); li >= 0; li = build.next[li] {
-				e.hashAccess(q, a.simTable, int(li))
-				joined, ok, err := wk.emit.pair(cur.rows[li], rrow)
-				if err != nil {
-					return err
-				}
-				if ok {
-					kept := wk.arena.alloc()
-					copy(kept, joined)
-					buf = append(buf, match{left: li, row: kept})
-				}
-			}
-		}
-		chunks[m] = buf
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Regroup matches per left row: a counting sort on the left row index.
-	// Visiting chunks in morsel order keeps each left row's matches in
-	// right-row order, and laying the groups out in left-row order restores
-	// the canonical left-major order.
-	start := make([]int, len(cur.rows)+1)
-	for _, c := range chunks {
-		for _, mt := range c {
-			start[mt.left+1]++
-		}
-	}
-	unmatched := 0
-	for i := range cur.rows {
-		if start[i+1] == 0 && kind == "LEFT" {
-			start[i+1] = 1
-			unmatched++
-		}
-		start[i+1] += start[i]
-	}
-	rows := make([][]rel.Value, start[len(cur.rows)])
-	fill := append([]int(nil), start[:len(cur.rows)]...)
-	for _, c := range chunks {
-		for _, mt := range c {
-			rows[fill[mt.left]] = mt.row
-			fill[mt.left]++
-		}
-	}
-	if unmatched > 0 {
-		arena := newRowArena(len(a.shape.cols), unmatched)
-		for i, lrow := range cur.rows {
-			if fill[i] == start[i] {
-				rows[start[i]] = arena.alloc()
-				for c, p := range a.shape.leftSrc {
-					rows[start[i]][c] = lrow[p]
-				}
-			}
-		}
-	}
-	q.stats.MaterializedRows += len(rows)
-	q.newJoinStat(JoinStat{Strategy: StrategyHash, Table: a.rightName, BuildSide: "left", BuildRows: len(cur.rows), ProbeRows: n,
-		OutRows: len(rows), Morsels: morsels, MorselRows: z.target, Workers: workers, StartNs: q.sinceStart(opT), Nanos: time.Since(opT).Nanoseconds()})
-	return &relation{cols: a.shape.cols, rows: rows}, nil
 }
 
 // hashAccess charges a hash-table build insert or probe hit to the

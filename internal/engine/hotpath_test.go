@@ -44,7 +44,10 @@ func newAccessPathEngine(t *testing.T, withStats bool) *Engine {
 
 // TestAccessPathChoice pins how scanBase reads a table: by cost when
 // statistics answer the predicate, by the syntactic preference order when
-// there are none — and the rows are the same either way.
+// there are none. Whatever the path — a full scan, or an index read by
+// equality, IN list, bound id list, range or IS NOT NULL — it heads the
+// run that reads it, which records its morsels and workers, and at one
+// worker or four its rows are those a full scan plus filter returns.
 func TestAccessPathChoice(t *testing.T) {
 	costed := newAccessPathEngine(t, true)
 	syntactic := newAccessPathEngine(t, false)
@@ -52,39 +55,58 @@ func TestAccessPathChoice(t *testing.T) {
 		where              string
 		withStats, noStats string
 		rows               int
+		args               []any
 	}{
 		// The soft-delete guard keeps 99% of the table: a full scan with
 		// statistics, the index "range" it always was without.
-		{"ID >= 0", "full-scan", "index-range", 2000},
+		{where: "ID >= 0", withStats: "full-scan", noStats: "index-range", rows: 2000},
 		// A selective range stays an index probe.
-		{"ID >= 1990", "index-range", "index-range", 10},
-		// interval's two-sided range is two conjuncts: the path bounds the
-		// first, which keeps 99%.
-		{"ID >= 10 AND ID < 30", "full-scan", "index-range", 20},
-		{"ID < 0", "index-range", "index-range", 20},
+		{where: "ID >= 1990", withStats: "index-range", noStats: "index-range", rows: 10},
+		// interval's two-sided range is two conjuncts, read as one range.
+		{where: "ID >= 10 AND ID < 30", withStats: "index-range", noStats: "index-range", rows: 20},
+		{where: "ID < 30 AND ID > 10 AND ID <= 20", withStats: "index-range", noStats: "index-range", rows: 10},
+		{where: "ID < 0", withStats: "index-range", noStats: "index-range", rows: 20},
 		// A range keeping half the table is past the break-even two fifths.
-		{"ID >= 1000", "full-scan", "index-range", 1000},
+		{where: "ID >= 1000", withStats: "full-scan", noStats: "index-range", rows: 1000},
 		// Equality and IN beat the guard that rides along with them.
-		{"ID >= 0 AND ID = 5", "index-eq", "index-eq", 1},
-		{"ID >= 0 AND ID IN (1, 2, 3, 5000)", "index-in", "index-in", 3},
+		{where: "ID >= 0 AND ID = 5", withStats: "index-eq", noStats: "index-eq", rows: 1},
+		{where: "ID >= 0 AND ID IN (1, 2, 3, 5000)", withStats: "index-in", noStats: "index-in", rows: 3},
+		{where: "ID IN (?)", withStats: "index-in", noStats: "index-in", rows: 3, args: []any{[]int64{5, 1, 3, 5000}}},
 		// Every row has a non-null ID: nothing to gain from the index.
-		{"ID IS NOT NULL", "full-scan", "index-notnull", 2020},
+		{where: "ID IS NOT NULL", withStats: "full-scan", noStats: "index-notnull", rows: 2020},
 		// No statistic covers an expression index: it keeps the benefit of
 		// the doubt under either regime.
-		{"JSON_VAL(ATTR, 'tag') IS NOT NULL", "index-notnull", "index-notnull", 202},
-		{"ID >= 0 AND JSON_VAL(ATTR, 'tag') = 't10'", "index-eq", "index-eq", 67},
-		{"JSON_VAL(ATTR, 'tag') >= 't2'", "index-range", "index-range", 66},
+		{where: "JSON_VAL(ATTR, 'tag') IS NOT NULL", withStats: "index-notnull", noStats: "index-notnull", rows: 202},
+		{where: "ID >= 0 AND JSON_VAL(ATTR, 'tag') = 't10'", withStats: "index-eq", noStats: "index-eq", rows: 67},
+		{where: "JSON_VAL(ATTR, 'tag') >= 't2'", withStats: "index-range", noStats: "index-range", rows: 66},
 	} {
 		q := "SELECT ID FROM T WHERE " + tc.where
-		with, without := mustQuery(t, costed, q), mustQuery(t, syntactic, q)
-		if got := with.Stats.Scans[0].Access; got != tc.withStats {
-			t.Errorf("%s with statistics: access %s, want %s", tc.where, got, tc.withStats)
-		}
-		if got := without.Stats.Scans[0].Access; got != tc.noStats {
-			t.Errorf("%s without statistics: access %s, want %s", tc.where, got, tc.noStats)
-		}
-		if len(with.Data) != tc.rows || !sameStrings(sortedKeys(with), sortedKeys(without)) {
-			t.Errorf("%s: %d rows with statistics, %d without, want %d identical rows", tc.where, len(with.Data), len(without.Data), tc.rows)
+		// A CTE has no index: its reader filters the rows of a full scan.
+		scanned := "WITH S AS (SELECT ID, ATTR FROM T) SELECT ID FROM S WHERE " + tc.where
+		for _, par := range []int{1, 4} {
+			costed.SetExecOptions(ExecOptions{Parallelism: par})
+			syntactic.SetExecOptions(ExecOptions{Parallelism: par})
+			want := mustQuery(t, syntactic, scanned, tc.args...)
+			if want.Stats.Scans[0].Access != "full-scan" || len(want.Data) != tc.rows {
+				t.Fatalf("%s through a CTE: %s, %d rows, want a full scan and %d rows", tc.where, want.Stats.Scans[0].Access, len(want.Data), tc.rows)
+			}
+			for _, run := range []struct {
+				e      *Engine
+				access string
+			}{{costed, tc.withStats}, {syntactic, tc.noStats}} {
+				res := mustQuery(t, run.e, q, tc.args...)
+				st := &res.Stats
+				sc := st.Scans[0]
+				if sc.Access != run.access {
+					t.Errorf("%s par=%d stats=%v: access %s, want %s", tc.where, par, run.e == costed, sc.Access, run.access)
+				}
+				if len(st.Pipelines) != 1 || st.Pipelines[0].Scan != 0 || sc.Morsels != st.Pipelines[0].Morsels || sc.Workers != st.Pipelines[0].Workers || sc.Workers < 1 || sc.RowsOut != len(res.Data) {
+					t.Errorf("%s par=%d stats=%v: the %s access headed no run\n%s", tc.where, par, run.e == costed, sc.Access, st.String())
+				}
+				if !sameStrings(sortedKeys(res), sortedKeys(want)) {
+					t.Errorf("%s par=%d stats=%v: %d rows, full scan plus filter %d", tc.where, par, run.e == costed, len(res.Data), len(want.Data))
+				}
+			}
 		}
 	}
 }
@@ -216,8 +238,9 @@ func newPruneEngine(t *testing.T, seed int64, nLeft, nRight int, indexed bool) *
 // TestPrunedEmitEquivalence: a join that emits only the columns the
 // SELECT reads must produce, row for row, the projection of the join that
 // emits everything (a select list naming every column, so nothing is
-// pruned) — for comma (inner) and LEFT joins under every strategy and
-// build side, with and without a residual term that reads both inputs.
+// pruned) — for comma (inner) and LEFT joins under every strategy, a hash
+// join building a right side larger or smaller than its left, with and
+// without a residual term that reads both inputs.
 func TestPrunedEmitEquivalence(t *testing.T) {
 	type variant struct {
 		name          string
@@ -225,14 +248,13 @@ func TestPrunedEmitEquivalence(t *testing.T) {
 		indexed       bool
 		force         JoinStrategy
 		strategy      JoinStrategy
-		buildSide     string
 	}
 	for _, v := range []variant{
-		{"index-nl", 70, 110, true, StrategyAuto, StrategyIndexNL, ""},
-		{"hash build-left", 60, 130, false, StrategyAuto, StrategyHash, "left"},
-		{"hash build-right", 130, 60, false, StrategyAuto, StrategyHash, "right"},
-		{"hash over index", 70, 110, true, StrategyHash, StrategyHash, "left"},
-		{"nested-loop", 50, 70, false, StrategyNestedLoop, StrategyNestedLoop, ""},
+		{"index-nl", 70, 110, true, StrategyAuto, StrategyIndexNL},
+		{"hash larger right", 60, 130, false, StrategyAuto, StrategyHash},
+		{"hash smaller right", 130, 60, false, StrategyAuto, StrategyHash},
+		{"hash over index", 70, 110, true, StrategyHash, StrategyHash},
+		{"nested-loop", 50, 70, false, StrategyNestedLoop, StrategyNestedLoop},
 	} {
 		e := newPruneEngine(t, 5, v.nLeft, v.nRight, v.indexed)
 		const all = "SELECT L.K, L.A, L.P, R.K, R.B, R.Q"
@@ -242,8 +264,9 @@ func TestPrunedEmitEquivalence(t *testing.T) {
 				for _, par := range []int{1, 4} {
 					full := queryForced(t, e, v.force, par, all+from)
 					j := full.Stats.Joins[0]
-					if j.Strategy != v.strategy || j.BuildSide != v.buildSide {
-						t.Fatalf("%s: ran as %s build=%q, want %s build=%q", v.name, j.Strategy, j.BuildSide, v.strategy, v.buildSide)
+					// A hash join builds its right input, whichever is smaller.
+					if j.Strategy != v.strategy || j.Strategy == StrategyHash && j.BuildRows != v.nRight {
+						t.Fatalf("%s: ran as %s building %d rows, want %s", v.name, j.Strategy, j.BuildRows, v.strategy)
 					}
 					// Column subsets in and out of input order, none at all,
 					// and an expression over both sides.

@@ -266,43 +266,6 @@ func TestParallelScanDeterminism(t *testing.T) {
 	}
 }
 
-// TestRegisterFuncRace exercises concurrent RegisterFunc against queries
-// that call scalar functions; run under -race this used to report a data
-// race on the engine's funcs map.
-func TestRegisterFuncRace(t *testing.T) {
-	e := New(rel.NewCatalog())
-	mustTable(t, e, "T", intCol("N"))
-	mustInsert(t, e, "T", row(1), row(2), row(3), row(4))
-	e.RegisterFunc("DOUBLEIT", func(args []rel.Value) (rel.Value, error) {
-		return rel.NewInt(args[0].Int() * 2), nil
-	})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if w%2 == 0 {
-					e.RegisterFunc(fmt.Sprintf("F_%d_%d", w, i), func(args []rel.Value) (rel.Value, error) {
-						return args[0], nil
-					})
-					continue
-				}
-				rows, err := e.Query("SELECT DOUBLEIT(N) FROM T WHERE N > 1")
-				if err != nil {
-					t.Errorf("query: %v", err)
-					return
-				}
-				if len(rows.Data) != 3 {
-					t.Errorf("got %d rows, want 3", len(rows.Data))
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // TestConcurrentQueries runs parallel-executing queries from several
 // goroutines at once: the engine-level locks plus per-query state must
 // keep them independent.

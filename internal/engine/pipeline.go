@@ -14,10 +14,10 @@ import (
 // to the relation it reads; nothing runs until a terminal is attached,
 // and only the terminal stores rows. A CTE with one consumer is handed
 // over un-run, so a whole Table-8 hop runs per driving row into the
-// DISTINCT set of the CTE that ends it. A full table scan is a pipe's
-// head like stored rows are (DESIGN.md §22): its workers filter the rows
-// they scan and push them on, so a scan is stored only where its reader
-// needs stored rows.
+// DISTINCT set of the CTE that ends it. A table access — a full scan or
+// index probes — is a pipe's head like stored rows are (DESIGN.md §22):
+// its workers filter the rows they read and push them on, so a table is
+// stored only where its reader needs stored rows.
 
 // sink receives an operator's output one row at a time. A row pushed by a
 // stage that assembles its output in a scratch buffer (pipe.scratch) is
@@ -49,7 +49,7 @@ func (f stageFunc) open(next sink) (sink, error) { return f(next) }
 type pipe struct {
 	head    [][]rel.Value
 	ids     []int64     // non-nil: the head is these ids, each pushed as a one-value row; head is unused
-	scan    *scanSource // non-nil: the rows come from a full scan, head is unused
+	scan    *scanSource // non-nil: the rows come from a table access, head is unused
 	stages  []stage
 	joins   []int // ExecStats.Joins indices of the join stages, in order
 	scratch bool  // rows leaving the last stage live in a stage's scratch buffer

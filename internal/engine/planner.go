@@ -16,8 +16,6 @@ import (
 // maintained for that table/column, in which case the planner falls
 // back to its documented default selectivities (DESIGN.md §15).
 type StatsProvider interface {
-	// TableRows returns the tracked live row count.
-	TableRows(table string) (int64, bool)
 	// ColumnNDV estimates the distinct non-null values of a column.
 	ColumnNDV(table string, col int) (float64, bool)
 	// FracNonNull returns the fraction of rows with a non-null value.
@@ -797,7 +795,7 @@ func (e *Engine) costOrder(q *queryState, rels []*planRel, edges []planEdge, ord
 		}
 
 		sp := &stepPlan{strategy: StrategyAuto, altCost: -1}
-		hashCost := e.scanCost(q, r) + costBuildRow*math.Min(curRows, r.filtered) + math.Max(curRows, r.filtered)
+		hashCost := e.scanCost(q, r) + costBuildRow*r.filtered + curRows
 		idxCost := math.Inf(1)
 		if r.base != nil && len(in) > 0 {
 			rOrds := make([]int, len(in))

@@ -8,8 +8,8 @@ import (
 	"sqlgraph/internal/sqljson"
 )
 
-// ScalarFunc is a user-defined scalar function (paper Section 4.3 defines
-// UDFs such as isSimplePath for filter pipes SQL cannot express natively).
+// ScalarFunc is a scalar function (paper Section 4.3 defines UDFs such as
+// isSimplePath for filter pipes SQL cannot express natively).
 type ScalarFunc func(args []rel.Value) (rel.Value, error)
 
 // arith implements + - * / %. NULL propagates; the result is an integer
@@ -85,8 +85,7 @@ type builtin struct {
 }
 
 // builtins is the one table of scalar functions: those the translation's
-// templates call. User-defined functions (RegisterFunc) are looked up
-// after it.
+// templates call.
 var builtins = map[string]builtin{
 	// JSON_VAL(doc, 'path') extracts a value from a JSON column, NULL when
 	// the path is absent.
@@ -101,23 +100,44 @@ var builtins = map[string]builtin{
 	// strings, matching the closure evaluator.
 	"CONTAINS":   {2, 2, stringPred(strings.Contains)},
 	"STARTSWITH": {2, 2, stringPred(strings.HasPrefix)},
+	// ISSIMPLEPATH(path) is 1 when no element of the path list repeats, 0
+	// otherwise: the paper's UDF for simplePath (§4.3).
+	"ISSIMPLEPATH": {1, 1, func(a []rel.Value) (rel.Value, error) {
+		list := a[0].List()
+		seen := make(map[string]bool, len(list))
+		for _, v := range list {
+			k := v.Key()
+			if seen[k] {
+				return rel.NewInt(0), nil
+			}
+			seen[k] = true
+		}
+		return rel.NewInt(1), nil
+	}},
+	// LIST_TRIM(path, n) drops the last n elements of a path list (back).
+	"LIST_TRIM": {2, 2, func(a []rel.Value) (rel.Value, error) {
+		list, n := a[0].List(), int(a[1].Int())
+		if n <= 0 {
+			return a[0], nil
+		}
+		if n >= len(list) {
+			return rel.NewList(nil), nil
+		}
+		return rel.NewList(list[:len(list)-n]), nil
+	}},
 }
 
 // scalarFunc resolves a function name (upper-cased) called with n
-// arguments: a built-in, then a registered user-defined function.
-func (e *Engine) scalarFunc(name string, n int) (ScalarFunc, error) {
-	if b, ok := builtins[name]; ok {
-		if n < b.min || b.max >= 0 && n > b.max {
-			return nil, fmt.Errorf("engine: %s does not take %d arguments", name, n)
-		}
-		return b.fn, nil
+// arguments.
+func scalarFunc(name string, n int) (ScalarFunc, error) {
+	b, ok := builtins[name]
+	if !ok {
+		return nil, fmt.Errorf("engine: unknown function %s", name)
 	}
-	e.funcsMu.RLock()
-	defer e.funcsMu.RUnlock()
-	if fn, ok := e.funcs[name]; ok {
-		return fn, nil
+	if n < b.min || b.max >= 0 && n > b.max {
+		return nil, fmt.Errorf("engine: %s does not take %d arguments", name, n)
 	}
-	return nil, fmt.Errorf("engine: unknown function %s", name)
+	return b.fn, nil
 }
 
 func stringPred(f func(s, arg string) bool) ScalarFunc {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"time"
 
 	"sqlgraph/internal/rel"
 	"sqlgraph/internal/sql"
@@ -10,14 +9,13 @@ import (
 
 // accessPath describes how scanBase will read a table.
 type accessPath struct {
-	index    *rel.Index
-	kind     accessKind
-	keys     [][]rel.Value // one probe key per entry (eq: 1, in: n)
-	ids      []int64       // in, from a bound id list: one probe per id, keys unused
-	lo, hi   rel.Value
-	loInc    bool
-	hiInc    bool
-	consumed *conjunct // conjunct fully answered by the access path
+	index  *rel.Index
+	kind   accessKind
+	keys   [][]rel.Value // one probe key per entry (eq: 1, in: n)
+	ids    []int64       // in, from a bound id list: one probe per id, keys unused
+	lo, hi rel.Value     // range bounds, NULL where open
+	loInc  bool
+	hiInc  bool
 }
 
 type accessKind uint8
@@ -111,12 +109,14 @@ func (e *Engine) constValue(q *queryState, x sql.Expr) (rel.Value, error) {
 // chooseAccessPath inspects the pushable conjuncts for indexable
 // predicates and picks how scanBase reads the table. One candidate is
 // collected per kind — the first equality, IN list, range and IS NOT NULL
-// an index matches. Without optimizer statistics the pick is syntactic:
-// equality, then IN, then range, then IS NOT NULL. With a StatsProvider
-// every candidate and the full scan are costed (accessCost) and the
-// cheapest wins, ties going to the syntactic order: a range that keeps
-// most of the table — the soft-delete guard VID >= 0 — loses to the
-// morsel-parallel full scan, a selective one stays an index probe.
+// an index matches, the range taking its other bound from a later
+// conjunct on the same index, so x >= lo AND x < hi is one range.
+// Without optimizer statistics the pick is syntactic: equality, then IN,
+// then range, then IS NOT NULL. With a StatsProvider every candidate and
+// the full scan are costed (accessCost) and the cheapest wins, ties going
+// to the syntactic order: a range that keeps most of the table — the
+// soft-delete guard VID >= 0 — loses to the morsel-parallel full scan, a
+// selective one stays an index probe.
 func (e *Engine) chooseAccessPath(q *queryState, t *rel.Table, alias string, conjs []*conjunct) (*accessPath, error) {
 	var eqPath, inPath, rangePath, notNullPath *accessPath
 	for _, c := range conjs {
@@ -130,40 +130,35 @@ func (e *Engine) chooseAccessPath(q *queryState, t *rel.Table, alias string, con
 				side, bound, op = v.R, v.L, flipCmp(v.Op)
 			}
 			isRange := op == "<" || op == "<=" || op == ">" || op == ">="
-			if !isConstExpr(bound) || !(op == "=" && eqPath == nil || isRange && rangePath == nil) {
+			if !isConstExpr(bound) || !(op == "=" && eqPath == nil || isRange) {
 				continue
 			}
 			ix := matchIndexExpr(t, alias, side, q.asOf, isRange)
-			if ix == nil {
+			upper := op == "<" || op == "<="
+			if ix == nil || isRange && rangePath != nil && (rangePath.index != ix || upper && !rangePath.hi.IsNull() || !upper && !rangePath.lo.IsNull()) {
 				continue
 			}
 			b, err := e.constValue(q, bound)
 			if err != nil {
 				return nil, err
 			}
-			p := &accessPath{index: ix, kind: accessRange, consumed: c}
-			switch op {
-			case "=":
-				p.kind, p.keys = accessEq, [][]rel.Value{{b}}
-			case "<":
-				p.hi = b
-			case "<=":
-				p.hi, p.hiInc = b, true
-			case ">":
-				p.lo = b
-			case ">=":
-				p.lo, p.loInc = b, true
+			if !isRange {
+				eqPath = &accessPath{index: ix, kind: accessEq, keys: [][]rel.Value{{b}}}
+				continue
 			}
-			if isRange {
-				rangePath = p
+			if rangePath == nil {
+				rangePath = &accessPath{index: ix, kind: accessRange}
+			}
+			if upper {
+				rangePath.hi, rangePath.hiInc = b, op == "<="
 			} else {
-				eqPath = p
+				rangePath.lo, rangePath.loInc = b, op == ">="
 			}
 		case *sql.InList:
 			if !v.Not && inPath == nil {
 				ix := matchIndexExpr(t, alias, v.X, q.asOf, false)
 				if ids, ok := q.idList(v); ok && ix != nil {
-					inPath = &accessPath{index: ix, kind: accessIn, ids: ids, consumed: c}
+					inPath = &accessPath{index: ix, kind: accessIn, ids: ids}
 				} else if ix != nil {
 					allConst := true
 					keys := make([][]rel.Value, 0, len(v.List))
@@ -179,14 +174,14 @@ func (e *Engine) chooseAccessPath(q *queryState, t *rel.Table, alias string, con
 						keys = append(keys, []rel.Value{kv})
 					}
 					if allConst {
-						inPath = &accessPath{index: ix, kind: accessIn, keys: keys, consumed: c}
+						inPath = &accessPath{index: ix, kind: accessIn, keys: keys}
 					}
 				}
 			}
 		case *sql.IsNull:
 			if v.Not && notNullPath == nil {
 				if ix := matchIndexExpr(t, alias, v.X, q.asOf, true); ix != nil {
-					notNullPath = &accessPath{index: ix, kind: accessNotNull, consumed: c}
+					notNullPath = &accessPath{index: ix, kind: accessNotNull}
 				}
 			}
 		}
@@ -292,111 +287,49 @@ func (k accessKind) accessName() string {
 
 // scanBase reads a base table under an alias, pushing the given
 // single-table conjuncts into the scan and using an index when one
-// matches. An index path is read now, into stored rows, unless it probes
-// a bound id list. A full scan, or the probes of an id list, is returned
-// pending, as the head of a pipe (scanSource): it runs with the pipe's
-// stages and into its reader's terminal, morsel-parallel over the heap's
-// slot array or the ids, each worker filtering the rows of its ranges
-// with its own compiled predicates and pushing them on, in order.
+// matches. The access is returned pending, as the head of a pipe
+// (scanSource): it runs with the pipe's stages and into its reader's
+// terminal, each worker filtering the rows of its morsels with its own
+// compiled predicates and pushing them on, in order.
 // The caller must already hold the table's read lock (the engine acquires
 // query locks up front).
 func (e *Engine) scanBase(q *queryState, t *rel.Table, alias string, conjs []*conjunct) (*relation, error) {
 	cols := tableCols(t, alias)
-	sc := newScope(cols)
 	path, err := e.chooseAccessPath(q, t, alias, conjs)
 	if err != nil {
 		return nil, err
 	}
 
-	// All pushed conjuncts run as filters, including the one the access
+	// All pushed conjuncts run as filters, including the ones the access
 	// path answers: index probes return candidates (the order-preserving
 	// key encoding merges the numeric domain), so predicates are always
 	// re-verified against row values.
 	var filters []*conjunct
 	for _, c := range conjs {
-		if c.applied {
-			continue
+		if !c.applied {
+			filters = append(filters, c)
 		}
-		filters = append(filters, c)
 	}
+	markApplied(filters)
 
-	stat := ScanStat{Table: t.Name(), Access: path.kind.accessName(), Morsels: 1, Workers: 1, EstRows: -1}
+	// Rows, morsels, workers and time are the run's (Engine.run).
+	stat := ScanStat{Table: t.Name(), Access: path.kind.accessName(), EstRows: -1}
 	if q.scanEstValid {
 		stat.EstRows = q.scanEst
 		q.scanEst, q.scanEstValid = 0, false
 	}
-	markApplied(conjs)
-	if path.kind == accessFullScan || path.ids != nil {
-		// Rows, morsels, workers and time are the run's (Engine.run).
-		q.stats.Scans = append(q.stats.Scans, stat)
-		src := &scanSource{e: e, q: q, t: t, sc: sc, filters: filters, stat: len(q.stats.Scans) - 1, index: path.index, ids: path.ids}
-		return &relation{cols: cols, src: []*pipe{{scan: src, serial: !parallelSafeConjuncts(filters), fans: len(filters) > 0 || path.ids != nil}}}, nil
-	}
-	opT := time.Now()
-	out, err := e.indexScan(q, t, cols, sc, path, filters, &stat)
-	if err != nil {
-		return nil, err
-	}
-	stat.StartNs = q.sinceStart(opT)
-	stat.Nanos = time.Since(opT).Nanoseconds()
-	stat.RowsOut = len(out.rows)
 	q.stats.Scans = append(q.stats.Scans, stat)
-	return out, nil
-}
-
-// indexScan materializes the rows an index access path other than a
-// bound id list yields, serially (probe result sizes are small by
-// construction — that is why the index was chosen).
-func (e *Engine) indexScan(q *queryState, t *rel.Table, cols []colInfo, sc *scope, path *accessPath, filters []*conjunct, stat *ScanStat) (*relation, error) {
-	pass, err := e.compilePredicates(q, sc, filters)
-	if err != nil {
-		return nil, err
-	}
-	out := &relation{cols: cols}
-	var emitErr error
-	// Probes go through the table layer (ProbeAt/ProbeRangeAt), which
-	// resolves each candidate entry to the row image visible at the
-	// query's snapshot version and drops stale entries for superseded
-	// images — a probe visits each matching row exactly once per version.
-	visit := func(rid rel.RowID, vals []rel.Value) bool {
-		stat.RowsIn++
-		e.pageAccess(q, t.Name(), rid)
-		ok, err := pass(vals)
-		if err != nil {
-			emitErr = err
-			return false
-		}
-		if ok {
-			out.rows = append(out.rows, vals)
-		}
-		return true
-	}
-	switch path.kind {
-	case accessEq, accessIn:
-		for _, key := range path.keys {
-			t.ProbeAt(path.index, key, q.asOf, visit)
-			if emitErr != nil {
-				return nil, emitErr
-			}
-		}
-	case accessRange:
-		t.ProbeRangeAt(path.index, path.lo, path.hi, path.loInc, path.hiInc, q.asOf, visit)
-	case accessNotNull:
-		t.ProbeRangeAt(path.index, rel.Null, rel.Null, true, true, q.asOf, visit)
-	}
-	if emitErr != nil {
-		return nil, emitErr
-	}
-	return out, nil
+	src := &scanSource{e: e, q: q, t: t, sc: newScope(cols), filters: filters, stat: len(q.stats.Scans) - 1, path: path}
+	return &relation{cols: cols, src: []*pipe{{scan: src, serial: !parallelSafeConjuncts(filters), fans: len(filters) > 0 || path.kind != accessFullScan}}}, nil
 }
 
 // scanSource is the head of a pipe that starts at a table: the row
 // images of t visible at the query's version that pass the conjuncts
-// pushed into the scan — in slot order, or, for a bound id list, those
-// index probes return for each id in list order (g.V(12 960 ids) is
-// 12 960 probes, and its morsels are cut from the ids as a full scan's
-// are from the slots). The images are the table's own, never scratch.
-// stat indexes ExecStats.Scans.
+// pushed into the scan, read along the access path. Its morsels are cut
+// from the heap's slots for a full scan, and from the probes otherwise:
+// one per key or bound id, in list order (g.V(12 960 ids) is 12 960
+// probes), and one for a range or IS NOT NULL walk. The images are the
+// table's own, never scratch. stat indexes ExecStats.Scans.
 type scanSource struct {
 	e       *Engine
 	q       *queryState
@@ -404,18 +337,23 @@ type scanSource struct {
 	sc      *scope
 	filters []*conjunct
 	stat    int
-	index   *rel.Index // with ids: the index each id is probed in
-	ids     []int64    // non-nil: probe these instead of scanning the slots
+	path    *accessPath
 }
 
-// size returns the units the scan's morsels are cut from — ids, or
-// slots — and how many rows they hold at most: a table's slots include
-// deleted rows.
+// size returns the units the scan's morsels are cut from and how many
+// rows they hold at most, as far as the fan-out decision goes: a table's
+// slots include deleted rows.
 func (s *scanSource) size() (n, rows int) {
-	if s.ids != nil {
-		return len(s.ids), len(s.ids)
+	switch p := s.path; {
+	case p.kind == accessFullScan:
+		return s.t.Slots(), s.t.LiveLocked()
+	case p.kind == accessRange || p.kind == accessNotNull:
+		return 1, 1
+	case p.ids != nil:
+		return len(p.ids), len(p.ids)
+	default:
+		return len(p.keys), len(p.keys)
 	}
-	return s.t.Slots(), s.t.LiveLocked()
 }
 
 // scanWorker is one worker's instance of a scan: its own compiled
@@ -432,9 +370,13 @@ func (s *scanSource) open() (*scanWorker, error) {
 	return &scanWorker{scanSource: s, pass: pass}, err
 }
 
-// run pushes the rows of slots (or ids) [lo, hi) that pass the filters
-// into next. It counts in locals: this worker's fields, like every
-// per-morsel output, are written once per morsel (runMorsels).
+// run pushes the rows of units [lo, hi) that pass the filters into next.
+// It counts in locals: this worker's fields, like every per-morsel output,
+// are written once per morsel (runMorsels). Probes go through the table
+// layer (ProbeAt/ProbeRangeAt), which resolves each candidate entry to
+// the row image visible at the query's snapshot version and drops stale
+// entries for superseded images — a probe visits each matching row
+// exactly once per version.
 func (w *scanWorker) run(lo, hi int, next sink) error {
 	in, out := 0, 0
 	var err error
@@ -450,13 +392,24 @@ func (w *scanWorker) run(lo, hi int, next sink) error {
 		err = next.push(vals)
 		return err == nil
 	}
-	if w.ids == nil {
-		w.t.ScanSlotsAt(lo, hi, w.q.asOf, visit)
-	}
-	var key [1]rel.Value
-	for i := lo; i < hi && w.ids != nil && err == nil; i++ {
-		key[0] = rel.NewInt(w.ids[i])
-		w.t.ProbeAt(w.index, key[:], w.q.asOf, visit)
+	p, asOf := w.path, w.q.asOf
+	switch p.kind {
+	case accessFullScan:
+		w.t.ScanSlotsAt(lo, hi, asOf, visit)
+	case accessRange:
+		w.t.ProbeRangeAt(p.index, p.lo, p.hi, p.loInc, p.hiInc, asOf, visit)
+	case accessNotNull:
+		w.t.ProbeRangeAt(p.index, rel.Null, rel.Null, true, true, asOf, visit)
+	default:
+		var key [1]rel.Value
+		for i := lo; i < hi && err == nil; i++ {
+			if p.ids == nil {
+				w.t.ProbeAt(p.index, p.keys[i], asOf, visit)
+				continue
+			}
+			key[0] = rel.NewInt(p.ids[i])
+			w.t.ProbeAt(p.index, key[:], asOf, visit)
+		}
 	}
 	w.in, w.out = w.in+in, w.out+out
 	return err

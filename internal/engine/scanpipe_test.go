@@ -77,6 +77,7 @@ var scanPipeShapes = []struct {
 	{name: "index-nl", sql: "SELECT A.ID, X.V FROM {D} A, X WHERE X.VID = A.ID AND A.G <> 2"},
 	{name: "hash-build", sql: "SELECT A.ID, H.W FROM {D} A, {H} H WHERE H.K = A.G AND H.W <> 'w3'"},
 	{name: "hash-build-empty", sql: "SELECT A.ID, H.W FROM {D} A, {H} H WHERE H.K = A.G AND H.W = 'none'"},
+	{name: "index-nl-then-hash", sql: "SELECT A.ID, X.V, H.W FROM {D} A, X, {H} H WHERE X.VID = A.ID AND H.K = A.G"},
 	{name: "nested-loop-inner", sql: "SELECT A.ID, M.B FROM {D} A, {M} M WHERE A.G < M.B AND A.ID % 4 = 1"},
 	{name: "subquery-filter", sql: "SELECT ID FROM {D} WHERE G IN (SELECT K FROM H WHERE W <> 'w1') AND JSON_VAL(ATTR, 'k') = 4", serial: true},
 }
@@ -188,6 +189,20 @@ func checkScanShapes(t *testing.T, e *Engine, live int) {
 			if shape.name == "filter" && sc.RowsOut != len(fused.Data) {
 				t.Fatalf("filter par=%d: scan passed %d rows, result has %d", par, sc.RowsOut, len(fused.Data))
 			}
+			// A hash join leaves its left input pending: the scan of D heads
+			// the run the probe is a stage of, and besides the result only
+			// the build side can have been stored.
+			if strings.Contains(shape.name, "hash") {
+				var hash *JoinStat
+				for _, j := range run.Joins {
+					if fused.Stats.Joins[j].Strategy == StrategyHash {
+						hash = &fused.Stats.Joins[j]
+					}
+				}
+				if hash == nil || fused.Stats.MaterializedRows-len(fused.Data) > hash.BuildRows {
+					t.Fatalf("%s par=%d: the scan of D did not head the hash probe's run, or more than the build side was stored\n%s", shape.name, par, fused.Stats.String())
+				}
+			}
 		}
 		if first == "" && !strings.HasPrefix(shape.name, "hash-build-empty") && live > 0 {
 			t.Fatalf("%s: no rows; the shape proves nothing", shape.name)
@@ -200,7 +215,8 @@ func checkScanShapes(t *testing.T, e *Engine, live int) {
 // at any worker count — filters, projections, COUNT, GROUP BY with a
 // group first seen in a late morsel, ORDER BY + LIMIT, DISTINCT, an
 // index nested-loop join after the scan, hash builds read from a scan
-// (one of them empty), a nested loop's inner side, and a filter holding a
+// (one of them empty) and probed by the scan, also after an index
+// nested-loop join, a nested loop's inner side, and a filter holding a
 // subquery — over a full table, one with deleted slots and empty morsels,
 // and an empty one.
 func TestScanPipeEquivalence(t *testing.T) {

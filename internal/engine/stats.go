@@ -14,8 +14,8 @@ const (
 	StrategyAuto JoinStrategy = ""
 	// StrategyIndexNL probes a base-table index once per outer row.
 	StrategyIndexNL JoinStrategy = "index-nl"
-	// StrategyHash builds a hash table on the smaller input and probes
-	// from the larger one.
+	// StrategyHash hashes the right input and probes it with every row of
+	// the left one as they flow past.
 	StrategyHash JoinStrategy = "hash"
 	// StrategyNestedLoop compares every pair of rows; the only strategy
 	// for cross joins and non-equi conditions.
@@ -26,7 +26,6 @@ const (
 type JoinStat struct {
 	Strategy   JoinStrategy
 	Table      string // right-side alias (or table name) being joined in
-	BuildSide  string // "left" or "right" for hash joins; "" otherwise
 	BuildRows  int    // rows hashed (hash) / outer rows (index-nl, nested-loop)
 	ProbeRows  int    // rows probed against the build side
 	OutRows    int    // rows emitted (before later operators)
@@ -47,8 +46,8 @@ type JoinStat struct {
 	AltCost     float64
 }
 
-// ScanStat records one base-table access. A full scan is the head of a
-// run (PipelineStat): its start, wall time, morsels and workers are the
+// ScanStat records one base-table access. It is the head of a run
+// (PipelineStat): its start, wall time, morsels and workers are the
 // run's.
 type ScanStat struct {
 	Table   string
@@ -71,21 +70,22 @@ type CTEStat struct {
 	Nanos   int64 // binding the name; a fused CTE's rows are produced in its reader's run
 }
 
-// PipelineStat records one run: stored rows, or the rows a full table
-// scan passes, pushed through a chain of stages into a terminal that
+// PipelineStat records one run: stored rows, or the rows a table access
+// passes, pushed through a chain of stages into a terminal that
 // stores, deduplicates or aggregates them. Only the run is timed. Its
 // wall time is charged to its scan (or, having none, to its first join,
 // or, having neither, to its terminal operator); the other stages carry
 // row counts and no time.
 type PipelineStat struct {
-	Scan   int   // index into ExecStats.Scans of the full scan the run started at, -1 when it started from stored rows
+	Scan   int   // index into ExecStats.Scans of the table access the run started at, -1 when it started from stored rows
 	Joins  []int // indices into ExecStats.Joins of the join stages, in order
 	Op     int   // index into ExecStats.Ops of the dedup or agg terminal, -1 when rows were just stored
 	RowsIn int   // stored rows, or rows scanned, the run started from
 	// Morsels, MorselRows and Workers say how the run was cut: a run on one
 	// worker is one morsel of all its head rows; a parallel run from stored
 	// rows is a first morsel that measured the fan-out, then morsels of
-	// MorselRows head rows each; a scan's morsels are MorselRows slots.
+	// MorselRows head rows each; a scan's morsels are MorselRows slots,
+	// or probes.
 	Morsels    int
 	MorselRows int
 	Workers    int
@@ -127,7 +127,7 @@ type ExecStats struct {
 	// Pipelines lists the runs the operators above executed in.
 	Pipelines []PipelineStat
 	// MaterializedRows totals the rows operators stored: CTEs with several
-	// readers, DISTINCT and aggregate outputs, hash-join inputs, sort
+	// readers, DISTINCT and aggregate outputs, hash-join build sides, sort
 	// inputs. Rows that only flowed through a pipeline are not in it, nor
 	// are the per-morsel buffers a parallel run hands an aggregate in order,
 	// nor a table's row images collected as they are (a hash-join build side
@@ -216,10 +216,6 @@ func (s *ExecStats) String() string {
 			sc.Table, sc.Access, sc.RowsIn, sc.RowsOut, est, sc.Morsels, sc.Workers, fmtNanos(sc.Nanos))
 	}
 	for _, j := range s.Joins {
-		side := ""
-		if j.BuildSide != "" {
-			side = " build=" + j.BuildSide
-		}
 		est := ""
 		if j.EstRows >= 0 {
 			est = fmt.Sprintf(" est=%d", j.EstRows)
@@ -235,8 +231,8 @@ func (s *ExecStats) String() string {
 				alt = fmt.Sprintf(" alt=%s", j.AltStrategy)
 			}
 		}
-		fmt.Fprintf(&sb, "join %s [%s]%s build=%d probe=%d out=%d%s%s morsels=%d×%d workers=%d time=%s\n",
-			j.Table, j.Strategy, side, j.BuildRows, j.ProbeRows, j.OutRows, est, alt, j.Morsels, j.MorselRows, j.Workers, fmtNanos(j.Nanos))
+		fmt.Fprintf(&sb, "join %s [%s] build=%d probe=%d out=%d%s%s morsels=%d×%d workers=%d time=%s\n",
+			j.Table, j.Strategy, j.BuildRows, j.ProbeRows, j.OutRows, est, alt, j.Morsels, j.MorselRows, j.Workers, fmtNanos(j.Nanos))
 	}
 	for _, op := range s.Ops {
 		switch op.Kind {

@@ -10,10 +10,10 @@ import (
 // with aggregation, sort, and DISTINCT, and asserts every operator stat
 // carries a wall time consistent with the query's total elapsed time
 // (operator spans must nest inside the query: StartNs ≥ 0 and
-// StartNs+Nanos ≤ total). The GROUP BY is the terminal of the hash
-// probe's run, whose time goes to the join; the agg still carries a time
-// of its own, that of emitting its groups. Each scan carries the time of
-// the run it headed. Run under -race this also proves the timing fields
+// StartNs+Nanos ≤ total). The GROUP BY is the terminal of the run the
+// probe side's scan heads, with the hash probe a stage of it; the join
+// carries the time of its build, the agg that of emitting its groups.
+// Each scan carries the time of the run it headed. Run under -race this also proves the timing fields
 // are written without data races while morsel workers are live.
 func TestOperatorTimingsUnderParallelism(t *testing.T) {
 	e := newJoinEngine(t, 7, 6000, 6000) // above parallelMinRows so the probe fans out
@@ -62,9 +62,9 @@ func TestOperatorTimingsUnderParallelism(t *testing.T) {
 	}
 
 	// Operators run in sequence on the dispatch goroutine: the join must
-	// start no earlier than the first scan.
-	if j.StartNs < st.Scans[0].StartNs {
-		t.Errorf("join starts before first scan: %d < %d", j.StartNs, st.Scans[0].StartNs)
+	// start no earlier than the scan of its build side, which runs first.
+	if j.StartNs < st.Scans[1].StartNs {
+		t.Errorf("join starts before its build side's scan: %d < %d", j.StartNs, st.Scans[1].StartNs)
 	}
 
 	// The rendered summary must carry the new kinds and timings.
