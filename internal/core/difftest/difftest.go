@@ -67,9 +67,9 @@ func GenGraph(rng *rand.Rand) *blueprints.MemGraph {
 // holds: it.k is 0..4, so zero; it.name is a string or absent, so a value
 // that coerces to zero or NULL; a fractional literal truncates to zero
 // under %. All of them make the quotient NULL on both paths. Negating
-// it.k reaches SQL's unary minus. (Negating it.name is an error, which
-// only GenPipeline's source filter can place where both paths meet it
-// on the same rows: see there.)
+// it.k reaches SQL's unary minus, and negating it.name, a string or
+// absent, is NULL on both paths — under &&, || and !, and wherever a
+// plan evaluates it.
 func genVertexExpr(rng *rand.Rand, depth int) string {
 	if depth > 0 && rng.Intn(3) == 0 {
 		l := genVertexExpr(rng, depth-1)
@@ -85,7 +85,7 @@ func genVertexExpr(rng *rand.Rand, depth int) string {
 			return fmt.Sprintf("!(%s) && %s", l, r)
 		}
 	}
-	switch rng.Intn(12) {
+	switch rng.Intn(13) {
 	case 0:
 		return fmt.Sprintf("it.k %s %d", pick(rng, "<", "<=", ">", ">=", "==", "!="), rng.Intn(5))
 	case 1:
@@ -110,6 +110,8 @@ func genVertexExpr(rng *rand.Rand, depth int) string {
 		return fmt.Sprintf("it.k %% %s == 0", pick(rng, "0.5", "1.5"))
 	case 10:
 		return fmt.Sprintf("-it.k %s %d", pick(rng, "<", ">=", "=="), -rng.Intn(5))
+	case 11:
+		return fmt.Sprintf("-it.name %s 0", pick(rng, "<", "=="))
 	default:
 		return fmt.Sprintf("it.id %% %d == %d", 2+rng.Intn(3), rng.Intn(2))
 	}
@@ -153,7 +155,7 @@ func genEdgeExpr(rng *rand.Rand, depth int) string {
 func GenPipeline(rng *rand.Rand, numVertices int) string {
 	q := "g"
 	edgeCtx := false
-	switch rng.Intn(21) {
+	switch rng.Intn(20) {
 	case 0, 1, 2, 3, 4, 5, 6, 7:
 		q += ".V"
 	case 8, 9, 10, 11, 12, 13:
@@ -163,15 +165,8 @@ func GenPipeline(rng *rand.Rand, numVertices int) string {
 	case 16, 17:
 		q += ".E"
 		edgeCtx = true
-	case 18, 19:
-		q += fmt.Sprintf(".V('name', '%s')", nameVals[rng.Intn(len(nameVals))])
 	default:
-		// Negating a string is an error on both paths. Right after the
-		// source both evaluate it on every vertex; anywhere else the
-		// store's plan decides which rows a term meets (pushed below a
-		// join, or skipped behind a conjunct that is NULL), so whether
-		// it errs is the plan's choice.
-		q += fmt.Sprintf(".V.filter{-it.name %s 0}", pick(rng, "<", "=="))
+		q += fmt.Sprintf(".V('name', '%s')", nameVals[rng.Intn(len(nameVals))])
 	}
 	steps := 1 + rng.Intn(4)
 	deduped := false // dedup() before a path-dependent step is rejected by the translator

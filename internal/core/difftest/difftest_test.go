@@ -9,6 +9,7 @@ import (
 
 	"sqlgraph/internal/core"
 	"sqlgraph/internal/gremlin"
+	"sqlgraph/internal/gremlin/interp"
 )
 
 // allModes exercises the default translation plus both forced adjacency
@@ -149,6 +150,11 @@ func TestGeneratorCoversNewConstructs(t *testing.T) {
 		if !strings.Contains(corpus, want) {
 			t.Errorf("600-pipeline sample never emitted %q", want)
 		}
+	}
+	// A negated string inside a composed closure: which rows a plan
+	// evaluates it on is the plan's choice.
+	if !regexp.MustCompile(`(&&|\|\||!\()[^{}]*-it\.name|-it\.name[^{}]*(&&|\|\|)`).MatchString(corpus) {
+		t.Error("600-pipeline sample never negated it.name inside a composed closure")
 	}
 	for _, after := range []string{`\.path`, `\.simplePath`, `\.back\(`, `\.loop\(`, `\.ifThenElse\{`} {
 		if !regexp.MustCompile(`(?m)^.* [/%] it\.(k|name|w)\b.*` + after).MatchString(corpus) {
@@ -297,6 +303,46 @@ func TestDifferentialTinyMorsels(t *testing.T) {
 	}
 	if err := RunPlans(7, 3, 15, allModes, TinyMorsels); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDifferentialNegationAnyPlan: negating a string is NULL on both
+// paths, so a closure that negates one answers alike whichever rows a
+// plan evaluates it on. Two pipelines the generator found when negation
+// was an error, each on the graph it was found on: behind a conjunct
+// that is NULL the interpreter negated where the store's WHERE had
+// stopped, and a hash join forced on the syntactic order negated
+// attribute rows the traversal never reaches. Each runs through Check
+// and the plan-space sweep in every storage mode, serially and on the
+// tiny-morsel arm's four workers.
+func TestDifferentialNegationAnyPlan(t *testing.T) {
+	serial := func(s *core.Store) { s.SetParallelism(1) }
+	for _, c := range []struct {
+		seed  int64
+		query string
+	}{
+		{103, "g.V.filter{!(it.k % 0.5 == 0) && -it.name == 0}"},
+		{200, "g.V(19).ifThenElse{!(it.id % 3 == 0) && -it.name < 0}{it.out}{it.in}"},
+	} {
+		g := GenGraph(rand.New(rand.NewSource(c.seed)))
+		if _, err := interp.Eval(g, mustShape(t, c.query)); err != nil {
+			t.Fatalf("seed %d: the oracle refuses %s: %v", c.seed, c.query, err)
+		}
+		for _, arm := range []Arm{serial, TinyMorsels} {
+			s, err := load(g, arm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range allModes {
+				if err := Check(s, g, c.query, opts); err != nil {
+					t.Errorf("seed %d %+v: %v", c.seed, opts, err)
+				}
+				if err := CheckPlans(s, g, c.query, opts); err != nil {
+					t.Errorf("seed %d %+v: %v", c.seed, opts, err)
+				}
+			}
+			s.Close()
+		}
 	}
 }
 

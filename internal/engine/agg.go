@@ -117,9 +117,7 @@ func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (
 	}
 	out := &relation{cols: aggregateCols(sel.Items), ordered: in.ordered} // groups come out in first-occurrence order
 	for _, g := range term.groups {
-		if err := ag.emit(g, out); err != nil {
-			return nil, err
-		}
+		ag.emit(g, out)
 	}
 	d := time.Since(finT).Nanoseconds()
 	st := &q.stats.Ops[op]
@@ -199,18 +197,14 @@ func (t *aggTable) newGroup(key string) *aggGroup {
 	return &aggGroup{key: key, accs: slices.Clone(t.accs), row: make([]rel.Value, t.ag.width+len(t.accs))}
 }
 
-func (t *aggTable) push(row []rel.Value) error {
+func (t *aggTable) push(row []rel.Value) {
 	t.in++
 	var g *aggGroup
 	switch {
 	case t.byKey != nil:
 		t.kb = t.kb[:0]
 		for _, key := range t.keys {
-			v, err := key(row)
-			if err != nil {
-				return err
-			}
-			t.kb = appendGroupKey(t.kb, v)
+			t.kb = appendGroupKey(t.kb, key(row))
 		}
 		if g = t.byKey[string(t.kb)]; g == nil {
 			g = t.add(t.newGroup(string(t.kb)))
@@ -220,7 +214,7 @@ func (t *aggTable) push(row []rel.Value) error {
 	default:
 		g = t.groups[0]
 	}
-	return g.push(row)
+	g.push(row)
 }
 
 // add appends a group first seen now.
@@ -259,18 +253,15 @@ func (t *aggTable) takeMorsel() morselBuf {
 // or their groups, merged. A group a morsel saw first is the morsel's as
 // it stands — its first row the first row a serial run would have seen —
 // and a group seen before takes the morsel's states in.
-func (t *aggTable) absorb(ms []morselBuf) error {
+func (t *aggTable) absorb(ms []morselBuf) {
 	for _, m := range ms {
 		for _, row := range m.rows {
-			if err := t.push(row); err != nil {
-				return err
-			}
+			t.push(row)
 		}
 		if m.groups != nil {
 			t.merge(m)
 		}
 	}
-	return nil
 }
 
 func (t *aggTable) merge(m morselBuf) {
@@ -293,17 +284,14 @@ func (t *aggTable) merge(m morselBuf) {
 	}
 }
 
-func (g *aggGroup) push(row []rel.Value) error {
+func (g *aggGroup) push(row []rel.Value) {
 	if g.n == 0 {
 		copy(g.row, row)
 	}
 	g.n++
 	for i := range g.accs {
-		if err := g.accs[i].add(row); err != nil {
-			return err
-		}
+		g.accs[i].add(row)
 	}
-	return nil
 }
 
 // appendGroupKey appends v's canonical key (rel.Value.Key) and a
@@ -329,19 +317,15 @@ func appendGroupKey(b []byte, v rel.Value) []byte {
 
 // emit evaluates the select list for one finished group and appends the
 // row it yields to out.
-func (ag *aggregator) emit(g *aggGroup, out *relation) error {
+func (ag *aggregator) emit(g *aggGroup, out *relation) {
 	for i := range g.accs {
 		g.row[ag.width+i] = g.accs[i].result()
 	}
 	row := make([]rel.Value, len(ag.items))
 	for i, item := range ag.items {
-		var err error
-		if row[i], err = item(g.row); err != nil {
-			return err
-		}
+		row[i] = item(g.row)
 	}
 	out.rows = append(out.rows, row)
-	return nil
 }
 
 // aggAcc is the running state of one aggregate call over one group:
@@ -354,20 +338,17 @@ type aggAcc struct {
 	vals  []rel.Value
 }
 
-func (a *aggAcc) add(row []rel.Value) error {
+func (a *aggAcc) add(row []rel.Value) {
 	if a.arg == nil {
 		a.count++
-		return nil
+		return
 	}
-	v, err := a.arg(row)
-	if err != nil || v.IsNull() {
-		return err
+	if v := a.arg(row); !v.IsNull() {
+		a.count++
+		if a.list {
+			a.vals = append(a.vals, v)
+		}
 	}
-	a.count++
-	if a.list {
-		a.vals = append(a.vals, v)
-	}
-	return nil
 }
 
 // merge takes in the state b reached over the rows that followed a's:

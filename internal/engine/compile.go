@@ -17,20 +17,22 @@ import (
 // evaluation runs as closure calls instead of AST walks. The executor
 // compiles filter predicates, join keys, and projections once per
 // operator and then runs them per row — the difference between an
-// interpreted and a compiled query plan.
-type compiledExpr func(row []rel.Value) (rel.Value, error)
+// interpreted and a compiled query plan. It is total: every row yields a
+// value, NULL where SQL has none to give (DESIGN.md §16), so no plan can
+// make a statement fail by the rows it evaluates an expression on.
+type compiledExpr func(row []rel.Value) rel.Value
 
 // compile builds a compiledExpr. It is the engine's one evaluator: every
 // sql.Expr compiles or the statement fails here, before any row is read.
 // A closure may be called from several goroutines at once (an expression
 // index's key function is); morsel workers nevertheless compile their own
-// (stage.open). One holding a subquery runs it against q and stays on the
-// dispatching goroutine (pipe.serial).
+// (stage.open). An IN subquery runs here, against q, so one holding it is
+// compiled on the dispatching goroutine only (pipe.serial).
 func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, error) {
 	switch v := x.(type) {
 	case *sql.Literal:
 		val := rel.FromAny(v.Val)
-		return func([]rel.Value) (rel.Value, error) { return val, nil }, nil
+		return func([]rel.Value) rel.Value { return val }, nil
 	case *sql.Param:
 		if v.Index >= len(q.params) {
 			return nil, fmt.Errorf("engine: missing parameter %d", v.Index+1)
@@ -39,26 +41,20 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 			return nil, fmt.Errorf("engine: parameter %d is an id list: it can only be read as x IN (?)", v.Index+1)
 		}
 		val := q.params[v.Index].Val
-		return func([]rel.Value) (rel.Value, error) { return val, nil }, nil
+		return func([]rel.Value) rel.Value { return val }, nil
 	case *sql.ColumnRef:
 		i, err := sc.resolve(v.Table, v.Column)
 		if err != nil {
 			return nil, err
 		}
-		return func(row []rel.Value) (rel.Value, error) { return row[i], nil }, nil
+		return func(row []rel.Value) rel.Value { return row[i] }, nil
 	case *sql.IsNull:
 		inner, err := e.compile(q, sc, v.X)
 		if err != nil {
 			return nil, err
 		}
 		not := v.Not
-		return func(row []rel.Value) (rel.Value, error) {
-			iv, err := inner(row)
-			if err != nil {
-				return rel.Null, err
-			}
-			return rel.NewBool(iv.IsNull() != not), nil
-		}, nil
+		return func(row []rel.Value) rel.Value { return rel.NewBool(inner(row).IsNull() != not) }, nil
 	case *sql.Unary:
 		inner, err := e.compile(q, sc, v.X)
 		if err != nil {
@@ -66,29 +62,15 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		}
 		switch v.Op {
 		case "NOT":
-			return func(row []rel.Value) (rel.Value, error) {
-				iv, err := inner(row)
-				if err != nil || iv.IsNull() {
-					return rel.Null, err
+			return func(row []rel.Value) rel.Value {
+				iv := inner(row)
+				if iv.IsNull() {
+					return rel.Null
 				}
-				return rel.NewBool(!iv.Truthy()), nil
+				return rel.NewBool(!iv.Truthy())
 			}, nil
 		case "-":
-			return func(row []rel.Value) (rel.Value, error) {
-				iv, err := inner(row)
-				if err != nil {
-					return rel.Null, err
-				}
-				switch iv.Kind() {
-				case rel.KindNull:
-					return rel.Null, nil
-				case rel.KindInt:
-					return rel.NewInt(-iv.Int()), nil
-				case rel.KindFloat:
-					return rel.NewFloat(-iv.Float()), nil
-				}
-				return rel.Null, fmt.Errorf("engine: cannot negate %s", iv.Kind())
-			}, nil
+			return func(row []rel.Value) rel.Value { return negate(inner(row)) }, nil
 		}
 		return nil, fmt.Errorf("engine: unknown unary op %s", v.Op)
 	case *sql.Binary:
@@ -100,12 +82,12 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		}
 		if ids, ok := q.idList(v); ok {
 			set, not := newIDSet(ids), v.Not
-			return func(row []rel.Value) (rel.Value, error) {
-				xv, err := xe(row)
-				if err != nil || xv.IsNull() {
-					return rel.Null, err
+			return func(row []rel.Value) rel.Value {
+				xv := xe(row)
+				if xv.IsNull() {
+					return rel.Null
 				}
-				return rel.NewBool(set.has(xv) != not), nil
+				return rel.NewBool(set.has(xv) != not)
 			}, nil
 		}
 		// The list is constants: the translation's labels and bound
@@ -139,10 +121,10 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		}
 		var keys map[string]bool
 		var keysOnce sync.Once
-		return func(row []rel.Value) (rel.Value, error) {
-			xv, err := xe(row)
-			if err != nil || xv.IsNull() {
-				return rel.Null, err
+		return func(row []rel.Value) rel.Value {
+			xv := xe(row)
+			if xv.IsNull() {
+				return rel.Null
 			}
 			var hit bool
 			if ints != nil && xv.Kind() == rel.KindInt {
@@ -157,12 +139,12 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 				hit = keys[xv.Key()]
 			}
 			if hit {
-				return rel.NewBool(!not), nil
+				return rel.NewBool(!not)
 			}
 			if sawNull {
-				return rel.Null, nil
+				return rel.Null
 			}
-			return rel.NewBool(not), nil
+			return rel.NewBool(not)
 		}, nil
 	case *sql.Cast:
 		inner, err := e.compile(q, sc, v.X)
@@ -170,15 +152,15 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 			return nil, err
 		}
 		toInt := v.Type == "BIGINT" // the parser admits BIGINT and DOUBLE
-		return func(row []rel.Value) (rel.Value, error) {
-			iv, err := inner(row)
+		return func(row []rel.Value) rel.Value {
+			iv := inner(row)
 			switch {
-			case err != nil || iv.IsNull():
-				return rel.Null, err
+			case iv.IsNull():
+				return rel.Null
 			case toInt:
-				return rel.NewInt(iv.Int()), nil
+				return rel.NewInt(iv.Int())
 			}
-			return rel.NewFloat(iv.Float()), nil
+			return rel.NewFloat(iv.Float())
 		}, nil
 	case *sql.Subscript:
 		base, err1 := e.compile(q, sc, v.X)
@@ -186,24 +168,16 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		if err1 != nil || err2 != nil {
 			return nil, firstErr(err1, err2)
 		}
-		return func(row []rel.Value) (rel.Value, error) {
-			bv, err := base(row)
-			if err != nil {
-				return rel.Null, err
-			}
-			ix, err := idx(row)
-			if err != nil {
-				return rel.Null, err
-			}
-			list := bv.List()
-			i := int(ix.Int())
+		return func(row []rel.Value) rel.Value {
+			list := base(row).List()
+			i := int(idx(row).Int())
 			if i < 0 {
 				i += len(list)
 			}
 			if i < 0 || i >= len(list) {
-				return rel.Null, nil
+				return rel.Null
 			}
-			return list[i], nil
+			return list[i]
 		}, nil
 	case *sql.FuncCall:
 		return e.compileFunc(q, sc, v)
@@ -212,24 +186,34 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		if err != nil {
 			return nil, err
 		}
-		query, not := v.Query, v.Not
-		return func(row []rel.Value) (rel.Value, error) {
-			xv, err := xe(row)
-			if err != nil {
-				return rel.Null, err
+		set, err := e.subquerySet(q, v.Query)
+		if err != nil {
+			return nil, err
+		}
+		not := v.Not
+		return func(row []rel.Value) rel.Value {
+			xv := xe(row)
+			if xv.IsNull() {
+				return rel.Null
 			}
-			res, err := e.subquery(q, query)
-			if err != nil {
-				return rel.Null, err
-			}
-			set, err := res.keySet()
-			if err != nil || xv.IsNull() {
-				return rel.Null, err
-			}
-			return rel.NewBool(set[xv.Key()] != not), nil
+			return rel.NewBool(set[xv.Key()] != not)
 		}, nil
 	}
 	return nil, fmt.Errorf("engine: unsupported expression %T", x)
+}
+
+// negate implements unary minus: a number negated, NULL for anything
+// else — a string, a boolean, a list or a document has no negative, and
+// an error would make the rows an expression is evaluated on observable
+// (DESIGN.md §16). gremlin/expr.Eval negates alike.
+func negate(v rel.Value) rel.Value {
+	switch v.Kind() {
+	case rel.KindInt:
+		return rel.NewInt(-v.Int())
+	case rel.KindFloat:
+		return rel.NewFloat(-v.Float())
+	}
+	return rel.Null
 }
 
 // idList returns the ids x IN (?) tests against when its parameter is
@@ -306,60 +290,41 @@ func (e *Engine) compileBinary(q *queryState, sc *scope, v *sql.Binary) (compile
 	}
 	switch v.Op {
 	case "AND":
-		return func(row []rel.Value) (rel.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return rel.Null, err
-			}
+		return func(row []rel.Value) rel.Value {
+			lv := l(row)
 			if !lv.IsNull() && !lv.Truthy() {
-				return rel.NewBool(false), nil
+				return rel.NewBool(false)
 			}
-			rv, err := r(row)
-			if err != nil {
-				return rel.Null, err
-			}
+			rv := r(row)
 			if !rv.IsNull() && !rv.Truthy() {
-				return rel.NewBool(false), nil
+				return rel.NewBool(false)
 			}
 			if lv.IsNull() || rv.IsNull() {
-				return rel.Null, nil
+				return rel.Null
 			}
-			return rel.NewBool(true), nil
+			return rel.NewBool(true)
 		}, nil
 	case "OR":
-		return func(row []rel.Value) (rel.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return rel.Null, err
-			}
+		return func(row []rel.Value) rel.Value {
+			lv := l(row)
 			if !lv.IsNull() && lv.Truthy() {
-				return rel.NewBool(true), nil
+				return rel.NewBool(true)
 			}
-			rv, err := r(row)
-			if err != nil {
-				return rel.Null, err
-			}
+			rv := r(row)
 			if !rv.IsNull() && rv.Truthy() {
-				return rel.NewBool(true), nil
+				return rel.NewBool(true)
 			}
 			if lv.IsNull() || rv.IsNull() {
-				return rel.Null, nil
+				return rel.Null
 			}
-			return rel.NewBool(false), nil
+			return rel.NewBool(false)
 		}, nil
 	case "=", "<>", "<", "<=", ">", ">=":
 		op := v.Op
-		return func(row []rel.Value) (rel.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return rel.Null, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return rel.Null, err
-			}
+		return func(row []rel.Value) rel.Value {
+			lv, rv := l(row), r(row)
 			if lv.IsNull() || rv.IsNull() {
-				return rel.Null, nil
+				return rel.Null
 			}
 			c := rel.Compare(lv, rv)
 			var out bool
@@ -377,48 +342,21 @@ func (e *Engine) compileBinary(q *queryState, sc *scope, v *sql.Binary) (compile
 			default:
 				out = c >= 0
 			}
-			return rel.NewBool(out), nil
+			return rel.NewBool(out)
 		}, nil
 	case "LIKE":
-		return func(row []rel.Value) (rel.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return rel.Null, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return rel.Null, err
-			}
+		return func(row []rel.Value) rel.Value {
+			lv, rv := l(row), r(row)
 			if lv.IsNull() || rv.IsNull() {
-				return rel.Null, nil
+				return rel.Null
 			}
-			return rel.NewBool(likeMatch(valueText(lv), valueText(rv))), nil
+			return rel.NewBool(likeMatch(valueText(lv), valueText(rv)))
 		}, nil
 	case "||":
-		return func(row []rel.Value) (rel.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return rel.Null, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return rel.Null, err
-			}
-			return concatValues(lv, rv), nil
-		}, nil
+		return func(row []rel.Value) rel.Value { return concatValues(l(row), r(row)) }, nil
 	case "+", "-", "*", "/", "%":
 		op := v.Op
-		return func(row []rel.Value) (rel.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return rel.Null, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return rel.Null, err
-			}
-			return arith(op, lv, rv)
-		}, nil
+		return func(row []rel.Value) rel.Value { return arith(op, l(row), r(row)) }, nil
 	}
 	return nil, fmt.Errorf("engine: unknown binary op %s", v.Op)
 }
@@ -432,7 +370,7 @@ func (e *Engine) compileBinary(q *queryState, sc *scope, v *sql.Binary) (compile
 func (e *Engine) compileFunc(q *queryState, sc *scope, v *sql.FuncCall) (compiledExpr, error) {
 	if i := slices.Index(sc.aggs, v); i >= 0 {
 		slot := sc.aggBase + i
-		return func(row []rel.Value) (rel.Value, error) { return row[slot], nil }, nil
+		return func(row []rel.Value) rel.Value { return row[slot] }, nil
 	}
 	name := strings.ToUpper(v.Name)
 	if isAggregateName(name) {
@@ -452,51 +390,40 @@ func (e *Engine) compileFunc(q *queryState, sc *scope, v *sql.FuncCall) (compile
 				doc, path := args[0], sqljson.CompilePath(text)
 				if cr, ok := v.Args[0].(*sql.ColumnRef); ok {
 					col, _ := sc.resolve(cr.Table, cr.Column) // resolved above
-					return func(row []rel.Value) (rel.Value, error) { return jsonValPath(row[col], path), nil }, nil
+					return func(row []rel.Value) rel.Value { return jsonValPath(row[col], path) }, nil
 				}
-				return func(row []rel.Value) (rel.Value, error) {
-					dv, err := doc(row)
-					if err != nil {
-						return rel.Null, err
-					}
-					return jsonValPath(dv, path), nil
-				}, nil
+				return func(row []rel.Value) rel.Value { return jsonValPath(doc(row), path) }, nil
 			}
 		}
 	}
 	if name == "COALESCE" {
-		return func(row []rel.Value) (rel.Value, error) {
+		return func(row []rel.Value) rel.Value {
 			for _, a := range args {
-				av, err := a(row)
-				if err != nil {
-					return rel.Null, err
-				}
-				if !av.IsNull() {
-					return av, nil
+				if av := a(row); !av.IsNull() {
+					return av
 				}
 			}
-			return rel.Null, nil
+			return rel.Null
 		}, nil
 	}
 	fn, err := scalarFunc(name, len(args))
 	if err != nil {
 		return nil, err
 	}
-	return func(row []rel.Value) (rel.Value, error) {
+	return func(row []rel.Value) rel.Value {
 		vals := make([]rel.Value, len(args))
 		for i, a := range args {
-			var err error
-			if vals[i], err = a(row); err != nil {
-				return rel.Null, err
-			}
+			vals[i] = a(row)
 		}
 		return fn(vals)
 	}, nil
 }
 
 // compilePredicates compiles a set of conjuncts into one boolean test.
-// Callers pass exactly the conjuncts they intend to apply.
-func (e *Engine) compilePredicates(q *queryState, sc *scope, conjs []*conjunct) (func(row []rel.Value) (bool, error), error) {
+// Callers pass exactly the conjuncts they intend to apply. The test stops
+// at the first conjunct that is not true: every conjunct is total, so
+// which of them it evaluates cannot change what it answers.
+func (e *Engine) compilePredicates(q *queryState, sc *scope, conjs []*conjunct) (func(row []rel.Value) bool, error) {
 	var compiled []compiledExpr
 	for _, c := range conjs {
 		ce, err := e.compile(q, sc, c.expr)
@@ -505,16 +432,12 @@ func (e *Engine) compilePredicates(q *queryState, sc *scope, conjs []*conjunct) 
 		}
 		compiled = append(compiled, ce)
 	}
-	return func(row []rel.Value) (bool, error) {
+	return func(row []rel.Value) bool {
 		for _, ce := range compiled {
-			v, err := ce(row)
-			if err != nil {
-				return false, err
-			}
-			if v.IsNull() || !v.Truthy() {
-				return false, nil
+			if v := ce(row); v.IsNull() || !v.Truthy() {
+				return false
 			}
 		}
-		return true, nil
+		return true
 	}, nil
 }

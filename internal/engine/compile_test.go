@@ -2,12 +2,15 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"sqlgraph/internal/rel"
+	"sqlgraph/internal/sql"
+	"sqlgraph/internal/sqljson"
 )
 
 // TestCompileTotal: compile is the engine's one evaluator, so an
@@ -15,8 +18,10 @@ import (
 // expression per sql.Expr implementation (and per built-in function) is
 // evaluated over the four VA rows as a select item, and must then yield
 // the same values — or fail with the same error — as a WHERE term, a
-// GROUP BY key and an ORDER BY key. A form the closed dialect deleted
-// fails in every position: a parse error, or an unknown function.
+// GROUP BY key and an ORDER BY key. An expression fails only as a
+// statement: negating what is not a number is NULL, as dividing by zero
+// is. A form the closed dialect deleted fails in every position: a parse
+// error, or an unknown function.
 func TestCompileTotal(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
@@ -25,6 +30,7 @@ func TestCompileTotal(t *testing.T) {
 		x    string
 		args []any
 		err  string // non-empty: every position fails with an error containing it
+		null bool   // every row's value is NULL
 	}{
 		// ColumnRef, Literal, Param
 		{x: "VID"}, {x: "7"}, {x: "'x'"}, {x: "2.5"}, {x: "TRUE"}, {x: "NULL"},
@@ -33,8 +39,8 @@ func TestCompileTotal(t *testing.T) {
 		{x: "NOSUCH", err: "unknown column"},
 		// Unary
 		{x: "NOT (VID > 2)"}, {x: "NOT (" + age + " > 28)"}, {x: "- VID"}, {x: "- " + age}, {x: "- 2.5"},
-		{x: "- " + name, err: "cannot negate VARCHAR"},
-		{x: "- (VID = 1)", err: "cannot negate BOOLEAN"},
+		{x: "- " + name, null: true}, {x: "- (VID = 1)", null: true}, {x: "- LIST(VID)", null: true}, {x: "- ATTR", null: true},
+		{x: "- (VID * 0.0)"}, {x: "- (VID - 2.5)"},
 		// Binary
 		{x: "VID * 2 + 1"}, {x: "VID - 2.5"}, {x: age + " >= 29"}, {x: age + " > 28 OR VID = 3"},
 		{x: age + " > 28 AND VID < 4"}, {x: name + " LIKE '%o%'"}, {x: name + " || '!'"}, {x: "LIST(1) || VID"},
@@ -114,6 +120,11 @@ func TestCompileTotal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("select list: %v", err)
 			}
+			for _, row := range items.Data {
+				if c.null && !row[1].IsNull() {
+					t.Errorf("VID %v: %v, want NULL", row[0], row[1])
+				}
+			}
 			// WHERE: each row passes the test for its own value.
 			groups := map[string][]int64{}
 			for _, row := range items.Data {
@@ -161,6 +172,122 @@ func TestCompileTotal(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNegate: unary minus negates a BIGINT or a DOUBLE, 0.0 to -0.0, and
+// is NULL for every other kind.
+func TestNegate(t *testing.T) {
+	doc, err := sqljson.Parse(`{"a":1}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ in, want rel.Value }{
+		{rel.NewInt(3), rel.NewInt(-3)}, {rel.NewInt(-7), rel.NewInt(7)}, {rel.NewFloat(2.5), rel.NewFloat(-2.5)},
+		{rel.NewFloat(0), rel.NewFloat(math.Copysign(0, -1))},
+		{rel.Null, rel.Null}, {rel.NewString("5"), rel.Null}, {rel.NewBool(true), rel.Null},
+		{rel.NewList([]rel.Value{rel.NewInt(1)}), rel.Null}, {rel.NewJSON(&doc), rel.Null},
+	} {
+		got := negate(c.in)
+		if got.Kind() != c.want.Kind() || !rel.Equal(got, c.want) && !got.IsNull() ||
+			got.Kind() == rel.KindFloat && math.Signbit(got.Float()) != math.Signbit(c.want.Float()) {
+			t.Errorf("- %s %s = %s %s, want %s %s", c.in.Kind(), c.in, got.Kind(), got, c.want.Kind(), c.want)
+		}
+	}
+}
+
+// TestNegatedIndexMatchesScan: an expression index whose key negates a
+// VARCHAR keys a string name under NULL, as the expression evaluates, so
+// every predicate read through it returns the rows a full scan returns.
+func TestNegatedIndexMatchesScan(t *testing.T) {
+	e := newTestEngine(t)
+	seedGraph(t, e)
+	mustInsert(t, e, "VA", row(5, mustDoc(t, `{"name":7}`)))
+	mustInsert(t, e, "VA", row(6, mustDoc(t, `{"name":2.5}`)))
+	mustInsert(t, e, "VA", row(7, mustDoc(t, `{"name":true}`)))
+	const neg = "- JSON_VAL(ATTR, 'name')"
+	queries := []string{
+		"SELECT VID FROM VA WHERE " + neg + " = -7",
+		"SELECT VID FROM VA WHERE " + neg + " IN (-7, -2.5, 0)",
+		"SELECT VID FROM VA WHERE " + neg + " < 0",
+		"SELECT VID FROM VA WHERE " + neg + " IS NOT NULL",
+	}
+	var scanned []string
+	for _, q := range queries {
+		r := mustQuery(t, e, q)
+		if r.Stats.Scans[0].Access != "full-scan" {
+			t.Fatalf("%s: %s before the index exists", q, r.Stats.Scans[0].Access)
+		}
+		scanned = append(scanned, rowsText(r))
+	}
+	x, err := sql.ParseExpr(neg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CreateIndex("VA_NEGNAME", "VA", x); err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range queries {
+		r := mustQuery(t, e, q)
+		if access := r.Stats.Scans[0].Access; !strings.HasPrefix(access, "index-") || rowsText(r) != scanned[i] {
+			t.Errorf("%s: %s gave %q, the full scan %q", q, access, rowsText(r), scanned[i])
+		}
+	}
+	if scanned[3] != "5 6" {
+		t.Errorf("negated names that are numbers: %q, want 5 6", scanned[3])
+	}
+}
+
+// TestStatementErrorsAnyPlan: what can fail a statement fails it before
+// any row is read — so behind a conjunct that keeps no row, over an input
+// with no rows, and alike under every join strategy at one and at four
+// workers — while negating a string, pushed below the join or not, is
+// NULL under every one of them.
+func TestStatementErrorsAnyPlan(t *testing.T) {
+	e := newTestEngine(t)
+	seedGraph(t, e)
+	const join = "SELECT V.VID, E.EID FROM VA V, EA E WHERE E.OUTV = V.VID AND "
+	fails := map[string]string{
+		"NOSUCH = 1":                                "unknown column",
+		"V.VID = ?":                                 "missing parameter 1",
+		"COUNT(*) = 1":                              "aggregate COUNT used outside aggregation context",
+		"NOSUCH(V.VID) = 1":                         "unknown function NOSUCH",
+		"CONTAINS(E.LBL) IS NULL":                   "CONTAINS does not take 1 arguments",
+		"V.VID IN (SELECT INV, OUTV FROM EA)":       "IN subquery must return one column",
+		"V.VID IN (SELECT NOSUCH FROM EA)":          "unknown column",
+		"E.EID NOT IN (SELECT VID FROM VA, NOSUCH)": "unknown table NOSUCH",
+		"E.INV IN (SELECT VID FROM VA WHERE ? = 1)": "missing parameter 1",
+		"- JSON_VAL(V.ATTR, 'name') < 0 AND ? = 1":  "missing parameter 1",
+	}
+	for _, force := range []JoinStrategy{StrategyAuto, StrategyHash, StrategyNestedLoop} {
+		for _, par := range []int{1, 4} {
+			e.SetExecOptions(ExecOptions{Parallelism: par, ForceJoin: force})
+			for _, before := range []string{"", "1 = 0 AND ", "V.VID < 0 AND "} {
+				for cond, want := range fails {
+					if _, err := e.Query(join + before + cond); err == nil || !strings.Contains(err.Error(), want) {
+						t.Errorf("force=%s par=%d %s: error %v, want one containing %q", force, par, join+before+cond, err, want)
+					}
+				}
+				if _, err := e.Query(join+before+"E.EID IN (?)", []int64{7}); err != nil {
+					t.Errorf("force=%s par=%d: an id list read as x IN (?): %v", force, par, err)
+				}
+				if _, err := e.Query(join+before+"E.EID = ?", []int64{7}); err == nil || !strings.Contains(err.Error(), "is an id list") {
+					t.Errorf("force=%s par=%d: an id list read as x = ?: %v", force, par, err)
+				}
+			}
+			for q, want := range map[string]string{
+				join + "- JSON_VAL(V.ATTR, 'name') < 0":                        "",
+				join + "(E.LBL = 'knows' OR - E.LBL < 0) AND - V.ATTR IS NULL": "2|7 4|8",
+				join + "(NOT (- JSON_VAL(V.ATTR, 'name') = 0) OR E.EID > 10)":  "3|11",
+			} {
+				r, err := e.Query(q)
+				if err != nil {
+					t.Errorf("force=%s par=%d %s: %v", force, par, q, err)
+				} else if got := strings.Join(sortedStrings(strings.Fields(rowsText(r))), " "); got != want {
+					t.Errorf("force=%s par=%d %s: %q, want %q", force, par, q, got, want)
+				}
+			}
+		}
 	}
 }
 

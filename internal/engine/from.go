@@ -285,19 +285,15 @@ type projectSink struct {
 	next sink
 }
 
-func (s *projectSink) push(row []rel.Value) error {
+func (s *projectSink) push(row []rel.Value) {
 	for i, step := range s.plan {
 		if step.colPos >= 0 {
 			s.out[i] = row[step.colPos]
-			continue
+		} else {
+			s.out[i] = s.fns[i](row)
 		}
-		v, err := s.fns[i](row)
-		if err != nil {
-			return err
-		}
-		s.out[i] = v
 	}
-	return s.next.push(s.out)
+	s.next.push(s.out)
 }
 
 // identityProjection reports whether the plan copies every input column
@@ -581,20 +577,15 @@ func (s *nestedLoopStage) open(next sink) (sink, error) {
 	return &nestedLoopWorker{nestedLoopStage: s, emit: emit}, err
 }
 
-func (w *nestedLoopWorker) push(lrow []rel.Value) error {
+func (w *nestedLoopWorker) push(lrow []rel.Value) {
 	w.outer++
 	matched := false
 	for _, rrow := range w.right {
-		ok, err := w.emit.emit(lrow, rrow)
-		if err != nil {
-			return err
-		}
-		matched = matched || ok
+		matched = w.emit.emit(lrow, rrow) || matched
 	}
 	if !matched && w.kind == "LEFT" {
-		return w.emit.emitUnmatched(lrow)
+		w.emit.emitUnmatched(lrow)
 	}
-	return nil
 }
 
 func (w *nestedLoopWorker) done() {
@@ -682,32 +673,21 @@ func (e *Engine) lateralValues(q *queryState, cur *relation, ref sql.TableRef, c
 
 type lateralSink struct {
 	cells [][]compiledExpr
-	pass  func(row []rel.Value) (bool, error)
+	pass  func(row []rel.Value) bool
 	out   []rel.Value
 	next  sink
 }
 
-func (s *lateralSink) push(lrow []rel.Value) error {
+func (s *lateralSink) push(lrow []rel.Value) {
 	n := copy(s.out, lrow)
 	for _, cells := range s.cells {
 		for i, cf := range cells {
-			v, err := cf(lrow)
-			if err != nil {
-				return err
-			}
-			s.out[n+i] = v
+			s.out[n+i] = cf(lrow)
 		}
-		keep, err := s.pass(s.out)
-		if err != nil {
-			return err
-		}
-		if keep {
-			if err := s.next.push(s.out); err != nil {
-				return err
-			}
+		if s.pass(s.out) {
+			s.next.push(s.out)
 		}
 	}
-	return nil
 }
 
 // rightSource resolves a table reference to its rows: a CTE, a base

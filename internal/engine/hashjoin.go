@@ -84,7 +84,7 @@ type joinKeys[K comparable] struct {
 
 // joinKeyFn evaluates the equi-join key columns of one row into dst and
 // reports whether one of them is NULL.
-type joinKeyFn func(row, dst []rel.Value) (null bool, err error)
+type joinKeyFn func(row, dst []rel.Value) (null bool)
 
 // leftKeyFn compiles the key function of cur's rows.
 func (a *hashJoinArgs) leftKeyFn(e *Engine, q *queryState) (joinKeyFn, error) {
@@ -96,14 +96,12 @@ func (a *hashJoinArgs) leftKeyFn(e *Engine, q *queryState) (joinKeyFn, error) {
 		}
 		fns[i] = fn
 	}
-	return func(row, dst []rel.Value) (null bool, err error) {
+	return func(row, dst []rel.Value) (null bool) {
 		for i, fn := range fns {
-			if dst[i], err = fn(row); err != nil {
-				return false, err
-			}
+			dst[i] = fn(row)
 			null = null || dst[i].IsNull()
 		}
-		return null, nil
+		return null
 	}, nil
 }
 
@@ -227,27 +225,19 @@ func (s *hashProbeStage[K]) open(next sink) (sink, error) {
 	return &hashProbeWorker[K]{hashProbeStage: s, key: key, dst: make([]rel.Value, len(s.a.joinEqRight)), emit: emit}, err
 }
 
-func (w *hashProbeWorker[K]) push(lrow []rel.Value) error {
+func (w *hashProbeWorker[K]) push(lrow []rel.Value) {
 	w.probed++
-	null, err := w.key(lrow, w.dst)
-	if err != nil {
-		return err
-	}
+	null := w.key(lrow, w.dst)
 	matched := false
 	if k, ok := w.enc(w.dst); ok && !null {
 		for ri := w.table.first(k); ri >= 0; ri = w.table.next[ri] {
 			w.e.hashAccess(w.q, w.a.simTable, int(ri))
-			ok, err := w.emit.emit(lrow, w.right[ri])
-			if err != nil {
-				return err
-			}
-			matched = matched || ok
+			matched = w.emit.emit(lrow, w.right[ri]) || matched
 		}
 	}
 	if !matched && w.kind == "LEFT" {
-		return w.emit.emitUnmatched(lrow)
+		w.emit.emitUnmatched(lrow)
 	}
-	return nil
 }
 
 func (w *hashProbeWorker[K]) done() {

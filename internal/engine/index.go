@@ -56,8 +56,7 @@ func (e *Engine) CreateIndex(name, table string, exprs ...sql.Expr) error {
 	keyFn := func(vals []rel.Value) []rel.Value {
 		out := make([]rel.Value, len(fns))
 		for i, fn := range fns {
-			// A row the expression fails on indexes under NULL.
-			out[i], _ = fn(vals)
+			out[i] = fn(vals)
 		}
 		return out
 	}

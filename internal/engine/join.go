@@ -37,7 +37,7 @@ type indexNLWorker struct {
 	*indexNLStage
 	tableName string
 	keyFns    []compiledExpr
-	rightPass func(row []rel.Value) (bool, error)
+	rightPass func(row []rel.Value) bool
 	emit      *joinEmitter
 	leftVals  []rel.Value // evaluated equi-join expressions of the current outer row
 	key       []rel.Value // the index's leading columns, drawn from leftVals
@@ -45,7 +45,6 @@ type indexNLWorker struct {
 
 	lrow    []rel.Value // current outer row
 	matched bool
-	err     error
 	outer   int // outer rows received
 	probed  int // candidate rows index probes returned
 }
@@ -84,27 +83,18 @@ func (w *indexNLWorker) visit(rid rel.RowID, rvals []rel.Value) bool {
 			return true
 		}
 	}
-	ok, err := w.rightPass(rvals)
-	if err == nil && ok {
-		if ok, err = w.emit.emit(w.lrow, rvals); ok {
-			w.matched = true
-		}
+	if w.rightPass(rvals) && w.emit.emit(w.lrow, rvals) {
+		w.matched = true
 	}
-	w.err = err
-	return err == nil
+	return true
 }
 
-func (w *indexNLWorker) push(lrow []rel.Value) error {
+func (w *indexNLWorker) push(lrow []rel.Value) {
 	w.outer++
 	nullKey := false
 	for j, fn := range w.keyFns {
-		v, err := fn(lrow)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			nullKey = true
-		}
+		v := fn(lrow)
+		nullKey = nullKey || v.IsNull()
 		w.leftVals[j] = v
 	}
 	w.lrow, w.matched = lrow, false
@@ -115,14 +105,10 @@ func (w *indexNLWorker) push(lrow []rel.Value) error {
 		// ProbeAt resolves entries to the images visible at the query's
 		// snapshot version and filters stale entries (see Table.ProbeAt).
 		w.t.ProbeAt(w.ix, w.key, w.q.asOf, w.visitFn)
-		if w.err != nil {
-			return w.err
-		}
 	}
 	if !w.matched && w.kind == "LEFT" {
-		return w.emit.emitUnmatched(lrow)
+		w.emit.emitUnmatched(lrow)
 	}
-	return nil
 }
 
 func (w *indexNLWorker) done() {

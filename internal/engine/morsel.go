@@ -144,9 +144,10 @@ func runMorsels[W any](n, size, workers int, newWorker func() (W, error), proces
 }
 
 // hasSubquery reports whether an expression contains a nested SELECT.
-// Subquery evaluation mutates shared per-query state (CTE bindings, the
-// kept subquery results), so expressions containing one must not run on
-// parallel workers.
+// Compiling one runs the subquery, which mutates shared per-query state
+// (CTE bindings, the kept subquery sets), so an expression containing one
+// is compiled on the dispatching goroutine only: it must not run on
+// parallel workers, which compile their own.
 func hasSubquery(x sql.Expr) bool {
 	found := false
 	walkSubqueries(x, func(*sql.SelectStmt) { found = true })

@@ -21,9 +21,11 @@ import (
 
 // sink receives an operator's output one row at a time. A row pushed by a
 // stage that assembles its output in a scratch buffer (pipe.scratch) is
-// valid only until push returns: a sink that keeps it copies it.
+// valid only until push returns: a sink that keeps it copies it. A push
+// cannot fail: every expression a sink evaluates is total (compiledExpr),
+// and whatever can fail a statement fails when its stages open.
 type sink interface {
-	push(row []rel.Value) error
+	push(row []rel.Value)
 }
 
 // counter is a sink that counts: done folds what this instance counted
@@ -53,7 +55,7 @@ type pipe struct {
 	stages  []stage
 	joins   []int // ExecStats.Joins indices of the join stages, in order
 	scratch bool  // rows leaving the last stage live in a stage's scratch buffer
-	serial  bool  // a stage (or the scan's filter) evaluates a subquery: one worker only
+	serial  bool  // a stage (or the scan's filter) holds a subquery: one worker only
 	fans    bool  // a stage or the scan's filter may emit fewer or more rows than it is pushed
 }
 
@@ -73,7 +75,7 @@ type stageKind uint8
 
 const (
 	emitsScratch stageKind = 1 << iota // assembles its output in a buffer of its own rather than passing its input on
-	serialOnly                         // evaluates a subquery: must not run on workers
+	serialOnly                         // holds a subquery: must not run on workers
 	oneToOne                           // emits exactly one row per row
 )
 
@@ -130,7 +132,7 @@ type terminal interface {
 	// pushed into it are valid only until push returns.
 	part(width int, scratch bool) (part, error)
 	// absorb takes what the parts kept of each morsel, in morsel order.
-	absorb(ms []morselBuf) error
+	absorb(ms []morselBuf)
 	// replays reports whether its parts keep the rows they are pushed, for
 	// absorb to push again: a pipe from stored rows with no stage then runs
 	// on one worker, since its workers would have nothing else to do.
@@ -182,17 +184,16 @@ func newCollect(width int, seen *deduper) *collect {
 	return &collect{arena: newRowArena(width, 0), seen: seen}
 }
 
-func (c *collect) push(row []rel.Value) error {
+func (c *collect) push(row []rel.Value) {
 	c.in++
 	if c.seen != nil {
 		c.offer(row, c.copy)
-		return nil
+		return
 	}
 	if c.copy && len(row) > 0 {
 		row = c.clone(row)
 	}
 	c.rows = append(c.rows, row)
-	return nil
 }
 
 func (c *collect) clone(row []rel.Value) []rel.Value {
@@ -270,7 +271,7 @@ func (c *collect) replays() bool { return c.seen == nil }
 
 func (c *collect) received() int { return c.in }
 
-func (c *collect) absorb(ms []morselBuf) error {
+func (c *collect) absorb(ms []morselBuf) {
 	if c.seen == nil {
 		n := 0
 		for _, m := range ms {
@@ -281,7 +282,7 @@ func (c *collect) absorb(ms []morselBuf) error {
 			c.in += m.in
 			c.rows = append(c.rows, m.rows...)
 		}
-		return nil
+		return
 	}
 	for _, m := range ms {
 		c.in += m.in
@@ -298,7 +299,6 @@ func (c *collect) absorb(ms []morselBuf) error {
 			c.offer(row, false)
 		}
 	}
-	return nil
 }
 
 // takeMorsel returns what was collected since the last call and starts
@@ -348,22 +348,17 @@ func (p *pipe) open(tail sink) (*chain, error) {
 }
 
 // pushHead pushes the stored head rows [lo, hi) of p into the chain.
-func (c *chain) pushHead(p *pipe, lo, hi int) error {
+func (c *chain) pushHead(p *pipe, lo, hi int) {
 	if p.ids != nil {
 		for _, id := range p.ids[lo:hi] {
 			c.idRow[0] = rel.NewInt(id)
-			if err := c.head.push(c.idRow); err != nil {
-				return err
-			}
+			c.head.push(c.idRow)
 		}
-		return nil
+		return
 	}
 	for _, row := range p.head[lo:hi] {
-		if err := c.head.push(row); err != nil {
-			return err
-		}
+		c.head.push(row)
 	}
-	return nil
 }
 
 // morselCut is how a pipe ran: morsels of rows head rows (a scan's:
@@ -477,15 +472,13 @@ func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (cut 
 			// few head rows.
 			from = min(n, probeRows, size)
 			for i := 0; i < from; i++ {
-				if err := c.pushHead(p, i, i+1); err != nil {
-					return cut, err
-				}
+				c.pushHead(p, i, i+1)
 				if term.received()-before >= z.target/4 {
 					from = i + 1
 				}
 			}
-		} else if err := c.pushHead(p, 0, from); err != nil {
-			return cut, err
+		} else {
+			c.pushHead(p, 0, from)
 		}
 		cut = morselCut{morsels: 1, rows: n, workers: 1}
 		// Every head row is work, whether or not it reaches term: a probe
@@ -497,9 +490,7 @@ func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (cut 
 			}
 		}
 		if cut.workers == 1 {
-			if err := c.pushHead(p, from, n); err != nil {
-				return cut, err
-			}
+			c.pushHead(p, from, n)
 			from = n
 		}
 	}
@@ -526,16 +517,15 @@ func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (cut 
 			return c, nil
 		}
 		_, err = runMorsels(n-from, size, cut.workers, newWorker, func(c *chain, m, lo, hi int) error {
-			var err error
 			if c.scan != nil {
-				err = c.scan.run(lo, hi, c.head)
+				c.scan.run(lo, hi, c.head)
 			} else {
-				err = c.pushHead(p, from+lo, from+hi)
+				c.pushHead(p, from+lo, from+hi)
 			}
-			if err == nil && c.tail != nil {
+			if c.tail != nil {
 				bufs[m] = c.tail.takeMorsel()
 			}
-			return err
+			return nil
 		})
 		if err != nil {
 			return cut, err
@@ -555,9 +545,9 @@ func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (cut 
 		}
 	}
 	if bufs != nil {
-		err = term.absorb(bufs)
+		term.absorb(bufs)
 	}
-	return cut, err
+	return cut, nil
 }
 
 // materialize runs a pending relation into stored rows. A stored head no
@@ -619,9 +609,9 @@ type cteMarkSink struct {
 	stored bool
 }
 
-func (s *cteMarkSink) push(row []rel.Value) error {
+func (s *cteMarkSink) push(row []rel.Value) {
 	s.n++
-	return s.next.push(row)
+	s.next.push(row)
 }
 
 func (s *cteMarkSink) done() {
@@ -648,14 +638,12 @@ func serialIf(serial bool) stageKind {
 }
 
 type filterSink struct {
-	pass func(row []rel.Value) (bool, error)
+	pass func(row []rel.Value) bool
 	next sink
 }
 
-func (s *filterSink) push(row []rel.Value) error {
-	ok, err := s.pass(row)
-	if err != nil || !ok {
-		return err
+func (s *filterSink) push(row []rel.Value) {
+	if s.pass(row) {
+		s.next.push(row)
 	}
-	return s.next.push(row)
 }

@@ -216,34 +216,13 @@ func TestPipelineBreakers(t *testing.T) {
 		t.Fatalf("CTE read twice: fused=%v, %d result rows for %d CTE rows", fusedCTEs(&rows.Stats), len(rows.Data), rows.Stats.CTEs[1].Rows)
 	}
 
-	// Read zero times: still evaluated, and its error still surfaces.
-	// (Negating a string is the runtime error: dividing by zero is NULL,
-	// which picks the list's second element at VAL = 7 only.)
-	const failsAt7 = "- LIST(VAL, 'seven')[COALESCE(0 * (1 / (VAL - 7)), 1)]"
-	unread := hop.with("BAD", "SELECT "+failsAt7+" AS X FROM T2")
+	// Read zero times: still evaluated.
+	unread := hop.with("UNREAD", "SELECT VAL + 1 AS X FROM T2")
 	unread.final = "SELECT VAL FROM T1"
-	if _, err := e.Query(unread.sql(false)); err == nil || !strings.Contains(err.Error(), "cannot negate") {
-		t.Fatalf("unread CTE's error = %v, want cannot negate", err)
-	}
-	unread.bodies[2] = "SELECT VAL + 1 AS X FROM T2"
 	rows = mustQuery(t, e, unread.sql(false))
 	if c := rows.Stats.CTEs[2]; c.Fused || c.Rows == 0 || len(rows.Data) != 400 {
 		t.Fatalf("unread CTE: %+v, %d result rows", c, len(rows.Data))
 	}
-
-	// A runtime error raised mid-pipeline, in the second arm of a UNION ALL
-	// whose first arm has already pushed rows into the DISTINCT set.
-	arms := hop.with("T3", "SELECT "+failsAt7+" AS VAL FROM T2").
-		with("T4", "SELECT VAL FROM T2 UNION ALL SELECT VAL FROM T3").
-		with("T5", "SELECT DISTINCT VAL FROM T4")
-	arms.final = "SELECT VAL FROM T5"
-	for _, par := range []int{1, 4} {
-		e.SetExecOptions(ExecOptions{Parallelism: par})
-		if _, err := e.Query(arms.sql(false)); err == nil || !strings.Contains(err.Error(), "cannot negate") {
-			t.Fatalf("par=%d: error in the second arm = %v, want cannot negate", par, err)
-		}
-	}
-	e.SetExecOptions(ExecOptions{})
 
 	// Recursive CTE: a breaker itself, and what it reads is stored, since it
 	// reads it once per iteration.

@@ -112,9 +112,9 @@ func newJoinShape(leftCols, rightCols []colInfo, full *scope, keep []int, residu
 // sink its rows go to.
 type joinEmitter struct {
 	shape   *joinShape
-	resid   func(row []rel.Value) (bool, error) // nil when there are no residual terms
-	scratch []rel.Value                         // full-width row the residual terms read
-	out     []rel.Value                         // the emitted row, overwritten by the next one
+	resid   func(row []rel.Value) bool // nil when there are no residual terms
+	scratch []rel.Value                // full-width row the residual terms read
+	out     []rel.Value                // the emitted row, overwritten by the next one
 	next    sink
 	n       int // rows pushed on
 }
@@ -133,17 +133,18 @@ func (e *Engine) newJoinEmitter(q *queryState, s *joinShape, next sink) (*joinEm
 	return je, nil
 }
 
-// pair assembles the output row for a left/right pair that already passed
+// emit pushes on the output row of a left/right pair that already passed
 // the join's key and single-side checks, unless a residual term rejects
-// it. Both inputs are read in place: only the kept columns are copied,
-// into a row that is valid until the emitter's next call.
-func (je *joinEmitter) pair(l, r []rel.Value) ([]rel.Value, bool, error) {
+// it, and reports whether it did. Both inputs are read in place: only the
+// kept columns are copied, into a row that is valid until the emitter's
+// next call.
+func (je *joinEmitter) emit(l, r []rel.Value) (matched bool) {
 	s := je.shape
 	if je.resid != nil {
 		copy(je.scratch, l)
 		copy(je.scratch[s.leftArity:], r)
-		if ok, err := je.resid(je.scratch); err != nil || !ok {
-			return nil, false, err
+		if !je.resid(je.scratch) {
+			return false
 		}
 	}
 	for i, p := range s.leftSrc {
@@ -153,27 +154,18 @@ func (je *joinEmitter) pair(l, r []rel.Value) ([]rel.Value, bool, error) {
 	for i, p := range s.rightSrc {
 		je.out[k+i] = r[p]
 	}
-	return je.out, true, nil
-}
-
-// emit pushes the pair's output row on, unless a residual term rejects
-// the pair.
-func (je *joinEmitter) emit(l, r []rel.Value) (matched bool, err error) {
-	row, ok, err := je.pair(l, r)
-	if !ok {
-		return false, err
-	}
 	je.n++
-	return true, je.next.push(row)
+	je.next.push(je.out)
+	return true
 }
 
 // emitUnmatched pushes on the null-extended output row of a LEFT join's
 // unmatched left row.
-func (je *joinEmitter) emitUnmatched(l []rel.Value) error {
+func (je *joinEmitter) emitUnmatched(l []rel.Value) {
 	for i, p := range je.shape.leftSrc {
 		je.out[i] = l[p]
 	}
 	clear(je.out[len(je.shape.leftSrc):])
 	je.n++
-	return je.next.push(je.out)
+	je.next.push(je.out)
 }

@@ -9,52 +9,53 @@ import (
 )
 
 // ScalarFunc is a scalar function (paper Section 4.3 defines UDFs such as
-// isSimplePath for filter pipes SQL cannot express natively).
-type ScalarFunc func(args []rel.Value) (rel.Value, error)
+// isSimplePath for filter pipes SQL cannot express natively). Like every
+// compiled expression it is total (compiledExpr).
+type ScalarFunc func(args []rel.Value) rel.Value
 
-// arith implements + - * / %. NULL propagates; the result is an integer
-// only when both sides are; % coerces both sides to integers. Division and
-// modulo by a zero divisor are NULL (the SQLite/MySQL rule), not an error:
-// no expression's outcome then depends on which rows it is evaluated for,
-// so the planner may push a predicate below a join or a filter past
-// another without changing what the statement returns (DESIGN.md §16).
-// gremlin/expr.arith is the same function over closure values.
-func arith(op string, l, r rel.Value) (rel.Value, error) {
+// arith implements + - * / % (compileBinary passes it no other op). NULL
+// propagates; the result is an integer only when both sides are; %
+// coerces both sides to integers. Division and modulo by a zero divisor
+// are NULL (the SQLite/MySQL rule), not an error: no expression's outcome
+// then depends on which rows it is evaluated for, so the planner may push
+// a predicate below a join or a filter past another without changing
+// what the statement returns (DESIGN.md §16). gremlin/expr.arith is the
+// same function over closure values.
+func arith(op string, l, r rel.Value) rel.Value {
 	if l.IsNull() || r.IsNull() {
-		return rel.Null, nil
+		return rel.Null
 	}
 	intOp := l.Kind() == rel.KindInt && r.Kind() == rel.KindInt
 	switch op {
 	case "+":
 		if intOp {
-			return rel.NewInt(l.Int() + r.Int()), nil
+			return rel.NewInt(l.Int() + r.Int())
 		}
-		return rel.NewFloat(l.Float() + r.Float()), nil
+		return rel.NewFloat(l.Float() + r.Float())
 	case "-":
 		if intOp {
-			return rel.NewInt(l.Int() - r.Int()), nil
+			return rel.NewInt(l.Int() - r.Int())
 		}
-		return rel.NewFloat(l.Float() - r.Float()), nil
+		return rel.NewFloat(l.Float() - r.Float())
 	case "*":
 		if intOp {
-			return rel.NewInt(l.Int() * r.Int()), nil
+			return rel.NewInt(l.Int() * r.Int())
 		}
-		return rel.NewFloat(l.Float() * r.Float()), nil
+		return rel.NewFloat(l.Float() * r.Float())
 	case "/":
 		switch {
 		case r.Float() == 0:
-			return rel.Null, nil
+			return rel.Null
 		case intOp:
-			return rel.NewInt(l.Int() / r.Int()), nil
+			return rel.NewInt(l.Int() / r.Int())
 		}
-		return rel.NewFloat(l.Float() / r.Float()), nil
-	case "%":
-		if r.Int() == 0 {
-			return rel.Null, nil
-		}
-		return rel.NewInt(l.Int() % r.Int()), nil
+		return rel.NewFloat(l.Float() / r.Float())
 	}
-	return rel.Null, fmt.Errorf("engine: unknown arithmetic op %s", op)
+	// %
+	if r.Int() == 0 {
+		return rel.Null
+	}
+	return rel.NewInt(l.Int() % r.Int())
 }
 
 // concatValues implements ||: list append when the left side is a LIST
@@ -89,12 +90,12 @@ type builtin struct {
 var builtins = map[string]builtin{
 	// JSON_VAL(doc, 'path') extracts a value from a JSON column, NULL when
 	// the path is absent.
-	"JSON_VAL": {2, 2, func(a []rel.Value) (rel.Value, error) {
-		return jsonValPath(a[0], sqljson.CompilePath(valueText(a[1]))), nil
+	"JSON_VAL": {2, 2, func(a []rel.Value) rel.Value {
+		return jsonValPath(a[0], sqljson.CompilePath(valueText(a[1])))
 	}},
 	// LIST(a, b, ...) constructs a LIST value (used to seed traversal
 	// paths in the translation).
-	"LIST": {0, -1, func(a []rel.Value) (rel.Value, error) { return rel.NewList(a), nil }},
+	"LIST": {0, -1, func(a []rel.Value) rel.Value { return rel.NewList(a) }},
 	// String predicates backing the Gremlin closure methods
 	// it.x.contains(y) / it.x.startsWith(y). NULL unless both sides are
 	// strings, matching the closure evaluator.
@@ -102,28 +103,28 @@ var builtins = map[string]builtin{
 	"STARTSWITH": {2, 2, stringPred(strings.HasPrefix)},
 	// ISSIMPLEPATH(path) is 1 when no element of the path list repeats, 0
 	// otherwise: the paper's UDF for simplePath (§4.3).
-	"ISSIMPLEPATH": {1, 1, func(a []rel.Value) (rel.Value, error) {
+	"ISSIMPLEPATH": {1, 1, func(a []rel.Value) rel.Value {
 		list := a[0].List()
 		seen := make(map[string]bool, len(list))
 		for _, v := range list {
 			k := v.Key()
 			if seen[k] {
-				return rel.NewInt(0), nil
+				return rel.NewInt(0)
 			}
 			seen[k] = true
 		}
-		return rel.NewInt(1), nil
+		return rel.NewInt(1)
 	}},
 	// LIST_TRIM(path, n) drops the last n elements of a path list (back).
-	"LIST_TRIM": {2, 2, func(a []rel.Value) (rel.Value, error) {
+	"LIST_TRIM": {2, 2, func(a []rel.Value) rel.Value {
 		list, n := a[0].List(), int(a[1].Int())
 		if n <= 0 {
-			return a[0], nil
+			return a[0]
 		}
 		if n >= len(list) {
-			return rel.NewList(nil), nil
+			return rel.NewList(nil)
 		}
-		return rel.NewList(list[:len(list)-n]), nil
+		return rel.NewList(list[:len(list)-n])
 	}},
 }
 
@@ -141,11 +142,11 @@ func scalarFunc(name string, n int) (ScalarFunc, error) {
 }
 
 func stringPred(f func(s, arg string) bool) ScalarFunc {
-	return func(a []rel.Value) (rel.Value, error) {
+	return func(a []rel.Value) rel.Value {
 		if a[0].Kind() != rel.KindString || a[1].Kind() != rel.KindString {
-			return rel.Null, nil
+			return rel.Null
 		}
-		return rel.NewBool(f(a[0].Str(), a[1].Str())), nil
+		return rel.NewBool(f(a[0].Str(), a[1].Str()))
 	}
 }
 

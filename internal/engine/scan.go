@@ -103,7 +103,7 @@ func (e *Engine) constValue(q *queryState, x sql.Expr) (rel.Value, error) {
 	if err != nil {
 		return rel.Null, err
 	}
-	return fn(nil)
+	return fn(nil), nil
 }
 
 // chooseAccessPath inspects the pushable conjuncts for indexable
@@ -361,7 +361,7 @@ func (s *scanSource) size() (n, rows int) {
 // morsel.
 type scanWorker struct {
 	*scanSource
-	pass    func(row []rel.Value) (bool, error)
+	pass    func(row []rel.Value) bool
 	in, out int
 }
 
@@ -377,20 +377,17 @@ func (s *scanSource) open() (*scanWorker, error) {
 // the row image visible at the query's snapshot version and drops stale
 // entries for superseded images — a probe visits each matching row
 // exactly once per version.
-func (w *scanWorker) run(lo, hi int, next sink) error {
+func (w *scanWorker) run(lo, hi int, next sink) {
 	in, out := 0, 0
-	var err error
 	name := w.t.Name()
 	visit := func(rid rel.RowID, vals []rel.Value) bool {
 		in++
 		w.e.pageAccess(w.q, name, rid)
-		var ok bool
-		if ok, err = w.pass(vals); err != nil || !ok {
-			return err == nil
+		if w.pass(vals) {
+			out++
+			next.push(vals)
 		}
-		out++
-		err = next.push(vals)
-		return err == nil
+		return true
 	}
 	p, asOf := w.path, w.q.asOf
 	switch p.kind {
@@ -402,7 +399,7 @@ func (w *scanWorker) run(lo, hi int, next sink) error {
 		w.t.ProbeRangeAt(p.index, rel.Null, rel.Null, true, true, asOf, visit)
 	default:
 		var key [1]rel.Value
-		for i := lo; i < hi && err == nil; i++ {
+		for i := lo; i < hi; i++ {
 			if p.ids == nil {
 				w.t.ProbeAt(p.index, p.keys[i], asOf, visit)
 				continue
@@ -412,7 +409,6 @@ func (w *scanWorker) run(lo, hi int, next sink) error {
 		}
 	}
 	w.in, w.out = w.in+in, w.out+out
-	return err
 }
 
 // done folds the worker's counts into the scan's statistics; runPipe

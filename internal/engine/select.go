@@ -21,16 +21,16 @@ const maxRecursionIters = 10000
 // by the operator after its workers join).
 type queryState struct {
 	ctes     map[string]*relation
-	params   []Arg                          // this execution's arguments; never stored in the statement or a cached plan
-	subs     map[*sql.SelectStmt]*subResult // results of the subqueries expressions hold
-	ioMisses int64                          // buffer-pool misses (atomic; morsel workers add concurrently)
-	par      int                            // morsel-parallelism budget (0 = GOMAXPROCS, 1 = serial)
-	sizes    morselSizes                    // the engine's morsel work target and fan-out gate (zero: the defaults)
-	tables   tableStock                     // the DISTINCT sets' spare tables
-	force    JoinStrategy                   // forced join strategy, StrategyAuto for planner's choice
-	asOf     rel.Version                    // snapshot version for base-table reads (zero = latest)
-	t0       time.Time                      // query start; anchors operator StartNs offsets
-	stats    ExecStats                      // per-operator execution statistics
+	params   []Arg                               // this execution's arguments; never stored in the statement or a cached plan
+	subs     map[*sql.SelectStmt]map[string]bool // the sets of the IN subqueries expressions hold
+	ioMisses int64                               // buffer-pool misses (atomic; morsel workers add concurrently)
+	par      int                                 // morsel-parallelism budget (0 = GOMAXPROCS, 1 = serial)
+	sizes    morselSizes                         // the engine's morsel work target and fan-out gate (zero: the defaults)
+	tables   tableStock                          // the DISTINCT sets' spare tables
+	force    JoinStrategy                        // forced join strategy, StrategyAuto for planner's choice
+	asOf     rel.Version                         // snapshot version for base-table reads (zero = latest)
+	t0       time.Time                           // query start; anchors operator StartNs offsets
+	stats    ExecStats                           // per-operator execution statistics
 
 	// Cost-based planner state. All fields are zero-value-safe so an
 	// expression index's key functions (compiled over a bare queryState)
@@ -216,7 +216,7 @@ func (e *Engine) orderRows(q *queryState, r *relation, keys []sql.Expr, keep int
 		// Positional ORDER BY (ORDER BY 1).
 		if lit, ok := key.(*sql.Literal); ok {
 			if pos, isInt := lit.Val.(int64); isInt && pos >= 1 && int(pos) <= len(r.cols) {
-				keyFns[j] = func(row []rel.Value) (rel.Value, error) { return row[pos-1], nil }
+				keyFns[j] = func(row []rel.Value) rel.Value { return row[pos-1] }
 				continue
 			}
 		}
@@ -242,10 +242,7 @@ func (e *Engine) orderRows(q *queryState, r *relation, keys []sql.Expr, keep int
 	for i, row := range rows {
 		cand.row, cand.seq = row, i
 		for j, fn := range keyFns {
-			var err error
-			if cand.keys[j], err = fn(row); err != nil {
-				return err
-			}
+			cand.keys[j] = fn(row)
 		}
 		switch {
 		case len(kept) < keep:
@@ -419,44 +416,33 @@ func referencesTable(body sql.SelectBody, name string) bool {
 	return n[name] > 0
 }
 
-// subResult is what a subquery held by an expression returned.
-type subResult struct {
-	*relation
-	keys map[string]bool // IN (subquery): its one column's non-NULL values, built at the first probe
-}
-
-// subquery evaluates a nested SELECT held by an expression. Subqueries
-// are uncorrelated in this dialect, so one runs once per statement however
-// many rows probe it: the result is kept on the query state.
-func (e *Engine) subquery(q *queryState, stmt *sql.SelectStmt) (*subResult, error) {
-	if res, ok := q.subs[stmt]; ok {
-		return res, nil
+// subquerySet evaluates the nested SELECT of an IN (subquery) into the
+// set it probes: its one column's non-NULL values. Subqueries are
+// uncorrelated in this dialect, so one runs once per statement however
+// many expressions hold it and rows probe it: the set is kept on the query
+// state. It runs when the expression holding it compiles, so a subquery
+// that fails fails the statement before any row is read, under every plan.
+func (e *Engine) subquerySet(q *queryState, stmt *sql.SelectStmt) (map[string]bool, error) {
+	if set, ok := q.subs[stmt]; ok {
+		return set, nil
 	}
 	r, err := e.evalSelect(q, stmt)
 	if err != nil {
 		return nil, err
 	}
+	if len(r.cols) != 1 {
+		return nil, fmt.Errorf("engine: IN subquery must return one column, got %d", len(r.cols))
+	}
+	rows := r.rowsOf()
+	set := make(map[string]bool, len(rows))
+	for _, row := range rows {
+		if !row[0].IsNull() {
+			set[row[0].Key()] = true
+		}
+	}
 	if q.subs == nil {
-		q.subs = map[*sql.SelectStmt]*subResult{}
+		q.subs = map[*sql.SelectStmt]map[string]bool{}
 	}
-	res := &subResult{relation: r}
-	q.subs[stmt] = res
-	return res, nil
-}
-
-// keySet returns the set an IN probes.
-func (res *subResult) keySet() (map[string]bool, error) {
-	if res.keys == nil {
-		if len(res.cols) != 1 {
-			return nil, fmt.Errorf("engine: IN subquery must return one column, got %d", len(res.cols))
-		}
-		rows := res.rowsOf()
-		res.keys = make(map[string]bool, len(rows))
-		for _, row := range rows {
-			if !row[0].IsNull() {
-				res.keys[row[0].Key()] = true
-			}
-		}
-	}
-	return res.keys, nil
+	q.subs[stmt] = set
+	return set, nil
 }

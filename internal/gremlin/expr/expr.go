@@ -14,7 +14,6 @@
 package expr
 
 import (
-	"fmt"
 	"strings"
 
 	"sqlgraph/internal/rel"
@@ -157,126 +156,93 @@ type Env interface {
 
 // Eval evaluates the expression over one item. Semantics match the SQL
 // engine: AND/OR are three-valued and short-circuiting, comparisons and
-// arithmetic propagate NULL, division/modulo by zero is NULL.
-func Eval(n Node, env Env) (rel.Value, error) {
+// arithmetic propagate NULL, division/modulo by zero is NULL, and so is
+// negating what is not a number. It is total, as the engine's compiled
+// expressions are: which items a closure is evaluated on cannot decide
+// whether a query fails.
+func Eval(n Node, env Env) rel.Value {
 	switch x := n.(type) {
 	case *Lit:
-		return rel.FromAny(x.Val), nil
+		return rel.FromAny(x.Val)
 	case *It:
 		switch x.Field {
 		case "":
-			return env.Self(), nil
+			return env.Self()
 		case "id":
-			return env.ID(), nil
+			return env.ID()
 		case "loops":
-			return env.Loops(), nil
+			return env.Loops()
 		default:
-			return env.Prop(x.Field), nil
+			return env.Prop(x.Field)
 		}
 	case *Unary:
-		inner, err := Eval(x.X, env)
-		if err != nil {
-			return rel.Null, err
-		}
-		switch x.Op {
-		case "!":
-			if inner.IsNull() {
-				return rel.Null, nil
-			}
-			return rel.NewBool(!inner.Truthy()), nil
-		case "-":
+		inner := Eval(x.X, env)
+		if x.Op == "-" {
 			switch inner.Kind() {
 			case rel.KindInt:
-				return rel.NewInt(-inner.Int()), nil
+				return rel.NewInt(-inner.Int())
 			case rel.KindFloat:
-				return rel.NewFloat(-inner.Float()), nil
-			case rel.KindNull:
-				return rel.Null, nil
-			default:
-				return rel.Null, fmt.Errorf("expr: cannot negate %s", inner.Kind())
+				return rel.NewFloat(-inner.Float())
 			}
+			return rel.Null
 		}
-		return rel.Null, fmt.Errorf("expr: unknown unary op %s", x.Op)
+		// !
+		if inner.IsNull() {
+			return rel.Null
+		}
+		return rel.NewBool(!inner.Truthy())
 	case *Binary:
 		return evalBinary(x, env)
-	case *Call:
-		recv, err := Eval(x.Recv, env)
-		if err != nil {
-			return rel.Null, err
-		}
-		arg, err := Eval(x.Arg, env)
-		if err != nil {
-			return rel.Null, err
-		}
-		// Matches the engine's CONTAINS/STARTSWITH builtins: NULL unless
-		// both sides are strings.
-		if recv.Kind() != rel.KindString || arg.Kind() != rel.KindString {
-			return rel.Null, nil
-		}
-		switch x.Name {
-		case "contains":
-			return rel.NewBool(strings.Contains(recv.Str(), arg.Str())), nil
-		case "startsWith":
-			return rel.NewBool(strings.HasPrefix(recv.Str(), arg.Str())), nil
-		}
-		return rel.Null, fmt.Errorf("expr: unknown method %s", x.Name)
 	}
-	return rel.Null, fmt.Errorf("expr: unknown node %T", n)
+	// Node is sealed (prec is unexported): what is left is a Call, which
+	// the parser builds for contains and startsWith only.
+	x := n.(*Call)
+	recv, arg := Eval(x.Recv, env), Eval(x.Arg, env)
+	// Matches the engine's CONTAINS/STARTSWITH builtins: NULL unless both
+	// sides are strings.
+	if recv.Kind() != rel.KindString || arg.Kind() != rel.KindString {
+		return rel.Null
+	}
+	if x.Name == "contains" {
+		return rel.NewBool(strings.Contains(recv.Str(), arg.Str()))
+	}
+	return rel.NewBool(strings.HasPrefix(recv.Str(), arg.Str()))
 }
 
-func evalBinary(b *Binary, env Env) (rel.Value, error) {
+func evalBinary(b *Binary, env Env) rel.Value {
 	switch b.Op {
 	case "&&":
-		l, err := Eval(b.L, env)
-		if err != nil {
-			return rel.Null, err
-		}
+		l := Eval(b.L, env)
 		if !l.IsNull() && !l.Truthy() {
-			return rel.NewBool(false), nil
+			return rel.NewBool(false)
 		}
-		r, err := Eval(b.R, env)
-		if err != nil {
-			return rel.Null, err
-		}
+		r := Eval(b.R, env)
 		if !r.IsNull() && !r.Truthy() {
-			return rel.NewBool(false), nil
+			return rel.NewBool(false)
 		}
 		if l.IsNull() || r.IsNull() {
-			return rel.Null, nil
+			return rel.Null
 		}
-		return rel.NewBool(true), nil
+		return rel.NewBool(true)
 	case "||":
-		l, err := Eval(b.L, env)
-		if err != nil {
-			return rel.Null, err
-		}
+		l := Eval(b.L, env)
 		if !l.IsNull() && l.Truthy() {
-			return rel.NewBool(true), nil
+			return rel.NewBool(true)
 		}
-		r, err := Eval(b.R, env)
-		if err != nil {
-			return rel.Null, err
-		}
+		r := Eval(b.R, env)
 		if !r.IsNull() && r.Truthy() {
-			return rel.NewBool(true), nil
+			return rel.NewBool(true)
 		}
 		if l.IsNull() || r.IsNull() {
-			return rel.Null, nil
+			return rel.Null
 		}
-		return rel.NewBool(false), nil
+		return rel.NewBool(false)
 	}
-	l, err := Eval(b.L, env)
-	if err != nil {
-		return rel.Null, err
-	}
-	r, err := Eval(b.R, env)
-	if err != nil {
-		return rel.Null, err
-	}
+	l, r := Eval(b.L, env), Eval(b.R, env)
 	switch b.Op {
 	case "==", "!=", "<", "<=", ">", ">=":
 		if l.IsNull() || r.IsNull() {
-			return rel.Null, nil
+			return rel.Null
 		}
 		c := rel.Compare(l, r)
 		var out bool
@@ -294,52 +260,49 @@ func evalBinary(b *Binary, env Env) (rel.Value, error) {
 		case ">=":
 			out = c >= 0
 		}
-		return rel.NewBool(out), nil
-	case "+", "-", "*", "/", "%":
-		return arith(b.Op, l, r)
+		return rel.NewBool(out)
 	}
-	return rel.Null, fmt.Errorf("expr: unknown binary op %s", b.Op)
+	return arith(b.Op, l, r)
 }
 
 // arith mirrors the engine's arithmetic exactly: NULL propagates,
 // integer ops stay integral only when both sides are ints, modulo always
 // coerces to int, division and modulo by a zero divisor are NULL.
-func arith(op string, l, r rel.Value) (rel.Value, error) {
+func arith(op string, l, r rel.Value) rel.Value {
 	if l.IsNull() || r.IsNull() {
-		return rel.Null, nil
+		return rel.Null
 	}
 	intOp := l.Kind() == rel.KindInt && r.Kind() == rel.KindInt
 	switch op {
 	case "+":
 		if intOp {
-			return rel.NewInt(l.Int() + r.Int()), nil
+			return rel.NewInt(l.Int() + r.Int())
 		}
-		return rel.NewFloat(l.Float() + r.Float()), nil
+		return rel.NewFloat(l.Float() + r.Float())
 	case "-":
 		if intOp {
-			return rel.NewInt(l.Int() - r.Int()), nil
+			return rel.NewInt(l.Int() - r.Int())
 		}
-		return rel.NewFloat(l.Float() - r.Float()), nil
+		return rel.NewFloat(l.Float() - r.Float())
 	case "*":
 		if intOp {
-			return rel.NewInt(l.Int() * r.Int()), nil
+			return rel.NewInt(l.Int() * r.Int())
 		}
-		return rel.NewFloat(l.Float() * r.Float()), nil
+		return rel.NewFloat(l.Float() * r.Float())
 	case "/":
 		switch {
 		case r.Float() == 0:
-			return rel.Null, nil
+			return rel.Null
 		case intOp:
-			return rel.NewInt(l.Int() / r.Int()), nil
+			return rel.NewInt(l.Int() / r.Int())
 		}
-		return rel.NewFloat(l.Float() / r.Float()), nil
-	case "%":
-		if r.Int() == 0 {
-			return rel.Null, nil
-		}
-		return rel.NewInt(l.Int() % r.Int()), nil
+		return rel.NewFloat(l.Float() / r.Float())
 	}
-	return rel.Null, fmt.Errorf("expr: unknown arithmetic op %s", op)
+	// %
+	if r.Int() == 0 {
+		return rel.Null
+	}
+	return rel.NewInt(l.Int() % r.Int())
 }
 
 // Truthy reports whether a closure result keeps the item: non-null and

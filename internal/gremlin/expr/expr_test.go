@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -36,11 +37,7 @@ func eval(t *testing.T, src string) rel.Value {
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	v, err := Eval(n, env)
-	if err != nil {
-		t.Fatalf("eval %q: %v", src, err)
-	}
-	return v
+	return Eval(n, env)
 }
 
 func TestEvalScalars(t *testing.T) {
@@ -81,6 +78,9 @@ func TestEvalScalars(t *testing.T) {
 			t.Errorf("%q = %v (%T), want %v (%T)", c.src, got, got, c.want, c.want)
 		}
 	}
+	if v := eval(t, "-(it.w - 0.5)"); v.Kind() != rel.KindFloat || !math.Signbit(v.Float()) {
+		t.Errorf("-(it.w - 0.5) = %s %v, want DOUBLE -0", v.Kind(), v)
+	}
 }
 
 func TestEvalNullPropagation(t *testing.T) {
@@ -113,13 +113,11 @@ func TestEvalNullPropagation(t *testing.T) {
 }
 
 func TestEvalErrors(t *testing.T) {
-	for _, src := range []string{"-it.name", "-(it.k == 3)"} {
-		n, err := Parse(src)
-		if err != nil {
-			t.Fatalf("parse %q: %v", src, err)
-		}
-		if _, err := Eval(n, env); err == nil {
-			t.Errorf("eval %q: want error", src)
+	// A type error has no error result: negating what is not a number is
+	// NULL, as the engine's unary minus is.
+	for _, src := range []string{"-it.name", "-(it.k == 3)", "-it.flag", "-it.name.contains('m')"} {
+		if v := eval(t, src); !v.IsNull() {
+			t.Errorf("%q = %v, want NULL", src, v)
 		}
 	}
 }

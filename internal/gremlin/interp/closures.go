@@ -55,31 +55,27 @@ func (ie *itemEnv) Self() rel.Value {
 	return rel.NewInt(ie.it.ID)
 }
 
-func (e *env) evalClosure(n expr.Node, it Item) (rel.Value, error) {
+func (e *env) evalClosure(n expr.Node, it Item) rel.Value {
 	return expr.Eval(n, &itemEnv{e: e, it: it})
 }
 
 // exprFilter keeps items whose closure evaluates truthy (NULL drops the
 // item, matching SQL WHERE).
-func (e *env) exprFilter(items []Item, n expr.Node) ([]Item, error) {
+func (e *env) exprFilter(items []Item, n expr.Node) []Item {
 	var out []Item
 	for _, it := range items {
-		v, err := e.evalClosure(n, it)
-		if err != nil {
-			return nil, err
-		}
-		if expr.Truthy(v) {
+		if expr.Truthy(e.evalClosure(n, it)) {
 			out = append(out, it)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // orderItems sorts items by (closure key, item value) ascending with
 // rel.Compare — the same total order the translator's ORDER BY OKEY, VAL
 // template produces. A nil key expression sorts by the item value alone
 // (order()).
-func (e *env) orderItems(items []Item, keyExpr expr.Node) ([]Item, error) {
+func (e *env) orderItems(items []Item, keyExpr expr.Node) []Item {
 	type keyed struct {
 		it  Item
 		key rel.Value
@@ -89,14 +85,9 @@ func (e *env) orderItems(items []Item, keyExpr expr.Node) ([]Item, error) {
 	for i, it := range items {
 		ie := &itemEnv{e: e, it: it}
 		k := keyed{it: it, val: ie.Self()}
+		k.key = k.val
 		if keyExpr != nil {
-			kv, err := expr.Eval(keyExpr, ie)
-			if err != nil {
-				return nil, err
-			}
-			k.key = kv
-		} else {
-			k.key = k.val
+			k.key = expr.Eval(keyExpr, ie)
 		}
 		ks[i] = k
 	}
@@ -110,7 +101,7 @@ func (e *env) orderItems(items []Item, keyExpr expr.Node) ([]Item, error) {
 	for i, k := range ks {
 		out[i] = k.it
 	}
-	return out, nil
+	return out
 }
 
 // group is one accumulating groupBy/groupCount bucket.
@@ -125,15 +116,12 @@ type group struct {
 // groupCount emits one [key, count] list per group; groupBy emits
 // [key, v1..vn] with the non-null values sorted ascending (LISTAGG);
 // groups are ordered by their full output list (ORDER BY VAL).
-func (e *env) groupItems(items []Item, keyExpr, valExpr expr.Node) ([]Item, error) {
+func (e *env) groupItems(items []Item, keyExpr, valExpr expr.Node) []Item {
 	var order []string
 	groups := map[string]*group{}
 	for _, it := range items {
 		ie := &itemEnv{e: e, it: it}
-		kv, err := expr.Eval(keyExpr, ie)
-		if err != nil {
-			return nil, err
-		}
+		kv := expr.Eval(keyExpr, ie)
 		gk := kv.Key()
 		g := groups[gk]
 		if g == nil {
@@ -143,11 +131,7 @@ func (e *env) groupItems(items []Item, keyExpr, valExpr expr.Node) ([]Item, erro
 		}
 		g.count++
 		if valExpr != nil {
-			vv, err := expr.Eval(valExpr, ie)
-			if err != nil {
-				return nil, err
-			}
-			if !vv.IsNull() {
+			if vv := expr.Eval(valExpr, ie); !vv.IsNull() {
 				g.vals = append(g.vals, vv)
 			}
 		}
@@ -169,5 +153,5 @@ func (e *env) groupItems(items []Item, keyExpr, valExpr expr.Node) ([]Item, erro
 	for i, l := range lists {
 		out[i] = Item{Kind: ValueItem, Val: expr.ToAny(l)}
 	}
-	return out, nil
+	return out
 }

@@ -342,15 +342,15 @@ func (e *env) step(items []Item, s *gremlin.Step) ([]Item, error) {
 		// attribute-lookup semantics; general closures evaluate the
 		// expression per item.
 		if s.Key == "" && s.FilterExpr != nil {
-			return e.exprFilter(items, s.FilterExpr)
+			return e.exprFilter(items, s.FilterExpr), nil
 		}
 		return e.filterItems(items, s.Key, s.Op, s.Value, false)
 	case gremlin.StepOrder:
-		return e.orderItems(items, s.KeyExpr)
+		return e.orderItems(items, s.KeyExpr), nil
 	case gremlin.StepGroupBy:
-		return e.groupItems(items, s.KeyExpr, s.ValueExpr)
+		return e.groupItems(items, s.KeyExpr, s.ValueExpr), nil
 	case gremlin.StepGroupCount:
-		return e.groupItems(items, s.KeyExpr, nil)
+		return e.groupItems(items, s.KeyExpr, nil), nil
 	case gremlin.StepInterval:
 		var out []Item
 		for _, it := range items {
@@ -475,11 +475,7 @@ func (e *env) step(items []Item, s *gremlin.Step) ([]Item, error) {
 		for _, it := range items {
 			var takeThen bool
 			if s.Test == nil && s.TestExpr != nil {
-				v, err := e.evalClosure(s.TestExpr, it)
-				if err != nil {
-					return nil, err
-				}
-				takeThen = expr.Truthy(v)
+				takeThen = expr.Truthy(e.evalClosure(s.TestExpr, it))
 			} else {
 				attrs, err := e.attrsOf(it)
 				if err != nil {

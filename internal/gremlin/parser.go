@@ -787,11 +787,7 @@ func (p *gparser) parseLoopClosure() (int, error) {
 		return 0, p.errorf("loop closure may only reference it.loops")
 	}
 	for n := 1; n <= maxLoopBound; n++ {
-		v, err := expr.Eval(node, loopEnv{n: int64(n)})
-		if err != nil {
-			return 0, p.errorf("loop closure: %v", err)
-		}
-		if !expr.Truthy(v) {
+		if !expr.Truthy(expr.Eval(node, loopEnv{n: int64(n)})) {
 			return n, nil
 		}
 	}

@@ -18,6 +18,8 @@ import (
 
 	"sqlgraph/internal/blueprints"
 	"sqlgraph/internal/core"
+	"sqlgraph/internal/gremlin"
+	"sqlgraph/internal/gremlin/interp"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -197,6 +199,35 @@ func TestGoldenQueries(t *testing.T) {
 				t.Fatalf("response drifted from golden %s:\n got: %s\nwant: %s", golden, body, want)
 			}
 		})
+	}
+}
+
+// TestNegatedStringClosureAnswers: a closure that negates a string is the
+// client's to write and the store's to answer — NULL, as the oracle has
+// it — whatever else the closure holds, never a 500.
+func TestNegatedStringClosureAnswers(t *testing.T) {
+	env := newTestEnv(t, Config{})
+	for _, text := range []string{
+		"g.V.filter{-it.name < 0}.count()",
+		"g.V.filter{it.age > 100 && -it.name < 0}.count()",
+		"g.V.filter{-it.age < -28 || -it.name < 0}.count()",
+	} {
+		q, err := gremlin.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := interp.Eval(figure2a(t), q)
+		if err != nil {
+			t.Fatalf("oracle %s: %v", text, err)
+		}
+		code, body := env.doJSON(t, "POST", "/query", map[string]any{"gremlin": text})
+		if code != http.StatusOK {
+			t.Fatalf("%s: %d %s", text, code, body)
+		}
+		got := decodeInto[struct{ Values []int64 }](t, body).Values
+		if fmt.Sprint(got) != fmt.Sprint(want.Values()) {
+			t.Errorf("%s: %v, the oracle counts %v", text, got, want.Values())
+		}
 	}
 }
 
