@@ -299,8 +299,9 @@ func BenchmarkQueryTranslation(b *testing.B) {
 // BenchmarkParseIDList measures the Gremlin parse of a 12 960-id source —
 // the largest Table-1 text — which runs on every request now that the
 // prepared cache is keyed by the parsed query's shape. Ids go from the
-// token stream straight into the step's []int64: it must report at most
-// one allocation per 64 ids.
+// token stream straight into the step's []int64, sized once by the list's
+// commas: it must report at most one allocation per 64 ids, and at most
+// twice the ids' 8 bytes each.
 func BenchmarkParseIDList(b *testing.B) {
 	const ids = 12960
 	var sb strings.Builder
@@ -321,6 +322,13 @@ func BenchmarkParseIDList(b *testing.B) {
 	}
 	if allocs := testing.AllocsPerRun(5, parse); allocs > ids/64 {
 		b.Fatalf("%v allocations for %d ids, want at most one per 64 ids (%d)", allocs, ids, ids/64)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	parse()
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 2*8*ids {
+		b.Fatalf("%d bytes for %d ids, want at most twice their 8 bytes each (%d)", bytes, ids, 2*8*ids)
 	}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(text)))
@@ -511,13 +519,15 @@ func TestTraverseChainStaysFused(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// 394 KB per query measured at GOMAXPROCS 4 (368 KB at 2; 265 KB at
-	// 1, where nothing fans out) with DISTINCT frontiers kept as ids,
-	// hops fanning out by their work and set tables recycled (508 KB when
-	// frontiers were rebuilt as rows and only heads of 4 096 rows fanned
-	// out, 739 KB with a Go map and rows copied as they arrived, 853 KB
-	// with the 48-byte rel.Value, 5.64 MB with every CTE stored), x 1.35.
-	const ceiling = 532_000
+	// 334 KB per query measured at GOMAXPROCS 4 (313 KB at 2; 264 KB at
+	// 1, where nothing fans out) with DISTINCT frontiers kept as the
+	// compact id sets they were built in and worker sets merged by OR
+	// (419 KB with hashed sets whose tables were recycled and frontiers
+	// listed as ids, 508 KB when frontiers were rebuilt as rows and only
+	// heads of 4 096 rows fanned out, 739 KB with a Go map and rows copied
+	// as they arrived, 853 KB with the 48-byte rel.Value, 5.64 MB with
+	// every CTE stored), x 1.35.
+	const ceiling = 451_000
 	if perQuery := (after.TotalAlloc - before.TotalAlloc) / runs; perQuery > ceiling {
 		t.Fatalf("6-hop chain allocates %d bytes per query, ceiling %d", perQuery, ceiling)
 	}
@@ -664,5 +674,60 @@ func TestScanAggStaysFused(t *testing.T) {
 		if few, many := perQuery[4][i], perQuery[2][i]; float64(many) > 1.1*float64(few) {
 			t.Errorf("%s allocates %d bytes per query over 3 072 matching rows, %d over 6 144", text, few, many)
 		}
+	}
+}
+
+// TestIDListHeadStoredAsIDs guards how a g.V(ids) head is stored: the
+// 12 960-id head of a Table-1 text is a one-column relation of BIGINTs,
+// which the planner needs stored (settlePlanInputs) and which is kept as
+// ids, 8 bytes each, not as rows. MaterializedRows still counts it, with
+// the DISTINCT's outputs and the count.
+func TestIDListHeadStoredAsIDs(t *testing.T) {
+	const ids, parents = 12960, 432
+	b := NewBuilder()
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := int64(0); p < parents; p++ {
+		must(b.AddVertex(100_000+p, nil))
+	}
+	list := make([]string, ids)
+	for i := int64(0); i < ids; i++ {
+		must(b.AddVertex(i, nil))
+		must(b.AddEdge(200_000+i, i, 100_000+i%parents, "isPartOf", nil))
+		list[i] = fmt.Sprint(i)
+	}
+	g, err := Load(b, Options{})
+	must(err)
+	defer g.Close()
+	text := "g.V(" + strings.Join(list, ", ") + ").out('isPartOf').dedup().count()"
+	res, err := g.Query(text)
+	must(err)
+	if got := res.Values[0]; fmt.Sprint(got) != fmt.Sprint(parents) {
+		t.Fatalf("count = %v, want %d", got, parents)
+	}
+	if len(res.Stats.CTEs) == 0 || res.Stats.CTEs[0].Fused || res.Stats.CTEs[0].Rows != ids {
+		t.Fatalf("the head is not stored with %d rows:\n%s", ids, res.Stats.String())
+	}
+	if got, want := res.Stats.MaterializedRows, ids+parents+1; got != want {
+		t.Fatalf("MaterializedRows = %d, want %d (head, DISTINCT outputs, count)\n%s", got, want, res.Stats.String())
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_, err := g.Query(text)
+		must(err)
+	}
+	runtime.ReadMemStats(&after)
+	// 654 KB per query measured at GOMAXPROCS 1, 437 KB at 2 and 458 KB at
+	// 4, with the head and the id list's IN set held as ids (2.27 to
+	// 2.94 MB with the head stored as rows, a set table per worker and
+	// the id list parsed by append), x 1.35.
+	const ceiling = 900_000
+	if perQuery := (after.TotalAlloc - before.TotalAlloc) / runs; perQuery > ceiling {
+		t.Fatalf("a 12 960-id head allocates %d bytes per query, ceiling %d", perQuery, ceiling)
 	}
 }

@@ -249,12 +249,18 @@ func (t *aggTable) takeMorsel() morselBuf {
 	return m
 }
 
-// absorb takes the morsels in order: their rows, pushed again in order,
-// or their groups, merged. A group a morsel saw first is the morsel's as
+// absorb takes the morsels in order: their rows, pushed again in order
+// (the leading one-integer rows a buffer kept as ids through a scratch
+// row), or their groups, merged. A group a morsel saw first is the morsel's as
 // it stands — its first row the first row a serial run would have seen —
 // and a group seen before takes the morsel's states in.
 func (t *aggTable) absorb(ms []morselBuf) {
+	idRow := make([]rel.Value, 1)
 	for _, m := range ms {
+		for _, id := range m.ids {
+			idRow[0] = rel.NewInt(id)
+			t.push(idRow)
+		}
 		for _, row := range m.rows {
 			t.push(row)
 		}

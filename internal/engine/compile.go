@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"sqlgraph/internal/rel"
 	"sqlgraph/internal/sql"
@@ -80,23 +79,13 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		if err != nil {
 			return nil, err
 		}
-		if ids, ok := q.idList(v); ok {
-			set, not := newIDSet(ids), v.Not
-			return func(row []rel.Value) rel.Value {
-				xv := xe(row)
-				if xv.IsNull() {
-					return rel.Null
-				}
-				return rel.NewBool(set.has(xv) != not)
-			}, nil
+		if _, ok := q.idList(v); ok {
+			return inProbe(xe, q.idSets[v.List[0].(*sql.Param).Index], false, v.Not), nil
 		}
 		// The list is constants: the translation's labels and bound
-		// parameters. It is evaluated once into a hash set. An all-BIGINT
-		// list — the id list of g.V(ids) — is held as ints, and BIGINT
-		// operands looked up as such; canonical string keys are built only
-		// if an operand of another kind ever shows up.
+		// parameters, evaluated once into a set.
 		var vals []rel.Value
-		sawNull, allInt, not := false, true, v.Not
+		sawNull := false
 		for _, it := range v.List {
 			if !isConstExpr(it) {
 				return nil, fmt.Errorf("engine: IN list item %s is not a constant", it.SQL())
@@ -105,47 +94,10 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 			if err != nil {
 				return nil, err
 			}
-			if iv.IsNull() {
-				sawNull = true
-				continue
-			}
-			allInt = allInt && iv.Kind() == rel.KindInt
+			sawNull = sawNull || iv.IsNull()
 			vals = append(vals, iv)
 		}
-		var ints map[int64]struct{}
-		if allInt {
-			ints = make(map[int64]struct{}, len(vals))
-			for _, iv := range vals {
-				ints[iv.Int()] = struct{}{}
-			}
-		}
-		var keys map[string]bool
-		var keysOnce sync.Once
-		return func(row []rel.Value) rel.Value {
-			xv := xe(row)
-			if xv.IsNull() {
-				return rel.Null
-			}
-			var hit bool
-			if ints != nil && xv.Kind() == rel.KindInt {
-				_, hit = ints[xv.Int()]
-			} else {
-				keysOnce.Do(func() {
-					keys = make(map[string]bool, len(vals))
-					for _, iv := range vals {
-						keys[iv.Key()] = true
-					}
-				})
-				hit = keys[xv.Key()]
-			}
-			if hit {
-				return rel.NewBool(!not)
-			}
-			if sawNull {
-				return rel.Null
-			}
-			return rel.NewBool(not)
-		}, nil
+		return inProbe(xe, newValueSet(vals), sawNull, v.Not), nil
 	case *sql.Cast:
 		inner, err := e.compile(q, sc, v.X)
 		if err != nil {
@@ -190,14 +142,7 @@ func (e *Engine) compile(q *queryState, sc *scope, x sql.Expr) (compiledExpr, er
 		if err != nil {
 			return nil, err
 		}
-		not := v.Not
-		return func(row []rel.Value) rel.Value {
-			xv := xe(row)
-			if xv.IsNull() {
-				return rel.Null
-			}
-			return rel.NewBool(set[xv.Key()] != not)
-		}, nil
+		return inProbe(xe, set, false, v.Not), nil
 	}
 	return nil, fmt.Errorf("engine: unsupported expression %T", x)
 }
@@ -229,45 +174,72 @@ func (q *queryState) idList(v *sql.InList) ([]int64, bool) {
 	return q.params[p.Index].IDs, true
 }
 
-// idSet tests membership in an id list: by comparing with each of a few
-// ids, through an intSet with many.
-type idSet struct {
-	ids []int64
-	set *intSet
+// valueSet is what an IN predicate probes: its list's or subquery's
+// non-NULL values, in an idSet when every one is a BIGINT — an id list,
+// a subquery of element ids — else by canonical key. A probe allocates
+// nothing.
+type valueSet struct {
+	ids  idSet
+	keys map[string]bool // non-nil: a value is not a BIGINT, and ids is unused
 }
 
-func newIDSet(ids []int64) *idSet {
-	s := &idSet{ids: ids}
-	if len(ids) > 8 {
-		s.set = &intSet{}
-		s.set.reserve(len(ids))
-		for _, id := range ids {
-			s.set.add(id)
+func newValueSet(vals []rel.Value) *valueSet {
+	s := &valueSet{}
+	if slices.ContainsFunc(vals, func(v rel.Value) bool { return v.Kind() != rel.KindInt && !v.IsNull() }) {
+		s.keys = map[string]bool{}
+	}
+	for _, v := range vals {
+		switch {
+		case v.IsNull():
+		case s.keys != nil:
+			s.keys[v.Key()] = true
+		default:
+			s.ids.add(v.Int())
 		}
 	}
 	return s
 }
 
-// has reports whether v equals one of the ids, as rel.Compare has it: a
-// DOUBLE with an integral value equals that BIGINT.
-func (s *idSet) has(v rel.Value) bool {
-	var x int64
+// has reports whether v equals one of the set's values, as rel.Compare
+// has it: a DOUBLE with an integral value equals that BIGINT.
+func (s *valueSet) has(v rel.Value) bool {
+	if s.keys != nil {
+		var b [64]byte
+		return s.keys[string(v.AppendKey(b[:0]))]
+	}
+	id, ok := valueID(v)
+	return ok && s.ids.has(id)
+}
+
+// valueID returns the id v is equal to: a BIGINT's value, or a DOUBLE's
+// when it is integral and exact (the values rel.Value.Key gives an
+// integer's key).
+func valueID(v rel.Value) (int64, bool) {
 	switch v.Kind() {
 	case rel.KindInt:
-		x = v.Int()
+		return v.Int(), true
 	case rel.KindFloat:
-		f := v.Float()
-		if f != math.Trunc(f) || math.Abs(f) >= 1<<53 {
-			return false
+		if f := v.Float(); f == math.Trunc(f) && math.Abs(f) < 1<<53 {
+			return int64(f), true
 		}
-		x = int64(f)
-	default:
-		return false
 	}
-	if s.set != nil {
-		return s.set.has(x)
+	return 0, false
+}
+
+// inProbe compiles x IN set: NULL for a NULL x, and for a value not in a
+// set that held a NULL.
+func inProbe(xe compiledExpr, set *valueSet, sawNull, not bool) compiledExpr {
+	return func(row []rel.Value) rel.Value {
+		switch xv := xe(row); {
+		case xv.IsNull():
+			return rel.Null
+		case set.has(xv):
+			return rel.NewBool(!not)
+		case sawNull:
+			return rel.Null
+		}
+		return rel.NewBool(not)
 	}
-	return slices.Contains(s.ids, x)
 }
 
 func firstErr(errs ...error) error {

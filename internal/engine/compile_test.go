@@ -52,7 +52,7 @@ func TestCompileTotal(t *testing.T) {
 		{x: age + " IS NULL"}, {x: age + " IS NOT NULL"},
 		{x: "VID IN (1, 3)"}, {x: "VID IN (1, 2.0, 'x')"}, {x: age + " NOT IN (27, NULL)"}, {x: "VID IN (" + age + " - 28, 3)", err: "is not a constant"},
 		{x: "VID IN (?, ?)", args: []any{2, 4}},
-		// an id list bound to the one parameter of IN (?): a few ids are compared, many go through a hash set
+		// an id list bound to the one parameter of IN (?), held as an id set however many ids it has
 		{x: "VID IN (?)", args: []any{[]int64{2, 4}}}, {x: "VID NOT IN (?)", args: []any{[]int64{2, 4}}},
 		{x: "VID IN (?)", args: []any{[]int64{9, 8, 7, 6, 5, 4, 3, 12, 11, 10}}}, {x: "VID IN (?)", args: []any{[]int64{}}},
 		{x: "VID / 2.0 IN (?)", args: []any{[]int64{1, 2}}}, {x: age + " IN (?)", args: []any{[]int64{29}}}, {x: name + " IN (?)", args: []any{[]int64{1}}},
@@ -337,5 +337,59 @@ func TestSubqueryRunsOnce(t *testing.T) {
 		SELECT COUNT(*) FROM R`)
 	if got := r.Data[0][0].Int(); got != 3 {
 		t.Errorf("subquery over the recursive CTE's own rows: %d rows, want 3", got)
+	}
+}
+
+// TestInSubqueryProbeAllocFree: probing an IN (SELECT …) set allocates
+// nothing. A column of BIGINTs — stored rows, or a DISTINCT's set as it
+// stands — is an id set, which a DOUBLE with an integral value still
+// matches; any other column is looked up by canonical key, built on the
+// stack. NULL keeps its meaning: a NULL operand is NULL, and a NULL the
+// subquery returns is no member.
+func TestInSubqueryProbeAllocFree(t *testing.T) {
+	e := New(rel.NewCatalog())
+	mustTable(t, e, "I", intCol("V"))
+	mustTable(t, e, "S", strCol("V"))
+	for i := 0; i < 100; i++ {
+		mustInsert(t, e, "I", row(i*3))
+		mustInsert(t, e, "S", row(fmt.Sprint("s", i)))
+	}
+	mustInsert(t, e, "I", row(nil))
+	mustInsert(t, e, "S", row(nil))
+	sc := newScope([]colInfo{{name: "X"}})
+	for _, c := range []struct {
+		expr string
+		x    rel.Value
+		want rel.Value
+	}{
+		{"X IN (SELECT V FROM I)", rel.NewInt(9), rel.NewBool(true)},
+		{"X IN (SELECT V FROM I)", rel.NewFloat(9), rel.NewBool(true)},
+		{"X IN (SELECT V FROM I)", rel.NewFloat(9.5), rel.NewBool(false)},
+		{"X IN (SELECT V FROM I)", rel.NewString("9"), rel.NewBool(false)},
+		{"X IN (SELECT V FROM I)", rel.Null, rel.Null},
+		{"X NOT IN (SELECT V FROM I)", rel.NewInt(10), rel.NewBool(true)},
+		{"X IN (SELECT DISTINCT V FROM I WHERE V IS NOT NULL)", rel.NewFloat(297), rel.NewBool(true)},
+		{"X IN (SELECT DISTINCT V FROM I WHERE V IS NOT NULL)", rel.NewInt(298), rel.NewBool(false)},
+		{"X IN (SELECT V FROM S)", rel.NewString("s7"), rel.NewBool(true)},
+		{"X IN (SELECT V FROM S)", rel.NewString("t7"), rel.NewBool(false)},
+		{"X IN (SELECT V FROM S)", rel.NewInt(7), rel.NewBool(false)},
+		{"X NOT IN (SELECT V FROM S)", rel.Null, rel.Null},
+	} {
+		x, err := sql.ParseExpr(c.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, err := e.compile(&queryState{ctes: map[string]*relation{}}, sc, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := []rel.Value{c.x}
+		var got rel.Value
+		if n := testing.AllocsPerRun(100, func() { got = fn(in) }); n != 0 {
+			t.Errorf("%s with X = %s: %v allocations per probe, want 0", c.expr, c.x, n)
+		}
+		if got.Kind() != c.want.Kind() || !got.IsNull() && !rel.Equal(got, c.want) {
+			t.Errorf("%s with X = %s %s: %s, want %s", c.expr, c.x.Kind(), c.x, got, c.want)
+		}
 	}
 }

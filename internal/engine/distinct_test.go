@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sqlgraph/internal/rel"
 )
@@ -118,9 +119,11 @@ func TestDistinctAscendingAnyParallelism(t *testing.T) {
 }
 
 // TestDistinctMixedRows: a NULL, a string and an integral DOUBLE arriving
-// mid-stream in an integer column keep every distinct row once — the
-// DOUBLE is the integer it equals — at any worker count; and 1 and 1.0
-// are one row wherever they meet.
+// mid-stream in an integer column of order-free input come out after the
+// integers, which are ascending; the NULL and the string keep their first
+// occurrence order, and the DOUBLE, equal to one of the integers, is that
+// integer. The output is byte-identical at any worker count, and 1 and
+// 1.0 are one row wherever they meet.
 func TestDistinctMixedRows(t *testing.T) {
 	e := newDistinctEngine(t)
 	q := `WITH T AS (SELECT P.V AS V FROM O, P WHERE P.K = O.ID AND O.ID < 7000
@@ -129,33 +132,21 @@ func TestDistinctMixedRows(t *testing.T) {
 		UNION ALL SELECT 'x' AS V FROM O WHERE O.ID = 9000
 		UNION ALL SELECT P.V AS V FROM O, P WHERE P.K = O.ID AND O.ID > 7000 AND O.ID <> 8000 AND O.ID <> 9000)
 		SELECT DISTINCT V FROM T`
-	want := map[string]bool{"NULL": true, "x": true}
-	for k := 0; k < distinctRows; k++ {
-		if k != 7000 && k != 9000 {
-			want[fmt.Sprint(distinctVal(k))] = true
-		}
+	var want []string
+	for v := -2500; v < 2503; v++ {
+		want = append(want, fmt.Sprint(v))
 	}
-	var first string
+	want = append(want, "NULL", "x")
 	for _, par := range []int{1, 2, 4} {
 		rows := queryForced(t, e, StrategyAuto, par, q)
-		got := map[string]bool{}
-		for _, row := range rows.Data {
-			s := row[0].String()
-			if got[s] || !want[s] {
-				t.Fatalf("par=%d: %q twice or unexpected", par, s)
-			}
-			got[s] = true
+		if got := rowsText(rows); got != strings.Join(want, " ") {
+			t.Fatalf("par=%d: %d rows, want the integers -2500..2502 ascending, then NULL and x", par, len(rows.Data))
 		}
-		if len(got) != len(want) {
-			t.Fatalf("par=%d: %d distinct rows, want %d", par, len(got), len(want))
+		if rows.Data[len(rows.Data)-3][0].Kind() != rel.KindInt {
+			t.Fatalf("par=%d: the last integer is a %v", par, rows.Data[len(rows.Data)-3][0].Kind())
 		}
-		if o := dedupOrder(t, rows); o != OrderFirstOccurrence {
-			t.Fatalf("par=%d: dedup order %q, want first-occurrence once a row is not an integer", par, o)
-		}
-		if text := rowsText(rows); first == "" {
-			first = text
-		} else if text != first {
-			t.Fatalf("par=%d output differs from par=1", par)
+		if o := dedupOrder(t, rows); o != OrderAscendingThenFirst {
+			t.Fatalf("par=%d: dedup order %q, want %q", par, o, OrderAscendingThenFirst)
 		}
 	}
 
@@ -163,12 +154,12 @@ func TestDistinctMixedRows(t *testing.T) {
 	mustTable(t, e, "B", intCol("Y"))
 	mustInsert(t, e, "A", row(1.0), row(2.5), row(nil), row(3.0))
 	mustInsert(t, e, "B", row(1), row(2), row(3), row(3))
-	for q, want := range map[string]string{
-		"WITH T AS (SELECT Y AS V FROM B UNION ALL SELECT X AS V FROM A) SELECT DISTINCT V FROM T": "1 2 3 2.5 NULL",
-		"WITH T AS (SELECT X AS V FROM A UNION ALL SELECT Y AS V FROM B) SELECT DISTINCT V FROM T": "1 2.5 NULL 3 2",
+	for _, q := range []string{
+		"WITH T AS (SELECT Y AS V FROM B UNION ALL SELECT X AS V FROM A) SELECT DISTINCT V FROM T",
+		"WITH T AS (SELECT X AS V FROM A UNION ALL SELECT Y AS V FROM B) SELECT DISTINCT V FROM T",
 	} {
-		if got := rowsText(mustQuery(t, e, q)); got != want {
-			t.Fatalf("%s = %q, want %q", q, got, want)
+		if got := rowsText(mustQuery(t, e, q)); got != "1 2 3 2.5 NULL" {
+			t.Fatalf("%s = %q, want %q", q, got, "1 2 3 2.5 NULL")
 		}
 	}
 }
@@ -248,8 +239,10 @@ func TestDistinctSetOperations(t *testing.T) {
 }
 
 // TestDistinctSetResetAllocFree: a set is emptied and refilled without
-// allocating once its table has grown, and a morsel buffer keeps its set
-// from one morsel to the next, so a worker lists each id once.
+// allocating once its containers have grown — sparse arrays and a bitmap
+// alike. A morsel buffer keeps its set from one morsel to the next: under
+// an ascending DISTINCT it hands over no ids, for the terminal merges the
+// workers' sets by OR; under an ordered one it lists the ids it saw first.
 func TestDistinctSetResetAllocFree(t *testing.T) {
 	var d deduper
 	row := []rel.Value{{}}
@@ -258,28 +251,50 @@ func TestDistinctSetResetAllocFree(t *testing.T) {
 			row[0] = rel.NewInt(i * 7919)
 			d.seen(row)
 		}
+		for i := int64(0); i < 10000; i++ {
+			row[0] = rel.NewInt(i)
+			d.seen(row)
+		}
 	}
 	fill()
-	table := &d.ints.slots[0]
-	if n := testing.AllocsPerRun(20, func() { d.ints.reset(); fill() }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { d.ids.reset(); fill() }); n != 0 {
 		t.Fatalf("reset and refill allocate %.0f times", n)
 	}
-	if &d.ints.slots[0] != table || d.ints.len() != 4000 {
-		t.Fatalf("reset gave the table back or lost ids: %d ids", d.ints.len())
+	if d.ids.len() != 13998 { // 0 and 7919 are in both runs
+		t.Fatalf("refilled set holds %d ids, want 13998", d.ids.len())
 	}
 
-	// A morsel buffer hands its ids on and keeps its set as it stands.
+	parts := []*collect{{arena: newRowArena(1, 0), seen: &deduper{ascending: true}}, {arena: newRowArena(1, 0), seen: &deduper{ascending: true}}}
+	for i := int64(0); i < 3000; i++ {
+		row[0] = rel.NewInt(i % 2000)
+		parts[0].push(row)
+	}
+	if m := parts[0].takeMorsel(); len(m.ids) != 0 || len(m.rows) != 0 || m.in != 3000 || parts[0].seen.ids.len() != 2000 {
+		t.Fatalf("morsel buffer: %d ids, %d rows, %d in, set of %d", len(m.ids), len(m.rows), m.in, parts[0].seen.ids.len())
+	}
+	for i := int64(1000); i < 2500; i++ {
+		row[0] = rel.NewInt(i)
+		parts[0].push(row)
+		row[0] = rel.NewInt(-i)
+		parts[1].push(row)
+	}
+	term := newCollect(1, &deduper{ascending: true})
+	for _, p := range parts { // as runPipe merges its workers' sets
+		term.seen.ids.or(&p.seen.ids)
+	}
+	term.absorb([]morselBuf{parts[0].takeMorsel(), parts[1].takeMorsel()})
+	ids := term.seen.ids.appendRange(nil, 0, term.seen.ids.len())
+	if o := term.finish(); o != OrderAscending || len(ids) != 4000 || ids[0] != -2499 || ids[3999] != 2499 || term.in != 3000 {
+		t.Fatalf("merged sets: order %s, %d ids, %d in", o, len(ids), term.in)
+	}
+
 	c := &collect{arena: newRowArena(1, 0), seen: &deduper{}}
 	for i := int64(0); i < 3000; i++ {
 		row[0] = rel.NewInt(i % 2000)
 		c.push(row)
 	}
-	table = &c.seen.ints.slots[0]
-	if m := c.takeMorsel(); len(m.ids) != 2000 || len(m.rows) != 0 || m.in != 3000 || m.ids[1999] != 1999 {
-		t.Fatalf("morsel buffer: %d ids, %d rows, %d in", len(m.ids), len(m.rows), m.in)
-	}
-	if &c.seen.ints.slots[0] != table || c.seen.ints.len() != 2000 {
-		t.Fatal("the next morsel got a new set, or an emptied one")
+	if m := c.takeMorsel(); len(m.ids) != 2000 || m.ids[1999] != 1999 {
+		t.Fatalf("ordered morsel buffer: %d ids", len(m.ids))
 	}
 	for i := int64(1000); i < 2500; i++ {
 		row[0] = rel.NewInt(i)
@@ -290,71 +305,82 @@ func TestDistinctSetResetAllocFree(t *testing.T) {
 	}
 }
 
-// TestDistinctIntSetMatchesMap drives the set against a map: ids around
-// zero, negative and extreme, with resets between rounds.
-func TestDistinctIntSetMatchesMap(t *testing.T) {
+// TestIDSetKeyFamilies drives the id set against a map for each family of
+// ids it meets: dense vertex ids, the negative -VID-1 range of soft
+// deletes, strides of 8 and of 2^32, random ids near and far apart, and
+// the extremes. Each id is added twice, in random order; membership, the
+// size, ascending emission (of the whole set, and of a range of positions
+// as a set head's morsels read it) and the OR of two halves must match
+// the map, and the bytes the set holds per id — its containers' headers,
+// arrays and bitmaps — stay within the family's bound. The bounds are
+// measured values (amd64) with a quarter's headroom: a container's header
+// is paid wherever it holds a single id, so the far families hold ~65
+// bytes per id, the dense ones under 1.
+func TestIDSetKeyFamilies(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var s intSet
-	for round := 0; round < 4; round++ {
+	for _, f := range []struct {
+		name     string
+		n        int
+		id       func(i int) int64
+		maxBytes float64
+	}{
+		{"dense", 20000, func(i int) int64 { return int64(i) }, 1.05},
+		{"negative", 20000, func(i int) int64 { return -int64(i) - 1 }, 1.05},
+		{"stride-8", 20000, func(i int) int64 { return int64(i) * 8 }, 2.6},
+		{"stride-2^32", 2000, func(i int) int64 { return int64(i) << 32 }, 82},
+		{"random-2^20", 20000, func(int) int64 { return rng.Int63n(1<<20) - 1<<19 }, 2.8},
+		{"random", 2000, func(int) int64 { return rng.Int63() - rng.Int63() }, 82},
+		{"extremes", 3, func(i int) int64 { return []int64{0, math.MinInt64, math.MaxInt64}[i] }, 90},
+	} {
+		ids := make([]int64, f.n)
+		for i := range ids {
+			ids[i] = f.id(i)
+		}
+		ids = append(ids, ids...)
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 		model := map[int64]bool{}
-		for i := 0; i < 20000; i++ {
-			var id int64
-			switch rng.Intn(4) {
-			case 0:
-				id = int64(rng.Intn(64)) - 32
-			case 1:
-				id = rng.Int63() - rng.Int63()
-			case 2:
-				id = []int64{math.MinInt64, math.MaxInt64, 0, -1}[rng.Intn(4)]
-			default:
-				id = int64(rng.Intn(50000))
-			}
-			if has := s.has(id); has != model[id] {
-				t.Fatalf("round %d: has(%d) = %v, want %v", round, id, has, model[id])
-			}
-			if added := s.add(id); added == model[id] {
-				t.Fatalf("round %d: add(%d) = %v with the id present=%v", round, id, added, model[id])
+		var s, halves [2]idSet
+		for i, id := range ids {
+			if s[0].has(id) != model[id] || s[0].add(id) == model[id] {
+				t.Fatalf("%s: has or add(%d) disagrees with the map (present: %v)", f.name, id, model[id])
 			}
 			model[id] = true
+			halves[i%2].add(id)
 		}
-		if s.len() != len(model) || len(s.appendTo(nil)) != len(model) {
-			t.Fatalf("round %d: %d ids, %d listed, model %d", round, s.len(), len(s.appendTo(nil)), len(model))
-		}
-		for _, id := range s.appendTo(nil) {
-			if !model[id] {
-				t.Fatalf("round %d: listed %d, never added", round, id)
+		want := make([]int64, 0, len(model))
+		for id := range model {
+			want = append(want, id)
+			if s[0].has(id+1) != model[id+1] || s[0].has(id-1) != model[id-1] {
+				t.Fatalf("%s: has disagrees with the map next to %d", f.name, id)
 			}
 		}
-		s.reset()
-	}
-}
+		slices.Sort(want)
+		halves[0].or(&halves[1])
+		s[1].or(&s[0])
+		for name, set := range map[string]*idSet{"set": &s[0], "OR of halves": &halves[0], "OR into empty": &s[1]} {
+			if got := set.appendRange(nil, 0, set.len()); set.len() != len(want) || !slices.Equal(got, want) {
+				t.Fatalf("%s: %s holds %d ids, lists %d, want %d ascending", f.name, name, set.len(), len(got), len(want))
+			}
+		}
+		for range 50 {
+			from := rng.Intn(len(want))
+			to := from + rng.Intn(len(want)-from+1)
+			if got := s[0].appendRange(nil, from, to); !slices.Equal(got, want[from:to]) {
+				t.Fatalf("%s: positions [%d, %d) read %d ids, not the %d there", f.name, from, to, len(got), to-from)
+			}
+		}
 
-// TestDistinctSortIDs checks the radix sort against slices.Sort on
-// either side of its cut-over, across negative and extreme ids, with a
-// scratch buffer that is long enough, too short, or absent.
-func TestDistinctSortIDs(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	gens := map[string]func() int64{
-		"dense":    func() int64 { return int64(rng.Intn(60000)) },
-		"negative": func() int64 { return int64(rng.Intn(5000)) - 2500 },
-		"wide":     func() int64 { return rng.Int63() - rng.Int63() },
-		"extreme":  func() int64 { return []int64{math.MinInt64, math.MaxInt64, 0, -1, 1}[rng.Intn(5)] },
-		"equal":    func() int64 { return 42 },
-	}
-	for name, gen := range gens {
-		for _, n := range []int{0, 1, 2, radixMinIDs - 1, radixMinIDs, radixMinIDs + 1, 5000} {
-			for _, scratchLen := range []int{0, n / 2, n + 3} {
-				ids := make([]int64, n)
-				for i := range ids {
-					ids[i] = gen()
-				}
-				want := slices.Clone(ids)
-				slices.Sort(want)
-				sortIDs(ids, make([]int64, scratchLen))
-				if !slices.Equal(ids, want) {
-					t.Fatalf("%s n=%d scratch=%d: not sorted", name, n, scratchLen)
-				}
+		held := cap(s[0].cons) * int(unsafe.Sizeof(container{}))
+		for _, c := range s[0].cons {
+			held += 2 * cap(c.arr)
+			if c.bits != nil {
+				held += 8 * bitmapWords
 			}
+		}
+		if per := float64(held) / float64(len(model)); per > f.maxBytes {
+			t.Errorf("%s: %.2f bytes per id, bound %.2f", f.name, per, f.maxBytes)
+		} else {
+			t.Logf("%s: %.2f bytes per id (bound %.2f)", f.name, per, f.maxBytes)
 		}
 	}
 }

@@ -187,8 +187,16 @@ func (e *Engine) QueryStmtAt(sel *sql.SelectStmt, asOf rel.Version, args []Arg) 
 		t0:        time.Now(),
 		provider:  e.statsProvider(),
 		forcePlan: opts.ForcePlan,
+		idSets:    make([]*valueSet, len(args)),
 	}
-	defer q.tables.drain()
+	for i, a := range args {
+		if a.IDs != nil {
+			q.idSets[i] = &valueSet{}
+			for _, id := range a.IDs {
+				q.idSets[i].ids.add(id)
+			}
+		}
+	}
 	r, err := e.evalSelect(q, sel)
 	if err != nil {
 		return nil, err

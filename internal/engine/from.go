@@ -218,28 +218,27 @@ func (e *Engine) settlePlanInputs(q *queryState, sel *sql.SimpleSelect) error {
 // operator stat. Rows that are one integer each — a frontier of element
 // ids — are kept as ids, in ascending order unless an ORDER BY is
 // upstream, so the next hop probes the adjacency tables in the order they
-// were loaded (DESIGN.md §21); every other result keeps first
-// occurrences, in order. Finishing the set is charged to the operator and
-// to the run; its table then goes back to the query's stock.
+// were loaded (DESIGN.md §21); with an ORDER BY upstream every row keeps
+// its first occurrence, in order. Finishing the set is charged to the
+// operator and to the run.
 func (e *Engine) distinct(q *queryState, r *relation) (*relation, error) {
 	op := len(q.stats.Ops)
 	q.stats.Ops = append(q.stats.Ops, OpStat{Kind: "dedup", StartNs: q.sinceStart(time.Now())})
-	c := newCollect(len(r.cols), &deduper{ints: intSet{stock: &q.tables}})
-	c.ascending = !r.ordered
+	c := newCollect(len(r.cols), &deduper{ascending: !r.ordered})
 	if err := e.run(q, r, c, op); err != nil {
 		return nil, err
 	}
 	finT := time.Now()
 	st := &q.stats.Ops[op]
-	st.Order = OrderFirstOccurrence
-	if c.finish() {
-		st.Order = OrderAscending
+	out := &relation{cols: r.cols, ordered: r.ordered}
+	if st.Order = c.finish(); st.Order == OrderAscending {
+		out.set = &c.seen.ids
+	} else {
+		out.rows, out.ids = c.result()
 	}
-	c.seen.ints.release()
 	d := time.Since(finT).Nanoseconds()
 	st.Nanos += d
 	q.stats.Pipelines[len(q.stats.Pipelines)-1].Nanos += d
-	out := &relation{cols: r.cols, rows: c.rows, ids: c.ids, ordered: r.ordered}
 	st.RowsIn, st.RowsOut = c.in, out.count()
 	q.stats.MaterializedRows += out.count()
 	return out, nil

@@ -51,6 +51,7 @@ func (f stageFunc) open(next sink) (sink, error) { return f(next) }
 type pipe struct {
 	head    [][]rel.Value
 	ids     []int64     // non-nil: the head is these ids, each pushed as a one-value row; head is unused
+	set     *idSet      // non-nil: the head is this set's ids, ascending, pushed as ids are; head is unused
 	scan    *scanSource // non-nil: the rows come from a table access, head is unused
 	stages  []stage
 	joins   []int // ExecStats.Joins indices of the join stages, in order
@@ -66,7 +67,7 @@ func (p *pipe) size() (n, rows int) {
 	if p.scan != nil {
 		return p.scan.size()
 	}
-	n = len(p.head) + len(p.ids)
+	n = len(p.head) + len(p.ids) + p.set.len()
 	return n, n
 }
 
@@ -94,7 +95,7 @@ func (r *relation) pipes() []*pipe {
 		return []*pipe{{stages: []stage{stageFunc(func(sink) (sink, error) { return nil, errTaken })}}}
 	}
 	// A one-value row built from an id is the pushing worker's scratch.
-	return []*pipe{{head: r.rows, ids: r.ids, scratch: r.ids != nil}}
+	return []*pipe{{head: r.rows, ids: r.ids, set: r.set, scratch: r.ids != nil || r.set != nil}}
 }
 
 var errTaken = errors.New("engine: internal error: a pipelined relation was read twice")
@@ -102,7 +103,7 @@ var errTaken = errors.New("engine: internal error: a pipelined relation was read
 // as returns r under other column names.
 func (r *relation) as(cols []colInfo) *relation {
 	if r.src == nil && !r.taken {
-		return &relation{cols: cols, rows: r.rows, ids: r.ids, ordered: r.ordered}
+		return &relation{cols: cols, rows: r.rows, ids: r.ids, set: r.set, ordered: r.ordered}
 	}
 	return &relation{cols: cols, src: r.pipes(), ordered: r.ordered}
 }
@@ -151,9 +152,10 @@ type part interface {
 }
 
 // morselBuf is what a part kept of one morsel, and how many rows it was
-// pushed to get there: rows that stay valid; under DISTINCT perhaps ids
-// instead, the morsel's one-integer rows in first-occurrence order; under
-// an aggregate whose calls merge exactly, the morsel's groups.
+// pushed to get there: rows that stay valid, ahead of them the morsel's
+// leading one-integer rows as ids (under an order-kept DISTINCT, the ids
+// it saw first, in order); under an aggregate whose calls merge exactly,
+// the morsel's groups.
 type morselBuf struct {
 	rows   [][]rel.Value
 	ids    []int64
@@ -162,22 +164,21 @@ type morselBuf struct {
 }
 
 // collect stores the rows it receives: the terminal of every
-// materialisation and, with seen set, of DISTINCT. Under DISTINCT a row
-// that is one integer — every frontier of the translation — is kept as
-// its id in the set, and while every row is, the result is the ids
-// (finish): ascending when the input carries no order (ascending set),
-// in first-occurrence order otherwise (the set lists them). The first row
-// that is not one integer builds the ids kept so far into rows, and rows
-// are kept as they arrive from then on.
+// materialisation and, with seen set, of DISTINCT. A row that is one
+// integer — every frontier of the translation, the ids of a g.V(ids) head
+// — is kept as its id, and while every row is, the result is the ids; the
+// first row that is not builds the ids kept so far into rows ahead of it,
+// and rows are kept as they arrive from then on. An ascending DISTINCT
+// keeps its ids in the set alone, whatever else arrives, and lists them
+// in ascending order when it finishes.
 type collect struct {
-	rows      [][]rel.Value
-	ids       []int64 // under DISTINCT, once finished: the result, when every row was one integer
-	arena     *rowArena
-	seen      *deduper // nil keeps duplicates
-	in        int      // rows received
-	copy      bool     // pushed rows are scratch
-	ascending bool     // under DISTINCT: the input is order-free, so ids come out ascending
-	transit   bool     // a morsel buffer on the way to a terminal that stores nothing
+	rows    [][]rel.Value
+	ids     []int64 // the rows kept while each was one integer, and rows is empty; under DISTINCT, once finished, the result
+	arena   *rowArena
+	seen    *deduper // nil keeps duplicates
+	in      int      // rows received
+	copy    bool     // pushed rows are scratch
+	transit bool     // a morsel buffer on the way to a terminal that stores nothing
 }
 
 func newCollect(width int, seen *deduper) *collect {
@@ -186,14 +187,7 @@ func newCollect(width int, seen *deduper) *collect {
 
 func (c *collect) push(row []rel.Value) {
 	c.in++
-	if c.seen != nil {
-		c.offer(row, c.copy)
-		return
-	}
-	if c.copy && len(row) > 0 {
-		row = c.clone(row)
-	}
-	c.rows = append(c.rows, row)
+	c.keep(row, c.copy)
 }
 
 func (c *collect) clone(row []rel.Value) []rel.Value {
@@ -202,18 +196,25 @@ func (c *collect) clone(row []rel.Value) []rel.Value {
 	return kept
 }
 
-// offer keeps row under DISTINCT unless it was seen before; scratch says
-// row is valid only until offer returns.
-func (c *collect) offer(row []rel.Value, scratch bool) {
-	if id, ok := c.seen.intRow(row); ok {
-		c.addID(id)
+// keep stores row, under DISTINCT unless it was seen before; scratch says
+// row is valid only until keep returns.
+func (c *collect) keep(row []rel.Value, scratch bool) {
+	if d := c.seen; d == nil {
+		if len(c.rows) == 0 && len(row) == 1 && row[0].Kind() == rel.KindInt {
+			c.ids = append(c.ids, row[0].Int())
+			return
+		}
+	} else if id, ok := d.intRow(row); ok {
+		if d.ids.add(id) && !d.ascending {
+			c.ids = append(c.ids, id)
+		}
 		return
 	}
-	if c.seen.strs == nil {
+	if len(c.ids) > 0 {
 		// The ids go ahead of the rows that follow them.
-		c.rows = appendIntRows(c.rows, c.takeIDs(false))
+		c.rows, c.ids = appendIntRows(c.rows, c.ids), nil
 	}
-	if c.seen.seen(row) {
+	if c.seen != nil && c.seen.seen(row) {
 		return
 	}
 	if scratch && len(row) > 0 {
@@ -222,47 +223,47 @@ func (c *collect) offer(row []rel.Value, scratch bool) {
 	c.rows = append(c.rows, row)
 }
 
-// addID offers the row {id} while the set holds ids.
-func (c *collect) addID(id int64) {
-	if c.seen.ints.add(id) && !c.ascending {
-		c.seen.ids = append(c.seen.ids, id)
+// result returns what c stored: the ids while every row was one integer,
+// else the rows.
+func (c *collect) result() (rows [][]rel.Value, ids []int64) {
+	if len(c.rows) > 0 {
+		return c.rows, nil
 	}
+	return nil, c.ids
 }
 
-// takeIDs returns the ids accepted so far: the set's, sorted, under an
-// ascending DISTINCT, else those it listed, in order. At the final take
-// the set's table, no longer needed, is the sort's scratch.
-func (c *collect) takeIDs(final bool) []int64 {
-	ids := c.seen.ids
-	if c.ascending {
-		ids = c.seen.ints.appendTo(make([]int64, 0, c.seen.ints.len()))
-		var scratch []int64
-		if final {
-			scratch = c.seen.ints.slots
+// finish ends a DISTINCT and returns the order of its result (OpStat.Order).
+// While every row was one integer an ascending one's result is its set
+// (seen.ids). Otherwise it lists its ids ahead of the other rows, which
+// keep their first-occurrence order, but for an integral DOUBLE equal to
+// a listed id, which is that id.
+func (c *collect) finish() string {
+	d := c.seen
+	switch {
+	case !d.ascending || d.ids.len() == 0 && len(c.rows) > 0:
+		return OrderFirstOccurrence
+	case len(c.rows) == 0:
+		return OrderAscending
+	}
+	rows := appendIntRows(nil, d.ids.appendRange(nil, 0, d.ids.len()))
+	for _, row := range c.rows {
+		if len(row) == 1 {
+			if id, ok := valueID(row[0]); ok && d.ids.has(id) {
+				continue
+			}
 		}
-		sortIDs(ids, scratch)
+		rows = append(rows, row)
 	}
-	c.seen.ids = nil
-	return ids
-}
-
-// finish ends a DISTINCT: while every row was one integer its result is
-// the ids, which it reports came out in ascending order when the input
-// was order-free.
-func (c *collect) finish() (ascending bool) {
-	if c.seen == nil || c.seen.strs != nil {
-		return false
-	}
-	c.ids = c.takeIDs(true)
-	return c.ascending
+	c.rows = rows
+	return OrderAscendingThenFirst
 }
 
 // part returns a morsel buffer for c: under DISTINCT one that drops the
-// morsel's own duplicates before the ordered merge sees them.
+// morsel's own duplicates before the merge sees them.
 func (c *collect) part(width int, scratch bool) (part, error) {
 	p := &collect{arena: newRowArena(width, 0), copy: scratch}
 	if c.seen != nil {
-		p.seen = &deduper{ints: intSet{stock: c.seen.ints.stock}}
+		p.seen = &deduper{ascending: c.seen.ascending}
 	}
 	return p, nil
 }
@@ -271,32 +272,30 @@ func (c *collect) replays() bool { return c.seen == nil }
 
 func (c *collect) received() int { return c.in }
 
+// absorb takes the morsels in order. Under an ascending DISTINCT they
+// hold only the rows that are not one integer: the workers kept their ids
+// in sets of their own, which runPipe has merged into c's by OR.
 func (c *collect) absorb(ms []morselBuf) {
 	if c.seen == nil {
-		n := 0
+		n, k := 0, 0
 		for _, m := range ms {
-			n += len(m.rows)
+			n, k = n+len(m.rows), k+len(m.ids)
 		}
-		c.rows = slices.Grow(c.rows, n)
-		for _, m := range ms {
-			c.in += m.in
-			c.rows = append(c.rows, m.rows...)
-		}
-		return
+		c.rows, c.ids = slices.Grow(c.rows, n), slices.Grow(c.ids, k)
 	}
+	idRow := make([]rel.Value, 1)
 	for _, m := range ms {
 		c.in += m.in
-		for _, id := range m.ids {
-			if c.seen.strs == nil {
-				c.addID(id)
-			} else {
-				row := c.arena.alloc()
-				row[0] = rel.NewInt(id)
-				c.offer(row, false)
+		if c.seen == nil && len(c.rows) == 0 {
+			c.ids = append(c.ids, m.ids...)
+		} else {
+			for _, id := range m.ids {
+				idRow[0] = rel.NewInt(id)
+				c.keep(idRow, true)
 			}
 		}
-		for _, row := range m.rows {
-			c.offer(row, false)
+		for _, r := range m.rows {
+			c.keep(r, false)
 		}
 	}
 }
@@ -307,12 +306,8 @@ func (c *collect) absorb(ms []morselBuf) {
 // earlier morsel is ahead of this one in the merge, and it need not be
 // kept again.
 func (c *collect) takeMorsel() morselBuf {
-	m := morselBuf{rows: c.rows, in: c.in}
-	c.rows, c.in = make([][]rel.Value, 0, len(m.rows)), 0
-	if c.seen != nil {
-		m.ids = c.seen.ids
-		c.seen.ids = make([]int64, 0, len(m.ids))
-	}
+	m := morselBuf{rows: c.rows, ids: c.ids, in: c.in}
+	c.rows, c.ids, c.in = make([][]rel.Value, 0, len(m.rows)), make([]int64, 0, len(m.ids)), 0
 	return m
 }
 
@@ -324,6 +319,8 @@ type chain struct {
 	sinks []sink
 	tail  part        // the worker's end of a parallel run; nil when the chain ends in the terminal
 	idRow []rel.Value // under an id head: the one-value row each id is pushed in
+	buf   []int64     // under a set head: the ids at positions bufAt on
+	bufAt int
 }
 
 func (p *pipe) open(tail sink) (*chain, error) {
@@ -341,23 +338,42 @@ func (p *pipe) open(tail sink) (*chain, error) {
 			return nil, err
 		}
 	}
-	if p.ids != nil {
-		c.idRow = make([]rel.Value, 1)
+	if p.ids != nil || p.set != nil {
+		c.idRow, c.buf = make([]rel.Value, 1), make([]int64, 0, min(setChunk, p.set.len()))
 	}
 	return c, nil
 }
 
-// pushHead pushes the stored head rows [lo, hi) of p into the chain.
+// setChunk is how many of a set head's ids a chain reads out at a time.
+const setChunk = 256
+
+// pushHead pushes the stored head rows [lo, hi) of p into the chain. A
+// set head's ids are read out a chunk at a time into the chain's buffer,
+// from which the next call goes on: a probe pushes one id per call.
 func (c *chain) pushHead(p *pipe, lo, hi int) {
-	if p.ids != nil {
-		for _, id := range p.ids[lo:hi] {
-			c.idRow[0] = rel.NewInt(id)
-			c.head.push(c.idRow)
+	switch {
+	case p.set != nil:
+		for lo < hi {
+			if lo < c.bufAt || lo >= c.bufAt+len(c.buf) {
+				c.bufAt, c.buf = lo, p.set.appendRange(c.buf[:0], lo, lo+setChunk)
+			}
+			end := min(hi, c.bufAt+len(c.buf))
+			c.pushIDs(c.buf[lo-c.bufAt : end-c.bufAt])
+			lo = end
 		}
-		return
+	case p.ids != nil:
+		c.pushIDs(p.ids[lo:hi])
+	default:
+		for _, row := range p.head[lo:hi] {
+			c.head.push(row)
+		}
 	}
-	for _, row := range p.head[lo:hi] {
-		c.head.push(row)
+}
+
+func (c *chain) pushIDs(ids []int64) {
+	for _, id := range ids {
+		c.idRow[0] = rel.NewInt(id)
+		c.head.push(c.idRow)
 	}
 }
 
@@ -535,8 +551,8 @@ func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (cut 
 		if c.scan != nil {
 			c.scan.done()
 		}
-		if t, ok := c.tail.(*collect); ok && t.seen != nil {
-			t.seen.ints.release()
+		if t, ok := c.tail.(*collect); ok && t.seen != nil && t.seen.ascending {
+			term.(*collect).seen.ids.or(&t.seen.ids)
 		}
 		for _, s := range c.sinks {
 			if s, ok := s.(counter); ok {
@@ -563,7 +579,7 @@ func (e *Engine) materialize(q *queryState, r *relation) error {
 		return nil
 	}
 	if len(r.src) == 1 && len(r.src[0].stages) == 0 && r.src[0].scan == nil {
-		r.rows, r.ids, r.src = r.src[0].head, r.src[0].ids, nil
+		r.rows, r.ids, r.set, r.src = r.src[0].head, r.src[0].ids, r.src[0].set, nil
 		return nil
 	}
 	c := newCollect(len(r.cols), nil)
@@ -576,16 +592,19 @@ func (e *Engine) materialize(q *queryState, r *relation) error {
 			break
 		}
 	}
-	if n > 0 {
-		c.rows, c.arena.next = make([][]rel.Value, 0, n), n
+	if c.arena.next = n; n > 0 && len(r.cols) == 1 {
+		c.ids = make([]int64, 0, n)
+	} else if n > 0 {
+		c.rows = make([][]rel.Value, 0, n)
 	}
 	bare := !slices.ContainsFunc(r.src, func(p *pipe) bool { return p.scan == nil || len(p.stages) > 0 })
 	if err := e.run(q, r, c, -1); err != nil {
 		return err
 	}
-	r.rows, r.taken = c.rows, false
+	r.rows, r.ids = c.result()
+	r.taken = false
 	if !bare {
-		q.stats.MaterializedRows += len(c.rows)
+		q.stats.MaterializedRows += r.count()
 	}
 	return nil
 }

@@ -27,11 +27,13 @@ type colInfo struct {
 // its pipelines the relation is taken, and reading it again is an error,
 // not an empty result.
 //
-// A DISTINCT whose rows were all one integer — every frontier of the
-// translation — stores its result as ids, one int64 per row, in the
-// result's order (DESIGN.md §21). The next hop's pipe runs from the ids
-// as they are; a reader that needs the rows (the result, a hash build, a
-// sort) builds them once, through rowsOf.
+// A stored relation whose rows are all one integer keeps them as ids
+// (DESIGN.md §21): an order-free DISTINCT — every frontier of the
+// translation — as its set, ascending; anything else, the ids of a
+// g.V(ids) head among them, as a list, one int64 per row in order. The
+// next hop's pipe runs from the ids as they are; a reader that needs the
+// rows (the result, a hash build, a sort) builds them once, through
+// rowsOf.
 //
 // ordered says an ORDER BY of the statement may be upstream of the rows:
 // their order is then the result's to keep, and a DISTINCT over them
@@ -41,17 +43,21 @@ type relation struct {
 	cols    []colInfo
 	rows    [][]rel.Value
 	ids     []int64 // non-nil: the rows, one integer each, and rows is nil
+	set     *idSet  // non-nil: the rows, one integer each, ascending — a DISTINCT's set itself — and rows is nil
 	src     []*pipe
 	taken   bool
 	ordered bool
 }
 
 // count returns how many rows r stores.
-func (r *relation) count() int { return len(r.rows) + len(r.ids) }
+func (r *relation) count() int { return len(r.rows) + len(r.ids) + r.set.len() }
 
 // rowsOf returns r's stored rows, built from its ids the first time a
 // reader asks for them.
 func (r *relation) rowsOf() [][]rel.Value {
+	if r.set != nil {
+		r.ids, r.set = r.set.appendRange(nil, 0, r.set.len()), nil
+	}
 	if r.ids != nil {
 		r.rows, r.ids = appendIntRows(nil, r.ids), nil
 	}

@@ -21,16 +21,16 @@ const maxRecursionIters = 10000
 // by the operator after its workers join).
 type queryState struct {
 	ctes     map[string]*relation
-	params   []Arg                               // this execution's arguments; never stored in the statement or a cached plan
-	subs     map[*sql.SelectStmt]map[string]bool // the sets of the IN subqueries expressions hold
-	ioMisses int64                               // buffer-pool misses (atomic; morsel workers add concurrently)
-	par      int                                 // morsel-parallelism budget (0 = GOMAXPROCS, 1 = serial)
-	sizes    morselSizes                         // the engine's morsel work target and fan-out gate (zero: the defaults)
-	tables   tableStock                          // the DISTINCT sets' spare tables
-	force    JoinStrategy                        // forced join strategy, StrategyAuto for planner's choice
-	asOf     rel.Version                         // snapshot version for base-table reads (zero = latest)
-	t0       time.Time                           // query start; anchors operator StartNs offsets
-	stats    ExecStats                           // per-operator execution statistics
+	params   []Arg                         // this execution's arguments; never stored in the statement or a cached plan
+	idSets   []*valueSet                   // by parameter index: the sets of the id lists among params, which every worker's x IN (?) reads
+	subs     map[*sql.SelectStmt]*valueSet // the sets of the IN subqueries expressions hold
+	ioMisses int64                         // buffer-pool misses (atomic; morsel workers add concurrently)
+	par      int                           // morsel-parallelism budget (0 = GOMAXPROCS, 1 = serial)
+	sizes    morselSizes                   // the engine's morsel work target and fan-out gate (zero: the defaults)
+	force    JoinStrategy                  // forced join strategy, StrategyAuto for planner's choice
+	asOf     rel.Version                   // snapshot version for base-table reads (zero = latest)
+	t0       time.Time                     // query start; anchors operator StartNs offsets
+	stats    ExecStats                     // per-operator execution statistics
 
 	// Cost-based planner state. All fields are zero-value-safe so an
 	// expression index's key functions (compiled over a bare queryState)
@@ -363,8 +363,8 @@ func (e *Engine) evalRecursiveCTE(q *queryState, cte sql.CTE) (*relation, error)
 		if err := e.run(q, r, c, -1); err != nil {
 			return nil, nil, err
 		}
-		c.finish()
-		out := &relation{rows: c.rows, ids: c.ids}
+		out := &relation{}
+		out.rows, out.ids = c.result()
 		q.stats.MaterializedRows += out.count()
 		return out.rowsOf(), r.cols, nil
 	}
@@ -422,7 +422,7 @@ func referencesTable(body sql.SelectBody, name string) bool {
 // many expressions hold it and rows probe it: the set is kept on the query
 // state. It runs when the expression holding it compiles, so a subquery
 // that fails fails the statement before any row is read, under every plan.
-func (e *Engine) subquerySet(q *queryState, stmt *sql.SelectStmt) (map[string]bool, error) {
+func (e *Engine) subquerySet(q *queryState, stmt *sql.SelectStmt) (*valueSet, error) {
 	if set, ok := q.subs[stmt]; ok {
 		return set, nil
 	}
@@ -433,15 +433,19 @@ func (e *Engine) subquerySet(q *queryState, stmt *sql.SelectStmt) (map[string]bo
 	if len(r.cols) != 1 {
 		return nil, fmt.Errorf("engine: IN subquery must return one column, got %d", len(r.cols))
 	}
-	rows := r.rowsOf()
-	set := make(map[string]bool, len(rows))
-	for _, row := range rows {
-		if !row[0].IsNull() {
-			set[row[0].Key()] = true
+	var set *valueSet
+	if r.set != nil {
+		set = &valueSet{ids: *r.set}
+	} else {
+		rows := r.rowsOf()
+		vals := make([]rel.Value, len(rows))
+		for i, row := range rows {
+			vals[i] = row[0]
 		}
+		set = newValueSet(vals)
 	}
 	if q.subs == nil {
-		q.subs = map[*sql.SelectStmt]map[string]bool{}
+		q.subs = map[*sql.SelectStmt]*valueSet{}
 	}
 	q.subs[stmt] = set
 	return set, nil

@@ -100,7 +100,7 @@ type OpStat struct {
 	RowsIn  int
 	RowsOut int
 	Groups  int    // aggregation groups (agg only)
-	Order   string // the order a dedup emitted its rows in: OrderAscending or OrderFirstOccurrence
+	Order   string // the order a dedup emitted its rows in: OrderAscending, OrderFirstOccurrence or OrderAscendingThenFirst
 	StartNs int64  // operator start, relative to query start
 	Nanos   int64  // operator wall time
 }
@@ -112,6 +112,9 @@ const (
 	OrderAscending = "ascending"
 	// OrderFirstOccurrence: rows came out in the order they first arrived.
 	OrderFirstOccurrence = "first-occurrence"
+	// OrderAscendingThenFirst: with no ORDER BY upstream, the one-integer
+	// rows came out sorted, ahead of the others in first-occurrence order.
+	OrderAscendingThenFirst = "ascending+first-occurrence"
 )
 
 // ExecStats summarizes how a query executed: which join strategies ran,

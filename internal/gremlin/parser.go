@@ -157,7 +157,7 @@ func (p *gparser) parseQuery() (*Query, error) {
 	}
 	q := &Query{Steps: steps, Text: p.lex.src}
 	var sb strings.Builder
-	sb.Grow(len(q.Text))
+	sb.Grow(len(q.Text) - p.idText)
 	q.write(&sb, &q.Args)
 	q.Shape = sb.String()
 	return q, nil
@@ -170,6 +170,7 @@ type gparser struct {
 	lex    lexer
 	tok    gtok
 	lexErr error
+	idText int // source bytes of V(ids...) and E(ids...) lists, which a shape does not repeat
 }
 
 func (p *gparser) peek() gtok { return p.tok }
@@ -546,7 +547,8 @@ func tokenOp(name string) (CmpOp, error) {
 
 // parseSourceArgs parses the arguments of V and E: none, (key, value), or
 // ids. An id list may run to thousands of entries (the Table-1 texts), so
-// ids go from the token stream straight into StartIDs.
+// ids go from the token stream straight into StartIDs, sized once by the
+// commas ahead of the closing parenthesis.
 func (p *gparser) parseSourceArgs(step *Step) error {
 	if !p.accept(gtokSym, "(") || p.accept(gtokSym, ")") {
 		return nil
@@ -572,6 +574,11 @@ func (p *gparser) parseSourceArgs(step *Step) error {
 		}
 		step.StartKey, step.StartVal = key, val
 		return nil
+	}
+	rest := p.lex.src[p.lex.i:]
+	if end := strings.IndexByte(rest, ')'); end >= 0 {
+		step.StartIDs = make([]int64, 0, strings.Count(rest[:end], ",")+1)
+		p.idText += end
 	}
 	for {
 		neg := p.accept(gtokSym, "-")
