@@ -311,8 +311,27 @@ func TestLoopQueries(t *testing.T) {
 	}
 	for _, q := range loops {
 		assertSameResults(t, s, g, q, TranslateOptions{})
-		assertSameResults(t, s, g, q, TranslateOptions{RecursiveLoops: true})
 	}
+
+	// A ring of 8 vertices, one out-edge each, walked at the parser's
+	// deepest loop bound: 1 024 laps unrolled into one statement. The ring
+	// is branch-free, so the bag stays one vertex wide on every lap.
+	ring := blueprints.NewMemGraph()
+	for i := int64(0); i < 8; i++ {
+		if err := ring.AddVertex(i, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(0); i < 8; i++ {
+		if err := ring.AddEdge(100+i, i, (i+1)%8, "next", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs, err := Load(ring, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, rs, ring, "g.V(0).out('next').loop(1){it.loops < 1024}.count()", TranslateOptions{})
 }
 
 func TestRandomGraphDifferential(t *testing.T) {

@@ -229,7 +229,7 @@ func toArgs(params []any) []Arg {
 // lock) — correctness over precision.
 func (e *Engine) baseTablesOf(stmt *sql.SelectStmt) []string {
 	names := map[string]int{}
-	countTableRefs(stmt, 1, names)
+	countTableRefs(stmt, names)
 	var out []string
 	for n := range names {
 		if _, ok := e.cat.Table(n); ok {
@@ -257,19 +257,15 @@ func (e *Engine) rlockAll(tables []string) func() {
 
 // countTableRefs adds to n, per table or CTE name, the FROM references a
 // statement makes to it. A reference in the statement's own cores — or
-// those of its CTEs — weighs weight; one that may be evaluated again or
-// not at all weighs 2: in a recursive CTE, a derived table or an
-// expression's subquery.
-func countTableRefs(stmt *sql.SelectStmt, weight int, n map[string]int) {
+// those of its CTEs — weighs 1; one in an expression's subquery, which
+// may be evaluated at another time or not at all, weighs 2.
+func countTableRefs(stmt *sql.SelectStmt, n map[string]int) {
 	var inStmt func(s *sql.SelectStmt, weight int)
 	nested := func(s *sql.SelectStmt) { inStmt(s, 2) }
 	var inRef func(ref sql.TableRef, weight int)
 	inRef = func(ref sql.TableRef, weight int) {
 		if ref.Table != "" {
 			n[ref.Table] += weight
-		}
-		if ref.Subquery != nil {
-			nested(ref.Subquery)
 		}
 		if ref.TableFn != nil {
 			for _, row := range ref.TableFn.Rows {
@@ -304,11 +300,7 @@ func countTableRefs(stmt *sql.SelectStmt, weight int, n map[string]int) {
 	}
 	inStmt = func(s *sql.SelectStmt, weight int) {
 		for _, cte := range s.With {
-			if cte.Recursive && referencesTable(cte.Query.Body, cte.Name) {
-				nested(cte.Query)
-			} else {
-				inStmt(cte.Query, weight)
-			}
+			inStmt(cte.Query, weight)
 		}
 		inBody(s.Body, weight)
 		for _, o := range s.OrderBy {
@@ -317,7 +309,7 @@ func countTableRefs(stmt *sql.SelectStmt, weight int, n map[string]int) {
 		walkSubqueries(s.Limit, nested)
 		walkSubqueries(s.Offset, nested)
 	}
-	inStmt(stmt, weight)
+	inStmt(stmt, 1)
 }
 
 // --- buffer-pool simulation (Figure 8c) ---

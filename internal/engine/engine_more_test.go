@@ -182,17 +182,6 @@ func TestLimitOffsetEdgeCases(t *testing.T) {
 	}
 }
 
-func TestDerivedTableRequiresAlias(t *testing.T) {
-	e := newTestEngine(t)
-	if _, err := e.Query("SELECT COL1 FROM (SELECT 1)"); err == nil {
-		t.Fatal("derived table without alias accepted")
-	}
-	r := mustQuery(t, e, "SELECT X.COL1 FROM (SELECT 1) X")
-	if r.Data[0][0].Int() != 1 {
-		t.Fatalf("derived = %v", r.Data)
-	}
-}
-
 func TestCreateIndexErrors(t *testing.T) {
 	e := newTestEngine(t)
 	num := &sql.ColumnRef{Column: "N"}
@@ -238,18 +227,6 @@ func TestSetOpArityMismatch(t *testing.T) {
 	seedGraph(t, e)
 	if _, err := e.Query("SELECT N FROM NUMS UNION ALL SELECT N, LABEL FROM NUMS"); err == nil {
 		t.Fatal("arity mismatch accepted")
-	}
-}
-
-func TestRecursiveCTEErrors(t *testing.T) {
-	e := newTestEngine(t)
-	// Recursive CTE without a UNION body.
-	if _, err := e.Query("WITH RECURSIVE R(V) AS (SELECT 1 FROM R) SELECT V FROM R"); err == nil {
-		t.Fatal("self-referential base accepted")
-	}
-	// Declared column mismatch.
-	if _, err := e.Query("WITH RECURSIVE R(A, B) AS (SELECT 1 UNION ALL SELECT A + 1 FROM R WHERE A < 3) SELECT A FROM R"); err == nil {
-		t.Fatal("column count mismatch accepted")
 	}
 }
 

@@ -404,7 +404,7 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 		return e.lateralValues(q, cur, ref, conjs)
 	}
 	alias := ref.Alias
-	right, baseTable, err := e.rightSource(q, ref)
+	right, baseTable, err := e.rightSource(q, ref.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -491,10 +491,11 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 	// when the right side is a base table). Either way the surviving rows
 	// are the source's own: nothing is copied.
 	if baseTable != nil {
+		est := int64(-1)
 		if sp != nil && sp.estScan >= 0 {
-			q.scanEst, q.scanEstValid = sp.estScan, true
+			est = sp.estScan
 		}
-		rightRel, err = e.scanBase(q, baseTable, alias, rightOnly)
+		rightRel, err = e.scanBase(q, baseTable, alias, rightOnly, est)
 		if err != nil {
 			return nil, err
 		}
@@ -689,30 +690,15 @@ func (s *lateralSink) push(lrow []rel.Value) {
 	}
 }
 
-// rightSource resolves a table reference to its rows: a CTE, a base
-// table (returned unmaterialized for index-aware scanning), or a derived
-// subquery.
-func (e *Engine) rightSource(q *queryState, ref sql.TableRef) (*relation, *rel.Table, error) {
-	switch {
-	case ref.Subquery != nil:
-		r, err := e.evalSelect(q, ref.Subquery)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ref.Alias == "" {
-			return nil, nil, fmt.Errorf("engine: derived table requires an alias")
-		}
-		return r, nil, nil
-	case ref.Table != "":
-		if cte, ok := q.ctes[ref.Table]; ok {
-			return cte, nil, nil
-		}
-		t, ok := e.cat.Table(ref.Table)
-		if !ok {
-			return nil, nil, fmt.Errorf("engine: unknown table %s", ref.Table)
-		}
-		return &relation{cols: tableCols(t, "")}, t, nil
-	default:
-		return nil, nil, fmt.Errorf("engine: empty table reference")
+// rightSource resolves a named table reference: a CTE, or a base table
+// (returned unmaterialized for index-aware scanning).
+func (e *Engine) rightSource(q *queryState, name string) (*relation, *rel.Table, error) {
+	if cte, ok := q.ctes[name]; ok {
+		return cte, nil, nil
 	}
+	t, ok := e.cat.Table(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("engine: unknown table %s", name)
+	}
+	return &relation{cols: tableCols(t, "")}, t, nil
 }

@@ -224,22 +224,6 @@ func TestPipelineBreakers(t *testing.T) {
 		t.Fatalf("unread CTE: %+v, %d result rows", c, len(rows.Data))
 	}
 
-	// Recursive CTE: a breaker itself, and what it reads is stored, since it
-	// reads it once per iteration.
-	rec := `WITH RECURSIVE SEED AS (SELECT ID AS VAL FROM O WHERE ID < 3),
-		REACH(VAL, D) AS (SELECT VAL, 0 FROM SEED UNION ALL SELECT P.VAL, R.D + 1 FROM REACH R, ADJ P WHERE P.VID = R.VAL AND P.VAL IS NOT NULL AND P.VAL < 200 AND R.D < 3)
-		SELECT COUNT(*) FROM REACH`
-	rows = mustQuery(t, e, rec)
-	if got := fusedCTEs(&rows.Stats); got["SEED"] || got["REACH"] || rows.Data[0][0].Int() < 3 {
-		t.Fatalf("recursive CTE: fused=%v count=%v", got, rows.Data[0][0])
-	}
-	all := mustQuery(t, e, `WITH RECURSIVE WALK(V, D) AS (SELECT ID, 0 FROM O WHERE ID < 3
-		UNION ALL SELECT P.VAL, W.D + 1 FROM WALK W, ADJ P WHERE P.VID = W.V AND P.VAL IS NOT NULL AND W.D < 3)
-		SELECT COUNT(*), LISTAGG(D) FROM WALK`)
-	if depths := all.Data[0][1].List(); all.Data[0][0].Int() <= 3 || depths[len(depths)-1].Int() != 3 {
-		t.Fatalf("recursive UNION ALL walk: count=%v depths=%v", all.Data[0][0], all.Data[0][1])
-	}
-
 	// ORDER BY / LIMIT over a pending input: the sort stores it.
 	sorted := hop
 	sorted.final = "SELECT VAL FROM T2 ORDER BY - VAL LIMIT 5 OFFSET 2"
@@ -388,8 +372,8 @@ func TestPipelineDeduperProbe(t *testing.T) {
 	mustInsert(t, e, "A", row(1.0), row(2.5), row(nil), row(3.0))
 	mustInsert(t, e, "B", row(1), row(2), row(3), row(3))
 	for q, want := range map[string]string{
-		"SELECT DISTINCT X FROM (SELECT Y AS X FROM B UNION ALL SELECT X FROM A) U": "1 2 3 2.5 NULL",
-		"SELECT DISTINCT X FROM (SELECT X FROM A UNION ALL SELECT Y AS X FROM B) U": "1 2 3 2.5 NULL",
+		"WITH U AS (SELECT Y AS X FROM B UNION ALL SELECT X FROM A) SELECT DISTINCT X FROM U": "1 2 3 2.5 NULL",
+		"WITH U AS (SELECT X FROM A UNION ALL SELECT Y AS X FROM B) SELECT DISTINCT X FROM U": "1 2 3 2.5 NULL",
 	} {
 		var got []string
 		for _, row := range mustQuery(t, e, q).Data {

@@ -34,6 +34,9 @@ type StatsProvider interface {
 	GroupCount(table string, group rel.Value) (int64, bool)
 	// GroupNDV estimates the distinct values of col within one group.
 	GroupNDV(table string, group rel.Value, col int) (float64, bool)
+	// StatsVersion advances whenever any tracked statistic may change; it
+	// stamps the plans cached on a statement.
+	StatsVersion() uint64
 }
 
 // Default selectivities when no statistic answers a predicate
@@ -146,11 +149,19 @@ func (e *Engine) planFrom(q *queryState, sel *sql.SimpleSelect, conjs []*conjunc
 	if q.forcePlan == 0 && q.provider == nil {
 		return nil
 	}
-	vp, cacheable := q.provider.(StatsVersioner)
-	if !cacheable {
-		return e.planFromFresh(q, sel, conjs)
+	// Each SELECT core's plans are cached on the statement node, one per
+	// stamp; repeated executions of a prepared statement then skip
+	// enumeration and costing until a write or rebuild advances the
+	// version or an execution's arguments move it to another stamp. A plan
+	// and its steps are never mutated after planning and hold nothing of
+	// the execution that planned them, so one cached plan may serve
+	// concurrent executions with different arguments. Without a provider
+	// (a pinned order only) the version is 0.
+	var version uint64
+	if q.provider != nil {
+		version = q.provider.StatsVersion()
 	}
-	stamp := planStamp{version: vp.StatsVersion(), asOf: q.asOf, forcePlan: q.forcePlan, bind: e.bindSig(q, sel)}
+	stamp := planStamp{version: version, asOf: q.asOf, forcePlan: q.forcePlan, bind: e.bindSig(q, sel)}
 	c, cached := e.planCache.Load(sel)
 	if cached {
 		if plan, ok := c.(*planCacheEntry).lookup(stamp); ok {
@@ -173,19 +184,6 @@ func (e *Engine) planFrom(q *queryState, sel *sql.SimpleSelect, conjs []*conjunc
 	plan := e.planFromFresh(q, sel, conjs)
 	c.(*planCacheEntry).store(stamp, plan)
 	return plan
-}
-
-// StatsVersioner is optionally implemented by a StatsProvider. When
-// present, each SELECT core's plans are cached on the statement node,
-// one per stamp; repeated executions of a prepared statement then skip
-// enumeration and costing until a write or rebuild advances the version
-// or an execution's arguments move it to another stamp. A plan and its
-// steps are never mutated after planning and hold nothing of the
-// execution that planned them, so one cached plan may serve concurrent
-// executions with different arguments.
-type StatsVersioner interface {
-	// StatsVersion advances whenever any tracked statistic may change.
-	StatsVersion() uint64
 }
 
 const (
@@ -352,14 +350,13 @@ func (e *Engine) paramRows(q *queryState, sel *sql.SimpleSelect, col sql.Expr, o
 // planFromFresh is planFrom without the cache: it classifies the
 // reorderable core, enumerates orders, and costs them.
 func (e *Engine) planFromFresh(q *queryState, sel *sql.SimpleSelect, conjs []*conjunct) *fromPlan {
-
 	// Reorderable core: the maximal prefix of plain named tables (base or
-	// CTE) without JOIN chains, subqueries, or lateral VALUES. Everything
-	// after it stays pinned (the Table-8 templates pin TABLE(VALUES)
-	// laterals and LEFT JOIN secondary-attribute lookups after the core).
+	// CTE) without JOIN chains or lateral VALUES. Everything after it stays
+	// pinned (the Table-8 templates pin TABLE(VALUES) laterals and LEFT
+	// JOIN secondary-attribute lookups after the core).
 	n := 0
 	for _, ref := range sel.From {
-		if ref.Table == "" || ref.TableFn != nil || ref.Subquery != nil || len(ref.Joins) > 0 {
+		if ref.TableFn != nil || len(ref.Joins) > 0 {
 			break
 		}
 		n++

@@ -290,10 +290,11 @@ func (k accessKind) accessName() string {
 // matches. The access is returned pending, as the head of a pipe
 // (scanSource): it runs with the pipe's stages and into its reader's
 // terminal, each worker filtering the rows of its morsels with its own
-// compiled predicates and pushing them on, in order.
+// compiled predicates and pushing them on, in order. est is the planner's
+// row estimate for the scan, -1 when it made none.
 // The caller must already hold the table's read lock (the engine acquires
 // query locks up front).
-func (e *Engine) scanBase(q *queryState, t *rel.Table, alias string, conjs []*conjunct) (*relation, error) {
+func (e *Engine) scanBase(q *queryState, t *rel.Table, alias string, conjs []*conjunct, est int64) (*relation, error) {
 	cols := tableCols(t, alias)
 	path, err := e.chooseAccessPath(q, t, alias, conjs)
 	if err != nil {
@@ -313,12 +314,7 @@ func (e *Engine) scanBase(q *queryState, t *rel.Table, alias string, conjs []*co
 	markApplied(filters)
 
 	// Rows, morsels, workers and time are the run's (Engine.run).
-	stat := ScanStat{Table: t.Name(), Access: path.kind.accessName(), EstRows: -1}
-	if q.scanEstValid {
-		stat.EstRows = q.scanEst
-		q.scanEst, q.scanEstValid = 0, false
-	}
-	q.stats.Scans = append(q.stats.Scans, stat)
+	q.stats.Scans = append(q.stats.Scans, ScanStat{Table: t.Name(), Access: path.kind.accessName(), EstRows: est})
 	src := &scanSource{e: e, q: q, t: t, sc: newScope(cols), filters: filters, stat: len(q.stats.Scans) - 1, path: path}
 	return &relation{cols: cols, src: []*pipe{{scan: src, serial: !parallelSafeConjuncts(filters), fans: len(filters) > 0 || path.kind != accessFullScan}}}, nil
 }

@@ -10,11 +10,6 @@ import (
 	"sqlgraph/internal/sql"
 )
 
-// maxRecursionIters bounds recursive CTE evaluation (unbounded Gremlin
-// loop pipes translate to recursive SQL; a cyclic graph without a depth
-// bound must fail cleanly rather than loop forever).
-const maxRecursionIters = 10000
-
 // queryState carries per-query evaluation state. Operator dispatch is
 // single-goroutine; only morsel workers run concurrently, and they touch
 // nothing here except the atomic ioMisses counter (stats are aggregated
@@ -35,10 +30,8 @@ type queryState struct {
 	// Cost-based planner state. All fields are zero-value-safe so an
 	// expression index's key functions (compiled over a bare queryState)
 	// stay on the legacy syntactic path.
-	provider     StatsProvider // optimizer statistics, nil = legacy planning
-	forcePlan    int           // ExecOptions.ForcePlan (0 auto, -1 syntactic, k>=1 pinned)
-	scanEst      int64         // planner row estimate for the next base scan...
-	scanEstValid bool          // ...consumed (and reset) by scanBase
+	provider  StatsProvider // optimizer statistics, nil = legacy planning
+	forcePlan int           // ExecOptions.ForcePlan (0 auto, -1 syntactic, k>=1 pinned)
 }
 
 // addIOMiss atomically charges one buffer-pool miss to the query.
@@ -87,25 +80,9 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 	}
 	for _, cte := range stmt.With {
 		cteT := time.Now()
-		var r *relation
-		var err error
-		if cte.Recursive && referencesTable(cte.Query.Body, cte.Name) {
-			r, err = e.evalRecursiveCTE(q, cte)
-		} else {
-			r, err = e.openSelect(q, cte.Query)
-		}
+		r, err := e.openSelect(q, cte.Query)
 		if err != nil {
 			return nil, fmt.Errorf("in CTE %s: %w", cte.Name, err)
-		}
-		if len(cte.Columns) > 0 {
-			if len(cte.Columns) != len(r.cols) {
-				return nil, fmt.Errorf("engine: CTE %s declares %d columns, query yields %d", cte.Name, len(cte.Columns), len(r.cols))
-			}
-			cols := make([]colInfo, len(r.cols))
-			for i, c := range cte.Columns {
-				cols[i] = colInfo{name: c}
-			}
-			r = r.as(cols)
 		}
 		stat := CTEStat{Name: cte.Name, StartNs: q.sinceStart(cteT)}
 		// A CTE with exactly one reader is left pending for that reader to
@@ -165,7 +142,7 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 // (countTableRefs). A name bound twice counts as read twice.
 func cteReaders(stmt *sql.SelectStmt) map[string]int {
 	n := map[string]int{}
-	countTableRefs(stmt, 1, n)
+	countTableRefs(stmt, n)
 	for i, cte := range stmt.With {
 		for _, other := range stmt.With[:i] {
 			if other.Name == cte.Name {
@@ -336,84 +313,6 @@ func anonymizeCols(cols []colInfo) []colInfo {
 		out[i] = colInfo{name: c.name}
 	}
 	return out
-}
-
-// evalRecursiveCTE evaluates WITH RECURSIVE via semi-naive iteration: the
-// base term seeds the result; the recursive term is re-evaluated against
-// the previous iteration's rows until it yields none. The CTE is a
-// breaker — base, delta and total are stored — but each term is a core
-// like any other and runs through the same sinks.
-func (e *Engine) evalRecursiveCTE(q *queryState, cte sql.CTE) (*relation, error) {
-	top, ok := cte.Query.Body.(*sql.UnionAll)
-	if !ok {
-		return nil, fmt.Errorf("engine: recursive CTE %s must be base UNION ALL recursive", cte.Name)
-	}
-	// fresh runs a term and returns the rows it adds to the result.
-	ordered := false
-	fresh := func(term sql.SelectBody, arity int) ([][]rel.Value, []colInfo, error) {
-		r, err := e.evalBody(q, term)
-		if err != nil {
-			return nil, nil, err
-		}
-		if arity >= 0 && len(r.cols) != arity {
-			return nil, nil, fmt.Errorf("engine: recursive CTE %s arity changed", cte.Name)
-		}
-		ordered = ordered || r.ordered
-		c := newCollect(len(r.cols), nil)
-		if err := e.run(q, r, c, -1); err != nil {
-			return nil, nil, err
-		}
-		out := &relation{}
-		out.rows, out.ids = c.result()
-		q.stats.MaterializedRows += out.count()
-		return out.rowsOf(), r.cols, nil
-	}
-	rows, baseCols, err := fresh(top.Left, -1)
-	if err != nil {
-		return nil, err
-	}
-	cols := anonymizeCols(baseCols)
-	if len(cte.Columns) > 0 {
-		if len(cte.Columns) != len(cols) {
-			return nil, fmt.Errorf("engine: CTE %s declares %d columns, base yields %d", cte.Name, len(cte.Columns), len(cols))
-		}
-		for i, c := range cte.Columns {
-			cols[i] = colInfo{name: c}
-		}
-	}
-	total := &relation{cols: cols, rows: rows}
-
-	saved, had := q.ctes[cte.Name]
-	defer func() {
-		if had {
-			q.ctes[cte.Name] = saved
-		} else {
-			delete(q.ctes, cte.Name)
-		}
-	}()
-	for iter := 0; len(rows) > 0; iter++ {
-		if iter >= maxRecursionIters {
-			return nil, fmt.Errorf("engine: recursive CTE %s exceeded %d iterations", cte.Name, maxRecursionIters)
-		}
-		// The name means the last iteration's rows now: a subquery that
-		// read it (or anything else) runs again.
-		q.ctes[cte.Name] = &relation{cols: cols, rows: rows, ordered: ordered}
-		clear(q.subs)
-		if rows, _, err = fresh(top.Right, len(cols)); err != nil {
-			return nil, err
-		}
-		total.rows = append(total.rows, rows...)
-	}
-	total.ordered = ordered
-	return total, nil
-}
-
-// referencesTable reports whether a select body reads name in any FROM
-// clause (used to detect genuine recursion).
-func referencesTable(body sql.SelectBody, name string) bool {
-	n := map[string]int{}
-	countTableRefs(&sql.SelectStmt{Body: body}, 1, n)
-	return n[name] > 0
 }
 
 // subquerySet evaluates the nested SELECT of an IN (subquery) into the

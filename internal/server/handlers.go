@@ -24,11 +24,10 @@ import (
 type queryOptions struct {
 	ForceEA         bool `json:"force_ea,omitempty"`
 	ForceHashTables bool `json:"force_hash_tables,omitempty"`
-	RecursiveLoops  bool `json:"recursive_loops,omitempty"`
 }
 
 func (o queryOptions) internal() translate.Options {
-	return translate.Options{ForceEA: o.ForceEA, ForceHashTables: o.ForceHashTables, RecursiveLoops: o.RecursiveLoops}
+	return translate.Options{ForceEA: o.ForceEA, ForceHashTables: o.ForceHashTables}
 }
 
 // queryRequest is the /query (and /translate) body.

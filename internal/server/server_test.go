@@ -260,6 +260,20 @@ func TestQueryMalformedJSONIs400(t *testing.T) {
 	}
 }
 
+// TestRecursiveLoopsOptionIs400: every loop unrolls, so the wire has no
+// recursive_loops option, and a request that still sends it is refused
+// by name rather than run with a default.
+func TestRecursiveLoopsOptionIs400(t *testing.T) {
+	env := newTestEnv(t, Config{})
+	code, body := env.doJSON(t, "POST", "/query", `{"gremlin":"g.V.count","options":{"recursive_loops":true}}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("want 400, got %d: %s", code, body)
+	}
+	if !strings.Contains(string(body), "recursive_loops") {
+		t.Fatalf("the error should name the field: %s", body)
+	}
+}
+
 func TestOversizedBodyIs413(t *testing.T) {
 	env := newTestEnv(t, Config{MaxBodyBytes: 256})
 	big := fmt.Sprintf(`{"gremlin": "g.V.has('name', '%s').count()"}`, strings.Repeat("x", 4096))

@@ -30,13 +30,10 @@ type SelectStmt struct {
 
 func (*SelectStmt) stmt() {}
 
-// CTE is one WITH entry. Recursive marks `WITH RECURSIVE` queries whose
-// body unions a base case with a self-referencing recursive case.
+// CTE is one WITH entry; its columns are its query's output columns.
 type CTE struct {
-	Name      string
-	Columns   []string // optional explicit column names
-	Query     *SelectStmt
-	Recursive bool
+	Name  string
+	Query *SelectStmt
 }
 
 // SelectBody is a simple SELECT or UNION ALL of two bodies.
@@ -67,15 +64,14 @@ type SelectItem struct {
 	Alias string
 }
 
-// TableRef is a named table, a derived table, or a lateral VALUES
+// TableRef is a named table (a base table or a CTE) or a lateral VALUES
 // unnesting, optionally chained with LEFT OUTER JOIN clauses.
 type TableRef struct {
-	// Exactly one of Table, Subquery, TableFn is set.
-	Table    string
-	Subquery *SelectStmt
-	TableFn  *TableFunc
-	Alias    string
-	Joins    []JoinClause
+	// Exactly one of Table, TableFn is set.
+	Table   string
+	TableFn *TableFunc
+	Alias   string
+	Joins   []JoinClause
 }
 
 // TableFunc is the paper's TABLE(VALUES (e1),(e2),...) AS t(col) lateral

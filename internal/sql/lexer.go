@@ -2,11 +2,11 @@
 // a lexer, an abstract syntax tree, and a recursive-descent parser for a
 // closed dialect — the SQL the Gremlin translator's Table-8 templates,
 // View.VerticesByAttr and the figure code emit (CTE chains, UNION ALL,
-// comma joins, LEFT OUTER JOIN, lateral TABLE(VALUES) unnesting, a
-// recursive CTE, IN/NOT IN subqueries, JSON_VAL). Anything else is a
-// parse error, never another query; DESIGN.md §23 lists the grammar and
-// the emitter each construct serves. It parses queries only: writes are
-// the relational layer's transactions.
+// comma joins, LEFT OUTER JOIN, lateral TABLE(VALUES) unnesting, IN/NOT IN
+// subqueries, JSON_VAL). Anything else is a parse error, never another
+// query; DESIGN.md §23 lists the grammar and the emitter each construct
+// serves. It parses queries only: writes are the relational layer's
+// transactions.
 package sql
 
 import (
@@ -50,7 +50,7 @@ func (t Token) String() string {
 var keywords = map[string]bool{
 	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true,
 	"GROUP": true, "BY": true, "ORDER": true, "LIMIT": true, "OFFSET": true,
-	"UNION": true, "ALL": true, "WITH": true, "RECURSIVE": true, "AS": true,
+	"UNION": true, "ALL": true, "WITH": true, "AS": true,
 	"JOIN": true, "LEFT": true, "OUTER": true, "ON": true, "AND": true,
 	"OR": true, "NOT": true, "IN": true, "IS": true, "NULL": true,
 	"LIKE": true, "TRUE": true, "FALSE": true, "CAST": true, "VALUES": true,

@@ -101,9 +101,8 @@ func (p *parser) expectIdent() (string, error) {
 func (p *parser) parseSelect() (*SelectStmt, error) {
 	stmt := &SelectStmt{}
 	if p.acceptKeyword("WITH") {
-		recursive := p.acceptKeyword("RECURSIVE")
 		for {
-			cte, err := p.parseCTE(recursive)
+			cte, err := p.parseCTE()
 			if err != nil {
 				return nil, err
 			}
@@ -140,27 +139,14 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	return stmt, nil
 }
 
-func (p *parser) parseCTE(recursive bool) (CTE, error) {
+// parseCTE parses name AS (select): the query's own column names name the
+// CTE's columns.
+func (p *parser) parseCTE() (CTE, error) {
 	name, err := p.expectIdent()
 	if err != nil {
 		return CTE{}, err
 	}
-	cte := CTE{Name: name, Recursive: recursive}
-	if p.accept(TokSymbol, "(") {
-		for {
-			col, err := p.expectIdent()
-			if err != nil {
-				return CTE{}, err
-			}
-			cte.Columns = append(cte.Columns, col)
-			if !p.accept(TokSymbol, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(TokSymbol, ")"); err != nil {
-			return CTE{}, err
-		}
-	}
+	cte := CTE{Name: name}
 	if _, err := p.expect(TokKeyword, "AS"); err != nil {
 		return CTE{}, err
 	}
@@ -375,15 +361,6 @@ func (p *parser) parseTablePrimary() (TableRef, error) {
 			return ref, err
 		}
 		ref.TableFn = fn
-	case p.accept(TokSymbol, "("):
-		q, err := p.parseSelect()
-		if err != nil {
-			return ref, err
-		}
-		if _, err := p.expect(TokSymbol, ")"); err != nil {
-			return ref, err
-		}
-		ref.Subquery = q
 	default:
 		name, err := p.expectIdent()
 		if err != nil {

@@ -133,26 +133,32 @@ func TestParseJoins(t *testing.T) {
 }
 
 func TestParseCTE(t *testing.T) {
-	sel := mustSelect(t, `WITH t1 AS (SELECT vid AS val FROM va), t2(v) AS (SELECT val FROM t1) SELECT COUNT(*) FROM t2`)
+	sel := mustSelect(t, `WITH t1 AS (SELECT vid AS val FROM va), t2 AS (SELECT val AS v FROM t1) SELECT COUNT(*) FROM t2`)
 	if len(sel.With) != 2 {
 		t.Fatalf("with = %d", len(sel.With))
 	}
-	if sel.With[0].Name != "T1" || sel.With[1].Columns[0] != "V" {
+	if sel.With[0].Name != "T1" || sel.With[1].Name != "T2" {
 		t.Fatalf("ctes = %+v", sel.With)
 	}
 }
 
+// TestParseRecursiveCTE: every loop unrolls, so a recursive CTE, the
+// derived table its template wrapped it in and the CTE column list it
+// named its columns with are refused; a plain CTE chain still parses.
 func TestParseRecursiveCTE(t *testing.T) {
-	sel := mustSelect(t, `WITH RECURSIVE r(v, d) AS (
-		SELECT val, 0 FROM seed
-		UNION ALL
-		SELECT e.outv, r.d + 1 FROM r, ea e WHERE e.inv = r.v AND r.d < 5
-	) SELECT DISTINCT v FROM r`)
-	if len(sel.With) != 1 || !sel.With[0].Recursive {
-		t.Fatalf("recursive cte = %+v", sel.With)
+	for src, at := range map[string]string{
+		`WITH RECURSIVE r AS (SELECT val FROM seed UNION ALL (SELECT e.outv FROM r, ea e WHERE e.inv = r.val)) SELECT val FROM r`: "found R",
+		"SELECT val FROM (SELECT val FROM r) x":               "found (",
+		"WITH r(v) AS (SELECT val FROM seed) SELECT v FROM r": "found (",
+	} {
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), at) {
+			t.Fatalf("Parse(%q) = %v, want a refusal %s", src, err, at)
+		}
 	}
-	if _, ok := sel.With[0].Query.Body.(*UnionAll); !ok {
-		t.Fatal("recursive body should be a UNION ALL")
+	sel := mustSelect(t, "WITH r AS (SELECT val FROM seed) SELECT val FROM r")
+	if len(sel.With) != 1 || sel.With[0].Name != "R" || sel.With[0].Query == nil {
+		t.Fatalf("cte = %+v", sel.With)
 	}
 }
 
@@ -323,6 +329,13 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t x EXCEPT SELECT b FROM u",
 		"SELECT a FROM t UNION SELECT b FROM u",
 		"WITH RECURSIVE r(v) AS (SELECT 1 UNION SELECT v + 1 FROM r) SELECT v FROM r",
+		// Every loop unrolls: no recursive CTE, derived table or CTE
+		// column list.
+		"WITH RECURSIVE r AS (SELECT val FROM seed UNION ALL (SELECT val FROM r)) SELECT val FROM r",
+		"SELECT val FROM (SELECT val FROM r) x",
+		"SELECT val FROM (SELECT val FROM r) AS x",
+		"SELECT a FROM t LEFT JOIN (SELECT b FROM u) x ON t.a = x.b",
+		"WITH r(v) AS (SELECT val FROM seed) SELECT v FROM r",
 		"SELECT k FROM t GROUP BY k HAVING COUNT(*) > 1",
 		"SELECT a FROM t ORDER BY x DESC",
 		"SELECT a FROM t ORDER BY x ASC",
@@ -415,8 +428,7 @@ func TestScalarSubquery(t *testing.T) {
 	}
 }
 
-// TestParenthesizedSetOpBody: a parenthesized UNION ALL is one operand,
-// as the recursive-loop template writes its recursive side.
+// TestParenthesizedSetOpBody: a parenthesized UNION ALL is one operand.
 func TestParenthesizedSetOpBody(t *testing.T) {
 	sel := mustSelect(t, "SELECT a FROM x UNION ALL (SELECT b FROM y UNION ALL SELECT c FROM z)")
 	top := sel.Body.(*UnionAll)

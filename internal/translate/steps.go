@@ -530,9 +530,8 @@ func (t *translator) ifThenElse(s *gremlin.Step) error {
 	return nil
 }
 
-// loop translates loop pipes: unrolled by default (fixed depth is known
-// statically), or via a recursive CTE over EA when Options.RecursiveLoops
-// is set (the paper's fallback strategy).
+// loop translates loop pipes by unrolling: the parser bounds every loop,
+// so its depth is known statically.
 func (t *translator) loop(steps []gremlin.Step, loopIdx int, s *gremlin.Step) error {
 	segment := loopSegment(steps, loopIdx)
 	if len(segment) == 0 {
@@ -541,67 +540,13 @@ func (t *translator) loop(steps []gremlin.Step, loopIdx int, s *gremlin.Step) er
 	if s.LoopMax < 1 {
 		return fmt.Errorf("translate: loop bound must be positive")
 	}
-	if t.opts.RecursiveLoops && !t.track && len(segment) == 1 && t.typ == ElemVertex {
-		if rc, ok := t.recursiveLoop(&segment[0], s.LoopMax); ok {
-			t.cur = rc
-			return nil
-		}
-	}
-	// Unroll: the segment has already run once; repeat LoopMax-1 times.
+	// The segment has already run once; repeat LoopMax-1 times.
 	for pass := 1; pass < s.LoopMax; pass++ {
 		if err := t.pipeline(segment); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// recursiveLoop emits WITH RECURSIVE-style iteration over the EA table
-// for single-step out/in/both segments.
-func (t *translator) recursiveLoop(seg *gremlin.Step, max int) (string, bool) {
-	var dirs []direction
-	switch seg.Kind {
-	case gremlin.StepOut:
-		dirs = []direction{dirOut}
-	case gremlin.StepIn:
-		dirs = []direction{dirIn}
-	case gremlin.StepBoth:
-		dirs = []direction{dirOut, dirIn}
-	default:
-		return "", false
-	}
-	labelCond := func() string {
-		if len(seg.Labels) == 0 {
-			return ""
-		}
-		quoted := make([]string, len(seg.Labels))
-		for i, l := range seg.Labels {
-			quoted[i] = strLit(l)
-		}
-		if len(quoted) == 1 {
-			return " AND P.LBL = " + quoted[0]
-		}
-		return " AND P.LBL IN (" + strings.Join(quoted, ", ") + ")"
-	}()
-	var recTerms []string
-	for _, d := range dirs {
-		srcCol, dstCol := "INV", "OUTV"
-		if d == dirIn {
-			srcCol, dstCol = "OUTV", "INV"
-		}
-		recTerms = append(recTerms, fmt.Sprintf(
-			"SELECT P.%s, R.D + 1 FROM R, EA P WHERE P.%s = R.VAL AND R.D < %d%s",
-			dstCol, srcCol, max, labelCond))
-	}
-	// The recursive CTE is inlined as a sub-select so the outer statement
-	// remains a single WITH chain.
-	// Parenthesize the recursive side so the top-level set operation is
-	// exactly base UNION ALL recursive (required by the engine's
-	// semi-naive evaluation).
-	body := fmt.Sprintf(
-		"SELECT VAL FROM (WITH RECURSIVE R(VAL, D) AS (SELECT VAL, 1 FROM %s UNION ALL (%s)) SELECT VAL FROM R WHERE D = %d) X",
-		t.cur, strings.Join(recTerms, " UNION ALL "), max)
-	return t.add(body), true
 }
 
 // uniqueLabels drops duplicate labels, preserving first-seen order.

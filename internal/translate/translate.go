@@ -51,10 +51,6 @@ type Options struct {
 	// ForceHashTables answers every adjacency step from OPA/OSA + IPA/ISA
 	// even for single-lookup queries (Table 4's other side).
 	ForceHashTables bool
-	// RecursiveLoops translates single-step loop segments into a
-	// recursive CTE instead of unrolling (paper Section 4.3's fallback
-	// for loops whose depth the engine should iterate).
-	RecursiveLoops bool
 }
 
 // Translation is the compiled form of a Gremlin query: one statement per

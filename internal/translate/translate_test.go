@@ -202,11 +202,6 @@ func TestLoopUnrolled(t *testing.T) {
 	}
 }
 
-func TestLoopRecursive(t *testing.T) {
-	sql := tr(t, "g.V(1).as('s').out('knows').loop('s'){it.loops < 4}.count()", Options{RecursiveLoops: true}).SQL
-	wants(t, sql, "WITH RECURSIVE R(VAL, D)", "R.D + 1", "D = 4")
-}
-
 func TestForceOptions(t *testing.T) {
 	sql := tr(t, "g.V(1).out('knows')", Options{ForceHashTables: true}).SQL
 	wants(t, sql, "OPA")

@@ -85,9 +85,6 @@ type QueryOptions struct {
 	// ForceHashTables answers every traversal from the hash adjacency
 	// tables, even single lookups.
 	ForceHashTables bool
-	// RecursiveLoops translates eligible loop pipes into recursive SQL
-	// instead of unrolling them.
-	RecursiveLoops bool
 }
 
 // Edge describes one edge.
@@ -296,7 +293,6 @@ func (r reader) QueryWithOptions(gremlin string, opts QueryOptions) (*Result, er
 	res, err := r.v.QueryTraced(gremlin, translate.Options{
 		ForceEA:         opts.ForceEA,
 		ForceHashTables: opts.ForceHashTables,
-		RecursiveLoops:  opts.RecursiveLoops,
 	}, "")
 	if err != nil {
 		return nil, err
