@@ -42,7 +42,7 @@ var (
 	envSetupErr error
 )
 
-func sharedEnvs(b *testing.B) (*experiments.DBpediaEnv, *experiments.DBpediaEnv) {
+func sharedEnvs(b testing.TB) (*experiments.DBpediaEnv, *experiments.DBpediaEnv) {
 	envOnce.Do(func() {
 		envPlain, envSetupErr = experiments.SetupDBpedia(experiments.ScaleTiny, baseline.CostModel{}, false)
 		if envSetupErr != nil {
@@ -519,17 +519,53 @@ func TestTraverseChainStaysFused(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// 334 KB per query measured at GOMAXPROCS 4 (313 KB at 2; 264 KB at
-	// 1, where nothing fans out) with DISTINCT frontiers kept as the
-	// compact id sets they were built in and worker sets merged by OR
-	// (419 KB with hashed sets whose tables were recycled and frontiers
-	// listed as ids, 508 KB when frontiers were rebuilt as rows and only
-	// heads of 4 096 rows fanned out, 739 KB with a Go map and rows copied
-	// as they arrived, 853 KB with the 48-byte rel.Value, 5.64 MB with
-	// every CTE stored), x 1.35.
-	const ceiling = 451_000
+	// 217 KB per query measured at GOMAXPROCS 4 (199 KB at 2; 154 KB at
+	// 1, where nothing fans out) with every core prepared once and its
+	// closures shared, and sparse id-set containers made bitmaps past
+	// 2 048 ids (334 KB, 313 KB and 264 KB when each execution resolved
+	// and compiled its cores; 419 KB with hashed sets whose tables were
+	// recycled and frontiers listed as ids, 508 KB when frontiers were
+	// rebuilt as rows and only heads of 4 096 rows fanned out, 739 KB with
+	// a Go map and rows copied as they arrived, 853 KB with the 48-byte
+	// rel.Value, 5.64 MB with every CTE stored), x 1.35.
+	const ceiling = 293_000
 	if perQuery := (after.TotalAlloc - before.TotalAlloc) / runs; perQuery > ceiling {
 		t.Fatalf("6-hop chain allocates %d bytes per query, ceiling %d", perQuery, ceiling)
+	}
+}
+
+// TestSingleHopAllocs guards what BenchmarkSingleHop measures: g.V(10).out
+// behind warm statement and plan caches binds its arguments to prepared
+// cores and runs them. 116 allocations per query measured at GOMAXPROCS
+// 1, 2 and 4, 82 of them in the engine and the rest in the Gremlin parse,
+// the trace and the result; 238 when every execution resolved and
+// compiled its cores.
+func TestSingleHopAllocs(t *testing.T) {
+	env, _ := sharedEnvs(t)
+	g := newGraph(env.Store)
+	const ceiling = 120
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := g.Query("g.V(10).out"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > ceiling {
+		t.Fatalf("g.V(10).out: %.0f allocations per query, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestTraverseChainAllocs guards BenchmarkTraverseChain/in4_list: four
+// in('isPartOf') hops from a country, each an index nested-loop join of a
+// prepared core. 347 allocations per query measured at GOMAXPROCS 1, 2
+// and 4; 1 012 when every execution resolved and compiled its cores.
+func TestTraverseChainAllocs(t *testing.T) {
+	g, _, in4 := chainFixture(t)
+	const ceiling = 500
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := g.Query(in4); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > ceiling {
+		t.Fatalf("in4_list: %.0f allocations per query, ceiling %d", allocs, ceiling)
 	}
 }
 
@@ -679,8 +715,8 @@ func TestScanAggStaysFused(t *testing.T) {
 
 // TestIDListHeadStoredAsIDs guards how a g.V(ids) head is stored: the
 // 12 960-id head of a Table-1 text is a one-column relation of BIGINTs,
-// which the planner needs stored (settlePlanInputs) and which is kept as
-// ids, 8 bytes each, not as rows. MaterializedRows still counts it, with
+// which the planner needs stored (it costs a CTE input by its count) and
+// which is kept as ids, 8 bytes each, not as rows. MaterializedRows still counts it, with
 // the DISTINCT's outputs and the count.
 func TestIDListHeadStoredAsIDs(t *testing.T) {
 	const ids, parents = 12960, 432
@@ -722,10 +758,11 @@ func TestIDListHeadStoredAsIDs(t *testing.T) {
 		must(err)
 	}
 	runtime.ReadMemStats(&after)
-	// 654 KB per query measured at GOMAXPROCS 1, 437 KB at 2 and 458 KB at
-	// 4, with the head and the id list's IN set held as ids (2.27 to
-	// 2.94 MB with the head stored as rows, a set table per worker and
-	// the id list parsed by append), x 1.35.
+	// 250 KB per query measured at GOMAXPROCS 1, 414 KB at 2 and 435 KB at
+	// 4, with the head's ids stored in a list sized by the rows its scan
+	// expects (654 KB at 1, 437 KB at 2 and 458 KB at 4 when it grew by
+	// append; 2.27 to 2.94 MB with the head stored as rows, a set table
+	// per worker and the id list parsed by append), x 1.35.
 	const ceiling = 900_000
 	if perQuery := (after.TotalAlloc - before.TotalAlloc) / runs; perQuery > ceiling {
 		t.Fatalf("a 12 960-id head allocates %d bytes per query, ceiling %d", perQuery, ceiling)

@@ -1,6 +1,6 @@
 // Package bench provides the shared experiment harness: timed query
 // execution with timeouts, mean/stddev aggregation, fixed-width result
-// tables, and a memory-constrained cache decorator used by the paper's
+// tables, and the memory-constrained buffer-pool models of the paper's
 // memory-sweep experiment (Figure 8c).
 package bench
 
@@ -16,6 +16,7 @@ import (
 	"sqlgraph/internal/blueprints"
 	"sqlgraph/internal/gremlin"
 	"sqlgraph/internal/gremlin/interp"
+	"sqlgraph/internal/rel"
 )
 
 // System is one store under test, exposed through a Gremlin runner that
@@ -189,57 +190,95 @@ func FormatDuration(d time.Duration) string {
 	}
 }
 
-// CacheSimGraph decorates a Blueprints store with a bounded element cache:
-// element accesses outside the cache pay a miss penalty, modeling a
-// memory-limited buffer pool (Figure 8c's memory sweep for the baseline
-// stores; SQLGraph uses the engine's IOSim instead).
-type CacheSimGraph struct {
-	blueprints.Graph
+// lruPool is the bounded LRU both buffer-pool models of Figure 8c's
+// memory sweep keep their resident keys in: a key touched outside it is a
+// miss, and evicts the least recently touched.
+type lruPool struct {
 	mu      sync.Mutex
-	lru     *list.List
-	resides map[string]*list.Element
+	lru     *list.List // front = most recent
+	resides map[any]*list.Element
 	cap     int
-	penalty time.Duration
 	misses  int64
 }
 
-// NewCacheSimGraph wraps g with a cache of the given element capacity.
-func NewCacheSimGraph(g blueprints.Graph, capacity int, penalty time.Duration) *CacheSimGraph {
-	return &CacheSimGraph{
-		Graph:   g,
-		lru:     list.New(),
-		resides: map[string]*list.Element{},
-		cap:     capacity,
-		penalty: penalty,
-	}
+func newLRUPool(capacity int) lruPool {
+	return lruPool{lru: list.New(), resides: map[any]*list.Element{}, cap: capacity}
 }
 
 // Misses reports the cumulative miss count.
-func (c *CacheSimGraph) Misses() int64 {
+func (c *lruPool) Misses() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.misses
 }
 
-func (c *CacheSimGraph) touch(key string) {
+// touch makes key the most recent and reports whether it was resident.
+func (c *lruPool) touch(key any) bool {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.resides[key]; ok {
 		c.lru.MoveToFront(el)
-		c.mu.Unlock()
-		return
+		return true
 	}
 	c.misses++
 	if c.lru.Len() >= c.cap {
 		back := c.lru.Back()
 		c.lru.Remove(back)
-		delete(c.resides, back.Value.(string))
+		delete(c.resides, back.Value)
 	}
 	c.resides[key] = c.lru.PushFront(key)
-	c.mu.Unlock()
-	if c.penalty > 0 {
+	return false
+}
+
+// CacheSimGraph decorates a Blueprints store with a bounded element cache:
+// element accesses outside the cache pay a miss penalty, modeling a
+// memory-limited buffer pool (Figure 8c's memory sweep for the baseline
+// stores; SQLGraph is given an IOSim instead).
+type CacheSimGraph struct {
+	blueprints.Graph
+	lruPool
+	penalty time.Duration
+}
+
+// NewCacheSimGraph wraps g with a cache of the given element capacity.
+func NewCacheSimGraph(g blueprints.Graph, capacity int, penalty time.Duration) *CacheSimGraph {
+	return &CacheSimGraph{Graph: g, lruPool: newLRUPool(capacity), penalty: penalty}
+}
+
+func (c *CacheSimGraph) touch(key string) {
+	if !c.lruPool.touch(key) && c.penalty > 0 {
 		time.Sleep(c.penalty)
 	}
 }
+
+// IOSim models a bounded buffer pool for the SQLGraph engine
+// (engine.PageModel): row accesses map to pages of pageRows rows, and
+// each miss on the LRU is charged a fixed penalty at the end of the
+// query. This substitutes for varying the memory given to the commercial
+// engine in the paper's memory-sweep experiment.
+type IOSim struct {
+	lruPool
+	pageRows int
+	penalty  time.Duration
+}
+
+type pageKey struct {
+	table string
+	page  int64
+}
+
+// NewIOSim creates a simulator with the given pool capacity in pages.
+func NewIOSim(capacity, pageRows int, missPenalty time.Duration) *IOSim {
+	return &IOSim{lruPool: newLRUPool(capacity), pageRows: pageRows, penalty: missPenalty}
+}
+
+// Access touches the row's page and reports whether it was resident.
+func (s *IOSim) Access(table string, rid rel.RowID) bool {
+	return s.touch(pageKey{table: table, page: int64(rid) / int64(s.pageRows)})
+}
+
+// MissPenalty is the time charged per miss.
+func (s *IOSim) MissPenalty() time.Duration { return s.penalty }
 
 // VertexAttrs implements blueprints.Graph with cache accounting.
 func (c *CacheSimGraph) VertexAttrs(id int64) (map[string]any, error) {

@@ -7,7 +7,6 @@ import (
 
 	"sqlgraph/internal/bench"
 	"sqlgraph/internal/bench/queries"
-	"sqlgraph/internal/engine"
 	"sqlgraph/internal/translate"
 )
 
@@ -117,7 +116,7 @@ func Fig8cMemory(env *DBpediaEnv, w io.Writer) error {
 		capacity := working * pct / 100
 		row := []string{fmt.Sprintf("%d%%", pct)}
 		// SQLGraph with a bounded buffer pool.
-		sim := engine.NewIOSim(capacity/16+1, 16, missPenalty)
+		sim := bench.NewIOSim(capacity/16+1, 16, missPenalty)
 		env.Store.Engine().SetIOSim(sim)
 		sys := sqlGraphSystem(env.Store, translate.Options{})
 		var total time.Duration

@@ -12,7 +12,6 @@ import (
 	"sqlgraph/internal/blueprints"
 	"sqlgraph/internal/core"
 	"sqlgraph/internal/core/coloring"
-	"sqlgraph/internal/engine"
 	"sqlgraph/internal/translate"
 )
 
@@ -238,7 +237,7 @@ func Fig6PathPlans(env *DBpediaEnv, w io.Writer) error {
 	if poolPages < 8 {
 		poolPages = 8
 	}
-	mkSim := func() *engine.IOSim { return engine.NewIOSim(poolPages, 16, 2*time.Microsecond) }
+	mkSim := func() *bench.IOSim { return bench.NewIOSim(poolPages, 16, 2*time.Microsecond) }
 
 	tab := &bench.Table{Headers: []string{"Query", "OPA+OSA", "EA", "OPA+OSA(buf)", "EA(buf)"}}
 	var hashTotal, eaTotal, hashBufTotal, eaBufTotal time.Duration

@@ -238,10 +238,14 @@ func TestPlanStampMagnitude(t *testing.T) {
 	}
 }
 
-// TestSharedStatementConcurrent: sixteen goroutines execute one shape at
-// once, each with ids of its own, against the live store and a pinned
-// snapshot, and each must get its own answer every time. Run under -race:
-// the statement and its cached plans are shared, the arguments are not.
+// TestSharedStatementConcurrent: sixteen goroutines execute two shapes at
+// once, each with ids and values of its own, against the live store and a
+// pinned snapshot, and each must get its own answer every time. Run under
+// -race: the statements and their prepared cores — compiled closures
+// included — are shared, the arguments are not. The second shape's cores
+// read an id list (g.V(ids)), a scalar (the wikiPageID the branch tests)
+// and an IN (SELECT …) set (the else branch's NOT IN over the then
+// branch's vertices), each bound by the execution.
 func TestSharedStatementConcurrent(t *testing.T) {
 	d, s := loadShapeDataset(t)
 	snap := s.Snapshot()
@@ -284,6 +288,12 @@ func TestSharedStatementConcurrent(t *testing.T) {
 				ids = append(ids, fmt.Sprint(d.Players[r.Intn(len(d.Players))]))
 			}
 			text := fmt.Sprintf("g.V(%s).out('%s').has('name', T.neq, 'w%d')", strings.Join(ids, ", "), dbpedia.LabelTeam, w)
+			if i%2 == 1 {
+				k := r.Intn(len(d.Players)) // its wikiPageID is 29 000 000 + k
+				ids = append(ids, fmt.Sprint(d.Players[k]))
+				text = fmt.Sprintf("g.V(%s).ifThenElse{it.wikiPageID == %d}{it.out('%s')}{it.in('%s')}",
+					strings.Join(ids, ", "), 29_000_000+k, dbpedia.LabelTeam, dbpedia.LabelTeam)
+			}
 			q, err := gremlin.Parse(text)
 			if err != nil {
 				t.Fatal(err)
@@ -330,7 +340,7 @@ func TestSharedStatementConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := s.PreparedStatements(); n != 1 {
-		t.Fatalf("%d statements for one shape", n)
+	if n := s.PreparedStatements(); n != 2 {
+		t.Fatalf("%d statements for two shapes", n)
 	}
 }

@@ -33,25 +33,11 @@ func collectAggCalls(e sql.Expr, out []*sql.FuncCall) []*sql.FuncCall {
 	return out
 }
 
-func hasAggregates(sel *sql.SimpleSelect) bool {
-	for _, item := range sel.Items {
-		if len(collectAggCalls(item.Expr, nil)) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// aggregate evaluates an aggregating core over in. Its run ends in the
-// core's group table (aggTable), which forms the groups as rows arrive:
-// nothing but the groups is stored, with or without GROUP BY. On several
-// workers each worker keeps a table of the groups of the morsel it runs,
-// and the terminal merges them in morsel order where every aggregate
-// merges exactly (aggregator.exact); otherwise the workers buffer their
-// morsels' rows and the terminal replays them in order.
-func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (*relation, error) {
-	sc := newScope(in.cols)
-	ag := &aggregator{width: len(in.cols), items: make([]compiledExpr, len(sel.Items)), exact: true}
+// prepareAgg prepares an aggregating core over input columns sc: its
+// calls' arguments and GROUP BY keys over the input row, its select list
+// over the group's row.
+func (p *prep) prepareAgg(sc *scope, sel *sql.SimpleSelect) (*aggregator, error) {
+	ag := &aggregator{width: len(sc.cols), cols: itemCols(sel.Items)}
 	var calls []*sql.FuncCall
 	for _, item := range sel.Items {
 		if !resolvableIn(item.Expr, sc) {
@@ -63,61 +49,65 @@ func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (
 		if !call.Star && len(call.Args) != 1 {
 			return nil, fmt.Errorf("engine: aggregate %s takes one argument", strings.ToUpper(call.Name))
 		}
-		ag.exact = ag.exact && parallelSafeExprs(call.Args)
+	}
+	mark := len(p.subs)
+	ag.accs = make([]aggAcc, len(calls))
+	var err error
+	for i, call := range calls {
+		ag.accs[i].list = strings.ToUpper(call.Name) == "LISTAGG"
+		if !call.Star {
+			if ag.accs[i].arg, err = p.compile(sc, call.Args[0]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if ag.keys, err = p.compileAll(sc, sel.GroupBy); err != nil {
+		return nil, err
 	}
 	// A key or argument holding a subquery is evaluated on the dispatching
 	// goroutine: its workers only buffer rows, for the terminal to replay.
-	ag.exact = ag.exact && parallelSafeExprs(sel.GroupBy)
-	// Every table compiles its own: the terminal's runs on the dispatching
-	// goroutine, each worker's on its own.
-	ag.inputs = func() (keys []compiledExpr, accs []aggAcc, err error) {
-		accs = make([]aggAcc, len(calls))
-		for i, call := range calls {
-			accs[i].list = strings.ToUpper(call.Name) == "LISTAGG"
-			if call.Star {
-				continue
-			}
-			if accs[i].arg, err = e.compile(q, sc, call.Args[0]); err != nil {
-				return nil, nil, err
-			}
-		}
-		keys = make([]compiledExpr, len(sel.GroupBy))
-		for i, gx := range sel.GroupBy {
-			if keys[i], err = e.compile(q, sc, gx); err != nil {
-				return nil, nil, err
-			}
-		}
-		return keys, accs, nil
-	}
-	term, err := ag.newTable()
-	if err != nil {
-		return nil, err
-	}
+	ag.exact = len(p.subs) == mark
 	// A group's row is its first input row followed by one slot per
 	// aggregate call: the select list reads both by position.
 	grouped := *sc
 	grouped.aggs, grouped.aggBase = calls, ag.width
+	ag.items = make([]compiledExpr, len(sel.Items))
 	for i, item := range sel.Items {
-		if ag.items[i], err = e.compile(q, &grouped, item.Expr); err != nil {
+		if ag.items[i], err = p.compile(&grouped, item.Expr); err != nil {
 			return nil, err
 		}
 	}
+	ag.subs = p.since(mark)
+	return ag, nil
+}
+
+// aggregate evaluates an aggregating core over in. Its run ends in the
+// core's group table (aggTable), which forms the groups as rows arrive:
+// nothing but the groups is stored, with or without GROUP BY. On several
+// workers each worker keeps a table of the groups of the morsel it runs,
+// and the terminal merges them in morsel order where every aggregate
+// merges exactly (aggregator.exact); otherwise the workers buffer their
+// morsels' rows and the terminal replays them in order.
+func (e *Engine) aggregate(f *frame, in *relation, ag *aggregator, distinct bool) (*relation, error) {
+	q := f.q
+	if err := f.bind(ag.subs); err != nil {
+		return nil, err
+	}
+	term := ag.newTable(f)
 	op := len(q.stats.Ops)
 	q.stats.Ops = append(q.stats.Ops, OpStat{Kind: "agg", StartNs: q.sinceStart(time.Now())})
 	if err := e.run(q, in, term, op); err != nil {
 		return nil, err
 	}
-	// Emitting the groups is charged to the operator and to this run. Its
-	// index is taken now: a subquery the select list runs appends a run
-	// of its own.
+	// Emitting the groups is charged to the operator and to this run.
 	pi := len(q.stats.Pipelines) - 1
 	finT := time.Now()
-	if len(sel.GroupBy) == 0 && len(term.groups) == 0 {
+	if len(ag.keys) == 0 && len(term.groups) == 0 {
 		term.groups = append(term.groups, term.newGroup("")) // no row: the one group is empty
 	}
-	out := &relation{cols: aggregateCols(sel.Items), ordered: in.ordered} // groups come out in first-occurrence order
+	out := &relation{cols: ag.cols, ordered: in.ordered} // groups come out in first-occurrence order
 	for _, g := range term.groups {
-		ag.emit(g, out)
+		ag.emit(f, g, out)
 	}
 	d := time.Since(finT).Nanoseconds()
 	st := &q.stats.Ops[op]
@@ -125,14 +115,15 @@ func (e *Engine) aggregate(q *queryState, in *relation, sel *sql.SimpleSelect) (
 	q.stats.Pipelines[pi].Nanos += d
 	st.RowsIn, st.RowsOut, st.Groups = term.in, len(out.rows), len(term.groups)
 	q.stats.MaterializedRows += len(out.rows)
-	if sel.Distinct {
+	if distinct {
 		return e.distinct(q, out)
 	}
 	return out, nil
 }
 
-// aggregateCols names an aggregating core's output columns.
-func aggregateCols(items []sql.SelectItem) []colInfo {
+// itemCols names a select list's output columns. A column reference
+// keeps its qualifier, so ORDER BY t.col still resolves after projection.
+func itemCols(items []sql.SelectItem) []colInfo {
 	cols := make([]colInfo, len(items))
 	for i, item := range items {
 		name, table := item.Alias, ""
@@ -148,15 +139,18 @@ func aggregateCols(items []sql.SelectItem) []colInfo {
 	return cols
 }
 
-// aggregator is what the group tables of one aggregating core share.
+// aggregator is an aggregating core prepared: what its tables share.
 type aggregator struct {
 	width int // columns of an input row; the aggregate slots follow them
 	// exact says the aggregates merge from per-morsel partial states: no
 	// GROUP BY key or aggregate argument holds a subquery. COUNT and
 	// LISTAGG themselves always merge exactly.
-	exact  bool
-	inputs func() (keys []compiledExpr, accs []aggAcc, err error) // one table's GROUP BY keys and accumulators
-	items  []compiledExpr
+	exact bool
+	keys  []compiledExpr // GROUP BY
+	accs  []aggAcc       // a new group's accumulators
+	items []compiledExpr // the select list, over a group's row
+	cols  []colInfo
+	subs  []subSlot
 }
 
 // aggTable holds the groups of an aggregating core in the order they were
@@ -165,24 +159,19 @@ type aggregator struct {
 // worker is running.
 type aggTable struct {
 	ag     *aggregator
-	keys   []compiledExpr
-	accs   []aggAcc             // a new group's accumulators
+	f      *frame
 	byKey  map[string]*aggGroup // nil without GROUP BY: one group
 	groups []*aggGroup
 	kb     []byte // the current row's key, rebuilt in place for every row
 	in     int    // rows pushed
 }
 
-func (ag *aggregator) newTable() (*aggTable, error) {
-	keys, accs, err := ag.inputs()
-	if err != nil {
-		return nil, err
-	}
-	t := &aggTable{ag: ag, keys: keys, accs: accs}
-	if len(keys) > 0 {
+func (ag *aggregator) newTable(f *frame) *aggTable {
+	t := &aggTable{ag: ag, f: f}
+	if len(ag.keys) > 0 {
 		t.byKey = map[string]*aggGroup{}
 	}
-	return t, nil
+	return t
 }
 
 // aggGroup accumulates one group's rows.
@@ -194,7 +183,7 @@ type aggGroup struct {
 }
 
 func (t *aggTable) newGroup(key string) *aggGroup {
-	return &aggGroup{key: key, accs: slices.Clone(t.accs), row: make([]rel.Value, t.ag.width+len(t.accs))}
+	return &aggGroup{key: key, accs: slices.Clone(t.ag.accs), row: make([]rel.Value, t.ag.width+len(t.ag.accs))}
 }
 
 func (t *aggTable) push(row []rel.Value) {
@@ -203,8 +192,8 @@ func (t *aggTable) push(row []rel.Value) {
 	switch {
 	case t.byKey != nil:
 		t.kb = t.kb[:0]
-		for _, key := range t.keys {
-			t.kb = appendGroupKey(t.kb, key(row))
+		for _, key := range t.ag.keys {
+			t.kb = appendGroupKey(t.kb, key(t.f, row))
 		}
 		if g = t.byKey[string(t.kb)]; g == nil {
 			g = t.add(t.newGroup(string(t.kb)))
@@ -214,7 +203,7 @@ func (t *aggTable) push(row []rel.Value) {
 	default:
 		g = t.groups[0]
 	}
-	g.push(row)
+	g.push(t.f, row)
 }
 
 // add appends a group first seen now.
@@ -229,11 +218,11 @@ func (t *aggTable) add(g *aggGroup) *aggGroup {
 // part returns a worker's end of a parallel run: a table of its own for
 // each morsel when the aggregates merge exactly, else a buffer of the
 // morsel's rows for absorb to replay.
-func (t *aggTable) part(width int, scratch bool) (part, error) {
+func (t *aggTable) part(width int, scratch bool) part {
 	if !t.ag.exact {
-		return &collect{arena: newRowArena(width, 0), copy: scratch, transit: true}, nil
+		return &collect{arena: newRowArena(width, 0), copy: scratch, transit: true}
 	}
-	return t.ag.newTable()
+	return t.ag.newTable(t.f)
 }
 
 func (t *aggTable) replays() bool { return !t.ag.exact }
@@ -290,13 +279,13 @@ func (t *aggTable) merge(m morselBuf) {
 	}
 }
 
-func (g *aggGroup) push(row []rel.Value) {
+func (g *aggGroup) push(f *frame, row []rel.Value) {
 	if g.n == 0 {
 		copy(g.row, row)
 	}
 	g.n++
 	for i := range g.accs {
-		g.accs[i].add(row)
+		g.accs[i].add(f, row)
 	}
 }
 
@@ -323,13 +312,13 @@ func appendGroupKey(b []byte, v rel.Value) []byte {
 
 // emit evaluates the select list for one finished group and appends the
 // row it yields to out.
-func (ag *aggregator) emit(g *aggGroup, out *relation) {
+func (ag *aggregator) emit(f *frame, g *aggGroup, out *relation) {
 	for i := range g.accs {
 		g.row[ag.width+i] = g.accs[i].result()
 	}
 	row := make([]rel.Value, len(ag.items))
 	for i, item := range ag.items {
-		row[i] = item(g.row)
+		row[i] = item(f, g.row)
 	}
 	out.rows = append(out.rows, row)
 }
@@ -344,12 +333,12 @@ type aggAcc struct {
 	vals  []rel.Value
 }
 
-func (a *aggAcc) add(row []rel.Value) {
+func (a *aggAcc) add(f *frame, row []rel.Value) {
 	if a.arg == nil {
 		a.count++
 		return
 	}
-	if v := a.arg(row); !v.IsNull() {
+	if v := a.arg(f, row); !v.IsNull() {
 		a.count++
 		if a.list {
 			a.vals = append(a.vals, v)

@@ -372,10 +372,7 @@ func TestInSubqueryProbeAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn, err := e.compile(&queryState{ctes: map[string]*relation{}}, sc, x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fn := compileBound(t, e, sc, x, nil)
 		in := []rel.Value{c.x}
 		var got rel.Value
 		if n := testing.AllocsPerRun(100, func() { got = fn(in) }); n != 0 {
@@ -385,4 +382,24 @@ func TestInSubqueryProbeAllocFree(t *testing.T) {
 			t.Errorf("%s with X = %s %s: %s, want %s", c.expr, c.x.Kind(), c.x, got, c.want)
 		}
 	}
+}
+
+// compileBound compiles x over sc as a prepared core would, binds it to
+// an execution with the given arguments — running its subqueries — and
+// returns it as a function of the row.
+func compileBound(t *testing.T, e *Engine, sc *scope, x sql.Expr, args []Arg) func(row []rel.Value) rel.Value {
+	t.Helper()
+	p := &prep{}
+	fn, err := p.compile(sc, x)
+	if err != nil {
+		t.Fatalf("%s: %v", x.SQL(), err)
+	}
+	f, err := p.frame(e, &queryState{params: args})
+	if err == nil {
+		err = f.bind(p.subs)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", x.SQL(), err)
+	}
+	return func(row []rel.Value) rel.Value { return fn(f, row) }
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sort"
@@ -27,15 +26,15 @@ var ErrUnknownColumn = errors.New("engine: unknown column")
 type Engine struct {
 	cat *rel.Catalog
 
-	iosim        atomic.Pointer[IOSim]        // optional buffer-pool simulation (Figure 8c)
+	iosim        atomic.Pointer[pageModelBox] // optional buffer-pool model (Figure 8c)
 	execOpts     atomic.Pointer[ExecOptions]  // nil = defaults
 	statsProv    atomic.Pointer[statsProvBox] // optimizer statistics, nil = legacy planning
-	planCache    sync.Map                     // *sql.SimpleSelect -> *planCacheEntry (see planner.go)
+	planCache    sync.Map                     // *sql.SimpleSelect -> *planCacheEntry, *sql.SelectStmt -> *stmtPlan (see planner.go)
 	planCacheLen atomic.Int64                 // entries stored since the cache was last emptied
 
-	planHits          atomic.Uint64 // plan cache hits
-	planMisses        atomic.Uint64 // plan cache misses (no entry for the statement)
-	planInvalidations atomic.Uint64 // entries discarded for a stale stats/as-of/ForcePlan/binding stamp
+	planHits          atomic.Uint64 // prepared cores found under their stamp
+	planMisses        atomic.Uint64 // cores with no entry: prepared for the first time
+	planInvalidations atomic.Uint64 // cores prepared again: no plan under the execution's stamp
 
 	sizes morselSizes // morsel work target and fan-out gate: the package defaults outside tests
 }
@@ -47,9 +46,10 @@ type PlanCacheStats struct {
 	Invalidations uint64
 }
 
-// PlanCacheStats reports plan-cache hit/miss/invalidation totals.
-// Invalidations count cached entries discarded because their stamp
-// (stats version, as-of, ForcePlan, binding) no longer matched.
+// PlanCacheStats reports plan-cache hit/miss/invalidation totals, per
+// SELECT core executed. Invalidations count cores prepared again because
+// no plan cached for them had the execution's stamp (stats version,
+// as-of, ForcePlan, ForceJoin, catalog, binding).
 func (e *Engine) PlanCacheStats() PlanCacheStats {
 	return PlanCacheStats{
 		Hits:          e.planHits.Load(),
@@ -70,11 +70,19 @@ func New(cat *rel.Catalog) *Engine {
 // Catalog returns the underlying catalog.
 func (e *Engine) Catalog() *rel.Catalog { return e.cat }
 
-// SetIOSim attaches (or removes, with nil) a simulated buffer pool.
-func (e *Engine) SetIOSim(sim *IOSim) { e.iosim.Store(sim) }
+// SetIOSim attaches (or removes, with nil) a buffer-pool model.
+func (e *Engine) SetIOSim(m PageModel) { e.iosim.Store(&pageModelBox{m}) }
 
-// ioSim returns the active buffer-pool simulation, if any.
-func (e *Engine) ioSim() *IOSim { return e.iosim.Load() }
+// pageModelBox holds the attached PageModel.
+type pageModelBox struct{ m PageModel }
+
+// ioSim returns the attached buffer-pool model, if any.
+func (e *Engine) ioSim() PageModel {
+	if b := e.iosim.Load(); b != nil {
+		return b.m
+	}
+	return nil
+}
 
 // SetExecOptions replaces the engine's execution options (join-strategy
 // forcing, parallelism cap). A nil-equivalent zero value restores the
@@ -172,13 +180,15 @@ type Arg struct {
 // (rel.Latest for the latest state). sel is only read: any number of
 // executions, each with arguments of its own, may share it.
 func (e *Engine) QueryStmtAt(sel *sql.SelectStmt, asOf rel.Version, args []Arg) (*Rows, error) {
-	tables := e.baseTablesOf(sel)
-	unlock := e.rlockAll(tables)
+	sp := e.stmtPlanOf(sel)
+	if sp == nil {
+		sp = &stmtPlan{tables: e.baseTablesOf(sel)}
+	}
+	unlock := e.rlockAll(sp.tables)
 	defer unlock()
 
 	opts := e.ExecOptionsInEffect()
 	q := &queryState{
-		ctes:      map[string]*relation{},
 		params:    args,
 		par:       opts.Parallelism,
 		sizes:     e.sizes,
@@ -187,15 +197,6 @@ func (e *Engine) QueryStmtAt(sel *sql.SelectStmt, asOf rel.Version, args []Arg) 
 		t0:        time.Now(),
 		provider:  e.statsProvider(),
 		forcePlan: opts.ForcePlan,
-		idSets:    make([]*valueSet, len(args)),
-	}
-	for i, a := range args {
-		if a.IDs != nil {
-			q.idSets[i] = &valueSet{}
-			for _, id := range a.IDs {
-				q.idSets[i].ids.add(id)
-			}
-		}
 	}
 	r, err := e.evalSelect(q, sel)
 	if err != nil {
@@ -261,41 +262,38 @@ func (e *Engine) rlockAll(tables []string) func() {
 // may be evaluated at another time or not at all, weighs 2.
 func countTableRefs(stmt *sql.SelectStmt, n map[string]int) {
 	var inStmt func(s *sql.SelectStmt, weight int)
-	nested := func(s *sql.SelectStmt) { inStmt(s, 2) }
+	nested := func(xs ...sql.Expr) {
+		for _, x := range xs {
+			walkSubqueries(x, func(s *sql.SelectStmt) { inStmt(s, 2) })
+		}
+	}
 	var inRef func(ref sql.TableRef, weight int)
 	inRef = func(ref sql.TableRef, weight int) {
-		if ref.Table != "" {
-			n[ref.Table] += weight
-		}
+		n[ref.Table] += weight // "" for TABLE(VALUES): no table, nor CTE, has that name
 		if ref.TableFn != nil {
 			for _, row := range ref.TableFn.Rows {
-				for _, x := range row {
-					walkSubqueries(x, nested)
-				}
+				nested(row...)
 			}
 		}
 		for _, j := range ref.Joins {
 			inRef(j.Right, weight)
-			walkSubqueries(j.On, nested)
+			nested(j.On)
 		}
 	}
 	var inBody func(body sql.SelectBody, weight int)
 	inBody = func(body sql.SelectBody, weight int) {
-		switch b := body.(type) {
-		case *sql.UnionAll:
-			inBody(b.Left, weight)
-			inBody(b.Right, weight)
-		case *sql.SimpleSelect:
-			for _, ref := range b.From {
-				inRef(ref, weight)
-			}
-			walkSubqueries(b.Where, nested)
-			for _, item := range b.Items {
-				walkSubqueries(item.Expr, nested)
-			}
-			for _, g := range b.GroupBy {
-				walkSubqueries(g, nested)
-			}
+		if u, ok := body.(*sql.UnionAll); ok {
+			inBody(u.Left, weight)
+			inBody(u.Right, weight)
+			return
+		}
+		b := body.(*sql.SimpleSelect)
+		for _, ref := range b.From {
+			inRef(ref, weight)
+		}
+		nested(append(b.GroupBy[:len(b.GroupBy):len(b.GroupBy)], b.Where)...)
+		for _, item := range b.Items {
+			nested(item.Expr)
 		}
 	}
 	inStmt = func(s *sql.SelectStmt, weight int) {
@@ -303,83 +301,28 @@ func countTableRefs(stmt *sql.SelectStmt, n map[string]int) {
 			inStmt(cte.Query, weight)
 		}
 		inBody(s.Body, weight)
-		for _, o := range s.OrderBy {
-			walkSubqueries(o, nested)
-		}
-		walkSubqueries(s.Limit, nested)
-		walkSubqueries(s.Offset, nested)
+		nested(append(s.OrderBy[:len(s.OrderBy):len(s.OrderBy)], s.Limit, s.Offset)...)
 	}
 	inStmt(stmt, 1)
 }
 
-// --- buffer-pool simulation (Figure 8c) ---
+// --- buffer-pool model (Figure 8c) ---
 
-// IOSim models a bounded buffer pool: row accesses map to pages; a miss
-// on the shared LRU adds a fixed penalty, charged to the query at the end
-// of execution. This substitutes for varying the memory given to the
-// commercial engine in the paper's memory-sweep experiment.
-type IOSim struct {
-	PageRows    int           // rows per simulated page
-	Capacity    int           // pages resident in the pool
-	MissPenalty time.Duration // charged per miss
-
-	mu      sync.Mutex
-	lru     *list.List // front = most recent; values are pageKey
-	resides map[pageKey]*list.Element
-	misses  int64
+// PageModel is a bounded buffer pool the engine reports the rows a query
+// touches to and charges its misses to the query: the paper's memory
+// sweep (internal/bench.IOSim).
+type PageModel interface {
+	// Access touches the row's page and reports whether it was resident.
+	Access(table string, rid rel.RowID) bool
+	// MissPenalty is the time a query is charged per miss.
+	MissPenalty() time.Duration
 }
 
-type pageKey struct {
-	table string
-	page  int64
-}
-
-// NewIOSim creates a simulator with the given pool capacity in pages.
-func NewIOSim(capacity, pageRows int, missPenalty time.Duration) *IOSim {
-	return &IOSim{
-		PageRows:    pageRows,
-		Capacity:    capacity,
-		MissPenalty: missPenalty,
-		lru:         list.New(),
-		resides:     map[pageKey]*list.Element{},
-	}
-}
-
-// Misses returns the cumulative miss count.
-func (s *IOSim) Misses() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.misses
-}
-
-// access touches a page and reports whether it was resident.
-func (s *IOSim) access(table string, rid rel.RowID) bool {
-	key := pageKey{table: table, page: int64(rid) / int64(s.PageRows)}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.resides[key]; ok {
-		s.lru.MoveToFront(el)
-		return true
-	}
-	s.misses++
-	if s.lru.Len() >= s.Capacity {
-		back := s.lru.Back()
-		s.lru.Remove(back)
-		delete(s.resides, back.Value.(pageKey))
-	}
-	s.resides[key] = s.lru.PushFront(key)
-	return false
-}
-
-// pageAccess records one row access for the buffer-pool simulation. Safe
-// to call from morsel workers (the miss counter is atomic).
-func (e *Engine) pageAccess(q *queryState, table string, rid rel.RowID) {
-	sim := e.ioSim()
-	if sim == nil {
-		return
-	}
-	if !sim.access(table, rid) {
-		q.addIOMiss()
+// pageAccess records one row access for the buffer-pool model. Safe to
+// call from morsel workers (the miss counter is atomic).
+func (f *frame) pageAccess(table string, rid rel.RowID) {
+	if f.sim != nil && !f.sim.Access(table, rid) {
+		atomic.AddInt64(&f.q.ioMisses, 1)
 	}
 }
 
@@ -393,5 +336,5 @@ func (e *Engine) settleIO(q *queryState) {
 	if misses == 0 {
 		return
 	}
-	time.Sleep(time.Duration(misses) * sim.MissPenalty)
+	time.Sleep(time.Duration(misses) * sim.MissPenalty())
 }

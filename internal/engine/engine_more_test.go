@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sqlgraph/internal/bench"
 	"sqlgraph/internal/rel"
 	"sqlgraph/internal/sql"
 )
@@ -290,7 +291,7 @@ func TestLikePatterns(t *testing.T) {
 func TestIOSimPenaltyChargesTime(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
-	e.SetIOSim(NewIOSim(1, 1, 0))
+	e.SetIOSim(bench.NewIOSim(1, 1, 0))
 	defer e.SetIOSim(nil)
 	// With zero penalty this is just accounting; the query still works.
 	if got := scalarInt(t, e, "SELECT COUNT(*) FROM NUMS"); got != 100 {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"sqlgraph/internal/bench"
 	"sqlgraph/internal/rel"
 	"sqlgraph/internal/sql"
 	"sqlgraph/internal/sqljson"
@@ -528,7 +529,7 @@ func TestPreparedStatement(t *testing.T) {
 func TestIOSimCountsMisses(t *testing.T) {
 	e := newTestEngine(t)
 	seedGraph(t, e)
-	sim := NewIOSim(2, 10, 0)
+	sim := bench.NewIOSim(2, 10, 0)
 	e.SetIOSim(sim)
 	mustQuery(t, e, "SELECT COUNT(*) FROM NUMS")
 	first := sim.Misses()
@@ -536,8 +537,8 @@ func TestIOSimCountsMisses(t *testing.T) {
 		t.Fatal("expected cold-cache misses")
 	}
 	// A tiny pool keeps missing; a large pool stops missing.
-	e.SetIOSim(NewIOSim(1000, 10, 0))
-	sim2 := NewIOSim(1000, 10, 0)
+	e.SetIOSim(bench.NewIOSim(1000, 10, 0))
+	sim2 := bench.NewIOSim(1000, 10, 0)
 	e.SetIOSim(sim2)
 	mustQuery(t, e, "SELECT COUNT(*) FROM NUMS")
 	warm := sim2.Misses()

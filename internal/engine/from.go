@@ -26,7 +26,9 @@ func splitConjuncts(e sql.Expr, out []*conjunct) []*conjunct {
 		out = splitConjuncts(b.L, out)
 		return splitConjuncts(b.R, out)
 	}
-	return append(out, &conjunct{expr: e, refs: refsOf(e)})
+	c := &conjunct{expr: e, refs: &exprRefs{}}
+	collectRefs(e, c.refs)
+	return append(out, c)
 }
 
 // exprRefs collects the qualified columns (and their table aliases) and
@@ -66,12 +68,6 @@ func collectRefs(e sql.Expr, r *exprRefs) {
 	default:
 		r.bare = addOnce(r.bare, v.Column)
 	}
-}
-
-func refsOf(e sql.Expr) *exprRefs {
-	r := &exprRefs{}
-	collectRefs(e, r)
-	return r
 }
 
 // resolvableIn reports whether every column the expression references can
@@ -128,27 +124,102 @@ func isConstExpr(e sql.Expr) bool {
 	return len(r.qualified) == 0 && len(r.bare) == 0 && len(collectAggCalls(e, nil)) == 0
 }
 
-// evalSimpleSelect builds one SELECT core's pipeline — FROM items with
-// pushdown and join selection, WHERE residue, projection — on top of the
-// relation its first FROM item reads, and returns it pending. The core's
-// own breakers run it here: GROUP BY stores its input, plain aggregates
-// and DISTINCT are terminals.
-func (e *Engine) evalSimpleSelect(q *queryState, sel *sql.SimpleSelect) (*relation, error) {
-	conjs := splitConjuncts(sel.Where, nil)
+// corePlan is one SELECT core prepared under a plan stamp (planner.go):
+// every name resolved, every expression compiled, each join's order,
+// strategy, shape and access candidates fixed. It is immutable and shared
+// by every execution under its stamp; what the arguments decide — the
+// access path a scan takes, how a run is cut — each execution decides.
+type corePlan struct {
+	prep
+	variants int         // orders the planner enumerated (ExecStats.PlanVariants)
+	joins    []*joinPlan // the FROM items, each followed by the JOINs of its chain
+	where    *filterPlan // the WHERE terms no join applied; nil when none
+	agg      *aggregator // nil unless the core aggregates
+	proj     *projPlan   // the select list of a core that does not
+	distinct bool
+}
 
-	// Unit relation: one row, no columns (SELECT without FROM).
-	cur := &relation{rows: [][]rel.Value{{}}}
-	refs := sel.From
-	var steps []*stepPlan
-	if err := e.settlePlanInputs(q, sel); err != nil {
+// joinPlan is one FROM item, or one JOIN of its chain, prepared.
+type joinPlan struct {
+	kind     string // "INNER" or "LEFT"
+	alias    string
+	cte      int // the CTE's slot in the execution's bindings (queryState.env); -1 for a base table
+	table    *rel.Table
+	cols     []colInfo        // the right side's columns under its alias
+	out      []colInfo        // the columns the step leaves: what the next one reads
+	cells    [][]compiledExpr // TABLE(VALUES): per row, its cells over the left row; right is its inline filter
+	leftOnly *filterPlan      // terms on the left side alone, applied before the join
+	right    *filterPlan      // terms on the right side alone: a CTE's filter, or what an index probe verifies
+	scan     *scanPlan        // how a base table read as a whole is accessed
+	stat     JoinStat         // its Strategy: index-nl, hash, nested-loop, or none for the first FROM item
+	ix       *rel.Index       // index-nl: the index probed, and per leading column the term supplying it
+	mapping  []int
+	keys     []compiledExpr // per equi-join term: the expression over the left row
+	eqRight  []int          // per equi-join term: the right column position
+	shape    *joinShape
+	subs     []subSlot // the subqueries the join stage holds: it runs on one worker
+}
+
+// filterPlan is a set of terms applied as one stage.
+type filterPlan struct {
+	pass predicate
+	subs []subSlot
+}
+
+// filter compiles terms into a filter and marks them applied.
+func (p *prep) filter(sc *scope, conjs []*conjunct) (*filterPlan, error) {
+	markApplied(conjs)
+	mark := len(p.subs)
+	pass, err := p.predicates(sc, conjs)
+	return &filterPlan{pass: pass, subs: p.since(mark)}, err
+}
+
+// unitRows is the one row, of no columns, a SELECT without FROM reads.
+var unitRows = [][]rel.Value{{}}
+
+// evalSimpleSelect runs a core's plan: its joins, WHERE residue and
+// projection are stages on the relation its first FROM item reads,
+// returned pending; its aggregate or DISTINCT is a terminal, run here.
+func (e *Engine) evalSimpleSelect(q *queryState, sel *sql.SimpleSelect) (*relation, error) {
+	cp, err := e.prepared(q, sel)
+	if err != nil {
 		return nil, err
 	}
-	if fp := e.planFrom(q, sel, conjs); fp != nil {
-		refs = fp.orderedRefs(sel.From)
-		steps = fp.steps
-		if fp.variants > q.stats.PlanVariants {
-			q.stats.PlanVariants = fp.variants
+	q.stats.PlanVariants = max(q.stats.PlanVariants, cp.variants)
+	f, err := cp.frame(e, q)
+	if err != nil {
+		return nil, err
+	}
+	cur := &relation{rows: unitRows}
+	for _, j := range cp.joins {
+		if cur, err = e.execJoin(f, cur, j); err != nil {
+			return nil, err
 		}
+	}
+	if cp.where != nil {
+		cur = f.where(cur, cp.where)
+	}
+	if cp.agg != nil {
+		return e.aggregate(f, cur, cp.agg, cp.distinct)
+	}
+	out := f.project(cur, cp.proj)
+	if !cp.distinct {
+		return out, nil
+	}
+	return e.distinct(q, out)
+}
+
+// prepareCore prepares a SELECT core: the planner's order, every FROM
+// step with pushdown and join selection, the WHERE residue, the select
+// list.
+func (e *Engine) prepareCore(q *queryState, sel *sql.SimpleSelect) (*corePlan, error) {
+	cp := &corePlan{distinct: sel.Distinct}
+	p := &cp.prep
+	conjs := splitConjuncts(sel.Where, nil)
+	refs := sel.From
+	var steps []*stepPlan
+	if fp := e.planFrom(q, sel, conjs); fp != nil {
+		refs, steps, cp.variants = fp.orderedRefs(sel.From), fp.steps, fp.variants
 	}
 	// ON terms are split up front so the needed-column analysis sees every
 	// term that will ever read a column of this core.
@@ -159,20 +230,38 @@ func (e *Engine) evalSimpleSelect(q *queryState, sel *sql.SimpleSelect) (*relati
 		}
 	}
 	needs := newColNeeds(sel, refs, conjs, on)
+	var cols []colInfo
+	add := func(j *joinPlan, err error) error {
+		if err == nil {
+			cp.joins, cols = append(cp.joins, j), j.out
+		}
+		return err
+	}
 	for i, ref := range refs {
 		var sp *stepPlan
 		if i < len(steps) {
 			sp = steps[i]
 		}
-		var err error
-		cur, err = e.joinRef(q, cur, ref, conjs, on[i], sp, needs)
-		if err != nil {
+		if err := add(e.prepareJoin(q, p, cols, ref, conjs, "INNER", nil, sp, needs, i == 0)); err != nil {
 			return nil, err
+		}
+		for k, jc := range ref.Joins {
+			onConjs := on[i][k]
+			if err := add(e.prepareJoin(q, p, cols, jc.Right, onConjs, "LEFT", onConjs, nil, needs, false)); err != nil {
+				return nil, err
+			}
+			// An ON conjunct the join machinery could not consume would change
+			// what the outer join keeps.
+			for _, c := range onConjs {
+				if !c.applied {
+					return nil, fmt.Errorf("engine: unsupported LEFT JOIN ON condition %s", c.expr.SQL())
+				}
+			}
 		}
 	}
 
 	// Apply any WHERE conjuncts not yet consumed.
-	sc := newScope(cur.cols)
+	sc := newScope(cols)
 	var remaining []*conjunct
 	for _, c := range conjs {
 		if c.applied {
@@ -183,35 +272,18 @@ func (e *Engine) evalSimpleSelect(q *queryState, sel *sql.SimpleSelect) (*relati
 		}
 		remaining = append(remaining, c)
 	}
+	var err error
 	if len(remaining) > 0 {
-		cur = e.where(q, cur, sc, remaining)
-	}
-
-	if len(sel.GroupBy) > 0 || hasAggregates(sel) {
-		return e.aggregate(q, cur, sel)
-	}
-	out, err := e.project(q, cur, sel.Items)
-	if err != nil || !sel.Distinct {
-		return out, err
-	}
-	return e.distinct(q, out)
-}
-
-// settlePlanInputs stores the pending CTEs a FROM clause reads when the
-// planner is going to cost it: the planner costs a CTE input by its
-// actual row count, never by a guess (DESIGN.md §15).
-func (e *Engine) settlePlanInputs(q *queryState, sel *sql.SimpleSelect) error {
-	if len(sel.From) < 2 || q.provider == nil || q.forcePlan < 0 {
-		return nil
-	}
-	for _, ref := range sel.From {
-		if cte, ok := q.ctes[ref.Table]; ok {
-			if err := e.materialize(q, cte); err != nil {
-				return err
-			}
+		if cp.where, err = p.filter(sc, remaining); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	if len(sel.GroupBy) > 0 || slices.ContainsFunc(sel.Items, func(it sql.SelectItem) bool { return len(collectAggCalls(it.Expr, nil)) > 0 }) {
+		cp.agg, err = p.prepareAgg(sc, sel)
+	} else {
+		cp.proj, err = p.prepareProject(sc, sel.Items)
+	}
+	return cp, err
 }
 
 // distinct runs r into the set of its distinct rows and records a "dedup"
@@ -244,196 +316,135 @@ func (e *Engine) distinct(q *queryState, r *relation) (*relation, error) {
 	return out, nil
 }
 
-// project appends the select list to in's pipeline.
-func (e *Engine) project(q *queryState, in *relation, items []sql.SelectItem) (*relation, error) {
-	sc := newScope(in.cols)
-	outCols, plan, err := projectionPlan(sc, items)
-	if err != nil {
-		return nil, err
+// projPlan is a select list prepared: per item, the input position it
+// copies, or its compiled expression.
+type projPlan struct {
+	cols     []colInfo
+	steps    []projStep
+	identity bool // each input column once, in order: a change of names
+	subs     []subSlot
+}
+
+type projStep struct {
+	colPos int          // resolved position for plain column refs; -1 otherwise
+	fn     compiledExpr // when colPos is -1
+}
+
+func (p *prep) prepareProject(sc *scope, items []sql.SelectItem) (*projPlan, error) {
+	pp := &projPlan{cols: itemCols(items), steps: make([]projStep, len(items)), identity: len(items) == len(sc.cols)}
+	mark := len(p.subs)
+	for i, item := range items {
+		if !resolvableIn(item.Expr, sc) {
+			return nil, fmt.Errorf("engine: unknown column in select item %s", item.Expr.SQL())
+		}
+		pp.steps[i].colPos = -1
+		if cr, ok := item.Expr.(*sql.ColumnRef); ok {
+			pp.steps[i].colPos, _ = sc.resolve(cr.Table, cr.Column)
+		}
+		pp.identity = pp.identity && pp.steps[i].colPos == i
 	}
 	// Identity projection (SELECT each input column once, in order) is a
 	// change of column names — after a pruned join, every Table-8 hop.
-	if identityProjection(plan, len(in.cols)) {
-		return in.as(outCols), nil
-	}
-	serial := false
-	for _, step := range plan {
-		serial = serial || hasSubquery(step.expr)
-	}
-	return in.then(outCols, stageFunc(func(next sink) (sink, error) {
-		s := &projectSink{plan: plan, fns: make([]compiledExpr, len(plan)), out: make([]rel.Value, len(outCols)), next: next}
-		for i, step := range plan {
-			if step.colPos >= 0 {
-				continue
-			}
-			fn, err := e.compile(q, sc, step.expr)
-			if err != nil {
+	for i := 0; i < len(items) && !pp.identity; i++ {
+		var err error
+		if pp.steps[i].colPos < 0 {
+			if pp.steps[i].fn, err = p.compile(sc, items[i].Expr); err != nil {
 				return nil, err
 			}
-			s.fns[i] = fn
 		}
-		return s, nil
-	}), emitsScratch|oneToOne|serialIf(serial)), nil
+	}
+	pp.subs = p.since(mark)
+	return pp, nil
+}
+
+// project appends the select list to in's pipeline.
+func (f *frame) project(in *relation, pp *projPlan) *relation {
+	if pp.identity {
+		return in.as(pp.cols)
+	}
+	return in.then(pp.cols, stageFunc(func(next sink) (sink, error) {
+		return &projectSink{f: f, steps: pp.steps, out: make([]rel.Value, len(pp.cols)), next: next}, f.bind(pp.subs)
+	}), emitsScratch|oneToOne|serialIf(pp.subs))
 }
 
 // projectSink evaluates the select list against each row.
 type projectSink struct {
-	plan []projStep
-	fns  []compiledExpr // per plan step; nil for plain column references
-	out  []rel.Value
-	next sink
+	f     *frame
+	steps []projStep
+	out   []rel.Value
+	next  sink
 }
 
 func (s *projectSink) push(row []rel.Value) {
-	for i, step := range s.plan {
+	for i, step := range s.steps {
 		if step.colPos >= 0 {
 			s.out[i] = row[step.colPos]
 		} else {
-			s.out[i] = s.fns[i](row)
+			s.out[i] = step.fn(s.f, row)
 		}
 	}
 	s.next.push(s.out)
 }
 
-// identityProjection reports whether the plan copies every input column
-// once, in order (e.g. SELECT VAL FROM t over a single-column input).
-func identityProjection(plan []projStep, inWidth int) bool {
-	for i, step := range plan {
-		if step.colPos != i {
-			return false
-		}
-	}
-	return len(plan) == inWidth
-}
-
-type projStep struct {
-	expr   sql.Expr
-	colPos int // resolved position for plain column refs; -1 otherwise
-}
-
-func projectionPlan(sc *scope, items []sql.SelectItem) ([]colInfo, []projStep, error) {
-	var outCols []colInfo
-	var plan []projStep
-	for i, item := range items {
-		if !resolvableIn(item.Expr, sc) {
-			return nil, nil, fmt.Errorf("engine: unknown column in select item %s", item.Expr.SQL())
-		}
-		name := item.Alias
-		table := ""
-		colPos := -1
-		if cr, ok := item.Expr.(*sql.ColumnRef); ok {
-			if name == "" {
-				// Preserve the qualifier so ORDER BY t.col still resolves
-				// after projection.
-				name, table = cr.Column, cr.Table
-			}
-			if pos, err := sc.resolve(cr.Table, cr.Column); err == nil {
-				colPos = pos
-			}
-		}
-		if name == "" {
-			name = fmt.Sprintf("COL%d", i+1)
-		}
-		outCols = append(outCols, colInfo{table: table, name: name})
-		plan = append(plan, projStep{expr: item.Expr, colPos: colPos})
-	}
-	return outCols, plan, nil
-}
-
-// joinRef folds one FROM item (plus its LEFT JOIN chain) into cur. sp is
-// the planner's decision for the primary reference (nil = legacy
-// heuristics); LEFT JOIN chains are never reordered and always run legacy.
-// on holds the split ON terms of the item's JOIN clauses.
-func (e *Engine) joinRef(q *queryState, cur *relation, ref sql.TableRef, conjs []*conjunct, on [][]*conjunct, sp *stepPlan, needs *colNeeds) (*relation, error) {
-	out, err := e.joinOne(q, cur, ref, conjs, "INNER", nil, sp, needs)
-	if err != nil {
-		return nil, err
-	}
-	for i, jc := range ref.Joins {
-		onConjs := on[i]
-		out, err = e.joinOne(q, out, jc.Right, onConjs, "LEFT", onConjs, nil, needs)
-		if err != nil {
-			return nil, err
-		}
-		// An ON conjunct the join machinery could not consume would change
-		// what the outer join keeps.
-		for _, c := range onConjs {
-			if !c.applied {
-				return nil, fmt.Errorf("engine: unsupported LEFT JOIN ON condition %s", c.expr.SQL())
-			}
-		}
-	}
-	return out, nil
-}
-
-// stampJoin annotates the JoinStat the just-executed join recorded (if
-// any; the first FROM fold records none). With a planner step the
-// estimates come from the cost model; on the legacy path only the
-// considered-but-not-costed alternative strategy is recorded.
-func (q *queryState) stampJoin(nBefore int, sp *stepPlan, legacyAlt JoinStrategy) {
-	if len(q.stats.Joins) <= nBefore {
-		return
-	}
-	j := &q.stats.Joins[len(q.stats.Joins)-1]
+// plan fixes the join's strategy and the statistics entry each execution
+// starts from: the planner's estimates (sp), or the alternative not
+// costed.
+func (j *joinPlan) plan(strategy, alt JoinStrategy, table string, sp *stepPlan) {
+	j.stat = JoinStat{Strategy: strategy, Table: table, EstRows: -1, EstCost: -1, AltStrategy: alt, AltCost: -1}
 	if sp != nil {
-		j.EstRows = sp.estRows
-		j.EstCost = sp.cost
+		j.stat.EstRows, j.stat.EstCost, j.stat.AltStrategy = sp.estRows, sp.cost, StrategyAuto
 		if sp.altStrategy != StrategyAuto {
-			j.AltStrategy = sp.altStrategy
-			j.AltCost = sp.altCost
+			j.stat.AltStrategy, j.stat.AltCost = sp.altStrategy, sp.altCost
 		}
-		return
 	}
-	j.AltStrategy = legacyAlt
 }
 
-// joinOne joins one primary table reference into cur. For INNER joins the
-// conjunct pool is the statement's WHERE (or the ON clause); for LEFT
-// joins it is the ON clause only. sp, when non-nil, carries the cost-based
-// planner's strategy choice and estimates for this step. The output keeps
-// only the columns needs still wants once this join's terms are applied.
-//
-// cur may be pending, and stays so through every join, each a stage over
-// it. The right side is stored unless it is the first FROM item, which
-// becomes cur as it stands, or is probed through an index.
-func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs []*conjunct, kind string, onOnly []*conjunct, sp *stepPlan, needs *colNeeds) (*relation, error) {
+// prepareJoin prepares one table reference joined into the columns cur
+// has so far. The conjunct pool is the WHERE (or ON) clause for INNER
+// joins, the ON clause only for LEFT ones; sp, when non-nil, is the
+// planner's step. The output keeps only the columns needs still wants.
+// At execution the right side is stored unless it is the first FROM item,
+// which becomes cur as it stands, or is probed through an index.
+func (e *Engine) prepareJoin(q *queryState, p *prep, curCols []colInfo, ref sql.TableRef, conjs []*conjunct, kind string, onOnly []*conjunct, sp *stepPlan, needs *colNeeds, first bool) (*joinPlan, error) {
 	if ref.TableFn != nil {
 		if kind != "INNER" {
 			return nil, fmt.Errorf("engine: TABLE(VALUES) requires inner join semantics")
 		}
-		return e.lateralValues(q, cur, ref, conjs)
+		return p.prepareLateral(curCols, ref, conjs)
 	}
 	alias := ref.Alias
-	right, baseTable, err := e.rightSource(q, ref.Table)
-	if err != nil {
-		return nil, err
-	}
 	if alias == "" {
 		alias = ref.Table
 	}
-	rightCols := make([]colInfo, len(right.cols))
-	for i, c := range right.cols {
-		rightCols[i] = colInfo{table: alias, name: c.name}
+	j := &joinPlan{kind: kind, alias: alias}
+	var cte *relation
+	if j.cte, cte = q.cte(ref.Table); cte != nil {
+		j.cols = make([]colInfo, len(cte.cols))
+		for i, c := range cte.cols {
+			j.cols[i] = colInfo{table: alias, name: c.name}
+		}
+	} else if t, ok := e.cat.Table(ref.Table); ok {
+		j.table, j.cols = t, tableCols(t, alias)
+	} else {
+		return nil, fmt.Errorf("engine: unknown table %s", ref.Table)
 	}
-	rightRel := right.as(rightCols)
 
-	curScope := newScope(cur.cols)
-	fullCols := append(append([]colInfo(nil), cur.cols...), rightCols...)
+	curScope := newScope(curCols)
+	fullCols := append(append([]colInfo(nil), curCols...), j.cols...)
 	fullScope := newScope(fullCols)
-	rightScope := newScope(rightCols)
+	rightScope := newScope(j.cols)
 
 	// Classify available conjuncts.
 	var rightOnly []*conjunct // filter the right side before joining
 	var leftOnly []*conjunct  // pure left-side WHERE terms: filter cur now
 	var joinEq []*conjunct    // equi-join terms left-expr = right-col
 	var joinEqLeft []sql.Expr // expression over cur per joinEq
-	var joinEqRight []int     // right column position per joinEq
 	var residual []*conjunct  // other terms referencing both sides
 	for _, c := range conjs {
 		if c.applied {
 			continue
 		}
-		if c.refs.onlyReferences(alias, rightCols) && c.refs.resolvableIn(rightScope) {
+		if c.refs.onlyReferences(alias, j.cols) && c.refs.resolvableIn(rightScope) {
 			rightOnly = append(rightOnly, c)
 			continue
 		}
@@ -443,7 +454,7 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 		if lx, rpos, ok := equiJoinParts(c.expr, curScope, rightScope); ok {
 			joinEq = append(joinEq, c)
 			joinEqLeft = append(joinEqLeft, lx)
-			joinEqRight = append(joinEqRight, rpos)
+			j.eqRight = append(j.eqRight, rpos)
 			continue
 		}
 		if c.refs.resolvableIn(curScope) && onOnly == nil {
@@ -452,8 +463,11 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 		}
 		residual = append(residual, c)
 	}
+	var err error
 	if len(leftOnly) > 0 {
-		cur = e.where(q, cur, curScope, leftOnly)
+		if j.leftOnly, err = p.filter(curScope, leftOnly); err != nil {
+			return nil, err
+		}
 	}
 
 	// Equi-join terms forced down to a nested loop are evaluated as
@@ -466,9 +480,24 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 	}
 	// What the join emits: the columns still read once its own terms are
 	// consumed.
-	shape := newJoinShape(cur.cols, rightCols, fullScope, needs.keep(fullCols, joinEq, rightOnly, residual), pairTerms)
-	serial := !parallelSafeExprs(joinEqLeft) || !parallelSafeConjuncts(rightOnly) || !parallelSafeConjuncts(pairTerms)
-	nJoins := len(q.stats.Joins)
+	keep := needs.keep(fullCols, joinEq, rightOnly, residual)
+	stage := func() error {
+		mark := len(p.subs)
+		if len(joinEq) > 0 && !demotedEq {
+			if j.keys, err = p.compileAll(curScope, joinEqLeft); err != nil {
+				return err
+			}
+		}
+		if j.stat.Strategy == StrategyIndexNL {
+			if j.right, err = p.filter(rightScope, rightOnly); err != nil {
+				return err
+			}
+		}
+		j.shape, err = p.newJoinShape(curCols, j.cols, fullScope, keep, pairTerms)
+		j.out, j.subs = j.shape.cols, p.since(mark)
+		markApplied(joinEq, residual)
+		return err
+	}
 
 	// Base tables with an index on a join column use an index nested-loop
 	// join: probe the index once per outer row instead of materializing
@@ -476,71 +505,93 @@ func (e *Engine) joinOne(q *queryState, cur *relation, ref sql.TableRef, conjs [
 	// templates fast). A forced strategy (benchmarks, equivalence tests)
 	// bypasses index selection, as does a planner step that costed hash
 	// as the clear winner.
-	if baseTable != nil && len(joinEq) > 0 && q.force == StrategyAuto && (sp == nil || sp.strategy != StrategyHash) {
-		if ix, mapping := joinIndexFor(baseTable, joinEqRight, q.asOf); ix != nil {
-			st := &indexNLStage{e: e, q: q, t: baseTable, ix: ix, mapping: mapping, kind: kind, shape: shape,
-				curScope: curScope, rightScope: rightScope, joinEqLeft: joinEqLeft, joinEqRight: joinEqRight, rightOnly: rightOnly,
-				stat: q.newJoinStat(JoinStat{Strategy: StrategyIndexNL, Table: baseTable.Name()})}
-			q.stampJoin(nJoins, sp, StrategyHash)
-			markApplied(joinEq, rightOnly, residual)
-			return cur.then(shape.cols, st, emitsScratch|serialIf(serial)), nil
+	if j.table != nil && len(joinEq) > 0 && q.force == StrategyAuto && (sp == nil || sp.strategy != StrategyHash) {
+		if j.ix, j.mapping = joinIndexFor(j.table, j.eqRight, q.asOf); j.ix != nil {
+			j.plan(StrategyIndexNL, StrategyHash, j.table.Name(), sp)
+			return j, stage()
 		}
 	}
 
 	// Filter the right side with its own predicates (possibly via index
 	// when the right side is a base table). Either way the surviving rows
 	// are the source's own: nothing is copied.
-	if baseTable != nil {
+	if j.table != nil {
 		est := int64(-1)
 		if sp != nil && sp.estScan >= 0 {
 			est = sp.estScan
 		}
-		rightRel, err = e.scanBase(q, baseTable, alias, rightOnly, est)
-		if err != nil {
+		if j.scan, err = p.prepareScan(q, j.table, alias, j.cols, rightOnly, est); err != nil {
 			return nil, err
 		}
 	} else if len(rightOnly) > 0 {
-		rightRel = e.where(q, rightRel, rightScope, rightOnly)
+		if j.right, err = p.filter(rightScope, rightOnly); err != nil {
+			return nil, err
+		}
 	}
 
 	// The first FROM item meets the one-row, no-column unit relation: its
 	// rows are the result as they stand — a pending CTE's pipeline, or rows
 	// shared with the CTE or table they came from (see the immutability
 	// rule in DESIGN.md §8).
-	if kind == "INNER" && len(cur.cols) == 0 && cur.src == nil && len(cur.rows) == 1 && len(joinEq) == 0 && len(residual) == 0 {
-		return rightRel, nil
+	if kind == "INNER" && first && len(joinEq) == 0 && len(residual) == 0 {
+		j.out = j.cols
+		return j, nil
 	}
-	if err := e.materialize(q, rightRel); err != nil {
+	switch {
+	case len(joinEq) > 0 && !demotedEq:
+		// Hash join: the default for equi-joins no index covers.
+		j.plan(StrategyHash, StrategyNestedLoop, alias, sp)
+	case demotedEq:
+		j.plan(StrategyNestedLoop, StrategyHash, alias, sp)
+	default:
+		// Nested-loop join: true cross joins and non-equi conditions only.
+		j.plan(StrategyNestedLoop, StrategyAuto, alias, sp)
+	}
+	return j, stage()
+}
+
+// execJoin runs one prepared FROM step over cur.
+func (e *Engine) execJoin(f *frame, cur *relation, j *joinPlan) (*relation, error) {
+	q := f.q
+	if j.cells != nil {
+		return cur.then(j.out, stageFunc(func(next sink) (sink, error) {
+			return &lateralSink{f: f, j: j, out: make([]rel.Value, len(j.out)), next: next}, f.bind(j.subs)
+		}), emitsScratch|serialIf(j.subs)), nil
+	}
+	if j.leftOnly != nil {
+		cur = f.where(cur, j.leftOnly)
+	}
+	if j.stat.Strategy == StrategyIndexNL {
+		st := &indexNLStage{f: f, j: j, stat: q.newJoinStat(j.stat)}
+		return cur.then(j.out, st, emitsScratch|serialIf(j.subs)), nil
+	}
+	var right *relation
+	if j.table != nil {
+		right = e.scanBase(f, j.scan)
+	} else {
+		right = q.env[j.cte].rel.as(j.cols)
+		if j.right != nil {
+			right = f.where(right, j.right)
+		}
+	}
+	if j.stat.Strategy == StrategyAuto {
+		return right, nil
+	}
+	if err := e.materialize(q, right); err != nil {
 		return nil, err
 	}
-
 	var out *relation
-	if len(joinEq) > 0 && !demotedEq {
-		// Hash join: the default for equi-joins no index covers.
-		out = e.hashJoin(q, cur, rightRel, kind, hashJoinArgs{
-			shape:       shape,
-			curScope:    curScope,
-			joinEqLeft:  joinEqLeft,
-			joinEqRight: joinEqRight,
-			rightName:   alias,
-		})
-		q.stampJoin(nJoins, sp, StrategyNestedLoop)
+	if j.stat.Strategy == StrategyHash {
+		out = e.hashJoin(f, cur, right, j)
 	} else {
-		// Nested-loop join: true cross joins and non-equi conditions only.
-		right := rightRel.rowsOf()
-		st := &nestedLoopStage{e: e, q: q, right: right, kind: kind, shape: shape,
-			stat: q.newJoinStat(JoinStat{Strategy: StrategyNestedLoop, Table: alias, ProbeRows: len(right)})}
-		out = cur.then(shape.cols, st, emitsScratch|serialIf(serial))
-		legacyAlt := StrategyAuto
-		if demotedEq {
-			legacyAlt = StrategyHash
-		}
-		q.stampJoin(nJoins, sp, legacyAlt)
+		st := &nestedLoopStage{f: f, j: j, right: right.rowsOf()}
+		st.stat = q.newJoinStat(j.stat)
+		q.stats.Joins[st.stat].ProbeRows = len(st.right)
+		out = cur.then(j.out, st, emitsScratch|serialIf(j.subs))
 	}
 	// Output order follows the outer rows, and each one's matches the
 	// order of the rows stored on the other side.
-	out.ordered = cur.ordered || rightRel.ordered
-	markApplied(joinEq, residual)
+	out.ordered = cur.ordered || right.ordered
 	return out, nil
 }
 
@@ -556,11 +607,9 @@ func markApplied(lists ...[]*conjunct) {
 // of the stored right side, pushing on the pairs that pass the shape's
 // residual predicates.
 type nestedLoopStage struct {
-	e     *Engine
-	q     *queryState
+	f     *frame
+	j     *joinPlan
 	right [][]rel.Value
-	kind  string
-	shape *joinShape
 	stat  int // index into ExecStats.Joins
 }
 
@@ -573,8 +622,7 @@ type nestedLoopWorker struct {
 }
 
 func (s *nestedLoopStage) open(next sink) (sink, error) {
-	emit, err := s.e.newJoinEmitter(s.q, s.shape, next)
-	return &nestedLoopWorker{nestedLoopStage: s, emit: emit}, err
+	return &nestedLoopWorker{nestedLoopStage: s, emit: newJoinEmitter(s.f, s.j.shape, next)}, s.f.bind(s.j.subs)
 }
 
 func (w *nestedLoopWorker) push(lrow []rel.Value) {
@@ -583,13 +631,13 @@ func (w *nestedLoopWorker) push(lrow []rel.Value) {
 	for _, rrow := range w.right {
 		matched = w.emit.emit(lrow, rrow) || matched
 	}
-	if !matched && w.kind == "LEFT" {
+	if !matched && w.j.kind == "LEFT" {
 		w.emit.emitUnmatched(lrow)
 	}
 }
 
 func (w *nestedLoopWorker) done() {
-	st := &w.q.stats.Joins[w.stat]
+	st := &w.f.q.stats.Joins[w.stat]
 	st.BuildRows += w.outer
 	st.OutRows += w.emit.n
 }
@@ -624,16 +672,16 @@ func equiJoinParts(expr sql.Expr, left, right *scope) (sql.Expr, int, bool) {
 	return nil, 0, false
 }
 
-// lateralValues implements TABLE(VALUES (e1),(e2),...) AS t(col): for each
-// row of cur, emit one row per VALUES entry with the entry's expressions
+// prepareLateral prepares TABLE(VALUES (e1),(e2),...) AS t(col): for
+// each row of cur, one row per VALUES entry with the entry's expressions
 // (evaluated in cur's scope) bound to the declared columns.
-func (e *Engine) lateralValues(q *queryState, cur *relation, ref sql.TableRef, conjs []*conjunct) (*relation, error) {
+func (p *prep) prepareLateral(curCols []colInfo, ref sql.TableRef, conjs []*conjunct) (*joinPlan, error) {
 	fn := ref.TableFn
-	outCols := append([]colInfo(nil), cur.cols...)
+	j := &joinPlan{kind: "INNER", out: append([]colInfo(nil), curCols...), cells: make([][]compiledExpr, len(fn.Rows))}
 	for _, c := range fn.Columns {
-		outCols = append(outCols, colInfo{table: ref.Alias, name: c})
+		j.out = append(j.out, colInfo{table: ref.Alias, name: c})
 	}
-	curScope, outScope := newScope(cur.cols), newScope(outCols)
+	curScope, outScope := newScope(curCols), newScope(j.out)
 
 	// Conjuncts that become resolvable once the lateral columns exist and
 	// were not resolvable before are applied inline (e.g. t.val IS NOT
@@ -644,61 +692,38 @@ func (e *Engine) lateralValues(q *queryState, cur *relation, ref sql.TableRef, c
 			inline = append(inline, c)
 		}
 	}
-	serial := !parallelSafeConjuncts(inline)
-	for _, valueRow := range fn.Rows {
+	mark := len(p.subs)
+	var err error
+	for ri, valueRow := range fn.Rows {
 		if len(valueRow) != len(fn.Columns) {
 			return nil, fmt.Errorf("engine: VALUES row arity %d, declared %d columns", len(valueRow), len(fn.Columns))
 		}
-		serial = serial || !parallelSafeExprs(valueRow)
+		if j.cells[ri], err = p.compileAll(curScope, valueRow); err != nil {
+			return nil, err
+		}
 	}
 	markApplied(inline)
-	// Each worker compiles every VALUES cell and the inline filters once.
-	return cur.then(outCols, stageFunc(func(next sink) (sink, error) {
-		s := &lateralSink{cells: make([][]compiledExpr, len(fn.Rows)), out: make([]rel.Value, len(outCols)), next: next}
-		for ri, valueRow := range fn.Rows {
-			s.cells[ri] = make([]compiledExpr, len(valueRow))
-			for ci, vx := range valueRow {
-				cf, err := e.compile(q, curScope, vx)
-				if err != nil {
-					return nil, err
-				}
-				s.cells[ri][ci] = cf
-			}
-		}
-		var err error
-		s.pass, err = e.compilePredicates(q, outScope, inline)
-		return s, err
-	}), emitsScratch|serialIf(serial)), nil
+	j.right = &filterPlan{}
+	j.right.pass, err = p.predicates(outScope, inline)
+	j.subs = p.since(mark)
+	return j, err
 }
 
 type lateralSink struct {
-	cells [][]compiledExpr
-	pass  func(row []rel.Value) bool
-	out   []rel.Value
-	next  sink
+	f    *frame
+	j    *joinPlan
+	out  []rel.Value
+	next sink
 }
 
 func (s *lateralSink) push(lrow []rel.Value) {
 	n := copy(s.out, lrow)
-	for _, cells := range s.cells {
+	for _, cells := range s.j.cells {
 		for i, cf := range cells {
-			s.out[n+i] = cf(lrow)
+			s.out[n+i] = cf(s.f, lrow)
 		}
-		if s.pass(s.out) {
+		if s.j.right.pass(s.f, s.out) {
 			s.next.push(s.out)
 		}
 	}
-}
-
-// rightSource resolves a named table reference: a CTE, or a base table
-// (returned unmaterialized for index-aware scanning).
-func (e *Engine) rightSource(q *queryState, name string) (*relation, *rel.Table, error) {
-	if cte, ok := q.ctes[name]; ok {
-		return cte, nil, nil
-	}
-	t, ok := e.cat.Table(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: unknown table %s", name)
-	}
-	return &relation{cols: tableCols(t, "")}, t, nil
 }

@@ -8,18 +8,7 @@ import (
 	"time"
 
 	"sqlgraph/internal/rel"
-	"sqlgraph/internal/sql"
 )
-
-// hashJoinArgs bundles the precomputed state for hashJoin.
-type hashJoinArgs struct {
-	shape       *joinShape
-	curScope    *scope
-	joinEqLeft  []sql.Expr // per equi-join term: expression over cur
-	joinEqRight []int      // per equi-join term: right column position
-	rightName   string     // right-side alias, for stats
-	simTable    string     // synthetic IOSim table for this join's hash table
-}
 
 // hashJoin performs an equi-join by hashing the stored right input on
 // its equi-join columns and returning cur with the probe appended as a
@@ -32,16 +21,17 @@ type hashJoinArgs struct {
 //
 // A single BIGINT key column — every id-to-id join of the translation —
 // hashes as int64; anything else as canonical Value.Key() strings.
-func (e *Engine) hashJoin(q *queryState, cur, right *relation, kind string, a hashJoinArgs) *relation {
+func (e *Engine) hashJoin(f *frame, cur, right *relation, j *joinPlan) *relation {
+	simTable := "" // the buffer-pool model's table for this join's hash table
 	if e.ioSim() != nil {
-		a.simTable = fmt.Sprintf("#hash%d", len(q.stats.Joins))
+		simTable = fmt.Sprintf("#hash%d", len(f.q.stats.Joins))
 	}
-	if len(a.joinEqRight) == 1 {
-		if out := hashJoinKeyed(e, q, cur, right, kind, a, intJoinKey); out != nil {
+	if len(j.eqRight) == 1 {
+		if out := hashJoinKeyed(f, cur, right, j, simTable, intJoinKey); out != nil {
 			return out
 		}
 	}
-	return hashJoinKeyed(e, q, cur, right, kind, a, stringJoinKey)
+	return hashJoinKeyed(f, cur, right, j, simTable, stringJoinKey)
 }
 
 // intJoinKey hashes a single BIGINT key column as itself, and an integral
@@ -82,32 +72,10 @@ type joinKeys[K comparable] struct {
 	null []bool
 }
 
-// joinKeyFn evaluates the equi-join key columns of one row into dst and
-// reports whether one of them is NULL.
-type joinKeyFn func(row, dst []rel.Value) (null bool)
-
-// leftKeyFn compiles the key function of cur's rows.
-func (a *hashJoinArgs) leftKeyFn(e *Engine, q *queryState) (joinKeyFn, error) {
-	fns := make([]compiledExpr, len(a.joinEqLeft))
-	for i, lx := range a.joinEqLeft {
-		fn, err := e.compile(q, a.curScope, lx)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = fn
-	}
-	return func(row, dst []rel.Value) (null bool) {
-		for i, fn := range fns {
-			dst[i] = fn(row)
-			null = null || dst[i].IsNull()
-		}
-		return null
-	}, nil
-}
-
-// rightKey is the key function of the right side's rows.
-func (a *hashJoinArgs) rightKey(row, dst []rel.Value) (null bool) {
-	for i, pos := range a.joinEqRight {
+// rightKey evaluates the equi-join key columns of a right row into dst
+// and reports whether one of them is NULL.
+func rightKey(eqRight []int, row, dst []rel.Value) (null bool) {
+	for i, pos := range eqRight {
 		dst[i] = row[pos]
 		null = null || dst[i].IsNull()
 	}
@@ -117,15 +85,15 @@ func (a *hashJoinArgs) rightKey(row, dst []rel.Value) (null bool) {
 // rightKeys encodes the join key of every right row, morsel-parallel. ok
 // is false when enc could not hold some key; the caller then retries with
 // an encoding that can.
-func rightKeys[K comparable](q *queryState, rows [][]rel.Value, a *hashJoinArgs, enc func([]rel.Value) (K, bool)) (joinKeys[K], bool) {
+func rightKeys[K comparable](q *queryState, rows [][]rel.Value, eqRight []int, enc func([]rel.Value) (K, bool)) (joinKeys[K], bool) {
 	jk := joinKeys[K]{keys: make([]K, len(rows)), null: make([]bool, len(rows))}
 	var misfit atomic.Bool
-	newWorker := func() ([]rel.Value, error) { return make([]rel.Value, len(a.joinEqRight)), nil }
+	newWorker := func() ([]rel.Value, error) { return make([]rel.Value, len(eqRight)), nil }
 	z := q.morsels()
 	_, workers := z.plan(len(rows), len(rows), q.par)
 	runMorsels(len(rows), z.target, workers, newWorker, func(dst []rel.Value, m, lo, hi int) error {
 		for i := lo; i < hi && !misfit.Load(); i++ {
-			if jk.null[i] = a.rightKey(rows[i], dst); jk.null[i] {
+			if jk.null[i] = rightKey(eqRight, rows[i], dst); jk.null[i] {
 				continue
 			}
 			k, ok := enc(dst)
@@ -141,19 +109,20 @@ func rightKeys[K comparable](q *queryState, rows [][]rel.Value, a *hashJoinArgs,
 
 // hashJoinKeyed runs the join with keys of type K. It returns nil when
 // enc cannot represent the right side's keys.
-func hashJoinKeyed[K comparable](e *Engine, q *queryState, cur, right *relation, kind string, a hashJoinArgs, enc func([]rel.Value) (K, bool)) *relation {
+func hashJoinKeyed[K comparable](f *frame, cur, right *relation, j *joinPlan, simTable string, enc func([]rel.Value) (K, bool)) *relation {
+	q := f.q
 	opT := time.Now()
 	rows := right.rowsOf()
-	keys, ok := rightKeys(q, rows, &a, enc)
+	keys, ok := rightKeys(q, rows, j.eqRight, enc)
 	if !ok {
 		return nil
 	}
-	st := &hashProbeStage[K]{e: e, q: q, a: a, kind: kind, enc: enc, right: rows, table: buildTable(e, q, keys, a.simTable)}
+	st := &hashProbeStage[K]{f: f, j: j, simTable: simTable, enc: enc, right: rows, table: buildTable(f, keys, simTable)}
 	// The build is timed here; the runs the probe is first join of add theirs.
-	st.stat = q.newJoinStat(JoinStat{Strategy: StrategyHash, Table: a.rightName, BuildRows: len(rows),
-		StartNs: q.sinceStart(opT), Nanos: time.Since(opT).Nanoseconds()})
-	serial := !parallelSafeExprs(a.joinEqLeft) || !parallelSafeConjuncts(a.shape.residual)
-	return cur.then(a.shape.cols, st, emitsScratch|serialIf(serial))
+	js := j.stat
+	js.BuildRows, js.StartNs, js.Nanos = len(rows), q.sinceStart(opT), time.Since(opT).Nanoseconds()
+	st.stat = q.newJoinStat(js)
+	return cur.then(j.out, st, emitsScratch|serialIf(j.subs))
 }
 
 // hashTable maps a key to the input rows bearing it, in input order, as
@@ -165,9 +134,10 @@ type hashTable[K comparable] struct {
 }
 
 // buildTable hashes the right side. Rows with NULL-containing keys are
-// excluded. Each insert is charged to the buffer-pool model: a build side
-// larger than the pool spills, like the paper's memory sweep.
-func buildTable[K comparable](e *Engine, q *queryState, jk joinKeys[K], simTable string) hashTable[K] {
+// excluded. Each insert, like each probe hit, is charged to the
+// buffer-pool model under a table of the join's own: a build side larger
+// than the pool spills, like the paper's memory sweep.
+func buildTable[K comparable](f *frame, jk joinKeys[K], simTable string) hashTable[K] {
 	ht := hashTable[K]{span: make(map[K][2]int32, len(jk.keys)), next: make([]int32, len(jk.keys))}
 	for i, k := range jk.keys {
 		if jk.null[i] {
@@ -180,7 +150,7 @@ func buildTable[K comparable](e *Engine, q *queryState, jk joinKeys[K], simTable
 		} else {
 			ht.span[k] = [2]int32{int32(i), int32(i)}
 		}
-		e.hashAccess(q, simTable, i)
+		f.pageAccess(simTable, rel.RowID(i))
 	}
 	return ht
 }
@@ -196,71 +166,50 @@ func (ht hashTable[K]) first(k K) int32 {
 // hashProbeStage is the probe: every left row pushed into it probes the
 // hashed right side and pushes its matches on.
 type hashProbeStage[K comparable] struct {
-	e     *Engine
-	q     *queryState
-	a     hashJoinArgs
-	kind  string
-	enc   func([]rel.Value) (K, bool)
-	right [][]rel.Value
-	table hashTable[K]
-	stat  int // index into ExecStats.Joins
+	f        *frame
+	j        *joinPlan
+	simTable string
+	enc      func([]rel.Value) (K, bool)
+	right    [][]rel.Value
+	table    hashTable[K]
+	stat     int // index into ExecStats.Joins
 }
 
 func (s *hashProbeStage[K]) joinStat() int { return s.stat }
 
 type hashProbeWorker[K comparable] struct {
 	*hashProbeStage[K]
-	key    joinKeyFn
 	dst    []rel.Value
 	emit   *joinEmitter
 	probed int
 }
 
 func (s *hashProbeStage[K]) open(next sink) (sink, error) {
-	key, err := s.a.leftKeyFn(s.e, s.q)
-	if err != nil {
-		return nil, err
-	}
-	emit, err := s.e.newJoinEmitter(s.q, s.a.shape, next)
-	return &hashProbeWorker[K]{hashProbeStage: s, key: key, dst: make([]rel.Value, len(s.a.joinEqRight)), emit: emit}, err
+	return &hashProbeWorker[K]{hashProbeStage: s, dst: make([]rel.Value, len(s.j.keys)), emit: newJoinEmitter(s.f, s.j.shape, next)},
+		s.f.bind(s.j.subs)
 }
 
 func (w *hashProbeWorker[K]) push(lrow []rel.Value) {
 	w.probed++
-	null := w.key(lrow, w.dst)
+	null := false
+	for i, fn := range w.j.keys {
+		w.dst[i] = fn(w.f, lrow)
+		null = null || w.dst[i].IsNull()
+	}
 	matched := false
 	if k, ok := w.enc(w.dst); ok && !null {
 		for ri := w.table.first(k); ri >= 0; ri = w.table.next[ri] {
-			w.e.hashAccess(w.q, w.a.simTable, int(ri))
+			w.f.pageAccess(w.simTable, rel.RowID(ri))
 			matched = w.emit.emit(lrow, w.right[ri]) || matched
 		}
 	}
-	if !matched && w.kind == "LEFT" {
+	if !matched && w.j.kind == "LEFT" {
 		w.emit.emitUnmatched(lrow)
 	}
 }
 
 func (w *hashProbeWorker[K]) done() {
-	st := &w.q.stats.Joins[w.stat]
+	st := &w.f.q.stats.Joins[w.stat]
 	st.ProbeRows += w.probed
 	st.OutRows += w.emit.n
-}
-
-// hashAccess charges a hash-table build insert or probe hit to the
-// buffer-pool simulation: the table is modeled as pages of PageRows
-// entries under a synthetic per-join table name, so a build side that
-// exceeds the pool's capacity incurs misses the way an external hash
-// join would (keeps the Figure 8c memory sweep honest now that hash
-// joins are the default non-indexed strategy).
-func (e *Engine) hashAccess(q *queryState, simTable string, entry int) {
-	if simTable == "" {
-		return
-	}
-	sim := e.ioSim()
-	if sim == nil {
-		return
-	}
-	if !sim.access(simTable, rel.RowID(entry)) {
-		q.addIOMiss()
-	}
 }

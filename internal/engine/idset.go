@@ -21,16 +21,18 @@ type idSet struct {
 }
 
 type container struct {
-	key  int64
-	arr  []uint16             // the ids' low 16 bits, ascending, while n <= arrayMax
-	bits *[bitmapWords]uint64 // the bitmap, once n > arrayMax
-	n    int
+	key    int64
+	arr    []uint16             // the ids' low 16 bits, ascending, until the container is a bitmap
+	bits   *[bitmapWords]uint64 // the bitmap, once it is one
+	n      int
+	bitmap bool
 }
 
 const (
-	// arrayMax is a container's ids beyond which a bitmap (8 KB) is
-	// smaller than the array.
-	arrayMax    = 4096
+	// arrayMax is a container's ids beyond which it is a bitmap (8 KB):
+	// the array's next growths would cost about as much, and a probe of
+	// the bitmap is a bit test, not a binary search.
+	arrayMax    = 2048
 	bitmapWords = 1 << 16 / 64
 )
 
@@ -102,7 +104,7 @@ func (s *idSet) appendRange(dst []int64, from, to int) []int64 {
 	for i := 0; i < len(s.cons) && to > 0; i++ {
 		c := &s.cons[i]
 		base := c.key << 16
-		if c.n <= arrayMax && from < c.n {
+		if !c.bitmap && from < c.n {
 			for _, lo := range c.arr[from:min(to, c.n)] {
 				dst = append(dst, base|int64(lo))
 			}
@@ -133,12 +135,12 @@ func (s *idSet) or(o *idSet) {
 		oc := &o.cons[i]
 		c := s.container(oc.key)
 		s.n -= c.n
-		if oc.n <= arrayMax {
+		if !oc.bitmap {
 			for _, lo := range oc.arr {
 				c.add(lo)
 			}
 		} else {
-			if c.n <= arrayMax {
+			if !c.bitmap {
 				c.toBitmap()
 			}
 			c.n = 0
@@ -152,7 +154,7 @@ func (s *idSet) or(o *idSet) {
 }
 
 func (c *container) has(lo uint16) bool {
-	if c.n > arrayMax {
+	if c.bitmap {
 		return c.bits[lo>>6]&(1<<(lo&63)) != 0
 	}
 	_, ok := slices.BinarySearch(c.arr, lo)
@@ -160,7 +162,7 @@ func (c *container) has(lo uint16) bool {
 }
 
 func (c *container) add(lo uint16) bool {
-	if c.n <= arrayMax {
+	if !c.bitmap {
 		i := c.n // ascending input, an id list's or an OR's, appends
 		if c.n > 0 && lo <= c.arr[c.n-1] {
 			var ok bool
@@ -184,9 +186,9 @@ func (c *container) add(lo uint16) bool {
 	return true
 }
 
-// toBitmap sets the array's ids in the container's bitmap, which is in
-// use once the caller has raised n past arrayMax.
+// toBitmap makes the container a bitmap of the array's ids.
 func (c *container) toBitmap() {
+	c.bitmap = true
 	if c.bits == nil {
 		c.bits = new([bitmapWords]uint64)
 	} else {

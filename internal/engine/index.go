@@ -41,6 +41,7 @@ func (e *Engine) CreateIndex(name, table string, exprs ...sql.Expr) error {
 	}
 	// Expression index: evaluate the expressions against each row.
 	sc := newScope(tableCols(t, ""))
+	p := &prep{}
 	fns := make([]compiledExpr, len(exprs))
 	for i, x := range exprs {
 		// Readers and writers derive keys concurrently, and a subquery's
@@ -49,14 +50,18 @@ func (e *Engine) CreateIndex(name, table string, exprs ...sql.Expr) error {
 			return fmt.Errorf("engine: create index %s: subquery in index expression %s", name, x.SQL())
 		}
 		var err error
-		if fns[i], err = e.compile(&queryState{}, sc, x); err != nil {
+		if fns[i], err = p.compile(sc, x); err != nil {
 			return fmt.Errorf("engine: create index %s: %w", name, err)
+		}
+		// A key is derived with no execution around it: nothing to bind.
+		if len(p.params) > 0 {
+			return fmt.Errorf("engine: create index %s: missing parameter %d", name, p.params[0].index+1)
 		}
 	}
 	keyFn := func(vals []rel.Value) []rel.Value {
 		out := make([]rel.Value, len(fns))
 		for i, fn := range fns {
-			out[i] = fn(vals)
+			out[i] = fn(nil, vals)
 		}
 		return out
 	}

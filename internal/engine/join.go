@@ -2,42 +2,29 @@ package engine
 
 import (
 	"sqlgraph/internal/rel"
-	"sqlgraph/internal/sql"
 )
 
 // indexNLStage is an index nested-loop join: for every outer row pushed
 // into it, it evaluates the equi-join expressions, probes the chosen
 // index with the key columns it covers, verifies the remaining join terms
-// and filters, and pushes the joined rows on. kind is "INNER" or "LEFT".
-// Being a stage, it runs on as many workers as the pipe it is part of
-// (each with its own key functions, predicates and emitter), and the rows
-// of one outer row stay together and in probe order.
+// and filters, and pushes the joined rows on. Being a stage, it runs on
+// as many workers as the pipe it is part of (each with its own probe key
+// and emitter, all sharing the plan's closures), and the rows of one
+// outer row stay together and in probe order.
 type indexNLStage struct {
-	e           *Engine
-	q           *queryState
-	t           *rel.Table
-	ix          *rel.Index
-	mapping     []int // per leading index column: the equi-join term supplying it
-	kind        string
-	shape       *joinShape
-	curScope    *scope
-	rightScope  *scope
-	joinEqLeft  []sql.Expr // per equi-join term: expression over the outer row
-	joinEqRight []int      // per equi-join term: right column position
-	rightOnly   []*conjunct
-	stat        int // index into ExecStats.Joins
+	f    *frame
+	j    *joinPlan
+	stat int // index into ExecStats.Joins
 }
 
 func (s *indexNLStage) joinStat() int { return s.stat }
 
 // indexNLWorker is one worker's private state for an index nested-loop
-// join: compiled key expressions and predicates, probe key, emitter, and
-// the per-outer-row fields its probe callback reads and writes.
+// join: probe key, emitter, and the per-outer-row fields its probe
+// callback reads and writes.
 type indexNLWorker struct {
 	*indexNLStage
 	tableName string
-	keyFns    []compiledExpr
-	rightPass func(row []rel.Value) bool
 	emit      *joinEmitter
 	leftVals  []rel.Value // evaluated equi-join expressions of the current outer row
 	key       []rel.Value // the index's leading columns, drawn from leftVals
@@ -50,25 +37,13 @@ type indexNLWorker struct {
 }
 
 func (s *indexNLStage) open(next sink) (sink, error) {
-	w := &indexNLWorker{indexNLStage: s, tableName: s.t.Name(),
-		keyFns:   make([]compiledExpr, len(s.joinEqLeft)),
-		leftVals: make([]rel.Value, len(s.joinEqLeft)),
-		key:      make([]rel.Value, len(s.mapping)),
+	w := &indexNLWorker{indexNLStage: s, tableName: s.j.table.Name(),
+		leftVals: make([]rel.Value, len(s.j.keys)),
+		key:      make([]rel.Value, len(s.j.mapping)),
+		emit:     newJoinEmitter(s.f, s.j.shape, next),
 	}
 	w.visitFn = w.visit
-	var err error
-	for i, lx := range s.joinEqLeft {
-		if w.keyFns[i], err = s.e.compile(s.q, s.curScope, lx); err != nil {
-			return nil, err
-		}
-	}
-	if w.rightPass, err = s.e.compilePredicates(s.q, s.rightScope, s.rightOnly); err != nil {
-		return nil, err
-	}
-	if w.emit, err = s.e.newJoinEmitter(s.q, s.shape, next); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return w, s.f.bind(s.j.subs)
 }
 
 // visit handles one candidate the index probe returned for the current
@@ -76,14 +51,14 @@ func (s *indexNLStage) open(next sink) (sink, error) {
 // row in place, and only the columns the join keeps are copied out.
 func (w *indexNLWorker) visit(rid rel.RowID, rvals []rel.Value) bool {
 	w.probed++
-	w.e.pageAccess(w.q, w.tableName, rid)
+	w.f.pageAccess(w.tableName, rid)
 	// Verify every equi-join term (the index may cover only a subset).
-	for j, pos := range w.joinEqRight {
+	for j, pos := range w.j.eqRight {
 		if rvals[pos].IsNull() || !rel.Equal(w.leftVals[j], rvals[pos]) {
 			return true
 		}
 	}
-	if w.rightPass(rvals) && w.emit.emit(w.lrow, rvals) {
+	if w.j.right.pass(w.f, rvals) && w.emit.emit(w.lrow, rvals) {
 		w.matched = true
 	}
 	return true
@@ -92,27 +67,27 @@ func (w *indexNLWorker) visit(rid rel.RowID, rvals []rel.Value) bool {
 func (w *indexNLWorker) push(lrow []rel.Value) {
 	w.outer++
 	nullKey := false
-	for j, fn := range w.keyFns {
-		v := fn(lrow)
+	for j, fn := range w.j.keys {
+		v := fn(w.f, lrow)
 		nullKey = nullKey || v.IsNull()
 		w.leftVals[j] = v
 	}
 	w.lrow, w.matched = lrow, false
 	if !nullKey {
-		for i, mi := range w.mapping {
+		for i, mi := range w.j.mapping {
 			w.key[i] = w.leftVals[mi]
 		}
 		// ProbeAt resolves entries to the images visible at the query's
 		// snapshot version and filters stale entries (see Table.ProbeAt).
-		w.t.ProbeAt(w.ix, w.key, w.q.asOf, w.visitFn)
+		w.j.table.ProbeAt(w.j.ix, w.key, w.f.q.asOf, w.visitFn)
 	}
-	if !w.matched && w.kind == "LEFT" {
+	if !w.matched && w.j.kind == "LEFT" {
 		w.emit.emitUnmatched(lrow)
 	}
 }
 
 func (w *indexNLWorker) done() {
-	st := &w.q.stats.Joins[w.stat]
+	st := &w.f.q.stats.Joins[w.stat]
 	st.BuildRows += w.outer // outer rows driving index probes
 	st.ProbeRows += w.probed
 	st.OutRows += w.emit.n
@@ -121,7 +96,6 @@ func (w *indexNLWorker) done() {
 // newJoinStat appends a join's statistics entry, to be filled in as the
 // join's stage instances finish, and returns its index.
 func (q *queryState) newJoinStat(st JoinStat) int {
-	st.EstRows, st.EstCost, st.AltCost = -1, -1, -1
 	q.stats.Joins = append(q.stats.Joins, st)
 	return len(q.stats.Joins) - 1
 }

@@ -11,8 +11,9 @@ import (
 // Morsel-driven intra-query parallelism: an operator's input is split
 // into morsels which workers claim from a shared counter (work-stealing
 // granularity without per-row coordination, after Leis et al.,
-// "Morsel-Driven Parallelism"). Each worker owns its compiled
-// expressions, row arena, and output buffers; per-morsel outputs are
+// "Morsel-Driven Parallelism"). Each worker owns its scratch rows, row
+// arena, and output buffers, and shares the plan's expressions;
+// per-morsel outputs are
 // merged in morsel order, so parallel execution is byte-identical to
 // serial execution. This is safe because QueryStmtAt holds read locks on
 // every base table for the query's duration — workers only read shared
@@ -72,7 +73,7 @@ func (z morselSizes) plan(n, live, par int) (morsels, workers int) {
 
 // runMorsels processes n input rows as morsels of size rows on the given
 // number of workers. newWorker builds one worker's private state
-// (compiled expressions, arena); process handles rows [lo, hi) of morsel
+// (scratch rows, arena); process handles rows [lo, hi) of morsel
 // m and must write only worker-private state and per-morsel output slots.
 // A per-morsel slot is written once per morsel, never once per row:
 // neighbouring slots share a cache line, and two workers running
@@ -144,10 +145,6 @@ func runMorsels[W any](n, size, workers int, newWorker func() (W, error), proces
 }
 
 // hasSubquery reports whether an expression contains a nested SELECT.
-// Compiling one runs the subquery, which mutates shared per-query state
-// (CTE bindings, the kept subquery sets), so an expression containing one
-// is compiled on the dispatching goroutine only: it must not run on
-// parallel workers, which compile their own.
 func hasSubquery(x sql.Expr) bool {
 	found := false
 	walkSubqueries(x, func(*sql.SelectStmt) { found = true })
@@ -161,26 +158,4 @@ func walkSubqueries(x sql.Expr, fn func(*sql.SelectStmt)) {
 		fn(v.Query)
 	}
 	sql.Children(x, func(c sql.Expr) { walkSubqueries(c, fn) })
-}
-
-// parallelSafeConjuncts reports whether every conjunct can be evaluated
-// on parallel workers.
-func parallelSafeConjuncts(conjs []*conjunct) bool {
-	for _, c := range conjs {
-		if hasSubquery(c.expr) {
-			return false
-		}
-	}
-	return true
-}
-
-// parallelSafeExprs reports whether every expression can be evaluated on
-// parallel workers.
-func parallelSafeExprs(exprs []sql.Expr) bool {
-	for _, x := range exprs {
-		if hasSubquery(x) {
-			return false
-		}
-	}
-	return true
 }

@@ -34,8 +34,8 @@ type sink interface {
 type counter interface{ done() }
 
 // stage is one operator of a pipeline. open returns a worker's private
-// instance — compiled expressions, scratch row, counters — that pushes
-// into next.
+// instance — scratch row, counters — that pushes into next, evaluating
+// the prepared plan's expressions.
 type stage interface {
 	open(next sink) (sink, error)
 }
@@ -57,7 +57,7 @@ type pipe struct {
 	joins   []int // ExecStats.Joins indices of the join stages, in order
 	scratch bool  // rows leaving the last stage live in a stage's scratch buffer
 	serial  bool  // a stage (or the scan's filter) holds a subquery: one worker only
-	fans    bool  // a stage or the scan's filter may emit fewer or more rows than it is pushed
+	fans    bool  // a stage may emit fewer or more rows than it is pushed
 }
 
 // size returns the rows the pipe's morsels are cut from — stored rows,
@@ -131,7 +131,7 @@ type terminal interface {
 	sink
 	// part returns a new worker's end of the chain. scratch says the rows
 	// pushed into it are valid only until push returns.
-	part(width int, scratch bool) (part, error)
+	part(width int, scratch bool) part
 	// absorb takes what the parts kept of each morsel, in morsel order.
 	absorb(ms []morselBuf)
 	// replays reports whether its parts keep the rows they are pushed, for
@@ -190,12 +190,6 @@ func (c *collect) push(row []rel.Value) {
 	c.keep(row, c.copy)
 }
 
-func (c *collect) clone(row []rel.Value) []rel.Value {
-	kept := c.arena.alloc()
-	copy(kept, row)
-	return kept
-}
-
 // keep stores row, under DISTINCT unless it was seen before; scratch says
 // row is valid only until keep returns.
 func (c *collect) keep(row []rel.Value, scratch bool) {
@@ -218,7 +212,7 @@ func (c *collect) keep(row []rel.Value, scratch bool) {
 		return
 	}
 	if scratch && len(row) > 0 {
-		row = c.clone(row)
+		row = append(c.arena.alloc()[:0], row...)
 	}
 	c.rows = append(c.rows, row)
 }
@@ -260,12 +254,12 @@ func (c *collect) finish() string {
 
 // part returns a morsel buffer for c: under DISTINCT one that drops the
 // morsel's own duplicates before the merge sees them.
-func (c *collect) part(width int, scratch bool) (part, error) {
+func (c *collect) part(width int, scratch bool) part {
 	p := &collect{arena: newRowArena(width, 0), copy: scratch}
 	if c.seen != nil {
 		p.seen = &deduper{ascending: c.seen.ascending}
 	}
-	return p, nil
+	return p
 }
 
 func (c *collect) replays() bool { return c.seen == nil }
@@ -519,18 +513,14 @@ func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (cut 
 			var tail part
 			var end sink = term
 			if bufs != nil {
-				var err error
-				if tail, err = term.part(width, p.scratch); err != nil {
-					return nil, err
-				}
+				tail = term.part(width, p.scratch)
 				end = tail
 			}
 			c, err := open(end)
-			if err != nil {
-				return nil, err
+			if err == nil {
+				c.tail = tail
 			}
-			c.tail = tail
-			return c, nil
+			return c, err
 		}
 		_, err = runMorsels(n-from, size, cut.workers, newWorker, func(c *chain, m, lo, hi int) error {
 			if c.scan != nil {
@@ -583,10 +573,14 @@ func (e *Engine) materialize(q *queryState, r *relation) error {
 		return nil
 	}
 	c := newCollect(len(r.cols), nil)
-	// A result with as many rows as the heads have is sized once.
+	// A result with as many rows as the heads have is sized once, as is one
+	// whose scans expect how many rows they pass on (scanSource.expect).
 	n := 0
 	for _, p := range r.src {
 		_, rows := p.size()
+		if p.scan != nil {
+			rows = p.scan.expect()
+		}
 		if n += rows; p.fans {
 			n = 0
 			break
@@ -639,30 +633,30 @@ func (s *cteMarkSink) done() {
 	st.Fused = !s.stored
 }
 
-// where returns r's rows that satisfy the conjuncts, which it marks
-// applied.
-func (e *Engine) where(q *queryState, r *relation, sc *scope, conjs []*conjunct) *relation {
-	markApplied(conjs)
+// where returns r's rows that pass a prepared filter.
+func (f *frame) where(r *relation, fp *filterPlan) *relation {
 	return r.then(r.cols, stageFunc(func(next sink) (sink, error) {
-		pass, err := e.compilePredicates(q, sc, conjs)
-		return &filterSink{pass: pass, next: next}, err
-	}), serialIf(!parallelSafeConjuncts(conjs)))
+		return &filterSink{f: f, pass: fp.pass, next: next}, f.bind(fp.subs)
+	}), serialIf(fp.subs))
 }
 
-func serialIf(serial bool) stageKind {
-	if serial {
+// serialIf is the kind of a stage holding subs: a subquery runs when its
+// stage opens, on the dispatching goroutine, so the stage has no workers.
+func serialIf(subs []subSlot) stageKind {
+	if len(subs) > 0 {
 		return serialOnly
 	}
 	return 0
 }
 
 type filterSink struct {
-	pass func(row []rel.Value) bool
+	f    *frame
+	pass predicate
 	next sink
 }
 
 func (s *filterSink) push(row []rel.Value) {
-	if s.pass(row) {
+	if s.pass(s.f, row) {
 		s.next.push(row)
 	}
 }

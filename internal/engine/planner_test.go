@@ -227,6 +227,56 @@ func TestPlannerEnumerationBounds(t *testing.T) {
 	}
 }
 
+// TestForceJoinStampsPlan: ForceJoin is part of a core's plan stamp. One
+// statement run under auto, hash and nested-loop in turn, twice over,
+// reports each time the strategy its option asks for — never the one a
+// plan prepared under another option fixed — and answers byte-identical
+// rows.
+func TestForceJoinStampsPlan(t *testing.T) {
+	e := newPlannerEngine(t, 2000)
+	defer e.SetExecOptions(ExecOptions{})
+	sel := mustSelect(t, "SELECT BIG.V, SMALL.ID FROM BIG, SMALL WHERE BIG.K = SMALL.K AND SMALL.ID < 5 ORDER BY BIG.V")
+	// Auto probes BIG's index from the filtered SMALL side.
+	want := map[JoinStrategy]JoinStrategy{StrategyAuto: StrategyIndexNL, StrategyHash: StrategyHash, StrategyNestedLoop: StrategyNestedLoop}
+	first := ""
+	for round := 0; round < 2; round++ {
+		for _, force := range []JoinStrategy{StrategyAuto, StrategyHash, StrategyNestedLoop} {
+			e.SetExecOptions(ExecOptions{ForceJoin: force})
+			r, err := e.QueryStmtAt(sel, rel.Latest, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Stats.JoinStrategies(); len(got) != 1 || got[0] != want[force] {
+				t.Fatalf("round %d, ForceJoin %q: ran %v, want %s", round, force, got, want[force])
+			}
+			rows := rowsText(r)
+			if first == "" {
+				first = rows
+			}
+			if rows != first || len(r.Data) != 5 {
+				t.Fatalf("round %d, ForceJoin %q: %d rows %q, want the %q of the first run", round, force, len(r.Data), rows, first)
+			}
+		}
+	}
+}
+
+// TestForcePlanWithoutStatistics: a pinned join order needs no statistics.
+// A core of two tables with a parameter compared to a column of one, run
+// with ForcePlan 1 on an engine with no provider, used to dereference the
+// missing provider while stamping its plan.
+func TestForcePlanWithoutStatistics(t *testing.T) {
+	e := New(rel.NewCatalog())
+	mustTable(t, e, "BIG", intCol("K"), intCol("V"))
+	mustTable(t, e, "SMALL", intCol("K"), intCol("ID"))
+	mustInsert(t, e, "BIG", row(1, 2))
+	mustInsert(t, e, "SMALL", row(1, 3))
+	e.SetExecOptions(ExecOptions{ForcePlan: 1})
+	r, err := e.Query("SELECT BIG.V FROM BIG, SMALL WHERE BIG.K = SMALL.K AND SMALL.ID = ?", 3)
+	if err != nil || rowsText(r) != "2" {
+		t.Fatalf("pinned order without statistics: %v, %v", r, err)
+	}
+}
+
 // TestPlanCacheBounded: plans are keyed by statement node, so a client
 // that mints statements — here a key that never repeats, which the layer
 // above cannot fold into one shape — must not accumulate them; and one

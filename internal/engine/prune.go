@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"sqlgraph/internal/rel"
 	"sqlgraph/internal/sql"
 )
@@ -51,86 +53,70 @@ func newColNeeds(sel *sql.SimpleSelect, refs []sql.TableRef, where []*conjunct, 
 func (n *colNeeds) keep(cols []colInfo, applying ...[]*conjunct) []int {
 	live := []*exprRefs{n.fixed}
 	for _, c := range n.pending {
-		if !c.applied && !containsConjunct(applying, c) {
+		if !c.applied && !slices.ContainsFunc(applying, func(l []*conjunct) bool { return slices.Contains(l, c) }) {
 			live = append(live, c.refs)
 		}
 	}
 	keep := make([]int, 0, len(cols))
 	for p, c := range cols {
-		needed := false
-		for i := 0; !needed && i < len(live); i++ {
-			needed = live[i].reads(c)
-		}
-		if needed {
+		if slices.ContainsFunc(live, func(r *exprRefs) bool { return r.reads(c) }) {
 			keep = append(keep, p)
 		}
 	}
 	return keep
 }
 
-func containsConjunct(lists [][]*conjunct, c *conjunct) bool {
-	for _, list := range lists {
-		for _, x := range list {
-			if x == c {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // joinShape is the column plan of one join: which positions of the left
 // and right input rows its output keeps, in that order, and the residual
-// terms (those reading both sides) a pair must pass to be emitted.
+// terms (those reading both sides) a pair must pass to be emitted,
+// compiled against every left and right column.
 type joinShape struct {
 	cols      []colInfo // output columns
 	leftSrc   []int     // kept positions of the left row
 	rightSrc  []int     // kept positions of the right row
 	leftArity int
-	full      *scope // every left and right column; residuals compile against it
-	residual  []*conjunct
+	width     int       // every left and right column: the row the residual reads
+	resid     predicate // nil when there are no residual terms
 }
 
 // newJoinShape prunes the concatenation of the two inputs' columns to the
 // positions in keep (ascending, as colNeeds.keep returns them).
-func newJoinShape(leftCols, rightCols []colInfo, full *scope, keep []int, residual []*conjunct) *joinShape {
-	s := &joinShape{leftArity: len(leftCols), full: full, residual: residual, cols: make([]colInfo, 0, len(keep))}
-	for _, p := range keep {
-		if p < len(leftCols) {
-			s.leftSrc = append(s.leftSrc, p)
-			s.cols = append(s.cols, leftCols[p])
+func (p *prep) newJoinShape(leftCols, rightCols []colInfo, full *scope, keep []int, residual []*conjunct) (*joinShape, error) {
+	s := &joinShape{leftArity: len(leftCols), width: len(full.cols), cols: make([]colInfo, 0, len(keep))}
+	for _, k := range keep {
+		if k < len(leftCols) {
+			s.leftSrc = append(s.leftSrc, k)
+			s.cols = append(s.cols, leftCols[k])
 		} else {
-			s.rightSrc = append(s.rightSrc, p-len(leftCols))
-			s.cols = append(s.cols, rightCols[p-len(leftCols)])
+			s.rightSrc = append(s.rightSrc, k-len(leftCols))
+			s.cols = append(s.cols, rightCols[k-len(leftCols)])
 		}
 	}
-	return s
+	var err error
+	if len(residual) > 0 {
+		s.resid, err = p.predicates(full, residual)
+	}
+	return s, err
 }
 
-// joinEmitter is one worker's state for emitting a join's rows: its own
-// compiled residual predicate, the scratch rows it assembles in, and the
-// sink its rows go to.
+// joinEmitter is one worker's state for emitting a join's rows: the
+// scratch rows it assembles in, and the sink its rows go to.
 type joinEmitter struct {
+	f       *frame
 	shape   *joinShape
-	resid   func(row []rel.Value) bool // nil when there are no residual terms
-	scratch []rel.Value                // full-width row the residual terms read
-	out     []rel.Value                // the emitted row, overwritten by the next one
+	scratch []rel.Value // full-width row the residual terms read
+	out     []rel.Value // the emitted row, overwritten by the next one
 	next    sink
 	n       int // rows pushed on
 }
 
 // newJoinEmitter builds a worker's emitter pushing into next.
-func (e *Engine) newJoinEmitter(q *queryState, s *joinShape, next sink) (*joinEmitter, error) {
-	je := &joinEmitter{shape: s, out: make([]rel.Value, len(s.cols)), next: next}
-	if len(s.residual) > 0 {
-		resid, err := e.compilePredicates(q, s.full, s.residual)
-		if err != nil {
-			return nil, err
-		}
-		je.resid = resid
-		je.scratch = make([]rel.Value, len(s.full.cols))
+func newJoinEmitter(f *frame, s *joinShape, next sink) *joinEmitter {
+	je := &joinEmitter{f: f, shape: s, out: make([]rel.Value, len(s.cols)), next: next}
+	if s.resid != nil {
+		je.scratch = make([]rel.Value, s.width)
 	}
-	return je, nil
+	return je
 }
 
 // emit pushes on the output row of a left/right pair that already passed
@@ -140,10 +126,10 @@ func (e *Engine) newJoinEmitter(q *queryState, s *joinShape, next sink) (*joinEm
 // next call.
 func (je *joinEmitter) emit(l, r []rel.Value) (matched bool) {
 	s := je.shape
-	if je.resid != nil {
+	if s.resid != nil {
 		copy(je.scratch, l)
 		copy(je.scratch[s.leftArity:], r)
-		if !je.resid(je.scratch) {
+		if !s.resid(je.f, je.scratch) {
 			return false
 		}
 	}

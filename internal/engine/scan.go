@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 
 	"sqlgraph/internal/rel"
 	"sqlgraph/internal/sql"
@@ -16,6 +17,7 @@ type accessPath struct {
 	lo, hi rel.Value     // range bounds, NULL where open
 	loInc  bool
 	hiInc  bool
+	est    int // at most the rows the scan passes on, -1 unknown (scanSource.expect)
 }
 
 type accessKind uint8
@@ -97,32 +99,39 @@ func matchIndexExpr(t *rel.Table, alias string, side sql.Expr, asOf rel.Version,
 // noCols is the scope of a column-free expression (never written to).
 var noCols = newScope(nil)
 
-// constValue evaluates a column-free expression.
-func (e *Engine) constValue(q *queryState, x sql.Expr) (rel.Value, error) {
-	fn, err := e.compile(q, noCols, x)
-	if err != nil {
-		return rel.Null, err
-	}
-	return fn(nil), nil
+// scanPlan is a base-table access prepared: the terms pushed into it, as
+// its filter, and the access paths they offer, one of which each
+// execution picks by its arguments (accessPath).
+type scanPlan struct {
+	t     *rel.Table
+	cols  []colInfo
+	pass  predicate
+	subs  []subSlot
+	fans  bool // a filter may drop rows
+	cands []accessCand
+	est   int64 // the planner's row estimate, -1 when it made none
 }
 
-// chooseAccessPath inspects the pushable conjuncts for indexable
-// predicates and picks how scanBase reads the table. One candidate is
-// collected per kind — the first equality, IN list, range and IS NOT NULL
-// an index matches, the range taking its other bound from a later
-// conjunct on the same index, so x >= lo AND x < hi is one range.
-// Without optimizer statistics the pick is syntactic: equality, then IN,
-// then range, then IS NOT NULL. With a StatsProvider every candidate and
-// the full scan are costed (accessCost) and the cheapest wins, ties going
-// to the syntactic order: a range that keeps most of the table — the
-// soft-delete guard VID >= 0 — loses to the morsel-parallel full scan, a
-// selective one stays an index probe.
-func (e *Engine) chooseAccessPath(q *queryState, t *rel.Table, alias string, conjs []*conjunct) (*accessPath, error) {
-	var eqPath, inPath, rangePath, notNullPath *accessPath
+// accessCand offers an execution the path a pushed term reads the table
+// by, unless an earlier term offered one of its kind.
+type accessCand func(f *frame, paths *[accessNotNull + 1]*accessPath)
+
+// prepareScan prepares the read of a table under an alias, with the
+// given single-table conjuncts pushed into it. All of them run as
+// filters, including the ones the access path answers: index probes
+// return candidates (the order-preserving key encoding merges the numeric
+// domain), so predicates are always re-verified against row values. The
+// first equality, IN list, range and IS NOT NULL an index matches are
+// candidates, a range taking its other bound from a later term on the
+// same index.
+func (p *prep) prepareScan(q *queryState, t *rel.Table, alias string, cols []colInfo, conjs []*conjunct, est int64) (*scanPlan, error) {
+	s := &scanPlan{t: t, cols: cols, est: est}
+	var filters []*conjunct
 	for _, c := range conjs {
 		if c.applied {
 			continue
 		}
+		filters = append(filters, c)
 		switch v := c.expr.(type) {
 		case *sql.Binary:
 			side, bound, op := v.L, v.R, v.Op
@@ -130,75 +139,110 @@ func (e *Engine) chooseAccessPath(q *queryState, t *rel.Table, alias string, con
 				side, bound, op = v.R, v.L, flipCmp(v.Op)
 			}
 			isRange := op == "<" || op == "<=" || op == ">" || op == ">="
-			if !isConstExpr(bound) || !(op == "=" && eqPath == nil || isRange) {
+			if !isConstExpr(bound) || hasSubquery(bound) || op != "=" && !isRange {
 				continue
 			}
 			ix := matchIndexExpr(t, alias, side, q.asOf, isRange)
-			upper := op == "<" || op == "<="
-			if ix == nil || isRange && rangePath != nil && (rangePath.index != ix || upper && !rangePath.hi.IsNull() || !upper && !rangePath.lo.IsNull()) {
+			if ix == nil {
 				continue
 			}
-			b, err := e.constValue(q, bound)
+			b, err := p.compile(noCols, bound)
 			if err != nil {
 				return nil, err
 			}
-			if !isRange {
-				eqPath = &accessPath{index: ix, kind: accessEq, keys: [][]rel.Value{{b}}}
+			upper, inc := op == "<" || op == "<=", op == "<=" || op == ">="
+			s.cands = append(s.cands, func(f *frame, paths *[accessNotNull + 1]*accessPath) {
+				if !isRange && paths[accessEq] == nil {
+					paths[accessEq] = &accessPath{index: ix, kind: accessEq, keys: [][]rel.Value{{b(f, nil)}}}
+				}
+				r := paths[accessRange]
+				if !isRange || r != nil && (r.index != ix || upper && !r.hi.IsNull() || !upper && !r.lo.IsNull()) {
+					return
+				}
+				if r == nil {
+					r = &accessPath{index: ix, kind: accessRange}
+					paths[accessRange] = r
+				}
+				if upper {
+					r.hi, r.hiInc = b(f, nil), inc
+				} else {
+					r.lo, r.loInc = b(f, nil), inc
+				}
+			})
+		case *sql.InList:
+			ix := matchIndexExpr(t, alias, v.X, q.asOf, false)
+			if v.Not || ix == nil {
 				continue
 			}
-			if rangePath == nil {
-				rangePath = &accessPath{index: ix, kind: accessRange}
-			}
-			if upper {
-				rangePath.hi, rangePath.hiInc = b, op == "<="
-			} else {
-				rangePath.lo, rangePath.loInc = b, op == ">="
-			}
-		case *sql.InList:
-			if !v.Not && inPath == nil {
-				ix := matchIndexExpr(t, alias, v.X, q.asOf, false)
-				if ids, ok := q.idList(v); ok && ix != nil {
-					inPath = &accessPath{index: ix, kind: accessIn, ids: ids}
-				} else if ix != nil {
-					allConst := true
-					keys := make([][]rel.Value, 0, len(v.List))
-					for _, item := range v.List {
-						if !isConstExpr(item) {
-							allConst = false
-							break
-						}
-						kv, err := e.constValue(q, item)
-						if err != nil {
-							return nil, err
-						}
-						keys = append(keys, []rel.Value{kv})
-					}
-					if allConst {
-						inPath = &accessPath{index: ix, kind: accessIn, keys: keys}
-					}
+			// A bare parameter is read as it is: the filter's compile checks
+			// it, and an id list bound to it is read as one.
+			var keys []compiledExpr
+			if pv, ok := v.List[0].(*sql.Param); ok && len(v.List) == 1 {
+				keys = []compiledExpr{func(f *frame, _ []rel.Value) rel.Value { return f.q.params[pv.Index].Val }}
+			} else if !slices.ContainsFunc(v.List, func(x sql.Expr) bool { return !isConstExpr(x) || hasSubquery(x) }) {
+				var err error
+				if keys, err = p.compileAll(noCols, v.List); err != nil {
+					return nil, err
 				}
 			}
+			s.cands = append(s.cands, func(f *frame, paths *[accessNotNull + 1]*accessPath) {
+				if ids, ok := f.q.idList(v); ok && paths[accessIn] == nil {
+					paths[accessIn] = &accessPath{index: ix, kind: accessIn, ids: ids}
+				} else if keys != nil && paths[accessIn] == nil {
+					in := &accessPath{index: ix, kind: accessIn, keys: make([][]rel.Value, len(keys))}
+					for i, k := range keys {
+						in.keys[i] = []rel.Value{k(f, nil)}
+					}
+					paths[accessIn] = in
+				}
+			})
 		case *sql.IsNull:
-			if v.Not && notNullPath == nil {
-				if ix := matchIndexExpr(t, alias, v.X, q.asOf, true); ix != nil {
-					notNullPath = &accessPath{index: ix, kind: accessNotNull}
-				}
+			if ix := matchIndexExpr(t, alias, v.X, q.asOf, true); v.Not && ix != nil {
+				s.cands = append(s.cands, func(_ *frame, paths *[accessNotNull + 1]*accessPath) {
+					if paths[accessNotNull] == nil {
+						paths[accessNotNull] = &accessPath{index: ix, kind: accessNotNull}
+					}
+				})
 			}
 		}
 	}
-	best := &accessPath{kind: accessFullScan}
-	bestCost := accessCost(q.provider, t, best)
-	for _, p := range []*accessPath{notNullPath, rangePath, inPath, eqPath} {
+	markApplied(filters)
+	mark := len(p.subs)
+	var err error
+	s.pass, err = p.predicates(newScope(cols), filters)
+	s.subs, s.fans = p.since(mark), len(filters) > 0
+	return s, err
+}
+
+// accessPath picks how this execution reads the table: without
+// statistics syntactically — equality, IN, range, IS NOT NULL —, with a
+// StatsProvider the cheapest of the candidates and the full scan
+// (accessCost), ties going to the syntactic order: the soft-delete guard
+// VID >= 0 loses to the parallel full scan, a selective range does not.
+func (s *scanPlan) accessPath(f *frame) *accessPath {
+	var paths [accessNotNull + 1]*accessPath
+	for _, c := range s.cands {
+		c(f, &paths)
+	}
+	best, est := &accessPath{kind: accessFullScan}, -1
+	bestCost := accessCost(f.q.provider, s.t, best)
+	for k := accessNotNull; k > accessFullScan; k-- {
+		p := paths[k]
 		if p == nil {
 			continue
 		}
-		// Later candidates rank higher syntactically and win ties; with no
-		// provider every index path costs 0 and the last one stands.
-		if cost := accessCost(q.provider, t, p); cost <= bestCost {
+		// Later candidates win ties: with no provider the last one stands.
+		if cost := accessCost(f.q.provider, s.t, p); cost <= bestCost {
 			best, bestCost = p, cost
 		}
+		// A unique index's keys bound the rows the scan passes on, by
+		// whatever path: the term filters them all.
+		if n := len(p.keys) + len(p.ids); k <= accessIn && p.index.Unique() && len(p.index.ColumnOrdinals()) == 1 && (est < 0 || n < est) {
+			est = n
+		}
 	}
-	return best, nil
+	best.est = est
+	return best
 }
 
 // accessCost estimates an access path in units of one heap row examined
@@ -285,38 +329,16 @@ func (k accessKind) accessName() string {
 	}
 }
 
-// scanBase reads a base table under an alias, pushing the given
-// single-table conjuncts into the scan and using an index when one
-// matches. The access is returned pending, as the head of a pipe
-// (scanSource): it runs with the pipe's stages and into its reader's
-// terminal, each worker filtering the rows of its morsels with its own
-// compiled predicates and pushing them on, in order. est is the planner's
-// row estimate for the scan, -1 when it made none.
-// The caller must already hold the table's read lock (the engine acquires
-// query locks up front).
-func (e *Engine) scanBase(q *queryState, t *rel.Table, alias string, conjs []*conjunct, est int64) (*relation, error) {
-	cols := tableCols(t, alias)
-	path, err := e.chooseAccessPath(q, t, alias, conjs)
-	if err != nil {
-		return nil, err
-	}
-
-	// All pushed conjuncts run as filters, including the ones the access
-	// path answers: index probes return candidates (the order-preserving
-	// key encoding merges the numeric domain), so predicates are always
-	// re-verified against row values.
-	var filters []*conjunct
-	for _, c := range conjs {
-		if !c.applied {
-			filters = append(filters, c)
-		}
-	}
-	markApplied(filters)
-
+// scanBase returns a prepared base-table access pending, as the head of a
+// pipe (scanSource) whose workers filter their morsels' rows and push them
+// on. The caller holds the table's read lock.
+func (e *Engine) scanBase(f *frame, s *scanPlan) *relation {
+	q := f.q
+	path := s.accessPath(f)
 	// Rows, morsels, workers and time are the run's (Engine.run).
-	q.stats.Scans = append(q.stats.Scans, ScanStat{Table: t.Name(), Access: path.kind.accessName(), EstRows: est})
-	src := &scanSource{e: e, q: q, t: t, sc: newScope(cols), filters: filters, stat: len(q.stats.Scans) - 1, path: path}
-	return &relation{cols: cols, src: []*pipe{{scan: src, serial: !parallelSafeConjuncts(filters), fans: len(filters) > 0 || path.kind != accessFullScan}}}, nil
+	q.stats.Scans = append(q.stats.Scans, ScanStat{Table: s.t.Name(), Access: path.kind.accessName(), EstRows: s.est})
+	src := &scanSource{f: f, plan: s, stat: len(q.stats.Scans) - 1, path: path}
+	return &relation{cols: s.cols, src: []*pipe{{scan: src, serial: len(s.subs) > 0}}}
 }
 
 // scanSource is the head of a pipe that starts at a table: the row
@@ -327,13 +349,10 @@ func (e *Engine) scanBase(q *queryState, t *rel.Table, alias string, conjs []*co
 // probes), and one for a range or IS NOT NULL walk. The images are the
 // table's own, never scratch. stat indexes ExecStats.Scans.
 type scanSource struct {
-	e       *Engine
-	q       *queryState
-	t       *rel.Table
-	sc      *scope
-	filters []*conjunct
-	stat    int
-	path    *accessPath
+	f    *frame
+	plan *scanPlan
+	stat int
+	path *accessPath
 }
 
 // size returns the units the scan's morsels are cut from and how many
@@ -342,7 +361,7 @@ type scanSource struct {
 func (s *scanSource) size() (n, rows int) {
 	switch p := s.path; {
 	case p.kind == accessFullScan:
-		return s.t.Slots(), s.t.LiveLocked()
+		return s.plan.t.Slots(), s.plan.t.LiveLocked()
 	case p.kind == accessRange || p.kind == accessNotNull:
 		return 1, 1
 	case p.ids != nil:
@@ -352,18 +371,26 @@ func (s *scanSource) size() (n, rows int) {
 	}
 }
 
-// scanWorker is one worker's instance of a scan: its own compiled
-// filters, and the rows it has examined and passed on, added to once per
-// morsel.
+// expect returns the rows the scan is expected to pass on, which a reader
+// storing them sizes its store by: an unfiltered scan's live rows, else
+// the bound a unique index's keys put on them, else 0 — never a table's
+// rows for a filter that may keep few of them.
+func (s *scanSource) expect() int {
+	if !s.plan.fans {
+		return s.plan.t.LiveLocked()
+	}
+	return max(s.path.est, 0)
+}
+
+// scanWorker is one worker's instance of a scan: the rows it has
+// examined and passed on, added to once per morsel.
 type scanWorker struct {
 	*scanSource
-	pass    func(row []rel.Value) bool
 	in, out int
 }
 
 func (s *scanSource) open() (*scanWorker, error) {
-	pass, err := s.e.compilePredicates(s.q, s.sc, s.filters)
-	return &scanWorker{scanSource: s, pass: pass}, err
+	return &scanWorker{scanSource: s}, s.f.bind(s.plan.subs)
 }
 
 // run pushes the rows of units [lo, hi) that pass the filters into next.
@@ -375,33 +402,34 @@ func (s *scanSource) open() (*scanWorker, error) {
 // exactly once per version.
 func (w *scanWorker) run(lo, hi int, next sink) {
 	in, out := 0, 0
-	name := w.t.Name()
+	t, f, pass := w.plan.t, w.f, w.plan.pass
+	name := t.Name()
 	visit := func(rid rel.RowID, vals []rel.Value) bool {
 		in++
-		w.e.pageAccess(w.q, name, rid)
-		if w.pass(vals) {
+		f.pageAccess(name, rid)
+		if pass(f, vals) {
 			out++
 			next.push(vals)
 		}
 		return true
 	}
-	p, asOf := w.path, w.q.asOf
+	p, asOf := w.path, f.q.asOf
 	switch p.kind {
 	case accessFullScan:
-		w.t.ScanSlotsAt(lo, hi, asOf, visit)
+		t.ScanSlotsAt(lo, hi, asOf, visit)
 	case accessRange:
-		w.t.ProbeRangeAt(p.index, p.lo, p.hi, p.loInc, p.hiInc, asOf, visit)
+		t.ProbeRangeAt(p.index, p.lo, p.hi, p.loInc, p.hiInc, asOf, visit)
 	case accessNotNull:
-		w.t.ProbeRangeAt(p.index, rel.Null, rel.Null, true, true, asOf, visit)
+		t.ProbeRangeAt(p.index, rel.Null, rel.Null, true, true, asOf, visit)
 	default:
 		var key [1]rel.Value
 		for i := lo; i < hi; i++ {
 			if p.ids == nil {
-				w.t.ProbeAt(p.index, p.keys[i], asOf, visit)
+				t.ProbeAt(p.index, p.keys[i], asOf, visit)
 				continue
 			}
 			key[0] = rel.NewInt(p.ids[i])
-			w.t.ProbeAt(p.index, key[:], asOf, visit)
+			t.ProbeAt(p.index, key[:], asOf, visit)
 		}
 	}
 	w.in, w.out = w.in+in, w.out+out
@@ -410,7 +438,7 @@ func (w *scanWorker) run(lo, hi int, next sink) {
 // done folds the worker's counts into the scan's statistics; runPipe
 // calls it on the dispatching goroutine after the workers have joined.
 func (w *scanWorker) done() {
-	st := &w.q.stats.Scans[w.stat]
+	st := &w.f.q.stats.Scans[w.stat]
 	st.RowsIn += w.in
 	st.RowsOut += w.out
 }

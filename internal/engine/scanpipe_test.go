@@ -478,17 +478,13 @@ func TestDocPredicateMatchesCompare(t *testing.T) {
 		rows = append(rows, []rel.Value{rel.NewJSON(&d)}, []rel.Value{rel.NewString(text)})
 	}
 	rows = append(rows, []rel.Value{rel.Null}, []rel.Value{rel.NewString("not a document")}, []rel.Value{rel.NewInt(3)})
-	compile := func(q *queryState, text string) compiledExpr {
+	compile := func(args []Arg, text string) func(row []rel.Value) rel.Value {
 		t.Helper()
 		x, err := sql.ParseExpr(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn, err := e.compile(q, sc, x)
-		if err != nil {
-			t.Fatalf("%s: %v", text, err)
-		}
-		return fn
+		return compileBound(t, e, sc, x, args)
 	}
 	same := func(text string, row []rel.Value, got, want rel.Value) {
 		t.Helper()
@@ -498,11 +494,11 @@ func TestDocPredicateMatchesCompare(t *testing.T) {
 	}
 	vals := []string{"JSON_VAL(ATTR, 'v')", "JSON_VAL(COALESCE(ATTR, ATTR), 'v')"}
 	for _, c := range consts {
-		q := &queryState{}
+		var args []Arg
 		if c.text == "?" {
-			q.params = toArgs([]any{c.arg})
+			args = toArgs([]any{c.arg})
 		}
-		constFn := compile(q, c.text)
+		constFn := compile(args, c.text)
 		cv := constFn(nil)
 		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
 			for i := range 2 * len(vals) {
@@ -511,7 +507,7 @@ func TestDocPredicateMatchesCompare(t *testing.T) {
 				if swapped {
 					text = c.text + " " + op + " " + val
 				}
-				fn := compile(q, text)
+				fn := compile(args, text)
 				for _, row := range rows {
 					got := fn(row)
 					v, want := jsonValPath(row[0], path), rel.Null
@@ -532,7 +528,7 @@ func TestDocPredicateMatchesCompare(t *testing.T) {
 		if not {
 			text = vals[i/2] + " IS NOT NULL"
 		}
-		fn := compile(&queryState{}, text)
+		fn := compile(nil, text)
 		for _, row := range rows {
 			got := fn(row)
 			same(text, row, got, rel.NewBool(jsonValPath(row[0], path).IsNull() != not))
@@ -561,10 +557,7 @@ func TestJSONValNoAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn, err := e.compile(&queryState{}, sc, x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fn := compileBound(t, e, sc, x, nil)
 		var got rel.Value
 		if n := testing.AllocsPerRun(100, func() { got = fn(row) }); n != 0 {
 			t.Errorf("JSON_VAL(ATTR, %q): %v allocations, want 0", c.key, n)

@@ -9,7 +9,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"sqlgraph/internal/rel"
 	"sqlgraph/internal/sql"
@@ -115,16 +114,4 @@ func (s *scope) has(col string) bool {
 		}
 	}
 	return false
-}
-
-func (s *scope) String() string {
-	parts := make([]string, len(s.cols))
-	for i, c := range s.cols {
-		if c.table != "" {
-			parts[i] = c.table + "." + c.name
-		} else {
-			parts[i] = c.name
-		}
-	}
-	return strings.Join(parts, ", ")
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"sqlgraph/internal/rel"
@@ -15,9 +14,9 @@ import (
 // nothing here except the atomic ioMisses counter (stats are aggregated
 // by the operator after its workers join).
 type queryState struct {
-	ctes     map[string]*relation
+	env      []cteBinding                  // the WITH names in scope, innermost last
 	params   []Arg                         // this execution's arguments; never stored in the statement or a cached plan
-	idSets   []*valueSet                   // by parameter index: the sets of the id lists among params, which every worker's x IN (?) reads
+	idSets   []*valueSet                   // by parameter index: the sets of the id lists among params, built when a frame first binds one
 	subs     map[*sql.SelectStmt]*valueSet // the sets of the IN subqueries expressions hold
 	ioMisses int64                         // buffer-pool misses (atomic; morsel workers add concurrently)
 	par      int                           // morsel-parallelism budget (0 = GOMAXPROCS, 1 = serial)
@@ -27,24 +26,44 @@ type queryState struct {
 	t0       time.Time                     // query start; anchors operator StartNs offsets
 	stats    ExecStats                     // per-operator execution statistics
 
-	// Cost-based planner state. All fields are zero-value-safe so an
-	// expression index's key functions (compiled over a bare queryState)
-	// stay on the legacy syntactic path.
+	// Cost-based planner state.
 	provider  StatsProvider // optimizer statistics, nil = legacy planning
 	forcePlan int           // ExecOptions.ForcePlan (0 auto, -1 syntactic, k>=1 pinned)
 }
 
-// addIOMiss atomically charges one buffer-pool miss to the query.
-func (q *queryState) addIOMiss() { atomic.AddInt64(&q.ioMisses, 1) }
-
-// sinceStart returns t's offset from the query start, or 0 when the
-// state was built without a clock (an expression index's key function).
-func (q *queryState) sinceStart(t time.Time) int64 {
-	if q.t0.IsZero() {
-		return 0
-	}
-	return t.Sub(q.t0).Nanoseconds()
+// cteBinding is a WITH name bound to the relation of its query.
+type cteBinding struct {
+	name string
+	rel  *relation
 }
+
+// cte returns the relation the innermost WITH entry of that name binds,
+// and its slot in env, or nil and -1: a core, which always runs inside the
+// same WITH entries, resolves a name to its slot once.
+func (q *queryState) cte(name string) (int, *relation) {
+	for i := len(q.env) - 1; i >= 0; i-- {
+		if q.env[i].name == name {
+			return i, q.env[i].rel
+		}
+	}
+	return -1, nil
+}
+
+// idSet builds the set of the id list bound to parameter i, once.
+func (q *queryState) idSet(i int) {
+	if q.idSets == nil {
+		q.idSets = make([]*valueSet, len(q.params))
+	}
+	if q.idSets[i] == nil {
+		q.idSets[i] = &valueSet{}
+		for _, id := range q.params[i].IDs {
+			q.idSets[i].ids.add(id)
+		}
+	}
+}
+
+// sinceStart returns t's offset from the query start.
+func (q *queryState) sinceStart(t time.Time) int64 { return t.Sub(q.t0).Nanoseconds() }
 
 // evalSelect evaluates a statement into stored rows.
 func (e *Engine) evalSelect(q *queryState, stmt *sql.SelectStmt) (*relation, error) {
@@ -59,26 +78,12 @@ func (e *Engine) evalSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 // one SELECT core or UNION ALL of cores, without WITH, ORDER BY or LIMIT,
 // comes back pending, for its reader to extend or run.
 func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, error) {
+	sp := e.stmtPlanOf(stmt)
 	// Bind CTEs in order; later CTEs may reference earlier ones. CTE names
 	// shadow base tables and earlier same-named CTEs for the remainder of
-	// the statement.
-	saved := map[string]*relation{}
-	defined := []string{}
-	defer func() {
-		// Restore shadowed names so sibling subqueries are unaffected.
-		for _, name := range defined {
-			if prev, ok := saved[name]; ok {
-				q.ctes[name] = prev
-			} else {
-				delete(q.ctes, name)
-			}
-		}
-	}()
-	var readers map[string]int
-	if len(stmt.With) > 0 {
-		readers = cteReaders(stmt)
-	}
-	for _, cte := range stmt.With {
+	// the statement, and go out of scope with it.
+	defer func(n int) { q.env = q.env[:n] }(len(q.env))
+	for i, cte := range stmt.With {
 		cteT := time.Now()
 		r, err := e.openSelect(q, cte.Query)
 		if err != nil {
@@ -88,10 +93,10 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 		// A CTE with exactly one reader is left pending for that reader to
 		// splice into its own pipeline, or to store if it reads it any other
 		// way than as its driving input. Every other CTE is stored now — as
-		// is one with a subquery in a stage, which resolves the names it
-		// reads when it runs: they must mean what they mean here, not what
-		// a later WITH entry or the reader's own WITH rebinds them to.
-		if r.src != nil && readers[cte.Name] == 1 && !slices.ContainsFunc(r.src, func(p *pipe) bool { return p.serial }) {
+		// is one with a subquery in a stage, whose names must mean what they
+		// mean here, not what a later WITH entry or the reader's own WITH
+		// rebinds them to.
+		if r.src != nil && sp.readers[i] == 1 && !slices.ContainsFunc(r.src, func(p *pipe) bool { return p.serial }) {
 			r = r.then(r.cols, cteMark(q, len(q.stats.CTEs)), oneToOne)
 		} else if err := e.materialize(q, r); err != nil {
 			return nil, fmt.Errorf("in CTE %s: %w", cte.Name, err)
@@ -99,37 +104,37 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 		stat.Rows = r.count()
 		stat.Nanos = time.Since(cteT).Nanoseconds()
 		q.stats.CTEs = append(q.stats.CTEs, stat)
-		if prev, ok := q.ctes[cte.Name]; ok {
-			saved[cte.Name] = prev
-		}
-		defined = append(defined, cte.Name)
-		q.ctes[cte.Name] = r
+		q.env = append(q.env, cteBinding{name: cte.Name, rel: r})
 	}
 
 	out, err := e.evalBody(q, stmt.Body)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmt.With) == 0 && len(stmt.OrderBy) == 0 && stmt.Offset == nil && stmt.Limit == nil {
-		return out, nil
+	if err != nil || sp == nil {
+		return out, err
 	}
 	// Run before the WITH names go out of scope (a stage's subquery may
 	// read them), and before sorting or cutting.
 	if err := e.materialize(q, out); err != nil {
 		return nil, err
 	}
-	rows := out.rowsOf()
-	start, end := 0, len(rows)
-	if stmt.Offset != nil || stmt.Limit != nil {
-		var err error
-		if start, end, err = e.limitBounds(q, len(rows), stmt.Limit, stmt.Offset); err != nil {
-			return nil, err
+	f, err := sp.frame(e, q)
+	if err == nil {
+		if err = sp.err; err == nil {
+			err = f.bind(sp.subs)
 		}
 	}
-	if len(stmt.OrderBy) > 0 {
-		if err := e.orderRows(q, out, stmt.OrderBy, end); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
+	}
+	rows := out.rowsOf()
+	start, end := 0, len(rows)
+	if sp.offset != nil {
+		start = min(max(int(sp.offset(f, nil).Int()), 0), end)
+	}
+	if sp.limit != nil {
+		end = min(start+max(int(sp.limit(f, nil).Int()), 0), end)
+	}
+	if len(sp.order) > 0 {
+		e.orderRows(f, out, sp.order, end)
 		out.ordered = true
 	}
 	// Capacity is clamped: the rows may be shared (DESIGN.md §8), so a
@@ -138,40 +143,93 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 	return out, nil
 }
 
+// stmtPlan is what a statement keeps between executions: the tables it
+// reads, its WITH entries' readers, and its ORDER BY, OFFSET and LIMIT
+// compiled over its body's columns (err, once its body has run).
+type stmtPlan struct {
+	prep
+	schema        uint64
+	tables        []string // base tables, sorted: the read locks an execution takes
+	readers       []int    // per WITH entry: how often its name is read (cteReaders)
+	order         []compiledExpr
+	limit, offset compiledExpr
+	err           error
+}
+
+// stmtPlanOf returns the statement's plan, made when its first execution
+// (since the catalog last gained a table or an index) asks for it, or nil
+// for a statement with no WITH list, ORDER BY or LIMIT: it has nothing
+// to keep, and a one-shot text (VerticesByAttr) must not fill the cache.
+func (e *Engine) stmtPlanOf(stmt *sql.SelectStmt) *stmtPlan {
+	if len(stmt.With) == 0 && len(stmt.OrderBy) == 0 && stmt.Offset == nil && stmt.Limit == nil {
+		return nil
+	}
+	schema := e.cat.SchemaVersion()
+	if c, ok := e.planCache.Load(stmt); ok && c.(*stmtPlan).schema == schema {
+		return c.(*stmtPlan)
+	}
+	sp := &stmtPlan{schema: schema, tables: e.baseTablesOf(stmt), readers: cteReaders(stmt)}
+	sp.err = sp.prepareTail(stmt)
+	e.cachePlan(stmt, sp)
+	return sp
+}
+
+func (sp *stmtPlan) prepareTail(stmt *sql.SelectStmt) (err error) {
+	if stmt.Offset != nil {
+		if sp.offset, err = sp.compile(noCols, stmt.Offset); err != nil {
+			return err
+		}
+	}
+	if stmt.Limit != nil {
+		if sp.limit, err = sp.compile(noCols, stmt.Limit); err != nil {
+			return err
+		}
+	}
+	cols := bodyCols(stmt.Body)
+	for _, key := range stmt.OrderBy {
+		fn := compiledExpr(nil)
+		// Positional ORDER BY (ORDER BY 1).
+		if lit, ok := key.(*sql.Literal); ok {
+			if pos, isInt := lit.Val.(int64); isInt && pos >= 1 && int(pos) <= len(cols) {
+				fn = func(_ *frame, row []rel.Value) rel.Value { return row[pos-1] }
+			}
+		}
+		if fn == nil {
+			if fn, err = sp.compile(newScope(cols), key); err != nil {
+				return err
+			}
+		}
+		sp.order = append(sp.order, fn)
+	}
+	return nil
+}
+
+// bodyCols returns the columns a statement body yields (evalBody).
+func bodyCols(body sql.SelectBody) []colInfo {
+	if u, ok := body.(*sql.UnionAll); ok {
+		return anonymizeCols(bodyCols(u.Left))
+	}
+	return itemCols(body.(*sql.SimpleSelect).Items)
+}
+
 // cteReaders counts how often the names a WITH list binds are read
-// (countTableRefs). A name bound twice counts as read twice.
-func cteReaders(stmt *sql.SelectStmt) map[string]int {
+// (countTableRefs), per entry. A name bound twice counts as read twice.
+func cteReaders(stmt *sql.SelectStmt) []int {
+	if len(stmt.With) == 0 {
+		return nil
+	}
 	n := map[string]int{}
 	countTableRefs(stmt, n)
+	readers := make([]int, len(stmt.With))
 	for i, cte := range stmt.With {
-		for _, other := range stmt.With[:i] {
-			if other.Name == cte.Name {
-				n[cte.Name] += 2
+		readers[i] = n[cte.Name]
+		for j, other := range stmt.With {
+			if j != i && other.Name == cte.Name {
+				readers[i] += 2
 			}
 		}
 	}
-	return n
-}
-
-// limitBounds returns the rows [start, end) of n that OFFSET and LIMIT
-// keep.
-func (e *Engine) limitBounds(q *queryState, n int, limit, offset sql.Expr) (start, end int, err error) {
-	if offset != nil {
-		v, err := e.constValue(q, offset)
-		if err != nil {
-			return 0, 0, err
-		}
-		start = min(max(int(v.Int()), 0), n)
-	}
-	end = n
-	if limit != nil {
-		v, err := e.constValue(q, limit)
-		if err != nil {
-			return 0, 0, err
-		}
-		end = min(start+max(int(v.Int()), 0), n)
-	}
-	return start, end, nil
+	return readers
 }
 
 // sortRow is a row with its ORDER BY keys and its input position, which
@@ -185,23 +243,9 @@ type sortRow struct {
 // orderRows sorts r's rows by keys, ascending, and keeps the first keep
 // of them (all when keep is len(r.rows)). Fewer than all are chosen by a
 // bounded heap, so a LIMIT over many rows holds only what it returns.
-func (e *Engine) orderRows(q *queryState, r *relation, keys []sql.Expr, keep int) error {
+func (e *Engine) orderRows(f *frame, r *relation, keyFns []compiledExpr, keep int) {
+	q := f.q
 	opT := time.Now()
-	sc := newScope(r.cols)
-	keyFns := make([]compiledExpr, len(keys))
-	for j, key := range keys {
-		// Positional ORDER BY (ORDER BY 1).
-		if lit, ok := key.(*sql.Literal); ok {
-			if pos, isInt := lit.Val.(int64); isInt && pos >= 1 && int(pos) <= len(r.cols) {
-				keyFns[j] = func(row []rel.Value) rel.Value { return row[pos-1] }
-				continue
-			}
-		}
-		var err error
-		if keyFns[j], err = e.compile(q, sc, key); err != nil {
-			return err
-		}
-	}
 	compare := func(a, b *sortRow) int {
 		for j := range keyFns {
 			if c := rel.Compare(a.keys[j], b.keys[j]); c != 0 {
@@ -219,7 +263,7 @@ func (e *Engine) orderRows(q *queryState, r *relation, keys []sql.Expr, keep int
 	for i, row := range rows {
 		cand.row, cand.seq = row, i
 		for j, fn := range keyFns {
-			cand.keys[j] = fn(row)
+			cand.keys[j] = fn(f, row)
 		}
 		switch {
 		case len(kept) < keep:
@@ -251,7 +295,6 @@ func (e *Engine) orderRows(q *queryState, r *relation, keys []sql.Expr, keep int
 		Nanos:   time.Since(opT).Nanoseconds(),
 	})
 	r.rows = sorted
-	return nil
 }
 
 // siftUp and siftDown keep h a max-heap under compare: its root is the
@@ -342,6 +385,7 @@ func (e *Engine) subquerySet(q *queryState, stmt *sql.SelectStmt) (*valueSet, er
 			vals[i] = row[0]
 		}
 		set = newValueSet(vals)
+		set.null = false // a NULL the subquery returns is no member
 	}
 	if q.subs == nil {
 		q.subs = map[*sql.SelectStmt]*valueSet{}

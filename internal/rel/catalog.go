@@ -14,6 +14,7 @@ import (
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
+	schema atomic.Uint64               // advanced by every table and index added (SchemaVersion)
 	mvcc   mvccState                   // version clock, snapshot pins, writer mutex, GC (mvcc.go)
 	obs    atomic.Pointer[observerBox] // commit-time change observer (observer.go)
 }
@@ -33,8 +34,13 @@ func (c *Catalog) CreateTable(name string, schema *Schema) (*Table, error) {
 	}
 	t := NewTable(name, schema)
 	c.tables[name] = t
+	c.schema.Add(1)
 	return t, nil
 }
+
+// SchemaVersion advances whenever a table or an index is added: what a
+// plan prepared over the catalog's tables and indexes is stamped with.
+func (c *Catalog) SchemaVersion() uint64 { return c.schema.Load() }
 
 // Table looks up a table by name.
 func (c *Catalog) Table(name string) (*Table, bool) {
@@ -100,6 +106,7 @@ func (c *Catalog) addIndex(ix *Index) (*Index, error) {
 	if err := t.addIndex(ix); err != nil {
 		return nil, err
 	}
+	c.schema.Add(1)
 	return ix, nil
 }
 

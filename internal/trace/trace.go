@@ -7,7 +7,7 @@
 // The design keeps the per-row path allocation-free: operators
 // accumulate timings into the executor's existing stat structs (two
 // clock reads per operator, nothing per row), and the span tree is
-// materialized once per request from a preallocated slab.
+// materialized once per request from a few slabs of spans.
 package trace
 
 import (
@@ -88,10 +88,11 @@ func (t *Trace) MarshalJSON() ([]byte, error) {
 // Duration returns the trace's total wall time.
 func (t *Trace) Duration() time.Duration { return time.Duration(t.DurNs) }
 
-// spanSlabSize is the per-request span preallocation: stage spans plus a
-// typical operator fan-out fit without a second allocation; deeper trees
-// fall back to individual spans.
-const spanSlabSize = 24
+// spanChunk is the size of a request's first slab of spans: its stage
+// spans and a few operators'. A full slab is followed by one twice its
+// size, so a 100-operator plan takes four slabs and a short query holds
+// little more than the spans it uses.
+const spanChunk = 8
 
 // Builder assembles one trace. It is not safe for concurrent use: one
 // request builds its trace from a single goroutine (operator timings
@@ -109,7 +110,7 @@ func NewBuilder(id, kind, name string) *Builder {
 	if id == "" {
 		id = NewID()
 	}
-	b := &Builder{slab: make([]Span, 0, spanSlabSize)}
+	b := &Builder{}
 	b.t0 = time.Now()
 	root := b.alloc()
 	root.Name = kind
@@ -119,15 +120,15 @@ func NewBuilder(id, kind, name string) *Builder {
 	return b
 }
 
-// alloc hands out a span from the preallocated slab, falling back to an
-// individual allocation once the slab is exhausted (the slab never
-// regrows, so previously returned pointers stay valid).
+// alloc hands out a span from the current slab, starting a new one once
+// it is full (a slab never regrows, so previously returned pointers stay
+// valid).
 func (b *Builder) alloc() *Span {
-	if len(b.slab) < cap(b.slab) {
-		b.slab = b.slab[:len(b.slab)+1]
-		return &b.slab[len(b.slab)-1]
+	if len(b.slab) == cap(b.slab) {
+		b.slab = make([]Span, 0, max(2*cap(b.slab), spanChunk))
 	}
-	return new(Span)
+	b.slab = b.slab[:len(b.slab)+1]
+	return &b.slab[len(b.slab)-1]
 }
 
 // Begin opens a child span of the innermost open span.

@@ -59,13 +59,13 @@ func TestBuilderSpanTreeShape(t *testing.T) {
 func TestBuilderSlabOverflow(t *testing.T) {
 	b := NewBuilder("", "query", "deep")
 	exec := b.Begin("execute")
-	spans := make([]*Span, 0, 3*spanSlabSize)
-	for i := 0; i < 3*spanSlabSize; i++ {
+	spans := make([]*Span, 0, 3*spanChunk)
+	for i := 0; i < 3*spanChunk; i++ {
 		spans = append(spans, b.Child(exec, fmt.Sprintf("op%d", i), "", int64(i), 1, 0, 0))
 	}
 	b.End(exec)
 	trc := b.Finish(nil)
-	if len(exec.Children) != 3*spanSlabSize {
+	if len(exec.Children) != 3*spanChunk {
 		t.Fatalf("children = %d", len(exec.Children))
 	}
 	// Pointers handed out before the slab filled must still be the spans
