@@ -665,52 +665,73 @@ func scanAggFixture(t *testing.T, matchEvery int) *Graph {
 }
 
 // TestScanAggStaysFused guards the scan_agg shapes: a full scan heads the
-// pipe its filter, projection and aggregate run in, so a count and a
-// groupCount over a whole table store only their result rows, and the
-// bytes a query allocates do not grow with the rows that match — twice
-// as many stay within 10 %.
+// pipe its filter, projection and aggregate or top-k run in, so a count, a
+// groupCount and an order{…}.range over a whole table store only their
+// result rows, and the bytes a query allocates do not grow with the rows
+// that match — twice as many stay within 10 %.
 func TestScanAggStaysFused(t *testing.T) {
-	texts := []string{
-		"g.V.has('label').filter{it.label >= 'T'}.count()",
-		"g.V.has('genre').groupCount{it.genre}",
+	texts := []struct {
+		text     string
+		terminal string // the operator whose output rows are the result
+		stores   int    // rows stored per row it returns
+	}{
+		{"g.V.has('label').filter{it.label >= 'T'}.count()", "agg", 1},
+		{"g.V.has('genre').groupCount{it.genre}", "agg", 1},
+		// The cut keeps the ten rows it returns, and the result stores their
+		// ids again.
+		{"g.V.has('genre').order{it.genre}.range(0, 9)", "sort", 2},
 	}
 	perQuery := map[int][]uint64{}
 	for _, every := range []int{4, 2} {
 		g := scanAggFixture(t, every)
-		for _, text := range texts {
-			res, err := g.Query(text)
+		for _, c := range texts {
+			res, err := g.Query(c.text)
 			if err != nil {
 				t.Fatal(err)
 			}
 			results := 0
 			for _, op := range res.Stats.Ops {
-				if op.Kind == "agg" {
+				if op.Kind == c.terminal {
 					results += op.RowsOut
 				}
 			}
-			if results == 0 || res.Stats.MaterializedRows != results {
-				t.Fatalf("%s: stored %d rows, the aggregate returned %d\n%s", text, res.Stats.MaterializedRows, results, res.Stats.String())
+			if results == 0 || res.Stats.MaterializedRows != c.stores*results {
+				t.Fatalf("%s: stored %d rows, the %s returned %d\n%s", c.text, res.Stats.MaterializedRows, c.terminal, results, res.Stats.String())
 			}
 			const runs = 20
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < runs; i++ {
-				if _, err := g.Query(text); err != nil {
+				if _, err := g.Query(c.text); err != nil {
 					t.Fatal(err)
 				}
 			}
 			runtime.ReadMemStats(&after)
 			perQuery[every] = append(perQuery[every], (after.TotalAlloc-before.TotalAlloc)/runs)
 		}
-		if res, err := g.Query(texts[0]); err != nil || res.Values[0] != int64(12*1024/every) {
+		if res, err := g.Query(texts[0].text); err != nil || res.Values[0] != int64(12*1024/every) {
 			t.Fatalf("count over every %d: %v, %v", every, res.Values, err)
 		}
-	}
-	for i, text := range texts {
-		if few, many := perQuery[4][i], perQuery[2][i]; float64(many) > 1.1*float64(few) {
-			t.Errorf("%s allocates %d bytes per query over 3 072 matching rows, %d over 6 144", text, few, many)
+		// Folk is the fourth genre: its first ten vertices, in id order.
+		res, err := g.Query(texts[2].text)
+		if want := fmt.Sprint(folkIDs(every, 10)); err != nil || fmt.Sprint(res.Values) != want {
+			t.Fatalf("order over every %d: %v, %v; want %s", every, res.Values, err, want)
 		}
 	}
+	for i, c := range texts {
+		if few, many := perQuery[4][i], perQuery[2][i]; float64(many) > 1.1*float64(few) {
+			t.Errorf("%s allocates %d bytes per query over 3 072 matching rows, %d over 6 144", c.text, few, many)
+		}
+	}
+}
+
+// folkIDs returns the first n ids scanAggFixture gives the genre Folk.
+func folkIDs(every, n int) []int64 {
+	var ids []int64
+	for i := 3 * every; len(ids) < n; i += 5 * every {
+		ids = append(ids, int64(i))
+	}
+	return ids
 }
 
 // TestIDListHeadStoredAsIDs guards how a g.V(ids) head is stored: the

@@ -285,11 +285,11 @@ func GenPipeline(rng *rand.Rand, numVertices int) string {
 		} else {
 			q += fmt.Sprintf(".order{%s}", pick(rng, "it.k", "it.name"))
 		}
-		q += fmt.Sprintf(".range(%d, %d)", rng.Intn(3), 3+rng.Intn(8))
+		q += rangeArgs(rng, 3)
 	case 3:
 		// An unordered cut has no deterministic contents, but its size is
 		// comparable.
-		q += fmt.Sprintf(".range(%d, %d).count()", rng.Intn(3), 2+rng.Intn(8))
+		q += rangeArgs(rng, 2) + ".count()"
 	case 4:
 		if !edgeCtx && !deduped {
 			q += ".path"
@@ -305,6 +305,23 @@ func GenPipeline(rng *rand.Rand, numVertices int) string {
 }
 
 func pick(rng *rand.Rand, opts ...string) string { return opts[rng.Intn(len(opts))] }
+
+// rangeArgs draws a range step: mostly a window of a few rows from
+// position 0, 1 or 2, its hi at least minHi; one draw in four is a bound
+// the translation must clamp rather than overflow — a negative lo, a lo
+// past hi, or a hi of math.MaxInt64.
+func rangeArgs(rng *rand.Rand, minHi int) string {
+	lo, hi := int64(rng.Intn(3)), int64(minHi+rng.Intn(8))
+	switch rng.Intn(12) {
+	case 0:
+		lo = -1 - int64(rng.Intn(5))
+	case 1:
+		lo = hi + 1 + int64(rng.Intn(3))
+	case 2:
+		hi = math.MaxInt64
+	}
+	return fmt.Sprintf(".range(%d, %d)", lo, hi)
+}
 
 func labelArgs(rng *rand.Rand) string {
 	switch rng.Intn(3) {

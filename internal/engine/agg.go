@@ -225,6 +225,9 @@ func (t *aggTable) part(width int, scratch bool) part {
 	return t.ag.newTable(t.f)
 }
 
+// feed needs nothing of the rows: a group copies its first row.
+func (t *aggTable) feed(bool) {}
+
 func (t *aggTable) replays() bool { return !t.ag.exact }
 
 func (t *aggTable) received() int { return t.in }

@@ -129,6 +129,9 @@ func (r *relation) then(cols []colInfo, st stage, kind stageKind) *relation {
 // of each morsel reaches the terminal in morsel order.
 type terminal interface {
 	sink
+	// feed says whether the rows the next pipe pushes into it are valid
+	// only until push returns: a terminal that keeps one copies it.
+	feed(scratch bool)
 	// part returns a new worker's end of the chain. scratch says the rows
 	// pushed into it are valid only until push returns.
 	part(width int, scratch bool) part
@@ -261,6 +264,8 @@ func (c *collect) part(width int, scratch bool) part {
 	}
 	return p
 }
+
+func (c *collect) feed(scratch bool) { c.copy = scratch }
 
 func (c *collect) replays() bool { return c.seen == nil }
 
@@ -449,9 +454,7 @@ func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (cut 
 	case p.scan == nil && len(p.stages) == 0 && term.replays():
 		par = 1 // workers would only buffer the head for term to replay
 	}
-	if c, ok := term.(*collect); ok {
-		c.copy = p.scratch
-	}
+	term.feed(p.scratch)
 	var mu sync.Mutex
 	var chains []*chain
 	open := func(end sink) (*chain, error) {
@@ -573,23 +576,10 @@ func (e *Engine) materialize(q *queryState, r *relation) error {
 		return nil
 	}
 	c := newCollect(len(r.cols), nil)
-	// A result with as many rows as the heads have is sized once, as is one
-	// whose scans expect how many rows they pass on (scanSource.expect).
-	n := 0
-	for _, p := range r.src {
-		_, rows := p.size()
-		if p.scan != nil {
-			rows = p.scan.expect()
-		}
-		if n += rows; p.fans {
-			n = 0
-			break
-		}
-	}
-	if c.arena.next = n; n > 0 && len(r.cols) == 1 {
-		c.ids = make([]int64, 0, n)
+	if n := r.expected(); n > 0 && len(r.cols) == 1 {
+		c.arena.next, c.ids = n, make([]int64, 0, n)
 	} else if n > 0 {
-		c.rows = make([][]rel.Value, 0, n)
+		c.arena.next, c.rows = n, make([][]rel.Value, 0, n)
 	}
 	bare := !slices.ContainsFunc(r.src, func(p *pipe) bool { return p.scan == nil || len(p.stages) > 0 })
 	if err := e.run(q, r, c, -1); err != nil {
@@ -601,6 +591,28 @@ func (e *Engine) materialize(q *queryState, r *relation) error {
 		q.stats.MaterializedRows += r.count()
 	}
 	return nil
+}
+
+// expected returns how many rows r yields, for a terminal that stores them
+// to size its storage once: its stored rows, or its heads' rows when no
+// stage may emit more or fewer than it is pushed — a scan's, the rows it
+// expects to pass on (scanSource.expect); 0 when that is not known.
+func (r *relation) expected() int {
+	if r.src == nil {
+		return r.count()
+	}
+	n := 0
+	for _, p := range r.src {
+		if p.fans {
+			return 0
+		}
+		_, rows := p.size()
+		if p.scan != nil {
+			rows = p.scan.expect()
+		}
+		n += rows
+	}
+	return n
 }
 
 // cteMark returns the stage that sits where a pending CTE's stages end

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -111,41 +112,18 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 	if err != nil || sp == nil {
 		return out, err
 	}
-	// Run before the WITH names go out of scope (a stage's subquery may
-	// read them), and before sorting or cutting.
-	if err := e.materialize(q, out); err != nil {
-		return nil, err
+	// Run before the WITH names go out of scope: a stage's subquery may
+	// read them.
+	if len(stmt.OrderBy) == 0 && stmt.Offset == nil && stmt.Limit == nil {
+		return out, e.materialize(q, out)
 	}
-	f, err := sp.frame(e, q)
-	if err == nil {
-		if err = sp.err; err == nil {
-			err = f.bind(sp.subs)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	rows := out.rowsOf()
-	start, end := 0, len(rows)
-	if sp.offset != nil {
-		start = min(max(int(sp.offset(f, nil).Int()), 0), end)
-	}
-	if sp.limit != nil {
-		end = min(start+max(int(sp.limit(f, nil).Int()), 0), end)
-	}
-	if len(sp.order) > 0 {
-		e.orderRows(f, out, sp.order, end)
-		out.ordered = true
-	}
-	// Capacity is clamped: the rows may be shared (DESIGN.md §8), so a
-	// later append must not write into the slice they came from.
-	out.rows = out.rows[start:end:end]
-	return out, nil
+	return e.orderCut(q, sp, out)
 }
 
 // stmtPlan is what a statement keeps between executions: the tables it
 // reads, its WITH entries' readers, and its ORDER BY, OFFSET and LIMIT
-// compiled over its body's columns (err, once its body has run).
+// compiled over its body's columns (err, reported when an execution binds
+// them, once its body's cores are prepared).
 type stmtPlan struct {
 	prep
 	schema        uint64
@@ -232,77 +210,194 @@ func cteReaders(stmt *sql.SelectStmt) []int {
 	return readers
 }
 
-// sortRow is a row with its ORDER BY keys and its input position, which
-// breaks ties: equal keys keep their input order.
-type sortRow struct {
-	keys []rel.Value // a window of one array shared by all the rows kept
-	row  []rel.Value
-	seq  int
+// orderCut runs the statement's body, in, into its ORDER BY, OFFSET and
+// LIMIT (DESIGN.md §8): the frame they read is bound first — their
+// subqueries run, OFFSET and LIMIT are evaluated — and then the body's
+// pipes run straight into a cut, which stores only the rows it keeps.
+func (e *Engine) orderCut(q *queryState, sp *stmtPlan, in *relation) (*relation, error) {
+	f, err := sp.frame(e, q)
+	if err == nil {
+		if err = sp.err; err == nil {
+			err = f.bind(sp.subs)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	// OFFSET+LIMIT saturates: a LIMIT past what any table holds keeps
+	// every row, as no LIMIT does.
+	offset, keep := 0, math.MaxInt
+	if sp.offset != nil {
+		offset = max(int(sp.offset(f, nil).Int()), 0)
+	}
+	if sp.limit != nil {
+		if n := max(int(sp.limit(f, nil).Int()), 0); n < math.MaxInt-offset {
+			keep = offset + n
+		}
+	}
+	t := newCut(f, sp.order, keep, len(in.cols))
+	// Sized once by the rows the body is expected to yield, never by
+	// OFFSET+LIMIT alone.
+	if n := min(in.expected(), keep); n > 0 {
+		t.kept, t.flat, t.arena.next = make([]cutRow, 0, n), make([]rel.Value, 0, n*len(sp.order)), n
+	}
+	kind := "sort"
+	if len(sp.order) == 0 {
+		kind = "limit"
+	}
+	op := len(q.stats.Ops)
+	q.stats.Ops = append(q.stats.Ops, OpStat{Kind: kind, StartNs: q.sinceStart(time.Now())})
+	if err := e.run(q, in, t, op); err != nil {
+		return nil, err
+	}
+	finT := time.Now()
+	rows, copied := t.result(offset)
+	out := &relation{cols: in.cols, rows: rows, ordered: in.ordered || len(sp.order) > 0}
+	d := time.Since(finT).Nanoseconds()
+	st := &q.stats.Ops[op]
+	st.Nanos += d
+	q.stats.Pipelines[len(q.stats.Pipelines)-1].Nanos += d
+	st.RowsIn, st.RowsOut = t.in, len(rows)
+	q.stats.MaterializedRows += copied
+	return out, nil
 }
 
-// orderRows sorts r's rows by keys, ascending, and keeps the first keep
-// of them (all when keep is len(r.rows)). Fewer than all are chosen by a
-// bounded heap, so a LIMIT over many rows holds only what it returns.
-func (e *Engine) orderRows(f *frame, r *relation, keyFns []compiledExpr, keep int) {
-	q := f.q
-	opT := time.Now()
-	compare := func(a, b *sortRow) int {
-		for j := range keyFns {
-			if c := rel.Compare(a.keys[j], b.keys[j]); c != 0 {
-				return c
-			}
-		}
-		return a.seq - b.seq
+// cut is the terminal of a statement's ORDER BY, OFFSET and LIMIT: it
+// keeps the first keep rows by their ORDER BY keys and then their input
+// position, so equal keys keep their input order. Under a LIMIT the best
+// rows so far are a bounded max-heap whose root sorts last; a row that
+// sorts after it is dropped before anything is copied. With no ORDER BY a
+// row's position is its only key, so the first keep rows are kept and the
+// rest dropped. With no LIMIT (keep is math.MaxInt) every row is kept and
+// sorted once at the end.
+//
+// On several workers under a LIMIT each worker's part is a cut of its own.
+// It keeps, of each morsel it runs, the rows that are among the best keep
+// of all its morsels so far — a worker claims morsels in input order, so a
+// row its earlier morsels' best keep all sort ahead of cannot be in the
+// answer — and hands them over in input order when the morsel ends.
+// absorb offers them again, morsel by morsel, with a running position. The
+// result is the same at any worker count. Without a LIMIT a worker's part
+// is a buffer of its morsels' rows, which absorb offers again in the same
+// way.
+type cut struct {
+	f     *frame
+	keys  []compiledExpr
+	keep  int
+	kept  []cutRow      // the rows kept; a part's are its morsels' windows in turn, the last from base on
+	heap  []int         // under a LIMIT: the kept rows still among the best keep, as indices into kept
+	base  int           // a part's rows handed over end here
+	flat  []rel.Value   // the kept rows' keys, len(keys) each; a replaced row's are overwritten in place
+	cand  []rel.Value   // the keys of the row being offered
+	arena *rowArena     // copies of the scratch rows kept
+	copy  bool          // pushed rows are scratch
+	pos   int           // rows offered so far: the next one's position
+	in    int           // rows received
+	order []int         // a part's: its morsel's rows in input order, as indices into kept
+	out   [][]rel.Value // a part's: the rows it handed over
+}
+
+// cutRow is a row a cut keeps, with its ORDER BY keys and its position.
+// owned says row is the cut's own copy, which a row that replaces it may
+// overwrite.
+type cutRow struct {
+	keys  []rel.Value
+	row   []rel.Value
+	seq   int
+	owned bool
+}
+
+func newCut(f *frame, keys []compiledExpr, keep, width int) *cut {
+	return &cut{f: f, keys: keys, keep: keep, cand: make([]rel.Value, len(keys)), arena: newRowArena(width, 0)}
+}
+
+// bounded reports whether the cut drops rows: it has a LIMIT.
+func (t *cut) bounded() bool { return t.keep < math.MaxInt }
+
+// compare orders rows by their keys, ascending, then by position.
+func (t *cut) compare(a, b *cutRow) int {
+	if c := compareKeys(a.keys, b.keys); c != 0 {
+		return c
 	}
-	nk := len(keyFns)
-	rows := r.rowsOf()
-	bounded := keep < len(rows)
-	flat := make([]rel.Value, keep*nk)
-	kept := make([]sortRow, 0, keep)
-	cand := sortRow{keys: make([]rel.Value, nk)}
-	for i, row := range rows {
-		cand.row, cand.seq = row, i
-		for j, fn := range keyFns {
-			cand.keys[j] = fn(f, row)
+	return a.seq - b.seq
+}
+
+func compareKeys(a, b []rel.Value) int {
+	for j := range a {
+		if c := rel.Compare(a[j], b[j]); c != 0 {
+			return c
 		}
+	}
+	return 0
+}
+
+func (t *cut) push(row []rel.Value) {
+	t.in++
+	t.offer(row, t.copy, false)
+}
+
+// offer keeps row if it is among the best keep rows so far. scratch says
+// row must be copied to be kept; owned says it is the cut's own already,
+// a part's copy handed over.
+func (t *cut) offer(row []rel.Value, scratch, owned bool) {
+	for j, key := range t.keys {
+		t.cand[j] = key(t.f, row)
+	}
+	seq := t.pos
+	t.pos++
+	scratch = scratch && len(row) > 0
+	if len(t.heap) < t.keep {
+		t.add(t.stored(row, seq, scratch, owned))
+		return
+	}
+	// A row with keys equal to the root's sorts after it.
+	if len(t.heap) == 0 || compareKeys(t.cand, t.kept[t.heap[0]].keys) >= 0 {
+		return
+	}
+	// The row takes the root's place: in the root's storage when the root
+	// is this morsel's own, else as a row of this morsel's.
+	if r := t.heap[0]; r >= t.base {
+		root := &t.kept[r]
+		copy(root.keys, t.cand)
 		switch {
-		case len(kept) < keep:
-			keys := flat[len(kept)*nk : (len(kept)+1)*nk]
-			copy(keys, cand.keys)
-			kept = append(kept, sortRow{keys: keys, row: row, seq: i})
-			if bounded {
-				siftUp(kept, len(kept)-1, compare)
-			}
-		case keep > 0 && compare(&cand, &kept[0]) < 0:
-			// The heap's root is the last of the rows kept so far.
-			copy(kept[0].keys, cand.keys)
-			kept[0].row, kept[0].seq = row, i
-			siftDown(kept, 0, compare)
+		case !scratch:
+			root.row, root.owned = row, owned
+		case root.owned:
+			copy(root.row, row)
+		default:
+			root.row, root.owned = append(t.arena.alloc()[:0], row...), true
 		}
+		root.seq = seq
+	} else {
+		t.kept = append(t.kept, t.stored(row, seq, scratch, owned))
+		t.heap[0] = len(t.kept) - 1
 	}
-	slices.SortFunc(kept, func(a, b sortRow) int { return compare(&a, &b) })
-	// The input slice may be shared with a CTE another branch still reads
-	// (DESIGN.md §8): the order goes into a slice of its own.
-	sorted := make([][]rel.Value, len(kept))
-	for i := range kept {
-		sorted[i] = kept[i].row
-	}
-	q.stats.Ops = append(q.stats.Ops, OpStat{
-		Kind:    "sort",
-		RowsIn:  len(rows),
-		RowsOut: len(sorted),
-		StartNs: q.sinceStart(opT),
-		Nanos:   time.Since(opT).Nanoseconds(),
-	})
-	r.rows = sorted
+	t.siftDown()
 }
 
-// siftUp and siftDown keep h a max-heap under compare: its root is the
-// row that sorts last.
-func siftUp(h []sortRow, i int, compare func(a, b *sortRow) int) {
-	for i > 0 {
+// stored returns the row being offered with storage of its own: its keys,
+// from cand, and a copy of it when it is scratch.
+func (t *cut) stored(row []rel.Value, seq int, scratch, owned bool) cutRow {
+	t.flat = append(t.flat, t.cand...)
+	n := len(t.flat)
+	e := cutRow{keys: t.flat[n-len(t.cand) : n : n], row: row, seq: seq, owned: owned}
+	if scratch {
+		e.row, e.owned = append(t.arena.alloc()[:0], row...), true
+	}
+	return e
+}
+
+// add keeps e, for which the heap has room.
+func (t *cut) add(e cutRow) {
+	t.kept = append(t.kept, e)
+	if !t.bounded() {
+		return
+	}
+	t.heap = append(t.heap, len(t.kept)-1)
+	h := t.heap
+	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if compare(&h[i], &h[parent]) <= 0 {
+		if t.compare(&t.kept[h[i]], &t.kept[h[parent]]) <= 0 {
 			return
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -310,11 +405,13 @@ func siftUp(h []sortRow, i int, compare func(a, b *sortRow) int) {
 	}
 }
 
-func siftDown(h []sortRow, i int, compare func(a, b *sortRow) int) {
-	for {
+// siftDown restores the heap after its root was replaced.
+func (t *cut) siftDown() {
+	h := t.heap
+	for i := 0; ; {
 		top := i
 		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
-			if compare(&h[c], &h[top]) > 0 {
+			if t.compare(&t.kept[h[c]], &t.kept[h[top]]) > 0 {
 				top = c
 			}
 		}
@@ -324,6 +421,85 @@ func siftDown(h []sortRow, i int, compare func(a, b *sortRow) int) {
 		h[i], h[top] = h[top], h[i]
 		i = top
 	}
+}
+
+func (t *cut) feed(scratch bool) { t.copy = scratch }
+
+// part returns a worker's end of the chain: under a LIMIT a cut of its
+// own, whose rows, keys and copies live in storage that only grows, so a
+// morsel costs no allocation beyond the rows it keeps; without one, a
+// buffer of the morsel's rows, since every row is kept.
+func (t *cut) part(width int, scratch bool) part {
+	if !t.bounded() {
+		return &collect{arena: newRowArena(width, 0), copy: scratch, transit: true}
+	}
+	p := newCut(t.f, t.keys, t.keep, width)
+	p.copy = scratch
+	return p
+}
+
+// replays reports whether the parts would only buffer rows: with no keys
+// to evaluate, or no LIMIT to drop rows by, a stored head is run on one
+// worker.
+func (t *cut) replays() bool { return len(t.keys) == 0 || !t.bounded() }
+
+func (t *cut) received() int { return t.in }
+
+// takeMorsel hands over the rows the morsel kept, in input order, and
+// starts the next morsel's window past them. The heap goes on: a row of a
+// later morsel must beat the best rows of this one too.
+func (t *cut) takeMorsel() morselBuf {
+	t.order = t.order[:0]
+	for i := t.base; i < len(t.kept); i++ {
+		t.order = append(t.order, i)
+	}
+	slices.SortFunc(t.order, func(a, b int) int { return t.kept[a].seq - t.kept[b].seq })
+	n := len(t.out)
+	for _, i := range t.order {
+		t.out = append(t.out, t.kept[i].row)
+	}
+	m := morselBuf{rows: t.out[n:len(t.out):len(t.out)], in: t.in}
+	t.base, t.in = len(t.kept), 0
+	return m
+}
+
+// absorb offers the morsels' rows again, in morsel order: the leading
+// one-integer rows a buffer kept as ids through a scratch row, the others
+// as they are — copies the parts made of scratch rows are the cut's own.
+func (t *cut) absorb(ms []morselBuf) {
+	idRow := make([]rel.Value, 1)
+	for _, m := range ms {
+		t.in += m.in
+		for _, id := range m.ids {
+			idRow[0] = rel.NewInt(id)
+			t.offer(idRow, true, false)
+		}
+		for _, row := range m.rows {
+			t.offer(row, false, t.copy)
+		}
+	}
+}
+
+// result returns the rows kept, in order, past the first offset, in a
+// slice of their own, and how many of the rows kept are copies the cut
+// stored: a row it kept from stored rows is theirs.
+func (t *cut) result(offset int) (rows [][]rel.Value, copied int) {
+	if len(t.keys) > 0 {
+		slices.SortFunc(t.kept, func(a, b cutRow) int { return t.compare(&a, &b) })
+	}
+	for i := range t.kept {
+		if t.kept[i].owned {
+			copied++
+		}
+	}
+	if offset >= len(t.kept) {
+		return nil, copied
+	}
+	rows = make([][]rel.Value, len(t.kept)-offset)
+	for i := range rows {
+		rows[i] = t.kept[offset+i].row
+	}
+	return rows, copied
 }
 
 // evalBody evaluates a core, or a UNION ALL: its arms' pipelines one

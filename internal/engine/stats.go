@@ -71,15 +71,15 @@ type CTEStat struct {
 }
 
 // PipelineStat records one run: stored rows, or the rows a table access
-// passes, pushed through a chain of stages into a terminal that
-// stores, deduplicates or aggregates them. Only the run is timed. Its
-// wall time is charged to its scan (or, having none, to its first join,
-// or, having neither, to its terminal operator); the other stages carry
-// row counts and no time.
+// passes, pushed through a chain of stages into a terminal that stores,
+// deduplicates, aggregates or sorts and cuts them. Only the run is timed.
+// Its wall time is charged to its scan (or, having none, to its first
+// join, or, having neither, to its terminal operator); the other stages
+// carry row counts and no time.
 type PipelineStat struct {
 	Scan   int   // index into ExecStats.Scans of the table access the run started at, -1 when it started from stored rows
 	Joins  []int // indices into ExecStats.Joins of the join stages, in order
-	Op     int   // index into ExecStats.Ops of the dedup or agg terminal, -1 when rows were just stored
+	Op     int   // index into ExecStats.Ops of the dedup, agg, sort or limit terminal, -1 when rows were just stored
 	RowsIn int   // stored rows, or rows scanned, the run started from
 	// Morsels, MorselRows and Workers say how the run was cut: a run on one
 	// worker is one morsel of all its head rows; a parallel run from stored
@@ -93,10 +93,10 @@ type PipelineStat struct {
 	Nanos      int64
 }
 
-// OpStat records a non-scan, non-join operator: aggregation, sort, or
-// duplicate elimination.
+// OpStat records a non-scan, non-join operator: aggregation, sort, a
+// LIMIT or OFFSET with no ORDER BY, or duplicate elimination.
 type OpStat struct {
-	Kind    string // "agg", "sort", "dedup"
+	Kind    string // "agg", "sort", "limit", "dedup"
 	RowsIn  int
 	RowsOut int
 	Groups  int    // aggregation groups (agg only)
@@ -130,11 +130,12 @@ type ExecStats struct {
 	// Pipelines lists the runs the operators above executed in.
 	Pipelines []PipelineStat
 	// MaterializedRows totals the rows operators stored: CTEs with several
-	// readers, DISTINCT and aggregate outputs, hash-join build sides, sort
-	// inputs. Rows that only flowed through a pipeline are not in it, nor
-	// are the per-morsel buffers a parallel run hands an aggregate in order,
-	// nor a table's row images collected as they are (a hash-join build side
-	// read straight from a filtered scan).
+	// readers, DISTINCT and aggregate outputs, hash-join build sides, the
+	// copies an ORDER BY/LIMIT cut kept. Rows that only flowed through a
+	// pipeline are not in it, nor are the per-morsel buffers a parallel run
+	// hands its terminal in order, nor a table's row images or stored rows
+	// kept as they are (a hash-join build side read straight from a
+	// filtered scan, a cut over a stored result).
 	MaterializedRows int
 	// PlanVariants is the number of distinct join orders the planner
 	// enumerated for the largest reorderable FROM clause in the query
@@ -245,7 +246,7 @@ func (s *ExecStats) String() string {
 		case "dedup":
 			fmt.Fprintf(&sb, "dedup in=%d out=%d order=%s time=%s\n",
 				op.RowsIn, op.RowsOut, op.Order, fmtNanos(op.Nanos))
-		default: // sort
+		default: // sort, limit
 			fmt.Fprintf(&sb, "%s in=%d out=%d time=%s\n",
 				op.Kind, op.RowsIn, op.RowsOut, fmtNanos(op.Nanos))
 		}

@@ -231,6 +231,43 @@ func TestNegatedStringClosureAnswers(t *testing.T) {
 	}
 }
 
+// TestRangeBoundsMatchInterpreter: range(lo, hi) keeps what the
+// interpreter keeps for a negative lo, a hi below lo and a hi of
+// math.MaxInt64 — where LIMIT hi-lo+1 would overflow — sorted or not, and
+// the server answers each with a 200.
+func TestRangeBoundsMatchInterpreter(t *testing.T) {
+	env := newTestEnv(t, Config{})
+	for _, text := range []string{
+		"g.V.range(-5, 2)",
+		"g.V.range(-5, -1)",
+		"g.V.range(3, 1)",
+		"g.V.range(0, 9223372036854775807)",
+		"g.V.range(2, 9223372036854775807)",
+		"g.V.range(9223372036854775807, 9223372036854775807)",
+		"g.V.order{it.name}.range(2, 9223372036854775807)",
+		"g.V.order{it.name}.range(-2, 1)",
+		"g.V.order().range(1, 9223372036854775807)",
+		"g.V.out.range(-1, 9223372036854775807).count()",
+	} {
+		q, err := gremlin.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := interp.Eval(figure2a(t), q)
+		if err != nil {
+			t.Fatalf("oracle %s: %v", text, err)
+		}
+		code, body := env.doJSON(t, "POST", "/query", map[string]any{"gremlin": text})
+		if code != http.StatusOK {
+			t.Fatalf("%s: %d %s", text, code, body)
+		}
+		got := decodeInto[struct{ Values []any }](t, body).Values
+		if fmt.Sprint(got) != fmt.Sprint(want.Values()) {
+			t.Errorf("%s: %v, the interpreter answers %v", text, got, want.Values())
+		}
+	}
+}
+
 func TestQueryParseErrorIs400WithPosition(t *testing.T) {
 	env := newTestEnv(t, Config{})
 	code, body := env.doJSON(t, "POST", "/query", map[string]any{"gremlin": "g.V.has('name',"})

@@ -2,6 +2,7 @@ package translate
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"sqlgraph/internal/gremlin"
@@ -79,11 +80,14 @@ func (t *translator) step(s *gremlin.Step) error {
 		t.track = false
 		return nil
 	case gremlin.StepRange:
-		lo := s.Lo.(int64)
+		// range(lo, hi) keeps positions lo..hi, from position 0 at the
+		// least; a hi of math.MaxInt64 keeps every row from lo on, so the
+		// count saturates rather than overflow.
+		lo := max(s.Lo.(int64), 0)
 		hi := s.Hi.(int64)
-		n := hi - lo + 1
-		if n < 0 {
-			n = 0
+		n := int64(0)
+		if hi >= lo {
+			n = min(hi-lo, math.MaxInt64-1) + 1
 		}
 		if t.sorted {
 			// range right after order{key}: the sort keeps only what the
