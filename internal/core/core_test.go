@@ -247,6 +247,56 @@ func TestNestedAttributesMatchOracle(t *testing.T) {
 	}
 }
 
+// TestDottedAttrKeysMatchOracle: an attribute key holding '.' or '[' is
+// one key, as the interpreter and MemGraph read it, never a path into a
+// nested value: has, hasNot and interval on it, with and without an
+// expression index on the key, and VerticesByAttr answer as the oracle.
+func TestDottedAttrKeysMatchOracle(t *testing.T) {
+	oracle := blueprints.NewMemGraph()
+	for _, err := range []error{
+		oracle.AddVertex(1, map[string]any{"a.b": 1, "x[0]": 5}),
+		oracle.AddVertex(2, map[string]any{"a": map[string]any{"b": 1}, "x": []any{5}}),
+		oracle.AddVertex(3, map[string]any{"a.b": 3, "x[0]": 7, "a": map[string]any{"b": 3}}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Load(oracle, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func() {
+		t.Helper()
+		for _, q := range []string{
+			"g.V.has('a.b', 1)", "g.V.hasNot('a.b')", "g.V.interval('a.b', 0, 2)",
+			"g.V.has('x[0]', 5)", "g.V.hasNot('x[0]')", "g.V.interval('x[0]', 5, 8)",
+		} {
+			assertSameResults(t, s, oracle, q, TranslateOptions{})
+		}
+		for _, c := range []struct {
+			key string
+			val any
+		}{{"a.b", 1}, {"a.b", 3}, {"x[0]", 5}} {
+			want, err := oracle.VerticesByAttr(c.key, c.val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.VerticesByAttr(c.key, c.val)
+			if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("VerticesByAttr(%q, %v) = %v, %v; the oracle answers %v", c.key, c.val, got, err, want)
+			}
+		}
+	}
+	check()
+	for _, key := range []string{"a.b", "x[0]"} {
+		if err := s.CreateVertexAttrIndex(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
+}
+
 func TestCorpusForceEA(t *testing.T) {
 	oracle := figure2a(t)
 	s := loadFigure2a(t, Options{})

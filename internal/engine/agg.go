@@ -50,7 +50,6 @@ func (p *prep) prepareAgg(sc *scope, sel *sql.SimpleSelect) (*aggregator, error)
 			return nil, fmt.Errorf("engine: aggregate %s takes one argument", strings.ToUpper(call.Name))
 		}
 	}
-	mark := len(p.subs)
 	ag.accs = make([]aggAcc, len(calls))
 	var err error
 	for i, call := range calls {
@@ -64,9 +63,6 @@ func (p *prep) prepareAgg(sc *scope, sel *sql.SimpleSelect) (*aggregator, error)
 	if ag.keys, err = p.compileAll(sc, sel.GroupBy); err != nil {
 		return nil, err
 	}
-	// A key or argument holding a subquery is evaluated on the dispatching
-	// goroutine: its workers only buffer rows, for the terminal to replay.
-	ag.exact = len(p.subs) == mark
 	// A group's row is its first input row followed by one slot per
 	// aggregate call: the select list reads both by position.
 	grouped := *sc
@@ -77,7 +73,6 @@ func (p *prep) prepareAgg(sc *scope, sel *sql.SimpleSelect) (*aggregator, error)
 			return nil, err
 		}
 	}
-	ag.subs = p.since(mark)
 	return ag, nil
 }
 
@@ -85,14 +80,10 @@ func (p *prep) prepareAgg(sc *scope, sel *sql.SimpleSelect) (*aggregator, error)
 // core's group table (aggTable), which forms the groups as rows arrive:
 // nothing but the groups is stored, with or without GROUP BY. On several
 // workers each worker keeps a table of the groups of the morsel it runs,
-// and the terminal merges them in morsel order where every aggregate
-// merges exactly (aggregator.exact); otherwise the workers buffer their
-// morsels' rows and the terminal replays them in order.
+// and the terminal merges them in morsel order: COUNT and LISTAGG merge
+// exactly from partial states (aggAcc.merge).
 func (e *Engine) aggregate(f *frame, in *relation, ag *aggregator, distinct bool) (*relation, error) {
 	q := f.q
-	if err := f.bind(ag.subs); err != nil {
-		return nil, err
-	}
 	term := ag.newTable(f)
 	op := len(q.stats.Ops)
 	q.stats.Ops = append(q.stats.Ops, OpStat{Kind: "agg", StartNs: q.sinceStart(time.Now())})
@@ -141,22 +132,16 @@ func itemCols(items []sql.SelectItem) []colInfo {
 
 // aggregator is an aggregating core prepared: what its tables share.
 type aggregator struct {
-	width int // columns of an input row; the aggregate slots follow them
-	// exact says the aggregates merge from per-morsel partial states: no
-	// GROUP BY key or aggregate argument holds a subquery. COUNT and
-	// LISTAGG themselves always merge exactly.
-	exact bool
+	width int            // columns of an input row; the aggregate slots follow them
 	keys  []compiledExpr // GROUP BY
 	accs  []aggAcc       // a new group's accumulators
 	items []compiledExpr // the select list, over a group's row
 	cols  []colInfo
-	subs  []subSlot
 }
 
 // aggTable holds the groups of an aggregating core in the order they were
 // first seen: the terminal of the core's run, and, on each worker of a
-// parallel run under an exact aggregator, the groups of the morsel the
-// worker is running.
+// parallel run, the groups of the morsel the worker is running.
 type aggTable struct {
 	ag     *aggregator
 	f      *frame
@@ -215,20 +200,14 @@ func (t *aggTable) add(g *aggGroup) *aggGroup {
 	return g
 }
 
-// part returns a worker's end of a parallel run: a table of its own for
-// each morsel when the aggregates merge exactly, else a buffer of the
-// morsel's rows for absorb to replay.
-func (t *aggTable) part(width int, scratch bool) part {
-	if !t.ag.exact {
-		return &collect{arena: newRowArena(width, 0), copy: scratch, transit: true}
-	}
-	return t.ag.newTable(t.f)
-}
+// part returns a worker's end of a parallel run: a table of its own,
+// emptied for each morsel.
+func (t *aggTable) part(int, bool) part { return t.ag.newTable(t.f) }
 
 // feed needs nothing of the rows: a group copies its first row.
 func (t *aggTable) feed(bool) {}
 
-func (t *aggTable) replays() bool { return !t.ag.exact }
+func (t *aggTable) replays() bool { return false }
 
 func (t *aggTable) received() int { return t.in }
 
@@ -241,43 +220,28 @@ func (t *aggTable) takeMorsel() morselBuf {
 	return m
 }
 
-// absorb takes the morsels in order: their rows, pushed again in order
-// (the leading one-integer rows a buffer kept as ids through a scratch
-// row), or their groups, merged. A group a morsel saw first is the morsel's as
-// it stands — its first row the first row a serial run would have seen —
-// and a group seen before takes the morsel's states in.
+// absorb merges the morsels' groups in morsel order. A group a morsel
+// saw first is the morsel's as it stands — its first row the first row a
+// serial run would have seen — and a group seen before takes the morsel's
+// states in.
 func (t *aggTable) absorb(ms []morselBuf) {
-	idRow := make([]rel.Value, 1)
 	for _, m := range ms {
-		for _, id := range m.ids {
-			idRow[0] = rel.NewInt(id)
-			t.push(idRow)
-		}
-		for _, row := range m.rows {
-			t.push(row)
-		}
-		if m.groups != nil {
-			t.merge(m)
-		}
-	}
-}
-
-func (t *aggTable) merge(m morselBuf) {
-	t.in += m.in
-	for _, pg := range m.groups {
-		var g *aggGroup
-		if t.byKey != nil {
-			g = t.byKey[pg.key]
-		} else if len(t.groups) > 0 {
-			g = t.groups[0]
-		}
-		if g == nil {
-			t.add(pg)
-			continue
-		}
-		g.n += pg.n
-		for i := range g.accs {
-			g.accs[i].merge(&pg.accs[i])
+		t.in += m.in
+		for _, pg := range m.groups {
+			var g *aggGroup
+			if t.byKey != nil {
+				g = t.byKey[pg.key]
+			} else if len(t.groups) > 0 {
+				g = t.groups[0]
+			}
+			if g == nil {
+				t.add(pg)
+				continue
+			}
+			g.n += pg.n
+			for i := range g.accs {
+				g.accs[i].merge(&pg.accs[i])
+			}
 		}
 	}
 }

@@ -24,7 +24,8 @@ type compiledExpr func(f *frame, row []rel.Value) rel.Value
 type predicate func(f *frame, row []rel.Value) bool
 
 // frame is one execution of a prepared core or statement: the query whose
-// arguments its closures read, and its IN subqueries' sets (prep.subs).
+// arguments its closures read, and its IN subqueries' sets, by slot
+// (prep.subs).
 type frame struct {
 	e    *Engine
 	q    *queryState
@@ -33,11 +34,11 @@ type frame struct {
 }
 
 // prep is what compiling a core's expressions leaves to each execution:
-// the parameters they read, checked when it binds (prep.frame), and the
-// IN subqueries, run when the stage holding one opens (frame.bind).
+// the parameters they read and the IN subqueries they probe, both settled
+// when it binds (prep.frame).
 type prep struct {
 	params []paramUse
-	subs   []subSlot
+	subs   []*sql.SelectStmt // an expression's subquery probes the set in its slot here
 }
 
 type paramUse struct {
@@ -45,15 +46,11 @@ type paramUse struct {
 	list  bool // x IN (?): an id list may be bound to it
 }
 
-type subSlot struct {
-	slot int // in frame.sets
-	stmt *sql.SelectStmt
-}
-
-// since returns the subqueries compiled after mark.
-func (p *prep) since(mark int) []subSlot { return p.subs[mark:len(p.subs):len(p.subs)] }
-
-// frame binds an execution's arguments to what p compiled.
+// frame binds an execution's arguments to what p compiled and runs its
+// subqueries, on the dispatching goroutine and under the WITH names the
+// core sees, before any stage is built: the workers that run its stages
+// only read the sets. A subquery that fails fails the statement before a
+// row is read, under every plan.
 func (p *prep) frame(e *Engine, q *queryState) (*frame, error) {
 	for _, u := range p.params {
 		switch {
@@ -66,22 +63,14 @@ func (p *prep) frame(e *Engine, q *queryState) (*frame, error) {
 			q.idSet(u.index)
 		}
 	}
-	return &frame{e: e, q: q, sim: e.ioSim(), sets: make([]*valueSet, len(p.subs))}, nil
-}
-
-// bind runs the subqueries a stage holds, once per statement each
-// (subquerySet), before the stage reads a row.
-func (f *frame) bind(subs []subSlot) error {
-	for _, s := range subs {
-		if f.sets[s.slot] == nil {
-			set, err := f.e.subquerySet(f.q, s.stmt)
-			if err != nil {
-				return err
-			}
-			f.sets[s.slot] = set
+	f := &frame{e: e, q: q, sim: e.ioSim(), sets: make([]*valueSet, len(p.subs))}
+	for i, stmt := range p.subs {
+		var err error
+		if f.sets[i], err = e.subquerySet(q, stmt); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return f, nil
 }
 
 // compile builds a compiledExpr: the engine's one evaluator.
@@ -172,8 +161,11 @@ func (p *prep) compile(sc *scope, x sql.Expr) (compiledExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.subs = append(p.subs, subSlot{slot: len(p.subs), stmt: v.Query})
-		return inProbe(xe, nil, len(p.subs)-1, v.Not), nil
+		slot := slices.Index(p.subs, v.Query)
+		if slot < 0 {
+			slot, p.subs = len(p.subs), append(p.subs, v.Query)
+		}
+		return inProbe(xe, nil, slot, v.Not), nil
 	}
 	return nil, fmt.Errorf("engine: unsupported expression %T", x)
 }

@@ -395,9 +395,6 @@ func compileBound(t *testing.T, e *Engine, sc *scope, x sql.Expr, args []Arg) fu
 		t.Fatalf("%s: %v", x.SQL(), err)
 	}
 	f, err := p.frame(e, &queryState{params: args})
-	if err == nil {
-		err = f.bind(p.subs)
-	}
 	if err != nil {
 		t.Fatalf("%s: %v", x.SQL(), err)
 	}

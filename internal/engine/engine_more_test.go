@@ -74,11 +74,11 @@ func TestNullPropagation(t *testing.T) {
 func TestScalarFunctions(t *testing.T) {
 	e := newTestEngine(t)
 	cases := map[string]string{
-		"SELECT LIST(1, 'a', 2.5)":                      "[1, a, 2.5]",
-		"SELECT CONTAINS('hello', 'ell')":               "true",
-		"SELECT STARTSWITH('hello', 'el')":              "false",
-		"SELECT JSON_VAL('{\"a\": {\"b\": 7}}', 'a.b')": "7",
-		"SELECT COALESCE(NULL, 5, 6)":                   "5",
+		"SELECT LIST(1, 'a', 2.5)":                                  "[1, a, 2.5]",
+		"SELECT CONTAINS('hello', 'ell')":                           "true",
+		"SELECT STARTSWITH('hello', 'el')":                          "false",
+		"SELECT JSON_VAL('{\"a.b\": 7, \"a\": {\"b\": 8}}', 'a.b')": "7",
+		"SELECT COALESCE(NULL, 5, 6)":                               "5",
 	}
 	for q, want := range cases {
 		if got := mustQuery(t, e, q).Data[0][0].String(); got != want {

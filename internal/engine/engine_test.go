@@ -173,17 +173,18 @@ func TestJSONVal(t *testing.T) {
 
 // TestJSONValOverStrings: a string column is parsed per row, and only a
 // whole JSON object (or null) is a document — text after the closing
-// brace makes the value NULL, as json.Unmarshal rejects it. The path may
-// come from a column too. A nested object is a JSON value and an array a
-// list, not Go's rendering of a map or a slice.
+// brace makes the value NULL, as json.Unmarshal rejects it. The key may
+// come from a column too, and is taken literally: a dotted or bracketed
+// key names a top-level key, never a nested value. A nested object is a
+// JSON value and an array a list, not Go's rendering of a map or a slice.
 func TestJSONValOverStrings(t *testing.T) {
 	e := newTestEngine(t)
 	mustTable(t, e, "DOCS", intCol("ID"), strCol("TXT"), strCol("K"))
 	mustInsert(t, e, "DOCS", row(1, `{"a":1}`, "a"), row(2, `{"a":1} x`, "a"), row(3, ` {"a":2} `, "a"),
-		row(4, "[1]", "a"), row(5, "null", "a"), row(6, `{"a":{"b":3}}`, "a.b"), row(7, `{"zz9":4}`, "zz9"),
-		row(8, `{"a":[1,"x",{"b":2}]}`, "a[2].b"))
+		row(4, "[1]", "a"), row(5, "null", "a"), row(6, `{"a":{"b":9},"a.b":3}`, "a.b"), row(7, `{"zz9":4}`, "zz9"),
+		row(8, `{"a":[1,"x",{"b":5}],"a[2].b":2}`, "a[2].b"))
 	for _, c := range []struct{ q, want string }{
-		{"SELECT ID, JSON_VAL(TXT, 'a') FROM DOCS ORDER BY ID", `1:1 2:NULL 3:2 4:NULL 5:NULL 6:{"b":3} 7:NULL 8:[1, x, {"b":2}]`},
+		{"SELECT ID, JSON_VAL(TXT, 'a') FROM DOCS ORDER BY ID", `1:1 2:NULL 3:2 4:NULL 5:NULL 6:{"b":9} 7:NULL 8:[1, x, {"b":5}]`},
 		{"SELECT ID, JSON_VAL(TXT, K) FROM DOCS ORDER BY ID", "1:1 2:NULL 3:2 4:NULL 5:NULL 6:3 7:4 8:2"},
 	} {
 		var got []string

@@ -133,7 +133,7 @@ type corePlan struct {
 	prep
 	variants int         // orders the planner enumerated (ExecStats.PlanVariants)
 	joins    []*joinPlan // the FROM items, each followed by the JOINs of its chain
-	where    *filterPlan // the WHERE terms no join applied; nil when none
+	where    predicate   // the WHERE terms no join applied; nil when none
 	agg      *aggregator // nil unless the core aggregates
 	proj     *projPlan   // the select list of a core that does not
 	distinct bool
@@ -148,8 +148,8 @@ type joinPlan struct {
 	cols     []colInfo        // the right side's columns under its alias
 	out      []colInfo        // the columns the step leaves: what the next one reads
 	cells    [][]compiledExpr // TABLE(VALUES): per row, its cells over the left row; right is its inline filter
-	leftOnly *filterPlan      // terms on the left side alone, applied before the join
-	right    *filterPlan      // terms on the right side alone: a CTE's filter, or what an index probe verifies
+	leftOnly predicate        // terms on the left side alone, applied before the join
+	right    predicate        // terms on the right side alone: a CTE's filter, or what an index probe verifies
 	scan     *scanPlan        // how a base table read as a whole is accessed
 	stat     JoinStat         // its Strategy: index-nl, hash, nested-loop, or none for the first FROM item
 	ix       *rel.Index       // index-nl: the index probed, and per leading column the term supplying it
@@ -157,21 +157,12 @@ type joinPlan struct {
 	keys     []compiledExpr // per equi-join term: the expression over the left row
 	eqRight  []int          // per equi-join term: the right column position
 	shape    *joinShape
-	subs     []subSlot // the subqueries the join stage holds: it runs on one worker
-}
-
-// filterPlan is a set of terms applied as one stage.
-type filterPlan struct {
-	pass predicate
-	subs []subSlot
 }
 
 // filter compiles terms into a filter and marks them applied.
-func (p *prep) filter(sc *scope, conjs []*conjunct) (*filterPlan, error) {
+func (p *prep) filter(sc *scope, conjs []*conjunct) (predicate, error) {
 	markApplied(conjs)
-	mark := len(p.subs)
-	pass, err := p.predicates(sc, conjs)
-	return &filterPlan{pass: pass, subs: p.since(mark)}, err
+	return p.predicates(sc, conjs)
 }
 
 // unitRows is the one row, of no columns, a SELECT without FROM reads.
@@ -322,7 +313,6 @@ type projPlan struct {
 	cols     []colInfo
 	steps    []projStep
 	identity bool // each input column once, in order: a change of names
-	subs     []subSlot
 }
 
 type projStep struct {
@@ -332,7 +322,6 @@ type projStep struct {
 
 func (p *prep) prepareProject(sc *scope, items []sql.SelectItem) (*projPlan, error) {
 	pp := &projPlan{cols: itemCols(items), steps: make([]projStep, len(items)), identity: len(items) == len(sc.cols)}
-	mark := len(p.subs)
 	for i, item := range items {
 		if !resolvableIn(item.Expr, sc) {
 			return nil, fmt.Errorf("engine: unknown column in select item %s", item.Expr.SQL())
@@ -353,7 +342,6 @@ func (p *prep) prepareProject(sc *scope, items []sql.SelectItem) (*projPlan, err
 			}
 		}
 	}
-	pp.subs = p.since(mark)
 	return pp, nil
 }
 
@@ -362,9 +350,9 @@ func (f *frame) project(in *relation, pp *projPlan) *relation {
 	if pp.identity {
 		return in.as(pp.cols)
 	}
-	return in.then(pp.cols, stageFunc(func(next sink) (sink, error) {
-		return &projectSink{f: f, steps: pp.steps, out: make([]rel.Value, len(pp.cols)), next: next}, f.bind(pp.subs)
-	}), emitsScratch|oneToOne|serialIf(pp.subs))
+	return in.then(pp.cols, stageFunc(func(next sink) sink {
+		return &projectSink{f: f, steps: pp.steps, out: make([]rel.Value, len(pp.cols)), next: next}
+	}), emitsScratch|oneToOne)
 }
 
 // projectSink evaluates the select list against each row.
@@ -482,7 +470,6 @@ func (e *Engine) prepareJoin(q *queryState, p *prep, curCols []colInfo, ref sql.
 	// consumed.
 	keep := needs.keep(fullCols, joinEq, rightOnly, residual)
 	stage := func() error {
-		mark := len(p.subs)
 		if len(joinEq) > 0 && !demotedEq {
 			if j.keys, err = p.compileAll(curScope, joinEqLeft); err != nil {
 				return err
@@ -494,7 +481,7 @@ func (e *Engine) prepareJoin(q *queryState, p *prep, curCols []colInfo, ref sql.
 			}
 		}
 		j.shape, err = p.newJoinShape(curCols, j.cols, fullScope, keep, pairTerms)
-		j.out, j.subs = j.shape.cols, p.since(mark)
+		j.out = j.shape.cols
 		markApplied(joinEq, residual)
 		return err
 	}
@@ -554,16 +541,16 @@ func (e *Engine) prepareJoin(q *queryState, p *prep, curCols []colInfo, ref sql.
 func (e *Engine) execJoin(f *frame, cur *relation, j *joinPlan) (*relation, error) {
 	q := f.q
 	if j.cells != nil {
-		return cur.then(j.out, stageFunc(func(next sink) (sink, error) {
-			return &lateralSink{f: f, j: j, out: make([]rel.Value, len(j.out)), next: next}, f.bind(j.subs)
-		}), emitsScratch|serialIf(j.subs)), nil
+		return cur.then(j.out, stageFunc(func(next sink) sink {
+			return &lateralSink{f: f, j: j, out: make([]rel.Value, len(j.out)), next: next}
+		}), emitsScratch), nil
 	}
 	if j.leftOnly != nil {
 		cur = f.where(cur, j.leftOnly)
 	}
 	if j.stat.Strategy == StrategyIndexNL {
 		st := &indexNLStage{f: f, j: j, stat: q.newJoinStat(j.stat)}
-		return cur.then(j.out, st, emitsScratch|serialIf(j.subs)), nil
+		return cur.then(j.out, st, emitsScratch), nil
 	}
 	var right *relation
 	if j.table != nil {
@@ -587,7 +574,7 @@ func (e *Engine) execJoin(f *frame, cur *relation, j *joinPlan) (*relation, erro
 		st := &nestedLoopStage{f: f, j: j, right: right.rowsOf()}
 		st.stat = q.newJoinStat(j.stat)
 		q.stats.Joins[st.stat].ProbeRows = len(st.right)
-		out = cur.then(j.out, st, emitsScratch|serialIf(j.subs))
+		out = cur.then(j.out, st, emitsScratch)
 	}
 	// Output order follows the outer rows, and each one's matches the
 	// order of the rows stored on the other side.
@@ -621,8 +608,8 @@ type nestedLoopWorker struct {
 	outer int
 }
 
-func (s *nestedLoopStage) open(next sink) (sink, error) {
-	return &nestedLoopWorker{nestedLoopStage: s, emit: newJoinEmitter(s.f, s.j.shape, next)}, s.f.bind(s.j.subs)
+func (s *nestedLoopStage) open(next sink) sink {
+	return &nestedLoopWorker{nestedLoopStage: s, emit: newJoinEmitter(s.f, s.j.shape, next)}
 }
 
 func (w *nestedLoopWorker) push(lrow []rel.Value) {
@@ -692,7 +679,6 @@ func (p *prep) prepareLateral(curCols []colInfo, ref sql.TableRef, conjs []*conj
 			inline = append(inline, c)
 		}
 	}
-	mark := len(p.subs)
 	var err error
 	for ri, valueRow := range fn.Rows {
 		if len(valueRow) != len(fn.Columns) {
@@ -702,10 +688,7 @@ func (p *prep) prepareLateral(curCols []colInfo, ref sql.TableRef, conjs []*conj
 			return nil, err
 		}
 	}
-	markApplied(inline)
-	j.right = &filterPlan{}
-	j.right.pass, err = p.predicates(outScope, inline)
-	j.subs = p.since(mark)
+	j.right, err = p.filter(outScope, inline)
 	return j, err
 }
 
@@ -722,7 +705,7 @@ func (s *lateralSink) push(lrow []rel.Value) {
 		for i, cf := range cells {
 			s.out[n+i] = cf(s.f, lrow)
 		}
-		if s.j.right.pass(s.f, s.out) {
+		if s.j.right(s.f, s.out) {
 			s.next.push(s.out)
 		}
 	}

@@ -88,7 +88,7 @@ func rightKey(eqRight []int, row, dst []rel.Value) (null bool) {
 func rightKeys[K comparable](q *queryState, rows [][]rel.Value, eqRight []int, enc func([]rel.Value) (K, bool)) (joinKeys[K], bool) {
 	jk := joinKeys[K]{keys: make([]K, len(rows)), null: make([]bool, len(rows))}
 	var misfit atomic.Bool
-	newWorker := func() ([]rel.Value, error) { return make([]rel.Value, len(eqRight)), nil }
+	newWorker := func() []rel.Value { return make([]rel.Value, len(eqRight)) }
 	z := q.morsels()
 	_, workers := z.plan(len(rows), len(rows), q.par)
 	runMorsels(len(rows), z.target, workers, newWorker, func(dst []rel.Value, m, lo, hi int) error {
@@ -122,7 +122,7 @@ func hashJoinKeyed[K comparable](f *frame, cur, right *relation, j *joinPlan, si
 	js := j.stat
 	js.BuildRows, js.StartNs, js.Nanos = len(rows), q.sinceStart(opT), time.Since(opT).Nanoseconds()
 	st.stat = q.newJoinStat(js)
-	return cur.then(j.out, st, emitsScratch|serialIf(j.subs))
+	return cur.then(j.out, st, emitsScratch)
 }
 
 // hashTable maps a key to the input rows bearing it, in input order, as
@@ -184,9 +184,8 @@ type hashProbeWorker[K comparable] struct {
 	probed int
 }
 
-func (s *hashProbeStage[K]) open(next sink) (sink, error) {
-	return &hashProbeWorker[K]{hashProbeStage: s, dst: make([]rel.Value, len(s.j.keys)), emit: newJoinEmitter(s.f, s.j.shape, next)},
-		s.f.bind(s.j.subs)
+func (s *hashProbeStage[K]) open(next sink) sink {
+	return &hashProbeWorker[K]{hashProbeStage: s, dst: make([]rel.Value, len(s.j.keys)), emit: newJoinEmitter(s.f, s.j.shape, next)}
 }
 
 func (w *hashProbeWorker[K]) push(lrow []rel.Value) {

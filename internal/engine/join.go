@@ -36,14 +36,14 @@ type indexNLWorker struct {
 	probed  int // candidate rows index probes returned
 }
 
-func (s *indexNLStage) open(next sink) (sink, error) {
+func (s *indexNLStage) open(next sink) sink {
 	w := &indexNLWorker{indexNLStage: s, tableName: s.j.table.Name(),
 		leftVals: make([]rel.Value, len(s.j.keys)),
 		key:      make([]rel.Value, len(s.j.mapping)),
 		emit:     newJoinEmitter(s.f, s.j.shape, next),
 	}
 	w.visitFn = w.visit
-	return w, s.f.bind(s.j.subs)
+	return w
 }
 
 // visit handles one candidate the index probe returned for the current
@@ -58,7 +58,7 @@ func (w *indexNLWorker) visit(rid rel.RowID, rvals []rel.Value) bool {
 			return true
 		}
 	}
-	if w.j.right.pass(w.f, rvals) && w.emit.emit(w.lrow, rvals) {
+	if w.j.right(w.f, rvals) && w.emit.emit(w.lrow, rvals) {
 		w.matched = true
 	}
 	return true

@@ -82,7 +82,7 @@ func (z morselSizes) plan(n, live, par int) (morsels, workers int) {
 // morsels from an atomic counter, the calling goroutine being one of
 // them; with one worker everything runs on it in order. The first error
 // encountered is returned (remaining morsels are abandoned).
-func runMorsels[W any](n, size, workers int, newWorker func() (W, error), process func(w W, m, lo, hi int) error) (morsels int, err error) {
+func runMorsels[W any](n, size, workers int, newWorker func() W, process func(w W, m, lo, hi int) error) (morsels int, err error) {
 	morsels = max((n+size-1)/size, 1)
 	workers = min(workers, morsels)
 	bounds := func(m int) (lo, hi int) {
@@ -90,10 +90,7 @@ func runMorsels[W any](n, size, workers int, newWorker func() (W, error), proces
 		return lo, min(lo+size, n)
 	}
 	if workers <= 1 {
-		w, err := newWorker()
-		if err != nil {
-			return morsels, err
-		}
+		w := newWorker()
 		for m := 0; m < morsels; m++ {
 			lo, hi := bounds(m)
 			if err := process(w, m, lo, hi); err != nil {
@@ -107,12 +104,7 @@ func runMorsels[W any](n, size, workers int, newWorker func() (W, error), proces
 	var failed atomic.Bool
 	errs := make([]error, workers)
 	work := func(wi int) {
-		w, err := newWorker()
-		if err != nil {
-			errs[wi] = err
-			failed.Store(true)
-			return
-		}
+		w := newWorker()
 		for {
 			m := int(next.Add(1)) - 1
 			if m >= morsels || failed.Load() {

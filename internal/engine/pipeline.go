@@ -23,7 +23,8 @@ import (
 // stage that assembles its output in a scratch buffer (pipe.scratch) is
 // valid only until push returns: a sink that keeps it copies it. A push
 // cannot fail: every expression a sink evaluates is total (compiledExpr),
-// and whatever can fail a statement fails when its stages open.
+// and whatever can fail a statement — its subqueries among it — fails
+// when its frame binds (prep.frame), before a stage is built.
 type sink interface {
 	push(row []rel.Value)
 }
@@ -35,15 +36,16 @@ type counter interface{ done() }
 
 // stage is one operator of a pipeline. open returns a worker's private
 // instance — scratch row, counters — that pushes into next, evaluating
-// the prepared plan's expressions.
+// the prepared plan's expressions. Every stage may run on any number of
+// workers: what they share, the frame's sets included, they only read.
 type stage interface {
-	open(next sink) (sink, error)
+	open(next sink) sink
 }
 
 // stageFunc is a stage that needs no state beyond what it closes over.
-type stageFunc func(next sink) (sink, error)
+type stageFunc func(next sink) sink
 
-func (f stageFunc) open(next sink) (sink, error) { return f(next) }
+func (f stageFunc) open(next sink) sink { return f(next) }
 
 // pipe is a pipeline that has not run: its head — stored rows, stored
 // ids, or a table scan — and the stages each row of it passes through, in
@@ -56,8 +58,8 @@ type pipe struct {
 	stages  []stage
 	joins   []int // ExecStats.Joins indices of the join stages, in order
 	scratch bool  // rows leaving the last stage live in a stage's scratch buffer
-	serial  bool  // a stage (or the scan's filter) holds a subquery: one worker only
 	fans    bool  // a stage may emit fewer or more rows than it is pushed
+	taken   bool  // a relation already handed over: running the pipe fails (errTaken)
 }
 
 // size returns the rows the pipe's morsels are cut from — stored rows,
@@ -76,7 +78,6 @@ type stageKind uint8
 
 const (
 	emitsScratch stageKind = 1 << iota // assembles its output in a buffer of its own rather than passing its input on
-	serialOnly                         // holds a subquery: must not run on workers
 	oneToOne                           // emits exactly one row per row
 )
 
@@ -84,7 +85,7 @@ const (
 // while r is pending (r gives them up — a pending relation has one
 // reader), else its stored rows with no stage. A second reader of a taken
 // relation — one the reader count (cteReaders) missed — gets a pipeline
-// that fails when it runs.
+// that fails when it runs or is stored.
 func (r *relation) pipes() []*pipe {
 	switch {
 	case r.src != nil:
@@ -92,7 +93,7 @@ func (r *relation) pipes() []*pipe {
 		r.src, r.taken = nil, true
 		return src
 	case r.taken:
-		return []*pipe{{stages: []stage{stageFunc(func(sink) (sink, error) { return nil, errTaken })}}}
+		return []*pipe{{taken: true}}
 	}
 	// A one-value row built from an id is the pushing worker's scratch.
 	return []*pipe{{head: r.rows, ids: r.ids, set: r.set, scratch: r.ids != nil || r.set != nil}}
@@ -114,7 +115,6 @@ func (r *relation) then(cols []colInfo, st stage, kind stageKind) *relation {
 	for _, p := range out.src {
 		p.stages = append(p.stages, st)
 		p.scratch = p.scratch || kind&emitsScratch != 0
-		p.serial = p.serial || kind&serialOnly != 0
 		p.fans = p.fans || kind&oneToOne == 0
 		if j, ok := st.(interface{ joinStat() int }); ok {
 			p.joins = append(p.joins, j.joinStat())
@@ -157,8 +157,7 @@ type part interface {
 // morselBuf is what a part kept of one morsel, and how many rows it was
 // pushed to get there: rows that stay valid, ahead of them the morsel's
 // leading one-integer rows as ids (under an order-kept DISTINCT, the ids
-// it saw first, in order); under an aggregate whose calls merge exactly,
-// the morsel's groups.
+// it saw first, in order); under an aggregate, the morsel's groups.
 type morselBuf struct {
 	rows   [][]rel.Value
 	ids    []int64
@@ -175,13 +174,12 @@ type morselBuf struct {
 // keeps its ids in the set alone, whatever else arrives, and lists them
 // in ascending order when it finishes.
 type collect struct {
-	rows    [][]rel.Value
-	ids     []int64 // the rows kept while each was one integer, and rows is empty; under DISTINCT, once finished, the result
-	arena   *rowArena
-	seen    *deduper // nil keeps duplicates
-	in      int      // rows received
-	copy    bool     // pushed rows are scratch
-	transit bool     // a morsel buffer on the way to a terminal that stores nothing
+	rows  [][]rel.Value
+	ids   []int64 // the rows kept while each was one integer, and rows is empty; under DISTINCT, once finished, the result
+	arena *rowArena
+	seen  *deduper // nil keeps duplicates
+	in    int      // rows received
+	copy  bool     // pushed rows are scratch
 }
 
 func newCollect(width int, seen *deduper) *collect {
@@ -322,25 +320,19 @@ type chain struct {
 	bufAt int
 }
 
-func (p *pipe) open(tail sink) (*chain, error) {
+func (p *pipe) open(tail sink) *chain {
 	c := &chain{head: tail, sinks: make([]sink, len(p.stages))}
 	for i := len(p.stages) - 1; i >= 0; i-- {
-		s, err := p.stages[i].open(c.head)
-		if err != nil {
-			return nil, err
-		}
+		s := p.stages[i].open(c.head)
 		c.sinks[i], c.head = s, s
 	}
 	if p.scan != nil {
-		var err error
-		if c.scan, err = p.scan.open(); err != nil {
-			return nil, err
-		}
+		c.scan = p.scan.open()
 	}
 	if p.ids != nil || p.set != nil {
 		c.idRow, c.buf = make([]rel.Value, 1), make([]int64, 0, min(setChunk, p.set.len()))
 	}
-	return c, nil
+	return c
 }
 
 // setChunk is how many of a set head's ids a chain reads out at a time.
@@ -446,26 +438,23 @@ func (e *Engine) run(q *queryState, r *relation, term terminal, op int) error {
 // frontier ids that each fan out a hundredfold is worth the workers of a
 // scan of as many rows, and is cut into morsels of ten ids.
 func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (cut morselCut, err error) {
+	if p.taken {
+		return cut, errTaken
+	}
 	n, live := p.size()
 	par := budget(q.par)
-	switch {
-	case p.serial:
-		par = 1 // a subquery stage
-	case p.scan == nil && len(p.stages) == 0 && term.replays():
+	if p.scan == nil && len(p.stages) == 0 && term.replays() {
 		par = 1 // workers would only buffer the head for term to replay
 	}
 	term.feed(p.scratch)
 	var mu sync.Mutex
 	var chains []*chain
-	open := func(end sink) (*chain, error) {
-		c, err := p.open(end)
-		if err != nil {
-			return nil, err
-		}
+	open := func(end sink) *chain {
+		c := p.open(end)
 		mu.Lock()
 		chains = append(chains, c)
 		mu.Unlock()
-		return c, nil
+		return c
 	}
 	z := q.morsels()
 	from, size := 0, z.target
@@ -473,10 +462,7 @@ func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (cut 
 		cut.morsels, cut.workers = z.plan(n, live, par)
 		cut.rows = min(size, n)
 	} else {
-		c, err := open(term)
-		if err != nil {
-			return cut, err
-		}
+		c := open(term)
 		from = n
 		before := term.received()
 		if par > 1 {
@@ -512,18 +498,14 @@ func (e *Engine) runPipe(q *queryState, p *pipe, width int, term terminal) (cut 
 		if cut.workers > 1 {
 			bufs = make([]morselBuf, (n-from+size-1)/size)
 		}
-		newWorker := func() (*chain, error) {
-			var tail part
-			var end sink = term
-			if bufs != nil {
-				tail = term.part(width, p.scratch)
-				end = tail
+		newWorker := func() *chain {
+			if bufs == nil {
+				return open(term)
 			}
-			c, err := open(end)
-			if err == nil {
-				c.tail = tail
-			}
-			return c, err
+			tail := term.part(width, p.scratch)
+			c := open(tail)
+			c.tail = tail
+			return c
 		}
 		_, err = runMorsels(n-from, size, cut.workers, newWorker, func(c *chain, m, lo, hi int) error {
 			if c.scan != nil {
@@ -571,7 +553,7 @@ func (e *Engine) materialize(q *queryState, r *relation) error {
 	if r.src == nil {
 		return nil
 	}
-	if len(r.src) == 1 && len(r.src[0].stages) == 0 && r.src[0].scan == nil {
+	if len(r.src) == 1 && len(r.src[0].stages) == 0 && r.src[0].scan == nil && !r.src[0].taken {
 		r.rows, r.ids, r.set, r.src = r.src[0].head, r.src[0].ids, r.src[0].set, nil
 		return nil
 	}
@@ -582,6 +564,13 @@ func (e *Engine) materialize(q *queryState, r *relation) error {
 		c.arena.next, c.rows = n, make([][]rel.Value, 0, n)
 	}
 	bare := !slices.ContainsFunc(r.src, func(p *pipe) bool { return p.scan == nil || len(p.stages) > 0 })
+	for _, p := range r.src {
+		if n := len(p.stages); n > 0 {
+			if m, ok := p.stages[n-1].(cteMark); ok {
+				q.stats.CTEs[m.stat].Fused = false // the CTE's rows, stored after all
+			}
+		}
+	}
 	if err := e.run(q, r, c, -1); err != nil {
 		return err
 	}
@@ -615,23 +604,21 @@ func (r *relation) expected() int {
 	return n
 }
 
-// cteMark returns the stage that sits where a pending CTE's stages end
-// and its reader's begin: it counts the rows the CTE produced and notes
-// whether they were stored after all (its reader materialised them) or
-// flowed on. stat indexes ExecStats.CTEs.
-func cteMark(q *queryState, stat int) stage {
-	return stageFunc(func(next sink) (sink, error) {
-		c, stored := next.(*collect)
-		return &cteMarkSink{q: q, stat: stat, next: next, stored: stored && c.seen == nil && !c.transit}, nil
-	})
+// cteMark is the stage that sits where a pending CTE's stages end and its
+// reader's begin: it counts the rows the CTE produced. stat indexes
+// ExecStats.CTEs, whose Fused materialize clears when the mark is the last
+// stage of what it stores: the reader stored the CTE's rows after all.
+type cteMark struct {
+	q    *queryState
+	stat int
 }
 
+func (m cteMark) open(next sink) sink { return &cteMarkSink{cteMark: m, next: next} }
+
 type cteMarkSink struct {
-	q      *queryState
-	stat   int
-	next   sink
-	n      int
-	stored bool
+	cteMark
+	next sink
+	n    int
 }
 
 func (s *cteMarkSink) push(row []rel.Value) {
@@ -639,26 +626,13 @@ func (s *cteMarkSink) push(row []rel.Value) {
 	s.next.push(row)
 }
 
-func (s *cteMarkSink) done() {
-	st := &s.q.stats.CTEs[s.stat]
-	st.Rows += s.n
-	st.Fused = !s.stored
-}
+func (s *cteMarkSink) done() { s.q.stats.CTEs[s.stat].Rows += s.n }
 
 // where returns r's rows that pass a prepared filter.
-func (f *frame) where(r *relation, fp *filterPlan) *relation {
-	return r.then(r.cols, stageFunc(func(next sink) (sink, error) {
-		return &filterSink{f: f, pass: fp.pass, next: next}, f.bind(fp.subs)
-	}), serialIf(fp.subs))
-}
-
-// serialIf is the kind of a stage holding subs: a subquery runs when its
-// stage opens, on the dispatching goroutine, so the stage has no workers.
-func serialIf(subs []subSlot) stageKind {
-	if len(subs) > 0 {
-		return serialOnly
-	}
-	return 0
+func (f *frame) where(r *relation, pass predicate) *relation {
+	return r.then(r.cols, stageFunc(func(next sink) sink {
+		return &filterSink{f: f, pass: pass, next: next}
+	}), 0)
 }
 
 type filterSink struct {

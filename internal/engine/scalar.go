@@ -88,8 +88,8 @@ type builtin struct {
 // builtins is the one table of scalar functions: those the translation's
 // templates call.
 var builtins = map[string]builtin{
-	// JSON_VAL(doc, 'path') extracts a value from a JSON column, NULL when
-	// the path is absent.
+	// JSON_VAL(doc, 'key') extracts the value at one top-level key of a
+	// JSON column, the key taken literally, NULL when it is absent.
 	"JSON_VAL": {2, 2, func(a []rel.Value) rel.Value {
 		return jsonValPath(a[0], sqljson.CompilePath(valueText(a[1])))
 	}},
@@ -150,8 +150,8 @@ func stringPred(f func(s, arg string) bool) ScalarFunc {
 	}
 }
 
-// jsonValPath extracts the value at a compiled path from a JSON column,
-// NULL when the path is absent. A scalar is read straight from the
+// jsonValPath extracts the value at a compiled key from a JSON column,
+// NULL when the key is absent. A scalar is read straight from the
 // document's record, and a string result shares the record's bytes, so
 // neither allocates; a nested object is a JSON value sharing its record.
 func jsonValPath(doc rel.Value, path sqljson.Path) rel.Value {

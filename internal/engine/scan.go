@@ -106,7 +106,6 @@ type scanPlan struct {
 	t     *rel.Table
 	cols  []colInfo
 	pass  predicate
-	subs  []subSlot
 	fans  bool // a filter may drop rows
 	cands []accessCand
 	est   int64 // the planner's row estimate, -1 when it made none
@@ -207,10 +206,9 @@ func (p *prep) prepareScan(q *queryState, t *rel.Table, alias string, cols []col
 		}
 	}
 	markApplied(filters)
-	mark := len(p.subs)
 	var err error
 	s.pass, err = p.predicates(newScope(cols), filters)
-	s.subs, s.fans = p.since(mark), len(filters) > 0
+	s.fans = len(filters) > 0
 	return s, err
 }
 
@@ -338,7 +336,7 @@ func (e *Engine) scanBase(f *frame, s *scanPlan) *relation {
 	// Rows, morsels, workers and time are the run's (Engine.run).
 	q.stats.Scans = append(q.stats.Scans, ScanStat{Table: s.t.Name(), Access: path.kind.accessName(), EstRows: s.est})
 	src := &scanSource{f: f, plan: s, stat: len(q.stats.Scans) - 1, path: path}
-	return &relation{cols: s.cols, src: []*pipe{{scan: src, serial: len(s.subs) > 0}}}
+	return &relation{cols: s.cols, src: []*pipe{{scan: src}}}
 }
 
 // scanSource is the head of a pipe that starts at a table: the row
@@ -389,9 +387,7 @@ type scanWorker struct {
 	in, out int
 }
 
-func (s *scanSource) open() (*scanWorker, error) {
-	return &scanWorker{scanSource: s}, s.f.bind(s.plan.subs)
-}
+func (s *scanSource) open() *scanWorker { return &scanWorker{scanSource: s} }
 
 // run pushes the rows of units [lo, hi) that pass the filters into next.
 // It counts in locals: this worker's fields, like every per-morsel output,

@@ -61,12 +61,8 @@ func newScanEngine(t testing.TB, rows int) *Engine {
 }
 
 // scanPipeShapes are statements over D whose pipes start at D's scan, with
-// {T} where a statement reads table T. serial marks the one whose scan
-// filter holds a subquery and must run on one worker.
-var scanPipeShapes = []struct {
-	name, sql string
-	serial    bool
-}{
+// {T} where a statement reads table T.
+var scanPipeShapes = []struct{ name, sql string }{
 	{name: "filter", sql: "SELECT ID, G, ATTR FROM {D} WHERE G % 3 = 1 AND JSON_VAL(ATTR, 'k') >= 2"},
 	{name: "json-projection", sql: "SELECT ID, JSON_VAL(ATTR, 's') AS S, JSON_VAL(ATTR, 'f') AS F FROM {D} WHERE ID >= 0"},
 	{name: "count", sql: "SELECT COUNT(*) FROM {D} WHERE JSON_VAL(ATTR, 'k') <> 3"},
@@ -79,7 +75,7 @@ var scanPipeShapes = []struct {
 	{name: "hash-build-empty", sql: "SELECT A.ID, H.W FROM {D} A, {H} H WHERE H.K = A.G AND H.W = 'none'"},
 	{name: "index-nl-then-hash", sql: "SELECT A.ID, X.V, H.W FROM {D} A, X, {H} H WHERE X.VID = A.ID AND H.K = A.G"},
 	{name: "nested-loop-inner", sql: "SELECT A.ID, M.B FROM {D} A, {M} M WHERE A.G < M.B AND A.ID % 4 = 1"},
-	{name: "subquery-filter", sql: "SELECT ID FROM {D} WHERE G IN (SELECT K FROM H WHERE W <> 'w1') AND JSON_VAL(ATTR, 'k') = 4", serial: true},
+	{name: "subquery-filter", sql: "SELECT ID FROM {D} WHERE G IN (SELECT K FROM H WHERE W <> 'w1') AND JSON_VAL(ATTR, 'k') = 4"},
 }
 
 // scanSQL renders a shape with each {T} read by a scan that heads a pipe
@@ -154,7 +150,7 @@ func dScan(t *testing.T, st *ExecStats) (*ScanStat, *PipelineStat) {
 // checkScanShapes runs every shape as written and with its scans stored,
 // at Parallelism 1, 2 and 4: the rows, in order, must be the same, and
 // the scan of D must head a run, on as many workers as it is offered when
-// the table holds enough rows, on one when its filter holds a subquery.
+// the table holds enough rows.
 func checkScanShapes(t *testing.T, e *Engine, live int) {
 	t.Helper()
 	for _, shape := range scanPipeShapes {
@@ -176,7 +172,7 @@ func checkScanShapes(t *testing.T, e *Engine, live int) {
 				t.Fatalf("%s par=%d: the scan of D headed no run\n%s", shape.name, par, fused.Stats.String())
 			}
 			wantWorkers := par
-			if shape.serial || live < parallelMinRows {
+			if live < parallelMinRows {
 				wantWorkers = 1
 			}
 			if sc.Workers != wantWorkers || sc.RowsIn != live || run.RowsIn != live {
@@ -397,12 +393,12 @@ func TestPartialAggregatesExact(t *testing.T) {
 	}
 }
 
-// TestAggregateSubqueryOnOneGoroutine: a GROUP BY key or an aggregate
-// argument that holds a subquery is evaluated where the subquery may run,
-// on the dispatching goroutine — the scan still fans out, and its rows are
-// replayed into the aggregate — so the statement is race-free and answers
-// as it does on one worker.
-func TestAggregateSubqueryOnOneGoroutine(t *testing.T) {
+// TestAggregateSubqueryMergesPartials: a GROUP BY key or an aggregate
+// argument that holds a subquery is evaluated on the workers, whose parts
+// are group tables merged in morsel order — the subquery's set was built
+// when the core's frame bound — and the statement answers as it does on
+// one worker.
+func TestAggregateSubqueryMergesPartials(t *testing.T) {
 	e := newScanEngine(t, scanRows)
 	for _, q := range []string{
 		"SELECT COUNT(*), ID FROM D GROUP BY G IN (SELECT K FROM H WHERE W <> 'w3')",
@@ -417,12 +413,59 @@ func TestAggregateSubqueryOnOneGoroutine(t *testing.T) {
 			} else if got != first {
 				t.Fatalf("%s: par=%d differs from par=1\n got %.300s\nwant %.300s", q, par, got, first)
 			}
-			if sc, _ := dScan(t, &r.Stats); sc.Workers != par {
-				t.Fatalf("%s par=%d: the scan ran on %d workers", q, par, sc.Workers)
+			if sc, run := dScan(t, &r.Stats); sc.Workers != par || run == nil || run.Workers != par {
+				t.Fatalf("%s par=%d: the scan ran on %d workers\n%s", q, par, sc.Workers, r.Stats.String())
 			}
 		}
 		if first == "" {
 			t.Fatalf("%s: no rows; the statement proves nothing", q)
+		}
+		cp, err := e.prepared(&queryState{}, mustSelect(t, q).Body.(*sql.SimpleSelect))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := cp.agg.newTable(nil).part(3, false).(*aggTable); !ok {
+			t.Fatalf("%s: a worker's part is not a group table", q)
+		}
+	}
+}
+
+// TestSubqueryStageFansOut: a stage holding IN (SELECT …) — a filter, a
+// projection, an index nested-loop join and a hash probe — runs on every
+// worker its pipe is offered once the pipe passes the fan-out gate, and
+// answers as it does on one worker.
+func TestSubqueryStageFansOut(t *testing.T) {
+	e := newScanEngine(t, scanRows)
+	for _, c := range []struct{ name, sql, join string }{
+		{"where", "WITH T AS (SELECT ID, G FROM D) SELECT ID FROM T WHERE G IN (SELECT K FROM H WHERE W <> 'w1')", ""},
+		{"projection", "SELECT ID, G NOT IN (SELECT B FROM M) AS NM FROM D", ""},
+		{"index-nl", "SELECT A.ID, X.V FROM D A, X WHERE X.VID = A.ID AND X.V % 7 NOT IN (SELECT B FROM M)", "index-nl"},
+		{"hash-probe", "SELECT A.ID, H.W FROM D A, H WHERE H.K = A.G AND (A.ID IN (SELECT VID FROM X) OR H.W = 'w3')", "hash"},
+	} {
+		var first string
+		for _, par := range []int{1, 4} {
+			r := queryForced(t, e, StrategyAuto, par, c.sql)
+			if got := kindText(r); first == "" {
+				first = got
+			} else if got != first {
+				t.Fatalf("%s: par=%d differs from par=1\n got %.300s\nwant %.300s", c.name, par, got, first)
+			}
+			sc, run := dScan(t, &r.Stats)
+			if sc.Workers != par || run == nil || run.Workers != par {
+				t.Fatalf("%s par=%d: the run from D's scan had %d workers, want %d\n%s", c.name, par, sc.Workers, par, r.Stats.String())
+			}
+			if c.join == "" {
+				continue
+			}
+			if len(run.Joins) != 1 {
+				t.Fatalf("%s par=%d: the run holds joins %v, want one\n%s", c.name, par, run.Joins, r.Stats.String())
+			}
+			if js := r.Stats.Joins[run.Joins[0]]; string(js.Strategy) != c.join || js.Workers != par {
+				t.Fatalf("%s par=%d: %s join on %d workers, want %s on %d\n%s", c.name, par, js.Strategy, js.Workers, c.join, par, r.Stats.String())
+			}
+		}
+		if first == "" {
+			t.Fatalf("%s: no rows; the statement proves nothing", c.name)
 		}
 	}
 }

@@ -15,17 +15,16 @@ import (
 // nothing here except the atomic ioMisses counter (stats are aggregated
 // by the operator after its workers join).
 type queryState struct {
-	env      []cteBinding                  // the WITH names in scope, innermost last
-	params   []Arg                         // this execution's arguments; never stored in the statement or a cached plan
-	idSets   []*valueSet                   // by parameter index: the sets of the id lists among params, built when a frame first binds one
-	subs     map[*sql.SelectStmt]*valueSet // the sets of the IN subqueries expressions hold
-	ioMisses int64                         // buffer-pool misses (atomic; morsel workers add concurrently)
-	par      int                           // morsel-parallelism budget (0 = GOMAXPROCS, 1 = serial)
-	sizes    morselSizes                   // the engine's morsel work target and fan-out gate (zero: the defaults)
-	force    JoinStrategy                  // forced join strategy, StrategyAuto for planner's choice
-	asOf     rel.Version                   // snapshot version for base-table reads (zero = latest)
-	t0       time.Time                     // query start; anchors operator StartNs offsets
-	stats    ExecStats                     // per-operator execution statistics
+	env      []cteBinding // the WITH names in scope, innermost last
+	params   []Arg        // this execution's arguments; never stored in the statement or a cached plan
+	idSets   []*valueSet  // by parameter index: the sets of the id lists among params, built when a frame first binds one
+	ioMisses int64        // buffer-pool misses (atomic; morsel workers add concurrently)
+	par      int          // morsel-parallelism budget (0 = GOMAXPROCS, 1 = serial)
+	sizes    morselSizes  // the engine's morsel work target and fan-out gate (zero: the defaults)
+	force    JoinStrategy // forced join strategy, StrategyAuto for planner's choice
+	asOf     rel.Version  // snapshot version for base-table reads (zero = latest)
+	t0       time.Time    // query start; anchors operator StartNs offsets
+	stats    ExecStats    // per-operator execution statistics
 
 	// Cost-based planner state.
 	provider  StatsProvider // optimizer statistics, nil = legacy planning
@@ -75,9 +74,10 @@ func (e *Engine) evalSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 	return r, err
 }
 
-// openSelect evaluates a statement as far as it must: a statement that is
-// one SELECT core or UNION ALL of cores, without WITH, ORDER BY or LIMIT,
-// comes back pending, for its reader to extend or run.
+// openSelect evaluates a statement as far as it must: a statement without
+// ORDER BY, OFFSET or LIMIT comes back pending, for its reader to extend
+// or run. Its WITH names may go out of scope first: every name its cores
+// read was resolved, and every subquery run, when the core's frame bound.
 func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, error) {
 	sp := e.stmtPlanOf(stmt)
 	// Bind CTEs in order; later CTEs may reference earlier ones. CTE names
@@ -93,12 +93,11 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 		stat := CTEStat{Name: cte.Name, StartNs: q.sinceStart(cteT)}
 		// A CTE with exactly one reader is left pending for that reader to
 		// splice into its own pipeline, or to store if it reads it any other
-		// way than as its driving input. Every other CTE is stored now — as
-		// is one with a subquery in a stage, whose names must mean what they
-		// mean here, not what a later WITH entry or the reader's own WITH
-		// rebinds them to.
-		if r.src != nil && sp.readers[i] == 1 && !slices.ContainsFunc(r.src, func(p *pipe) bool { return p.serial }) {
-			r = r.then(r.cols, cteMark(q, len(q.stats.CTEs)), oneToOne)
+		// way than as its driving input; its subqueries have run, under the
+		// names bound here. Every other CTE is stored now.
+		if r.src != nil && sp.readers[i] == 1 {
+			stat.Fused = true // until its reader stores it (materialize)
+			r = r.then(r.cols, cteMark{q: q, stat: len(q.stats.CTEs)}, oneToOne)
 		} else if err := e.materialize(q, r); err != nil {
 			return nil, fmt.Errorf("in CTE %s: %w", cte.Name, err)
 		}
@@ -109,13 +108,8 @@ func (e *Engine) openSelect(q *queryState, stmt *sql.SelectStmt) (*relation, err
 	}
 
 	out, err := e.evalBody(q, stmt.Body)
-	if err != nil || sp == nil {
+	if err != nil || len(stmt.OrderBy) == 0 && stmt.Offset == nil && stmt.Limit == nil {
 		return out, err
-	}
-	// Run before the WITH names go out of scope: a stage's subquery may
-	// read them.
-	if len(stmt.OrderBy) == 0 && stmt.Offset == nil && stmt.Limit == nil {
-		return out, e.materialize(q, out)
 	}
 	return e.orderCut(q, sp, out)
 }
@@ -215,12 +209,10 @@ func cteReaders(stmt *sql.SelectStmt) []int {
 // subqueries run, OFFSET and LIMIT are evaluated — and then the body's
 // pipes run straight into a cut, which stores only the rows it keeps.
 func (e *Engine) orderCut(q *queryState, sp *stmtPlan, in *relation) (*relation, error) {
-	f, err := sp.frame(e, q)
-	if err == nil {
-		if err = sp.err; err == nil {
-			err = f.bind(sp.subs)
-		}
+	if sp.err != nil {
+		return nil, sp.err
 	}
+	f, err := sp.frame(e, q)
 	if err != nil {
 		return nil, err
 	}
@@ -431,7 +423,7 @@ func (t *cut) feed(scratch bool) { t.copy = scratch }
 // buffer of the morsel's rows, since every row is kept.
 func (t *cut) part(width int, scratch bool) part {
 	if !t.bounded() {
-		return &collect{arena: newRowArena(width, 0), copy: scratch, transit: true}
+		return &collect{arena: newRowArena(width, 0), copy: scratch}
 	}
 	p := newCut(t.f, t.keys, t.keep, width)
 	p.copy = scratch
@@ -536,14 +528,11 @@ func anonymizeCols(cols []colInfo) []colInfo {
 
 // subquerySet evaluates the nested SELECT of an IN (subquery) into the
 // set it probes: its one column's non-NULL values. Subqueries are
-// uncorrelated in this dialect, so one runs once per statement however
-// many expressions hold it and rows probe it: the set is kept on the query
-// state. It runs when the expression holding it compiles, so a subquery
-// that fails fails the statement before any row is read, under every plan.
+// uncorrelated in this dialect, so one runs once per execution of the
+// core or statement whose expressions hold it, however many of them do
+// and however many rows probe it: when that execution's frame binds
+// (prep.frame), which keeps the set in the subquery's slot.
 func (e *Engine) subquerySet(q *queryState, stmt *sql.SelectStmt) (*valueSet, error) {
-	if set, ok := q.subs[stmt]; ok {
-		return set, nil
-	}
 	r, err := e.evalSelect(q, stmt)
 	if err != nil {
 		return nil, err
@@ -551,21 +540,15 @@ func (e *Engine) subquerySet(q *queryState, stmt *sql.SelectStmt) (*valueSet, er
 	if len(r.cols) != 1 {
 		return nil, fmt.Errorf("engine: IN subquery must return one column, got %d", len(r.cols))
 	}
-	var set *valueSet
 	if r.set != nil {
-		set = &valueSet{ids: *r.set}
-	} else {
-		rows := r.rowsOf()
-		vals := make([]rel.Value, len(rows))
-		for i, row := range rows {
-			vals[i] = row[0]
-		}
-		set = newValueSet(vals)
-		set.null = false // a NULL the subquery returns is no member
+		return &valueSet{ids: *r.set}, nil
 	}
-	if q.subs == nil {
-		q.subs = map[*sql.SelectStmt]*valueSet{}
+	rows := r.rowsOf()
+	vals := make([]rel.Value, len(rows))
+	for i, row := range rows {
+		vals[i] = row[0]
 	}
-	q.subs[stmt] = set
+	set := newValueSet(vals)
+	set.null = false // a NULL the subquery returns is no member
 	return set, nil
 }

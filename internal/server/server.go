@@ -33,6 +33,12 @@ import (
 	"sqlgraph/internal/trace"
 )
 
+// maxSessions bounds concurrently open sessions.
+const maxSessions = 1024
+
+// retryAfter is the hint returned with 429 responses.
+const retryAfter = time.Second
+
 // Config tunes the serving layer. Zero values pick production-shaped
 // defaults.
 type Config struct {
@@ -50,10 +56,6 @@ type Config struct {
 	// SessionTTL is the snapshot-session lease; every use renews it, and
 	// an unused session expires and unpins (default 60s).
 	SessionTTL time.Duration
-	// MaxSessions bounds concurrently open sessions (default 1024).
-	MaxSessions int
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// Logger receives the structured request log: one summary line per
 	// HTTP request plus panic stacks and slow-query warnings (default:
 	// slog.Default()).
@@ -103,12 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 60 * time.Second
 	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 1024
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.ReplicationPoll <= 0 {
 		c.ReplicationPoll = 25 * time.Millisecond
 	}
@@ -156,7 +152,7 @@ func New(store *core.Store, cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		adm:    newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		sess:   newSessions(cfg.SessionTTL, cfg.MaxSessions),
+		sess:   newSessions(cfg.SessionTTL, maxSessions),
 		mux:    http.NewServeMux(),
 		events: metrics.NewJournal(cfg.EventBuffer),
 	}
@@ -461,7 +457,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, fn func() (any, int
 			s.events.Record("admission-saturated",
 				fmt.Sprintf("in_flight=%d queued=%d", s.adm.InFlight(), s.adm.Queued()))
 		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.RetryAfter.Seconds()+0.5)))
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retryAfter.Seconds()+0.5)))
 		writeError(w, http.StatusTooManyRequests, "server saturated, retry later")
 		return
 	case errors.Is(err, ErrShuttingDown):

@@ -8,7 +8,7 @@ import (
 
 // sym is an interned attribute key: a record stores it as a uint32, and
 // two syms are equal exactly when their strings are. The zero sym stands
-// for no key (an array element's entry, or a path step naming a key no
+// for no key (an array element's entry, or a compiled JSON_VAL key no
 // document held when it was compiled).
 type sym uint32
 

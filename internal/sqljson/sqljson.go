@@ -18,10 +18,10 @@
 //
 // Keys are interned as uint32 syms: the attribute keys of a graph are its
 // schema, shared by every row, so each is stored once and a compiled
-// JSON_VAL path finds its field by comparing syms rather than strings. The
-// table keeps every key a document has held. A compiled path only looks
-// its keys up, so a query naming keys that no document has does not grow
-// the table.
+// JSON_VAL key finds its field by comparing syms rather than strings. The
+// table keeps every key a document has held. A compiled key is only looked
+// up, so a query naming keys that no document has does not grow the
+// table.
 package sqljson
 
 import (
@@ -321,15 +321,15 @@ func (d Doc) search(key string) (int, bool) {
 	return lo, false
 }
 
-// find locates a compiled path step's key in the object record rec. An
+// find locates a compiled key in the object record rec. An
 // interned key is found by a scan comparing syms: attribute sets are small
 // (DBpedia vertices carry 1–5 keys, edges 3), so that beats a binary
 // search reading every probed key's bytes. A name no document held when
-// the path was compiled may be held since, so it is searched for by
+// the key was compiled may be held since, so it is searched for by
 // string.
-func find(rec string, step *pathStep) (Item, bool) {
-	if step.key == 0 {
-		if i, ok := (Doc{rec: rec}).search(step.name); ok {
+func find(rec string, p Path) (Item, bool) {
+	if p.key == 0 {
+		if i, ok := (Doc{rec: rec}).search(p.name); ok {
 			_, it := entry(rec, i)
 			return it, true
 		}
@@ -340,7 +340,7 @@ func find(rec string, step *pathStep) (Item, bool) {
 		return Item{}, false // only the empty record
 	}
 	for at := 4; at < end; at += entrySize {
-		if sym(u32(rec, at)) == step.key {
+		if sym(u32(rec, at)) == p.key {
 			return itemAt(rec, at), true
 		}
 	}
@@ -386,86 +386,33 @@ func (d Doc) Get(key string) (any, bool) {
 	return nil, false
 }
 
-// ErrNoValue is returned by Val for paths that do not resolve.
-var ErrNoValue = errors.New("sqljson: path has no value")
+// ErrNoValue is returned by Val for a key the document does not hold.
+var ErrNoValue = errors.New("sqljson: no value at the key")
 
-// Val resolves a JSON_VAL-style path: dot-separated keys, with [i]
-// suffixes for array elements ("a.b[2].c"). It returns ErrNoValue when any
-// step is missing.
-func (d Doc) Val(path string) (any, error) {
-	if !strings.ContainsAny(path, ".[") && path != "" {
-		if v, ok := d.Get(path); ok {
-			return v, nil
-		}
-		return nil, ErrNoValue
-	}
-	return d.ValPath(CompilePath(path))
-}
-
-// Path is a parsed JSON_VAL path. A query applies one constant path to
-// every row it examines; compiling it once keeps the split off that loop.
-type Path []pathStep
-
-type pathStep struct {
-	name  string // "" when the step only indexes
-	key   sym    // name's sym; zero if no document held name
-	index int    // -1 when absent
-}
-
-// CompilePath parses a JSON_VAL-style path (see Val). It looks its keys up
-// and interns none, so paths naming keys no document has add nothing to
-// the table.
-func CompilePath(path string) Path {
-	if !strings.ContainsAny(path, ".[") {
-		return Path{{name: path, key: lookup(path), index: -1}}
-	}
-	var steps Path
-	for _, part := range strings.Split(path, ".") {
-		idx := -1
-		if open := strings.IndexByte(part, '['); open >= 0 && strings.HasSuffix(part, "]") {
-			if n, err := strconv.Atoi(part[open+1 : len(part)-1]); err == nil {
-				idx = n
-				part = part[:open]
-			}
-		}
-		steps = append(steps, pathStep{name: part, key: lookup(part), index: idx})
-	}
-	return steps
-}
-
-// Lookup resolves a compiled path to the item it names. It allocates
-// nothing: JSON_VAL runs it once per examined row. The empty path is the
-// document itself.
-func (d Doc) Lookup(path Path) (Item, bool) {
-	cur := Item{kind: KindObject, s: d.rec}
-	for i := range path {
-		step := &path[i]
-		if step.name != "" {
-			if cur.kind != KindObject {
-				return Item{}, false
-			}
-			var ok bool
-			if cur, ok = find(cur.s, step); !ok {
-				return Item{}, false
-			}
-		}
-		if step.index >= 0 {
-			if cur.kind != KindArray || step.index >= count(cur.s) {
-				return Item{}, false
-			}
-			_, cur = entry(cur.s, step.index)
-		}
-	}
-	return cur, true
-}
-
-// ValPath is Val for a compiled path.
-func (d Doc) ValPath(path Path) (any, error) {
-	if it, ok := d.Lookup(path); ok {
-		return it.Any(), nil
+// Val is JSON_VAL: the value at one top-level key, taken literally — a
+// '.' or '[' in it is part of the key, as a Gremlin attribute key may hold
+// either. It returns ErrNoValue when the document does not hold the key.
+func (d Doc) Val(key string) (any, error) {
+	if v, ok := d.Get(key); ok {
+		return v, nil
 	}
 	return nil, ErrNoValue
 }
+
+// Path is a compiled JSON_VAL key (see Val). A query applies one constant
+// key to every row it examines; compiling it once looks the key up once.
+type Path struct {
+	name string
+	key  sym // name's sym; zero if no document held name
+}
+
+// CompilePath compiles a JSON_VAL key. It looks the key up and interns
+// nothing, so a key no document has adds nothing to the table.
+func CompilePath(key string) Path { return Path{name: key, key: lookup(key)} }
+
+// Lookup resolves a compiled key to the item it names. It allocates
+// nothing: JSON_VAL runs it once per examined row.
+func (d Doc) Lookup(p Path) (Item, bool) { return find(d.rec, p) }
 
 // Map returns the document as a plain Go map (see Item.Any).
 func (d Doc) Map() map[string]any {

@@ -14,8 +14,10 @@ import (
 	"testing/quick"
 )
 
+// TestParseAndVal: Val reads one top-level key, taken literally: a '.'
+// or '[' is part of the key, never a step into a nested value.
 func TestParseAndVal(t *testing.T) {
-	d, err := Parse(`{"name":"marko","age":29,"langs":["java","groovy"],"addr":{"city":"x","zip":[1,2]}}`)
+	d, err := Parse(`{"name":"marko","age":29,"langs":["java","groovy"],"addr":{"city":"x","zip":[1,2]},"addr.city":"y","langs[0]":"z"}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,10 +27,8 @@ func TestParseAndVal(t *testing.T) {
 	}{
 		{"name", "marko"},
 		{"age", int64(29)},
-		{"langs[0]", "java"},
-		{"langs[1]", "groovy"},
-		{"addr.city", "x"},
-		{"addr.zip[1]", int64(2)},
+		{"addr.city", "y"},
+		{"langs[0]", "z"},
 	}
 	for _, c := range cases {
 		got, err := d.Val(c.path)
@@ -39,7 +39,7 @@ func TestParseAndVal(t *testing.T) {
 			t.Fatalf("Val(%q) = %v (%T), want %v (%T)", c.path, got, got, c.want, c.want)
 		}
 	}
-	for _, p := range []string{"missing", "addr.state", "langs[5]", "name.sub", "addr.zip[1].x"} {
+	for _, p := range []string{"missing", "addr.state", "langs[1]", "name.sub", "addr.zip[1]", ""} {
 		if _, err := d.Val(p); err != ErrNoValue {
 			t.Fatalf("Val(%q) err = %v, want ErrNoValue", p, err)
 		}
@@ -124,7 +124,7 @@ func TestWithLeavesOriginal(t *testing.T) {
 	rec := d.Record()
 	changed := d.With("a", "changed")
 	dropped, _ := d.Without("c")
-	if v, _ := d.Val("a.b"); v != int64(1) || d.Record() != rec {
+	if it, _ := d.Field("a"); it.Doc().String() != `{"b":1}` || d.Record() != rec {
 		t.Fatal("With changed the original")
 	}
 	if changed.String() != `{"a":"changed","c":[1,2]}` || dropped.String() != `{"a":{"b":1}}` {
@@ -522,7 +522,7 @@ func TestParseDuplicatesNullAndEmpty(t *testing.T) {
 // storage layer sizes every stored document and the checkpoint renders
 // each one. Items are read from the record in place.
 func TestReadsAllocateNothing(t *testing.T) {
-	d, err := Parse(`{"name":"marko","age":29,"langs":["java"],"addr":{"city":"x"},"w":0.5,"ok":true}`)
+	d, err := Parse(`{"name":"marko","age":29,"langs":["java"],"addr":{"city":"x"},"addr.city":"x","langs[0]":"java","w":0.5,"ok":true}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +550,7 @@ func TestReadsAllocateNothing(t *testing.T) {
 		if it, ok := d.Field("ok"); !ok || !it.Bool() {
 			t.Fatal("Field(ok)")
 		}
-		if !d.Has("w") || d.Has("x") || d.Len() != 6 || d.Size() == 0 {
+		if !d.Has("w") || d.Has("x") || d.Len() != 8 || d.Size() == 0 {
 			t.Fatal("Has/Len/Size")
 		}
 		if it, ok := d.Field("langs"); !ok || it.Len() != 1 || it.Index(0).Str() != "java" {
@@ -568,10 +568,10 @@ func TestReadsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestPathsInternNothing: compiling a path only looks its keys up, so a
-// query naming keys no document holds leaves the table alone, and a path
-// compiled before any document holds its key still finds it afterwards,
-// a nested key included.
+// TestPathsInternNothing: compiling a key only looks it up, so a query
+// naming keys no document holds leaves the table alone, and a key compiled
+// before any document holds it still finds it afterwards, a dotted one
+// included.
 func TestPathsInternNothing(t *testing.T) {
 	size := func() int {
 		syms.Lock()
@@ -581,25 +581,25 @@ func TestPathsInternNothing(t *testing.T) {
 	before := size()
 	// The table never forgets, so each run (-count) names keys of its own.
 	k := fmt.Sprintf("unheld%d-", before)
-	plain, nested := CompilePath(k+"1"), CompilePath(k+"2."+k+"x[0]")
+	plain, dotted := CompilePath(k+"1"), CompilePath(k+"2."+k+"x[0]")
 	if _, err := New().Val(k + "3.y"); err != ErrNoValue {
 		t.Fatalf("Val(%s3.y) = %v", k, err)
 	}
 	if got := size(); got != before {
 		t.Fatalf("compiling paths interned %d keys", got-before)
 	}
-	d, err := Parse(fmt.Sprintf(`{"%[1]s1":1,"%[1]s2":{"%[1]sx":[2]}}`, k))
+	d, err := Parse(fmt.Sprintf(`{"%[1]s1":1,"%[1]s2.%[1]sx[0]":2,"%[1]s2":{"%[1]sx":[3]}}`, k))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := d.ValPath(plain); err != nil || v != int64(1) {
-		t.Fatalf("ValPath(%s1) = %v, %v", k, v, err)
+	if it, ok := d.Lookup(plain); !ok || it.Any() != int64(1) {
+		t.Fatalf("Lookup(%s1) = %v, %v", k, it.Any(), ok)
 	}
-	if v, err := d.ValPath(nested); err != nil || v != int64(2) {
-		t.Fatalf("ValPath(%[1]s2.%[1]sx[0]) = %v, %v", k, v, err)
+	if it, ok := d.Lookup(dotted); !ok || it.Any() != int64(2) {
+		t.Fatalf("Lookup(%[1]s2.%[1]sx[0]) = %v, %v", k, it.Any(), ok)
 	}
-	if got := size(); got != before+3 {
-		t.Fatalf("the document interned %d keys, want its 3, the nested one included", got-before)
+	if got := size(); got != before+4 {
+		t.Fatalf("the document interned %d keys, want its 4, the nested one included", got-before)
 	}
 }
 
@@ -630,11 +630,11 @@ func TestInternConcurrent(t *testing.T) {
 	for w, ds := range docs {
 		for _, d := range ds {
 			key := keyAt(d.rec, 0)
-			if want := CompilePath(key.name())[0].key; key != want {
+			if want := CompilePath(key.name()).key; key != want {
 				t.Fatalf("worker %d: key %q has two syms", w, key.name())
 			}
-			if v, err := d.ValPath(CompilePath(key.name())); err != nil || v != int64(w) {
-				t.Fatalf("worker %d: %s reads %v, %v", w, d, v, err)
+			if it, ok := d.Lookup(CompilePath(key.name())); !ok || it.Any() != int64(w) {
+				t.Fatalf("worker %d: %s reads %v, %v", w, d, it.Any(), ok)
 			}
 		}
 	}

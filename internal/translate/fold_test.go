@@ -54,7 +54,7 @@ func TestFoldLeavesOtherFormsAlone(t *testing.T) {
 		"g.V.as('s').filter{it.age * 2 > 4}.loop('s'){it.loops < 3}": "WITH T1 AS (SELECT VID AS VAL FROM VA WHERE VID >= 0), T2 AS (SELECT V.VAL AS VAL FROM T1 V, VA A WHERE A.VID = V.VAL AND ((JSON_VAL(A.ATTR, 'age') * 2) > 4)), T3 AS (SELECT V.VAL AS VAL FROM T2 V, VA A WHERE A.VID = V.VAL AND ((JSON_VAL(A.ATTR, 'age') * 2) > 4)), T4 AS (SELECT V.VAL AS VAL FROM T3 V, VA A WHERE A.VID = V.VAL AND ((JSON_VAL(A.ATTR, 'age') * 2) > 4)) SELECT VAL FROM T4",
 		"g.V.ifThenElse{it.age * 2 > 4}{it.out}{it.in}":              "WITH T1 AS (SELECT VID AS VAL FROM VA WHERE VID >= 0), T2 AS (SELECT V.VAL AS VAL FROM T1 V, VA A WHERE A.VID = V.VAL AND ((JSON_VAL(A.ATTR, 'age') * 2) > 4)), T3 AS (SELECT V.VAL AS VAL FROM T1 V WHERE V.VAL NOT IN (SELECT VAL FROM T2)), T4 AS (SELECT T.VAL AS VAL FROM T2 V, OPA P, TABLE(VALUES(P.VAL0), (P.VAL1), (P.VAL2)) AS T(VAL) WHERE P.VID = V.VAL AND P.VID >= 0 AND T.VAL IS NOT NULL), T5 AS (SELECT COALESCE(S.VAL, P.VAL) AS VAL FROM T4 P LEFT OUTER JOIN OSA S ON P.VAL = S.VALID), T6 AS (SELECT T.VAL AS VAL FROM T3 V, IPA P, TABLE(VALUES(P.VAL0), (P.VAL1)) AS T(VAL) WHERE P.VID = V.VAL AND P.VID >= 0 AND T.VAL IS NOT NULL), T7 AS (SELECT COALESCE(S.VAL, P.VAL) AS VAL FROM T6 P LEFT OUTER JOIN ISA S ON P.VAL = S.VALID), T8 AS (SELECT VAL FROM T5 UNION ALL SELECT VAL FROM T7) SELECT VAL FROM T8",
 		"g.V.table(t).groupCount{it.age}":                            "WITH T1 AS (SELECT VID AS VAL FROM VA WHERE VID >= 0), T2 AS (SELECT (LIST() || JSON_VAL(A.ATTR, 'age') || COUNT(*)) AS VAL FROM T1 V, VA A WHERE A.VID = V.VAL GROUP BY JSON_VAL(A.ATTR, 'age')), T3 AS (SELECT VAL FROM T2 ORDER BY VAL) SELECT VAL FROM T3",
-		"g.V.out.order().range(0, 4)":                                "WITH T1 AS (SELECT VID AS VAL FROM VA WHERE VID >= 0), T2 AS (SELECT P.OUTV AS VAL FROM T1 V, EA P WHERE P.INV = V.VAL), T3 AS (SELECT VAL FROM T2 ORDER BY VAL), T4 AS (SELECT VAL FROM T3 LIMIT 5 OFFSET 0) SELECT VAL FROM T4",
+		"g.V.out.order().range(0, 4)":                                "WITH T1 AS (SELECT VID AS VAL FROM VA WHERE VID >= 0), T2 AS (SELECT P.OUTV AS VAL FROM T1 V, EA P WHERE P.INV = V.VAL), T3 AS (SELECT VAL FROM T2 ORDER BY VAL LIMIT 5 OFFSET 0) SELECT VAL FROM T3",
 	} {
 		if got := tr(t, q, Options{}).Template; got != want {
 			t.Errorf("%s:\n got %s\nwant %s", q, got, want)

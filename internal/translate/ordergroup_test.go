@@ -60,12 +60,12 @@ func TestOrderTemplates(t *testing.T) {
 		// only the rows LIMIT/OFFSET returns.
 		sql = tr(t, "g.V.order{it.name}.range(0, 9)", opts).SQL
 		wants(t, sql, "T2 AS (SELECT VAL, OKEY FROM T1 ORDER BY OKEY, VAL LIMIT 10 OFFSET 0), T3 AS (SELECT VAL FROM T2) SELECT VAL FROM T3")
-		// Only when range follows directly: a cut after another pipe, and
-		// an unkeyed order's cut, stay CTEs of their own.
+		// Only when range follows directly: a cut after another pipe stays
+		// a CTE of its own. An unkeyed order's sort takes the cut too.
 		sql = tr(t, "g.V.order{it.name}.out.range(0, 9)", opts).SQL
 		wants(t, sql, "ORDER BY OKEY, VAL)", "LIMIT 10 OFFSET 0)")
 		sql = tr(t, "g.V.out.order().range(2, 3)", opts).SQL
-		wants(t, sql, "ORDER BY VAL), ", "LIMIT 2 OFFSET 2)")
+		wants(t, sql, "ORDER BY VAL LIMIT 2 OFFSET 2) SELECT VAL FROM")
 		// Edge keys resolve label via LBL.
 		sql = tr(t, "g.E.order{it.label}", opts).SQL
 		wants(t, sql, "SELECT EID AS VAL, LBL AS OKEY FROM EA")

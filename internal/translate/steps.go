@@ -89,12 +89,12 @@ func (t *translator) step(s *gremlin.Step) error {
 		if hi >= lo {
 			n = min(hi-lo, math.MaxInt64-1) + 1
 		}
-		if t.sorted {
-			// range right after order{key}: the sort keeps only what the
-			// cut returns, and the projection after it reads no more.
-			sort := &t.ctes[len(t.ctes)-2]
-			sort.body += fmt.Sprintf(" LIMIT %d OFFSET %d", n, lo)
-			t.sorted = false
+		if t.sort >= 0 {
+			// range right after order: the sort keeps only what the cut
+			// returns, and a keyed order's projection after it reads no
+			// more.
+			t.ctes[t.sort].body += fmt.Sprintf(" LIMIT %d OFFSET %d", n, lo)
+			t.sort = -1
 			return nil
 		}
 		t.cur = t.add(fmt.Sprintf("SELECT VAL%s FROM %s LIMIT %d OFFSET %d",
@@ -402,7 +402,7 @@ func (t *translator) order(s *gremlin.Step) error {
 	}
 	if s.KeyExpr == nil {
 		t.cur = t.add(fmt.Sprintf("SELECT VAL FROM %s ORDER BY VAL", t.cur))
-		t.track = false
+		t.sort, t.track = len(t.ctes)-1, false
 		return nil
 	}
 	r := t.row(false)
@@ -413,8 +413,7 @@ func (t *translator) order(s *gremlin.Step) error {
 	t.emit(r, r.id+" AS VAL, "+key+" AS OKEY", term{}, "")
 	t.cur = t.add(fmt.Sprintf("SELECT VAL, OKEY FROM %s ORDER BY OKEY, VAL", t.cur))
 	t.cur = t.add(fmt.Sprintf("SELECT VAL FROM %s", t.cur))
-	t.sorted = true
-	t.track = false
+	t.sort, t.track = len(t.ctes)-2, false
 	return nil
 }
 

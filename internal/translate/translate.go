@@ -160,6 +160,7 @@ func newTranslator(sch Schema, opts Options) *translator {
 		opts:  opts,
 		marks: map[string]mark{},
 		aggs:  map[string]string{},
+		sort:  -1,
 	}
 	return tr
 }
@@ -186,7 +187,7 @@ type translator struct {
 	aggs      map[string]string // aggregate name -> CTE
 	traversal int               // total adjacency steps in the query (for the EA optimization)
 	src       *scan             // the source CTE while steps may fold into it (row)
-	sorted    bool              // the last two CTEs are a keyed order's sort and projection
+	sort      int               // the CTE of an order's sort, which a range right after it cuts; -1 when there is none
 }
 
 type cte struct {
@@ -200,9 +201,9 @@ func (t *translator) fresh() string {
 }
 
 // add appends a CTE. It reads the current one, so the source scan takes
-// no more folds and a keyed order's sort no more cut.
+// no more folds and an order's sort no more cut.
 func (t *translator) add(body string) string {
-	t.src, t.sorted = nil, false
+	t.src, t.sort = nil, -1
 	name := t.fresh()
 	t.ctes = append(t.ctes, cte{name: name, body: body})
 	return name
