@@ -519,8 +519,10 @@ func TestTraverseChainStaysFused(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// 217 KB per query measured at GOMAXPROCS 4 (199 KB at 2; 154 KB at
-	// 1, where nothing fans out) with every core prepared once and its
+	// 205 KB per query measured at GOMAXPROCS 4 (188 KB at 2; 143 KB at
+	// 1, where nothing fans out) with each hop's CTE input streamed into
+	// its core (217 KB, 199 KB and 154 KB when the cost-based join planner
+	// had them stored to count them), every core prepared once and its
 	// closures shared, and sparse id-set containers made bitmaps past
 	// 2 048 ids (334 KB, 313 KB and 264 KB when each execution resolved
 	// and compiled its cores; 419 KB with hashed sets whose tables were
@@ -528,7 +530,7 @@ func TestTraverseChainStaysFused(t *testing.T) {
 	// rebuilt as rows and only heads of 4 096 rows fanned out, 739 KB with
 	// a Go map and rows copied as they arrived, 853 KB with the 48-byte
 	// rel.Value, 5.64 MB with every CTE stored), x 1.35.
-	const ceiling = 293_000
+	const ceiling = 278_000
 	if perQuery := (after.TotalAlloc - before.TotalAlloc) / runs; perQuery > ceiling {
 		t.Fatalf("6-hop chain allocates %d bytes per query, ceiling %d", perQuery, ceiling)
 	}
@@ -536,10 +538,10 @@ func TestTraverseChainStaysFused(t *testing.T) {
 
 // TestSingleHopAllocs guards what BenchmarkSingleHop measures: g.V(10).out
 // behind warm statement and plan caches binds its arguments to prepared
-// cores and runs them. 116 allocations per query measured at GOMAXPROCS
-// 1, 2 and 4, 82 of them in the engine and the rest in the Gremlin parse,
-// the trace and the result; 238 when every execution resolved and
-// compiled its cores.
+// cores and runs them. 104 allocations per query measured at GOMAXPROCS
+// 1, 2 and 4 (116 when the cost-based join planner stamped each two-table
+// core with its inputs' sizes; 238 when every execution resolved and
+// compiled its cores).
 func TestSingleHopAllocs(t *testing.T) {
 	env, _ := sharedEnvs(t)
 	g := newGraph(env.Store)
@@ -555,11 +557,13 @@ func TestSingleHopAllocs(t *testing.T) {
 
 // TestTraverseChainAllocs guards BenchmarkTraverseChain/in4_list: four
 // in('isPartOf') hops from a country, each an index nested-loop join of a
-// prepared core. 347 allocations per query measured at GOMAXPROCS 1, 2
-// and 4; 1 012 when every execution resolved and compiled its cores.
+// prepared core. 259 allocations per query measured at GOMAXPROCS 1, 2
+// and 4, x 1.35 (347 when each hop's CTE input was stored for the
+// cost-based join planner to count; 1 012 when every execution resolved
+// and compiled its cores).
 func TestTraverseChainAllocs(t *testing.T) {
 	g, _, in4 := chainFixture(t)
-	const ceiling = 500
+	const ceiling = 350
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := g.Query(in4); err != nil {
 			t.Fatal(err)
@@ -734,12 +738,11 @@ func folkIDs(every, n int) []int64 {
 	return ids
 }
 
-// TestIDListHeadStoredAsIDs guards how a g.V(ids) head is stored: the
-// 12 960-id head of a Table-1 text is a one-column relation of BIGINTs,
-// which the planner needs stored (it costs a CTE input by its count) and
-// which is kept as ids, 8 bytes each, not as rows. MaterializedRows still counts it, with
-// the DISTINCT's outputs and the count.
-func TestIDListHeadStoredAsIDs(t *testing.T) {
+// TestIDListHeadFused guards how a g.V(ids) head is read: the 12 960-id
+// head of a Table-1 text has one reader, the hop's core, and streams into
+// its pipe like any single-reader CTE. Nothing stores it, so
+// MaterializedRows counts only the DISTINCT's outputs and the count.
+func TestIDListHeadFused(t *testing.T) {
 	const ids, parents = 12960, 432
 	b := NewBuilder()
 	must := func(err error) {
@@ -765,11 +768,11 @@ func TestIDListHeadStoredAsIDs(t *testing.T) {
 	if got := res.Values[0]; fmt.Sprint(got) != fmt.Sprint(parents) {
 		t.Fatalf("count = %v, want %d", got, parents)
 	}
-	if len(res.Stats.CTEs) == 0 || res.Stats.CTEs[0].Fused || res.Stats.CTEs[0].Rows != ids {
-		t.Fatalf("the head is not stored with %d rows:\n%s", ids, res.Stats.String())
+	if len(res.Stats.CTEs) == 0 || !res.Stats.CTEs[0].Fused || res.Stats.CTEs[0].Rows != ids {
+		t.Fatalf("the head does not stream its %d rows into the hop:\n%s", ids, res.Stats.String())
 	}
-	if got, want := res.Stats.MaterializedRows, ids+parents+1; got != want {
-		t.Fatalf("MaterializedRows = %d, want %d (head, DISTINCT outputs, count)\n%s", got, want, res.Stats.String())
+	if got, want := res.Stats.MaterializedRows, parents+1; got != want {
+		t.Fatalf("MaterializedRows = %d, want %d (DISTINCT outputs, count)\n%s", got, want, res.Stats.String())
 	}
 	const runs = 10
 	var before, after runtime.MemStats
@@ -779,12 +782,13 @@ func TestIDListHeadStoredAsIDs(t *testing.T) {
 		must(err)
 	}
 	runtime.ReadMemStats(&after)
-	// 250 KB per query measured at GOMAXPROCS 1, 414 KB at 2 and 435 KB at
-	// 4, with the head's ids stored in a list sized by the rows its scan
-	// expects (654 KB at 1, 437 KB at 2 and 458 KB at 4 when it grew by
-	// append; 2.27 to 2.94 MB with the head stored as rows, a set table
-	// per worker and the id list parsed by append), x 1.35.
-	const ceiling = 900_000
+	// 153 KB per query measured at GOMAXPROCS 4 (149 KB at 2 and 143 KB
+	// at 1) with the head streamed into the hop, x 1.35. Stored for the
+	// cost-based join planner to count, the head cost 250 KB at 1, 414 KB
+	// at 2 and 435 KB at 4 as a list of ids (654 KB, 437 KB and 458 KB
+	// when that list grew by append; 2.27 to 2.94 MB as rows, with a set
+	// table per worker and the id list parsed by append).
+	const ceiling = 208_000
 	if perQuery := (after.TotalAlloc - before.TotalAlloc) / runs; perQuery > ceiling {
 		t.Fatalf("a 12 960-id head allocates %d bytes per query, ceiling %d", perQuery, ceiling)
 	}

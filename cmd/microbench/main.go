@@ -7,7 +7,7 @@
 // Usage:
 //
 //	microbench [-scale tiny|small|medium|large] [-exp all|adjacency|attributes|stats|neighbors|paths|ablations]
-//	           [-json BENCH_engine.json] [-baseline BENCH_engine.json] [-maxratio 2.0] [-plannergate 1.05]
+//	           [-json BENCH_engine.json] [-baseline BENCH_engine.json] [-maxratio 2.0]
 //	           [-concurrency N] [-http N] [-replicas N] [-linkbench N] [-serve addr] [-duration 2s] [-parallel N]
 //
 // With -json, the Figure 5/6 workloads are additionally run one query
@@ -16,12 +16,6 @@
 // With -baseline, the same fresh timings are compared against the given
 // committed baseline and the process exits nonzero when the geometric
 // mean exceeds -maxratio (the CI benchmark-smoke gate).
-//
-// With -plannergate R, every Figure 5/6 query is additionally timed
-// under the cost-based planner and under the legacy syntactic join
-// order, and the run fails when a figure's geomean ratio (cost-based /
-// syntactic) exceeds R — the cost-based planner must never make chosen
-// plans meaningfully slower than the old fixed order.
 //
 // With -concurrency N, the MVCC scaling experiment runs instead of the
 // schema experiments: 1..N snapshot-reader goroutines against a live
@@ -75,7 +69,6 @@ func main() {
 	jsonPath := flag.String("json", "", "also write per-query Figure 5/6 engine timings as JSON to this file")
 	baselinePath := flag.String("baseline", "", "compare fresh Figure 5/6 timings against this committed JSON baseline")
 	maxRatio := flag.Float64("maxratio", 2.0, "fail -baseline comparison when the geomean slowdown exceeds this")
-	plannerGate := flag.Float64("plannergate", 0, "gate cost-based vs syntactic join order: fail when a figure's geomean ratio exceeds this (0 = skip)")
 	concurrency := flag.Int("concurrency", 0, "run the concurrent snapshot-read experiment with up to N readers")
 	httpClients := flag.Int("http", 0, "drive an in-process HTTP server with N concurrent clients")
 	replicas := flag.Int("replicas", 0, "measure read scaling across 1..N streaming-replication followers")
@@ -130,12 +123,6 @@ func main() {
 		}
 		return experiments.AblationSoftDelete(os.Stdout)
 	})
-
-	if *plannerGate > 0 {
-		if err := experiments.PlannerGate(env, *plannerGate, os.Stdout); err != nil {
-			log.Fatalf("planner gate: %v", err)
-		}
-	}
 
 	var httpEntries []experiments.EngineBenchEntry
 	if *httpClients > 0 {

@@ -54,7 +54,6 @@ func main() {
 	dir := flag.String("dir", "", "durable store directory (load populates it; other commands open it)")
 	parallel := flag.Int("parallel", 0, "executor worker cap for one query: 0 = GOMAXPROCS, 1 = serial")
 	explain := flag.Bool("explain", false, "after query: print the timed plan tree and executor statistics")
-	forcePlan := flag.Int("force-plan", 0, "join-order pin: 0 = cost-based, -1 = syntactic FROM order, k>=1 = k-th enumerated order")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -115,7 +114,6 @@ func main() {
 		log.Fatal(err)
 	}
 	g.SetParallelism(*parallel)
-	g.SetForcePlan(*forcePlan)
 
 	switch args[0] {
 	case "query":

@@ -34,7 +34,7 @@ type httpWorkload struct {
 // It returns one EngineBenchEntry per workload (figure "http",
 // ns_per_op = p50 latency) so the run is gated against the committed
 // BENCH_engine.json baseline the same way as the engine workloads. Any
-// 5xx response fails the bench outright.
+// response outside 2xx fails the bench.
 func HTTPLoadBench(env *DBpediaEnv, clients int, dur time.Duration, w io.Writer) ([]EngineBenchEntry, error) {
 	header(w, "HTTP serving layer (end-to-end)")
 
@@ -127,14 +127,12 @@ func HTTPLoadBench(env *DBpediaEnv, clients int, dur time.Duration, w io.Writer)
 			name: "mixed_rw",
 			desc: "90% reads with vertex add/remove churn through the serialized writer",
 			req: func(i int) (string, string, string) {
-				switch i % 20 {
-				case 0:
-					id := scratch + int64(i%256)
-					return "POST", "/vertex", fmt.Sprintf(`{"id":%d,"attrs":{"bench":true}}`, id)
-				case 10:
-					id := scratch + int64(i%256)
-					return "DELETE", fmt.Sprintf("/vertex/%d", id), ""
-				case 5:
+				switch kind, id := mixedRW(i, clients); kind {
+				case mixedAdd:
+					return "POST", "/vertex", fmt.Sprintf(`{"id":%d,"attrs":{"bench":true}}`, scratch+id)
+				case mixedDelete:
+					return "DELETE", fmt.Sprintf("/vertex/%d", scratch+id), ""
+				case mixedQuery:
 					return "POST", "/query", probes[i%len(probes)]
 				default:
 					return "GET", fmt.Sprintf("/vertex/%d", vids[i%len(vids)]), ""
@@ -154,6 +152,12 @@ func HTTPLoadBench(env *DBpediaEnv, clients int, dur time.Duration, w io.Writer)
 		fmt.Fprintf(w, "%-12s %12.0f %12.0f %12.0f %12d\n",
 			wl.name, float64(reqs)/dur.Seconds(),
 			float64(p50.Microseconds()), float64(p99.Microseconds()), non2xx)
+		if non2xx > 0 {
+			// Every request of every workload names what exists or what it
+			// creates: an answer outside 2xx is a fault, of the schedule or
+			// of the server.
+			return nil, fmt.Errorf("http bench %s: %d of %d responses were not 2xx", wl.name, non2xx, reqs)
+		}
 		entries = append(entries, EngineBenchEntry{
 			Figure:     "http",
 			Query:      wl.name,
@@ -178,9 +182,40 @@ func HTTPLoadBench(env *DBpediaEnv, clients int, dur time.Duration, w io.Writer)
 	return entries, nil
 }
 
-// runHTTPWorkload drives one workload with `clients` goroutines for dur.
-// Responses below 500 count as served (409/404 are expected in the
-// mutation churn); any 5xx aborts with that response as the error.
+// The kinds of request mixed_rw sends (mixedRW).
+const (
+	mixedRead = iota
+	mixedQuery
+	mixedAdd
+	mixedDelete
+)
+
+// mixedRW is mixed_rw's schedule for request i of a run over `clients`
+// clients, where client c sends i = c, c+clients, c+2·clients, …: of
+// every 20 requests a client sends, the first adds a vertex, the sixth
+// is a Gremlin query, the eleventh deletes the vertex the first added,
+// and the rest are point reads. The id (an offset into the bench's
+// scratch range) is the client's own, so a delete always names a vertex
+// its client added and nobody has deleted, and an add never names a
+// vertex that is still there.
+func mixedRW(i, clients int) (kind int, id int64) {
+	c, k := i%clients, i/clients
+	id = int64((k/20%4096)*clients + c)
+	switch k % 20 {
+	case 0:
+		return mixedAdd, id
+	case 10:
+		return mixedDelete, id
+	case 5:
+		return mixedQuery, 0
+	}
+	return mixedRead, 0
+}
+
+// runHTTPWorkload drives one workload with `clients` goroutines for dur;
+// client c sends requests c, c+clients, c+2·clients, …. It counts the
+// answers outside 2xx, and any 5xx aborts with that response as the
+// error.
 func runHTTPWorkload(client *http.Client, base string, wl httpWorkload, clients int, dur time.Duration) (reqs, non2xx int64, p50, p99 time.Duration, err error) {
 	stop := make(chan struct{})
 	latCh := make(chan []time.Duration, clients)

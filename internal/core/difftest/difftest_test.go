@@ -232,10 +232,9 @@ func TestShrinkMinimizes(t *testing.T) {
 }
 
 // TestDifferentialPlanEquivalence is the plan-space sweep: every
-// pipeline re-runs under the syntactic join order and every order the
-// cost-based planner enumerated, crossed with every forced join
-// strategy, and must reproduce the oracle's result multiset each time.
-// The full corpus runs with -tags slow.
+// pipeline re-runs under every forced join strategy and must reproduce
+// the oracle's result multiset each time. The full corpus runs with
+// -tags slow.
 func TestDifferentialPlanEquivalence(t *testing.T) {
 	if err := RunPlans(7, 3, 15, []core.TranslateOptions{{}}, nil); err != nil {
 		t.Fatal(err)

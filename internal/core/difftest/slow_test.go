@@ -17,7 +17,7 @@ func TestDifferentialFull(t *testing.T) {
 	}
 }
 
-// TestDifferentialPlanEquivalenceFull is the full plan-space sweep: more
+// TestDifferentialPlanEquivalenceFull is the full strategy sweep: more
 // graphs and pipelines, in every translation mode.
 func TestDifferentialPlanEquivalenceFull(t *testing.T) {
 	if testing.Short() {

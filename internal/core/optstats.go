@@ -3,12 +3,14 @@ package core
 import "sqlgraph/internal/stats"
 
 // Optimizer statistics wiring. Every store carries a stats.Collection
-// attached as the catalog's change observer, so the cost-based planner
-// (internal/engine) sees maintained row counts, NDV sketches, and
-// per-edge-label degree summaries. Histograms are rebuild-only; they are
-// refreshed at bulk load, crash recovery, and every checkpoint.
+// attached as the catalog's change observer, so the engine costs each
+// table access (index path or full scan) from maintained null and
+// non-negative counts, NDV sketches and histograms, and `sqlgraph stats`
+// and /stats describe row counts and per-edge-label degree summaries.
+// Histograms are rebuild-only; they are refreshed at bulk load, crash
+// recovery, and every checkpoint.
 
-// optStatsConfig describes which statistics the planner needs per table.
+// optStatsConfig describes which statistics are maintained per table.
 //
 //   - VA: row count + NDV/histogram on VID (vertex lookups, soft-delete
 //     guard selectivity via the always-on NonNeg counters).
@@ -31,7 +33,7 @@ func optStatsConfig() stats.Config {
 
 // initOptStats builds the collection and plugs it into both consumers:
 // the catalog (incremental maintenance on every commit) and the engine
-// (the planner's StatsProvider). Called by newMemStore before any row
+// (the StatsProvider access paths are costed from). Called by newMemStore before any row
 // exists, so incremental counters are exact from the first insert.
 func (s *Store) initOptStats() {
 	s.optStats = stats.NewCollection(s.cat, optStatsConfig())
@@ -39,8 +41,8 @@ func (s *Store) initOptStats() {
 	s.eng.SetStatsProvider(s.optStats)
 }
 
-// OptimizerStats exposes the planner statistics (server /stats section,
-// CLI `sqlgraph stats`, invariant tests).
+// OptimizerStats exposes the maintained statistics (server /stats
+// section, CLI `sqlgraph stats`, invariant tests, the benchmark harness).
 func (s *Store) OptimizerStats() *stats.Collection { return s.optStats }
 
 // RefreshStats rebuilds every tracked table's statistics from a scan,

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
 
 	"sqlgraph/internal/bench/dbpedia"
 	"sqlgraph/internal/blueprints"
-	"sqlgraph/internal/engine"
 	"sqlgraph/internal/gremlin"
 	"sqlgraph/internal/gremlin/interp"
 )
@@ -137,104 +135,35 @@ func TestAdhocShapeStaysPrepared(t *testing.T) {
 	}
 }
 
-var statTimes = regexp.MustCompile(` time=\S+`)
-
-// explain is the statement's EXPLAIN ANALYZE without the clock.
-func explain(st *engine.ExecStats) string { return statTimes.ReplaceAllString(st.String(), "") }
-
-// planOf keeps what the planner decided: each join's table and strategy,
-// each scan's table and access path.
-func planOf(st *engine.ExecStats) string {
-	var sb strings.Builder
-	for _, sc := range st.Scans {
-		fmt.Fprintf(&sb, "scan %s %s; ", sc.Table, sc.Access)
-	}
-	for _, j := range st.Joins {
-		fmt.Fprintf(&sb, "join %s %s; ", j.Table, j.Strategy)
-	}
-	return sb.String()
-}
-
-// TestPlanStampMagnitude: one shape bound to two ids and to ten thousand
-// is one statement and two plans. Each binding runs the plan a fresh
-// planning of its own literal statement picks, and each plan, once
-// cached, serves the next binding of its magnitude.
-func TestPlanStampMagnitude(t *testing.T) {
-	d, s := loadShapeDataset(t)
-	all := d.Graph.VertexIDs()
-	text := func(ids []int64) string {
-		parts := make([]string, len(ids))
-		for i, id := range ids {
-			parts[i] = fmt.Sprint(id)
-		}
-		return fmt.Sprintf("g.V(%s).out('%s').in('%s').dedup().count()", strings.Join(parts, ", "), dbpedia.LabelTeam, dbpedia.LabelTeam)
-	}
-	small1, small2 := text(d.Players[:2]), text(d.Players[10:12])
-	big1, big2 := text(all[:10000]), text(all[len(all)-10000:])
-
-	// literal plans the binding's own literal statement from scratch: a
-	// freshly parsed statement has no plan cached.
-	literal := func(gremlinText string) *engine.ExecStats {
+// TestCommitDoesNotReplan: a core's plan is stamped with the snapshot,
+// the forced strategy and the catalog, and a commit changes none of
+// them. A two-table core run, a vertex committed, and the core run again
+// is one plan-cache hit: nothing is prepared again.
+func TestCommitDoesNotReplan(t *testing.T) {
+	s := loadFigure2a(t, Options{})
+	const text = "g.V(1).outE('knows').count()"
+	run := func() {
 		t.Helper()
-		tr, err := s.Translate(gremlinText, TranslateOptions{})
+		res, err := s.Query(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := s.Engine().Query(tr.SQL)
-		if err != nil {
-			t.Fatal(err)
+		if len(res.Values) != 1 || fmt.Sprint(res.Values[0]) != "2" {
+			t.Fatalf("%s = %v, want [2]", text, res.Values)
 		}
-		return &rows.Stats
-	}
-	run := func(gremlinText string) (*Result, engine.PlanCacheStats) {
-		t.Helper()
-		before := s.PlanCacheStats()
-		res, err := s.Query(gremlinText)
-		if err != nil {
-			t.Fatal(err)
+		if len(res.Stats.Joins) == 0 {
+			t.Fatalf("%s joined nothing: the test needs a core of two tables\n%s", text, res.Stats.String())
 		}
-		after := s.PlanCacheStats()
-		return res, engine.PlanCacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses,
-			Invalidations: after.Invalidations - before.Invalidations}
 	}
-
-	first, delta := run(small1)
-	if delta.Misses == 0 || delta.Hits != 0 {
-		t.Fatalf("first binding: %+v, want every core planned for the first time", delta)
+	run()
+	before := s.PlanCacheStats()
+	if err := s.AddVertex(900, map[string]any{"name": "new"}); err != nil {
+		t.Fatal(err)
 	}
-	cores := delta.Misses
-	if got, want := explain(&first.Stats), explain(literal(small1)); got != want {
-		t.Fatalf("2 ids: bound statement ran\n%s\nits literal statement plans\n%s", got, want)
-	}
-	big, delta := run(big1)
-	if delta.Misses != 0 || delta.Invalidations == 0 {
-		t.Fatalf("10 000 ids on the statement planned for 2: %+v, want cores planned again under another stamp", delta)
-	}
-	if got, want := explain(&big.Stats), explain(literal(big1)); got != want {
-		t.Fatalf("10 000 ids: bound statement ran\n%s\nits literal statement plans\n%s", got, want)
-	}
-	if planOf(&first.Stats) == planOf(&big.Stats) {
-		t.Fatalf("2 ids and 10 000 ids run one plan — the test has no teeth on this graph:\n%s", planOf(&big.Stats))
-	}
-	if n := s.PreparedStatements(); n != 1 {
-		t.Fatalf("%d statements for one shape", n)
-	}
-
-	// Either magnitude again, other ids: its plan is still there.
-	for _, c := range []struct {
-		name, text string
-		like       *Result
-	}{{"2 ids", small2, first}, {"10 000 ids", big2, big}, {"2 ids", small1, first}} {
-		res, delta := run(c.text)
-		if delta.Hits != cores || delta.Misses != 0 || delta.Invalidations != 0 {
-			t.Fatalf("%s again: %+v, want %d plan-cache hits and nothing planned", c.name, delta, cores)
-		}
-		if got, want := planOf(&res.Stats), planOf(&c.like.Stats); got != want {
-			t.Fatalf("%s again ran\n%s\nwant the plan of its magnitude\n%s", c.name, got, want)
-		}
-		if got, want := planOf(&res.Stats), planOf(literal(c.text)); got != want {
-			t.Fatalf("%s again ran\n%s\nits literal statement plans\n%s", c.name, got, want)
-		}
+	run()
+	after := s.PlanCacheStats()
+	if after.Invalidations != before.Invalidations || after.Misses != before.Misses || after.Hits == before.Hits {
+		t.Fatalf("plan cache across a commit: %+v -> %+v, want hits only", before, after)
 	}
 }
 

@@ -108,7 +108,7 @@ type Store struct {
 	preparedMu sync.RWMutex
 	prepared   map[preparedKey]*preparedQuery // one statement per query shape, at most maxPrepared
 	tracer     *trace.Recorder                // trace rings + write-path counters (never nil)
-	optStats   *stats.Collection              // planner statistics (never nil)
+	optStats   *stats.Collection              // maintained statistics (never nil)
 
 	// Telemetry (telemetry.go): prepared-statement cache counters, plus
 	// the lifecycle event journal.
@@ -484,16 +484,6 @@ func (s *Store) Engine() *engine.Engine { return s.eng }
 func (s *Store) SetParallelism(n int) {
 	opts := s.eng.ExecOptionsInEffect()
 	opts.Parallelism = n
-	s.eng.SetExecOptions(opts)
-}
-
-// SetForcePlan pins the planner's join-order choice for subsequent
-// queries: 0 restores cost-based planning, -1 forces the syntactic FROM
-// order, k >= 1 pins the k-th enumerated order (wrapping modulo the
-// enumeration count). Results are identical at any setting.
-func (s *Store) SetForcePlan(k int) {
-	opts := s.eng.ExecOptionsInEffect()
-	opts.ForcePlan = k
 	s.eng.SetExecOptions(opts)
 }
 

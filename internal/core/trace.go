@@ -160,12 +160,6 @@ func (s *Store) prepare(b *trace.Builder, q *gremlin.Query, opts TranslateOption
 // cut out of one string.
 func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStats) {
 	d := spanDetails{buf: make([]byte, 0, 256), cuts: make([]detailCut, 0, 16)}
-	estAct := func(est int64, act int) {
-		if est >= 0 {
-			d.buf = strconv.AppendInt(append(d.buf, " est="...), est, 10)
-			d.buf = strconv.AppendInt(append(d.buf, " act="...), int64(act), 10)
-		}
-	}
 	for i := range st.CTEs {
 		c := &st.CTEs[i]
 		d.buf = append(d.buf, c.Name...)
@@ -195,7 +189,6 @@ func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStat
 	scan := func(parent *trace.Span, sc *engine.ScanStat, startNs, nanos int64) {
 		d.buf = append(append(append(d.buf, sc.Table...), ' '), sc.Access...)
 		d.buf = strconv.AppendInt(append(d.buf, " workers="...), int64(sc.Workers), 10)
-		estAct(sc.EstRows, sc.RowsOut)
 		d.cut(b.Child(parent, "scan", "", startNs, nanos, int64(sc.RowsIn), int64(sc.RowsOut)))
 	}
 	for i := range st.Scans {
@@ -208,16 +201,8 @@ func attachOperatorSpans(b *trace.Builder, exec *trace.Span, st *engine.ExecStat
 		if j.Workers > 1 {
 			d.buf = strconv.AppendInt(append(d.buf, " workers="...), int64(j.Workers), 10)
 		}
-		if j.EstRows >= 0 {
-			estAct(j.EstRows, j.OutRows)
-			d.buf = strconv.AppendFloat(append(d.buf, " cost="...), j.EstCost, 'f', 0, 64)
-		}
 		if j.AltStrategy != engine.StrategyAuto {
 			d.buf = append(append(d.buf, " alt="...), j.AltStrategy...)
-			if j.AltCost >= 0 {
-				d.buf = strconv.AppendFloat(append(d.buf, "(cost="...), j.AltCost, 'f', 0, 64)
-				d.buf = append(d.buf, ')')
-			}
 		}
 		d.cut(b.Child(parent, "join", "", startNs, nanos, int64(j.BuildRows+j.ProbeRows), int64(j.OutRows)))
 	}

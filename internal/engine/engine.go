@@ -28,8 +28,8 @@ type Engine struct {
 
 	iosim        atomic.Pointer[pageModelBox] // optional buffer-pool model (Figure 8c)
 	execOpts     atomic.Pointer[ExecOptions]  // nil = defaults
-	statsProv    atomic.Pointer[statsProvBox] // optimizer statistics, nil = legacy planning
-	planCache    sync.Map                     // *sql.SimpleSelect -> *planCacheEntry, *sql.SelectStmt -> *stmtPlan (see planner.go)
+	statsProv    atomic.Pointer[statsProvBox] // access-path statistics, nil = syntactic access paths
+	planCache    sync.Map                     // *sql.SimpleSelect -> *planCacheEntry, *sql.SelectStmt -> *stmtPlan (see plancache.go)
 	planCacheLen atomic.Int64                 // entries stored since the cache was last emptied
 
 	planHits          atomic.Uint64 // prepared cores found under their stamp
@@ -48,8 +48,8 @@ type PlanCacheStats struct {
 
 // PlanCacheStats reports plan-cache hit/miss/invalidation totals, per
 // SELECT core executed. Invalidations count cores prepared again because
-// no plan cached for them had the execution's stamp (stats version,
-// as-of, ForcePlan, ForceJoin, catalog, binding).
+// no plan cached for them had the execution's stamp (as-of, ForceJoin,
+// catalog).
 func (e *Engine) PlanCacheStats() PlanCacheStats {
 	return PlanCacheStats{
 		Hits:          e.planHits.Load(),
@@ -86,7 +86,8 @@ func (e *Engine) ioSim() PageModel {
 
 // SetExecOptions replaces the engine's execution options (join-strategy
 // forcing, parallelism cap). A nil-equivalent zero value restores the
-// defaults: planner-chosen strategies, up to GOMAXPROCS workers.
+// defaults: index-NL where an index covers the join keys, else hash, up
+// to GOMAXPROCS workers.
 func (e *Engine) SetExecOptions(opts ExecOptions) {
 	e.execOpts.Store(&opts)
 }
@@ -99,10 +100,11 @@ func (e *Engine) ExecOptionsInEffect() ExecOptions {
 	return ExecOptions{}
 }
 
-// SetStatsProvider attaches (or removes, with nil) optimizer statistics.
-// With a provider attached, reorderable FROM clauses are planned with the
-// cost model in planner.go; without one, the legacy syntactic join order
-// and heuristic strategy selection apply. Safe to call concurrently with
+// SetStatsProvider attaches (or removes, with nil) the statistics a
+// table access is costed from: with a provider, each execution reads a
+// table by the cheapest of its index paths and the full scan (accessCost);
+// without one, by the first index path in the syntactic preference order.
+// Joins run in FROM order either way. Safe to call concurrently with
 // queries.
 func (e *Engine) SetStatsProvider(p StatsProvider) {
 	if p == nil {
@@ -189,14 +191,13 @@ func (e *Engine) QueryStmtAt(sel *sql.SelectStmt, asOf rel.Version, args []Arg) 
 
 	opts := e.ExecOptionsInEffect()
 	q := &queryState{
-		params:    args,
-		par:       opts.Parallelism,
-		sizes:     e.sizes,
-		force:     opts.ForceJoin,
-		asOf:      asOf,
-		t0:        time.Now(),
-		provider:  e.statsProvider(),
-		forcePlan: opts.ForcePlan,
+		params:   args,
+		par:      opts.Parallelism,
+		sizes:    e.sizes,
+		force:    opts.ForceJoin,
+		asOf:     asOf,
+		t0:       time.Now(),
+		provider: e.statsProvider(),
 	}
 	r, err := e.evalSelect(q, sel)
 	if err != nil {

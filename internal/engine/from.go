@@ -124,14 +124,14 @@ func isConstExpr(e sql.Expr) bool {
 	return len(r.qualified) == 0 && len(r.bare) == 0 && len(collectAggCalls(e, nil)) == 0
 }
 
-// corePlan is one SELECT core prepared under a plan stamp (planner.go):
-// every name resolved, every expression compiled, each join's order,
-// strategy, shape and access candidates fixed. It is immutable and shared
-// by every execution under its stamp; what the arguments decide — the
-// access path a scan takes, how a run is cut — each execution decides.
+// corePlan is one SELECT core prepared under a plan stamp (plancache.go):
+// every name resolved, every expression compiled, each join's strategy,
+// shape and access candidates fixed, the joins in FROM order. It is
+// immutable and shared by every execution under its stamp; what the
+// arguments decide — the access path a scan takes, how a run is cut —
+// each execution decides.
 type corePlan struct {
 	prep
-	variants int         // orders the planner enumerated (ExecStats.PlanVariants)
 	joins    []*joinPlan // the FROM items, each followed by the JOINs of its chain
 	where    predicate   // the WHERE terms no join applied; nil when none
 	agg      *aggregator // nil unless the core aggregates
@@ -176,7 +176,6 @@ func (e *Engine) evalSimpleSelect(q *queryState, sel *sql.SimpleSelect) (*relati
 	if err != nil {
 		return nil, err
 	}
-	q.stats.PlanVariants = max(q.stats.PlanVariants, cp.variants)
 	f, err := cp.frame(e, q)
 	if err != nil {
 		return nil, err
@@ -200,27 +199,22 @@ func (e *Engine) evalSimpleSelect(q *queryState, sel *sql.SimpleSelect) (*relati
 	return e.distinct(q, out)
 }
 
-// prepareCore prepares a SELECT core: the planner's order, every FROM
-// step with pushdown and join selection, the WHERE residue, the select
-// list.
+// prepareCore prepares a SELECT core: every FROM step in the order the
+// statement writes them, with pushdown and join selection, the WHERE
+// residue, the select list.
 func (e *Engine) prepareCore(q *queryState, sel *sql.SimpleSelect) (*corePlan, error) {
 	cp := &corePlan{distinct: sel.Distinct}
 	p := &cp.prep
 	conjs := splitConjuncts(sel.Where, nil)
-	refs := sel.From
-	var steps []*stepPlan
-	if fp := e.planFrom(q, sel, conjs); fp != nil {
-		refs, steps, cp.variants = fp.orderedRefs(sel.From), fp.steps, fp.variants
-	}
 	// ON terms are split up front so the needed-column analysis sees every
 	// term that will ever read a column of this core.
-	on := make([][][]*conjunct, len(refs))
-	for i, ref := range refs {
+	on := make([][][]*conjunct, len(sel.From))
+	for i, ref := range sel.From {
 		for _, jc := range ref.Joins {
 			on[i] = append(on[i], splitConjuncts(jc.On, nil))
 		}
 	}
-	needs := newColNeeds(sel, refs, conjs, on)
+	needs := newColNeeds(sel, conjs, on)
 	var cols []colInfo
 	add := func(j *joinPlan, err error) error {
 		if err == nil {
@@ -228,17 +222,13 @@ func (e *Engine) prepareCore(q *queryState, sel *sql.SimpleSelect) (*corePlan, e
 		}
 		return err
 	}
-	for i, ref := range refs {
-		var sp *stepPlan
-		if i < len(steps) {
-			sp = steps[i]
-		}
-		if err := add(e.prepareJoin(q, p, cols, ref, conjs, "INNER", nil, sp, needs, i == 0)); err != nil {
+	for i, ref := range sel.From {
+		if err := add(e.prepareJoin(q, p, cols, ref, conjs, "INNER", nil, needs, i == 0)); err != nil {
 			return nil, err
 		}
 		for k, jc := range ref.Joins {
 			onConjs := on[i][k]
-			if err := add(e.prepareJoin(q, p, cols, jc.Right, onConjs, "LEFT", onConjs, nil, needs, false)); err != nil {
+			if err := add(e.prepareJoin(q, p, cols, jc.Right, onConjs, "LEFT", onConjs, needs, false)); err != nil {
 				return nil, err
 			}
 			// An ON conjunct the join machinery could not consume would change
@@ -374,26 +364,19 @@ func (s *projectSink) push(row []rel.Value) {
 	s.next.push(s.out)
 }
 
-// plan fixes the join's strategy and the statistics entry each execution
-// starts from: the planner's estimates (sp), or the alternative not
-// costed.
-func (j *joinPlan) plan(strategy, alt JoinStrategy, table string, sp *stepPlan) {
-	j.stat = JoinStat{Strategy: strategy, Table: table, EstRows: -1, EstCost: -1, AltStrategy: alt, AltCost: -1}
-	if sp != nil {
-		j.stat.EstRows, j.stat.EstCost, j.stat.AltStrategy = sp.estRows, sp.cost, StrategyAuto
-		if sp.altStrategy != StrategyAuto {
-			j.stat.AltStrategy, j.stat.AltCost = sp.altStrategy, sp.altCost
-		}
-	}
+// plan fixes the join's strategy, and the statistics entry each execution
+// starts from.
+func (j *joinPlan) plan(strategy, alt JoinStrategy, table string) {
+	j.stat = JoinStat{Strategy: strategy, Table: table, AltStrategy: alt}
 }
 
 // prepareJoin prepares one table reference joined into the columns cur
 // has so far. The conjunct pool is the WHERE (or ON) clause for INNER
-// joins, the ON clause only for LEFT ones; sp, when non-nil, is the
-// planner's step. The output keeps only the columns needs still wants.
-// At execution the right side is stored unless it is the first FROM item,
-// which becomes cur as it stands, or is probed through an index.
-func (e *Engine) prepareJoin(q *queryState, p *prep, curCols []colInfo, ref sql.TableRef, conjs []*conjunct, kind string, onOnly []*conjunct, sp *stepPlan, needs *colNeeds, first bool) (*joinPlan, error) {
+// joins, the ON clause only for LEFT ones. The output keeps only the
+// columns needs still wants. At execution the right side is stored unless
+// it is the first FROM item, which becomes cur as it stands, or is probed
+// through an index.
+func (e *Engine) prepareJoin(q *queryState, p *prep, curCols []colInfo, ref sql.TableRef, conjs []*conjunct, kind string, onOnly []*conjunct, needs *colNeeds, first bool) (*joinPlan, error) {
 	if ref.TableFn != nil {
 		if kind != "INNER" {
 			return nil, fmt.Errorf("engine: TABLE(VALUES) requires inner join semantics")
@@ -490,11 +473,10 @@ func (e *Engine) prepareJoin(q *queryState, p *prep, curCols []colInfo, ref sql.
 	// join: probe the index once per outer row instead of materializing
 	// the whole table (this is what makes the OPA/OSA/EA traversal
 	// templates fast). A forced strategy (benchmarks, equivalence tests)
-	// bypasses index selection, as does a planner step that costed hash
-	// as the clear winner.
-	if j.table != nil && len(joinEq) > 0 && q.force == StrategyAuto && (sp == nil || sp.strategy != StrategyHash) {
+	// bypasses index selection.
+	if j.table != nil && len(joinEq) > 0 && q.force == StrategyAuto {
 		if j.ix, j.mapping = joinIndexFor(j.table, j.eqRight, q.asOf); j.ix != nil {
-			j.plan(StrategyIndexNL, StrategyHash, j.table.Name(), sp)
+			j.plan(StrategyIndexNL, StrategyHash, j.table.Name())
 			return j, stage()
 		}
 	}
@@ -503,11 +485,7 @@ func (e *Engine) prepareJoin(q *queryState, p *prep, curCols []colInfo, ref sql.
 	// when the right side is a base table). Either way the surviving rows
 	// are the source's own: nothing is copied.
 	if j.table != nil {
-		est := int64(-1)
-		if sp != nil && sp.estScan >= 0 {
-			est = sp.estScan
-		}
-		if j.scan, err = p.prepareScan(q, j.table, alias, j.cols, rightOnly, est); err != nil {
+		if j.scan, err = p.prepareScan(q, j.table, alias, j.cols, rightOnly); err != nil {
 			return nil, err
 		}
 	} else if len(rightOnly) > 0 {
@@ -527,12 +505,12 @@ func (e *Engine) prepareJoin(q *queryState, p *prep, curCols []colInfo, ref sql.
 	switch {
 	case len(joinEq) > 0 && !demotedEq:
 		// Hash join: the default for equi-joins no index covers.
-		j.plan(StrategyHash, StrategyNestedLoop, alias, sp)
+		j.plan(StrategyHash, StrategyNestedLoop, alias)
 	case demotedEq:
-		j.plan(StrategyNestedLoop, StrategyHash, alias, sp)
+		j.plan(StrategyNestedLoop, StrategyHash, alias)
 	default:
 		// Nested-loop join: true cross joins and non-equi conditions only.
-		j.plan(StrategyNestedLoop, StrategyAuto, alias, sp)
+		j.plan(StrategyNestedLoop, StrategyAuto, alias)
 	}
 	return j, stage()
 }

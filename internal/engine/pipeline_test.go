@@ -298,12 +298,13 @@ func TestPipelineBreakers(t *testing.T) {
 	}
 }
 
-// TestPipelinePlannerInputsStored: with statistics attached, a CTE that a
-// two-table FROM clause reads is stored before the planner costs the
-// clause, so the plan is the one its actual row count earns; the CTE
-// behind it, read by a single-table core, still streams.
-func TestPipelinePlannerInputsStored(t *testing.T) {
-	e := newPlannerEngine(t, 2000)
+// TestPipelineJoinInputsFused: with statistics attached, a CTE that a
+// two-table FROM clause reads as its first item streams into that core's
+// pipe like any single-reader CTE — nothing is stored to be counted — and
+// so does the CTE behind it; the hop probes BIG's index from the one row
+// that reaches it, and only the result is stored.
+func TestPipelineJoinInputsFused(t *testing.T) {
+	e := newTwoTableEngine(t, 2000)
 	r, err := e.Query(`WITH PICK AS (SELECT K AS VAL FROM SMALL WHERE ID = 3),
 		SAME AS (SELECT VAL FROM PICK WHERE VAL >= 0),
 		HOP AS (SELECT B.V AS VAL FROM SAME S, BIG B WHERE B.K = S.VAL)
@@ -312,11 +313,14 @@ func TestPipelinePlannerInputsStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	fused := fusedCTEs(&r.Stats)
-	if !fused["PICK"] || fused["SAME"] || len(r.Data) != 1 || r.Data[0][0].Int() != 300*7 {
-		t.Fatalf("fused=%v rows=%v, want PICK fused, SAME stored, one row 2100", fused, rowsKeys(r))
+	if !fused["PICK"] || !fused["SAME"] || len(r.Data) != 1 || r.Data[0][0].Int() != 300*7 {
+		t.Fatalf("fused=%v rows=%v, want PICK and SAME fused, one row 2100", fused, rowsKeys(r))
+	}
+	if r.Stats.MaterializedRows != 1 {
+		t.Fatalf("MaterializedRows = %d, want the one result row", r.Stats.MaterializedRows)
 	}
 	if j := r.Stats.Joins[0]; j.Strategy != StrategyIndexNL || j.BuildRows != 1 {
-		t.Fatalf("hop not planned from SAME's one row: %+v", j)
+		t.Fatalf("hop not an index probe from SAME's one row: %+v", j)
 	}
 }
 

@@ -22,10 +22,9 @@ type colNeeds struct {
 	pending []*conjunct // WHERE and ON terms; each is needed until applied
 }
 
-// newColNeeds analyses a SELECT core. refs is its FROM list in execution
-// order, where its WHERE terms and on the ON terms of its explicit JOINs,
-// per FROM item and JOIN clause.
-func newColNeeds(sel *sql.SimpleSelect, refs []sql.TableRef, where []*conjunct, on [][][]*conjunct) *colNeeds {
+// newColNeeds analyses a SELECT core: where holds its WHERE terms and on
+// the ON terms of its explicit JOINs, per FROM item and JOIN clause.
+func newColNeeds(sel *sql.SimpleSelect, where []*conjunct, on [][][]*conjunct) *colNeeds {
 	n := &colNeeds{fixed: &exprRefs{}, pending: where}
 	for _, item := range sel.Items {
 		collectRefs(item.Expr, n.fixed)
@@ -33,7 +32,7 @@ func newColNeeds(sel *sql.SimpleSelect, refs []sql.TableRef, where []*conjunct, 
 	for _, gx := range sel.GroupBy {
 		collectRefs(gx, n.fixed)
 	}
-	for i, ref := range refs {
+	for i, ref := range sel.From {
 		if ref.TableFn != nil {
 			for _, row := range ref.TableFn.Rows {
 				for _, x := range row {

@@ -22,6 +22,30 @@ type accessPath struct {
 
 type accessKind uint8
 
+// Access-path costing (scanPlan.accessPath), in units of one heap row a
+// full scan examines. An index entry costs three of them: the B-tree
+// step, the rid-to-slot lookup and the staleness check make it about 1.5
+// times a sequential row, and an index walk runs on one worker where the
+// full scan runs on all of them. With fullScanHedge on the index side, a
+// predicate keeping more than about two fifths of the table is read by
+// full scan. A hashed index's entry is cheaper (a hash lookup, an integer
+// staleness check), but it only ever serves equality and IN, which win on
+// selectivity, so it shares the constant.
+const (
+	costScanRow  = 1.0
+	costIndexRow = 3.0
+	costProbe    = 2.0 // per key probed
+	// selIndexUnknown is the fraction an indexable predicate is assumed to
+	// keep when no statistic answers it (expression indexes, untracked
+	// tables): optimistic on purpose — whoever built that index expected
+	// it to be selective — so statistics can only ever demote an index
+	// path, never a missing statistic.
+	selIndexUnknown = 0.1
+	// fullScanHedge: a full scan must be predicted this much cheaper than
+	// an index path before it displaces it.
+	fullScanHedge = 0.8
+)
+
 const (
 	accessFullScan accessKind = iota
 	accessEq
@@ -59,6 +83,21 @@ func stripAlias(e sql.Expr, alias string) sql.Expr {
 	default:
 		return e
 	}
+}
+
+// flipCmp mirrors a comparison whose operands swap sides.
+func flipCmp(op string) string {
+	switch op {
+	case "<":
+		return ">"
+	case "<=":
+		return ">="
+	case ">":
+		return "<"
+	case ">=":
+		return "<="
+	}
+	return op
 }
 
 // indexUsableAt reports whether an index can serve reads at the given
@@ -108,7 +147,6 @@ type scanPlan struct {
 	pass  predicate
 	fans  bool // a filter may drop rows
 	cands []accessCand
-	est   int64 // the planner's row estimate, -1 when it made none
 }
 
 // accessCand offers an execution the path a pushed term reads the table
@@ -123,8 +161,8 @@ type accessCand func(f *frame, paths *[accessNotNull + 1]*accessPath)
 // first equality, IN list, range and IS NOT NULL an index matches are
 // candidates, a range taking its other bound from a later term on the
 // same index.
-func (p *prep) prepareScan(q *queryState, t *rel.Table, alias string, cols []colInfo, conjs []*conjunct, est int64) (*scanPlan, error) {
-	s := &scanPlan{t: t, cols: cols, est: est}
+func (p *prep) prepareScan(q *queryState, t *rel.Table, alias string, cols []colInfo, conjs []*conjunct) (*scanPlan, error) {
+	s := &scanPlan{t: t, cols: cols}
 	var filters []*conjunct
 	for _, c := range conjs {
 		if c.applied {
@@ -244,7 +282,7 @@ func (s *scanPlan) accessPath(f *frame) *accessPath {
 }
 
 // accessCost estimates an access path in units of one heap row examined
-// by a full scan (constants in planner.go, derivation in DESIGN.md §15).
+// by a full scan (constants above, derivation in DESIGN.md §15).
 // Without a provider index paths are free and the full scan is not, which
 // reduces the choice to the syntactic preference order.
 func accessCost(prov StatsProvider, t *rel.Table, p *accessPath) float64 {
@@ -279,8 +317,7 @@ func accessCost(prov StatsProvider, t *rel.Table, p *accessPath) float64 {
 		if n := float64(len(p.ids)); n > 0 && unique {
 			sel = n / math.Max(rows, 1)
 		} else if n > 0 {
-			// As the planner costs an IN list: the first id's selectivity
-			// for each of them.
+			// The first id's selectivity stands for each of them.
 			s, ok := prov.SelEq(table, ord, rel.NewInt(p.ids[0]))
 			sel, known = n*s, ok
 		}
@@ -306,9 +343,9 @@ func accessCost(prov StatsProvider, t *rel.Table, p *accessPath) float64 {
 	if !known {
 		sel = selIndexUnknown
 	}
-	// Hedged like the join strategies: the full scan must be predicted a
-	// fifth cheaper before it displaces an index path.
-	return strategyHedge * (costProbe*float64(max(len(p.keys)+len(p.ids), 1)) + math.Min(sel, 1)*rows*costIndexRow)
+	// Hedged: the full scan must be predicted a fifth cheaper before it
+	// displaces an index path.
+	return fullScanHedge * (costProbe*float64(max(len(p.keys)+len(p.ids), 1)) + math.Min(sel, 1)*rows*costIndexRow)
 }
 
 // accessName names an access path kind for ExecStats.
@@ -334,7 +371,7 @@ func (e *Engine) scanBase(f *frame, s *scanPlan) *relation {
 	q := f.q
 	path := s.accessPath(f)
 	// Rows, morsels, workers and time are the run's (Engine.run).
-	q.stats.Scans = append(q.stats.Scans, ScanStat{Table: s.t.Name(), Access: path.kind.accessName(), EstRows: s.est})
+	q.stats.Scans = append(q.stats.Scans, ScanStat{Table: s.t.Name(), Access: path.kind.accessName()})
 	src := &scanSource{f: f, plan: s, stat: len(q.stats.Scans) - 1, path: path}
 	return &relation{cols: s.cols, src: []*pipe{{scan: src}}}
 }

@@ -15,20 +15,17 @@ import (
 // nothing here except the atomic ioMisses counter (stats are aggregated
 // by the operator after its workers join).
 type queryState struct {
-	env      []cteBinding // the WITH names in scope, innermost last
-	params   []Arg        // this execution's arguments; never stored in the statement or a cached plan
-	idSets   []*valueSet  // by parameter index: the sets of the id lists among params, built when a frame first binds one
-	ioMisses int64        // buffer-pool misses (atomic; morsel workers add concurrently)
-	par      int          // morsel-parallelism budget (0 = GOMAXPROCS, 1 = serial)
-	sizes    morselSizes  // the engine's morsel work target and fan-out gate (zero: the defaults)
-	force    JoinStrategy // forced join strategy, StrategyAuto for planner's choice
-	asOf     rel.Version  // snapshot version for base-table reads (zero = latest)
-	t0       time.Time    // query start; anchors operator StartNs offsets
-	stats    ExecStats    // per-operator execution statistics
-
-	// Cost-based planner state.
-	provider  StatsProvider // optimizer statistics, nil = legacy planning
-	forcePlan int           // ExecOptions.ForcePlan (0 auto, -1 syntactic, k>=1 pinned)
+	env      []cteBinding  // the WITH names in scope, innermost last
+	params   []Arg         // this execution's arguments; never stored in the statement or a cached plan
+	idSets   []*valueSet   // by parameter index: the sets of the id lists among params, built when a frame first binds one
+	ioMisses int64         // buffer-pool misses (atomic; morsel workers add concurrently)
+	par      int           // morsel-parallelism budget (0 = GOMAXPROCS, 1 = serial)
+	sizes    morselSizes   // the engine's morsel work target and fan-out gate (zero: the defaults)
+	force    JoinStrategy  // forced join strategy, StrategyAuto for each join's rule
+	asOf     rel.Version   // snapshot version for base-table reads (zero = latest)
+	t0       time.Time     // query start; anchors operator StartNs offsets
+	stats    ExecStats     // per-operator execution statistics
+	provider StatsProvider // the statistics access paths are costed from; nil: the syntactic preference
 }
 
 // cteBinding is a WITH name bound to the relation of its query.

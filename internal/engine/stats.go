@@ -10,7 +10,8 @@ import (
 type JoinStrategy string
 
 const (
-	// StrategyAuto lets the planner choose (index-NL > hash > nested-loop).
+	// StrategyAuto picks index-NL where an index covers the join keys,
+	// else hash, and nested-loop for cross joins and non-equi conditions.
 	StrategyAuto JoinStrategy = ""
 	// StrategyIndexNL probes a base-table index once per outer row.
 	StrategyIndexNL JoinStrategy = "index-nl"
@@ -34,16 +35,10 @@ type JoinStat struct {
 	Workers    int    // workers that executed those runs (1 = serial)
 	StartNs    int64  // start of that run, relative to query start
 	Nanos      int64  // wall time of the runs the join was the first join of (see PipelineStat)
-
-	// Cost-based planner annotations. EstRows/EstCost are the planner's
-	// estimates for this join (-1 when the planner did not cost it);
-	// AltStrategy/AltCost describe the best strategy it considered but
-	// rejected (AltCost -1 when the alternative was not costed, e.g.
-	// legacy heuristic planning).
-	EstRows     int64
-	EstCost     float64
+	// AltStrategy is the strategy the join would have run under had its
+	// rule not applied: hash for an index-NL join, nested-loop for a hash
+	// join, hash for a forced nested loop over equi-join terms.
 	AltStrategy JoinStrategy
-	AltCost     float64
 }
 
 // ScanStat records one base-table access. It is the head of a run
@@ -58,7 +53,6 @@ type ScanStat struct {
 	Workers int
 	StartNs int64 // operator start, relative to query start
 	Nanos   int64 // operator wall time
-	EstRows int64 // planner-estimated output rows (-1 when not costed)
 }
 
 // CTEStat records one common table expression.
@@ -119,7 +113,7 @@ const (
 
 // ExecStats summarizes how a query executed: which join strategies ran,
 // what each operator examined and emitted, how work was morselized, and
-// how long each operator took. Benchmarks use it to assert planner
+// how long each operator took. Benchmarks use it to assert join
 // decisions (e.g. that a non-indexed equi-join really ran as a hash
 // join); tracing lifts the timings into per-operator spans.
 type ExecStats struct {
@@ -137,10 +131,9 @@ type ExecStats struct {
 	// kept as they are (a hash-join build side read straight from a
 	// filtered scan, a cut over a stored result).
 	MaterializedRows int
-	// PlanVariants is the number of distinct join orders the planner
-	// enumerated for the largest reorderable FROM clause in the query
-	// (0 when nothing was reorderable). The plan-equivalence differential
-	// tester sweeps ExecOptions.ForcePlan over 1..PlanVariants.
+	// PlanVariants is always 0: joins run in FROM order, so no core has
+	// join orders to enumerate. It stays only because the benchmark
+	// harness (benchmark/trace.go) reads it.
 	PlanVariants int
 }
 
@@ -169,14 +162,17 @@ func (s *ExecStats) MaxWorkers() int {
 	return w
 }
 
-// Work is the planner's cost formula (costOrder) evaluated on the rows
-// each scan and join actually saw rather than on estimates: a full scan
+// costBuildRow weighs a row hashed into a join's build side against one
+// probed (1), in Work.
+const costBuildRow = 1.2
+
+// Work weighs the rows each scan and join actually saw: a full scan
 // costs the rows it examined, an index access the rows it returned plus
 // a probe; an index nested-loop join a probe per outer row plus the
 // candidates the probes returned, a hash join its build rows weighted
-// plus its probe rows, a nested loop outer times inner rows. Two runs of
-// one plan do the same work, so it compares the plans of two planner
-// settings without timing noise.
+// plus its probe rows, a nested loop outer times inner rows. It is a sum
+// of row counts, so two runs of one plan do the same work at any worker
+// count, and a plan that does more of it shows without timing noise.
 func (s *ExecStats) Work() float64 {
 	w := 0.0
 	for _, sc := range s.Scans {
@@ -212,31 +208,16 @@ func (s *ExecStats) String() string {
 		fmt.Fprintf(&sb, "cte %s%s act=%d time=%s\n", c.Name, fused, c.Rows, fmtNanos(c.Nanos))
 	}
 	for _, sc := range s.Scans {
-		est := ""
-		if sc.EstRows >= 0 {
-			est = fmt.Sprintf(" est=%d", sc.EstRows)
-		}
-		fmt.Fprintf(&sb, "scan %s [%s] in=%d out=%d%s morsels=%d workers=%d time=%s\n",
-			sc.Table, sc.Access, sc.RowsIn, sc.RowsOut, est, sc.Morsels, sc.Workers, fmtNanos(sc.Nanos))
+		fmt.Fprintf(&sb, "scan %s [%s] in=%d out=%d morsels=%d workers=%d time=%s\n",
+			sc.Table, sc.Access, sc.RowsIn, sc.RowsOut, sc.Morsels, sc.Workers, fmtNanos(sc.Nanos))
 	}
 	for _, j := range s.Joins {
-		est := ""
-		if j.EstRows >= 0 {
-			est = fmt.Sprintf(" est=%d", j.EstRows)
-			if j.EstCost >= 0 {
-				est += fmt.Sprintf(" cost=%.0f", j.EstCost)
-			}
-		}
 		alt := ""
 		if j.AltStrategy != StrategyAuto {
-			if j.AltCost >= 0 {
-				alt = fmt.Sprintf(" alt=%s(cost=%.0f)", j.AltStrategy, j.AltCost)
-			} else {
-				alt = fmt.Sprintf(" alt=%s", j.AltStrategy)
-			}
+			alt = fmt.Sprintf(" alt=%s", j.AltStrategy)
 		}
-		fmt.Fprintf(&sb, "join %s [%s] build=%d probe=%d out=%d%s%s morsels=%d×%d workers=%d time=%s\n",
-			j.Table, j.Strategy, j.BuildRows, j.ProbeRows, j.OutRows, est, alt, j.Morsels, j.MorselRows, j.Workers, fmtNanos(j.Nanos))
+		fmt.Fprintf(&sb, "join %s [%s] build=%d probe=%d out=%d%s morsels=%d×%d workers=%d time=%s\n",
+			j.Table, j.Strategy, j.BuildRows, j.ProbeRows, j.OutRows, alt, j.Morsels, j.MorselRows, j.Workers, fmtNanos(j.Nanos))
 	}
 	for _, op := range s.Ops {
 		switch op.Kind {
@@ -259,8 +240,9 @@ func fmtNanos(ns int64) string {
 	return time.Duration(ns).Round(time.Microsecond).String()
 }
 
-// ExecOptions tunes query execution. The zero value means: planner's
-// choice of join strategy, morsel parallelism up to GOMAXPROCS.
+// ExecOptions tunes query execution. The zero value means: each join's
+// strategy by its rule (StrategyAuto), morsel parallelism up to
+// GOMAXPROCS.
 type ExecOptions struct {
 	// Parallelism caps the number of workers morsel-parallel operators
 	// (scans, filters, hash-join probes) may use. 0 means GOMAXPROCS;
@@ -271,13 +253,4 @@ type ExecOptions struct {
 	// evaluates equi-join conditions as residual predicates. Used by
 	// benchmarks and the strategy-equivalence tests.
 	ForceJoin JoinStrategy
-	// ForcePlan pins the join order for reorderable FROM clauses:
-	//   0  — cost-based planning when a stats provider is attached,
-	//        legacy syntactic order otherwise;
-	//  -1  — always the syntactic order (cost-based planning off);
-	//  k≥1 — the k-th enumerated order (1 = syntactic), wrapping modulo
-	//        the number of enumerated orders. Pinned orders neutralize
-	//        per-join strategy choices so ForceJoin composes with them.
-	// Used by the plan-equivalence differential tester.
-	ForcePlan int
 }

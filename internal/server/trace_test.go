@@ -61,20 +61,33 @@ func TestExplainAnalyzeResponse(t *testing.T) {
 	if len(exec.Children) == 0 {
 		t.Fatal("execute span has no operator children")
 	}
-	sawScan := false
-	for _, op := range exec.Children {
-		if op.DurNs < 0 || op.StartNs < 0 {
-			t.Fatalf("operator %s has negative timing: %+v", op.Name, op)
-		}
-		if op.Name == "scan" {
-			sawScan = true
-			if op.RowsIn == 0 {
-				t.Fatalf("scan operator reports no input rows: %+v", op)
+	// The CTEs a hop's core reads stream into its pipeline, whose span
+	// holds the scan and the joins it ran.
+	sawScan, fused := false, 0
+	var walk func(ops []*trace.Span)
+	walk = func(ops []*trace.Span) {
+		for _, op := range ops {
+			if op.DurNs < 0 || op.StartNs < 0 {
+				t.Fatalf("operator %s has negative timing: %+v", op.Name, op)
 			}
+			if op.Name == "scan" {
+				sawScan = true
+				if op.RowsIn == 0 {
+					t.Fatalf("scan operator reports no input rows: %+v", op)
+				}
+			}
+			if op.Name == "cte" && strings.HasSuffix(op.Detail, " fused") {
+				fused++
+			}
+			walk(op.Children)
 		}
 	}
+	walk(exec.Children)
 	if !sawScan {
 		t.Fatalf("no scan operator in plan tree: %s", body)
+	}
+	if fused != 2 {
+		t.Fatalf("%d fused CTEs in the plan tree, want T1 and T2: %s", fused, body)
 	}
 }
 

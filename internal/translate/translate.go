@@ -67,7 +67,7 @@ type Translation struct {
 	// the trace show.
 	SQL      string
 	ElemType ElemType
-	// Hints is always nil: cardinality is the engine planner's alone. Its
+	// Hints is always nil: nothing estimates a CTE's cardinality. Its
 	// sole reader is the frozen benchmark harness (benchmark/).
 	Hints map[string]float64
 }

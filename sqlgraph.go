@@ -385,7 +385,7 @@ func (g *Graph) Stats() (string, error) {
 		out, in, va.Rows, va.DistinctKeys, va.LongStringVal), nil
 }
 
-// OptimizerStats snapshots the cost-based planner's statistics — per-table
+// OptimizerStats snapshots the maintained table statistics — per-table
 // row counts, NDV estimates, histogram bounds, and per-edge-label degree
 // summaries — in a JSON-friendly shape. maxGroups bounds the per-table
 // group listing (largest labels first; 0 = all).
@@ -393,16 +393,10 @@ func (g *Graph) OptimizerStats(maxGroups int) []stats.TableDescription {
 	return g.store.OptimizerStats().Describe(maxGroups)
 }
 
-// RefreshStats rebuilds every planner statistic from a table scan,
+// RefreshStats rebuilds every maintained statistic from a table scan,
 // including the rebuild-only histograms (otherwise refreshed at load,
 // recovery, and checkpoints).
 func (g *Graph) RefreshStats() error { return g.store.RefreshStats() }
-
-// SetForcePlan pins the planner's join-order choice for subsequent
-// queries: 0 restores cost-based planning, -1 forces the syntactic FROM
-// order, k >= 1 pins the k-th enumerated order (wrapping modulo the
-// enumeration count). Results are identical at any setting.
-func (g *Graph) SetForcePlan(k int) { g.store.SetForcePlan(k) }
 
 // Close flushes and closes the write-ahead log of a durable store. It is
 // a no-op for in-memory stores.
